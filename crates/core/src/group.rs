@@ -34,9 +34,8 @@
 //! equals [`crate::parallel::ring_allreduce_wire_bytes`] of the total
 //! gradient payload exactly, for every bucket split and replica count.
 
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
-use fxhash::FxHashMap;
 use sn_graph::{LayerId, Net, StepPhase};
 use sn_sim::{
     DeviceGroup, DeviceSpec, EngineKind, Event, SimTime, SpanLabel, StreamId, Timeline, TraceSink,
@@ -44,6 +43,7 @@ use sn_sim::{
 use sn_telemetry::MetricsRegistry;
 
 use crate::executor::{finite_rate, ExecError, Executor, IterationReport};
+use crate::memo::SharedMemo;
 use crate::parallel::{bucket_wire_bytes, ring_wire_time, Interconnect};
 use crate::plan::{self, CompiledPlan, MemoryPlan, PlanKey, PlanOp};
 use crate::policy::Policy;
@@ -273,7 +273,7 @@ fn build_group_plan(replica: Arc<CompiledPlan>, cfg: &GroupConfig) -> GroupPlan 
 /// so distinct gang sizes can never alias (asserted by tests); the overlap
 /// flag is deliberately *not* — it is an execution mode, the plan is shared
 /// by both modes.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct GroupKey {
     plan: PlanKey,
     replicas: usize,
@@ -282,13 +282,13 @@ struct GroupKey {
     ic_latency_ns: u64,
 }
 
-type GroupMemoMap = FxHashMap<GroupKey, Result<Arc<GroupPlan>, ExecError>>;
+/// Entry cap of the group memo. Same overflow policy as the plan memo:
+/// group plans are recomputable, so at the cap each new one displaces the
+/// least-recently-used one and the rest stay hits.
+pub const GROUP_MEMO_CAP: usize = 1024;
 
-static GROUP_MEMO: OnceLock<Mutex<GroupMemoMap>> = OnceLock::new();
-
-/// Same overflow policy as the plan memo: group plans are recomputable, so
-/// a runaway sweep just resets the map.
-const GROUP_MEMO_CAP: usize = 1024;
+static GROUP_MEMO: SharedMemo<GroupKey, Result<Arc<GroupPlan>, ExecError>> =
+    SharedMemo::new(GROUP_MEMO_CAP);
 
 /// [`compile_group`] through the group memo; repeated gang admissions for
 /// the same `(net, policy, device, replicas, fabric)` tuple are a hash
@@ -307,18 +307,13 @@ pub fn compile_group_memo(
         ic_gbps_bits: cfg.interconnect.gbps.to_bits(),
         ic_latency_ns: cfg.interconnect.latency.0,
     };
-    let memo = GROUP_MEMO.get_or_init(|| Mutex::new(FxHashMap::default()));
-    if let Some(hit) = memo.lock().unwrap().get(&key) {
+    if let Some(hit) = GROUP_MEMO.get(&key) {
         group_memo_metrics().0.inc();
-        return hit.clone();
+        return hit;
     }
     group_memo_metrics().1.inc();
     let result = compile_group(net, spec, policy, cfg).map(Arc::new);
-    let mut map = memo.lock().unwrap();
-    if map.len() >= GROUP_MEMO_CAP {
-        map.clear();
-    }
-    map.insert(key, result.clone());
+    GROUP_MEMO.insert(key, result.clone());
     result
 }
 

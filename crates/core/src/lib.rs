@@ -44,6 +44,7 @@ pub mod convalgo;
 pub mod device;
 pub mod executor;
 pub mod group;
+mod memo;
 pub mod numeric;
 pub mod parallel;
 pub mod plan;

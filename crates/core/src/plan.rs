@@ -31,8 +31,11 @@
 //!   `(net fingerprint, policy, device)` key and returns a shared
 //!   `Arc<CompiledPlan>`; admission ladders and feasibility searches that
 //!   re-ask the same question get the answer back in hash-lookup time
-//!   (OOM outcomes are memoized too). [`plan_memo_stats`] exposes
-//!   hit/miss counters; [`clear_plan_memo`] resets (bench support).
+//!   (OOM outcomes are memoized too). The memo holds at most
+//!   [`PLAN_MEMO_CAP`] entries and at the cap forgets only the
+//!   least-recently-used one, so the hot set survives a long sweep.
+//!   [`plan_memo_stats`] exposes hit/miss counters; [`clear_plan_memo`]
+//!   empties it (bench support).
 //!
 //! None of this changes a single planned byte: the `plan` bench experiment
 //! still asserts plan peaks equal executed peaks across the preset × model
@@ -59,9 +62,8 @@
 //! nothing is eagerly offloaded (there is no backward to fetch it back for).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
-use fxhash::FxHashMap;
 use sn_graph::liveness::{LivenessOptions, LivenessPlan, TensorId, TensorRole};
 use sn_graph::{LayerId, Net, NetCost, Route, StepPhase};
 use sn_sim::{AllocGrant, DeviceAllocator, DeviceSpec, SimTime};
@@ -69,6 +71,7 @@ use sn_sim::{AllocGrant, DeviceAllocator, DeviceSpec, SimTime};
 use crate::convalgo::{self, AlgoChoice};
 use crate::device::Device;
 use crate::executor::{Counters, ExecError};
+use crate::memo::SharedMemo;
 use crate::policy::{Policy, RecomputeMode, WorkspacePolicy};
 use crate::recompute::{RecomputePlan, SegmentStrategy};
 use crate::tiers::Tier;
@@ -347,11 +350,12 @@ struct Analyses {
 
 type AnalysisKey = ((u64, u64), bool, LivenessOptions, RecomputeMode);
 
-static ANALYSIS_CACHE: OnceLock<Mutex<FxHashMap<AnalysisKey, Analyses>>> = OnceLock::new();
+/// Cap on cached analysis bundles. The set of distinct nets in any one
+/// process is usually far smaller; past the cap the least-recently-used
+/// bundle is forgotten (and re-derived if asked for again).
+pub const ANALYSIS_CACHE_CAP: usize = 512;
 
-/// Cap on cached analysis bundles; the set of distinct nets in any one
-/// process is small, this only guards against unbounded growth.
-const ANALYSIS_CACHE_CAP: usize = 512;
+static ANALYSIS_CACHE: SharedMemo<AnalysisKey, Analyses> = SharedMemo::new(ANALYSIS_CACHE_CAP);
 
 /// The planner-facing inputs derived from the graph alone. `effective_*`
 /// mirror [`compile`]'s inference adjustments, so the cache key is exactly
@@ -360,16 +364,11 @@ fn analyses_for(net: &Net, policy: Policy, inference: bool) -> Analyses {
     let options = effective_liveness_options(policy, inference);
     let rmode = effective_recompute_mode(policy, inference);
     let key = (net.fingerprint(), inference, options, rmode);
-    let cache = ANALYSIS_CACHE.get_or_init(|| Mutex::new(FxHashMap::default()));
-    if let Some(hit) = cache.lock().unwrap().get(&key) {
-        return hit.clone();
+    if let Some(hit) = ANALYSIS_CACHE.get(&key) {
+        return hit;
     }
     let a = build_analyses(net, options, rmode, inference);
-    let mut map = cache.lock().unwrap();
-    if map.len() >= ANALYSIS_CACHE_CAP {
-        map.clear();
-    }
-    map.insert(key, a.clone());
+    ANALYSIS_CACHE.insert(key, a.clone());
     a
 }
 
@@ -428,59 +427,60 @@ fn effective_recompute_mode(policy: Policy, inference: bool) -> RecomputeMode {
 // The plan memo: (fingerprint, policy, device) → Arc<CompiledPlan>.
 // ---------------------------------------------------------------------
 
-/// Everything a compilation's outcome depends on, folded bit-exactly
-/// (floats via `to_bits`), including the **device cap**: the planner adapts
-/// evictions and workspaces to `dram_bytes`, so a plan compiled for one cap
-/// must never be served for another.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// Everything a compilation's outcome depends on. The **device cap** is
+/// kept exact: the planner adapts evictions and workspaces to `dram_bytes`
+/// and admission sweeps it, so a plan compiled for one cap must never be
+/// served for another. The rest of the card — its name and its rate and
+/// latency constants, floats via `to_bits` — is folded to a 128-bit
+/// fingerprint the way [`Net::fingerprint`] folds the net, which makes the
+/// key `Copy` and small: building one for a lookup allocates nothing, and a
+/// memo entry can afford to hold it twice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct PlanKey {
     fp: (u64, u64),
     inference: bool,
     policy: Policy,
-    dev_name: String,
+    card: (u64, u64),
     dram: u64,
-    gflops_bits: u64,
-    mem_bw_bits: u64,
-    h2d_bits: u64,
-    d2h_bits: u64,
-    unpinned_bits: u64,
-    malloc_base_ns: u64,
-    malloc_per_mib_ns: u64,
-    free_base_ns: u64,
-    kernel_launch_ns: u64,
 }
 
 impl PlanKey {
     pub(crate) fn new(net: &Net, spec: &DeviceSpec, policy: Policy, inference: bool) -> PlanKey {
+        let card = (
+            &spec.name,
+            spec.peak_gflops.to_bits(),
+            spec.mem_bw_gbps.to_bits(),
+            spec.pcie_h2d_gbps.to_bits(),
+            spec.pcie_d2h_gbps.to_bits(),
+            spec.unpinned_factor.to_bits(),
+            spec.malloc_base.0,
+            spec.malloc_per_mib.0,
+            spec.free_base.0,
+            spec.kernel_launch.0,
+        );
         PlanKey {
             fp: net.fingerprint(),
             inference,
             policy,
-            dev_name: spec.name.clone(),
+            card: (
+                fxhash::hash_with_seed(&card, 0x6465_765f_6361_7264),
+                fxhash::hash_with_seed(&card, 0x736e_5f64_6576_6963),
+            ),
             dram: spec.dram_bytes,
-            gflops_bits: spec.peak_gflops.to_bits(),
-            mem_bw_bits: spec.mem_bw_gbps.to_bits(),
-            h2d_bits: spec.pcie_h2d_gbps.to_bits(),
-            d2h_bits: spec.pcie_d2h_gbps.to_bits(),
-            unpinned_bits: spec.unpinned_factor.to_bits(),
-            malloc_base_ns: spec.malloc_base.0,
-            malloc_per_mib_ns: spec.malloc_per_mib.0,
-            free_base_ns: spec.free_base.0,
-            kernel_launch_ns: spec.kernel_launch.0,
         }
     }
 }
 
-type MemoMap = FxHashMap<PlanKey, Result<Arc<CompiledPlan>, ExecError>>;
+/// Entry cap of the plan memo: a runaway sweep over thousands of distinct
+/// nets must not pin every plan it ever compiled. At the cap each new plan
+/// displaces the least-recently-used one (plans are recomputable by
+/// definition); everything asked for more recently stays a hit.
+pub const PLAN_MEMO_CAP: usize = 4096;
 
-static PLAN_MEMO: OnceLock<Mutex<MemoMap>> = OnceLock::new();
+static PLAN_MEMO: SharedMemo<PlanKey, Result<Arc<CompiledPlan>, ExecError>> =
+    SharedMemo::new(PLAN_MEMO_CAP);
 static MEMO_HITS: AtomicU64 = AtomicU64::new(0);
 static MEMO_MISSES: AtomicU64 = AtomicU64::new(0);
-
-/// Entry cap: a runaway sweep over thousands of distinct nets must not pin
-/// every plan it ever compiled. On overflow the whole memo resets (plans
-/// are recomputable by definition).
-const PLAN_MEMO_CAP: usize = 4096;
 
 /// Plan-memo effectiveness counters (process-wide, reset by
 /// [`clear_plan_memo`]).
@@ -493,14 +493,10 @@ pub struct MemoStats {
 
 /// Current hit/miss/entry counts of the plan memo.
 pub fn plan_memo_stats() -> MemoStats {
-    let entries = PLAN_MEMO
-        .get()
-        .map(|m| m.lock().unwrap().len())
-        .unwrap_or(0);
     MemoStats {
         hits: MEMO_HITS.load(Ordering::Relaxed),
         misses: MEMO_MISSES.load(Ordering::Relaxed),
-        entries,
+        entries: PLAN_MEMO.len(),
     }
 }
 
@@ -509,9 +505,7 @@ pub fn plan_memo_stats() -> MemoStats {
 /// analyses-warm compile — the steady-state admission regime) — never
 /// needed for correctness.
 pub fn clear_plan_memo() {
-    if let Some(m) = PLAN_MEMO.get() {
-        m.lock().unwrap().clear();
-    }
+    PLAN_MEMO.clear();
     MEMO_HITS.store(0, Ordering::Relaxed);
     MEMO_MISSES.store(0, Ordering::Relaxed);
 }
@@ -521,18 +515,7 @@ pub fn clear_plan_memo() {
 /// the first-contact cold state.
 pub fn clear_all_caches() {
     clear_plan_memo();
-    if let Some(m) = ANALYSIS_CACHE.get() {
-        m.lock().unwrap().clear();
-    }
-}
-
-fn compile_memo_inner(
-    net: &Net,
-    spec: &DeviceSpec,
-    policy: Policy,
-    inference: bool,
-) -> Result<Arc<CompiledPlan>, ExecError> {
-    compile_memo_traced(net, spec, policy, inference).0
+    ANALYSIS_CACHE.clear();
 }
 
 /// `(hit, miss)` counters of the process-wide metrics registry, mirroring
@@ -549,21 +532,21 @@ fn memo_metrics() -> &'static (sn_telemetry::Counter, sn_telemetry::Counter) {
     })
 }
 
-/// [`compile_memo_inner`] reporting whether the result was a memo hit.
-/// Test support: the global hit/miss counters are shared by every test in
-/// a process, so tests assert on this per-call flag instead.
-fn compile_memo_traced(
+/// A compile through the plan memo, reporting whether it was a memo hit.
+/// The global hit/miss counters are shared by every caller in the process,
+/// so anything that attributes lookups to itself (the autotuner's search
+/// statistics, tests) reads this per-call flag instead.
+pub(crate) fn compile_memo_traced(
     net: &Net,
     spec: &DeviceSpec,
     policy: Policy,
     inference: bool,
 ) -> (Result<Arc<CompiledPlan>, ExecError>, bool) {
     let key = PlanKey::new(net, spec, policy, inference);
-    let memo = PLAN_MEMO.get_or_init(|| Mutex::new(FxHashMap::default()));
-    if let Some(hit) = memo.lock().unwrap().get(&key) {
+    if let Some(hit) = PLAN_MEMO.get(&key) {
         MEMO_HITS.fetch_add(1, Ordering::Relaxed);
         memo_metrics().0.inc();
-        return (hit.clone(), true);
+        return (hit, true);
     }
     MEMO_MISSES.fetch_add(1, Ordering::Relaxed);
     memo_metrics().1.inc();
@@ -571,11 +554,7 @@ fn compile_memo_traced(
     // (both produce identical plans — last insert wins) but never block on
     // each other's compilation.
     let result = compile_inner(net, spec, policy, inference).map(Arc::new);
-    let mut map = memo.lock().unwrap();
-    if map.len() >= PLAN_MEMO_CAP {
-        map.clear();
-    }
-    map.insert(key, result.clone());
+    PLAN_MEMO.insert(key, result.clone());
     (result, false)
 }
 
@@ -589,7 +568,7 @@ pub fn compile_memo(
     spec: &DeviceSpec,
     policy: Policy,
 ) -> Result<Arc<CompiledPlan>, ExecError> {
-    compile_memo_inner(net, spec, policy, false)
+    compile_memo_traced(net, spec, policy, false).0
 }
 
 /// [`compile_inference`] through the plan memo.
@@ -598,7 +577,7 @@ pub fn compile_inference_memo(
     spec: &DeviceSpec,
     policy: Policy,
 ) -> Result<Arc<CompiledPlan>, ExecError> {
-    compile_memo_inner(net, spec, policy, true)
+    compile_memo_traced(net, spec, policy, true).0
 }
 
 // ---------------------------------------------------------------------
@@ -1298,9 +1277,9 @@ mod tests {
     /// Serializes the tests that clear the process-global plan memo, so
     /// they cannot evict each other's entries when the harness runs tests
     /// on multiple threads.
-    fn memo_test_lock() -> &'static Mutex<()> {
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        LOCK.get_or_init(|| Mutex::new(()))
+    fn memo_test_lock() -> &'static std::sync::Mutex<()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        &LOCK
     }
 
     fn small_net(batch: usize) -> Net {
@@ -1473,6 +1452,59 @@ mod tests {
         assert!(!i_hit);
         let i = i.unwrap();
         assert!(i.plan.inference && !a.plan.inference);
+        // Nor do two cards that differ in name only: the key keeps the
+        // name, as a fingerprint.
+        let mut renamed = spec.clone();
+        renamed.name.push_str("-b");
+        let (_, renamed_hit) = compile_memo_traced(&net, &renamed, policy, false);
+        assert!(
+            !renamed_hit,
+            "distinct device names must not share an entry"
+        );
+    }
+
+    #[test]
+    fn overflow_evicts_one_entry_and_keeps_the_hot_key() {
+        // One key more than the cap, the hot key re-asked along the way:
+        // the memo ends exactly full and the hot key is still the Arc it
+        // started as. (Sibling tests may add entries of their own meanwhile
+        // — far fewer than a cap's worth between two touches.)
+        let _guard = memo_test_lock().lock().unwrap();
+        let mut net = Net::new("overflow", Shape4::new(2, 1, 4, 4));
+        let d = net.data();
+        let f = net.fc(d, 4);
+        net.softmax(f);
+        let policy = Policy::liveness_only();
+        let base = DeviceSpec::k40c();
+        let cap_of = |i: usize| base.clone().with_dram(base.dram_bytes - i as u64);
+        clear_plan_memo();
+        let hot = compile_memo(&net, &cap_of(0), policy).unwrap();
+        for i in 1..=PLAN_MEMO_CAP {
+            let (_, hit) = compile_memo_traced(&net, &cap_of(i), policy, false);
+            assert!(!hit, "cap {i} is a first contact");
+            if i % 64 == 0 {
+                let (again, hit) = compile_memo_traced(&net, &cap_of(0), policy, false);
+                assert!(hit && Arc::ptr_eq(&hot, &again.unwrap()));
+            }
+        }
+        assert_eq!(plan_memo_stats().entries, PLAN_MEMO_CAP);
+        let (again, hit) = compile_memo_traced(&net, &cap_of(0), policy, false);
+        assert!(hit, "the hot key must survive the overflow");
+        assert!(Arc::ptr_eq(&hot, &again.unwrap()));
+        // What the overflow cost is the cold end, not the recent keys.
+        let (_, newest_hit) = compile_memo_traced(&net, &cap_of(PLAN_MEMO_CAP), policy, false);
+        let (_, oldest_hit) = compile_memo_traced(&net, &cap_of(1), policy, false);
+        assert!(newest_hit && !oldest_hit);
+    }
+
+    #[test]
+    fn a_panic_under_the_memo_lock_does_not_fail_later_compiles() {
+        PLAN_MEMO.poison();
+        let net = small_net(6);
+        let spec = DeviceSpec::k40c();
+        let p = crate::plan_prediction(&net, &spec, Policy::superneurons()).unwrap();
+        assert!(p.peak_bytes > 0);
+        let _ = plan_memo_stats();
     }
 
     #[test]

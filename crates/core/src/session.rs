@@ -83,6 +83,17 @@ pub struct PeakPrediction {
     pub weight_bytes: u64,
 }
 
+impl PeakPrediction {
+    /// The quantities as a compiled plan states them.
+    fn of(plan: &plan::MemoryPlan) -> PeakPrediction {
+        PeakPrediction {
+            peak_bytes: plan.peak_bytes,
+            iter_time: plan.iter_time_estimate(),
+            weight_bytes: plan.weight_bytes,
+        }
+    }
+}
+
 /// Predict what training `net` under `policy` costs on `spec` by *running*
 /// the interpreter: one cold and one warm virtual iteration (no numeric
 /// compute). The validation-grade path — [`plan_prediction`] returns the
@@ -124,12 +135,19 @@ pub fn plan_prediction(
     spec: &DeviceSpec,
     policy: Policy,
 ) -> Result<PeakPrediction, ExecError> {
-    let c = plan::compile_memo(net, spec, policy)?;
-    Ok(PeakPrediction {
-        peak_bytes: c.plan.peak_bytes,
-        iter_time: c.plan.iter_time_estimate(),
-        weight_bytes: c.plan.weight_bytes,
-    })
+    plan_prediction_traced(net, spec, policy).0
+}
+
+/// [`plan_prediction`] plus whether the plan memo answered it — one lookup
+/// per call, so a caller can count its own lookups and hits without
+/// reading the process-wide memo counters other threads also move.
+pub(crate) fn plan_prediction_traced(
+    net: &Net,
+    spec: &DeviceSpec,
+    policy: Policy,
+) -> (Result<PeakPrediction, ExecError>, bool) {
+    let (c, hit) = plan::compile_memo_traced(net, spec, policy, false);
+    (c.map(|c| PeakPrediction::of(&c.plan)), hit)
 }
 
 /// [`plan_prediction`] for a forward-only inference plan: the peak a serving
@@ -141,12 +159,7 @@ pub fn plan_prediction_inference(
     spec: &DeviceSpec,
     policy: Policy,
 ) -> Result<PeakPrediction, ExecError> {
-    let c = plan::compile_inference_memo(net, spec, policy)?;
-    Ok(PeakPrediction {
-        peak_bytes: c.plan.peak_bytes,
-        iter_time: c.plan.iter_time_estimate(),
-        weight_bytes: c.plan.weight_bytes,
-    })
+    plan::compile_inference_memo(net, spec, policy).map(|c| PeakPrediction::of(&c.plan))
 }
 
 impl Session {

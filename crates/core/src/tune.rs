@@ -59,7 +59,7 @@ use crate::group::{GroupConfig, GroupExecutor, DEFAULT_BUCKET_BYTES};
 use crate::parallel::Interconnect;
 use crate::plan;
 use crate::policy::{AllocatorKind, CachePolicy, Policy, RecomputeMode, WorkspacePolicy};
-use crate::session::plan_prediction;
+use crate::session::plan_prediction_traced;
 use crate::tiers::TierConfig;
 
 /// Prefetch-ahead windows the sampler draws from (the hand presets all sit
@@ -178,7 +178,7 @@ pub struct TunedPolicy {
     pub hand_name: &'static str,
     pub seed: u64,
     /// Feasibility evaluations spent (each is exactly one memoized-compile
-    /// lookup via [`plan_prediction`]).
+    /// lookup via [`crate::plan_prediction`]).
     pub evals: u64,
     /// Lattice cells skipped: invalid knob combos, duplicates, infeasible
     /// points, and halving-stage drops.
@@ -374,9 +374,10 @@ struct Search<'a> {
 
 impl Search<'_> {
     /// Feasibility-check `policies` in one `par_map` batch over the plan
-    /// memo. Exactly one memoized-compile lookup per *uncached* policy; the
-    /// memo-stat delta around the batch is the attribution the
-    /// `metrics_consistent` gate checks.
+    /// memo. Exactly one memoized-compile lookup per *uncached* policy,
+    /// counted per call (lookup and hit flag as each prediction returns
+    /// them), so the search's statistics are its own whatever else in the
+    /// process uses the memo meanwhile.
     fn feasibility_batch(&mut self, stage: &str, policies: &[Policy]) {
         let fresh: Vec<Policy> = {
             let mut seen = FxHashSet::default();
@@ -389,20 +390,16 @@ impl Search<'_> {
         if fresh.is_empty() {
             return;
         }
-        let before = plan::plan_memo_stats();
         let net = self.net;
         let spec = self.spec;
         let verdicts = rayon::par_map_workers(&fresh, self.workers, |p| {
-            plan_prediction(net, spec, *p)
-                .ok()
-                .map(|pred| (pred.peak_bytes, pred.iter_time))
+            let (pred, hit) = plan_prediction_traced(net, spec, *p);
+            (pred.ok().map(|pred| (pred.peak_bytes, pred.iter_time)), hit)
         });
-        let after = plan::plan_memo_stats();
         self.evals += fresh.len() as u64;
-        self.memo_hits += after.hits.saturating_sub(before.hits);
-        self.memo_lookups +=
-            (after.hits + after.misses).saturating_sub(before.hits + before.misses);
-        for (p, v) in fresh.into_iter().zip(verdicts) {
+        self.memo_lookups += verdicts.len() as u64;
+        self.memo_hits += verdicts.iter().filter(|(_, hit)| *hit).count() as u64;
+        for (p, (v, _)) in fresh.into_iter().zip(verdicts) {
             if v.is_none() {
                 self.pruned += 1;
             }
@@ -785,9 +782,9 @@ pub fn registered_count() -> usize {
     registry().lock().unwrap().len()
 }
 
-/// Everything a tuning outcome depends on, folded bit-exactly — the same
-/// discipline as the plan memo's `PlanKey`. `workers` is excluded on
-/// purpose: worker count must never change the answer.
+/// Everything a tuning outcome depends on, folded bit-exactly (floats via
+/// `to_bits`). `workers` is excluded on purpose: worker count must never
+/// change the answer.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TuneKey {
     fp: (u64, u64),

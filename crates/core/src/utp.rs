@@ -20,8 +20,10 @@
 //!
 //! Plan compilation is the system's hot path (admission ladders and
 //! feasibility searches compile thousands of plans), so the Tensor Cache is
-//! an **intrusive doubly-linked list over dense `TensorId`-indexed arrays**:
-//! touch, insert, remove and pin are all O(1), no allocation, no hashing.
+//! the **intrusive doubly-linked recency list over dense
+//! `TensorId`-indexed links** (`memo::RecencyList`, the one implementation
+//! the compile memos' LRU sits on too): touch, insert, remove and pin are
+//! all O(1), no allocation, no hashing.
 //! The pre-optimization `Vec`-backed list survives as
 //! [`reference::VecCache`] and a differential test asserts both produce
 //! identical victim sequences.
@@ -30,6 +32,7 @@ use sn_graph::liveness::{LivenessPlan, TensorId};
 use sn_sim::{AllocId, Dma};
 
 use crate::device::Device;
+use crate::memo::RecencyList;
 use crate::policy::CachePolicy;
 use crate::tiers::{Tier, TierSlot};
 
@@ -83,107 +86,6 @@ impl TensorState {
     };
 }
 
-const NONE: u32 = u32::MAX;
-
-/// One tensor's links in the intrusive recency list.
-#[derive(Debug, Clone, Copy)]
-struct CacheLink {
-    newer: u32,
-    older: u32,
-    linked: bool,
-}
-
-const UNLINKED: CacheLink = CacheLink {
-    newer: NONE,
-    older: NONE,
-    linked: false,
-};
-
-/// The intrusive recency list: per-tensor `newer`/`older` links in one
-/// dense array, `head` = MRU, `tail` = LRU. Every mutation is O(1); victim
-/// scans walk only as far as the first evictable entry.
-#[derive(Debug, Clone)]
-struct CacheList {
-    links: Vec<CacheLink>,
-    head: u32,
-    tail: u32,
-    len: usize,
-}
-
-impl CacheList {
-    fn new(n: usize) -> CacheList {
-        CacheList {
-            links: vec![UNLINKED; n],
-            head: NONE,
-            tail: NONE,
-            len: 0,
-        }
-    }
-
-    /// Link `t` at the MRU end. `t` must not be linked.
-    fn push_front(&mut self, t: TensorId) {
-        debug_assert!(!self.links[t.0].linked);
-        let i = t.0 as u32;
-        self.links[t.0] = CacheLink {
-            newer: NONE,
-            older: self.head,
-            linked: true,
-        };
-        if self.head != NONE {
-            self.links[self.head as usize].newer = i;
-        }
-        self.head = i;
-        if self.tail == NONE {
-            self.tail = i;
-        }
-        self.len += 1;
-    }
-
-    /// Unlink `t` wherever it sits. No-op when not linked.
-    fn unlink(&mut self, t: TensorId) {
-        let CacheLink {
-            newer: n,
-            older: o,
-            linked,
-        } = self.links[t.0];
-        if !linked {
-            return;
-        }
-        if n != NONE {
-            self.links[n as usize].older = o;
-        } else {
-            self.head = o;
-        }
-        if o != NONE {
-            self.links[o as usize].newer = n;
-        } else {
-            self.tail = n;
-        }
-        self.links[t.0].linked = false;
-        self.len -= 1;
-    }
-
-    /// Move `t` to the MRU end if present.
-    fn touch(&mut self, t: TensorId) {
-        if self.links[t.0].linked {
-            self.unlink(t);
-            self.push_front(t);
-        }
-    }
-
-    fn clear(&mut self) {
-        let mut t = self.head;
-        while t != NONE {
-            let next = self.links[t as usize].older;
-            self.links[t as usize].linked = false;
-            t = next;
-        }
-        self.head = NONE;
-        self.tail = NONE;
-        self.len = 0;
-    }
-}
-
 /// Reference Tensor Cache implementations, kept for differential tests and
 /// the `compile` bench experiment's pre-optimization baseline row.
 pub mod reference {
@@ -222,7 +124,7 @@ pub mod reference {
 /// drive the exact pre-optimization data structure through the same API.
 #[derive(Debug, Clone)]
 enum Cache {
-    Linked(CacheList),
+    Linked(RecencyList),
     Reference(reference::VecCache),
 }
 
@@ -244,7 +146,7 @@ impl Utp {
     pub fn new(n_tensors: usize) -> Utp {
         Utp {
             states: vec![TensorState::EMPTY; n_tensors],
-            cache: Cache::Linked(CacheList::new(n_tensors)),
+            cache: Cache::Linked(RecencyList::new(n_tensors)),
             insertion_clock: 0,
             pending_offloads: Vec::new(),
         }
@@ -270,7 +172,7 @@ impl Utp {
 
     pub fn lru_touch(&mut self, t: TensorId) {
         match &mut self.cache {
-            Cache::Linked(l) => l.touch(t),
+            Cache::Linked(l) => l.touch(t.0 as u32),
             Cache::Reference(v) => v.touch(t),
         }
     }
@@ -279,14 +181,14 @@ impl Utp {
         self.insertion_clock += 1;
         self.states[t.0].inserted_at = self.insertion_clock;
         match &mut self.cache {
-            Cache::Linked(l) => l.push_front(t),
+            Cache::Linked(l) => l.push_front(t.0 as u32),
             Cache::Reference(v) => v.push_front(t),
         }
     }
 
     pub fn lru_remove(&mut self, t: TensorId) {
         match &mut self.cache {
-            Cache::Linked(l) => l.unlink(t),
+            Cache::Linked(l) => l.unlink(t.0 as u32),
             Cache::Reference(v) => v.remove(t),
         }
     }
@@ -302,46 +204,18 @@ impl Utp {
             st.lock == 0 && !st.offloading
         };
         match &self.cache {
-            Cache::Linked(l) => match policy {
-                CachePolicy::Lru => {
-                    let mut t = l.tail;
-                    while t != NONE {
-                        let id = TensorId(t as usize);
-                        if evictable(id) {
-                            return Some(id);
-                        }
-                        t = l.links[t as usize].newer;
-                    }
-                    None
+            Cache::Linked(l) => {
+                let id = |i: u32| TensorId(i as usize);
+                match policy {
+                    CachePolicy::Lru => l.lru_to_mru().map(id).find(|t| evictable(*t)),
+                    CachePolicy::Mru => l.mru_to_lru().map(id).find(|t| evictable(*t)),
+                    CachePolicy::Fifo => l
+                        .mru_to_lru()
+                        .map(id)
+                        .filter(|t| evictable(*t))
+                        .min_by_key(|t| self.states[t.0].inserted_at),
                 }
-                CachePolicy::Mru => {
-                    let mut t = l.head;
-                    while t != NONE {
-                        let id = TensorId(t as usize);
-                        if evictable(id) {
-                            return Some(id);
-                        }
-                        t = l.links[t as usize].older;
-                    }
-                    None
-                }
-                CachePolicy::Fifo => {
-                    let mut best: Option<TensorId> = None;
-                    let mut t = l.head;
-                    while t != NONE {
-                        let id = TensorId(t as usize);
-                        if evictable(id)
-                            && best.is_none_or(|b| {
-                                self.states[id.0].inserted_at < self.states[b.0].inserted_at
-                            })
-                        {
-                            best = Some(id);
-                        }
-                        t = l.links[t as usize].older;
-                    }
-                    best
-                }
-            },
+            }
             Cache::Reference(v) => match policy {
                 CachePolicy::Lru => v.list.iter().rev().copied().find(|t| evictable(*t)),
                 CachePolicy::Mru => v.list.iter().copied().find(|t| evictable(*t)),
@@ -535,7 +409,7 @@ impl Utp {
     /// cache representations.
     pub fn cache_len(&self) -> usize {
         match &self.cache {
-            Cache::Linked(l) => l.len,
+            Cache::Linked(l) => l.len(),
             Cache::Reference(v) => v.list.len(),
         }
     }

@@ -53,13 +53,23 @@ pub mod prelude {
 }
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Worker count [`par_map`] spreads over (the machine's available
 /// parallelism; 1 means everything degenerates to the sequential path).
+///
+/// Resolved once per process — `available_parallelism()` reads cgroup
+/// limits and the affinity mask, system calls callers that ask per sweep
+/// should not pay each time — so **first use wins**: a process that changes
+/// its CPU affinity must do so before the first call, as real rayon's
+/// global pool is sized once too.
 pub fn current_num_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Run both closures, potentially in parallel, returning both results —
