@@ -353,7 +353,7 @@ pub fn fig12() -> String {
         ex.run_iteration().unwrap();
         let r = ex.run_iteration().unwrap();
         let mut s = String::new();
-        for rec in &ex.ws_records {
+        for rec in ex.ws_records() {
             s.push_str(&format!(
                 "  {:7} {:4} assigned {:>8} MB  max-speed {:>8} MB  algo {:13} ({:.2}x)\n",
                 rec.name,

@@ -291,16 +291,23 @@ impl ExecMetrics {
 }
 
 /// A Fig. 12 record: workspace assigned vs. the max-speed want, per CONV
-/// step.
+/// step. Derived from the plan by [`Executor::ws_records`].
 #[derive(Debug, Clone)]
 pub struct WorkspaceRecord {
     pub layer: LayerId,
-    pub name: String,
+    pub name: Arc<str>,
     pub phase: Phase,
     pub assigned_bytes: u64,
     pub max_speed_bytes: u64,
     pub algo: &'static str,
     pub speedup: f64,
+}
+
+fn sim_phase(phase: StepPhase) -> Phase {
+    match phase {
+        StepPhase::Forward => Phase::Forward,
+        StepPhase::Backward => Phase::Backward,
+    }
 }
 
 /// The executor. Owns the device and the compiled plan; borrows the network.
@@ -324,7 +331,6 @@ pub struct Executor<'n> {
     ws_grant: Option<sn_sim::AllocId>,
     tr_grant: Option<sn_sim::AllocId>,
     pub trace: StepTrace,
-    pub ws_records: Vec<WorkspaceRecord>,
     pub counters: Counters,
     backend: Option<Box<dyn ComputeBackend>>,
     iter: u64,
@@ -336,6 +342,8 @@ pub struct Executor<'n> {
     /// Interned layer names, indexed by `LayerId` — step records and span
     /// labels share these instead of cloning a `String` per step.
     names: Vec<Arc<str>>,
+    /// Scratch for the current step's kernel gates, reused across steps.
+    gates: Vec<Event>,
     /// Metric handles, present only after [`Executor::enable_metrics`].
     metrics: Option<ExecMetrics>,
     /// Time kernels spent waiting on in-flight prefetches this iteration
@@ -413,7 +421,6 @@ impl<'n> Executor<'n> {
             ws_grant: None,
             tr_grant: None,
             trace: StepTrace::new(),
-            ws_records: Vec::new(),
             counters: Counters::default(),
             backend: None,
             iter: 0,
@@ -421,6 +428,7 @@ impl<'n> Executor<'n> {
             iter_alloc_time0: SimTime::ZERO,
             iter_alloc_calls0: 0,
             names,
+            gates: Vec::new(),
             metrics: None,
             prefetch_stall: SimTime::ZERO,
         })
@@ -455,6 +463,25 @@ impl<'n> Executor<'n> {
 
     pub fn backend(&self) -> Option<&dyn ComputeBackend> {
         self.backend.as_deref()
+    }
+
+    /// The Fig. 12 rows, one per CONV step in step order: the workspace
+    /// the plan assigned against the max-speed want. A pure view of
+    /// [`MemoryPlan::steps`], so the rows exist as soon as the executor is
+    /// built — before the first iteration — and never change.
+    pub fn ws_records(&self) -> impl Iterator<Item = WorkspaceRecord> + '_ {
+        self.mplan.steps.iter().filter_map(|step| {
+            let ws = step.workspace?;
+            Some(WorkspaceRecord {
+                layer: step.layer,
+                name: self.names[step.layer.0].clone(),
+                phase: sim_phase(step.phase),
+                assigned_bytes: ws.bytes,
+                max_speed_bytes: ws.max_speed_bytes,
+                algo: ws.algo,
+                speedup: ws.speedup,
+            })
+        })
     }
 
     fn meta(&self, t: TensorId) -> &sn_graph::TensorMeta {
@@ -660,7 +687,6 @@ impl<'n> Executor<'n> {
         self.counters = self.mplan.predicted;
         self.prefetch_stall = SimTime::ZERO;
         self.trace.clear();
-        self.ws_records.clear();
         if let Some(b) = self.backend.as_mut() {
             b.begin_iteration(self.iter);
         }
@@ -703,6 +729,13 @@ impl<'n> Executor<'n> {
             report.peak_bytes, self.mplan.peak_bytes,
             "executed peak diverged from the plan"
         );
+        // Once per iteration, never per step: the O(1) residency count
+        // against the O(tensors) scan it replaced.
+        debug_assert_eq!(
+            self.utp.device_resident(),
+            self.utp.scan_device_resident(),
+            "device-resident count drifted from the tensor states"
+        );
         if let Some(m) = &self.metrics {
             m.flush(&report, self.prefetch_stall);
             m.cache_resident.set(self.utp.cache_len() as i64);
@@ -721,26 +754,26 @@ impl<'n> Executor<'n> {
     }
 
     pub(crate) fn run_step(&mut self, s: usize) -> Result<(), ExecError> {
-        let layer_id = self.mplan.steps[s].layer;
-        let phase = self.mplan.steps[s].phase;
-        let duration = self.mplan.steps[s].duration;
+        let step = self.mplan.steps[s];
+        let phase = sim_phase(step.phase);
 
         // 1. Residency ops ahead of the kernel (staging, evictions,
         //    recompute replays, workspace/transient allocation). Indexed
         //    iteration: `PlanOp` is `Copy`, so the interpreter's hottest
         //    loop never clones the plan's op vectors.
-        let pre = self.mplan.steps[s].pre;
-        for i in pre.start as usize..pre.end as usize {
+        for i in step.pre.start as usize..step.pre.end as usize {
             let op = self.mplan.ops[i];
             self.apply(op, s, None)?;
         }
 
         // 2. The kernel, gated on *every* input's in-flight prefetch: a
         //    tensor is never read while its H2D copy is still on the wire.
-        let gates: Vec<Event> = self.plan.step_inputs[s]
-            .iter()
-            .filter_map(|t| self.utp.states[t.0].prefetch.map(|d| d.event))
-            .collect();
+        self.gates.clear();
+        self.gates.extend(
+            self.plan.step_inputs[s]
+                .iter()
+                .filter_map(|t| self.utp.states[t.0].prefetch.map(|d| d.event)),
+        );
         if self.metrics.is_some() {
             // Prefetch-stall: how far the gates push the kernel past where
             // the compute stream could otherwise have started it.
@@ -749,7 +782,8 @@ impl<'n> Executor<'n> {
                 .tl
                 .stream_frontier(StreamId::COMPUTE)
                 .max(self.dev.tl.now());
-            let gate = gates
+            let gate = self
+                .gates
                 .iter()
                 .map(|e| e.done_at)
                 .fold(SimTime::ZERO, SimTime::max);
@@ -759,41 +793,27 @@ impl<'n> Executor<'n> {
         }
         if self.dev.tl.tracing() {
             self.dev.tl.trace_label(
-                SpanLabel::new(self.names[layer_id.0].to_string(), "kernel")
+                SpanLabel::new(self.names[step.layer.0].to_string(), "kernel")
                     .arg("step", s)
                     .arg(
                         "phase",
                         match phase {
-                            StepPhase::Forward => "forward",
-                            StepPhase::Backward => "backward",
+                            Phase::Forward => "forward",
+                            Phase::Backward => "backward",
                         },
                     ),
             );
         }
-        let compute_done = self.dev.tl.submit_on(StreamId::COMPUTE, duration, &gates);
+        let compute_done = self
+            .dev
+            .tl
+            .submit_on(StreamId::COMPUTE, step.duration, &self.gates);
 
-        if let Some(ws) = self.mplan.steps[s].workspace {
-            self.ws_records.push(WorkspaceRecord {
-                layer: layer_id,
-                name: self.net.layer(layer_id).name.clone(),
-                phase: match phase {
-                    StepPhase::Forward => Phase::Forward,
-                    StepPhase::Backward => Phase::Backward,
-                },
-                assigned_bytes: ws.bytes,
-                max_speed_bytes: ws.max_speed_bytes,
-                algo: ws.algo,
-                speedup: ws.speedup,
-            });
-        }
         // Record the trace at the step's high-water moment.
         self.trace.push(StepRecord {
             step: s + 1,
-            layer: self.names[layer_id.0].clone(),
-            phase: match phase {
-                StepPhase::Forward => Phase::Forward,
-                StepPhase::Backward => Phase::Backward,
-            },
+            layer: self.names[step.layer.0].clone(),
+            phase,
             resident_bytes: self.dev.alloc.used(),
             live_tensors: self.utp.device_resident(),
             free_bytes: self.dev.alloc.free_bytes(),
@@ -804,15 +824,14 @@ impl<'n> Executor<'n> {
         self.dev.tl.join_compute();
         if let Some(b) = self.backend.as_mut() {
             match phase {
-                StepPhase::Forward => b.forward(layer_id),
-                StepPhase::Backward => b.backward(layer_id),
+                Phase::Forward => b.forward(step.layer),
+                Phase::Backward => b.backward(step.layer),
             }
         }
 
         // 3. Post-kernel ops (transient release, eager offload gated on the
         //    kernel, prefetch-ahead, liveness frees, recompute cleanup).
-        let post = self.mplan.steps[s].post;
-        for i in post.start as usize..post.end as usize {
+        for i in step.post.start as usize..step.post.end as usize {
             let op = self.mplan.ops[i];
             self.apply(op, s, Some(compute_done))?;
         }
@@ -1158,17 +1177,17 @@ mod tests {
     fn trace_covers_every_step() {
         let net = alex_stub(8);
         let mut ex = Executor::new(&net, spec(), Policy::liveness_only()).unwrap();
-        ex.run_iteration().unwrap();
-        assert_eq!(ex.trace.records.len(), ex.route.total_steps());
-        assert!(ex.trace.peak_bytes() > 0);
-        // Workspace records exist for conv steps (fwd + bwd each).
+        // Workspace records exist for conv steps (fwd + bwd each), from the
+        // plan alone; WorkspacePolicy::None still plans fallback rows.
         let convs = net
             .layers()
             .iter()
             .filter(|l| matches!(l.kind, sn_graph::LayerKind::Conv { .. }))
             .count();
-        // WorkspacePolicy::None still records fallback rows for conv layers.
-        assert_eq!(ex.ws_records.len(), 2 * convs);
+        assert_eq!(ex.ws_records().count(), 2 * convs);
+        ex.run_iteration().unwrap();
+        assert_eq!(ex.trace.records.len(), ex.route.total_steps());
+        assert!(ex.trace.peak_bytes() > 0);
     }
 
     #[test]

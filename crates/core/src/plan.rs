@@ -788,7 +788,7 @@ impl<'a> Planner<'a> {
     /// honouring the lock/offloading guards.
     fn drop_device_copy(&mut self, t: TensorId) {
         let st = self.utp.state(t);
-        if st.lock > 0 || st.offloading || st.residence != Residence::Device {
+        if st.lock > 0 || st.offloading || st.residence() != Residence::Device {
             return;
         }
         self.release_device(t);
@@ -836,7 +836,7 @@ impl<'a> Planner<'a> {
             meta.last_use_step >= step || meta.bwd_last_use.is_some_and(|b| b >= step);
         let bytes = meta.bytes;
         let st = self.utp.state(victim);
-        debug_assert_eq!(st.residence, Residence::Device);
+        debug_assert_eq!(st.residence(), Residence::Device);
         if needed_later && !st.host_valid {
             if !self.utp.ensure_host_slot(victim, bytes, &mut self.dev) {
                 return Err(ExecError::HostExhausted { requested: bytes });
@@ -892,7 +892,7 @@ impl<'a> Planner<'a> {
 
     /// Make `t` device-resident (the Check() of Alg. 2; may recompute).
     fn ensure_present(&mut self, t: TensorId, step: usize) -> Result<(), ExecError> {
-        match self.utp.state(t).residence {
+        match self.utp.state(t).residence() {
             Residence::Device => {
                 self.counters.cache_hits += 1;
                 self.utp.lru_touch(t);
@@ -922,7 +922,7 @@ impl<'a> Planner<'a> {
                 );
                 let layer = meta.layer;
                 self.recompute_for(layer, step)?;
-                debug_assert_eq!(self.utp.state(t).residence, Residence::Device);
+                debug_assert_eq!(self.utp.state(t).residence(), Residence::Device);
                 Ok(())
             }
         }
@@ -962,7 +962,7 @@ impl<'a> Planner<'a> {
 
         for &m in members {
             let mt = self.liveness.fwd_out[m.0];
-            match self.utp.state(mt).residence {
+            match self.utp.state(mt).residence() {
                 Residence::Device => continue, // materialized by an earlier replay
                 Residence::Host => {
                     // A previously recomputed copy was evicted to the host;
@@ -1017,7 +1017,7 @@ impl<'a> Planner<'a> {
         let mut seen_ckpt = false;
         for s in (step + 1)..total.min(step + 1 + depth) {
             for &t in &liveness.step_inputs[s] {
-                if self.utp.state(t).residence != Residence::Host {
+                if self.utp.state(t).residence() != Residence::Host {
                     continue;
                 }
                 let bytes = self.meta(t).bytes;
@@ -1065,7 +1065,7 @@ impl<'a> Planner<'a> {
 
         // 2. Materialize this step's outputs.
         for &t in &liveness.created_at[s] {
-            if self.utp.state(t).residence == Residence::None {
+            if self.utp.state(t).residence() == Residence::None {
                 let meta = self.meta(t);
                 let (bytes, layer) = (meta.bytes, meta.layer);
                 let g = self.ladder_alloc(bytes, s, AllocFor::Layer(layer))?;
@@ -1184,7 +1184,7 @@ impl<'a> Planner<'a> {
         // 9. Liveness frees.
         for &t in &liveness.freed_after[s] {
             let st = self.utp.state(t);
-            if st.residence != Residence::None || st.host_slot.is_some() {
+            if st.residence() != Residence::None || st.host_slot.is_some() {
                 self.ops.push(PlanOp::Free(t));
                 self.utp.free_tensor(t, &mut self.dev);
             }

@@ -153,7 +153,7 @@ impl<'a> Planner<'a> {
 
     fn drop_device_copy(&mut self, t: TensorId) {
         let st = self.utp.state(t);
-        if st.lock > 0 || st.offloading || st.residence != Residence::Device {
+        if st.lock > 0 || st.offloading || st.residence() != Residence::Device {
             return;
         }
         self.release_device(t);
@@ -188,7 +188,7 @@ impl<'a> Planner<'a> {
             meta.last_use_step >= step || meta.bwd_last_use.is_some_and(|b| b >= step);
         let bytes = meta.bytes;
         let st = self.utp.state(victim);
-        debug_assert_eq!(st.residence, Residence::Device);
+        debug_assert_eq!(st.residence(), Residence::Device);
         if needed_later && !st.host_valid {
             if !self.utp.ensure_host_slot(victim, bytes, &mut self.dev) {
                 return Err(ExecError::HostExhausted { requested: bytes });
@@ -238,7 +238,7 @@ impl<'a> Planner<'a> {
     }
 
     fn ensure_present(&mut self, t: TensorId, step: usize) -> Result<(), ExecError> {
-        match self.utp.state(t).residence {
+        match self.utp.state(t).residence() {
             Residence::Device => {
                 self.counters.cache_hits += 1;
                 self.utp.lru_touch(t);
@@ -267,7 +267,7 @@ impl<'a> Planner<'a> {
                 );
                 let layer = meta.layer;
                 self.recompute_for(layer, step)?;
-                debug_assert_eq!(self.utp.state(t).residence, Residence::Device);
+                debug_assert_eq!(self.utp.state(t).residence(), Residence::Device);
                 Ok(())
             }
         }
@@ -295,7 +295,7 @@ impl<'a> Planner<'a> {
 
         for m in members {
             let mt = self.liveness.fwd_out[m.0];
-            match self.utp.state(mt).residence {
+            match self.utp.state(mt).residence() {
                 Residence::Device => continue,
                 Residence::Host => {
                     self.ensure_present(mt, step)?;
@@ -344,7 +344,7 @@ impl<'a> Planner<'a> {
             // The old per-step input-list clone, preserved.
             let inputs: Vec<TensorId> = self.liveness.step_inputs[s].to_vec();
             for t in inputs {
-                if self.utp.state(t).residence != Residence::Host {
+                if self.utp.state(t).residence() != Residence::Host {
                     continue;
                 }
                 let bytes = self.meta(t).bytes;
@@ -389,7 +389,7 @@ impl<'a> Planner<'a> {
         // 2. Materialize this step's outputs.
         let created: Vec<TensorId> = self.liveness.created_at[s].to_vec();
         for t in &created {
-            if self.utp.state(*t).residence == Residence::None {
+            if self.utp.state(*t).residence() == Residence::None {
                 let bytes = self.meta(*t).bytes;
                 let name = self.net.layer(self.meta(*t).layer).name.clone();
                 let g = self.ladder_alloc(bytes, s, &name)?;
@@ -504,7 +504,7 @@ impl<'a> Planner<'a> {
         let freed: Vec<TensorId> = self.liveness.freed_after[s].to_vec();
         for t in freed {
             let st = self.utp.state(t);
-            if st.residence != Residence::None || st.host_slot.is_some() {
+            if st.residence() != Residence::None || st.host_slot.is_some() {
                 self.ops.push(PlanOp::Free(t));
                 self.utp.free_tensor(t, &mut self.dev);
             }

@@ -50,7 +50,10 @@ pub enum Residence {
 /// Residency state of one tensor.
 #[derive(Debug, Clone, Copy)]
 pub struct TensorState {
-    pub residence: Residence,
+    /// Written only through [`Utp`]'s transitions in this module, which keep
+    /// [`Utp::device_resident`] in step with it; read via
+    /// [`TensorState::residence`].
+    residence: Residence,
     pub grant: Option<AllocId>,
     pub host_slot: Option<TierSlot>,
     /// Host copy is a valid replica of the tensor's contents.
@@ -84,6 +87,11 @@ impl TensorState {
         offload: None,
         prefetch: None,
     };
+
+    #[inline]
+    pub fn residence(&self) -> Residence {
+        self.residence
+    }
 }
 
 /// Reference Tensor Cache implementations, kept for differential tests and
@@ -137,6 +145,10 @@ pub struct Utp {
     /// The device-resident, cache-managed tensors in recency order.
     cache: Cache,
     insertion_clock: u64,
+    /// How many `states` are [`Residence::Device`] — moved by
+    /// [`Utp::set_residence`] and zeroed by [`Utp::reset`], the only two
+    /// writers of `residence`.
+    device_resident: usize,
     /// Tensors with an in-flight device→host copy, in submission order
     /// (D2H serializes, so submission order is completion order).
     pub pending_offloads: Vec<TensorId>,
@@ -148,6 +160,7 @@ impl Utp {
             states: vec![TensorState::EMPTY; n_tensors],
             cache: Cache::Linked(RecencyList::new(n_tensors)),
             insertion_clock: 0,
+            device_resident: 0,
             pending_offloads: Vec::new(),
         }
     }
@@ -320,11 +333,20 @@ impl Utp {
         }
     }
 
+    /// Every per-tensor write of `residence`: moves `t` and keeps the
+    /// device-resident count equal to what a scan of `states` would find.
+    #[inline]
+    fn set_residence(&mut self, t: TensorId, to: Residence) {
+        let st = &mut self.states[t.0];
+        self.device_resident -= (st.residence == Residence::Device) as usize;
+        self.device_resident += (to == Residence::Device) as usize;
+        st.residence = to;
+    }
+
     /// Record a fresh device materialization of `t` under `grant`.
     pub fn mark_device(&mut self, t: TensorId, grant: AllocId, cached: bool) {
-        let st = &mut self.states[t.0];
-        st.grant = Some(grant);
-        st.residence = Residence::Device;
+        self.states[t.0].grant = Some(grant);
+        self.set_residence(t, Residence::Device);
         if cached {
             self.lru_insert(t);
         }
@@ -347,14 +369,15 @@ impl Utp {
         if let Some(g) = st.grant.take() {
             dev.free_charged(g);
         }
-        st.residence = if st.host_valid {
+        let to = if st.host_valid {
             Residence::Host
         } else {
             Residence::None
         };
+        self.set_residence(t, to);
         self.unpend(t);
         self.lru_remove(t);
-        self.states[t.0].residence == Residence::None
+        to == Residence::None
     }
 
     /// Fully release `t`: device grant, host slot, pending transfers.
@@ -374,7 +397,7 @@ impl Utp {
             dev.host.release(slot);
         }
         self.states[t.0].host_valid = false;
-        self.states[t.0].residence = Residence::None;
+        self.set_residence(t, Residence::None);
         self.unpend(t);
         self.lru_remove(t);
     }
@@ -397,6 +420,7 @@ impl Utp {
             self.states[i].host_valid = false;
             self.states[i].residence = Residence::None;
         }
+        self.device_resident = 0;
         match &mut self.cache {
             Cache::Linked(l) => l.clear(),
             Cache::Reference(v) => v.list.clear(),
@@ -415,7 +439,17 @@ impl Utp {
     }
 
     /// Count of device-resident tensors (the trace's live-tensor series).
+    /// O(1): a counter the residence transitions maintain, so the
+    /// interpreter can read it every step at any net depth.
+    #[inline]
     pub fn device_resident(&self) -> usize {
+        self.device_resident
+    }
+
+    /// [`Utp::device_resident`] recomputed by scanning every state —
+    /// O(tensors), the oracle the counter is checked against (once per
+    /// iteration in debug builds, after every op in the property test).
+    pub(crate) fn scan_device_resident(&self) -> usize {
         self.states
             .iter()
             .filter(|st| st.residence == Residence::Device)
@@ -428,6 +462,7 @@ mod tests {
     use super::*;
     use crate::policy::AllocatorKind;
     use crate::tiers::TierConfig;
+    use proptest::prelude::*;
     use sn_sim::{DeviceAllocator, DeviceSpec};
 
     fn dev() -> Device {
@@ -471,7 +506,7 @@ mod tests {
         assert_eq!(utp.pending_offloads, vec![t]);
         let gone = utp.release_device(t, &mut d);
         assert!(!gone, "host copy survives");
-        assert_eq!(utp.state(t).residence, Residence::Host);
+        assert_eq!(utp.state(t).residence(), Residence::Host);
         assert!(utp.state(t).host_valid);
         assert!(utp.pending_offloads.is_empty());
         assert_eq!(d.alloc.used(), 0);
@@ -487,7 +522,7 @@ mod tests {
         utp.ensure_host_slot(t, 2048, &mut d);
         utp.mark_offloading(t, false, None);
         utp.free_tensor(t, &mut d);
-        assert_eq!(utp.state(t).residence, Residence::None);
+        assert_eq!(utp.state(t).residence(), Residence::None);
         assert!(utp.pending_offloads.is_empty());
         assert_eq!(d.alloc.used(), 0);
         assert_eq!(d.host.total_used(), 0);
@@ -517,8 +552,8 @@ mod tests {
                     if !resident[t.0] {
                         resident[t.0] = true;
                         // mark_device without a real grant: states only.
-                        fast.states[t.0].residence = Residence::Device;
-                        slow.states[t.0].residence = Residence::Device;
+                        fast.set_residence(t, Residence::Device);
+                        slow.set_residence(t, Residence::Device);
                         fast.lru_insert(t);
                         slow.lru_insert(t);
                     } else {
@@ -528,8 +563,8 @@ mod tests {
                 }
                 2 => {
                     resident[t.0] = false;
-                    fast.states[t.0].residence = Residence::None;
-                    slow.states[t.0].residence = Residence::None;
+                    fast.set_residence(t, Residence::None);
+                    slow.set_residence(t, Residence::None);
                     fast.lru_remove(t);
                     slow.lru_remove(t);
                 }
@@ -550,6 +585,48 @@ mod tests {
                     slow.pick_victim(policy),
                     "victim diverged under {policy:?}"
                 );
+            }
+            assert_eq!(fast.device_resident(), fast.scan_device_resident());
+            assert_eq!(slow.device_resident(), slow.scan_device_resident());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // The count is the scan: after every transition, on real grants
+        // and under both cache representations.
+        #[test]
+        fn device_resident_count_equals_the_scan(
+            reference in proptest::bool::ANY,
+            ops in proptest::collection::vec((0u8..16, 0usize..12, proptest::bool::ANY), 0..300),
+        ) {
+            let n = 12;
+            let mut utp = if reference { Utp::new_reference(n) } else { Utp::new(n) };
+            let mut d = dev();
+            for (op, i, flag) in ops {
+                let t = TensorId(i);
+                let on_device = utp.state(t).residence() == Residence::Device;
+                match op {
+                    0..=5 if !on_device => {
+                        let g = d.alloc_charged(16 << 10).expect("12 x 16 KiB fit in 1 MiB");
+                        utp.mark_device(t, g.id, flag);
+                    }
+                    6..=8 if on_device && !utp.state(t).offloading => {
+                        prop_assert!(utp.ensure_host_slot(t, 16 << 10, &mut d));
+                        utp.mark_offloading(t, flag, None);
+                    }
+                    9..=11 if on_device => {
+                        let gone = utp.release_device(t, &mut d);
+                        prop_assert_eq!(gone, utp.state(t).residence() == Residence::None);
+                    }
+                    12..=14 => utp.free_tensor(t, &mut d),
+                    15 => utp.reset(&mut d),
+                    _ => {}
+                }
+                prop_assert_eq!(utp.device_resident(), utp.scan_device_resident());
+                // Every device resident holds exactly one 16 KiB grant.
+                prop_assert_eq!(d.alloc.used(), (utp.device_resident() as u64) << 14);
             }
         }
     }

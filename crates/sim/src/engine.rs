@@ -17,6 +17,8 @@
 //! [`Timeline::overlap`] derives how much DMA time was hidden under compute —
 //! the quantity the `overlap` bench experiment reports per policy.
 
+use std::borrow::Cow;
+
 use crate::time::SimTime;
 use sn_telemetry::{ArgValue, SpanId, TraceSink, TrackId};
 
@@ -174,18 +176,31 @@ impl OverlapStats {
     }
 }
 
-/// Merge possibly-unsorted span lists into one sorted, disjoint union.
-fn union_spans(lists: &[&[(u64, u64)]]) -> Vec<(u64, u64)> {
-    let mut all: Vec<(u64, u64)> = lists.iter().flat_map(|l| l.iter().copied()).collect();
+/// The sorted, disjoint union of several streams' busy-span lists. Each
+/// list is already sorted, coalesced and disjoint (a stream serializes its
+/// ops), so one non-empty list *is* its union and is borrowed as it stands
+/// — the compute side of every overlap query; only several are merged.
+fn union_spans<'a>(lists: impl Iterator<Item = &'a [(u64, u64)]>) -> Cow<'a, [(u64, u64)]> {
+    let mut lists = lists.filter(|l| !l.is_empty());
+    let first = lists.next().unwrap_or(&[]);
+    let Some(second) = lists.next() else {
+        return Cow::Borrowed(first);
+    };
+    let mut all: Vec<(u64, u64)> = [first, second]
+        .into_iter()
+        .chain(lists)
+        .flatten()
+        .copied()
+        .collect();
     all.sort_unstable();
-    let mut out: Vec<(u64, u64)> = Vec::with_capacity(all.len());
-    for (s, e) in all {
-        match out.last_mut() {
-            Some(last) if s <= last.1 => last.1 = last.1.max(e),
-            _ => out.push((s, e)),
+    all.dedup_by(|next, kept| {
+        let touches = next.0 <= kept.1;
+        if touches {
+            kept.1 = kept.1.max(next.1);
         }
-    }
-    out
+        touches
+    });
+    Cow::Owned(all)
 }
 
 /// Total length of the intersection of two sorted, disjoint span lists.
@@ -669,26 +684,23 @@ impl Timeline {
         s
     }
 
-    fn overlap_of(&self, a: impl Fn(&Stream) -> bool, b: impl Fn(&Stream) -> bool) -> OverlapStats {
-        let left: Vec<&[(u64, u64)]> = self
-            .streams
-            .iter()
-            .filter(|s| a(s))
-            .map(|s| s.intervals.as_slice())
-            .collect();
-        let right: Vec<&[(u64, u64)]> = self
-            .streams
-            .iter()
-            .filter(|s| b(s))
-            .map(|s| s.intervals.as_slice())
-            .collect();
-        let cu = union_spans(&left);
-        let tu = union_spans(&right);
+    /// [`Timeline::overlap_between`] over the streams themselves.
+    fn overlap_of<'a>(
+        &'a self,
+        a: impl Iterator<Item = &'a Stream>,
+        b: impl Iterator<Item = &'a Stream>,
+    ) -> OverlapStats {
+        let cu = union_spans(a.map(|s| s.intervals.as_slice()));
+        let tu = union_spans(b.map(|s| s.intervals.as_slice()));
         OverlapStats {
             compute_busy: SimTime::from_ns(span_len(&cu)),
             transfer_busy: SimTime::from_ns(span_len(&tu)),
             overlapped: SimTime::from_ns(intersect_len(&cu, &tu)),
         }
+    }
+
+    fn streams_of(&self, kinds: &'static [EngineKind]) -> impl Iterator<Item = &Stream> {
+        self.streams.iter().filter(move |s| kinds.contains(&s.kind))
     }
 
     /// Compute/PCIe-transfer overlap since the last stats reset, from the
@@ -698,8 +710,8 @@ impl Timeline {
     /// of a link port.
     pub fn overlap(&self) -> OverlapStats {
         self.overlap_of(
-            |s| s.kind == EngineKind::Compute,
-            |s| matches!(s.kind, EngineKind::H2D | EngineKind::D2H),
+            self.streams_of(&[EngineKind::Compute]),
+            self.streams_of(&[EngineKind::H2D, EngineKind::D2H]),
         )
     }
 
@@ -707,8 +719,8 @@ impl Timeline {
     /// under kernels (`transfer_busy`/`overlapped` refer to link spans).
     pub fn link_overlap(&self) -> OverlapStats {
         self.overlap_of(
-            |s| s.kind == EngineKind::Compute,
-            |s| s.kind == EngineKind::Link,
+            self.streams_of(&[EngineKind::Compute]),
+            self.streams_of(&[EngineKind::Link]),
         )
     }
 
@@ -716,21 +728,10 @@ impl Timeline {
     /// (reported as `compute_busy`) against the union of `b`'s (reported as
     /// `transfer_busy`).
     pub fn overlap_between(&self, a: &[StreamId], b: &[StreamId]) -> OverlapStats {
-        let left: Vec<&[(u64, u64)]> = a
-            .iter()
-            .map(|id| self.streams[id.0].intervals.as_slice())
-            .collect();
-        let right: Vec<&[(u64, u64)]> = b
-            .iter()
-            .map(|id| self.streams[id.0].intervals.as_slice())
-            .collect();
-        let cu = union_spans(&left);
-        let tu = union_spans(&right);
-        OverlapStats {
-            compute_busy: SimTime::from_ns(span_len(&cu)),
-            transfer_busy: SimTime::from_ns(span_len(&tu)),
-            overlapped: SimTime::from_ns(intersect_len(&cu, &tu)),
-        }
+        self.overlap_of(
+            a.iter().map(|id| &self.streams[id.0]),
+            b.iter().map(|id| &self.streams[id.0]),
+        )
     }
 
     /// Reset traffic/stall/busy counters and the busy timelines, but keep
@@ -903,6 +904,29 @@ mod tests {
         assert_eq!(o.transfer_busy, SimTime::from_us(8));
         assert_eq!(o.overlapped, SimTime::from_us(4));
         assert!((o.fraction() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn union_borrows_one_list_and_merges_several() {
+        let a: &[(u64, u64)] = &[(0, 4), (6, 9)];
+        let b: &[(u64, u64)] = &[(3, 6), (20, 22)];
+        // One non-empty list is its own union: no copy.
+        let one = union_spans([&[][..], a].into_iter());
+        assert!(matches!(one, Cow::Borrowed(_)));
+        assert_eq!(&*one, a);
+        assert!(union_spans(std::iter::empty()).is_empty());
+        // Several are merged; overlapping and touching spans coalesce.
+        assert_eq!(&*union_spans([b, a].into_iter()), &[(0, 9), (20, 22)]);
+        // Two copy queues of one kind against compute, through the API.
+        let mut tl = Timeline::new();
+        let d2h_b = tl.add_stream(EngineKind::D2H);
+        tl.submit(EngineKind::Compute, SimTime::from_us(3));
+        tl.transfer_on(StreamId::D2H, 32_000, 8.0, &[]); // [0, 4) us
+        tl.transfer_on(d2h_b, 16_000, 8.0, &[]); // [0, 2) us
+        let o = tl.overlap_between(&[StreamId::COMPUTE], &[StreamId::D2H, d2h_b]);
+        assert_eq!(o.transfer_busy, SimTime::from_us(4));
+        assert_eq!(o.overlapped, SimTime::from_us(3));
+        assert_eq!(o, tl.overlap());
     }
 
     #[test]

@@ -32,7 +32,9 @@ pub struct StepRecord {
     /// Device bytes resident *during* this step's computation (the quantity
     /// whose maximum is `peak_m`).
     pub resident_bytes: u64,
-    /// Number of live (device-resident) tensors during the step.
+    /// Number of live (device-resident) tensors during the step — the
+    /// runtime's residency counter read at the kernel submit, so recording
+    /// it costs the same at any net depth.
     pub live_tensors: usize,
     /// Free device bytes available for convolution workspace at this step.
     pub free_bytes: u64,

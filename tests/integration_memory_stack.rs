@@ -3,6 +3,7 @@
 //! (models → graph → runtime → simulated device).
 
 use superneurons::graph::NetCost;
+use superneurons::runtime::session::feasible;
 use superneurons::runtime::{Executor, Policy, RecomputeMode};
 use superneurons::{DeviceSpec, Framework};
 
@@ -177,6 +178,35 @@ fn superneurons_deepest_resnet() {
             "{} reached {d}, SuperNeurons {sn}",
             fw.name()
         );
+    }
+}
+
+/// The abstract's headline: "ResNet2500 that has 10^4 basic network layers
+/// on a 12GB K40c". No emulated baseline can compile it; SuperNeurons does,
+/// and the interpreter replays the plan to the byte, cold and warm, with
+/// one trace record per step.
+#[test]
+fn abstract_resnet2500_trains_on_a_12gb_k40c() {
+    let spec = spec();
+    let net = superneurons::models::resnet_depth(16, 2500);
+    assert_eq!(net.len(), 8336);
+    for fw in Framework::ALL {
+        if fw != Framework::SuperNeurons {
+            assert!(
+                !feasible(&net, &spec, fw.policy()),
+                "{} must run out of memory",
+                fw.name()
+            );
+        }
+    }
+    let mut ex = Executor::new(&net, spec, Policy::superneurons()).unwrap();
+    let plan_peak = ex.mplan.peak_bytes;
+    assert!(plan_peak <= 12 << 30);
+    for which in ["cold", "warm"] {
+        let r = ex.run_iteration().unwrap();
+        assert_eq!(r.peak_bytes, plan_peak, "{which} iteration");
+        assert_eq!(ex.trace.records.len(), ex.route.total_steps(), "{which}");
+        assert!(ex.trace.peak_bytes() <= r.peak_bytes, "{which}");
     }
 }
 
