@@ -36,64 +36,27 @@ use sn_sim::{DeviceSpec, SimTime};
 
 use crate::job::{JobKind, JobSpec, PolicyPreset, Workload};
 
-/// Memoization key: everything the prediction depends on. Perf-relevant
-/// device fields are folded in bit-exactly so heterogeneous fleets that
-/// reuse a card name cannot alias — and the key carries the **device-spec
-/// cap** the prediction was compiled against (`capped_dram`, the DRAM of
-/// `spec.with_dram(budget)`), not just the preset: the planner adapts its
-/// evictions and workspaces to that cap, so a peak compiled for a larger
-/// device must never be reused for a smaller one.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// Memoization key: everything the prediction depends on. The card is its
+/// [`DeviceSpec::card_fingerprint`] — name and every perf-relevant constant
+/// folded bit-exactly, so heterogeneous fleets that reuse a card name cannot
+/// alias — and the key carries the **cap** the prediction was compiled
+/// against (the DRAM of `spec.with_dram(budget)`), not just the preset: the
+/// planner adapts its evictions and workspaces to that cap, so a peak
+/// compiled for a larger device must never be reused for a smaller one.
+/// `Copy` and `String`-free: building one for a lookup allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct ProfileKey {
     workload: Workload,
     batch: usize,
     preset: PolicyPreset,
     kind: JobKind,
-    device: String,
-    /// The cap applied to the prediction device: `capped.dram_bytes`.
-    capped_dram: u64,
-    gflops_bits: u64,
-    mem_bw_bits: u64,
-    h2d_bits: u64,
-    d2h_bits: u64,
-    unpinned_bits: u64,
-    malloc_base_ns: u64,
-    malloc_per_mib_ns: u64,
-    free_base_ns: u64,
-    kernel_launch_ns: u64,
-}
-
-impl ProfileKey {
-    fn new(
-        w: Workload,
-        batch: usize,
-        preset: PolicyPreset,
-        kind: JobKind,
-        capped: &DeviceSpec,
-    ) -> Self {
-        ProfileKey {
-            workload: w,
-            batch,
-            preset,
-            kind,
-            device: capped.name.clone(),
-            capped_dram: capped.dram_bytes,
-            gflops_bits: capped.peak_gflops.to_bits(),
-            mem_bw_bits: capped.mem_bw_gbps.to_bits(),
-            h2d_bits: capped.pcie_h2d_gbps.to_bits(),
-            d2h_bits: capped.pcie_d2h_gbps.to_bits(),
-            unpinned_bits: capped.unpinned_factor.to_bits(),
-            malloc_base_ns: capped.malloc_base.0,
-            malloc_per_mib_ns: capped.malloc_per_mib.0,
-            free_base_ns: capped.free_base.0,
-            kernel_launch_ns: capped.kernel_launch.0,
-        }
-    }
+    card: (u64, u64),
+    cap: u64,
 }
 
 /// Gang measurement key: the replica's profile key extended with the gang
 /// size and the fabric — replica counts can never alias.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct GangKey {
     profile: ProfileKey,
     replicas: usize,
@@ -103,22 +66,24 @@ struct GangKey {
 
 /// Memoizing wrapper around the plan compiler: the cluster loop re-evaluates
 /// queued jobs at every event, but distinct (workload, batch, preset, kind,
-/// capped device) tuples are few, so each prediction compiles at most once.
+/// card, cap) tuples are few, so each prediction compiles at most once.
 /// `None` records "does not fit within this budget".
 ///
 /// The caches are `Mutex`-guarded Fx-hashed maps (the keys are internal
 /// structs — no untrusted input, no need for SipHash), which makes the
-/// profiler `Sync`: admission sweeps evaluate ladder candidates for many
-/// devices concurrently over the rayon shim, all sharing this memo. A
-/// concurrent miss may compile the same prediction twice; both results are
-/// identical (compilation is deterministic) and the last insert wins.
+/// profiler `Sync`: a sweep's cold probes compile concurrently over the
+/// rayon shim, all sharing this memo. A concurrent miss may compile the same
+/// prediction twice; both results are identical (compilation is
+/// deterministic) and the last insert wins.
 #[derive(Default)]
 pub struct Profiler {
     cache: Mutex<FxHashMap<ProfileKey, Option<PeakPrediction>>>,
     /// Measured gang step times: one group execution per distinct
-    /// (workload, batch, preset, capped device, replicas, fabric) tuple.
+    /// (workload, batch, preset, card, cap, replicas, fabric) tuple.
     gang: Mutex<FxHashMap<GangKey, Option<SimTime>>>,
 }
+
+const POISONED: &str = "a profiler compile panicked while holding its cache";
 
 impl Profiler {
     pub fn new() -> Profiler {
@@ -138,37 +103,32 @@ impl Profiler {
         spec: &DeviceSpec,
         budget: u64,
     ) -> Option<PeakPrediction> {
-        let capped = spec.clone().with_dram(budget);
-        let key = ProfileKey::new(workload, batch, preset, kind, &capped);
-        if let Some(hit) = self.cache.lock().unwrap().get(&key) {
+        let key = ProfileKey {
+            workload,
+            batch,
+            preset,
+            kind,
+            card: spec.card_fingerprint(),
+            cap: budget,
+        };
+        if let Some(hit) = self.cache.lock().expect(POISONED).get(&key) {
             return *hit;
         }
-        let net = workload.build(batch);
-        let result = match kind {
-            JobKind::Training => plan_prediction(&net, &capped, preset.policy()).ok(),
-            JobKind::Inference => plan_prediction_inference(&net, &capped, preset.policy()).ok(),
-        };
-        self.cache.lock().unwrap().insert(key, result);
-        result
+        self.compile(key, spec)
     }
 
-    /// Is this prediction already memoized? One hash lookup — the cluster
-    /// loop uses it to decide whether a candidate sweep has any cold
-    /// compiles worth fanning out worker threads for (a warm sweep is a
-    /// handful of map hits; spawning threads for it costs more than it
-    /// saves).
-    pub fn is_cached(
-        &self,
-        workload: Workload,
-        batch: usize,
-        preset: PolicyPreset,
-        kind: JobKind,
-        spec: &DeviceSpec,
-        budget: u64,
-    ) -> bool {
-        let capped = spec.clone().with_dram(budget);
-        let key = ProfileKey::new(workload, batch, preset, kind, &capped);
-        self.cache.lock().unwrap().contains_key(&key)
+    /// The miss path: compile `key` on `spec` capped to `key.cap` — the
+    /// only place that capped copy of the device is built — and memoize.
+    fn compile(&self, key: ProfileKey, spec: &DeviceSpec) -> Option<PeakPrediction> {
+        let capped = spec.clone().with_dram(key.cap);
+        let net = key.workload.build(key.batch);
+        let policy = key.preset.policy();
+        let result = match key.kind {
+            JobKind::Training => plan_prediction(&net, &capped, policy).ok(),
+            JobKind::Inference => plan_prediction_inference(&net, &capped, policy).ok(),
+        };
+        self.cache.lock().expect(POISONED).insert(key, result);
+        result
     }
 
     /// [`Profiler::profile_kind`] for training jobs (the historical entry
@@ -202,20 +162,55 @@ impl Profiler {
         spec: &DeviceSpec,
         interconnect: Interconnect,
     ) -> Option<SimTime> {
+        self.gang_step_capped(
+            workload,
+            batch,
+            preset,
+            replicas,
+            spec.card_fingerprint(),
+            spec,
+            spec.dram_bytes,
+            interconnect,
+        )
+    }
+
+    /// [`Profiler::gang_step_time`] on `spec` capped to `cap` bytes, for a
+    /// caller that already holds `spec`'s card fingerprint: the capped copy
+    /// of the device is built on a miss only.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn gang_step_capped(
+        &self,
+        workload: Workload,
+        batch: usize,
+        preset: PolicyPreset,
+        replicas: usize,
+        card: (u64, u64),
+        spec: &DeviceSpec,
+        cap: u64,
+        interconnect: Interconnect,
+    ) -> Option<SimTime> {
         let key = GangKey {
-            profile: ProfileKey::new(workload, batch, preset, JobKind::Training, spec),
+            profile: ProfileKey {
+                workload,
+                batch,
+                preset,
+                kind: JobKind::Training,
+                card,
+                cap,
+            },
             replicas,
             ic_gbps_bits: interconnect.gbps.to_bits(),
             ic_latency_ns: interconnect.latency.0,
         };
-        if let Some(hit) = self.gang.lock().unwrap().get(&key) {
+        if let Some(hit) = self.gang.lock().expect(POISONED).get(&key) {
             return *hit;
         }
         let net = workload.build(batch);
         // Tuned presets carry their own all-reduce bucket target; the gang
         // must be measured with it or the tuned step time would be fiction.
         let cfg = GroupConfig::new(replicas, interconnect).with_bucket_bytes(preset.bucket_bytes());
-        let result = GroupExecutor::new(&net, spec.clone(), preset.policy(), cfg)
+        let capped = spec.clone().with_dram(cap);
+        let result = GroupExecutor::new(&net, capped, preset.policy(), cfg)
             .ok()
             .and_then(|mut gx| {
                 gx.run_iteration().ok()?; // cold (allocator warm-up)
@@ -223,18 +218,102 @@ impl Profiler {
                 debug_assert!(warm.peaks_match, "gang replica diverged from its plan");
                 Some(warm.step_time)
             });
-        self.gang.lock().unwrap().insert(key, result);
+        self.gang.lock().expect(POISONED).insert(key, result);
         result
     }
 
     /// Number of distinct predictions compiled so far.
     pub fn simulated(&self) -> usize {
-        self.cache.lock().unwrap().len()
+        self.cache.lock().expect(POISONED).len()
     }
 
     /// Number of distinct gang step measurements executed so far.
     pub fn gangs_measured(&self) -> usize {
-        self.gang.lock().unwrap().len()
+        self.gang.lock().expect(POISONED).len()
+    }
+}
+
+/// One ladder rung's questions to the [`Profiler`], deduplicated. Devices
+/// of one card with equal quantized budgets share one answer, so a sweep
+/// buckets the fleet into distinct `(card, budget)` *probes* — O(devices)
+/// integer arithmetic — and [`Sweep::resolve`] asks the profiler once per
+/// probe: O(distinct budgets) lookups, at most 32 per card and in a busy
+/// steady state a handful. Reused across sweeps; nothing here allocates
+/// once its buffer has grown.
+#[derive(Default)]
+pub(crate) struct Sweep<'a> {
+    probes: Vec<Probe<'a>>,
+}
+
+struct Probe<'a> {
+    card: (u64, u64),
+    budget: u64,
+    /// A device of this card: what a miss compiles against.
+    spec: &'a DeviceSpec,
+    prediction: Option<PeakPrediction>,
+}
+
+impl<'a> Sweep<'a> {
+    pub(crate) fn clear(&mut self) {
+        self.probes.clear();
+    }
+
+    /// The probe for `budget` bytes on `card`, added if this sweep has not
+    /// asked yet. A linear search: the distinct probes of a sweep are few.
+    pub(crate) fn probe(&mut self, card: (u64, u64), spec: &'a DeviceSpec, budget: u64) -> usize {
+        let found = self
+            .probes
+            .iter()
+            .position(|p| p.budget == budget && p.card == card);
+        found.unwrap_or_else(|| {
+            self.probes.push(Probe {
+                card,
+                budget,
+                spec,
+                prediction: None,
+            });
+            self.probes.len() - 1
+        })
+    }
+
+    /// Answer every probe for `job` under `preset`: memoized answers under
+    /// one lock; cold ones — rare, the loop re-asks the same questions at
+    /// every event — compile concurrently over the rayon shim
+    /// (deterministic: results come back in probe order).
+    pub(crate) fn resolve(&mut self, profiler: &Profiler, job: &JobSpec, preset: PolicyPreset) {
+        let key = |p: &Probe| ProfileKey {
+            workload: job.workload,
+            batch: job.batch,
+            preset,
+            kind: job.kind,
+            card: p.card,
+            cap: p.budget,
+        };
+        let mut cold: Vec<usize> = Vec::new();
+        {
+            let cache = profiler.cache.lock().expect(POISONED);
+            for (i, p) in self.probes.iter_mut().enumerate() {
+                match cache.get(&key(p)) {
+                    Some(hit) => p.prediction = *hit,
+                    None => cold.push(i),
+                }
+            }
+        }
+        if cold.is_empty() {
+            return;
+        }
+        let probes = &self.probes;
+        let compiled = rayon::par_map(&cold, |&i| {
+            profiler.compile(key(&probes[i]), probes[i].spec)
+        });
+        for (i, prediction) in cold.into_iter().zip(compiled) {
+            self.probes[i].prediction = prediction;
+        }
+    }
+
+    /// The resolved answer of probe `i`.
+    pub(crate) fn prediction(&self, i: usize) -> Option<PeakPrediction> {
+        self.probes[i].prediction
     }
 }
 
@@ -304,48 +383,15 @@ pub fn feasible_on_idle_fleet(
     fleet: &crate::fleet::Fleet,
     job: &JobSpec,
 ) -> bool {
-    if job.replicas == 0 || job.replicas > fleet.len() {
-        return false;
-    }
-    for preset in ladder_for(job) {
-        // One compile per distinct device spec. Cold predictions are swept
-        // concurrently; when everything is already memoized (the common
-        // case — the cluster loop re-asks at every event) the sweep is a
-        // few map hits and runs inline rather than spawning workers.
-        let check = |spec: &DeviceSpec| {
-            let budget = quantized_budget(spec, spec.dram_bytes);
-            budget > 0
-                && profiler
-                    .profile_kind(job.workload, job.batch, preset, job.kind, spec, budget)
-                    .is_some()
-        };
-        let any_cold = rayon::current_num_threads() > 1
-            && fleet.devices.iter().any(|spec| {
-                let budget = quantized_budget(spec, spec.dram_bytes);
-                budget > 0
-                    && !profiler.is_cached(job.workload, job.batch, preset, job.kind, spec, budget)
-            });
-        let fitting = if any_cold {
-            rayon::par_map(&fleet.devices, check)
-                .into_iter()
-                .filter(|ok| *ok)
-                .count()
-        } else {
-            fleet.devices.iter().filter(|spec| check(spec)).count()
-        };
-        if fitting >= job.replicas {
-            return true;
-        }
-    }
-    false
+    let all: Vec<&DeviceSpec> = fleet.devices.iter().collect();
+    feasible_on_device_subset(profiler, &all, job)
 }
 
 /// [`feasible_on_idle_fleet`] restricted to an arbitrary device subset —
 /// the live (non-failed) devices, under fault injection. Discriminates
 /// "wait for the fleet to heal" (feasible on the full fleet but not here:
 /// backoff and retry) from "wait for reservations to drain" (feasible here:
-/// stay queued). Serial: it runs only when the live set shrank, which is
-/// rare next to admission passes.
+/// stay queued). One compile per distinct card and capacity.
 pub fn feasible_on_device_subset(
     profiler: &Profiler,
     devices: &[&DeviceSpec],
@@ -354,16 +400,21 @@ pub fn feasible_on_device_subset(
     if job.replicas == 0 || job.replicas > devices.len() {
         return false;
     }
+    let mut sweep = Sweep::default();
+    let mut asked: Vec<usize> = Vec::with_capacity(devices.len());
     for preset in ladder_for(job) {
-        let fitting = devices
+        sweep.clear();
+        asked.clear();
+        for spec in devices {
+            let budget = quantized_budget(spec, spec.dram_bytes);
+            if budget > 0 {
+                asked.push(sweep.probe(spec.card_fingerprint(), spec, budget));
+            }
+        }
+        sweep.resolve(profiler, job, preset);
+        let fitting = asked
             .iter()
-            .filter(|spec| {
-                let budget = quantized_budget(spec, spec.dram_bytes);
-                budget > 0
-                    && profiler
-                        .profile_kind(job.workload, job.batch, preset, job.kind, spec, budget)
-                        .is_some()
-            })
+            .filter(|&&probe| sweep.prediction(probe).is_some())
             .count();
         if fitting >= job.replicas {
             return true;
@@ -373,12 +424,9 @@ pub fn feasible_on_device_subset(
 }
 
 /// The preset sequence admission tries for `job`.
-pub fn ladder_for(job: &JobSpec) -> Vec<PolicyPreset> {
-    if job.allow_downgrade {
-        job.preset.ladder().collect()
-    } else {
-        vec![job.preset]
-    }
+pub fn ladder_for(job: &JobSpec) -> impl Iterator<Item = PolicyPreset> {
+    let rungs = if job.allow_downgrade { usize::MAX } else { 1 };
+    job.preset.ladder().take(rungs)
 }
 
 #[cfg(test)]

@@ -1,0 +1,364 @@
+//! The event queue: a binary min-heap whose completion entries are
+//! *addressable*.
+//!
+//! Entries are ordered by `(t_ns.total_cmp, order)`, earliest first. Three
+//! of the four event kinds are fire-and-forget (the next arrival, the next
+//! fault batch, a parked job's retry). The fourth — a running gang's
+//! projected completion — moves every time a tenant count on one of the
+//! gang's devices changes, and disappears when a fault interrupts the gang.
+//! So the heap keeps a position index by slab slot: `pos[slot]` is where the
+//! completion entry of the gang living in `slot` currently sits. A re-anchor
+//! rewrites that entry's key in place and sifts it; an interrupt removes it.
+//! The queue therefore holds **exactly one completion per running gang** —
+//! nothing stale ever surfaces, and what pops is by construction the gang's
+//! live projection.
+
+use crate::slab::SlotKey;
+
+pub(crate) enum EventKind {
+    /// Projected completion of the running gang in this slot.
+    Completion { key: SlotKey },
+    /// A parked job's backoff expires; `due_ns` carries the exact integer
+    /// instant (the f64 heap time is only a projection of it).
+    Retry { key: SlotKey, due_ns: u64 },
+    /// The next pulled-but-unprocessed arrival is due.
+    Arrival,
+    /// The next batch of injected fault events is due.
+    FaultDue,
+}
+
+pub(crate) struct Event {
+    pub(crate) t_ns: f64,
+    /// Tiebreak at equal times: completions and retries by arrival sequence
+    /// (the reference loop's job-index order), then faults, then the
+    /// arrival marker last.
+    pub(crate) order: u64,
+    pub(crate) kind: EventKind,
+}
+
+impl Event {
+    fn before(&self, other: &Event) -> bool {
+        self.t_ns
+            .total_cmp(&other.t_ns)
+            .then_with(|| self.order.cmp(&other.order))
+            .is_lt()
+    }
+}
+
+const NONE: u32 = u32::MAX;
+
+#[derive(Default)]
+pub(crate) struct EventHeap {
+    heap: Vec<Event>,
+    /// Heap position of each slab slot's completion entry, `NONE` without.
+    pos: Vec<u32>,
+}
+
+impl EventHeap {
+    pub(crate) fn peek(&self) -> Option<&Event> {
+        self.heap.first()
+    }
+
+    pub(crate) fn pop(&mut self) -> Option<Event> {
+        (!self.heap.is_empty()).then(|| self.remove_at(0))
+    }
+
+    /// Queue a retry, arrival or fault marker.
+    pub(crate) fn push(&mut self, t_ns: f64, order: u64, kind: EventKind) {
+        debug_assert!(
+            !matches!(kind, EventKind::Completion { .. }),
+            "completions go through set_completion"
+        );
+        self.heap.push(Event { t_ns, order, kind });
+        self.sift_up(self.heap.len() - 1);
+    }
+
+    /// Set the projected completion of the gang in `key`'s slot: inserts the
+    /// entry if the gang has none yet, otherwise re-keys it where it sits.
+    pub(crate) fn set_completion(&mut self, key: SlotKey, t_ns: f64, order: u64) {
+        let slot = key.index();
+        if slot >= self.pos.len() {
+            self.pos.resize(slot + 1, NONE);
+        }
+        let at = match self.pos[slot] {
+            NONE => {
+                self.heap.push(Event {
+                    t_ns,
+                    order,
+                    kind: EventKind::Completion { key },
+                });
+                self.heap.len() - 1
+            }
+            at => {
+                let ev = &mut self.heap[at as usize];
+                debug_assert!(
+                    matches!(ev.kind, EventKind::Completion { key: k } if k == key),
+                    "slot's completion entry belongs to another occupant"
+                );
+                ev.t_ns = t_ns;
+                ev.order = order;
+                at as usize
+            }
+        };
+        let at = self.sift_up(at);
+        self.sift_down(at);
+    }
+
+    /// Drop the completion entry of the gang in `key`'s slot, if it has one.
+    pub(crate) fn remove_completion(&mut self, key: SlotKey) {
+        if let Some(&at) = self.pos.get(key.index()) {
+            if at != NONE {
+                self.remove_at(at as usize);
+            }
+        }
+    }
+
+    fn remove_at(&mut self, at: usize) -> Event {
+        let ev = self.heap.swap_remove(at);
+        if let EventKind::Completion { key } = ev.kind {
+            self.pos[key.index()] = NONE;
+        }
+        if at < self.heap.len() {
+            let at = self.sift_up(at);
+            self.sift_down(at);
+        }
+        ev
+    }
+
+    /// Record where the entry at `at` now sits.
+    fn index(&mut self, at: usize) {
+        if let EventKind::Completion { key } = self.heap[at].kind {
+            self.pos[key.index()] = at as u32;
+        }
+    }
+
+    fn sift_up(&mut self, mut at: usize) -> usize {
+        while at > 0 {
+            let parent = (at - 1) / 2;
+            if !self.heap[at].before(&self.heap[parent]) {
+                break;
+            }
+            self.heap.swap(at, parent);
+            self.index(at);
+            at = parent;
+        }
+        self.index(at);
+        at
+    }
+
+    fn sift_down(&mut self, mut at: usize) {
+        loop {
+            let left = 2 * at + 1;
+            if left >= self.heap.len() {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < self.heap.len() && self.heap[right].before(&self.heap[left]) {
+                right
+            } else {
+                left
+            };
+            if !self.heap[child].before(&self.heap[at]) {
+                break;
+            }
+            self.heap.swap(at, child);
+            self.index(at);
+            at = child;
+        }
+        self.index(at);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::slab::Slab;
+    use proptest::prelude::*;
+
+    impl EventHeap {
+        /// Heap order holds, and `pos` and the completion entries are each
+        /// other's inverse (so no slot has two).
+        fn check(&self) {
+            for at in 1..self.heap.len() {
+                assert!(
+                    !self.heap[at].before(&self.heap[(at - 1) / 2]),
+                    "heap order"
+                );
+            }
+            let mut indexed = 0;
+            for (at, ev) in self.heap.iter().enumerate() {
+                if let EventKind::Completion { key } = ev.kind {
+                    assert_eq!(self.pos[key.index()], at as u32, "pos lags the entry");
+                    indexed += 1;
+                }
+            }
+            assert_eq!(
+                self.pos.iter().filter(|p| **p != NONE).count(),
+                indexed,
+                "pos points at a non-completion"
+            );
+        }
+    }
+
+    fn popped(heap: &mut EventHeap) -> Vec<(f64, u64)> {
+        std::iter::from_fn(|| heap.pop())
+            .map(|e| (e.t_ns, e.order))
+            .collect()
+    }
+
+    #[test]
+    fn pops_by_time_then_order() {
+        let mut heap = EventHeap::default();
+        heap.push(5.0, u64::MAX, EventKind::Arrival);
+        heap.push(5.0, u64::MAX - 1, EventKind::FaultDue);
+        let mut slab: Slab<()> = Slab::new();
+        let (a, b) = (slab.insert(()), slab.insert(()));
+        heap.set_completion(a, 5.0, 7);
+        heap.set_completion(b, 2.0, 9);
+        heap.check();
+        assert_eq!(heap.peek().map(|e| e.t_ns), Some(2.0));
+        assert_eq!(
+            popped(&mut heap),
+            vec![(2.0, 9), (5.0, 7), (5.0, u64::MAX - 1), (5.0, u64::MAX)]
+        );
+    }
+
+    #[test]
+    fn rekeying_moves_the_one_entry_both_ways() {
+        let mut heap = EventHeap::default();
+        let mut slab: Slab<()> = Slab::new();
+        let keys: Vec<SlotKey> = (0..8).map(|_| slab.insert(())).collect();
+        for (n, &k) in keys.iter().enumerate() {
+            heap.set_completion(k, 10.0 * n as f64, n as u64);
+        }
+        heap.set_completion(keys[6], 1.0, 6); // earlier: sifts up
+        heap.check();
+        heap.set_completion(keys[0], 45.0, 0); // later: sifts down
+        heap.check();
+        assert_eq!(heap.heap.len(), 8, "a re-key never adds an entry");
+        let order: Vec<u64> = popped(&mut heap).into_iter().map(|(_, o)| o).collect();
+        assert_eq!(order, vec![6, 1, 2, 3, 4, 0, 5, 7]);
+    }
+
+    #[test]
+    fn a_removed_completion_never_surfaces_even_when_the_slot_is_reused() {
+        let mut heap = EventHeap::default();
+        let mut slab: Slab<()> = Slab::new();
+        let first = slab.insert(());
+        heap.set_completion(first, 3.0, 0);
+        heap.remove_completion(first);
+        heap.remove_completion(first); // absent: no-op
+        slab.remove(first);
+        let second = slab.insert(());
+        assert_eq!(second.index(), first.index(), "slot recycled");
+        heap.set_completion(second, 9.0, 1);
+        heap.check();
+        assert_eq!(popped(&mut heap), vec![(9.0, 1)]);
+        assert!(heap.pos.iter().all(|p| *p == NONE));
+    }
+
+    /// The obviously-right queue: a `Vec` kept sorted, searched linearly.
+    #[derive(Default)]
+    struct Model(Vec<(f64, u64, Option<usize>)>);
+
+    impl Model {
+        fn insert(&mut self, t: f64, order: u64, slot: Option<usize>) {
+            let at = self
+                .0
+                .partition_point(|e| e.0.total_cmp(&t).then(e.1.cmp(&order)).is_le());
+            self.0.insert(at, (t, order, slot));
+        }
+        fn remove(&mut self, slot: usize) {
+            self.0.retain(|e| e.2 != Some(slot));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn matches_a_sorted_vec_under_random_operations(
+            ops in proptest::collection::vec((0u8..6, 0usize..12, 0u32..40, 0u64..6), 1..200),
+        ) {
+            let mut heap = EventHeap::default();
+            let mut model = Model::default();
+            let mut slab: Slab<()> = Slab::new();
+            // Live gangs: (key, has a completion queued).
+            let mut gangs: Vec<(SlotKey, bool)> = Vec::new();
+            for (op, pick, t, order) in ops {
+                // Few distinct times and orders: ties on both are common.
+                let t = f64::from(t) * 0.5;
+                match op {
+                    // A gang starts (slots freed below are reused here).
+                    0 => gangs.push((slab.insert(()), false)),
+                    // Project / re-project a gang's completion.
+                    1 | 2 if !gangs.is_empty() => {
+                        let which = pick % gangs.len();
+                        let g = &mut gangs[which];
+                        heap.set_completion(g.0, t, order);
+                        model.remove(g.0.index());
+                        model.insert(t, order, Some(g.0.index()));
+                        g.1 = true;
+                    }
+                    // Interrupt: the entry goes, then the slot is freed.
+                    3 if !gangs.is_empty() => {
+                        let g = gangs.swap_remove(pick % gangs.len());
+                        heap.remove_completion(g.0);
+                        model.remove(g.0.index());
+                        slab.remove(g.0);
+                    }
+                    4 => {
+                        heap.push(t, order, EventKind::Arrival);
+                        model.insert(t, order, None);
+                    }
+                    5 => {
+                        let got = heap.pop();
+                        prop_assert_eq!(
+                            got.as_ref().map(|e| (e.t_ns.to_bits(), e.order)),
+                            model.0.first().map(|e| (e.0.to_bits(), e.1))
+                        );
+                        if let Some(ev) = got {
+                            // Entries tied on (time, order) may pop in either
+                            // order: retire the model's copy of *this* one.
+                            let slot = match ev.kind {
+                                EventKind::Completion { key } => Some(key.index()),
+                                _ => None,
+                            };
+                            let at = model.0.iter().position(|e| {
+                                (e.0.to_bits(), e.1, e.2) == (ev.t_ns.to_bits(), ev.order, slot)
+                            });
+                            prop_assert!(at.is_some(), "popped an entry the model lacks");
+                            model.0.remove(at.unwrap());
+                            // A popped completion's gang is done: free its slot.
+                            if let EventKind::Completion { key } = ev.kind {
+                                gangs.retain(|g| g.0 != key);
+                                slab.remove(key);
+                            }
+                        }
+                    }
+                    _ => {}
+                }
+                heap.check();
+                prop_assert_eq!(heap.heap.len(), model.0.len());
+                prop_assert_eq!(
+                    heap.peek().map(|e| (e.t_ns.to_bits(), e.order)),
+                    model.0.first().map(|e| (e.0.to_bits(), e.1))
+                );
+                let queued = gangs.iter().filter(|g| g.1).count();
+                let completions = heap
+                    .heap
+                    .iter()
+                    .filter(|e| matches!(e.kind, EventKind::Completion { .. }))
+                    .count();
+                prop_assert_eq!(completions, queued, "one completion per projected gang");
+            }
+            // Drain: the whole remaining order agrees.
+            let rest: Vec<(u64, u64)> = popped(&mut heap)
+                .into_iter()
+                .map(|(t, o)| (t.to_bits(), o))
+                .collect();
+            let want: Vec<(u64, u64)> = model.0.iter().map(|e| (e.0.to_bits(), e.1)).collect();
+            prop_assert_eq!(rest, want);
+        }
+    }
+}

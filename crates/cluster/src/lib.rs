@@ -44,6 +44,7 @@
 //!    on distinct devices, or none do.
 
 pub mod admission;
+mod event_heap;
 pub mod fault;
 pub mod fleet;
 pub mod job;

@@ -12,7 +12,7 @@ use crate::admission::Placement;
 /// A feasible device for one replica: its index, unreserved and reserved
 /// bytes (the sorting keys), the quantized prediction budget, and the
 /// replica profile predicted under that budget.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct Candidate {
     pub device: usize,
     pub free: u64,
@@ -50,26 +50,31 @@ impl PlacementPolicy {
         }
     }
 
-    /// Choose `replicas` distinct devices from the feasible [`Candidate`]s.
-    /// Returns the chosen [`Placement`]s, or `None` if fewer than
-    /// `replicas` devices are feasible (gangs are atomic: all or nothing).
-    pub fn choose(self, mut candidates: Vec<Candidate>, replicas: usize) -> Option<Vec<Placement>> {
+    /// Choose `replicas` distinct devices from the feasible [`Candidate`]s
+    /// (reordered in place). Returns the chosen [`Placement`]s, or `None`
+    /// if fewer than `replicas` devices are feasible (gangs are atomic: all
+    /// or nothing).
+    ///
+    /// Every policy's key ends in the device index, so it is a total order:
+    /// the `replicas` best are selected in O(candidates) and only they are
+    /// sorted — the same gang, in the same order, a full sort would yield.
+    pub fn choose(self, candidates: &mut [Candidate], replicas: usize) -> Option<Vec<Placement>> {
         if candidates.len() < replicas {
             return None;
         }
-        match self {
-            PlacementPolicy::FirstFit => candidates.sort_by_key(|c| c.device),
-            PlacementPolicy::BestFit => {
-                candidates.sort_by_key(|c| (c.free - c.prediction.peak_bytes, c.device))
-            }
-            PlacementPolicy::BinPack => {
-                candidates.sort_by_key(|c| (std::cmp::Reverse(c.reserved), c.device))
-            }
+        if replicas == 0 {
+            return Some(Vec::new());
         }
+        let key = |c: &Candidate| match self {
+            PlacementPolicy::FirstFit => (0, c.device),
+            PlacementPolicy::BestFit => (c.free - c.prediction.peak_bytes, c.device),
+            PlacementPolicy::BinPack => (u64::MAX - c.reserved, c.device), // fullest first
+        };
+        candidates.select_nth_unstable_by_key(replicas - 1, key);
+        let best = &mut candidates[..replicas];
+        best.sort_unstable_by_key(key);
         Some(
-            candidates
-                .into_iter()
-                .take(replicas)
+            best.iter()
                 .map(|c| Placement {
                     device: c.device,
                     budget: c.budget,
@@ -108,19 +113,25 @@ mod tests {
 
     #[test]
     fn first_fit_takes_lowest_indices() {
-        let got = PlacementPolicy::FirstFit.choose(candidates(), 2).unwrap();
+        let got = PlacementPolicy::FirstFit
+            .choose(&mut candidates(), 2)
+            .unwrap();
         assert_eq!(got.iter().map(|p| p.device).collect::<Vec<_>>(), vec![0, 1]);
     }
 
     #[test]
     fn best_fit_minimizes_leftover() {
-        let got = PlacementPolicy::BestFit.choose(candidates(), 1).unwrap();
+        let got = PlacementPolicy::BestFit
+            .choose(&mut candidates(), 1)
+            .unwrap();
         assert_eq!(got[0].device, 1, "300-100 leaves the smallest hole");
     }
 
     #[test]
     fn bin_pack_prefers_fullest_device() {
-        let got = PlacementPolicy::BinPack.choose(candidates(), 1).unwrap();
+        let got = PlacementPolicy::BinPack
+            .choose(&mut candidates(), 1)
+            .unwrap();
         assert_eq!(
             got[0].device, 1,
             "device 1 already holds 700 reserved bytes"
@@ -129,18 +140,61 @@ mod tests {
 
     #[test]
     fn gangs_are_all_or_nothing() {
-        assert!(PlacementPolicy::FirstFit.choose(candidates(), 4).is_none());
-        let got = PlacementPolicy::BinPack.choose(candidates(), 3).unwrap();
+        assert!(PlacementPolicy::FirstFit
+            .choose(&mut candidates(), 4)
+            .is_none());
+        let got = PlacementPolicy::BinPack
+            .choose(&mut candidates(), 3)
+            .unwrap();
         let mut devs: Vec<_> = got.iter().map(|p| p.device).collect();
         devs.sort_unstable();
         assert_eq!(devs, vec![0, 1, 2]);
     }
 
     #[test]
+    fn the_best_few_equal_a_full_sort() {
+        // 64 candidates with heavily repeated keys (ties fall to the device
+        // index), presented in a scrambled order.
+        let pool: Vec<Candidate> = (0..64usize)
+            .map(|i| {
+                let device = (i * 37) % 64;
+                let reserved = (device as u64 % 5) * 100;
+                Candidate {
+                    device,
+                    free: 1000 - reserved,
+                    reserved,
+                    budget: 1000 - reserved,
+                    prediction: profile(100 + (device as u64 % 3) * 50),
+                }
+            })
+            .collect();
+        for policy in PlacementPolicy::ALL {
+            let mut sorted = pool.clone();
+            match policy {
+                PlacementPolicy::FirstFit => sorted.sort_by_key(|c| c.device),
+                PlacementPolicy::BestFit => {
+                    sorted.sort_by_key(|c| (c.free - c.prediction.peak_bytes, c.device))
+                }
+                PlacementPolicy::BinPack => {
+                    sorted.sort_by_key(|c| (std::cmp::Reverse(c.reserved), c.device))
+                }
+            }
+            for replicas in [1, 2, 4, 63, 64] {
+                let got = policy.choose(&mut pool.clone(), replicas).unwrap();
+                let got: Vec<usize> = got.iter().map(|p| p.device).collect();
+                let want: Vec<usize> = sorted[..replicas].iter().map(|c| c.device).collect();
+                assert_eq!(got, want, "{} x{replicas}", policy.name());
+            }
+        }
+    }
+
+    #[test]
     fn placements_carry_the_prediction_budget() {
         // The budget the profile was compiled under must survive placement:
         // gang step measurement re-caps the device with it.
-        let got = PlacementPolicy::FirstFit.choose(candidates(), 3).unwrap();
+        let got = PlacementPolicy::FirstFit
+            .choose(&mut candidates(), 3)
+            .unwrap();
         for p in &got {
             let want = candidates()
                 .into_iter()

@@ -21,15 +21,18 @@
 //! discrete-event simulators use to stay O(log n)-ish per event instead of
 //! O(n):
 //!
-//! * **Event queue** — a binary heap of projected completions plus the next
-//!   arrival, ordered by `(time, job index)`. Projections that a
-//!   tenant-count change invalidates are not deleted (heaps can't); the
-//!   superseding push carries a bumped generation and the stale entry is
-//!   discarded when it eventually surfaces.
-//! * **Slab job state** — live jobs (pending + running) occupy
+//! * **Event queue** — an *addressable* binary heap (`crate::event_heap`)
+//!   ordered by `(time, job index)`: the next arrival, the next fault batch,
+//!   parked jobs' retries, and **exactly one** projected completion per
+//!   running gang, found through a position index by slab slot. A
+//!   tenant-count change re-keys the gang's entry where it sits and sifts
+//!   it; an interrupt removes it. Nothing stale is ever queued, so whatever
+//!   pops is the gang's live projection (a `debug_assert!` holds it to that
+//!   bit for bit) — in particular a restarted job can never complete on the
+//!   schedule of the run a fault cut short.
+//! * **Slab job state** — live jobs (pending, running, parked) occupy
 //!   generation-stamped slots (`crate::slab`); storage is bounded by peak
-//!   concurrency, not stream length, and freed slots can never be confused
-//!   with their successors by a stale heap entry.
+//!   concurrency, not stream length.
 //! * **Lazy progress** — each running gang carries
 //!   `(anchor_ns, remaining_ns, slowdown)`: its completion is always
 //!   `anchor + remaining · slowdown`, and `remaining` is folded forward
@@ -40,7 +43,32 @@
 //!   when reservations changed since they were last evaluated (admission is
 //!   a pure function of the reservation vector, so the replay is provably
 //!   identical), and `(reservation vector, job shape) → grant` decisions
-//!   are memoized across events.
+//!   are memoized across events, the vector hashed once per reservation
+//!   state.
+//! * **Admission sweep** — a ladder rung is O(devices) integer arithmetic
+//!   (free bytes → quantized budget → bucket) plus O(distinct budgets)
+//!   profiler lookups: devices of one card at one budget share one answer
+//!   (`crate::admission::Sweep`), and placement selects the `replicas`
+//!   best candidates instead of sorting the fleet.
+//!
+//! ### What an event costs
+//!
+//! One `serve_mixed` pass (the repo benchmark: 64 devices, ρ ≈ 0.83, gangs,
+//! inference, faults; ~22.5 k events), by where a `SIGPROF` sample of
+//! `run_stream` lands (250 Hz of CPU time, ~4 k and ~2.7 k samples under
+//! `run_core`, seed 501, 2-vCPU host), before and after the queue, sweep
+//! and memo changes; ns/event is the share of the measured 2.9 → 1.2 µs:
+//!
+//! | where                                       | before       | after        |
+//! |---------------------------------------------|-------------:|-------------:|
+//! | admission sweep (profiler, placement)       | 47 % · 1370 ns | 39 % · 460 ns |
+//! | admission memo (hash, key and grant clones) | 11 % · 310 ns  | 17 % · 210 ns |
+//! | event queue                                 | 25 % · 740 ns  | 11 % · 140 ns |
+//! | device accounting + re-anchor sweep         | 6 % · 180 ns   | 17 % · 200 ns |
+//! | the rest (recorder, slab, fault arms)       | 10 % · 300 ns  | 16 % · 190 ns |
+//!
+//! What is left of the sweep is its O(devices) arithmetic — two integer
+//! divisions per device per rung in `quantized_budget` — not lookups.
 //!
 //! The loop this replaced is retained verbatim in [`crate::sim_reference`];
 //! a differential suite pins both to byte-identical [`ClusterReport`]s —
@@ -49,7 +77,6 @@
 //! [`ArrivalStream`] with aggregate-only recording: millions of arrivals in
 //! constant memory.
 
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use fxhash::FxHashMap;
@@ -58,13 +85,15 @@ use sn_sim::SimTime;
 use sn_telemetry::{Counter, Histogram, MetricsRegistry, TraceSink, TrackId};
 
 use crate::admission::{
-    feasible_on_device_subset, feasible_on_idle_fleet, ladder_for, Grant, Placement, Profiler,
+    feasible_on_device_subset, feasible_on_idle_fleet, ladder_for, quantized_budget, Grant,
+    Placement, Profiler, Sweep,
 };
+use crate::event_heap::{EventHeap, EventKind};
 use crate::fault::{FaultEvent, FaultPlan, RecoveryMode, RecoveryPolicy};
 use crate::fleet::Fleet;
 use crate::job::{JobKind, JobSpec, PolicyPreset, Workload};
 use crate::latency::LatencySketch;
-use crate::placement::PlacementPolicy;
+use crate::placement::{Candidate, PlacementPolicy};
 use crate::report::{
     ClusterReport, JobOutcome, RejectReason, ServiceReport, TraceEvent, TraceKind,
 };
@@ -222,9 +251,6 @@ struct RunState {
     remaining_ns: f64,
     anchor_ns: f64,
     slowdown: f64,
-    /// Bumped on every re-anchor; heap entries carrying an older generation
-    /// are stale and discarded on pop.
-    gen: u64,
     /// One iteration's solo duration (checkpoint folds divide by this).
     step_ns: f64,
     /// Iterations this run covers (`spec.iterations − iters_done` at grant
@@ -270,49 +296,6 @@ fn fold_done_iterations(run: &RunState, now_ns: f64) -> u32 {
     let executed = (work_total - run.remaining_ns + elapsed).clamp(0.0, work_total);
     ((executed / run.step_ns) as u32).min(run.iters_this_run)
 }
-
-enum EventKind {
-    /// Projected gang completion. Stale if the job is gone (slot freed or
-    /// reused) or re-anchored since (`gen` mismatch).
-    Completion { key: SlotKey, gen: u64 },
-    /// A parked job's backoff expires; `due_ns` carries the exact integer
-    /// instant (the f64 heap time is only a projection of it).
-    Retry { key: SlotKey, due_ns: u64 },
-    /// The next pulled-but-unprocessed arrival is due.
-    Arrival,
-    /// The next batch of injected fault events is due.
-    FaultDue,
-}
-
-struct QueuedEvent {
-    t_ns: f64,
-    /// Tiebreak at equal times: completions and retries by arrival sequence
-    /// (the reference loop's job-index order), then faults, then the
-    /// arrival marker last.
-    order: u64,
-    kind: EventKind,
-}
-
-// `BinaryHeap` is a max-heap; compare reversed for earliest-first.
-impl Ord for QueuedEvent {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other
-            .t_ns
-            .total_cmp(&self.t_ns)
-            .then_with(|| other.order.cmp(&self.order))
-    }
-}
-impl PartialOrd for QueuedEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl PartialEq for QueuedEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-impl Eq for QueuedEvent {}
 
 /// What the event core tells the outside world as it goes. [`FullRecorder`]
 /// reproduces `run`'s historical behavior exactly (per-job outcomes, the
@@ -675,14 +658,28 @@ impl Recorder for StreamRecorder {
 /// that vector the memo is exact with no invalidation protocol at all; a
 /// size cap bounds memory on long streams (clearing it is semantically
 /// invisible — entries are pure).
+///
+/// The vector is 8 bytes per device, so it is hashed **once per
+/// reservation state**, not once per lookup: when `state_version` moves,
+/// [`AdmitMemo::enter`] rebuilds the vector, finds the state's entry by
+/// that hash, and checks the stored vector against it word for word (a
+/// colliding entry is replaced, never trusted). Until the version moves
+/// again every lookup is one small hash of the job shape.
 #[derive(Default)]
 struct AdmitMemo {
-    map: FxHashMap<Vec<u64>, FxHashMap<ShapeKey, Option<Grant>>>,
+    /// Every reservation state seen: `(vector, decisions made in it)`.
+    states: Vec<(Vec<u64>, Decisions)>,
+    /// Hash of a state's vector → its position in `states`.
+    index: FxHashMap<u64, usize>,
+    /// The state `version` resolved to.
+    current: usize,
+    version: Option<u64>,
+    /// The current reservation vector (reused buffer).
+    key: Vec<u64>,
     /// Idle-fleet feasibility per shape: [`feasible_on_idle_fleet`] is a
     /// pure function of (profiler, fleet, job shape), and the FIFO pass
     /// re-asks it for every still-queued job at every pass — under load
-    /// that was the single hottest path in the whole loop (it takes
-    /// several mutex-guarded profiler lookups per device per ladder rung).
+    /// that was the single hottest path in the whole loop.
     feasible: FxHashMap<ShapeKey, bool>,
     /// Epoch of the fault state `feasible` was computed against: in fault
     /// mode entries answer "feasible on the currently-*live* subset", which
@@ -692,10 +689,50 @@ struct AdmitMemo {
     /// Full-(idle-)fleet feasibility per shape, fault mode only: the
     /// discriminator between "wait out the outage" and "reject outright".
     feasible_full: FxHashMap<ShapeKey, bool>,
-    /// The reservation vector is rebuilt (and re-hashed) only when
-    /// `state_version` moves, not once per queued job.
-    last_version: Option<u64>,
-    last_key: Vec<u64>,
+}
+
+/// `try_admit`'s answers in one reservation state, by job shape.
+type Decisions = FxHashMap<ShapeKey, Option<Grant>>;
+
+impl AdmitMemo {
+    /// The decisions made so far in the reservation state `devices` is in;
+    /// the state is re-derived only when `state_version` moved.
+    fn enter(&mut self, devices: &[DeviceState], state_version: u64) -> &mut Decisions {
+        if self.version != Some(state_version) {
+            self.version = Some(state_version);
+            self.key.clear();
+            // Effective occupancy: failed devices are saturated, pressure
+            // spikes count as reserved. Fault-free this is exactly the raw
+            // reservation vector.
+            self.key.extend(devices.iter().map(|d| {
+                if d.failed {
+                    u64::MAX
+                } else {
+                    d.reserved.saturating_add(d.spike)
+                }
+            }));
+            let hash = fxhash::hash_with_seed(&self.key, 0x6164_6d69_745f_6d65);
+            self.current = match self.index.get(&hash) {
+                Some(&at) if self.states[at].0 == self.key => at,
+                Some(&at) => {
+                    // Another vector with this hash: the slot changes hands.
+                    self.states[at].0.clone_from(&self.key);
+                    self.states[at].1.clear();
+                    at
+                }
+                None => {
+                    if self.states.len() >= ADMIT_MEMO_MAX_STATES {
+                        self.states.clear();
+                        self.index.clear();
+                    }
+                    self.states.push((self.key.clone(), Decisions::default()));
+                    self.index.insert(hash, self.states.len() - 1);
+                    self.states.len() - 1
+                }
+            };
+        }
+        &mut self.states[self.current].1
+    }
 }
 
 /// Everything `try_admit` reads from a [`JobSpec`] (name and iteration
@@ -713,10 +750,20 @@ fn shape_key(job: &JobSpec) -> ShapeKey {
     )
 }
 
-/// Outer-map size cap: past this many distinct reservation states the memo
+/// State cap: past this many distinct reservation states the memo
 /// resets. Generous for steady-state serving (states recur) while bounding
 /// pathological churn.
 const ADMIT_MEMO_MAX_STATES: usize = 4096;
+
+/// The buffers one admission sweep fills, reused from sweep to sweep.
+#[derive(Default)]
+pub(crate) struct AdmitScratch<'a> {
+    sweep: Sweep<'a>,
+    /// This rung's devices with a non-zero budget:
+    /// `(device, free, budget, probe)`.
+    open: Vec<(usize, u64, u64, usize)>,
+    candidates: Vec<Candidate>,
+}
 
 /// What the event core hands back besides recorder contents.
 struct CoreOutcome {
@@ -743,8 +790,13 @@ struct CoreOutcome {
 /// The cluster scheduler: a fleet, a placement policy, and a memoizing
 /// admission profiler.
 pub struct ClusterSim {
+    /// The device pool. Read-only once the simulator is built: `cards` is
+    /// derived from it.
     pub fleet: Fleet,
     pub placement: PlacementPolicy,
+    /// Each device's [`sn_sim::DeviceSpec::card_fingerprint`]: devices of
+    /// one card share admission lookups (see [`Sweep`]).
+    cards: Vec<(u64, u64)>,
     pub(crate) profiler: Profiler,
     pub(crate) sink: TraceSink,
     pub(crate) metrics: Option<ClusterMetrics>,
@@ -756,6 +808,7 @@ impl ClusterSim {
     pub fn new(fleet: Fleet, placement: PlacementPolicy) -> ClusterSim {
         assert!(!fleet.is_empty(), "cluster needs at least one device");
         ClusterSim {
+            cards: fleet.devices.iter().map(|d| d.card_fingerprint()).collect(),
             fleet,
             placement,
             profiler: Profiler::new(),
@@ -813,67 +866,50 @@ impl ClusterSim {
     /// The prediction budget is the device's free bytes rounded *down* to a
     /// 1/32-of-DRAM quantum: still sound (the predicted peak fits under the
     /// real free space), but the profiler's memo key space collapses from
-    /// "every reservation state ever" to at most 32 budgets per device.
-    pub(crate) fn try_admit(&self, devices: &[DeviceState], job: &JobSpec) -> Option<Grant> {
+    /// "every reservation state ever" to at most 32 budgets per device —
+    /// and devices of one card at one budget share one answer, so a rung
+    /// costs O(devices) arithmetic plus O(distinct budgets) profiler
+    /// lookups (see [`Sweep`]). The ladder itself stays serial — a stronger
+    /// preset is only consulted when the weaker one cannot place the gang.
+    pub(crate) fn try_admit<'a>(
+        &'a self,
+        devices: &[DeviceState],
+        job: &JobSpec,
+        scratch: &mut AdmitScratch<'a>,
+    ) -> Option<Grant> {
         if job.replicas == 0 {
             return None; // an empty gang is not a schedulable job
         }
-        let indexed: Vec<(usize, &sn_sim::DeviceSpec)> =
-            self.fleet.devices.iter().enumerate().collect();
+        let AdmitScratch {
+            sweep,
+            open,
+            candidates,
+        } = scratch;
         for preset in ladder_for(job) {
-            use crate::placement::Candidate;
-            // Candidate predictions are independent per device; cold ones
-            // are swept concurrently over the rayon shim (deterministic:
-            // results come back in device order, and the shared profiler
-            // memo means each distinct (spec, budget) compiles at most
-            // ~once). When every candidate is already memoized — the
-            // steady state of the event loop, which re-evaluates queued
-            // jobs at every event — the sweep is a handful of map hits and
-            // runs inline: fanning worker threads out for that would cost
-            // more than the lookups. The ladder itself stays serial — a
-            // stronger preset is only consulted when the weaker one cannot
-            // place the gang.
-            let eval = |idx: usize, spec: &sn_sim::DeviceSpec| {
+            sweep.clear();
+            open.clear();
+            for (idx, spec) in self.fleet.devices.iter().enumerate() {
                 let free = devices[idx].free_bytes(spec);
-                let budget = crate::admission::quantized_budget(spec, free);
-                if budget == 0 {
-                    return None;
+                let budget = quantized_budget(spec, free);
+                if budget > 0 {
+                    let probe = sweep.probe(self.cards[idx], spec, budget);
+                    open.push((idx, free, budget, probe));
                 }
-                self.profiler
-                    .profile_kind(job.workload, job.batch, preset, job.kind, spec, budget)
-                    .map(|p| Candidate {
-                        device: idx,
-                        free,
-                        reserved: devices[idx].reserved.saturating_add(devices[idx].spike),
-                        budget,
-                        prediction: p,
-                    })
-            };
-            let any_cold = rayon::current_num_threads() > 1
-                && indexed.iter().any(|(idx, spec)| {
-                    let free = devices[*idx].free_bytes(spec);
-                    let budget = crate::admission::quantized_budget(spec, free);
-                    budget > 0
-                        && !self.profiler.is_cached(
-                            job.workload,
-                            job.batch,
-                            preset,
-                            job.kind,
-                            spec,
-                            budget,
-                        )
-                });
-            let candidates: Vec<_> = if any_cold {
-                rayon::par_map(&indexed, |(idx, spec)| eval(*idx, spec))
-                    .into_iter()
-                    .flatten()
-                    .collect()
-            } else {
-                indexed
-                    .iter()
-                    .filter_map(|(idx, spec)| eval(*idx, spec))
-                    .collect()
-            };
+            }
+            sweep.resolve(&self.profiler, job, preset);
+            candidates.clear();
+            candidates.extend(open.iter().filter_map(|&(device, free, budget, probe)| {
+                let prediction = sweep.prediction(probe)?;
+                Some(Candidate {
+                    device,
+                    free,
+                    reserved: devices[device]
+                        .reserved
+                        .saturating_add(devices[device].spike),
+                    budget,
+                    prediction,
+                })
+            }));
             if let Some(placements) = self.placement.choose(candidates, job.replicas) {
                 return Some(Grant { preset, placements });
             }
@@ -883,42 +919,20 @@ impl ClusterSim {
 
     /// [`ClusterSim::try_admit`] behind the cross-event memo (see
     /// [`AdmitMemo`]).
-    fn try_admit_memo(
-        &self,
+    fn try_admit_memo<'a>(
+        &'a self,
         devices: &[DeviceState],
         job: &JobSpec,
         memo: &mut AdmitMemo,
         state_version: u64,
+        scratch: &mut AdmitScratch<'a>,
     ) -> Option<Grant> {
-        if memo.last_version != Some(state_version) {
-            memo.last_key.clear();
-            // Effective occupancy: failed devices are saturated, pressure
-            // spikes count as reserved. Fault-free this is exactly the raw
-            // reservation vector.
-            memo.last_key.extend(devices.iter().map(|d| {
-                if d.failed {
-                    u64::MAX
-                } else {
-                    d.reserved.saturating_add(d.spike)
-                }
-            }));
-            memo.last_version = Some(state_version);
-        }
         let shape = shape_key(job);
-        if let Some(hit) = memo
-            .map
-            .get(&memo.last_key)
-            .and_then(|inner| inner.get(&shape))
-        {
+        if let Some(hit) = memo.enter(devices, state_version).get(&shape) {
             return hit.clone();
         }
-        let result = self.try_admit(devices, job);
-        if memo.map.len() >= ADMIT_MEMO_MAX_STATES {
-            memo.map.clear();
-        }
-        memo.map
-            .entry(memo.last_key.clone())
-            .or_default()
+        let result = self.try_admit(devices, job, scratch);
+        memo.enter(devices, state_version)
             .insert(shape, result.clone());
         result
     }
@@ -977,13 +991,14 @@ impl ClusterSim {
     /// Pure planning — the caller commits the returned downgrades and the
     /// final grant, in order.
     #[allow(clippy::type_complexity)]
-    fn plan_elastic(
-        &self,
+    fn plan_elastic<'a>(
+        &'a self,
         devices: &[DeviceState],
         jobs: &Slab<LiveJob>,
         tenants_on: &[Vec<SlotKey>],
         job: &JobSpec,
         resume: Option<&ResumePlan>,
+        scratch: &mut AdmitScratch<'a>,
     ) -> Option<(Vec<(SlotKey, Grant)>, Grant)> {
         struct Tenant {
             key: SlotKey,
@@ -1037,7 +1052,7 @@ impl ClusterSim {
                     let headroom = vdev[p.device]
                         .free_bytes(spec_d)
                         .saturating_add(p.prediction.peak_bytes);
-                    let budget = crate::admission::quantized_budget(spec_d, headroom);
+                    let budget = quantized_budget(spec_d, headroom);
                     let pred = (budget > 0)
                         .then(|| {
                             self.profiler.profile_kind(
@@ -1094,7 +1109,7 @@ impl ClusterSim {
             downgrades.push((tenants[ti].key, new_grant));
             let admit = match resume {
                 Some(rp) => self.try_admit_resume(&vdev, job, rp),
-                None => self.try_admit(&vdev, job),
+                None => self.try_admit(&vdev, job, scratch),
             };
             if let Some(grant) = admit {
                 return Some((downgrades, grant));
@@ -1117,15 +1132,14 @@ impl ClusterSim {
         match job.kind {
             crate::job::JobKind::Training if job.replicas > 1 => {
                 let measured = grant.slowest().and_then(|pace| {
-                    let spec = self.fleet.devices[pace.device]
-                        .clone()
-                        .with_dram(pace.budget);
-                    self.profiler.gang_step_time(
+                    self.profiler.gang_step_capped(
                         job.workload,
                         job.batch,
                         grant.preset,
                         job.replicas,
-                        &spec,
+                        self.cards[pace.device],
+                        &self.fleet.devices[pace.device],
+                        pace.budget,
                         self.fleet.interconnect,
                     )
                 });
@@ -1261,9 +1275,18 @@ impl ClusterSim {
         // this device can re-pace. The re-anchor sweep walks only these.
         let mut tenants_on: Vec<Vec<SlotKey>> = vec![Vec::new(); self.fleet.len()];
         let mut jobs: Slab<LiveJob> = Slab::new();
-        let mut heap: BinaryHeap<QueuedEvent> = BinaryHeap::new();
+        let mut heap = EventHeap::default();
         let mut pending: Vec<SlotKey> = Vec::new(); // FIFO queue
         let mut memo = AdmitMemo::default();
+        // Per-event work lists and the admission sweep's buffers, reused
+        // across iterations: a steady-state event allocates only for what
+        // it leaves behind (a grant, a memo entry).
+        let mut scratch = AdmitScratch::default();
+        let mut completions: Vec<SlotKey> = Vec::new();
+        let mut retries: Vec<(u64, SlotKey)> = Vec::new();
+        let mut affected: Vec<usize> = Vec::new();
+        let mut kept: Vec<SlotKey> = Vec::new();
+        let mut victims: Vec<SlotKey> = Vec::new();
 
         let mut now_ns = 0f64;
         let mut next_seq = 0u64;
@@ -1304,11 +1327,7 @@ impl ClusterSim {
         // stamps stay bit-identical to the reference loop.
         let mut clock_int: u64 = 0;
         if let Some((t, _)) = faults.first() {
-            heap.push(QueuedEvent {
-                t_ns: t.0 as f64,
-                order: u64::MAX - 1,
-                kind: EventKind::FaultDue,
-            });
+            heap.push(t.0 as f64, u64::MAX - 1, EventKind::FaultDue);
         }
 
         // Reservation-state version, bumped on every reserve/release.
@@ -1322,35 +1341,12 @@ impl ClusterSim {
         // Pull one arrival ahead of the clock.
         let mut pending_arrival = stream.next_job();
         if let Some((t, _)) = &pending_arrival {
-            heap.push(QueuedEvent {
-                t_ns: t.0 as f64,
-                order: u64::MAX,
-                kind: EventKind::Arrival,
-            });
+            heap.push(t.0 as f64, u64::MAX, EventKind::Arrival);
         }
 
         loop {
-            // Earliest live event; stale completion projections (job gone
-            // or re-anchored since the push) are lazily discarded here.
-            let t_next = loop {
-                match heap.peek() {
-                    None => break f64::INFINITY,
-                    Some(ev) => {
-                        if let EventKind::Completion { key, gen } = ev.kind {
-                            let live = jobs
-                                .get(key)
-                                .and_then(|j| j.run.as_ref())
-                                .is_some_and(|r| r.gen == gen);
-                            if !live {
-                                heap.pop();
-                                continue;
-                            }
-                        }
-                        break ev.t_ns;
-                    }
-                }
-            };
-            if t_next.is_infinite() {
+            // Earliest event: every queued entry is live (see `event_heap`).
+            let Some(t_next) = heap.peek().map(|ev| ev.t_ns) else {
                 // In fault mode a job can terminally wait out a pressure
                 // spike that never lifts; it is reported as still queued.
                 debug_assert!(
@@ -1358,30 +1354,31 @@ impl ClusterSim {
                     "queued jobs with no future events"
                 );
                 break;
-            }
+            };
 
             // Collect everything due at this instant *before* processing:
             // pushes made while handling the batch (same-f64-time arrivals
             // past 2^53 ns, zero-dt re-projections) belong to the next
             // iteration, exactly like the reference loop's dt=0 follow-ups.
-            let mut completions: Vec<SlotKey> = Vec::new();
-            let mut retries: Vec<(u64, SlotKey)> = Vec::new();
+            completions.clear();
+            retries.clear();
             let mut arrival_due = false;
             let mut fault_due = false;
-            while let Some(ev) = heap.peek() {
-                if ev.t_ns != t_next {
-                    break;
-                }
+            while heap.peek().is_some_and(|ev| ev.t_ns == t_next) {
                 let ev = heap.pop().expect("peeked entry");
                 match ev.kind {
-                    EventKind::Completion { key, gen } => {
-                        let live = jobs
-                            .get(key)
-                            .and_then(|j| j.run.as_ref())
-                            .is_some_and(|r| r.gen == gen);
-                        if live {
-                            completions.push(key);
-                        }
+                    EventKind::Completion { key } => {
+                        // What pops is the gang's live projection, bit for
+                        // bit — never one made before a re-anchor, an
+                        // interrupt or a restart.
+                        debug_assert!(
+                            jobs.get(key).and_then(|j| j.run.as_ref()).is_some_and(|r| {
+                                (r.anchor_ns + r.remaining_ns * r.slowdown).to_bits()
+                                    == ev.t_ns.to_bits()
+                            }),
+                            "a completion popped that is not its gang's live projection"
+                        );
+                        completions.push(key);
                     }
                     EventKind::Retry { key, due_ns } => retries.push((due_ns, key)),
                     EventKind::Arrival => arrival_due = true,
@@ -1416,13 +1413,13 @@ impl ClusterSim {
 
             // Devices whose tenant count changes this event — the re-anchor
             // sweep below visits exactly their gangs.
-            let mut affected: Vec<usize> = Vec::new();
+            affected.clear();
 
             // Completions first (freeing capacity for same-instant
             // arrivals), in arrival-sequence order.
-            for key in completions {
-                let mut job = jobs.remove(key).expect("validated above");
-                let run = job.run.take().expect("validated above");
+            for &key in &completions {
+                let mut job = jobs.remove(key).expect("queued completions are live");
+                let run = job.run.take().expect("queued completions are running");
                 for p in &run.grant.placements {
                     devices[p.device].reserved -= p.prediction.peak_bytes;
                     devices[p.device].tenants -= 1;
@@ -1471,12 +1468,14 @@ impl ClusterSim {
                             // Interrupt every gang with a replica here —
                             // atomically: ALL replicas' reservations and
                             // tenant slots release, not just this device's.
-                            let victims: Vec<SlotKey> = tenants_on[device].clone();
-                            for vkey in victims {
+                            victims.clear();
+                            victims.extend_from_slice(&tenants_on[device]);
+                            for &vkey in &victims {
                                 let (seq, kind, total_done) = {
                                     let vjob =
                                         jobs.get_mut(vkey).expect("tenant lists track live jobs");
                                     let run = vjob.run.take().expect("listed tenants are running");
+                                    heap.remove_completion(vkey);
                                     let done = fold_done_iterations(&run, now_ns);
                                     for p in &run.grant.placements {
                                         devices[p.device].reserved -= p.prediction.peak_bytes;
@@ -1560,14 +1559,14 @@ impl ClusterSim {
                                             let vjob = jobs.get_mut(vkey).unwrap();
                                             vjob.anchor_int = due;
                                         }
-                                        heap.push(QueuedEvent {
-                                            t_ns: due as f64,
-                                            order: seq,
-                                            kind: EventKind::Retry {
+                                        heap.push(
+                                            due as f64,
+                                            seq,
+                                            EventKind::Retry {
                                                 key: vkey,
                                                 due_ns: due,
                                             },
-                                        });
+                                        );
                                         backoff_count += 1;
                                         if let Some(m) = &self.metrics {
                                             m.retries_scheduled.inc();
@@ -1637,11 +1636,7 @@ impl ClusterSim {
                 }
                 if let Some((t, _)) = faults.get(next_fault) {
                     debug_assert!(t.0 >= t_int, "fault plans are normalized");
-                    heap.push(QueuedEvent {
-                        t_ns: t.0 as f64,
-                        order: u64::MAX - 1,
-                        kind: EventKind::FaultDue,
-                    });
+                    heap.push(t.0 as f64, u64::MAX - 1, EventKind::FaultDue);
                 }
             }
 
@@ -1660,7 +1655,7 @@ impl ClusterSim {
                 retries.sort_unstable_by_key(|&(due, key)| {
                     (due, jobs.get(key).map(|j| j.seq).unwrap_or(u64::MAX))
                 });
-                for (due, key) in retries {
+                for &(due, key) in &retries {
                     let job = jobs.get_mut(key).expect("parked jobs stay live");
                     debug_assert!(job.run.is_none(), "parked jobs cannot be running");
                     job.anchor_int = job.anchor_int.max(due);
@@ -1708,11 +1703,7 @@ impl ClusterSim {
                 pending_arrival = cur;
                 if let Some((t, _)) = &pending_arrival {
                     debug_assert!(t.0 >= t_int, "ArrivalStream times must be non-decreasing");
-                    heap.push(QueuedEvent {
-                        t_ns: t.0 as f64,
-                        order: u64::MAX,
-                        kind: EventKind::Arrival,
-                    });
+                    heap.push(t.0 as f64, u64::MAX, EventKind::Arrival);
                 }
             }
 
@@ -1733,7 +1724,7 @@ impl ClusterSim {
             let full_pass = state_version != pass_version;
             let start = if full_pass { 0 } else { fresh_start };
             let version_at_pass_start = state_version;
-            let mut kept: Vec<SlotKey> = Vec::new();
+            kept.clear();
             for &key in pending.iter().skip(start) {
                 let (spec, resume, restarting) = {
                     let j = jobs.get(key).expect("pending jobs are live");
@@ -1743,7 +1734,9 @@ impl ClusterSim {
                     // A job granted before carries its frozen plan: restart
                     // re-admission is budget-exact, never a fresh search.
                     Some(rp) => self.try_admit_resume(&devices, &spec, rp),
-                    None => self.try_admit_memo(&devices, &spec, &mut memo, state_version),
+                    None => {
+                        self.try_admit_memo(&devices, &spec, &mut memo, state_version, &mut scratch)
+                    }
                 };
                 // Elastic rescue: make room by live-downgrading running
                 // tenants one preset rung (strictly smaller reserved peak),
@@ -1753,9 +1746,14 @@ impl ClusterSim {
                     && fault_mode
                     && self.recovery.mode == RecoveryMode::RestartElastic
                 {
-                    if let Some((downgrades, admit)) =
-                        self.plan_elastic(&devices, &jobs, &tenants_on, &spec, resume.as_ref())
-                    {
+                    if let Some((downgrades, admit)) = self.plan_elastic(
+                        &devices,
+                        &jobs,
+                        &tenants_on,
+                        &spec,
+                        resume.as_ref(),
+                        &mut scratch,
+                    ) {
                         rescue = Some(downgrades);
                         grant_opt = Some(admit);
                     }
@@ -1829,15 +1827,11 @@ impl ClusterSim {
                                     trun.remaining_ns = tstep.0 as f64 * titers_left as f64;
                                     trun.anchor_ns = now_ns;
                                     trun.slowdown = tslow;
-                                    trun.gen += 1;
-                                    heap.push(QueuedEvent {
-                                        t_ns: now_ns + trun.remaining_ns * tslow,
-                                        order: tseq,
-                                        kind: EventKind::Completion {
-                                            key: tkey,
-                                            gen: trun.gen,
-                                        },
-                                    });
+                                    heap.set_completion(
+                                        tkey,
+                                        now_ns + trun.remaining_ns * tslow,
+                                        tseq,
+                                    );
                                 }
                                 rec.on_downgrade(
                                     self,
@@ -1928,17 +1922,12 @@ impl ClusterSim {
                                 remaining_ns: work_ns,
                                 anchor_ns: now_ns,
                                 slowdown,
-                                gen: 0,
                                 step_ns: step.0 as f64,
                                 iters_this_run: iters_left,
                             });
                             job.seq
                         };
-                        heap.push(QueuedEvent {
-                            t_ns: now_ns + work_ns * slowdown,
-                            order: seq,
-                            kind: EventKind::Completion { key, gen: 0 },
-                        });
+                        heap.set_completion(key, now_ns + work_ns * slowdown, seq);
                         running_count += 1;
                         events += 1;
                     }
@@ -1962,7 +1951,7 @@ impl ClusterSim {
                                 }
                             } else {
                                 RejectReason::PeakExceedsCapacity {
-                                    presets: ladder_for(&spec).iter().map(|p| p.name()).collect(),
+                                    presets: ladder_for(&spec).map(|p| p.name()).collect(),
                                 }
                             };
                             rec.on_reject(
@@ -2015,10 +2004,7 @@ impl ClusterSim {
                                     }
                                 } else {
                                     RejectReason::PeakExceedsCapacity {
-                                        presets: ladder_for(&spec)
-                                            .iter()
-                                            .map(|p| p.name())
-                                            .collect(),
+                                        presets: ladder_for(&spec).map(|p| p.name()).collect(),
                                     }
                                 };
                                 rec.on_reject(
@@ -2063,11 +2049,11 @@ impl ClusterSim {
                                         j.attempts += 1;
                                         j.anchor_int = due;
                                     }
-                                    heap.push(QueuedEvent {
-                                        t_ns: due as f64,
-                                        order: seq,
-                                        kind: EventKind::Retry { key, due_ns: due },
-                                    });
+                                    heap.push(
+                                        due as f64,
+                                        seq,
+                                        EventKind::Retry { key, due_ns: due },
+                                    );
                                     backoff_count += 1;
                                     if let Some(m) = &self.metrics {
                                         m.retries_scheduled.inc();
@@ -2080,7 +2066,7 @@ impl ClusterSim {
                 }
             }
             pending.truncate(start);
-            pending.extend(kept);
+            pending.extend_from_slice(&kept);
             if full_pass {
                 // If the pass admitted anything, state_version moved past
                 // this and the next event re-evaluates everyone — a job
@@ -2095,7 +2081,7 @@ impl ClusterSim {
             // Re-anchor sweep: exactly the gangs sharing a device whose
             // tenant count changed this event. Fold their progress forward
             // under the old slowdown, restart the anchor at `now`, and
-            // supersede their heap projection (generation bump). Gangs
+            // re-key their completion where it sits in the heap. Gangs
             // reached through two affected devices are visited twice but
             // re-anchored once — the second visit sees the new slowdown
             // already in place. These are the same float ops the reference
@@ -2114,12 +2100,11 @@ impl ClusterSim {
                         run.remaining_ns -= (now_ns - run.anchor_ns) / run.slowdown;
                         run.anchor_ns = now_ns;
                         run.slowdown = s;
-                        run.gen += 1;
-                        heap.push(QueuedEvent {
-                            t_ns: run.anchor_ns + run.remaining_ns * run.slowdown,
-                            order: seq,
-                            kind: EventKind::Completion { key, gen: run.gen },
-                        });
+                        heap.set_completion(
+                            key,
+                            run.anchor_ns + run.remaining_ns * run.slowdown,
+                            seq,
+                        );
                     }
                 }
             }

@@ -34,7 +34,7 @@ use sn_telemetry::TrackId;
 use crate::admission::{feasible_on_idle_fleet, ladder_for, Grant};
 use crate::job::JobSpec;
 use crate::report::{ClusterReport, JobOutcome, RejectReason, TraceEvent, TraceKind};
-use crate::sim::{gang_slowdown, ClusterSim, DeviceState};
+use crate::sim::{gang_slowdown, AdmitScratch, ClusterSim, DeviceState};
 
 /// A gang currently executing, with anchor-based progress accounting.
 #[derive(Debug, Clone)]
@@ -79,6 +79,7 @@ impl ClusterSim {
         };
 
         let mut devices = vec![DeviceState::default(); self.fleet.len()];
+        let mut scratch = AdmitScratch::default();
         let mut trace: Vec<TraceEvent> = Vec::new();
         let mut pending: Vec<usize> = Vec::new(); // FIFO queue of job indices
         let mut running: Vec<Running> = Vec::new();
@@ -222,7 +223,7 @@ impl ClusterSim {
             let mut still_pending = Vec::with_capacity(pending.len());
             for &job_idx in pending.iter() {
                 let job = &specs[job_idx];
-                match self.try_admit(&devices, job) {
+                match self.try_admit(&devices, job, &mut scratch) {
                     Some(grant) => {
                         let step = self.step_time(job, &grant);
                         let work_ns = step.0 as f64 * job.iterations as f64;
@@ -309,7 +310,7 @@ impl ClusterSim {
                                 }
                             } else {
                                 RejectReason::PeakExceedsCapacity {
-                                    presets: ladder_for(job).iter().map(|p| p.name()).collect(),
+                                    presets: ladder_for(job).map(|p| p.name()).collect(),
                                 }
                             };
                             outcomes[job_idx].rejected = Some(reason.clone());

@@ -7,17 +7,25 @@
 //! 1. **Constant memory over unbounded streams** — a million-job arrival
 //!    stream must not grow job-state storage past the *active* set
 //!    (pending + running), so freed slots are recycled;
-//! 2. **Safe stale references** — binary-heap events and per-device tenant
-//!    lists hold keys to job state that may have been freed (and its slot
-//!    reused) by the time the key is dereferenced. Each slot carries a
-//!    generation counter, bumped on free; a [`SlotKey`] made for one
-//!    occupant can never resolve to a later one.
+//! 2. **Safe stale references** — queued retries and per-device tenant
+//!    lists hold keys to job state. Each slot carries a generation counter,
+//!    bumped on free; a [`SlotKey`] made for one occupant can never resolve
+//!    to a later one, so a key that outlived its job fails loudly instead
+//!    of touching its successor.
 
 /// A key into a [`Slab`]: slot index plus the generation it was issued for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct SlotKey {
     idx: u32,
     gen: u32,
+}
+
+impl SlotKey {
+    /// The slot this key addresses — what side tables indexed by slot (the
+    /// event heap's position index) use.
+    pub(crate) fn index(self) -> usize {
+        self.idx as usize
+    }
 }
 
 struct Slot<T> {
@@ -70,7 +78,7 @@ impl<T> Slab<T> {
     }
 
     /// `None` if the key's occupant was removed (even if the slot has been
-    /// reused since) — the staleness test heap events rely on.
+    /// reused since).
     pub(crate) fn get(&self, key: SlotKey) -> Option<&T> {
         let slot = self.slots.get(key.idx as usize)?;
         if slot.gen != key.gen {

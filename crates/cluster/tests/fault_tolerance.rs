@@ -18,6 +18,9 @@
 //!    under plain `Restart` it never does.
 //! 6. **Replay determinism** — identical `FaultPlan` seeds yield
 //!    byte-identical `ClusterReport`s and `ServiceReport`s (proptest).
+//! 7. **A restart owes its remaining work** — the completion projected for
+//!    an interrupted run dies with it; the restarted job finishes no
+//!    earlier than re-admission + remaining iterations × step × slowdown.
 
 use proptest::prelude::*;
 use sn_cluster::{
@@ -175,6 +178,56 @@ fn checkpoint_restart_resumes_with_byte_exact_peaks() {
     assert_eq!(report.useful_iterations, expect_useful);
     assert!(report.raw_iters_per_sec >= report.goodput_iters_per_sec);
     assert!(report.goodput_iters_per_sec.is_finite());
+}
+
+#[test]
+fn a_restarted_job_runs_its_remaining_iterations_to_the_end() {
+    // A job alone on its device is never re-paced, so the completion
+    // projected at its first admission is still the queued one when the
+    // device dies. That projection must die with the run: after the
+    // restart, the job owes every iteration past its checkpoint, at one
+    // solo step each — it may not finish on the pre-fault schedule.
+    let iters = 200u32;
+    let job =
+        JobSpec::new("lone", Workload::Synthetic { width: 8, depth: 2 }, 8).with_iterations(iters);
+    let fleet = fleet_n(2, 96 * MB);
+    let makespan = probe_makespan(&fleet, &[(SimTime::ZERO, job.clone())]);
+    let step = makespan / u64::from(iters);
+    assert_eq!(step * u64::from(iters), makespan, "premise: whole-ns steps");
+
+    let t_kill = SimTime(makespan / 2);
+    let mut sim = ClusterSim::new(fleet, PlacementPolicy::FirstFit);
+    sim.enable_faults(
+        // Device 0 stays down; the retry lands on device 1 well before the
+        // pre-fault completion instant.
+        FaultPlan::new().kill(t_kill, 0),
+        RecoveryPolicy::default()
+            .with_mode(RecoveryMode::Restart)
+            .with_backoff(SimTime(step), SimTime(step)),
+    );
+    let report = sim.run(vec![(SimTime::ZERO, job)]);
+    assert!(report.conservation_holds());
+
+    let (restarted_at, from_iteration) = report
+        .trace
+        .iter()
+        .find_map(|e| match e.kind {
+            TraceKind::Restart { from_iteration, .. } => Some((e.t_ns, from_iteration)),
+            _ => None,
+        })
+        .expect("the kill must interrupt and restart the job");
+    assert!(restarted_at > t_kill.0 && restarted_at < makespan);
+    assert!(from_iteration > 0 && from_iteration < iters);
+    let lone = &report.jobs[0];
+    assert_eq!(lone.restarts, 1);
+    assert_eq!(lone.devices, vec![1]);
+    let done = lone.completion.expect("the restarted job completes").0;
+    let owed = u64::from(iters - from_iteration) * step; // alone: slowdown 1
+    assert!(
+        done >= restarted_at + owed,
+        "restarted at {restarted_at} ns owing {owed} ns, yet complete at {done} ns \
+         (the pre-fault projection was {makespan} ns)"
+    );
 }
 
 #[test]

@@ -430,9 +430,9 @@ fn effective_recompute_mode(policy: Policy, inference: bool) -> RecomputeMode {
 /// Everything a compilation's outcome depends on. The **device cap** is
 /// kept exact: the planner adapts evictions and workspaces to `dram_bytes`
 /// and admission sweeps it, so a plan compiled for one cap must never be
-/// served for another. The rest of the card — its name and its rate and
-/// latency constants, floats via `to_bits` — is folded to a 128-bit
-/// fingerprint the way [`Net::fingerprint`] folds the net, which makes the
+/// served for another. The rest of the card is
+/// [`DeviceSpec::card_fingerprint`], a 128-bit fold of its name and
+/// constants the way [`Net::fingerprint`] folds the net, which makes the
 /// key `Copy` and small: building one for a lookup allocates nothing, and a
 /// memo entry can afford to hold it twice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -446,26 +446,11 @@ pub(crate) struct PlanKey {
 
 impl PlanKey {
     pub(crate) fn new(net: &Net, spec: &DeviceSpec, policy: Policy, inference: bool) -> PlanKey {
-        let card = (
-            &spec.name,
-            spec.peak_gflops.to_bits(),
-            spec.mem_bw_gbps.to_bits(),
-            spec.pcie_h2d_gbps.to_bits(),
-            spec.pcie_d2h_gbps.to_bits(),
-            spec.unpinned_factor.to_bits(),
-            spec.malloc_base.0,
-            spec.malloc_per_mib.0,
-            spec.free_base.0,
-            spec.kernel_launch.0,
-        );
         PlanKey {
             fp: net.fingerprint(),
             inference,
             policy,
-            card: (
-                fxhash::hash_with_seed(&card, 0x6465_765f_6361_7264),
-                fxhash::hash_with_seed(&card, 0x736e_5f64_6576_6963),
-            ),
+            card: spec.card_fingerprint(),
             dram: spec.dram_bytes,
         }
     }

@@ -92,6 +92,30 @@ impl DeviceSpec {
         self
     }
 
+    /// 128-bit fingerprint of the *card*: its name and its nine rate and
+    /// latency constants (floats via `to_bits`) — everything but
+    /// `dram_bytes`, so [`DeviceSpec::with_dram`] never changes it. Memo
+    /// keys pair it with the exact cap they were compiled against, which
+    /// keeps them `Copy` and free of the name `String`.
+    pub fn card_fingerprint(&self) -> (u64, u64) {
+        let card = (
+            &self.name,
+            self.peak_gflops.to_bits(),
+            self.mem_bw_gbps.to_bits(),
+            self.pcie_h2d_gbps.to_bits(),
+            self.pcie_d2h_gbps.to_bits(),
+            self.unpinned_factor.to_bits(),
+            self.malloc_base.0,
+            self.malloc_per_mib.0,
+            self.free_base.0,
+            self.kernel_launch.0,
+        );
+        (
+            fxhash::hash_with_seed(&card, 0x6465_765f_6361_7264),
+            fxhash::hash_with_seed(&card, 0x736e_5f64_6576_6963),
+        )
+    }
+
     /// Effective PCIe bandwidth for a transfer, honouring pinned/pageable.
     pub fn pcie_gbps(&self, h2d: bool, pinned: bool) -> f64 {
         let base = if h2d {
@@ -134,6 +158,38 @@ mod tests {
         let d = DeviceSpec::k40c().with_dram(3 * GB);
         assert_eq!(d.dram_bytes, 3 * GB);
         assert_eq!(d.name, "NVIDIA Tesla K40c");
+    }
+
+    #[test]
+    fn card_fingerprint_covers_the_card_and_ignores_the_cap() {
+        let base = DeviceSpec::k40c();
+        let fp = base.card_fingerprint();
+        assert_eq!(fp, DeviceSpec::k40c().card_fingerprint());
+        assert_eq!(fp, base.clone().with_dram(3 * GB).card_fingerprint());
+        let mut renamed = base.clone();
+        renamed.name.push('!');
+        assert_ne!(fp, renamed.card_fingerprint());
+        // Each of the nine constants, changed alone, changes it.
+        let edits: [fn(&mut DeviceSpec); 9] = [
+            |d| d.peak_gflops += 1.0,
+            |d| d.mem_bw_gbps += 1.0,
+            |d| d.pcie_h2d_gbps += 1.0,
+            |d| d.pcie_d2h_gbps += 1.0,
+            |d| d.unpinned_factor += 0.25,
+            |d| d.malloc_base.0 += 1,
+            |d| d.malloc_per_mib.0 += 1,
+            |d| d.free_base.0 += 1,
+            |d| d.kernel_launch.0 += 1,
+        ];
+        for (n, edit) in edits.iter().enumerate() {
+            let mut d = base.clone();
+            edit(&mut d);
+            let got = d.card_fingerprint();
+            assert!(
+                got.0 != fp.0 && got.1 != fp.1,
+                "constant #{n} is not folded in"
+            );
+        }
     }
 
     #[test]
