@@ -3,7 +3,8 @@
 //! Absolute numbers come from our simulated substrate (see DESIGN.md for the
 //! substitutions); what these reproduce is the paper's *shape*: which
 //! technique/framework wins, by roughly what factor, and where the memory
-//! knees fall. EXPERIMENTS.md records paper-vs-measured for every artefact.
+//! knees fall. No paper-vs-measured record is kept in the tree yet (ROADMAP
+//! item 1c, `BENCH_paper.json`); each function prints what it measured.
 
 use sn_frameworks::Framework;
 use sn_graph::{Net, NetCost};

@@ -59,6 +59,14 @@ impl DeviceAllocator for AllocatorImpl {
         }
     }
 
+    fn extent_high_water(&self) -> u64 {
+        match self {
+            AllocatorImpl::Pool(p) => p.extent_high_water(),
+            AllocatorImpl::Linear(p) => p.extent_high_water(),
+            AllocatorImpl::Cuda(c) => c.extent_high_water(),
+        }
+    }
+
     fn largest_free_contiguous(&self) -> u64 {
         match self {
             AllocatorImpl::Pool(p) => p.largest_free_contiguous(),

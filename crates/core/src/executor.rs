@@ -381,6 +381,7 @@ impl<'n> Executor<'n> {
             liveness,
             rplan,
             plan: mplan,
+            valid_caps: _,
         } = compiled;
         let mut dev = Device::new(spec, policy.allocator, policy.tiers);
 

@@ -28,10 +28,12 @@
 //!   mode)`, not on the device; they are cached by [`Net::fingerprint`] and
 //!   shared via `Arc` across the policy ladder and across devices.
 //! * **Plan memo** — [`compile_memo`] caches whole compilations under a
-//!   `(net fingerprint, policy, device)` key and returns a shared
-//!   `Arc<CompiledPlan>`; admission ladders and feasibility searches that
-//!   re-ask the same question get the answer back in hash-lookup time
-//!   (OOM outcomes are memoized too). The memo holds at most
+//!   `(net fingerprint, policy, card)` key and returns a shared
+//!   `Arc<CompiledPlan>`. A plan the device cap did not shape answers every
+//!   cap from [`CompiledPlan::valid_caps`]' start upward, so an admission
+//!   ladder or capacity search that re-asks one net at many budgets pays one
+//!   plan walk, not one per budget; outcomes the cap did shape (OOM
+//!   included) are memoized for that cap alone. The memo holds at most
 //!   [`PLAN_MEMO_CAP`] entries and at the cap forgets only the
 //!   least-recently-used one, so the hot set survives a long sweep.
 //!   [`plan_memo_stats`] exposes hit/miss counters; [`clear_plan_memo`]
@@ -61,6 +63,7 @@
 //! gradients exist, every output is freed at its last forward reader, and
 //! nothing is eagerly offloaded (there is no backward to fetch it back for).
 
+use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -329,6 +332,23 @@ pub struct CompiledPlan {
     pub liveness: Arc<LivenessPlan>,
     pub rplan: Arc<RecomputePlan>,
     pub plan: Arc<MemoryPlan>,
+    /// The device caps (`DeviceSpec::dram_bytes`) at which a compile of the
+    /// same `(net, policy, card, mode)` makes every decision the way this
+    /// one did — same ops, same addresses, same peak, same counters.
+    ///
+    /// The planner reads the cap in three kinds of place: an allocation
+    /// that **fails** (the reclamation ladder, the weights, and the
+    /// opportunistic prefetch, which gives up silently), the capacity an
+    /// **OOM error** reports, and the free bytes offered to the
+    /// **conv-workspace** selector. A walk in which no allocation failed and
+    /// every workspace is the one the policy's own limit picks never saw
+    /// the cap: first-fit takes the lowest fitting address, a larger cap
+    /// only lengthens the free tail, so the plan holds for every cap from
+    /// the highest address it touched
+    /// ([`DeviceAllocator::extent_high_water`], never below `peak_bytes`) to
+    /// `u64::MAX`. Anything else — reference compiles too — claims the
+    /// compiled cap alone.
+    pub valid_caps: RangeInclusive<u64>,
 }
 
 // ---------------------------------------------------------------------
@@ -424,24 +444,29 @@ fn effective_recompute_mode(policy: Policy, inference: bool) -> RecomputeMode {
 }
 
 // ---------------------------------------------------------------------
-// The plan memo: (fingerprint, policy, device) → Arc<CompiledPlan>.
+// The plan memo: (fingerprint, policy, card, cap or "open") → plan.
 // ---------------------------------------------------------------------
 
-/// Everything a compilation's outcome depends on. The **device cap** is
-/// kept exact: the planner adapts evictions and workspaces to `dram_bytes`
-/// and admission sweeps it, so a plan compiled for one cap must never be
-/// served for another. The rest of the card is
+/// Everything a compilation's outcome depends on. The card is
 /// [`DeviceSpec::card_fingerprint`], a 128-bit fold of its name and
 /// constants the way [`Net::fingerprint`] folds the net, which makes the
 /// key `Copy` and small: building one for a lookup allocates nothing, and a
 /// memo entry can afford to hold it twice.
+///
+/// The **device cap** is part of the key only for outcomes it shaped. A
+/// `(net, policy, card, mode)` has at most one plan the cap did not shape —
+/// two such plans would each be valid at the larger of their caps, hence
+/// equal — and it lives under `dram: None`, answering every cap in its
+/// [`CompiledPlan::valid_caps`]. An outcome the cap did shape (an eviction,
+/// a squeezed workspace, an OOM) lives under `Some(cap)` and is never served
+/// for another cap. Group and tune keys always carry the exact cap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct PlanKey {
     fp: (u64, u64),
     inference: bool,
     policy: Policy,
     card: (u64, u64),
-    dram: u64,
+    dram: Option<u64>,
 }
 
 impl PlanKey {
@@ -451,8 +476,13 @@ impl PlanKey {
             inference,
             policy,
             card: spec.card_fingerprint(),
-            dram: spec.dram_bytes,
+            dram: Some(spec.dram_bytes),
         }
+    }
+
+    /// The slot of this key's open-ended plan.
+    fn open(self) -> PlanKey {
+        PlanKey { dram: None, ..self }
     }
 }
 
@@ -528,7 +558,13 @@ pub(crate) fn compile_memo_traced(
     inference: bool,
 ) -> (Result<Arc<CompiledPlan>, ExecError>, bool) {
     let key = PlanKey::new(net, spec, policy, inference);
-    if let Some(hit) = PLAN_MEMO.get(&key) {
+    // The open-ended plan first — one probe answers every cap that does not
+    // bind — then the outcome pinned to this exact cap.
+    let hit = match PLAN_MEMO.get(&key.open()) {
+        Some(Ok(open)) if open.valid_caps.contains(&spec.dram_bytes) => Some(Ok(open)),
+        _ => PLAN_MEMO.get(&key),
+    };
+    if let Some(hit) = hit {
         MEMO_HITS.fetch_add(1, Ordering::Relaxed);
         memo_metrics().0.inc();
         return (hit, true);
@@ -539,15 +575,20 @@ pub(crate) fn compile_memo_traced(
     // (both produce identical plans — last insert wins) but never block on
     // each other's compilation.
     let result = compile_inner(net, spec, policy, inference).map(Arc::new);
-    PLAN_MEMO.insert(key, result.clone());
+    let slot = match &result {
+        Ok(plan) if *plan.valid_caps.end() == u64::MAX => key.open(),
+        _ => key,
+    };
+    PLAN_MEMO.insert(slot, result.clone());
     (result, false)
 }
 
 /// [`compile`] through the plan memo: repeated compilations of the same
-/// `(net, policy, device)` triple — the common case in admission ladders
-/// and feasibility binary searches — return a shared `Arc` instead of
-/// recompiling. OOM outcomes are memoized too (a job that does not fit a
-/// budget still does not fit it the next time the ladder asks).
+/// `(net, policy, card)` — at the same cap or at any other cap the memoized
+/// plan is valid for, the common case in admission ladders and feasibility
+/// binary searches — return a shared `Arc` instead of recompiling. OOM
+/// outcomes are memoized too (a job that does not fit a budget still does
+/// not fit it the next time the ladder asks).
 pub fn compile_memo(
     net: &Net,
     spec: &DeviceSpec,
@@ -617,6 +658,7 @@ pub fn compile_reference(
         liveness: a.liveness,
         rplan: a.rplan,
         plan: Arc::new(plan),
+        valid_caps: spec.dram_bytes..=spec.dram_bytes,
     })
 }
 
@@ -627,24 +669,26 @@ fn compile_inner(
     inference: bool,
 ) -> Result<CompiledPlan, ExecError> {
     let a = analyses_for(net, policy, inference);
-    let plan = plan_with(net, spec, policy, &a, inference)?;
+    let (plan, valid_caps) = plan_with(net, spec, policy, &a, inference)?;
     Ok(CompiledPlan {
         route: a.route,
         cost: a.cost,
         liveness: a.liveness,
         rplan: a.rplan,
         plan: Arc::new(plan),
+        valid_caps,
     })
 }
 
-/// Run the planner walk over prepared analyses.
+/// Run the planner walk over prepared analyses: the plan, and the device
+/// caps it is valid for ([`CompiledPlan::valid_caps`]).
 fn plan_with(
     net: &Net,
     spec: &DeviceSpec,
     policy: Policy,
     a: &Analyses,
     inference: bool,
-) -> Result<MemoryPlan, ExecError> {
+) -> Result<(MemoryPlan, RangeInclusive<u64>), ExecError> {
     let n_tensors = a.liveness.tensors.len();
     let total_steps = a.route.total_steps();
     let planner = Planner {
@@ -668,6 +712,7 @@ fn plan_with(
         reap_scratch: Vec::new(),
         peak_step: 0,
         peak_seen: 0,
+        cap_bound: false,
         cur_step: 0,
         compute_ns: 0,
         h2d_ns: 0,
@@ -715,6 +760,13 @@ struct Planner<'a> {
     reap_scratch: Vec<TensorId>,
     peak_step: usize,
     peak_seen: u64,
+    /// Has the device cap decided anything yet? Set by the two places that
+    /// read it — [`Planner::charged_alloc`] on a failure and
+    /// [`Planner::choose_workspace`] on a squeezed choice (an OOM error's
+    /// `capacity` only ever follows a failed allocation). While it is
+    /// clear, the walk is the walk of every cap the pool's address extent
+    /// fits under.
+    cap_bound: bool,
     cur_step: usize,
     compute_ns: u64,
     h2d_ns: u64,
@@ -752,9 +804,15 @@ impl<'a> Planner<'a> {
         sn_sim::time::transfer_time(self.meta(t).bytes, self.tier_gbps(t)).as_ns()
     }
 
-    /// Allocate, tracking where the peak lands.
+    /// Allocate, tracking where the peak lands — and whether the cap was
+    /// felt: every device allocation of the walk (ladder, weights,
+    /// prefetch-ahead) comes through here, and a failure is the one way an
+    /// allocation can tell one cap from a larger one.
     fn charged_alloc(&mut self, bytes: u64) -> Result<AllocGrant, sn_sim::AllocError> {
-        let g = self.dev.alloc_charged(bytes)?;
+        let g = self
+            .dev
+            .alloc_charged(bytes)
+            .inspect_err(|_| self.cap_bound = true)?;
         let used = self.dev.alloc.used();
         if used > self.peak_seen {
             self.peak_seen = used;
@@ -873,6 +931,34 @@ impl<'a> Planner<'a> {
                 }
             }
         }
+    }
+
+    /// The §3.5 dynamic workspace decision for CONV `layer`: the fastest
+    /// algorithm whose workspace fits both the memory the pool has left
+    /// (free bytes, and one fragment must hold it) and the policy's own
+    /// limit. The other read of the cap: when memory, not the policy, made
+    /// the choice, the plan is this cap's alone. When the policy made it,
+    /// the workspace allocation that follows succeeds in place, so under
+    /// any cap that covers its address the pool still offers at least that
+    /// many bytes and the selector — monotone in its budget — picks the
+    /// same algorithm.
+    fn choose_workspace(&mut self, layer: LayerId) -> AlgoChoice {
+        let limit = match self.policy.workspace {
+            WorkspacePolicy::None => return AlgoChoice::fallback(),
+            WorkspacePolicy::Dynamic => u64::MAX,
+            WorkspacePolicy::Capped(cap) => cap,
+        };
+        let alloc = &self.dev.alloc;
+        let memory = alloc.free_bytes().min(alloc.largest_free_contiguous());
+        let choice = convalgo::select_algo(self.net, layer, memory.min(limit));
+        if memory < limit {
+            let unsqueezed = match limit {
+                u64::MAX => self.max_algo[layer.0],
+                _ => convalgo::select_algo(self.net, layer, limit),
+            };
+            self.cap_bound |= choice.algo != unsqueezed.algo;
+        }
+        choice
     }
 
     /// Make `t` device-resident (the Check() of Alg. 2; may recompute).
@@ -1066,25 +1152,7 @@ impl<'a> Planner<'a> {
         let mut workspace = None;
         let mut ws_grant = None;
         if matches!(kind, sn_graph::LayerKind::Conv { .. }) {
-            let budget = match self.policy.workspace {
-                WorkspacePolicy::None => None,
-                WorkspacePolicy::Dynamic => Some(
-                    self.dev
-                        .alloc
-                        .free_bytes()
-                        .min(self.dev.alloc.largest_free_contiguous()),
-                ),
-                WorkspacePolicy::Capped(cap) => Some(
-                    self.dev
-                        .alloc
-                        .free_bytes()
-                        .min(self.dev.alloc.largest_free_contiguous())
-                        .min(cap),
-                ),
-            };
-            if let Some(free) = budget {
-                choice = convalgo::select_algo(self.net, layer_id, free);
-            }
+            choice = self.choose_workspace(layer_id);
             if choice.workspace > 0 {
                 ws_grant = Some(self.ladder_alloc(choice.workspace, s, AllocFor::Workspace)?);
                 self.ops.push(PlanOp::AllocWorkspace(choice.workspace));
@@ -1191,7 +1259,7 @@ impl<'a> Planner<'a> {
         })
     }
 
-    fn run(mut self) -> Result<MemoryPlan, ExecError> {
+    fn run(mut self) -> Result<(MemoryPlan, RangeInclusive<u64>), ExecError> {
         // The permanently resident weights are the plan's first allocation.
         let weight_bytes = self.cost.total_weight_bytes();
         if weight_bytes > 0 && self.charged_alloc(weight_bytes).is_err() {
@@ -1235,7 +1303,12 @@ impl<'a> Planner<'a> {
 
         let peak_bytes = self.dev.alloc.high_water();
         debug_assert_eq!(peak_bytes, self.peak_seen);
-        Ok(MemoryPlan {
+        let valid_caps = if self.cap_bound {
+            self.spec.dram_bytes..=self.spec.dram_bytes
+        } else {
+            self.dev.alloc.extent_high_water()..=u64::MAX
+        };
+        let plan = MemoryPlan {
             steps,
             ops: self.ops,
             final_range,
@@ -1250,7 +1323,8 @@ impl<'a> Planner<'a> {
             h2d_ns: self.h2d_ns,
             d2h_ns: self.d2h_ns,
             serialized: self.policy.sync_transfers,
-        })
+        };
+        Ok((plan, valid_caps))
     }
 }
 
@@ -1427,11 +1501,33 @@ mod tests {
         assert!(!a_hit, "first compile must be a miss");
         assert!(b_hit, "repeat compile must be a hit");
         assert!(Arc::ptr_eq(&a, &b), "memo must return the shared Arc");
-        // A different device cap is a different plan — no aliasing.
-        let capped = spec.clone().with_dram(spec.dram_bytes / 2);
-        let (c, c_hit) = compile_memo_traced(&net, &capped, policy, false);
-        assert!(!c_hit, "distinct caps must not share an entry");
-        assert!(!Arc::ptr_eq(&a, &c.unwrap()));
+        // A cap that does not bind is the same question: the open-ended
+        // plan answers it, without a compile.
+        assert_eq!(*a.valid_caps.end(), u64::MAX, "12 GB binds nothing here");
+        let lo = *a.valid_caps.start();
+        assert!(a.plan.peak_bytes <= lo && lo < spec.dram_bytes / 2);
+        for cap in [spec.dram_bytes / 2, lo, u64::MAX] {
+            let (c, c_hit) = compile_memo_traced(&net, &spec.clone().with_dram(cap), policy, false);
+            assert!(c_hit, "cap {cap} lies in {:?}", a.valid_caps);
+            assert!(Arc::ptr_eq(&a, &c.unwrap()));
+        }
+        // One byte below the interval is a different question: a miss, a
+        // compile of its own, and never the open entry — which stays put.
+        let below = spec.clone().with_dram(lo - 1);
+        let (c, c_hit) = compile_memo_traced(&net, &below, policy, false);
+        assert!(!c_hit, "a cap below the interval must compile");
+        if let Ok(c) = &c {
+            assert!(!Arc::ptr_eq(&a, c));
+            assert_eq!(c.valid_caps, (lo - 1..=lo - 1), "the cap shaped this one");
+        }
+        let (c2, c2_hit) = compile_memo_traced(&net, &below, policy, false);
+        assert!(
+            c2_hit,
+            "the cap-bound outcome is memoized under its own cap"
+        );
+        assert_eq!(c.is_ok(), c2.is_ok());
+        let (again, again_hit) = compile_memo_traced(&net, &spec, policy, false);
+        assert!(again_hit && Arc::ptr_eq(&a, &again.unwrap()));
         // Inference and training never alias.
         let (i, i_hit) = compile_memo_traced(&net, &spec, policy, true);
         assert!(!i_hit);
@@ -1450,35 +1546,39 @@ mod tests {
 
     #[test]
     fn overflow_evicts_one_entry_and_keeps_the_hot_key() {
-        // One key more than the cap, the hot key re-asked along the way:
+        // One plan more than the cap, the hot key re-asked along the way:
         // the memo ends exactly full and the hot key is still the Arc it
-        // started as. (Sibling tests may add entries of their own meanwhile
-        // — far fewer than a cap's worth between two touches.)
+        // started as. The plans are of structurally distinct nets — caps
+        // that do not bind would all share one entry. (Sibling tests may
+        // add entries of their own meanwhile — far fewer than a cap's worth
+        // between two touches.)
         let _guard = memo_test_lock().lock().unwrap();
-        let mut net = Net::new("overflow", Shape4::new(2, 1, 4, 4));
-        let d = net.data();
-        let f = net.fc(d, 4);
-        net.softmax(f);
+        let net_of = |i: usize| {
+            let mut net = Net::new("overflow", Shape4::new(2, 1, 4, 4));
+            let d = net.data();
+            let f = net.fc(d, 4 + i);
+            net.softmax(f);
+            net
+        };
         let policy = Policy::liveness_only();
-        let base = DeviceSpec::k40c();
-        let cap_of = |i: usize| base.clone().with_dram(base.dram_bytes - i as u64);
+        let spec = DeviceSpec::k40c();
         clear_plan_memo();
-        let hot = compile_memo(&net, &cap_of(0), policy).unwrap();
+        let hot = compile_memo(&net_of(0), &spec, policy).unwrap();
         for i in 1..=PLAN_MEMO_CAP {
-            let (_, hit) = compile_memo_traced(&net, &cap_of(i), policy, false);
-            assert!(!hit, "cap {i} is a first contact");
+            let (_, hit) = compile_memo_traced(&net_of(i), &spec, policy, false);
+            assert!(!hit, "net {i} is a first contact");
             if i % 64 == 0 {
-                let (again, hit) = compile_memo_traced(&net, &cap_of(0), policy, false);
+                let (again, hit) = compile_memo_traced(&net_of(0), &spec, policy, false);
                 assert!(hit && Arc::ptr_eq(&hot, &again.unwrap()));
             }
         }
         assert_eq!(plan_memo_stats().entries, PLAN_MEMO_CAP);
-        let (again, hit) = compile_memo_traced(&net, &cap_of(0), policy, false);
+        let (again, hit) = compile_memo_traced(&net_of(0), &spec, policy, false);
         assert!(hit, "the hot key must survive the overflow");
         assert!(Arc::ptr_eq(&hot, &again.unwrap()));
         // What the overflow cost is the cold end, not the recent keys.
-        let (_, newest_hit) = compile_memo_traced(&net, &cap_of(PLAN_MEMO_CAP), policy, false);
-        let (_, oldest_hit) = compile_memo_traced(&net, &cap_of(1), policy, false);
+        let (_, newest_hit) = compile_memo_traced(&net_of(PLAN_MEMO_CAP), &spec, policy, false);
+        let (_, oldest_hit) = compile_memo_traced(&net_of(1), &spec, policy, false);
         assert!(newest_hit && !oldest_hit);
     }
 

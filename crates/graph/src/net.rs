@@ -1,5 +1,7 @@
 //! The network DAG builder with shape inference and validation.
 
+use std::sync::OnceLock;
+
 use sn_tensor::pool::PoolParams;
 use sn_tensor::Shape4;
 
@@ -11,6 +13,10 @@ use crate::layer::{Layer, LayerId, LayerKind, PoolKind};
 pub struct Net {
     pub name: String,
     layers: Vec<Layer>,
+    /// [`Net::fingerprint`], computed on first use. `layers` is private and
+    /// [`Net::add`] is its only writer, so emptying this there is enough to
+    /// keep it true.
+    fingerprint: OnceLock<(u64, u64)>,
 }
 
 impl Net {
@@ -27,6 +33,7 @@ impl Net {
         Net {
             name: name.into(),
             layers: vec![data],
+            fingerprint: OnceLock::new(),
         }
     }
 
@@ -42,6 +49,7 @@ impl Net {
         let id = LayerId(self.layers.len());
         let out_shape = self.infer_shape(&kind, prevs);
         let name = format!("{}{}", kind.type_name(), id.0);
+        self.fingerprint = OnceLock::new();
         for p in prevs {
             self.layers[p.0].nexts.push(id);
         }
@@ -183,7 +191,14 @@ impl Net {
     /// memo key (`sn_runtime::plan`'s `(fingerprint, policy, device)`
     /// cache). The name is deliberately excluded: renaming a network does
     /// not change what the planner would do with it.
+    ///
+    /// Digested once per structure and cached: every plan compile and every
+    /// memo lookup asks for it.
     pub fn fingerprint(&self) -> (u64, u64) {
+        *self.fingerprint.get_or_init(|| self.compute_fingerprint())
+    }
+
+    fn compute_fingerprint(&self) -> (u64, u64) {
         (
             self.digest(0x5275_7374_5f46_7830),
             self.digest(0x736e_5f67_7261_7068),
@@ -494,6 +509,48 @@ mod tests {
         // planner would do.
         let renamed = tower(8, 16, 3, 1, "something-else");
         assert_eq!(a.fingerprint(), renamed.fingerprint());
+    }
+
+    #[test]
+    fn cached_fingerprint_equals_a_fresh_digest_after_every_builder_call() {
+        // Ask between builder calls, so each call has a cached value to
+        // invalidate — including the one after the "finished" net was
+        // already looked up.
+        let mut net = Net::new("cache", Shape4::new(4, 3, 16, 16));
+        let mut seen = vec![net.fingerprint()];
+        let mut check = |net: &Net| {
+            assert_eq!(net.fingerprint(), net.compute_fingerprint());
+            assert_eq!(net.clone().fingerprint(), net.compute_fingerprint());
+            assert!(
+                !seen.contains(&net.fingerprint()),
+                "a mutation kept the old digest"
+            );
+            seen.push(net.fingerprint());
+        };
+        let d = net.data();
+        let c = net.conv(d, 8, 3, 1, 1);
+        check(&net);
+        let p = net.max_pool(d, 2, 2, 0);
+        check(&net);
+        let a = net.relu(c);
+        check(&net);
+        let a = net.max_pool(a, 2, 2, 0);
+        check(&net);
+        let p = net.conv(p, 8, 3, 1, 1);
+        check(&net);
+        let j = net.add(LayerKind::Eltwise, &[a, p]);
+        check(&net);
+        let f = net.chain(LayerKind::Fc { out: 10 }, j);
+        check(&net);
+        let s = net.softmax(f);
+        check(&net);
+        // The values themselves are pinned: caching must not move a digest.
+        assert_eq!(
+            tower(8, 16, 3, 1, "t").fingerprint(),
+            (0xbafe_4304_b066_3f06, 0x5110_e27c_167a_f2a4)
+        );
+        net.dropout(s, 0.5);
+        check(&net);
     }
 
     #[test]

@@ -49,6 +49,7 @@ pub struct LinearPool {
     next_id: u64,
     used_blocks: u64,
     high_water_blocks: u64,
+    extent_blocks: u64,
 }
 
 impl LinearPool {
@@ -67,6 +68,7 @@ impl LinearPool {
             next_id: 0,
             used_blocks: 0,
             high_water_blocks: 0,
+            extent_blocks: 0,
         }
     }
 
@@ -128,6 +130,7 @@ impl DeviceAllocator for LinearPool {
         );
         self.used_blocks += need;
         self.high_water_blocks = self.high_water_blocks.max(self.used_blocks);
+        self.extent_blocks = self.extent_blocks.max(start + need);
         Ok(AllocGrant {
             id: AllocId(id),
             addr: start * self.cfg.block_bytes,
@@ -180,6 +183,10 @@ impl DeviceAllocator for LinearPool {
 
     fn largest_free_contiguous(&self) -> u64 {
         self.largest_fragment()
+    }
+
+    fn extent_high_water(&self) -> u64 {
+        self.extent_blocks * self.cfg.block_bytes
     }
 
     fn reset_high_water(&mut self) {

@@ -726,6 +726,8 @@ pub struct HeapPool {
     allocated: AllocTable,
     used_blocks: u64,
     high_water_blocks: u64,
+    /// Highest block index (exclusive) any grant has covered.
+    extent_blocks: u64,
     stats: PoolStats,
 }
 
@@ -751,6 +753,7 @@ impl HeapPool {
             allocated: AllocTable::default(),
             used_blocks: 0,
             high_water_blocks: 0,
+            extent_blocks: 0,
             stats: PoolStats::default(),
         }
     }
@@ -891,6 +894,7 @@ impl DeviceAllocator for HeapPool {
         });
         self.used_blocks += need;
         self.high_water_blocks = self.high_water_blocks.max(self.used_blocks);
+        self.extent_blocks = self.extent_blocks.max(start + need);
         self.stats.total_latency += self.cfg.alloc_latency;
         Ok(AllocGrant {
             id: AllocId(id),
@@ -933,6 +937,11 @@ impl DeviceAllocator for HeapPool {
     #[inline]
     fn largest_free_contiguous(&self) -> u64 {
         self.largest_fragment()
+    }
+
+    #[inline]
+    fn extent_high_water(&self) -> u64 {
+        self.extent_blocks * self.cfg.block_bytes
     }
 
     fn reset_high_water(&mut self) {

@@ -5,7 +5,8 @@
 //! change a single planned byte. Over arbitrary alloc/free interleavings the
 //! two implementations are driven in lockstep and compared on everything a
 //! caller can observe: grant IDs, addresses, rounded sizes, `used`,
-//! `high_water`, `largest_free_contiguous`, fragment counts, and the full
+//! `high_water`, `extent_high_water` (which must also be the highest end
+//! address granted), `largest_free_contiguous`, fragment counts, and the full
 //! `OutOfMemory { requested, free, largest }` diagnostic on the failure
 //! path.
 
@@ -44,6 +45,7 @@ proptest! {
         let mut fast = HeapPool::with_capacity(capacity);
         let mut slow = LinearPool::with_capacity(capacity);
         let mut live: Vec<(sn_sim::AllocId, sn_sim::AllocId)> = Vec::new();
+        let mut highest_end = 0;
 
         for op in ops {
             match op {
@@ -53,6 +55,7 @@ proptest! {
                             prop_assert_eq!(f.addr, s.addr,
                                 "first-fit addresses diverged for {} bytes", bytes);
                             prop_assert_eq!(f.bytes, s.bytes);
+                            highest_end = highest_end.max(f.addr + f.bytes);
                             live.push((f.id, s.id));
                         }
                         (
@@ -81,6 +84,9 @@ proptest! {
             // Aggregate observables agree after every operation.
             prop_assert_eq!(fast.used(), slow.used());
             prop_assert_eq!(fast.high_water(), slow.high_water());
+            prop_assert_eq!(fast.extent_high_water(), highest_end);
+            prop_assert_eq!(slow.extent_high_water(), highest_end);
+            prop_assert!(highest_end >= fast.high_water());
             prop_assert_eq!(fast.largest_free_contiguous(), slow.largest_free_contiguous());
             prop_assert_eq!(fast.empty_nodes(), slow.empty_nodes(),
                 "fragment structure diverged");
@@ -98,6 +104,12 @@ proptest! {
         prop_assert_eq!(fast.empty_nodes(), 1);
         prop_assert_eq!(slow.empty_nodes(), 1);
         prop_assert_eq!(fast.high_water(), slow.high_water());
+        // The byte mark restarts from what is live (nothing); the address
+        // mark is for the pool's lifetime.
+        fast.reset_high_water();
+        slow.reset_high_water();
+        prop_assert_eq!((fast.high_water(), fast.extent_high_water()), (0, highest_end));
+        prop_assert_eq!((slow.high_water(), slow.extent_high_water()), (0, highest_end));
     }
 
     #[test]
@@ -140,6 +152,7 @@ proptest! {
                 }
             }
             prop_assert_eq!(fast.used(), slow.used());
+            prop_assert_eq!(fast.extent_high_water(), slow.extent_high_water());
             prop_assert_eq!(fast.largest_free_contiguous(), slow.largest_free_contiguous());
             prop_assert_eq!(fast.empty_nodes(), slow.empty_nodes());
             fast.check_invariants().map_err(|e| {

@@ -652,8 +652,7 @@ mod tests {
         assert!(r50 < r101 && r101 < r152, "{r50} {r101} {r152}");
         // Our Inception v4 flattens the 1x7/7x1 chains into square 3x3
         // convs, so it lands near ResNet101 rather than above ResNet152
-        // (the paper's 44.3 GB includes cuDNN's measured conv buffers) —
-        // documented in EXPERIMENTS.md.
+        // (the paper's 44.3 GB includes cuDNN's measured conv buffers).
         assert!(inc > r50, "{inc} {r50}");
         // Still tens of GB at batch 32.
         assert!(inc > 10u64 << 30, "inception v4 = {} GB", inc >> 30);

@@ -99,6 +99,16 @@ pub trait DeviceAllocator {
         self.free_bytes()
     }
 
+    /// Highest device address a grant has ended at since construction: the
+    /// smallest capacity under which every allocation so far would have
+    /// succeeded *at the address it got*. Never below the lifetime maximum
+    /// of [`DeviceAllocator::used`] — all reserved bytes lie under it — and
+    /// above it by whatever holes fragmentation left. An address once
+    /// touched stays touched: [`DeviceAllocator::reset_high_water`] leaves
+    /// this mark alone. The planner reports it as the lower end of the
+    /// device caps a plan stays valid for.
+    fn extent_high_water(&self) -> u64;
+
     /// Reset the high-water mark (between warm-up and measurement).
     fn reset_high_water(&mut self);
 }
@@ -113,6 +123,8 @@ pub struct CudaAllocator {
     capacity: u64,
     used: u64,
     high_water: u64,
+    /// Lifetime maximum of `used` (what `high_water` is until it is reset).
+    extent: u64,
     next_id: u64,
     malloc_base: SimTime,
     malloc_per_mib: SimTime,
@@ -135,6 +147,7 @@ impl CudaAllocator {
             capacity: spec.dram_bytes,
             used: 0,
             high_water: 0,
+            extent: 0,
             next_id: 0,
             malloc_base: spec.malloc_base,
             malloc_per_mib: spec.malloc_per_mib,
@@ -173,6 +186,7 @@ impl DeviceAllocator for CudaAllocator {
         self.next_addr += bytes;
         self.used += bytes;
         self.high_water = self.high_water.max(self.used);
+        self.extent = self.extent.max(self.used);
         self.live.insert(id, bytes);
         self.malloc_calls += 1;
         let cost = self.malloc_cost(bytes);
@@ -206,6 +220,12 @@ impl DeviceAllocator for CudaAllocator {
 
     fn high_water(&self) -> u64 {
         self.high_water
+    }
+
+    /// A capacity meter has no addresses to fragment: the extent is the
+    /// most bytes ever reserved at once.
+    fn extent_high_water(&self) -> u64 {
+        self.extent
     }
 
     fn reset_high_water(&mut self) {

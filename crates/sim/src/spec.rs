@@ -95,8 +95,8 @@ impl DeviceSpec {
     /// 128-bit fingerprint of the *card*: its name and its nine rate and
     /// latency constants (floats via `to_bits`) — everything but
     /// `dram_bytes`, so [`DeviceSpec::with_dram`] never changes it. Memo
-    /// keys pair it with the exact cap they were compiled against, which
-    /// keeps them `Copy` and free of the name `String`.
+    /// keys pair it with a cap (the plan memo only where the cap shaped the
+    /// outcome), which keeps them `Copy` and free of the name `String`.
     pub fn card_fingerprint(&self) -> (u64, u64) {
         let card = (
             &self.name,
