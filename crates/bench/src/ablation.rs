@@ -1,7 +1,7 @@
-//! Ablation studies for the design choices DESIGN.md calls out — the knobs
-//! the paper fixes (LRU, pinned staging, overlapped prefetch, a single
-//! local-host tier) each get an A/B here, plus the data-parallel scaling
-//! sweep the paper's §2.1 positioning implies.
+//! Ablation studies for the design choices the paper fixes — LRU, pinned
+//! staging, overlapped prefetch, a single local-host tier — each get an A/B
+//! here, plus the data-parallel scaling sweep the paper's §2.1 positioning
+//! implies.
 
 use sn_models as models;
 use sn_runtime::parallel::{DataParallel, Interconnect};

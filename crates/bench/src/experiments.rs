@@ -1,9 +1,9 @@
 //! One function per table/figure of the SuperNeurons evaluation.
 //!
-//! Absolute numbers come from our simulated substrate (see DESIGN.md for the
-//! substitutions); what these reproduce is the paper's *shape*: which
-//! technique/framework wins, by roughly what factor, and where the memory
-//! knees fall. No paper-vs-measured record is kept in the tree yet (ROADMAP
+//! Absolute numbers come from our simulated substrate (`sn-sim`'s
+//! discrete-event device model stands in for the GPU); what these reproduce
+//! is the paper's *shape*: which technique/framework wins, by roughly what
+//! factor, and where the memory knees fall. No paper-vs-measured record is kept in the tree yet (ROADMAP
 //! item 1c, `BENCH_paper.json`); each function prints what it measured.
 
 use sn_frameworks::Framework;

@@ -676,18 +676,19 @@ struct AdmitMemo {
     version: Option<u64>,
     /// The current reservation vector (reused buffer).
     key: Vec<u64>,
-    /// Idle-fleet feasibility per shape: [`feasible_on_idle_fleet`] is a
-    /// pure function of (profiler, fleet, job shape), and the FIFO pass
-    /// re-asks it for every still-queued job at every pass — under load
-    /// that was the single hottest path in the whole loop.
+    /// Feasibility per shape on the idle *live* (non-failed) devices:
+    /// [`feasible_on_device_subset`] is a pure function of (profiler,
+    /// devices, job shape), and the FIFO pass re-asks it for every
+    /// still-queued job at every pass — under load that was the single
+    /// hottest path in the whole loop.
     feasible: FxHashMap<ShapeKey, bool>,
-    /// Epoch of the fault state `feasible` was computed against: in fault
-    /// mode entries answer "feasible on the currently-*live* subset", which
-    /// changes whenever a device fails or recovers. Fault-free the epoch
-    /// never moves and the map behaves exactly as before.
+    /// Epoch of the fault state `feasible` was computed against: the live
+    /// subset changes whenever a device fails or recovers. Fault-free the
+    /// epoch never moves and a shape is asked once per run.
     feasible_epoch: u64,
-    /// Full-(idle-)fleet feasibility per shape, fault mode only: the
-    /// discriminator between "wait out the outage" and "reject outright".
+    /// Full-(idle-)fleet feasibility per shape, asked only for shapes the
+    /// live subset cannot hold: the discriminator between "wait out the
+    /// outage" and "reject outright".
     feasible_full: FxHashMap<ShapeKey, bool>,
 }
 
@@ -1156,6 +1157,23 @@ impl ClusterSim {
         }
     }
 
+    /// Why `job` can never run here, for a job that is infeasible on the
+    /// healthy idle fleet.
+    fn reject_reason(&self, job: &JobSpec) -> RejectReason {
+        if job.replicas == 0 {
+            RejectReason::EmptyGang
+        } else if job.replicas > self.fleet.len() {
+            RejectReason::FleetTooSmall {
+                replicas: job.replicas,
+                fleet: self.fleet.len(),
+            }
+        } else {
+            RejectReason::PeakExceedsCapacity {
+                presets: ladder_for(job).map(|p| p.name()).collect(),
+            }
+        }
+    }
+
     /// Run the job stream to completion and report. `arrivals` pairs each
     /// job with its (virtual) submission time; same-time jobs keep their
     /// input order in the queue.
@@ -1305,9 +1323,10 @@ impl ClusterSim {
         // nor running until their retry fires.
         let mut backoff_count = 0usize;
 
-        // Fault state. `fault_mode` gates every new branch below: with no
-        // plan installed the loop executes the exact float-op/branch
-        // sequence the no-fault differential suite pins.
+        // Fault state. `fault_mode` gates the clock and restart branches
+        // below: with no plan installed the loop executes the exact float-op
+        // sequence the no-fault differential suite pins. (The not-admitted
+        // arm is shared: fault-free it degenerates to wait-or-reject.)
         let fault_mode = self.faults.is_some();
         let faults: Vec<(SimTime, FaultEvent)> = self
             .faults
@@ -1931,44 +1950,13 @@ impl ClusterSim {
                         running_count += 1;
                         events += 1;
                     }
-                    None if !fault_mode => {
-                        // Idle-fleet feasibility depends only on the job
-                        // shape, so a queued shape is checked once per run,
-                        // not once per pass.
-                        let feasible =
-                            *memo.feasible.entry(shape_key(&spec)).or_insert_with(|| {
-                                feasible_on_idle_fleet(&self.profiler, &self.fleet, &spec)
-                            });
-                        if feasible {
-                            kept.push(key); // wait for capacity
-                        } else {
-                            let reason = if spec.replicas == 0 {
-                                RejectReason::EmptyGang
-                            } else if spec.replicas > self.fleet.len() {
-                                RejectReason::FleetTooSmall {
-                                    replicas: spec.replicas,
-                                    fleet: self.fleet.len(),
-                                }
-                            } else {
-                                RejectReason::PeakExceedsCapacity {
-                                    presets: ladder_for(&spec).map(|p| p.name()).collect(),
-                                }
-                            };
-                            rec.on_reject(
-                                self,
-                                jobs.get(key).expect("pending jobs are live"),
-                                &reason,
-                                now_int,
-                            );
-                            jobs.remove(key);
-                            rejected += 1;
-                            events += 1;
-                        }
-                    }
                     None => {
-                        // Fault mode: three-way — wait (feasible on the
-                        // live subset), back off (only the outage blocks
-                        // it), or reject/fail.
+                        // Three-way — wait (feasible on the live subset), back
+                        // off (only an outage blocks it), or reject/fail.
+                        // With no device failed the live subset is the
+                        // fleet, so the middle way is never taken and a
+                        // shape's feasibility is asked once per run, not
+                        // once per pass.
                         if memo.feasible_epoch != fault_epoch {
                             memo.feasible.clear();
                             memo.feasible_epoch = fault_epoch;
@@ -1995,18 +1983,7 @@ impl ClusterSim {
                             if !feasible_full {
                                 // It would never fit even on a healthy idle
                                 // fleet: the classic reject reasons apply.
-                                let reason = if spec.replicas == 0 {
-                                    RejectReason::EmptyGang
-                                } else if spec.replicas > self.fleet.len() {
-                                    RejectReason::FleetTooSmall {
-                                        replicas: spec.replicas,
-                                        fleet: self.fleet.len(),
-                                    }
-                                } else {
-                                    RejectReason::PeakExceedsCapacity {
-                                        presets: ladder_for(&spec).map(|p| p.name()).collect(),
-                                    }
-                                };
+                                let reason = self.reject_reason(&spec);
                                 rec.on_reject(
                                     self,
                                     jobs.get(key).expect("pending jobs are live"),

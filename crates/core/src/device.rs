@@ -1,7 +1,7 @@
 //! The simulated device bundle: spec + timeline + allocator + pinned host
 //! pool, with allocation latencies charged to the virtual clock.
 
-use sn_mempool::{HeapPool, LinearPool, PoolConfig};
+use sn_mempool::{HeapPool, LinearPool};
 use sn_sim::{
     AllocError, AllocGrant, AllocId, CudaAllocator, DeviceAllocator, DeviceSpec, SimTime, Timeline,
 };
@@ -102,10 +102,10 @@ impl Device {
     pub fn new(spec: DeviceSpec, allocator: AllocatorKind, tiers: TierConfig) -> Device {
         let alloc = match allocator {
             AllocatorKind::HeapPool => {
-                AllocatorImpl::Pool(HeapPool::new(PoolConfig::new(spec.dram_bytes)))
+                AllocatorImpl::Pool(HeapPool::with_capacity(spec.dram_bytes))
             }
             AllocatorKind::LinearPool => {
-                AllocatorImpl::Linear(LinearPool::new(PoolConfig::new(spec.dram_bytes)))
+                AllocatorImpl::Linear(LinearPool::with_capacity(spec.dram_bytes))
             }
             AllocatorKind::Cuda => AllocatorImpl::Cuda(CudaAllocator::new(&spec)),
         };

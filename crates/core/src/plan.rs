@@ -17,8 +17,9 @@
 //! framework comparisons are compile-only. The planner is therefore built
 //! for throughput, on three levels:
 //!
-//! * **Hot structures** — allocations go through the indexed
-//!   `sn_mempool::HeapPool` (O(log n) first-fit, O(1) largest-fragment) and
+//! * **Hot structures** — allocations go through
+//!   `sn_mempool::HeapPool` (first-fit over a short sorted vector of free
+//!   runs, O(1) largest-fragment) and
 //!   cache decisions through the O(1) intrusive LRU in [`crate::utp`]; the
 //!   walk itself allocates nothing per step (scratch buffers are reused,
 //!   tensor lists are borrowed from the liveness plan, error-path layer

@@ -7,10 +7,14 @@
 /// Which device allocator backs tensor memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AllocatorKind {
-    /// The SuperNeurons heap pool (§3.2.1), with the indexed free structure.
+    /// The SuperNeurons heap pool (§3.2.1): an address-ordered vector of
+    /// free runs searched first-fit, with an O(1) largest-fragment read. One
+    /// representation — no workload holds more than 56 free runs (see the
+    /// `sn_mempool::pool` docs).
     HeapPool,
-    /// The pre-index linear-scan heap pool — byte-identical placement,
-    /// O(n) per call. Differential-testing / baseline-benchmarking only.
+    /// The literal linear-scan transcription — byte-identical placement,
+    /// full scans for the largest fragment, hashed handles.
+    /// Differential-testing / baseline-benchmarking only.
     LinearPool,
     /// Raw `cudaMalloc`/`cudaFree` with modelled latencies (Table 2 baseline).
     Cuda,

@@ -171,6 +171,16 @@ mod tests {
     }
 
     #[test]
+    fn oversized_request_falls_through_every_tier() {
+        let mut p = TieredPool::new(TierConfig::full(100, 100, 100));
+        for _ in 0..3 {
+            p.reserve(60).unwrap();
+        }
+        assert!(p.reserve(u64::MAX).is_none(), "60 + u64::MAX must not wrap");
+        assert_eq!(p.used(), (60, 60, 60));
+    }
+
+    #[test]
     fn local_only_skips_disabled_tiers() {
         let mut p = TieredPool::new(TierConfig::local_only(1000));
         let s = p.reserve(10).unwrap();

@@ -49,7 +49,9 @@ impl PinnedHostPool {
     /// matching a machine that cannot pin more RAM).
     #[inline]
     pub fn reserve(&mut self, bytes: u64) -> Option<HostSlot> {
-        if self.used + bytes > self.capacity {
+        // Against the remainder, not `used + bytes`: that sum wraps for
+        // requests near `u64::MAX` and would grant them.
+        if bytes > self.capacity - self.used {
             return None;
         }
         let slot = self.spare.pop().unwrap_or_else(|| {
@@ -114,6 +116,16 @@ mod tests {
         assert_eq!(h.high_water(), 1000);
         h.release(b);
         assert_eq!(h.live_slots(), 0);
+    }
+
+    #[test]
+    fn oversized_request_is_refused_without_overflow() {
+        let mut h = PinnedHostPool::new(1000);
+        let _a = h.reserve(400).unwrap();
+        assert!(h.reserve(u64::MAX).is_none());
+        assert!(h.reserve(u64::MAX - 399).is_none(), "400 + this wraps to 0");
+        assert_eq!((h.used(), h.high_water(), h.live_slots()), (400, 400, 1));
+        assert!(h.reserve(600).is_some(), "the remainder is still grantable");
     }
 
     #[test]

@@ -2,18 +2,19 @@
 //! structure with an address-ordered `Vec` empty list and an O(n) scan per
 //! allocation.
 //!
-//! This was the workspace's production pool before the indexed
-//! [`crate::HeapPool`] replaced it on the planner hot path. It is kept —
-//! unchanged — for two jobs:
+//! This was the workspace's production pool before [`crate::HeapPool`]
+//! (same list, plus an incremental maximum, one-search coalescing and a slot
+//! slab for handles) replaced it on the planner hot path. It is kept for
+//! two jobs:
 //!
-//! * **differential testing**: the indexed pool must return byte-identical
+//! * **differential testing**: `HeapPool` must return byte-identical
 //!   grant addresses, sizes, high-water marks and
 //!   [`AllocError::OutOfMemory`] diagnostics over arbitrary alloc/free
 //!   traces (see `tests/proptest_differential.rs`);
 //! * **baseline benchmarking**: the `compile` bench experiment compiles
 //!   plans against this pool to produce its pre-optimization baseline row.
 //!
-//! Semantics (shared with the indexed pool, bit for bit): 1 KB blocks,
+//! Semantics (shared with `HeapPool`, bit for bit): 1 KB blocks,
 //! first-fit = the **lowest-address** empty node with enough blocks, frees
 //! coalesce with both neighbours, IDs are a monotone counter.
 
@@ -21,7 +22,7 @@ use fxhash::FxHashMap;
 
 use sn_sim::{AllocError, AllocGrant, AllocId, DeviceAllocator, SimTime};
 
-use crate::pool::PoolConfig;
+use crate::{ALLOC_LATENCY, BLOCK_BYTES, FREE_LATENCY};
 
 /// An empty-list node: `blocks` free blocks starting at block index `start`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,7 +41,6 @@ struct AllocNode {
 /// The linear-scan first-fit pool (reference implementation).
 #[derive(Debug, Clone)]
 pub struct LinearPool {
-    cfg: PoolConfig,
     total_blocks: u64,
     /// Address-ordered empty nodes.
     empty: Vec<EmptyNode>,
@@ -53,12 +53,11 @@ pub struct LinearPool {
 }
 
 impl LinearPool {
-    pub fn new(cfg: PoolConfig) -> Self {
-        assert!(cfg.block_bytes > 0, "block size must be positive");
-        let total_blocks = cfg.capacity_bytes / cfg.block_bytes;
+    /// A pool over `capacity_bytes`, in the paper's 1 KB blocks.
+    pub fn with_capacity(capacity_bytes: u64) -> Self {
+        let total_blocks = capacity_bytes / BLOCK_BYTES;
         assert!(total_blocks > 0, "pool must hold at least one block");
         LinearPool {
-            cfg,
             total_blocks,
             empty: vec![EmptyNode {
                 start: 0,
@@ -72,13 +71,8 @@ impl LinearPool {
         }
     }
 
-    /// Convenience constructor with the paper's 1 KB blocks.
-    pub fn with_capacity(capacity_bytes: u64) -> Self {
-        Self::new(PoolConfig::new(capacity_bytes))
-    }
-
-    fn blocks_for(&self, bytes: u64) -> u64 {
-        bytes.max(1).div_ceil(self.cfg.block_bytes)
+    fn blocks_for(bytes: u64) -> u64 {
+        bytes.max(1).div_ceil(BLOCK_BYTES)
     }
 
     /// Number of fragments in the empty list (diagnostic).
@@ -89,23 +83,23 @@ impl LinearPool {
     /// Largest free fragment, in bytes — a full scan, the cost the indexed
     /// pool's incremental maximum removes.
     pub fn largest_fragment(&self) -> u64 {
-        self.empty.iter().map(|n| n.blocks).max().unwrap_or(0) * self.cfg.block_bytes
+        self.empty.iter().map(|n| n.blocks).max().unwrap_or(0) * BLOCK_BYTES
     }
 
     pub fn block_bytes(&self) -> u64 {
-        self.cfg.block_bytes
+        BLOCK_BYTES
     }
 }
 
 impl DeviceAllocator for LinearPool {
     fn alloc(&mut self, bytes: u64) -> Result<AllocGrant, AllocError> {
-        let need = self.blocks_for(bytes);
+        let need = Self::blocks_for(bytes);
         // First-fit: scan the address-ordered empty list for the first node
         // with enough free blocks.
         let Some(pos) = self.empty.iter().position(|n| n.blocks >= need) else {
             return Err(AllocError::OutOfMemory {
                 requested: bytes,
-                free: (self.total_blocks - self.used_blocks) * self.cfg.block_bytes,
+                free: (self.total_blocks - self.used_blocks) * BLOCK_BYTES,
                 largest: self.largest_fragment(),
             });
         };
@@ -133,9 +127,9 @@ impl DeviceAllocator for LinearPool {
         self.extent_blocks = self.extent_blocks.max(start + need);
         Ok(AllocGrant {
             id: AllocId(id),
-            addr: start * self.cfg.block_bytes,
-            bytes: need * self.cfg.block_bytes,
-            cost: self.cfg.alloc_latency,
+            addr: start * BLOCK_BYTES,
+            bytes: need * BLOCK_BYTES,
+            cost: ALLOC_LATENCY,
         })
     }
 
@@ -162,23 +156,23 @@ impl DeviceAllocator for LinearPool {
                 blocks += p.blocks;
                 self.empty.remove(idx - 1);
                 self.empty.insert(idx - 1, EmptyNode { start, blocks });
-                return Ok(self.cfg.free_latency);
+                return Ok(FREE_LATENCY);
             }
         }
         self.empty.insert(idx, EmptyNode { start, blocks });
-        Ok(self.cfg.free_latency)
+        Ok(FREE_LATENCY)
     }
 
     fn used(&self) -> u64 {
-        self.used_blocks * self.cfg.block_bytes
+        self.used_blocks * BLOCK_BYTES
     }
 
     fn capacity(&self) -> u64 {
-        self.total_blocks * self.cfg.block_bytes
+        self.total_blocks * BLOCK_BYTES
     }
 
     fn high_water(&self) -> u64 {
-        self.high_water_blocks * self.cfg.block_bytes
+        self.high_water_blocks * BLOCK_BYTES
     }
 
     fn largest_free_contiguous(&self) -> u64 {
@@ -186,7 +180,7 @@ impl DeviceAllocator for LinearPool {
     }
 
     fn extent_high_water(&self) -> u64 {
-        self.extent_blocks * self.cfg.block_bytes
+        self.extent_blocks * BLOCK_BYTES
     }
 
     fn reset_high_water(&mut self) {

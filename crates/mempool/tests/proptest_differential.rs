@@ -11,8 +11,8 @@
 //! path.
 
 use proptest::prelude::*;
-use sn_mempool::{HeapPool, LinearPool, PoolConfig};
-use sn_sim::{AllocError, DeviceAllocator};
+use sn_mempool::{HeapPool, LinearPool};
+use sn_sim::{AllocId, DeviceAllocator};
 
 // Handles are compared only for *behaviour* (freeing the same logical
 // allocation in both pools), not for value: the indexed pool encodes its
@@ -27,11 +27,111 @@ enum Op {
     Free(usize),
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
+fn op_strategy(max_bytes: u64) -> impl Strategy<Value = Op> {
     prop_oneof![
-        3 => (1u64..50_000).prop_map(Op::Alloc),
-        2 => (0usize..64).prop_map(Op::Free),
+        3 => (1..max_bytes).prop_map(Op::Alloc),
+        2 => (0usize..1 << 16).prop_map(Op::Free),
     ]
+}
+
+/// Both pools driven in lockstep and compared after every operation.
+struct Lockstep {
+    fast: HeapPool,
+    slow: LinearPool,
+    /// Live grants in grant order: (indexed id, linear id).
+    live: Vec<(AllocId, AllocId)>,
+    /// Highest end address any grant has covered.
+    highest_end: u64,
+    /// Most free runs held at once.
+    max_runs: usize,
+}
+
+impl Lockstep {
+    fn new(capacity: u64) -> Lockstep {
+        Lockstep {
+            fast: HeapPool::with_capacity(capacity),
+            slow: LinearPool::with_capacity(capacity),
+            live: Vec::new(),
+            highest_end: 0,
+            max_runs: 1,
+        }
+    }
+
+    fn apply(&mut self, op: &Op) -> Result<(), TestCaseError> {
+        match *op {
+            Op::Alloc(bytes) => self.alloc(bytes),
+            Op::Free(i) => self.free(i),
+        }
+    }
+
+    fn alloc(&mut self, bytes: u64) -> Result<(), TestCaseError> {
+        match (self.fast.alloc(bytes), self.slow.alloc(bytes)) {
+            (Ok(f), Ok(s)) => {
+                prop_assert_eq!(f.addr, s.addr, "first-fit diverged for {bytes} bytes");
+                prop_assert_eq!(f.bytes, s.bytes);
+                self.highest_end = self.highest_end.max(f.addr + f.bytes);
+                self.live.push((f.id, s.id));
+            }
+            // `OutOfMemory { requested, free, largest }`, field for field.
+            (Err(f), Err(s)) => prop_assert_eq!(f, s, "OOM diagnostics diverged"),
+            (f, s) => {
+                return Err(TestCaseError::fail(format!(
+                    "outcome diverged: indexed {f:?} vs linear {s:?}"
+                )));
+            }
+        }
+        self.compare()
+    }
+
+    fn free(&mut self, i: usize) -> Result<(), TestCaseError> {
+        if !self.live.is_empty() {
+            let (fid, sid) = self.live.remove(i % self.live.len());
+            self.fast.free(fid).unwrap();
+            self.slow.free(sid).unwrap();
+        }
+        self.compare()
+    }
+
+    /// Aggregate observables agree.
+    fn compare(&mut self) -> Result<(), TestCaseError> {
+        let (fast, slow) = (&self.fast, &self.slow);
+        prop_assert_eq!(fast.used(), slow.used());
+        prop_assert_eq!(fast.high_water(), slow.high_water());
+        prop_assert_eq!(fast.extent_high_water(), self.highest_end);
+        prop_assert_eq!(slow.extent_high_water(), self.highest_end);
+        prop_assert!(self.highest_end >= fast.high_water());
+        prop_assert_eq!(
+            fast.largest_free_contiguous(),
+            slow.largest_free_contiguous()
+        );
+        prop_assert_eq!(
+            fast.empty_nodes(),
+            slow.empty_nodes(),
+            "fragment structure diverged"
+        );
+        self.max_runs = self.max_runs.max(fast.empty_nodes());
+        fast.check_invariants()
+            .map_err(|e| TestCaseError::fail(format!("indexed pool invariant violated: {e}")))
+    }
+
+    /// Free everything, comparing along the way: identical terminal state.
+    fn drain(&mut self) -> Result<(), TestCaseError> {
+        while !self.live.is_empty() {
+            self.free(0)?;
+        }
+        let (fast, slow) = (&mut self.fast, &mut self.slow);
+        prop_assert_eq!(fast.used(), 0);
+        prop_assert_eq!(fast.empty_nodes(), 1);
+        prop_assert_eq!(slow.empty_nodes(), 1);
+        // The byte mark restarts from what is live (nothing); the address
+        // mark is for the pool's lifetime.
+        fast.reset_high_water();
+        slow.reset_high_water();
+        let marks = (0, self.highest_end);
+        prop_assert_eq!((fast.high_water(), fast.extent_high_water()), marks);
+        prop_assert_eq!((slow.high_water(), slow.extent_high_water()), marks);
+        Ok(())
+    }
 }
 
 proptest! {
@@ -39,126 +139,14 @@ proptest! {
 
     #[test]
     fn indexed_pool_is_byte_identical_to_linear_first_fit(
-        ops in proptest::collection::vec(op_strategy(), 1..300)
+        ops in proptest::collection::vec(op_strategy(50_000), 1..300)
     ) {
-        let capacity = 192 * 1024; // small enough that OOM paths are hit
-        let mut fast = HeapPool::with_capacity(capacity);
-        let mut slow = LinearPool::with_capacity(capacity);
-        let mut live: Vec<(sn_sim::AllocId, sn_sim::AllocId)> = Vec::new();
-        let mut highest_end = 0;
-
-        for op in ops {
-            match op {
-                Op::Alloc(bytes) => {
-                    match (fast.alloc(bytes), slow.alloc(bytes)) {
-                        (Ok(f), Ok(s)) => {
-                            prop_assert_eq!(f.addr, s.addr,
-                                "first-fit addresses diverged for {} bytes", bytes);
-                            prop_assert_eq!(f.bytes, s.bytes);
-                            highest_end = highest_end.max(f.addr + f.bytes);
-                            live.push((f.id, s.id));
-                        }
-                        (
-                            Err(AllocError::OutOfMemory { requested: rf, free: ff, largest: lf }),
-                            Err(AllocError::OutOfMemory { requested: rs, free: fs, largest: ls }),
-                        ) => {
-                            prop_assert_eq!(rf, rs);
-                            prop_assert_eq!(ff, fs, "OOM free-bytes diverged");
-                            prop_assert_eq!(lf, ls, "OOM largest-fragment diverged");
-                        }
-                        (f, s) => {
-                            return Err(TestCaseError::fail(format!(
-                                "outcome diverged: indexed {f:?} vs linear {s:?}"
-                            )));
-                        }
-                    }
-                }
-                Op::Free(i) => {
-                    if !live.is_empty() {
-                        let (fid, sid) = live.remove(i % live.len());
-                        fast.free(fid).unwrap();
-                        slow.free(sid).unwrap();
-                    }
-                }
-            }
-            // Aggregate observables agree after every operation.
-            prop_assert_eq!(fast.used(), slow.used());
-            prop_assert_eq!(fast.high_water(), slow.high_water());
-            prop_assert_eq!(fast.extent_high_water(), highest_end);
-            prop_assert_eq!(slow.extent_high_water(), highest_end);
-            prop_assert!(highest_end >= fast.high_water());
-            prop_assert_eq!(fast.largest_free_contiguous(), slow.largest_free_contiguous());
-            prop_assert_eq!(fast.empty_nodes(), slow.empty_nodes(),
-                "fragment structure diverged");
-            fast.check_invariants().map_err(|e| {
-                TestCaseError::fail(format!("indexed pool invariant violated: {e}"))
-            })?;
+        // Small enough that the exhaustion paths are hit.
+        let mut pools = Lockstep::new(192 * 1024);
+        for op in &ops {
+            pools.apply(op)?;
         }
-
-        // Drain both: identical terminal state.
-        for (fid, sid) in live.drain(..) {
-            fast.free(fid).unwrap();
-            slow.free(sid).unwrap();
-        }
-        prop_assert_eq!(fast.used(), 0);
-        prop_assert_eq!(fast.empty_nodes(), 1);
-        prop_assert_eq!(slow.empty_nodes(), 1);
-        prop_assert_eq!(fast.high_water(), slow.high_water());
-        // The byte mark restarts from what is live (nothing); the address
-        // mark is for the pool's lifetime.
-        fast.reset_high_water();
-        slow.reset_high_water();
-        prop_assert_eq!((fast.high_water(), fast.extent_high_water()), (0, highest_end));
-        prop_assert_eq!((slow.high_water(), slow.extent_high_water()), (0, highest_end));
-    }
-
-    #[test]
-    fn treap_regime_is_byte_identical_too(
-        ops in proptest::collection::vec(op_strategy(), 1..300)
-    ) {
-        // Same differential, but with the migration thresholds dropped to
-        // 12/6 runs so realistic traces spill into the treap, exercise its
-        // first-fit descent, shrink/grow updates and coalescing searches,
-        // and collapse back — repeatedly. (At the default thresholds these
-        // trace sizes rarely fragment far enough to leave the vector.)
-        let mut cfg = PoolConfig::new(192 * 1024);
-        cfg.spill_runs = 12;
-        cfg.collapse_runs = 6;
-        let mut fast = HeapPool::new(cfg);
-        let mut slow = LinearPool::new(cfg);
-        let mut live: Vec<(sn_sim::AllocId, sn_sim::AllocId)> = Vec::new();
-
-        for op in ops {
-            match op {
-                Op::Alloc(bytes) => match (fast.alloc(bytes), slow.alloc(bytes)) {
-                    (Ok(f), Ok(s)) => {
-                        prop_assert_eq!(f.addr, s.addr);
-                        prop_assert_eq!(f.bytes, s.bytes);
-                        live.push((f.id, s.id));
-                    }
-                    (Err(f), Err(s)) => prop_assert_eq!(f, s),
-                    (f, s) => {
-                        return Err(TestCaseError::fail(format!(
-                            "outcome diverged: indexed {f:?} vs linear {s:?}"
-                        )));
-                    }
-                },
-                Op::Free(i) => {
-                    if !live.is_empty() {
-                        let (fid, sid) = live.remove(i % live.len());
-                        fast.free(fid).unwrap();
-                        slow.free(sid).unwrap();
-                    }
-                }
-            }
-            prop_assert_eq!(fast.used(), slow.used());
-            prop_assert_eq!(fast.extent_high_water(), slow.extent_high_water());
-            prop_assert_eq!(fast.largest_free_contiguous(), slow.largest_free_contiguous());
-            prop_assert_eq!(fast.empty_nodes(), slow.empty_nodes());
-            fast.check_invariants().map_err(|e| {
-                TestCaseError::fail(format!("indexed pool invariant violated: {e}"))
-            })?;
-        }
+        pools.drain()?;
     }
 
     #[test]
@@ -174,5 +162,48 @@ proptest! {
             fast.free(gf.id).unwrap_err(),
             slow.free(gs.id).unwrap_err()
         );
+    }
+}
+
+proptest! {
+    // Each case is ~1 500 compared operations over a list of hundreds of
+    // runs; 32 of them cost what the 256 short traces above do.
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn fragmented_pool_is_byte_identical_too(
+        fill in proptest::collection::vec(1u64..4097, 520..640),
+        churn in proptest::collection::vec(op_strategy(4097), 200..400)
+    ) {
+        // The random traces above never hold more than a dozen free runs.
+        // This one holds hundreds: pack a 4 MB pool with 1–4 KB grants,
+        // plug the tail so only holes can serve later requests, free every
+        // other grant (≥ 260 isolated 1–4-block holes), then churn — 1–4 KB
+        // requests skip the holes too small for them, exact fits remove
+        // runs, frees coalesce neighbouring holes, the largest run is
+        // consumed and rescanned, and 4 KB requests meet fragmentation OOMs
+        // once the 4-block holes are gone.
+        let mut pools = Lockstep::new(4 << 20);
+        for &bytes in &fill {
+            pools.alloc(bytes)?;
+        }
+        let tail = pools.fast.largest_free_contiguous();
+        pools.alloc(tail)?;
+        prop_assert_eq!(pools.fast.empty_nodes(), 0, "pool must be packed");
+        for i in 0..fill.len() / 2 {
+            // Grant `2i` of the original order: earlier removals shifted it
+            // down to index `i`.
+            pools.free(i)?;
+        }
+        for op in &churn {
+            pools.apply(op)?;
+        }
+        // Never vacuous: this trace exists to cover long run lists.
+        prop_assert!(
+            pools.max_runs >= 256,
+            "trace reached only {} free runs",
+            pools.max_runs
+        );
+        pools.drain()?;
     }
 }
