@@ -338,6 +338,20 @@ pub struct Grant {
 }
 
 impl Grant {
+    /// The device of each replica, in placement order.
+    pub(crate) fn devices(&self) -> Vec<usize> {
+        self.placements.iter().map(|p| p.device).collect()
+    }
+
+    /// The bytes each replica reserves (its predicted peak), parallel to
+    /// [`Grant::devices`].
+    pub(crate) fn peaks(&self) -> Vec<u64> {
+        self.placements
+            .iter()
+            .map(|p| p.prediction.peak_bytes)
+            .collect()
+    }
+
     /// The slowest replica's iteration time — the gang's lockstep pace.
     pub fn replica_iter_time(&self) -> sn_sim::SimTime {
         self.placements

@@ -1,7 +1,9 @@
 //! The event queue: a binary min-heap whose completion entries are
 //! *addressable*.
 //!
-//! Entries are ordered by `(t_ns.total_cmp, order)`, earliest first. Three
+//! Entries are ordered by `(t_ns, order)` — the simulator's one clock, in
+//! integer ns, then an integer tiebreak — earliest first, so every entry
+//! due at an instant pops in one batch and in arrival-sequence order. Three
 //! of the four event kinds are fire-and-forget (the next arrival, the next
 //! fault batch, a parked job's retry). The fourth — a running gang's
 //! projected completion — moves every time a tenant count on one of the
@@ -18,9 +20,8 @@ use crate::slab::SlotKey;
 pub(crate) enum EventKind {
     /// Projected completion of the running gang in this slot.
     Completion { key: SlotKey },
-    /// A parked job's backoff expires; `due_ns` carries the exact integer
-    /// instant (the f64 heap time is only a projection of it).
-    Retry { key: SlotKey, due_ns: u64 },
+    /// A parked job's backoff expires.
+    Retry { key: SlotKey },
     /// The next pulled-but-unprocessed arrival is due.
     Arrival,
     /// The next batch of injected fault events is due.
@@ -28,7 +29,7 @@ pub(crate) enum EventKind {
 }
 
 pub(crate) struct Event {
-    pub(crate) t_ns: f64,
+    pub(crate) t_ns: u64,
     /// Tiebreak at equal times: completions and retries by arrival sequence
     /// (the reference loop's job-index order), then faults, then the
     /// arrival marker last.
@@ -38,10 +39,7 @@ pub(crate) struct Event {
 
 impl Event {
     fn before(&self, other: &Event) -> bool {
-        self.t_ns
-            .total_cmp(&other.t_ns)
-            .then_with(|| self.order.cmp(&other.order))
-            .is_lt()
+        (self.t_ns, self.order) < (other.t_ns, other.order)
     }
 }
 
@@ -64,7 +62,7 @@ impl EventHeap {
     }
 
     /// Queue a retry, arrival or fault marker.
-    pub(crate) fn push(&mut self, t_ns: f64, order: u64, kind: EventKind) {
+    pub(crate) fn push(&mut self, t_ns: u64, order: u64, kind: EventKind) {
         debug_assert!(
             !matches!(kind, EventKind::Completion { .. }),
             "completions go through set_completion"
@@ -75,7 +73,7 @@ impl EventHeap {
 
     /// Set the projected completion of the gang in `key`'s slot: inserts the
     /// entry if the gang has none yet, otherwise re-keys it where it sits.
-    pub(crate) fn set_completion(&mut self, key: SlotKey, t_ns: f64, order: u64) {
+    pub(crate) fn set_completion(&mut self, key: SlotKey, t_ns: u64, order: u64) {
         let slot = key.index();
         if slot >= self.pos.len() {
             self.pos.resize(slot + 1, NONE);
@@ -111,6 +109,18 @@ impl EventHeap {
                 self.remove_at(at as usize);
             }
         }
+    }
+
+    /// The queued completion instant of the gang in `key`'s slot, and how
+    /// many completions are queued in all — what the event core's
+    /// per-instant invariant check holds against its running gangs.
+    pub(crate) fn completion(&self, key: SlotKey) -> Option<u64> {
+        let at = *self.pos.get(key.index())?;
+        (at != NONE).then(|| self.heap[at as usize].t_ns)
+    }
+
+    pub(crate) fn completions(&self) -> usize {
+        self.pos.iter().filter(|at| **at != NONE).count()
     }
 
     fn remove_at(&mut self, at: usize) -> Event {
@@ -200,7 +210,7 @@ mod tests {
         }
     }
 
-    fn popped(heap: &mut EventHeap) -> Vec<(f64, u64)> {
+    fn popped(heap: &mut EventHeap) -> Vec<(u64, u64)> {
         std::iter::from_fn(|| heap.pop())
             .map(|e| (e.t_ns, e.order))
             .collect()
@@ -209,17 +219,17 @@ mod tests {
     #[test]
     fn pops_by_time_then_order() {
         let mut heap = EventHeap::default();
-        heap.push(5.0, u64::MAX, EventKind::Arrival);
-        heap.push(5.0, u64::MAX - 1, EventKind::FaultDue);
+        heap.push(5, u64::MAX, EventKind::Arrival);
+        heap.push(5, u64::MAX - 1, EventKind::FaultDue);
         let mut slab: Slab<()> = Slab::new();
         let (a, b) = (slab.insert(()), slab.insert(()));
-        heap.set_completion(a, 5.0, 7);
-        heap.set_completion(b, 2.0, 9);
+        heap.set_completion(a, 5, 7);
+        heap.set_completion(b, 2, 9);
         heap.check();
-        assert_eq!(heap.peek().map(|e| e.t_ns), Some(2.0));
+        assert_eq!(heap.peek().map(|e| e.t_ns), Some(2));
         assert_eq!(
             popped(&mut heap),
-            vec![(2.0, 9), (5.0, 7), (5.0, u64::MAX - 1), (5.0, u64::MAX)]
+            vec![(2, 9), (5, 7), (5, u64::MAX - 1), (5, u64::MAX)]
         );
     }
 
@@ -229,11 +239,11 @@ mod tests {
         let mut slab: Slab<()> = Slab::new();
         let keys: Vec<SlotKey> = (0..8).map(|_| slab.insert(())).collect();
         for (n, &k) in keys.iter().enumerate() {
-            heap.set_completion(k, 10.0 * n as f64, n as u64);
+            heap.set_completion(k, 10 * n as u64, n as u64);
         }
-        heap.set_completion(keys[6], 1.0, 6); // earlier: sifts up
+        heap.set_completion(keys[6], 1, 6); // earlier: sifts up
         heap.check();
-        heap.set_completion(keys[0], 45.0, 0); // later: sifts down
+        heap.set_completion(keys[0], 45, 0); // later: sifts down
         heap.check();
         assert_eq!(heap.heap.len(), 8, "a re-key never adds an entry");
         let order: Vec<u64> = popped(&mut heap).into_iter().map(|(_, o)| o).collect();
@@ -245,27 +255,27 @@ mod tests {
         let mut heap = EventHeap::default();
         let mut slab: Slab<()> = Slab::new();
         let first = slab.insert(());
-        heap.set_completion(first, 3.0, 0);
+        heap.set_completion(first, 3, 0);
         heap.remove_completion(first);
         heap.remove_completion(first); // absent: no-op
         slab.remove(first);
         let second = slab.insert(());
         assert_eq!(second.index(), first.index(), "slot recycled");
-        heap.set_completion(second, 9.0, 1);
+        heap.set_completion(second, 9, 1);
         heap.check();
-        assert_eq!(popped(&mut heap), vec![(9.0, 1)]);
+        assert_eq!(heap.completion(second), Some(9));
+        assert_eq!(heap.completions(), 1);
+        assert_eq!(popped(&mut heap), vec![(9, 1)]);
         assert!(heap.pos.iter().all(|p| *p == NONE));
     }
 
     /// The obviously-right queue: a `Vec` kept sorted, searched linearly.
     #[derive(Default)]
-    struct Model(Vec<(f64, u64, Option<usize>)>);
+    struct Model(Vec<(u64, u64, Option<usize>)>);
 
     impl Model {
-        fn insert(&mut self, t: f64, order: u64, slot: Option<usize>) {
-            let at = self
-                .0
-                .partition_point(|e| e.0.total_cmp(&t).then(e.1.cmp(&order)).is_le());
+        fn insert(&mut self, t: u64, order: u64, slot: Option<usize>) {
+            let at = self.0.partition_point(|e| (e.0, e.1) <= (t, order));
             self.0.insert(at, (t, order, slot));
         }
         fn remove(&mut self, slot: usize) {
@@ -287,7 +297,7 @@ mod tests {
             let mut gangs: Vec<(SlotKey, bool)> = Vec::new();
             for (op, pick, t, order) in ops {
                 // Few distinct times and orders: ties on both are common.
-                let t = f64::from(t) * 0.5;
+                let t = u64::from(t / 2);
                 match op {
                     // A gang starts (slots freed below are reused here).
                     0 => gangs.push((slab.insert(()), false)),
@@ -314,8 +324,8 @@ mod tests {
                     5 => {
                         let got = heap.pop();
                         prop_assert_eq!(
-                            got.as_ref().map(|e| (e.t_ns.to_bits(), e.order)),
-                            model.0.first().map(|e| (e.0.to_bits(), e.1))
+                            got.as_ref().map(|e| (e.t_ns, e.order)),
+                            model.0.first().map(|e| (e.0, e.1))
                         );
                         if let Some(ev) = got {
                             // Entries tied on (time, order) may pop in either
@@ -324,9 +334,10 @@ mod tests {
                                 EventKind::Completion { key } => Some(key.index()),
                                 _ => None,
                             };
-                            let at = model.0.iter().position(|e| {
-                                (e.0.to_bits(), e.1, e.2) == (ev.t_ns.to_bits(), ev.order, slot)
-                            });
+                            let at = model
+                                .0
+                                .iter()
+                                .position(|e| *e == (ev.t_ns, ev.order, slot));
                             prop_assert!(at.is_some(), "popped an entry the model lacks");
                             model.0.remove(at.unwrap());
                             // A popped completion's gang is done: free its slot.
@@ -341,8 +352,8 @@ mod tests {
                 heap.check();
                 prop_assert_eq!(heap.heap.len(), model.0.len());
                 prop_assert_eq!(
-                    heap.peek().map(|e| (e.t_ns.to_bits(), e.order)),
-                    model.0.first().map(|e| (e.0.to_bits(), e.1))
+                    heap.peek().map(|e| (e.t_ns, e.order)),
+                    model.0.first().map(|e| (e.0, e.1))
                 );
                 let queued = gangs.iter().filter(|g| g.1).count();
                 let completions = heap
@@ -353,12 +364,8 @@ mod tests {
                 prop_assert_eq!(completions, queued, "one completion per projected gang");
             }
             // Drain: the whole remaining order agrees.
-            let rest: Vec<(u64, u64)> = popped(&mut heap)
-                .into_iter()
-                .map(|(t, o)| (t.to_bits(), o))
-                .collect();
-            let want: Vec<(u64, u64)> = model.0.iter().map(|e| (e.0.to_bits(), e.1)).collect();
-            prop_assert_eq!(rest, want);
+            let want: Vec<(u64, u64)> = model.0.iter().map(|e| (e.0, e.1)).collect();
+            prop_assert_eq!(popped(&mut heap), want);
         }
     }
 }

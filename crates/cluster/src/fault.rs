@@ -6,9 +6,9 @@
 //! hand (tests, targeted scenarios) or drawn from
 //! [`FaultPlan::seeded_random`], whose exponential fail/repair process is a
 //! pure function of its seed: the same seed yields the same plan bytes, and
-//! the indexed event loop delivers the plan's instants exactly like arrival
-//! timestamps — matched on integer nanoseconds, immune to the `as f64`
-//! collapse past 2^53 ns that PR 2 fixed for arrivals.
+//! the event loop delivers the plan's instants exactly like arrival
+//! timestamps — as entries on its one integer-ns clock, which is the same
+//! clock with a plan installed or without.
 //!
 //! [`RecoveryPolicy`] is the other half: what [`crate::ClusterSim`] does to
 //! the tenants a fault interrupts. The recovery ladder is
@@ -17,8 +17,9 @@
 //! re-enter admission via capped exponential backoff and resume from the
 //! last checkpointed iteration), and [`RecoveryMode::RestartElastic`]
 //! (restart, plus live-downgrade of *running* tenants' presets to free the
-//! memory a blocked re-admission needs). All backoff/retry arithmetic is
-//! integer `u64` nanoseconds end-to-end — no float ever touches a timer.
+//! memory a blocked re-admission needs). Backoff/retry arithmetic is integer
+//! `u64` nanoseconds, like every other instant the simulator keeps: a retry
+//! is due at `now + delay`, saturating.
 
 use sn_sim::SimTime;
 
@@ -207,7 +208,7 @@ impl RecoveryMode {
 }
 
 /// Checkpoint/restart and backoff knobs. All timer fields are integer
-/// [`SimTime`] nanoseconds; every derived delay stays in `u64`.
+/// [`SimTime`] nanoseconds, as is every delay derived from them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryPolicy {
     pub mode: RecoveryMode,
@@ -260,12 +261,11 @@ impl RecoveryPolicy {
         self
     }
 
-    /// Capped exponential backoff with seeded jitter, **integer ns
-    /// end-to-end**: `min(base·2^attempt, cap)` (saturating shift) plus a
-    /// deterministic jitter in `[0, delay/4]` drawn from
-    /// `(jitter_seed, job_seq, attempt)`. Never zero, so a retry instant is
-    /// always strictly after the failure instant — distinct integer
-    /// timestamps even when their f64 projections collapse past 2^53 ns.
+    /// Capped exponential backoff with seeded jitter, in integer ns:
+    /// `min(base·2^attempt, cap)` (saturating shift) plus a deterministic
+    /// jitter in `[0, delay/4]` drawn from `(jitter_seed, job_seq, attempt)`.
+    /// Never zero, so a retry is always due strictly after the instant it
+    /// was scheduled at (unless that sum saturates at `u64::MAX`).
     pub fn backoff_delay(&self, attempt: u32, job_seq: u64) -> SimTime {
         let base = self.backoff_base.0.max(1);
         let shifted = if attempt >= 63 {
@@ -408,10 +408,10 @@ mod tests {
 
     #[test]
     fn backoff_instants_stay_distinct_past_2p53() {
-        // The PR-2 bug class: distinct integer instants whose f64
-        // projections collapse. Timer arithmetic is u64 end-to-end, so
-        // chained retry instants remain distinct integers even where
-        // `as f64` cannot represent them.
+        // Regression guard for the PR-2 bug class (instants compared through
+        // an f64 projection): no clock in the simulator is a float any more,
+        // and chained retry instants must stay distinct integers at a
+        // magnitude where a float one would have merged them.
         let policy = RecoveryPolicy {
             backoff_base: SimTime(1),
             backoff_cap: SimTime(1),
@@ -428,7 +428,7 @@ mod tests {
         for w in instants.windows(2) {
             assert!(w[1] > w[0], "integer instants must strictly advance");
         }
-        // ...even though several of their f64 projections are equal.
+        // ...at a magnitude where several of their f64 projections are equal.
         assert!(
             instants.windows(2).any(|w| (w[0] as f64) == (w[1] as f64)),
             "test premise: some instants collapse under as-f64"

@@ -7,6 +7,7 @@ use sn_sim::SimTime;
 use crate::fleet::Fleet;
 use crate::job::{JobKind, JobSpec, PolicyPreset};
 use crate::placement::PlacementPolicy;
+use crate::sim::DeviceState;
 
 /// Why admission permanently refused a job. Structured — so the metrics
 /// registry counts rejections per kind instead of grepping free-form
@@ -167,7 +168,7 @@ impl TraceEvent {
 }
 
 /// Final state of one submitted job.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobOutcome {
     pub name: String,
     pub workload: String,
@@ -237,7 +238,7 @@ impl JobOutcome {
 }
 
 /// Fleet-wide results of one simulation run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterReport {
     pub placement: PlacementPolicy,
     pub fleet_devices: usize,
@@ -284,12 +285,13 @@ pub struct ClusterReport {
     pub peak_tenants: Vec<usize>,
     /// Per-device wall time (ns) with at least one tenant — the raw busy
     /// integral the utilization above is derived from. Exposed so the
-    /// differential suite can pin the indexed event loop to the reference
-    /// loop *bit-for-bit*, not merely to six printed decimals.
-    pub busy_ns: Vec<f64>,
+    /// differential suite can pin the indexed event loop's lazily settled
+    /// integrals to the reference loop's eager ones exactly, not merely to
+    /// six printed decimals.
+    pub busy_ns: Vec<u64>,
     /// Per-device ∫ reserved(t) dt in byte·ns (memory-utilization
-    /// numerator), same bit-exactness contract as `busy_ns`.
-    pub reserved_integral: Vec<f64>,
+    /// numerator), same exactness contract as `busy_ns`.
+    pub reserved_integral: Vec<u128>,
     /// Distinct admission predictions the profiler simulated.
     pub predictions_simulated: usize,
 }
@@ -326,6 +328,20 @@ pub(crate) fn safe_rate(count: u64, makespan: SimTime) -> f64 {
     }
 }
 
+/// `(compute, memory)` utilization over `makespan`: the fraction of
+/// device-time with at least one tenant and of fleet DRAM-time held by
+/// reservations. The integrals are exact integers; this is the one place
+/// they become ratios.
+pub(crate) fn utilization(fleet: &Fleet, makespan: SimTime, devices: &[DeviceState]) -> (f64, f64) {
+    let span_ns = makespan.0.max(1) as f64;
+    let busy: u128 = devices.iter().map(|d| u128::from(d.busy_ns)).sum();
+    let reserved: u128 = devices.iter().map(|d| d.reserved_integral).sum();
+    (
+        busy as f64 / (span_ns * fleet.len().max(1) as f64),
+        reserved as f64 / (span_ns * fleet.total_dram().max(1) as f64),
+    )
+}
+
 impl ClusterReport {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble(
@@ -334,7 +350,7 @@ impl ClusterReport {
         jobs: Vec<JobOutcome>,
         trace: Vec<TraceEvent>,
         makespan: SimTime,
-        device_stats: Vec<(f64, f64, u64, usize)>, // (busy_ns, reserved_integral, peak_reserved, peak_tenants)
+        devices: &[DeviceState],
         peak_concurrent_jobs: usize,
         predictions_simulated: usize,
     ) -> ClusterReport {
@@ -360,11 +376,7 @@ impl ClusterReport {
         } else {
             SimTime(queueing.iter().map(|t| t.0).sum::<u64>() / queueing.len() as u64)
         };
-        let span_ns = makespan.0.max(1) as f64;
-        let compute_utilization = device_stats.iter().map(|(b, ..)| b).sum::<f64>()
-            / (span_ns * fleet.len().max(1) as f64);
-        let memory_utilization = device_stats.iter().map(|(_, m, ..)| m).sum::<f64>()
-            / (span_ns * fleet.total_dram().max(1) as f64);
+        let (compute_utilization, memory_utilization) = utilization(fleet, makespan, devices);
         ClusterReport {
             placement,
             fleet_devices: fleet.len(),
@@ -377,10 +389,10 @@ impl ClusterReport {
             compute_utilization,
             memory_utilization,
             peak_concurrent_jobs,
-            peak_reserved: device_stats.iter().map(|(_, _, p, _)| *p).collect(),
-            peak_tenants: device_stats.iter().map(|(_, _, _, t)| *t).collect(),
-            busy_ns: device_stats.iter().map(|(b, ..)| *b).collect(),
-            reserved_integral: device_stats.iter().map(|(_, m, ..)| *m).collect(),
+            peak_reserved: devices.iter().map(|d| d.peak_reserved).collect(),
+            peak_tenants: devices.iter().map(|d| d.peak_tenants).collect(),
+            busy_ns: devices.iter().map(|d| d.busy_ns).collect(),
+            reserved_integral: devices.iter().map(|d| d.reserved_integral).collect(),
             predictions_simulated,
             failed,
             still_queued,
@@ -403,42 +415,15 @@ impl ClusterReport {
         self.jobs.len() == self.completed + self.rejected + self.failed + self.still_queued
     }
 
-    /// Bit-exact equality against another report: every integer field, the
-    /// full schedule trace/JSON renderings, and — the strict part — the
-    /// per-device f64 busy/reserved integrals and every derived ratio
-    /// compared by *bit pattern* (`to_bits`), not tolerance. This is the
-    /// contract the differential suite pins the indexed event loop to the
-    /// retained reference loop with: both must perform the same
-    /// floating-point operations in the same order, or they are not the
-    /// same simulator.
+    /// Exact equality against another report: every field — the schedule
+    /// trace, per-job outcomes, counts, the per-device integer busy/reserved
+    /// integrals and the ratios derived from them. This is the contract the
+    /// differential suite pins the indexed event loop to the retained
+    /// reference loop with, and replays of one seed to each other: time and
+    /// the integrals are integers, so equal means equal, with no tolerance
+    /// to choose.
     pub fn bit_identical(&self, other: &ClusterReport) -> bool {
-        let f64_bits_eq = |a: &[f64], b: &[f64]| {
-            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-        };
-        self.schedule_fingerprint() == other.schedule_fingerprint()
-            && self.to_json() == other.to_json()
-            && self.makespan == other.makespan
-            && self.completed == other.completed
-            && self.rejected == other.rejected
-            && self.failed == other.failed
-            && self.still_queued == other.still_queued
-            && self.restarts == other.restarts
-            && self.useful_iterations == other.useful_iterations
-            && self.wasted_iterations == other.wasted_iterations
-            && self.goodput_iters_per_sec.to_bits() == other.goodput_iters_per_sec.to_bits()
-            && self.raw_iters_per_sec.to_bits() == other.raw_iters_per_sec.to_bits()
-            && self.peak_concurrent_jobs == other.peak_concurrent_jobs
-            && self.peak_reserved == other.peak_reserved
-            && self.peak_tenants == other.peak_tenants
-            && f64_bits_eq(&self.busy_ns, &other.busy_ns)
-            && f64_bits_eq(&self.reserved_integral, &other.reserved_integral)
-            && self.jobs_per_sec.to_bits() == other.jobs_per_sec.to_bits()
-            && self.compute_utilization.to_bits() == other.compute_utilization.to_bits()
-            && self.memory_utilization.to_bits() == other.memory_utilization.to_bits()
-            && self.p50_latency == other.p50_latency
-            && self.p99_latency == other.p99_latency
-            && self.p999_latency == other.p999_latency
-            && self.mean_queueing == other.mean_queueing
+        self == other
     }
 
     /// The whole schedule as one string — byte-identical across runs of the

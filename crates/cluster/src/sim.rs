@@ -15,6 +15,18 @@
 //! machine is a pure function of the input job stream — identical streams
 //! produce byte-identical schedule traces.
 //!
+//! ## One integer clock
+//!
+//! Time is `u64` nanoseconds wherever it is stored, compared or stamped:
+//! the heap's keys, a gang's anchor and remaining work, every trace stamp,
+//! the device integrals. `now` only ever takes the instant that popped, so
+//! it cannot run backwards, and it is the same clock with a fault plan
+//! installed or without. Processor sharing divides, so two functions round —
+//! `Pace::wall` up and `Pace::work` down, a pair chosen so that a gang
+//! completes at the first instant by which it has done its work (see
+//! `crate::pace`) — and nothing else does. Instants that would pass
+//! `u64::MAX` saturate there.
+//!
 //! ## The indexed event core
 //!
 //! The loop is *indexed*, not scanned — the structure classic
@@ -27,18 +39,23 @@
 //!   running gang, found through a position index by slab slot. A
 //!   tenant-count change re-keys the gang's entry where it sits and sifts
 //!   it; an interrupt removes it. Nothing stale is ever queued, so whatever
-//!   pops is the gang's live projection (a `debug_assert!` holds it to that
-//!   bit for bit) — in particular a restarted job can never complete on the
-//!   schedule of the run a fault cut short.
+//!   pops is the gang's live projection — in particular a restarted job can
+//!   never complete on the schedule of the run a fault cut short.
 //! * **Slab job state** — live jobs (pending, running, parked) occupy
 //!   generation-stamped slots (`crate::slab`); storage is bounded by peak
 //!   concurrency, not stream length.
 //! * **Lazy progress** — each running gang carries
-//!   `(anchor_ns, remaining_ns, slowdown)`: its completion is always
-//!   `anchor + remaining · slowdown`, and `remaining` is folded forward
-//!   **only when its slowdown changes**. Per-device tenant lists identify
-//!   exactly the gangs a completion/admission can affect, so an event
-//!   touches its neighborhood, not every running job.
+//!   `(anchor_ns, remaining_ns, pace)`: its completion is always
+//!   `anchor + pace.wall(remaining)`, and progress is folded forward
+//!   (`remaining −= pace.work(now − anchor)`, an integer re-anchor) **only
+//!   when its pace changes** — each fold floors once, so folding at every
+//!   event would drift. Per-device tenant lists identify exactly the gangs a
+//!   completion/admission can affect, so an event touches its neighborhood,
+//!   not every running job.
+//! * **Lazy device accounting** — a device's busy time and ∫ reserved dt are
+//!   integrals of step functions, so each device is settled just before its
+//!   `reserved`/`tenants` change and once when the run ends. In integers
+//!   that is exact, so no event walks the fleet to advance them.
 //! * **Admission-pass memo** — the FIFO pass re-evaluates queued jobs only
 //!   when reservations changed since they were last evaluated (admission is
 //!   a pure function of the reservation vector, so the replay is provably
@@ -51,12 +68,22 @@
 //!   (`crate::admission::Sweep`), and placement selects the `replicas`
 //!   best candidates instead of sorting the fleet.
 //!
+//! The run's state is one struct (`Core`) with one handler per step of an
+//! instant, in the order that defines the schedule: completions (freeing
+//! capacity) → injected faults → expired retries (they rejoin the queue as
+//! the instant's batch is popped, which nothing before the pass reads) →
+//! arrivals → the admission pass → the re-anchor sweep. In debug builds
+//! `Core::check` then verifies the state's invariants — slot conservation,
+//! per-device reservations and tenant lists, one live completion per
+//! running gang, every pace the one its devices imply, monotone time — so
+//! every test of this crate runs under it.
+//!
 //! ### What an event costs
 //!
 //! One `serve_mixed` pass (the repo benchmark: 64 devices, ρ ≈ 0.83, gangs,
 //! inference, faults; ~22.5 k events), by where a `SIGPROF` sample of
 //! `run_stream` lands (250 Hz of CPU time, ~4 k and ~2.7 k samples under
-//! `run_core`, seed 501, 2-vCPU host), before and after the queue, sweep
+//! the event core, seed 501, 2-vCPU host), before and after the queue, sweep
 //! and memo changes; ns/event is the share of the measured 2.9 → 1.2 µs:
 //!
 //! | where                                       | before       | after        |
@@ -70,19 +97,32 @@
 //! What is left of the sweep is its O(devices) arithmetic — two integer
 //! divisions per device per rung in `quantized_budget` — not lookups.
 //!
-//! The loop this replaced is retained verbatim in [`crate::sim_reference`];
-//! a differential suite pins both to byte-identical [`ClusterReport`]s —
-//! same trace, same outcomes, same f64 integrals to the last bit.
-//! [`ClusterSim::run_stream`] runs the same core against a pull-based
-//! [`ArrivalStream`] with aggregate-only recording: millions of arrivals in
-//! constant memory.
+//! Device accounting since it settles lazily, from one counted pass of the
+//! same seed (22 534 events at 15 019 instants): integrating every device
+//! at every instant was 64 × 15 019 = 961 k integrations, 42.7 per event;
+//! settling a device only when its `reserved`/`tenants` change is 21.8 k,
+//! 0.97 per event, the 64 at the end included. The re-anchor sweep kept its
+//! shape — 107 k re-paces, 4.75 per event — and each is now one
+//! `Pace::work` and one `Pace::wall` (a `u128` multiply and divide apiece)
+//! where the float clock divided and multiplied once. Six alternating
+//! traced 20-s runs a side read `cluster.events_per_s` 599 k before and
+//! 632 k after at the median, higher after in 4 pairs of 6 — less than the
+//! host drifts between runs (550–710 k on either side).
+//!
+//! The loop this replaced is retained in [`crate::sim_reference`], moved
+//! onto the same `Pace` arithmetic but still scanning every gang and
+//! integrating every device at every event; a differential suite pins both
+//! to equal [`ClusterReport`]s — same trace, same outcomes, same integer
+//! integrals. [`ClusterSim::run_stream`] runs the same core against a
+//! pull-based [`ArrivalStream`] with aggregate-only recording: millions of
+//! arrivals in constant memory.
 
 use std::sync::Arc;
 
 use fxhash::FxHashMap;
 use sn_runtime::ring_allreduce_time;
 use sn_sim::SimTime;
-use sn_telemetry::{Counter, Histogram, MetricsRegistry, TraceSink, TrackId};
+use sn_telemetry::{ArgValue, Counter, Histogram, MetricsRegistry, TraceSink, TrackId};
 
 use crate::admission::{
     feasible_on_device_subset, feasible_on_idle_fleet, ladder_for, quantized_budget, Grant,
@@ -93,9 +133,10 @@ use crate::fault::{FaultEvent, FaultPlan, RecoveryMode, RecoveryPolicy};
 use crate::fleet::Fleet;
 use crate::job::{JobKind, JobSpec, PolicyPreset, Workload};
 use crate::latency::LatencySketch;
+use crate::pace::Pace;
 use crate::placement::{Candidate, PlacementPolicy};
 use crate::report::{
-    ClusterReport, JobOutcome, RejectReason, ServiceReport, TraceEvent, TraceKind,
+    utilization, ClusterReport, JobOutcome, RejectReason, ServiceReport, TraceEvent, TraceKind,
 };
 use crate::slab::{Slab, SlotKey};
 use crate::stream::{ArrivalStream, ReplayStream};
@@ -106,9 +147,12 @@ pub(crate) struct DeviceState {
     pub(crate) reserved: u64,
     pub(crate) tenants: usize,
     /// Wall time (ns) with at least one tenant.
-    pub(crate) busy_ns: f64,
-    /// ∫ reserved(t) dt, in byte·ns — memory utilization numerator.
-    pub(crate) reserved_integral: f64,
+    pub(crate) busy_ns: u64,
+    /// ∫ reserved(t) dt, in byte·ns — memory utilization numerator. Never
+    /// overflows: at most `u64::MAX` bytes for `u64::MAX` ns.
+    pub(crate) reserved_integral: u128,
+    /// The instant the two integrals above are current as of.
+    settled_ns: u64,
     pub(crate) peak_reserved: u64,
     pub(crate) peak_tenants: usize,
     /// Fault state: a failed device admits nothing (its tenants were
@@ -130,46 +174,50 @@ impl DeviceState {
                 .saturating_sub(self.reserved.saturating_add(self.spike))
         }
     }
+
+    /// Bring the two integrals up to `now_ns`. Their integrands only step
+    /// when `reserved` or `tenants` change, so settling just before either
+    /// does (and once when the run ends) integrates exactly.
+    fn settle(&mut self, now_ns: u64) {
+        let dt = now_ns - self.settled_ns;
+        if self.tenants > 0 {
+            self.busy_ns += dt;
+        }
+        self.reserved_integral += u128::from(self.reserved) * u128::from(dt);
+        self.settled_ns = now_ns;
+    }
 }
 
-/// Gang slowdown under processor sharing: the most-loaded of its devices
-/// sets the pace (each of `k` tenants gets `1/k` of a device). Shared by
-/// the indexed loop and the retained reference loop — it must be the same
-/// float computation in both or they stop being bit-comparable.
-pub(crate) fn gang_slowdown(devices: &[DeviceState], grant: &Grant) -> f64 {
-    grant
+/// The pace a gang's devices imply under processor sharing: the most-loaded
+/// of them sets it (each of `k` tenants gets `1/k` of a device), and a gang
+/// — whose step time embeds all-reduce traffic — stretches with a degraded
+/// link, while a solo tenant exchanges no gradients and does not. Shared by
+/// the indexed loop and the retained reference loop.
+pub(crate) fn gang_pace(devices: &[DeviceState], grant: &Grant, link_permille: u32) -> Pace {
+    let tenants = grant
         .placements
         .iter()
         .map(|p| devices[p.device].tenants)
         .max()
-        .unwrap_or(1)
-        .max(1) as f64
-}
-
-/// Fold an injected link degradation into a gang's slowdown: gangs stretch
-/// by `1000/permille` (their step time embeds all-reduce traffic), solo
-/// tenants exchange no gradients and are untouched. At the nominal 1000‰
-/// this performs **no float op at all** — the fault-free path must stay
-/// bit-identical to the reference loop.
-fn apply_link(slowdown: f64, replicas: usize, permille: u32) -> f64 {
-    if permille != 1000 && replicas > 1 {
-        slowdown * (1000.0 / permille.max(1) as f64)
-    } else {
-        slowdown
-    }
+        .unwrap_or(1);
+    let gang = grant.placements.len() > 1;
+    Pace::new(tenants, if gang { link_permille } else { 1000 })
 }
 
 /// Pre-resolved admission metric handles (see [`ClusterSim::enable_metrics`]).
+/// Each field is written at one site: the four lifecycle events both loops
+/// report go through the `on_*` methods, the fault/recovery ones are
+/// written by the one event-core handler they belong to.
 pub(crate) struct ClusterMetrics {
-    pub(crate) submitted: Counter,
-    pub(crate) admitted: Counter,
+    submitted: Counter,
+    admitted: Counter,
     rejected: Counter,
-    pub(crate) completed: Counter,
+    completed: Counter,
     reject_empty_gang: Counter,
     reject_fleet_too_small: Counter,
     reject_peak_exceeds: Counter,
-    pub(crate) latency_ns: Histogram,
-    pub(crate) queueing_ns: Histogram,
+    latency_ns: Histogram,
+    queueing_ns: Histogram,
     // Fault/recovery instrumentation (all zero on fault-free runs).
     device_failures: Counter,
     device_recoveries: Counter,
@@ -208,13 +256,27 @@ impl ClusterMetrics {
         }
     }
 
-    pub(crate) fn count_reject(&self, reason: &RejectReason) {
+    pub(crate) fn on_arrive(&self) {
+        self.submitted.inc();
+    }
+
+    pub(crate) fn on_admit(&self, queueing_ns: u64) {
+        self.admitted.inc();
+        self.queueing_ns.record(queueing_ns);
+    }
+
+    pub(crate) fn on_reject(&self, reason: &RejectReason) {
         self.rejected.inc();
         match reason {
             RejectReason::EmptyGang => self.reject_empty_gang.inc(),
             RejectReason::FleetTooSmall { .. } => self.reject_fleet_too_small.inc(),
             RejectReason::PeakExceedsCapacity { .. } => self.reject_peak_exceeds.inc(),
         }
+    }
+
+    pub(crate) fn on_complete(&self, latency_ns: u64) {
+        self.completed.inc();
+        self.latency_ns.record(latency_ns);
     }
 }
 
@@ -226,10 +288,6 @@ struct LiveJob {
     seq: u64,
     arrival: SimTime,
     run: Option<RunState>,
-    /// Integer instant the job last (re-)entered the queue: arrival, a
-    /// fault's interrupt instant, or a retry's due time. Backoff chains are
-    /// pure u64 arithmetic from this anchor — never through the f64 clock.
-    anchor_int: u64,
     /// Iterations banked at the last checkpoint fold (0 fault-free).
     iters_done: u32,
     /// Backoff attempts since the last successful (re-)admission.
@@ -248,14 +306,61 @@ struct RunState {
     grant: Grant,
     /// Remaining work in ns of *solo* execution time, valid as of
     /// `anchor_ns`.
-    remaining_ns: f64,
-    anchor_ns: f64,
-    slowdown: f64,
+    remaining_ns: u64,
+    anchor_ns: u64,
+    pace: Pace,
     /// One iteration's solo duration (checkpoint folds divide by this).
-    step_ns: f64,
+    step_ns: u64,
     /// Iterations this run covers (`spec.iterations − iters_done` at grant
     /// time).
     iters_this_run: u32,
+}
+
+impl RunState {
+    /// A run of `iters` iterations of `step` solo time each, starting now.
+    fn new(grant: Grant, step: SimTime, iters: u32, now_ns: u64, pace: Pace) -> RunState {
+        RunState {
+            grant,
+            remaining_ns: step.0.saturating_mul(u64::from(iters)),
+            anchor_ns: now_ns,
+            pace,
+            step_ns: step.0,
+            iters_this_run: iters,
+        }
+    }
+
+    /// The first instant by which the remaining work is done.
+    fn completion_ns(&self) -> u64 {
+        self.anchor_ns
+            .saturating_add(self.pace.wall(self.remaining_ns))
+    }
+
+    /// Solo work done since the anchor. Never more than `remaining_ns`: the
+    /// gang would have completed first.
+    fn work_since_anchor(&self, now_ns: u64) -> u64 {
+        self.pace.work(now_ns - self.anchor_ns)
+    }
+
+    /// Re-anchor at `now_ns`: fold the progress made under the pace in
+    /// force since the anchor, then continue at `pace`.
+    fn repace(&mut self, now_ns: u64, pace: Pace) {
+        self.remaining_ns -= self.work_since_anchor(now_ns);
+        self.anchor_ns = now_ns;
+        self.pace = pace;
+    }
+
+    /// Whole iterations this run has completed as of `now_ns` — one that
+    /// ends at exactly `now_ns` counts. Pure read: the caller decides what
+    /// the checkpoint policy keeps.
+    fn done_iterations(&self, now_ns: u64) -> u32 {
+        if self.step_ns == 0 {
+            return self.iters_this_run; // degenerate zero-work run: all done
+        }
+        let total = self.step_ns.saturating_mul(u64::from(self.iters_this_run));
+        let executed = total - self.remaining_ns + self.work_since_anchor(now_ns);
+        u32::try_from(executed / self.step_ns)
+            .map_or(self.iters_this_run, |n| n.min(self.iters_this_run))
+    }
 }
 
 /// A grant frozen for byte-exact restarts: the preset plus the per-replica
@@ -263,7 +368,7 @@ struct RunState {
 /// compiles each replica at **exactly** its original budget, so the
 /// profiler's plan memo returns the identical prediction — restarted peaks
 /// are byte-identical to the original plan on any device of the same spec.
-#[derive(Clone)]
+#[derive(Clone, PartialEq, Eq)]
 struct ResumePlan {
     preset: PolicyPreset,
     budgets: Vec<u64>,
@@ -284,53 +389,24 @@ fn resume_plan_of(grant: &Grant) -> ResumePlan {
     }
 }
 
-/// Whole iterations completed by this run as of `now_ns`, under the lazy
-/// anchor/remaining representation. Pure read — the caller decides what the
-/// checkpoint policy keeps.
-fn fold_done_iterations(run: &RunState, now_ns: f64) -> u32 {
-    if run.iters_this_run == 0 || run.step_ns <= 0.0 {
-        return run.iters_this_run; // degenerate zero-work run: all done
-    }
-    let work_total = run.step_ns * run.iters_this_run as f64;
-    let elapsed = ((now_ns - run.anchor_ns) / run.slowdown).max(0.0);
-    let executed = (work_total - run.remaining_ns + elapsed).clamp(0.0, work_total);
-    ((executed / run.step_ns) as u32).min(run.iters_this_run)
-}
-
-/// What the event core tells the outside world as it goes. [`FullRecorder`]
-/// reproduces `run`'s historical behavior exactly (per-job outcomes, the
-/// schedule trace, telemetry spans, metrics); [`StreamRecorder`] keeps
-/// aggregates only, so recording cost — like everything else in the
-/// streaming loop — is independent of stream length.
+/// What the event core tells the outside world as it goes: per-job
+/// outcomes, the schedule trace and telemetry spans ([`FullRecorder`]), or
+/// aggregates only ([`StreamRecorder`]), so recording cost — like everything
+/// else in the streaming loop — is independent of stream length. Counters
+/// and metrics are the core's own business, not a recorder's.
 trait Recorder {
-    fn on_arrive(&mut self, sim: &ClusterSim, job: &LiveJob, t_ns: u64);
-    fn on_admit(&mut self, sim: &ClusterSim, job: &LiveJob, grant: &Grant, t_ns: u64);
-    fn on_reject(&mut self, sim: &ClusterSim, job: &LiveJob, reason: &RejectReason, t_ns: u64);
-    fn on_complete(&mut self, sim: &ClusterSim, job: &LiveJob, t_ns: u64);
+    fn on_arrive(&mut self, job: &LiveJob, t_ns: u64);
+    fn on_admit(&mut self, job: &LiveJob, grant: &Grant, t_ns: u64);
+    fn on_reject(&mut self, job: &LiveJob, reason: &RejectReason, t_ns: u64);
+    fn on_complete(&mut self, job: &LiveJob, t_ns: u64);
     // Fault/recovery hooks, only reached when a fault plan is installed.
     // Default no-ops keep the streaming recorder O(1): aggregates for these
     // flow through [`CoreOutcome`] and the metrics registry instead.
-    fn on_fault(&mut self, _sim: &ClusterSim, _event: &FaultEvent, _t_ns: u64) {}
-    fn on_interrupt(&mut self, _sim: &ClusterSim, _job: &LiveJob, _device: usize, _t_ns: u64) {}
-    fn on_restart(
-        &mut self,
-        _sim: &ClusterSim,
-        _job: &LiveJob,
-        _grant: &Grant,
-        _exact: bool,
-        _t_ns: u64,
-    ) {
-    }
-    fn on_downgrade(
-        &mut self,
-        _sim: &ClusterSim,
-        _job: &LiveJob,
-        _from: PolicyPreset,
-        _grant: &Grant,
-        _t_ns: u64,
-    ) {
-    }
-    fn on_fail(&mut self, _sim: &ClusterSim, _job: &LiveJob, _why: &str, _t_ns: u64) {}
+    fn on_fault(&mut self, _event: &FaultEvent, _t_ns: u64) {}
+    fn on_interrupt(&mut self, _job: &LiveJob, _device: usize, _t_ns: u64) {}
+    fn on_restart(&mut self, _job: &LiveJob, _grant: &Grant, _exact: bool, _t_ns: u64) {}
+    fn on_downgrade(&mut self, _job: &LiveJob, _from: PolicyPreset, _grant: &Grant, _t_ns: u64) {}
+    fn on_fail(&mut self, _job: &LiveJob, _why: &str, _t_ns: u64) {}
 }
 
 /// Full per-job recording: byte-identical to what the pre-indexed loop
@@ -340,48 +416,52 @@ trait Recorder {
 struct FullRecorder {
     outcomes: Vec<JobOutcome>,
     trace: Vec<TraceEvent>,
+    /// The simulator's sink; off (and `tracks` empty) when untraced.
+    sink: TraceSink,
     tracks: Vec<TrackId>,
-    tracing: bool,
     /// Lazily-created fleet-level track for fault instants (faults belong
     /// to no tenant).
     fleet_track: Option<TrackId>,
 }
 
-impl Recorder for FullRecorder {
-    fn on_arrive(&mut self, sim: &ClusterSim, job: &LiveJob, t_ns: u64) {
-        debug_assert_eq!(self.outcomes.len() as u64, job.seq);
-        self.outcomes
-            .push(JobOutcome::pending(&job.spec, job.arrival));
+impl FullRecorder {
+    /// One schedule-trace entry for `job` and, when tracing, the instant
+    /// that mirrors it on the job's track.
+    fn note(
+        &mut self,
+        t_ns: u64,
+        job: &LiveJob,
+        kind: TraceKind,
+        instant: &'static str,
+        args: impl FnOnce() -> Vec<(&'static str, ArgValue)>,
+    ) {
         self.trace.push(TraceEvent {
             t_ns,
             job: job.spec.name.clone(),
-            kind: TraceKind::Arrive,
+            kind,
         });
-        if self.tracing {
-            sim.sink.instant(
-                self.tracks[job.seq as usize],
-                "arrive",
-                "cluster",
-                t_ns,
-                Vec::new(),
-            );
-        }
-        if let Some(m) = &sim.metrics {
-            m.submitted.inc();
+        if self.sink.is_enabled() {
+            let track = self.tracks[job.seq as usize];
+            self.sink.instant(track, instant, "cluster", t_ns, args());
         }
     }
+}
 
-    fn on_admit(&mut self, sim: &ClusterSim, job: &LiveJob, grant: &Grant, t_ns: u64) {
+impl Recorder for FullRecorder {
+    fn on_arrive(&mut self, job: &LiveJob, t_ns: u64) {
+        debug_assert_eq!(self.outcomes.len() as u64, job.seq);
+        self.outcomes
+            .push(JobOutcome::pending(&job.spec, job.arrival));
+        self.note(t_ns, job, TraceKind::Arrive, "arrive", Vec::new);
+    }
+
+    fn on_admit(&mut self, job: &LiveJob, grant: &Grant, t_ns: u64) {
         let idx = job.seq as usize;
         let out = &mut self.outcomes[idx];
         out.started = Some(SimTime(t_ns));
         out.granted = Some(grant.preset);
-        out.devices = grant.placements.iter().map(|p| p.device).collect();
-        out.reservations = grant
-            .placements
-            .iter()
-            .map(|p| p.prediction.peak_bytes)
-            .collect();
+        out.devices = grant.devices();
+        out.reservations = grant.peaks();
         self.trace.push(TraceEvent {
             t_ns,
             job: job.spec.name.clone(),
@@ -391,51 +471,29 @@ impl Recorder for FullRecorder {
                 reservations: out.reservations.clone(),
             },
         });
-        if self.tracing {
-            let arrival = self.outcomes[idx].arrival.0;
-            let t = t_ns.max(arrival);
-            sim.sink.span_with(
+        if self.sink.is_enabled() {
+            self.sink.span_with(
                 self.tracks[idx],
                 "queued".to_string(),
                 "cluster",
-                arrival,
-                t,
+                job.arrival.0,
+                t_ns,
                 vec![("preset", grant.preset.name().into())],
             );
         }
-        if let Some(m) = &sim.metrics {
-            m.admitted.inc();
-            if let Some(q) = self.outcomes[idx].queueing() {
-                m.queueing_ns.record(q.0);
-            }
-        }
     }
 
-    fn on_reject(&mut self, sim: &ClusterSim, job: &LiveJob, reason: &RejectReason, t_ns: u64) {
-        let idx = job.seq as usize;
-        self.outcomes[idx].rejected = Some(reason.clone());
-        if self.tracing {
-            sim.sink.instant(
-                self.tracks[idx],
-                "reject",
-                "cluster",
-                t_ns,
-                vec![("reason", reason.kind().into())],
-            );
-        }
-        if let Some(m) = &sim.metrics {
-            m.count_reject(reason);
-        }
-        self.trace.push(TraceEvent {
-            t_ns,
-            job: job.spec.name.clone(),
-            kind: TraceKind::Reject {
-                reason: reason.clone(),
-            },
+    fn on_reject(&mut self, job: &LiveJob, reason: &RejectReason, t_ns: u64) {
+        self.outcomes[job.seq as usize].rejected = Some(reason.clone());
+        let kind = TraceKind::Reject {
+            reason: reason.clone(),
+        };
+        self.note(t_ns, job, kind, "reject", || {
+            vec![("reason", reason.kind().into())]
         });
     }
 
-    fn on_complete(&mut self, sim: &ClusterSim, job: &LiveJob, t_ns: u64) {
+    fn on_complete(&mut self, job: &LiveJob, t_ns: u64) {
         let idx = job.seq as usize;
         self.outcomes[idx].completion = Some(SimTime(t_ns));
         self.trace.push(TraceEvent {
@@ -443,173 +501,101 @@ impl Recorder for FullRecorder {
             job: job.spec.name.clone(),
             kind: TraceKind::Complete,
         });
-        if self.tracing {
+        if self.sink.is_enabled() {
             let started = self.outcomes[idx].started.map(|s| s.0).unwrap_or(0);
-            let end = t_ns.max(started);
             let preset = self.outcomes[idx].granted.map(|p| p.name()).unwrap_or("?");
-            sim.sink.span_with(
+            self.sink.span_with(
                 self.tracks[idx],
                 "running".to_string(),
                 "cluster",
                 started,
-                end,
+                t_ns,
                 vec![
                     ("preset", preset.into()),
                     ("replicas", job.spec.replicas.into()),
                 ],
             );
         }
-        if let Some(m) = &sim.metrics {
-            m.completed.inc();
-            if let Some(l) = self.outcomes[idx].latency() {
-                m.latency_ns.record(l.0);
-            }
-        }
     }
 
-    fn on_fault(&mut self, sim: &ClusterSim, event: &FaultEvent, t_ns: u64) {
+    fn on_fault(&mut self, event: &FaultEvent, t_ns: u64) {
         let desc = event.describe();
         self.trace.push(TraceEvent {
             t_ns,
             job: "fleet".to_string(),
             kind: TraceKind::Fault { desc: desc.clone() },
         });
-        if self.tracing {
+        if self.sink.is_enabled() {
             let track = *self
                 .fleet_track
-                .get_or_insert_with(|| sim.sink.track("cluster", "faults"));
-            sim.sink
+                .get_or_insert_with(|| self.sink.track("cluster", "faults"));
+            self.sink
                 .instant(track, "fault", "cluster", t_ns, vec![("what", desc.into())]);
         }
     }
 
-    fn on_interrupt(&mut self, sim: &ClusterSim, job: &LiveJob, device: usize, t_ns: u64) {
-        let idx = job.seq as usize;
-        self.outcomes[idx].wasted_iterations = job.wasted_iters;
-        self.trace.push(TraceEvent {
+    fn on_interrupt(&mut self, job: &LiveJob, device: usize, t_ns: u64) {
+        self.outcomes[job.seq as usize].wasted_iterations = job.wasted_iters;
+        self.note(
             t_ns,
-            job: job.spec.name.clone(),
-            kind: TraceKind::Interrupt { device },
-        });
-        if self.tracing {
-            sim.sink.instant(
-                self.tracks[idx],
-                "interrupt",
-                "cluster",
-                t_ns,
-                vec![("device", device.into())],
-            );
-        }
+            job,
+            TraceKind::Interrupt { device },
+            "interrupt",
+            || vec![("device", device.into())],
+        );
     }
 
-    fn on_restart(
-        &mut self,
-        sim: &ClusterSim,
-        job: &LiveJob,
-        grant: &Grant,
-        exact: bool,
-        t_ns: u64,
-    ) {
-        let idx = job.seq as usize;
-        let out = &mut self.outcomes[idx];
+    fn on_restart(&mut self, job: &LiveJob, grant: &Grant, exact: bool, t_ns: u64) {
+        let out = &mut self.outcomes[job.seq as usize];
         out.granted = Some(grant.preset);
-        out.devices = grant.placements.iter().map(|p| p.device).collect();
-        out.reservations = grant
-            .placements
-            .iter()
-            .map(|p| p.prediction.peak_bytes)
-            .collect();
+        out.devices = grant.devices();
+        out.reservations = grant.peaks();
         out.restarts += 1;
         out.restart_peak_exact &= exact;
         out.wasted_iterations = job.wasted_iters;
-        self.trace.push(TraceEvent {
-            t_ns,
-            job: job.spec.name.clone(),
-            kind: TraceKind::Restart {
-                preset: grant.preset,
-                devices: self.outcomes[idx].devices.clone(),
-                reservations: self.outcomes[idx].reservations.clone(),
-                from_iteration: job.iters_done,
-            },
+        let kind = TraceKind::Restart {
+            preset: grant.preset,
+            devices: out.devices.clone(),
+            reservations: out.reservations.clone(),
+            from_iteration: job.iters_done,
+        };
+        self.note(t_ns, job, kind, "restart", || {
+            vec![
+                ("from_iter", job.iters_done.into()),
+                ("exact", exact.into()),
+            ]
         });
-        if self.tracing {
-            sim.sink.instant(
-                self.tracks[idx],
-                "restart",
-                "cluster",
-                t_ns,
-                vec![
-                    ("from_iter", job.iters_done.into()),
-                    ("exact", exact.into()),
-                ],
-            );
-        }
     }
 
-    fn on_downgrade(
-        &mut self,
-        sim: &ClusterSim,
-        job: &LiveJob,
-        from: PolicyPreset,
-        grant: &Grant,
-        t_ns: u64,
-    ) {
-        let idx = job.seq as usize;
-        let out = &mut self.outcomes[idx];
+    fn on_downgrade(&mut self, job: &LiveJob, from: PolicyPreset, grant: &Grant, t_ns: u64) {
+        let out = &mut self.outcomes[job.seq as usize];
         out.granted = Some(grant.preset);
-        out.reservations = grant
-            .placements
-            .iter()
-            .map(|p| p.prediction.peak_bytes)
-            .collect();
+        out.reservations = grant.peaks();
         out.wasted_iterations = job.wasted_iters;
-        self.trace.push(TraceEvent {
-            t_ns,
-            job: job.spec.name.clone(),
-            kind: TraceKind::Downgrade {
-                from,
-                to: grant.preset,
-                reservations: self.outcomes[idx].reservations.clone(),
-            },
+        let kind = TraceKind::Downgrade {
+            from,
+            to: grant.preset,
+            reservations: out.reservations.clone(),
+        };
+        self.note(t_ns, job, kind, "downgrade", || {
+            vec![("to", grant.preset.name().into())]
         });
-        if self.tracing {
-            sim.sink.instant(
-                self.tracks[idx],
-                "downgrade",
-                "cluster",
-                t_ns,
-                vec![("to", grant.preset.name().into())],
-            );
-        }
     }
 
-    fn on_fail(&mut self, sim: &ClusterSim, job: &LiveJob, why: &str, t_ns: u64) {
-        let idx = job.seq as usize;
-        self.outcomes[idx].failed = Some(why.to_string());
-        self.outcomes[idx].wasted_iterations = job.wasted_iters;
-        self.trace.push(TraceEvent {
-            t_ns,
-            job: job.spec.name.clone(),
-            kind: TraceKind::Fail {
-                why: why.to_string(),
-            },
-        });
-        if self.tracing {
-            sim.sink.instant(
-                self.tracks[idx],
-                "fail",
-                "cluster",
-                t_ns,
-                vec![("why", why.into())],
-            );
-        }
+    fn on_fail(&mut self, job: &LiveJob, why: &str, t_ns: u64) {
+        let out = &mut self.outcomes[job.seq as usize];
+        out.failed = Some(why.to_string());
+        out.wasted_iterations = job.wasted_iters;
+        let kind = TraceKind::Fail {
+            why: why.to_string(),
+        };
+        self.note(t_ns, job, kind, "fail", || vec![("why", why.into())]);
     }
 }
 
 /// Aggregate-only recording for streaming runs: a fixed-size latency sketch
 /// and exact queueing sums. No outcomes, no trace, no telemetry spans —
-/// O(1) memory regardless of stream length. Metrics counters (if enabled)
-/// still tick; they are already aggregates.
+/// O(1) memory regardless of stream length.
 #[derive(Default)]
 struct StreamRecorder {
     latency: LatencySketch,
@@ -618,35 +604,17 @@ struct StreamRecorder {
 }
 
 impl Recorder for StreamRecorder {
-    fn on_arrive(&mut self, sim: &ClusterSim, _job: &LiveJob, _t_ns: u64) {
-        if let Some(m) = &sim.metrics {
-            m.submitted.inc();
-        }
-    }
+    fn on_arrive(&mut self, _job: &LiveJob, _t_ns: u64) {}
 
-    fn on_admit(&mut self, sim: &ClusterSim, job: &LiveJob, _grant: &Grant, t_ns: u64) {
-        let q = t_ns.saturating_sub(job.arrival.0);
-        self.queue_sum += q as u128;
+    fn on_admit(&mut self, job: &LiveJob, _grant: &Grant, t_ns: u64) {
+        self.queue_sum += u128::from(t_ns - job.arrival.0);
         self.queue_count += 1;
-        if let Some(m) = &sim.metrics {
-            m.admitted.inc();
-            m.queueing_ns.record(q);
-        }
     }
 
-    fn on_reject(&mut self, sim: &ClusterSim, _job: &LiveJob, reason: &RejectReason, _t_ns: u64) {
-        if let Some(m) = &sim.metrics {
-            m.count_reject(reason);
-        }
-    }
+    fn on_reject(&mut self, _job: &LiveJob, _reason: &RejectReason, _t_ns: u64) {}
 
-    fn on_complete(&mut self, sim: &ClusterSim, job: &LiveJob, t_ns: u64) {
-        let l = t_ns.saturating_sub(job.arrival.0);
-        self.latency.record(l);
-        if let Some(m) = &sim.metrics {
-            m.completed.inc();
-            m.latency_ns.record(l);
-        }
+    fn on_complete(&mut self, job: &LiveJob, t_ns: u64) {
+        self.latency.record(t_ns - job.arrival.0);
     }
 }
 
@@ -766,10 +734,14 @@ pub(crate) struct AdmitScratch<'a> {
     candidates: Vec<Candidate>,
 }
 
-/// What the event core hands back besides recorder contents.
+/// What the event core hands back besides recorder contents. The counters
+/// are the ones the core increments as it goes, each where its event
+/// happens.
+#[derive(Default)]
 struct CoreOutcome {
+    /// Final device states, integrals settled to `makespan`.
     devices: Vec<DeviceState>,
-    now_ns: f64,
+    makespan: SimTime,
     peak_concurrent: usize,
     /// Slab high-water: the constant-memory evidence for streaming runs.
     peak_live: usize,
@@ -1159,7 +1131,7 @@ impl ClusterSim {
 
     /// Why `job` can never run here, for a job that is infeasible on the
     /// healthy idle fleet.
-    fn reject_reason(&self, job: &JobSpec) -> RejectReason {
+    pub(crate) fn reject_reason(&self, job: &JobSpec) -> RejectReason {
         if job.replicas == 0 {
             RejectReason::EmptyGang
         } else if job.replicas > self.fleet.len() {
@@ -1184,8 +1156,7 @@ impl ClusterSim {
         // One per-tenant track per job under the "cluster" process,
         // pre-created in arrival order so the Perfetto artifact's track
         // layout is identical to the reference loop's; empty when untraced.
-        let tracing = self.sink.is_enabled();
-        let tracks: Vec<TrackId> = if tracing {
+        let tracks: Vec<TrackId> = if self.sink.is_enabled() {
             arrivals
                 .iter()
                 .map(|(_, j)| self.sink.track("cluster", &j.name))
@@ -1196,31 +1167,19 @@ impl ClusterSim {
         let mut rec = FullRecorder {
             outcomes: Vec::with_capacity(arrivals.len()),
             trace: Vec::new(),
+            sink: self.sink.clone(),
             tracks,
-            tracing,
             fleet_track: None,
         };
         let mut stream = ReplayStream::new(arrivals);
-        let core = self.run_core(&mut stream, &mut rec);
-
-        let makespan = SimTime(core.now_ns.round() as u64);
+        let core = Core::new(self, &mut stream, &mut rec).run();
         ClusterReport::assemble(
             &self.fleet,
             self.placement,
             rec.outcomes,
             rec.trace,
-            makespan,
-            core.devices
-                .iter()
-                .map(|d| {
-                    (
-                        d.busy_ns,
-                        d.reserved_integral,
-                        d.peak_reserved,
-                        d.peak_tenants,
-                    )
-                })
-                .collect(),
+            core.makespan,
+            &core.devices,
             core.peak_concurrent,
             self.profiler.simulated(),
         )
@@ -1236,18 +1195,11 @@ impl ClusterSim {
     /// exact — the loop is the same indexed core [`ClusterSim::run`] uses.
     pub fn run_stream(&mut self, stream: &mut dyn ArrivalStream) -> ServiceReport {
         let mut rec = StreamRecorder::default();
-        let core = self.run_core(stream, &mut rec);
+        let core = Core::new(self, stream, &mut rec).run();
 
-        let makespan = SimTime(core.now_ns.round() as u64);
-        let span_ns = makespan.0.max(1) as f64;
-        let compute_utilization = core.devices.iter().map(|d| d.busy_ns).sum::<f64>()
-            / (span_ns * self.fleet.len().max(1) as f64);
-        let memory_utilization = core
-            .devices
-            .iter()
-            .map(|d| d.reserved_integral)
-            .sum::<f64>()
-            / (span_ns * self.fleet.total_dram().max(1) as f64);
+        let makespan = core.makespan;
+        let (compute_utilization, memory_utilization) =
+            utilization(&self.fleet, makespan, &core.devices);
         let mean_queueing = if rec.queue_count == 0 {
             SimTime::ZERO
         } else {
@@ -1283,825 +1235,810 @@ impl ClusterSim {
             peak_live_jobs: core.peak_live,
         }
     }
+}
 
-    /// The indexed discrete-event core (see the module docs). Everything
-    /// observable goes through `rec`; the returned [`CoreOutcome`] carries
-    /// the device integrals and counters both report types share.
-    fn run_core<R: Recorder>(&self, stream: &mut dyn ArrivalStream, rec: &mut R) -> CoreOutcome {
-        let mut devices = vec![DeviceState::default(); self.fleet.len()];
-        // Per-device running tenants: the gangs a tenant-count change on
-        // this device can re-pace. The re-anchor sweep walks only these.
-        let mut tenants_on: Vec<Vec<SlotKey>> = vec![Vec::new(); self.fleet.len()];
-        let mut jobs: Slab<LiveJob> = Slab::new();
-        let mut heap = EventHeap::default();
-        let mut pending: Vec<SlotKey> = Vec::new(); // FIFO queue
-        let mut memo = AdmitMemo::default();
-        // Per-event work lists and the admission sweep's buffers, reused
-        // across iterations: a steady-state event allocates only for what
-        // it leaves behind (a grant, a memo entry).
-        let mut scratch = AdmitScratch::default();
-        let mut completions: Vec<SlotKey> = Vec::new();
-        let mut retries: Vec<(u64, SlotKey)> = Vec::new();
-        let mut affected: Vec<usize> = Vec::new();
-        let mut kept: Vec<SlotKey> = Vec::new();
-        let mut victims: Vec<SlotKey> = Vec::new();
+/// The indexed discrete-event core (see the module docs): everything a run
+/// mutates, with one handler per step of an instant. Everything observable
+/// goes through `rec`; [`Core::run`] returns the device integrals and
+/// counters both report types share.
+struct Core<'a, R: Recorder> {
+    sim: &'a ClusterSim,
+    stream: &'a mut dyn ArrivalStream,
+    rec: &'a mut R,
+    out: CoreOutcome,
+    /// The clock: the instant of the batch being handled.
+    now_ns: u64,
+    devices: Vec<DeviceState>,
+    /// Per-device running tenants: the gangs a tenant-count change on this
+    /// device can re-pace. The re-anchor sweep walks only these.
+    tenants_on: Vec<Vec<SlotKey>>,
+    jobs: Slab<LiveJob>,
+    heap: EventHeap,
+    /// The FIFO admission queue; `pending[fresh_from..]` joined it at this
+    /// instant.
+    pending: Vec<SlotKey>,
+    fresh_from: usize,
+    memo: AdmitMemo,
+    scratch: AdmitScratch<'a>,
+    /// The arrival pulled one ahead of the clock.
+    next_arrival: Option<(SimTime, JobSpec)>,
+    next_seq: u64,
+    running: usize,
+    /// Jobs parked in backoff: live slab slots that are neither queued nor
+    /// running until their retry fires.
+    parked: usize,
+    /// Reservation-state version, bumped on every reserve/release.
+    /// `pass_version` is the version every *currently queued* job was last
+    /// (provably) evaluated at; when they match, the FIFO pass can skip
+    /// straight to this instant's fresh arrivals — the old entries'
+    /// re-evaluation would be a pure replay ending in "still pending".
+    state_version: u64,
+    pass_version: u64,
+    // Fault state; inert without a plan.
+    faults: Vec<(SimTime, FaultEvent)>,
+    next_fault: usize,
+    link_permille: u32,
+    /// Bumped on every fail/recover: scopes the live-subset feasibility
+    /// memo.
+    fault_epoch: u64,
+    fail_since: Vec<Option<u64>>,
+    // This instant's work lists, reused from instant to instant: a
+    // steady-state event allocates only for what it leaves behind (a grant,
+    // a memo entry).
+    completions: Vec<SlotKey>,
+    /// Devices whose tenant count changed this instant — the re-anchor
+    /// sweep visits exactly their gangs.
+    affected: Vec<usize>,
+    kept: Vec<SlotKey>,
+}
 
-        let mut now_ns = 0f64;
-        let mut next_seq = 0u64;
-        let mut running_count = 0usize;
-        let mut peak_concurrent = 0usize;
-        let mut events = 0u64;
-        let mut submitted = 0u64;
-        let mut completed = 0u64;
-        let mut rejected = 0u64;
-        let mut failed = 0u64;
-        let mut interrupted = 0u64;
-        let mut restarts = 0u64;
-        let mut useful_iters = 0u64;
-        let mut wasted_iters = 0u64;
-        // Jobs parked in backoff: live slab slots that are neither queued
-        // nor running until their retry fires.
-        let mut backoff_count = 0usize;
-
-        // Fault state. `fault_mode` gates the clock and restart branches
-        // below: with no plan installed the loop executes the exact float-op
-        // sequence the no-fault differential suite pins. (The not-admitted
-        // arm is shared: fault-free it degenerates to wait-or-reject.)
-        let fault_mode = self.faults.is_some();
-        let faults: Vec<(SimTime, FaultEvent)> = self
-            .faults
-            .clone()
-            .map(|p| p.into_events())
-            .unwrap_or_default();
-        let mut next_fault = 0usize;
-        let mut link_permille: u32 = 1000;
-        // Bumped on every fail/recover: scopes the live-subset feasibility
-        // memo.
-        let mut fault_epoch = 0u64;
-        let mut fail_since: Vec<Option<u64>> = vec![None; self.fleet.len()];
-        // Monotone integer stamp clock. Faults, retries, and arrivals carry
-        // exact integer instants whose f64 projections can round *down* past
-        // 2^53 ns; stamps derived from the rounded f64 clock are clamped to
-        // this so the trace never runs backwards. Fault-gated: fault-free
-        // stamps stay bit-identical to the reference loop.
-        let mut clock_int: u64 = 0;
-        if let Some((t, _)) = faults.first() {
-            heap.push(t.0 as f64, u64::MAX - 1, EventKind::FaultDue);
+impl<'a, R: Recorder> Core<'a, R> {
+    fn new(sim: &'a ClusterSim, stream: &'a mut dyn ArrivalStream, rec: &'a mut R) -> Self {
+        let n = sim.fleet.len();
+        let mut core = Core {
+            sim,
+            stream,
+            rec,
+            out: CoreOutcome::default(),
+            now_ns: 0,
+            devices: vec![DeviceState::default(); n],
+            tenants_on: vec![Vec::new(); n],
+            jobs: Slab::new(),
+            heap: EventHeap::default(),
+            pending: Vec::new(),
+            fresh_from: 0,
+            memo: AdmitMemo::default(),
+            scratch: AdmitScratch::default(),
+            next_arrival: None,
+            next_seq: 0,
+            running: 0,
+            parked: 0,
+            state_version: 0,
+            pass_version: 0,
+            faults: sim
+                .faults
+                .clone()
+                .map(|p| p.into_events())
+                .unwrap_or_default(),
+            next_fault: 0,
+            link_permille: 1000,
+            fault_epoch: 0,
+            fail_since: vec![None; n],
+            completions: Vec::new(),
+            affected: Vec::new(),
+            kept: Vec::new(),
+        };
+        if let Some((t, _)) = core.faults.first() {
+            core.heap.push(t.0, u64::MAX - 1, EventKind::FaultDue);
         }
-
-        // Reservation-state version, bumped on every reserve/release.
-        // `pass_version` is the version every *currently queued* job was
-        // last (provably) evaluated at; when they match, the FIFO pass can
-        // skip straight to this event's fresh arrivals — the old entries'
-        // re-evaluation would be a pure replay ending in "still pending".
-        let mut state_version = 0u64;
-        let mut pass_version = 0u64;
-
-        // Pull one arrival ahead of the clock.
-        let mut pending_arrival = stream.next_job();
-        if let Some((t, _)) = &pending_arrival {
-            heap.push(t.0 as f64, u64::MAX, EventKind::Arrival);
+        core.next_arrival = core.stream.next_job();
+        if let Some((t, _)) = &core.next_arrival {
+            core.heap.push(t.0, u64::MAX, EventKind::Arrival);
         }
+        core
+    }
 
-        loop {
-            // Earliest event: every queued entry is live (see `event_heap`).
-            let Some(t_next) = heap.peek().map(|ev| ev.t_ns) else {
-                // In fault mode a job can terminally wait out a pressure
-                // spike that never lifts; it is reported as still queued.
-                debug_assert!(
-                    fault_mode || pending.is_empty(),
-                    "queued jobs with no future events"
-                );
-                break;
-            };
-
-            // Collect everything due at this instant *before* processing:
-            // pushes made while handling the batch (same-f64-time arrivals
-            // past 2^53 ns, zero-dt re-projections) belong to the next
-            // iteration, exactly like the reference loop's dt=0 follow-ups.
-            completions.clear();
-            retries.clear();
-            let mut arrival_due = false;
-            let mut fault_due = false;
-            while heap.peek().is_some_and(|ev| ev.t_ns == t_next) {
-                let ev = heap.pop().expect("peeked entry");
-                match ev.kind {
-                    EventKind::Completion { key } => {
-                        // What pops is the gang's live projection, bit for
-                        // bit — never one made before a re-anchor, an
-                        // interrupt or a restart.
-                        debug_assert!(
-                            jobs.get(key).and_then(|j| j.run.as_ref()).is_some_and(|r| {
-                                (r.anchor_ns + r.remaining_ns * r.slowdown).to_bits()
-                                    == ev.t_ns.to_bits()
-                            }),
-                            "a completion popped that is not its gang's live projection"
-                        );
-                        completions.push(key);
-                    }
-                    EventKind::Retry { key, due_ns } => retries.push((due_ns, key)),
-                    EventKind::Arrival => arrival_due = true,
-                    EventKind::FaultDue => fault_due = true,
-                }
-            }
-            // Heap pops at equal times ascend by `order`, i.e. by arrival
-            // sequence — the completion-report order the reference loop
-            // gets from keeping `running` sorted.
-            debug_assert!(completions
-                .windows(2)
-                .all(|w| jobs.get(w[0]).unwrap().seq < jobs.get(w[1]).unwrap().seq));
-
-            // Advance the clock: device accounting integrates (per-gang
-            // progress is implicit in the anchors). Deliberately the same
-            // eager per-device loop as the reference — f64 addition is not
-            // associative, so coalescing idle stretches would change bits;
-            // the fleet is small and fixed, the asymptotic win is in jobs.
-            let dt = t_next - now_ns;
-            if dt > 0.0 {
-                for d in devices.iter_mut() {
-                    if d.tenants > 0 {
-                        d.busy_ns += dt;
-                    }
-                    d.reserved_integral += d.reserved as f64 * dt;
-                }
-            }
-            // Never move the clock backwards: an arrival timestamp past
-            // 2^53 ns can *round down* below a completion the clock already
-            // advanced to.
-            now_ns = now_ns.max(t_next);
-
-            // Devices whose tenant count changes this event — the re-anchor
-            // sweep below visits exactly their gangs.
-            affected.clear();
-
-            // Completions first (freeing capacity for same-instant
-            // arrivals), in arrival-sequence order.
-            for &key in &completions {
-                let mut job = jobs.remove(key).expect("queued completions are live");
-                let run = job.run.take().expect("queued completions are running");
-                for p in &run.grant.placements {
-                    devices[p.device].reserved -= p.prediction.peak_bytes;
-                    devices[p.device].tenants -= 1;
-                    let list = &mut tenants_on[p.device];
-                    let pos = list.iter().position(|k| *k == key).expect("tenant listed");
-                    list.swap_remove(pos);
-                    affected.push(p.device);
-                }
-                state_version += 1;
-                running_count -= 1;
-                completed += 1;
-                useful_iters += u64::from(job.spec.iterations);
-                events += 1;
-                let t_done = if fault_mode {
-                    clock_int = clock_int.max(now_ns.round() as u64);
-                    clock_int
-                } else {
-                    now_ns.round() as u64
-                };
-                rec.on_complete(self, &job, t_done);
-            }
-
-            // Injected faults at this instant, in plan order. Matched on the
-            // *integer* nanosecond timestamp (like arrivals below) so plans
-            // past 2^53 ns cannot merge or drop instants under `as f64`.
+    /// Handle instant after instant until no event is left: at each, the
+    /// steps in the order that defines the schedule.
+    fn run(mut self) -> CoreOutcome {
+        // Every queued entry is live (see `event_heap`), so the earliest is
+        // the next instant.
+        while let Some(t_ns) = self.heap.peek().map(|ev| ev.t_ns) {
+            let before = self.now_ns;
+            let (arrival_due, fault_due) = self.pop_due(t_ns);
+            self.complete_due();
             if fault_due {
-                let t_int = faults[next_fault].0 .0;
-                clock_int = clock_int.max(t_int);
-                while next_fault < faults.len() && faults[next_fault].0 .0 == t_int {
-                    let ev = faults[next_fault].1;
-                    next_fault += 1;
-                    match ev {
-                        FaultEvent::DeviceFail { device } if device < devices.len() => {
-                            if devices[device].failed {
-                                continue; // already down
-                            }
-                            devices[device].failed = true;
-                            fail_since[device] = Some(t_int);
-                            state_version += 1;
-                            fault_epoch += 1;
-                            events += 1;
-                            rec.on_fault(self, &ev, t_int);
-                            if let Some(m) = &self.metrics {
-                                m.device_failures.inc();
-                            }
-                            // Interrupt every gang with a replica here —
-                            // atomically: ALL replicas' reservations and
-                            // tenant slots release, not just this device's.
-                            victims.clear();
-                            victims.extend_from_slice(&tenants_on[device]);
-                            for &vkey in &victims {
-                                let (seq, kind, total_done) = {
-                                    let vjob =
-                                        jobs.get_mut(vkey).expect("tenant lists track live jobs");
-                                    let run = vjob.run.take().expect("listed tenants are running");
-                                    heap.remove_completion(vkey);
-                                    let done = fold_done_iterations(&run, now_ns);
-                                    for p in &run.grant.placements {
-                                        devices[p.device].reserved -= p.prediction.peak_bytes;
-                                        devices[p.device].tenants -= 1;
-                                        let list = &mut tenants_on[p.device];
-                                        let pos = list
-                                            .iter()
-                                            .position(|k| *k == vkey)
-                                            .expect("tenant listed");
-                                        list.swap_remove(pos);
-                                        affected.push(p.device);
-                                    }
-                                    (vjob.seq, vjob.spec.kind, vjob.iters_done + done)
-                                };
-                                state_version += 1;
-                                running_count -= 1;
-                                interrupted += 1;
-                                events += 1;
-                                if let Some(m) = &self.metrics {
-                                    m.jobs_interrupted.inc();
-                                }
-                                let permanent = match self.recovery.mode {
-                                    RecoveryMode::NoRecovery => {
-                                        Some(format!("device {device} failed (no recovery)"))
-                                    }
-                                    _ if jobs.get(vkey).unwrap().attempts
-                                        >= self.recovery.max_retries =>
-                                    {
-                                        Some(format!(
-                                            "device {device} failed after {} retries",
-                                            self.recovery.max_retries
-                                        ))
-                                    }
-                                    _ => None,
-                                };
-                                match permanent {
-                                    Some(why) => {
-                                        let waste = {
-                                            let vjob = jobs.get_mut(vkey).unwrap();
-                                            let w = u64::from(total_done);
-                                            vjob.wasted_iters += w;
-                                            w
-                                        };
-                                        wasted_iters += waste;
-                                        if let Some(m) = &self.metrics {
-                                            m.wasted_iterations.add(waste);
-                                            m.jobs_failed.inc();
-                                        }
-                                        rec.on_interrupt(
-                                            self,
-                                            jobs.get(vkey).unwrap(),
-                                            device,
-                                            t_int,
-                                        );
-                                        rec.on_fail(self, jobs.get(vkey).unwrap(), &why, t_int);
-                                        jobs.remove(vkey);
-                                        failed += 1;
-                                        events += 1;
-                                    }
-                                    None => {
-                                        // Fold to the checkpoint, park in
-                                        // backoff: pure u64 timer chains.
-                                        let attempt = {
-                                            let vjob = jobs.get_mut(vkey).unwrap();
-                                            let kept = self.recovery.checkpointed(kind, total_done);
-                                            let waste = u64::from(total_done - kept);
-                                            vjob.iters_done = kept;
-                                            vjob.wasted_iters += waste;
-                                            wasted_iters += waste;
-                                            if let Some(m) = &self.metrics {
-                                                m.wasted_iterations.add(waste);
-                                            }
-                                            vjob.pending_restart = true;
-                                            let a = vjob.attempts;
-                                            vjob.attempts += 1;
-                                            a
-                                        };
-                                        let delay = self.recovery.backoff_delay(attempt, seq);
-                                        let due = t_int.saturating_add(delay.0);
-                                        {
-                                            let vjob = jobs.get_mut(vkey).unwrap();
-                                            vjob.anchor_int = due;
-                                        }
-                                        heap.push(
-                                            due as f64,
-                                            seq,
-                                            EventKind::Retry {
-                                                key: vkey,
-                                                due_ns: due,
-                                            },
-                                        );
-                                        backoff_count += 1;
-                                        if let Some(m) = &self.metrics {
-                                            m.retries_scheduled.inc();
-                                            m.backoff_ns.record(delay.0);
-                                        }
-                                        rec.on_interrupt(
-                                            self,
-                                            jobs.get(vkey).unwrap(),
-                                            device,
-                                            t_int,
-                                        );
-                                    }
-                                }
-                            }
-                        }
-                        FaultEvent::DeviceRecover { device } if device < devices.len() => {
-                            if !devices[device].failed {
-                                continue;
-                            }
-                            devices[device].failed = false;
-                            state_version += 1;
-                            fault_epoch += 1;
-                            events += 1;
-                            rec.on_fault(self, &ev, t_int);
-                            let since = fail_since[device].take();
-                            if let Some(m) = &self.metrics {
-                                m.device_recoveries.inc();
-                                if let Some(t0) = since {
-                                    m.mttr_ns.record(t_int.saturating_sub(t0));
-                                }
-                            }
-                        }
-                        FaultEvent::LinkDegrade { permille } => {
-                            let p = permille.max(1);
-                            if p == link_permille {
-                                continue;
-                            }
-                            link_permille = p;
-                            events += 1;
-                            rec.on_fault(self, &ev, t_int);
-                            // Every running gang may re-pace.
-                            affected.extend(0..devices.len());
-                        }
-                        FaultEvent::LinkRestore => {
-                            if link_permille == 1000 {
-                                continue;
-                            }
-                            link_permille = 1000;
-                            events += 1;
-                            rec.on_fault(self, &ev, t_int);
-                            affected.extend(0..devices.len());
-                        }
-                        FaultEvent::PressureSpike { device, bytes } if device < devices.len() => {
-                            devices[device].spike = devices[device].spike.saturating_add(bytes);
-                            state_version += 1;
-                            events += 1;
-                            rec.on_fault(self, &ev, t_int);
-                        }
-                        FaultEvent::PressureRelease { device, bytes } if device < devices.len() => {
-                            devices[device].spike = devices[device].spike.saturating_sub(bytes);
-                            state_version += 1;
-                            events += 1;
-                            rec.on_fault(self, &ev, t_int);
-                        }
-                        _ => {} // out-of-range device index: ignore
-                    }
-                }
-                if let Some((t, _)) = faults.get(next_fault) {
-                    debug_assert!(t.0 >= t_int, "fault plans are normalized");
-                    heap.push(t.0 as f64, u64::MAX - 1, EventKind::FaultDue);
-                }
-            }
-
-            // Arrivals at this instant join the queue in pull order. Match
-            // on the *integer* nanosecond timestamp, not its f64 projection:
-            // beyond 2^53 ns distinct arrival times collapse under `as f64`,
-            // and a float-equality match would drop (or spuriously merge)
-            // coincident arrivals.
-            let fresh_start = pending.len();
-            // Parked jobs whose backoff expired re-enter the queue ahead of
-            // fresh arrivals at the same instant (they arrived earlier),
-            // ordered by (due instant, arrival sequence). They sit at or
-            // past `fresh_start`, so even a memoized (non-full) pass
-            // re-evaluates them.
-            if !retries.is_empty() {
-                retries.sort_unstable_by_key(|&(due, key)| {
-                    (due, jobs.get(key).map(|j| j.seq).unwrap_or(u64::MAX))
-                });
-                for &(due, key) in &retries {
-                    let job = jobs.get_mut(key).expect("parked jobs stay live");
-                    debug_assert!(job.run.is_none(), "parked jobs cannot be running");
-                    job.anchor_int = job.anchor_int.max(due);
-                    clock_int = clock_int.max(due);
-                    pending.push(key);
-                    backoff_count -= 1;
-                }
+                self.apply_faults();
             }
             if arrival_due {
-                let (t0, first) = pending_arrival.take().expect("arrival marker without job");
-                let t_int = t0.0;
-                if fault_mode {
-                    clock_int = clock_int.max(t_int);
-                }
-                let mut cur = Some((t0, first));
-                loop {
-                    match cur.take() {
-                        Some((t, spec)) if t.0 == t_int => {
-                            let seq = next_seq;
-                            next_seq += 1;
-                            let key = jobs.insert(LiveJob {
-                                spec: Arc::new(spec),
-                                seq,
-                                arrival: t,
-                                run: None,
-                                anchor_int: t_int,
-                                iters_done: 0,
-                                attempts: 0,
-                                wasted_iters: 0,
-                                pending_restart: false,
-                                resume: None,
-                            });
-                            pending.push(key);
-                            submitted += 1;
-                            events += 1;
-                            rec.on_arrive(self, jobs.get(key).expect("just inserted"), t_int);
-                            cur = stream.next_job();
-                        }
-                        later => {
-                            cur = later;
-                            break;
-                        }
-                    }
-                }
-                pending_arrival = cur;
-                if let Some((t, _)) = &pending_arrival {
-                    debug_assert!(t.0 >= t_int, "ArrivalStream times must be non-decreasing");
-                    heap.push(t.0 as f64, u64::MAX, EventKind::Arrival);
-                }
+                self.take_arrivals();
             }
-
-            // Admission/placement pass: FIFO with backfill — a blocked job
-            // stays queued while later, smaller jobs may slot in behind it.
-            // When reservations haven't changed since the queue was last
-            // evaluated, only this event's fresh arrivals are worth asking
-            // about (see `pass_version` above).
-            // Integer stamp for this instant's pass: runs logically after
-            // the integer-stamped faults/retries/arrivals above, so it is
-            // clamped to never sit behind them.
-            let now_int = if fault_mode {
-                clock_int = clock_int.max(now_ns.round() as u64);
-                clock_int
-            } else {
-                now_ns.round() as u64
-            };
-            let full_pass = state_version != pass_version;
-            let start = if full_pass { 0 } else { fresh_start };
-            let version_at_pass_start = state_version;
-            kept.clear();
-            for &key in pending.iter().skip(start) {
-                let (spec, resume, restarting) = {
-                    let j = jobs.get(key).expect("pending jobs are live");
-                    (Arc::clone(&j.spec), j.resume.clone(), j.pending_restart)
-                };
-                let mut grant_opt = match &resume {
-                    // A job granted before carries its frozen plan: restart
-                    // re-admission is budget-exact, never a fresh search.
-                    Some(rp) => self.try_admit_resume(&devices, &spec, rp),
-                    None => {
-                        self.try_admit_memo(&devices, &spec, &mut memo, state_version, &mut scratch)
-                    }
-                };
-                // Elastic rescue: make room by live-downgrading running
-                // tenants one preset rung (strictly smaller reserved peak),
-                // through the same plan memo admission uses.
-                let mut rescue: Option<Vec<(SlotKey, Grant)>> = None;
-                if grant_opt.is_none()
-                    && fault_mode
-                    && self.recovery.mode == RecoveryMode::RestartElastic
-                {
-                    if let Some((downgrades, admit)) = self.plan_elastic(
-                        &devices,
-                        &jobs,
-                        &tenants_on,
-                        &spec,
-                        resume.as_ref(),
-                        &mut scratch,
-                    ) {
-                        rescue = Some(downgrades);
-                        grant_opt = Some(admit);
-                    }
-                }
-                match grant_opt {
-                    Some(grant) => {
-                        // Commit planned downgrades first — they free the
-                        // room the grant below relies on.
-                        if let Some(downgrades) = rescue {
-                            for (tkey, new_grant) in downgrades {
-                                let (tseq, from, old_grant) = {
-                                    let tjob =
-                                        jobs.get_mut(tkey).expect("planned tenants are live");
-                                    let trun =
-                                        tjob.run.as_mut().expect("planned tenants are running");
-                                    // The downgraded plan restarts the
-                                    // remaining iterations from the last
-                                    // checkpoint; the fold's loss is wasted
-                                    // work.
-                                    let done = fold_done_iterations(trun, now_ns);
-                                    let total_done = tjob.iters_done + done;
-                                    let kept_iters =
-                                        self.recovery.checkpointed(tjob.spec.kind, total_done);
-                                    let waste = u64::from(total_done - kept_iters);
-                                    tjob.iters_done = kept_iters;
-                                    tjob.wasted_iters += waste;
-                                    wasted_iters += waste;
-                                    if let Some(m) = &self.metrics {
-                                        m.wasted_iterations.add(waste);
-                                    }
-                                    let from = trun.grant.preset;
-                                    let old = std::mem::replace(&mut trun.grant, new_grant.clone());
-                                    (tjob.seq, from, old)
-                                };
-                                for p in &old_grant.placements {
-                                    devices[p.device].reserved -= p.prediction.peak_bytes;
-                                }
-                                for p in &new_grant.placements {
-                                    let d = p.device;
-                                    devices[d].reserved += p.prediction.peak_bytes;
-                                    devices[d].peak_reserved =
-                                        devices[d].peak_reserved.max(devices[d].reserved);
-                                    debug_assert!(
-                                        devices[d].reserved <= self.fleet.devices[d].dram_bytes,
-                                        "downgrade reservation exceeds device {d} DRAM"
-                                    );
-                                    affected.push(d);
-                                }
-                                state_version += 1;
-                                let (tspec, titers_left) = {
-                                    let tjob = jobs.get(tkey).expect("planned tenants are live");
-                                    (
-                                        Arc::clone(&tjob.spec),
-                                        tjob.spec.iterations - tjob.iters_done,
-                                    )
-                                };
-                                let tstep = self.step_time(&tspec, &new_grant);
-                                let tslow = apply_link(
-                                    gang_slowdown(&devices, &new_grant),
-                                    tspec.replicas,
-                                    link_permille,
-                                );
-                                {
-                                    let tjob =
-                                        jobs.get_mut(tkey).expect("planned tenants are live");
-                                    tjob.resume = Some(resume_plan_of(&new_grant));
-                                    let trun =
-                                        tjob.run.as_mut().expect("planned tenants are running");
-                                    trun.step_ns = tstep.0 as f64;
-                                    trun.iters_this_run = titers_left;
-                                    trun.remaining_ns = tstep.0 as f64 * titers_left as f64;
-                                    trun.anchor_ns = now_ns;
-                                    trun.slowdown = tslow;
-                                    heap.set_completion(
-                                        tkey,
-                                        now_ns + trun.remaining_ns * tslow,
-                                        tseq,
-                                    );
-                                }
-                                rec.on_downgrade(
-                                    self,
-                                    jobs.get(tkey).expect("planned tenants are live"),
-                                    from,
-                                    &new_grant,
-                                    now_int,
-                                );
-                                events += 1;
-                                if let Some(m) = &self.metrics {
-                                    m.jobs_downgraded.inc();
-                                }
-                            }
-                        }
-                        let iters_left = spec.iterations
-                            - jobs.get(key).expect("pending jobs are live").iters_done;
-                        let step = self.step_time(&spec, &grant);
-                        let work_ns = step.0 as f64 * iters_left as f64;
-                        for p in &grant.placements {
-                            let d = p.device;
-                            devices[d].reserved += p.prediction.peak_bytes;
-                            devices[d].tenants += 1;
-                            devices[d].peak_reserved =
-                                devices[d].peak_reserved.max(devices[d].reserved);
-                            devices[d].peak_tenants =
-                                devices[d].peak_tenants.max(devices[d].tenants);
-                            debug_assert!(
-                                devices[d].reserved <= self.fleet.devices[d].dram_bytes,
-                                "reservation exceeds device {d} DRAM"
-                            );
-                            tenants_on[d].push(key);
-                            affected.push(d);
-                        }
-                        state_version += 1;
-                        if restarting {
-                            // Gate: the re-admitted plan must be
-                            // byte-identical to the original — same sorted
-                            // (budget, peak) vector, peaks straight from
-                            // the shared plan memo.
-                            let exact = resume.as_ref().is_some_and(|rp| {
-                                let mut got: Vec<(u64, u64)> = grant
-                                    .placements
-                                    .iter()
-                                    .map(|p| (p.budget, p.prediction.peak_bytes))
-                                    .collect();
-                                got.sort_unstable_by(|a, b| b.cmp(a));
-                                got.iter().map(|g| g.0).eq(rp.budgets.iter().copied())
-                                    && got.iter().map(|g| g.1).eq(rp.peaks.iter().copied())
-                            });
-                            restarts += 1;
-                            if let Some(m) = &self.metrics {
-                                m.jobs_restarted.inc();
-                            }
-                            rec.on_restart(
-                                self,
-                                jobs.get(key).expect("pending jobs are live"),
-                                &grant,
-                                exact,
-                                now_int,
-                            );
-                        } else {
-                            rec.on_admit(
-                                self,
-                                jobs.get(key).expect("pending jobs are live"),
-                                &grant,
-                                now_int,
-                            );
-                        }
-                        if fault_mode {
-                            let j = jobs.get_mut(key).expect("pending jobs are live");
-                            j.pending_restart = false;
-                            j.attempts = 0;
-                            j.resume = Some(resume_plan_of(&grant));
-                        }
-                        // The gang's slowdown is read *after* its own
-                        // reservations landed; if a later same-pass
-                        // admission changes it, the sweep below folds that
-                        // in (a zero-dt, bit-safe re-anchor).
-                        let slowdown = apply_link(
-                            gang_slowdown(&devices, &grant),
-                            spec.replicas,
-                            link_permille,
-                        );
-                        let seq = {
-                            let job = jobs.get_mut(key).expect("pending jobs are live");
-                            job.run = Some(RunState {
-                                grant,
-                                remaining_ns: work_ns,
-                                anchor_ns: now_ns,
-                                slowdown,
-                                step_ns: step.0 as f64,
-                                iters_this_run: iters_left,
-                            });
-                            job.seq
-                        };
-                        heap.set_completion(key, now_ns + work_ns * slowdown, seq);
-                        running_count += 1;
-                        events += 1;
-                    }
-                    None => {
-                        // Three-way — wait (feasible on the live subset), back
-                        // off (only an outage blocks it), or reject/fail.
-                        // With no device failed the live subset is the
-                        // fleet, so the middle way is never taken and a
-                        // shape's feasibility is asked once per run, not
-                        // once per pass.
-                        if memo.feasible_epoch != fault_epoch {
-                            memo.feasible.clear();
-                            memo.feasible_epoch = fault_epoch;
-                        }
-                        let shape = shape_key(&spec);
-                        let feasible_live = *memo.feasible.entry(shape).or_insert_with(|| {
-                            let live: Vec<&sn_sim::DeviceSpec> = self
-                                .fleet
-                                .devices
-                                .iter()
-                                .zip(devices.iter())
-                                .filter(|(_, d)| !d.failed)
-                                .map(|(s, _)| s)
-                                .collect();
-                            feasible_on_device_subset(&self.profiler, &live, &spec)
-                        });
-                        if feasible_live {
-                            kept.push(key); // wait for capacity
-                        } else {
-                            let feasible_full =
-                                *memo.feasible_full.entry(shape).or_insert_with(|| {
-                                    feasible_on_idle_fleet(&self.profiler, &self.fleet, &spec)
-                                });
-                            if !feasible_full {
-                                // It would never fit even on a healthy idle
-                                // fleet: the classic reject reasons apply.
-                                let reason = self.reject_reason(&spec);
-                                rec.on_reject(
-                                    self,
-                                    jobs.get(key).expect("pending jobs are live"),
-                                    &reason,
-                                    now_int,
-                                );
-                                jobs.remove(key);
-                                rejected += 1;
-                                events += 1;
-                            } else if self.recovery.mode == RecoveryMode::NoRecovery {
-                                kept.push(key); // wait for the fleet to heal
-                            } else {
-                                let (seq, attempt, base) = {
-                                    let j = jobs.get(key).expect("pending jobs are live");
-                                    (j.seq, j.attempts, j.anchor_int)
-                                };
-                                if attempt >= self.recovery.max_retries {
-                                    let why = format!("no live placement after {attempt} retries");
-                                    rec.on_fail(
-                                        self,
-                                        jobs.get(key).expect("pending jobs are live"),
-                                        &why,
-                                        now_int,
-                                    );
-                                    jobs.remove(key);
-                                    failed += 1;
-                                    events += 1;
-                                    if let Some(m) = &self.metrics {
-                                        m.jobs_failed.inc();
-                                    }
-                                } else {
-                                    // Capped exponential backoff on the
-                                    // integer timeline: the due instant
-                                    // chains from `anchor_int`, never from
-                                    // the f64 clock.
-                                    let delay = self.recovery.backoff_delay(attempt, seq);
-                                    let due = base.max(now_int).saturating_add(delay.0);
-                                    {
-                                        let j = jobs.get_mut(key).expect("pending jobs are live");
-                                        j.attempts += 1;
-                                        j.anchor_int = due;
-                                    }
-                                    heap.push(
-                                        due as f64,
-                                        seq,
-                                        EventKind::Retry { key, due_ns: due },
-                                    );
-                                    backoff_count += 1;
-                                    if let Some(m) = &self.metrics {
-                                        m.retries_scheduled.inc();
-                                        m.backoff_ns.record(delay.0);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            pending.truncate(start);
-            pending.extend_from_slice(&kept);
-            if full_pass {
-                // If the pass admitted anything, state_version moved past
-                // this and the next event re-evaluates everyone — a job
-                // evaluated early in the pass saw pre-admission state.
-                pass_version = version_at_pass_start;
-            }
-            peak_concurrent = peak_concurrent.max(running_count);
-            // Every live slot is exactly one queued, running, or
-            // backoff-parked job.
-            debug_assert_eq!(jobs.len(), pending.len() + running_count + backoff_count);
-
-            // Re-anchor sweep: exactly the gangs sharing a device whose
-            // tenant count changed this event. Fold their progress forward
-            // under the old slowdown, restart the anchor at `now`, and
-            // re-key their completion where it sits in the heap. Gangs
-            // reached through two affected devices are visited twice but
-            // re-anchored once — the second visit sees the new slowdown
-            // already in place. These are the same float ops the reference
-            // loop's top-of-iteration pass performs on the same values.
-            affected.sort_unstable();
-            affected.dedup();
-            for &d in &affected {
-                for &key in &tenants_on[d] {
-                    let job = jobs.get_mut(key).expect("tenant lists track live jobs");
-                    let seq = job.seq;
-                    let replicas = job.spec.replicas;
-                    let run = job.run.as_mut().expect("listed tenants are running");
-                    let s =
-                        apply_link(gang_slowdown(&devices, &run.grant), replicas, link_permille);
-                    if s != run.slowdown {
-                        run.remaining_ns -= (now_ns - run.anchor_ns) / run.slowdown;
-                        run.anchor_ns = now_ns;
-                        run.slowdown = s;
-                        heap.set_completion(
-                            key,
-                            run.anchor_ns + run.remaining_ns * run.slowdown,
-                            seq,
-                        );
-                    }
-                }
+            self.admission_pass();
+            self.reanchor_sweep();
+            if cfg!(debug_assertions) {
+                self.check(before);
             }
         }
-
+        // Under faults a job can terminally wait out a pressure spike that
+        // never lifts; it is reported as still queued.
+        debug_assert!(
+            self.sim.faults.is_some() || self.pending.is_empty(),
+            "queued jobs with no future events"
+        );
+        for d in &mut self.devices {
+            d.settle(self.now_ns);
+        }
         CoreOutcome {
-            devices,
-            now_ns,
-            peak_concurrent,
-            peak_live: jobs.capacity(),
-            events,
-            submitted,
-            completed,
-            rejected,
-            failed,
-            interrupted,
-            restarts,
-            still_queued: pending.len() as u64,
-            useful_iters,
-            wasted_iters,
+            devices: self.devices,
+            makespan: SimTime(self.now_ns),
+            peak_live: self.jobs.capacity(),
+            still_queued: self.pending.len() as u64,
+            ..self.out
         }
+    }
+
+    /// Move the clock to `t_ns` and pop everything due then *before*
+    /// handling any of it: what the handlers push for this same instant (a
+    /// zero-work job admitted now completes now) is the next batch. Pops at
+    /// one instant ascend by arrival sequence, so completions come out in
+    /// the order they are reported in, and parked jobs whose backoff expired
+    /// re-enter the queue in it — ahead of this instant's arrivals (they
+    /// arrived earlier) and at or past `fresh_from`, so even a memoized
+    /// pass re-evaluates them.
+    fn pop_due(&mut self, t_ns: u64) -> (bool, bool) {
+        self.now_ns = t_ns;
+        self.completions.clear();
+        self.affected.clear();
+        self.fresh_from = self.pending.len();
+        let (mut arrival_due, mut fault_due) = (false, false);
+        while self.heap.peek().is_some_and(|ev| ev.t_ns == t_ns) {
+            match self.heap.pop().expect("peeked entry").kind {
+                EventKind::Completion { key } => self.completions.push(key),
+                EventKind::Retry { key } => {
+                    self.pending.push(key);
+                    self.parked -= 1;
+                }
+                EventKind::Arrival => arrival_due = true,
+                EventKind::FaultDue => fault_due = true,
+            }
+        }
+        (arrival_due, fault_due)
+    }
+
+    /// Completions first: they free capacity for same-instant arrivals.
+    fn complete_due(&mut self) {
+        for i in 0..self.completions.len() {
+            let key = self.completions[i];
+            let mut job = self.jobs.remove(key).expect("queued completions are live");
+            let run = job.run.take().expect("queued completions are running");
+            self.release(key, &run.grant);
+            self.running -= 1;
+            self.out.completed += 1;
+            self.out.useful_iters += u64::from(job.spec.iterations);
+            self.out.events += 1;
+            if let Some(m) = &self.sim.metrics {
+                m.on_complete(self.now_ns - job.arrival.0);
+            }
+            self.rec.on_complete(&job, self.now_ns);
+        }
+    }
+
+    /// Take a gang's bytes and tenant slots off its devices — all replicas
+    /// at once, whichever of them the cause was.
+    fn release(&mut self, key: SlotKey, grant: &Grant) {
+        for p in &grant.placements {
+            let d = &mut self.devices[p.device];
+            d.settle(self.now_ns);
+            d.reserved -= p.prediction.peak_bytes;
+            d.tenants -= 1;
+            let list = &mut self.tenants_on[p.device];
+            let pos = list.iter().position(|k| *k == key).expect("tenant listed");
+            list.swap_remove(pos);
+            self.affected.push(p.device);
+        }
+        self.state_version += 1;
+    }
+
+    /// Land a grant's reservations and tenant slots on its devices.
+    fn reserve(&mut self, key: SlotKey, grant: &Grant) {
+        for p in &grant.placements {
+            let d = &mut self.devices[p.device];
+            d.settle(self.now_ns);
+            d.reserved += p.prediction.peak_bytes;
+            d.tenants += 1;
+            d.peak_reserved = d.peak_reserved.max(d.reserved);
+            d.peak_tenants = d.peak_tenants.max(d.tenants);
+            self.tenants_on[p.device].push(key);
+            self.affected.push(p.device);
+        }
+        self.state_version += 1;
+    }
+
+    /// Injected faults due at this instant, in plan order; then the marker
+    /// for the next batch.
+    fn apply_faults(&mut self) {
+        while let Some(&(t, ev)) = self.faults.get(self.next_fault) {
+            if t.0 > self.now_ns {
+                self.heap.push(t.0, u64::MAX - 1, EventKind::FaultDue);
+                break;
+            }
+            self.next_fault += 1;
+            self.apply_fault(ev);
+        }
+    }
+
+    fn apply_fault(&mut self, ev: FaultEvent) {
+        let n = self.devices.len();
+        // An event that changes nothing — a device already in that state, a
+        // link already at that speed, a device index out of range — is
+        // dropped without a trace.
+        let applies = match ev {
+            FaultEvent::DeviceFail { device } => device < n && !self.devices[device].failed,
+            FaultEvent::DeviceRecover { device } => device < n && self.devices[device].failed,
+            FaultEvent::LinkDegrade { permille } => permille.max(1) != self.link_permille,
+            FaultEvent::LinkRestore => self.link_permille != 1000,
+            FaultEvent::PressureSpike { device, .. }
+            | FaultEvent::PressureRelease { device, .. } => device < n,
+        };
+        if !applies {
+            return;
+        }
+        self.out.events += 1;
+        self.rec.on_fault(&ev, self.now_ns);
+        match ev {
+            FaultEvent::DeviceFail { device } => {
+                self.devices[device].failed = true;
+                self.fail_since[device] = Some(self.now_ns);
+                self.state_version += 1;
+                self.fault_epoch += 1;
+                if let Some(m) = &self.sim.metrics {
+                    m.device_failures.inc();
+                }
+                // Interrupt every gang with a replica here, in list order
+                // (each interrupt takes its gang off the list).
+                for victim in self.tenants_on[device].clone() {
+                    self.interrupt(victim, device);
+                }
+            }
+            FaultEvent::DeviceRecover { device } => {
+                self.devices[device].failed = false;
+                self.state_version += 1;
+                self.fault_epoch += 1;
+                if let Some(m) = &self.sim.metrics {
+                    m.device_recoveries.inc();
+                    if let Some(since) = self.fail_since[device].take() {
+                        m.mttr_ns.record(self.now_ns - since);
+                    }
+                }
+            }
+            FaultEvent::LinkDegrade { permille } => self.set_link(permille.max(1)),
+            FaultEvent::LinkRestore => self.set_link(1000),
+            FaultEvent::PressureSpike { device, bytes } => {
+                let d = &mut self.devices[device];
+                d.spike = d.spike.saturating_add(bytes);
+                self.state_version += 1;
+            }
+            FaultEvent::PressureRelease { device, bytes } => {
+                let d = &mut self.devices[device];
+                d.spike = d.spike.saturating_sub(bytes);
+                self.state_version += 1;
+            }
+        }
+    }
+
+    fn set_link(&mut self, permille: u32) {
+        self.link_permille = permille;
+        // Every running gang may re-pace.
+        self.affected.extend(0..self.devices.len());
+    }
+
+    /// A device under `key`'s gang failed: the whole gang stops — ALL
+    /// replicas' reservations and tenant slots release, not just that
+    /// device's — folds to its checkpoint, and either parks in backoff or,
+    /// with no recovery left, fails for good.
+    fn interrupt(&mut self, key: SlotKey, device: usize) {
+        let sim = self.sim;
+        let job = self
+            .jobs
+            .get_mut(key)
+            .expect("tenant lists track live jobs");
+        let run = job.run.take().expect("listed tenants are running");
+        let attempts = job.attempts;
+        self.heap.remove_completion(key);
+        self.release(key, &run.grant);
+        self.running -= 1;
+        self.out.interrupted += 1;
+        self.out.events += 1;
+        if let Some(m) = &sim.metrics {
+            m.jobs_interrupted.inc();
+        }
+        let why = match sim.recovery.mode {
+            RecoveryMode::NoRecovery => Some(format!("device {device} failed (no recovery)")),
+            _ if attempts >= sim.recovery.max_retries => Some(format!(
+                "device {device} failed after {} retries",
+                sim.recovery.max_retries
+            )),
+            _ => None,
+        };
+        self.fold_to_checkpoint(key, run.done_iterations(self.now_ns), why.is_none());
+        if why.is_none() {
+            self.jobs
+                .get_mut(key)
+                .expect("interrupted jobs stay live")
+                .pending_restart = true;
+            self.park(key);
+        }
+        let job = self.jobs.get(key).expect("interrupted jobs stay live");
+        self.rec.on_interrupt(job, device, self.now_ns);
+        if let Some(why) = why {
+            self.fail(key, &why);
+        }
+    }
+
+    /// Fold the `done` iterations a run that just stopped had completed
+    /// into its job's checkpoint. What the checkpoint policy does not keep
+    /// — everything, for a job that will not run again (`!resumable`) — is
+    /// banked as wasted work.
+    fn fold_to_checkpoint(&mut self, key: SlotKey, done: u32, resumable: bool) {
+        let job = self.jobs.get_mut(key).expect("folded jobs are live");
+        let total = job.iters_done + done;
+        let kept = if resumable {
+            self.sim.recovery.checkpointed(job.spec.kind, total)
+        } else {
+            0
+        };
+        let waste = u64::from(total - kept);
+        job.iters_done = kept;
+        job.wasted_iters += waste;
+        self.out.wasted_iters += waste;
+        if let Some(m) = &self.sim.metrics {
+            m.wasted_iterations.add(waste);
+        }
+    }
+
+    /// Park a job in capped exponential backoff: it re-enters the queue
+    /// when its retry pops.
+    fn park(&mut self, key: SlotKey) {
+        let job = self.jobs.get_mut(key).expect("parked jobs are live");
+        let delay = self.sim.recovery.backoff_delay(job.attempts, job.seq);
+        job.attempts += 1;
+        self.heap.push(
+            self.now_ns.saturating_add(delay.0),
+            job.seq,
+            EventKind::Retry { key },
+        );
+        self.parked += 1;
+        if let Some(m) = &self.sim.metrics {
+            m.retries_scheduled.inc();
+            m.backoff_ns.record(delay.0);
+        }
+    }
+
+    /// `key`'s job fails for good.
+    fn fail(&mut self, key: SlotKey, why: &str) {
+        let job = self.jobs.remove(key).expect("failing jobs are live");
+        self.rec.on_fail(&job, why, self.now_ns);
+        self.out.failed += 1;
+        self.out.events += 1;
+        if let Some(m) = &self.sim.metrics {
+            m.jobs_failed.inc();
+        }
+    }
+
+    /// Arrivals due now join the queue in pull order. An [`ArrivalStream`]
+    /// that yields a time earlier than the clock has that arrival taken
+    /// now, so the marker for the next one is always in the future.
+    fn take_arrivals(&mut self) {
+        while let Some((_, spec)) = self.next_arrival.take_if(|(t, _)| t.0 <= self.now_ns) {
+            let key = self.jobs.insert(LiveJob {
+                spec: Arc::new(spec),
+                seq: self.next_seq,
+                arrival: SimTime(self.now_ns),
+                run: None,
+                iters_done: 0,
+                attempts: 0,
+                wasted_iters: 0,
+                pending_restart: false,
+                resume: None,
+            });
+            self.next_seq += 1;
+            self.pending.push(key);
+            self.out.submitted += 1;
+            self.out.events += 1;
+            if let Some(m) = &self.sim.metrics {
+                m.on_arrive();
+            }
+            let job = self.jobs.get(key).expect("just inserted");
+            self.rec.on_arrive(job, self.now_ns);
+            self.next_arrival = self.stream.next_job();
+        }
+        if let Some((t, _)) = &self.next_arrival {
+            self.heap.push(t.0, u64::MAX, EventKind::Arrival);
+        }
+    }
+
+    /// Admission/placement pass: FIFO with backfill — a blocked job stays
+    /// queued while later, smaller jobs may slot in behind it. When
+    /// reservations haven't changed since the queue was last evaluated,
+    /// only this instant's fresh entries are worth asking about (see
+    /// `pass_version`).
+    fn admission_pass(&mut self) {
+        let full_pass = self.state_version != self.pass_version;
+        let start = if full_pass { 0 } else { self.fresh_from };
+        let version_at_pass_start = self.state_version;
+        self.kept.clear();
+        for i in start..self.pending.len() {
+            let key = self.pending[i];
+            match self.decide(key) {
+                Some((downgrades, grant)) => {
+                    // Planned downgrades first — they free the room the
+                    // grant relies on.
+                    for (tenant, smaller) in downgrades {
+                        self.downgrade(tenant, smaller);
+                    }
+                    self.admit(key, grant);
+                }
+                None => {
+                    if self.wait_or_give_up(key) {
+                        self.kept.push(key);
+                    }
+                }
+            }
+        }
+        self.pending.truncate(start);
+        self.pending.extend_from_slice(&self.kept);
+        if full_pass {
+            // If the pass admitted anything, state_version moved past this
+            // and the next event re-evaluates everyone — a job evaluated
+            // early in the pass saw pre-admission state.
+            self.pass_version = version_at_pass_start;
+        }
+        self.out.peak_concurrent = self.out.peak_concurrent.max(self.running);
+    }
+
+    /// The grant `key`'s job gets now, if any, and the live downgrades of
+    /// running tenants that must be committed before it.
+    fn decide(&mut self, key: SlotKey) -> Option<(Vec<(SlotKey, Grant)>, Grant)> {
+        let sim = self.sim;
+        let job = self.jobs.get(key).expect("pending jobs are live");
+        let grant = match &job.resume {
+            // A job granted before carries its frozen plan: restart
+            // re-admission is budget-exact, never a fresh search.
+            Some(plan) => sim.try_admit_resume(&self.devices, &job.spec, plan),
+            None => sim.try_admit_memo(
+                &self.devices,
+                &job.spec,
+                &mut self.memo,
+                self.state_version,
+                &mut self.scratch,
+            ),
+        };
+        if let Some(grant) = grant {
+            return Some((Vec::new(), grant));
+        }
+        // Elastic rescue: make room by live-downgrading running tenants one
+        // preset rung (strictly smaller reserved peak), through the same
+        // plan memo admission uses.
+        if sim.faults.is_none() || sim.recovery.mode != RecoveryMode::RestartElastic {
+            return None;
+        }
+        sim.plan_elastic(
+            &self.devices,
+            &self.jobs,
+            &self.tenants_on,
+            &job.spec,
+            job.resume.as_ref(),
+            &mut self.scratch,
+        )
+    }
+
+    /// Commit one planned live downgrade: the tenant folds to its last
+    /// checkpoint (the fold's loss is wasted work) and runs its remaining
+    /// iterations under the smaller plan, on the same devices.
+    fn downgrade(&mut self, key: SlotKey, grant: Grant) {
+        let sim = self.sim;
+        let job = self.jobs.get_mut(key).expect("planned tenants are live");
+        let old = job.run.take().expect("planned tenants are running");
+        self.fold_to_checkpoint(key, old.done_iterations(self.now_ns), true);
+        for (was, is) in old.grant.placements.iter().zip(&grant.placements) {
+            debug_assert_eq!(was.device, is.device, "a downgrade keeps its devices");
+            let d = &mut self.devices[is.device];
+            d.settle(self.now_ns);
+            // Strictly smaller, or it would not have been planned.
+            d.reserved -= was.prediction.peak_bytes - is.prediction.peak_bytes;
+        }
+        self.state_version += 1;
+        let job = self.jobs.get_mut(key).expect("planned tenants are live");
+        let step = sim.step_time(&job.spec, &grant);
+        let iters_left = job.spec.iterations - job.iters_done;
+        let pace = gang_pace(&self.devices, &grant, self.link_permille);
+        job.resume = Some(resume_plan_of(&grant));
+        let run = job
+            .run
+            .insert(RunState::new(grant, step, iters_left, self.now_ns, pace));
+        self.heap.set_completion(key, run.completion_ns(), job.seq);
+        self.out.events += 1;
+        if let Some(m) = &sim.metrics {
+            m.jobs_downgraded.inc();
+        }
+        let job = self.jobs.get(key).expect("planned tenants are live");
+        let grant = &job.run.as_ref().expect("just set").grant;
+        self.rec
+            .on_downgrade(job, old.grant.preset, grant, self.now_ns);
+    }
+
+    /// Start (or restart) `key`'s job under `grant`.
+    fn admit(&mut self, key: SlotKey, grant: Grant) {
+        let sim = self.sim;
+        self.reserve(key, &grant);
+        let job = self.jobs.get_mut(key).expect("pending jobs are live");
+        let plan = sim.faults.is_some().then(|| resume_plan_of(&grant));
+        if job.pending_restart {
+            // Gate: the re-admitted plan must be byte-identical to the
+            // original — same sorted (budget, peak) vector, peaks straight
+            // from the shared plan memo.
+            let exact = plan.is_some() && plan == job.resume;
+            self.out.restarts += 1;
+            if let Some(m) = &sim.metrics {
+                m.jobs_restarted.inc();
+            }
+            self.rec.on_restart(job, &grant, exact, self.now_ns);
+        } else {
+            if let Some(m) = &sim.metrics {
+                m.on_admit(self.now_ns - job.arrival.0);
+            }
+            self.rec.on_admit(job, &grant, self.now_ns);
+        }
+        if plan.is_some() {
+            job.pending_restart = false;
+            job.attempts = 0;
+            job.resume = plan;
+        }
+        // The gang's pace is read *after* its own reservations landed; if a
+        // later same-pass admission changes it, the sweep folds that in (a
+        // zero-elapsed re-anchor).
+        let step = sim.step_time(&job.spec, &grant);
+        let iters_left = job.spec.iterations - job.iters_done;
+        let pace = gang_pace(&self.devices, &grant, self.link_permille);
+        let run = job
+            .run
+            .insert(RunState::new(grant, step, iters_left, self.now_ns, pace));
+        self.heap.set_completion(key, run.completion_ns(), job.seq);
+        self.running += 1;
+        self.out.events += 1;
+    }
+
+    /// What becomes of a job admission could not place, three-way: it waits
+    /// (feasible on the live devices — `true`, it stays queued), backs off
+    /// (only an outage blocks it), or is rejected / fails. With no device
+    /// failed the live subset is the fleet, so the middle way is never taken
+    /// and a shape's feasibility is asked once per run, not once per pass.
+    fn wait_or_give_up(&mut self, key: SlotKey) -> bool {
+        let sim = self.sim;
+        let job = self.jobs.get(key).expect("pending jobs are live");
+        if self.memo.feasible_epoch != self.fault_epoch {
+            self.memo.feasible.clear();
+            self.memo.feasible_epoch = self.fault_epoch;
+        }
+        let shape = shape_key(&job.spec);
+        let devices = &self.devices;
+        let feasible_live = *self.memo.feasible.entry(shape).or_insert_with(|| {
+            let live: Vec<&sn_sim::DeviceSpec> = sim
+                .fleet
+                .devices
+                .iter()
+                .zip(devices)
+                .filter(|(_, d)| !d.failed)
+                .map(|(s, _)| s)
+                .collect();
+            feasible_on_device_subset(&sim.profiler, &live, &job.spec)
+        });
+        if feasible_live {
+            return true; // wait for capacity
+        }
+        let feasible_full = *self
+            .memo
+            .feasible_full
+            .entry(shape)
+            .or_insert_with(|| feasible_on_idle_fleet(&sim.profiler, &sim.fleet, &job.spec));
+        if !feasible_full {
+            // It would never fit even on a healthy idle fleet: the classic
+            // reject reasons apply.
+            let reason = sim.reject_reason(&job.spec);
+            if let Some(m) = &sim.metrics {
+                m.on_reject(&reason);
+            }
+            self.rec.on_reject(job, &reason, self.now_ns);
+            self.jobs.remove(key);
+            self.out.rejected += 1;
+            self.out.events += 1;
+        } else if sim.recovery.mode == RecoveryMode::NoRecovery {
+            return true; // wait for the fleet to heal
+        } else if job.attempts >= sim.recovery.max_retries {
+            let why = format!("no live placement after {} retries", job.attempts);
+            self.fail(key, &why);
+        } else {
+            self.park(key);
+        }
+        false
+    }
+
+    /// Re-anchor sweep: exactly the gangs sharing a device whose tenant
+    /// count changed this instant. A gang whose pace moved folds its
+    /// progress forward under the old one, restarts its anchor at `now` and
+    /// has its completion re-keyed where it sits in the heap. Gangs reached
+    /// through two affected devices are visited twice but re-anchored once
+    /// — the second visit sees the new pace already in place.
+    fn reanchor_sweep(&mut self) {
+        self.affected.sort_unstable();
+        self.affected.dedup();
+        for &d in &self.affected {
+            for &key in &self.tenants_on[d] {
+                let job = self
+                    .jobs
+                    .get_mut(key)
+                    .expect("tenant lists track live jobs");
+                let run = job.run.as_mut().expect("listed tenants are running");
+                let pace = gang_pace(&self.devices, &run.grant, self.link_permille);
+                if pace != run.pace {
+                    run.repace(self.now_ns, pace);
+                    self.heap.set_completion(key, run.completion_ns(), job.seq);
+                }
+            }
+        }
+    }
+
+    /// The state's invariants, verified after every instant in debug
+    /// builds (`before` is the previous instant).
+    fn check(&self, before: u64) {
+        assert!(self.now_ns >= before, "the clock ran backwards");
+        assert_eq!(
+            self.jobs.len(),
+            self.pending.len() + self.running + self.parked,
+            "a live slot is exactly one queued, running or parked job"
+        );
+        let mut gangs = 0;
+        for (d, list) in self.tenants_on.iter().enumerate() {
+            let dev = &self.devices[d];
+            assert_eq!(dev.tenants, list.len(), "device {d}: tenant count vs list");
+            let mut reserved = 0u64;
+            for &key in list {
+                let job = self.jobs.get(key).expect("tenant lists track live jobs");
+                let run = job.run.as_ref().expect("listed tenants are running");
+                let here = run.grant.placements.iter().position(|p| p.device == d);
+                let here = here.expect("a listed gang has a replica on the device");
+                reserved += run.grant.placements[here].prediction.peak_bytes;
+                if here > 0 {
+                    continue; // count and check each gang once, at its first replica
+                }
+                gangs += 1;
+                assert_eq!(
+                    self.heap.completion(key),
+                    Some(run.completion_ns()),
+                    "job {}: queued completion is not anchor + pace.wall(remaining)",
+                    job.spec.name
+                );
+                assert_eq!(
+                    run.pace,
+                    gang_pace(&self.devices, &run.grant, self.link_permille),
+                    "job {}: pace is not the one its devices imply after the sweep",
+                    job.spec.name
+                );
+            }
+            assert_eq!(
+                dev.reserved, reserved,
+                "device {d}: reserved vs Σ tenant peaks"
+            );
+            assert!(
+                reserved <= self.sim.fleet.devices[d].dram_bytes,
+                "device {d}: reservations exceed DRAM"
+            );
+        }
+        assert_eq!(gangs, self.running, "running count vs tenant lists");
+        assert_eq!(
+            self.heap.completions(),
+            self.running,
+            "exactly one queued completion per running gang"
+        );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sn_runtime::Interconnect;
+    use sn_sim::DeviceSpec;
+
+    fn run_state(step: u64, iters: u32, now_ns: u64, pace: Pace) -> RunState {
+        let grant = Grant {
+            preset: PolicyPreset::Baseline,
+            placements: Vec::new(),
+        };
+        RunState::new(grant, SimTime(step), iters, now_ns, pace)
+    }
+
+    #[test]
+    fn an_iteration_that_ends_exactly_now_is_counted() {
+        // 7 ns steps at 20/3 wall ns per work ns (2 tenants, link at 300‰):
+        // iteration k ends at the first instant by which 7k ns are done.
+        let pace = Pace::new(2, 300);
+        let mut run = run_state(7, 5, 100, pace);
+        for k in 1..=5u32 {
+            let ends = 100 + pace.wall(7 * u64::from(k));
+            assert_eq!(run.done_iterations(ends), k, "iteration {k} ends at {ends}");
+            assert_eq!(run.done_iterations(ends - 1), k - 1, "and not a ns sooner");
+        }
+        assert_eq!(run.completion_ns(), 100 + pace.wall(35));
+        // A re-anchor mid-iteration floors the fold (50 ns at 20/3 is 7.5 ns
+        // of work, credited as 7) and the count carries on from it.
+        run.repace(150, Pace::new(3, 1000));
+        assert_eq!((run.remaining_ns, run.anchor_ns), (28, 150));
+        assert_eq!(run.done_iterations(150), 1);
+        assert_eq!(run.done_iterations(170), 1);
+        assert_eq!(run.done_iterations(171), 2);
+        assert_eq!(run.completion_ns(), 150 + 3 * 28);
+        assert_eq!(run.done_iterations(run.completion_ns()), 5);
+        // A zero-work run is done the moment it starts.
+        assert_eq!(run_state(0, 4, 9, pace).done_iterations(9), 4);
+        assert_eq!(run_state(0, 4, 9, pace).completion_ns(), 9);
+    }
+
+    /// An arrival source that does not keep its times in order.
+    struct Unordered(std::vec::IntoIter<(SimTime, JobSpec)>);
+
+    impl ArrivalStream for Unordered {
+        fn next_job(&mut self) -> Option<(SimTime, JobSpec)> {
+            self.0.next()
+        }
+    }
+
+    #[test]
+    fn an_arrival_earlier_than_its_predecessor_is_taken_at_the_current_instant() {
+        const STAMPS: [u64; 7] = [5_000, 1_000, 7_000, 0, 6_999, 2_000_000, 1];
+        let stream = || {
+            let w = Workload::Synthetic { width: 8, depth: 2 };
+            let jobs: Vec<(SimTime, JobSpec)> = STAMPS
+                .iter()
+                .enumerate()
+                .map(|(i, &t)| {
+                    let job = JobSpec::new(format!("j{i}"), w, 8).with_iterations(3);
+                    (SimTime(t), job)
+                })
+                .collect();
+            Unordered(jobs.into_iter())
+        };
+        let fleet = Fleet::homogeneous(
+            2,
+            DeviceSpec::k40c().with_dram(96 << 20),
+            Interconnect::pcie(),
+        );
+        let mut sim = ClusterSim::new(fleet, PlacementPolicy::FirstFit);
+        let svc = sim.run_stream(&mut stream());
+        assert!(svc.conservation_holds());
+        assert_eq!((svc.submitted, svc.completed), (7, 7));
+        assert!(STAMPS.iter().all(|&t| svc.makespan.0 >= t));
+        assert!(
+            svc.p999_latency <= svc.makespan && svc.mean_queueing <= svc.makespan,
+            "a latency wrapped: {svc:?}"
+        );
+
+        // The same run with the schedule trace kept.
+        let mut rec = FullRecorder {
+            outcomes: Vec::new(),
+            trace: Vec::new(),
+            sink: TraceSink::off(),
+            tracks: Vec::new(),
+            fleet_track: None,
+        };
+        let core = Core::new(&sim, &mut stream(), &mut rec).run();
+        assert_eq!(core.makespan, svc.makespan);
+        assert!(rec.trace.windows(2).all(|w| w[0].t_ns <= w[1].t_ns));
+        assert!(rec.trace.iter().all(|e| e.t_ns <= core.makespan.0));
+        let arrived: Vec<u64> = rec.outcomes.iter().map(|j| j.arrival.0).collect();
+        assert_eq!(
+            arrived,
+            [5_000, 5_000, 7_000, 7_000, 7_000, 2_000_000, 2_000_000],
+            "each taken at its own time or, if that is past, at the clock's"
+        );
     }
 }

@@ -93,12 +93,16 @@ pub fn mixed_serving_stream(
 
 /// A pull-based arrival source for the indexed event loop.
 ///
-/// `next_job` yields `(arrival_time, spec)` pairs with **non-decreasing**
-/// times until the stream ends. The loop pulls one arrival ahead of the
-/// clock — arrivals are never materialized, so stream length does not
-/// bound memory. Implementations must be deterministic for reproducible
-/// runs (seed them explicitly).
+/// The loop pulls one arrival ahead of the clock — arrivals are never
+/// materialized, so stream length does not bound memory. Implementations
+/// must be deterministic for reproducible runs (seed them explicitly).
 pub trait ArrivalStream {
+    /// The next `(arrival_time, spec)` pair, or `None` once the stream has
+    /// ended. Times should be **non-decreasing**. One that is not — earlier
+    /// than its predecessor's, so already in the simulator's past when it
+    /// is pulled — is taken at the simulator's current instant: the job
+    /// arrives then, and its latency and queueing time count from then. The
+    /// same in debug and release builds; the clock never runs backwards.
     fn next_job(&mut self) -> Option<(SimTime, JobSpec)>;
 }
 

@@ -8,8 +8,8 @@
 //!    concurrent tenants under `superneurons` than under `baseline`.
 
 use sn_cluster::{
-    mixed_serving_stream, synthetic_stream, ClusterSim, Fleet, JobKind, JobSpec, PlacementPolicy,
-    PolicyPreset, TraceKind, Workload,
+    mixed_serving_stream, synthetic_stream, ClusterSim, FaultPlan, Fleet, JobKind, JobSpec,
+    PlacementPolicy, PolicyPreset, RecoveryPolicy, TraceKind, Workload,
 };
 use sn_runtime::Interconnect;
 use sn_sim::DeviceSpec;
@@ -319,10 +319,10 @@ fn non_power_of_two_dram_resolves_every_job() {
 
 #[test]
 fn adversarial_arrival_times_are_never_dropped() {
-    // Regression for the f64 arrival-matching bug: beyond 2^53 ns the `as
-    // f64` projection of a nanosecond timestamp is lossy, so distinct (and
-    // coincident) arrival times up there collapse or miscompare under float
-    // equality. The event loop must match arrivals on the integer SimTime.
+    // Regression guard for the f64 arrival-matching bug: a clock that
+    // compared arrival times through `as f64` lost distinct (and merged
+    // coincident) ones past 2^53 ns. The clock is integer ns now; these
+    // timestamps stay as the guard that no comparison goes through a float.
     let base: u64 = 1 << 53;
     let w = Workload::Synthetic { width: 8, depth: 2 };
     // Four arrivals one ns apart (2^53+1 and 2^53+3 are not representable as
@@ -465,4 +465,126 @@ fn hundred_jobs_across_eight_gpus_complete_deterministically() {
         "expected more concurrent jobs than devices, got {}",
         report.peak_concurrent_jobs
     );
+}
+
+#[test]
+fn processor_sharing_matches_its_closed_form_to_the_rounding_contract() {
+    // Three equal solo jobs of W ns each on ONE device, arriving at 0, t1
+    // and t2: A runs alone, then two share, then three, then — as A and B
+    // finish — two and one again. Under ideal processor sharing every
+    // instant below is a multiple of half a nanosecond, so the closed form
+    // is computed exactly in half-ns. The integer clock may only ever be
+    // *late*, and by little: a completion is the first instant by which the
+    // work is done (never before), and each re-anchor a job went through
+    // floors its progress once, costing it under one ns of work — at most
+    // `tenants` ns of wall time.
+    let one_device = || {
+        Fleet::homogeneous(
+            1,
+            DeviceSpec::k40c().with_dram(1 << 30),
+            Interconnect::pcie(),
+        )
+    };
+    let iters = 1_000u32;
+    let job = |name: &str| {
+        JobSpec::new(name, Workload::Synthetic { width: 8, depth: 2 }, 8).with_iterations(iters)
+    };
+    let solo = ClusterSim::new(one_device(), PlacementPolicy::FirstFit)
+        .run(vec![(sn_sim::SimTime::ZERO, job("solo"))]);
+    let w = solo.makespan.0; // alone at pace 1: the job's solo work, exactly
+    assert_eq!(w % u64::from(iters), 0, "premise: whole-ns steps");
+    let (t1, t2) = (w / 3 + 1, w / 3 + w / 5 + 2);
+    assert!(
+        (t2 - t1) % 2 == 1 && t2 < w,
+        "premise: a fractional closed form"
+    );
+
+    let report = ClusterSim::new(one_device(), PlacementPolicy::FirstFit).run(vec![
+        (sn_sim::SimTime::ZERO, job("a")),
+        (sn_sim::SimTime(t1), job("b")),
+        (sn_sim::SimTime(t2), job("c")),
+    ]);
+    assert_eq!(report.completed, 3);
+    assert_eq!(report.peak_tenants, vec![3]);
+    for j in &report.jobs {
+        assert_eq!(
+            j.started,
+            Some(j.arrival),
+            "{}: admitted on arrival",
+            j.name
+        );
+        assert_eq!(
+            j.reservations, solo.jobs[0].reservations,
+            "premise: equal jobs"
+        );
+    }
+
+    // The closed form, in half-ns (h = 2 × ns). Work done by each while k
+    // share is elapsed / k.
+    let (w, t1, t2) = (2 * w, 2 * t1, 2 * t2);
+    let a_left = w - t1 - (t2 - t1) / 2; // A's work left when C arrives
+    let a_done = t2 + 3 * a_left;
+    let b_left = w - (t2 - t1) / 2 - a_left; // B's, when A completes
+    let b_done = a_done + 2 * b_left;
+    let c_left = w - a_left - b_left; // C's, when B completes
+    let c_done = b_done + c_left;
+    // Each job was re-paced twice: A when B and C arrived, B when C arrived
+    // and A left, C when A and B left. Never more than 3 tenants.
+    let (reanchors, max_tenants) = (2, 3);
+    for (name, exact_h) in [("a", a_done), ("b", b_done), ("c", c_done)] {
+        let done = report
+            .jobs
+            .iter()
+            .find(|j| j.name == name)
+            .and_then(|j| j.completion)
+            .expect("completes")
+            .0;
+        let first_instant = exact_h.div_ceil(2);
+        assert!(
+            done >= first_instant,
+            "{name} complete at {done} ns, before its work is done ({exact_h}/2 ns)"
+        );
+        assert!(
+            done <= first_instant + max_tenants * reanchors + 1,
+            "{name} complete at {done} ns, over {} ns past the closed form ({exact_h}/2 ns)",
+            max_tenants * reanchors + 1
+        );
+    }
+}
+
+#[test]
+fn time_saturates_at_u64_max_instead_of_overflowing() {
+    // A job admitted 10 ns before the end of representable time owes far
+    // more than 10 ns of work: `anchor + wall(remaining)` saturates, the job
+    // completes at u64::MAX, and nothing panics (debug) or wraps (release).
+    let late = sn_sim::SimTime(u64::MAX - 10);
+    let job = JobSpec::new("late", Workload::Synthetic { width: 8, depth: 2 }, 8);
+    let fleet1 = || {
+        Fleet::homogeneous(
+            1,
+            DeviceSpec::k40c().with_dram(96 * MB),
+            Interconnect::pcie(),
+        )
+    };
+    let report =
+        ClusterSim::new(fleet1(), PlacementPolicy::FirstFit).run(vec![(late, job.clone())]);
+    assert_eq!(report.completed, 1);
+    assert_eq!(report.makespan.0, u64::MAX);
+    assert_eq!(report.jobs[0].latency(), Some(sn_sim::SimTime(10)));
+    assert_eq!(report.busy_ns, vec![10]);
+
+    // Its only device dies 5 ns later: every `now + delay` of the backoff
+    // chain saturates too, each retry finds no live device, and the job
+    // fails after its retries — at u64::MAX, with the trace still in order.
+    let mut sim = ClusterSim::new(fleet1(), PlacementPolicy::FirstFit);
+    sim.enable_faults(
+        FaultPlan::new().kill(sn_sim::SimTime(u64::MAX - 5), 0),
+        RecoveryPolicy::default().with_max_retries(3),
+    );
+    let report = sim.run(vec![(late, job)]);
+    assert!(report.conservation_holds());
+    assert_eq!((report.completed, report.failed), (0, 1));
+    assert_eq!(report.makespan.0, u64::MAX);
+    assert!(report.trace.windows(2).all(|w| w[0].t_ns <= w[1].t_ns));
+    assert_eq!(report.busy_ns, vec![5]);
 }

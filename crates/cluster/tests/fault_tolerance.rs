@@ -10,9 +10,10 @@
 //!    last checkpoint, and every restarted grant's (budget, peak) vector is
 //!    byte-identical to the original plan (the shared plan memo guarantees
 //!    it on a homogeneous fleet).
-//! 4. **Integer timers** — backoff/retry instants chain in u64 nanoseconds;
-//!    streams anchored past 2^53 ns (where `as f64` collapses neighboring
-//!    integers) still recover and replay deterministically.
+//! 4. **Integer timers** — backoff/retry instants are u64 nanoseconds on
+//!    the simulator's one clock; streams anchored past 2^53 ns (where a
+//!    float clock would merge neighboring integers — the regression this
+//!    guards) still recover and replay deterministically.
 //! 5. **Elastic pressure response** — under `RestartElastic`, a blocked
 //!    admission live-downgrades running tenants through the plan memo;
 //!    under plain `Restart` it never does.
@@ -232,9 +233,10 @@ fn a_restarted_job_runs_its_remaining_iterations_to_the_end() {
 
 #[test]
 fn recovery_timers_survive_the_f64_collapse_past_2p53() {
-    // Anchor the whole run past 2^53 ns, where neighboring integer instants
-    // collapse under `as f64` (the PR-2 bug class). Retry backoff chains in
-    // u64, so the lone-device outage below must still be ridden out.
+    // Regression guard for the PR-2 bug class: anchor the whole run past
+    // 2^53 ns, where neighboring integer instants would collapse under
+    // `as f64`. Every instant is a u64 on one clock, so the lone-device
+    // outage below must be ridden out exactly as it would be at t = 0.
     let base = 1u64 << 53;
     let w = Workload::Synthetic { width: 8, depth: 2 };
     let arrivals = vec![
@@ -253,7 +255,7 @@ fn recovery_timers_survive_the_f64_collapse_past_2p53() {
         let mut sim = ClusterSim::new(fleet.clone(), PlacementPolicy::FirstFit);
         sim.enable_faults(
             FaultPlan::new().outage(t_kill, 0, outage),
-            // With the only device down, interrupted jobs ride pure-u64
+            // With the only device down, interrupted jobs ride their
             // backoff: delays small enough to probe the outage repeatedly.
             RecoveryPolicy::default()
                 .with_backoff(SimTime::from_us(20), SimTime::from_us(50))
@@ -268,8 +270,8 @@ fn recovery_timers_survive_the_f64_collapse_past_2p53() {
     for job in &report.jobs {
         assert!(job.restart_peak_exact);
     }
-    // Trace instants are integer ns and must never run backwards, even
-    // where their f64 projections are equal.
+    // Trace instants must never run backwards, at a magnitude where their
+    // f64 projections would be equal.
     for w in report.trace.windows(2) {
         assert!(w[1].t_ns >= w[0].t_ns, "trace time ran backwards");
     }

@@ -2,13 +2,15 @@
 //! the retained reference loop ([`ClusterSim::run_reference`]).
 //!
 //! The contract is [`ClusterReport::bit_identical`] — not "close", not
-//! "same schedule modulo rounding": the same trace bytes, the same JSON,
-//! and the same per-device f64 busy/reserved integrals by bit pattern.
+//! "same schedule modulo rounding": the same trace, the same per-job
+//! outcomes, and the same per-device integer busy/reserved integrals.
 //! The indexed loop earns its asymptotic speedup purely by *not touching*
-//! state whose value cannot have changed; any float it does touch goes
-//! through the exact operations the reference performs. These tests hold
-//! it to that on the canonical streams, on adversarial timestamps, on
-//! stale-heap-entry regimes, and on randomized proptest streams — plus the
+//! state whose value cannot have changed — a gang whose pace did not move,
+//! a device whose reservations did not — while the reference re-projects
+//! every gang and integrates every device at every event; both round time
+//! only in `Pace::{wall, work}`. These tests hold the one to the other on
+//! the canonical streams, on adversarial timestamps, on same-instant
+//! completion/arrival races, and on randomized proptest streams — plus the
 //! streaming entry point's consistency with the materialized one.
 
 use proptest::prelude::*;
@@ -86,9 +88,9 @@ fn constrained_presets_and_rejects_are_bit_identical() {
 
 #[test]
 fn adversarial_past_2p53_arrivals_are_bit_identical() {
-    // Distinct integer nanosecond timestamps that collapse under `as f64`:
-    // both loops must match arrivals on integer time and process the
-    // collapsed instants as separate zero-dt events in the same order.
+    // Regression guard: distinct integer nanosecond timestamps that would
+    // collapse under `as f64`. Both loops keep integer time, so these are
+    // four separate instants (the last shared by two arrivals), in order.
     let base: u64 = 1 << 53;
     let w = Workload::Synthetic { width: 8, depth: 2 };
     let mut jobs: Vec<(SimTime, JobSpec)> = (0..4)
@@ -113,14 +115,14 @@ fn adversarial_past_2p53_arrivals_are_bit_identical() {
 
 #[test]
 fn completion_superseded_by_same_instant_arrival_keeps_reference_order() {
-    // The stale-heap-entry regime the indexed loop must survive: a gang's
+    // The same-instant race the indexed loop must get right: a gang's
     // projected completion sits in the heap; an arrival lands at *exactly*
-    // that f64 instant, is admitted onto the gang's devices, and changes
-    // its slowdown — so the heap entry the loop is about to trust is stale
-    // the moment it surfaces. The reference loop recomputes projections
-    // every event and is immune by construction; the indexed loop must
-    // reach the same completions in the same order via generation
-    // invalidation.
+    // that instant and is admitted onto the gang's devices, changing the
+    // pace of everything else there. The reference loop recomputes every
+    // projection at every event and is immune by construction; the indexed
+    // loop must reach the same completions in the same order by popping
+    // the whole instant before handling any of it and re-keying the gangs
+    // the admission re-paced.
     let base = synthetic_stream(40, 7, PolicyPreset::Superneurons, true);
     let probe =
         ClusterSim::new(fleet8(96 * MB), PlacementPolicy::FirstFit).run_reference(base.clone());
@@ -151,7 +153,7 @@ fn completion_superseded_by_same_instant_arrival_keeps_reference_order() {
         "same-instant sniper arrival diverged"
     );
     // The instant itself must order completions before the arrivals (the
-    // reference loop's completions-first rule, now under stale entries).
+    // reference loop's completions-first rule).
     let at_hit: Vec<&TraceKind> = indexed
         .trace
         .iter()
