@@ -143,7 +143,10 @@ impl AlgoChoice {
 }
 
 /// Pick the fastest memory-feasible algorithm for `layer` given
-/// `free_bytes` of available workspace memory.
+/// `free_bytes` of available workspace memory. Among equally fast ones the
+/// first in [`ConvAlgo::ALL`] order wins, so the winner under one budget is
+/// also the winner under every smaller budget that still holds its
+/// workspace — the planner relies on that to skip the second scan.
 pub fn select_algo(net: &Net, layer: sn_graph::LayerId, free_bytes: u64) -> AlgoChoice {
     let l = net.layer(layer);
     let LayerKind::Conv { kernel, stride, .. } = l.kind else {

@@ -39,7 +39,7 @@ use crate::plan::{self, CompiledPlan, MemoryPlan, PlanOp};
 use crate::policy::Policy;
 use crate::recompute::RecomputePlan;
 use crate::tiers::Tier;
-use crate::utp::Utp;
+use crate::utp::{Residence, Utp};
 
 /// Hook for numeric execution: the executor tells the backend *when* to
 /// compute and *which* values ceased to exist; the backend owns the values.
@@ -730,12 +730,17 @@ impl<'n> Executor<'n> {
             report.peak_bytes, self.mplan.peak_bytes,
             "executed peak diverged from the plan"
         );
-        // Once per iteration, never per step: the O(1) residency count
-        // against the O(tensors) scan it replaced.
+        // Once per iteration, never per step: the O(1) residency counts
+        // against the O(tensors) scans they replaced.
         debug_assert_eq!(
             self.utp.device_resident(),
-            self.utp.scan_device_resident(),
+            self.utp.scan_resident(Residence::Device),
             "device-resident count drifted from the tensor states"
+        );
+        debug_assert_eq!(
+            self.utp.host_resident(),
+            self.utp.scan_resident(Residence::Host),
+            "host-resident count drifted from the tensor states"
         );
         if let Some(m) = &self.metrics {
             m.flush(&report, self.prefetch_stall);

@@ -5,10 +5,10 @@
 //!
 //! 1. **Plan** — [`plan`] compiles `(Net, DeviceSpec, Policy)` into a
 //!    static, inspectable [`MemoryPlan`]: per-step residency actions
-//!    (alloc/free/offload/prefetch/recompute/workspace), the **exact**
-//!    predicted peak, and per-tensor lifetimes. Training plans cover one
-//!    `2N`-step iteration; forward-only *inference* plans open a serving
-//!    path the training-only executor could not express.
+//!    (alloc/free/offload/prefetch/recompute/workspace) and the **exact**
+//!    predicted peak. Training plans cover one `2N`-step iteration;
+//!    forward-only *inference* plans open a serving path the training-only
+//!    executor could not express.
 //! 2. **UTP** — [`utp`] is the Unified Tensor Pool residency manager: the
 //!    tensor-state map, the Alg. 2 LRU Tensor Cache, the reclamation
 //!    ladder's pending-offload reservoir, host-slot management over the
@@ -67,7 +67,7 @@ pub use parallel::{
     bucket_wire_bytes, ring_allreduce_time, ring_allreduce_wire_bytes, ring_wire_time,
     DataParallel, Interconnect, ParallelReport,
 };
-pub use plan::{CompiledPlan, MemoryPlan, PlanOp, StepPlan, TensorLifetime, WorkspacePlan};
+pub use plan::{CompiledPlan, MemoryPlan, PlanOp, StepPlan, WorkspacePlan};
 pub use policy::{AllocatorKind, CachePolicy, Policy, RecomputeMode, WorkspacePolicy};
 pub use recompute::{RecomputePlan, Segment, SegmentStrategy};
 pub use session::{

@@ -21,9 +21,15 @@
 //!   `sn_mempool::HeapPool` (first-fit over a short sorted vector of free
 //!   runs, O(1) largest-fragment) and
 //!   cache decisions through the O(1) intrusive LRU in [`crate::utp`]; the
-//!   walk itself allocates nothing per step (scratch buffers are reused,
+//!   walk itself allocates nothing per step: scratch buffers are reused,
 //!   tensor lists are borrowed from the liveness plan, error-path layer
-//!   names are only materialized on error).
+//!   names are only materialized on error, and the recomputed tensors
+//!   waiting to be dropped after a later step sit in one node pool
+//!   (`FreeQueues`: a first-in-first-out list per step threaded through a
+//!   single vector) rather than in a vector per step. What is left grows
+//!   with depth only by doublings of the op stream and of that pool. The
+//!   walk also skips what cannot happen: no reapable-offload drain while no
+//!   offload is pending, no prefetch scan while nothing is host-resident.
 //! * **Analysis sharing** — `Route`, `NetCost`, `LivenessPlan` and
 //!   `RecomputePlan` depend only on `(net, liveness options, recompute
 //!   mode)`, not on the device; they are cached by [`Net::fingerprint`] and
@@ -56,8 +62,6 @@
 //! * [`MemoryPlan::steps`] is a complete instruction stream — the executor
 //!   is an interpreter over it, and [`MemoryPlan::render`] prints the
 //!   on-disk debug format (one line per op) for inspection.
-//! * [`MemoryPlan::lifetimes`] summarizes per-tensor residency: creation,
-//!   death, whether the plan offloads or recomputes it.
 //!
 //! Training plans cover one `2N`-step iteration; **inference plans**
 //! (compiled from [`Route::construct_inference`]) are forward-only: no
@@ -164,25 +168,9 @@ pub struct StepPlan {
     pub workspace: Option<WorkspacePlan>,
 }
 
-/// Per-tensor residency summary (the serializable lifetime table).
-#[derive(Debug, Clone, Copy)]
-pub struct TensorLifetime {
-    pub tensor: TensorId,
-    pub layer: LayerId,
-    pub role: TensorRole,
-    pub bytes: u64,
-    /// Step at which the tensor is materialized.
-    pub created_step: usize,
-    /// Step after which the plan frees it.
-    pub freed_after: usize,
-    /// The plan moves this tensor to an external tier at least once.
-    pub offloaded: bool,
-    /// Forward replays of the owning layer the plan schedules.
-    pub recomputes: u32,
-}
-
-/// The static memory plan: per-step actions, the exact predicted peak, and
-/// per-tensor residency lifetimes.
+/// The static memory plan: per-step actions and the exact predicted peak.
+/// (Per-tensor creation and death steps are in
+/// [`CompiledPlan::liveness`]'s `tensors`.)
 #[derive(Debug, Clone)]
 pub struct MemoryPlan {
     pub steps: Vec<StepPlan>,
@@ -201,7 +189,6 @@ pub struct MemoryPlan {
     pub weight_bytes: u64,
     /// Per-iteration counter totals the execution will report.
     pub predicted: Counters,
-    pub lifetimes: Vec<TensorLifetime>,
     /// Forward-only serving plan (no backward half, no gradients)?
     pub inference: bool,
     /// Analytic busy totals per engine, for the iteration-time estimate.
@@ -690,7 +677,6 @@ fn plan_with(
     a: &Analyses,
     inference: bool,
 ) -> Result<(MemoryPlan, RangeInclusive<u64>), ExecError> {
-    let n_tensors = a.liveness.tensors.len();
     let total_steps = a.route.total_steps();
     let planner = Planner {
         net,
@@ -703,14 +689,21 @@ fn plan_with(
         policy,
         inference,
         dev: Device::new(spec.clone(), policy.allocator, policy.tiers),
-        utp: Utp::new(n_tensors),
+        utp: Utp::new(a.liveness.tensors.len()),
         counters: Counters::default(),
-        recomputed_free_at: vec![Vec::new(); total_steps + 1],
+        // Nothing is ever replayed without segments: no lists to allocate.
+        recomputed_free_at: FreeQueues::new(if a.rplan.segments.is_empty() {
+            0
+        } else {
+            total_steps
+        }),
+        steps: Vec::with_capacity(total_steps),
         // Typical plans run 3-6 ops/step; reserving up front avoids the
         // doubling-realloc copies of the single largest Vec a compile builds.
         ops: Vec::with_capacity(4 * total_steps),
         sec_start: 0,
         reap_scratch: Vec::new(),
+        chain_scratch: Vec::new(),
         peak_step: 0,
         peak_seen: 0,
         cap_bound: false,
@@ -718,10 +711,43 @@ fn plan_with(
         compute_ns: 0,
         h2d_ns: 0,
         d2h_ns: 0,
-        offloaded: vec![false; n_tensors],
-        recomputes: vec![0; net.len()],
     };
     planner.run()
+}
+
+/// "No node": an empty list's head, the last node's link.
+const NIL: u32 = u32::MAX;
+
+/// The recomputed tensors to drop at the end of each step: one
+/// first-in-first-out list per step, all threaded through a single node
+/// pool, so a replay that schedules a drop allocates nothing (the pool
+/// doubles like any vector). Drop order is push order — it is the order of
+/// the plan's `release` ops.
+struct FreeQueues {
+    /// Per step: the first and the last node of its list, or [`NIL`].
+    head: Vec<u32>,
+    tail: Vec<u32>,
+    /// `(tensor, next node of the same step)`.
+    nodes: Vec<(TensorId, u32)>,
+}
+
+impl FreeQueues {
+    fn new(steps: usize) -> FreeQueues {
+        FreeQueues {
+            head: vec![NIL; steps],
+            tail: vec![NIL; steps],
+            nodes: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, step: usize, t: TensorId) {
+        let node = self.nodes.len() as u32;
+        self.nodes.push((t, NIL));
+        match std::mem::replace(&mut self.tail[step], node) {
+            NIL => self.head[step] = node,
+            last => self.nodes[last as usize].1 = node,
+        }
+    }
 }
 
 /// What a ladder allocation is for — only turned into a display string on
@@ -750,15 +776,19 @@ struct Planner<'a> {
     dev: Device,
     utp: Utp,
     counters: Counters,
-    /// Recomputed tensors to drop at the end of a given step, indexed by
-    /// step (dense: the planner knows `total_steps` up front).
-    recomputed_free_at: Vec<Vec<TensorId>>,
+    /// Recomputed tensors to drop at the end of a given step (no lists at
+    /// all when the recompute plan has no segments).
+    recomputed_free_at: FreeQueues,
+    /// The steps planned so far, pushed in place.
+    steps: Vec<StepPlan>,
     /// The plan's flat op stream; the section since `sec_start` is the one
     /// currently being accumulated (pre, post, or final).
     ops: Vec<PlanOp>,
     sec_start: usize,
     /// Reused buffer for the per-step reapable-offload drain.
     reap_scratch: Vec<TensorId>,
+    /// Reused buffer for a memory-centric replay's dependency chain.
+    chain_scratch: Vec<LayerId>,
     peak_step: usize,
     peak_seen: u64,
     /// Has the device cap decided anything yet? Set by the two places that
@@ -772,8 +802,6 @@ struct Planner<'a> {
     compute_ns: u64,
     h2d_ns: u64,
     d2h_ns: u64,
-    offloaded: Vec<bool>,
-    recomputes: Vec<u32>,
 }
 
 impl<'a> Planner<'a> {
@@ -842,6 +870,9 @@ impl<'a> Planner<'a> {
     /// step-boundary drain that pins the memory trajectory at every
     /// allocation point, independent of DMA timing.
     fn drain_reapable(&mut self, step: usize) {
+        if self.utp.pending_offloads.is_empty() {
+            return;
+        }
         let mut scratch = std::mem::take(&mut self.reap_scratch);
         self.utp.collect_reapable(self.liveness, step, &mut scratch);
         self.counters.reaps += scratch.len() as u64;
@@ -892,7 +923,6 @@ impl<'a> Planner<'a> {
                 t: victim,
                 evict: true,
             });
-            self.offloaded[victim.0] = true;
             self.counters.offloads += 1;
         } else {
             self.release_device(victim);
@@ -944,22 +974,21 @@ impl<'a> Planner<'a> {
     /// many bytes and the selector — monotone in its budget — picks the
     /// same algorithm.
     fn choose_workspace(&mut self, layer: LayerId) -> AlgoChoice {
-        let limit = match self.policy.workspace {
+        let unsqueezed = match self.policy.workspace {
             WorkspacePolicy::None => return AlgoChoice::fallback(),
-            WorkspacePolicy::Dynamic => u64::MAX,
-            WorkspacePolicy::Capped(cap) => cap,
+            WorkspacePolicy::Dynamic => self.max_algo[layer.0],
+            WorkspacePolicy::Capped(cap) => convalgo::select_algo(self.net, layer, cap),
         };
         let alloc = &self.dev.alloc;
         let memory = alloc.free_bytes().min(alloc.largest_free_contiguous());
-        let choice = convalgo::select_algo(self.net, layer, memory.min(limit));
-        if memory < limit {
-            let unsqueezed = match limit {
-                u64::MAX => self.max_algo[layer.0],
-                _ => convalgo::select_algo(self.net, layer, limit),
-            };
-            self.cap_bound |= choice.algo != unsqueezed.algo;
+        // The limit's own winner, where the pool can hold it, is what the
+        // selector would pick again under the smaller budget (see
+        // `select_algo`): no second scan, and the cap decided nothing.
+        if unsqueezed.workspace <= memory {
+            return unsqueezed;
         }
-        choice
+        self.cap_bound = true;
+        convalgo::select_algo(self.net, layer, memory)
     }
 
     /// Make `t` device-resident (the Check() of Alg. 2; may recompute).
@@ -1017,12 +1046,14 @@ impl<'a> Planner<'a> {
 
         // Speed-centric replays walk the segment's member list in place
         // (it lives in the shared recompute plan); memory-centric replays
-        // walk the dependency chain computed for this specific layer.
-        let chain;
+        // walk the dependency chain computed for this specific layer, into
+        // a buffer every replay reuses (the loop below never re-enters this
+        // function, so one buffer is enough).
+        let mut chain = std::mem::take(&mut self.chain_scratch);
         let members: &[LayerId] = match strategy {
             SegmentStrategy::SpeedCentric => &rplan.segments[si].members,
             SegmentStrategy::MemoryCentric => {
-                chain = rplan.chain_to(self.net, layer);
+                rplan.chain_into(self.net, layer, &mut chain);
                 &chain
             }
         };
@@ -1054,19 +1085,18 @@ impl<'a> Planner<'a> {
             let lk = &self.net.layer(m).kind;
             self.compute_ns += self.cost.layer(m).fwd_time(lk, self.spec, 1.0).as_ns();
             self.counters.recompute_forwards += 1;
-            self.recomputes[m.0] += 1;
 
             match strategy {
                 SegmentStrategy::SpeedCentric => {
                     let free_at = self.meta(mt).bwd_last_use.unwrap_or(step).max(step);
-                    self.recomputed_free_at[free_at].push(mt);
+                    self.recomputed_free_at.push(free_at, mt);
                 }
                 SegmentStrategy::MemoryCentric => {
                     if let Some(prev) = prev_link.take() {
                         self.drop_device_copy(prev);
                     }
                     if m == target {
-                        self.recomputed_free_at[step].push(mt);
+                        self.recomputed_free_at.push(step, mt);
                     } else {
                         prev_link = Some(mt);
                     }
@@ -1074,6 +1104,7 @@ impl<'a> Planner<'a> {
             }
         }
 
+        self.chain_scratch = chain;
         self.utp.states[anchor_t.0].lock -= 1;
         Ok(())
     }
@@ -1082,6 +1113,9 @@ impl<'a> Planner<'a> {
     /// upcoming backward steps, up to and including the next offloadable
     /// checkpoint's backward. Opportunistic: never evicts on its behalf.
     fn prefetch_ahead(&mut self, step: usize) {
+        if self.utp.host_resident() == 0 {
+            return;
+        }
         let route = self.route;
         let liveness = self.liveness;
         let total = route.total_steps();
@@ -1113,7 +1147,7 @@ impl<'a> Planner<'a> {
         }
     }
 
-    fn plan_step(&mut self, s: usize) -> Result<StepPlan, ExecError> {
+    fn plan_step(&mut self, s: usize) -> Result<(), ExecError> {
         self.cur_step = s;
         let liveness = self.liveness;
         let step = self.route.step(s);
@@ -1225,7 +1259,6 @@ impl<'a> Planner<'a> {
                 self.d2h_ns += self.transfer_ns(t);
                 self.utp.mark_offloading(t, false, None);
                 self.ops.push(PlanOp::Offload { t, evict: false });
-                self.offloaded[t.0] = true;
                 self.counters.offloads += 1;
             }
         }
@@ -1244,20 +1277,23 @@ impl<'a> Planner<'a> {
             }
         }
         // Recomputed-tensor frees scheduled for this step.
-        let list = std::mem::take(&mut self.recomputed_free_at[s]);
-        for t in list {
+        let mut node = self.recomputed_free_at.head.get(s).copied().unwrap_or(NIL);
+        while node != NIL {
+            let (t, next) = self.recomputed_free_at.nodes[node as usize];
             self.drop_device_copy(t);
+            node = next;
         }
         let post = self.take_section();
 
-        Ok(StepPlan {
+        self.steps.push(StepPlan {
             layer: layer_id,
             phase: step.phase,
             duration,
             pre,
             post,
             workspace,
-        })
+        });
+        Ok(())
     }
 
     fn run(mut self) -> Result<(MemoryPlan, RangeInclusive<u64>), ExecError> {
@@ -1273,34 +1309,14 @@ impl<'a> Planner<'a> {
         }
 
         let total = self.route.total_steps();
-        let mut steps = Vec::with_capacity(total);
         for s in 0..total {
-            steps.push(self.plan_step(s)?);
+            self.plan_step(s)?;
         }
         // End of iteration: every remaining in-flight offload has seen all
         // its consumers — release the device copies.
         self.cur_step = total;
         self.drain_reapable(total);
         let final_range = self.take_section();
-
-        let lifetimes = self
-            .liveness
-            .tensors
-            .iter()
-            .map(|m| TensorLifetime {
-                tensor: m.id,
-                layer: m.layer,
-                role: m.role,
-                bytes: m.bytes,
-                created_step: m.created_step,
-                freed_after: m.last_use_step,
-                offloaded: self.offloaded[m.id.0],
-                recomputes: match m.role {
-                    TensorRole::FwdOut => self.recomputes[m.layer.0],
-                    TensorRole::Grad => 0,
-                },
-            })
-            .collect();
 
         let peak_bytes = self.dev.alloc.high_water();
         debug_assert_eq!(peak_bytes, self.peak_seen);
@@ -1310,14 +1326,13 @@ impl<'a> Planner<'a> {
             self.dev.alloc.extent_high_water()..=u64::MAX
         };
         let plan = MemoryPlan {
-            steps,
+            steps: self.steps,
             ops: self.ops,
             final_range,
             peak_bytes,
             peak_step: self.peak_step,
             weight_bytes,
             predicted: self.counters,
-            lifetimes,
             inference: self.inference,
             compute_ns: self.compute_ns,
             alloc_ns: self.dev.alloc_time.as_ns(),
@@ -1349,6 +1364,24 @@ mod tests {
         let a1 = net.relu(c1);
         let p1 = net.max_pool(a1, 2, 2, 0);
         let c2 = net.conv(p1, 32, 3, 1, 1);
+        let a2 = net.relu(c2);
+        let f = net.fc(a2, 10);
+        net.softmax(f);
+        net
+    }
+
+    /// [`small_net`] with a fan-out below the first CONV: ACT feeds two
+    /// pooling branches joined by a CONCAT, so one segment is a tree and a
+    /// replay schedules several drops after the same step.
+    fn fanout_net(batch: usize) -> Net {
+        let mut net = Net::new("plan-fanout", Shape4::new(batch, 3, 32, 32));
+        let d = net.data();
+        let c1 = net.conv(d, 16, 3, 1, 1);
+        let a1 = net.relu(c1);
+        let p1 = net.max_pool(a1, 2, 2, 0);
+        let p2 = net.avg_pool(a1, 2, 2, 0);
+        let j = net.concat(&[p1, p2]);
+        let c2 = net.conv(j, 32, 3, 1, 1);
         let a2 = net.relu(c2);
         let f = net.fc(a2, 10);
         net.softmax(f);
@@ -1413,11 +1446,9 @@ mod tests {
         // No gradients, no recomputation, no offload traffic planned.
         assert_eq!(inf.plan.predicted.recompute_forwards, 0);
         assert_eq!(inf.plan.predicted.offloads, 0);
-        assert!(inf
-            .plan
-            .lifetimes
-            .iter()
-            .all(|l| l.role == TensorRole::FwdOut));
+        let tensors = &inf.liveness.tensors;
+        assert!(!tensors.is_empty());
+        assert!(tensors.iter().all(|t| t.role == TensorRole::FwdOut));
     }
 
     #[test]
@@ -1458,30 +1489,100 @@ mod tests {
         assert!(sync.iter_time_estimate() >= plain.iter_time_estimate());
     }
 
-    #[test]
-    fn reference_compile_is_byte_identical() {
-        // The whole point of the optimization pass: indexed structures buy
-        // time, never bytes. Peaks, op streams and counters must agree with
-        // the reference (linear pool + Vec cache list) compile on every
-        // preset — compared via the rendered debug format, which covers
-        // every op of every step.
-        let net = small_net(16);
-        let spec = DeviceSpec::k40c();
-        for policy in [
+    /// The benchmark's `plan_cold` lattice: the five hand presets plus
+    /// single-knob departures from `superneurons()` along every axis the
+    /// autotuner searches.
+    fn lattice() -> Vec<Policy> {
+        use crate::policy::CachePolicy;
+        let sn = Policy::superneurons();
+        let mut p = vec![
             Policy::baseline(),
             Policy::liveness_only(),
             Policy::liveness_offload(),
             Policy::full_memory(),
-            Policy::superneurons(),
+            sn,
+            sn.with_prefetch_depth(2),
+            sn.with_prefetch_depth(16),
+            Policy::liveness_offload().with_prefetch_depth(4),
+            Policy::superneurons_no_cache(),
+        ];
+        for recompute in [
+            RecomputeMode::None,
+            RecomputeMode::SpeedCentric,
+            RecomputeMode::MemoryCentric,
         ] {
-            let fast = compile(&net, &spec, policy).unwrap();
-            let slow = compile_reference(&net, &spec, policy).unwrap();
-            assert_eq!(fast.plan.peak_bytes, slow.plan.peak_bytes);
-            assert_eq!(fast.plan.peak_step, slow.plan.peak_step);
-            assert_eq!(fast.plan.render(&net), slow.plan.render(&net));
-            assert_eq!(fast.plan.predicted.evictions, slow.plan.predicted.evictions);
-            assert_eq!(fast.plan.alloc_ns, slow.plan.alloc_ns);
+            p.push(Policy { recompute, ..sn });
         }
+        for cache_policy in [CachePolicy::Fifo, CachePolicy::Mru] {
+            p.push(Policy { cache_policy, ..sn });
+        }
+        for workspace in [WorkspacePolicy::None, WorkspacePolicy::Capped(64 << 20)] {
+            p.push(Policy { workspace, ..sn });
+        }
+        assert!(p.iter().all(|p| p.validate().is_ok()));
+        p
+    }
+
+    #[test]
+    fn reference_compile_is_byte_identical() {
+        // The whole point of the optimization pass: indexed structures and
+        // skipped no-op scans buy time, never bytes. Peaks, op streams,
+        // counters and engine totals must agree with the reference (linear
+        // pool + Vec cache list, every scan run) compile across the policy
+        // lattice — compared via the rendered debug format, which covers
+        // every op and workspace choice of every step — both where the cap
+        // never binds and where it does: at 4 MiB the Tensor Cache evicts,
+        // prefetch-ahead fetches back and conv workspaces are squeezed, so
+        // host-resident tensors and pending offloads exist for the walk's
+        // shortcuts to get wrong.
+        use crate::policy::CachePolicy;
+        let net = fanout_net(16);
+        let open = DeviceSpec::k40c();
+        let tight = DeviceSpec::k40c().with_dram(4 << 20);
+
+        let sn = compile(&net, &tight, Policy::superneurons()).unwrap();
+        let c = sn.plan.predicted;
+        assert!(c.evictions > 0, "4 MiB must bind: {}", c.to_json());
+        assert!(c.prefetches > c.cache_misses, "prefetch-ahead must fetch");
+        assert_eq!(sn.valid_caps, 4 << 20..=4 << 20, "this cap's plan alone");
+        let squeezed = |s: &StepPlan| s.workspace.is_some_and(|w| w.bytes < w.max_speed_bytes);
+        assert!(sn.plan.steps.iter().any(squeezed));
+
+        let mut compared = 0;
+        for (spec, binds) in [(&open, false), (&tight, true)] {
+            for policy in lattice() {
+                // ROADMAP item 3, last bullet: under `Mru` and a binding cap
+                // a segment replay can evict its own target and the
+                // planner's `debug_assert_eq!(residence, Device)` fires (on
+                // the reference walk too). Not this test's subject.
+                if binds && policy.cache_policy == CachePolicy::Mru {
+                    continue;
+                }
+                let fast = compile(&net, spec, policy);
+                let slow = compile_reference(&net, spec, policy);
+                let (fast, slow) = match (fast, slow) {
+                    (Ok(f), Ok(s)) => (f.plan, s.plan),
+                    (Err(f), Err(s)) => {
+                        assert_eq!(f.to_string(), s.to_string());
+                        continue;
+                    }
+                    (f, s) => panic!("{policy:?}: fast {:?}, reference {:?}", f.err(), s.err()),
+                };
+                assert_eq!(fast.render(&net), slow.render(&net));
+                assert_eq!(fast.peak_bytes, slow.peak_bytes);
+                assert_eq!(fast.peak_step, slow.peak_step);
+                assert_eq!(fast.predicted.to_json(), slow.predicted.to_json());
+                assert_eq!(
+                    (fast.compute_ns, fast.alloc_ns, fast.h2d_ns, fast.d2h_ns),
+                    (slow.compute_ns, slow.alloc_ns, slow.h2d_ns, slow.d2h_ns)
+                );
+                compared += 1;
+            }
+        }
+        assert!(
+            compared >= 24,
+            "only {compared} cells compiled on both sides"
+        );
     }
 
     #[test]

@@ -31,7 +31,7 @@ use sn_sim::{AllocGrant, DeviceAllocator, DeviceSpec, SimTime};
 use crate::convalgo::{self, AlgoChoice};
 use crate::device::Device;
 use crate::executor::{Counters, ExecError};
-use crate::plan::{MemoryPlan, OpRange, PlanOp, StepPlan, TensorLifetime, WorkspacePlan};
+use crate::plan::{MemoryPlan, OpRange, PlanOp, StepPlan, WorkspacePlan};
 use crate::policy::{Policy, WorkspacePolicy};
 use crate::recompute::{RecomputePlan, SegmentStrategy};
 use crate::tiers::Tier;
@@ -85,8 +85,6 @@ pub(crate) fn plan_reference(
         compute_ns: 0,
         h2d_ns: 0,
         d2h_ns: 0,
-        offloaded: vec![false; liveness.tensors.len()],
-        recomputes: vec![0; net.len()],
     };
     planner.run()
 }
@@ -115,8 +113,6 @@ struct Planner<'a> {
     compute_ns: u64,
     h2d_ns: u64,
     d2h_ns: u64,
-    offloaded: Vec<bool>,
-    recomputes: Vec<u32>,
 }
 
 impl<'a> Planner<'a> {
@@ -200,7 +196,6 @@ impl<'a> Planner<'a> {
                 t: victim,
                 evict: true,
             });
-            self.offloaded[victim.0] = true;
             self.counters.offloads += 1;
         } else {
             self.release_device(victim);
@@ -312,7 +307,6 @@ impl<'a> Planner<'a> {
             let lk = &self.net.layer(m).kind;
             self.compute_ns += self.cost.layer(m).fwd_time(lk, self.spec, 1.0).as_ns();
             self.counters.recompute_forwards += 1;
-            self.recomputes[m.0] += 1;
 
             match strategy {
                 SegmentStrategy::SpeedCentric => {
@@ -490,7 +484,6 @@ impl<'a> Planner<'a> {
                 self.d2h_ns += self.transfer_ns(t);
                 self.utp.mark_offloading(t, false, None);
                 self.ops.push(PlanOp::Offload { t, evict: false });
-                self.offloaded[t.0] = true;
                 self.counters.offloads += 1;
             }
         }
@@ -546,25 +539,6 @@ impl<'a> Planner<'a> {
         self.drain_reapable(total);
         let final_ops = std::mem::take(&mut self.ops);
 
-        let lifetimes: Vec<TensorLifetime> = self
-            .liveness
-            .tensors
-            .iter()
-            .map(|m| TensorLifetime {
-                tensor: m.id,
-                layer: m.layer,
-                role: m.role,
-                bytes: m.bytes,
-                created_step: m.created_step,
-                freed_after: m.last_use_step,
-                offloaded: self.offloaded[m.id.0],
-                recomputes: match m.role {
-                    TensorRole::FwdOut => self.recomputes[m.layer.0],
-                    TensorRole::Grad => 0,
-                },
-            })
-            .collect();
-
         // Flatten the per-step op vectors into the current representation.
         let mut ops = Vec::new();
         let append = |ops: &mut Vec<PlanOp>, section: Vec<PlanOp>| {
@@ -602,7 +576,6 @@ impl<'a> Planner<'a> {
             peak_step: self.peak_step,
             weight_bytes,
             predicted: self.counters,
-            lifetimes,
             inference: self.inference,
             compute_ns: self.compute_ns,
             alloc_ns: self.dev.alloc_time.as_ns(),

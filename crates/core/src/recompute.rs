@@ -148,7 +148,16 @@ impl RecomputePlan {
     /// (inclusive), in forward order — the minimal replay for a
     /// memory-centric reconstruction of `layer`'s output.
     pub fn chain_to(&self, net: &Net, layer: LayerId) -> Vec<LayerId> {
-        let mut chain = vec![layer];
+        let mut chain = Vec::new();
+        self.chain_into(net, layer, &mut chain);
+        chain
+    }
+
+    /// [`RecomputePlan::chain_to`] into a caller-owned buffer (cleared
+    /// first) — the planner computes one chain per memory-centric replay.
+    pub fn chain_into(&self, net: &Net, layer: LayerId, chain: &mut Vec<LayerId>) {
+        chain.clear();
+        chain.push(layer);
         let mut cur = layer;
         while self.anchor_of[cur.0].is_some() {
             let p = net.layer(cur).prevs[0];
@@ -159,7 +168,6 @@ impl RecomputePlan {
             cur = p;
         }
         chain.reverse();
-        chain
     }
 
     /// Predicted extra forward computations for a pure speed-centric run:

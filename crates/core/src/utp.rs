@@ -51,8 +51,8 @@ pub enum Residence {
 #[derive(Debug, Clone, Copy)]
 pub struct TensorState {
     /// Written only through [`Utp`]'s transitions in this module, which keep
-    /// [`Utp::device_resident`] in step with it; read via
-    /// [`TensorState::residence`].
+    /// [`Utp::device_resident`] and [`Utp::host_resident`] in step with it;
+    /// read via [`TensorState::residence`].
     residence: Residence,
     pub grant: Option<AllocId>,
     pub host_slot: Option<TierSlot>,
@@ -145,10 +145,12 @@ pub struct Utp {
     /// The device-resident, cache-managed tensors in recency order.
     cache: Cache,
     insertion_clock: u64,
-    /// How many `states` are [`Residence::Device`] — moved by
-    /// [`Utp::set_residence`] and zeroed by [`Utp::reset`], the only two
-    /// writers of `residence`.
-    device_resident: usize,
+    /// How many `states` are [`Residence::Device`] and how many
+    /// [`Residence::Host`] — moved by [`Utp::set_residence`] and zeroed by
+    /// [`Utp::reset`], the only two writers of `residence`. (`u32`, like the
+    /// cache's tensor indices: the pair takes the room the one count did.)
+    device_resident: u32,
+    host_resident: u32,
     /// Tensors with an in-flight device→host copy, in submission order
     /// (D2H serializes, so submission order is completion order).
     pub pending_offloads: Vec<TensorId>,
@@ -161,6 +163,7 @@ impl Utp {
             cache: Cache::Linked(RecencyList::new(n_tensors)),
             insertion_clock: 0,
             device_resident: 0,
+            host_resident: 0,
             pending_offloads: Vec::new(),
         }
     }
@@ -334,12 +337,15 @@ impl Utp {
     }
 
     /// Every per-tensor write of `residence`: moves `t` and keeps the
-    /// device-resident count equal to what a scan of `states` would find.
+    /// device- and host-resident counts equal to what a scan of `states`
+    /// would find.
     #[inline]
     fn set_residence(&mut self, t: TensorId, to: Residence) {
         let st = &mut self.states[t.0];
-        self.device_resident -= (st.residence == Residence::Device) as usize;
-        self.device_resident += (to == Residence::Device) as usize;
+        self.device_resident -= (st.residence == Residence::Device) as u32;
+        self.device_resident += (to == Residence::Device) as u32;
+        self.host_resident -= (st.residence == Residence::Host) as u32;
+        self.host_resident += (to == Residence::Host) as u32;
         st.residence = to;
     }
 
@@ -421,6 +427,7 @@ impl Utp {
             self.states[i].residence = Residence::None;
         }
         self.device_resident = 0;
+        self.host_resident = 0;
         match &mut self.cache {
             Cache::Linked(l) => l.clear(),
             Cache::Reference(v) => v.list.clear(),
@@ -443,17 +450,23 @@ impl Utp {
     /// interpreter can read it every step at any net depth.
     #[inline]
     pub fn device_resident(&self) -> usize {
-        self.device_resident
+        self.device_resident as usize
     }
 
-    /// [`Utp::device_resident`] recomputed by scanning every state —
-    /// O(tensors), the oracle the counter is checked against (once per
-    /// iteration in debug builds, after every op in the property test).
-    pub(crate) fn scan_device_resident(&self) -> usize {
-        self.states
-            .iter()
-            .filter(|st| st.residence == Residence::Device)
-            .count()
+    /// Count of tensors whose only copy is on the host — what a fetch could
+    /// bring back. O(1), like [`Utp::device_resident`]: the planner asks
+    /// after every backward step whether there is anything to prefetch.
+    #[inline]
+    pub fn host_resident(&self) -> usize {
+        self.host_resident as usize
+    }
+
+    /// [`Utp::device_resident`] / [`Utp::host_resident`] recomputed by
+    /// scanning every state — O(tensors), the oracle the counters are
+    /// checked against (once per iteration in debug builds, after every op
+    /// in the property test).
+    pub(crate) fn scan_resident(&self, at: Residence) -> usize {
+        self.states.iter().filter(|st| st.residence == at).count()
     }
 }
 
@@ -586,15 +599,21 @@ mod tests {
                     "victim diverged under {policy:?}"
                 );
             }
-            assert_eq!(fast.device_resident(), fast.scan_device_resident());
-            assert_eq!(slow.device_resident(), slow.scan_device_resident());
+            assert_eq!(
+                fast.device_resident(),
+                fast.scan_resident(Residence::Device)
+            );
+            assert_eq!(
+                slow.device_resident(),
+                slow.scan_resident(Residence::Device)
+            );
         }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        // The count is the scan: after every transition, on real grants
+        // The counts are the scans: after every transition, on real grants
         // and under both cache representations.
         #[test]
         fn device_resident_count_equals_the_scan(
@@ -624,7 +643,8 @@ mod tests {
                     15 => utp.reset(&mut d),
                     _ => {}
                 }
-                prop_assert_eq!(utp.device_resident(), utp.scan_device_resident());
+                prop_assert_eq!(utp.device_resident(), utp.scan_resident(Residence::Device));
+                prop_assert_eq!(utp.host_resident(), utp.scan_resident(Residence::Host));
                 // Every device resident holds exactly one 16 KiB grant.
                 prop_assert_eq!(d.alloc.used(), (utp.device_resident() as u64) << 14);
             }
