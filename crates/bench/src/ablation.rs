@@ -1,10 +1,9 @@
 //! Ablation studies for the design choices the paper fixes — LRU, pinned
 //! staging, overlapped prefetch, a single local-host tier — each get an A/B
-//! here, plus the data-parallel scaling sweep the paper's §2.1 positioning
-//! implies.
+//! here. (Data-parallel scaling, overlapped against serialized all-reduce,
+//! is the `dataparallel` experiment.)
 
 use sn_models as models;
-use sn_runtime::parallel::{DataParallel, Interconnect};
 use sn_runtime::{CachePolicy, Executor, Policy, TierConfig};
 use sn_sim::spec::GB;
 use sn_sim::DeviceSpec;
@@ -166,60 +165,12 @@ pub fn ablation_tiers() -> String {
     )
 }
 
-/// Data-parallel scaling: aggregate img/s and efficiency vs GPU count,
-/// PCIe vs NVLink, with and without comm/compute overlap.
-pub fn ablation_data_parallel() -> String {
-    let mut t = TextTable::new(vec![
-        "GPUs",
-        "interconnect",
-        "overlap",
-        "img/s",
-        "efficiency",
-        "allreduce (ms)",
-    ]);
-    for gpus in [1usize, 2, 4, 8] {
-        for (icn, ic) in [
-            ("PCIe", Interconnect::pcie()),
-            ("NVLink", Interconnect::nvlink()),
-        ] {
-            for overlap in [false, true] {
-                if gpus == 1 && (icn == "NVLink" || overlap) {
-                    continue; // degenerate duplicates
-                }
-                let dp = DataParallel {
-                    net_builder: Box::new(models::resnet50),
-                    per_gpu_batch: 32,
-                    gpus,
-                    spec: DeviceSpec::titan_xp(),
-                    policy: Policy::superneurons(),
-                    interconnect: ic,
-                    overlap,
-                };
-                let r = dp.run().unwrap();
-                t.row(vec![
-                    format!("{gpus}"),
-                    icn.to_string(),
-                    format!("{overlap}"),
-                    format!("{:.1}", r.imgs_per_sec),
-                    format!("{:.2}", r.efficiency),
-                    format!("{:.1}", r.allreduce_time.as_ms_f64()),
-                ]);
-            }
-        }
-    }
-    format!(
-        "Ablation — data-parallel scaling (ResNet50, 32/GPU, SuperNeurons per replica)\n{}",
-        t.render()
-    )
-}
-
 /// All ablations.
 pub fn run_ablations() -> String {
     format!(
-        "{}\n{}\n{}\n{}",
+        "{}\n{}\n{}",
         ablation_cache_policy(),
         ablation_transfers(),
-        ablation_tiers(),
-        ablation_data_parallel()
+        ablation_tiers()
     )
 }

@@ -38,7 +38,6 @@ fn main() {
             "overlap" => sn_bench::overlap(quick),
             "cluster" => sn_bench::cluster(quick),
             "plan" => sn_bench::plan(quick),
-            "compile" => sn_bench::compile(quick),
             "dataparallel" => sn_bench::dataparallel(quick),
             "precision" => sn_bench::precision(quick),
             "trace" => sn_bench::trace(quick),
@@ -49,7 +48,7 @@ fn main() {
             other => {
                 eprintln!(
                     "unknown experiment '{other}'; known: fig2 fig8 fig10 table1 table2 table3 \
-                     fig11 fig12 table4 table5 fig13 fig14 ablation overlap cluster plan compile \
+                     fig11 fig12 table4 table5 fig13 fig14 ablation overlap cluster plan \
                      dataparallel precision trace service faults tune all  (flag: --quick)"
                 );
                 std::process::exit(2);

@@ -12,7 +12,7 @@
 //!    serialize-at-iteration-end baseline on every ≥2-replica point.
 //! 3. **Determinism** — the matrix measured over the rayon worker pool is
 //!    byte-identical to the serial sweep (gated only when ≥4 hardware
-//!    threads exist, as in the `compile` smoke — the dev box has one).
+//!    threads exist — the dev box has one).
 //!
 //! Emits `BENCH_dataparallel.json` with the gate fields CI greps.
 
@@ -171,7 +171,7 @@ pub fn dataparallel(quick: bool) -> String {
     // Determinism under the worker pool: re-measure the matrix via
     // rayon's par_map and require byte-identical results. Only meaningful
     // with real parallelism — vacuously true (and marked skipped) on boxes
-    // with fewer than 4 hardware threads, as in the `compile` smoke.
+    // with fewer than 4 hardware threads.
     let threads = rayon::current_num_threads();
     let parallel_checked = threads >= 4;
     let parallel_ok = if parallel_checked {

@@ -560,7 +560,6 @@ pub fn run_all(quick: bool) -> String {
         ("overlap", crate::overlap::overlap(quick)),
         ("cluster", crate::cluster::cluster(quick)),
         ("plan", crate::plan::plan(quick)),
-        ("compile", crate::compile::compile(quick)),
         ("dataparallel", crate::dataparallel::dataparallel(quick)),
         ("precision", crate::precision::precision(quick)),
         ("trace", crate::trace::trace(quick)),

@@ -11,7 +11,6 @@
 
 pub mod ablation;
 pub mod cluster;
-pub mod compile;
 pub mod dataparallel;
 pub mod experiments;
 pub mod faults;
@@ -25,7 +24,6 @@ pub mod tune;
 
 pub use ablation::run_ablations;
 pub use cluster::cluster;
-pub use compile::compile;
 pub use dataparallel::dataparallel;
 pub use experiments::*;
 pub use faults::faults;

@@ -164,8 +164,8 @@ pub fn measure_admission(quick: bool) -> AdmissionTiming {
     }
     let simulate_ns = t0.elapsed().as_nanos();
     // Drop the plan memo and shared analyses first: this row reports what a
-    // *compile* costs against a simulated iteration, not a memo hit (the
-    // memo's own speedup is the `compile` experiment's business).
+    // *compile* costs against a simulated iteration, not a memo hit (what
+    // a hit costs is the repo benchmark's `plan_reuse` workload).
     sn_runtime::plan::clear_all_caches();
     let t1 = Instant::now();
     for (_, build, batch) in &set {

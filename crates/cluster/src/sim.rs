@@ -56,12 +56,14 @@
 //!   integrals of step functions, so each device is settled just before its
 //!   `reserved`/`tenants` change and once when the run ends. In integers
 //!   that is exact, so no event walks the fleet to advance them.
-//! * **Admission-pass memo** — the FIFO pass re-evaluates queued jobs only
-//!   when reservations changed since they were last evaluated (admission is
-//!   a pure function of the reservation vector, so the replay is provably
-//!   identical), and `(reservation vector, job shape) → grant` decisions
-//!   are memoized across events, the vector hashed once per reservation
-//!   state.
+//! * **Version-gated admission** — the FIFO pass re-evaluates queued jobs
+//!   only when reservations changed since they were last evaluated
+//!   (admission is a pure function of the reservations, so the replay is
+//!   provably identical). Within one reservation state the only answer that
+//!   can be asked for again is a refusal — a grant reserves, and so ends the
+//!   state — so the shapes refused in the current state are kept in a set
+//!   and nothing else is: a queue thousands deep costs one sweep per
+//!   distinct shape per state, not one per job.
 //! * **Admission sweep** — a ladder rung is O(devices) integer arithmetic
 //!   (free bytes → quantized budget → bucket) plus O(distinct budgets)
 //!   profiler lookups: devices of one card at one budget share one answer
@@ -75,24 +77,35 @@
 //! arrivals → the admission pass → the re-anchor sweep. In debug builds
 //! `Core::check` then verifies the state's invariants — slot conservation,
 //! per-device reservations and tenant lists, one live completion per
-//! running gang, every pace the one its devices imply, monotone time — so
+//! running gang, every pace the one its devices imply, monotone time, no
+//! queued job's shape in the blocked set of a state that admits it — so
 //! every test of this crate runs under it.
 //!
 //! ### What an event costs
 //!
 //! One `serve_mixed` pass (the repo benchmark: 64 devices, ρ ≈ 0.83, gangs,
-//! inference, faults; ~22.5 k events), by where a `SIGPROF` sample of
-//! `run_stream` lands (250 Hz of CPU time, ~4 k and ~2.7 k samples under
-//! the event core, seed 501, 2-vCPU host), before and after the queue, sweep
-//! and memo changes; ns/event is the share of the measured 2.9 → 1.2 µs:
+//! inference, faults; 22 534 events), by where a `SIGPROF` sample of
+//! `run_stream` lands (250 Hz of CPU time, ~2.7 k and ~2.4 k samples under
+//! the event core, seed 501, 2-vCPU host), before and after admission
+//! stopped memoizing by reservation vector; ns/event is the share of the
+//! 1.62 → 1.23 µs an event took (median of three traced 20-s runs a side):
 //!
-//! | where                                       | before       | after        |
-//! |---------------------------------------------|-------------:|-------------:|
-//! | admission sweep (profiler, placement)       | 47 % · 1370 ns | 39 % · 460 ns |
-//! | admission memo (hash, key and grant clones) | 11 % · 310 ns  | 17 % · 210 ns |
-//! | event queue                                 | 25 % · 740 ns  | 11 % · 140 ns |
-//! | device accounting + re-anchor sweep         | 6 % · 180 ns   | 17 % · 200 ns |
-//! | the rest (recorder, slab, fault arms)       | 10 % · 300 ns  | 16 % · 190 ns |
+//! | where                                       | before         | after          |
+//! |---------------------------------------------|---------------:|---------------:|
+//! | admission sweep (profiler, placement)       | 45 % · 740 ns  | 48 % · 600 ns  |
+//! | event queue                                 | 10 % · 170 ns  | 13 % · 170 ns  |
+//! | device accounting + re-anchor sweep         | 21 % · 340 ns  | 27 % · 330 ns  |
+//! | the rest (recorder, slab, fault arms)       | 11 % · 170 ns  | 11 % · 140 ns  |
+//!
+//! The row that is gone — the reservation-state memo: the vector, its hash,
+//! a fresh state and a grant clone a lookup, 4 096 states freed at a time —
+//! was 12 % · 200 ns of the "before" column and answered none of the pass's
+//! 7 488 lookups. What stands in for it, a version compare and a probe of a
+//! set that on this traffic is always empty, drew 1 sample of 2 353. The
+//! sweep is the same code on both sides and reads 140 ns cheaper; the memo
+//! put 7.8 MB a pass (346 B an event, by the exact allocation count)
+//! through the cache the sweep's lookups use, which is the likely reason,
+//! not a measured one.
 //!
 //! What is left of the sweep is its O(devices) arithmetic — two integer
 //! divisions per device per rung in `quantized_budget` — not lookups.
@@ -119,7 +132,7 @@
 
 use std::sync::Arc;
 
-use fxhash::FxHashMap;
+use fxhash::{FxHashMap, FxHashSet};
 use sn_runtime::ring_allreduce_time;
 use sn_sim::SimTime;
 use sn_telemetry::{ArgValue, Counter, Histogram, MetricsRegistry, TraceSink, TrackId};
@@ -618,32 +631,21 @@ impl Recorder for StreamRecorder {
     }
 }
 
-/// Admission decisions memoized across events. `try_admit` is a pure
-/// function of the per-device **raw reservation vector** and the job's
-/// shape — raw, not quantized, because best-fit ranks candidates by exact
-/// free bytes and bin-pack by exact reserved bytes, so two reservation
-/// states sharing quantized budgets can still place differently. Keyed on
-/// that vector the memo is exact with no invalidation protocol at all; a
-/// size cap bounds memory on long streams (clearing it is semantically
-/// invisible — entries are pure).
+/// What admission remembers between calls — only what can be asked again.
 ///
-/// The vector is 8 bytes per device, so it is hashed **once per
-/// reservation state**, not once per lookup: when `state_version` moves,
-/// [`AdmitMemo::enter`] rebuilds the vector, finds the state's entry by
-/// that hash, and checks the stored vector against it word for word (a
-/// colliding entry is replaced, never trusted). Until the version moves
-/// again every lookup is one small hash of the job shape.
+/// `try_admit` is a pure function of the per-device reservations and the
+/// job's shape, and a grant it returns is never asked for twice: admitting
+/// reserves, which moves `state_version`. A *refusal* is: the shape comes up
+/// again behind it in the same pass, and with every fresh arrival until
+/// reservations change. So the only decisions kept are the shapes refused in
+/// the current reservation state, dropped the moment it moves — no
+/// reservation vector is built, hashed or compared, and nothing outlives the
+/// state it was computed in.
 #[derive(Default)]
 struct AdmitMemo {
-    /// Every reservation state seen: `(vector, decisions made in it)`.
-    states: Vec<(Vec<u64>, Decisions)>,
-    /// Hash of a state's vector → its position in `states`.
-    index: FxHashMap<u64, usize>,
-    /// The state `version` resolved to.
-    current: usize,
-    version: Option<u64>,
-    /// The current reservation vector (reused buffer).
-    key: Vec<u64>,
+    /// Shapes `try_admit` refused in reservation state `blocked_at`.
+    blocked: FxHashSet<ShapeKey>,
+    blocked_at: u64,
     /// Feasibility per shape on the idle *live* (non-failed) devices:
     /// [`feasible_on_device_subset`] is a pure function of (profiler,
     /// devices, job shape), and the FIFO pass re-asks it for every
@@ -660,47 +662,15 @@ struct AdmitMemo {
     feasible_full: FxHashMap<ShapeKey, bool>,
 }
 
-/// `try_admit`'s answers in one reservation state, by job shape.
-type Decisions = FxHashMap<ShapeKey, Option<Grant>>;
-
 impl AdmitMemo {
-    /// The decisions made so far in the reservation state `devices` is in;
-    /// the state is re-derived only when `state_version` moved.
-    fn enter(&mut self, devices: &[DeviceState], state_version: u64) -> &mut Decisions {
-        if self.version != Some(state_version) {
-            self.version = Some(state_version);
-            self.key.clear();
-            // Effective occupancy: failed devices are saturated, pressure
-            // spikes count as reserved. Fault-free this is exactly the raw
-            // reservation vector.
-            self.key.extend(devices.iter().map(|d| {
-                if d.failed {
-                    u64::MAX
-                } else {
-                    d.reserved.saturating_add(d.spike)
-                }
-            }));
-            let hash = fxhash::hash_with_seed(&self.key, 0x6164_6d69_745f_6d65);
-            self.current = match self.index.get(&hash) {
-                Some(&at) if self.states[at].0 == self.key => at,
-                Some(&at) => {
-                    // Another vector with this hash: the slot changes hands.
-                    self.states[at].0.clone_from(&self.key);
-                    self.states[at].1.clear();
-                    at
-                }
-                None => {
-                    if self.states.len() >= ADMIT_MEMO_MAX_STATES {
-                        self.states.clear();
-                        self.index.clear();
-                    }
-                    self.states.push((self.key.clone(), Decisions::default()));
-                    self.index.insert(hash, self.states.len() - 1);
-                    self.states.len() - 1
-                }
-            };
+    /// The shapes refused so far in reservation state `state_version`: none
+    /// yet, if the state moved since the last call.
+    fn blocked(&mut self, state_version: u64) -> &mut FxHashSet<ShapeKey> {
+        if self.blocked_at != state_version {
+            self.blocked.clear();
+            self.blocked_at = state_version;
         }
-        &mut self.states[self.current].1
+        &mut self.blocked
     }
 }
 
@@ -718,11 +688,6 @@ fn shape_key(job: &JobSpec) -> ShapeKey {
         job.replicas,
     )
 }
-
-/// State cap: past this many distinct reservation states the memo
-/// resets. Generous for steady-state serving (states recur) while bounding
-/// pathological churn.
-const ADMIT_MEMO_MAX_STATES: usize = 4096;
 
 /// The buffers one admission sweep fills, reused from sweep to sweep.
 #[derive(Default)]
@@ -888,26 +853,6 @@ impl ClusterSim {
             }
         }
         None
-    }
-
-    /// [`ClusterSim::try_admit`] behind the cross-event memo (see
-    /// [`AdmitMemo`]).
-    fn try_admit_memo<'a>(
-        &'a self,
-        devices: &[DeviceState],
-        job: &JobSpec,
-        memo: &mut AdmitMemo,
-        state_version: u64,
-        scratch: &mut AdmitScratch<'a>,
-    ) -> Option<Grant> {
-        let shape = shape_key(job);
-        if let Some(hit) = memo.enter(devices, state_version).get(&shape) {
-            return hit.clone();
-        }
-        let result = self.try_admit(devices, job, scratch);
-        memo.enter(devices, state_version)
-            .insert(shape, result.clone());
-        result
     }
 
     /// Constrained re-admission for an interrupted job: keep the original
@@ -1283,8 +1228,8 @@ struct Core<'a, R: Recorder> {
     fault_epoch: u64,
     fail_since: Vec<Option<u64>>,
     // This instant's work lists, reused from instant to instant: a
-    // steady-state event allocates only for what it leaves behind (a grant,
-    // a memo entry).
+    // steady-state event allocates only for what it leaves behind (a
+    // grant).
     completions: Vec<SlotKey>,
     /// Devices whose tenant count changed this instant — the re-anchor
     /// sweep visits exactly their gangs.
@@ -1383,8 +1328,8 @@ impl<'a, R: Recorder> Core<'a, R> {
     /// one instant ascend by arrival sequence, so completions come out in
     /// the order they are reported in, and parked jobs whose backoff expired
     /// re-enter the queue in it — ahead of this instant's arrivals (they
-    /// arrived earlier) and at or past `fresh_from`, so even a memoized
-    /// pass re-evaluates them.
+    /// arrived earlier) and at or past `fresh_from`, so even a pass that
+    /// skips the unchanged queue re-evaluates them.
     fn pop_due(&mut self, t_ns: u64) -> (bool, bool) {
         self.now_ns = t_ns;
         self.completions.clear();
@@ -1705,13 +1650,19 @@ impl<'a, R: Recorder> Core<'a, R> {
             // A job granted before carries its frozen plan: restart
             // re-admission is budget-exact, never a fresh search.
             Some(plan) => sim.try_admit_resume(&self.devices, &job.spec, plan),
-            None => sim.try_admit_memo(
-                &self.devices,
-                &job.spec,
-                &mut self.memo,
-                self.state_version,
-                &mut self.scratch,
-            ),
+            None => {
+                let shape = shape_key(&job.spec);
+                let blocked = self.memo.blocked(self.state_version);
+                if blocked.contains(&shape) {
+                    None
+                } else {
+                    let grant = sim.try_admit(&self.devices, &job.spec, &mut self.scratch);
+                    if grant.is_none() {
+                        blocked.insert(shape);
+                    }
+                    grant
+                }
+            }
         };
         if let Some(grant) = grant {
             return Some((Vec::new(), grant));
@@ -1940,6 +1891,24 @@ impl<'a, R: Recorder> Core<'a, R> {
             self.running,
             "exactly one queued completion per running gang"
         );
+        // A set left over from an earlier reservation state is emptied
+        // before it is next read, so it claims nothing now.
+        if self.memo.blocked_at == self.state_version {
+            let mut scratch = AdmitScratch::default();
+            for &key in &self.pending {
+                let job = &self.jobs.get(key).expect("pending jobs are live").spec;
+                let shape = shape_key(job);
+                if self.memo.blocked.contains(&shape) {
+                    assert!(
+                        self.sim
+                            .try_admit(&self.devices, job, &mut scratch)
+                            .is_none(),
+                        "job {}: its shape is in the blocked set of a state that admits it",
+                        job.name
+                    );
+                }
+            }
+        }
     }
 }
 

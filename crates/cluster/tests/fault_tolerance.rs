@@ -22,6 +22,9 @@
 //! 7. **A restart owes its remaining work** — the completion projected for
 //!    an interrupted run dies with it; the restarted job finishes no
 //!    earlier than re-admission + remaining iterations × step × slowdown.
+//! 8. **A refusal lasts as long as the state it was made in** — jobs that
+//!    only a pressure spike keeps off their device are admitted at the
+//!    instant it lifts, not at the next completion.
 
 use proptest::prelude::*;
 use sn_cluster::{
@@ -456,6 +459,65 @@ fn tuned_rung_downgrades_onto_the_hand_ladder_under_restart_elastic() {
         granted,
         PolicyPreset::FullMemory | PolicyPreset::Superneurons
     ));
+}
+
+#[test]
+fn jobs_blocked_only_by_a_spike_start_the_instant_it_lifts() {
+    let w = Workload::Synthetic {
+        width: 32,
+        depth: 6,
+    };
+    // Baseline's peak does not depend on the budget, and downgrades are
+    // off, so the three jobs ask for the same bytes whatever is free.
+    let job = |name: &str, iterations: u32| {
+        JobSpec::new(name, w, 16)
+            .with_preset(PolicyPreset::Baseline)
+            .with_downgrade(false)
+            .with_iterations(iterations)
+    };
+    let resident = (SimTime::ZERO, job("resident", 60));
+    // Alone on a huge device: how long the resident runs, and what it holds.
+    let (solo, peak) = {
+        let mut sim = ClusterSim::new(fleet_n(1, 1 << 30), PlacementPolicy::FirstFit);
+        let alone = sim.run(vec![resident.clone()]);
+        (alone.makespan.0, alone.jobs[0].reservations[0])
+    };
+    // Room for all three and a budget quantum (1/32 of DRAM) to spare; the
+    // spike withholds everything the resident does not hold. The two
+    // newcomers have one shape and arrive at different instants in one
+    // reservation state: the first is refused by the sweep, the second by
+    // the memory of that refusal.
+    let dram = 4 * peak;
+    let (spike_at, lifts_at) = (solo / 8, solo / 2);
+    let plan = FaultPlan::new().spike(
+        SimTime(spike_at),
+        0,
+        dram - peak,
+        SimTime(lifts_at - spike_at),
+    );
+    let arrivals = vec![
+        resident,
+        (SimTime(solo / 4), job("first", 5)),
+        (SimTime(solo / 3), job("second", 7)),
+    ];
+    let mut sim = ClusterSim::new(fleet_n(1, dram), PlacementPolicy::FirstFit);
+    sim.enable_faults(plan, RecoveryPolicy::default());
+    let report = sim.run(arrivals);
+
+    assert!(report.conservation_holds());
+    assert_eq!(report.completed, 3);
+    let of = |name: &str| report.jobs.iter().find(|j| j.name == name).unwrap();
+    assert!(
+        of("resident").completion.unwrap().0 > lifts_at,
+        "test premise: nothing completes before the spike lifts"
+    );
+    for name in ["first", "second"] {
+        assert_eq!(
+            of(name).started,
+            Some(SimTime(lifts_at)),
+            "{name} must start when the spike lifts"
+        );
+    }
 }
 
 #[test]

@@ -64,8 +64,7 @@ pub use group::{
     GroupIterationReport, GroupPlan,
 };
 pub use parallel::{
-    bucket_wire_bytes, ring_allreduce_time, ring_allreduce_wire_bytes, ring_wire_time,
-    DataParallel, Interconnect, ParallelReport,
+    bucket_wire_bytes, ring_allreduce_time, ring_allreduce_wire_bytes, ring_wire_time, Interconnect,
 };
 pub use plan::{CompiledPlan, MemoryPlan, PlanOp, StepPlan, WorkspacePlan};
 pub use policy::{AllocatorKind, CachePolicy, Policy, RecomputeMode, WorkspacePolicy};

@@ -1,28 +1,16 @@
-//! Data-parallel multi-GPU training on top of the single-device runtime.
+//! The interconnect between data-parallel replicas and the ring all-reduce
+//! arithmetic on it.
 //!
 //! The paper scopes itself to "addressing the GPU memory shortage issue for
 //! training deep neural networks under \[the\] data parallelism model"
 //! (§2.1):
 //! each GPU holds a network replica, computes a sub-gradient on a sub-batch,
-//! and all sub-gradients are aggregated into one global gradient. This
-//! module composes that outer loop over the simulated devices:
-//!
-//! * every replica runs the full SuperNeurons runtime on its own device;
-//! * gradient aggregation is a ring all-reduce over the interconnect
-//!   (`2·(k−1)/k · bytes` on the wire per GPU);
-//! * optionally, communication of layer `i`'s weight gradients overlaps the
-//!   backward computation of layers `< i` (the standard bucketed-overlap
-//!   optimization the paper cites as \[25\]).
-//!
-//! Replicas are deterministic and identical, so one executor is simulated
-//! and the aggregate behaviour derived — exactly how the data-parallel
-//! timing model in the literature composes.
+//! and all sub-gradients are aggregated into one global gradient — here a
+//! ring all-reduce over the interconnect (`2·(k−1)/k · bytes` on the wire
+//! per GPU). These closed forms are what [`crate::group`] pins its measured,
+//! bucketed, backward-overlapped collectives to.
 
-use sn_graph::{Net, NetCost};
-use sn_sim::{DeviceSpec, SimTime};
-
-use crate::executor::{ExecError, Executor};
-use crate::policy::Policy;
+use sn_sim::SimTime;
 
 /// Interconnect between replicas.
 #[derive(Debug, Clone, Copy)]
@@ -108,97 +96,10 @@ pub fn bucket_wire_bytes(bucket_bytes: &[u64], gpus: usize) -> Vec<u64> {
     out
 }
 
-/// A data-parallel training configuration.
-pub struct DataParallel {
-    pub net_builder: Box<dyn Fn(usize) -> Net>,
-    /// Per-GPU sub-batch.
-    pub per_gpu_batch: usize,
-    pub gpus: usize,
-    pub spec: DeviceSpec,
-    pub policy: Policy,
-    pub interconnect: Interconnect,
-    /// Overlap gradient exchange with the remaining backward computation.
-    pub overlap: bool,
-}
-
-/// Aggregate report for a data-parallel step.
-#[derive(Debug, Clone)]
-pub struct ParallelReport {
-    pub gpus: usize,
-    pub global_batch: usize,
-    /// Per-replica compute time (one training iteration on one device).
-    pub replica_time: SimTime,
-    /// All-reduce wire time for the full gradient set.
-    pub allreduce_time: SimTime,
-    /// End-to-end step time after (possible) overlap.
-    pub step_time: SimTime,
-    /// Aggregate throughput across all replicas.
-    pub imgs_per_sec: f64,
-    /// Scaling efficiency vs. a perfect k× of the single-GPU rate.
-    pub efficiency: f64,
-    /// Per-replica peak device memory.
-    pub peak_bytes: u64,
-}
-
-impl DataParallel {
-    /// Predicted per-replica peak device bytes — what each GPU in the gang
-    /// must reserve. Replicas are identical, so one prediction covers all.
-    pub fn predicted_peak_bytes(&self) -> Result<u64, ExecError> {
-        let net = (self.net_builder)(self.per_gpu_batch);
-        crate::session::predict_peak_bytes(&net, &self.spec, self.policy)
-    }
-
-    /// Simulate one synchronous data-parallel step.
-    pub fn run(&self) -> Result<ParallelReport, ExecError> {
-        assert!(self.gpus >= 1);
-        let net = (self.net_builder)(self.per_gpu_batch);
-        // Wire volume scales with the gradient element size: under a mixed
-        // preset the ring exchanges 2-byte gradients of the fp32 master
-        // weights, i.e. half the fp32 bytes. At fp32 this is exactly
-        // `total_weight_bytes()`.
-        let cost = NetCost::with_precision(&net, self.policy.precision);
-        let grad_bytes = cost.total_allreduce_bytes();
-
-        // One replica's iteration (all replicas are identical).
-        let mut ex = Executor::new(&net, self.spec.clone(), self.policy)?;
-        ex.run_iteration()?; // warm-up
-        let r = ex.run_iteration()?;
-
-        // Ring all-reduce: each GPU sends/receives 2(k-1)/k of the gradient
-        // bytes; k=1 needs no exchange.
-        let allreduce_time = ring_allreduce_time(grad_bytes, self.gpus, self.interconnect);
-
-        // Overlap: gradients of layer i are ready when its backward step
-        // completes; the exchange can hide under the remaining backward
-        // half. A (conservative) half-iteration of compute is available
-        // to hide communication under.
-        let step_time = if self.overlap && self.gpus > 1 {
-            let hideable = SimTime(r.iter_time.0 / 2);
-            r.iter_time + allreduce_time.saturating_sub(hideable)
-        } else {
-            r.iter_time + allreduce_time
-        };
-
-        let global_batch = self.per_gpu_batch * self.gpus;
-        let imgs = global_batch as f64 / step_time.as_secs_f64();
-        let single = self.per_gpu_batch as f64 / r.iter_time.as_secs_f64();
-        Ok(ParallelReport {
-            gpus: self.gpus,
-            global_batch,
-            replica_time: r.iter_time,
-            allreduce_time,
-            step_time,
-            imgs_per_sec: imgs,
-            efficiency: imgs / (single * self.gpus as f64),
-            peak_bytes: r.peak_bytes,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sn_graph::Shape4;
+    use sn_graph::{Net, NetCost, Shape4};
 
     fn build(batch: usize) -> Net {
         let mut net = Net::new("dp", Shape4::new(batch, 3, 32, 32));
@@ -211,80 +112,6 @@ mod tests {
         let f = net.fc(a2, 10);
         net.softmax(f);
         net
-    }
-
-    fn dp(gpus: usize, overlap: bool, ic: Interconnect) -> DataParallel {
-        DataParallel {
-            net_builder: Box::new(build),
-            per_gpu_batch: 64,
-            gpus,
-            spec: DeviceSpec::titan_xp(),
-            policy: Policy::superneurons(),
-            interconnect: ic,
-            overlap,
-        }
-    }
-
-    #[test]
-    fn single_gpu_has_no_communication() {
-        let r = dp(1, true, Interconnect::pcie()).run().unwrap();
-        assert_eq!(r.allreduce_time, SimTime::ZERO);
-        assert_eq!(r.step_time, r.replica_time);
-        assert!((r.efficiency - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn scaling_efficiency_is_sub_linear_but_positive() {
-        let r1 = dp(1, false, Interconnect::pcie()).run().unwrap();
-        let r4 = dp(4, false, Interconnect::pcie()).run().unwrap();
-        let r8 = dp(8, false, Interconnect::pcie()).run().unwrap();
-        assert!(
-            r4.imgs_per_sec > r1.imgs_per_sec,
-            "more GPUs, more throughput"
-        );
-        assert!(r8.imgs_per_sec > r4.imgs_per_sec);
-        assert!(r4.efficiency < 1.0 && r4.efficiency > 0.3);
-        assert!(
-            r8.efficiency <= r4.efficiency,
-            "efficiency decays with scale"
-        );
-    }
-
-    #[test]
-    fn overlap_hides_communication() {
-        let plain = dp(8, false, Interconnect::pcie()).run().unwrap();
-        let olap = dp(8, true, Interconnect::pcie()).run().unwrap();
-        assert!(olap.step_time <= plain.step_time);
-        assert!(olap.imgs_per_sec >= plain.imgs_per_sec);
-    }
-
-    #[test]
-    fn faster_interconnect_scales_better() {
-        let pcie = dp(8, false, Interconnect::pcie()).run().unwrap();
-        let nv = dp(8, false, Interconnect::nvlink()).run().unwrap();
-        assert!(nv.allreduce_time < pcie.allreduce_time);
-        assert!(nv.efficiency > pcie.efficiency);
-    }
-
-    #[test]
-    fn global_batch_is_product() {
-        let r = dp(4, true, Interconnect::pcie()).run().unwrap();
-        assert_eq!(r.global_batch, 256);
-        assert_eq!(r.gpus, 4);
-    }
-
-    #[test]
-    fn predicted_peak_covers_the_measured_replica() {
-        // The prediction is the high-water mark over a cold + a warm
-        // iteration, so it must cover what a measured warm step reports.
-        let config = dp(4, true, Interconnect::pcie());
-        let predicted = config.predicted_peak_bytes().unwrap();
-        let measured = config.run().unwrap().peak_bytes;
-        assert!(predicted > 0);
-        assert!(
-            predicted >= measured,
-            "prediction {predicted} must cover measured {measured}"
-        );
     }
 
     #[test]

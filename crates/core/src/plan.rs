@@ -48,9 +48,10 @@
 //!
 //! None of this changes a single planned byte: the `plan` bench experiment
 //! still asserts plan peaks equal executed peaks across the preset × model
-//! matrix, and the `compile` experiment asserts the optimized planner's
-//! plans are byte-identical to the retained reference implementation
-//! ([`compile_reference`]: linear-scan pool + `Vec` cache list).
+//! matrix, and `reference_compile_is_byte_identical` asserts the optimized
+//! planner's plans are byte-identical to the retained reference
+//! implementation ([`compile_reference`]: linear-scan pool + `Vec` cache
+//! list).
 //!
 //! The result of a compile is a cheap, inspectable, reusable artifact:
 //!
@@ -620,9 +621,8 @@ pub fn compile_inference(
 /// clones, per-alloc `String` clones), driving the linear-scan
 /// `sn_mempool::LinearPool` and the `Vec`-backed cache list, with nothing
 /// cached or shared — every compile pays the full graph analyses. Produces
-/// byte-identical plans (asserted by tests and the `compile` bench); exists
-/// so the baseline row of `BENCH_compile.json` measures the real pre-change
-/// cost on current hardware.
+/// byte-identical plans: `reference_compile_is_byte_identical` holds the
+/// optimized walk to it.
 pub fn compile_reference(
     net: &Net,
     spec: &DeviceSpec,
@@ -1548,9 +1548,18 @@ mod tests {
         let squeezed = |s: &StepPlan| s.workspace.is_some_and(|w| w.bytes < w.max_speed_bytes);
         assert!(sn.plan.steps.iter().any(squeezed));
 
+        // The two mid-size evaluation networks under the five presets (they
+        // lead the lattice): the matrix an admission ladder sweeps.
+        let (vgg16, resnet50) = (sn_models::vgg16(16), sn_models::resnet50(16));
+        let lattice = lattice();
         let mut compared = 0;
-        for (spec, binds) in [(&open, false), (&tight, true)] {
-            for policy in lattice() {
+        for (net, spec, binds, policies) in [
+            (&net, &open, false, &lattice[..]),
+            (&net, &tight, true, &lattice[..]),
+            (&vgg16, &open, false, &lattice[..5]),
+            (&resnet50, &open, false, &lattice[..5]),
+        ] {
+            for &policy in policies {
                 // ROADMAP item 3, last bullet: under `Mru` and a binding cap
                 // a segment replay can evict its own target and the
                 // planner's `debug_assert_eq!(residence, Device)` fires (on
@@ -1558,8 +1567,8 @@ mod tests {
                 if binds && policy.cache_policy == CachePolicy::Mru {
                     continue;
                 }
-                let fast = compile(&net, spec, policy);
-                let slow = compile_reference(&net, spec, policy);
+                let fast = compile(net, spec, policy);
+                let slow = compile_reference(net, spec, policy);
                 let (fast, slow) = match (fast, slow) {
                     (Ok(f), Ok(s)) => (f.plan, s.plan),
                     (Err(f), Err(s)) => {
@@ -1568,7 +1577,7 @@ mod tests {
                     }
                     (f, s) => panic!("{policy:?}: fast {:?}, reference {:?}", f.err(), s.err()),
                 };
-                assert_eq!(fast.render(&net), slow.render(&net));
+                assert_eq!(fast.render(net), slow.render(net));
                 assert_eq!(fast.peak_bytes, slow.peak_bytes);
                 assert_eq!(fast.peak_step, slow.peak_step);
                 assert_eq!(fast.predicted.to_json(), slow.predicted.to_json());
@@ -1580,7 +1589,7 @@ mod tests {
             }
         }
         assert!(
-            compared >= 24,
+            compared >= 34,
             "only {compared} cells compiled on both sides"
         );
     }

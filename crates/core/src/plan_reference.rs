@@ -9,15 +9,9 @@
 //! Tensor Cache list ([`crate::utp::reference::VecCache`]). Nothing is
 //! cached or shared; every compile pays the full graph analyses.
 //!
-//! Two jobs:
-//!
-//! * the `reference_compile_is_byte_identical` test and the `compile` bench
-//!   assert the optimized planner produces **byte-identical plans** (same
-//!   peaks, same op stream, same counters) — the perf pass may change time,
-//!   never bytes;
-//! * the `compile` bench experiment's baseline row times this path, so
-//!   `BENCH_compile.json`'s speedup compares against the real pre-change
-//!   cost on the same hardware, not a remembered number.
+//! One job: the `reference_compile_is_byte_identical` test asserts the
+//! optimized planner produces **byte-identical plans** (same peaks, same op
+//! stream, same counters) — a perf pass may change time, never bytes.
 //!
 //! Deliberately not exported from the crate root; reach it through
 //! [`crate::plan::compile_reference`].

@@ -94,8 +94,7 @@ impl TensorState {
     }
 }
 
-/// Reference Tensor Cache implementations, kept for differential tests and
-/// the `compile` bench experiment's pre-optimization baseline row.
+/// Reference Tensor Cache implementations, kept for differential tests.
 pub mod reference {
     use super::*;
 

@@ -5,14 +5,11 @@
 //! This was the workspace's production pool before [`crate::HeapPool`]
 //! (same list, plus an incremental maximum, one-search coalescing and a slot
 //! slab for handles) replaced it on the planner hot path. It is kept for
-//! two jobs:
-//!
-//! * **differential testing**: `HeapPool` must return byte-identical
-//!   grant addresses, sizes, high-water marks and
-//!   [`AllocError::OutOfMemory`] diagnostics over arbitrary alloc/free
-//!   traces (see `tests/proptest_differential.rs`);
-//! * **baseline benchmarking**: the `compile` bench experiment compiles
-//!   plans against this pool to produce its pre-optimization baseline row.
+//! one job — **differential testing**: `HeapPool` must return
+//! byte-identical grant addresses, sizes, high-water marks and
+//! [`AllocError::OutOfMemory`] diagnostics over arbitrary alloc/free traces
+//! (see `tests/proptest_differential.rs`), and the reference plan walk
+//! compiles against this pool.
 //!
 //! Semantics (shared with `HeapPool`, bit for bit): 1 KB blocks,
 //! first-fit = the **lowest-address** empty node with enough blocks, frees

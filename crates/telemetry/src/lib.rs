@@ -22,9 +22,9 @@
 //! **The zero-overhead-when-disabled contract**: a [`TraceSink::off`] sink
 //! records nothing and allocates nothing; instrumented code guards every
 //! label construction behind an is-enabled check, so the disabled path costs
-//! one branch per operation. The `compile` bench's `serial_ok` gate (planner
-//! throughput ≥3x the reference) runs with the no-op sink and is the CI
-//! proof that instrumentation is free when off.
+//! one branch per operation. The repo benchmark measures every workload with
+//! the no-op sink and reports what switching it on costs
+//! (`telemetry.on_cost_ratio`).
 
 pub mod metrics;
 pub mod trace;

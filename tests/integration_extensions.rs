@@ -2,8 +2,9 @@
 //! alternative cache replacement policies, and data-parallel sessions —
 //! each composed with the full runtime stack.
 
-use superneurons::runtime::parallel::{DataParallel, Interconnect};
-use superneurons::runtime::{CachePolicy, Executor, Policy, TierConfig};
+use superneurons::runtime::{
+    CachePolicy, Executor, GroupConfig, GroupExecutor, Interconnect, Policy, TierConfig,
+};
 use superneurons::DeviceSpec;
 
 /// Constraining the local host tier makes offload spill to the other Fig.-7
@@ -83,27 +84,27 @@ fn cache_policies_complete_under_pressure() {
 /// is unchanged.
 #[test]
 fn data_parallel_scales_and_preserves_replica_memory() {
-    let mk = |gpus, overlap| DataParallel {
-        net_builder: Box::new(superneurons::models::resnet50),
-        per_gpu_batch: 16,
-        gpus,
-        spec: DeviceSpec::titan_xp(),
-        policy: Policy::superneurons(),
-        interconnect: Interconnect::pcie(),
-        overlap,
+    const BATCH: usize = 16;
+    let net = superneurons::models::resnet50(BATCH);
+    let run = |cfg: GroupConfig| {
+        let mut gx =
+            GroupExecutor::new(&net, DeviceSpec::titan_xp(), Policy::superneurons(), cfg).unwrap();
+        gx.run_iteration().unwrap(); // warm-up
+        gx.run_iteration().unwrap()
     };
-    let r1 = mk(1, false).run().unwrap();
-    let r8 = mk(8, false).run().unwrap();
-    let r8o = mk(8, true).run().unwrap();
-    assert!(
-        r8.imgs_per_sec > 4.0 * r1.imgs_per_sec,
-        "8 GPUs must beat 4x one GPU"
+    let r1 = run(GroupConfig::new(1, Interconnect::pcie()));
+    let r8 = run(GroupConfig::new(8, Interconnect::pcie()).serialized());
+    let r8o = run(GroupConfig::new(8, Interconnect::pcie()));
+    let (one, eight, eight_overlapped) = (
+        r1.imgs_per_sec(BATCH),
+        r8.imgs_per_sec(BATCH),
+        r8o.imgs_per_sec(BATCH),
     );
-    assert!(r8.efficiency < 1.0);
-    assert!(r8o.efficiency >= r8.efficiency);
+    assert!(eight > 4.0 * one, "8 GPUs must beat 4x one GPU");
+    assert!(eight < 8.0 * one, "scaling efficiency stays below 1");
+    assert!(eight_overlapped >= eight, "overlap never loses");
     assert_eq!(
-        r1.peak_bytes, r8.peak_bytes,
+        r1.replica.peak_bytes, r8.replica.peak_bytes,
         "replica memory is independent of scale"
     );
-    assert_eq!(r8.global_batch, 128);
 }
