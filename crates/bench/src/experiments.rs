@@ -182,7 +182,8 @@ pub fn fig10() -> String {
         let net = models::alexnet(200);
         let mut ex = Executor::new(&net, spec.clone(), policy).unwrap();
         let r = ex.run_iteration().unwrap();
-        let peak_rec = ex.trace.peak_step().unwrap().clone();
+        let trace = ex.last_trace();
+        let peak_rec = trace.peak_step().unwrap();
         out.push_str(&format!(
             "{panel}: peak_m = {} MB at step {} ({} {})   [{:.1}% of baseline]\n",
             mb(r.peak_bytes),
@@ -195,7 +196,7 @@ pub fn fig10() -> String {
             100.0 * r.peak_bytes as f64 / baseline.peak_bytes as f64,
         ));
         out.push_str("  step series (step:layer:MB:live): ");
-        for rec in &ex.trace.records {
+        for rec in &trace.records {
             out.push_str(&format!(
                 "{}:{}:{}:{} ",
                 rec.step,

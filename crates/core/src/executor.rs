@@ -17,6 +17,17 @@
 //! preset × model matrix by the `plan` bench experiment. Overlap changes
 //! *when* transfers run, never what is resident.
 //!
+//! **What a warm step touches.** The plan's ops and the step's `StepPlan`;
+//! per tensor an op names, one [`crate::utp::TensorState`] (one cache line)
+//! and one `TensorSlot` here — its bytes and the landing times of its
+//! in-flight fetch and copy-out, the three numbers `apply` and the kernel's
+//! gate loop read; per step, one `StepSample` of three numbers written at
+//! the kernel submit. Everything else a reader may want of a step — number,
+//! layer name, phase, free bytes — is already in the plan or the device and
+//! is joined in when somebody asks ([`Executor::step_records`]), as Fig. 12's
+//! rows are ([`Executor::ws_records`]). A replay's duration is worked out
+//! once per layer when the executor is built.
+//!
 //! The same interpreter drives both execution modes: *virtual* (durations
 //! from the cost model; used by every paper-scale experiment) and *numeric*
 //! (an attached [`ComputeBackend`] really computes tensors; used to validate
@@ -29,8 +40,8 @@ use sn_graph::liveness::{LivenessPlan, TensorId, TensorRole};
 use sn_graph::{LayerId, Net, NetCost, Route, StepPhase};
 use sn_sim::trace::Phase;
 use sn_sim::{
-    DeviceAllocator, DeviceSpec, Dma, Event, OverlapStats, SimTime, SpanLabel, StepRecord,
-    StepTrace, StreamId, TraceSink,
+    DeviceAllocator, DeviceSpec, Event, OverlapStats, SimTime, SpanLabel, StepRecord, StepTrace,
+    StreamId, TraceSink,
 };
 use sn_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
 
@@ -303,6 +314,55 @@ pub struct WorkspaceRecord {
     pub speedup: f64,
 }
 
+/// What the interpreter reads and writes of a tensor while it replays the
+/// plan — three numbers, in one dense array beside [`Utp`]'s states. A
+/// completion of [`SimTime::ZERO`] is "no copy in flight": a wait or a gate
+/// on time zero does nothing, and draws no flow arrow in a trace.
+#[derive(Debug, Clone, Copy)]
+struct TensorSlot {
+    bytes: u64,
+    /// When the in-flight host→device copy lands (H2D stream); consumers
+    /// gate on it.
+    prefetch_done: SimTime,
+    /// When the in-flight device→host copy lands (D2H stream); the release
+    /// of the device bytes waits on it.
+    offload_done: SimTime,
+}
+
+impl TensorSlot {
+    #[inline]
+    fn clear_transfers(&mut self) {
+        self.prefetch_done = SimTime::ZERO;
+        self.offload_done = SimTime::ZERO;
+    }
+}
+
+/// What the interpreter measures at a step's kernel submit. Step number,
+/// layer, phase and free bytes are the plan's and the device's: joined in
+/// by [`Executor::step_records`] when somebody reads the trace.
+#[derive(Debug, Clone, Copy)]
+struct StepSample {
+    resident_bytes: u64,
+    completed_at: SimTime,
+    live_tensors: u32,
+}
+
+/// Per-layer facts fixed when the executor is built.
+struct LayerInfo {
+    /// Interned name — span labels and record views share it instead of
+    /// cloning a `String`.
+    name: Arc<str>,
+    /// Roofline duration of replaying this layer's forward (§3.4), zero for
+    /// a layer no recomputation segment contains.
+    replay: SimTime,
+}
+
+/// The completion event of a copy on `stream` that lands at `done_at`.
+#[inline]
+fn copy_done(stream: StreamId, done_at: SimTime) -> Event {
+    Event { done_at, stream }
+}
+
 fn sim_phase(phase: StepPhase) -> Phase {
     match phase {
         StepPhase::Forward => Phase::Forward,
@@ -330,7 +390,10 @@ pub struct Executor<'n> {
     /// The current step's transient grants (workspace, weight gradient).
     ws_grant: Option<sn_sim::AllocId>,
     tr_grant: Option<sn_sim::AllocId>,
-    pub trace: StepTrace,
+    /// Indexed by `TensorId`.
+    tensors: Vec<TensorSlot>,
+    /// The iteration's samples, one per executed step, in step order.
+    samples: Vec<StepSample>,
     pub counters: Counters,
     backend: Option<Box<dyn ComputeBackend>>,
     iter: u64,
@@ -339,9 +402,8 @@ pub struct Executor<'n> {
     iter_t_start: SimTime,
     iter_alloc_time0: SimTime,
     iter_alloc_calls0: u64,
-    /// Interned layer names, indexed by `LayerId` — step records and span
-    /// labels share these instead of cloning a `String` per step.
-    names: Vec<Arc<str>>,
+    /// Indexed by `LayerId`.
+    layers: Vec<LayerInfo>,
     /// Scratch for the current step's kernel gates, reused across steps.
     gates: Vec<Event>,
     /// Metric handles, present only after [`Executor::enable_metrics`].
@@ -402,12 +464,28 @@ impl<'n> Executor<'n> {
             None
         };
 
-        let n_tensors = liveness.tensors.len();
-        let names: Vec<Arc<str>> = net
+        let tensors: Vec<TensorSlot> = liveness
+            .tensors
+            .iter()
+            .map(|meta| TensorSlot {
+                bytes: meta.bytes,
+                prefetch_done: SimTime::ZERO,
+                offload_done: SimTime::ZERO,
+            })
+            .collect();
+        let layers: Vec<LayerInfo> = net
             .layers()
             .iter()
-            .map(|l| Arc::from(l.name.as_str()))
+            .enumerate()
+            .map(|(i, l)| LayerInfo {
+                name: Arc::from(l.name.as_str()),
+                replay: match rplan.segment_of[i] {
+                    Some(_) => cost.layer(LayerId(i)).fwd_time(&l.kind, &dev.spec, 1.0),
+                    None => SimTime::ZERO,
+                },
+            })
             .collect();
+        let samples = Vec::with_capacity(mplan.steps.len());
         Ok(Executor {
             net,
             route,
@@ -417,18 +495,19 @@ impl<'n> Executor<'n> {
             mplan,
             policy,
             dev,
-            utp: Utp::new(n_tensors),
+            utp: Utp::new(tensors.len()),
             _weights_grant: weights_grant,
             ws_grant: None,
             tr_grant: None,
-            trace: StepTrace::new(),
+            tensors,
+            samples,
             counters: Counters::default(),
             backend: None,
             iter: 0,
             iter_t_start: SimTime::ZERO,
             iter_alloc_time0: SimTime::ZERO,
             iter_alloc_calls0: 0,
-            names,
+            layers,
             gates: Vec::new(),
             metrics: None,
             prefetch_stall: SimTime::ZERO,
@@ -459,7 +538,7 @@ impl<'n> Executor<'n> {
     /// The interned name of a layer (shared allocation, no clone).
     #[inline]
     pub fn layer_name(&self, l: LayerId) -> Arc<str> {
-        self.names[l.0].clone()
+        self.layers[l.0].name.clone()
     }
 
     pub fn backend(&self) -> Option<&dyn ComputeBackend> {
@@ -475,7 +554,7 @@ impl<'n> Executor<'n> {
             let ws = step.workspace?;
             Some(WorkspaceRecord {
                 layer: step.layer,
-                name: self.names[step.layer.0].clone(),
+                name: self.layers[step.layer.0].name.clone(),
                 phase: sim_phase(step.phase),
                 assigned_bytes: ws.bytes,
                 max_speed_bytes: ws.max_speed_bytes,
@@ -512,22 +591,26 @@ impl<'n> Executor<'n> {
             TensorRole::FwdOut => "out",
             TensorRole::Grad => "grad",
         };
-        SpanLabel::new(format!("{verb} {}.{role}", self.names[meta.layer.0]), "dma")
-            .arg("bytes", meta.bytes)
+        SpanLabel::new(
+            format!("{verb} {}.{role}", self.layers[meta.layer.0].name),
+            "dma",
+        )
+        .arg("bytes", meta.bytes)
     }
 
     /// Submit a DMA for tensor `t` on `stream`, honouring the policy's
     /// synchronous-transfer flag (under it the host blocks until the copy
     /// completes — the `cudaMemcpy`-on-the-null-stream baseline, which makes
     /// compute/transfer overlap zero by construction).
-    fn submit_dma(&mut self, stream: StreamId, t: TensorId, gates: &[Event]) -> Dma {
-        let bytes = self.meta(t).bytes;
+    /// Returns when the copy lands.
+    fn submit_dma(&mut self, stream: StreamId, t: TensorId, gates: &[Event]) -> SimTime {
+        let bytes = self.tensors[t.0].bytes;
         let gbps = self.tier_gbps(t);
-        let dma = self.dev.tl.transfer_on(stream, bytes, gbps, gates);
+        let done = self.dev.tl.transfer_on(stream, bytes, gbps, gates).event;
         if self.policy.sync_transfers {
-            self.dev.tl.wait(dma.event);
+            self.dev.tl.wait(done);
         }
-        dma
+        done.done_at
     }
 
     /// Allocate device memory the plan promised would fit. A failure here
@@ -565,20 +648,19 @@ impl<'n> Executor<'n> {
     ) -> Result<(), ExecError> {
         match op {
             PlanOp::Alloc(t) => {
-                let g = self.planned_alloc(self.meta(t).bytes, step)?;
+                let g = self.planned_alloc(self.tensors[t.0].bytes, step)?;
                 self.utp.mark_device(t, g, false);
             }
             PlanOp::Fetch(t) => {
-                let g = self.planned_alloc(self.meta(t).bytes, step)?;
+                let g = self.planned_alloc(self.tensors[t.0].bytes, step)?;
                 self.utp.mark_device(t, g, false);
                 if self.dev.tl.tracing() {
                     self.dev.tl.trace_label(self.dma_label("prefetch", t));
                 }
-                let dma = self.submit_dma(StreamId::H2D, t, &[]);
-                self.utp.states[t.0].prefetch = Some(dma);
+                self.tensors[t.0].prefetch_done = self.submit_dma(StreamId::H2D, t, &[]);
             }
             PlanOp::Offload { t, evict } => {
-                let bytes = self.meta(t).bytes;
+                let bytes = self.tensors[t.0].bytes;
                 if !self.utp.ensure_host_slot(t, bytes, &mut self.dev) {
                     return Err(ExecError::HostExhausted { requested: bytes });
                 }
@@ -593,21 +675,32 @@ impl<'n> Executor<'n> {
                     let verb = if evict { "evict" } else { "offload" };
                     self.dev.tl.trace_label(self.dma_label(verb, t));
                 }
-                let dma = self.submit_dma(StreamId::D2H, t, &[gate]);
-                self.utp.mark_offloading(t, evict, Some(dma));
+                let done = self.submit_dma(StreamId::D2H, t, &[gate]);
+                self.utp.mark_offloading(t, evict);
+                let slot = &mut self.tensors[t.0];
+                slot.offload_done = done;
+                if evict {
+                    // Nothing reads the victim's device copy again: whoever
+                    // needs it next gates on its own fetch.
+                    slot.prefetch_done = SimTime::ZERO;
+                }
             }
             PlanOp::ReleaseDevice(t) => {
                 // The device bytes may only be reused once the copy-out has
                 // landed — the "allocations never overtake releases" wait
                 // that pins the trajectory to the plan's.
-                if let Some(dma) = self.utp.states[t.0].offload {
-                    self.dev.tl.wait(dma.event);
-                }
+                let slot = &mut self.tensors[t.0];
+                self.dev
+                    .tl
+                    .wait(copy_done(StreamId::D2H, slot.offload_done));
+                slot.clear_transfers();
                 if self.utp.release_device(t, &mut self.dev) {
                     self.notify_drop(t);
                 }
             }
             PlanOp::Free(t) => {
+                // An in-flight copy-out is cancelled, not awaited.
+                self.tensors[t.0].clear_transfers();
                 self.utp.free_tensor(t, &mut self.dev);
                 self.notify_drop(t);
             }
@@ -616,18 +709,17 @@ impl<'n> Executor<'n> {
                 // in-flight prefetch of the producer's output first.
                 let p = self.net.layer(l).prevs[0];
                 let pt = self.plan.fwd_out[p.0];
-                if let Some(dma) = self.utp.states[pt.0].prefetch.take() {
-                    self.dev.tl.wait(dma.event);
-                }
-                let lk = &self.net.layer(l).kind;
-                let d = self.cost.layer(l).fwd_time(lk, &self.dev.spec, 1.0);
+                let fetched = std::mem::take(&mut self.tensors[pt.0].prefetch_done);
+                self.dev.tl.wait(copy_done(StreamId::H2D, fetched));
                 if self.dev.tl.tracing() {
                     self.dev.tl.trace_label(
-                        SpanLabel::new(format!("recompute {}", self.names[l.0]), "recompute")
+                        SpanLabel::new(format!("recompute {}", self.layers[l.0].name), "recompute")
                             .arg("step", step),
                     );
                 }
-                self.dev.tl.submit(sn_sim::EngineKind::Compute, d);
+                self.dev
+                    .tl
+                    .submit(sn_sim::EngineKind::Compute, self.layers[l.0].replay);
                 self.dev.tl.join_compute();
                 if let Some(b) = self.backend.as_mut() {
                     b.forward(l);
@@ -687,7 +779,7 @@ impl<'n> Executor<'n> {
         self.dev.alloc.reset_high_water();
         self.counters = self.mplan.predicted;
         self.prefetch_stall = SimTime::ZERO;
-        self.trace.clear();
+        self.samples.clear();
         if let Some(b) = self.backend.as_mut() {
             b.begin_iteration(self.iter);
         }
@@ -750,6 +842,21 @@ impl<'n> Executor<'n> {
     }
 
     fn reset_iteration_state(&mut self) {
+        // A copy is in flight only for a device-resident tensor (`Fetch` and
+        // `Offload` set the completions; `ReleaseDevice` and `Free`, the two
+        // ways off the device, clear them), so an iteration that ran to its
+        // end left none behind and only an abandoned one is swept. A stale
+        // completion must not survive: it would gate a kernel of the next
+        // iteration and draw a flow arrow from a copy it never waited for.
+        if self.utp.device_resident() > 0 {
+            self.tensors
+                .iter_mut()
+                .for_each(TensorSlot::clear_transfers);
+        }
+        debug_assert!(self
+            .tensors
+            .iter()
+            .all(|s| s.prefetch_done == SimTime::ZERO && s.offload_done == SimTime::ZERO));
         self.utp.reset(&mut self.dev);
         if let Some(g) = self.ws_grant.take() {
             self.dev.free_charged(g);
@@ -778,7 +885,9 @@ impl<'n> Executor<'n> {
         self.gates.extend(
             self.plan.step_inputs[s]
                 .iter()
-                .filter_map(|t| self.utp.states[t.0].prefetch.map(|d| d.event)),
+                .map(|t| self.tensors[t.0].prefetch_done)
+                .filter(|done| *done > SimTime::ZERO)
+                .map(|done| copy_done(StreamId::H2D, done)),
         );
         if self.metrics.is_some() {
             // Prefetch-stall: how far the gates push the kernel past where
@@ -799,7 +908,7 @@ impl<'n> Executor<'n> {
         }
         if self.dev.tl.tracing() {
             self.dev.tl.trace_label(
-                SpanLabel::new(self.names[step.layer.0].to_string(), "kernel")
+                SpanLabel::new(self.layers[step.layer.0].name.to_string(), "kernel")
                     .arg("step", s)
                     .arg(
                         "phase",
@@ -815,15 +924,11 @@ impl<'n> Executor<'n> {
             .tl
             .submit_on(StreamId::COMPUTE, step.duration, &self.gates);
 
-        // Record the trace at the step's high-water moment.
-        self.trace.push(StepRecord {
-            step: s + 1,
-            layer: self.names[step.layer.0].clone(),
-            phase,
+        // Sample at the step's high-water moment.
+        self.samples.push(StepSample {
             resident_bytes: self.dev.alloc.used(),
-            live_tensors: self.utp.device_resident(),
-            free_bytes: self.dev.alloc.free_bytes(),
             completed_at: compute_done.done_at,
+            live_tensors: self.utp.device_resident() as u32,
         });
         // The training loop is host-synchronous with compute at layer
         // granularity; DMA engines keep draining in the background.
@@ -853,9 +958,34 @@ impl<'n> Executor<'n> {
         Ok(last.expect("n > 0"))
     }
 
-    /// The step trace of the most recent iteration.
-    pub fn last_trace(&self) -> &StepTrace {
-        &self.trace
+    /// The Fig. 10 rows of the most recent iteration, one per executed step:
+    /// what the interpreter sampled at each kernel submit, joined with the
+    /// plan's step (number, layer, phase) and the device's capacity (free
+    /// bytes). A view, like [`Executor::ws_records`] — the warm path stores
+    /// three numbers a step and builds no record.
+    pub fn step_records(&self) -> impl Iterator<Item = StepRecord> + '_ {
+        let capacity = self.dev.alloc.capacity();
+        self.samples
+            .iter()
+            .zip(&self.mplan.steps)
+            .enumerate()
+            .map(move |(s, (sample, step))| StepRecord {
+                step: s + 1,
+                layer: self.layers[step.layer.0].name.clone(),
+                phase: sim_phase(step.phase),
+                resident_bytes: sample.resident_bytes,
+                live_tensors: sample.live_tensors as usize,
+                free_bytes: capacity - sample.resident_bytes,
+                completed_at: sample.completed_at,
+            })
+    }
+
+    /// The step trace of the most recent iteration, collected from
+    /// [`Executor::step_records`].
+    pub fn last_trace(&self) -> StepTrace {
+        StepTrace {
+            records: self.step_records().collect(),
+        }
     }
 }
 
@@ -928,20 +1058,24 @@ mod tests {
         assert!(r.iter_time > SimTime::ZERO);
     }
 
+    fn presets() -> [(&'static str, Policy); 7] {
+        [
+            ("baseline", Policy::baseline()),
+            ("liveness_only", Policy::liveness_only()),
+            ("liveness_offload", Policy::liveness_offload()),
+            ("full_memory", Policy::full_memory()),
+            ("superneurons", Policy::superneurons()),
+            ("superneurons_no_cache", Policy::superneurons_no_cache()),
+            ("superneurons_cuda_alloc", Policy::superneurons_cuda_alloc()),
+        ]
+    }
+
     #[test]
     fn executed_peak_equals_plan_peak_for_every_preset() {
         // The tentpole contract: the interpreter's measured high-water is
         // byte-identical to the plan's predicted peak, per preset.
         let net = alex_stub(16);
-        for policy in [
-            Policy::baseline(),
-            Policy::liveness_only(),
-            Policy::liveness_offload(),
-            Policy::full_memory(),
-            Policy::superneurons(),
-            Policy::superneurons_no_cache(),
-            Policy::superneurons_cuda_alloc(),
-        ] {
+        for (_, policy) in presets() {
             let mut ex = Executor::new(&net, spec(), policy).unwrap();
             for _ in 0..3 {
                 let r = ex.run_iteration().unwrap();
@@ -951,6 +1085,109 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn step_record_view_matches_the_stored_records_it_replaced() {
+        // The golden is what `ex.trace.records` held at bbf3062, when the
+        // executor built and stored a `StepRecord` per step: preset,
+        // iteration, step, layer, phase, resident, live, free, completed ns.
+        let net = alex_stub(16);
+        let mut seen = String::new();
+        for (name, policy) in presets() {
+            let mut ex = Executor::new(&net, spec(), policy).unwrap();
+            for iter in ["cold", "warm"] {
+                ex.run_iteration().unwrap();
+                for r in &ex.last_trace().records {
+                    seen.push_str(&format!(
+                        "{name} {iter} {} {} {:?} {} {} {} {}\n",
+                        r.step,
+                        r.layer,
+                        r.phase,
+                        r.resident_bytes,
+                        r.live_tensors,
+                        r.free_bytes,
+                        r.completed_at.as_ns()
+                    ));
+                }
+            }
+        }
+        let golden = include_str!("../tests/golden/alex16_step_records.txt");
+        for (i, (got, want)) in seen.lines().zip(golden.lines()).enumerate() {
+            assert_eq!(got, want, "record {}", i + 1);
+        }
+        assert_eq!(seen.lines().count(), golden.lines().count());
+    }
+
+    /// `begin_iteration` and the first `steps` steps, then walks away.
+    fn abandon_after(ex: &mut Executor<'_>, steps: usize) {
+        ex.begin_iteration();
+        for s in 0..steps {
+            ex.run_step(s).unwrap();
+        }
+    }
+
+    #[test]
+    fn abandoned_iteration_does_not_leak_into_the_next() {
+        // Offloads, evictions and fetches under a binding cap, abandoned
+        // twice with copies in flight and tensors resident: the next
+        // iteration's reset must sweep all of it — states, grants, host
+        // slots and the interpreter's own completion times.
+        let net = vgg_stub(16);
+        let full = Executor::new(&net, spec(), Policy::full_memory())
+            .unwrap()
+            .run_iteration()
+            .unwrap();
+        let tight = spec().with_dram(full.peak_bytes + 4 * MB);
+        let build = || {
+            let sink = TraceSink::recording();
+            let policy = Policy {
+                eager_offload: true,
+                ..Policy::superneurons()
+            };
+            let mut ex = Executor::new(&net, tight.clone(), policy).unwrap();
+            ex.enable_tracing(&sink, "device 0");
+            (ex, sink)
+        };
+
+        let (mut clean, clean_sink) = build();
+        clean.run_iteration().unwrap();
+        let warm = clean.run_iteration().unwrap();
+        assert!(warm.counters.evictions > 0 && warm.counters.prefetches > 0);
+
+        let (mut ex, sink) = build();
+        let steps = ex.route.total_steps();
+        let in_flight = |ex: &Executor<'_>, f: fn(&TensorSlot) -> SimTime| {
+            ex.tensors.iter().filter(|s| f(s) > SimTime::ZERO).count()
+        };
+        // Mid-forward: an eager copy-out on the wire, its tensor on device.
+        abandon_after(&mut ex, steps / 4 + 1);
+        assert!(in_flight(&ex, |s| s.offload_done) > 0);
+        assert!(ex.utp.device_resident() > 0 && ex.utp.host_resident() > 0);
+        // Just into backward: fetched tensors no kernel has gated on yet.
+        abandon_after(&mut ex, steps / 2 + 2);
+        assert!(in_flight(&ex, |s| s.prefetch_done) > 0);
+        assert!(ex.utp.device_resident() > 0 && ex.utp.host_resident() > 0);
+        let abandoned_flows = sink.data().flows.len();
+
+        ex.run_iteration().unwrap();
+        let r = ex.run_iteration().unwrap();
+        assert_eq!(r.iter_time, warm.iter_time);
+        assert_eq!(r.peak_bytes, warm.peak_bytes);
+        assert_eq!(r.h2d_bytes, warm.h2d_bytes);
+        assert_eq!(r.d2h_bytes, warm.d2h_bytes);
+        assert_eq!(r.stall, warm.stall);
+        assert_eq!(r.overlapped, warm.overlapped);
+        assert_eq!(r.compute_busy, warm.compute_busy);
+        assert_eq!(r.transfer_busy, warm.transfer_busy);
+        assert_eq!(r.alloc_calls, warm.alloc_calls);
+        assert_eq!(r.counters.to_json(), warm.counters.to_json());
+        // Every arrow is a gate a kernel or copy really waited behind: the
+        // two full iterations draw as many as the undisturbed pair.
+        assert_eq!(
+            sink.data().flows.len() - abandoned_flows,
+            clean_sink.data().flows.len()
+        );
     }
 
     #[test]
@@ -1192,8 +1429,8 @@ mod tests {
             .count();
         assert_eq!(ex.ws_records().count(), 2 * convs);
         ex.run_iteration().unwrap();
-        assert_eq!(ex.trace.records.len(), ex.route.total_steps());
-        assert!(ex.trace.peak_bytes() > 0);
+        assert_eq!(ex.step_records().count(), ex.route.total_steps());
+        assert!(ex.last_trace().peak_bytes() > 0);
     }
 
     #[test]
@@ -1342,7 +1579,7 @@ mod tests {
         assert_eq!(r.peak_bytes, ex.mplan.peak_bytes);
         assert_eq!(r.counters.recompute_forwards, 0);
         assert_eq!(r.d2h_bytes + r.h2d_bytes, 0);
-        assert_eq!(ex.trace.records.len(), net.len());
+        assert_eq!(ex.step_records().count(), net.len());
         // Forward-only peak undercuts the training peak.
         let train = Executor::new(&net, spec(), Policy::superneurons())
             .unwrap()

@@ -78,8 +78,12 @@ impl RecencyList {
         self.len += 1;
     }
 
-    /// Unlink `i` wherever it sits. No-op when not linked.
+    /// Unlink `i` wherever it sits. No-op when not linked — and an empty
+    /// list has nothing linked, so it answers without reading `i`'s slot.
     pub(crate) fn unlink(&mut self, i: u32) {
+        if self.len == 0 {
+            return;
+        }
         let Link {
             newer: n,
             older: o,

@@ -917,7 +917,7 @@ impl<'a> Planner<'a> {
                 return Err(ExecError::HostExhausted { requested: bytes });
             }
             self.d2h_ns += self.transfer_ns(victim);
-            self.utp.mark_offloading(victim, true, None);
+            self.utp.mark_offloading(victim, true);
             self.utp.lru_remove(victim);
             self.ops.push(PlanOp::Offload {
                 t: victim,
@@ -1042,7 +1042,7 @@ impl<'a> Planner<'a> {
         // The anchor checkpoint seeds the replay: bring it back first.
         let anchor_t = self.liveness.fwd_out[anchor.0];
         self.ensure_present(anchor_t, step)?;
-        self.utp.states[anchor_t.0].lock += 1;
+        self.utp.lock(anchor_t);
 
         // Speed-centric replays walk the segment's member list in place
         // (it lives in the shared recompute plan); memory-centric replays
@@ -1105,7 +1105,7 @@ impl<'a> Planner<'a> {
         }
 
         self.chain_scratch = chain;
-        self.utp.states[anchor_t.0].lock -= 1;
+        self.utp.unlock(anchor_t);
         Ok(())
     }
 
@@ -1166,7 +1166,7 @@ impl<'a> Planner<'a> {
             self.ensure_present(t, s)?;
             // Lock immediately: ensuring a later input may trigger eviction
             // and must not victimize an input we already staged.
-            self.utp.states[t.0].lock += 1;
+            self.utp.lock(t);
         }
 
         // 2. Materialize this step's outputs.
@@ -1178,7 +1178,7 @@ impl<'a> Planner<'a> {
                 self.utp.mark_device(t, g.id, self.policy.tensor_cache);
                 self.ops.push(PlanOp::Alloc(t));
             }
-            self.utp.states[t.0].lock += 1;
+            self.utp.lock(t);
         }
 
         // 3. Transients: dynamic conv workspace (§3.5) and the backward
@@ -1237,8 +1237,7 @@ impl<'a> Planner<'a> {
             .iter()
             .chain(liveness.created_at[s].iter())
         {
-            let st = &mut self.utp.states[t.0];
-            st.lock = st.lock.saturating_sub(1);
+            self.utp.unlock(t);
         }
 
         // 7. Eager offload of checkpoint outputs (Fig. 10b policy). Never
@@ -1257,7 +1256,7 @@ impl<'a> Planner<'a> {
                     return Err(ExecError::HostExhausted { requested: bytes });
                 }
                 self.d2h_ns += self.transfer_ns(t);
-                self.utp.mark_offloading(t, false, None);
+                self.utp.mark_offloading(t, false);
                 self.ops.push(PlanOp::Offload { t, evict: false });
                 self.counters.offloads += 1;
             }
@@ -1560,7 +1559,7 @@ mod tests {
             (&resnet50, &open, false, &lattice[..5]),
         ] {
             for &policy in policies {
-                // ROADMAP item 3, last bullet: under `Mru` and a binding cap
+                // ROADMAP item 1(a): under `Mru` and a binding cap
                 // a segment replay can evict its own target and the
                 // planner's `debug_assert_eq!(residence, Device)` fires (on
                 // the reference walk too). Not this test's subject.

@@ -184,7 +184,7 @@ impl<'a> Planner<'a> {
                 return Err(ExecError::HostExhausted { requested: bytes });
             }
             self.d2h_ns += self.transfer_ns(victim);
-            self.utp.mark_offloading(victim, true, None);
+            self.utp.mark_offloading(victim, true);
             self.utp.lru_remove(victim);
             self.ops.push(PlanOp::Offload {
                 t: victim,
@@ -272,7 +272,7 @@ impl<'a> Planner<'a> {
 
         let anchor_t = self.liveness.fwd_out[anchor.0];
         self.ensure_present(anchor_t, step)?;
-        self.utp.states[anchor_t.0].lock += 1;
+        self.utp.lock(anchor_t);
 
         // The old per-replay member-list clone, preserved.
         let members: Vec<LayerId> = match strategy {
@@ -320,7 +320,7 @@ impl<'a> Planner<'a> {
             }
         }
 
-        self.utp.states[anchor_t.0].lock -= 1;
+        self.utp.unlock(anchor_t);
         Ok(())
     }
 
@@ -371,7 +371,7 @@ impl<'a> Planner<'a> {
         let inputs: Vec<TensorId> = self.liveness.step_inputs[s].to_vec();
         for t in &inputs {
             self.ensure_present(*t, s)?;
-            self.utp.states[t.0].lock += 1;
+            self.utp.lock(*t);
         }
 
         // 2. Materialize this step's outputs.
@@ -384,7 +384,7 @@ impl<'a> Planner<'a> {
                 self.utp.mark_device(*t, g.id, self.policy.tensor_cache);
                 self.ops.push(PlanOp::Alloc(*t));
             }
-            self.utp.states[t.0].lock += 1;
+            self.utp.lock(*t);
         }
 
         // 3. Transients: conv workspace + weight-gradient/mask buffer.
@@ -457,8 +457,7 @@ impl<'a> Planner<'a> {
 
         // 6. Unlock.
         for t in inputs.iter().chain(created.iter()) {
-            let st = &mut self.utp.states[t.0];
-            st.lock = st.lock.saturating_sub(1);
+            self.utp.unlock(*t);
         }
 
         // 7. Eager offload of checkpoint outputs (Fig. 10b policy).
@@ -476,7 +475,7 @@ impl<'a> Planner<'a> {
                     return Err(ExecError::HostExhausted { requested: bytes });
                 }
                 self.d2h_ns += self.transfer_ns(t);
-                self.utp.mark_offloading(t, false, None);
+                self.utp.mark_offloading(t, false);
                 self.ops.push(PlanOp::Offload { t, evict: false });
                 self.counters.offloads += 1;
             }

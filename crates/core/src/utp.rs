@@ -1,10 +1,14 @@
 //! The Unified Tensor Pool residency manager.
 //!
-//! One place owns *where every tensor currently is* and the machinery that
-//! moves tensors between device DRAM and the external UTP tiers: the
+//! One place owns *where every tensor currently is* and the books that go
+//! with moving tensors between device DRAM and the external UTP tiers: the
 //! tensor-state map, the Alg. 2 LRU Tensor Cache bookkeeping, the pending
-//! offload list the reclamation ladder drains, host-slot management over the
-//! tiered pools, and the in-flight DMA handles kernels gate on.
+//! offload list the reclamation ladder drains, and host-slot management over
+//! the tiered pools. *When* a copy lands is not here: only the executor has
+//! a clock, and it keeps the completion times of the copies it submitted in
+//! an array of its own — so a [`TensorState`] fits one cache line and the
+//! planner, which walks `states` thousands of compiles a second, carries
+//! nothing it never sets.
 //!
 //! Two drivers share this state machine:
 //!
@@ -12,7 +16,10 @@
 //!   *instant* logical transfers — to decide every eviction, offload,
 //!   prefetch and release, recording each mutation as a [`crate::plan::PlanOp`];
 //! * the **executor** ([`crate::executor`]) drives it at run time, replaying
-//!   those ops with real DMA submissions on the multi-stream timeline.
+//!   those ops with real DMA submissions on the multi-stream timeline. It
+//!   never fills the Tensor Cache or pins a tensor (the plan already chose
+//!   every victim), and an iteration it runs to the end leaves every state
+//!   empty — [`Utp::reset`] and the removal paths cost it nothing for either.
 //!
 //! Because both apply the *same op sequence* through the *same allocator*,
 //! the executed memory trajectory — and therefore the peak — is identical to
@@ -29,7 +36,7 @@
 //! identical victim sequences.
 
 use sn_graph::liveness::{LivenessPlan, TensorId};
-use sn_sim::{AllocId, Dma};
+use sn_sim::AllocId;
 
 use crate::device::Device;
 use crate::memo::RecencyList;
@@ -68,11 +75,10 @@ pub struct TensorState {
     /// The pending offload is an eviction: release the device copy as soon
     /// as the copy-out lands, rather than waiting for forward consumers.
     pub evicting: bool,
-    /// Runtime only: the in-flight device→host DMA on the D2H stream.
-    pub offload: Option<Dma>,
-    /// Runtime only: the in-flight host→device DMA consumers gate on.
-    pub prefetch: Option<Dma>,
 }
+
+// One cache line a tensor: both drivers walk `states` by tensor id.
+const _: () = assert!(std::mem::size_of::<TensorState>() <= 64);
 
 impl TensorState {
     pub const EMPTY: TensorState = TensorState {
@@ -84,8 +90,6 @@ impl TensorState {
         inserted_at: 0,
         offloading: false,
         evicting: false,
-        offload: None,
-        prefetch: None,
     };
 
     #[inline]
@@ -140,7 +144,9 @@ enum Cache {
 /// decisions live in the planner — it keeps the books both drivers share.
 #[derive(Debug, Clone)]
 pub struct Utp {
-    pub states: Vec<TensorState>,
+    /// Private: [`Utp::reset`] trusts the resident counts to say whether any
+    /// state holds anything, so every write goes through this module.
+    states: Vec<TensorState>,
     /// The device-resident, cache-managed tensors in recency order.
     cache: Cache,
     insertion_clock: u64,
@@ -179,6 +185,19 @@ impl Utp {
     #[inline]
     pub fn state(&self, t: TensorId) -> &TensorState {
         &self.states[t.0]
+    }
+
+    /// Pin `t`: a locked tensor is never a victim of eviction or release.
+    #[inline]
+    pub fn lock(&mut self, t: TensorId) {
+        self.states[t.0].lock += 1;
+    }
+
+    /// Drop one pin of `t` (a no-op on an unpinned tensor).
+    #[inline]
+    pub fn unlock(&mut self, t: TensorId) {
+        let st = &mut self.states[t.0];
+        st.lock = st.lock.saturating_sub(1);
     }
 
     // ------------------------------------------------------------------
@@ -288,19 +307,18 @@ impl Utp {
     }
 
     /// Record an issued offload (eviction or eager checkpoint copy-out).
-    pub fn mark_offloading(&mut self, t: TensorId, evict: bool, dma: Option<Dma>) {
+    pub fn mark_offloading(&mut self, t: TensorId, evict: bool) {
         let st = &mut self.states[t.0];
         debug_assert_eq!(st.residence, Residence::Device);
         debug_assert!(!st.offloading);
         st.offloading = true;
         st.evicting = evict;
-        st.offload = dma;
-        if evict {
-            st.prefetch = None;
-        }
         self.pending_offloads.push(t);
     }
 
+    /// Only [`Utp::mark_offloading`] pushes, and it sets `offloading`: the
+    /// transitions call this for a tensor that carried the flag, and skip
+    /// the search for every other.
     fn unpend(&mut self, t: TensorId) {
         if let Some(pos) = self.pending_offloads.iter().position(|x| *x == t) {
             self.pending_offloads.remove(pos);
@@ -363,14 +381,13 @@ impl Utp {
     /// (caller must notify the numeric backend).
     pub fn release_device(&mut self, t: TensorId, dev: &mut Device) -> bool {
         let st = &mut self.states[t.0];
-        if st.offloading {
+        let was_offloading = st.offloading;
+        if was_offloading {
             // An offload was in flight: the copy-out has (logically) landed.
             st.offloading = false;
             st.evicting = false;
-            st.offload = None;
             st.host_valid = true;
         }
-        st.prefetch = None;
         if let Some(g) = st.grant.take() {
             dev.free_charged(g);
         }
@@ -380,7 +397,9 @@ impl Utp {
             Residence::None
         };
         self.set_residence(t, to);
-        self.unpend(t);
+        if was_offloading {
+            self.unpend(t);
+        }
         self.lru_remove(t);
         to == Residence::None
     }
@@ -391,10 +410,9 @@ impl Utp {
     pub fn free_tensor(&mut self, t: TensorId, dev: &mut Device) {
         let st = &mut self.states[t.0];
         debug_assert_eq!(st.lock, 0, "freeing a locked tensor");
+        let was_offloading = st.offloading;
         st.offloading = false;
         st.evicting = false;
-        st.offload = None;
-        st.prefetch = None;
         if let Some(g) = st.grant.take() {
             dev.free_charged(g);
         }
@@ -403,19 +421,38 @@ impl Utp {
         }
         self.states[t.0].host_valid = false;
         self.set_residence(t, Residence::None);
-        self.unpend(t);
+        if was_offloading {
+            self.unpend(t);
+        }
         self.lru_remove(t);
     }
 
     /// Drop every tensor back to [`TensorState::EMPTY`], releasing grants
     /// and host slots — the between-iterations reset.
+    ///
+    /// An iteration that ran to its end has already emptied every state: a
+    /// grant, a host slot, `offloading` and `host_valid` each imply device or
+    /// host residence, and no lock outlives its step. Then the counts say
+    /// so and nothing is walked; only an abandoned iteration pays the scan.
     pub fn reset(&mut self, dev: &mut Device) {
+        self.pending_offloads.clear();
+        if self.device_resident == 0 && self.host_resident == 0 {
+            debug_assert!(self.states.iter().all(|st| {
+                st.residence == Residence::None
+                    && st.grant.is_none()
+                    && st.host_slot.is_none()
+                    && !st.host_valid
+                    && st.lock == 0
+                    && !st.offloading
+                    && !st.evicting
+            }));
+            debug_assert_eq!(self.cache_len(), 0);
+            return;
+        }
         for i in 0..self.states.len() {
             self.states[i].lock = 0;
             self.states[i].offloading = false;
             self.states[i].evicting = false;
-            self.states[i].offload = None;
-            self.states[i].prefetch = None;
             if let Some(g) = self.states[i].grant.take() {
                 dev.free_charged(g);
             }
@@ -431,7 +468,6 @@ impl Utp {
             Cache::Linked(l) => l.clear(),
             Cache::Reference(v) => v.list.clear(),
         }
-        self.pending_offloads.clear();
     }
 
     /// Number of tensors currently under Tensor Cache management — the
@@ -514,7 +550,7 @@ mod tests {
         let t = TensorId(0);
         utp.mark_device(t, g.id, true);
         assert!(utp.ensure_host_slot(t, 2048, &mut d));
-        utp.mark_offloading(t, true, None);
+        utp.mark_offloading(t, true);
         assert_eq!(utp.pending_offloads, vec![t]);
         let gone = utp.release_device(t, &mut d);
         assert!(!gone, "host copy survives");
@@ -532,7 +568,7 @@ mod tests {
         let t = TensorId(0);
         utp.mark_device(t, g.id, true);
         utp.ensure_host_slot(t, 2048, &mut d);
-        utp.mark_offloading(t, false, None);
+        utp.mark_offloading(t, false);
         utp.free_tensor(t, &mut d);
         assert_eq!(utp.state(t).residence(), Residence::None);
         assert!(utp.pending_offloads.is_empty());
@@ -632,7 +668,7 @@ mod tests {
                     }
                     6..=8 if on_device && !utp.state(t).offloading => {
                         prop_assert!(utp.ensure_host_slot(t, 16 << 10, &mut d));
-                        utp.mark_offloading(t, flag, None);
+                        utp.mark_offloading(t, flag);
                     }
                     9..=11 if on_device => {
                         let gone = utp.release_device(t, &mut d);

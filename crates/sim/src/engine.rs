@@ -179,28 +179,38 @@ impl OverlapStats {
 /// The sorted, disjoint union of several streams' busy-span lists. Each
 /// list is already sorted, coalesced and disjoint (a stream serializes its
 /// ops), so one non-empty list *is* its union and is borrowed as it stands
-/// — the compute side of every overlap query; only several are merged.
+/// — the compute side of every overlap query; several are merged front to
+/// front, coalescing as they go, with no sort.
 fn union_spans<'a>(lists: impl Iterator<Item = &'a [(u64, u64)]>) -> Cow<'a, [(u64, u64)]> {
     let mut lists = lists.filter(|l| !l.is_empty());
     let first = lists.next().unwrap_or(&[]);
     let Some(second) = lists.next() else {
         return Cow::Borrowed(first);
     };
-    let mut all: Vec<(u64, u64)> = [first, second]
-        .into_iter()
-        .chain(lists)
-        .flatten()
-        .copied()
-        .collect();
-    all.sort_unstable();
-    all.dedup_by(|next, kept| {
-        let touches = next.0 <= kept.1;
-        if touches {
-            kept.1 = kept.1.max(next.1);
+    let mut merged = merge_spans(first, second);
+    for next in lists {
+        merged = merge_spans(&merged, next);
+    }
+    Cow::Owned(merged)
+}
+
+/// Two sorted span lists into one sorted, disjoint list: always take the
+/// earlier-starting front, and grow the last kept span instead of pushing
+/// when the taken one touches or overlaps it.
+fn merge_spans(a: &[(u64, u64)], b: &[(u64, u64)]) -> Vec<(u64, u64)> {
+    let mut out: Vec<(u64, u64)> = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() || j < b.len() {
+        let from_a = j == b.len() || (i < a.len() && a[i] <= b[j]);
+        let next = if from_a { a[i] } else { b[j] };
+        i += from_a as usize;
+        j += !from_a as usize;
+        match out.last_mut() {
+            Some(kept) if next.0 <= kept.1 => kept.1 = kept.1.max(next.1),
+            _ => out.push(next),
         }
-        touches
-    });
-    Cow::Owned(all)
+    }
+    out
 }
 
 /// Total length of the intersection of two sorted, disjoint span lists.
@@ -917,6 +927,14 @@ mod tests {
         assert!(union_spans(std::iter::empty()).is_empty());
         // Several are merged; overlapping and touching spans coalesce.
         assert_eq!(&*union_spans([b, a].into_iter()), &[(0, 9), (20, 22)]);
+        // Three lists: the third bridges a gap the first two left and adds
+        // a span past both.
+        let c: &[(u64, u64)] = &[(9, 20), (30, 31)];
+        assert_eq!(&*union_spans([a, b, c].into_iter()), &[(0, 22), (30, 31)]);
+        assert_eq!(
+            &*union_spans([c, &[][..], b, a].into_iter()),
+            &[(0, 22), (30, 31)]
+        );
         // Two copy queues of one kind against compute, through the API.
         let mut tl = Timeline::new();
         let d2h_b = tl.add_stream(EngineKind::D2H);

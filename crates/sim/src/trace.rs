@@ -2,8 +2,9 @@
 //!
 //! Fig. 10 of the paper plots, for every forward/backward step of an AlexNet
 //! iteration, the bytes resident on the device and the number of live
-//! tensors. The executor records one [`StepRecord`] per step into a
-//! [`StepTrace`]; the experiment harness prints the same two series.
+//! tensors. The executor samples both at every step and hands out one
+//! [`StepRecord`] per step, collected into a [`StepTrace`], when asked; the
+//! experiment harness prints the same two series.
 
 use std::sync::Arc;
 
@@ -23,9 +24,9 @@ pub enum Phase {
 pub struct StepRecord {
     /// 1-based step index within the iteration (1..=2N).
     pub step: usize,
-    /// Layer name, e.g. `CONV2` or `POOL5`. Interned: the executor records
-    /// hundreds of steps per iteration, so each record shares the net's name
-    /// allocation instead of cloning a fresh `String`.
+    /// Layer name, e.g. `CONV2` or `POOL5`. Shared with the executor's
+    /// interned copy of the net's names; the executor stores no name per
+    /// step — the record is built from the plan when the trace is read.
     pub layer: Arc<str>,
     /// Forward or backward half.
     pub phase: Phase,

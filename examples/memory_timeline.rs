@@ -45,8 +45,9 @@ fn main() {
     });
     match ex.run_iteration() {
         Ok(r) => {
+            let trace = ex.last_trace();
             println!("step,phase,layer,resident_mb,live_tensors,free_mb");
-            for rec in &ex.trace.records {
+            for rec in &trace.records {
                 println!(
                     "{},{},{},{:.2},{},{:.2}",
                     rec.step,
@@ -63,7 +64,7 @@ fn main() {
             eprintln!(
                 "# peak {:.2} MB at '{}'; iteration {:.1} ms; traffic {:.1} MB",
                 r.peak_bytes as f64 / 1e6,
-                ex.trace
+                trace
                     .peak_step()
                     .map(|p| p.layer.clone())
                     .unwrap_or_default(),

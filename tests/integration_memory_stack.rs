@@ -205,8 +205,9 @@ fn abstract_resnet2500_trains_on_a_12gb_k40c() {
     for which in ["cold", "warm"] {
         let r = ex.run_iteration().unwrap();
         assert_eq!(r.peak_bytes, plan_peak, "{which} iteration");
-        assert_eq!(ex.trace.records.len(), ex.route.total_steps(), "{which}");
-        assert!(ex.trace.peak_bytes() <= r.peak_bytes, "{which}");
+        let trace = ex.last_trace();
+        assert_eq!(trace.records.len(), ex.route.total_steps(), "{which}");
+        assert!(trace.peak_bytes() <= r.peak_bytes, "{which}");
     }
 }
 
