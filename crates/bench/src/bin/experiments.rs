@@ -21,38 +21,18 @@ fn main() {
     let stdout = std::io::stdout();
     let mut lock = stdout.lock();
     for id in which {
-        let text = match id {
-            "fig2" => sn_bench::fig2(),
-            "fig8" => sn_bench::fig8(),
-            "fig10" => sn_bench::fig10(),
-            "table1" => sn_bench::table1(),
-            "table2" => sn_bench::table2(),
-            "table3" => sn_bench::table3(),
-            "fig11" => sn_bench::fig11(),
-            "fig12" => sn_bench::fig12(),
-            "table4" => sn_bench::table4(quick),
-            "table5" => sn_bench::table5(quick),
-            "fig13" => sn_bench::fig13(quick),
-            "fig14" => sn_bench::fig14(quick),
-            "ablation" => sn_bench::run_ablations(),
-            "overlap" => sn_bench::overlap(quick),
-            "cluster" => sn_bench::cluster(quick),
-            "plan" => sn_bench::plan(quick),
-            "dataparallel" => sn_bench::dataparallel(quick),
-            "precision" => sn_bench::precision(quick),
-            "trace" => sn_bench::trace(quick),
-            "service" => sn_bench::service(quick),
-            "faults" => sn_bench::faults(quick),
-            "tune" => sn_bench::tune(quick),
-            "all" => sn_bench::run_all(quick),
-            other => {
-                eprintln!(
-                    "unknown experiment '{other}'; known: fig2 fig8 fig10 table1 table2 table3 \
-                     fig11 fig12 table4 table5 fig13 fig14 ablation overlap cluster plan \
-                     dataparallel precision trace service faults tune all  (flag: --quick)"
-                );
-                std::process::exit(2);
-            }
+        let text = if id == "all" {
+            sn_bench::run_all(quick)
+        } else if let Some((_, run)) = sn_bench::EXPERIMENTS.iter().find(|(known, _)| *known == id)
+        {
+            run(quick)
+        } else {
+            let known: Vec<&str> = sn_bench::EXPERIMENTS.iter().map(|(id, _)| *id).collect();
+            eprintln!(
+                "unknown experiment '{id}'; known: {} all  (flag: --quick)",
+                known.join(" ")
+            );
+            std::process::exit(2);
         };
         writeln!(lock, "{text}").unwrap();
     }

@@ -12,7 +12,9 @@
 use sn_cluster::{synthetic_stream, ClusterSim, Fleet, PlacementPolicy, PolicyPreset};
 use sn_runtime::Interconnect;
 use sn_sim::DeviceSpec;
+use sn_telemetry::Json;
 
+use crate::record::BenchRecord;
 use crate::table::TextTable;
 
 const MB: u64 = 1 << 20;
@@ -52,8 +54,7 @@ pub fn cluster(quick: bool) -> String {
         "mem util",
     ]);
 
-    let mut json_runs = String::new();
-    let mut first = true;
+    let mut runs = Vec::new();
     // The (preset, BestFit) reports double as the headline comparison below.
     let mut base_bestfit = None;
     let mut sn_bestfit = None;
@@ -78,15 +79,11 @@ pub fn cluster(quick: bool) -> String {
                 format!("{:.2}", report.mean_queueing.as_ms_f64()),
                 format!("{:.1}%", 100.0 * report.memory_utilization),
             ]);
-            if !first {
-                json_runs.push(',');
-            }
-            first = false;
-            json_runs.push_str(&format!(
-                "{{\"preset\":\"{}\",\"report\":{}}}",
-                preset.name(),
-                report.to_json()
-            ));
+            runs.push(
+                Json::object()
+                    .with("preset", preset.name())
+                    .with("report", report.json()),
+            );
             if placement == PlacementPolicy::BestFit {
                 match preset {
                     PolicyPreset::Baseline => base_bestfit = Some(report),
@@ -108,20 +105,21 @@ pub fn cluster(quick: bool) -> String {
         base.peak_concurrent_jobs, base.rejected, sn.peak_concurrent_jobs, sn.rejected
     ));
 
-    let json = format!(
-        "{{\"experiment\":\"cluster\",\"jobs\":{n_jobs},\"devices\":8,\
-         \"device_dram_bytes\":{},\"seed\":{seed},\
-         \"baseline_peak_tenants\":{},\"superneurons_peak_tenants\":{},\
-         \"runs\":[{}]}}",
-        96 * MB,
-        base.peak_concurrent_jobs,
-        sn.peak_concurrent_jobs,
-        json_runs
-    );
-    match std::fs::write("BENCH_cluster.json", &json) {
-        Ok(()) => out.push_str("wrote BENCH_cluster.json\n"),
-        Err(e) => out.push_str(&format!("could not write BENCH_cluster.json: {e}\n")),
-    }
+    let record = BenchRecord {
+        experiment: "cluster",
+        quick,
+        gates: vec![],
+        deterministic: Json::object()
+            .with("jobs", n_jobs)
+            .with("devices", 8u64)
+            .with("device_dram_bytes", 96 * MB)
+            .with("seed", seed)
+            .with("baseline_peak_tenants", base.peak_concurrent_jobs)
+            .with("superneurons_peak_tenants", sn.peak_concurrent_jobs)
+            .with("runs", Json::Array(runs)),
+        wall: Json::object(),
+    };
+    out.push_str(&record.write());
     out
 }
 

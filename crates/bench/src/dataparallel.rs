@@ -1,6 +1,6 @@
 //! The `dataparallel` experiment: device-group execution, measured.
 //!
-//! Three claims the device-group lift makes, checked across the
+//! Two claims the device-group lift makes, checked across the
 //! replicas ∈ {1, 2, 4, 8} × {VGG16, ResNet50} matrix:
 //!
 //! 1. **Byte-identity** — every replica of a gang executes at *exactly* the
@@ -10,16 +10,15 @@
 //! 2. **Overlap wins** — bucketed ring all-reduce overlapped with the
 //!    remaining backward compute strictly beats the classic
 //!    serialize-at-iteration-end baseline on every ≥2-replica point.
-//! 3. **Determinism** — the matrix measured over the rayon worker pool is
-//!    byte-identical to the serial sweep (gated only when ≥4 hardware
-//!    threads exist — the dev box has one).
 //!
-//! Emits `BENCH_dataparallel.json` with the gate fields CI greps.
+//! Emits `BENCH_dataparallel.json`.
 
 use sn_models as models;
 use sn_runtime::{plan_prediction, GroupConfig, GroupExecutor, Interconnect, Policy};
 use sn_sim::{DeviceSpec, SimTime};
+use sn_telemetry::Json;
 
+use crate::record::BenchRecord;
 use crate::table::{mb, TextTable};
 
 /// The gang sizes every model sweeps.
@@ -122,22 +121,13 @@ fn measure_point(
     }
 }
 
-/// Measure the full matrix, serially (no I/O).
+/// Measure the full matrix (no I/O). The solo step is measured once per
+/// model so every row's efficiency is relative to the same single-replica
+/// pace.
 pub fn measure(quick: bool) -> Vec<DpRow> {
-    let points = point_list(quick);
-    points
-        .iter()
-        .map(|p| measure_point(p.0, p.1, p.2, p.3, p.4))
-        .collect()
-}
-
-/// The flattened (model, build, batch, replicas, solo step) point list —
-/// the solo step is measured once per model so every row's efficiency is
-/// relative to the same single-replica pace.
-fn point_list(quick: bool) -> Vec<(&'static str, models::NetBuilder, usize, usize, SimTime)> {
     let spec = DeviceSpec::k40c();
     let policy = Policy::superneurons();
-    let mut points = Vec::new();
+    let mut rows = Vec::new();
     for (model, build, batch) in matrix(quick) {
         let net = build(batch);
         let solo_step = {
@@ -152,41 +142,17 @@ fn point_list(quick: bool) -> Vec<(&'static str, models::NetBuilder, usize, usiz
             gx.run_iteration().expect("warm").step_time
         };
         for k in REPLICAS {
-            points.push((model, build, batch, k, solo_step));
+            rows.push(measure_point(model, build, batch, k, solo_step));
         }
     }
-    points
+    rows
 }
 
 /// Run the experiment; also writes `BENCH_dataparallel.json` into the
 /// current directory (the machine-readable artifact later PRs diff
 /// against).
 pub fn dataparallel(quick: bool) -> String {
-    let points = point_list(quick);
-    let rows: Vec<DpRow> = points
-        .iter()
-        .map(|p| measure_point(p.0, p.1, p.2, p.3, p.4))
-        .collect();
-
-    // Determinism under the worker pool: re-measure the matrix via
-    // rayon's par_map and require byte-identical results. Only meaningful
-    // with real parallelism — vacuously true (and marked skipped) on boxes
-    // with fewer than 4 hardware threads.
-    let threads = rayon::current_num_threads();
-    let parallel_checked = threads >= 4;
-    let parallel_ok = if parallel_checked {
-        let par_rows = rayon::par_map(&points, |p| measure_point(p.0, p.1, p.2, p.3, p.4));
-        par_rows.len() == rows.len()
-            && rows.iter().zip(&par_rows).all(|(a, b)| {
-                a.step_overlap == b.step_overlap
-                    && a.step_serialized == b.step_serialized
-                    && a.replica_peak == b.replica_peak
-                    && a.wire_bytes == b.wire_bytes
-            })
-    } else {
-        true
-    };
-
+    let rows = measure(quick);
     let all_peaks_match = rows.iter().all(|r| r.peaks_match);
     let overlap_beats_serialized = rows.iter().all(|r| r.overlap_wins());
 
@@ -238,59 +204,39 @@ pub fn dataparallel(quick: bool) -> String {
     out.push_str(&format!(
         "\nall replica peaks == single-device plan peaks: {all_peaks_match}\n\
          overlap strictly beats serialized on every >=2-replica point: \
-         {overlap_beats_serialized}\n\
-         parallel sweep determinism: {}\n",
-        if parallel_checked {
-            if parallel_ok {
-                "ok"
-            } else {
-                "FAILED"
-            }
-        } else {
-            "skipped (<4 hardware threads)"
-        }
+         {overlap_beats_serialized}\n"
     ));
 
-    let mut json_rows = String::new();
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            json_rows.push(',');
-        }
-        json_rows.push_str(&format!(
-            "{{\"model\":\"{}\",\"batch\":{},\"replicas\":{},\"buckets\":{},\
-             \"grad_bytes\":{},\"wire_bytes\":{},\"comm_workspace_bytes\":{},\
-             \"single_peak\":{},\"replica_peak\":{},\"step_overlap_ns\":{},\
-             \"step_serialized_ns\":{},\"overlap_fraction\":{:.6},\
-             \"imgs_per_sec\":{:.3},\"efficiency\":{:.6},\"peaks_match\":{},\
-             \"overlap_wins\":{}}}",
-            r.model,
-            r.batch,
-            r.replicas,
-            r.buckets,
-            r.grad_bytes,
-            r.wire_bytes,
-            r.comm_workspace,
-            r.single_peak,
-            r.replica_peak,
-            r.step_overlap.as_ns(),
-            r.step_serialized.as_ns(),
-            r.overlap_fraction,
-            r.imgs_per_sec,
-            r.efficiency,
-            r.peaks_match,
-            r.overlap_wins(),
-        ));
-    }
-    let json = format!(
-        "{{\"experiment\":\"dataparallel\",\"all_peaks_match\":{all_peaks_match},\
-         \"overlap_beats_serialized\":{overlap_beats_serialized},\
-         \"parallel_ok\":{parallel_ok},\"parallel_checked\":{parallel_checked},\
-         \"hw_threads\":{threads},\"rows\":[{json_rows}]}}"
-    );
-    match std::fs::write("BENCH_dataparallel.json", &json) {
-        Ok(()) => out.push_str("wrote BENCH_dataparallel.json\n"),
-        Err(e) => out.push_str(&format!("could not write BENCH_dataparallel.json: {e}\n")),
-    }
+    let json_rows = rows.iter().map(|r| {
+        Json::object()
+            .with("model", r.model)
+            .with("batch", r.batch)
+            .with("replicas", r.replicas)
+            .with("buckets", r.buckets)
+            .with("grad_bytes", r.grad_bytes)
+            .with("wire_bytes", r.wire_bytes)
+            .with("comm_workspace_bytes", r.comm_workspace)
+            .with("single_peak", r.single_peak)
+            .with("replica_peak", r.replica_peak)
+            .with("step_overlap_ns", r.step_overlap.as_ns())
+            .with("step_serialized_ns", r.step_serialized.as_ns())
+            .with("overlap_fraction", r.overlap_fraction)
+            .with("imgs_per_sec", r.imgs_per_sec)
+            .with("efficiency", r.efficiency)
+            .with("peaks_match", r.peaks_match)
+            .with("overlap_wins", r.overlap_wins())
+    });
+    let record = BenchRecord {
+        experiment: "dataparallel",
+        quick,
+        gates: vec![
+            ("all_peaks_match", all_peaks_match),
+            ("overlap_beats_serialized", overlap_beats_serialized),
+        ],
+        deterministic: Json::object().with("rows", Json::array(json_rows)),
+        wall: Json::object(),
+    };
+    out.push_str(&record.write());
     out
 }
 

@@ -3,8 +3,9 @@
 //! Absolute numbers come from our simulated substrate (`sn-sim`'s
 //! discrete-event device model stands in for the GPU); what these reproduce
 //! is the paper's *shape*: which technique/framework wins, by roughly what
-//! factor, and where the memory knees fall. No paper-vs-measured record is kept in the tree yet (ROADMAP
-//! item 1c, `BENCH_paper.json`); each function prints what it measured.
+//! factor, and where the memory knees fall. No paper-vs-measured record is
+//! kept in the tree yet (ROADMAP item 2(d), `BENCH_paper.json`); each
+//! function prints what it measured.
 
 use sn_frameworks::Framework;
 use sn_graph::{Net, NetCost};
@@ -542,36 +543,61 @@ pub fn fig14(quick: bool) -> String {
     out
 }
 
+/// An experiment: `quick` in, the report it prints out.
+pub type Experiment = fn(bool) -> String;
+
+/// Every experiment id the CLI accepts, in the order `all` runs them.
+pub const EXPERIMENTS: &[(&str, Experiment)] = &[
+    ("fig2", |_| fig2()),
+    ("fig8", |_| fig8()),
+    ("fig10", |_| fig10()),
+    ("table1", |_| table1()),
+    ("table2", |_| table2()),
+    ("table3", |_| table3()),
+    ("fig11", |_| fig11()),
+    ("fig12", |_| fig12()),
+    ("table4", table4),
+    ("table5", table5),
+    ("fig13", fig13),
+    ("fig14", fig14),
+    ("ablation", |_| crate::ablation::run_ablations()),
+    ("overlap", crate::overlap::overlap),
+    ("cluster", crate::cluster::cluster),
+    ("plan", crate::plan::plan),
+    ("dataparallel", crate::dataparallel::dataparallel),
+    ("precision", crate::precision::precision),
+    ("trace", crate::trace::trace),
+    ("service", crate::service::service),
+    ("faults", crate::faults::faults),
+    ("tune", crate::tune::tune),
+];
+
 /// Run every experiment (quick mode trims the searches).
 pub fn run_all(quick: bool) -> String {
     let mut out = String::new();
-    for (id, text) in [
-        ("fig2", fig2()),
-        ("fig8", fig8()),
-        ("fig10", fig10()),
-        ("table1", table1()),
-        ("table2", table2()),
-        ("table3", table3()),
-        ("fig11", fig11()),
-        ("fig12", fig12()),
-        ("table4", table4(quick)),
-        ("table5", table5(quick)),
-        ("fig13", fig13(quick)),
-        ("fig14", fig14(quick)),
-        ("overlap", crate::overlap::overlap(quick)),
-        ("cluster", crate::cluster::cluster(quick)),
-        ("plan", crate::plan::plan(quick)),
-        ("dataparallel", crate::dataparallel::dataparallel(quick)),
-        ("precision", crate::precision::precision(quick)),
-        ("trace", crate::trace::trace(quick)),
-        ("service", crate::service::service(quick)),
-        ("faults", crate::faults::faults(quick)),
-        ("tune", crate::tune::tune(quick)),
-    ] {
+    for (id, run) in EXPERIMENTS {
         out.push_str(&format!(
             "\n==================== {id} ====================\n"
         ));
-        out.push_str(&text);
+        out.push_str(&run(quick));
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::EXPERIMENTS;
+
+    #[test]
+    fn every_cli_id_is_in_the_table_once() {
+        // The CLI dispatches on this table alone, so "every id it accepts"
+        // is the table: no id twice, none shadowing `all`, and `ablation`
+        // (which `all` used to skip) among them.
+        let ids: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
+        for (i, id) in ids.iter().enumerate() {
+            assert!(!ids[..i].contains(id), "{id} is in the table twice");
+        }
+        assert!(!ids.contains(&"all"));
+        assert!(ids.contains(&"ablation"));
+    }
 }

@@ -35,8 +35,9 @@ use sn_cluster::{
 };
 use sn_runtime::Interconnect;
 use sn_sim::{DeviceSpec, SimTime};
-use sn_telemetry::MetricsRegistry;
+use sn_telemetry::{Json, MetricsRegistry};
 
+use crate::record::BenchRecord;
 use crate::table::TextTable;
 
 const MB: u64 = 1 << 20;
@@ -137,7 +138,7 @@ pub fn faults(quick: bool) -> String {
     let mut peaks_ok = true;
     let mut replay_deterministic = true;
     let mut total_restarts = 0u64;
-    let mut cell_rows = String::new();
+    let mut cell_rows = Vec::new();
 
     for &div in dividers {
         let mtbf = SimTime(makespan / div);
@@ -176,29 +177,22 @@ pub fn faults(quick: bool) -> String {
                 report.wasted_iterations.to_string(),
                 format!("{:.1}", report.goodput_iters_per_sec),
             ]);
-            if !cell_rows.is_empty() {
-                cell_rows.push(',');
-            }
-            cell_rows.push_str(&format!(
-                "{{\"mtbf_ns\":{},\"mode\":\"{}\",\"completed\":{},\"failed\":{},\
-                 \"still_queued\":{},\"restarts\":{},\"useful_iterations\":{},\
-                 \"wasted_iterations\":{},\"goodput_iters_per_sec\":{:.4},\
-                 \"raw_iters_per_sec\":{:.4},\"conservation\":{},\"peaks_exact\":{},\
-                 \"fingerprint\":\"{}\"}}",
-                mtbf.0,
-                mode.name(),
-                report.completed,
-                report.failed,
-                report.still_queued,
-                report.restarts,
-                report.useful_iterations,
-                report.wasted_iterations,
-                report.goodput_iters_per_sec,
-                report.raw_iters_per_sec,
-                report.conservation_holds(),
-                peaks_exact(&report),
-                fingerprint_digest(&report),
-            ));
+            cell_rows.push(
+                Json::object()
+                    .with("mtbf_ns", mtbf.0)
+                    .with("mode", mode.name())
+                    .with("completed", report.completed)
+                    .with("failed", report.failed)
+                    .with("still_queued", report.still_queued)
+                    .with("restarts", report.restarts)
+                    .with("useful_iterations", report.useful_iterations)
+                    .with("wasted_iterations", report.wasted_iterations)
+                    .with("goodput_iters_per_sec", report.goodput_iters_per_sec)
+                    .with("raw_iters_per_sec", report.raw_iters_per_sec)
+                    .with("conservation", report.conservation_holds())
+                    .with("peaks_exact", peaks_exact(&report))
+                    .with("fingerprint", fingerprint_digest(&report)),
+            );
         }
         // Each recovery rung may only help: elastic ≥ restart ≥ none.
         goodput_ordering &=
@@ -229,21 +223,23 @@ pub fn faults(quick: bool) -> String {
          replay_deterministic {replay_deterministic}\n"
     ));
 
-    let json = format!(
-        "{{\"experiment\":\"faults\",\"quick\":{quick},\"jobs\":{n_jobs},\
-         \"fault_free_makespan_ns\":{makespan},\
-         \"cells\":[{cell_rows}],\
-         \"metrics\":{},\
-         \"gates\":{{\"conservation_holds\":{conservation_holds},\
-         \"goodput_ordering\":{goodput_ordering},\
-         \"peaks_exact_across_restart\":{peaks_exact_across_restart},\
-         \"replay_deterministic\":{replay_deterministic}}}}}",
-        snap.to_json(),
-    );
-    match std::fs::write("BENCH_faults.json", &json) {
-        Ok(()) => out.push_str("wrote BENCH_faults.json\n"),
-        Err(e) => out.push_str(&format!("could not write BENCH_faults.json: {e}\n")),
-    }
+    let record = BenchRecord {
+        experiment: "faults",
+        quick,
+        gates: vec![
+            ("conservation_holds", conservation_holds),
+            ("goodput_ordering", goodput_ordering),
+            ("peaks_exact_across_restart", peaks_exact_across_restart),
+            ("replay_deterministic", replay_deterministic),
+        ],
+        deterministic: Json::object()
+            .with("jobs", n_jobs)
+            .with("fault_free_makespan_ns", makespan)
+            .with("cells", Json::Array(cell_rows))
+            .with("metrics", snap.json()),
+        wall: Json::object(),
+    };
+    out.push_str(&record.write());
     out
 }
 

@@ -6,8 +6,9 @@
 //! the crossovers fall) without duplicating the measurement code.
 //!
 //! Run everything with `cargo run --release -p sn-bench --bin experiments --
-//! all` (or a single experiment id, e.g. `table4`). Criterion
-//! micro-benchmarks live in `benches/`.
+//! all` (or a single experiment id, e.g. `table4`). Experiments that emit a
+//! `BENCH_<id>.json` artifact write it through one [`BenchRecord`]; how fast
+//! the stack runs on the host is the repo benchmark's job (`benchmark/`).
 
 pub mod ablation;
 pub mod cluster;
@@ -17,6 +18,7 @@ pub mod faults;
 pub mod overlap;
 pub mod plan;
 pub mod precision;
+pub mod record;
 pub mod service;
 pub mod table;
 pub mod trace;
@@ -30,6 +32,7 @@ pub use faults::faults;
 pub use overlap::overlap;
 pub use plan::plan;
 pub use precision::precision;
+pub use record::BenchRecord;
 pub use service::service;
 pub use trace::trace;
 pub use tune::tune;

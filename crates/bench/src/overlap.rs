@@ -13,7 +13,9 @@ use sn_models as models;
 use sn_runtime::session::Session;
 use sn_runtime::{predict_peak_bytes, Policy};
 use sn_sim::{DeviceSpec, SimTime};
+use sn_telemetry::Json;
 
+use crate::record::BenchRecord;
 use crate::table::{mb, TextTable};
 
 const MB: u64 = 1 << 20;
@@ -116,25 +118,6 @@ pub fn overlap(quick: bool) -> String {
     out.push_str(&t.render());
 
     // Headline: same policy, same device — only the engine differs.
-    let mut json_rows = String::new();
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            json_rows.push(',');
-        }
-        json_rows.push_str(&format!(
-            "{{\"policy\":\"{}\",\"sync\":{},\"dram_bytes\":{},\"iter_ns\":{},\
-             \"peak_bytes\":{},\"traffic_bytes\":{},\"overlap_fraction\":{:.6},\
-             \"stall_ns\":{}}}",
-            r.policy,
-            r.sync,
-            r.dram_bytes,
-            r.iter_time.as_ns(),
-            r.peak_bytes,
-            r.traffic_bytes,
-            r.overlap_fraction,
-            r.stall.as_ns()
-        ));
-    }
     for pair in rows.chunks(2) {
         let (a, s) = (&pair[0], &pair[1]);
         out.push_str(&format!(
@@ -156,14 +139,28 @@ pub fn overlap(quick: bool) -> String {
         ));
     }
 
-    let json = format!(
-        "{{\"experiment\":\"overlap\",\"net\":\"VGG16\",\"batch\":{batch},\
-         \"rows\":[{json_rows}]}}"
-    );
-    match std::fs::write("BENCH_overlap.json", &json) {
-        Ok(()) => out.push_str("wrote BENCH_overlap.json\n"),
-        Err(e) => out.push_str(&format!("could not write BENCH_overlap.json: {e}\n")),
-    }
+    let json_rows = rows.iter().map(|r| {
+        Json::object()
+            .with("policy", r.policy)
+            .with("sync", r.sync)
+            .with("dram_bytes", r.dram_bytes)
+            .with("iter_ns", r.iter_time.as_ns())
+            .with("peak_bytes", r.peak_bytes)
+            .with("traffic_bytes", r.traffic_bytes)
+            .with("overlap_fraction", r.overlap_fraction)
+            .with("stall_ns", r.stall.as_ns())
+    });
+    let record = BenchRecord {
+        experiment: "overlap",
+        quick,
+        gates: vec![],
+        deterministic: Json::object()
+            .with("net", "VGG16")
+            .with("batch", batch)
+            .with("rows", Json::array(json_rows)),
+        wall: Json::object(),
+    };
+    out.push_str(&record.write());
     out
 }
 

@@ -1,27 +1,25 @@
 //! The `plan` experiment: the planner/interpreter contract, measured.
 //!
-//! Three claims the ISSUE-3 refactor makes, checked end to end:
+//! Two claims the planner/interpreter split makes, checked end to end:
 //!
 //! 1. **Exactness** — for every model builder × policy preset in the
 //!    matrix, `MemoryPlan::peak_bytes` equals the executed
 //!    `IterationReport::peak_bytes` byte-for-byte, cold and warm.
-//! 2. **Cheapness** — admission prediction by plan compilation
-//!    (`plan_prediction`) is measurably faster than the old
-//!    `predict_run` full simulated iterations; the speedup is recorded.
-//! 3. **Serving** — forward-only inference plans reserve a fraction of the
+//! 2. **Serving** — forward-only inference plans reserve a fraction of the
 //!    training peak, and a mixed training+inference stream co-schedules on
 //!    the cluster simulator.
 //!
-//! Emits `BENCH_plan.json` for trend tracking across PRs.
-
-use std::time::Instant;
+//! What a compile costs on the host is the repo benchmark's `plan_cold`
+//! and `plan_reuse`. Emits `BENCH_plan.json`.
 
 use sn_cluster::{mixed_serving_stream, ClusterSim, Fleet, JobKind, PlacementPolicy, PolicyPreset};
 use sn_models as models;
-use sn_runtime::{plan_prediction, plan_prediction_inference, predict_run, Executor, Policy};
+use sn_runtime::{plan_prediction, plan_prediction_inference, Executor, Policy};
 use sn_runtime::{Interconnect, PeakPrediction};
 use sn_sim::DeviceSpec;
+use sn_telemetry::Json;
 
+use crate::record::BenchRecord;
 use crate::table::{mb, TextTable};
 
 const MB: u64 = 1 << 20;
@@ -48,23 +46,6 @@ pub struct InferenceRow {
     pub batch: usize,
     pub train: PeakPrediction,
     pub infer: PeakPrediction,
-}
-
-/// Admission-prediction cost: the same prediction set, simulated vs
-/// compiled.
-pub struct AdmissionTiming {
-    pub predictions: usize,
-    pub simulate_ns: u128,
-    pub compile_ns: u128,
-}
-
-impl AdmissionTiming {
-    pub fn speedup(&self) -> f64 {
-        if self.compile_ns == 0 {
-            return 0.0;
-        }
-        self.simulate_ns as f64 / self.compile_ns as f64
-    }
 }
 
 /// The serving co-scheduling summary from the cluster simulator.
@@ -148,40 +129,6 @@ pub fn measure_inference(quick: bool) -> Vec<InferenceRow> {
         .collect()
 }
 
-/// Time the same prediction set through the old simulated path and the new
-/// compile-only path (no I/O).
-pub fn measure_admission(quick: bool) -> AdmissionTiming {
-    let spec = DeviceSpec::k40c();
-    let set = matrix(quick);
-    let mut predictions = 0usize;
-    let t0 = Instant::now();
-    for (_, build, batch) in &set {
-        let net = build(*batch);
-        for (_, policy) in presets() {
-            predict_run(&net, &spec, policy).unwrap();
-            predictions += 1;
-        }
-    }
-    let simulate_ns = t0.elapsed().as_nanos();
-    // Drop the plan memo and shared analyses first: this row reports what a
-    // *compile* costs against a simulated iteration, not a memo hit (what
-    // a hit costs is the repo benchmark's `plan_reuse` workload).
-    sn_runtime::plan::clear_all_caches();
-    let t1 = Instant::now();
-    for (_, build, batch) in &set {
-        let net = build(*batch);
-        for (_, policy) in presets() {
-            plan_prediction(&net, &spec, policy).unwrap();
-        }
-    }
-    let compile_ns = t1.elapsed().as_nanos();
-    AdmissionTiming {
-        predictions,
-        simulate_ns,
-        compile_ns,
-    }
-}
-
 /// Run the mixed training+inference stream on the 8-device fleet (no I/O).
 pub fn measure_coschedule(quick: bool) -> CoScheduleRow {
     let n = if quick { 30 } else { 80 };
@@ -212,12 +159,11 @@ pub fn measure_coschedule(quick: bool) -> CoScheduleRow {
 pub fn plan(quick: bool) -> String {
     let rows = measure_matrix(quick);
     let inference = measure_inference(quick);
-    let timing = measure_admission(quick);
     let cosched = measure_coschedule(quick);
 
     let mut out = String::from(
-        "plan: planner/interpreter split — plan-predicted vs executed peaks, \
-         admission-prediction cost, and inference co-scheduling\n\n",
+        "plan: planner/interpreter split — plan-predicted vs executed peaks \
+         and inference co-scheduling\n\n",
     );
     let mut t = TextTable::new(vec![
         "model",
@@ -269,66 +215,46 @@ pub fn plan(quick: bool) -> String {
     out.push_str(&ti.render());
 
     out.push_str(&format!(
-        "\nadmission prediction, {} (model, preset) pairs: simulate {:.1} ms vs \
-         compile {:.1} ms — {:.2}x speedup (no simulated iteration on the hot path)\n",
-        timing.predictions,
-        timing.simulate_ns as f64 / 1e6,
-        timing.compile_ns as f64 / 1e6,
-        timing.speedup()
-    ));
-    out.push_str(&format!(
-        "cluster co-scheduling ({} mixed jobs): {} training + {} inference completed, \
+        "\ncluster co-scheduling ({} mixed jobs): {} training + {} inference completed, \
          {} rejected\n",
         cosched.jobs, cosched.training_completed, cosched.inference_completed, cosched.rejected
     ));
 
-    let mut json_rows = String::new();
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            json_rows.push(',');
-        }
-        json_rows.push_str(&format!(
-            "{{\"model\":\"{}\",\"batch\":{},\"preset\":\"{}\",\"plan_peak\":{},\
-             \"executed_cold\":{},\"executed_warm\":{},\"match\":{}}}",
-            r.model,
-            r.batch,
-            r.preset,
-            r.plan_peak,
-            r.executed_cold,
-            r.executed_warm,
-            r.matches()
-        ));
-    }
-    let mut json_inf = String::new();
-    for (i, r) in inference.iter().enumerate() {
-        if i > 0 {
-            json_inf.push(',');
-        }
-        json_inf.push_str(&format!(
-            "{{\"model\":\"{}\",\"batch\":{},\"train_peak\":{},\"infer_peak\":{}}}",
-            r.model, r.batch, r.train.peak_bytes, r.infer.peak_bytes
-        ));
-    }
-    let json = format!(
-        "{{\"experiment\":\"plan\",\"all_peaks_match\":{all_match},\
-         \"rows\":[{json_rows}],\"inference\":[{json_inf}],\
-         \"admission\":{{\"predictions\":{},\"simulate_ns\":{},\"compile_ns\":{},\
-         \"speedup\":{:.4}}},\
-         \"cluster\":{{\"jobs\":{},\"training_completed\":{},\"inference_completed\":{},\
-         \"rejected\":{}}}}}",
-        timing.predictions,
-        timing.simulate_ns,
-        timing.compile_ns,
-        timing.speedup(),
-        cosched.jobs,
-        cosched.training_completed,
-        cosched.inference_completed,
-        cosched.rejected,
-    );
-    match std::fs::write("BENCH_plan.json", &json) {
-        Ok(()) => out.push_str("wrote BENCH_plan.json\n"),
-        Err(e) => out.push_str(&format!("could not write BENCH_plan.json: {e}\n")),
-    }
+    let json_rows = rows.iter().map(|r| {
+        Json::object()
+            .with("model", r.model)
+            .with("batch", r.batch)
+            .with("preset", r.preset)
+            .with("plan_peak", r.plan_peak)
+            .with("executed_cold", r.executed_cold)
+            .with("executed_warm", r.executed_warm)
+            .with("match", r.matches())
+    });
+    let json_inf = inference.iter().map(|r| {
+        Json::object()
+            .with("model", r.model)
+            .with("batch", r.batch)
+            .with("train_peak", r.train.peak_bytes)
+            .with("infer_peak", r.infer.peak_bytes)
+    });
+    let record = BenchRecord {
+        experiment: "plan",
+        quick,
+        gates: vec![("all_peaks_match", all_match)],
+        deterministic: Json::object()
+            .with("rows", Json::array(json_rows))
+            .with("inference", Json::array(json_inf))
+            .with(
+                "cluster",
+                Json::object()
+                    .with("jobs", cosched.jobs)
+                    .with("training_completed", cosched.training_completed)
+                    .with("inference_completed", cosched.inference_completed)
+                    .with("rejected", cosched.rejected),
+            ),
+        wall: Json::object(),
+    };
+    out.push_str(&record.write());
     out
 }
 

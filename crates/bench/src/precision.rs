@@ -15,7 +15,7 @@
 //!    memory the AMP recipe frees is real, planned capacity — not an
 //!    estimate.
 //!
-//! Emits `BENCH_precision.json`; CI greps `all_peaks_match` and
+//! Emits `BENCH_precision.json` with gates `all_peaks_match` and
 //! `mixed_unlocks_seq`.
 
 use sn_graph::Precision;
@@ -24,7 +24,9 @@ use sn_runtime::session::max_feasible_param;
 use sn_runtime::{plan_prediction, Executor, Policy};
 use sn_sim::spec::GB;
 use sn_sim::DeviceSpec;
+use sn_telemetry::Json;
 
+use crate::record::BenchRecord;
 use crate::table::{mb, TextTable};
 
 /// One matrix cell: a GPT model × element precision × policy preset.
@@ -189,41 +191,36 @@ pub fn precision(quick: bool) -> String {
         unlock.unlocks()
     ));
 
-    let mut json_rows = String::new();
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            json_rows.push(',');
-        }
-        json_rows.push_str(&format!(
-            "{{\"model\":\"{}\",\"batch\":{},\"seq\":{},\"precision\":\"{}\",\
-             \"preset\":\"{}\",\"plan_peak\":{},\"executed_cold\":{},\
-             \"executed_warm\":{},\"match\":{}}}",
-            r.model,
-            r.batch,
-            r.seq,
-            r.precision,
-            r.preset,
-            r.plan_peak,
-            r.executed_cold,
-            r.executed_warm,
-            r.matches()
-        ));
-    }
-    let json = format!(
-        "{{\"experiment\":\"precision\",\"all_peaks_match\":{all_match},\
-         \"mixed_unlocks_seq\":{},\
-         \"rows\":[{json_rows}],\
-         \"max_seq\":{{\"batch\":{},\"dram_bytes\":{},\"fp32\":{},\"bf16\":{}}}}}",
-        unlock.unlocks(),
-        unlock.batch,
-        unlock.dram_bytes,
-        unlock.fp32_max_seq,
-        unlock.bf16_max_seq,
-    );
-    match std::fs::write("BENCH_precision.json", &json) {
-        Ok(()) => out.push_str("wrote BENCH_precision.json\n"),
-        Err(e) => out.push_str(&format!("could not write BENCH_precision.json: {e}\n")),
-    }
+    let json_rows = rows.iter().map(|r| {
+        Json::object()
+            .with("model", r.model)
+            .with("batch", r.batch)
+            .with("seq", r.seq)
+            .with("precision", r.precision)
+            .with("preset", r.preset)
+            .with("plan_peak", r.plan_peak)
+            .with("executed_cold", r.executed_cold)
+            .with("executed_warm", r.executed_warm)
+            .with("match", r.matches())
+    });
+    let record = BenchRecord {
+        experiment: "precision",
+        quick,
+        gates: vec![
+            ("all_peaks_match", all_match),
+            ("mixed_unlocks_seq", unlock.unlocks()),
+        ],
+        deterministic: Json::object().with("rows", Json::array(json_rows)).with(
+            "max_seq",
+            Json::object()
+                .with("batch", unlock.batch)
+                .with("dram_bytes", unlock.dram_bytes)
+                .with("fp32", unlock.fp32_max_seq)
+                .with("bf16", unlock.bf16_max_seq),
+        ),
+        wall: Json::object(),
+    };
+    out.push_str(&record.write());
     out
 }
 

@@ -25,7 +25,9 @@ use sn_cluster::{
 };
 use sn_runtime::Interconnect;
 use sn_sim::{DeviceSpec, SimTime};
+use sn_telemetry::Json;
 
+use crate::record::BenchRecord;
 use crate::table::TextTable;
 
 const MB: u64 = 1 << 20;
@@ -136,7 +138,7 @@ pub fn service(quick: bool) -> String {
         "queue (ms)",
         "compute util",
     ]);
-    let mut sweep_rows = String::new();
+    let mut sweep_rows = Vec::new();
     let mut tail_latency_recorded = true;
     let sweep_fleet = fleet();
     for preset in presets {
@@ -161,15 +163,13 @@ pub fn service(quick: bool) -> String {
                 format!("{:.2}", svc.mean_queueing.as_ms_f64()),
                 format!("{:.1}%", 100.0 * svc.compute_utilization),
             ]);
-            if !sweep_rows.is_empty() {
-                sweep_rows.push(',');
-            }
-            sweep_rows.push_str(&format!(
-                "{{\"preset\":\"{}\",\"rho\":{rho},\"gap_ns\":{},\"report\":{}}}",
-                preset.name(),
-                gap.0,
-                svc.to_json()
-            ));
+            sweep_rows.push(
+                Json::object()
+                    .with("preset", preset.name())
+                    .with("rho", *rho)
+                    .with("gap_ns", gap.0)
+                    .with("report", svc.json()),
+            );
         }
     }
     out.push_str(&format!(
@@ -180,17 +180,30 @@ pub fn service(quick: bool) -> String {
         "\ntail_latency_recorded {tail_latency_recorded}\n"
     ));
 
-    let json = format!(
-        "{{\"experiment\":\"service\",\"quick\":{quick},\
-         \"differential\":{{\"jobs\":{diff_jobs},\"bit_identical\":{bit_identical},\
-         \"events_match\":{events_match},\"reports_identical\":{reports_identical}}},\
-         \"sweep\":{{\"jobs_per_cell\":{sweep_jobs},\
-         \"tail_latency_recorded\":{tail_latency_recorded},\"rows\":[{sweep_rows}]}}}}",
-    );
-    match std::fs::write("BENCH_service.json", &json) {
-        Ok(()) => out.push_str("wrote BENCH_service.json\n"),
-        Err(e) => out.push_str(&format!("could not write BENCH_service.json: {e}\n")),
-    }
+    let record = BenchRecord {
+        experiment: "service",
+        quick,
+        gates: vec![
+            ("reports_identical", reports_identical),
+            ("tail_latency_recorded", tail_latency_recorded),
+        ],
+        deterministic: Json::object()
+            .with(
+                "differential",
+                Json::object()
+                    .with("jobs", diff_jobs)
+                    .with("bit_identical", bit_identical)
+                    .with("events_match", events_match),
+            )
+            .with(
+                "sweep",
+                Json::object()
+                    .with("jobs_per_cell", sweep_jobs)
+                    .with("rows", Json::Array(sweep_rows)),
+            ),
+        wall: Json::object(),
+    };
+    out.push_str(&record.write());
     out
 }
 

@@ -10,7 +10,7 @@
 //! guaranteed-impossible gang) through [`sn_cluster::ClusterSim`] so the
 //! per-tenant tracks and admission metrics populate too.
 //!
-//! Gates CI greps from `BENCH_trace.json`:
+//! Gates recorded in `BENCH_trace.json`:
 //! * `trace_valid` — every span on a defined track, per-track spans
 //!   time-ordered and non-overlapping, every flow arrow resolving to
 //!   emitted spans in causal order;
@@ -27,7 +27,9 @@ use sn_cluster::{
 use sn_models as models;
 use sn_runtime::{GroupConfig, GroupExecutor, GroupIterationReport, Interconnect, Policy};
 use sn_sim::{DeviceSpec, SimTime};
-use sn_telemetry::{MetricsRegistry, MetricsSnapshot, TraceData, TraceSink};
+use sn_telemetry::{Json, MetricsRegistry, MetricsSnapshot, TraceData, TraceSink};
+
+use crate::record::{write_artifact, BenchRecord};
 
 const MB: u64 = 1 << 20;
 const GB: u64 = 1 << 30;
@@ -224,91 +226,85 @@ pub fn measure(quick: bool) -> TraceResult {
 /// Run the experiment; writes `BENCH_trace.json` (gates + embedded metrics
 /// snapshot) and the Perfetto-loadable `BENCH_trace.trace.json`.
 pub fn trace(quick: bool) -> String {
-    let sink_json = {
-        // The exported artifact must include the cluster tracks, so re-run
-        // measure() against one sink and export at the end.
-        let r = measure(quick);
-        let trace_valid = r.trace_valid();
-        let metrics_consistent = r.metrics_consistent();
-        let overlap_matches = r.overlap_matches();
+    let r = measure(quick);
+    let trace_valid = r.trace_valid();
+    let metrics_consistent = r.metrics_consistent();
+    let overlap_matches = r.overlap_matches();
 
-        let mut out = format!(
-            "trace: unified telemetry — 2-replica VGG16 gang on a {} MB device \
-             + a {}-job cluster stream, one shared sink/registry\n\n",
-            r.dram_bytes / MB,
-            r.cluster_submitted,
-        );
-        out.push_str(&format!(
-            "timeline: {} tracks, {} spans, {} instants, {} flow arrows\n",
-            r.check.tracks, r.check.spans, r.check.instants, r.check.flows
-        ));
-        for e in r.check.errors.iter().take(5) {
-            out.push_str(&format!("  INVARIANT VIOLATION: {e}\n"));
-        }
-        out.push_str(&format!(
-            "group step {:.3} ms: allreduce busy {} ns / hidden {} ns \
-             (report) vs {} ns / {} ns (from exported spans)\n",
-            r.group.step_time.as_ms_f64(),
-            r.group.allreduce_busy.as_ns(),
-            r.group.allreduce_hidden.as_ns(),
-            r.trace_busy_ns,
-            r.trace_hidden_ns,
-        ));
-        out.push_str(&format!(
-            "hidden-comm fraction: {:.4} (report) vs {:.4} (trace)\n",
-            r.group.allreduce_overlap_fraction(),
-            r.trace_overlap_fraction(),
-        ));
-        out.push_str(&format!(
-            "cluster: {} submitted / {} completed / {} rejected\n\n",
-            r.cluster_submitted, r.cluster_completed, r.cluster_rejected
-        ));
-        out.push_str(&format!(
-            "trace_valid: {trace_valid}\nmetrics_consistent: {metrics_consistent}\n\
-             overlap_matches: {overlap_matches}\n"
-        ));
+    let mut out = format!(
+        "trace: unified telemetry — 2-replica VGG16 gang on a {} MB device \
+         + a {}-job cluster stream, one shared sink/registry\n\n",
+        r.dram_bytes / MB,
+        r.cluster_submitted,
+    );
+    out.push_str(&format!(
+        "timeline: {} tracks, {} spans, {} instants, {} flow arrows\n",
+        r.check.tracks, r.check.spans, r.check.instants, r.check.flows
+    ));
+    for e in r.check.errors.iter().take(5) {
+        out.push_str(&format!("  INVARIANT VIOLATION: {e}\n"));
+    }
+    out.push_str(&format!(
+        "group step {:.3} ms: allreduce busy {} ns / hidden {} ns \
+         (report) vs {} ns / {} ns (from exported spans)\n",
+        r.group.step_time.as_ms_f64(),
+        r.group.allreduce_busy.as_ns(),
+        r.group.allreduce_hidden.as_ns(),
+        r.trace_busy_ns,
+        r.trace_hidden_ns,
+    ));
+    out.push_str(&format!(
+        "hidden-comm fraction: {:.4} (report) vs {:.4} (trace)\n",
+        r.group.allreduce_overlap_fraction(),
+        r.trace_overlap_fraction(),
+    ));
+    out.push_str(&format!(
+        "cluster: {} submitted / {} completed / {} rejected\n\n",
+        r.cluster_submitted, r.cluster_completed, r.cluster_rejected
+    ));
+    out.push_str(&format!(
+        "trace_valid: {trace_valid}\nmetrics_consistent: {metrics_consistent}\n\
+         overlap_matches: {overlap_matches}\n"
+    ));
 
-        let json = format!(
-            "{{\"experiment\":\"trace\",\"trace_valid\":{trace_valid},\
-             \"metrics_consistent\":{metrics_consistent},\
-             \"overlap_matches\":{overlap_matches},\
-             \"dram_bytes\":{},\"tracks\":{},\"spans\":{},\"instants\":{},\
-             \"flows\":{},\"report_allreduce_busy_ns\":{},\
-             \"report_allreduce_hidden_ns\":{},\"trace_allreduce_busy_ns\":{},\
-             \"trace_allreduce_hidden_ns\":{},\"overlap_fraction_report\":{:.6},\
-             \"overlap_fraction_trace\":{:.6},\"cluster_submitted\":{},\
-             \"cluster_completed\":{},\"cluster_rejected\":{},\"metrics\":{}}}",
-            r.dram_bytes,
-            r.check.tracks,
-            r.check.spans,
-            r.check.instants,
-            r.check.flows,
-            r.group.allreduce_busy.as_ns(),
-            r.group.allreduce_hidden.as_ns(),
-            r.trace_busy_ns,
-            r.trace_hidden_ns,
-            r.group.allreduce_overlap_fraction(),
-            r.trace_overlap_fraction(),
-            r.cluster_submitted,
-            r.cluster_completed,
-            r.cluster_rejected,
-            r.snapshot.to_json(),
-        );
-        match std::fs::write("BENCH_trace.json", &json) {
-            Ok(()) => out.push_str("wrote BENCH_trace.json\n"),
-            Err(e) => out.push_str(&format!("could not write BENCH_trace.json: {e}\n")),
-        }
-        let chrome = r.data.export_chrome_json();
-        match std::fs::write("BENCH_trace.trace.json", &chrome) {
-            Ok(()) => out.push_str(
-                "wrote BENCH_trace.trace.json (open at https://ui.perfetto.dev or \
-                 chrome://tracing)\n",
-            ),
-            Err(e) => out.push_str(&format!("could not write BENCH_trace.trace.json: {e}\n")),
-        }
-        out
+    let record = BenchRecord {
+        experiment: "trace",
+        quick,
+        gates: vec![
+            ("trace_valid", trace_valid),
+            ("metrics_consistent", metrics_consistent),
+            ("overlap_matches", overlap_matches),
+        ],
+        deterministic: Json::object()
+            .with("dram_bytes", r.dram_bytes)
+            .with("tracks", r.check.tracks)
+            .with("spans", r.check.spans)
+            .with("instants", r.check.instants)
+            .with("flows", r.check.flows)
+            .with("report_allreduce_busy_ns", r.group.allreduce_busy.as_ns())
+            .with(
+                "report_allreduce_hidden_ns",
+                r.group.allreduce_hidden.as_ns(),
+            )
+            .with("trace_allreduce_busy_ns", r.trace_busy_ns)
+            .with("trace_allreduce_hidden_ns", r.trace_hidden_ns)
+            .with(
+                "overlap_fraction_report",
+                r.group.allreduce_overlap_fraction(),
+            )
+            .with("overlap_fraction_trace", r.trace_overlap_fraction())
+            .with("cluster_submitted", r.cluster_submitted)
+            .with("cluster_completed", r.cluster_completed)
+            .with("cluster_rejected", r.cluster_rejected)
+            .with("metrics", r.snapshot.json()),
+        wall: Json::object(),
     };
-    sink_json
+    out.push_str(&record.write());
+    out.push_str(&write_artifact(
+        "BENCH_trace.trace.json",
+        &r.data.export_chrome_json(),
+    ));
+    out
 }
 
 #[cfg(test)]

@@ -11,22 +11,18 @@
 //! 2. **Peaks are exact** — every tuned winner's executed peak over a
 //!    cold + warm iteration equals its compiled plan peak byte-for-byte.
 //!    Tuning never trades away the planner's exactness contract.
-//! 3. **Seeded determinism** — re-running every search with a different
-//!    `par_map` worker count reproduces the identical `TunedPolicy` and
-//!    the identical rendered trace (compared line by line, plus the
-//!    FxHash trace digest).
+//! 3. **Seeded determinism** — every search runs on two `par_map` workers
+//!    and again on one (explicit counts: two threads are spawned whatever
+//!    the host has) and reproduces the identical `TunedPolicy` and the
+//!    identical rendered trace (compared line by line, plus the FxHash
+//!    trace digest).
 //! 4. **Metrics consistency** — each search's feasibility evaluations equal
 //!    the plan-memo lookups it performed (`memo_lookups == evals`, per
 //!    run), and the `tune.*` registry counters advance by exactly the sum
 //!    over all runs. The registry snapshot is embedded in the artifact.
 //!
-//! The worker-count re-runs double as the parallel measurement: with ≥4
-//! hardware threads the multi-worker sweeps must beat single-worker by
-//! more than 1.2x (below that the speedup is reported but not required —
-//! there is nothing to fan out onto).
-//!
-//! Emits `BENCH_tune.json`; CI greps `tuned_no_worse`, `all_peaks_match`
-//! and `search_deterministic`.
+//! Emits `BENCH_tune.json`; the searches' host time is its one `wall`
+//! entry.
 
 use sn_graph::Net;
 use sn_models as models;
@@ -34,7 +30,9 @@ use sn_runtime::tune::{search, SearchOutcome, TuneConfig};
 use sn_runtime::{plan, Interconnect};
 use sn_sim::spec::GB;
 use sn_sim::DeviceSpec;
+use sn_telemetry::Json;
 
+use crate::record::BenchRecord;
 use crate::table::TextTable;
 
 /// One matrix point: a network on a device at a gang size.
@@ -145,7 +143,6 @@ impl TunePoint {
 
 pub struct TuneReport {
     pub points: Vec<TunePoint>,
-    pub threads: usize,
     /// `tune.evals` registry counter delta across the whole experiment.
     pub evals_delta: u64,
     /// `tune.memo_lookups` registry counter delta across the experiment.
@@ -188,27 +185,6 @@ impl TuneReport {
             && self.evals_delta == spent
             && self.lookups_delta == spent
     }
-
-    pub fn serial_ns(&self) -> u128 {
-        self.points.iter().map(|p| p.rerun.wall.as_nanos()).sum()
-    }
-
-    pub fn parallel_ns(&self) -> u128 {
-        self.points.iter().map(|p| p.outcome.wall.as_nanos()).sum()
-    }
-
-    pub fn parallel_speedup(&self) -> f64 {
-        self.serial_ns() as f64 / self.parallel_ns().max(1) as f64
-    }
-
-    /// The >1.2x bar only applies where there are threads to fan out onto.
-    pub fn parallel_ok(&self) -> bool {
-        self.parallel_vacuous() || self.parallel_speedup() > 1.2
-    }
-
-    pub fn parallel_vacuous(&self) -> bool {
-        self.threads < 4
-    }
 }
 
 /// Compact human-readable signature of a tuned winner for the table/JSON.
@@ -241,10 +217,11 @@ pub fn measure(quick: bool) -> TuneReport {
         let cfg = TuneConfig::new(pt.replicas, pt.interconnect)
             .with_seed(0xB0_5EED ^ (i as u64))
             .with_samples(samples);
-        // Both runs start from a cold plan memo so their wall times are
-        // comparable (the determinism contract itself is memo-independent).
+        // Both runs start from a cold plan memo, so each performs the same
+        // lookups whatever ran before it.
         plan::clear_plan_memo();
-        let outcome = search(&pt.net, &pt.spec, &cfg).expect("matrix point must tune");
+        let outcome =
+            search(&pt.net, &pt.spec, &cfg.with_workers(2)).expect("matrix point must tune");
         plan::clear_plan_memo();
         let rerun = search(&pt.net, &pt.spec, &cfg.with_workers(1)).expect("rerun must tune");
         points.push(TunePoint {
@@ -258,7 +235,6 @@ pub fn measure(quick: bool) -> TuneReport {
     let delta = |name: &str| after.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0);
     TuneReport {
         points,
-        threads: rayon::current_num_threads(),
         evals_delta: delta("tune.evals"),
         lookups_delta: delta("tune.memo_lookups"),
         strict_required,
@@ -302,8 +278,7 @@ pub fn tune(quick: bool) -> String {
     out.push_str(&t.render());
     out.push_str(&format!(
         "\nstrict wins {}/{} (need {}) | tuned_no_worse: {} | all_peaks_match: {} | \
-         search_deterministic: {} | metrics_consistent: {} | parallel ({} threads, \
-         vacuous <4): {} ({:.2}x)\n",
+         search_deterministic: {} | metrics_consistent: {}\n",
         r.strict_wins(),
         r.points.len(),
         r.strict_required,
@@ -311,91 +286,63 @@ pub fn tune(quick: bool) -> String {
         r.all_peaks_match(),
         r.search_deterministic(),
         r.metrics_consistent(),
-        r.threads,
-        r.parallel_ok(),
-        r.parallel_speedup(),
     ));
 
-    let rows: Vec<String> = r
-        .points
-        .iter()
-        .map(|p| {
-            let tu = &p.outcome.tuned;
-            format!(
-                "{{\"label\":\"{}\",\"replicas\":{},\"hand\":\"{}\",\"hand_ns\":{},\
-                 \"tuned_ns\":{},\"plan_peak_bytes\":{},\"executed_peak_bytes\":{},\
-                 \"policy\":\"{}\",\"seed\":{},\"evals\":{},\"pruned\":{},\
-                 \"trace_digest\":{},\"strict\":{},\"peaks_match\":{},\
-                 \"deterministic\":{},\"metrics_consistent\":{}}}",
-                p.label,
-                p.replicas,
-                tu.hand_name,
-                tu.hand_step_time.as_ns(),
-                tu.step_time.as_ns(),
-                tu.plan_peak_bytes,
-                tu.executed_peak_bytes,
-                describe(tu),
-                tu.seed,
-                tu.evals,
-                tu.pruned,
-                tu.trace_digest,
-                p.strict_win(),
-                p.peaks_match(),
-                p.deterministic(),
-                p.metrics_consistent(),
-            )
-        })
-        .collect();
+    let rows = r.points.iter().map(|p| {
+        let tu = &p.outcome.tuned;
+        Json::object()
+            .with("label", p.label.as_str())
+            .with("replicas", p.replicas)
+            .with("hand", tu.hand_name)
+            .with("hand_ns", tu.hand_step_time.as_ns())
+            .with("tuned_ns", tu.step_time.as_ns())
+            .with("plan_peak_bytes", tu.plan_peak_bytes)
+            .with("executed_peak_bytes", tu.executed_peak_bytes)
+            .with("policy", describe(tu))
+            .with("seed", tu.seed)
+            .with("evals", tu.evals)
+            .with("pruned", tu.pruned)
+            .with("trace_digest", tu.trace_digest)
+            .with("strict", p.strict_win())
+            .with("peaks_match", p.peaks_match())
+            .with("deterministic", p.deterministic())
+            .with("metrics_consistent", p.metrics_consistent())
+    });
     let metrics = sn_telemetry::global().snapshot();
     let snap = |n: &str| metrics.counter(n).unwrap_or(0);
-    let wall = metrics
-        .histogram("tune.search_wall_ns")
-        .map(|h| {
-            format!(
-                "{{\"count\":{},\"sum\":{},\"mean\":{:.0}}}",
-                h.count,
-                h.sum,
-                h.mean()
-            )
-        })
-        .unwrap_or_else(|| "null".into());
-    let json = format!(
-        "{{\"experiment\":\"tune\",\"points\":{},\"threads\":{},\
-         \"matrix\":[{}],\
-         \"strict_wins\":{},\"strict_required\":{},\
-         \"tuned_no_worse\":{},\"all_peaks_match\":{},\"search_deterministic\":{},\
-         \"metrics\":{{\"tune.evals\":{},\"tune.pruned\":{},\"tune.memo_hits\":{},\
-         \"tune.memo_lookups\":{},\"tune.search_wall_ns\":{},\
-         \"evals_delta\":{},\"lookups_delta\":{}}},\
-         \"metrics_consistent\":{},\
-         \"parallel\":{{\"serial_ns\":{},\"parallel_ns\":{},\"speedup\":{:.4}}},\
-         \"parallel_ok\":{},\"parallel_vacuous\":{}}}",
-        r.points.len(),
-        r.threads,
-        rows.join(","),
-        r.strict_wins(),
-        r.strict_required,
-        r.tuned_no_worse(),
-        r.all_peaks_match(),
-        r.search_deterministic(),
-        snap("tune.evals"),
-        snap("tune.pruned"),
-        snap("tune.memo_hits"),
-        snap("tune.memo_lookups"),
-        wall,
-        r.evals_delta,
-        r.lookups_delta,
-        r.metrics_consistent(),
-        r.serial_ns(),
-        r.parallel_ns(),
-        r.parallel_speedup(),
-        r.parallel_ok(),
-        r.parallel_vacuous(),
-    );
-    match std::fs::write("BENCH_tune.json", &json) {
-        Ok(()) => out.push_str("wrote BENCH_tune.json\n"),
-        Err(e) => out.push_str(&format!("could not write BENCH_tune.json: {e}\n")),
-    }
+    let wall = metrics.histogram("tune.search_wall_ns").map(|h| {
+        Json::object()
+            .with("count", h.count)
+            .with("sum", h.sum)
+            .with("mean", h.mean())
+    });
+    let record = BenchRecord {
+        experiment: "tune",
+        quick,
+        gates: vec![
+            ("tuned_no_worse", r.tuned_no_worse()),
+            ("all_peaks_match", r.all_peaks_match()),
+            ("search_deterministic", r.search_deterministic()),
+            ("metrics_consistent", r.metrics_consistent()),
+        ],
+        deterministic: Json::object()
+            .with("points", r.points.len())
+            .with("matrix", Json::array(rows))
+            .with("strict_wins", r.strict_wins())
+            .with("strict_required", r.strict_required)
+            .with(
+                "metrics",
+                Json::object()
+                    .with("tune.evals", snap("tune.evals"))
+                    .with("tune.pruned", snap("tune.pruned"))
+                    .with("tune.memo_hits", snap("tune.memo_hits"))
+                    .with("tune.memo_lookups", snap("tune.memo_lookups"))
+                    .with("evals_delta", r.evals_delta)
+                    .with("lookups_delta", r.lookups_delta),
+            ),
+        wall: Json::object().with("tune.search_wall_ns", wall),
+    };
+    out.push_str(&record.write());
     out
 }
 

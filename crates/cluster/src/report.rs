@@ -1,8 +1,9 @@
 //! Reports: per-job outcomes, fleet-wide serving metrics, the deterministic
-//! schedule trace, and a dependency-free JSON rendering for `BENCH_*.json`
+//! schedule trace, and their [`Json`] rendering for `BENCH_*.json`
 //! artifacts.
 
 use sn_sim::SimTime;
+use sn_telemetry::Json;
 
 use crate::fleet::Fleet;
 use crate::job::{JobKind, JobSpec, PolicyPreset};
@@ -485,86 +486,53 @@ impl ClusterReport {
         s
     }
 
-    /// Machine-readable JSON (hand-rolled: the workspace builds offline,
-    /// without serde_json). Shape is stable for downstream trend tracking.
-    pub fn to_json(&self) -> String {
-        let mut jobs = String::new();
-        for (i, j) in self.jobs.iter().enumerate() {
-            if i > 0 {
-                jobs.push(',');
-            }
-            jobs.push_str(&format!(
-                "{{\"name\":{},\"workload\":{},\"batch\":{},\"replicas\":{},\"kind\":{},\
-                 \"requested\":{},\"granted\":{},\"devices\":{:?},\
-                 \"arrival_ns\":{},\"queueing_ns\":{},\"latency_ns\":{},\"rejected\":{},\
-                 \"iterations\":{},\"restarts\":{},\"wasted_iterations\":{},\"failed\":{}}}",
-                json_str(&j.name),
-                json_str(&j.workload),
-                j.batch,
-                j.replicas,
-                json_str(j.kind.name()),
-                json_str(j.requested.name()),
-                j.granted
-                    .map(|p| json_str(p.name()))
-                    .unwrap_or("null".into()),
-                j.devices,
-                j.arrival.0,
-                j.queueing()
-                    .map(|t| t.0.to_string())
-                    .unwrap_or("null".into()),
-                j.latency()
-                    .map(|t| t.0.to_string())
-                    .unwrap_or("null".into()),
-                j.rejected
-                    .as_ref()
-                    .map(|r| json_str(&r.render()))
-                    .unwrap_or("null".into()),
-                j.iterations,
-                j.restarts,
-                j.wasted_iterations,
-                j.failed
-                    .as_ref()
-                    .map(|w| json_str(w))
-                    .unwrap_or("null".into()),
-            ));
-        }
-        format!(
-            "{{\"placement\":{},\"devices\":{},\"fleet_dram_bytes\":{},\
-             \"submitted\":{},\"completed\":{},\"rejected\":{},\
-             \"failed\":{},\"still_queued\":{},\"restarts\":{},\
-             \"useful_iterations\":{},\"wasted_iterations\":{},\
-             \"goodput_iters_per_sec\":{:.6},\"raw_iters_per_sec\":{:.6},\
-             \"makespan_ns\":{},\"jobs_per_sec\":{:.6},\
-             \"p50_latency_ns\":{},\"p99_latency_ns\":{},\"p999_latency_ns\":{},\
-             \"mean_queueing_ns\":{},\
-             \"compute_utilization\":{:.6},\"memory_utilization\":{:.6},\
-             \"peak_concurrent_jobs\":{},\"predictions_simulated\":{},\
-             \"jobs\":[{}]}}",
-            json_str(self.placement.name()),
-            self.fleet_devices,
-            self.fleet_dram_bytes,
-            self.jobs.len(),
-            self.completed,
-            self.rejected,
-            self.failed,
-            self.still_queued,
-            self.restarts,
-            self.useful_iterations,
-            self.wasted_iterations,
-            self.goodput_iters_per_sec,
-            self.raw_iters_per_sec,
-            self.makespan.0,
-            self.jobs_per_sec,
-            self.p50_latency.0,
-            self.p99_latency.0,
-            self.p999_latency.0,
-            self.mean_queueing.0,
-            self.compute_utilization,
-            self.memory_utilization,
-            self.peak_concurrent_jobs,
-            self.predictions_simulated,
-            jobs
-        )
+    /// Machine-readable JSON. Shape is stable for downstream trend
+    /// tracking.
+    pub fn json(&self) -> Json {
+        let jobs = self.jobs.iter().map(|j| {
+            Json::object()
+                .with("name", j.name.as_str())
+                .with("workload", j.workload.as_str())
+                .with("batch", j.batch)
+                .with("replicas", j.replicas)
+                .with("kind", j.kind.name())
+                .with("requested", j.requested.name())
+                .with("granted", j.granted.map(|p| p.name()))
+                .with("devices", Json::array(j.devices.iter().copied()))
+                .with("arrival_ns", j.arrival.0)
+                .with("queueing_ns", j.queueing().map(|t| t.0))
+                .with("latency_ns", j.latency().map(|t| t.0))
+                .with("rejected", j.rejected.as_ref().map(|r| r.render()))
+                .with("iterations", j.iterations)
+                .with("restarts", j.restarts)
+                .with("wasted_iterations", j.wasted_iterations)
+                .with("failed", j.failed.as_deref())
+        });
+        Json::object()
+            .with("placement", self.placement.name())
+            .with("devices", self.fleet_devices)
+            .with("fleet_dram_bytes", self.fleet_dram_bytes)
+            .with("submitted", self.jobs.len())
+            .with("completed", self.completed)
+            .with("rejected", self.rejected)
+            .with("failed", self.failed)
+            .with("still_queued", self.still_queued)
+            .with("restarts", self.restarts)
+            .with("useful_iterations", self.useful_iterations)
+            .with("wasted_iterations", self.wasted_iterations)
+            .with("goodput_iters_per_sec", self.goodput_iters_per_sec)
+            .with("raw_iters_per_sec", self.raw_iters_per_sec)
+            .with("makespan_ns", self.makespan.0)
+            .with("jobs_per_sec", self.jobs_per_sec)
+            .with("p50_latency_ns", self.p50_latency.0)
+            .with("p99_latency_ns", self.p99_latency.0)
+            .with("p999_latency_ns", self.p999_latency.0)
+            .with("mean_queueing_ns", self.mean_queueing.0)
+            .with("compute_utilization", self.compute_utilization)
+            .with("memory_utilization", self.memory_utilization)
+            .with("peak_concurrent_jobs", self.peak_concurrent_jobs)
+            .with("predictions_simulated", self.predictions_simulated)
+            .with("jobs", Json::array(jobs))
     }
 }
 
@@ -674,66 +642,35 @@ impl ServiceReport {
         s
     }
 
-    /// Machine-readable JSON, same hand-rolled convention as
-    /// [`ClusterReport::to_json`].
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"placement\":{},\"devices\":{},\
-             \"submitted\":{},\"completed\":{},\"rejected\":{},\
-             \"failed\":{},\"still_queued\":{},\"interrupted\":{},\"restarts\":{},\
-             \"useful_iterations\":{},\"wasted_iterations\":{},\
-             \"goodput_iters_per_sec\":{:.6},\"raw_iters_per_sec\":{:.6},\
-             \"events\":{},\
-             \"makespan_ns\":{},\"jobs_per_sec\":{:.6},\
-             \"p50_latency_ns\":{},\"p99_latency_ns\":{},\"p999_latency_ns\":{},\
-             \"mean_queueing_ns\":{},\
-             \"compute_utilization\":{:.6},\"memory_utilization\":{:.6},\
-             \"peak_concurrent_jobs\":{},\"peak_live_jobs\":{}}}",
-            json_str(self.placement.name()),
-            self.fleet_devices,
-            self.submitted,
-            self.completed,
-            self.rejected,
-            self.failed,
-            self.still_queued,
-            self.interrupted,
-            self.restarts,
-            self.useful_iterations,
-            self.wasted_iterations,
-            self.goodput_iters_per_sec,
-            self.raw_iters_per_sec,
-            self.events,
-            self.makespan.0,
-            self.jobs_per_sec,
-            self.p50_latency.0,
-            self.p99_latency.0,
-            self.p999_latency.0,
-            self.mean_queueing.0,
-            self.compute_utilization,
-            self.memory_utilization,
-            self.peak_concurrent_jobs,
-            self.peak_live_jobs
-        )
+    /// Machine-readable JSON, the aggregate fields of
+    /// [`ClusterReport::json`] plus the streaming counters.
+    pub fn json(&self) -> Json {
+        Json::object()
+            .with("placement", self.placement.name())
+            .with("devices", self.fleet_devices)
+            .with("submitted", self.submitted)
+            .with("completed", self.completed)
+            .with("rejected", self.rejected)
+            .with("failed", self.failed)
+            .with("still_queued", self.still_queued)
+            .with("interrupted", self.interrupted)
+            .with("restarts", self.restarts)
+            .with("useful_iterations", self.useful_iterations)
+            .with("wasted_iterations", self.wasted_iterations)
+            .with("goodput_iters_per_sec", self.goodput_iters_per_sec)
+            .with("raw_iters_per_sec", self.raw_iters_per_sec)
+            .with("events", self.events)
+            .with("makespan_ns", self.makespan.0)
+            .with("jobs_per_sec", self.jobs_per_sec)
+            .with("p50_latency_ns", self.p50_latency.0)
+            .with("p99_latency_ns", self.p99_latency.0)
+            .with("p999_latency_ns", self.p999_latency.0)
+            .with("mean_queueing_ns", self.mean_queueing.0)
+            .with("compute_utilization", self.compute_utilization)
+            .with("memory_utilization", self.memory_utilization)
+            .with("peak_concurrent_jobs", self.peak_concurrent_jobs)
+            .with("peak_live_jobs", self.peak_live_jobs)
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslash, control chars).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -803,12 +740,5 @@ mod tests {
         assert_eq!(safe_rate(0, SimTime::from_ms(1)), 0.0);
         // u64::MAX counts over 1 ns stay finite (f64 range is ample).
         assert!(safe_rate(u64::MAX, SimTime(1)).is_finite());
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_str("plain"), "\"plain\"");
-        assert_eq!(json_str("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_str("x\ny"), "\"x\\ny\"");
     }
 }

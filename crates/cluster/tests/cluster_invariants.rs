@@ -73,7 +73,7 @@ fn identical_streams_schedule_identically() {
     );
     assert_eq!(a.makespan, b.makespan);
     assert_eq!(a.completed, b.completed);
-    assert_eq!(a.to_json(), b.to_json());
+    assert_eq!(a.json(), b.json());
 }
 
 #[test]

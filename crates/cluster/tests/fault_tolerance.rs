@@ -594,11 +594,11 @@ proptest! {
             "seed={} n={} mtbf={}us: fault replay diverged",
             seed, n, mtbf_us
         );
-        // The streaming loop replays identically too (JSON is byte-built).
+        // The streaming loop replays identically too.
         let stream_run = || {
             let mut sim = ClusterSim::new(fleet8(96 * MB), PlacementPolicy::FirstFit);
             sim.enable_faults(plan.clone(), RecoveryPolicy::default());
-            sim.run_stream(&mut ReplayStream::new(arrivals.clone())).to_json()
+            sim.run_stream(&mut ReplayStream::new(arrivals.clone())).json()
         };
         prop_assert_eq!(stream_run(), stream_run());
     }

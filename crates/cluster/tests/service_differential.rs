@@ -244,7 +244,7 @@ fn poisson_service_reports_are_deterministic() {
     };
     let a = run();
     let b = run();
-    assert_eq!(a.to_json(), b.to_json(), "seeded streaming runs must agree");
+    assert_eq!(a.json(), b.json(), "seeded streaming runs must agree");
 }
 
 #[test]

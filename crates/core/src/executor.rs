@@ -43,7 +43,7 @@ use sn_sim::{
     DeviceAllocator, DeviceSpec, Event, OverlapStats, SimTime, SpanLabel, StepRecord, StepTrace,
     StreamId, TraceSink,
 };
-use sn_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
+use sn_telemetry::{Counter, Gauge, Histogram, Json, MetricsRegistry};
 
 use crate::device::Device;
 use crate::plan::{self, CompiledPlan, MemoryPlan, PlanOp};
@@ -127,23 +127,18 @@ pub struct Counters {
 }
 
 impl Counters {
-    /// Stable JSON object for bench artifacts (the workspace's serde shim
-    /// derives are inert, so serialization is hand-rolled).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"recompute_forwards\":{},\"offloads\":{},\"prefetches\":{},\
-             \"evictions\":{},\"cache_hits\":{},\"cache_misses\":{},\
-             \"alloc_grants\":{},\"ladder_rungs\":{},\"reaps\":{}}}",
-            self.recompute_forwards,
-            self.offloads,
-            self.prefetches,
-            self.evictions,
-            self.cache_hits,
-            self.cache_misses,
-            self.alloc_grants,
-            self.ladder_rungs,
-            self.reaps
-        )
+    /// Stable JSON object for bench artifacts.
+    pub fn json(&self) -> Json {
+        Json::object()
+            .with("recompute_forwards", self.recompute_forwards)
+            .with("offloads", self.offloads)
+            .with("prefetches", self.prefetches)
+            .with("evictions", self.evictions)
+            .with("cache_hits", self.cache_hits)
+            .with("cache_misses", self.cache_misses)
+            .with("alloc_grants", self.alloc_grants)
+            .with("ladder_rungs", self.ladder_rungs)
+            .with("reaps", self.reaps)
     }
 }
 
@@ -207,27 +202,21 @@ impl IterationReport {
     }
 
     /// Stable JSON object for bench artifacts (times in integer ns).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"iter_time_ns\":{},\"peak_bytes\":{},\"h2d_bytes\":{},\
-             \"d2h_bytes\":{},\"link_bytes\":{},\"link_busy_ns\":{},\
-             \"alloc_time_ns\":{},\"alloc_calls\":{},\"stall_ns\":{},\
-             \"compute_busy_ns\":{},\"transfer_busy_ns\":{},\"overlapped_ns\":{},\
-             \"counters\":{}}}",
-            self.iter_time.as_ns(),
-            self.peak_bytes,
-            self.h2d_bytes,
-            self.d2h_bytes,
-            self.link_bytes,
-            self.link_busy.as_ns(),
-            self.alloc_time.as_ns(),
-            self.alloc_calls,
-            self.stall.as_ns(),
-            self.compute_busy.as_ns(),
-            self.transfer_busy.as_ns(),
-            self.overlapped.as_ns(),
-            self.counters.to_json()
-        )
+    pub fn json(&self) -> Json {
+        Json::object()
+            .with("iter_time_ns", self.iter_time.as_ns())
+            .with("peak_bytes", self.peak_bytes)
+            .with("h2d_bytes", self.h2d_bytes)
+            .with("d2h_bytes", self.d2h_bytes)
+            .with("link_bytes", self.link_bytes)
+            .with("link_busy_ns", self.link_busy.as_ns())
+            .with("alloc_time_ns", self.alloc_time.as_ns())
+            .with("alloc_calls", self.alloc_calls)
+            .with("stall_ns", self.stall.as_ns())
+            .with("compute_busy_ns", self.compute_busy.as_ns())
+            .with("transfer_busy_ns", self.transfer_busy.as_ns())
+            .with("overlapped_ns", self.overlapped.as_ns())
+            .with("counters", self.counters.json())
     }
 }
 
@@ -1181,7 +1170,7 @@ mod tests {
         assert_eq!(r.compute_busy, warm.compute_busy);
         assert_eq!(r.transfer_busy, warm.transfer_busy);
         assert_eq!(r.alloc_calls, warm.alloc_calls);
-        assert_eq!(r.counters.to_json(), warm.counters.to_json());
+        assert_eq!(r.counters.json(), warm.counters.json());
         // Every arrow is a gate a kernel or copy really waited behind: the
         // two full iterations draw as many as the undisturbed pair.
         assert_eq!(

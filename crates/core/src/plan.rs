@@ -1023,7 +1023,12 @@ impl<'a> Planner<'a> {
                 );
                 let layer = meta.layer;
                 self.recompute_for(layer, step)?;
-                debug_assert_eq!(self.utp.state(t).residence(), Residence::Device);
+                assert_eq!(
+                    self.utp.state(t).residence(),
+                    Residence::Device,
+                    "replay of {} at step {step} did not leave its output on the device",
+                    self.net.layer(layer).name
+                );
                 Ok(())
             }
         }
@@ -1062,25 +1067,58 @@ impl<'a> Planner<'a> {
         // tensors (Fig. 9b's "memcost stays at l_b").
         let target = *members.last().unwrap_or(&layer);
         let mut prev_link: Option<TensorId> = None;
+        // The anchor is read by the members it feeds directly. Past the last
+        // of them its pin goes: a later member's allocation may evict it
+        // like any other checkpoint (held to the end, it left holes in the
+        // feasible batch range — `sn-frameworks`' 768 MiB test sits in one).
+        let last_anchor_reader = members
+            .iter()
+            .rposition(|&m| self.net.layer(m).prevs.contains(&anchor))
+            .unwrap_or(0);
+        let mut anchor_pinned = true;
 
-        for &m in members {
+        // Every member the walk has passed is device-resident and carries
+        // one pin of this replay until the replay ends, so a later member's
+        // allocation can evict neither an input still to be read nor the
+        // output the caller asked for. (An `Err` below leaves the pins
+        // held: a failed compile drops the planner.)
+        for (i, &m) in members.iter().enumerate() {
+            if anchor_pinned && i > last_anchor_reader {
+                self.utp.unlock(anchor_t);
+                anchor_pinned = false;
+            }
             let mt = self.liveness.fwd_out[m.0];
             match self.utp.state(mt).residence() {
-                Residence::Device => continue, // materialized by an earlier replay
+                Residence::Device => {
+                    // Materialized by an earlier replay.
+                    self.utp.lock(mt);
+                    continue;
+                }
                 Residence::Host => {
                     // A previously recomputed copy was evicted to the host;
                     // fetching it back is cheaper than recomputing the chain.
                     self.ensure_present(mt, step)?;
+                    self.utp.lock(mt);
                     continue;
                 }
                 Residence::None => {}
             }
-            // Inputs of a segment member are its (single) producer's output,
-            // which is either the anchor or an earlier member — resident.
             let bytes = self.meta(mt).bytes;
             let g = self.ladder_alloc(bytes, step, AllocFor::Layer(m))?;
             self.utp.mark_device(mt, g.id, self.policy.tensor_cache);
+            self.utp.lock(mt);
             self.ops.push(PlanOp::Alloc(mt));
+            // Inputs of a segment member are its producers' outputs: the
+            // anchor or earlier members, which the replay holds pinned.
+            for &p in &self.net.layer(m).prevs {
+                assert_eq!(
+                    self.utp.state(self.liveness.fwd_out[p.0]).residence(),
+                    Residence::Device,
+                    "replay of {} at step {step} reads {} off the device",
+                    self.net.layer(m).name,
+                    self.net.layer(p).name
+                );
+            }
             self.ops.push(PlanOp::Recompute(m));
             let lk = &self.net.layer(m).kind;
             self.compute_ns += self.cost.layer(m).fwd_time(lk, self.spec, 1.0).as_ns();
@@ -1093,7 +1131,12 @@ impl<'a> Planner<'a> {
                 }
                 SegmentStrategy::MemoryCentric => {
                     if let Some(prev) = prev_link.take() {
+                        // Consumed: the link's bytes go now. Its pin is
+                        // lifted for the drop and put back, so the closing
+                        // walk unpins every member alike.
+                        self.utp.unlock(prev);
                         self.drop_device_copy(prev);
+                        self.utp.lock(prev);
                     }
                     if m == target {
                         self.recomputed_free_at.push(step, mt);
@@ -1103,9 +1146,14 @@ impl<'a> Planner<'a> {
                 }
             }
         }
+        for &m in members {
+            self.utp.unlock(self.liveness.fwd_out[m.0]);
+        }
 
+        if anchor_pinned {
+            self.utp.unlock(anchor_t);
+        }
         self.chain_scratch = chain;
-        self.utp.unlock(anchor_t);
         Ok(())
     }
 
@@ -1534,14 +1582,13 @@ mod tests {
         // prefetch-ahead fetches back and conv workspaces are squeezed, so
         // host-resident tensors and pending offloads exist for the walk's
         // shortcuts to get wrong.
-        use crate::policy::CachePolicy;
         let net = fanout_net(16);
         let open = DeviceSpec::k40c();
         let tight = DeviceSpec::k40c().with_dram(4 << 20);
 
         let sn = compile(&net, &tight, Policy::superneurons()).unwrap();
         let c = sn.plan.predicted;
-        assert!(c.evictions > 0, "4 MiB must bind: {}", c.to_json());
+        assert!(c.evictions > 0, "4 MiB must bind: {}", c.json());
         assert!(c.prefetches > c.cache_misses, "prefetch-ahead must fetch");
         assert_eq!(sn.valid_caps, 4 << 20..=4 << 20, "this cap's plan alone");
         let squeezed = |s: &StepPlan| s.workspace.is_some_and(|w| w.bytes < w.max_speed_bytes);
@@ -1552,20 +1599,13 @@ mod tests {
         let (vgg16, resnet50) = (sn_models::vgg16(16), sn_models::resnet50(16));
         let lattice = lattice();
         let mut compared = 0;
-        for (net, spec, binds, policies) in [
-            (&net, &open, false, &lattice[..]),
-            (&net, &tight, true, &lattice[..]),
-            (&vgg16, &open, false, &lattice[..5]),
-            (&resnet50, &open, false, &lattice[..5]),
+        for (net, spec, policies) in [
+            (&net, &open, &lattice[..]),
+            (&net, &tight, &lattice[..]),
+            (&vgg16, &open, &lattice[..5]),
+            (&resnet50, &open, &lattice[..5]),
         ] {
             for &policy in policies {
-                // ROADMAP item 1(a): under `Mru` and a binding cap
-                // a segment replay can evict its own target and the
-                // planner's `debug_assert_eq!(residence, Device)` fires (on
-                // the reference walk too). Not this test's subject.
-                if binds && policy.cache_policy == CachePolicy::Mru {
-                    continue;
-                }
                 let fast = compile(net, spec, policy);
                 let slow = compile_reference(net, spec, policy);
                 let (fast, slow) = match (fast, slow) {
@@ -1579,7 +1619,7 @@ mod tests {
                 assert_eq!(fast.render(net), slow.render(net));
                 assert_eq!(fast.peak_bytes, slow.peak_bytes);
                 assert_eq!(fast.peak_step, slow.peak_step);
-                assert_eq!(fast.predicted.to_json(), slow.predicted.to_json());
+                assert_eq!(fast.predicted.json(), slow.predicted.json());
                 assert_eq!(
                     (fast.compute_ns, fast.alloc_ns, fast.h2d_ns, fast.d2h_ns),
                     (slow.compute_ns, slow.alloc_ns, slow.h2d_ns, slow.d2h_ns)
@@ -1591,6 +1631,80 @@ mod tests {
             compared >= 34,
             "only {compared} cells compiled on both sides"
         );
+    }
+
+    /// Compile on both walks at each cap: `Ok` or `Err`, never a plan whose
+    /// replay reads a tensor it has just evicted (the planner's `assert!`s).
+    /// A plan that compiles executes at its own peak.
+    fn replay_keeps_what_it_reads(net: &Net, caps: &[u64], policy: Policy) {
+        let mut compiled = 0;
+        for &cap in caps {
+            let spec = DeviceSpec::k40c().with_dram(cap);
+            let fast = compile(net, &spec, policy).map(|c| c.plan);
+            let slow = compile_reference(net, &spec, policy).map(|c| c.plan);
+            match (fast, slow) {
+                (Ok(f), Ok(s)) => {
+                    assert_eq!(f.render(net), s.render(net), "cap {cap}");
+                    let mut ex = crate::Executor::new(net, spec, policy).unwrap();
+                    for _ in 0..2 {
+                        assert_eq!(ex.run_iteration().unwrap().peak_bytes, f.peak_bytes);
+                    }
+                    compiled += 1;
+                }
+                (Err(f), Err(s)) => assert_eq!(f.to_string(), s.to_string(), "cap {cap}"),
+                (f, s) => panic!("cap {cap}: fast {:?}, reference {:?}", f.err(), s.err()),
+            }
+        }
+        assert!(
+            caps.len() == 1 || (0 < compiled && compiled < caps.len()),
+            "{compiled} of {} caps compiled: the range must straddle the knee",
+            caps.len()
+        );
+    }
+
+    #[test]
+    fn replay_under_mru_keeps_its_target_at_126_kb() {
+        // ROADMAP 1(a), first repro: POOL→ACT→ELTWISE→ACT→FC at batch 5.
+        use crate::policy::CachePolicy;
+        let mut net = Net::new("replay-mru", Shape4::new(5, 3, 32, 32));
+        let d = net.data();
+        let p = net.max_pool(d, 2, 2, 0);
+        let a = net.relu(p);
+        let e = net.eltwise(&[a, p]);
+        let a2 = net.relu(e);
+        let f = net.fc(a2, 10);
+        net.softmax(f);
+        let mru = Policy {
+            cache_policy: CachePolicy::Mru,
+            ..Policy::superneurons()
+        };
+        let caps: Vec<u64> = (100..=140).map(|kb| kb * 1000).collect();
+        replay_keeps_what_it_reads(&net, &caps, mru);
+    }
+
+    #[test]
+    fn replay_under_lru_keeps_its_target_at_3_mb() {
+        // ROADMAP 1(a), second repro: the fan-out net at batch 16 under the
+        // default policy, caps of 3.0–3.2 MB.
+        let caps: Vec<u64> = (140..=210).map(|x| x * 20_000).collect();
+        replay_keeps_what_it_reads(&fanout_net(16), &caps, Policy::superneurons());
+    }
+
+    #[test]
+    fn replay_keeps_its_inputs_on_the_serve_mixed_template() {
+        // The benchmark's `serve_mixed` cell — sn-cluster's
+        // `Workload::Synthetic { width: 32, depth: 2 }.build(32)` on a 9 MiB
+        // budget: POOL's allocation used to evict the ACT it reads.
+        let mut net = Net::new("Synthetic", Shape4::new(32, 3, 32, 32));
+        let mut prev = net.data();
+        for _ in 0..2 {
+            let c = net.conv(prev, 32, 3, 1, 1);
+            prev = net.relu(c);
+        }
+        let p = net.max_pool(prev, 2, 2, 0);
+        let f = net.fc(p, 10);
+        net.softmax(f);
+        replay_keeps_what_it_reads(&net, &[9 << 20], Policy::superneurons());
     }
 
     #[test]

@@ -256,7 +256,12 @@ impl<'a> Planner<'a> {
                 );
                 let layer = meta.layer;
                 self.recompute_for(layer, step)?;
-                debug_assert_eq!(self.utp.state(t).residence(), Residence::Device);
+                assert_eq!(
+                    self.utp.state(t).residence(),
+                    Residence::Device,
+                    "replay of {} at step {step} did not leave its output on the device",
+                    self.net.layer(layer).name
+                );
                 Ok(())
             }
         }
@@ -281,13 +286,27 @@ impl<'a> Planner<'a> {
         };
         let target = *members.last().unwrap_or(&layer);
         let mut prev_link: Option<TensorId> = None;
-
-        for m in members {
+        // Every member passed stays pinned until the replay ends, the
+        // anchor until its last direct reader has run (see `plan.rs`).
+        let last_anchor_reader = members
+            .iter()
+            .rposition(|&m| self.net.layer(m).prevs.contains(&anchor))
+            .unwrap_or(0);
+        let mut anchor_pinned = true;
+        for (i, &m) in members.iter().enumerate() {
+            if anchor_pinned && i > last_anchor_reader {
+                self.utp.unlock(anchor_t);
+                anchor_pinned = false;
+            }
             let mt = self.liveness.fwd_out[m.0];
             match self.utp.state(mt).residence() {
-                Residence::Device => continue,
+                Residence::Device => {
+                    self.utp.lock(mt);
+                    continue;
+                }
                 Residence::Host => {
                     self.ensure_present(mt, step)?;
+                    self.utp.lock(mt);
                     continue;
                 }
                 Residence::None => {}
@@ -296,7 +315,17 @@ impl<'a> Planner<'a> {
             let name = self.net.layer(m).name.clone();
             let g = self.ladder_alloc(bytes, step, &name)?;
             self.utp.mark_device(mt, g.id, self.policy.tensor_cache);
+            self.utp.lock(mt);
             self.ops.push(PlanOp::Alloc(mt));
+            for &p in &self.net.layer(m).prevs {
+                assert_eq!(
+                    self.utp.state(self.liveness.fwd_out[p.0]).residence(),
+                    Residence::Device,
+                    "replay of {} at step {step} reads {} off the device",
+                    self.net.layer(m).name,
+                    self.net.layer(p).name
+                );
+            }
             self.ops.push(PlanOp::Recompute(m));
             let lk = &self.net.layer(m).kind;
             self.compute_ns += self.cost.layer(m).fwd_time(lk, self.spec, 1.0).as_ns();
@@ -309,7 +338,9 @@ impl<'a> Planner<'a> {
                 }
                 SegmentStrategy::MemoryCentric => {
                     if let Some(prev) = prev_link.take() {
+                        self.utp.unlock(prev);
                         self.drop_device_copy(prev);
+                        self.utp.lock(prev);
                     }
                     if m == target {
                         self.recomputed_free_at.entry(step).or_default().push(mt);
@@ -319,8 +350,12 @@ impl<'a> Planner<'a> {
                 }
             }
         }
-
-        self.utp.unlock(anchor_t);
+        for &m in &members {
+            self.utp.unlock(self.liveness.fwd_out[m.0]);
+        }
+        if anchor_pinned {
+            self.utp.unlock(anchor_t);
+        }
         Ok(())
     }
 

@@ -201,8 +201,6 @@ pub struct SearchOutcome {
     /// Plan-memo lookups (hits + misses) those batches performed — equals
     /// `tuned.evals` (the `metrics_consistent` bench gate).
     pub memo_lookups: u64,
-    /// Real wall-clock time of the search.
-    pub wall: std::time::Duration,
 }
 
 struct TuneMetrics {
@@ -622,13 +620,12 @@ pub fn search(net: &Net, spec: &DeviceSpec, cfg: &TuneConfig) -> Result<SearchOu
     }
     let trace_digest = hasher.finish();
 
-    let wall = t0.elapsed();
     let metrics = tune_metrics();
     metrics.evals.add(s.evals);
     metrics.pruned.add(s.pruned);
     metrics.memo_hits.add(s.memo_hits);
     metrics.memo_lookups.add(s.memo_lookups);
-    metrics.wall_ns.record(wall.as_nanos() as u64);
+    metrics.wall_ns.record(t0.elapsed().as_nanos() as u64);
 
     Ok(SearchOutcome {
         tuned: TunedPolicy {
@@ -647,7 +644,6 @@ pub fn search(net: &Net, spec: &DeviceSpec, cfg: &TuneConfig) -> Result<SearchOu
         trace: s.trace,
         memo_hits: s.memo_hits,
         memo_lookups: s.memo_lookups,
-        wall,
     })
 }
 

@@ -95,7 +95,7 @@ fn build_net(batch: usize, ops: &[Op]) -> Net {
 }
 
 /// The benchmark's `plan_cold` lattice (five hand presets plus single-knob
-/// departures from `superneurons()`) less one cell, plus the two other
+/// departures from `superneurons()`), plus the two other
 /// allocators and a workspace limit small enough to matter on nets this size.
 fn lattice() -> Vec<Policy> {
     let sn = Policy::superneurons();
@@ -118,15 +118,9 @@ fn lattice() -> Vec<Policy> {
     ] {
         p.push(Policy { recompute, ..sn });
     }
-    // No `CachePolicy::Mru`: under a binding cap its victim can be the
-    // tensor a segment replay has just rebuilt, which trips the planner's
-    // own `debug_assert` in `ensure_present` (on the parent commit too; see
-    // CHANGES.md, PR 16). Victim order only matters once an allocation has
-    // failed, and then the plan claims its own cap alone.
-    p.push(Policy {
-        cache_policy: CachePolicy::Fifo,
-        ..sn
-    });
+    for cache_policy in [CachePolicy::Fifo, CachePolicy::Mru] {
+        p.push(Policy { cache_policy, ..sn });
+    }
     for workspace in [
         WorkspacePolicy::None,
         WorkspacePolicy::Capped(64 << 20),

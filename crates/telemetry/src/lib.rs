@@ -19,6 +19,9 @@
 //!   stable JSON snapshot format the bench harness embeds into
 //!   `BENCH_*.json` artifacts.
 //!
+//! Beside them sits [`Json`], the one JSON value every report and bench
+//! artifact in the workspace prints through.
+//!
 //! **The zero-overhead-when-disabled contract**: a [`TraceSink::off`] sink
 //! records nothing and allocates nothing; instrumented code guards every
 //! label construction behind an is-enabled check, so the disabled path costs
@@ -26,9 +29,11 @@
 //! the no-op sink and reports what switching it on costs
 //! (`telemetry.on_cost_ratio`).
 
+pub mod json;
 pub mod metrics;
 pub mod trace;
 
+pub use json::Json;
 pub use metrics::{
     global, Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
 };
@@ -36,36 +41,3 @@ pub use trace::{
     ArgValue, FlowData, InstantData, SpanData, SpanId, TraceCheck, TraceData, TraceSink, TrackData,
     TrackId,
 };
-
-/// Minimal JSON string escaping (quotes, backslash, control characters) —
-/// the same convention `sn-cluster`'s hand-rolled report JSON uses; kept
-/// here so both pillars emit valid JSON without a serde dependency.
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::json_str;
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_str("plain"), "\"plain\"");
-        assert_eq!(json_str("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_str("x\ny\u{1}"), "\"x\\ny\\u0001\"");
-    }
-}

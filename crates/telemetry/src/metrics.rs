@@ -8,7 +8,7 @@
 //! (an `Arc`-shared atomic), then updates through the handle on the hot path
 //! — no name lookup, no lock, just a relaxed atomic op.
 //! [`snapshot`](MetricsRegistry::snapshot) freezes everything into a sorted
-//! [`MetricsSnapshot`] whose [`to_json`](MetricsSnapshot::to_json) is the
+//! [`MetricsSnapshot`] whose [`json`](MetricsSnapshot::json) is the
 //! stable schema the bench harness embeds into `BENCH_*.json`.
 //!
 //! Histograms bucket by log₂: bucket 0 counts zero values, bucket *i* ≥ 1
@@ -24,7 +24,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::json_str;
+use crate::Json;
 
 /// A monotonically increasing counter.
 #[derive(Debug, Clone, Default)]
@@ -241,7 +241,7 @@ pub fn global() -> &'static MetricsRegistry {
     GLOBAL.get_or_init(MetricsRegistry::default)
 }
 
-/// A frozen registry: every metric by (sorted) name. `to_json` is the
+/// A frozen registry: every metric by (sorted) name. `json` is the
 /// stable snapshot schema embedded in bench artifacts.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
@@ -282,45 +282,39 @@ impl MetricsSnapshot {
     ///
     /// Names are sorted; empty histogram buckets are omitted from the
     /// bucket list (their `lo` bounds make the encoding self-describing).
-    pub fn to_json(&self) -> String {
-        let counters: Vec<String> = self
-            .counters
-            .iter()
-            .map(|(n, v)| format!("{}:{v}", json_str(n)))
-            .collect();
-        let gauges: Vec<String> = self
-            .gauges
-            .iter()
-            .map(|(n, v)| format!("{}:{v}", json_str(n)))
-            .collect();
-        let hists: Vec<String> = self
-            .histograms
-            .iter()
-            .map(|(n, h)| {
-                let buckets: Vec<String> = h
-                    .buckets
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, c)| **c > 0)
-                    .map(|(i, c)| {
-                        format!("{{\"lo\":{},\"n\":{c}}}", HistogramSnapshot::bucket_lo(i))
-                    })
-                    .collect();
-                format!(
-                    "{}:{{\"count\":{},\"sum\":{},\"buckets\":[{}]}}",
-                    json_str(n),
-                    h.count,
-                    h.sum,
-                    buckets.join(",")
-                )
-            })
-            .collect();
-        format!(
-            "{{\"counters\":{{{}}},\"gauges\":{{{}}},\"histograms\":{{{}}}}}",
-            counters.join(","),
-            gauges.join(","),
-            hists.join(",")
-        )
+    pub fn json(&self) -> Json {
+        let mut counters = Json::object();
+        for (n, v) in &self.counters {
+            counters = counters.with(n, *v);
+        }
+        let mut gauges = Json::object();
+        for (n, v) in &self.gauges {
+            gauges = gauges.with(n, *v);
+        }
+        let mut hists = Json::object();
+        for (n, h) in &self.histograms {
+            let buckets = h
+                .buckets
+                .iter()
+                .enumerate()
+                .filter(|(_, c)| **c > 0)
+                .map(|(i, c)| {
+                    Json::object()
+                        .with("lo", HistogramSnapshot::bucket_lo(i))
+                        .with("n", *c)
+                });
+            hists = hists.with(
+                n,
+                Json::object()
+                    .with("count", h.count)
+                    .with("sum", h.sum)
+                    .with("buckets", Json::array(buckets)),
+            );
+        }
+        Json::object()
+            .with("counters", counters)
+            .with("gauges", gauges)
+            .with("histograms", hists)
     }
 }
 
@@ -397,7 +391,7 @@ mod tests {
         reg.counter("a.first").inc();
         reg.gauge("depth").set(-3);
         reg.histogram("lat").record(5);
-        let json = reg.snapshot().to_json();
+        let json = reg.snapshot().json().to_string();
         assert_eq!(
             json,
             "{\"counters\":{\"a.first\":1,\"b.second\":2},\

@@ -23,7 +23,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use crate::json_str;
+use crate::json::json_str;
 
 /// Identifies a track (one timeline lane) within a sink.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
