@@ -71,7 +71,7 @@ struct GangKey {
 ///
 /// The caches are `Mutex`-guarded Fx-hashed maps (the keys are internal
 /// structs — no untrusted input, no need for SipHash), which makes the
-/// profiler `Sync`: a sweep's cold probes compile concurrently over the
+/// profiler `Sync`: a rung's cold levels compile concurrently over the
 /// rayon shim, all sharing this memo. A concurrent miss may compile the same
 /// prediction twice; both results are identical (compilation is
 /// deterministic) and the last insert wins.
@@ -124,11 +124,26 @@ impl Profiler {
         let net = key.workload.build(key.batch);
         let policy = key.preset.policy();
         let result = match key.kind {
+            // The planner's pool is carved in 1 KB blocks and asserts it
+            // holds one: a smaller cap fits nothing, and is not compiled.
+            _ if key.cap < 1024 => None,
             JobKind::Training => plan_prediction(&net, &capped, policy).ok(),
             JobKind::Inference => plan_prediction_inference(&net, &capped, policy).ok(),
         };
         self.cache.lock().expect(POISONED).insert(key, result);
         result
+    }
+
+    /// [`Profiler::profile_kind`] of one replica of `job`, under `preset`
+    /// rather than the one it asked for.
+    pub(crate) fn profile_job(
+        &self,
+        job: &JobSpec,
+        preset: PolicyPreset,
+        spec: &DeviceSpec,
+        budget: u64,
+    ) -> Option<PeakPrediction> {
+        self.profile_kind(job.workload, job.batch, preset, job.kind, spec, budget)
     }
 
     /// [`Profiler::profile_kind`] for training jobs (the historical entry
@@ -233,87 +248,51 @@ impl Profiler {
     }
 }
 
-/// One ladder rung's questions to the [`Profiler`], deduplicated. Devices
-/// of one card with equal quantized budgets share one answer, so a sweep
-/// buckets the fleet into distinct `(card, budget)` *probes* — O(devices)
-/// integer arithmetic — and [`Sweep::resolve`] asks the profiler once per
-/// probe: O(distinct budgets) lookups, at most 32 per card and in a busy
-/// steady state a handful. Reused across sweeps; nothing here allocates
-/// once its buffer has grown.
-#[derive(Default)]
-pub(crate) struct Sweep<'a> {
-    probes: Vec<Probe<'a>>,
+/// What the [`Profiler`] has answered for one shape under one preset on one
+/// device class, by budget level: once bit `l` of `resolved` is set,
+/// `answers[l]` is the prediction within `l × quantum` bytes. Levels stop at
+/// 63 (see [`quantum`]); level 0 offers no bytes and is never asked. Kept
+/// for a run, so a level is asked once, the first time a device shows it.
+#[derive(Clone)]
+pub(crate) struct Row {
+    resolved: u64,
+    answers: [Option<PeakPrediction>; 64],
 }
 
-struct Probe<'a> {
-    card: (u64, u64),
-    budget: u64,
-    /// A device of this card: what a miss compiles against.
-    spec: &'a DeviceSpec,
-    prediction: Option<PeakPrediction>,
-}
+impl Row {
+    pub(crate) const EMPTY: Row = Row {
+        resolved: 0,
+        answers: [None; 64],
+    };
 
-impl<'a> Sweep<'a> {
-    pub(crate) fn clear(&mut self) {
-        self.probes.clear();
-    }
-
-    /// The probe for `budget` bytes on `card`, added if this sweep has not
-    /// asked yet. A linear search: the distinct probes of a sweep are few.
-    pub(crate) fn probe(&mut self, card: (u64, u64), spec: &'a DeviceSpec, budget: u64) -> usize {
-        let found = self
-            .probes
-            .iter()
-            .position(|p| p.budget == budget && p.card == card);
-        found.unwrap_or_else(|| {
-            self.probes.push(Probe {
-                card,
-                budget,
-                spec,
-                prediction: None,
-            });
-            self.probes.len() - 1
-        })
-    }
-
-    /// Answer every probe for `job` under `preset`: memoized answers under
-    /// one lock; cold ones — rare, the loop re-asks the same questions at
-    /// every event — compile concurrently over the rayon shim
-    /// (deterministic: results come back in probe order).
-    pub(crate) fn resolve(&mut self, profiler: &Profiler, job: &JobSpec, preset: PolicyPreset) {
-        let key = |p: &Probe| ProfileKey {
-            workload: job.workload,
-            batch: job.batch,
-            preset,
-            kind: job.kind,
-            card: p.card,
-            cap: p.budget,
-        };
-        let mut cold: Vec<usize> = Vec::new();
-        {
-            let cache = profiler.cache.lock().expect(POISONED);
-            for (i, p) in self.probes.iter_mut().enumerate() {
-                match cache.get(&key(p)) {
-                    Some(hit) => p.prediction = *hit,
-                    None => cold.push(i),
-                }
-            }
-        }
-        if cold.is_empty() {
+    /// Answer every level of the bit set `present` not answered yet, on
+    /// `spec` — any device of the class. Cold levels are rare and compile
+    /// concurrently over the rayon shim (results come back in level order).
+    pub(crate) fn resolve(
+        &mut self,
+        present: u64,
+        profiler: &Profiler,
+        job: &JobSpec,
+        preset: PolicyPreset,
+        spec: &DeviceSpec,
+    ) {
+        let cold = present & !self.resolved;
+        if cold == 0 {
             return;
         }
-        let probes = &self.probes;
-        let compiled = rayon::par_map(&cold, |&i| {
-            profiler.compile(key(&probes[i]), probes[i].spec)
+        let levels: Vec<usize> = (0..64).filter(|l| cold >> l & 1 == 1).collect();
+        let answers = rayon::par_map(&levels, |&l| {
+            profiler.profile_job(job, preset, spec, l as u64 * quantum(spec))
         });
-        for (i, prediction) in cold.into_iter().zip(compiled) {
-            self.probes[i].prediction = prediction;
+        for (l, answer) in levels.into_iter().zip(answers) {
+            self.answers[l] = answer;
         }
+        self.resolved |= cold;
     }
 
-    /// The resolved answer of probe `i`.
-    pub(crate) fn prediction(&self, i: usize) -> Option<PeakPrediction> {
-        self.probes[i].prediction
+    /// The answer at `level`; `None` also for a level never resolved.
+    pub(crate) fn answer(&self, level: u8) -> Option<PeakPrediction> {
+        self.answers[usize::from(level)]
     }
 }
 
@@ -321,7 +300,7 @@ impl<'a> Sweep<'a> {
 /// plan was compiled against, and the prediction read off that plan. The
 /// budget rides along so gang execution can be measured against the *exact*
 /// capped device the reservation was predicted on.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Placement {
     pub device: usize,
     pub budget: u64,
@@ -331,7 +310,7 @@ pub struct Placement {
 /// A successful admission: the preset the job will actually run under (may
 /// be memory-stronger than requested) and one [`Placement`] per replica on
 /// distinct devices (gang scheduling).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Grant {
     pub preset: PolicyPreset,
     pub placements: Vec<Placement>,
@@ -385,8 +364,15 @@ impl Grant {
 /// check MUST use the same rounding, or a boundary job could be judged
 /// feasible yet never admitted.
 pub fn quantized_budget(spec: &DeviceSpec, free: u64) -> u64 {
-    let quantum = (spec.dram_bytes / 32).max(1);
-    free - free % quantum
+    free - free % quantum(spec)
+}
+
+/// The step budgets move in: 1/32 of the device's DRAM, at least a byte. A
+/// device's budget *level* is `free / quantum` — so `level × quantum` is
+/// [`quantized_budget`] — and never passes 63: with `dram = 32·q + r`,
+/// `r < 32`, it is at most `32 + r / q`.
+pub(crate) fn quantum(spec: &DeviceSpec) -> u64 {
+    (spec.dram_bytes / 32).max(1)
 }
 
 /// Check whether `job` could run on an *idle* fleet — the "reject vs queue"
@@ -414,27 +400,13 @@ pub fn feasible_on_device_subset(
     if job.replicas == 0 || job.replicas > devices.len() {
         return false;
     }
-    let mut sweep = Sweep::default();
-    let mut asked: Vec<usize> = Vec::with_capacity(devices.len());
-    for preset in ladder_for(job) {
-        sweep.clear();
-        asked.clear();
-        for spec in devices {
+    ladder_for(job).any(|preset| {
+        let fitting = devices.iter().filter(|spec| {
             let budget = quantized_budget(spec, spec.dram_bytes);
-            if budget > 0 {
-                asked.push(sweep.probe(spec.card_fingerprint(), spec, budget));
-            }
-        }
-        sweep.resolve(profiler, job, preset);
-        let fitting = asked
-            .iter()
-            .filter(|&&probe| sweep.prediction(probe).is_some())
-            .count();
-        if fitting >= job.replicas {
-            return true;
-        }
-    }
-    false
+            budget > 0 && profiler.profile_job(job, preset, spec, budget).is_some()
+        });
+        fitting.count() >= job.replicas
+    })
 }
 
 /// The preset sequence admission tries for `job`.
@@ -484,6 +456,11 @@ mod tests {
         if let Some(tight) = p.profile(w, 32, PolicyPreset::Superneurons, &spec, budget) {
             assert!(tight.peak_bytes <= budget);
         }
+        // Under one block of the planner's pool: refused, not a panic.
+        assert_eq!(
+            p.profile(w, 32, PolicyPreset::Superneurons, &spec, 1023),
+            None
+        );
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //! Each fold of progress therefore delays a completion by under `⌈num/den⌉`
 //! ns and never advances it. Products are taken in `u128` and a wall time
 //! past `u64::MAX` saturates there (`den ≤ num`, so work never exceeds the
-//! wall time it came from); nothing wraps and nothing is cast down.
+//! wall time it came from); nothing wraps and nothing is cast down. A whole
+//! pace (`den == 1`) gets the same bits from 64-bit `saturating_mul` and `/`.
 
 /// Wall ns per ns of solo work, as the exact ratio `num / den`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,12 +48,18 @@ impl Pace {
 
     /// Wall ns to do `work` ns of solo work: `⌈work · num / den⌉`.
     pub(crate) fn wall(self, work: u64) -> u64 {
+        if self.den == 1 {
+            return work.saturating_mul(self.num);
+        }
         let wall = (u128::from(work) * u128::from(self.num)).div_ceil(u128::from(self.den));
         u64::try_from(wall).unwrap_or(u64::MAX)
     }
 
     /// Solo work done in `wall` ns: `⌊wall · den / num⌋`.
     pub(crate) fn work(self, wall: u64) -> u64 {
+        if self.den == 1 {
+            return wall / self.num;
+        }
         let work = u128::from(wall) * u128::from(self.den) / u128::from(self.num);
         u64::try_from(work).expect("den ≤ num, so work ≤ wall")
     }
@@ -116,6 +123,24 @@ mod tests {
             }
             // den ≤ num: work never exceeds the wall time it was given.
             prop_assert!(p.work(work) <= work);
+        }
+
+        #[test]
+        fn a_whole_pace_gives_the_bits_the_wide_forms_give(
+            work in 0u64..(1 << 62) + 1,
+            shift in 0u32..63,
+            tenants in 1usize..65,
+        ) {
+            let p = Pace::new(tenants, 1000);
+            prop_assert_eq!((p.num, p.den), (tenants as u64, 1));
+            // `work` itself overflows the product for most tenant counts;
+            // the shifted draw stays under `u64::MAX`.
+            for w in [work, work >> shift, u64::MAX - (work >> shift)] {
+                let wall = (u128::from(w) * u128::from(p.num)).div_ceil(u128::from(p.den));
+                prop_assert_eq!(p.wall(w), u64::try_from(wall).unwrap_or(u64::MAX));
+                let done = u128::from(w) * u128::from(p.den) / u128::from(p.num);
+                prop_assert_eq!(u128::from(p.work(w)), done);
+            }
         }
     }
 }

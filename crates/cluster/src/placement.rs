@@ -21,6 +21,16 @@ pub struct Candidate {
     pub prediction: PeakPrediction,
 }
 
+impl From<&Candidate> for Placement {
+    fn from(c: &Candidate) -> Placement {
+        Placement {
+            device: c.device,
+            budget: c.budget,
+            prediction: c.prediction,
+        }
+    }
+}
+
 /// Device-selection strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlacementPolicy {
@@ -50,38 +60,47 @@ impl PlacementPolicy {
         }
     }
 
-    /// Choose `replicas` distinct devices from the feasible [`Candidate`]s
-    /// (reordered in place). Returns the chosen [`Placement`]s, or `None`
-    /// if fewer than `replicas` devices are feasible (gangs are atomic: all
-    /// or nothing).
-    ///
-    /// Every policy's key ends in the device index, so it is a total order:
-    /// the `replicas` best are selected in O(candidates) and only they are
-    /// sorted — the same gang, in the same order, a full sort would yield.
-    pub fn choose(self, candidates: &mut [Candidate], replicas: usize) -> Option<Vec<Placement>> {
-        if candidates.len() < replicas {
-            return None;
-        }
-        if replicas == 0 {
-            return Some(Vec::new());
-        }
-        let key = |c: &Candidate| match self {
+    /// The order a policy ranks feasible devices in, best first. Every key
+    /// ends in the device index: a total order, no two candidates tie.
+    pub(crate) fn key(self, c: &Candidate) -> (u64, usize) {
+        match self {
             PlacementPolicy::FirstFit => (0, c.device),
             PlacementPolicy::BestFit => (c.free - c.prediction.peak_bytes, c.device),
             PlacementPolicy::BinPack => (u64::MAX - c.reserved, c.device), // fullest first
-        };
-        candidates.select_nth_unstable_by_key(replicas - 1, key);
-        let best = &mut candidates[..replicas];
-        best.sort_unstable_by_key(key);
-        Some(
-            best.iter()
-                .map(|c| Placement {
-                    device: c.device,
-                    budget: c.budget,
-                    prediction: c.prediction,
-                })
-                .collect(),
-        )
+        }
+    }
+
+    /// Choose `replicas` distinct devices from the feasible [`Candidate`]s,
+    /// taken in any order. Returns the chosen [`Placement`]s, or `None` if
+    /// fewer than `replicas` devices are feasible (gangs are atomic: all or
+    /// nothing).
+    ///
+    /// The `replicas` best seen so far are kept sorted in `best` (the
+    /// caller's buffer: a rung that places nothing allocates nothing) as the
+    /// candidates stream past — the same gang, in the same order, a full
+    /// sort by the key would yield.
+    pub fn choose(
+        self,
+        candidates: impl IntoIterator<Item = Candidate>,
+        replicas: usize,
+        best: &mut Vec<Candidate>,
+    ) -> Option<Vec<Placement>> {
+        best.clear();
+        if replicas == 0 {
+            return Some(Vec::new());
+        }
+        for c in candidates {
+            let key = self.key(&c);
+            if best.len() == replicas {
+                if key > self.key(&best[replicas - 1]) {
+                    continue;
+                }
+                best.pop();
+            }
+            let at = best.partition_point(|b| self.key(b) < key);
+            best.insert(at, c);
+        }
+        (best.len() == replicas).then(|| best.iter().map(Placement::from).collect())
     }
 }
 
@@ -114,7 +133,7 @@ mod tests {
     #[test]
     fn first_fit_takes_lowest_indices() {
         let got = PlacementPolicy::FirstFit
-            .choose(&mut candidates(), 2)
+            .choose(candidates(), 2, &mut Vec::new())
             .unwrap();
         assert_eq!(got.iter().map(|p| p.device).collect::<Vec<_>>(), vec![0, 1]);
     }
@@ -122,7 +141,7 @@ mod tests {
     #[test]
     fn best_fit_minimizes_leftover() {
         let got = PlacementPolicy::BestFit
-            .choose(&mut candidates(), 1)
+            .choose(candidates(), 1, &mut Vec::new())
             .unwrap();
         assert_eq!(got[0].device, 1, "300-100 leaves the smallest hole");
     }
@@ -130,7 +149,7 @@ mod tests {
     #[test]
     fn bin_pack_prefers_fullest_device() {
         let got = PlacementPolicy::BinPack
-            .choose(&mut candidates(), 1)
+            .choose(candidates(), 1, &mut Vec::new())
             .unwrap();
         assert_eq!(
             got[0].device, 1,
@@ -141,10 +160,10 @@ mod tests {
     #[test]
     fn gangs_are_all_or_nothing() {
         assert!(PlacementPolicy::FirstFit
-            .choose(&mut candidates(), 4)
+            .choose(candidates(), 4, &mut Vec::new())
             .is_none());
         let got = PlacementPolicy::BinPack
-            .choose(&mut candidates(), 3)
+            .choose(candidates(), 3, &mut Vec::new())
             .unwrap();
         let mut devs: Vec<_> = got.iter().map(|p| p.device).collect();
         devs.sort_unstable();
@@ -168,6 +187,8 @@ mod tests {
                 }
             })
             .collect();
+        // One buffer throughout: what an earlier choice left in it is gone.
+        let mut best = Vec::new();
         for policy in PlacementPolicy::ALL {
             let mut sorted = pool.clone();
             match policy {
@@ -180,7 +201,7 @@ mod tests {
                 }
             }
             for replicas in [1, 2, 4, 63, 64] {
-                let got = policy.choose(&mut pool.clone(), replicas).unwrap();
+                let got = policy.choose(pool.clone(), replicas, &mut best).unwrap();
                 let got: Vec<usize> = got.iter().map(|p| p.device).collect();
                 let want: Vec<usize> = sorted[..replicas].iter().map(|c| c.device).collect();
                 assert_eq!(got, want, "{} x{replicas}", policy.name());
@@ -193,7 +214,7 @@ mod tests {
         // The budget the profile was compiled under must survive placement:
         // gang step measurement re-caps the device with it.
         let got = PlacementPolicy::FirstFit
-            .choose(&mut candidates(), 3)
+            .choose(candidates(), 3, &mut Vec::new())
             .unwrap();
         for p in &got {
             let want = candidates()

@@ -64,11 +64,13 @@
 //!   state — so the shapes refused in the current state are kept in a set
 //!   and nothing else is: a queue thousands deep costs one sweep per
 //!   distinct shape per state, not one per job.
-//! * **Admission sweep** — a ladder rung is O(devices) integer arithmetic
-//!   (free bytes → quantized budget → bucket) plus O(distinct budgets)
-//!   profiler lookups: devices of one card at one budget share one answer
-//!   (`crate::admission::Sweep`), and placement selects the `replicas`
-//!   best candidates instead of sorting the fleet.
+//! * **Admission rung** — nothing in it divides and it hashes once. A
+//!   device carries its budget *level* (`free / quantum`, re-derived in
+//!   `DeviceState::alter`); a shape carries, per preset and device class, a
+//!   row of the profiler's answers by level (`crate::admission::Row`). A
+//!   rung ORs the levels its devices show, asks the profiler for those no
+//!   device showed before, then indexes `answers[level]` a device, keeping
+//!   the `replicas` best as they stream past instead of sorting the fleet.
 //!
 //! The run's state is one struct (`Core`) with one handler per step of an
 //! instant, in the order that defines the schedule: completions (freeing
@@ -76,51 +78,34 @@
 //! the instant's batch is popped, which nothing before the pass reads) →
 //! arrivals → the admission pass → the re-anchor sweep. In debug builds
 //! `Core::check` then verifies the state's invariants — slot conservation,
-//! per-device reservations and tenant lists, one live completion per
+//! per-device reservations, levels and tenant lists, one live completion per
 //! running gang, every pace the one its devices imply, monotone time, no
-//! queued job's shape in the blocked set of a state that admits it — so
-//! every test of this crate runs under it.
+//! queued job's shape in the blocked set of a state that admits it — and
+//! `decide` holds each rung's answer to the ladder written straight down
+//! (`try_admit_plain`), so every test of this crate runs under both.
 //!
 //! ### What an event costs
 //!
 //! One `serve_mixed` pass (the repo benchmark: 64 devices, ρ ≈ 0.83, gangs,
-//! inference, faults; 22 534 events), by where a `SIGPROF` sample of
-//! `run_stream` lands (250 Hz of CPU time, ~2.7 k and ~2.4 k samples under
-//! the event core, seed 501, 2-vCPU host), before and after admission
-//! stopped memoizing by reservation vector; ns/event is the share of the
-//! 1.62 → 1.23 µs an event took (median of three traced 20-s runs a side):
+//! inference, faults; 22 550 events at 15 026 instants, 7 488 `try_admit`
+//! calls), by an `Instant` pair around each handler of `Core::run` and
+//! around `try_admit`, on scratch copies of `864fb29` — where a rung
+//! divided twice a device and hashed a probe per distinct budget — and of
+//! PR 23: medians over the ~240 passes of an 8-s run a side, seed 2301,
+//! 2-vCPU host. Share of a pass · ns an event: the shares repeat to 0.2
+//! points; the ns carry the pairs' own cost and drift ±15 % with the host.
 //!
-//! | where                                       | before         | after          |
-//! |---------------------------------------------|---------------:|---------------:|
-//! | admission sweep (profiler, placement)       | 45 % · 740 ns  | 48 % · 600 ns  |
-//! | event queue                                 | 10 % · 170 ns  | 13 % · 170 ns  |
-//! | device accounting + re-anchor sweep         | 21 % · 340 ns  | 27 % · 330 ns  |
-//! | the rest (recorder, slab, fault arms)       | 11 % · 170 ns  | 11 % · 140 ns  |
+//! | handler                                      | before         | after PR 23    |
+//! |----------------------------------------------|---------------:|---------------:|
+//! | admission pass: `try_admit`                  | 38 % · 289 ns  | 28 % · 171 ns  |
+//! | admission pass: reserve, step time, recorder | 13 % ·  99 ns  | 15 % ·  90 ns  |
+//! | re-anchor sweep                              | 27 % · 204 ns  | 32 % · 194 ns  |
+//! | `pop_due` (event queue)                      |  8 % ·  57 ns  | 10 % ·  59 ns  |
+//! | completions, arrivals, faults                | 15 % · 112 ns  | 16 % · 100 ns  |
 //!
-//! The row that is gone — the reservation-state memo: the vector, its hash,
-//! a fresh state and a grant clone a lookup, 4 096 states freed at a time —
-//! was 12 % · 200 ns of the "before" column and answered none of the pass's
-//! 7 488 lookups. What stands in for it, a version compare and a probe of a
-//! set that on this traffic is always empty, drew 1 sample of 2 353. The
-//! sweep is the same code on both sides and reads 140 ns cheaper; the memo
-//! put 7.8 MB a pass (346 B an event, by the exact allocation count)
-//! through the cache the sweep's lookups use, which is the likely reason,
-//! not a measured one.
-//!
-//! What is left of the sweep is its O(devices) arithmetic — two integer
-//! divisions per device per rung in `quantized_budget` — not lookups.
-//!
-//! Device accounting since it settles lazily, from one counted pass of the
-//! same seed (22 534 events at 15 019 instants): integrating every device
-//! at every instant was 64 × 15 019 = 961 k integrations, 42.7 per event;
-//! settling a device only when its `reserved`/`tenants` change is 21.8 k,
-//! 0.97 per event, the 64 at the end included. The re-anchor sweep kept its
-//! shape — 107 k re-paces, 4.75 per event — and each is now one
-//! `Pace::work` and one `Pace::wall` (a `u128` multiply and divide apiece)
-//! where the float clock divided and multiplied once. Six alternating
-//! traced 20-s runs a side read `cluster.events_per_s` 599 k before and
-//! 632 k after at the median, higher after in 4 pairs of 6 — less than the
-//! host drifts between runs (550–710 k on either side).
+//! `try_admit` is 870 → 514 ns a call. The re-anchor sweep is now the
+//! largest row: 107 k re-paces a pass, 4.75 an event, each a `Pace::work`
+//! and a `Pace::wall`, 64-bit when no link is degraded (all PR 23 did here).
 //!
 //! The loop this replaced is retained in [`crate::sim_reference`], moved
 //! onto the same `Pace` arithmetic but still scanning every gang and
@@ -130,16 +115,14 @@
 //! pull-based [`ArrivalStream`] with aggregate-only recording: millions of
 //! arrivals in constant memory.
 
-use std::sync::Arc;
-
 use fxhash::{FxHashMap, FxHashSet};
 use sn_runtime::ring_allreduce_time;
-use sn_sim::SimTime;
+use sn_sim::{DeviceSpec, SimTime};
 use sn_telemetry::{ArgValue, Counter, Histogram, MetricsRegistry, TraceSink, TrackId};
 
 use crate::admission::{
-    feasible_on_device_subset, feasible_on_idle_fleet, ladder_for, quantized_budget, Grant,
-    Placement, Profiler, Sweep,
+    feasible_on_device_subset, feasible_on_idle_fleet, ladder_for, quantized_budget, quantum,
+    Grant, Placement, Profiler, Row,
 };
 use crate::event_heap::{EventHeap, EventKind};
 use crate::fault::{FaultEvent, FaultPlan, RecoveryMode, RecoveryPolicy};
@@ -155,9 +138,9 @@ use crate::slab::{Slab, SlotKey};
 use crate::stream::{ArrivalStream, ReplayStream};
 
 /// Per-device mutable state during a simulation run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub(crate) struct DeviceState {
-    pub(crate) reserved: u64,
+    reserved: u64,
     pub(crate) tenants: usize,
     /// Wall time (ns) with at least one tenant.
     pub(crate) busy_ns: u64,
@@ -173,19 +156,70 @@ pub(crate) struct DeviceState {
     /// admission by an injected pressure fault. Both stay at their defaults
     /// on fault-free runs, where [`DeviceState::free_bytes`] degenerates to
     /// exactly `dram − reserved`.
-    pub(crate) failed: bool,
-    pub(crate) spike: u64,
+    failed: bool,
+    spike: u64,
+    /// What a ladder rung reads instead of dividing: `free_bytes` and the
+    /// budget level `free / quantum`, so `level × quantum` is
+    /// `quantized_budget(spec, free)`. `reserved`, `spike` and `failed`
+    /// change only inside [`DeviceState::alter`], which re-derives both.
+    free: u64,
+    level: u8,
 }
 
 impl DeviceState {
+    /// The device before any tenant or fault. (No `Default`: a device never
+    /// levelled would read as a full one.)
+    pub(crate) fn idle(spec: &DeviceSpec) -> DeviceState {
+        let mut idle = DeviceState {
+            reserved: 0,
+            tenants: 0,
+            busy_ns: 0,
+            reserved_integral: 0,
+            settled_ns: 0,
+            peak_reserved: 0,
+            peak_tenants: 0,
+            failed: false,
+            spike: 0,
+            free: 0,
+            level: 0,
+        };
+        idle.alter(spec, |_| ());
+        idle
+    }
+
     /// Bytes admission may still reserve on this device.
-    pub(crate) fn free_bytes(&self, spec: &sn_sim::DeviceSpec) -> u64 {
+    pub(crate) fn free_bytes(&self, spec: &DeviceSpec) -> u64 {
         if self.failed {
             0
         } else {
             spec.dram_bytes
                 .saturating_sub(self.reserved.saturating_add(self.spike))
         }
+    }
+
+    /// Apply `change`, then bring `free` and `level` up to date with it.
+    fn alter(&mut self, spec: &DeviceSpec, change: impl FnOnce(&mut DeviceState)) {
+        change(self);
+        self.free = self.free_bytes(spec);
+        self.level = u8::try_from(self.free / quantum(spec)).expect("levels stop at 63");
+    }
+
+    pub(crate) fn reserved(&self) -> u64 {
+        self.reserved
+    }
+
+    /// One more tenant, holding `bytes`.
+    pub(crate) fn admit(&mut self, spec: &DeviceSpec, bytes: u64) {
+        self.alter(spec, |d| d.reserved += bytes);
+        self.tenants += 1;
+        self.peak_reserved = self.peak_reserved.max(self.reserved);
+        self.peak_tenants = self.peak_tenants.max(self.tenants);
+    }
+
+    /// A tenant that held `bytes` is gone.
+    pub(crate) fn vacate(&mut self, spec: &DeviceSpec, bytes: u64) {
+        self.alter(spec, |d| d.reserved -= bytes);
+        self.tenants -= 1;
     }
 
     /// Bring the two integrals up to `now_ns`. Their integrands only step
@@ -295,7 +329,7 @@ impl ClusterMetrics {
 
 /// One live (pending, running, or parked-in-backoff) job in the slab.
 struct LiveJob {
-    spec: Arc<JobSpec>,
+    spec: JobSpec,
     /// Arrival sequence number: ties on the event heap break toward the
     /// earliest arrival, matching the reference loop's job-index order.
     seq: u64,
@@ -306,10 +340,8 @@ struct LiveJob {
     /// Backoff attempts since the last successful (re-)admission.
     attempts: u32,
     wasted_iters: u64,
-    /// Queued again after an interruption (its next grant is a restart).
-    pending_restart: bool,
-    /// Frozen original grant for byte-exact restarts; `Some` for every job
-    /// granted while a fault plan is installed, `None` otherwise.
+    /// The grant a fault cut short, frozen for a byte-exact restart: `Some`
+    /// from the interrupt until the job's next grant, which is a restart.
     resume: Option<ResumePlan>,
 }
 
@@ -381,25 +413,18 @@ impl RunState {
 /// compiles each replica at **exactly** its original budget, so the
 /// profiler's plan memo returns the identical prediction — restarted peaks
 /// are byte-identical to the original plan on any device of the same spec.
-#[derive(Clone, PartialEq, Eq)]
+#[derive(PartialEq, Eq)]
 struct ResumePlan {
     preset: PolicyPreset,
-    budgets: Vec<u64>,
-    peaks: Vec<u64>,
+    replicas: Vec<(u64, u64)>,
 }
 
 fn resume_plan_of(grant: &Grant) -> ResumePlan {
-    let mut pairs: Vec<(u64, u64)> = grant
-        .placements
-        .iter()
-        .map(|p| (p.budget, p.prediction.peak_bytes))
-        .collect();
-    pairs.sort_unstable_by(|a, b| b.cmp(a));
-    ResumePlan {
-        preset: grant.preset,
-        budgets: pairs.iter().map(|(b, _)| *b).collect(),
-        peaks: pairs.iter().map(|(_, p)| *p).collect(),
-    }
+    let budget_and_peak = |p: &Placement| (p.budget, p.prediction.peak_bytes);
+    let mut replicas: Vec<_> = grant.placements.iter().map(budget_and_peak).collect();
+    replicas.sort_unstable_by(|a, b| b.cmp(a));
+    let preset = grant.preset;
+    ResumePlan { preset, replicas }
 }
 
 /// What the event core tells the outside world as it goes: per-job
@@ -689,14 +714,16 @@ fn shape_key(job: &JobSpec) -> ShapeKey {
     )
 }
 
-/// The buffers one admission sweep fills, reused from sweep to sweep.
+/// What admission keeps from rung to rung, for one run of one simulator.
 #[derive(Default)]
-pub(crate) struct AdmitScratch<'a> {
-    sweep: Sweep<'a>,
-    /// This rung's devices with a non-zero budget:
-    /// `(device, free, budget, probe)`.
-    open: Vec<(usize, u64, u64, usize)>,
-    candidates: Vec<Candidate>,
+pub(crate) struct AdmitScratch {
+    /// Per (workload, batch, kind, preset): one [`Row`] of answers a device
+    /// class. A rung hashes once, here; its devices then index by level.
+    rows: FxHashMap<(Workload, usize, JobKind, PolicyPreset), Vec<Row>>,
+    /// Per class: the budget levels its devices show, as a bit set.
+    present: Vec<u64>,
+    /// [`PlacementPolicy::choose`]'s buffer.
+    best: Vec<Candidate>,
 }
 
 /// What the event core hands back besides recorder contents. The counters
@@ -728,13 +755,14 @@ struct CoreOutcome {
 /// The cluster scheduler: a fleet, a placement policy, and a memoizing
 /// admission profiler.
 pub struct ClusterSim {
-    /// The device pool. Read-only once the simulator is built: `cards` is
-    /// derived from it.
-    pub fleet: Fleet,
-    pub placement: PlacementPolicy,
-    /// Each device's [`sn_sim::DeviceSpec::card_fingerprint`]: devices of
-    /// one card share admission lookups (see [`Sweep`]).
-    cards: Vec<(u64, u64)>,
+    /// Fixed once the simulator is built: the classes derive from it.
+    fleet: Fleet,
+    pub(crate) placement: PlacementPolicy,
+    /// The fleet's device classes in first-appearance order, and each
+    /// device's: devices of one card and one budget quantum share every
+    /// admission answer (see [`Row`]).
+    classes: Vec<DeviceClass>,
+    class_of: Vec<usize>,
     pub(crate) profiler: Profiler,
     pub(crate) sink: TraceSink,
     pub(crate) metrics: Option<ClusterMetrics>,
@@ -742,11 +770,35 @@ pub struct ClusterSim {
     recovery: RecoveryPolicy,
 }
 
+struct DeviceClass {
+    /// [`DeviceSpec::card_fingerprint`] and [`quantum`] of every member.
+    card: (u64, u64),
+    quantum: u64,
+    /// The first member: the spec a cold answer is compiled on.
+    device: usize,
+}
+
 impl ClusterSim {
     pub fn new(fleet: Fleet, placement: PlacementPolicy) -> ClusterSim {
         assert!(!fleet.is_empty(), "cluster needs at least one device");
+        let mut classes: Vec<DeviceClass> = Vec::new();
+        let class_of = fleet.devices.iter().enumerate().map(|(device, spec)| {
+            let (card, quantum) = (spec.card_fingerprint(), quantum(spec));
+            let known = classes
+                .iter()
+                .position(|c| (c.card, c.quantum) == (card, quantum));
+            known.unwrap_or_else(|| {
+                classes.push(DeviceClass {
+                    card,
+                    quantum,
+                    device,
+                });
+                classes.len() - 1
+            })
+        });
         ClusterSim {
-            cards: fleet.devices.iter().map(|d| d.card_fingerprint()).collect(),
+            class_of: class_of.collect(),
+            classes,
             fleet,
             placement,
             profiler: Profiler::new(),
@@ -755,6 +807,11 @@ impl ClusterSim {
             faults: None,
             recovery: RecoveryPolicy::default(),
         }
+    }
+
+    /// The device pool this simulator was built over.
+    pub fn fleet(&self) -> &Fleet {
+        &self.fleet
     }
 
     /// Install a fault plan and the recovery policy applied to the tenants
@@ -804,55 +861,83 @@ impl ClusterSim {
     /// The prediction budget is the device's free bytes rounded *down* to a
     /// 1/32-of-DRAM quantum: still sound (the predicted peak fits under the
     /// real free space), but the profiler's memo key space collapses from
-    /// "every reservation state ever" to at most 32 budgets per device —
-    /// and devices of one card at one budget share one answer, so a rung
-    /// costs O(devices) arithmetic plus O(distinct budgets) profiler
-    /// lookups (see [`Sweep`]). The ladder itself stays serial — a stronger
-    /// preset is only consulted when the weaker one cannot place the gang.
-    pub(crate) fn try_admit<'a>(
-        &'a self,
+    /// "every reservation state ever" to at most 63 budgets per device class
+    /// — and a rung reads them off each device's level and the shape's
+    /// [`Row`]s (see the module docs). The ladder itself stays serial — a
+    /// stronger preset is only consulted when the weaker one cannot place
+    /// the gang.
+    pub(crate) fn try_admit(
+        &self,
         devices: &[DeviceState],
         job: &JobSpec,
-        scratch: &mut AdmitScratch<'a>,
+        scratch: &mut AdmitScratch,
     ) -> Option<Grant> {
         if job.replicas == 0 {
             return None; // an empty gang is not a schedulable job
         }
-        let AdmitScratch {
-            sweep,
-            open,
-            candidates,
-        } = scratch;
+        let present = &mut scratch.present;
+        present.clear();
+        present.resize(self.classes.len(), 0);
+        for (d, &class) in devices.iter().zip(&self.class_of) {
+            present[class] |= 1 << d.level;
+        }
         for preset in ladder_for(job) {
-            sweep.clear();
-            open.clear();
-            for (idx, spec) in self.fleet.devices.iter().enumerate() {
-                let free = devices[idx].free_bytes(spec);
-                let budget = quantized_budget(spec, free);
-                if budget > 0 {
-                    let probe = sweep.probe(self.cards[idx], spec, budget);
-                    open.push((idx, free, budget, probe));
-                }
+            let rows = scratch
+                .rows
+                .entry((job.workload, job.batch, job.kind, preset))
+                .or_insert_with(|| vec![Row::EMPTY; self.classes.len()]);
+            for ((row, class), &levels) in rows.iter_mut().zip(&self.classes).zip(&*present) {
+                // Level 0 offers no bytes: never asked, so never answered.
+                let spec = &self.fleet.devices[class.device];
+                row.resolve(levels & !1, &self.profiler, job, preset, spec);
             }
-            sweep.resolve(&self.profiler, job, preset);
-            candidates.clear();
-            candidates.extend(open.iter().filter_map(|&(device, free, budget, probe)| {
-                let prediction = sweep.prediction(probe)?;
+            let fit = devices.iter().zip(&self.class_of).enumerate();
+            let fit = fit.filter_map(|(device, (d, &class))| {
                 Some(Candidate {
+                    prediction: rows[class].answer(d.level)?,
                     device,
-                    free,
-                    reserved: devices[device]
-                        .reserved
-                        .saturating_add(devices[device].spike),
-                    budget,
-                    prediction,
+                    free: d.free,
+                    reserved: d.reserved.saturating_add(d.spike),
+                    budget: u64::from(d.level) * self.classes[class].quantum,
                 })
-            }));
-            if let Some(placements) = self.placement.choose(candidates, job.replicas) {
+            });
+            if let Some(placements) = self.placement.choose(fit, job.replicas, &mut scratch.best) {
                 return Some(Grant { preset, placements });
             }
         }
         None
+    }
+
+    /// [`ClusterSim::try_admit`] written straight down — every device asked
+    /// of the profiler at its quantized budget, the fitting ones sorted, the
+    /// first `replicas` taken — for debug builds to hold the rung to. It
+    /// asks the keys the rung asks, so running it moves no count.
+    fn try_admit_plain(&self, devices: &[DeviceState], job: &JobSpec) -> Option<Grant> {
+        ladder_for(job)
+            .filter(|_| job.replicas > 0)
+            .find_map(|preset| {
+                let ask = |(device, (spec, d)): (usize, (&DeviceSpec, &DeviceState))| {
+                    let free = d.free_bytes(spec);
+                    let budget = quantized_budget(spec, free);
+                    let asked =
+                        (budget > 0).then(|| self.profiler.profile_job(job, preset, spec, budget));
+                    Some(Candidate {
+                        prediction: asked.flatten()?,
+                        device,
+                        free,
+                        reserved: d.reserved.saturating_add(d.spike),
+                        budget,
+                    })
+                };
+                let fitting = self.fleet.devices.iter().zip(devices).enumerate();
+                let mut fitting: Vec<Candidate> = fitting.filter_map(ask).collect();
+                fitting.sort_unstable_by_key(|c| self.placement.key(c));
+                let placements = fitting.get(..job.replicas)?.iter().map(Placement::from);
+                Some(Grant {
+                    preset,
+                    placements: placements.collect(),
+                })
+            })
     }
 
     /// Constrained re-admission for an interrupted job: keep the original
@@ -867,23 +952,18 @@ impl ClusterSim {
         job: &JobSpec,
         resume: &ResumePlan,
     ) -> Option<Grant> {
-        debug_assert_eq!(resume.budgets.len(), job.replicas);
+        debug_assert_eq!(resume.replicas.len(), job.replicas);
         let mut used = vec![false; self.fleet.len()];
-        let mut placements = Vec::with_capacity(resume.budgets.len());
-        for &budget in &resume.budgets {
+        let mut placements = Vec::with_capacity(resume.replicas.len());
+        for &(budget, _) in &resume.replicas {
             let mut found = None;
             for (idx, spec) in self.fleet.devices.iter().enumerate() {
-                if used[idx] || devices[idx].free_bytes(spec) < budget {
+                if used[idx] || devices[idx].free < budget {
                     continue;
                 }
-                if let Some(prediction) = self.profiler.profile_kind(
-                    job.workload,
-                    job.batch,
-                    resume.preset,
-                    job.kind,
-                    spec,
-                    budget,
-                ) {
+                if let Some(prediction) =
+                    self.profiler.profile_job(job, resume.preset, spec, budget)
+                {
                     found = Some((idx, prediction));
                     break;
                 }
@@ -909,19 +989,19 @@ impl ClusterSim {
     /// Pure planning — the caller commits the returned downgrades and the
     /// final grant, in order.
     #[allow(clippy::type_complexity)]
-    fn plan_elastic<'a>(
-        &'a self,
+    fn plan_elastic(
+        &self,
         devices: &[DeviceState],
         jobs: &Slab<LiveJob>,
         tenants_on: &[Vec<SlotKey>],
         job: &JobSpec,
         resume: Option<&ResumePlan>,
-        scratch: &mut AdmitScratch<'a>,
+        scratch: &mut AdmitScratch,
     ) -> Option<(Vec<(SlotKey, Grant)>, Grant)> {
-        struct Tenant {
+        struct Tenant<'j> {
             key: SlotKey,
             seq: u64,
-            spec: Arc<JobSpec>,
+            spec: &'j JobSpec,
             preset: PolicyPreset,
             placements: Vec<Placement>,
         }
@@ -942,7 +1022,7 @@ impl ClusterSim {
                 Some(Tenant {
                     key,
                     seq,
-                    spec: Arc::clone(&j.spec),
+                    spec: &j.spec,
                     preset: run.grant.preset,
                     placements: run.grant.placements.clone(),
                 })
@@ -967,21 +1047,10 @@ impl ClusterSim {
                 let mut ok = true;
                 for p in &t.placements {
                     let spec_d = &self.fleet.devices[p.device];
-                    let headroom = vdev[p.device]
-                        .free_bytes(spec_d)
-                        .saturating_add(p.prediction.peak_bytes);
+                    let headroom = vdev[p.device].free.saturating_add(p.prediction.peak_bytes);
                     let budget = quantized_budget(spec_d, headroom);
                     let pred = (budget > 0)
-                        .then(|| {
-                            self.profiler.profile_kind(
-                                t.spec.workload,
-                                t.spec.batch,
-                                next,
-                                t.spec.kind,
-                                spec_d,
-                                budget,
-                            )
-                        })
+                        .then(|| self.profiler.profile_job(t.spec, next, spec_d, budget))
                         .flatten();
                     let Some(pred) = pred else {
                         ok = false;
@@ -1019,8 +1088,9 @@ impl ClusterSim {
             }
             let (_, _, ti, new_grant) = best?;
             for (old_p, new_p) in tenants[ti].placements.iter().zip(&new_grant.placements) {
-                let d = &mut vdev[old_p.device];
-                d.reserved = d.reserved - old_p.prediction.peak_bytes + new_p.prediction.peak_bytes;
+                let spec_d = &self.fleet.devices[old_p.device];
+                let freed = old_p.prediction.peak_bytes - new_p.prediction.peak_bytes;
+                vdev[old_p.device].alter(spec_d, |d| d.reserved -= freed);
             }
             tenants[ti].preset = new_grant.preset;
             tenants[ti].placements = new_grant.placements.clone();
@@ -1055,7 +1125,7 @@ impl ClusterSim {
                         job.batch,
                         grant.preset,
                         job.replicas,
-                        self.cards[pace.device],
+                        self.classes[self.class_of[pace.device]].card,
                         &self.fleet.devices[pace.device],
                         pace.budget,
                         self.fleet.interconnect,
@@ -1204,7 +1274,7 @@ struct Core<'a, R: Recorder> {
     pending: Vec<SlotKey>,
     fresh_from: usize,
     memo: AdmitMemo,
-    scratch: AdmitScratch<'a>,
+    scratch: AdmitScratch,
     /// The arrival pulled one ahead of the clock.
     next_arrival: Option<(SimTime, JobSpec)>,
     next_seq: u64,
@@ -1246,7 +1316,7 @@ impl<'a, R: Recorder> Core<'a, R> {
             rec,
             out: CoreOutcome::default(),
             now_ns: 0,
-            devices: vec![DeviceState::default(); n],
+            devices: sim.fleet.devices.iter().map(DeviceState::idle).collect(),
             tenants_on: vec![Vec::new(); n],
             jobs: Slab::new(),
             heap: EventHeap::default(),
@@ -1374,8 +1444,7 @@ impl<'a, R: Recorder> Core<'a, R> {
         for p in &grant.placements {
             let d = &mut self.devices[p.device];
             d.settle(self.now_ns);
-            d.reserved -= p.prediction.peak_bytes;
-            d.tenants -= 1;
+            d.vacate(&self.sim.fleet.devices[p.device], p.prediction.peak_bytes);
             let list = &mut self.tenants_on[p.device];
             let pos = list.iter().position(|k| *k == key).expect("tenant listed");
             list.swap_remove(pos);
@@ -1389,10 +1458,7 @@ impl<'a, R: Recorder> Core<'a, R> {
         for p in &grant.placements {
             let d = &mut self.devices[p.device];
             d.settle(self.now_ns);
-            d.reserved += p.prediction.peak_bytes;
-            d.tenants += 1;
-            d.peak_reserved = d.peak_reserved.max(d.reserved);
-            d.peak_tenants = d.peak_tenants.max(d.tenants);
+            d.admit(&self.sim.fleet.devices[p.device], p.prediction.peak_bytes);
             self.tenants_on[p.device].push(key);
             self.affected.push(p.device);
         }
@@ -1430,9 +1496,10 @@ impl<'a, R: Recorder> Core<'a, R> {
         }
         self.out.events += 1;
         self.rec.on_fault(&ev, self.now_ns);
+        let specs = &self.sim.fleet.devices;
         match ev {
             FaultEvent::DeviceFail { device } => {
-                self.devices[device].failed = true;
+                self.devices[device].alter(&specs[device], |d| d.failed = true);
                 self.fail_since[device] = Some(self.now_ns);
                 self.state_version += 1;
                 self.fault_epoch += 1;
@@ -1446,7 +1513,7 @@ impl<'a, R: Recorder> Core<'a, R> {
                 }
             }
             FaultEvent::DeviceRecover { device } => {
-                self.devices[device].failed = false;
+                self.devices[device].alter(&specs[device], |d| d.failed = false);
                 self.state_version += 1;
                 self.fault_epoch += 1;
                 if let Some(m) = &self.sim.metrics {
@@ -1459,13 +1526,13 @@ impl<'a, R: Recorder> Core<'a, R> {
             FaultEvent::LinkDegrade { permille } => self.set_link(permille.max(1)),
             FaultEvent::LinkRestore => self.set_link(1000),
             FaultEvent::PressureSpike { device, bytes } => {
-                let d = &mut self.devices[device];
-                d.spike = d.spike.saturating_add(bytes);
+                let spike = |d: &mut DeviceState| d.spike = d.spike.saturating_add(bytes);
+                self.devices[device].alter(&specs[device], spike);
                 self.state_version += 1;
             }
             FaultEvent::PressureRelease { device, bytes } => {
-                let d = &mut self.devices[device];
-                d.spike = d.spike.saturating_sub(bytes);
+                let lift = |d: &mut DeviceState| d.spike = d.spike.saturating_sub(bytes);
+                self.devices[device].alter(&specs[device], lift);
                 self.state_version += 1;
             }
         }
@@ -1507,10 +1574,8 @@ impl<'a, R: Recorder> Core<'a, R> {
         };
         self.fold_to_checkpoint(key, run.done_iterations(self.now_ns), why.is_none());
         if why.is_none() {
-            self.jobs
-                .get_mut(key)
-                .expect("interrupted jobs stay live")
-                .pending_restart = true;
+            let job = self.jobs.get_mut(key).expect("interrupted jobs stay live");
+            job.resume = Some(resume_plan_of(&run.grant));
             self.park(key);
         }
         let job = self.jobs.get(key).expect("interrupted jobs stay live");
@@ -1576,14 +1641,13 @@ impl<'a, R: Recorder> Core<'a, R> {
     fn take_arrivals(&mut self) {
         while let Some((_, spec)) = self.next_arrival.take_if(|(t, _)| t.0 <= self.now_ns) {
             let key = self.jobs.insert(LiveJob {
-                spec: Arc::new(spec),
+                spec,
                 seq: self.next_seq,
                 arrival: SimTime(self.now_ns),
                 run: None,
                 iters_done: 0,
                 attempts: 0,
                 wasted_iters: 0,
-                pending_restart: false,
                 resume: None,
             });
             self.next_seq += 1;
@@ -1657,6 +1721,9 @@ impl<'a, R: Recorder> Core<'a, R> {
                     None
                 } else {
                     let grant = sim.try_admit(&self.devices, &job.spec, &mut self.scratch);
+                    // Debug builds hold every answer to the ladder written
+                    // straight down.
+                    debug_assert_eq!(grant, sim.try_admit_plain(&self.devices, &job.spec));
                     if grant.is_none() {
                         blocked.insert(shape);
                     }
@@ -1696,14 +1763,14 @@ impl<'a, R: Recorder> Core<'a, R> {
             let d = &mut self.devices[is.device];
             d.settle(self.now_ns);
             // Strictly smaller, or it would not have been planned.
-            d.reserved -= was.prediction.peak_bytes - is.prediction.peak_bytes;
+            let freed = was.prediction.peak_bytes - is.prediction.peak_bytes;
+            d.alter(&sim.fleet.devices[is.device], |d| d.reserved -= freed);
         }
         self.state_version += 1;
         let job = self.jobs.get_mut(key).expect("planned tenants are live");
         let step = sim.step_time(&job.spec, &grant);
         let iters_left = job.spec.iterations - job.iters_done;
         let pace = gang_pace(&self.devices, &grant, self.link_permille);
-        job.resume = Some(resume_plan_of(&grant));
         let run = job
             .run
             .insert(RunState::new(grant, step, iters_left, self.now_ns, pace));
@@ -1723,12 +1790,11 @@ impl<'a, R: Recorder> Core<'a, R> {
         let sim = self.sim;
         self.reserve(key, &grant);
         let job = self.jobs.get_mut(key).expect("pending jobs are live");
-        let plan = sim.faults.is_some().then(|| resume_plan_of(&grant));
-        if job.pending_restart {
-            // Gate: the re-admitted plan must be byte-identical to the
-            // original — same sorted (budget, peak) vector, peaks straight
-            // from the shared plan memo.
-            let exact = plan.is_some() && plan == job.resume;
+        if let Some(cut_short) = job.resume.take() {
+            // Gate: the re-admitted plan must be byte-identical to the one
+            // the fault cut short — same sorted (budget, peak) vector, peaks
+            // straight from the shared plan memo.
+            let exact = cut_short == resume_plan_of(&grant);
             self.out.restarts += 1;
             if let Some(m) = &sim.metrics {
                 m.jobs_restarted.inc();
@@ -1740,11 +1806,7 @@ impl<'a, R: Recorder> Core<'a, R> {
             }
             self.rec.on_admit(job, &grant, self.now_ns);
         }
-        if plan.is_some() {
-            job.pending_restart = false;
-            job.attempts = 0;
-            job.resume = plan;
-        }
+        job.attempts = 0;
         // The gang's pace is read *after* its own reservations landed; if a
         // later same-pass admission changes it, the sweep folds that in (a
         // zero-elapsed re-anchor).
@@ -1880,6 +1942,13 @@ impl<'a, R: Recorder> Core<'a, R> {
                 dev.reserved, reserved,
                 "device {d}: reserved vs Σ tenant peaks"
             );
+            let spec = &self.sim.fleet.devices[d];
+            let free = dev.free_bytes(spec);
+            assert_eq!(
+                (dev.free, u64::from(dev.level)),
+                (free, free / quantum(spec)),
+                "device {d}: free bytes and budget level vs their definitions"
+            );
             assert!(
                 reserved <= self.sim.fleet.devices[d].dram_bytes,
                 "device {d}: reservations exceed DRAM"
@@ -1894,15 +1963,12 @@ impl<'a, R: Recorder> Core<'a, R> {
         // A set left over from an earlier reservation state is emptied
         // before it is next read, so it claims nothing now.
         if self.memo.blocked_at == self.state_version {
-            let mut scratch = AdmitScratch::default();
             for &key in &self.pending {
                 let job = &self.jobs.get(key).expect("pending jobs are live").spec;
                 let shape = shape_key(job);
                 if self.memo.blocked.contains(&shape) {
                     assert!(
-                        self.sim
-                            .try_admit(&self.devices, job, &mut scratch)
-                            .is_none(),
+                        self.sim.try_admit_plain(&self.devices, job).is_none(),
                         "job {}: its shape is in the blocked set of a state that admits it",
                         job.name
                     );
@@ -1915,8 +1981,8 @@ impl<'a, R: Recorder> Core<'a, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use sn_runtime::Interconnect;
-    use sn_sim::DeviceSpec;
 
     fn run_state(step: u64, iters: u32, now_ns: u64, pace: Pace) -> RunState {
         let grant = Grant {
@@ -1950,6 +2016,86 @@ mod tests {
         // A zero-work run is done the moment it starts.
         assert_eq!(run_state(0, 4, 9, pace).done_iterations(9), 4);
         assert_eq!(run_state(0, 4, 9, pace).completion_ns(), 9);
+    }
+
+    /// Two cards, three quanta, four classes: a capacity that is no multiple
+    /// of 32 beside the one it shares a quantum (and so a class) with, the
+    /// same capacity on another card, and two devices under 64 bytes, where
+    /// the quantum is one byte and levels run to 40 and to 63.
+    fn mixed_fleet() -> Fleet {
+        let card = |dram: u64| DeviceSpec::k40c().with_dram(dram);
+        let other = |dram: u64| {
+            let mut slow = card(dram);
+            slow.mem_bw_gbps /= 2.0;
+            slow
+        };
+        let devices = vec![
+            card(24 << 20),
+            card(24 << 20),
+            other((20 << 20) + 7),
+            card((24 << 20) + 13),
+            other(24 << 20),
+            card(40),
+            other((20 << 20) + 7),
+            card(24 << 20),
+            card(63),
+        ];
+        Fleet {
+            devices,
+            interconnect: Interconnect::pcie(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn a_rung_answers_as_the_ladder_written_straight_down(
+            // Per device: reserved ‰ of DRAM, spike ‰ + 500, failed if 0 —
+            // applied in an order the last draw rotates, so each of the
+            // three is sometimes the one whose levelling stands.
+            draws in proptest::collection::vec((0u64..1001, 0u64..1001, 0usize..8), 18..19),
+        ) {
+            let fleet = mixed_fleet();
+            let states = draws.chunks(fleet.len()).map(|state| -> Vec<DeviceState> {
+                let device = |(&(reserved, spike, failed), spec): (&(u64, u64, usize), &DeviceSpec)| {
+                    let mut d = DeviceState::idle(spec);
+                    for step in 0..3 {
+                        match (step + failed) % 3 {
+                            0 => d.alter(spec, |d| d.failed = failed == 0),
+                            1 => d.admit(spec, spec.dram_bytes * reserved / 1000),
+                            _ => d.alter(spec, |d| {
+                                d.spike = spec.dram_bytes * spike.saturating_sub(500) / 1000
+                            }),
+                        }
+                    }
+                    d
+                };
+                state.iter().zip(&fleet.devices).map(device).collect()
+            });
+            let states: Vec<Vec<DeviceState>> = states.collect();
+            // Baseline wants 17.7 MB of a device, the full stack 3.4 MB.
+            let w = Workload::Synthetic { width: 16, depth: 4 };
+            for policy in PlacementPolicy::ALL {
+                let sim = ClusterSim::new(fleet.clone(), policy);
+                // One scratch for both states: the second is answered from
+                // rows the first, a different one, filled.
+                let mut warm = AdmitScratch::default();
+                for devices in &states {
+                    for (replicas, downgrade) in [(1, true), (2, true), (4, true), (1, false), (2, false), (4, false)] {
+                        let job = JobSpec::new("j", w, 16)
+                            .with_preset(PolicyPreset::Baseline)
+                            .with_replicas(replicas)
+                            .with_downgrade(downgrade);
+                        let want = sim.try_admit_plain(devices, &job);
+                        let cold = sim.try_admit(devices, &job, &mut AdmitScratch::default());
+                        prop_assert_eq!(&cold, &want, "{} x{replicas}, fresh rows", policy.name());
+                        let again = sim.try_admit(devices, &job, &mut warm);
+                        prop_assert_eq!(&again, &want, "{} x{replicas}, kept rows", policy.name());
+                    }
+                }
+            }
+        }
     }
 
     /// An arrival source that does not keep its times in order.

@@ -90,7 +90,8 @@ impl ClusterSim {
             Vec::new()
         };
 
-        let mut devices = vec![DeviceState::default(); self.fleet.len()];
+        let mut devices: Vec<DeviceState> =
+            self.fleet().devices.iter().map(DeviceState::idle).collect();
         let mut scratch = AdmitScratch::default();
         let mut trace: Vec<TraceEvent> = Vec::new();
         let mut pending: Vec<usize> = Vec::new(); // FIFO queue of job indices
@@ -130,7 +131,7 @@ impl ClusterSim {
                 if d.tenants > 0 {
                     d.busy_ns += dt;
                 }
-                d.reserved_integral += u128::from(d.reserved) * u128::from(dt);
+                d.reserved_integral += u128::from(d.reserved()) * u128::from(dt);
             }
             now_ns = t_next;
 
@@ -152,8 +153,8 @@ impl ClusterSim {
             debug_assert!(done.windows(2).all(|w| w[0].job < w[1].job));
             for r in done {
                 for p in &r.grant.placements {
-                    devices[p.device].reserved -= p.prediction.peak_bytes;
-                    devices[p.device].tenants -= 1;
+                    let spec = &self.fleet().devices[p.device];
+                    devices[p.device].vacate(spec, p.prediction.peak_bytes);
                 }
                 outcomes[r.job].completion = Some(SimTime(now_ns));
                 trace.push(TraceEvent {
@@ -214,15 +215,10 @@ impl ClusterSim {
                         let step = self.step_time(job, &grant);
                         let work_ns = step.0.saturating_mul(u64::from(job.iterations));
                         for p in &grant.placements {
-                            let d = p.device;
-                            devices[d].reserved += p.prediction.peak_bytes;
-                            devices[d].tenants += 1;
-                            devices[d].peak_reserved =
-                                devices[d].peak_reserved.max(devices[d].reserved);
-                            devices[d].peak_tenants =
-                                devices[d].peak_tenants.max(devices[d].tenants);
+                            let (d, spec) = (p.device, &self.fleet().devices[p.device]);
+                            devices[d].admit(spec, p.prediction.peak_bytes);
                             debug_assert!(
-                                devices[d].reserved <= self.fleet.devices[d].dram_bytes,
+                                devices[d].reserved() <= spec.dram_bytes,
                                 "reservation exceeds device {d} DRAM"
                             );
                         }
@@ -275,7 +271,7 @@ impl ClusterSim {
                         );
                     }
                     None => {
-                        if feasible_on_idle_fleet(&self.profiler, &self.fleet, job) {
+                        if feasible_on_idle_fleet(&self.profiler, self.fleet(), job) {
                             still_pending.push(job_idx); // wait for capacity
                         } else {
                             let reason = self.reject_reason(job);
@@ -306,7 +302,7 @@ impl ClusterSim {
         }
 
         ClusterReport::assemble(
-            &self.fleet,
+            self.fleet(),
             self.placement,
             outcomes,
             trace,

@@ -30,7 +30,7 @@ fn admission_never_exceeds_device_capacity() {
         // Per-job: every replica's reservation fits its device's DRAM.
         for job in &report.jobs {
             for (d, r) in job.devices.iter().zip(&job.reservations) {
-                let cap = sim.fleet.devices[*d].dram_bytes;
+                let cap = sim.fleet().devices[*d].dram_bytes;
                 assert!(
                     *r <= cap,
                     "{placement:?}: job {} reserved {r} on device {d} of capacity {cap}",
@@ -40,7 +40,7 @@ fn admission_never_exceeds_device_capacity() {
         }
         // Per-device: the high-water mark of summed reservations fits DRAM.
         for (d, peak) in report.peak_reserved.iter().enumerate() {
-            let cap = sim.fleet.devices[d].dram_bytes;
+            let cap = sim.fleet().devices[d].dram_bytes;
             assert!(
                 *peak <= cap,
                 "{placement:?}: device {d} peaked at {peak} of {cap}"
@@ -294,7 +294,7 @@ fn simultaneous_completions_resolve_cleanly() {
     // All reservations were released: every device drained back to zero
     // (peak bookkeeping stayed within capacity throughout).
     for (d, peak) in report.peak_reserved.iter().enumerate() {
-        assert!(*peak <= sim.fleet.devices[d].dram_bytes);
+        assert!(*peak <= sim.fleet().devices[d].dram_bytes);
     }
 }
 
@@ -406,7 +406,7 @@ fn mixed_training_and_inference_streams_co_schedule() {
         assert!(job.completion.is_some() || job.rejected.is_some());
     }
     for (d, peak) in report.peak_reserved.iter().enumerate() {
-        assert!(*peak <= sim.fleet.devices[d].dram_bytes);
+        assert!(*peak <= sim.fleet().devices[d].dram_bytes);
     }
     let (again, _) = run();
     assert_eq!(report.schedule_fingerprint(), again.schedule_fingerprint());
