@@ -95,7 +95,7 @@ fn measure_point(
     };
     let o = run(cfg);
     let s = run(cfg.serialized());
-    let gplan = sn_runtime::compile_group_memo(&net, &spec, policy, &cfg).unwrap();
+    let gplan = sn_runtime::compile_group(&net, &spec, policy, &cfg).unwrap();
     DpRow {
         model,
         batch,

@@ -18,19 +18,22 @@
 //!    trace digest).
 //! 4. **Metrics consistency** — each search's feasibility evaluations equal
 //!    the plan-memo lookups it performed (`memo_lookups == evals`, per
-//!    run), and the `tune.*` registry counters advance by exactly the sum
-//!    over all runs. The registry snapshot is embedded in the artifact.
+//!    run), and so do the `tune.*` counters of the compiler it ran on.
+//!
+//! Every search runs on a [`Compiler`] of its own: both runs of a point
+//! start cold whatever ran before them, and the `tune.*` totals in the
+//! artifact — summed over those compilers — are this experiment's alone.
 //!
 //! Emits `BENCH_tune.json`; the searches' host time is its one `wall`
 //! entry.
 
 use sn_graph::Net;
 use sn_models as models;
-use sn_runtime::tune::{search, SearchOutcome, TuneConfig};
-use sn_runtime::{plan, Interconnect};
+use sn_runtime::tune::{search_in, SearchOutcome, TuneConfig};
+use sn_runtime::{Compiler, Interconnect};
 use sn_sim::spec::GB;
 use sn_sim::DeviceSpec;
-use sn_telemetry::Json;
+use sn_telemetry::{Json, MetricsSnapshot};
 
 use crate::record::BenchRecord;
 use crate::table::TextTable;
@@ -109,10 +112,12 @@ fn matrix(quick: bool) -> Vec<Point> {
 pub struct TunePoint {
     pub label: String,
     pub replicas: usize,
-    /// The multi-worker search (workers = hardware parallelism).
+    /// The search on two workers.
     pub outcome: SearchOutcome,
     /// Same seed, workers pinned to 1 — must reproduce `outcome` exactly.
     pub rerun: SearchOutcome,
+    /// The registries of the two fresh compilers those ran on, in that order.
+    pub metrics: [MetricsSnapshot; 2],
 }
 
 impl TunePoint {
@@ -134,19 +139,22 @@ impl TunePoint {
     }
 
     /// Every feasibility evaluation is exactly one plan-memo lookup, in
-    /// both runs.
+    /// both runs, by the search's count and by its compiler's.
     pub fn metrics_consistent(&self) -> bool {
-        self.outcome.memo_lookups == self.outcome.tuned.evals
-            && self.rerun.memo_lookups == self.rerun.tuned.evals
+        [&self.outcome, &self.rerun]
+            .iter()
+            .zip(&self.metrics)
+            .all(|(run, counted)| {
+                let evals = Some(run.tuned.evals);
+                run.memo_lookups == run.tuned.evals
+                    && counted.counter("tune.evals") == evals
+                    && counted.counter("tune.memo_lookups") == evals
+            })
     }
 }
 
 pub struct TuneReport {
     pub points: Vec<TunePoint>,
-    /// `tune.evals` registry counter delta across the whole experiment.
-    pub evals_delta: u64,
-    /// `tune.memo_lookups` registry counter delta across the experiment.
-    pub lookups_delta: u64,
     /// Strict wins required for `tuned_no_worse` (3, capped by matrix size
     /// in quick mode).
     pub strict_required: usize,
@@ -173,17 +181,15 @@ impl TuneReport {
         self.points.iter().all(|p| p.deterministic())
     }
 
-    /// Gate 4: per-run `memo_lookups == evals`, and the registry counters
-    /// advanced by exactly the evaluations these searches performed.
+    /// Gate 4: per run, `memo_lookups == evals` and the run's compiler
+    /// counted exactly those.
     pub fn metrics_consistent(&self) -> bool {
-        let spent: u64 = self
-            .points
-            .iter()
-            .map(|p| p.outcome.tuned.evals + p.rerun.tuned.evals)
-            .sum();
         self.points.iter().all(|p| p.metrics_consistent())
-            && self.evals_delta == spent
-            && self.lookups_delta == spent
+    }
+
+    /// Every run's compiler registry.
+    fn registries(&self) -> impl Iterator<Item = &MetricsSnapshot> {
+        self.points.iter().flat_map(|p| &p.metrics)
     }
 }
 
@@ -211,32 +217,30 @@ pub fn measure(quick: bool) -> TuneReport {
     let samples = if quick { 10 } else { 24 };
     let pts = matrix(quick);
     let strict_required = 3.min(pts.len().saturating_sub(1)).max(1);
-    let before = sn_telemetry::global().snapshot();
     let mut points = Vec::new();
     for (i, pt) in pts.into_iter().enumerate() {
         let cfg = TuneConfig::new(pt.replicas, pt.interconnect)
             .with_seed(0xB0_5EED ^ (i as u64))
             .with_samples(samples);
-        // Both runs start from a cold plan memo, so each performs the same
+        // A fresh compiler a search: each starts cold and performs the same
         // lookups whatever ran before it.
-        plan::clear_plan_memo();
-        let outcome =
-            search(&pt.net, &pt.spec, &cfg.with_workers(2)).expect("matrix point must tune");
-        plan::clear_plan_memo();
-        let rerun = search(&pt.net, &pt.spec, &cfg.with_workers(1)).expect("rerun must tune");
+        let run = |workers| {
+            let compiler = Compiler::new();
+            let outcome = search_in(&compiler, &pt.net, &pt.spec, &cfg.with_workers(workers))
+                .expect("matrix point must tune");
+            (outcome, compiler.metrics().snapshot())
+        };
+        let ((outcome, first), (rerun, second)) = (run(2), run(1));
         points.push(TunePoint {
             label: pt.label,
             replicas: pt.replicas,
             outcome,
             rerun,
+            metrics: [first, second],
         });
     }
-    let after = sn_telemetry::global().snapshot();
-    let delta = |name: &str| after.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0);
     TuneReport {
         points,
-        evals_delta: delta("tune.evals"),
-        lookups_delta: delta("tune.memo_lookups"),
         strict_required,
     }
 }
@@ -308,14 +312,15 @@ pub fn tune(quick: bool) -> String {
             .with("deterministic", p.deterministic())
             .with("metrics_consistent", p.metrics_consistent())
     });
-    let metrics = sn_telemetry::global().snapshot();
-    let snap = |n: &str| metrics.counter(n).unwrap_or(0);
-    let wall = metrics.histogram("tune.search_wall_ns").map(|h| {
-        Json::object()
-            .with("count", h.count)
-            .with("sum", h.sum)
-            .with("mean", h.mean())
-    });
+    let snap = |n: &str| r.registries().filter_map(|m| m.counter(n)).sum::<u64>();
+    let (count, sum) = r
+        .registries()
+        .filter_map(|m| m.histogram("tune.search_wall_ns"))
+        .fold((0, 0), |(c, s), h| (c + h.count, s + h.sum));
+    let wall = Json::object()
+        .with("count", count)
+        .with("sum", sum)
+        .with("mean", sum as f64 / count.max(1) as f64);
     let record = BenchRecord {
         experiment: "tune",
         quick,
@@ -336,9 +341,7 @@ pub fn tune(quick: bool) -> String {
                     .with("tune.evals", snap("tune.evals"))
                     .with("tune.pruned", snap("tune.pruned"))
                     .with("tune.memo_hits", snap("tune.memo_hits"))
-                    .with("tune.memo_lookups", snap("tune.memo_lookups"))
-                    .with("evals_delta", r.evals_delta)
-                    .with("lookups_delta", r.lookups_delta),
+                    .with("tune.memo_lookups", snap("tune.memo_lookups")),
             ),
         wall: Json::object().with("tune.search_wall_ns", wall),
     };
@@ -363,9 +366,7 @@ mod tests {
         assert!(r.search_deterministic(), "worker count changed a search");
         assert!(
             r.metrics_consistent(),
-            "evals {} / lookups {} registry deltas disagree with the searches",
-            r.evals_delta,
-            r.lookups_delta
+            "a compiler's tune.* counters disagree with its search"
         );
     }
 }

@@ -25,7 +25,7 @@
 //! not reserved — a deployment sizing real NCCL-style ring buffers would
 //! add that fixed figure to each gang replica's reservation.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use fxhash::FxHashMap;
 use sn_runtime::{
@@ -83,7 +83,13 @@ pub struct Profiler {
     gang: Mutex<FxHashMap<GangKey, Option<SimTime>>>,
 }
 
-const POISONED: &str = "a profiler compile panicked while holding its cache";
+/// Lock one of the profiler's maps, poisoned or not: a prediction is
+/// compiled before the lock is taken and only `Copy` keys and values cross
+/// it, so a map a dying thread held is still consistent — and one rung's
+/// panic must not fail every later admission.
+fn lock<T>(map: &Mutex<T>) -> MutexGuard<'_, T> {
+    map.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 impl Profiler {
     pub fn new() -> Profiler {
@@ -111,7 +117,7 @@ impl Profiler {
             card: spec.card_fingerprint(),
             cap: budget,
         };
-        if let Some(hit) = self.cache.lock().expect(POISONED).get(&key) {
+        if let Some(hit) = lock(&self.cache).get(&key) {
             return *hit;
         }
         self.compile(key, spec)
@@ -124,13 +130,10 @@ impl Profiler {
         let net = key.workload.build(key.batch);
         let policy = key.preset.policy();
         let result = match key.kind {
-            // The planner's pool is carved in 1 KB blocks and asserts it
-            // holds one: a smaller cap fits nothing, and is not compiled.
-            _ if key.cap < 1024 => None,
             JobKind::Training => plan_prediction(&net, &capped, policy).ok(),
             JobKind::Inference => plan_prediction_inference(&net, &capped, policy).ok(),
         };
-        self.cache.lock().expect(POISONED).insert(key, result);
+        lock(&self.cache).insert(key, result);
         result
     }
 
@@ -217,7 +220,7 @@ impl Profiler {
             ic_gbps_bits: interconnect.gbps.to_bits(),
             ic_latency_ns: interconnect.latency.0,
         };
-        if let Some(hit) = self.gang.lock().expect(POISONED).get(&key) {
+        if let Some(hit) = lock(&self.gang).get(&key) {
             return *hit;
         }
         let net = workload.build(batch);
@@ -233,18 +236,18 @@ impl Profiler {
                 debug_assert!(warm.peaks_match, "gang replica diverged from its plan");
                 Some(warm.step_time)
             });
-        self.gang.lock().expect(POISONED).insert(key, result);
+        lock(&self.gang).insert(key, result);
         result
     }
 
     /// Number of distinct predictions compiled so far.
     pub fn simulated(&self) -> usize {
-        self.cache.lock().expect(POISONED).len()
+        lock(&self.cache).len()
     }
 
     /// Number of distinct gang step measurements executed so far.
     pub fn gangs_measured(&self) -> usize {
-        self.gang.lock().expect(POISONED).len()
+        lock(&self.gang).len()
     }
 }
 
@@ -439,6 +442,45 @@ mod tests {
     }
 
     #[test]
+    fn a_panic_under_the_cache_lock_does_not_fail_later_profiles() {
+        let p = Profiler::new();
+        let w = Workload::Synthetic { width: 8, depth: 2 };
+        let spec = DeviceSpec::k40c();
+        let before = p.profile(w, 8, PolicyPreset::Superneurons, &spec, spec.dram_bytes);
+        let died = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = (p.cache.lock(), p.gang.lock());
+                panic!("poisoning the profiler's locks on purpose");
+            })
+            .join()
+        });
+        assert!(died.is_err() && p.cache.is_poisoned() && p.gang.is_poisoned());
+        // A hit, a miss, and a gang measurement, all behind poisoned locks.
+        let again = p.profile(w, 8, PolicyPreset::Superneurons, &spec, spec.dram_bytes);
+        assert_eq!(again, before);
+        assert!(p
+            .profile_kind(
+                w,
+                8,
+                PolicyPreset::Baseline,
+                JobKind::Inference,
+                &spec,
+                spec.dram_bytes
+            )
+            .is_some());
+        let step = p.gang_step_time(
+            w,
+            8,
+            PolicyPreset::Superneurons,
+            2,
+            &spec,
+            Interconnect::pcie(),
+        );
+        assert!(step.is_some());
+        assert_eq!((p.simulated(), p.gangs_measured()), (2, 1));
+    }
+
+    #[test]
     fn prediction_respects_budget() {
         let p = Profiler::new();
         let w = Workload::Synthetic {
@@ -456,7 +498,7 @@ mod tests {
         if let Some(tight) = p.profile(w, 32, PolicyPreset::Superneurons, &spec, budget) {
             assert!(tight.peak_bytes <= budget);
         }
-        // Under one block of the planner's pool: refused, not a panic.
+        // Under one block of the planner's pool: an OOM, not a panic.
         assert_eq!(
             p.profile(w, 32, PolicyPreset::Superneurons, &spec, 1023),
             None

@@ -25,16 +25,16 @@
 //!   compute. The ablation mode ([`GroupConfig::serialized`]) launches the
 //!   same buckets back-to-back at iteration end — the classic no-overlap
 //!   baseline every data-parallel paper compares against.
-//! * **[`compile_group_memo`]** memoizes group compilations under the plan
-//!   memo's key extended with `(replicas, bucket size, interconnect)` —
-//!   replica counts can never alias because the count is part of the key.
+//! * **[`compile_group`]** memoizes nothing of its own: the replica compile
+//!   is the plan memo's, and the bucket walk over it is O(steps) in front of
+//!   building `k` interpreters.
 //!
 //! Bucket wire volume is pinned to the closed form: the per-bucket charges
 //! come from [`crate::parallel::bucket_wire_bytes`], whose telescoping sum
 //! equals [`crate::parallel::ring_allreduce_wire_bytes`] of the total
 //! gradient payload exactly, for every bucket split and replica count.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use sn_graph::{LayerId, Net, StepPhase};
 use sn_sim::{
@@ -43,9 +43,8 @@ use sn_sim::{
 use sn_telemetry::MetricsRegistry;
 
 use crate::executor::{finite_rate, ExecError, Executor, IterationReport};
-use crate::memo::SharedMemo;
 use crate::parallel::{bucket_wire_bytes, ring_wire_time, Interconnect};
-use crate::plan::{self, CompiledPlan, MemoryPlan, PlanKey, PlanOp};
+use crate::plan::{CompiledPlan, Compiler, MemoryPlan, PlanOp};
 use crate::policy::Policy;
 
 /// Default gradient bucket target: large enough to amortize ring latencies,
@@ -189,16 +188,28 @@ impl GroupPlan {
     }
 }
 
-/// Compile a device-group plan: the replica plan through the plan memo, the
-/// collective schedule from the shared route/cost analyses.
+/// Compile a device-group plan: the replica plan through the shared
+/// compiler's plan memo, the collective schedule from its route/cost
+/// analyses.
 pub fn compile_group(
     net: &Net,
     spec: &DeviceSpec,
     policy: Policy,
     cfg: &GroupConfig,
 ) -> Result<GroupPlan, ExecError> {
+    compile_group_in(Compiler::shared(), net, spec, policy, cfg)
+}
+
+/// [`compile_group`] with the replica plan from `compiler`'s memo.
+pub(crate) fn compile_group_in(
+    compiler: &Compiler,
+    net: &Net,
+    spec: &DeviceSpec,
+    policy: Policy,
+    cfg: &GroupConfig,
+) -> Result<GroupPlan, ExecError> {
     assert!(cfg.replicas >= 1, "a group needs at least one replica");
-    let replica = plan::compile_memo(net, spec, policy)?;
+    let replica = compiler.compile(net, spec, policy, false).0?;
     Ok(build_group_plan(replica, cfg))
 }
 
@@ -263,71 +274,6 @@ fn build_group_plan(replica: Arc<CompiledPlan>, cfg: &GroupConfig) -> GroupPlan 
         schedule,
         comm_workspace_bytes,
     }
-}
-
-// ---------------------------------------------------------------------
-// Group memo: plan key × (replicas, bucket size, interconnect).
-// ---------------------------------------------------------------------
-
-/// Everything a group compilation depends on. `replicas` is part of the key,
-/// so distinct gang sizes can never alias (asserted by tests); the overlap
-/// flag is deliberately *not* — it is an execution mode, the plan is shared
-/// by both modes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct GroupKey {
-    plan: PlanKey,
-    replicas: usize,
-    bucket_bytes: u64,
-    ic_gbps_bits: u64,
-    ic_latency_ns: u64,
-}
-
-/// Entry cap of the group memo. Same overflow policy as the plan memo:
-/// group plans are recomputable, so at the cap each new one displaces the
-/// least-recently-used one and the rest stay hits.
-pub const GROUP_MEMO_CAP: usize = 1024;
-
-static GROUP_MEMO: SharedMemo<GroupKey, Result<Arc<GroupPlan>, ExecError>> =
-    SharedMemo::new(GROUP_MEMO_CAP);
-
-/// [`compile_group`] through the group memo; repeated gang admissions for
-/// the same `(net, policy, device, replicas, fabric)` tuple are a hash
-/// lookup. OOM outcomes are memoized like the plan memo's.
-pub fn compile_group_memo(
-    net: &Net,
-    spec: &DeviceSpec,
-    policy: Policy,
-    cfg: &GroupConfig,
-) -> Result<Arc<GroupPlan>, ExecError> {
-    assert!(cfg.replicas >= 1, "a group needs at least one replica");
-    let key = GroupKey {
-        plan: PlanKey::new(net, spec, policy, false),
-        replicas: cfg.replicas,
-        bucket_bytes: cfg.bucket_bytes,
-        ic_gbps_bits: cfg.interconnect.gbps.to_bits(),
-        ic_latency_ns: cfg.interconnect.latency.0,
-    };
-    if let Some(hit) = GROUP_MEMO.get(&key) {
-        group_memo_metrics().0.inc();
-        return hit;
-    }
-    group_memo_metrics().1.inc();
-    let result = compile_group(net, spec, policy, cfg).map(Arc::new);
-    GROUP_MEMO.insert(key, result.clone());
-    result
-}
-
-/// `group.memo.{hit,miss}` counters on the process-wide registry —
-/// monotone like the memo itself, mirroring `plan.memo.{hit,miss}`.
-fn group_memo_metrics() -> &'static (sn_telemetry::Counter, sn_telemetry::Counter) {
-    static HANDLES: OnceLock<(sn_telemetry::Counter, sn_telemetry::Counter)> = OnceLock::new();
-    HANDLES.get_or_init(|| {
-        let reg = sn_telemetry::global();
-        (
-            reg.counter("group.memo.hit"),
-            reg.counter("group.memo.miss"),
-        )
-    })
 }
 
 // ---------------------------------------------------------------------
@@ -414,15 +360,15 @@ impl DeviceGroup for GroupExecutor<'_> {
 }
 
 impl<'n> GroupExecutor<'n> {
-    /// Compile (through the group memo) and build the gang's interpreters;
-    /// allocates every replica's weights.
+    /// Compile and build the gang's interpreters; allocates every
+    /// replica's weights.
     pub fn new(
         net: &'n Net,
         spec: DeviceSpec,
         policy: Policy,
         cfg: GroupConfig,
     ) -> Result<GroupExecutor<'n>, ExecError> {
-        let gplan = compile_group_memo(net, &spec, policy, &cfg)?;
+        let gplan = Arc::new(compile_group(net, &spec, policy, &cfg)?);
         GroupExecutor::from_plan(net, spec, policy, gplan, cfg.overlap)
     }
 
@@ -776,25 +722,47 @@ mod tests {
     }
 
     #[test]
-    fn group_memo_never_aliases_replica_counts() {
+    fn group_plans_follow_the_gang_size_and_ignore_the_overlap_mode() {
         let net = stub(10);
         let spec = DeviceSpec::k40c();
-        let pol = Policy::superneurons();
-        let g2 = compile_group_memo(&net, &spec, pol, &cfg(2)).unwrap();
-        let g4 = compile_group_memo(&net, &spec, pol, &cfg(4)).unwrap();
-        assert!(
-            !Arc::ptr_eq(&g2, &g4),
-            "k=2 and k=4 must not share an entry"
-        );
-        assert_ne!(g2.wire_bytes(), g4.wire_bytes());
-        // Re-asking is a hash lookup onto the same Arc.
-        let g2b = compile_group_memo(&net, &spec, pol, &cfg(2)).unwrap();
-        assert!(Arc::ptr_eq(&g2, &g2b));
+        let c = Compiler::new();
+        let plan = |cfg: GroupConfig| {
+            compile_group_in(&c, &net, &spec, Policy::superneurons(), &cfg).unwrap()
+        };
+        let (g2, g4) = (plan(cfg(2)), plan(cfg(4)));
+        for (k, g) in [(2, &g2), (4, &g4)] {
+            let text = g.render(&net);
+            assert!(text.starts_with(&format!("GroupPlan k={k} buckets=")));
+            assert_eq!(text.matches("\n  coll  ").count(), g.buckets.len());
+            // The overlap flag is an execution mode, not a plan property.
+            let serial = plan(cfg(k).serialized());
+            assert_eq!(serial.render(&net), text);
+            assert_eq!(serial.schedule, g.schedule);
+        }
+        // Same payload in the same buckets; what a replica puts on the wire
+        // grows with the ring.
+        assert_eq!(g2.schedule, g4.schedule);
+        assert_eq!(g2.grad_bytes(), g4.grad_bytes());
+        assert!(g2.wire_bytes() < g4.wire_bytes());
         // Both gangs share the *replica* compilation (same plan-memo Arc).
         assert!(Arc::ptr_eq(&g2.replica, &g4.replica));
-        // The overlap flag is an execution mode, not a plan property.
-        let g2s = compile_group_memo(&net, &spec, pol, &cfg(2).serialized()).unwrap();
-        assert!(Arc::ptr_eq(&g2, &g2s));
+    }
+
+    #[test]
+    fn a_gang_built_on_a_cleared_compiler_compiles_its_replica_once() {
+        // No cache sits in front of the plan memo: `clear_all` makes the
+        // next gang's replica compile cold, and only that one.
+        let net = stub(8);
+        let spec = DeviceSpec::k40c();
+        let c = Compiler::new();
+        let build = || compile_group_in(&c, &net, &spec, Policy::superneurons(), &cfg(2)).unwrap();
+        build();
+        c.clear_all();
+        assert_eq!((c.stats().hits, c.stats().misses), (0, 0));
+        build();
+        assert_eq!((c.stats().hits, c.stats().misses), (0, 1));
+        build();
+        assert_eq!((c.stats().hits, c.stats().misses), (1, 1));
     }
 
     #[test]

@@ -60,13 +60,12 @@ pub use convalgo::{select_algo, AlgoChoice, ConvAlgo};
 pub use device::{AllocatorImpl, Device};
 pub use executor::{ComputeBackend, Counters, ExecError, Executor, IterationReport};
 pub use group::{
-    compile_group, compile_group_memo, GradBucket, GroupConfig, GroupExecutor,
-    GroupIterationReport, GroupPlan,
+    compile_group, GradBucket, GroupConfig, GroupExecutor, GroupIterationReport, GroupPlan,
 };
 pub use parallel::{
     bucket_wire_bytes, ring_allreduce_time, ring_allreduce_wire_bytes, ring_wire_time, Interconnect,
 };
-pub use plan::{CompiledPlan, MemoryPlan, PlanOp, StepPlan, WorkspacePlan};
+pub use plan::{CompiledPlan, Compiler, MemoryPlan, PlanOp, StepPlan, WorkspacePlan};
 pub use policy::{AllocatorKind, CachePolicy, Policy, RecomputeMode, WorkspacePolicy};
 pub use recompute::{RecomputePlan, Segment, SegmentStrategy};
 pub use session::{

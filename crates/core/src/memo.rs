@@ -9,8 +9,8 @@
 //!
 //! An [`LruMemo`] at its cap evicts exactly the least-recently-used entry,
 //! so an overflow costs one recomputable value instead of the whole hot set.
-//! [`SharedMemo`] is the form the process-wide caches take: the memo behind
-//! a poison-tolerant lock that nothing is computed or dropped under.
+//! [`SharedMemo`] is the form a [`crate::Compiler`]'s caches take: the memo
+//! behind a poison-tolerant lock that nothing is computed or dropped under.
 
 use std::hash::Hash;
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -229,7 +229,7 @@ impl<K: Copy + Eq + Hash, V> LruMemo<K, V> {
     }
 }
 
-/// An [`LruMemo`] behind a mutex: what a process-wide compile cache is.
+/// An [`LruMemo`] behind a mutex: what a compile cache shared by threads is.
 /// Two disciplines live here instead of at every call site:
 ///
 /// * values are cloned out and displaced ones dropped **after** the lock is
@@ -242,8 +242,8 @@ impl<K: Copy + Eq + Hash, V> LruMemo<K, V> {
 pub(crate) struct SharedMemo<K, V>(Mutex<LruMemo<K, V>>);
 
 impl<K: Copy + Eq + Hash, V: Clone> SharedMemo<K, V> {
-    /// An empty memo; `const` so a cache can be a plain `static`.
-    pub(crate) const fn new(cap: usize) -> SharedMemo<K, V> {
+    /// An empty memo.
+    pub(crate) fn new(cap: usize) -> SharedMemo<K, V> {
         SharedMemo(Mutex::new(LruMemo::new(cap)))
     }
 

@@ -34,8 +34,8 @@
 //!   `RecomputePlan` depend only on `(net, liveness options, recompute
 //!   mode)`, not on the device; they are cached by [`Net::fingerprint`] and
 //!   shared via `Arc` across the policy ladder and across devices.
-//! * **Plan memo** — [`compile_memo`] caches whole compilations under a
-//!   `(net fingerprint, policy, card)` key and returns a shared
+//! * **Plan memo** — [`Compiler::compile`] caches whole compilations under
+//!   a `(net fingerprint, policy, card)` key and returns a shared
 //!   `Arc<CompiledPlan>`. A plan the device cap did not shape answers every
 //!   cap from [`CompiledPlan::valid_caps`]' start upward, so an admission
 //!   ladder or capacity search that re-asks one net at many budgets pays one
@@ -43,8 +43,11 @@
 //!   included) are memoized for that cap alone. The memo holds at most
 //!   [`PLAN_MEMO_CAP`] entries and at the cap forgets only the
 //!   least-recently-used one, so the hot set survives a long sweep.
-//!   [`plan_memo_stats`] exposes hit/miss counters; [`clear_plan_memo`]
-//!   empties it (bench support).
+//!
+//! Both caches, the memo's hit/miss pair and the registry that pair is read
+//! from belong to a [`Compiler`] value; nothing here is process-global but
+//! [`Compiler::shared`], which [`compile_memo`], [`plan_memo_stats`],
+//! [`clear_plan_memo`] and the rest of the free functions call.
 //!
 //! None of this changes a single planned byte: the `plan` bench experiment
 //! still asserts plan peaks equal executed peaks across the preset × model
@@ -76,6 +79,7 @@ use std::sync::{Arc, OnceLock};
 use sn_graph::liveness::{LivenessOptions, LivenessPlan, TensorId, TensorRole};
 use sn_graph::{LayerId, Net, NetCost, Route, StepPhase};
 use sn_sim::{AllocGrant, DeviceAllocator, DeviceSpec, SimTime};
+use sn_telemetry::{Counter, MetricsRegistry};
 
 use crate::convalgo::{self, AlgoChoice};
 use crate::device::Device;
@@ -84,6 +88,7 @@ use crate::memo::SharedMemo;
 use crate::policy::{Policy, RecomputeMode, WorkspacePolicy};
 use crate::recompute::{RecomputePlan, SegmentStrategy};
 use crate::tiers::Tier;
+use crate::tune::TuneMetrics;
 use crate::utp::{Residence, Utp};
 
 /// One residency instruction. A step's ops execute strictly in order: `pre`
@@ -364,23 +369,6 @@ type AnalysisKey = ((u64, u64), bool, LivenessOptions, RecomputeMode);
 /// bundle is forgotten (and re-derived if asked for again).
 pub const ANALYSIS_CACHE_CAP: usize = 512;
 
-static ANALYSIS_CACHE: SharedMemo<AnalysisKey, Analyses> = SharedMemo::new(ANALYSIS_CACHE_CAP);
-
-/// The planner-facing inputs derived from the graph alone. `effective_*`
-/// mirror [`compile`]'s inference adjustments, so the cache key is exactly
-/// what the analyses depend on.
-fn analyses_for(net: &Net, policy: Policy, inference: bool) -> Analyses {
-    let options = effective_liveness_options(policy, inference);
-    let rmode = effective_recompute_mode(policy, inference);
-    let key = (net.fingerprint(), inference, options, rmode);
-    if let Some(hit) = ANALYSIS_CACHE.get(&key) {
-        return hit;
-    }
-    let a = build_analyses(net, options, rmode, inference);
-    ANALYSIS_CACHE.insert(key, a.clone());
-    a
-}
-
 fn build_analyses(
     net: &Net,
     options: LivenessOptions,
@@ -448,9 +436,9 @@ fn effective_recompute_mode(policy: Policy, inference: bool) -> RecomputeMode {
 /// equal — and it lives under `dram: None`, answering every cap in its
 /// [`CompiledPlan::valid_caps`]. An outcome the cap did shape (an eviction,
 /// a squeezed workspace, an OOM) lives under `Some(cap)` and is never served
-/// for another cap. Group and tune keys always carry the exact cap.
+/// for another cap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct PlanKey {
+struct PlanKey {
     fp: (u64, u64),
     inference: bool,
     policy: Policy,
@@ -459,7 +447,7 @@ pub(crate) struct PlanKey {
 }
 
 impl PlanKey {
-    pub(crate) fn new(net: &Net, spec: &DeviceSpec, policy: Policy, inference: bool) -> PlanKey {
+    fn new(net: &Net, spec: &DeviceSpec, policy: Policy, inference: bool) -> PlanKey {
         PlanKey {
             fp: net.fingerprint(),
             inference,
@@ -481,13 +469,8 @@ impl PlanKey {
 /// definition); everything asked for more recently stays a hit.
 pub const PLAN_MEMO_CAP: usize = 4096;
 
-static PLAN_MEMO: SharedMemo<PlanKey, Result<Arc<CompiledPlan>, ExecError>> =
-    SharedMemo::new(PLAN_MEMO_CAP);
-static MEMO_HITS: AtomicU64 = AtomicU64::new(0);
-static MEMO_MISSES: AtomicU64 = AtomicU64::new(0);
-
-/// Plan-memo effectiveness counters (process-wide, reset by
-/// [`clear_plan_memo`]).
+/// Plan-memo effectiveness counters of one [`Compiler`], since its last
+/// [`Compiler::clear_plans`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoStats {
     pub hits: u64,
@@ -495,104 +478,200 @@ pub struct MemoStats {
     pub entries: usize,
 }
 
-/// Current hit/miss/entry counts of the plan memo.
+// ---------------------------------------------------------------------
+// The compiler: everything the runtime remembers, in one value.
+// ---------------------------------------------------------------------
+
+/// What the runtime remembers between compiles, with one owner: the
+/// analysis cache, the plan memo, the memo's hit/miss pair, and the
+/// [`MetricsRegistry`] on which that pair (`plan.memo.*`) and the
+/// autotuner's `tune.*` series are registered at construction. Two
+/// compilers share nothing, so a test, a tuner search or a tenant that
+/// builds its own starts cold and reads counts that are its own.
+/// [`Compiler::shared`] is the one this crate's free functions go through.
+#[derive(Debug)]
+pub struct Compiler {
+    analyses: SharedMemo<AnalysisKey, Analyses>,
+    plans: SharedMemo<PlanKey, Result<Arc<CompiledPlan>, ExecError>>,
+    /// `plan.memo.hit` and `plan.memo.miss`: monotone, one relaxed
+    /// increment a lookup.
+    hits: Counter,
+    misses: Counter,
+    /// `(hits, misses)` as they stood at the last [`Compiler::clear_plans`].
+    at_clear: (AtomicU64, AtomicU64),
+    metrics: MetricsRegistry,
+    pub(crate) tune: TuneMetrics,
+}
+
+impl Default for Compiler {
+    fn default() -> Compiler {
+        Compiler::new()
+    }
+}
+
+impl Compiler {
+    /// A compiler that remembers nothing yet.
+    pub fn new() -> Compiler {
+        let metrics = MetricsRegistry::new();
+        Compiler {
+            analyses: SharedMemo::new(ANALYSIS_CACHE_CAP),
+            plans: SharedMemo::new(PLAN_MEMO_CAP),
+            hits: metrics.counter("plan.memo.hit"),
+            misses: metrics.counter("plan.memo.miss"),
+            at_clear: (AtomicU64::new(0), AtomicU64::new(0)),
+            tune: TuneMetrics::register(&metrics),
+            metrics,
+        }
+    }
+
+    /// The process's compiler: what [`compile_memo`], [`crate::session::feasible`],
+    /// [`crate::tune::search`] and the other free functions of this crate
+    /// remember into. The only `static` of this crate besides the
+    /// tuned-policy registry.
+    pub fn shared() -> &'static Compiler {
+        static SHARED: OnceLock<Compiler> = OnceLock::new();
+        SHARED.get_or_init(Compiler::new)
+    }
+
+    /// Compile through the plan memo — a training plan, or with `inference`
+    /// a forward-only one — and say whether the memo answered. A repeated
+    /// `(net, policy, card)`, at the same cap or at any other cap the
+    /// memoized plan is valid for (the common case in admission ladders and
+    /// feasibility binary searches), returns the shared `Arc` instead of
+    /// recompiling. OOM outcomes are memoized too: a job that does not fit a
+    /// budget still does not fit it the next time the ladder asks.
+    pub fn compile(
+        &self,
+        net: &Net,
+        spec: &DeviceSpec,
+        policy: Policy,
+        inference: bool,
+    ) -> (Result<Arc<CompiledPlan>, ExecError>, bool) {
+        let key = PlanKey::new(net, spec, policy, inference);
+        // The open-ended plan first — one probe answers every cap that does not
+        // bind — then the outcome pinned to this exact cap.
+        let hit = match self.plans.get(&key.open()) {
+            Some(Ok(open)) if open.valid_caps.contains(&spec.dram_bytes) => Some(Ok(open)),
+            _ => self.plans.get(&key),
+        };
+        if let Some(hit) = hit {
+            self.hits.inc();
+            return (hit, true);
+        }
+        self.misses.inc();
+        // Compile outside the lock: concurrent sweeps may duplicate a compile
+        // (both produce identical plans — last insert wins) but never block on
+        // each other's compilation.
+        let result = self
+            .compile_fresh(net, spec, policy, inference)
+            .map(Arc::new);
+        let slot = match &result {
+            Ok(plan) if *plan.valid_caps.end() == u64::MAX => key.open(),
+            _ => key,
+        };
+        self.plans.insert(slot, result.clone());
+        (result, false)
+    }
+
+    /// Always run the plan walk; only the graph analyses may come from
+    /// this compiler's cache.
+    fn compile_fresh(
+        &self,
+        net: &Net,
+        spec: &DeviceSpec,
+        policy: Policy,
+        inference: bool,
+    ) -> Result<CompiledPlan, ExecError> {
+        // The `effective_*` adjustments make the cache key exactly what the
+        // analyses depend on.
+        let options = effective_liveness_options(policy, inference);
+        let rmode = effective_recompute_mode(policy, inference);
+        let key = (net.fingerprint(), inference, options, rmode);
+        let a = self.analyses.get(&key).unwrap_or_else(|| {
+            let a = build_analyses(net, options, rmode, inference);
+            self.analyses.insert(key, a.clone());
+            a
+        });
+        let (plan, valid_caps) = plan_with(net, spec, policy, &a, inference)?;
+        Ok(CompiledPlan {
+            route: a.route,
+            cost: a.cost,
+            liveness: a.liveness,
+            rplan: a.rplan,
+            plan: Arc::new(plan),
+            valid_caps,
+        })
+    }
+
+    /// Hits and misses since the last [`Compiler::clear_plans`], and the
+    /// memo's current entry count.
+    pub fn stats(&self) -> MemoStats {
+        let since = |now: &Counter, then: &AtomicU64| {
+            now.get().saturating_sub(then.load(Ordering::Relaxed))
+        };
+        MemoStats {
+            hits: since(&self.hits, &self.at_clear.0),
+            misses: since(&self.misses, &self.at_clear.1),
+            entries: self.plans.len(),
+        }
+    }
+
+    /// Drop every memoized plan and restart [`Compiler::stats`] from zero;
+    /// the analysis bundles stay warm (a memo-cold, analyses-warm compile is
+    /// the steady-state admission regime). Measurement support — never
+    /// needed for correctness. The registry's `plan.memo.*` stay monotone.
+    pub fn clear_plans(&self) {
+        self.plans.clear();
+        self.at_clear.0.store(self.hits.get(), Ordering::Relaxed);
+        self.at_clear.1.store(self.misses.get(), Ordering::Relaxed);
+    }
+
+    /// [`Compiler::clear_plans`] plus the analysis cache: the next compile
+    /// of any net pays the full route/cost/liveness/recompute derivation
+    /// again — the first-contact cold state.
+    pub fn clear_all(&self) {
+        self.clear_plans();
+        self.analyses.clear();
+    }
+
+    /// The registry carrying this compiler's `plan.memo.*` and `tune.*`.
+    pub fn metrics(&self) -> &MetricsRegistry {
+        &self.metrics
+    }
+}
+
+/// [`Compiler::stats`] of the shared compiler.
 pub fn plan_memo_stats() -> MemoStats {
-    MemoStats {
-        hits: MEMO_HITS.load(Ordering::Relaxed),
-        misses: MEMO_MISSES.load(Ordering::Relaxed),
-        entries: PLAN_MEMO.len(),
-    }
+    Compiler::shared().stats()
 }
 
-/// Drop every memoized plan and zero the hit/miss counters; the shared
-/// analysis bundles stay warm. Benchmark support (measuring a memo-cold,
-/// analyses-warm compile — the steady-state admission regime) — never
-/// needed for correctness.
+/// [`Compiler::clear_plans`] on the shared compiler.
 pub fn clear_plan_memo() {
-    PLAN_MEMO.clear();
-    MEMO_HITS.store(0, Ordering::Relaxed);
-    MEMO_MISSES.store(0, Ordering::Relaxed);
+    Compiler::shared().clear_plans();
 }
 
-/// [`clear_plan_memo`] plus the shared analysis cache: the next compile of
-/// any net pays the full route/cost/liveness/recompute derivation again —
-/// the first-contact cold state.
+/// [`Compiler::clear_all`] on the shared compiler.
 pub fn clear_all_caches() {
-    clear_plan_memo();
-    ANALYSIS_CACHE.clear();
+    Compiler::shared().clear_all();
 }
 
-/// `(hit, miss)` counters of the process-wide metrics registry, mirroring
-/// `MEMO_HITS`/`MEMO_MISSES` so memo effectiveness shows up in metrics
-/// snapshots. Handles resolved once — the memo path pays two relaxed
-/// atomic increments, nothing more. The registry counters are monotone
-/// (never reset by [`clear_plan_memo`]): snapshot consumers difference
-/// them across a run.
-fn memo_metrics() -> &'static (sn_telemetry::Counter, sn_telemetry::Counter) {
-    static HANDLES: OnceLock<(sn_telemetry::Counter, sn_telemetry::Counter)> = OnceLock::new();
-    HANDLES.get_or_init(|| {
-        let reg = sn_telemetry::global();
-        (reg.counter("plan.memo.hit"), reg.counter("plan.memo.miss"))
-    })
-}
-
-/// A compile through the plan memo, reporting whether it was a memo hit.
-/// The global hit/miss counters are shared by every caller in the process,
-/// so anything that attributes lookups to itself (the autotuner's search
-/// statistics, tests) reads this per-call flag instead.
-pub(crate) fn compile_memo_traced(
-    net: &Net,
-    spec: &DeviceSpec,
-    policy: Policy,
-    inference: bool,
-) -> (Result<Arc<CompiledPlan>, ExecError>, bool) {
-    let key = PlanKey::new(net, spec, policy, inference);
-    // The open-ended plan first — one probe answers every cap that does not
-    // bind — then the outcome pinned to this exact cap.
-    let hit = match PLAN_MEMO.get(&key.open()) {
-        Some(Ok(open)) if open.valid_caps.contains(&spec.dram_bytes) => Some(Ok(open)),
-        _ => PLAN_MEMO.get(&key),
-    };
-    if let Some(hit) = hit {
-        MEMO_HITS.fetch_add(1, Ordering::Relaxed);
-        memo_metrics().0.inc();
-        return (hit, true);
-    }
-    MEMO_MISSES.fetch_add(1, Ordering::Relaxed);
-    memo_metrics().1.inc();
-    // Compile outside the lock: concurrent sweeps may duplicate a compile
-    // (both produce identical plans — last insert wins) but never block on
-    // each other's compilation.
-    let result = compile_inner(net, spec, policy, inference).map(Arc::new);
-    let slot = match &result {
-        Ok(plan) if *plan.valid_caps.end() == u64::MAX => key.open(),
-        _ => key,
-    };
-    PLAN_MEMO.insert(slot, result.clone());
-    (result, false)
-}
-
-/// [`compile`] through the plan memo: repeated compilations of the same
-/// `(net, policy, card)` — at the same cap or at any other cap the memoized
-/// plan is valid for, the common case in admission ladders and feasibility
-/// binary searches — return a shared `Arc` instead of recompiling. OOM
-/// outcomes are memoized too (a job that does not fit a budget still does
-/// not fit it the next time the ladder asks).
+/// [`compile`] through the shared compiler's plan memo — see
+/// [`Compiler::compile`].
 pub fn compile_memo(
     net: &Net,
     spec: &DeviceSpec,
     policy: Policy,
 ) -> Result<Arc<CompiledPlan>, ExecError> {
-    compile_memo_traced(net, spec, policy, false).0
+    Compiler::shared().compile(net, spec, policy, false).0
 }
 
-/// [`compile_inference`] through the plan memo.
+/// [`compile_inference`] through the shared compiler's plan memo.
 pub fn compile_inference_memo(
     net: &Net,
     spec: &DeviceSpec,
     policy: Policy,
 ) -> Result<Arc<CompiledPlan>, ExecError> {
-    compile_memo_traced(net, spec, policy, true).0
+    Compiler::shared().compile(net, spec, policy, true).0
 }
 
 // ---------------------------------------------------------------------
@@ -600,10 +679,10 @@ pub fn compile_inference_memo(
 // ---------------------------------------------------------------------
 
 /// Compile a training plan: one `2N`-step iteration. Always compiles (the
-/// graph analyses may still come from the shared cache); see
+/// graph analyses may still come from the shared compiler's cache); see
 /// [`compile_memo`] for the memoized form hot paths should prefer.
 pub fn compile(net: &Net, spec: &DeviceSpec, policy: Policy) -> Result<CompiledPlan, ExecError> {
-    compile_inner(net, spec, policy, false)
+    Compiler::shared().compile_fresh(net, spec, policy, false)
 }
 
 /// Compile a forward-only inference plan: `N` steps, outputs freed at their
@@ -613,7 +692,7 @@ pub fn compile_inference(
     spec: &DeviceSpec,
     policy: Policy,
 ) -> Result<CompiledPlan, ExecError> {
-    compile_inner(net, spec, policy, true)
+    Compiler::shared().compile_fresh(net, spec, policy, true)
 }
 
 /// Compile through the **reference implementation**: the pre-optimization
@@ -647,24 +726,6 @@ pub fn compile_reference(
         rplan: a.rplan,
         plan: Arc::new(plan),
         valid_caps: spec.dram_bytes..=spec.dram_bytes,
-    })
-}
-
-fn compile_inner(
-    net: &Net,
-    spec: &DeviceSpec,
-    policy: Policy,
-    inference: bool,
-) -> Result<CompiledPlan, ExecError> {
-    let a = analyses_for(net, policy, inference);
-    let (plan, valid_caps) = plan_with(net, spec, policy, &a, inference)?;
-    Ok(CompiledPlan {
-        route: a.route,
-        cost: a.cost,
-        liveness: a.liveness,
-        rplan: a.rplan,
-        plan: Arc::new(plan),
-        valid_caps,
     })
 }
 
@@ -1396,14 +1457,6 @@ mod tests {
     use super::*;
     use sn_graph::Shape4;
 
-    /// Serializes the tests that clear the process-global plan memo, so
-    /// they cannot evict each other's entries when the harness runs tests
-    /// on multiple threads.
-    fn memo_test_lock() -> &'static std::sync::Mutex<()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        &LOCK
-    }
-
     fn small_net(batch: usize) -> Net {
         let mut net = Net::new("plan-test", Shape4::new(batch, 3, 32, 32));
         let d = net.data();
@@ -1663,6 +1716,20 @@ mod tests {
     }
 
     #[test]
+    fn a_cap_under_one_pool_block_is_an_oom_on_both_walks() {
+        let net = small_net(8);
+        for cap in [0, 1023] {
+            let spec = DeviceSpec::k40c().with_dram(cap);
+            for policy in [Policy::baseline(), Policy::superneurons()] {
+                let fast = compile(&net, &spec, policy).unwrap_err();
+                let slow = compile_reference(&net, &spec, policy).unwrap_err();
+                assert!(matches!(fast, ExecError::Oom { .. }), "{fast}");
+                assert_eq!(fast.to_string(), slow.to_string());
+            }
+        }
+    }
+
+    #[test]
     fn replay_under_mru_keeps_its_target_at_126_kb() {
         // ROADMAP 1(a), first repro: POOL→ACT→ELTWISE→ACT→FC at batch 5.
         use crate::policy::CachePolicy;
@@ -1709,18 +1776,12 @@ mod tests {
 
     #[test]
     fn memo_returns_shared_plans_and_counts_hits() {
-        // Serialized against the other memo tests: they call
-        // clear_plan_memo(), which would evict entries between this test's
-        // paired lookups. (Other tests in the binary only *add* entries for
-        // their own keys, which cannot perturb the per-call hit flags
-        // asserted here.)
-        let _guard = memo_test_lock().lock().unwrap();
         let net = small_net(10);
         let spec = DeviceSpec::k40c();
         let policy = Policy::superneurons();
-        clear_plan_memo();
-        let (a, a_hit) = compile_memo_traced(&net, &spec, policy, false);
-        let (b, b_hit) = compile_memo_traced(&net, &spec, policy, false);
+        let memo = Compiler::new();
+        let (a, a_hit) = memo.compile(&net, &spec, policy, false);
+        let (b, b_hit) = memo.compile(&net, &spec, policy, false);
         let (a, b) = (a.unwrap(), b.unwrap());
         assert!(!a_hit, "first compile must be a miss");
         assert!(b_hit, "repeat compile must be a hit");
@@ -1731,29 +1792,29 @@ mod tests {
         let lo = *a.valid_caps.start();
         assert!(a.plan.peak_bytes <= lo && lo < spec.dram_bytes / 2);
         for cap in [spec.dram_bytes / 2, lo, u64::MAX] {
-            let (c, c_hit) = compile_memo_traced(&net, &spec.clone().with_dram(cap), policy, false);
+            let (c, c_hit) = memo.compile(&net, &spec.clone().with_dram(cap), policy, false);
             assert!(c_hit, "cap {cap} lies in {:?}", a.valid_caps);
             assert!(Arc::ptr_eq(&a, &c.unwrap()));
         }
         // One byte below the interval is a different question: a miss, a
         // compile of its own, and never the open entry — which stays put.
         let below = spec.clone().with_dram(lo - 1);
-        let (c, c_hit) = compile_memo_traced(&net, &below, policy, false);
+        let (c, c_hit) = memo.compile(&net, &below, policy, false);
         assert!(!c_hit, "a cap below the interval must compile");
         if let Ok(c) = &c {
             assert!(!Arc::ptr_eq(&a, c));
             assert_eq!(c.valid_caps, (lo - 1..=lo - 1), "the cap shaped this one");
         }
-        let (c2, c2_hit) = compile_memo_traced(&net, &below, policy, false);
+        let (c2, c2_hit) = memo.compile(&net, &below, policy, false);
         assert!(
             c2_hit,
             "the cap-bound outcome is memoized under its own cap"
         );
         assert_eq!(c.is_ok(), c2.is_ok());
-        let (again, again_hit) = compile_memo_traced(&net, &spec, policy, false);
+        let (again, again_hit) = memo.compile(&net, &spec, policy, false);
         assert!(again_hit && Arc::ptr_eq(&a, &again.unwrap()));
         // Inference and training never alias.
-        let (i, i_hit) = compile_memo_traced(&net, &spec, policy, true);
+        let (i, i_hit) = memo.compile(&net, &spec, policy, true);
         assert!(!i_hit);
         let i = i.unwrap();
         assert!(i.plan.inference && !a.plan.inference);
@@ -1761,7 +1822,7 @@ mod tests {
         // name, as a fingerprint.
         let mut renamed = spec.clone();
         renamed.name.push_str("-b");
-        let (_, renamed_hit) = compile_memo_traced(&net, &renamed, policy, false);
+        let (_, renamed_hit) = memo.compile(&net, &renamed, policy, false);
         assert!(
             !renamed_hit,
             "distinct device names must not share an entry"
@@ -1773,10 +1834,7 @@ mod tests {
         // One plan more than the cap, the hot key re-asked along the way:
         // the memo ends exactly full and the hot key is still the Arc it
         // started as. The plans are of structurally distinct nets — caps
-        // that do not bind would all share one entry. (Sibling tests may
-        // add entries of their own meanwhile — far fewer than a cap's worth
-        // between two touches.)
-        let _guard = memo_test_lock().lock().unwrap();
+        // that do not bind would all share one entry.
         let net_of = |i: usize| {
             let mut net = Net::new("overflow", Shape4::new(2, 1, 4, 4));
             let d = net.data();
@@ -1786,45 +1844,49 @@ mod tests {
         };
         let policy = Policy::liveness_only();
         let spec = DeviceSpec::k40c();
-        clear_plan_memo();
-        let hot = compile_memo(&net_of(0), &spec, policy).unwrap();
+        let memo = Compiler::new();
+        let hot = memo.compile(&net_of(0), &spec, policy, false).0.unwrap();
         for i in 1..=PLAN_MEMO_CAP {
-            let (_, hit) = compile_memo_traced(&net_of(i), &spec, policy, false);
+            let (_, hit) = memo.compile(&net_of(i), &spec, policy, false);
             assert!(!hit, "net {i} is a first contact");
             if i % 64 == 0 {
-                let (again, hit) = compile_memo_traced(&net_of(0), &spec, policy, false);
+                let (again, hit) = memo.compile(&net_of(0), &spec, policy, false);
                 assert!(hit && Arc::ptr_eq(&hot, &again.unwrap()));
             }
         }
-        assert_eq!(plan_memo_stats().entries, PLAN_MEMO_CAP);
-        let (again, hit) = compile_memo_traced(&net_of(0), &spec, policy, false);
+        assert_eq!(memo.stats().entries, PLAN_MEMO_CAP);
+        let (again, hit) = memo.compile(&net_of(0), &spec, policy, false);
         assert!(hit, "the hot key must survive the overflow");
         assert!(Arc::ptr_eq(&hot, &again.unwrap()));
         // What the overflow cost is the cold end, not the recent keys.
-        let (_, newest_hit) = compile_memo_traced(&net_of(PLAN_MEMO_CAP), &spec, policy, false);
-        let (_, oldest_hit) = compile_memo_traced(&net_of(1), &spec, policy, false);
+        let (_, newest_hit) = memo.compile(&net_of(PLAN_MEMO_CAP), &spec, policy, false);
+        let (_, oldest_hit) = memo.compile(&net_of(1), &spec, policy, false);
         assert!(newest_hit && !oldest_hit);
     }
 
     #[test]
     fn a_panic_under_the_memo_lock_does_not_fail_later_compiles() {
-        PLAN_MEMO.poison();
-        let net = small_net(6);
-        let spec = DeviceSpec::k40c();
-        let p = crate::plan_prediction(&net, &spec, Policy::superneurons()).unwrap();
-        assert!(p.peak_bytes > 0);
-        let _ = plan_memo_stats();
+        let memo = Compiler::new();
+        memo.plans.poison();
+        memo.analyses.poison();
+        let (p, hit) = memo.compile(
+            &small_net(6),
+            &DeviceSpec::k40c(),
+            Policy::superneurons(),
+            false,
+        );
+        assert!(!hit && p.unwrap().plan.peak_bytes > 0);
+        assert_eq!(memo.stats().entries, 1);
     }
 
     #[test]
     fn memo_caches_oom_outcomes() {
-        let _guard = memo_test_lock().lock().unwrap();
         let net = small_net(32);
         let tiny = DeviceSpec::k40c().with_dram(64 << 10);
-        clear_plan_memo();
-        let (r1, h1) = compile_memo_traced(&net, &tiny, Policy::baseline(), false);
+        let memo = Compiler::new();
+        let (r1, h1) = memo.compile(&net, &tiny, Policy::baseline(), false);
         assert!(r1.is_err() && !h1);
-        let (r2, h2) = compile_memo_traced(&net, &tiny, Policy::baseline(), false);
+        let (r2, h2) = memo.compile(&net, &tiny, Policy::baseline(), false);
         assert!(r2.is_err());
         assert!(h2, "second failure must be served from the memo");
     }
@@ -1833,10 +1895,10 @@ mod tests {
     fn distinct_nets_never_alias_in_the_memo() {
         // Same shape of call, different structure: the fingerprint must
         // separate them even when name and batch agree.
-        let _guard = memo_test_lock().lock().unwrap();
         let spec = DeviceSpec::k40c();
-        clear_plan_memo();
-        let a = compile_memo(&small_net(8), &spec, Policy::baseline()).unwrap();
+        let memo = Compiler::new();
+        let (a, _) = memo.compile(&small_net(8), &spec, Policy::baseline(), false);
+        let a = a.unwrap();
         let other = {
             // Same name, same batch, one extra ACT before the FC.
             let mut net = Net::new("plan-test", Shape4::new(8, 3, 32, 32));
@@ -1851,7 +1913,7 @@ mod tests {
             net.softmax(f);
             net
         };
-        let (b, b_hit) = compile_memo_traced(&other, &spec, Policy::baseline(), false);
+        let (b, b_hit) = memo.compile(&other, &spec, Policy::baseline(), false);
         assert!(!b_hit, "structurally distinct nets must not alias");
         assert_ne!(a.plan.steps.len(), b.unwrap().plan.steps.len());
     }
@@ -1863,14 +1925,13 @@ mod tests {
         // `Policy`, hence of `PlanKey`, and the plans size tensors
         // differently.
         use sn_graph::Precision;
-        let _guard = memo_test_lock().lock().unwrap();
         let net = small_net(8);
         let spec = DeviceSpec::k40c();
-        clear_plan_memo();
+        let memo = Compiler::new();
         let fp32 = Policy::superneurons();
         let bf16 = fp32.with_precision(Precision::bf16_mixed());
-        let (a, a_hit) = compile_memo_traced(&net, &spec, fp32, false);
-        let (b, b_hit) = compile_memo_traced(&net, &spec, bf16, false);
+        let (a, a_hit) = memo.compile(&net, &spec, fp32, false);
+        let (b, b_hit) = memo.compile(&net, &spec, bf16, false);
         assert!(!a_hit && !b_hit, "distinct precisions must both miss");
         let (a, b) = (a.unwrap(), b.unwrap());
         assert!(!Arc::ptr_eq(&a, &b));
@@ -1881,8 +1942,8 @@ mod tests {
             a.plan.peak_bytes
         );
         // Each precision still hits its own entry on repeat.
-        let (a2, a2_hit) = compile_memo_traced(&net, &spec, fp32, false);
-        let (b2, b2_hit) = compile_memo_traced(&net, &spec, bf16, false);
+        let (a2, a2_hit) = memo.compile(&net, &spec, fp32, false);
+        let (b2, b2_hit) = memo.compile(&net, &spec, bf16, false);
         assert!(a2_hit && b2_hit);
         assert!(Arc::ptr_eq(&a, &a2.unwrap()));
         assert!(Arc::ptr_eq(&b, &b2.unwrap()));

@@ -135,19 +135,7 @@ pub fn plan_prediction(
     spec: &DeviceSpec,
     policy: Policy,
 ) -> Result<PeakPrediction, ExecError> {
-    plan_prediction_traced(net, spec, policy).0
-}
-
-/// [`plan_prediction`] plus whether the plan memo answered it — one lookup
-/// per call, so a caller can count its own lookups and hits without
-/// reading the process-wide memo counters other threads also move.
-pub(crate) fn plan_prediction_traced(
-    net: &Net,
-    spec: &DeviceSpec,
-    policy: Policy,
-) -> (Result<PeakPrediction, ExecError>, bool) {
-    let (c, hit) = plan::compile_memo_traced(net, spec, policy, false);
-    (c.map(|c| PeakPrediction::of(&c.plan)), hit)
+    plan::compile_memo(net, spec, policy).map(|c| PeakPrediction::of(&c.plan))
 }
 
 /// [`plan_prediction`] for a forward-only inference plan: the peak a serving

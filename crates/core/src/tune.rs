@@ -37,15 +37,17 @@
 //!
 //! ## Output
 //!
-//! [`search`] returns the winning policy plus its full trace; [`tune_memo`]
-//! memoizes outcomes per [`TuneKey`] (Arc-shared, like the planner's graph
-//! analyses) and registers each distinct winner in a process-wide registry
+//! [`search`] returns the winning policy plus its full trace, compiling
+//! through the shared [`Compiler`]; [`search_in`] does the same through a
+//! compiler of the caller's, on whose registry the search's `tune.*` totals
+//! land — two searches on two fresh compilers are comparable with no clear
+//! between them. [`register`] files a winner in a process-wide registry
 //! under a [`TunedId`], which is how `sn-cluster`'s `PolicyPreset::Tuned`
 //! rung names a tuned bundle without the cluster crate ever holding a
-//! `Policy` by value.
+//! `Policy` by value: a tuned rung is `register(search(…)?.tuned)`.
 
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use fxhash::{FxHashMap, FxHashSet, FxHasher};
@@ -55,11 +57,10 @@ use sn_graph::Net;
 use sn_sim::{DeviceSpec, SimTime};
 
 use crate::executor::ExecError;
-use crate::group::{GroupConfig, GroupExecutor, DEFAULT_BUCKET_BYTES};
+use crate::group::{compile_group_in, GroupConfig, GroupExecutor, DEFAULT_BUCKET_BYTES};
 use crate::parallel::Interconnect;
-use crate::plan;
+use crate::plan::Compiler;
 use crate::policy::{AllocatorKind, CachePolicy, Policy, RecomputeMode, WorkspacePolicy};
-use crate::session::plan_prediction_traced;
 use crate::tiers::TierConfig;
 
 /// Prefetch-ahead windows the sampler draws from (the hand presets all sit
@@ -99,8 +100,8 @@ pub struct Candidate {
     pub bucket_bytes: u64,
 }
 
-/// Tuning request parameters. `workers` is deliberately **not** part of the
-/// memo key: the determinism contract is that it never changes the result.
+/// Tuning request parameters. `workers` never changes the result — that is
+/// the determinism contract.
 #[derive(Debug, Clone, Copy)]
 pub struct TuneConfig {
     /// Gang size the objective is measured at (1 = single device).
@@ -177,8 +178,8 @@ pub struct TunedPolicy {
     /// Name of that best hand preset.
     pub hand_name: &'static str,
     pub seed: u64,
-    /// Feasibility evaluations spent (each is exactly one memoized-compile
-    /// lookup via [`crate::plan_prediction`]).
+    /// Feasibility evaluations spent (each is exactly one lookup in the
+    /// compiler's plan memo).
     pub evals: u64,
     /// Lattice cells skipped: invalid knob combos, duplicates, infeasible
     /// points, and halving-stage drops.
@@ -189,8 +190,8 @@ pub struct TunedPolicy {
 }
 
 /// A full search result: the tuned bundle plus the rendered trace and the
-/// process-state-dependent statistics that must stay *out* of
-/// [`TunedPolicy`] (memo hit counts depend on what ran earlier).
+/// statistics that must stay *out* of [`TunedPolicy`] (memo hit counts
+/// depend on what the compiler had already been asked).
 #[derive(Debug, Clone)]
 pub struct SearchOutcome {
     pub tuned: TunedPolicy,
@@ -203,7 +204,10 @@ pub struct SearchOutcome {
     pub memo_lookups: u64,
 }
 
-struct TuneMetrics {
+/// The `tune.*` handles of one [`Compiler`]: totals over the searches run
+/// through it.
+#[derive(Debug)]
+pub(crate) struct TuneMetrics {
     evals: sn_telemetry::Counter,
     pruned: sn_telemetry::Counter,
     memo_hits: sn_telemetry::Counter,
@@ -211,11 +215,8 @@ struct TuneMetrics {
     wall_ns: sn_telemetry::Histogram,
 }
 
-/// `tune.*` handles on the process-wide registry, resolved once.
-fn tune_metrics() -> &'static TuneMetrics {
-    static HANDLES: OnceLock<TuneMetrics> = OnceLock::new();
-    HANDLES.get_or_init(|| {
-        let reg = sn_telemetry::global();
+impl TuneMetrics {
+    pub(crate) fn register(reg: &sn_telemetry::MetricsRegistry) -> TuneMetrics {
         TuneMetrics {
             evals: reg.counter("tune.evals"),
             pruned: reg.counter("tune.pruned"),
@@ -223,7 +224,7 @@ fn tune_metrics() -> &'static TuneMetrics {
             memo_lookups: reg.counter("tune.memo_lookups"),
             wall_ns: reg.histogram("tune.search_wall_ns"),
         }
-    })
+    }
 }
 
 /// Compact deterministic signature of a candidate for trace lines.
@@ -275,6 +276,7 @@ struct Measured {
 /// warm step is the score; both iterations' peaks feed the byte-exactness
 /// contract.
 fn measure(
+    compiler: &Compiler,
     net: &Net,
     spec: &DeviceSpec,
     cand: &Candidate,
@@ -282,7 +284,8 @@ fn measure(
 ) -> Result<Measured, ExecError> {
     let gcfg = GroupConfig::new(cfg.replicas.max(1), cfg.interconnect)
         .with_bucket_bytes(cand.bucket_bytes);
-    let mut gx = GroupExecutor::new(net, spec.clone(), cand.policy, gcfg)?;
+    let gplan = Arc::new(compile_group_in(compiler, net, spec, cand.policy, &gcfg)?);
+    let mut gx = GroupExecutor::from_plan(net, spec.clone(), cand.policy, gplan, gcfg.overlap)?;
     let plan_peak = gx.gplan.replica.plan.peak_bytes;
     let cold = gx.run_iteration()?;
     let warm = gx.run_iteration()?;
@@ -353,6 +356,7 @@ fn hand_presets(cfg: &TuneConfig) -> Vec<(&'static str, Candidate)> {
 
 /// Search state threaded through the stages.
 struct Search<'a> {
+    compiler: &'a Compiler,
     net: &'a Net,
     spec: &'a DeviceSpec,
     cfg: &'a TuneConfig,
@@ -371,11 +375,11 @@ struct Search<'a> {
 }
 
 impl Search<'_> {
-    /// Feasibility-check `policies` in one `par_map` batch over the plan
-    /// memo. Exactly one memoized-compile lookup per *uncached* policy,
-    /// counted per call (lookup and hit flag as each prediction returns
-    /// them), so the search's statistics are its own whatever else in the
-    /// process uses the memo meanwhile.
+    /// Feasibility-check `policies` in one `par_map` batch over the
+    /// compiler's plan memo. Exactly one lookup per *uncached* policy,
+    /// counted per call (lookup and hit flag as each compile returns them),
+    /// so the search's statistics are its own whoever else uses the
+    /// compiler meanwhile.
     fn feasibility_batch(&mut self, stage: &str, policies: &[Policy]) {
         let fresh: Vec<Policy> = {
             let mut seen = FxHashSet::default();
@@ -388,11 +392,13 @@ impl Search<'_> {
         if fresh.is_empty() {
             return;
         }
-        let net = self.net;
-        let spec = self.spec;
+        let (compiler, net, spec) = (self.compiler, self.net, self.spec);
         let verdicts = rayon::par_map_workers(&fresh, self.workers, |p| {
-            let (pred, hit) = plan_prediction_traced(net, spec, *p);
-            (pred.ok().map(|pred| (pred.peak_bytes, pred.iter_time)), hit)
+            let (c, hit) = compiler.compile(net, spec, *p, false);
+            let verdict = c
+                .ok()
+                .map(|c| (c.plan.peak_bytes, c.plan.iter_time_estimate()));
+            (verdict, hit)
         });
         self.evals += fresh.len() as u64;
         self.memo_lookups += verdicts.len() as u64;
@@ -428,7 +434,7 @@ impl Search<'_> {
         if let Some(hit) = self.measured.get(cand) {
             return *hit;
         }
-        let m = measure(self.net, self.spec, cand, self.cfg).ok();
+        let m = measure(self.compiler, self.net, self.spec, cand, self.cfg).ok();
         match &m {
             Some(m) => self.trace.push(format!(
                 "{stage} measured {} step={}ns peak={}",
@@ -445,10 +451,22 @@ impl Search<'_> {
     }
 }
 
-/// Run the full search. Pure modulo global memo warmth: the returned
-/// [`TunedPolicy`] and trace are bit-identical for the same
-/// `(net, spec, cfg)` regardless of worker count or cache state.
+/// [`search_in`] the shared [`Compiler`].
 pub fn search(net: &Net, spec: &DeviceSpec, cfg: &TuneConfig) -> Result<SearchOutcome, ExecError> {
+    search_in(Compiler::shared(), net, spec, cfg)
+}
+
+/// Run the full search, every compile of it — feasibility batches, gang
+/// measurements, the nothing-fits error — through `compiler`. Pure modulo
+/// that compiler's memo warmth: the returned [`TunedPolicy`] and trace are
+/// bit-identical for the same `(net, spec, cfg)` regardless of worker count
+/// or cache state, and on a fresh compiler so are the memo statistics.
+pub fn search_in(
+    compiler: &Compiler,
+    net: &Net,
+    spec: &DeviceSpec,
+    cfg: &TuneConfig,
+) -> Result<SearchOutcome, ExecError> {
     let t0 = Instant::now();
     let workers = if cfg.workers == 0 {
         rayon::current_num_threads()
@@ -456,6 +474,7 @@ pub fn search(net: &Net, spec: &DeviceSpec, cfg: &TuneConfig) -> Result<SearchOu
         cfg.workers
     };
     let mut s = Search {
+        compiler,
         net,
         spec,
         cfg,
@@ -491,7 +510,8 @@ pub fn search(net: &Net, spec: &DeviceSpec, cfg: &TuneConfig) -> Result<SearchOu
     let Some((hand_cand, hand_m, hand_name)) = incumbent else {
         // Nothing fits — surface the strongest preset's compile error.
         let strongest = hands.last().expect("presets are non-empty").1.policy;
-        return Err(plan::compile_memo(net, spec, strongest)
+        let (compiled, _) = compiler.compile(net, spec, strongest, false);
+        return Err(compiled
             .err()
             .unwrap_or(ExecError::HostExhausted { requested: 0 }));
     };
@@ -620,7 +640,7 @@ pub fn search(net: &Net, spec: &DeviceSpec, cfg: &TuneConfig) -> Result<SearchOu
     }
     let trace_digest = hasher.finish();
 
-    let metrics = tune_metrics();
+    let metrics = &compiler.tune;
     metrics.evals.add(s.evals);
     metrics.pruned.add(s.pruned);
     metrics.memo_hits.add(s.memo_hits);
@@ -727,7 +747,7 @@ fn neighbour_axes(base: &Candidate, cfg: &TuneConfig) -> Vec<(&'static str, Vec<
 }
 
 // ---------------------------------------------------------------------
-// The tuned-policy registry and the tune memo.
+// The tuned-policy registry.
 // ---------------------------------------------------------------------
 
 /// Process-wide handle to a registered [`TunedPolicy`]. `Copy + Ord + Hash`
@@ -736,25 +756,32 @@ fn neighbour_axes(base: &Candidate, cfg: &TuneConfig) -> Vec<(&'static str, Vec<
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TunedId(pub u32);
 
-static REGISTRY: OnceLock<Mutex<Vec<Arc<TunedPolicy>>>> = OnceLock::new();
+/// Not a cache and so not a [`Compiler`]'s: an append-only interner that
+/// turns a bundle into a `Copy` id. Nothing clears it and no lookup depends
+/// on what else was registered, so it is process-wide without making any
+/// result depend on the process.
+static REGISTRY: Mutex<Vec<Arc<TunedPolicy>>> = Mutex::new(Vec::new());
 
-fn registry() -> &'static Mutex<Vec<Arc<TunedPolicy>>> {
-    REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
+/// Pushing an `Arc` built beforehand cannot leave the vector half-updated:
+/// a poisoned lock still guards a consistent registry.
+fn registry() -> MutexGuard<'static, Vec<Arc<TunedPolicy>>> {
+    REGISTRY.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Register a tuned bundle, returning its process-wide id. Ids are never
 /// recycled; registration is append-only so a `TunedId` held by a running
 /// cluster simulation can never dangle.
 pub fn register(t: TunedPolicy) -> TunedId {
-    let mut reg = registry().lock().unwrap();
+    let t = Arc::new(t);
+    let mut reg = registry();
     let id = TunedId(u32::try_from(reg.len()).expect("tuned registry overflow"));
-    reg.push(Arc::new(t));
+    reg.push(t);
     id
 }
 
 /// Look up a registered bundle (Arc-shared).
 pub fn get(id: TunedId) -> Option<Arc<TunedPolicy>> {
-    registry().lock().unwrap().get(id.0 as usize).cloned()
+    registry().get(id.0 as usize).cloned()
 }
 
 /// The [`Policy`] a registered id names. Panics on an unregistered id —
@@ -773,87 +800,10 @@ pub fn bucket_bytes_for(id: TunedId) -> u64 {
         .unwrap_or(DEFAULT_BUCKET_BYTES)
 }
 
-/// Number of bundles registered so far.
-pub fn registered_count() -> usize {
-    registry().lock().unwrap().len()
-}
-
-/// Everything a tuning outcome depends on, folded bit-exactly (floats via
-/// `to_bits`). `workers` is excluded on purpose: worker count must never
-/// change the answer.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct TuneKey {
-    fp: (u64, u64),
-    dev_name: String,
-    dram: u64,
-    gflops_bits: u64,
-    mem_bw_bits: u64,
-    h2d_bits: u64,
-    d2h_bits: u64,
-    replicas: usize,
-    ic_gbps_bits: u64,
-    ic_latency_ns: u64,
-    precision: sn_graph::Precision,
-    seed: u64,
-    samples: usize,
-    survivors: usize,
-    passes: usize,
-}
-
-impl TuneKey {
-    fn new(net: &Net, spec: &DeviceSpec, cfg: &TuneConfig) -> TuneKey {
-        TuneKey {
-            fp: net.fingerprint(),
-            dev_name: spec.name.clone(),
-            dram: spec.dram_bytes,
-            gflops_bits: spec.peak_gflops.to_bits(),
-            mem_bw_bits: spec.mem_bw_gbps.to_bits(),
-            h2d_bits: spec.pcie_h2d_gbps.to_bits(),
-            d2h_bits: spec.pcie_d2h_gbps.to_bits(),
-            replicas: cfg.replicas,
-            ic_gbps_bits: cfg.interconnect.gbps.to_bits(),
-            ic_latency_ns: cfg.interconnect.latency.0,
-            precision: cfg.precision,
-            seed: cfg.seed,
-            samples: cfg.samples,
-            survivors: cfg.survivors,
-            passes: cfg.passes,
-        }
-    }
-}
-
-type TuneMemo = FxHashMap<TuneKey, Result<TunedId, ExecError>>;
-
-static TUNE_MEMO: OnceLock<Mutex<TuneMemo>> = OnceLock::new();
-
-/// [`search`] through the tune memo: a repeated request for the same
-/// `(net, device, replicas, precision, seed, budgets)` tuple returns the
-/// already-registered [`TunedId`] without searching again. Failures (nothing
-/// fits the device) are memoized like the plan memo's OOM outcomes.
-pub fn tune_memo(
-    net: &Net,
-    spec: &DeviceSpec,
-    cfg: &TuneConfig,
-) -> Result<(TunedId, Arc<TunedPolicy>), ExecError> {
-    let key = TuneKey::new(net, spec, cfg);
-    let memo = TUNE_MEMO.get_or_init(|| Mutex::new(FxHashMap::default()));
-    if let Some(hit) = memo.lock().unwrap().get(&key) {
-        return hit
-            .clone()
-            .map(|id| (id, get(id).expect("registered id outlives the memo")));
-    }
-    let result = search(net, spec, cfg).map(|o| register(o.tuned));
-    memo.lock().unwrap().insert(key, result.clone());
-    result.map(|id| (id, get(id).expect("freshly registered")))
-}
-
-/// Drop every memoized tuning outcome (the registry is append-only and
-/// survives — outstanding [`TunedId`]s stay valid). Bench support.
-pub fn clear_tune_memo() {
-    if let Some(m) = TUNE_MEMO.get() {
-        m.lock().unwrap().clear();
-    }
-}
+/// Does nothing: the tune memo is gone. Kept for its one caller,
+/// `benchmark/src/harness.rs:145`, which this repository's PRs may not
+/// edit; ROADMAP item 7's `[benchmark]` PR drops the call and this with it.
+pub fn clear_tune_memo() {}
 
 #[cfg(test)]
 mod tests {
@@ -914,20 +864,38 @@ mod tests {
     }
 
     #[test]
-    fn memo_returns_the_same_registered_id() {
+    fn fresh_compilers_make_searches_comparable_without_a_clear() {
         let net = tower(8, 3, 8);
         let spec = DeviceSpec::k40c();
         let cfg = quick_cfg().with_seed(42);
-        let (id1, t1) = tune_memo(&net, &spec, &cfg).unwrap();
-        let (id2, t2) = tune_memo(&net, &spec, &cfg).unwrap();
-        assert_eq!(id1, id2);
-        assert_eq!(t1, t2);
-        assert_eq!(policy_for(id1), t1.policy);
-        assert_eq!(bucket_bytes_for(id1), t1.bucket_bytes);
-        // A different seed is a different key (it may or may not register a
-        // new bundle, but must not alias the memo entry).
-        let (id3, _) = tune_memo(&net, &spec, &cfg.with_seed(43)).unwrap();
-        assert!(get(id3).is_some());
+        let run = |workers: usize| {
+            let c = Compiler::new();
+            let o = search_in(&c, &net, &spec, &cfg.with_workers(workers)).unwrap();
+            // The gang measurements look plans up too; the search counts
+            // its feasibility batches only.
+            let stats = c.stats();
+            assert!(stats.hits + stats.misses >= o.memo_lookups);
+            let totals = c.metrics().snapshot();
+            assert_eq!(totals.counter("tune.evals"), Some(o.tuned.evals));
+            assert_eq!(totals.counter("tune.memo_lookups"), Some(o.memo_lookups));
+            o
+        };
+        let a = run(1);
+        for workers in [1, 2] {
+            let b = run(workers);
+            assert_eq!(b.tuned, a.tuned, "workers={workers}");
+            assert_eq!(b.trace, a.trace, "workers={workers}");
+            assert_eq!(
+                (b.memo_hits, b.memo_lookups),
+                (a.memo_hits, a.memo_lookups),
+                "workers={workers}"
+            );
+        }
+        // A tuned rung is the registered winner.
+        let id = register(a.tuned.clone());
+        assert_eq!(policy_for(id), a.tuned.policy);
+        assert_eq!(bucket_bytes_for(id), a.tuned.bucket_bytes);
+        assert_eq!(*get(id).unwrap(), a.tuned);
     }
 
     #[test]

@@ -50,16 +50,17 @@ pub struct LinearPool {
 }
 
 impl LinearPool {
-    /// A pool over `capacity_bytes`, in the paper's 1 KB blocks.
+    /// A pool over `capacity_bytes`, in the paper's 1 KB blocks — zero of
+    /// them, and an `OutOfMemory` from every `alloc`, under one block.
     pub fn with_capacity(capacity_bytes: u64) -> Self {
         let total_blocks = capacity_bytes / BLOCK_BYTES;
-        assert!(total_blocks > 0, "pool must hold at least one block");
+        let whole = EmptyNode {
+            start: 0,
+            blocks: total_blocks,
+        };
         LinearPool {
             total_blocks,
-            empty: vec![EmptyNode {
-                start: 0,
-                blocks: total_blocks,
-            }],
+            empty: Vec::from_iter((total_blocks > 0).then_some(whole)),
             allocated: FxHashMap::default(),
             next_id: 0,
             used_blocks: 0,

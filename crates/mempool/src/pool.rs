@@ -212,12 +212,15 @@ pub struct HeapPool {
 
 impl HeapPool {
     /// A pool over `capacity_bytes` of preallocated memory (the "big
-    /// chunk"), in the paper's 1 KB blocks.
+    /// chunk"), in the paper's 1 KB blocks. A capacity under one block is a
+    /// pool of zero blocks: every `alloc` answers `OutOfMemory` with nothing
+    /// free — a cap is outside input, and too small a one is an OOM.
     pub fn with_capacity(capacity_bytes: u64) -> Self {
         let total_blocks = capacity_bytes / BLOCK_BYTES;
-        assert!(total_blocks > 0, "pool must hold at least one block");
         let mut empty = RunIndex::default();
-        empty.free_run(0, total_blocks);
+        if total_blocks > 0 {
+            empty.free_run(0, total_blocks);
+        }
         HeapPool {
             total_blocks,
             empty,

@@ -134,6 +134,28 @@ impl Lockstep {
     }
 }
 
+#[test]
+fn a_capacity_under_one_block_is_an_empty_pool_on_both() {
+    // A cap is outside input (a device's free bytes): too small a one is an
+    // out-of-memory answer with nothing free, never a panic.
+    for capacity in [0, 1, 1023] {
+        let mut pools = Lockstep::new(capacity);
+        for bytes in [1, 1024, u64::MAX] {
+            pools.alloc(bytes).unwrap();
+            let oom = pools.fast.alloc(bytes).unwrap_err();
+            let nothing_free = sn_sim::AllocError::OutOfMemory {
+                requested: bytes,
+                free: 0,
+                largest: 0,
+            };
+            assert_eq!(oom, nothing_free);
+        }
+        assert!(pools.live.is_empty());
+        assert_eq!((pools.fast.capacity(), pools.slow.capacity()), (0, 0));
+        assert_eq!((pools.fast.empty_nodes(), pools.slow.empty_nodes()), (0, 0));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 

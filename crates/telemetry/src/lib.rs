@@ -34,10 +34,17 @@ pub mod metrics;
 pub mod trace;
 
 pub use json::Json;
-pub use metrics::{
-    global, Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
-};
+pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use trace::{
     ArgValue, FlowData, InstantData, SpanData, SpanId, TraceCheck, TraceData, TraceSink, TrackData,
     TrackId,
 };
+
+/// Lock `m`, poisoned or not. Sound for this crate's two mutexes because
+/// nothing that can panic runs under them — a probe, a push, a clone; labels
+/// are formatted before and metric types checked after — so a lock poisoned
+/// by a thread that died holding it still guards consistent data, and one
+/// dead recorder must not fail every later one.
+fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}

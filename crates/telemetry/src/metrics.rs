@@ -15,16 +15,16 @@
 //! covers `[2^(i-1), 2^i)`. 65 buckets span the full `u64` range, so
 //! nanosecond latencies and byte sizes both fit without configuration.
 //!
-//! There is one process-wide [`global`] registry for metrics owned by
-//! process-wide caches (the plan and group memos); everything per-run
-//! (executor counters, cluster admission) takes an explicit registry so
+//! No registry is process-wide: a registry belongs to whatever it counts —
+//! a `sn_runtime::Compiler` registers its `plan.memo.*` and `tune.*` on one
+//! of its own, executor and cluster instrumentation take one explicitly — so
 //! concurrent tests never observe each other's counts.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
-use crate::Json;
+use crate::{lock, Json};
 
 /// A monotonically increasing counter.
 #[derive(Debug, Clone, Default)]
@@ -173,17 +173,20 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
+    /// The metric under `name`, `fresh()` if there was none. The type check
+    /// runs on the clone, after the lock is released: nothing panics under it.
+    fn get_or_insert(&self, name: &str, fresh: fn() -> Metric) -> Metric {
+        let name = name.to_string();
+        lock(&self.inner).entry(name).or_insert_with(fresh).clone()
+    }
+
     /// Get-or-create the counter named `name`.
     ///
     /// # Panics
     /// If `name` is already registered as a different metric type.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut map = self.inner.lock().unwrap();
-        match map
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Counter(Counter::default()))
-        {
-            Metric::Counter(c) => c.clone(),
+        match self.get_or_insert(name, || Metric::Counter(Counter::default())) {
+            Metric::Counter(c) => c,
             other => panic!("metric {name:?} is not a counter: {other:?}"),
         }
     }
@@ -193,12 +196,8 @@ impl MetricsRegistry {
     /// # Panics
     /// If `name` is already registered as a different metric type.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut map = self.inner.lock().unwrap();
-        match map
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Gauge(Gauge::default()))
-        {
-            Metric::Gauge(g) => g.clone(),
+        match self.get_or_insert(name, || Metric::Gauge(Gauge::default())) {
+            Metric::Gauge(g) => g,
             other => panic!("metric {name:?} is not a gauge: {other:?}"),
         }
     }
@@ -208,19 +207,15 @@ impl MetricsRegistry {
     /// # Panics
     /// If `name` is already registered as a different metric type.
     pub fn histogram(&self, name: &str) -> Histogram {
-        let mut map = self.inner.lock().unwrap();
-        match map
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Histogram(Histogram::default()))
-        {
-            Metric::Histogram(h) => h.clone(),
+        match self.get_or_insert(name, || Metric::Histogram(Histogram::default())) {
+            Metric::Histogram(h) => h,
             other => panic!("metric {name:?} is not a histogram: {other:?}"),
         }
     }
 
     /// Freeze every registered metric into a sorted snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let map = self.inner.lock().unwrap();
+        let map = lock(&self.inner);
         let mut snap = MetricsSnapshot::default();
         for (name, metric) in map.iter() {
             match metric {
@@ -231,14 +226,6 @@ impl MetricsRegistry {
         }
         snap
     }
-}
-
-/// The process-wide registry, for metrics owned by process-wide state (the
-/// plan and group memo caches). Per-run instrumentation should take an
-/// explicit [`MetricsRegistry`] instead.
-pub fn global() -> &'static MetricsRegistry {
-    static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
-    GLOBAL.get_or_init(MetricsRegistry::default)
 }
 
 /// A frozen registry: every metric by (sorted) name. `json` is the
@@ -401,11 +388,21 @@ mod tests {
     }
 
     #[test]
-    fn global_registry_is_shared() {
-        let c = global().counter("test.global.shared");
-        let before = c.get();
-        global().counter("test.global.shared").inc();
-        assert_eq!(c.get(), before + 1);
+    fn a_panic_under_the_registry_lock_does_not_fail_later_callers() {
+        let reg = MetricsRegistry::new();
+        reg.counter("x").add(3);
+        let died = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = reg.inner.lock();
+                panic!("poisoning a registry lock on purpose");
+            })
+            .join()
+        });
+        assert!(died.is_err() && reg.inner.is_poisoned());
+        reg.counter("x").inc();
+        reg.gauge("depth").set(2);
+        let snap = reg.snapshot();
+        assert_eq!((snap.counter("x"), snap.gauge("depth")), (Some(4), Some(2)));
     }
 
     #[test]

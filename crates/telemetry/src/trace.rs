@@ -24,6 +24,7 @@
 use std::sync::{Arc, Mutex};
 
 use crate::json::json_str;
+use crate::lock;
 
 /// Identifies a track (one timeline lane) within a sink.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -212,7 +213,7 @@ impl TraceSink {
         let Some(inner) = &self.inner else {
             return TrackId(0);
         };
-        let mut data = inner.lock().unwrap();
+        let mut data = lock(inner);
         if let Some(i) = data
             .tracks
             .iter()
@@ -255,7 +256,7 @@ impl TraceSink {
             return SpanId::NONE;
         };
         debug_assert!(start_ns <= end_ns, "span {name:?} ends before it starts");
-        let mut data = inner.lock().unwrap();
+        let mut data = lock(inner);
         data.spans.push(SpanData {
             track,
             name,
@@ -277,13 +278,14 @@ impl TraceSink {
         args: Vec<(&'static str, ArgValue)>,
     ) {
         let Some(inner) = &self.inner else { return };
-        inner.lock().unwrap().instants.push(InstantData {
+        let instant = InstantData {
             track,
             name: name.to_string(),
             cat,
             at_ns,
             args,
-        });
+        };
+        lock(inner).instants.push(instant);
     }
 
     /// Record a flow arrow between two recorded spans. A [`SpanId::NONE`]
@@ -294,13 +296,13 @@ impl TraceSink {
             return;
         }
         let Some(inner) = &self.inner else { return };
-        inner.lock().unwrap().flows.push(FlowData { from, to });
+        lock(inner).flows.push(FlowData { from, to });
     }
 
     /// A snapshot of everything recorded so far.
     pub fn data(&self) -> TraceData {
         match &self.inner {
-            Some(inner) => inner.lock().unwrap().clone(),
+            Some(inner) => lock(inner).clone(),
             None => TraceData::default(),
         }
     }
