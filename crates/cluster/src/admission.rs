@@ -37,12 +37,13 @@ use sn_sim::{DeviceSpec, SimTime};
 use crate::job::{JobKind, JobSpec, PolicyPreset, Workload};
 
 /// Memoization key: everything the prediction depends on. The card is its
-/// [`DeviceSpec::card_fingerprint`] — name and every perf-relevant constant
-/// folded bit-exactly, so heterogeneous fleets that reuse a card name cannot
-/// alias — and the key carries the **cap** the prediction was compiled
-/// against (the DRAM of `spec.with_dram(budget)`), not just the preset: the
-/// planner adapts its evictions and workspaces to that cap, so a peak
-/// compiled for a larger device must never be reused for a smaller one.
+/// [`DeviceSpec::card_fingerprint`] — every perf-relevant constant folded
+/// bit-exactly and the name left out, so cards that differ in a constant
+/// never alias and cards that differ by name alone share an answer that is
+/// the same for both — and the key carries the **cap** the prediction was
+/// compiled against (the DRAM of `spec.with_dram(budget)`), not just the
+/// preset: the planner adapts its evictions and workspaces to that cap, so a
+/// peak compiled for a larger device must never be reused for a smaller one.
 /// `Copy` and `String`-free: building one for a lookup allocates nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct ProfileKey {

@@ -76,7 +76,8 @@ pub enum ExecError {
     /// Device memory exhausted (after all reclamation the policy allows).
     Oom {
         step: usize,
-        layer: String,
+        /// Shared, so a memoized OOM answers without allocating.
+        layer: Arc<str>,
         requested: u64,
         capacity: u64,
     },

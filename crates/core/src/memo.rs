@@ -232,9 +232,11 @@ impl<K: Copy + Eq + Hash, V> LruMemo<K, V> {
 /// An [`LruMemo`] behind a mutex: what a compile cache shared by threads is.
 /// Two disciplines live here instead of at every call site:
 ///
-/// * values are cloned out and displaced ones dropped **after** the lock is
-///   released, and callers build values before taking it, so nothing that
-///   can panic (or take long) runs under the lock;
+/// * under the lock a value is only cloned out or read in place
+///   ([`SharedMemo::probe`], which answers the plan memo's open-interval and
+///   cap-pinned probes with one guard); displaced values are dropped
+///   **after** it is released, and callers build values before taking it,
+///   so nothing that can panic (or take long) runs under the lock;
 /// * which makes it sound to recover the guard from a poisoned lock — it
 ///   still guards a consistent memo — so one thread that dies holding it
 ///   does not fail every later admission.
@@ -254,6 +256,13 @@ impl<K: Copy + Eq + Hash, V: Clone> SharedMemo<K, V> {
     /// A clone of the value under `key`, which becomes the most recent.
     pub(crate) fn get(&self, key: &K) -> Option<V> {
         self.lock().get(key).cloned()
+    }
+
+    /// `probes` run on the memo under one guard: several lookups for the
+    /// price of one lock, and a value read in place instead of cloned out.
+    /// What `probes` does must be as cheap and as panic-free as a clone.
+    pub(crate) fn probe<R>(&self, probes: impl FnOnce(&mut LruMemo<K, V>) -> R) -> R {
+        probes(&mut self.lock())
     }
 
     /// Store `value` under `key`, displacing at the cap the

@@ -72,6 +72,7 @@
 //! gradients exist, every output is freed at its last forward reader, and
 //! nothing is eagerly offloaded (there is no backward to fetch it back for).
 
+use std::hash::{Hash, Hasher};
 use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -87,6 +88,7 @@ use crate::executor::{Counters, ExecError};
 use crate::memo::SharedMemo;
 use crate::policy::{Policy, RecomputeMode, WorkspacePolicy};
 use crate::recompute::{RecomputePlan, SegmentStrategy};
+use crate::session::PeakPrediction;
 use crate::tiers::Tier;
 use crate::tune::TuneMetrics;
 use crate::utp::{Residence, Utp};
@@ -425,10 +427,10 @@ fn effective_recompute_mode(policy: Policy, inference: bool) -> RecomputeMode {
 // ---------------------------------------------------------------------
 
 /// Everything a compilation's outcome depends on. The card is
-/// [`DeviceSpec::card_fingerprint`], a 128-bit fold of its name and
-/// constants the way [`Net::fingerprint`] folds the net, which makes the
-/// key `Copy` and small: building one for a lookup allocates nothing, and a
-/// memo entry can afford to hold it twice.
+/// [`DeviceSpec::card_fingerprint`], a 128-bit fold of its nine constants
+/// the way [`Net::fingerprint`] folds the net (the name is not identity),
+/// which makes the key `Copy` and small: building one for a lookup
+/// allocates nothing, and a memo entry can afford to hold it twice.
 ///
 /// The **device cap** is part of the key only for outcomes it shaped. A
 /// `(net, policy, card, mode)` has at most one plan the cap did not shape —
@@ -437,7 +439,11 @@ fn effective_recompute_mode(policy: Policy, inference: bool) -> RecomputeMode {
 /// [`CompiledPlan::valid_caps`]. An outcome the cap did shape (an eviction,
 /// a squeezed workspace, an OOM) lives under `Some(cap)` and is never served
 /// for another cap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+///
+/// `Hash` writes one word, [`PlanKey::mixed`], instead of some 25 fields
+/// one dependent multiply at a time. `Eq` stays derived, so a field the mix
+/// left out would cost probes, never a wrong answer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PlanKey {
     fp: (u64, u64),
     inference: bool,
@@ -446,7 +452,84 @@ struct PlanKey {
     dram: Option<u64>,
 }
 
+/// [`PlanKey::mixed`]'s multipliers, one a word.
+const KEY_MIX: [u64; 10] = odd_keys(0x706c_616e_5f6b_6579);
+
+/// `N` odd multipliers drawn from SplitMix64 at `seed` (as for
+/// [`DeviceSpec::card_fingerprint`]).
+const fn odd_keys<const N: usize>(mut seed: u64) -> [u64; N] {
+    let mut keys = [0; N];
+    let mut i = 0;
+    while i < N {
+        seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let z = (seed ^ (seed >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        keys[i] = (z ^ (z >> 31)) | 1;
+        i += 1;
+    }
+    keys
+}
+
+impl Hash for PlanKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.mixed());
+    }
+}
+
 impl PlanKey {
+    /// Every field in one word, folded the way
+    /// [`DeviceSpec::card_fingerprint`] folds a card: the policy's flags,
+    /// enums and prefetch depth packed into one word, each word's high half
+    /// xored into its low half and multiplied by its own odd constant — ten
+    /// independent multiplies — then the sum mixed.
+    fn mixed(&self) -> u64 {
+        let p = &self.policy;
+        let (workspace, workspace_cap) = match p.workspace {
+            WorkspacePolicy::None => (0, 0),
+            WorkspacePolicy::Dynamic => (1, 0),
+            WorkspacePolicy::Capped(bytes) => (2, bytes),
+        };
+        let flags = [
+            self.inference,
+            self.dram.is_some(),
+            p.liveness,
+            p.keep_all_forward,
+            p.inplace_act,
+            p.offload,
+            p.eager_offload,
+            p.tensor_cache,
+            p.prefetch,
+            p.pinned_host,
+            p.sync_transfers,
+        ]
+        .iter()
+        .enumerate()
+        .fold(0u64, |word, (i, &on)| word | u64::from(on) << i);
+        let enums = p.recompute as u64
+            | (p.allocator as u64) << 2
+            | (p.cache_policy as u64) << 4
+            | workspace << 6
+            | (p.precision.activations as u64) << 8
+            | (p.precision.gradients as u64) << 10;
+        let words = [
+            self.fp.0,
+            self.fp.1,
+            self.card.0,
+            self.card.1,
+            self.dram.unwrap_or(0),
+            flags | enums << 16 | u64::from(p.prefetch_depth) << 32,
+            workspace_cap,
+            p.tiers.peer_gpu_bytes,
+            p.tiers.local_host_bytes,
+            p.tiers.remote_bytes,
+        ];
+        let sum = words.iter().zip(&KEY_MIX).fold(0u64, |acc, (w, k)| {
+            acc.wrapping_add((w ^ (w >> 32)).wrapping_mul(*k))
+        });
+        let x = (sum ^ (sum >> 32)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        x ^ (x >> 29)
+    }
+
     fn new(net: &Net, spec: &DeviceSpec, policy: Policy, inference: bool) -> PlanKey {
         PlanKey {
             fp: net.fingerprint(),
@@ -547,13 +630,46 @@ impl Compiler {
         policy: Policy,
         inference: bool,
     ) -> (Result<Arc<CompiledPlan>, ExecError>, bool) {
+        self.lookup(net, spec, policy, inference, Result::clone)
+    }
+
+    /// [`Compiler::compile`] down to what admission reads: the
+    /// [`PeakPrediction`] is read off the memoized plan in place, so a hit
+    /// touches no `Arc` refcount and allocates nothing. Counted as
+    /// `compile` counts.
+    pub(crate) fn predict(
+        &self,
+        net: &Net,
+        spec: &DeviceSpec,
+        policy: Policy,
+        inference: bool,
+    ) -> Result<PeakPrediction, ExecError> {
+        let read = |r: &Result<Arc<CompiledPlan>, ExecError>| {
+            r.as_ref()
+                .map(|c| PeakPrediction::of(&c.plan))
+                .map_err(ExecError::clone)
+        };
+        self.lookup(net, spec, policy, inference, read).0
+    }
+
+    /// The memo's outcome for the question, passed through `read`, and
+    /// whether the memo answered: one hit or one miss counted, one guard
+    /// taken, and on a miss one compile, memoized.
+    fn lookup<R>(
+        &self,
+        net: &Net,
+        spec: &DeviceSpec,
+        policy: Policy,
+        inference: bool,
+        read: impl Fn(&Result<Arc<CompiledPlan>, ExecError>) -> R,
+    ) -> (R, bool) {
         let key = PlanKey::new(net, spec, policy, inference);
         // The open-ended plan first — one probe answers every cap that does not
-        // bind — then the outcome pinned to this exact cap.
-        let hit = match self.plans.get(&key.open()) {
-            Some(Ok(open)) if open.valid_caps.contains(&spec.dram_bytes) => Some(Ok(open)),
-            _ => self.plans.get(&key),
-        };
+        // bind — then the outcome pinned to this exact cap, under one guard.
+        let hit = self.plans.probe(|memo| match memo.get(&key.open()) {
+            Some(open @ Ok(plan)) if plan.valid_caps.contains(&spec.dram_bytes) => Some(read(open)),
+            _ => memo.get(&key).map(&read),
+        });
         if let Some(hit) = hit {
             self.hits.inc();
             return (hit, true);
@@ -565,12 +681,13 @@ impl Compiler {
         let result = self
             .compile_fresh(net, spec, policy, inference)
             .map(Arc::new);
+        let answer = read(&result);
         let slot = match &result {
             Ok(plan) if *plan.valid_caps.end() == u64::MAX => key.open(),
             _ => key,
         };
-        self.plans.insert(slot, result.clone());
-        (result, false)
+        self.plans.insert(slot, result);
+        (answer, false)
     }
 
     /// Always run the plan walk; only the graph analyses may come from
@@ -1013,7 +1130,7 @@ impl<'a> Planner<'a> {
                     return Err(ExecError::Oom {
                         step,
                         layer: match what {
-                            AllocFor::Layer(l) => self.net.layer(l).name.clone(),
+                            AllocFor::Layer(l) => Arc::from(self.net.layer(l).name.as_str()),
                             AllocFor::Workspace => "conv workspace".into(),
                             AllocFor::Transient => "transient buffer".into(),
                         },
@@ -1455,6 +1572,7 @@ impl<'a> Planner<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use sn_graph::Shape4;
 
     fn small_net(batch: usize) -> Net {
@@ -1818,15 +1936,25 @@ mod tests {
         assert!(!i_hit);
         let i = i.unwrap();
         assert!(i.plan.inference && !a.plan.inference);
-        // Nor do two cards that differ in name only: the key keeps the
-        // name, as a fingerprint.
+        // A card that differs by name only is the same card: nothing the
+        // planner reads changed, so the entry answers it.
         let mut renamed = spec.clone();
         renamed.name.push_str("-b");
-        let (_, renamed_hit) = memo.compile(&net, &renamed, policy, false);
-        assert!(
-            !renamed_hit,
-            "distinct device names must not share an entry"
-        );
+        let (r, renamed_hit) = memo.compile(&net, &renamed, policy, false);
+        assert!(renamed_hit, "a renamed card must share the entry");
+        assert!(Arc::ptr_eq(&a, &r.unwrap()));
+    }
+
+    #[test]
+    fn a_renamed_card_is_a_hit_on_a_fresh_compiler() {
+        let (net, policy) = (small_net(4), Policy::superneurons());
+        let memo = Compiler::new();
+        let spec = DeviceSpec::k40c();
+        let mut renamed = spec.clone().with_dram(spec.dram_bytes / 2);
+        renamed.name = "K40c, rack 7".into();
+        let first = memo.predict(&net, &spec, policy, true).unwrap();
+        assert_eq!(memo.predict(&net, &renamed, policy, true).unwrap(), first);
+        assert_eq!((memo.stats().hits, memo.stats().misses), (1, 1));
     }
 
     #[test]
@@ -1889,6 +2017,91 @@ mod tests {
         let (r2, h2) = memo.compile(&net, &tiny, Policy::baseline(), false);
         assert!(r2.is_err());
         assert!(h2, "second failure must be served from the memo");
+    }
+
+    /// A conv tower at batch 4: the shape of the benchmark's `plan_reuse` keys.
+    fn tower(width: usize, depth: usize) -> Net {
+        let mut net = Net::new("tower", Shape4::new(4, 3, 32, 32));
+        let mut prev = net.data();
+        for _ in 0..depth {
+            let c = net.conv(prev, width, 3, 1, 1);
+            prev = net.relu(c);
+        }
+        let p = net.max_pool(prev, 2, 2, 0);
+        let f = net.fc(p, 10);
+        net.softmax(f);
+        net
+    }
+
+    // The plan memo against its model. Over a random sequence of (tower,
+    // policy of the lattice, cap, mode) predictions on a fresh compiler —
+    // drawn from a few (tower, policy, mode) questions, so that they repeat
+    // across caps — every answer is the one a compile states, a call is a
+    // hit exactly when an earlier open plan's interval covers its cap or its
+    // cap-pinned key was compiled before, and every call counts once.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn the_memo_answers_as_its_model_says(
+            questions in proptest::collection::vec(
+                (0usize..3, 0usize..16, proptest::bool::ANY),
+                1..5,
+            ),
+            calls in proptest::collection::vec((0usize..4, 0usize..6), 1..40),
+        ) {
+            use std::collections::{HashMap, HashSet};
+            let towers = [tower(8, 2), tower(16, 2), tower(8, 4)];
+            let lattice = lattice();
+            // Caps from well under to well over each tower's baseline peak:
+            // some fit nothing, some bind, some leave plans open.
+            let caps: Vec<[u64; 6]> = towers
+                .iter()
+                .map(|net| {
+                    let peak = compile(net, &DeviceSpec::k40c(), Policy::baseline())
+                        .unwrap()
+                        .plan
+                        .peak_bytes;
+                    [30, 55, 75, 90, 120, 400].map(|pc| peak * pc / 100)
+                })
+                .collect();
+            let memo = Compiler::new();
+            let mut open: HashMap<(usize, usize, bool), RangeInclusive<u64>> = HashMap::new();
+            let mut pinned: HashSet<(usize, usize, bool, u64)> = HashSet::new();
+            for (n, &(q, c)) in calls.iter().enumerate() {
+                let (t, p, inference) = questions[q % questions.len()];
+                let (net, policy, cap) = (&towers[t], lattice[p], caps[t][c]);
+                let spec = DeviceSpec::k40c().with_dram(cap);
+                let hits = memo.stats().hits;
+                let got = memo.predict(net, &spec, policy, inference);
+                let hit = memo.stats().hits > hits;
+                let want_hit = open.get(&(t, p, inference)).is_some_and(|v| v.contains(&cap))
+                    || pinned.contains(&(t, p, inference, cap));
+                prop_assert_eq!(hit, want_hit, "call {}", n);
+                let fresh = if inference {
+                    compile_inference_memo(net, &spec, policy)
+                } else {
+                    compile_memo(net, &spec, policy)
+                };
+                match (&got, &fresh) {
+                    (Ok(g), Ok(f)) => {
+                        prop_assert_eq!(*g, PeakPrediction::of(&f.plan))
+                    }
+                    (Err(g), Err(f)) => prop_assert_eq!(g.to_string(), f.to_string()),
+                    _ => prop_assert!(false, "call {}: {:?} vs {:?}", n, got, fresh.err()),
+                }
+                match &fresh {
+                    Ok(f) if *f.valid_caps.end() == u64::MAX => {
+                        open.insert((t, p, inference), f.valid_caps.clone());
+                    }
+                    _ => {
+                        pinned.insert((t, p, inference, cap));
+                    }
+                }
+                let s = memo.stats();
+                prop_assert_eq!(s.hits + s.misses, n as u64 + 1);
+            }
+        }
     }
 
     #[test]

@@ -85,7 +85,7 @@ pub struct PeakPrediction {
 
 impl PeakPrediction {
     /// The quantities as a compiled plan states them.
-    fn of(plan: &plan::MemoryPlan) -> PeakPrediction {
+    pub(crate) fn of(plan: &plan::MemoryPlan) -> PeakPrediction {
         PeakPrediction {
             peak_bytes: plan.peak_bytes,
             iter_time: plan.iter_time_estimate(),
@@ -127,15 +127,16 @@ pub fn predict_peak_bytes(net: &Net, spec: &DeviceSpec, policy: Policy) -> Resul
 /// is the plan's analytic busiest-engine estimate, a pacing hint rather
 /// than a measurement.
 ///
-/// Goes through the plan memo ([`plan::compile_memo`]): a repeated
-/// prediction for the same `(net, policy, device)` triple is a hash lookup,
-/// not a compile.
+/// Goes through the shared compiler's plan memo, as [`plan::compile_memo`]
+/// does, and reads the prediction off the memoized plan in place: a repeated
+/// prediction for the same `(net, policy, device)` triple is a hash lookup
+/// that allocates nothing, not a compile.
 pub fn plan_prediction(
     net: &Net,
     spec: &DeviceSpec,
     policy: Policy,
 ) -> Result<PeakPrediction, ExecError> {
-    plan::compile_memo(net, spec, policy).map(|c| PeakPrediction::of(&c.plan))
+    plan::Compiler::shared().predict(net, spec, policy, false)
 }
 
 /// [`plan_prediction`] for a forward-only inference plan: the peak a serving
@@ -147,7 +148,7 @@ pub fn plan_prediction_inference(
     spec: &DeviceSpec,
     policy: Policy,
 ) -> Result<PeakPrediction, ExecError> {
-    plan::compile_inference_memo(net, spec, policy).map(|c| PeakPrediction::of(&c.plan))
+    plan::Compiler::shared().predict(net, spec, policy, true)
 }
 
 impl Session {
@@ -227,9 +228,9 @@ impl Session {
 /// *compiling* the memory plan alone: the planner performs every allocation
 /// the iteration would, so compile success is execution success — and the
 /// feasibility searches behind Tables 4/5 never touch a timeline. Memoized
-/// ([`plan::compile_memo`]): re-asking about a triple is a hash lookup.
+/// as [`plan_prediction`] is: re-asking about a triple is a hash lookup.
 pub fn feasible(net: &Net, spec: &DeviceSpec, policy: Policy) -> bool {
-    plan::compile_memo(net, spec, policy).is_ok()
+    plan_prediction(net, spec, policy).is_ok()
 }
 
 /// Largest `x` in `[lo, hi]` such that `build(x)` trains on `spec` under

@@ -3,11 +3,15 @@
 //! allocations. What may still grow with depth is the doubling of two
 //! vectors — the op stream and the recomputed-tensor node pool — a handful
 //! of reallocations, not one per replayed segment.
+//!
+//! And a plan-memo hit allocates nothing at all: a prediction is read off
+//! the memoized plan in place, and a memoized OOM shares its layer name.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use sn_runtime::{plan, Policy, RecomputeMode};
+use sn_graph::{Net, Shape4};
+use sn_runtime::{plan, plan_prediction, plan_prediction_inference, Policy, RecomputeMode};
 use sn_sim::DeviceSpec;
 
 struct Counting;
@@ -92,5 +96,67 @@ fn a_warm_compile_allocates_nothing_per_step() {
             deep <= shallow + 16,
             "{name}: ResNet-1000 compiles in {deep} allocations, ResNet-100 in {shallow}"
         );
+    }
+}
+
+/// The benchmark's `plan_reuse` shape of net: a conv tower.
+fn tower() -> Net {
+    let mut net = Net::new("tower", Shape4::new(8, 3, 32, 32));
+    let mut prev = net.data();
+    for _ in 0..3 {
+        let c = net.conv(prev, 32, 3, 1, 1);
+        prev = net.relu(c);
+    }
+    let p = net.max_pool(prev, 2, 2, 0);
+    let f = net.fc(p, 10);
+    net.softmax(f);
+    net
+}
+
+#[test]
+fn a_prediction_memo_hit_allocates_nothing() {
+    let net = tower();
+    let policy = Policy::superneurons();
+    for inference in [false, true] {
+        let predict = |spec: &DeviceSpec| {
+            if inference {
+                plan_prediction_inference(&net, spec, policy)
+            } else {
+                plan_prediction(&net, spec, policy)
+            }
+        };
+        let compile = |cap: u64| {
+            let spec = DeviceSpec::k40c().with_dram(cap);
+            if inference {
+                plan::compile_inference(&net, &spec, policy)
+            } else {
+                plan::compile(&net, &spec, policy)
+            }
+        };
+        let peak = compile(12 << 30).unwrap().plan.peak_bytes;
+        // The first cap under the peak that the plan fits only because the
+        // cap shaped it, so it is memoized under that cap alone.
+        let pinned = (50..100)
+            .map(|pc| peak * pc / 100)
+            .find(|&cap| compile(cap).is_ok_and(|c| c.valid_caps == (cap..=cap)))
+            .expect("some cap under the peak binds and fits");
+        for (case, cap, fits) in [
+            ("open interval", 12 << 30, true),
+            ("cap-pinned", pinned, true),
+            ("cap-pinned OOM", 64 << 10, false),
+        ] {
+            let spec = DeviceSpec::k40c().with_dram(cap);
+            assert_eq!(predict(&spec).is_ok(), fits, "{case}: the warm-up");
+            let hits = plan::plan_memo_stats().hits;
+            let before = CALLS.get();
+            let answer = predict(&spec);
+            let calls = CALLS.get() - before;
+            assert_eq!(answer.is_ok(), fits);
+            assert_eq!(plan::plan_memo_stats().hits, hits + 1, "{case}: a hit");
+            assert_eq!(
+                calls, 0,
+                "{case} (inference {inference}): a memo hit made {calls} allocations"
+            );
+        }
     }
 }

@@ -10,6 +10,26 @@ pub const KB: u64 = 1024;
 pub const MB: u64 = 1024 * KB;
 pub const GB: u64 = 1024 * MB;
 
+/// [`DeviceSpec::card_fingerprint`]'s multipliers: two lanes of nine.
+const CARD_KEYS: [[u64; 9]; 2] = [
+    odd_keys(0x6465_765f_6361_7264),
+    odd_keys(0x736e_5f64_6576_6963),
+];
+
+/// `N` odd multipliers drawn from SplitMix64 at `seed`.
+const fn odd_keys<const N: usize>(mut seed: u64) -> [u64; N] {
+    let mut keys = [0; N];
+    let mut i = 0;
+    while i < N {
+        seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let z = (seed ^ (seed >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        keys[i] = (z ^ (z >> 31)) | 1;
+        i += 1;
+    }
+    keys
+}
+
 /// Static description of the simulated accelerator and its host link.
 ///
 /// Bandwidths are decimal GB/s (the unit vendors quote and the paper uses:
@@ -92,14 +112,22 @@ impl DeviceSpec {
         self
     }
 
-    /// 128-bit fingerprint of the *card*: its name and its nine rate and
-    /// latency constants (floats via `to_bits`) — everything but
-    /// `dram_bytes`, so [`DeviceSpec::with_dram`] never changes it. Memo
-    /// keys pair it with a cap (the plan memo only where the cap shaped the
-    /// outcome), which keeps them `Copy` and free of the name `String`.
+    /// 128-bit fingerprint of the *card*: its nine rate and latency
+    /// constants (floats via `to_bits`), which are all the planner, the
+    /// interpreter and the cluster read of it. Neither `dram_bytes` — so
+    /// [`DeviceSpec::with_dram`] never changes it; memo keys pair it with a
+    /// cap — nor the `name`, which nothing simulated reads: two cards that
+    /// differ by name alone share memo entries and device classes, with
+    /// identical answers.
+    ///
+    /// Each half is a fold the CPU runs in parallel: every word's high half
+    /// is xored into its low half (a float's bits sit at the top) and the
+    /// word multiplied by an odd constant of its own, independently of the
+    /// others; the products are summed and the sum mixed. With the other
+    /// words held, each step is a bijection of the one left, so a change to
+    /// any one constant alone changes both halves.
     pub fn card_fingerprint(&self) -> (u64, u64) {
-        let card = (
-            &self.name,
+        let words = [
             self.peak_gflops.to_bits(),
             self.mem_bw_gbps.to_bits(),
             self.pcie_h2d_gbps.to_bits(),
@@ -109,11 +137,15 @@ impl DeviceSpec {
             self.malloc_per_mib.0,
             self.free_base.0,
             self.kernel_launch.0,
-        );
-        (
-            fxhash::hash_with_seed(&card, 0x6465_765f_6361_7264),
-            fxhash::hash_with_seed(&card, 0x736e_5f64_6576_6963),
-        )
+        ];
+        let lane = |keys: &[u64; 9]| {
+            let sum = words.iter().zip(keys).fold(0u64, |acc, (w, k)| {
+                acc.wrapping_add((w ^ (w >> 32)).wrapping_mul(*k))
+            });
+            let x = (sum ^ (sum >> 32)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            x ^ (x >> 29)
+        };
+        (lane(&CARD_KEYS[0]), lane(&CARD_KEYS[1]))
     }
 
     /// Effective PCIe bandwidth for a transfer, honouring pinned/pageable.
@@ -166,10 +198,22 @@ mod tests {
         let fp = base.card_fingerprint();
         assert_eq!(fp, DeviceSpec::k40c().card_fingerprint());
         assert_eq!(fp, base.clone().with_dram(3 * GB).card_fingerprint());
+        // The name is not the card: nothing simulated reads it.
         let mut renamed = base.clone();
         renamed.name.push('!');
-        assert_ne!(fp, renamed.card_fingerprint());
-        // Each of the nine constants, changed alone, changes it.
+        assert_eq!(fp, renamed.card_fingerprint());
+        assert_ne!(fp, DeviceSpec::titan_xp().card_fingerprint());
+        // The two PCIe directions trading values is another card.
+        let pcie = |pcie_h2d_gbps, pcie_d2h_gbps| {
+            DeviceSpec {
+                pcie_h2d_gbps,
+                pcie_d2h_gbps,
+                ..base.clone()
+            }
+            .card_fingerprint()
+        };
+        assert_ne!(pcie(6.0, 8.0), pcie(8.0, 6.0));
+        // Each of the nine constants, changed alone, changes both halves.
         let edits: [fn(&mut DeviceSpec); 9] = [
             |d| d.peak_gflops += 1.0,
             |d| d.mem_bw_gbps += 1.0,
