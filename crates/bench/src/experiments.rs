@@ -4,7 +4,7 @@
 //! discrete-event device model stands in for the GPU); what these reproduce
 //! is the paper's *shape*: which technique/framework wins, by roughly what
 //! factor, and where the memory knees fall. No paper-vs-measured record is
-//! kept in the tree yet (ROADMAP item 2(d), `BENCH_paper.json`); each
+//! kept in the tree yet (ROADMAP item 10, `BENCH_paper.json`); each
 //! function prints what it measured.
 
 use sn_frameworks::Framework;

@@ -261,12 +261,21 @@ impl Profiler {
 pub(crate) struct Row {
     resolved: u64,
     answers: [Option<PeakPrediction>; 64],
+    /// The largest peak any resolved level answered: no device of the class
+    /// is offered a replica that reserves more (a rung's stopping floor).
+    pub(crate) most_peak: u64,
+    /// The lowest resolved level with an answer (64 while none has one): a
+    /// device of the class below it is offered nothing (where a rung's walk
+    /// starts).
+    pub(crate) least_level: u8,
 }
 
 impl Row {
     pub(crate) const EMPTY: Row = Row {
         resolved: 0,
         answers: [None; 64],
+        most_peak: 0,
+        least_level: 64,
     };
 
     /// Answer every level of the bit set `present` not answered yet, on
@@ -290,6 +299,10 @@ impl Row {
         });
         for (l, answer) in levels.into_iter().zip(answers) {
             self.answers[l] = answer;
+            if let Some(p) = answer {
+                self.most_peak = self.most_peak.max(p.peak_bytes);
+                self.least_level = self.least_level.min(l as u8);
+            }
         }
         self.resolved |= cold;
     }

@@ -4,22 +4,32 @@
 //! Entries are ordered by `(t_ns, order)` — the simulator's one clock, in
 //! integer ns, then an integer tiebreak — earliest first, so every entry
 //! due at an instant pops in one batch and in arrival-sequence order. Three
-//! of the four event kinds are fire-and-forget (the next arrival, the next
-//! fault batch, a parked job's retry). The fourth — a running gang's
-//! projected completion — moves every time a tenant count on one of the
-//! gang's devices changes, and disappears when a fault interrupts the gang.
-//! So the heap keeps a position index by slab slot: `pos[slot]` is where the
-//! completion entry of the gang living in `slot` currently sits. A re-anchor
-//! rewrites that entry's key in place and sifts it; an interrupt removes it.
-//! The queue therefore holds **exactly one completion per running gang** —
-//! nothing stale ever surfaces, and what pops is by construction the gang's
-//! live projection.
+//! of the five event kinds are fire-and-forget (the next arrival, the next
+//! fault batch, a parked job's retry). The other two are projected
+//! completions, and they move every time a tenant count they depend on
+//! changes: a running gang's own, and one per device for the earliest of
+//! its single-device tenants, which share the device's clock. So the heap
+//! keeps two position indexes, by slab slot and by device: `pos[slot]` is
+//! where the completion entry of the gang living in `slot` currently sits,
+//! `solo_pos[device]` where the device's is. A re-anchor rewrites an entry's
+//! key in place and sifts it; an interrupt removes it. The queue therefore
+//! holds **exactly one completion per running gang and per device with
+//! single-device tenants** — nothing stale ever surfaces, and what pops is by
+//! construction a live projection.
 
 use crate::slab::SlotKey;
 
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) enum EventKind {
     /// Projected completion of the running gang in this slot.
     Completion { key: SlotKey },
+    /// Projected completion of a device's earliest single-device tenant, the
+    /// one in `key`'s slot; `tied` if another of them is due at that instant.
+    Solo {
+        device: u32,
+        key: SlotKey,
+        tied: bool,
+    },
     /// A parked job's backoff expires.
     Retry { key: SlotKey },
     /// The next pulled-but-unprocessed arrival is due.
@@ -31,8 +41,8 @@ pub(crate) enum EventKind {
 pub(crate) struct Event {
     pub(crate) t_ns: u64,
     /// Tiebreak at equal times: completions and retries by arrival sequence
-    /// (the reference loop's job-index order), then faults, then the
-    /// arrival marker last.
+    /// (the reference loop's job-index order; a device's entry carries its
+    /// earliest tenant's), then faults, then the arrival marker last.
     pub(crate) order: u64,
     pub(crate) kind: EventKind,
 }
@@ -50,9 +60,20 @@ pub(crate) struct EventHeap {
     heap: Vec<Event>,
     /// Heap position of each slab slot's completion entry, `NONE` without.
     pos: Vec<u32>,
+    /// Heap position of each device's entry, `NONE` without.
+    solo_pos: Vec<u32>,
 }
 
 impl EventHeap {
+    /// An empty queue for a fleet of `devices`.
+    pub(crate) fn new(devices: usize) -> EventHeap {
+        let solo_pos = vec![NONE; devices];
+        EventHeap {
+            solo_pos,
+            ..EventHeap::default()
+        }
+    }
+
     pub(crate) fn peek(&self) -> Option<&Event> {
         self.heap.first()
     }
@@ -64,8 +85,8 @@ impl EventHeap {
     /// Queue a retry, arrival or fault marker.
     pub(crate) fn push(&mut self, t_ns: u64, order: u64, kind: EventKind) {
         debug_assert!(
-            !matches!(kind, EventKind::Completion { .. }),
-            "completions go through set_completion"
+            !matches!(kind, EventKind::Completion { .. } | EventKind::Solo { .. }),
+            "completions go through set"
         );
         self.heap.push(Event { t_ns, order, kind });
         self.sift_up(self.heap.len() - 1);
@@ -74,27 +95,24 @@ impl EventHeap {
     /// Set the projected completion of the gang in `key`'s slot: inserts the
     /// entry if the gang has none yet, otherwise re-keys it where it sits.
     pub(crate) fn set_completion(&mut self, key: SlotKey, t_ns: u64, order: u64) {
-        let slot = key.index();
-        if slot >= self.pos.len() {
-            self.pos.resize(slot + 1, NONE);
+        self.set(EventKind::Completion { key }, t_ns, order);
+    }
+
+    /// [`EventHeap::set_completion`] for either kind of completion: a gang's
+    /// entry, or a device's.
+    pub(crate) fn set(&mut self, kind: EventKind, t_ns: u64, order: u64) {
+        if let EventKind::Completion { key } = kind {
+            if key.index() >= self.pos.len() {
+                self.pos.resize(key.index() + 1, NONE);
+            }
         }
-        let at = match self.pos[slot] {
+        let at = match *self.cell(kind).expect("an addressable entry") {
             NONE => {
-                self.heap.push(Event {
-                    t_ns,
-                    order,
-                    kind: EventKind::Completion { key },
-                });
+                self.heap.push(Event { t_ns, order, kind });
                 self.heap.len() - 1
             }
             at => {
-                let ev = &mut self.heap[at as usize];
-                debug_assert!(
-                    matches!(ev.kind, EventKind::Completion { key: k } if k == key),
-                    "slot's completion entry belongs to another occupant"
-                );
-                ev.t_ns = t_ns;
-                ev.order = order;
+                self.heap[at as usize] = Event { t_ns, order, kind };
                 at as usize
             }
         };
@@ -111,22 +129,45 @@ impl EventHeap {
         }
     }
 
-    /// The queued completion instant of the gang in `key`'s slot, and how
-    /// many completions are queued in all — what the event core's
-    /// per-instant invariant check holds against its running gangs.
+    /// Drop `device`'s entry, if it has one.
+    pub(crate) fn remove_solo(&mut self, device: usize) {
+        if self.solo_pos[device] != NONE {
+            self.remove_at(self.solo_pos[device] as usize);
+        }
+    }
+
+    /// The queued completion instant of the gang in `key`'s slot, `device`'s
+    /// entry, and how many gang completions are queued in all — what the
+    /// event core's per-instant invariant check holds against its running
+    /// tenants.
     pub(crate) fn completion(&self, key: SlotKey) -> Option<u64> {
         let at = *self.pos.get(key.index())?;
         (at != NONE).then(|| self.heap[at as usize].t_ns)
+    }
+
+    pub(crate) fn solo(&self, device: usize) -> Option<&Event> {
+        let at = *self.solo_pos.get(device)?;
+        (at != NONE).then(|| &self.heap[at as usize])
     }
 
     pub(crate) fn completions(&self) -> usize {
         self.pos.iter().filter(|at| **at != NONE).count()
     }
 
+    /// The position-index cell of an addressable entry; `None` for the
+    /// fire-and-forget kinds.
+    fn cell(&mut self, kind: EventKind) -> Option<&mut u32> {
+        match kind {
+            EventKind::Completion { key } => Some(&mut self.pos[key.index()]),
+            EventKind::Solo { device, .. } => Some(&mut self.solo_pos[device as usize]),
+            _ => None,
+        }
+    }
+
     fn remove_at(&mut self, at: usize) -> Event {
         let ev = self.heap.swap_remove(at);
-        if let EventKind::Completion { key } = ev.kind {
-            self.pos[key.index()] = NONE;
+        if let Some(cell) = self.cell(ev.kind) {
+            *cell = NONE;
         }
         if at < self.heap.len() {
             let at = self.sift_up(at);
@@ -137,8 +178,8 @@ impl EventHeap {
 
     /// Record where the entry at `at` now sits.
     fn index(&mut self, at: usize) {
-        if let EventKind::Completion { key } = self.heap[at].kind {
-            self.pos[key.index()] = at as u32;
+        if let Some(cell) = self.cell(self.heap[at].kind) {
+            *cell = at as u32;
         }
     }
 
@@ -197,15 +238,19 @@ mod tests {
             }
             let mut indexed = 0;
             for (at, ev) in self.heap.iter().enumerate() {
-                if let EventKind::Completion { key } = ev.kind {
-                    assert_eq!(self.pos[key.index()], at as u32, "pos lags the entry");
-                    indexed += 1;
-                }
+                let cell = match ev.kind {
+                    EventKind::Completion { key } => self.pos[key.index()],
+                    EventKind::Solo { device, .. } => self.solo_pos[device as usize],
+                    _ => continue,
+                };
+                assert_eq!(cell, at as u32, "the index lags the entry");
+                indexed += 1;
             }
+            let cells = self.pos.iter().chain(&self.solo_pos);
             assert_eq!(
-                self.pos.iter().filter(|p| **p != NONE).count(),
+                cells.filter(|p| **p != NONE).count(),
                 indexed,
-                "pos points at a non-completion"
+                "an index points at a fire-and-forget entry"
             );
         }
     }
@@ -231,6 +276,28 @@ mod tests {
             popped(&mut heap),
             vec![(2, 9), (5, 7), (5, u64::MAX - 1), (5, u64::MAX)]
         );
+    }
+
+    #[test]
+    fn a_device_entry_is_one_entry_beside_the_gangs() {
+        let mut heap = EventHeap::new(3);
+        let mut slab: Slab<()> = Slab::new();
+        let (gang, a, b) = (slab.insert(()), slab.insert(()), slab.insert(()));
+        let solo = |device, key, tied| EventKind::Solo { device, key, tied };
+        heap.set_completion(gang, 4, 3);
+        heap.set(solo(2, a, false), 9, 1);
+        heap.set(solo(2, b, true), 4, 5); // re-keyed where it sits
+        heap.set(solo(0, a, false), 4, 2);
+        heap.check();
+        let two = heap.solo(2).map(|e| (e.t_ns, e.order, e.kind));
+        let none = heap.solo(1).is_none();
+        assert_eq!((two, none), (Some((4, 5, solo(2, b, true))), true));
+        assert_eq!((heap.heap.len(), heap.completions()), (3, 1));
+        heap.remove_solo(0);
+        heap.remove_solo(0); // absent: no-op
+        heap.check();
+        assert_eq!(popped(&mut heap), vec![(4, 3), (4, 5)]);
+        assert!(heap.solo_pos.iter().all(|p| *p == NONE));
     }
 
     #[test]

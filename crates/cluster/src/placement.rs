@@ -70,15 +70,30 @@ impl PlacementPolicy {
         }
     }
 
+    /// The least key any device with at least `free` bytes can get — past
+    /// `device`, for FirstFit — when no replica peaks above `most_peak` and
+    /// no device has more than `most_dram`. A walk in ascending free order
+    /// (index order for FirstFit) that holds its gang can stop at the first
+    /// device whose floor exceeds the worst key held: no device after it
+    /// would be chosen.
+    pub(crate) fn floor(
+        self,
+        device: usize,
+        free: u64,
+        most_peak: u64,
+        most_dram: u64,
+    ) -> (u64, usize) {
+        match self {
+            PlacementPolicy::FirstFit => (0, device),
+            PlacementPolicy::BestFit => (free.saturating_sub(most_peak), 0),
+            PlacementPolicy::BinPack => (u64::MAX - (most_dram - free), 0),
+        }
+    }
+
     /// Choose `replicas` distinct devices from the feasible [`Candidate`]s,
     /// taken in any order. Returns the chosen [`Placement`]s, or `None` if
     /// fewer than `replicas` devices are feasible (gangs are atomic: all or
     /// nothing).
-    ///
-    /// The `replicas` best seen so far are kept sorted in `best` (the
-    /// caller's buffer: a rung that places nothing allocates nothing) as the
-    /// candidates stream past — the same gang, in the same order, a full
-    /// sort by the key would yield.
     pub fn choose(
         self,
         candidates: impl IntoIterator<Item = Candidate>,
@@ -90,17 +105,25 @@ impl PlacementPolicy {
             return Some(Vec::new());
         }
         for c in candidates {
-            let key = self.key(&c);
-            if best.len() == replicas {
-                if key > self.key(&best[replicas - 1]) {
-                    continue;
-                }
-                best.pop();
-            }
-            let at = best.partition_point(|b| self.key(b) < key);
-            best.insert(at, c);
+            self.offer(c, replicas, best);
         }
         (best.len() == replicas).then(|| best.iter().map(Placement::from).collect())
+    }
+
+    /// Keep `c` if it is among the `replicas` best offered so far. They are
+    /// kept sorted in `best` (the caller's buffer: a rung that places nothing
+    /// allocates nothing) as the candidates stream past — the same gang, in
+    /// the same order, a full sort by the key would yield.
+    pub(crate) fn offer(self, c: Candidate, replicas: usize, best: &mut Vec<Candidate>) {
+        let key = self.key(&c);
+        if best.len() == replicas {
+            if key > self.key(&best[replicas - 1]) {
+                return;
+            }
+            best.pop();
+        }
+        let at = best.partition_point(|b| self.key(b) < key);
+        best.insert(at, c);
     }
 }
 

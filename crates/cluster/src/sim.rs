@@ -35,23 +35,36 @@
 //!
 //! * **Event queue** — an *addressable* binary heap (`crate::event_heap`)
 //!   ordered by `(time, job index)`: the next arrival, the next fault batch,
-//!   parked jobs' retries, and **exactly one** projected completion per
-//!   running gang, found through a position index by slab slot. A
-//!   tenant-count change re-keys the gang's entry where it sits and sifts
-//!   it; an interrupt removes it. Nothing stale is ever queued, so whatever
-//!   pops is the gang's live projection — in particular a restarted job can
-//!   never complete on the schedule of the run a fault cut short.
+//!   parked jobs' retries, **exactly one** projected completion per running
+//!   gang (indexed by slab slot) and per device with single-device tenants
+//!   (its earliest; a pop re-queues it only for another due then). A
+//!   tenant-count change re-keys an entry where it sits and sifts it; an
+//!   interrupt removes a gang's. Nothing stale is ever queued, so whatever
+//!   pops is a live projection — in particular a restarted job can never
+//!   complete on the schedule of the run a fault cut short.
 //! * **Slab job state** — live jobs (pending, running, parked) occupy
 //!   generation-stamped slots (`crate::slab`); storage is bounded by peak
 //!   concurrency, not stream length.
-//! * **Lazy progress** — each running gang carries
+//! * **Lazy progress** — a running gang carries
 //!   `(anchor_ns, remaining_ns, pace)`: its completion is always
 //!   `anchor + pace.wall(remaining)`, and progress is folded forward
 //!   (`remaining −= pace.work(now − anchor)`, an integer re-anchor) **only
 //!   when its pace changes** — each fold floors once, so folding at every
-//!   event would drift. Per-device tenant lists identify exactly the gangs a
-//!   completion/admission can affect, so an event touches its neighborhood,
-//!   not every running job.
+//!   event would drift. A single-device tenant's pace is its device's tenant
+//!   count, so those on one device share its clock (`DeviceClock`): `k`
+//!   tenants since `anchor`, `v` ns of work credited by then. A tenant
+//!   joining `a = now − anchor` ns in with `W` ns of work stores
+//!   `tag = W + v + ⌊a/k⌋` and `phase = a mod k`; it has
+//!   `tag − v − ⌊a/k⌋ + [a mod k < phase]` left and completes at
+//!   `anchor + k·(tag − v) + phase`, which is `join + k·W`. The sweep folds a
+//!   device only when `max(count, 1) ≠ k`: `v += ⌊a/k⌋`; a tenant whose
+//!   phase exceeds `a mod k` takes back the ns that overstates (`tag += 1`);
+//!   all phases become 0; `anchor = now`, `k = count`. Phases arise where a
+//!   count ends an instant where it began — a completion and an admission
+//!   on one device, or a live downgrade — so nothing folds; a tenant alone
+//!   on its device restarts the clock. Per-device tenant lists identify
+//!   exactly the gangs and clocks an event can affect, so it touches its
+//!   neighborhood, not every running job.
 //! * **Lazy device accounting** — a device's busy time and ∫ reserved dt are
 //!   integrals of step functions, so each device is settled just before its
 //!   `reserved`/`tenants` change and once when the run ends. In integers
@@ -64,13 +77,21 @@
 //!   state — so the shapes refused in the current state are kept in a set
 //!   and nothing else is: a queue thousands deep costs one sweep per
 //!   distinct shape per state, not one per job.
-//! * **Admission rung** — nothing in it divides and it hashes once. A
-//!   device carries its budget *level* (`free / quantum`, re-derived in
-//!   `DeviceState::alter`); a shape carries, per preset and device class, a
-//!   row of the profiler's answers by level (`crate::admission::Row`). A
-//!   rung ORs the levels its devices show, asks the profiler for those no
-//!   device showed before, then indexes `answers[level]` a device, keeping
-//!   the `replicas` best as they stream past instead of sorting the fleet.
+//! * **Admission rung** — nothing in it divides, it hashes once, and it
+//!   stops at the first device that cannot win. A device carries its budget
+//!   *level* (`free / quantum`, re-derived in `DeviceState::alter`); a shape
+//!   carries, per preset and device class, a row of the profiler's answers
+//!   by level (`crate::admission::Row`). A rung ORs the levels its devices
+//!   show, asks the profiler for those no device showed before, then walks
+//!   the devices indexing `answers[level]` and keeping the `replicas` best:
+//!   FirstFit in index order, BestFit and BinPack by ascending (free bytes,
+//!   index), an order the core keeps (with ranks) by an insertion step at
+//!   every alter, starting past the devices too full for any answered level.
+//!   Holding its gang, the walk stops at the first device whose *floor*
+//!   exceeds the worst key held — `free − P` for BestFit (`P` the largest
+//!   peak answered), `u64::MAX − (largest DRAM − free)` for BinPack, its own
+//!   key for FirstFit: no later device keys below it, so the gang is the one
+//!   a scan of the whole fleet picks.
 //!
 //! The run's state is one struct (`Core`) with one handler per step of an
 //! instant, in the order that defines the schedule: completions (freeing
@@ -79,8 +100,10 @@
 //! arrivals → the admission pass → the re-anchor sweep. In debug builds
 //! `Core::check` then verifies the state's invariants — slot conservation,
 //! per-device reservations, levels and tenant lists, one live completion per
-//! running gang, every pace the one its devices imply, monotone time, no
-//! queued job's shape in the blocked set of a state that admits it — and
+//! running gang and per device with single-device tenants (its earliest),
+//! every pace the one its devices imply and every clock at its device's
+//! count, the walk order sorted with its ranks, monotone time, no queued
+//! job's shape in the blocked set of a state that admits it — and
 //! `decide` holds each rung's answer to the ladder written straight down
 //! (`try_admit_plain`), so every test of this crate runs under both.
 //!
@@ -90,22 +113,29 @@
 //! inference, faults; 22 550 events at 15 026 instants, 7 488 `try_admit`
 //! calls), by an `Instant` pair around each handler of `Core::run` and
 //! around `try_admit`, on scratch copies of `864fb29` — where a rung
-//! divided twice a device and hashed a probe per distinct budget — and of
-//! PR 23: medians over the ~240 passes of an 8-s run a side, seed 2301,
-//! 2-vCPU host. Share of a pass · ns an event: the shares repeat to 0.2
-//! points; the ns carry the pairs' own cost and drift ±15 % with the host.
+//! divided twice a device and hashed a probe per distinct budget — of
+//! `4c39aff`, where a device carried its budget level, and of the code that
+//! added device clocks and the walk: medians over the passes of 8-s runs
+//! (~240 a run; for the last column four runs a side, ~170 passes each),
+//! seed 2301, 2-vCPU host. Share of the handlers · ns an event: the shares
+//! repeat to a point or two; the ns carry the pairs' own cost and drift
+//! with the host.
 //!
-//! | handler                                      | before         | after PR 23    |
-//! |----------------------------------------------|---------------:|---------------:|
-//! | admission pass: `try_admit`                  | 38 % · 289 ns  | 28 % · 171 ns  |
-//! | admission pass: reserve, step time, recorder | 13 % ·  99 ns  | 15 % ·  90 ns  |
-//! | re-anchor sweep                              | 27 % · 204 ns  | 32 % · 194 ns  |
-//! | `pop_due` (event queue)                      |  8 % ·  57 ns  | 10 % ·  59 ns  |
-//! | completions, arrivals, faults                | 15 % · 112 ns  | 16 % · 100 ns  |
+//! | handler                                      | before         | level per device | clocks + walk  |
+//! |----------------------------------------------|---------------:|-----------------:|---------------:|
+//! | admission pass: `try_admit`                  | 38 % · 289 ns  | 28 % · 171 ns    | 19 % · 144 ns  |
+//! | admission pass: reserve, step time, recorder | 13 % ·  99 ns  | 15 % ·  90 ns    | 19 % · 151 ns  |
+//! | re-anchor sweep                              | 27 % · 204 ns  | 32 % · 194 ns    | 34 % · 265 ns  |
+//! | `pop_due` (event queue)                      |  8 % ·  57 ns  | 10 % ·  59 ns    | 12 % ·  93 ns  |
+//! | completions, arrivals, faults                | 15 % · 112 ns  | 16 % · 100 ns    | 16 % · 122 ns  |
 //!
-//! `try_admit` is 870 → 514 ns a call. The re-anchor sweep is now the
-//! largest row: 107 k re-paces a pass, 4.75 an event, each a `Pace::work`
-//! and a `Pace::wall`, 64-bit when no link is degraded (all PR 23 did here).
+//! The last column's host ran slow: its parent, `a21fb9c`, timed beside it,
+//! read 30 % · 247, 15 % · 124, 34 % · 283, 10 % · 82 and 12 % · 98 ns.
+//! Against that, `try_admit` is 744 → 432 ns a call: the walk visits 5.7
+//! devices, not 64. The sweep folds 21 568 device clocks a pass where
+//! 63 942 single-device tenants were re-paced, and re-paces the same 45 637
+//! gangs, which are now most of it. Reserving and releasing pay for keeping
+//! the walk order (≈ 17 insertion steps a move, one move an event).
 //!
 //! The loop this replaced is retained in [`crate::sim_reference`], moved
 //! onto the same `Pace` arithmetic but still scanning every gang and
@@ -345,15 +375,14 @@ struct LiveJob {
     resume: Option<ResumePlan>,
 }
 
-/// Execution state of a running gang (see the module docs on lazy
+/// Execution state of a running job (see the module docs on lazy
 /// progress).
 struct RunState {
     grant: Grant,
-    /// Remaining work in ns of *solo* execution time, valid as of
-    /// `anchor_ns`.
-    remaining_ns: u64,
-    anchor_ns: u64,
-    pace: Pace,
+    /// A gang's own progress. A single-device tenant has none: it runs on
+    /// its device's [`DeviceClock`], and its device's [`Tenant`] entry holds
+    /// what the clock needs.
+    gang: Option<Progress>,
     /// One iteration's solo duration (checkpoint folds divide by this).
     step_ns: u64,
     /// Iterations this run covers (`spec.iterations − iters_done` at grant
@@ -362,50 +391,191 @@ struct RunState {
 }
 
 impl RunState {
-    /// A run of `iters` iterations of `step` solo time each, starting now.
-    fn new(grant: Grant, step: SimTime, iters: u32, now_ns: u64, pace: Pace) -> RunState {
-        RunState {
-            grant,
-            remaining_ns: step.0.saturating_mul(u64::from(iters)),
-            anchor_ns: now_ns,
-            pace,
-            step_ns: step.0,
-            iters_this_run: iters,
+    /// Whole iterations this run has completed when `remaining_ns` of its
+    /// solo work is left — one that ends at exactly this instant counts.
+    /// Pure read: the caller decides what the checkpoint policy keeps.
+    fn done_iterations(&self, remaining_ns: u64) -> u32 {
+        if self.step_ns == 0 {
+            return self.iters_this_run; // degenerate zero-work run: all done
         }
+        let total = self.step_ns.saturating_mul(u64::from(self.iters_this_run));
+        u32::try_from((total - remaining_ns) / self.step_ns)
+            .map_or(self.iters_this_run, |n| n.min(self.iters_this_run))
     }
+}
 
+/// A gang's lazy progress: its completion is `anchor + pace.wall(remaining)`.
+struct Progress {
+    /// Remaining work in ns of *solo* execution time, valid as of
+    /// `anchor_ns`.
+    remaining_ns: u64,
+    anchor_ns: u64,
+    pace: Pace,
+}
+
+impl Progress {
     /// The first instant by which the remaining work is done.
     fn completion_ns(&self) -> u64 {
         self.anchor_ns
             .saturating_add(self.pace.wall(self.remaining_ns))
     }
 
-    /// Solo work done since the anchor. Never more than `remaining_ns`: the
-    /// gang would have completed first.
-    fn work_since_anchor(&self, now_ns: u64) -> u64 {
-        self.pace.work(now_ns - self.anchor_ns)
+    /// Solo work left at `now_ns`. Never below zero: the gang would have
+    /// completed first.
+    fn remaining(&self, now_ns: u64) -> u64 {
+        self.remaining_ns - self.pace.work(now_ns - self.anchor_ns)
     }
 
     /// Re-anchor at `now_ns`: fold the progress made under the pace in
     /// force since the anchor, then continue at `pace`.
     fn repace(&mut self, now_ns: u64, pace: Pace) {
-        self.remaining_ns -= self.work_since_anchor(now_ns);
+        self.remaining_ns = self.remaining(now_ns);
         self.anchor_ns = now_ns;
         self.pace = pace;
     }
+}
 
-    /// Whole iterations this run has completed as of `now_ns` — one that
-    /// ends at exactly `now_ns` counts. Pure read: the caller decides what
-    /// the checkpoint policy keeps.
-    fn done_iterations(&self, now_ns: u64) -> u32 {
-        if self.step_ns == 0 {
-            return self.iters_this_run; // degenerate zero-work run: all done
-        }
-        let total = self.step_ns.saturating_mul(u64::from(self.iters_this_run));
-        let executed = total - self.remaining_ns + self.work_since_anchor(now_ns);
-        u32::try_from(executed / self.step_ns)
-            .map_or(self.iters_this_run, |n| n.min(self.iters_this_run))
+/// The clock a device's single-device tenants share: `k ≥ 1` tenants since
+/// `anchor_ns`, `v` ns of solo work credited by then (see the module docs on
+/// lazy progress, which define a tenant's tag and phase).
+#[derive(Clone, Copy)]
+struct DeviceClock {
+    anchor_ns: u64,
+    v: u64,
+    k: u64,
+}
+
+impl DeviceClock {
+    /// `(⌊a/k⌋, a mod k)` at `now_ns`.
+    fn split(self, now_ns: u64) -> (u64, u64) {
+        let a = now_ns - self.anchor_ns;
+        (a / self.k, a % self.k)
     }
+
+    /// The `(tag, phase)` of a tenant joining now with `work_ns` to do.
+    fn join(self, now_ns: u64, work_ns: u64) -> (u64, u64) {
+        let (q, r) = self.split(now_ns);
+        (work_ns.saturating_add(self.v + q), r)
+    }
+
+    /// Solo work a tenant of `tag` and `phase` has left at `now_ns`.
+    fn remaining(self, now_ns: u64, tag: u64, phase: u64) -> u64 {
+        let (q, r) = self.split(now_ns);
+        tag - self.v + u64::from(r < phase) - q
+    }
+
+    /// The first instant by which that tenant's work is done.
+    fn due(self, tag: u64, phase: u64) -> u64 {
+        let wall = self.k.saturating_mul(tag - self.v);
+        self.anchor_ns.saturating_add(wall).saturating_add(phase)
+    }
+
+    /// Re-anchor at `now_ns` under `k` tenants, crediting every tenant
+    /// `⌊a/k⌋`. Returns `a mod k`: a tenant of a larger phase had done one
+    /// ns less, and must add it to its tag.
+    fn fold(&mut self, now_ns: u64, k: u64) -> u64 {
+        let (q, r) = self.split(now_ns);
+        self.v += q;
+        self.anchor_ns = now_ns;
+        self.k = k;
+        r
+    }
+}
+
+/// One running tenant in a device's list: a gang's replica, or a
+/// single-device tenant with what its device's clock keeps for it — so the
+/// sweep and the heap's re-key read the list, not the slab.
+#[derive(Clone, Copy)]
+struct Tenant {
+    key: SlotKey,
+    solo: Option<Solo>,
+}
+
+/// A single-device tenant's arrival sequence (its heap tiebreak), tag and
+/// phase on its device's [`DeviceClock`].
+#[derive(Clone, Copy)]
+struct Solo {
+    seq: u64,
+    tag: u64,
+    phase: u64,
+}
+
+/// A device's running tenants, and the clock its single-device ones share.
+#[derive(Clone)]
+struct Tenants {
+    list: Vec<Tenant>,
+    clock: DeviceClock,
+}
+
+/// The earliest `(due, seq)` of the single-device tenants offered, its
+/// tenant, and whether another is due at the same instant.
+#[derive(Default)]
+struct Earliest {
+    first: Option<(u64, u64, SlotKey)>,
+    tied: bool,
+}
+
+impl Earliest {
+    fn offer(&mut self, due: u64, seq: u64, key: SlotKey) {
+        match self.first {
+            Some((d, s, _)) if (due, seq) > (d, s) => self.tied |= due == d,
+            first => {
+                self.tied = first.is_some_and(|(d, ..)| d == due);
+                self.first = Some((due, seq, key));
+            }
+        }
+    }
+
+    /// `device`'s heap entry: `(due, seq, kind)` of the earliest, if any.
+    fn entry(&self, device: usize) -> Option<(u64, u64, EventKind)> {
+        let (due, seq, key) = self.first?;
+        let (device, tied) = (device as u32, self.tied);
+        Some((due, seq, EventKind::Solo { device, key, tied }))
+    }
+}
+
+/// The devices as ascending (free bytes, index) pairs, and where each sits
+/// in them: what a BestFit or BinPack rung walks. A device whose free bytes
+/// change moves to its place by a local insertion step.
+struct ByFree {
+    order: Vec<(u64, usize)>,
+    rank: Vec<usize>,
+}
+
+impl ByFree {
+    fn new(devices: &[DeviceState]) -> ByFree {
+        let order = by_free(devices);
+        let mut rank = vec![0; order.len()];
+        for (at, &(_, d)) in order.iter().enumerate() {
+            rank[d] = at;
+        }
+        ByFree { order, rank }
+    }
+
+    /// Move `d`, whose free bytes just changed, to its place.
+    fn moved(&mut self, devices: &[DeviceState], d: usize) {
+        let (key, mut at) = ((devices[d].free, d), self.rank[d]);
+        while at > 0 && self.order[at - 1] > key {
+            self.order[at] = self.order[at - 1];
+            self.rank[self.order[at].1] = at;
+            at -= 1;
+        }
+        while at + 1 < self.order.len() && self.order[at + 1] < key {
+            self.order[at] = self.order[at + 1];
+            self.rank[self.order[at].1] = at;
+            at += 1;
+        }
+        self.order[at] = key;
+        self.rank[d] = at;
+    }
+}
+
+/// The devices as ascending (free bytes, index) pairs, sorted afresh: what
+/// [`ClusterSim::try_admit`] walks, for a caller that keeps no [`ByFree`].
+pub(crate) fn by_free(devices: &[DeviceState]) -> Vec<(u64, usize)> {
+    let mut order: Vec<(u64, usize)> = devices.iter().map(|d| d.free).zip(0..).collect();
+    order.sort_unstable();
+    order
 }
 
 /// A grant frozen for byte-exact restarts: the preset plus the per-replica
@@ -722,7 +892,7 @@ pub(crate) struct AdmitScratch {
     rows: FxHashMap<(Workload, usize, JobKind, PolicyPreset), Vec<Row>>,
     /// Per class: the budget levels its devices show, as a bit set.
     present: Vec<u64>,
-    /// [`PlacementPolicy::choose`]'s buffer.
+    /// The gang a rung holds so far, best first.
     best: Vec<Candidate>,
 }
 
@@ -763,6 +933,8 @@ pub struct ClusterSim {
     /// admission answer (see [`Row`]).
     classes: Vec<DeviceClass>,
     class_of: Vec<usize>,
+    /// The largest DRAM in the fleet: BinPack's stopping floor.
+    most_dram: u64,
     pub(crate) profiler: Profiler,
     pub(crate) sink: TraceSink,
     pub(crate) metrics: Option<ClusterMetrics>,
@@ -799,6 +971,7 @@ impl ClusterSim {
         ClusterSim {
             class_of: class_of.collect(),
             classes,
+            most_dram: fleet.max_device_dram(),
             fleet,
             placement,
             profiler: Profiler::new(),
@@ -863,12 +1036,14 @@ impl ClusterSim {
     /// real free space), but the profiler's memo key space collapses from
     /// "every reservation state ever" to at most 63 budgets per device class
     /// — and a rung reads them off each device's level and the shape's
-    /// [`Row`]s (see the module docs). The ladder itself stays serial — a
-    /// stronger preset is only consulted when the weaker one cannot place
-    /// the gang.
+    /// [`Row`]s, visiting the devices in `order` ([`by_free`]) only until no
+    /// later one could win (see the module docs). The ladder itself stays
+    /// serial — a stronger preset is only consulted when the weaker one
+    /// cannot place the gang.
     pub(crate) fn try_admit(
         &self,
         devices: &[DeviceState],
+        order: &[(u64, usize)],
         job: &JobSpec,
         scratch: &mut AdmitScratch,
     ) -> Option<Grant> {
@@ -886,22 +1061,46 @@ impl ClusterSim {
                 .rows
                 .entry((job.workload, job.batch, job.kind, preset))
                 .or_insert_with(|| vec![Row::EMPTY; self.classes.len()]);
+            let (mut most_peak, mut least_free) = (0, u64::MAX);
             for ((row, class), &levels) in rows.iter_mut().zip(&self.classes).zip(&*present) {
                 // Level 0 offers no bytes: never asked, so never answered.
                 let spec = &self.fleet.devices[class.device];
                 row.resolve(levels & !1, &self.profiler, job, preset, spec);
+                most_peak = most_peak.max(row.most_peak);
+                least_free = least_free.min(u64::from(row.least_level) * class.quantum);
             }
-            let fit = devices.iter().zip(&self.class_of).enumerate();
-            let fit = fit.filter_map(|(device, (d, &class))| {
-                Some(Candidate {
-                    prediction: rows[class].answer(d.level)?,
+            // FirstFit walks index order; BestFit and BinPack ascending free
+            // bytes, past the devices too full for any level a row answered.
+            let from = order.partition_point(|&(free, _)| free < least_free);
+            let mut by_free = order[from..].iter().map(|&(_, d)| d);
+            let mut by_index = 0..devices.len();
+            let walk: &mut dyn Iterator<Item = usize> = match self.placement {
+                PlacementPolicy::FirstFit => &mut by_index,
+                _ => &mut by_free,
+            };
+            let (policy, best, replicas) = (self.placement, &mut scratch.best, job.replicas);
+            best.clear();
+            for device in walk {
+                let d = &devices[device];
+                let floor = policy.floor(device, d.free, most_peak, self.most_dram);
+                if best.len() == replicas && floor > policy.key(&best[replicas - 1]) {
+                    break; // no device after this one keys below its floor
+                }
+                let class = self.class_of[device];
+                let Some(prediction) = rows[class].answer(d.level) else {
+                    continue;
+                };
+                let candidate = Candidate {
+                    prediction,
                     device,
                     free: d.free,
                     reserved: d.reserved.saturating_add(d.spike),
                     budget: u64::from(d.level) * self.classes[class].quantum,
-                })
-            });
-            if let Some(placements) = self.placement.choose(fit, job.replicas, &mut scratch.best) {
+                };
+                policy.offer(candidate, replicas, best);
+            }
+            if best.len() == replicas {
+                let placements = best.iter().map(Placement::from).collect();
                 return Some(Grant { preset, placements });
             }
         }
@@ -993,7 +1192,7 @@ impl ClusterSim {
         &self,
         devices: &[DeviceState],
         jobs: &Slab<LiveJob>,
-        tenants_on: &[Vec<SlotKey>],
+        tenants_on: &[Tenants],
         job: &JobSpec,
         resume: Option<&ResumePlan>,
         scratch: &mut AdmitScratch,
@@ -1009,8 +1208,8 @@ impl ClusterSim {
         // appears once per device; dedup by sequence).
         let mut seen: Vec<(u64, SlotKey)> = tenants_on
             .iter()
-            .flatten()
-            .filter_map(|&k| jobs.get(k).map(|j| (j.seq, k)))
+            .flat_map(|on| &on.list)
+            .filter_map(|t| jobs.get(t.key).map(|j| (j.seq, t.key)))
             .collect();
         seen.sort_unstable_by_key(|&(seq, _)| seq);
         seen.dedup_by_key(|&mut (seq, _)| seq);
@@ -1097,7 +1296,7 @@ impl ClusterSim {
             downgrades.push((tenants[ti].key, new_grant));
             let admit = match resume {
                 Some(rp) => self.try_admit_resume(&vdev, job, rp),
-                None => self.try_admit(&vdev, job, scratch),
+                None => self.try_admit(&vdev, &by_free(&vdev), job, scratch),
             };
             if let Some(grant) = admit {
                 return Some((downgrades, grant));
@@ -1265,8 +1464,11 @@ struct Core<'a, R: Recorder> {
     now_ns: u64,
     devices: Vec<DeviceState>,
     /// Per-device running tenants: the gangs a tenant-count change on this
-    /// device can re-pace. The re-anchor sweep walks only these.
-    tenants_on: Vec<Vec<SlotKey>>,
+    /// device can re-pace, and the single-device tenants on its clock. The
+    /// re-anchor sweep walks only these.
+    tenants_on: Vec<Tenants>,
+    /// The order a BestFit or BinPack rung walks the devices in.
+    by_free: ByFree,
     jobs: Slab<LiveJob>,
     heap: EventHeap,
     /// The FIFO admission queue; `pending[fresh_from..]` joined it at this
@@ -1310,16 +1512,29 @@ struct Core<'a, R: Recorder> {
 impl<'a, R: Recorder> Core<'a, R> {
     fn new(sim: &'a ClusterSim, stream: &'a mut dyn ArrivalStream, rec: &'a mut R) -> Self {
         let n = sim.fleet.len();
+        let devices: Vec<DeviceState> = sim.fleet.devices.iter().map(DeviceState::idle).collect();
+        let clock = DeviceClock {
+            anchor_ns: 0,
+            v: 0,
+            k: 1,
+        };
         let mut core = Core {
             sim,
             stream,
             rec,
             out: CoreOutcome::default(),
             now_ns: 0,
-            devices: sim.fleet.devices.iter().map(DeviceState::idle).collect(),
-            tenants_on: vec![Vec::new(); n],
+            by_free: ByFree::new(&devices),
+            devices,
+            tenants_on: vec![
+                Tenants {
+                    list: Vec::new(),
+                    clock
+                };
+                n
+            ],
             jobs: Slab::new(),
-            heap: EventHeap::default(),
+            heap: EventHeap::new(n),
             pending: Vec::new(),
             fresh_from: 0,
             memo: AdmitMemo::default(),
@@ -1407,8 +1622,15 @@ impl<'a, R: Recorder> Core<'a, R> {
         self.fresh_from = self.pending.len();
         let (mut arrival_due, mut fault_due) = (false, false);
         while self.heap.peek().is_some_and(|ev| ev.t_ns == t_ns) {
-            match self.heap.pop().expect("peeked entry").kind {
+            let ev = self.heap.pop().expect("peeked entry");
+            match ev.kind {
                 EventKind::Completion { key } => self.completions.push(key),
+                EventKind::Solo { device, key, tied } => {
+                    self.completions.push(key);
+                    if tied {
+                        self.requeue_tied(device as usize, t_ns, ev.order);
+                    }
+                }
                 EventKind::Retry { key } => {
                     self.pending.push(key);
                     self.parked -= 1;
@@ -1418,6 +1640,23 @@ impl<'a, R: Recorder> Core<'a, R> {
             }
         }
         (arrival_due, fault_due)
+    }
+
+    /// `device`'s entry popped with another of its single-device tenants due
+    /// at this same instant: queue it again for the next of them by arrival
+    /// sequence, after `seq`. (The sweep keys a later one: this completion
+    /// makes it visit the device.)
+    fn requeue_tied(&mut self, device: usize, t_ns: u64, seq: u64) {
+        let Tenants { list, clock } = &self.tenants_on[device];
+        let mut next = Earliest::default();
+        for t in list {
+            let Some(solo) = t.solo else { continue };
+            if solo.seq > seq && clock.due(solo.tag, solo.phase) == t_ns {
+                next.offer(t_ns, solo.seq, t.key);
+            }
+        }
+        let (t_ns, seq, kind) = next.entry(device).expect("a tied entry has a next");
+        self.heap.set(kind, t_ns, seq);
     }
 
     /// Completions first: they free capacity for same-instant arrivals.
@@ -1445,21 +1684,28 @@ impl<'a, R: Recorder> Core<'a, R> {
             let d = &mut self.devices[p.device];
             d.settle(self.now_ns);
             d.vacate(&self.sim.fleet.devices[p.device], p.prediction.peak_bytes);
-            let list = &mut self.tenants_on[p.device];
-            let pos = list.iter().position(|k| *k == key).expect("tenant listed");
+            self.by_free.moved(&self.devices, p.device);
+            let list = &mut self.tenants_on[p.device].list;
+            let pos = list
+                .iter()
+                .position(|t| t.key == key)
+                .expect("tenant listed");
             list.swap_remove(pos);
             self.affected.push(p.device);
         }
         self.state_version += 1;
     }
 
-    /// Land a grant's reservations and tenant slots on its devices.
+    /// Land a grant's reservations and tenant slots on its devices (a
+    /// single-device tenant joins its device's clock in [`Core::start`]).
     fn reserve(&mut self, key: SlotKey, grant: &Grant) {
         for p in &grant.placements {
             let d = &mut self.devices[p.device];
             d.settle(self.now_ns);
             d.admit(&self.sim.fleet.devices[p.device], p.prediction.peak_bytes);
-            self.tenants_on[p.device].push(key);
+            self.by_free.moved(&self.devices, p.device);
+            let list = &mut self.tenants_on[p.device].list;
+            list.push(Tenant { key, solo: None });
             self.affected.push(p.device);
         }
         self.state_version += 1;
@@ -1500,6 +1746,7 @@ impl<'a, R: Recorder> Core<'a, R> {
         match ev {
             FaultEvent::DeviceFail { device } => {
                 self.devices[device].alter(&specs[device], |d| d.failed = true);
+                self.by_free.moved(&self.devices, device);
                 self.fail_since[device] = Some(self.now_ns);
                 self.state_version += 1;
                 self.fault_epoch += 1;
@@ -1508,12 +1755,13 @@ impl<'a, R: Recorder> Core<'a, R> {
                 }
                 // Interrupt every gang with a replica here, in list order
                 // (each interrupt takes its gang off the list).
-                for victim in self.tenants_on[device].clone() {
-                    self.interrupt(victim, device);
+                for victim in self.tenants_on[device].list.clone() {
+                    self.interrupt(victim.key, device);
                 }
             }
             FaultEvent::DeviceRecover { device } => {
                 self.devices[device].alter(&specs[device], |d| d.failed = false);
+                self.by_free.moved(&self.devices, device);
                 self.state_version += 1;
                 self.fault_epoch += 1;
                 if let Some(m) = &self.sim.metrics {
@@ -1528,11 +1776,13 @@ impl<'a, R: Recorder> Core<'a, R> {
             FaultEvent::PressureSpike { device, bytes } => {
                 let spike = |d: &mut DeviceState| d.spike = d.spike.saturating_add(bytes);
                 self.devices[device].alter(&specs[device], spike);
+                self.by_free.moved(&self.devices, device);
                 self.state_version += 1;
             }
             FaultEvent::PressureRelease { device, bytes } => {
                 let lift = |d: &mut DeviceState| d.spike = d.spike.saturating_sub(bytes);
                 self.devices[device].alter(&specs[device], lift);
+                self.by_free.moved(&self.devices, device);
                 self.state_version += 1;
             }
         }
@@ -1556,6 +1806,7 @@ impl<'a, R: Recorder> Core<'a, R> {
             .expect("tenant lists track live jobs");
         let run = job.run.take().expect("listed tenants are running");
         let attempts = job.attempts;
+        let done = self.done_iterations(key, &run);
         self.heap.remove_completion(key);
         self.release(key, &run.grant);
         self.running -= 1;
@@ -1572,7 +1823,7 @@ impl<'a, R: Recorder> Core<'a, R> {
             )),
             _ => None,
         };
-        self.fold_to_checkpoint(key, run.done_iterations(self.now_ns), why.is_none());
+        self.fold_to_checkpoint(key, done, why.is_none());
         if why.is_none() {
             let job = self.jobs.get_mut(key).expect("interrupted jobs stay live");
             job.resume = Some(resume_plan_of(&run.grant));
@@ -1720,7 +1971,8 @@ impl<'a, R: Recorder> Core<'a, R> {
                 if blocked.contains(&shape) {
                     None
                 } else {
-                    let grant = sim.try_admit(&self.devices, &job.spec, &mut self.scratch);
+                    let order = &self.by_free.order;
+                    let grant = sim.try_admit(&self.devices, order, &job.spec, &mut self.scratch);
                     // Debug builds hold every answer to the ladder written
                     // straight down.
                     debug_assert_eq!(grant, sim.try_admit_plain(&self.devices, &job.spec));
@@ -1757,7 +2009,8 @@ impl<'a, R: Recorder> Core<'a, R> {
         let sim = self.sim;
         let job = self.jobs.get_mut(key).expect("planned tenants are live");
         let old = job.run.take().expect("planned tenants are running");
-        self.fold_to_checkpoint(key, old.done_iterations(self.now_ns), true);
+        let done = self.done_iterations(key, &old);
+        self.fold_to_checkpoint(key, done, true);
         for (was, is) in old.grant.placements.iter().zip(&grant.placements) {
             debug_assert_eq!(was.device, is.device, "a downgrade keeps its devices");
             let d = &mut self.devices[is.device];
@@ -1765,16 +2018,10 @@ impl<'a, R: Recorder> Core<'a, R> {
             // Strictly smaller, or it would not have been planned.
             let freed = was.prediction.peak_bytes - is.prediction.peak_bytes;
             d.alter(&sim.fleet.devices[is.device], |d| d.reserved -= freed);
+            self.by_free.moved(&self.devices, is.device);
         }
         self.state_version += 1;
-        let job = self.jobs.get_mut(key).expect("planned tenants are live");
-        let step = sim.step_time(&job.spec, &grant);
-        let iters_left = job.spec.iterations - job.iters_done;
-        let pace = gang_pace(&self.devices, &grant, self.link_permille);
-        let run = job
-            .run
-            .insert(RunState::new(grant, step, iters_left, self.now_ns, pace));
-        self.heap.set_completion(key, run.completion_ns(), job.seq);
+        self.start(key, grant);
         self.out.events += 1;
         if let Some(m) = &sim.metrics {
             m.jobs_downgraded.inc();
@@ -1807,18 +2054,69 @@ impl<'a, R: Recorder> Core<'a, R> {
             self.rec.on_admit(job, &grant, self.now_ns);
         }
         job.attempts = 0;
-        // The gang's pace is read *after* its own reservations landed; if a
-        // later same-pass admission changes it, the sweep folds that in (a
-        // zero-elapsed re-anchor).
-        let step = sim.step_time(&job.spec, &grant);
-        let iters_left = job.spec.iterations - job.iters_done;
-        let pace = gang_pace(&self.devices, &grant, self.link_permille);
-        let run = job
-            .run
-            .insert(RunState::new(grant, step, iters_left, self.now_ns, pace));
-        self.heap.set_completion(key, run.completion_ns(), job.seq);
+        self.start(key, grant);
         self.running += 1;
         self.out.events += 1;
+    }
+
+    /// Run `key`'s job's remaining iterations under `grant` from now. A gang
+    /// gets its own progress and heap entry; its pace is read *after* its
+    /// own reservations landed, and if a later same-pass admission changes
+    /// it, the sweep folds that in (a zero-elapsed re-anchor). A
+    /// single-device tenant joins its device's clock, and the sweep keys the
+    /// device's entry.
+    fn start(&mut self, key: SlotKey, grant: Grant) {
+        let now = self.now_ns;
+        let job = self.jobs.get_mut(key).expect("started jobs are live");
+        let step = self.sim.step_time(&job.spec, &grant);
+        let iters = job.spec.iterations - job.iters_done;
+        let work = step.0.saturating_mul(u64::from(iters));
+        let gang = if grant.placements.len() > 1 {
+            let pace = gang_pace(&self.devices, &grant, self.link_permille);
+            let progress = Progress {
+                remaining_ns: work,
+                anchor_ns: now,
+                pace,
+            };
+            self.heap
+                .set_completion(key, progress.completion_ns(), job.seq);
+            Some(progress)
+        } else {
+            let device = grant.placements[0].device;
+            let Tenants { list, clock } = &mut self.tenants_on[device];
+            if self.devices[device].tenants == 1 {
+                // Alone on its device, it restarts the clock: a tag stays
+                // within the work of one busy period.
+                (clock.anchor_ns, clock.v) = (now, 0);
+            }
+            let (tag, phase) = clock.join(now, work);
+            let t = list.iter_mut().rev().find(|t| t.key == key);
+            let seq = job.seq;
+            t.expect("tenant listed").solo = Some(Solo { seq, tag, phase });
+            self.affected.push(device);
+            None
+        };
+        job.run = Some(RunState {
+            grant,
+            gang,
+            step_ns: step.0,
+            iters_this_run: iters,
+        });
+    }
+
+    /// [`RunState::done_iterations`] of `key`'s `run` as of now, read off
+    /// its own progress or its device's clock.
+    fn done_iterations(&self, key: SlotKey, run: &RunState) -> u32 {
+        let remaining = match &run.gang {
+            Some(progress) => progress.remaining(self.now_ns),
+            None => {
+                let Tenants { list, clock } = &self.tenants_on[run.grant.placements[0].device];
+                let t = list.iter().find(|t| t.key == key);
+                let solo = t.and_then(|t| t.solo).expect("solo tenants are on a clock");
+                clock.remaining(self.now_ns, solo.tag, solo.phase)
+            }
+        };
+        run.done_iterations(remaining)
     }
 
     /// What becomes of a job admission could not place, three-way: it waits
@@ -1876,27 +2174,51 @@ impl<'a, R: Recorder> Core<'a, R> {
         false
     }
 
-    /// Re-anchor sweep: exactly the gangs sharing a device whose tenant
-    /// count changed this instant. A gang whose pace moved folds its
-    /// progress forward under the old one, restarts its anchor at `now` and
-    /// has its completion re-keyed where it sits in the heap. Gangs reached
-    /// through two affected devices are visited twice but re-anchored once
-    /// — the second visit sees the new pace already in place.
+    /// Re-anchor sweep: exactly the devices whose tenant set changed this
+    /// instant. A device whose tenant count moved folds its clock — the
+    /// single-device tenants' progress, all at once. A gang there whose pace
+    /// moved folds its own progress forward under the old pace, restarts its
+    /// anchor at `now` and has its completion re-keyed where it sits in the
+    /// heap; a gang reached through two affected devices is visited twice but
+    /// re-anchored once — the second visit sees the new pace already in
+    /// place. Last, the device's entry is keyed by its earliest
+    /// single-device tenant.
     fn reanchor_sweep(&mut self) {
         self.affected.sort_unstable();
         self.affected.dedup();
         for &d in &self.affected {
-            for &key in &self.tenants_on[d] {
-                let job = self
-                    .jobs
-                    .get_mut(key)
-                    .expect("tenant lists track live jobs");
-                let run = job.run.as_mut().expect("listed tenants are running");
-                let pace = gang_pace(&self.devices, &run.grant, self.link_permille);
-                if pace != run.pace {
-                    run.repace(self.now_ns, pace);
-                    self.heap.set_completion(key, run.completion_ns(), job.seq);
+            let k = self.devices[d].tenants.max(1) as u64;
+            let Tenants { list, clock } = &mut self.tenants_on[d];
+            let folded = (k != clock.k).then(|| clock.fold(self.now_ns, k));
+            let mut earliest = Earliest::default();
+            for t in list {
+                let Some(solo) = &mut t.solo else {
+                    let job = self
+                        .jobs
+                        .get_mut(t.key)
+                        .expect("tenant lists track live jobs");
+                    let run = job.run.as_mut().expect("listed tenants are running");
+                    let progress = run.gang.as_mut().expect("a gang keeps its own progress");
+                    let pace = gang_pace(&self.devices, &run.grant, self.link_permille);
+                    if pace != progress.pace {
+                        progress.repace(self.now_ns, pace);
+                        self.heap
+                            .set_completion(t.key, progress.completion_ns(), job.seq);
+                    }
+                    continue;
+                };
+                if let Some(r) = folded {
+                    // It joined `phase` ns into a unit of k: if the fold
+                    // lands earlier in its unit, ⌊a/k⌋ credits it one ns of
+                    // work it has not yet done.
+                    solo.tag += u64::from(r < solo.phase);
+                    solo.phase = 0;
                 }
+                earliest.offer(clock.due(solo.tag, solo.phase), solo.seq, t.key);
+            }
+            match earliest.entry(d) {
+                Some((t_ns, seq, kind)) => self.heap.set(kind, t_ns, seq),
+                None => self.heap.remove_solo(d),
             }
         }
     }
@@ -1910,13 +2232,16 @@ impl<'a, R: Recorder> Core<'a, R> {
             self.pending.len() + self.running + self.parked,
             "a live slot is exactly one queued, running or parked job"
         );
-        let mut gangs = 0;
-        for (d, list) in self.tenants_on.iter().enumerate() {
+        let (mut running, mut gangs) = (0, 0);
+        for (d, Tenants { list, clock }) in self.tenants_on.iter().enumerate() {
             let dev = &self.devices[d];
             assert_eq!(dev.tenants, list.len(), "device {d}: tenant count vs list");
+            let mut earliest = Earliest::default();
+            let k = dev.tenants.max(1) as u64;
+            assert_eq!(clock.k, k, "device {d}: its clock vs its tenant count");
             let mut reserved = 0u64;
-            for &key in list {
-                let job = self.jobs.get(key).expect("tenant lists track live jobs");
+            for t in list {
+                let job = self.jobs.get(t.key).expect("tenant lists track live jobs");
                 let run = job.run.as_ref().expect("listed tenants are running");
                 let here = run.grant.placements.iter().position(|p| p.device == d);
                 let here = here.expect("a listed gang has a replica on the device");
@@ -1924,20 +2249,34 @@ impl<'a, R: Recorder> Core<'a, R> {
                 if here > 0 {
                     continue; // count and check each gang once, at its first replica
                 }
+                running += 1;
+                let Some(progress) = &run.gang else {
+                    let solo = t.solo.expect("a single-device tenant is on its clock");
+                    assert_eq!(solo.seq, job.seq, "job {}: a stale sequence", job.spec.name);
+                    earliest.offer(clock.due(solo.tag, solo.phase), job.seq, t.key);
+                    continue;
+                };
                 gangs += 1;
+                assert!(t.solo.is_none(), "job {}: a gang on a clock", job.spec.name);
                 assert_eq!(
-                    self.heap.completion(key),
-                    Some(run.completion_ns()),
+                    self.heap.completion(t.key),
+                    Some(progress.completion_ns()),
                     "job {}: queued completion is not anchor + pace.wall(remaining)",
                     job.spec.name
                 );
                 assert_eq!(
-                    run.pace,
+                    progress.pace,
                     gang_pace(&self.devices, &run.grant, self.link_permille),
                     "job {}: pace is not the one its devices imply after the sweep",
                     job.spec.name
                 );
             }
+            let entry = self.heap.solo(d).map(|ev| (ev.t_ns, ev.order, ev.kind));
+            let want = earliest.entry(d);
+            assert_eq!(
+                entry, want,
+                "device {d}: its entry vs its earliest solo tenant"
+            );
             assert_eq!(
                 dev.reserved, reserved,
                 "device {d}: reserved vs Σ tenant peaks"
@@ -1954,12 +2293,16 @@ impl<'a, R: Recorder> Core<'a, R> {
                 "device {d}: reservations exceed DRAM"
             );
         }
-        assert_eq!(gangs, self.running, "running count vs tenant lists");
+        assert_eq!(running, self.running, "running count vs tenant lists");
         assert_eq!(
             self.heap.completions(),
-            self.running,
+            gangs,
             "exactly one queued completion per running gang"
         );
+        let ByFree { order, rank } = &self.by_free;
+        let ranked = order.iter().enumerate().all(|(at, &(_, d))| rank[d] == at);
+        assert_eq!(order, &by_free(&self.devices), "walk order vs free bytes");
+        assert!(ranked, "a device's rank is not its place in the walk order");
         // A set left over from an earlier reservation state is emptied
         // before it is next read, so it claims nothing now.
         if self.memo.blocked_at == self.state_version {
@@ -1981,15 +2324,30 @@ impl<'a, R: Recorder> Core<'a, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::synthetic_stream;
     use proptest::prelude::*;
     use sn_runtime::Interconnect;
+    use std::hash::{Hash, Hasher};
 
-    fn run_state(step: u64, iters: u32, now_ns: u64, pace: Pace) -> RunState {
+    /// A gang's run of `iters` steps of `step` ns from `now_ns` at `pace`.
+    fn gang_run(step: u64, iters: u32, now_ns: u64, pace: Pace) -> (RunState, Progress) {
         let grant = Grant {
             preset: PolicyPreset::Baseline,
             placements: Vec::new(),
         };
-        RunState::new(grant, SimTime(step), iters, now_ns, pace)
+        let run = RunState {
+            grant,
+            gang: None,
+            step_ns: step,
+            iters_this_run: iters,
+        };
+        let remaining_ns = step * u64::from(iters);
+        let progress = Progress {
+            remaining_ns,
+            anchor_ns: now_ns,
+            pace,
+        };
+        (run, progress)
     }
 
     #[test]
@@ -1997,25 +2355,27 @@ mod tests {
         // 7 ns steps at 20/3 wall ns per work ns (2 tenants, link at 300‰):
         // iteration k ends at the first instant by which 7k ns are done.
         let pace = Pace::new(2, 300);
-        let mut run = run_state(7, 5, 100, pace);
+        let (run, mut progress) = gang_run(7, 5, 100, pace);
+        let done = |p: &Progress, t: u64| run.done_iterations(p.remaining(t));
         for k in 1..=5u32 {
             let ends = 100 + pace.wall(7 * u64::from(k));
-            assert_eq!(run.done_iterations(ends), k, "iteration {k} ends at {ends}");
-            assert_eq!(run.done_iterations(ends - 1), k - 1, "and not a ns sooner");
+            assert_eq!(done(&progress, ends), k, "iteration {k} ends at {ends}");
+            assert_eq!(done(&progress, ends - 1), k - 1, "and not a ns sooner");
         }
-        assert_eq!(run.completion_ns(), 100 + pace.wall(35));
+        assert_eq!(progress.completion_ns(), 100 + pace.wall(35));
         // A re-anchor mid-iteration floors the fold (50 ns at 20/3 is 7.5 ns
         // of work, credited as 7) and the count carries on from it.
-        run.repace(150, Pace::new(3, 1000));
-        assert_eq!((run.remaining_ns, run.anchor_ns), (28, 150));
-        assert_eq!(run.done_iterations(150), 1);
-        assert_eq!(run.done_iterations(170), 1);
-        assert_eq!(run.done_iterations(171), 2);
-        assert_eq!(run.completion_ns(), 150 + 3 * 28);
-        assert_eq!(run.done_iterations(run.completion_ns()), 5);
+        progress.repace(150, Pace::new(3, 1000));
+        assert_eq!((progress.remaining_ns, progress.anchor_ns), (28, 150));
+        assert_eq!(done(&progress, 150), 1);
+        assert_eq!(done(&progress, 170), 1);
+        assert_eq!(done(&progress, 171), 2);
+        assert_eq!(progress.completion_ns(), 150 + 3 * 28);
+        assert_eq!(done(&progress, progress.completion_ns()), 5);
         // A zero-work run is done the moment it starts.
-        assert_eq!(run_state(0, 4, 9, pace).done_iterations(9), 4);
-        assert_eq!(run_state(0, 4, 9, pace).completion_ns(), 9);
+        let (zero, progress) = gang_run(0, 4, 9, pace);
+        assert_eq!(zero.done_iterations(progress.remaining(9)), 4);
+        assert_eq!(progress.completion_ns(), 9);
     }
 
     /// Two cards, three quanta, four classes: a capacity that is no multiple
@@ -2088,10 +2448,321 @@ mod tests {
                             .with_replicas(replicas)
                             .with_downgrade(downgrade);
                         let want = sim.try_admit_plain(devices, &job);
-                        let cold = sim.try_admit(devices, &job, &mut AdmitScratch::default());
+                        let order = by_free(devices);
+                        let cold = sim.try_admit(devices, &order, &job, &mut AdmitScratch::default());
                         prop_assert_eq!(&cold, &want, "{} x{replicas}, fresh rows", policy.name());
-                        let again = sim.try_admit(devices, &job, &mut warm);
+                        let again = sim.try_admit(devices, &order, &job, &mut warm);
                         prop_assert_eq!(&again, &want, "{} x{replicas}, kept rows", policy.name());
+                    }
+                }
+            }
+        }
+    }
+
+    /// One device's single-device tenants through random instants, each on
+    /// the device clock and on the per-tenant fold the clock stands in for
+    /// (`(anchor, remaining, pace)`, re-anchored whenever its pace moves).
+    /// At every instant some leave (all that are due, and a few more), some
+    /// join — so the count often ends an instant where it began — and the
+    /// device folds if it moved. Every tenant's due and its work left at
+    /// instants up to the next must agree. Returns the folds whose phase term
+    /// fired and the joins at instants that did not fold.
+    fn clock_against_per_tenant_fold(seed: u64) -> (usize, usize) {
+        let mut state = seed | 1;
+        let mut draw = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        // (tag, phase) on the clock; (anchor, remaining, pace) per tenant.
+        type OnBoth = ((u64, u64), (u64, u64, u64));
+        let mut tenants: Vec<OnBoth> = Vec::new();
+        let mut clock = DeviceClock {
+            anchor_ns: 0,
+            v: 0,
+            k: 1,
+        };
+        let (mut now, mut fired, mut phased) = (0u64, 0, 0);
+        for _ in 0..60 {
+            let earliest = tenants.iter().map(|(_, (a, w, p))| a + p * w).min();
+            now = earliest.map_or(now + 1 + draw(9), |due| now + draw(due - now + 1));
+            tenants.retain(|(_, (a, w, p))| a + p * w > now && draw(5) > 0);
+            for _ in 0..draw(3) {
+                let work = 1 + draw(12);
+                if tenants.is_empty() {
+                    clock = DeviceClock {
+                        anchor_ns: now,
+                        v: 0,
+                        k: clock.k,
+                    };
+                }
+                tenants.push((clock.join(now, work), (now, work, 0)));
+            }
+            let k = tenants.len().max(1) as u64;
+            let fold = (k != clock.k).then(|| clock.fold(now, k));
+            for ((tag, phase), (anchor, work, pace)) in &mut tenants {
+                if let Some(r) = fold {
+                    fired += usize::from(r < *phase);
+                    *tag += u64::from(r < *phase);
+                    *phase = 0;
+                } else if *phase != 0 && *anchor == now {
+                    phased += 1;
+                }
+                if *pace != k {
+                    *work -= Pace::new(*pace as usize, 1000).work(now - *anchor);
+                    (*anchor, *pace) = (now, k);
+                }
+            }
+            let next = tenants.iter().map(|(_, (a, w, p))| a + p * w).min();
+            for ((tag, phase), (anchor, work, pace)) in &tenants {
+                assert_eq!(clock.due(*tag, *phase), anchor + pace * work, "seed {seed}");
+                for t in now..=next.unwrap_or(now).min(now + 8) {
+                    let left = work - (t - anchor) / pace;
+                    assert_eq!(clock.remaining(t, *tag, *phase), left, "seed {seed} at {t}");
+                }
+            }
+        }
+        (fired, phased)
+    }
+
+    #[test]
+    fn a_device_clock_folds_as_each_tenant_would() {
+        let (mut fired, mut phased) = (0, 0);
+        for seed in 1..=300 {
+            let (f, p) = clock_against_per_tenant_fold(seed);
+            fired += f;
+            phased += p;
+        }
+        assert!(
+            phased > 0,
+            "no tenant joined at an instant that did not fold"
+        );
+        assert!(fired > 0, "no fold needed its phase term");
+    }
+
+    /// The folds of a schedule where the phase term credits a tenant back,
+    /// re-derived from its trace alone by the rule the module docs state:
+    /// per device, the clock folds where an instant ends with another tenant
+    /// count; a single-device tenant that joins (admitted, restarted or
+    /// downgraded) takes phase `(now − anchor) mod k`, and 0 on an idle
+    /// device, whose clock restarts; a fold at `(now − anchor) mod k` below
+    /// a phase corrects that tenant. Returns the corrections to tenants
+    /// admitted or restarted, and to tenants downgraded.
+    fn phase_corrections(trace: &[TraceEvent], devices: usize) -> (usize, usize) {
+        struct Clock {
+            count: usize,
+            anchor: u64,
+            k: u64,
+            /// Job, phase, joined by a downgrade.
+            phases: Vec<(String, u64, bool)>,
+        }
+        let mut clocks: Vec<Clock> = (0..devices)
+            .map(|_| Clock {
+                count: 0,
+                anchor: 0,
+                k: 1,
+                phases: Vec::new(),
+            })
+            .collect();
+        let mut on: FxHashMap<String, Vec<usize>> = FxHashMap::default();
+        let mut fired = (0, 0);
+        for (i, ev) in trace.iter().enumerate() {
+            let t = ev.t_ns;
+            let join = |c: &mut Clock, downgrade: bool| {
+                if c.count == 1 {
+                    c.anchor = t;
+                }
+                c.phases.retain(|(job, ..)| *job != ev.job);
+                c.phases
+                    .push((ev.job.clone(), (t - c.anchor) % c.k, downgrade));
+            };
+            match &ev.kind {
+                TraceKind::Admit { devices, .. } | TraceKind::Restart { devices, .. } => {
+                    for &d in devices {
+                        clocks[d].count += 1;
+                        if devices.len() == 1 {
+                            join(&mut clocks[d], false);
+                        }
+                    }
+                    on.insert(ev.job.clone(), devices.clone());
+                }
+                TraceKind::Downgrade { .. } => {
+                    if let [d] = on[&ev.job][..] {
+                        join(&mut clocks[d], true);
+                    }
+                }
+                TraceKind::Complete | TraceKind::Interrupt { .. } => {
+                    for d in on.remove(&ev.job).expect("a running job") {
+                        clocks[d].count -= 1;
+                        clocks[d].phases.retain(|(job, ..)| *job != ev.job);
+                    }
+                }
+                _ => {}
+            }
+            if trace.get(i + 1).is_some_and(|next| next.t_ns == t) {
+                continue; // the instant goes on
+            }
+            for c in &mut clocks {
+                let k = c.count.max(1) as u64;
+                if k != c.k {
+                    let r = (t - c.anchor) % c.k;
+                    for (_, phase, downgrade) in &mut c.phases {
+                        if r < *phase {
+                            *if *downgrade {
+                                &mut fired.1
+                            } else {
+                                &mut fired.0
+                            } += 1;
+                        }
+                        *phase = 0;
+                    }
+                    (c.anchor, c.k) = (t, k);
+                }
+            }
+        }
+        fired
+    }
+
+    #[test]
+    fn a_completion_and_an_admission_at_one_instant_fold_with_the_phase_term() {
+        // Gangs finish on their own clocks, so a queued job admitted at a
+        // gang's completion instant joins its device mid-unit: the count
+        // ends the instant where it began, nothing folds, and the newcomer
+        // carries a phase the device's next fold must honour.
+        let fleet = || {
+            Fleet::homogeneous(
+                4,
+                DeviceSpec::k40c().with_dram(48 << 20),
+                Interconnect::pcie(),
+            )
+        };
+        let mut fired = 0;
+        for seed in 1..=6 {
+            for placement in PlacementPolicy::ALL {
+                let arrivals = synthetic_stream(80, seed, PolicyPreset::Superneurons, true);
+                let run = ClusterSim::new(fleet(), placement).run(arrivals.clone());
+                let reference = ClusterSim::new(fleet(), placement).run_reference(arrivals);
+                assert!(
+                    run.bit_identical(&reference),
+                    "seed {seed} under {}: the clocks diverged from the reference loop",
+                    placement.name()
+                );
+                fired += phase_corrections(&run.trace, 4).0;
+            }
+        }
+        assert!(fired > 0, "no fold needed its phase term");
+    }
+
+    #[test]
+    fn a_live_solo_downgrade_rejoins_its_device_clock() {
+        // Tight devices and downgradable baseline jobs under elastic
+        // recovery: blocked arrivals live-downgrade running tenants, and a
+        // downgraded single-device tenant restarts its run mid-unit on a
+        // device whose count does not move. The reference loop has no
+        // elastic recovery, so each report is held to the digest the same
+        // run had when every single-device tenant kept its own
+        // `(anchor, remaining, pace)`.
+        const PER_TENANT_FOLD: [u64; 8] = [
+            0x979e_f7fd_d697_1124,
+            0x0015_f38f_5fed_422d,
+            0xc91b_3f32_d59c_2d87,
+            0xfdb2_1e3f_fd43_264f,
+            0x2a32_bb60_ac30_00a8,
+            0xe748_6893_64c8_d2cb,
+            0x8021_da83_1023_3630,
+            0xc6c3_29eb_83f8_64ad,
+        ];
+        let fleet = || {
+            Fleet::homogeneous(
+                3,
+                DeviceSpec::k40c().with_dram(48 << 20),
+                Interconnect::pcie(),
+            )
+        };
+        let (mut downgrades, mut fired) = (0, 0);
+        for (seed, want) in (1..).zip(PER_TENANT_FOLD) {
+            let arrivals = synthetic_stream(50, seed, PolicyPreset::Baseline, true);
+            let sim = || {
+                let mut sim = ClusterSim::new(fleet(), PlacementPolicy::BestFit);
+                let elastic = RecoveryPolicy::default().with_mode(RecoveryMode::RestartElastic);
+                sim.enable_faults(FaultPlan::new(), elastic);
+                sim
+            };
+            let run = sim().run(arrivals.clone());
+            let streamed = sim().run_stream(&mut ReplayStream::new(arrivals));
+            let mut digest = fxhash::FxHasher::default();
+            format!("{run:?}").hash(&mut digest);
+            assert_eq!(digest.finish(), want, "seed {seed}: the schedule moved");
+            assert_eq!(
+                (streamed.makespan, streamed.completed as usize),
+                (run.makespan, run.completed),
+                "seed {seed}: the two entry points ran different schedules"
+            );
+            let downgraded = |e: &&TraceEvent| matches!(e.kind, TraceKind::Downgrade { .. });
+            downgrades += run.trace.iter().filter(downgraded).count();
+            fired += phase_corrections(&run.trace, 3).1;
+        }
+        assert!(downgrades > 0, "no tenant was downgraded");
+        assert!(
+            fired > 0,
+            "no downgraded tenant's fold needed its phase term"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn the_walk_picks_the_gang_a_full_scan_picks(
+            // Per device: reserved ‰ of DRAM, spike ‰ + 700, failed if 0.
+            draws in proptest::collection::vec((0u64..1001, 0u64..1001, 0usize..10), 12..13),
+            classes in 1usize..3,
+        ) {
+            // One class, or two: every third device has 40 MB, not 24.
+            let dram = |d: usize| if classes == 2 && d.is_multiple_of(3) { 40 << 20 } else { 24 << 20 };
+            let fleet = Fleet {
+                devices: (0..12).map(|d| DeviceSpec::k40c().with_dram(dram(d))).collect(),
+                interconnect: Interconnect::pcie(),
+            };
+            // The state built alter by alter, the walk order kept as the
+            // event core keeps it.
+            let mut devices: Vec<DeviceState> = fleet.devices.iter().map(DeviceState::idle).collect();
+            let mut order = ByFree::new(&devices);
+            for (d, (&(reserved, spike, failed), spec)) in draws.iter().zip(&fleet.devices).enumerate() {
+                devices[d].admit(spec, spec.dram_bytes * reserved / 1000);
+                order.moved(&devices, d);
+                let spike = spec.dram_bytes * spike.saturating_sub(700) / 1000;
+                devices[d].alter(spec, |s| s.spike = spike);
+                order.moved(&devices, d);
+                devices[d].alter(spec, |s| s.failed = failed == 0);
+                order.moved(&devices, d);
+            }
+            prop_assert_eq!(&order.order, &by_free(&devices));
+            // Baseline wants 17.7 MB of a device for the first shape, a few
+            // for the second: a handful of devices fit it, or most do. The
+            // full stack's peak shrinks with the budget, so there a
+            // device's key is not its free bytes less one constant.
+            let shapes = [
+                (Workload::Synthetic { width: 16, depth: 4 }, 16, JobKind::Training),
+                (Workload::Synthetic { width: 8, depth: 2 }, 8, JobKind::Training),
+                (Workload::Synthetic { width: 16, depth: 4 }, 16, JobKind::Inference),
+            ];
+            for policy in PlacementPolicy::ALL {
+                let sim = ClusterSim::new(fleet.clone(), policy);
+                let mut scratch = AdmitScratch::default();
+                for replicas in 1..=4 {
+                    for ((w, batch, kind), preset) in shapes.into_iter().flat_map(|s| {
+                        [(s, PolicyPreset::Baseline), (s, PolicyPreset::Superneurons)]
+                    }) {
+                        let job = JobSpec::new("j", w, batch)
+                            .with_kind(kind)
+                            .with_preset(preset)
+                            .with_replicas(replicas)
+                            .with_downgrade(true);
+                        let walked = sim.try_admit(&devices, &order.order, &job, &mut scratch);
+                        let scanned = sim.try_admit_plain(&devices, &job);
+                        prop_assert_eq!(walked, scanned, "{} x{}", policy.name(), replicas);
                     }
                 }
             }

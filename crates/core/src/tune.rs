@@ -802,7 +802,7 @@ pub fn bucket_bytes_for(id: TunedId) -> u64 {
 
 /// Does nothing: the tune memo is gone. Kept for its one caller,
 /// `benchmark/src/harness.rs:145`, which this repository's PRs may not
-/// edit; ROADMAP item 7's `[benchmark]` PR drops the call and this with it.
+/// edit; ROADMAP item 9's `[benchmark]` PR drops the call and this with it.
 pub fn clear_tune_memo() {}
 
 #[cfg(test)]
