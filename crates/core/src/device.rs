@@ -1,7 +1,7 @@
 //! The simulated device bundle: spec + timeline + allocator + pinned host
 //! pool, with allocation latencies charged to the virtual clock.
 
-use sn_mempool::{HeapPool, LinearPool};
+use sn_mempool::HeapPool;
 use sn_sim::{
     AllocError, AllocGrant, AllocId, CudaAllocator, DeviceAllocator, DeviceSpec, SimTime, Timeline,
 };
@@ -13,8 +13,6 @@ use crate::tiers::{TierConfig, TieredPool};
 #[derive(Debug, Clone)]
 pub enum AllocatorImpl {
     Pool(HeapPool),
-    /// Reference linear-scan pool (differential tests, bench baselines).
-    Linear(LinearPool),
     Cuda(CudaAllocator),
 }
 
@@ -22,7 +20,6 @@ impl DeviceAllocator for AllocatorImpl {
     fn alloc(&mut self, bytes: u64) -> Result<AllocGrant, AllocError> {
         match self {
             AllocatorImpl::Pool(p) => p.alloc(bytes),
-            AllocatorImpl::Linear(p) => p.alloc(bytes),
             AllocatorImpl::Cuda(c) => c.alloc(bytes),
         }
     }
@@ -30,7 +27,6 @@ impl DeviceAllocator for AllocatorImpl {
     fn free(&mut self, id: AllocId) -> Result<SimTime, AllocError> {
         match self {
             AllocatorImpl::Pool(p) => p.free(id),
-            AllocatorImpl::Linear(p) => p.free(id),
             AllocatorImpl::Cuda(c) => c.free(id),
         }
     }
@@ -38,7 +34,6 @@ impl DeviceAllocator for AllocatorImpl {
     fn used(&self) -> u64 {
         match self {
             AllocatorImpl::Pool(p) => p.used(),
-            AllocatorImpl::Linear(p) => p.used(),
             AllocatorImpl::Cuda(c) => c.used(),
         }
     }
@@ -46,7 +41,6 @@ impl DeviceAllocator for AllocatorImpl {
     fn capacity(&self) -> u64 {
         match self {
             AllocatorImpl::Pool(p) => p.capacity(),
-            AllocatorImpl::Linear(p) => p.capacity(),
             AllocatorImpl::Cuda(c) => c.capacity(),
         }
     }
@@ -54,7 +48,6 @@ impl DeviceAllocator for AllocatorImpl {
     fn high_water(&self) -> u64 {
         match self {
             AllocatorImpl::Pool(p) => p.high_water(),
-            AllocatorImpl::Linear(p) => p.high_water(),
             AllocatorImpl::Cuda(c) => c.high_water(),
         }
     }
@@ -62,7 +55,6 @@ impl DeviceAllocator for AllocatorImpl {
     fn extent_high_water(&self) -> u64 {
         match self {
             AllocatorImpl::Pool(p) => p.extent_high_water(),
-            AllocatorImpl::Linear(p) => p.extent_high_water(),
             AllocatorImpl::Cuda(c) => c.extent_high_water(),
         }
     }
@@ -70,7 +62,6 @@ impl DeviceAllocator for AllocatorImpl {
     fn largest_free_contiguous(&self) -> u64 {
         match self {
             AllocatorImpl::Pool(p) => p.largest_free_contiguous(),
-            AllocatorImpl::Linear(p) => p.largest_free_contiguous(),
             AllocatorImpl::Cuda(c) => c.largest_free_contiguous(),
         }
     }
@@ -78,7 +69,6 @@ impl DeviceAllocator for AllocatorImpl {
     fn reset_high_water(&mut self) {
         match self {
             AllocatorImpl::Pool(p) => p.reset_high_water(),
-            AllocatorImpl::Linear(p) => p.reset_high_water(),
             AllocatorImpl::Cuda(c) => c.reset_high_water(),
         }
     }
@@ -103,9 +93,6 @@ impl Device {
         let alloc = match allocator {
             AllocatorKind::HeapPool => {
                 AllocatorImpl::Pool(HeapPool::with_capacity(spec.dram_bytes))
-            }
-            AllocatorKind::LinearPool => {
-                AllocatorImpl::Linear(LinearPool::with_capacity(spec.dram_bytes))
             }
             AllocatorKind::Cuda => AllocatorImpl::Cuda(CudaAllocator::new(&spec)),
         };

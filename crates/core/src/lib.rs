@@ -30,6 +30,8 @@
 //! * [`convalgo`] — the cuDNN-style convolution algorithm catalogue and the
 //!   dynamic workspace selector (§3.5);
 //! * [`recompute`] — Cost-Aware Recomputation segment planning (§3.4);
+//! * [`verify`] — the plan checker: a residency model every compiled plan
+//!   must replay cleanly against (every compile, in debug builds);
 //! * [`numeric`] — a real compute backend proving the plans preserve exact
 //!   training semantics;
 //! * [`session`] — high-level [`Session`] (training) and
@@ -48,13 +50,13 @@ mod memo;
 pub mod numeric;
 pub mod parallel;
 pub mod plan;
-mod plan_reference;
 pub mod policy;
 pub mod recompute;
 pub mod session;
 pub mod tiers;
 pub mod tune;
 pub mod utp;
+pub mod verify;
 
 pub use convalgo::{select_algo, AlgoChoice, ConvAlgo};
 pub use device::{AllocatorImpl, Device};
@@ -75,3 +77,4 @@ pub use session::{
 pub use tiers::{Tier, TierConfig, TieredPool};
 pub use tune::{SearchOutcome, TuneConfig, TunedId, TunedPolicy};
 pub use utp::{Residence, TensorState, Utp};
+pub use verify::{PlanViolation, Rule};

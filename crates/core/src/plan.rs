@@ -49,12 +49,12 @@
 //! [`Compiler::shared`], which [`compile_memo`], [`plan_memo_stats`],
 //! [`clear_plan_memo`] and the rest of the free functions call.
 //!
-//! None of this changes a single planned byte: the `plan` bench experiment
-//! still asserts plan peaks equal executed peaks across the preset × model
-//! matrix, and `reference_compile_is_byte_identical` asserts the optimized
-//! planner's plans are byte-identical to the retained reference
-//! implementation ([`compile_reference`]: linear-scan pool + `Vec` cache
-//! list).
+//! What guards the planned bytes is independent of how they are computed:
+//! every plan must replay cleanly through [`CompiledPlan::verify`]'s
+//! residency model (every compile does, in debug builds), the `plan` bench
+//! experiment asserts plan peaks equal executed peaks across the preset ×
+//! model matrix, and `tests/golden/plan_digests.txt` pins the bytes of a
+//! fixed matrix of plans.
 //!
 //! The result of a compile is a cheap, inspectable, reusable artifact:
 //!
@@ -342,8 +342,7 @@ pub struct CompiledPlan {
     /// only lengthens the free tail, so the plan holds for every cap from
     /// the highest address it touched
     /// ([`DeviceAllocator::extent_high_water`], never below `peak_bytes`) to
-    /// `u64::MAX`. Anything else — reference compiles too — claims the
-    /// compiled cap alone.
+    /// `u64::MAX`. Anything else claims the compiled cap alone.
     pub valid_caps: RangeInclusive<u64>,
 }
 
@@ -710,14 +709,16 @@ impl Compiler {
             a
         });
         let (plan, valid_caps) = plan_with(net, spec, policy, &a, inference)?;
-        Ok(CompiledPlan {
+        let compiled = CompiledPlan {
             route: a.route,
             cost: a.cost,
             liveness: a.liveness,
             rplan: a.rplan,
             plan: Arc::new(plan),
             valid_caps,
-        })
+        };
+        debug_assert_eq!(compiled.verify(net, spec, policy), Ok(()));
+        Ok(compiled)
     }
 
     /// Hits and misses since the last [`Compiler::clear_plans`], and the
@@ -810,40 +811,6 @@ pub fn compile_inference(
     policy: Policy,
 ) -> Result<CompiledPlan, ExecError> {
     Compiler::shared().compile_fresh(net, spec, policy, true)
-}
-
-/// Compile through the **reference implementation**: the pre-optimization
-/// planner walk kept verbatim in `plan_reference` (per-step `Vec`
-/// clones, per-alloc `String` clones), driving the linear-scan
-/// `sn_mempool::LinearPool` and the `Vec`-backed cache list, with nothing
-/// cached or shared — every compile pays the full graph analyses. Produces
-/// byte-identical plans: `reference_compile_is_byte_identical` holds the
-/// optimized walk to it.
-pub fn compile_reference(
-    net: &Net,
-    spec: &DeviceSpec,
-    policy: Policy,
-) -> Result<CompiledPlan, ExecError> {
-    let options = effective_liveness_options(policy, false);
-    let rmode = effective_recompute_mode(policy, false);
-    let a = build_analyses(net, options, rmode, false);
-    let plan = crate::plan_reference::plan_reference(
-        net,
-        spec,
-        policy,
-        &a.route,
-        &a.cost,
-        &a.liveness,
-        &a.rplan,
-    )?;
-    Ok(CompiledPlan {
-        route: a.route,
-        cost: a.cost,
-        liveness: a.liveness,
-        rplan: a.rplan,
-        plan: Arc::new(plan),
-        valid_caps: spec.dram_bytes..=spec.dram_bytes,
-    })
 }
 
 /// Run the planner walk over prepared analyses: the plan, and the device
@@ -1572,6 +1539,7 @@ impl<'a> Planner<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::verify::Rule;
     use proptest::prelude::*;
     use sn_graph::Shape4;
 
@@ -1741,23 +1709,107 @@ mod tests {
         p
     }
 
-    #[test]
-    fn reference_compile_is_byte_identical() {
-        // The whole point of the optimization pass: indexed structures and
-        // skipped no-op scans buy time, never bytes. Peaks, op streams,
-        // counters and engine totals must agree with the reference (linear
-        // pool + Vec cache list, every scan run) compile across the policy
-        // lattice — compared via the rendered debug format, which covers
-        // every op and workspace choice of every step — both where the cap
-        // never binds and where it does: at 4 MiB the Tensor Cache evicts,
-        // prefetch-ahead fetches back and conv workspaces are squeezed, so
-        // host-resident tensors and pending offloads exist for the walk's
-        // shortcuts to get wrong.
-        let net = fanout_net(16);
-        let open = DeviceSpec::k40c();
-        let tight = DeviceSpec::k40c().with_dram(4 << 20);
+    /// ROADMAP 1(a)'s first replay repro: POOL→ACT→ELTWISE→ACT→FC at batch 5.
+    fn replay_mru_net() -> Net {
+        let mut net = Net::new("replay-mru", Shape4::new(5, 3, 32, 32));
+        let d = net.data();
+        let p = net.max_pool(d, 2, 2, 0);
+        let a = net.relu(p);
+        let e = net.eltwise(&[a, p]);
+        let a2 = net.relu(e);
+        let f = net.fc(a2, 10);
+        net.softmax(f);
+        net
+    }
 
-        let sn = compile(&net, &tight, Policy::superneurons()).unwrap();
+    /// The benchmark's `serve_mixed` template — sn-cluster's
+    /// `Workload::Synthetic { width: 32, depth: 2 }.build(32)`.
+    fn serve_mixed_net() -> Net {
+        let mut net = Net::new("Synthetic", Shape4::new(32, 3, 32, 32));
+        let mut prev = net.data();
+        for _ in 0..2 {
+            let c = net.conv(prev, 32, 3, 1, 1);
+            prev = net.relu(c);
+        }
+        let p = net.max_pool(prev, 2, 2, 0);
+        let f = net.fc(p, 10);
+        net.softmax(f);
+        net
+    }
+
+    fn mru() -> Policy {
+        Policy {
+            cache_policy: crate::policy::CachePolicy::Mru,
+            ..Policy::superneurons()
+        }
+    }
+
+    /// The pinned matrix, one `(label, net, cap, policy)` a cell: the
+    /// fan-out net at an open and a binding (4 MiB) cap × the lattice, the
+    /// two mid-size evaluation networks × the five presets, and the caps of
+    /// the three replay repros below.
+    fn golden_cells() -> Vec<(String, Net, u64, Policy)> {
+        let open = DeviceSpec::k40c().dram_bytes;
+        let lattice = lattice();
+        let mut cells = Vec::new();
+        for cap in [open, 4 << 20] {
+            for (i, &p) in lattice.iter().enumerate() {
+                cells.push((format!("fanout16 {cap} p{i:02}"), fanout_net(16), cap, p));
+            }
+        }
+        for (name, net) in [
+            ("vgg16", sn_models::vgg16(16)),
+            ("resnet50", sn_models::resnet50(16)),
+        ] {
+            for (i, &p) in lattice[..5].iter().enumerate() {
+                cells.push((format!("{name} {open} p{i:02}"), net.clone(), open, p));
+            }
+        }
+        for cap in (100..=140).map(|kb| kb * 1000) {
+            cells.push((
+                format!("replay-mru {cap} mru"),
+                replay_mru_net(),
+                cap,
+                mru(),
+            ));
+        }
+        let sn = Policy::superneurons();
+        for cap in (140..=210).map(|x| x * 20_000) {
+            cells.push((format!("fanout16 {cap} sn"), fanout_net(16), cap, sn));
+        }
+        let cap = 9 << 20;
+        cells.push((format!("serve-mixed {cap} sn"), serve_mixed_net(), cap, sn));
+        cells
+    }
+
+    /// An Fx fold of everything a plan states — render, peak and its step,
+    /// counters, engine totals — or the error a compile returned.
+    fn plan_digest(net: &Net, r: &Result<CompiledPlan, ExecError>) -> String {
+        match r {
+            Ok(c) => {
+                let p = &c.plan;
+                let mut h = fxhash::FxHasher::default();
+                p.render(net).hash(&mut h);
+                (p.peak_bytes, p.peak_step).hash(&mut h);
+                p.predicted.json().to_string().hash(&mut h);
+                (p.compute_ns, p.alloc_ns, p.h2d_ns, p.d2h_ns).hash(&mut h);
+                format!("{:016x}", h.finish())
+            }
+            Err(e) => format!("Err {e}"),
+        }
+    }
+
+    #[test]
+    fn plans_match_their_golden_digests() {
+        // Indexed structures and skipped no-op scans buy time, never bytes.
+        // The golden file was written while the pre-optimization walk
+        // (linear-scan pool, `Vec` cache list, every scan run) still shipped
+        // and agreed with this one on every cell. At 4 MiB the Tensor Cache
+        // evicts, prefetch-ahead fetches back and conv workspaces are
+        // squeezed, so host-resident tensors and pending offloads exist for
+        // the walk's shortcuts to get wrong.
+        let tight = DeviceSpec::k40c().with_dram(4 << 20);
+        let sn = compile(&fanout_net(16), &tight, Policy::superneurons()).unwrap();
         let c = sn.plan.predicted;
         assert!(c.evictions > 0, "4 MiB must bind: {}", c.json());
         assert!(c.prefetches > c.cache_misses, "prefetch-ahead must fetch");
@@ -1765,66 +1817,184 @@ mod tests {
         let squeezed = |s: &StepPlan| s.workspace.is_some_and(|w| w.bytes < w.max_speed_bytes);
         assert!(sn.plan.steps.iter().any(squeezed));
 
-        // The two mid-size evaluation networks under the five presets (they
-        // lead the lattice): the matrix an admission ladder sweeps.
-        let (vgg16, resnet50) = (sn_models::vgg16(16), sn_models::resnet50(16));
-        let lattice = lattice();
-        let mut compared = 0;
-        for (net, spec, policies) in [
-            (&net, &open, &lattice[..]),
-            (&net, &tight, &lattice[..]),
-            (&vgg16, &open, &lattice[..5]),
-            (&resnet50, &open, &lattice[..5]),
-        ] {
-            for &policy in policies {
-                let fast = compile(net, spec, policy);
-                let slow = compile_reference(net, spec, policy);
-                let (fast, slow) = match (fast, slow) {
-                    (Ok(f), Ok(s)) => (f.plan, s.plan),
-                    (Err(f), Err(s)) => {
-                        assert_eq!(f.to_string(), s.to_string());
-                        continue;
-                    }
-                    (f, s) => panic!("{policy:?}: fast {:?}, reference {:?}", f.err(), s.err()),
-                };
-                assert_eq!(fast.render(net), slow.render(net));
-                assert_eq!(fast.peak_bytes, slow.peak_bytes);
-                assert_eq!(fast.peak_step, slow.peak_step);
-                assert_eq!(fast.predicted.json(), slow.predicted.json());
-                assert_eq!(
-                    (fast.compute_ns, fast.alloc_ns, fast.h2d_ns, fast.d2h_ns),
-                    (slow.compute_ns, slow.alloc_ns, slow.h2d_ns, slow.d2h_ns)
-                );
-                compared += 1;
+        let golden = include_str!("../tests/golden/plan_digests.txt");
+        let cells = golden_cells();
+        assert_eq!(golden.lines().count(), cells.len());
+        let mut changed = Vec::new();
+        for ((label, net, cap, policy), want) in cells.iter().zip(golden.lines()) {
+            let got = compile(net, &DeviceSpec::k40c().with_dram(*cap), *policy);
+            if format!("{label} {}", plan_digest(net, &got)) != want {
+                if let Ok(c) = &got {
+                    println!("{label}:\n{}", c.plan.render(net));
+                }
+                changed.push(label.as_str());
             }
         }
         assert!(
-            compared >= 34,
-            "only {compared} cells compiled on both sides"
+            changed.is_empty(),
+            "plans changed (renders on stdout): {changed:?}"
         );
     }
 
-    /// Compile on both walks at each cap: `Ok` or `Err`, never a plan whose
-    /// replay reads a tensor it has just evicted (the planner's `assert!`s).
+    /// A plan's op stream as sections — `pre(0) post(0) pre(1) … final` —
+    /// for a mutation to edit, then flattened back into a plan.
+    fn edit_sections(p: &MemoryPlan, edit: impl FnOnce(&mut [Vec<PlanOp>])) -> MemoryPlan {
+        let ranges = p.steps.iter().flat_map(|s| [s.pre, s.post]);
+        let mut sections: Vec<Vec<PlanOp>> = ranges
+            .chain([p.final_range])
+            .map(|r| p.ops_in(r).to_vec())
+            .collect();
+        edit(&mut sections);
+        let mut out = MemoryPlan {
+            ops: Vec::new(),
+            ..p.clone()
+        };
+        let take = |ops: &mut Vec<PlanOp>, section: &[PlanOp]| {
+            let start = ops.len() as u32;
+            ops.extend_from_slice(section);
+            OpRange {
+                start,
+                end: ops.len() as u32,
+            }
+        };
+        for (s, step) in out.steps.iter_mut().enumerate() {
+            step.pre = take(&mut out.ops, &sections[2 * s]);
+            step.post = take(&mut out.ops, &sections[2 * s + 1]);
+        }
+        out.final_range = take(&mut out.ops, &sections[sections.len() - 1]);
+        out
+    }
+
+    fn tensor_of(op: &PlanOp) -> Option<TensorId> {
+        match *op {
+            PlanOp::Alloc(t)
+            | PlanOp::Fetch(t)
+            | PlanOp::Offload { t, .. }
+            | PlanOp::ReleaseDevice(t)
+            | PlanOp::Free(t) => Some(t),
+            _ => None,
+        }
+    }
+
+    /// Every mutant of one plan, with the step and rule `verify` must
+    /// name: a dropped fetch, a free one step early, an inflated workspace,
+    /// a replay ahead of its allocation, and a peak one block off.
+    fn mutants(c: &CompiledPlan) -> Vec<(&'static str, MemoryPlan, usize, Rule)> {
+        let (p, lv) = (&*c.plan, &*c.liveness);
+        let mut out = Vec::new();
+        for s in 0..p.steps.len() {
+            let pre = p.pre_ops(s);
+            let inputs = &lv.step_inputs[s];
+            // Read only by the kernel from here on: no later op of the
+            // section names it, no replay comes after it.
+            let untouched_after = |j: usize, t: TensorId| {
+                pre[j + 1..]
+                    .iter()
+                    .all(|op| tensor_of(op) != Some(t) && !matches!(op, PlanOp::Recompute(_)))
+            };
+            for (j, op) in pre.iter().enumerate() {
+                match *op {
+                    PlanOp::Fetch(t) if inputs.contains(&t) && untouched_after(j, t) => {
+                        let m = edit_sections(p, |x| {
+                            x[2 * s].remove(j);
+                        });
+                        out.push(("dropped fetch", m, s, Rule::NotResident));
+                    }
+                    PlanOp::AllocWorkspace(b) => {
+                        let m = edit_sections(p, |x| x[2 * s][j] = PlanOp::AllocWorkspace(b + 1));
+                        out.push(("inflated workspace", m, s, Rule::WorkspaceOverBudget));
+                    }
+                    PlanOp::Alloc(t)
+                        if pre.get(j + 1).is_some_and(
+                            |next| matches!(*next, PlanOp::Recompute(l) if lv.fwd_out[l.0] == t),
+                        ) =>
+                    {
+                        let m = edit_sections(p, |x| x[2 * s].swap(j, j + 1));
+                        out.push(("replay before alloc", m, s, Rule::RecomputeBeforeAlloc));
+                    }
+                    _ => {}
+                }
+            }
+            // A free of an input the kernel reads untouched, moved to the
+            // end of the step before.
+            let early = s > 0 && !pre.iter().any(|op| matches!(op, PlanOp::Recompute(_)));
+            for (j, op) in p.post_ops(s).iter().enumerate() {
+                if let PlanOp::Free(t) = *op {
+                    if early
+                        && inputs.contains(&t)
+                        && !lv.created_at[s].contains(&t)
+                        && pre.iter().all(|op| tensor_of(op) != Some(t))
+                    {
+                        let m = edit_sections(p, |x| {
+                            let free = x[2 * s + 1].remove(j);
+                            x[2 * s - 1].push(free);
+                        });
+                        out.push(("early free", m, s, Rule::NotResident));
+                    }
+                }
+            }
+        }
+        let block = sn_mempool::BLOCK_BYTES;
+        for peak in [p.peak_bytes + block, p.peak_bytes - block] {
+            let m = MemoryPlan {
+                peak_bytes: peak,
+                ..p.clone()
+            };
+            out.push(("peak off by a block", m, p.steps.len(), Rule::Peak));
+        }
+        out
+    }
+
+    #[test]
+    fn verify_rejects_every_mutant_and_passes_every_plan() {
+        use std::collections::BTreeMap;
+        let mut caught: BTreeMap<&str, usize> = BTreeMap::new();
+        let mut plans = 0;
+        for (label, net, cap, policy) in golden_cells() {
+            let spec = DeviceSpec::k40c().with_dram(cap);
+            let Ok(c) = compile(&net, &spec, policy) else {
+                continue;
+            };
+            assert_eq!(c.verify(&net, &spec, policy), Ok(()), "{label}");
+            plans += 1;
+            for (class, plan, step, rule) in mutants(&c) {
+                let m = CompiledPlan {
+                    plan: Arc::new(plan),
+                    ..c.clone()
+                };
+                let v = m.verify(&net, &spec, policy).expect_err(class);
+                assert_eq!((v.step, v.rule), (step, rule), "{label}: {class}: {v}");
+                *caught.entry(class).or_default() += 1;
+            }
+        }
+        assert_eq!(
+            caught.len(),
+            5,
+            "a mutation class found no site: {caught:?}"
+        );
+        println!("{plans} plans pass; mutants rejected: {caught:?}");
+    }
+
+    /// Compile at each cap: `Ok` or an OOM, never a plan whose replay reads
+    /// a tensor it has just evicted (the planner's `assert!`s and `verify`).
     /// A plan that compiles executes at its own peak.
     fn replay_keeps_what_it_reads(net: &Net, caps: &[u64], policy: Policy) {
         let mut compiled = 0;
         for &cap in caps {
             let spec = DeviceSpec::k40c().with_dram(cap);
-            let fast = compile(net, &spec, policy).map(|c| c.plan);
-            let slow = compile_reference(net, &spec, policy).map(|c| c.plan);
-            match (fast, slow) {
-                (Ok(f), Ok(s)) => {
-                    assert_eq!(f.render(net), s.render(net), "cap {cap}");
-                    let mut ex = crate::Executor::new(net, spec, policy).unwrap();
-                    for _ in 0..2 {
-                        assert_eq!(ex.run_iteration().unwrap().peak_bytes, f.peak_bytes);
-                    }
-                    compiled += 1;
+            let c = match compile(net, &spec, policy) {
+                Ok(c) => c,
+                Err(e) => {
+                    assert!(matches!(e, ExecError::Oom { .. }), "cap {cap}: {e}");
+                    continue;
                 }
-                (Err(f), Err(s)) => assert_eq!(f.to_string(), s.to_string(), "cap {cap}"),
-                (f, s) => panic!("cap {cap}: fast {:?}, reference {:?}", f.err(), s.err()),
+            };
+            assert_eq!(c.verify(net, &spec, policy), Ok(()), "cap {cap}");
+            let mut ex = crate::Executor::new(net, spec, policy).unwrap();
+            for _ in 0..2 {
+                assert_eq!(ex.run_iteration().unwrap().peak_bytes, c.plan.peak_bytes);
             }
+            compiled += 1;
         }
         assert!(
             caps.len() == 1 || (0 < compiled && compiled < caps.len()),
@@ -1834,37 +2004,23 @@ mod tests {
     }
 
     #[test]
-    fn a_cap_under_one_pool_block_is_an_oom_on_both_walks() {
+    fn a_cap_under_one_pool_block_is_an_oom() {
         let net = small_net(8);
         for cap in [0, 1023] {
             let spec = DeviceSpec::k40c().with_dram(cap);
             for policy in [Policy::baseline(), Policy::superneurons()] {
-                let fast = compile(&net, &spec, policy).unwrap_err();
-                let slow = compile_reference(&net, &spec, policy).unwrap_err();
-                assert!(matches!(fast, ExecError::Oom { .. }), "{fast}");
-                assert_eq!(fast.to_string(), slow.to_string());
+                let planned = compile(&net, &spec, policy).unwrap_err();
+                assert!(matches!(planned, ExecError::Oom { .. }), "{planned}");
+                let executed = crate::Executor::new(&net, spec.clone(), policy).err();
+                assert_eq!(executed.map(|e| e.to_string()), Some(planned.to_string()));
             }
         }
     }
 
     #[test]
     fn replay_under_mru_keeps_its_target_at_126_kb() {
-        // ROADMAP 1(a), first repro: POOL→ACT→ELTWISE→ACT→FC at batch 5.
-        use crate::policy::CachePolicy;
-        let mut net = Net::new("replay-mru", Shape4::new(5, 3, 32, 32));
-        let d = net.data();
-        let p = net.max_pool(d, 2, 2, 0);
-        let a = net.relu(p);
-        let e = net.eltwise(&[a, p]);
-        let a2 = net.relu(e);
-        let f = net.fc(a2, 10);
-        net.softmax(f);
-        let mru = Policy {
-            cache_policy: CachePolicy::Mru,
-            ..Policy::superneurons()
-        };
         let caps: Vec<u64> = (100..=140).map(|kb| kb * 1000).collect();
-        replay_keeps_what_it_reads(&net, &caps, mru);
+        replay_keeps_what_it_reads(&replay_mru_net(), &caps, mru());
     }
 
     #[test]
@@ -1877,19 +2033,9 @@ mod tests {
 
     #[test]
     fn replay_keeps_its_inputs_on_the_serve_mixed_template() {
-        // The benchmark's `serve_mixed` cell — sn-cluster's
-        // `Workload::Synthetic { width: 32, depth: 2 }.build(32)` on a 9 MiB
-        // budget: POOL's allocation used to evict the ACT it reads.
-        let mut net = Net::new("Synthetic", Shape4::new(32, 3, 32, 32));
-        let mut prev = net.data();
-        for _ in 0..2 {
-            let c = net.conv(prev, 32, 3, 1, 1);
-            prev = net.relu(c);
-        }
-        let p = net.max_pool(prev, 2, 2, 0);
-        let f = net.fc(p, 10);
-        net.softmax(f);
-        replay_keeps_what_it_reads(&net, &[9 << 20], Policy::superneurons());
+        // The benchmark's `serve_mixed` cell on a 9 MiB budget: POOL's
+        // allocation used to evict the ACT it reads.
+        replay_keeps_what_it_reads(&serve_mixed_net(), &[9 << 20], Policy::superneurons());
     }
 
     #[test]

@@ -12,10 +12,6 @@ pub enum AllocatorKind {
     /// representation — no workload holds more than 56 free runs (see the
     /// `sn_mempool::pool` docs).
     HeapPool,
-    /// The literal linear-scan transcription — byte-identical placement,
-    /// full scans for the largest fragment, hashed handles.
-    /// Differential-testing / baseline-benchmarking only.
-    LinearPool,
     /// Raw `cudaMalloc`/`cudaFree` with modelled latencies (Table 2 baseline).
     Cuda,
 }

@@ -30,10 +30,8 @@
 //! the **intrusive doubly-linked recency list over dense
 //! `TensorId`-indexed links** (`memo::RecencyList`, the one implementation
 //! the compile memos' LRU sits on too): touch, insert, remove and pin are
-//! all O(1), no allocation, no hashing.
-//! The pre-optimization `Vec`-backed list survives as
-//! [`reference::VecCache`] and a differential test asserts both produce
-//! identical victim sequences.
+//! all O(1), no allocation, no hashing. A test holds its victims to the
+//! order each [`CachePolicy`] defines over touch and insertion stamps.
 
 use sn_graph::liveness::{LivenessPlan, TensorId};
 use sn_sim::AllocId;
@@ -98,47 +96,6 @@ impl TensorState {
     }
 }
 
-/// Reference Tensor Cache implementations, kept for differential tests.
-pub mod reference {
-    use super::*;
-
-    /// The pre-optimization cache list: a `Vec` with front = MRU, O(n)
-    /// touch/remove (a `position` scan plus a memmove per operation).
-    #[derive(Debug, Clone, Default)]
-    pub struct VecCache {
-        pub(super) list: Vec<TensorId>,
-    }
-
-    impl VecCache {
-        pub(super) fn touch(&mut self, t: TensorId) {
-            if let Some(pos) = self.list.iter().position(|x| *x == t) {
-                let id = self.list.remove(pos);
-                self.list.insert(0, id); // MFU position: the list front
-            }
-        }
-
-        pub(super) fn push_front(&mut self, t: TensorId) {
-            debug_assert!(!self.list.contains(&t));
-            self.list.insert(0, t);
-        }
-
-        pub(super) fn remove(&mut self, t: TensorId) {
-            if let Some(pos) = self.list.iter().position(|x| *x == t) {
-                self.list.remove(pos);
-            }
-        }
-    }
-}
-
-/// Either cache representation behind one dispatch point. The linked form
-/// is the production one; the `Vec` form exists so benches and tests can
-/// drive the exact pre-optimization data structure through the same API.
-#[derive(Debug, Clone)]
-enum Cache {
-    Linked(RecencyList),
-    Reference(reference::VecCache),
-}
-
 /// The residency manager: tensor states + LRU Tensor Cache + pending
 /// offloads, behind a narrow mutation API. It never *decides* anything —
 /// decisions live in the planner — it keeps the books both drivers share.
@@ -148,7 +105,7 @@ pub struct Utp {
     /// state holds anything, so every write goes through this module.
     states: Vec<TensorState>,
     /// The device-resident, cache-managed tensors in recency order.
-    cache: Cache,
+    cache: RecencyList,
     insertion_clock: u64,
     /// How many `states` are [`Residence::Device`] and how many
     /// [`Residence::Host`] — moved by [`Utp::set_residence`] and zeroed by
@@ -165,20 +122,11 @@ impl Utp {
     pub fn new(n_tensors: usize) -> Utp {
         Utp {
             states: vec![TensorState::EMPTY; n_tensors],
-            cache: Cache::Linked(RecencyList::new(n_tensors)),
+            cache: RecencyList::new(n_tensors),
             insertion_clock: 0,
             device_resident: 0,
             host_resident: 0,
             pending_offloads: Vec::new(),
-        }
-    }
-
-    /// A UTP whose Tensor Cache uses the reference `Vec` list — identical
-    /// semantics, pre-optimization costs. Benchmark/test support only.
-    pub fn new_reference(n_tensors: usize) -> Utp {
-        Utp {
-            cache: Cache::Reference(reference::VecCache::default()),
-            ..Utp::new(n_tensors)
         }
     }
 
@@ -205,26 +153,17 @@ impl Utp {
     // ------------------------------------------------------------------
 
     pub fn lru_touch(&mut self, t: TensorId) {
-        match &mut self.cache {
-            Cache::Linked(l) => l.touch(t.0 as u32),
-            Cache::Reference(v) => v.touch(t),
-        }
+        self.cache.touch(t.0 as u32);
     }
 
     pub fn lru_insert(&mut self, t: TensorId) {
         self.insertion_clock += 1;
         self.states[t.0].inserted_at = self.insertion_clock;
-        match &mut self.cache {
-            Cache::Linked(l) => l.push_front(t.0 as u32),
-            Cache::Reference(v) => v.push_front(t),
-        }
+        self.cache.push_front(t.0 as u32);
     }
 
     pub fn lru_remove(&mut self, t: TensorId) {
-        match &mut self.cache {
-            Cache::Linked(l) => l.unlink(t.0 as u32),
-            Cache::Reference(v) => v.remove(t),
-        }
+        self.cache.unlink(t.0 as u32);
     }
 
     /// The cache's victim under `policy`: the least-desirable unlocked,
@@ -237,29 +176,15 @@ impl Utp {
             let st = &self.states[t.0];
             st.lock == 0 && !st.offloading
         };
-        match &self.cache {
-            Cache::Linked(l) => {
-                let id = |i: u32| TensorId(i as usize);
-                match policy {
-                    CachePolicy::Lru => l.lru_to_mru().map(id).find(|t| evictable(*t)),
-                    CachePolicy::Mru => l.mru_to_lru().map(id).find(|t| evictable(*t)),
-                    CachePolicy::Fifo => l
-                        .mru_to_lru()
-                        .map(id)
-                        .filter(|t| evictable(*t))
-                        .min_by_key(|t| self.states[t.0].inserted_at),
-                }
-            }
-            Cache::Reference(v) => match policy {
-                CachePolicy::Lru => v.list.iter().rev().copied().find(|t| evictable(*t)),
-                CachePolicy::Mru => v.list.iter().copied().find(|t| evictable(*t)),
-                CachePolicy::Fifo => v
-                    .list
-                    .iter()
-                    .copied()
-                    .filter(|t| evictable(*t))
-                    .min_by_key(|t| self.states[t.0].inserted_at),
-            },
+        let (l, id) = (&self.cache, |i: u32| TensorId(i as usize));
+        match policy {
+            CachePolicy::Lru => l.lru_to_mru().map(id).find(|t| evictable(*t)),
+            CachePolicy::Mru => l.mru_to_lru().map(id).find(|t| evictable(*t)),
+            CachePolicy::Fifo => l
+                .mru_to_lru()
+                .map(id)
+                .filter(|t| evictable(*t))
+                .min_by_key(|t| self.states[t.0].inserted_at),
         }
     }
 
@@ -464,20 +389,13 @@ impl Utp {
         }
         self.device_resident = 0;
         self.host_resident = 0;
-        match &mut self.cache {
-            Cache::Linked(l) => l.clear(),
-            Cache::Reference(v) => v.list.clear(),
-        }
+        self.cache.clear();
     }
 
     /// Number of tensors currently under Tensor Cache management — the
-    /// telemetry occupancy gauge (`exec.cache.resident`). O(1) for both
-    /// cache representations.
+    /// telemetry occupancy gauge (`exec.cache.resident`). O(1).
     pub fn cache_len(&self) -> usize {
-        match &self.cache {
-            Cache::Linked(l) => l.len(),
-            Cache::Reference(v) => v.list.len(),
-        }
+        self.cache.len()
     }
 
     /// Count of device-resident tensors (the trace's live-tensor series).
@@ -577,86 +495,77 @@ mod tests {
     }
 
     #[test]
-    fn linked_cache_matches_reference_over_random_ops() {
-        // Differential: drive the intrusive list and the reference Vec list
-        // through an identical mixed op sequence (insert / touch / remove /
-        // lock) and demand the same victim under every policy at every step.
+    fn victims_follow_each_policy_over_random_ops() {
+        // The cache's model is two stamps per cached tensor, its insertion
+        // and its last insertion or touch: LRU evicts the evictable tensor
+        // used longest ago, MRU the one used last, FIFO the one inserted
+        // first. Over a mixed op sequence (insert / touch / remove / lock /
+        // offloading) every policy's victim is the model's.
         let n = 24;
-        let mut fast = Utp::new(n);
-        let mut slow = Utp::new_reference(n);
+        let mut utp = Utp::new(n);
+        let mut stamps: Vec<Option<(u64, u64)>> = vec![None; n];
         let mut x = 0x2545_f491_4f6c_dd1du64; // deterministic xorshift
-        let step = |s: &mut u64| {
-            *s ^= *s << 13;
-            *s ^= *s >> 7;
-            *s ^= *s << 17;
-            *s
-        };
-        let mut resident = vec![false; n];
-        for _ in 0..2000 {
-            let r = step(&mut x);
-            let t = TensorId((r >> 8) as usize % n);
-            match r % 5 {
-                0 | 1 => {
-                    if !resident[t.0] {
-                        resident[t.0] = true;
-                        // mark_device without a real grant: states only.
-                        fast.set_residence(t, Residence::Device);
-                        slow.set_residence(t, Residence::Device);
-                        fast.lru_insert(t);
-                        slow.lru_insert(t);
-                    } else {
-                        fast.lru_touch(t);
-                        slow.lru_touch(t);
+        for clock in 0..2000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let t = TensorId((x >> 8) as usize % n);
+            match x % 5 {
+                0 | 1 => match &mut stamps[t.0] {
+                    Some((_, used)) => {
+                        *used = clock;
+                        utp.lru_touch(t);
                     }
-                }
+                    None => {
+                        stamps[t.0] = Some((clock, clock));
+                        // mark_device without a real grant: states only.
+                        utp.set_residence(t, Residence::Device);
+                        utp.lru_insert(t);
+                    }
+                },
                 2 => {
-                    resident[t.0] = false;
-                    fast.set_residence(t, Residence::None);
-                    slow.set_residence(t, Residence::None);
-                    fast.lru_remove(t);
-                    slow.lru_remove(t);
+                    stamps[t.0] = None;
+                    utp.set_residence(t, Residence::None);
+                    utp.lru_remove(t);
                 }
-                3 => {
-                    let l = (r >> 16) as u32 % 2;
-                    fast.states[t.0].lock = l;
-                    slow.states[t.0].lock = l;
-                }
-                _ => {
-                    let b = r & 1 == 0;
-                    fast.states[t.0].offloading = b;
-                    slow.states[t.0].offloading = b;
-                }
+                3 => utp.states[t.0].lock = (x >> 16) as u32 % 2,
+                _ => utp.states[t.0].offloading = x & 1 == 0,
             }
-            for policy in [CachePolicy::Lru, CachePolicy::Mru, CachePolicy::Fifo] {
-                assert_eq!(
-                    fast.pick_victim(policy),
-                    slow.pick_victim(policy),
-                    "victim diverged under {policy:?}"
-                );
-            }
+            let victim = |key: fn(u64, u64) -> i64| {
+                let evictable = |i: &usize| utp.states[*i].lock == 0 && !utp.states[*i].offloading;
+                (0..n)
+                    .filter(evictable)
+                    .filter_map(|i| stamps[i].map(|(ins, used)| (key(ins, used), i)))
+                    .min()
+                    .map(|(_, i)| TensorId(i))
+            };
             assert_eq!(
-                fast.device_resident(),
-                fast.scan_resident(Residence::Device)
+                utp.pick_victim(CachePolicy::Lru),
+                victim(|_, used| used as i64)
             );
             assert_eq!(
-                slow.device_resident(),
-                slow.scan_resident(Residence::Device)
+                utp.pick_victim(CachePolicy::Mru),
+                victim(|_, used| -(used as i64))
             );
+            assert_eq!(
+                utp.pick_victim(CachePolicy::Fifo),
+                victim(|ins, _| ins as i64)
+            );
+            assert_eq!(utp.cache_len(), stamps.iter().flatten().count());
+            assert_eq!(utp.device_resident(), utp.scan_resident(Residence::Device));
         }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        // The counts are the scans: after every transition, on real grants
-        // and under both cache representations.
+        // The counts are the scans: after every transition, on real grants.
         #[test]
         fn device_resident_count_equals_the_scan(
-            reference in proptest::bool::ANY,
             ops in proptest::collection::vec((0u8..16, 0usize..12, proptest::bool::ANY), 0..300),
         ) {
             let n = 12;
-            let mut utp = if reference { Utp::new_reference(n) } else { Utp::new(n) };
+            let mut utp = Utp::new(n);
             let mut d = dev();
             for (op, i, flag) in ops {
                 let t = TensorId(i);

@@ -1,0 +1,290 @@
+//! An independent check of what the planner emits.
+//!
+//! [`CompiledPlan::verify`] replays a plan's op stream against a residency
+//! model: where each tensor is, whether it holds a host slot, and device
+//! and pinned-host byte counters, device bytes at the allocator's
+//! granularity (the pool's 1 KB blocks, `cudaMalloc`'s 256 bytes). It has
+//! no free list, no [`crate::utp::Utp`] and no Tensor Cache, so it leaves
+//! out fragmentation; [`CompiledPlan::valid_caps`] bounds that. Each
+//! [`Rule`] is part of the contract the interpreter relies on. Debug builds
+//! check every plan the [`crate::plan::Compiler`] compiles.
+
+use std::fmt;
+
+use sn_graph::liveness::TensorId;
+use sn_graph::Net;
+use sn_mempool::BLOCK_BYTES;
+use sn_sim::DeviceSpec;
+
+use crate::plan::{CompiledPlan, OpRange, PlanOp};
+use crate::policy::{AllocatorKind, Policy};
+
+/// The rule a plan breaks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rule {
+    /// The steps do not tile the op stream in route order.
+    Layout,
+    /// The weights are not the plan's first grant.
+    Weights,
+    /// A kernel's operand, or a replayed layer's input, is not on the device.
+    NotResident,
+    /// A `Recompute` whose output was not allocated before it.
+    RecomputeBeforeAlloc,
+    /// A `Fetch` of a tensor with no host copy.
+    FetchWithoutHostCopy,
+    /// An `Offload` of a tensor not on the device, leaving, or already copied.
+    OffloadNotOnDevice,
+    /// A `ReleaseDevice` of a tensor with no device copy.
+    ReleaseOfAbsent,
+    /// A `Free` of a tensor held nowhere.
+    FreeOfAbsent,
+    /// An `Alloc` of a live tensor.
+    DoubleAlloc,
+    /// A step's workspace or transient buffer allocated twice, released with
+    /// none held, or held past the step.
+    UnpairedTransient,
+    /// `FreeTransients` before the kernel.
+    FreeBeforeKernel,
+    /// A workspace larger than its step's [`crate::plan::WorkspacePlan`].
+    WorkspaceOverBudget,
+    /// Device bytes above the allocator's capacity.
+    DeviceOverCapacity,
+    /// Host bytes above the policy's tiers.
+    HostOverCapacity,
+    /// A collective in a single-device plan.
+    Collective,
+    /// The declared peak is not the peak the ops reach.
+    Peak,
+    /// The declared peak step is not the step the peak is first reached.
+    PeakStep,
+}
+
+/// Where and how a plan breaks a [`Rule`]: the step (`steps.len()` for the
+/// end-of-iteration ops and the closing checks) and the index into
+/// [`crate::MemoryPlan::ops`] at which the model noticed (a kernel sits at
+/// its step's `pre.end`; the closing checks at `ops.len()`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PlanViolation {
+    pub step: usize,
+    pub op: usize,
+    pub rule: Rule,
+}
+
+impl fmt::Display for PlanViolation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "step {}, op {}: {:?}", self.step, self.op, self.rule)
+    }
+}
+
+impl std::error::Error for PlanViolation {}
+
+/// Where a tensor is: nowhere, on the device, on the device with a
+/// copy-out in flight, or as a valid host copy only.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum At {
+    None,
+    Device,
+    Leaving,
+    Host,
+}
+
+struct Model<'a> {
+    c: &'a CompiledPlan,
+    net: &'a Net,
+    at: Vec<At>,
+    /// A valid host copy exists (kept across a `Fetch`, dropped by `Free`).
+    valid: Vec<bool>,
+    /// A host slot is reserved (from the first copy-out until `Free`).
+    slot: Vec<bool>,
+    device: u64,
+    host: u64,
+    peak: u64,
+    peak_step: usize,
+    /// The bytes of the step's workspace and transient buffer, if held.
+    held: [Option<u64>; 2],
+    step: usize,
+    granule: u64,
+    device_cap: u64,
+    host_cap: u64,
+}
+
+impl CompiledPlan {
+    /// Replay the op stream against the residency model and return the
+    /// first broken [`Rule`], if any. `spec` and `policy` are the compile's:
+    /// the allocator's granularity and capacity come from them, the host
+    /// capacity from `policy.tiers`.
+    pub fn verify(
+        &self,
+        net: &Net,
+        spec: &DeviceSpec,
+        policy: Policy,
+    ) -> Result<(), PlanViolation> {
+        let (granule, device_cap) = match policy.allocator {
+            AllocatorKind::HeapPool => (BLOCK_BYTES, spec.dram_bytes / BLOCK_BYTES * BLOCK_BYTES),
+            AllocatorKind::Cuda => (256, spec.dram_bytes),
+        };
+        let t = policy.tiers;
+        let n = self.liveness.tensors.len();
+        Model {
+            c: self,
+            net,
+            at: vec![At::None; n],
+            valid: vec![false; n],
+            slot: vec![false; n],
+            device: 0,
+            host: 0,
+            peak: 0,
+            peak_step: 0,
+            held: [None; 2],
+            step: 0,
+            granule,
+            device_cap,
+            host_cap: [t.peer_gpu_bytes, t.local_host_bytes, t.remote_bytes]
+                .into_iter()
+                .fold(0, u64::saturating_add),
+        }
+        .run()
+    }
+}
+
+impl Model<'_> {
+    /// `Ok` if `holds`, else `rule` broken at op `op` of the current step.
+    fn ensure(&self, holds: bool, op: usize, rule: Rule) -> Result<(), PlanViolation> {
+        let step = self.step;
+        if holds {
+            Ok(())
+        } else {
+            Err(PlanViolation { step, op, rule })
+        }
+    }
+
+    fn rounded(&self, bytes: u64) -> u64 {
+        bytes.max(1).div_ceil(self.granule) * self.granule
+    }
+
+    fn bytes(&self, t: TensorId) -> u64 {
+        self.rounded(self.c.liveness.tensors[t.0].bytes)
+    }
+
+    fn grant(&mut self, op: usize, bytes: u64) -> Result<(), PlanViolation> {
+        self.device += bytes;
+        self.ensure(self.device <= self.device_cap, op, Rule::DeviceOverCapacity)?;
+        if self.device > self.peak {
+            (self.peak, self.peak_step) = (self.device, self.step);
+        }
+        Ok(())
+    }
+
+    fn on_device(&self, t: TensorId) -> bool {
+        matches!(self.at[t.0], At::Device | At::Leaving)
+    }
+
+    fn run(&mut self) -> Result<(), PlanViolation> {
+        let (c, p) = (self.c, &*self.c.plan);
+        let weights = p.weight_bytes == c.cost.total_weight_bytes();
+        self.ensure(weights, 0, Rule::Weights)?;
+        if p.weight_bytes > 0 {
+            self.grant(0, self.rounded(p.weight_bytes))?;
+        }
+        let tiles = |r: OpRange, from: u32| r.start == from && r.start <= r.end;
+        self.ensure(p.steps.len() == c.route.total_steps(), 0, Rule::Layout)?;
+        let mut cursor = 0;
+        for (s, sp) in p.steps.iter().enumerate() {
+            self.step = s;
+            let step = c.route.step(s);
+            let laid_out = tiles(sp.pre, cursor) && tiles(sp.post, sp.pre.end);
+            let on_route = (step.layer, step.phase) == (sp.layer, sp.phase);
+            self.ensure(laid_out && on_route, cursor as usize, Rule::Layout)?;
+            self.section(sp.pre)?;
+            let mut operands = c.liveness.step_inputs[s]
+                .iter()
+                .chain(&c.liveness.created_at[s]);
+            let resident = operands.all(|&t| self.on_device(t));
+            self.ensure(resident, sp.pre.end as usize, Rule::NotResident)?;
+            self.section(sp.post)?;
+            let released = self.held == [None; 2];
+            self.ensure(released, sp.post.end as usize, Rule::UnpairedTransient)?;
+            cursor = sp.post.end;
+        }
+        self.step = p.steps.len();
+        let laid_out = tiles(p.final_range, cursor) && p.final_range.end as usize == p.ops.len();
+        self.ensure(laid_out, cursor as usize, Rule::Layout)?;
+        self.section(p.final_range)?;
+        self.ensure(self.peak == p.peak_bytes, p.ops.len(), Rule::Peak)?;
+        self.ensure(self.peak_step == p.peak_step, p.ops.len(), Rule::PeakStep)
+    }
+
+    fn section(&mut self, r: OpRange) -> Result<(), PlanViolation> {
+        let c = self.c;
+        for i in r.start as usize..r.end as usize {
+            self.apply(i, c.plan.ops[i])?;
+        }
+        Ok(())
+    }
+
+    fn apply(&mut self, i: usize, op: PlanOp) -> Result<(), PlanViolation> {
+        let c = self.c;
+        match op {
+            PlanOp::Alloc(t) | PlanOp::Fetch(t) => {
+                let (from, rule) = match op {
+                    PlanOp::Alloc(_) => (At::None, Rule::DoubleAlloc),
+                    _ => (At::Host, Rule::FetchWithoutHostCopy),
+                };
+                self.ensure(self.at[t.0] == from, i, rule)?;
+                self.at[t.0] = At::Device;
+                self.grant(i, self.bytes(t))?;
+            }
+            PlanOp::Offload { t, .. } => {
+                let only_on_device = self.at[t.0] == At::Device && !self.valid[t.0];
+                self.ensure(only_on_device, i, Rule::OffloadNotOnDevice)?;
+                self.at[t.0] = At::Leaving;
+                if !std::mem::replace(&mut self.slot[t.0], true) {
+                    self.host += c.liveness.tensors[t.0].bytes;
+                }
+                self.ensure(self.host <= self.host_cap, i, Rule::HostOverCapacity)?;
+            }
+            PlanOp::ReleaseDevice(t) => {
+                self.ensure(self.on_device(t), i, Rule::ReleaseOfAbsent)?;
+                self.valid[t.0] |= self.at[t.0] == At::Leaving;
+                self.at[t.0] = if self.valid[t.0] { At::Host } else { At::None };
+                self.device -= self.bytes(t);
+            }
+            PlanOp::Free(t) => {
+                let held = self.at[t.0] != At::None || self.slot[t.0];
+                self.ensure(held, i, Rule::FreeOfAbsent)?;
+                self.device -= if self.on_device(t) { self.bytes(t) } else { 0 };
+                if std::mem::take(&mut self.slot[t.0]) {
+                    self.host -= c.liveness.tensors[t.0].bytes;
+                }
+                (self.at[t.0], self.valid[t.0]) = (At::None, false);
+            }
+            PlanOp::Recompute(l) => {
+                let fwd_out = &c.liveness.fwd_out;
+                let allocated = self.at[fwd_out[l.0].0] == At::Device;
+                self.ensure(allocated, i, Rule::RecomputeBeforeAlloc)?;
+                let prevs = &self.net.layer(l).prevs;
+                let inputs = prevs.iter().all(|p| self.on_device(fwd_out[p.0]));
+                self.ensure(inputs, i, Rule::NotResident)?;
+            }
+            PlanOp::AllocWorkspace(bytes) | PlanOp::AllocTransient(bytes) => {
+                let k = usize::from(matches!(op, PlanOp::AllocTransient(_)));
+                self.ensure(self.held[k].is_none(), i, Rule::UnpairedTransient)?;
+                let budget = c.plan.steps.get(self.step).and_then(|s| s.workspace);
+                let within = k == 1 || budget.is_some_and(|w| bytes <= w.bytes);
+                self.ensure(within, i, Rule::WorkspaceOverBudget)?;
+                self.held[k] = Some(self.rounded(bytes));
+                self.grant(i, self.rounded(bytes))?;
+            }
+            PlanOp::FreeTransients => {
+                // A step's kernel sits at its `pre.end`; the final section
+                // has none, and nothing held.
+                let kernel = c.plan.steps.get(self.step).map_or(0, |s| s.pre.end);
+                self.ensure(i >= kernel as usize, i, Rule::FreeBeforeKernel)?;
+                self.ensure(self.held != [None; 2], i, Rule::UnpairedTransient)?;
+                self.device -= self.held.iter_mut().filter_map(Option::take).sum::<u64>();
+            }
+            PlanOp::Collective { .. } => self.ensure(false, i, Rule::Collective)?,
+        }
+        Ok(())
+    }
+}

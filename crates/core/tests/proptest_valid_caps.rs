@@ -1,16 +1,24 @@
-//! Property test of [`CompiledPlan::valid_caps`]: over random nets × the
-//! policy lattice × {training, inference} × device caps from binding to
-//! twice the unconstrained peak, a plan that claims an open-ended interval
+//! Property tests of the planner over random nets × the policy lattice ×
+//! {training, inference} × device caps from binding to above the
+//! unconstrained peak.
+//!
+//! [`CompiledPlan::valid_caps`]: a plan that claims an open-ended interval
 //! must be the plan a fresh compile produces at the interval's start, inside
 //! it, and far above it — and an execution on a device of exactly
 //! `valid_caps.start()` bytes must reach the plan's peak to the byte. A plan
 //! that claims a single cap claims nothing else, so nothing else is checked.
+//!
+//! [`CompiledPlan::verify`], at fp32 and bf16 too: every plan the planner
+//! returns replays cleanly through the residency model, so does the plan
+//! compiled at either end of its `valid_caps`, and feasibility is monotone —
+//! a net that fits a cap fits every larger one, and a batch that fits a cap
+//! leaves room for a smaller batch of the same net.
 
 use proptest::prelude::*;
+use sn_graph::Precision;
 use sn_graph::{LayerId, Net, Shape4};
 use sn_runtime::{
-    plan, AllocatorKind, CachePolicy, CompiledPlan, ExecError, Executor, Policy, RecomputeMode,
-    WorkspacePolicy,
+    plan, CachePolicy, CompiledPlan, ExecError, Executor, Policy, RecomputeMode, WorkspacePolicy,
 };
 use sn_sim::DeviceSpec;
 
@@ -95,8 +103,8 @@ fn build_net(batch: usize, ops: &[Op]) -> Net {
 }
 
 /// The benchmark's `plan_cold` lattice (five hand presets plus single-knob
-/// departures from `superneurons()`), plus the two other
-/// allocators and a workspace limit small enough to matter on nets this size.
+/// departures from `superneurons()`), plus the `cudaMalloc` allocator and a
+/// workspace limit small enough to matter on nets this size.
 fn lattice() -> Vec<Policy> {
     let sn = Policy::superneurons();
     let mut p = vec![
@@ -128,10 +136,6 @@ fn lattice() -> Vec<Policy> {
     ] {
         p.push(Policy { workspace, ..sn });
     }
-    p.push(Policy {
-        allocator: AllocatorKind::LinearPool,
-        ..sn
-    });
     p.retain(|p| p.validate().is_ok());
     p
 }
@@ -222,6 +226,145 @@ proptest! {
         }
         prop_assert!(open > 0, "no cap of {percents:?} % left any plan open");
     }
+}
+
+/// `c` replays cleanly through the residency model at `cap`.
+fn verified(net: &Net, cap: u64, policy: Policy, c: &CompiledPlan) -> Result<(), TestCaseError> {
+    let spec = DeviceSpec::k40c().with_dram(cap);
+    let checked = c.verify(net, &spec, policy);
+    prop_assert!(
+        checked.is_ok(),
+        "cap {cap}, {policy:?}: {}",
+        checked.unwrap_err()
+    );
+    Ok(())
+}
+
+/// Caps as percentages of the larger batch's unconstrained peak: from
+/// fitting nothing, through binding, to not binding at all.
+const PERCENTS: [u64; 7] = [25, 40, 55, 70, 85, 100, 150];
+
+/// Every lattice policy at fp32 and at bf16, for training and inference.
+fn configs() -> impl Iterator<Item = (Policy, bool)> {
+    let precisions = [Precision::fp32(), Precision::bf16_mixed()];
+    lattice().into_iter().flat_map(move |p| {
+        precisions
+            .into_iter()
+            .flat_map(move |pr| [false, true].map(|inference| (p.with_precision(pr), inference)))
+    })
+}
+
+/// Which of [`PERCENTS`] of `peak` a compile of `net` fits under.
+fn fits(net: &Net, peak: u64, policy: Policy, inference: bool) -> [bool; PERCENTS.len()] {
+    PERCENTS.map(|pc| compile(net, (peak * pc / 100).max(4096), policy, inference).is_ok())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn every_plan_passes_verify_at_its_cap_and_both_ends_of_its_caps(
+        batch in 1usize..9,
+        ops in proptest::collection::vec(op_strategy(), 2..12),
+    ) {
+        let net = build_net(batch, &ops);
+        let mut bound = 0;
+        for (policy, inference) in configs() {
+            let roomy = compile(&net, 12 << 30, policy, inference).unwrap();
+            verified(&net, 12 << 30, policy, &roomy)?;
+            let peak = roomy.plan.peak_bytes;
+            for cap in PERCENTS.map(|pc| (peak * pc / 100).max(4096)) {
+                let Ok(c) = compile(&net, cap, policy, inference) else {
+                    continue;
+                };
+                verified(&net, cap, policy, &c)?;
+                let (lo, hi) = (*c.valid_caps.start(), *c.valid_caps.end());
+                if hi != u64::MAX {
+                    bound += 1;
+                    continue;
+                }
+                for end in [lo, hi] {
+                    let again = compile(&net, end, policy, inference);
+                    prop_assert!(again.is_ok(), "cap {end} in {lo}.. must fit");
+                    verified(&net, end, policy, &again.unwrap())?;
+                }
+            }
+        }
+        prop_assert!(bound > 0, "no cap of {PERCENTS:?} % bound any plan");
+    }
+
+    // A net that fits a cap fits every larger one, and a batch that fits a
+    // cap leaves room for a smaller batch of the same net. The planner does
+    // not keep either promise yet: its greedy first-fit walk can fragment the
+    // pool so that a step's contiguous buffer finds no run that a tighter cap
+    // or a larger batch would have left. The two regression cases below pin
+    // the smallest counterexamples; fixing the walk moves plan bytes, so
+    // this runs on request (`--ignored`) until it holds.
+    #[test]
+    #[ignore = "feasibility is not yet monotone: see the two `finding_` tests"]
+    fn feasibility_is_monotone_in_the_cap_and_the_batch(
+        batch in 2usize..9,
+        ops in proptest::collection::vec(op_strategy(), 2..12),
+    ) {
+        let nets = [build_net(batch - 1, &ops), build_net(batch, &ops)];
+        for (policy, inference) in configs() {
+            let peak = compile(&nets[1], 12 << 30, policy, inference).unwrap().plan.peak_bytes;
+            let [small, big] = [&nets[0], &nets[1]].map(|n| fits(n, peak, policy, inference));
+            for (b, fit) in [(batch - 1, small), (batch, big)] {
+                prop_assert!(fit.windows(2).all(|w| w[0] <= w[1]),
+                    "batch {b} fits {fit:?} at {PERCENTS:?} % ({policy:?}, inference {inference})");
+            }
+            prop_assert!(big.iter().zip(&small).all(|(big, small)| !big || *small),
+                "batch {batch} fits {big:?}, batch {} {small:?} ({policy:?}, inference {inference})",
+                batch - 1);
+        }
+    }
+}
+
+/// Finding: feasibility is not monotone in the cap. Under the default
+/// policy this conv tower fits 25 % of its unconstrained peak and not 40 %:
+/// the looser cap's walk leaves no run for step 12's weight-gradient buffer.
+/// When the walk keeps the promise this flips, and the property above runs
+/// by default.
+#[test]
+fn finding_a_tower_fits_a_quarter_of_its_peak_but_not_two_fifths() {
+    let ops = [
+        Op::Pool,
+        Op::Conv(32, true),
+        Op::Conv(32, true),
+        Op::Conv(16, false),
+        Op::Conv(32, true),
+    ];
+    let (net, policy) = (build_net(3, &ops), Policy::superneurons());
+    assert_eq!(
+        compile(&net, 12 << 30, policy, false)
+            .unwrap()
+            .plan
+            .peak_bytes,
+        11_693_056
+    );
+    assert!(compile(&net, 2_923_264, policy, false).is_ok());
+    let oom = compile(&net, 4_677_222, policy, false).unwrap_err();
+    assert_eq!(
+        oom.to_string(),
+        "device OOM at step 12 (transient buffer): need 102528 of 4676608 bytes"
+    );
+}
+
+/// Finding: feasibility is not monotone in the batch. Under the default
+/// policy `POOL→ACT→ACT` at batch 3 fits a 96 768-byte device (70 % of its
+/// unconstrained peak) that batch 2 does not: batch 2's FC weight-gradient
+/// buffer finds no run.
+#[test]
+fn finding_batch_2_does_not_fit_where_batch_3_does() {
+    let ops = [Op::Pool, Op::Act, Op::Act];
+    let policy = Policy::superneurons();
+    assert!(compile(&build_net(3, &ops), 96_768, policy, false).is_ok());
+    let oom = compile(&build_net(2, &ops), 96_768, policy, false).unwrap_err();
+    assert_eq!(
+        oom.to_string(),
+        "device OOM at step 7 (transient buffer): need 30760 of 96256 bytes"
+    );
 }
 
 /// The other half of the draw's range, pinned: a cap below the

@@ -22,26 +22,24 @@
 //! indexed from the handle. The planner compiles thousands of plans per
 //! second through this pool, so its inner loop matters; it holds at most 56
 //! free runs on any workload in the tree, which is why a flat vector is the
-//! whole index (measurements in the [`pool`] module docs). The literal
-//! linear-scan transcription survives as [`LinearPool`] for differential
-//! testing and baseline benchmarking; `tests/proptest_differential.rs`
-//! asserts the two are byte-identical over random traces.
+//! whole index (measurements in the [`pool`] module docs).
+//! `tests/proptest_differential.rs` holds it to a block bitmap over random
+//! traces: disjoint grants inside capacity, the lowest fitting address,
+//! and the largest fragment a scan finds.
 //! [`PinnedHostPool`] models the preallocated pinned CPU buffer that
 //! offloaded tensors land in.
 
 use sn_sim::SimTime;
 
 pub mod host;
-pub mod linear;
 pub mod pool;
 
 pub use host::PinnedHostPool;
-pub use linear::LinearPool;
 pub use pool::HeapPool;
 
-/// Basic storage unit of both pools; the paper uses 1 KB. A power of two:
+/// Basic storage unit of the pool; the paper uses 1 KB. A power of two:
 /// `HeapPool` rounds requests with a shift.
-const BLOCK_BYTES: u64 = 1024;
+pub const BLOCK_BYTES: u64 = 1024;
 const _: () = assert!(BLOCK_BYTES.is_power_of_two());
 /// Host-side latency of one pool allocation (list search + node update).
 /// Orders of magnitude below `cudaMalloc` — that gap *is* Table 2.

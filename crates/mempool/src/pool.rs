@@ -45,10 +45,9 @@
 //! file and rested on one hand-built test, so it went; if traffic ever holds
 //! ~1 000 runs, this table is the scale to judge a replacement against.
 //!
-//! Grant addresses, sizes, high-water marks and OOM diagnostics are
-//! byte-identical to the reference [`crate::LinearPool`] (the literal
-//! transcription, kept for differential testing) — asserted over random
-//! traces, including heavily fragmented ones, by
+//! Grant addresses, sizes, high-water marks and OOM diagnostics are what a
+//! block bitmap scanned lowest address first says they are — asserted over
+//! random traces, including heavily fragmented ones, by
 //! `tests/proptest_differential.rs`.
 
 use sn_sim::{AllocError, AllocGrant, AllocId, DeviceAllocator, SimTime};
@@ -233,8 +232,8 @@ impl HeapPool {
 
     /// Blocks needed for `bytes`: an exact `div_ceil` as shift + remainder
     /// test. No `+ (block - 1)` pre-add, so requests near `u64::MAX` cannot
-    /// wrap (they must produce the same astronomically large block count —
-    /// and the same OOM — as the reference pool's `div_ceil`).
+    /// wrap (they must produce the block count `div_ceil` does, and an
+    /// OOM).
     #[inline]
     fn blocks_for(bytes: u64) -> u64 {
         let bytes = bytes.max(1);

@@ -337,9 +337,11 @@ macro_rules! proptest {
 macro_rules! __proptest_tests {
     ($config:expr; $(
         #[test]
+        $(#[$meta:meta])*
         fn $name:ident($($arg:ident in $strat:expr),+ $(,)?) $body:block
     )*) => {$(
         #[test]
+        $(#[$meta])*
         fn $name() {
             let config = $config;
             let cases = config.effective_cases();
