@@ -2,15 +2,14 @@
 //!
 //! Before a job touches a device, the scheduler predicts its peak device
 //! bytes under each candidate policy preset by **compiling a
-//! [`sn_runtime::MemoryPlan`]** ([`sn_runtime::plan_prediction`] /
-//! [`sn_runtime::plan_prediction_inference`]) — no simulated iteration runs
-//! on the admission hot path. The plan's peak walks the paper's `peak_m`
-//! progression (baseline `Σ l_f + Σ l_b` down to `max_i(l_i)` for the full
-//! stack) and is **exact**: the executor replays the plan's alloc/free
-//! sequence, so the reservation equals the runtime high-water to the byte.
-//! A job is only placed where that peak fits the device's *unreserved*
-//! bytes, so the sum of reservations on a device can never exceed its DRAM
-//! — the central multi-tenancy invariant.
+//! [`sn_runtime::MemoryPlan`]** ([`sn_runtime::plan_prediction_caps`]) — no
+//! simulated iteration runs on the admission hot path. The plan's peak walks
+//! the paper's `peak_m` progression (baseline `Σ l_f + Σ l_b` down to
+//! `max_i(l_i)` for the full stack) and is **exact**: the executor replays
+//! the plan's alloc/free sequence, so the reservation equals the runtime
+//! high-water to the byte. A job is only placed where that peak fits the
+//! device's *unreserved* bytes, so the sum of reservations on a device can
+//! never exceed its DRAM — the central multi-tenancy invariant.
 //!
 //! Predictions are made against a device capped to the candidate budget
 //! (`spec.with_dram(budget)`), because the runtime adapts to pressure: the
@@ -24,14 +23,31 @@
 //! byte-identical to the single-device plan). The comm staging is reported,
 //! not reserved — a deployment sizing real NCCL-style ring buffers would
 //! add that fixed figure to each gang replica's reservation.
+//!
+//! ## Each question asked once
+//!
+//! A plan depends on the memory it is given only through
+//! [`sn_runtime::CompiledPlan::valid_caps`], so the [`Profiler`] keys what
+//! it asks by what the answer depends on:
+//!
+//! * **a `Net` per shape** — one build per (workload, batch), whatever
+//!   the preset, kind or budget;
+//! * **answers per plan interval** — `Row::resolve` asks its highest cold
+//!   level and fills every other cold level the answer's caps hold, so a
+//!   rung pays one plan-memo lookup per interval, not one per level. OOM
+//!   and cap-bound answers hold at their own cap alone and are asked level
+//!   by level: feasibility is not monotone in the cap;
+//! * **gang measurements per replica plan** — a measured step depends on
+//!   the replica plan, the card, the policy, the replica count and the
+//!   fabric, and not on pool capacity past the plan's extent, so a
+//!   `GangKey` carries the replica plan's interval start, not the cap.
 
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::ops::RangeInclusive;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use fxhash::FxHashMap;
-use sn_runtime::{
-    plan_prediction, plan_prediction_inference, GroupConfig, GroupExecutor, Interconnect,
-    PeakPrediction,
-};
+use sn_graph::Net;
+use sn_runtime::{plan_prediction_caps, GroupConfig, GroupExecutor, Interconnect, PeakPrediction};
 use sn_sim::{DeviceSpec, SimTime};
 
 use crate::job::{JobKind, JobSpec, PolicyPreset, Workload};
@@ -41,10 +57,9 @@ use crate::job::{JobKind, JobSpec, PolicyPreset, Workload};
 /// bit-exactly and the name left out, so cards that differ in a constant
 /// never alias and cards that differ by name alone share an answer that is
 /// the same for both — and the key carries the **cap** the prediction was
-/// compiled against (the DRAM of `spec.with_dram(budget)`), not just the
-/// preset: the planner adapts its evictions and workspaces to that cap, so a
-/// peak compiled for a larger device must never be reused for a smaller one.
-/// `Copy` and `String`-free: building one for a lookup allocates nothing.
+/// asked at (the DRAM of `spec.with_dram(budget)`): the planner adapts its
+/// evictions and workspaces to that cap, so one cap's answer serves another
+/// only where its plan's caps hold both. `Copy` and `String`-free.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct ProfileKey {
     workload: Workload,
@@ -55,8 +70,16 @@ struct ProfileKey {
     cap: u64,
 }
 
-/// Gang measurement key: the replica's profile key extended with the gang
-/// size and the fabric — replica counts can never alias.
+/// What the profiler answered at one cap: the prediction (`None`: does not
+/// fit) and the caps it holds for — the plan's `valid_caps`, or the asked
+/// cap alone for an OOM.
+type Answer = (Option<PeakPrediction>, RangeInclusive<u64>);
+
+/// Gang measurement key: the replica plan's training profile key with
+/// `cap` at the start of that plan's caps — the lowest cap of an open plan,
+/// the exact cap of a cap-bound or OOM one — extended with the gang size
+/// and the fabric. Two budgets one replica plan answers share a
+/// measurement; replica counts can never alias.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct GangKey {
     profile: ProfileKey,
@@ -66,26 +89,26 @@ struct GangKey {
 }
 
 /// Memoizing wrapper around the plan compiler: the cluster loop re-evaluates
-/// queued jobs at every event, but distinct (workload, batch, preset, kind,
-/// card, cap) tuples are few, so each prediction compiles at most once.
-/// `None` records "does not fit within this budget".
+/// queued jobs at every event, but distinct questions are few, and each is
+/// asked once — a `Net` per (workload, batch), a prediction per plan
+/// interval (recorded under every cap it was asked or filled at), a gang
+/// measurement per replica plan (see the module docs).
 ///
 /// The caches are `Mutex`-guarded Fx-hashed maps (the keys are internal
 /// structs — no untrusted input, no need for SipHash), which makes the
-/// profiler `Sync`: a rung's cold levels compile concurrently over the
-/// rayon shim, all sharing this memo. A concurrent miss may compile the same
-/// prediction twice; both results are identical (compilation is
-/// deterministic) and the last insert wins.
+/// profiler `Sync`. A concurrent miss may compile the same prediction twice;
+/// both results are identical (compilation is deterministic) and the last
+/// insert wins.
 #[derive(Default)]
 pub struct Profiler {
-    cache: Mutex<FxHashMap<ProfileKey, Option<PeakPrediction>>>,
-    /// Measured gang step times: one group execution per distinct
-    /// (workload, batch, preset, card, cap, replicas, fabric) tuple.
+    nets: Mutex<FxHashMap<(Workload, usize), Arc<Net>>>,
+    cache: Mutex<FxHashMap<ProfileKey, Answer>>,
+    /// Measured gang step times, one group execution per [`GangKey`].
     gang: Mutex<FxHashMap<GangKey, Option<SimTime>>>,
 }
 
 /// Lock one of the profiler's maps, poisoned or not: a prediction is
-/// compiled before the lock is taken and only `Copy` keys and values cross
+/// compiled before the lock is taken and only whole keys and values cross
 /// it, so a map a dying thread held is still consistent — and one rung's
 /// panic must not fail every later admission.
 fn lock<T>(map: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -118,24 +141,31 @@ impl Profiler {
             card: spec.card_fingerprint(),
             cap: budget,
         };
-        if let Some(hit) = lock(&self.cache).get(&key) {
-            return *hit;
-        }
-        self.compile(key, spec)
+        self.answer(key, spec).0
     }
 
-    /// The miss path: compile `key` on `spec` capped to `key.cap` — the
-    /// only place that capped copy of the device is built — and memoize.
-    fn compile(&self, key: ProfileKey, spec: &DeviceSpec) -> Option<PeakPrediction> {
+    /// The answer at `key` and the caps it holds for, memoized: on a miss
+    /// `key` is compiled on `spec` capped to `key.cap` — the only place that
+    /// capped copy of the device is built.
+    fn answer(&self, key: ProfileKey, spec: &DeviceSpec) -> Answer {
+        if let Some(hit) = lock(&self.cache).get(&key) {
+            return hit.clone();
+        }
         let capped = spec.clone().with_dram(key.cap);
-        let net = key.workload.build(key.batch);
-        let policy = key.preset.policy();
-        let result = match key.kind {
-            JobKind::Training => plan_prediction(&net, &capped, policy).ok(),
-            JobKind::Inference => plan_prediction_inference(&net, &capped, policy).ok(),
-        };
-        lock(&self.cache).insert(key, result);
-        result
+        let net = self.net(key.workload, key.batch);
+        let inference = key.kind == JobKind::Inference;
+        let (result, caps) = plan_prediction_caps(&net, &capped, key.preset.policy(), inference);
+        let answer = (result.ok(), caps);
+        lock(&self.cache).insert(key, answer.clone());
+        answer
+    }
+
+    /// The network of (`workload`, `batch`), built the first time it is
+    /// asked for.
+    fn net(&self, workload: Workload, batch: usize) -> Arc<Net> {
+        let mut nets = lock(&self.nets);
+        let net = nets.entry((workload, batch));
+        Arc::clone(net.or_insert_with(|| Arc::new(workload.build(batch))))
     }
 
     /// [`Profiler::profile_kind`] of one replica of `job`, under `preset`
@@ -169,9 +199,10 @@ impl Profiler {
     /// [`sn_runtime::GroupPlan`] — whose per-replica bytes are the exact
     /// plan the reservation came from — and drives the group interpreter
     /// for a cold and a warm iteration, returning the warm gang step
-    /// (slowest replica + overlapped bucketed all-reduce). Memoized; the
-    /// gang key carries the replica count, so gang sizes never alias.
-    /// `None` means the gang cannot run within the budget.
+    /// (slowest replica + overlapped bucketed all-reduce). Memoized per
+    /// replica plan (`GangKey`); the key carries the replica count, so
+    /// gang sizes never alias. `None` means the gang cannot run within the
+    /// budget.
     pub fn gang_step_time(
         &self,
         workload: Workload,
@@ -195,7 +226,9 @@ impl Profiler {
 
     /// [`Profiler::gang_step_time`] on `spec` capped to `cap` bytes, for a
     /// caller that already holds `spec`'s card fingerprint: the capped copy
-    /// of the device is built on a miss only.
+    /// of the device is built on a miss only. The replica plan's answer at
+    /// `cap` names the measurement; in debug builds a memoized step is held
+    /// to a measurement at `cap` itself.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn gang_step_capped(
         &self,
@@ -208,45 +241,59 @@ impl Profiler {
         cap: u64,
         interconnect: Interconnect,
     ) -> Option<SimTime> {
+        let replica = ProfileKey {
+            workload,
+            batch,
+            preset,
+            kind: JobKind::Training,
+            card,
+            cap,
+        };
+        let (_, caps) = self.answer(replica, spec);
         let key = GangKey {
             profile: ProfileKey {
-                workload,
-                batch,
-                preset,
-                kind: JobKind::Training,
-                card,
-                cap,
+                cap: *caps.start(),
+                ..replica
             },
             replicas,
             ic_gbps_bits: interconnect.gbps.to_bits(),
             ic_latency_ns: interconnect.latency.0,
         };
-        if let Some(hit) = lock(&self.gang).get(&key) {
-            return *hit;
+        let measure = || {
+            let net = self.net(workload, batch);
+            // Tuned presets carry their own all-reduce bucket target; the
+            // gang must be measured with it or the tuned step time would be
+            // fiction.
+            let cfg =
+                GroupConfig::new(replicas, interconnect).with_bucket_bytes(preset.bucket_bytes());
+            let capped = spec.clone().with_dram(cap);
+            GroupExecutor::new(&net, capped, preset.policy(), cfg)
+                .ok()
+                .and_then(|mut gx| {
+                    gx.run_iteration().ok()?; // cold (allocator warm-up)
+                    let warm = gx.run_iteration().ok()?;
+                    debug_assert!(warm.peaks_match, "gang replica diverged from its plan");
+                    Some(warm.step_time)
+                })
+        };
+        if let Some(&hit) = lock(&self.gang).get(&key) {
+            debug_assert_eq!(hit, measure(), "at cap {cap} in {caps:?}");
+            return hit;
         }
-        let net = workload.build(batch);
-        // Tuned presets carry their own all-reduce bucket target; the gang
-        // must be measured with it or the tuned step time would be fiction.
-        let cfg = GroupConfig::new(replicas, interconnect).with_bucket_bytes(preset.bucket_bytes());
-        let capped = spec.clone().with_dram(cap);
-        let result = GroupExecutor::new(&net, capped, preset.policy(), cfg)
-            .ok()
-            .and_then(|mut gx| {
-                gx.run_iteration().ok()?; // cold (allocator warm-up)
-                let warm = gx.run_iteration().ok()?;
-                debug_assert!(warm.peaks_match, "gang replica diverged from its plan");
-                Some(warm.step_time)
-            });
+        let result = measure();
         lock(&self.gang).insert(key, result);
         result
     }
 
-    /// Number of distinct predictions compiled so far.
+    /// Number of distinct predictions recorded so far: one per cap asked,
+    /// whether compiled, answered by the plan memo or filled from an
+    /// interval.
     pub fn simulated(&self) -> usize {
         lock(&self.cache).len()
     }
 
-    /// Number of distinct gang step measurements executed so far.
+    /// Number of gang step measurements run so far: one per replica plan,
+    /// gang size and fabric (`GangKey`).
     pub fn gangs_measured(&self) -> usize {
         lock(&self.gang).len()
     }
@@ -256,8 +303,10 @@ impl Profiler {
 /// device class, by budget level: once bit `l` of `resolved` is set,
 /// `answers[l]` is the prediction within `l × quantum` bytes. Levels stop at
 /// 63 (see [`quantum`]); level 0 offers no bytes and is never asked. Kept
-/// for a run, so a level is asked once, the first time a device shows it.
-#[derive(Clone)]
+/// for a run, so a level is resolved once, the first time a device shows
+/// it — and answered once per plan interval, not once per level (see
+/// [`Row::resolve`]).
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Row {
     resolved: u64,
     answers: [Option<PeakPrediction>; 64],
@@ -279,8 +328,12 @@ impl Row {
     };
 
     /// Answer every level of the bit set `present` not answered yet, on
-    /// `spec` — any device of the class. Cold levels are rare and compile
-    /// concurrently over the rayon shim (results come back in level order).
+    /// `spec` — any device of the class. The highest cold level is asked
+    /// first, and every cold level its answer's caps hold is filled from it
+    /// and recorded in the profiler under its own cap — what asking it
+    /// would have recorded — so one open plan answers every level above its
+    /// extent. An OOM or cap-bound answer holds at its own level alone, so
+    /// the levels below an open plan's are asked one at a time.
     pub(crate) fn resolve(
         &mut self,
         present: u64,
@@ -289,22 +342,47 @@ impl Row {
         preset: PolicyPreset,
         spec: &DeviceSpec,
     ) {
-        let cold = present & !self.resolved;
-        if cold == 0 {
-            return;
-        }
-        let levels: Vec<usize> = (0..64).filter(|l| cold >> l & 1 == 1).collect();
-        let answers = rayon::par_map(&levels, |&l| {
-            profiler.profile_job(job, preset, spec, l as u64 * quantum(spec))
-        });
-        for (l, answer) in levels.into_iter().zip(answers) {
-            self.answers[l] = answer;
-            if let Some(p) = answer {
-                self.most_peak = self.most_peak.max(p.peak_bytes);
-                self.least_level = self.least_level.min(l as u8);
+        let quantum = quantum(spec);
+        let key = ProfileKey {
+            workload: job.workload,
+            batch: job.batch,
+            preset,
+            kind: job.kind,
+            card: spec.card_fingerprint(),
+            cap: 0,
+        };
+        let mut cold = present & !self.resolved;
+        while cold != 0 {
+            let top = 63 - u64::from(cold.leading_zeros());
+            let (answer, caps) = profiler.answer(
+                ProfileKey {
+                    cap: top * quantum,
+                    ..key
+                },
+                spec,
+            );
+            // `caps` holds `top`'s budget, so the cold levels it holds are
+            // those from its first budget up to `top`.
+            let filled = cold & (u64::MAX << caps.start().div_ceil(quantum).min(top));
+            for l in (0..64).filter(|l| filled >> l & 1 == 1) {
+                if l != top {
+                    let cap = l * quantum;
+                    debug_assert_eq!(
+                        profiler.profile_job(job, preset, spec, cap),
+                        answer,
+                        "level {l} is filled from {caps:?}"
+                    );
+                    lock(&profiler.cache).insert(ProfileKey { cap, ..key }, (answer, caps.clone()));
+                }
+                self.answers[l as usize] = answer;
+                if let Some(p) = answer {
+                    self.most_peak = self.most_peak.max(p.peak_bytes);
+                    self.least_level = self.least_level.min(l as u8);
+                }
             }
+            self.resolved |= filled;
+            cold &= !filled;
         }
-        self.resolved |= cold;
     }
 
     /// The answer at `level`; `None` also for a level never resolved.
@@ -650,6 +728,143 @@ mod tests {
         );
         assert!(step.is_some());
         assert_eq!(p.gangs_measured(), 1);
+    }
+
+    /// `present` resolved on a 96 MB card twice, each on a fresh profiler:
+    /// by intervals, and level by level (one cold level a call, so every
+    /// level is asked). Each row, with its profiler's `simulated()`.
+    fn by_intervals_and_by_levels(
+        job: &JobSpec,
+        preset: PolicyPreset,
+        present: u64,
+    ) -> [(Row, usize); 2] {
+        let spec = DeviceSpec::k40c().with_dram(96 << 20);
+        let (by_intervals, by_levels) = (Profiler::new(), Profiler::new());
+        let mut a = Row::EMPTY;
+        a.resolve(present, &by_intervals, job, preset, &spec);
+        let mut b = Row::EMPTY;
+        for l in (0..64).filter(|l| present >> l & 1 == 1) {
+            b.resolve(1 << l, &by_levels, job, preset, &spec);
+        }
+        [(a, by_intervals.simulated()), (b, by_levels.simulated())]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn a_row_resolved_by_intervals_equals_one_resolved_level_by_level(
+            shape in (4usize..65, 1usize..9, 4usize..65),
+            preset in 0usize..PolicyPreset::ALL.len(),
+            inference in proptest::bool::ANY,
+            // Levels 1..=32: a 96 MB card's, from 3 MB to all of it.
+            levels in 0u64..(1 << 32),
+        ) {
+            let (width, depth, batch) = shape;
+            let kind = if inference { JobKind::Inference } else { JobKind::Training };
+            let job = JobSpec::new("row", Workload::Synthetic { width, depth }, batch)
+                .with_kind(kind);
+            let [a, b] = by_intervals_and_by_levels(&job, PolicyPreset::ALL[preset], levels << 1);
+            proptest::prop_assert_eq!(a, b);
+        }
+    }
+
+    #[test]
+    fn a_row_meets_oom_cap_bound_and_open_levels() {
+        // On a 96 MB card (3 MB levels) this tower OOMs up to 12 MB, binds
+        // the cap from 15 to 63 MB and is one open plan from 66 MB on:
+        // 4 + 17 + 11 levels.
+        let w = Workload::Synthetic {
+            width: 32,
+            depth: 6,
+        };
+        let job = JobSpec::new("row", w, 32);
+        let spec = DeviceSpec::k40c().with_dram(96 << 20);
+        let p = Profiler::new();
+        let (mut oom, mut bound, mut open) = (0, 0, 0);
+        for l in 1..=32 {
+            let key = ProfileKey {
+                workload: w,
+                batch: 32,
+                preset: PolicyPreset::Superneurons,
+                kind: JobKind::Training,
+                card: spec.card_fingerprint(),
+                cap: l * quantum(&spec),
+            };
+            match p.answer(key, &spec) {
+                (None, caps) => oom += usize::from(caps == (key.cap..=key.cap)),
+                (Some(_), caps) if caps == (key.cap..=key.cap) => bound += 1,
+                (Some(_), caps) => open += usize::from(*caps.end() == u64::MAX),
+            }
+        }
+        assert_eq!((oom, bound, open), (4, 17, 11));
+        let every_level = u64::from(u32::MAX) << 1;
+        let [a, b] = by_intervals_and_by_levels(&job, PolicyPreset::Superneurons, every_level);
+        assert_eq!(a, b);
+        assert_eq!(a.1, 32, "every level recorded under its own cap");
+    }
+
+    #[test]
+    fn a_gang_step_depends_on_its_replica_plan_not_the_cap() {
+        let w = Workload::Synthetic {
+            width: 16,
+            depth: 3,
+        };
+        let spec = DeviceSpec::k40c();
+        let card = spec.card_fingerprint();
+        let replica = ProfileKey {
+            workload: w,
+            batch: 16,
+            preset: PolicyPreset::Superneurons,
+            kind: JobKind::Training,
+            card,
+            cap: spec.dram_bytes,
+        };
+        let caps = Profiler::new().answer(replica, &spec).1;
+        let lo = *caps.start();
+        assert!(
+            *caps.end() == u64::MAX && lo < 64 << 20,
+            "an open plan: {caps:?}"
+        );
+        let step = |p: &Profiler, cap: u64| {
+            let ic = Interconnect::pcie();
+            p.gang_step_capped(w, 16, replica.preset, 2, card, &spec, cap, ic)
+        };
+        // Measured on fresh profilers: neither answer is the other's memo.
+        let at_lo = step(&Profiler::new(), lo);
+        let far = step(&Profiler::new(), spec.dram_bytes);
+        assert!(at_lo.is_some());
+        assert_eq!(at_lo, far);
+        // One profiler measures the replica plan once, at either cap.
+        let p = Profiler::new();
+        assert_eq!((step(&p, spec.dram_bytes), step(&p, lo)), (far, far));
+        assert_eq!(p.gangs_measured(), 1);
+        // Below the plan's extent another plan answers: another measurement.
+        step(&p, lo - 1);
+        assert_eq!(p.gangs_measured(), 2);
+    }
+
+    #[test]
+    fn a_shape_asked_at_32_budgets_builds_its_net_once() {
+        let p = Profiler::new();
+        let w = Workload::Synthetic {
+            width: 32,
+            depth: 6,
+        };
+        let spec = DeviceSpec::k40c().with_dram(96 << 20);
+        for l in 1..=32 {
+            let kind = [JobKind::Training, JobKind::Inference][l % 2];
+            p.profile_kind(
+                w,
+                32,
+                PolicyPreset::Superneurons,
+                kind,
+                &spec,
+                l as u64 * (3 << 20),
+            );
+        }
+        assert_eq!(p.simulated(), 32);
+        assert_eq!(lock(&p.nets).len(), 1, "one net for the shape");
     }
 
     #[test]

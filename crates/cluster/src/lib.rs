@@ -17,10 +17,10 @@
 //!   and under which policy ladder;
 //! * [`fleet`] — [`Fleet`]: the (heterogeneous) device pool + interconnect;
 //! * [`admission`] — memoized **plan compilation**
-//!   ([`sn_runtime::plan_prediction`]): each candidate (job, preset, capped
-//!   device) compiles a [`sn_runtime::MemoryPlan`] whose `peak_bytes` is the
-//!   exact runtime high-water — no simulated iteration runs on the hot path
-//!   — and the reject/queue/downgrade decision;
+//!   ([`sn_runtime::plan_prediction_caps`]): each candidate (job, preset,
+//!   capped device) compiles a [`sn_runtime::MemoryPlan`] whose
+//!   `peak_bytes` is the exact runtime high-water — no simulated iteration
+//!   runs on the hot path — and the reject/queue/downgrade decision;
 //! * [`placement`] — first-fit / best-fit / bin-packing device selection;
 //! * [`fault`] — [`FaultPlan`]/[`RecoveryPolicy`]: deterministic fault
 //!   injection (device kills, link degradation, pressure spikes at integer

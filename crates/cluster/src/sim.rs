@@ -1020,8 +1020,9 @@ impl ClusterSim {
         self.metrics = Some(ClusterMetrics::new(registry));
     }
 
-    /// Distinct gang shapes whose step time was measured by driving the
-    /// group engine (diagnostic; zero for solo-only streams).
+    /// Gang step times measured by driving the group engine: one per
+    /// replica plan, gang size and fabric, however many budgets that plan
+    /// answered (diagnostic; zero for solo-only streams).
     pub fn gangs_measured(&self) -> usize {
         self.profiler.gangs_measured()
     }

@@ -203,6 +203,42 @@ fn gang_jobs_run_through_the_group_engine() {
 }
 
 #[test]
+fn a_gang_shape_at_two_budgets_of_one_replica_plan_is_measured_once() {
+    // The first pair is idle (96 MB each); the second lands beside it, so
+    // its budget is a level lower (93 MB at most) — inside the same open
+    // replica plan's caps.
+    let twice = |name| {
+        let job = JobSpec::new(
+            name,
+            Workload::Synthetic {
+                width: 16,
+                depth: 3,
+            },
+            16,
+        );
+        (sn_sim::SimTime::ZERO, job.with_replicas(2))
+    };
+    let fleet = Fleet::homogeneous(
+        2,
+        DeviceSpec::k40c().with_dram(96 * MB),
+        Interconnect::pcie(),
+    );
+    let mut sim = ClusterSim::new(fleet, PlacementPolicy::BestFit);
+    let report = sim.run(vec![twice("first"), twice("second")]);
+    let [first, second] = &report.jobs[..] else {
+        panic!("two jobs in, two outcomes out");
+    };
+    assert_eq!(second.started, first.started, "side by side, not queued");
+    assert_eq!(first.devices, second.devices);
+    assert_eq!(first.reservations, second.reservations);
+    assert_eq!(
+        sim.gangs_measured(),
+        1,
+        "one replica plan, one measurement, whatever the budget"
+    );
+}
+
+#[test]
 fn superneurons_preset_admits_more_tenants_than_baseline() {
     // Same fleet, same job stream; the only difference is the requested
     // memory policy (downgrade disabled so the request is binding).

@@ -71,8 +71,8 @@ pub use plan::{CompiledPlan, Compiler, MemoryPlan, PlanOp, StepPlan, WorkspacePl
 pub use policy::{AllocatorKind, CachePolicy, Policy, RecomputeMode, WorkspacePolicy};
 pub use recompute::{RecomputePlan, Segment, SegmentStrategy};
 pub use session::{
-    plan_prediction, plan_prediction_inference, predict_peak_bytes, predict_run, InferenceReport,
-    InferenceSession, PeakPrediction, Session, SessionReport,
+    plan_prediction, plan_prediction_caps, plan_prediction_inference, predict_peak_bytes,
+    predict_run, InferenceReport, InferenceSession, PeakPrediction, Session, SessionReport,
 };
 pub use tiers::{Tier, TierConfig, TieredPool};
 pub use tune::{SearchOutcome, TuneConfig, TunedId, TunedPolicy};

@@ -651,6 +651,22 @@ impl Compiler {
         self.lookup(net, spec, policy, inference, read).0
     }
 
+    /// [`Compiler::predict`] and the caps its answer holds for: the plan's
+    /// [`CompiledPlan::valid_caps`], or an OOM's own cap alone.
+    pub(crate) fn predict_caps(
+        &self,
+        net: &Net,
+        spec: &DeviceSpec,
+        policy: Policy,
+        inference: bool,
+    ) -> (Result<PeakPrediction, ExecError>, RangeInclusive<u64>) {
+        let read = |r: &Result<Arc<CompiledPlan>, ExecError>| match r {
+            Ok(c) => (Ok(PeakPrediction::of(&c.plan)), c.valid_caps.clone()),
+            Err(e) => (Err(e.clone()), spec.dram_bytes..=spec.dram_bytes),
+        };
+        self.lookup(net, spec, policy, inference, read).0
+    }
+
     /// The memo's outcome for the question, passed through `read`, and
     /// whether the memo answered: one hit or one miss counted, one guard
     /// taken, and on a miss one compile, memoized.
@@ -2219,7 +2235,7 @@ mod tests {
                 let (net, policy, cap) = (&towers[t], lattice[p], caps[t][c]);
                 let spec = DeviceSpec::k40c().with_dram(cap);
                 let hits = memo.stats().hits;
-                let got = memo.predict(net, &spec, policy, inference);
+                let (got, caps) = memo.predict_caps(net, &spec, policy, inference);
                 let hit = memo.stats().hits > hits;
                 let want_hit = open.get(&(t, p, inference)).is_some_and(|v| v.contains(&cap))
                     || pinned.contains(&(t, p, inference, cap));
@@ -2236,6 +2252,9 @@ mod tests {
                     (Err(g), Err(f)) => prop_assert_eq!(g.to_string(), f.to_string()),
                     _ => prop_assert!(false, "call {}: {:?} vs {:?}", n, got, fresh.err()),
                 }
+                // The caps answered are the plan's, or an OOM's own cap alone.
+                let want_caps = fresh.as_ref().map_or(cap..=cap, |f| f.valid_caps.clone());
+                prop_assert_eq!(caps, want_caps, "call {}", n);
                 match &fresh {
                     Ok(f) if *f.valid_caps.end() == u64::MAX => {
                         open.insert((t, p, inference), f.valid_caps.clone());

@@ -9,6 +9,8 @@
 //! agree on `peak_bytes` by construction; the cluster scheduler uses the
 //! compile-only path on its admission hot path.
 
+use std::ops::RangeInclusive;
+
 use sn_graph::Net;
 use sn_sim::{DeviceSpec, SimTime};
 
@@ -149,6 +151,18 @@ pub fn plan_prediction_inference(
     policy: Policy,
 ) -> Result<PeakPrediction, ExecError> {
     plan::Compiler::shared().predict(net, spec, policy, true)
+}
+
+/// [`plan_prediction`] (with `inference`, [`plan_prediction_inference`]) and
+/// the caps its answer holds for, from one memo lookup read in place: the
+/// plan's [`plan::CompiledPlan::valid_caps`], or an OOM's own cap alone.
+pub fn plan_prediction_caps(
+    net: &Net,
+    spec: &DeviceSpec,
+    policy: Policy,
+    inference: bool,
+) -> (Result<PeakPrediction, ExecError>, RangeInclusive<u64>) {
+    plan::Compiler::shared().predict_caps(net, spec, policy, inference)
 }
 
 impl Session {

@@ -8,8 +8,8 @@
 //! * a request no run can hold fails in **O(1)**, and the largest free
 //!   fragment — the OOM diagnostic and the dynamic workspace budget — is an
 //!   O(1) read;
-//! * a free finds its predecessor and successor with one binary search and
-//!   coalesces with both;
+//! * a free finds its predecessor and successor with one scan (over ≤ 44
+//!   runs it beats a binary search) and coalesces with both;
 //! * first-fit itself is a scan, over a list that is a few cache lines long.
 //!
 //! **Why a vector and nothing else.** Until PR 17 the index migrated into a
@@ -159,11 +159,11 @@ impl RunIndex {
     }
 
     /// Return run `[start, start + blocks)` to the free set, coalescing
-    /// with both neighbours — one search locates predecessor and successor
+    /// with both neighbours — one scan locates predecessor and successor
     /// together.
     fn free_run(&mut self, start: u64, blocks: u64) {
         let nodes = &mut self.nodes;
-        let at = nodes.partition_point(|n| n.start < start);
+        let at = nodes.iter().take_while(|n| n.start < start).count();
         let merge_succ = at < nodes.len() && nodes[at].start == start + blocks;
         let merge_pred = at > 0 && nodes[at - 1].start + nodes[at - 1].blocks == start;
         let new_blocks = match (merge_pred, merge_succ) {
