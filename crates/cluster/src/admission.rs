@@ -156,8 +156,13 @@ impl Profiler {
         let inference = key.kind == JobKind::Inference;
         let (result, caps) = plan_prediction_caps(&net, &capped, key.preset.policy(), inference);
         let answer = (result.ok(), caps);
-        lock(&self.cache).insert(key, answer.clone());
+        self.record(key, answer.clone());
         answer
+    }
+
+    /// Remember `answer` at `key`, as asking `key` records it.
+    fn record(&self, key: ProfileKey, answer: Answer) {
+        lock(&self.cache).insert(key, answer);
     }
 
     /// The network of (`workload`, `batch`), built the first time it is
@@ -372,7 +377,7 @@ impl Row {
                         answer,
                         "level {l} is filled from {caps:?}"
                     );
-                    lock(&profiler.cache).insert(ProfileKey { cap, ..key }, (answer, caps.clone()));
+                    profiler.record(ProfileKey { cap, ..key }, (answer, caps.clone()));
                 }
                 self.answers[l as usize] = answer;
                 if let Some(p) = answer {

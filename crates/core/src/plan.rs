@@ -633,27 +633,11 @@ impl Compiler {
     }
 
     /// [`Compiler::compile`] down to what admission reads: the
-    /// [`PeakPrediction`] is read off the memoized plan in place, so a hit
-    /// touches no `Arc` refcount and allocates nothing. Counted as
-    /// `compile` counts.
+    /// [`PeakPrediction`] and the caps it holds for — the plan's
+    /// [`CompiledPlan::valid_caps`], or an OOM's own cap alone — read off the
+    /// memoized plan in place, so a hit touches no `Arc` refcount and
+    /// allocates nothing. Counted as `compile` counts.
     pub(crate) fn predict(
-        &self,
-        net: &Net,
-        spec: &DeviceSpec,
-        policy: Policy,
-        inference: bool,
-    ) -> Result<PeakPrediction, ExecError> {
-        let read = |r: &Result<Arc<CompiledPlan>, ExecError>| {
-            r.as_ref()
-                .map(|c| PeakPrediction::of(&c.plan))
-                .map_err(ExecError::clone)
-        };
-        self.lookup(net, spec, policy, inference, read).0
-    }
-
-    /// [`Compiler::predict`] and the caps its answer holds for: the plan's
-    /// [`CompiledPlan::valid_caps`], or an OOM's own cap alone.
-    pub(crate) fn predict_caps(
         &self,
         net: &Net,
         spec: &DeviceSpec,
@@ -2114,8 +2098,8 @@ mod tests {
         let spec = DeviceSpec::k40c();
         let mut renamed = spec.clone().with_dram(spec.dram_bytes / 2);
         renamed.name = "K40c, rack 7".into();
-        let first = memo.predict(&net, &spec, policy, true).unwrap();
-        assert_eq!(memo.predict(&net, &renamed, policy, true).unwrap(), first);
+        let first = memo.predict(&net, &spec, policy, true).0.unwrap();
+        assert_eq!(memo.predict(&net, &renamed, policy, true).0.unwrap(), first);
         assert_eq!((memo.stats().hits, memo.stats().misses), (1, 1));
     }
 
@@ -2235,7 +2219,7 @@ mod tests {
                 let (net, policy, cap) = (&towers[t], lattice[p], caps[t][c]);
                 let spec = DeviceSpec::k40c().with_dram(cap);
                 let hits = memo.stats().hits;
-                let (got, caps) = memo.predict_caps(net, &spec, policy, inference);
+                let (got, caps) = memo.predict(net, &spec, policy, inference);
                 let hit = memo.stats().hits > hits;
                 let want_hit = open.get(&(t, p, inference)).is_some_and(|v| v.contains(&cap))
                     || pinned.contains(&(t, p, inference, cap));

@@ -138,7 +138,7 @@ pub fn plan_prediction(
     spec: &DeviceSpec,
     policy: Policy,
 ) -> Result<PeakPrediction, ExecError> {
-    plan::Compiler::shared().predict(net, spec, policy, false)
+    plan_prediction_caps(net, spec, policy, false).0
 }
 
 /// [`plan_prediction`] for a forward-only inference plan: the peak a serving
@@ -150,7 +150,7 @@ pub fn plan_prediction_inference(
     spec: &DeviceSpec,
     policy: Policy,
 ) -> Result<PeakPrediction, ExecError> {
-    plan::Compiler::shared().predict(net, spec, policy, true)
+    plan_prediction_caps(net, spec, policy, true).0
 }
 
 /// [`plan_prediction`] (with `inference`, [`plan_prediction_inference`]) and
@@ -162,7 +162,7 @@ pub fn plan_prediction_caps(
     policy: Policy,
     inference: bool,
 ) -> (Result<PeakPrediction, ExecError>, RangeInclusive<u64>) {
-    plan::Compiler::shared().predict_caps(net, spec, policy, inference)
+    plan::Compiler::shared().predict(net, spec, policy, inference)
 }
 
 impl Session {
