@@ -34,14 +34,18 @@
 //! O(n):
 //!
 //! * **Event queue** — an *addressable* binary heap (`crate::event_heap`)
-//!   ordered by `(time, job index)`: the next arrival, the next fault batch,
-//!   parked jobs' retries, **exactly one** projected completion per running
-//!   gang (indexed by slab slot) and per device with single-device tenants
-//!   (its earliest; a pop re-queues it only for another due then). A
-//!   tenant-count change re-keys an entry where it sits and sifts it; an
-//!   interrupt removes a gang's. Nothing stale is ever queued, so whatever
-//!   pops is a live projection — in particular a restarted job can never
-//!   complete on the schedule of the run a fault cut short.
+//!   ordered by `(time, job index)`, packed into one `u128` key: the next
+//!   arrival, the next fault batch, parked jobs' retries, **exactly one**
+//!   projected completion per running gang and per device with
+//!   single-device tenants (its earliest; a pop re-queues it only for
+//!   another due then). An entry's `u32` *handle* — a marker, a device or a
+//!   slab slot — indexes one position table and the payloads a pop hands
+//!   back. A tenant-count change re-keys an entry where it sits and moves a
+//!   hole only the way its key moved; an interrupt removes a gang's. Keys
+//!   are distinct (a job owns at most one entry), so entries pop in sorted
+//!   order whatever the heap's shape. Nothing stale is ever queued, so
+//!   whatever pops is a live projection — in particular a restarted job can
+//!   never complete on the schedule of the run a fault cut short.
 //! * **Slab job state** — live jobs (pending, running, parked) occupy
 //!   generation-stamped slots (`crate::slab`); storage is bounded by peak
 //!   concurrency, not stream length.
@@ -62,9 +66,17 @@
 //!   all phases become 0; `anchor = now`, `k = count`. Phases arise where a
 //!   count ends an instant where it began — a completion and an admission
 //!   on one device, or a live downgrade — so nothing folds; a tenant alone
-//!   on its device restarts the clock. Per-device tenant lists identify
-//!   exactly the gangs and clocks an event can affect, so it touches its
-//!   neighborhood, not every running job.
+//!   on its device restarts the clock. A gang keeps its *pace count* `m`,
+//!   the most tenants on any of its devices, by slab slot. Where a device's
+//!   count goes from `k_old` (its clock's `k`) to `k`, a gang there can
+//!   change pace only if `k > m`, if `k < k_old == m`, or if the link moved
+//!   this instant, and only such gangs are visited: after every sweep each
+//!   `m` is its gang's maximum, and within an instant only admissions raise
+//!   a count once a gang has started, so a maximum that rises shows `k > m`
+//!   where it rose, and one that falls shows `k < k_old == m` on every
+//!   device that held it. Per-device tenant lists identify exactly the
+//!   gangs and clocks an event can affect, so it touches its neighborhood,
+//!   not every running job.
 //! * **Lazy device accounting** — a device's busy time and ∫ reserved dt are
 //!   integrals of step functions, so each device is settled just before its
 //!   `reserved`/`tenants` change and once when the run ends. In integers
@@ -81,8 +93,11 @@
 //!   stops at the first device that cannot win. A device carries its budget
 //!   *level* (`free / quantum`, re-derived in `DeviceState::alter`); a shape
 //!   carries, per preset and device class, a row of the profiler's answers
-//!   by level (`crate::admission::Row`). A rung ORs the levels its devices
-//!   show, asks the profiler for those no device showed before, then walks
+//!   by level (`crate::admission::Row`). A rung reads the levels its devices
+//!   show off a census the core keeps beside the walk order — per device
+//!   class, how many devices show each level and the bit set of those
+//!   shown, moved with a device's level at every alter — asks the profiler
+//!   for those no device showed before, then walks
 //!   the devices indexing `answers[level]` and keeping the `replicas` best:
 //!   FirstFit in index order, BestFit and BinPack by ascending (free bytes,
 //!   index), an order the core keeps (with ranks) by an insertion step at
@@ -101,8 +116,9 @@
 //! `Core::check` then verifies the state's invariants — slot conservation,
 //! per-device reservations, levels and tenant lists, one live completion per
 //! running gang and per device with single-device tenants (its earliest),
-//! every pace the one its devices imply and every clock at its device's
-//! count, the walk order sorted with its ranks, monotone time, no queued
+//! every pace the one its devices imply, every gang's kept pace count its
+//! devices' maximum and every clock at its device's count, the walk order
+//! and the level census equal to a scan's, monotone time, no queued
 //! job's shape in the blocked set of a state that admits it — and
 //! `decide` holds each rung's answer to the ladder written straight down
 //! (`try_admit_plain`), so every test of this crate runs under both.
@@ -114,28 +130,38 @@
 //! calls), by an `Instant` pair around each handler of `Core::run` and
 //! around `try_admit`, on scratch copies of `864fb29` — where a rung
 //! divided twice a device and hashed a probe per distinct budget — of
-//! `4c39aff`, where a device carried its budget level, and of the code that
-//! added device clocks and the walk: medians over the passes of 8-s runs
-//! (~240 a run; for the last column four runs a side, ~170 passes each),
-//! seed 2301, 2-vCPU host. Share of the handlers · ns an event: the shares
-//! repeat to a point or two; the ns carry the pairs' own cost and drift
-//! with the host.
+//! `4c39aff`, where a device carried its budget level, of the code that
+//! added device clocks and the walk, and of the code that flattened the
+//! heap, kept the level census and skipped gang visits: medians over the
+//! passes of 8-s runs (~240 a run; for the last two columns four runs a
+//! side, ~170 and ~400 passes a run), seed 2301, 2-vCPU host. Share of the
+//! handlers · ns an event: the shares repeat to a point or two; the ns carry
+//! the pairs' own cost and drift with the host.
 //!
-//! | handler                                      | before         | level per device | clocks + walk  |
-//! |----------------------------------------------|---------------:|-----------------:|---------------:|
-//! | admission pass: `try_admit`                  | 38 % · 289 ns  | 28 % · 171 ns    | 19 % · 144 ns  |
-//! | admission pass: reserve, step time, recorder | 13 % ·  99 ns  | 15 % ·  90 ns    | 19 % · 151 ns  |
-//! | re-anchor sweep                              | 27 % · 204 ns  | 32 % · 194 ns    | 34 % · 265 ns  |
-//! | `pop_due` (event queue)                      |  8 % ·  57 ns  | 10 % ·  59 ns    | 12 % ·  93 ns  |
-//! | completions, arrivals, faults                | 15 % · 112 ns  | 16 % · 100 ns    | 16 % · 122 ns  |
+//! | handler                                      | before         | level per device | clocks + walk  | heap, census, gang rule |
+//! |----------------------------------------------|---------------:|-----------------:|---------------:|------------------------:|
+//! | admission pass: `try_admit`                  | 38 % · 289 ns  | 28 % · 171 ns    | 19 % · 144 ns  | 13 % ·  35 ns           |
+//! | admission pass: reserve, step time, recorder | 13 % ·  99 ns  | 15 % ·  90 ns    | 19 % · 151 ns  | 18 % ·  49 ns           |
+//! | re-anchor sweep                              | 27 % · 204 ns  | 32 % · 194 ns    | 34 % · 265 ns  | 39 % · 104 ns           |
+//! | `pop_due` (event queue)                      |  8 % ·  57 ns  | 10 % ·  59 ns    | 12 % ·  93 ns  | 11 % ·  30 ns           |
+//! | completions, arrivals, faults                | 15 % · 112 ns  | 16 % · 100 ns    | 16 % · 122 ns  | 20 % ·  54 ns           |
 //!
-//! The last column's host ran slow: its parent, `a21fb9c`, timed beside it,
-//! read 30 % · 247, 15 % · 124, 34 % · 283, 10 % · 82 and 12 % · 98 ns.
-//! Against that, `try_admit` is 744 → 432 ns a call: the walk visits 5.7
-//! devices, not 64. The sweep folds 21 568 device clocks a pass where
-//! 63 942 single-device tenants were re-paced, and re-paces the same 45 637
-//! gangs, which are now most of it. Reserving and releasing pay for keeping
-//! the walk order (≈ 17 insertion steps a move, one move an event).
+//! The clocks + walk column's host ran slow: its parent, `a21fb9c`, timed
+//! beside it, read 30 % · 247, 15 % · 124, 34 % · 283, 10 % · 82 and
+//! 12 % · 98 ns. Against that, `try_admit` is 744 → 432 ns a call: the walk
+//! visits 5.7 devices, not 64. The sweep folds 21 568 device clocks a pass
+//! where 63 942 single-device tenants were re-paced, and re-paces the same
+//! 45 637 gangs, which are now most of it. Reserving and releasing pay for
+//! keeping the walk order (≈ 17 insertion steps a move, one move an event).
+//!
+//! The last column's parent, `cd562af` — whose profiler no longer builds a
+//! net per budget inside `try_admit` or measures a gang per budget while
+//! reserving — timed beside it, read 17 % · 57, 14 % · 47, 37 % · 124,
+//! 14 % · 48 and 18 % · 60 ns: 336 ns an event in all, against 273
+//! (−19 %). `try_admit` is 172 → 104 ns a call, with no OR over 64 levels.
+//! The sweep meets 119 104 gang entries a pass, visits 51 816 of them where
+//! it visited all, and re-paces the same 45 637; what is left of it is
+//! mostly those re-paces and their heap re-keys.
 //!
 //! The loop this replaced is retained in [`crate::sim_reference`], moved
 //! onto the same `Pace` arithmetic but still scanning every gang and
@@ -271,14 +297,15 @@ impl DeviceState {
 /// link, while a solo tenant exchanges no gradients and does not. Shared by
 /// the indexed loop and the retained reference loop.
 pub(crate) fn gang_pace(devices: &[DeviceState], grant: &Grant, link_permille: u32) -> Pace {
-    let tenants = grant
-        .placements
-        .iter()
-        .map(|p| devices[p.device].tenants)
-        .max()
-        .unwrap_or(1);
     let gang = grant.placements.len() > 1;
-    Pace::new(tenants, if gang { link_permille } else { 1000 })
+    let link = if gang { link_permille } else { 1000 };
+    Pace::new(most_tenants(devices, grant), link)
+}
+
+/// A gang's pace count: the most tenants on any of its devices.
+fn most_tenants(devices: &[DeviceState], grant: &Grant) -> usize {
+    let tenants = grant.placements.iter().map(|p| devices[p.device].tenants);
+    tenants.max().unwrap_or(1)
 }
 
 /// Pre-resolved admission metric handles (see [`ClusterSim::enable_metrics`]).
@@ -534,26 +561,63 @@ impl Earliest {
     }
 }
 
-/// The devices as ascending (free bytes, index) pairs, and where each sits
-/// in them: what a BestFit or BinPack rung walks. A device whose free bytes
-/// change moves to its place by a local insertion step.
-struct ByFree {
+/// The walk index a rung reads. The devices as ascending (free bytes, index)
+/// pairs, and where each sits in them: what a BestFit or BinPack rung walks.
+/// And per device class, a census of its devices' budget levels: how many
+/// show each level, and the set of levels shown (`present`), which a rung
+/// resolves its rows for. A device whose free bytes change moves to its place
+/// by a local insertion step, and from its old level's count to its new one.
+pub(crate) struct ByFree<'s> {
     order: Vec<(u64, usize)>,
     rank: Vec<usize>,
+    class_of: &'s [usize],
+    /// Each device's level as of its last move.
+    level: Vec<u8>,
+    census: Vec<[u32; 64]>,
+    present: Vec<u64>,
 }
 
-impl ByFree {
-    fn new(devices: &[DeviceState]) -> ByFree {
-        let order = by_free(devices);
+impl<'s> ByFree<'s> {
+    /// The index of `devices`, of classes `class_of`, by a scan.
+    fn new(devices: &[DeviceState], class_of: &'s [usize]) -> ByFree<'s> {
+        let mut order: Vec<(u64, usize)> = devices.iter().map(|d| d.free).zip(0..).collect();
+        order.sort_unstable();
         let mut rank = vec![0; order.len()];
         for (at, &(_, d)) in order.iter().enumerate() {
             rank[d] = at;
         }
-        ByFree { order, rank }
+        let level: Vec<u8> = devices.iter().map(|d| d.level).collect();
+        let classes = class_of.iter().max().map_or(0, |c| c + 1);
+        let (mut census, mut present) = (vec![[0; 64]; classes], vec![0; classes]);
+        for (&l, &c) in level.iter().zip(class_of) {
+            census[c][usize::from(l)] += 1;
+            present[c] |= 1 << l;
+        }
+        ByFree {
+            order,
+            rank,
+            class_of,
+            level,
+            census,
+            present,
+        }
     }
 
-    /// Move `d`, whose free bytes just changed, to its place.
+    /// Move `d`, whose free bytes just changed, to its place, and into its
+    /// level's count if that changed too.
     fn moved(&mut self, devices: &[DeviceState], d: usize) {
+        let level = devices[d].level;
+        let was = std::mem::replace(&mut self.level[d], level);
+        if was != level {
+            let c = self.class_of[d];
+            let census = &mut self.census[c];
+            census[usize::from(was)] -= 1;
+            census[usize::from(level)] += 1;
+            if census[usize::from(was)] == 0 {
+                self.present[c] &= !(1 << was);
+            }
+            self.present[c] |= 1 << level;
+        }
         let (key, mut at) = ((devices[d].free, d), self.rank[d]);
         while at > 0 && self.order[at - 1] > key {
             self.order[at] = self.order[at - 1];
@@ -568,14 +632,22 @@ impl ByFree {
         self.order[at] = key;
         self.rank[d] = at;
     }
-}
 
-/// The devices as ascending (free bytes, index) pairs, sorted afresh: what
-/// [`ClusterSim::try_admit`] walks, for a caller that keeps no [`ByFree`].
-pub(crate) fn by_free(devices: &[DeviceState]) -> Vec<(u64, usize)> {
-    let mut order: Vec<(u64, usize)> = devices.iter().map(|d| d.free).zip(0..).collect();
-    order.sort_unstable();
-    order
+    /// Hold the kept index to one a scan of `devices` builds.
+    fn check(&self, devices: &[DeviceState]) {
+        let scan = ByFree::new(devices, self.class_of);
+        assert_eq!(self.order, scan.order, "walk order vs free bytes");
+        assert_eq!(
+            self.rank, scan.rank,
+            "a device's rank vs its place in the walk order"
+        );
+        assert_eq!(self.level, scan.level, "a device's kept level vs its level");
+        assert_eq!(
+            (&self.census, &self.present),
+            (&scan.census, &scan.present),
+            "the level census vs a scan of the devices' levels"
+        );
+    }
 }
 
 /// A grant frozen for byte-exact restarts: the preset plus the per-replica
@@ -890,8 +962,6 @@ pub(crate) struct AdmitScratch {
     /// Per (workload, batch, kind, preset): one [`Row`] of answers a device
     /// class. A rung hashes once, here; its devices then index by level.
     rows: FxHashMap<(Workload, usize, JobKind, PolicyPreset), Vec<Row>>,
-    /// Per class: the budget levels its devices show, as a bit set.
-    present: Vec<u64>,
     /// The gang a rung holds so far, best first.
     best: Vec<Candidate>,
 }
@@ -1037,25 +1107,19 @@ impl ClusterSim {
     /// real free space), but the profiler's memo key space collapses from
     /// "every reservation state ever" to at most 63 budgets per device class
     /// — and a rung reads them off each device's level and the shape's
-    /// [`Row`]s, visiting the devices in `order` ([`by_free`]) only until no
-    /// later one could win (see the module docs). The ladder itself stays
-    /// serial — a stronger preset is only consulted when the weaker one
-    /// cannot place the gang.
+    /// [`Row`]s, resolving the levels `index` says its devices show and
+    /// visiting them in its order only until no later one could win (see the
+    /// module docs). The ladder itself stays serial — a stronger preset is
+    /// only consulted when the weaker one cannot place the gang.
     pub(crate) fn try_admit(
         &self,
         devices: &[DeviceState],
-        order: &[(u64, usize)],
+        index: &ByFree,
         job: &JobSpec,
         scratch: &mut AdmitScratch,
     ) -> Option<Grant> {
         if job.replicas == 0 {
             return None; // an empty gang is not a schedulable job
-        }
-        let present = &mut scratch.present;
-        present.clear();
-        present.resize(self.classes.len(), 0);
-        for (d, &class) in devices.iter().zip(&self.class_of) {
-            present[class] |= 1 << d.level;
         }
         for preset in ladder_for(job) {
             let rows = scratch
@@ -1063,7 +1127,7 @@ impl ClusterSim {
                 .entry((job.workload, job.batch, job.kind, preset))
                 .or_insert_with(|| vec![Row::EMPTY; self.classes.len()]);
             let (mut most_peak, mut least_free) = (0, u64::MAX);
-            for ((row, class), &levels) in rows.iter_mut().zip(&self.classes).zip(&*present) {
+            for ((row, class), &levels) in rows.iter_mut().zip(&self.classes).zip(&index.present) {
                 // Level 0 offers no bytes: never asked, so never answered.
                 let spec = &self.fleet.devices[class.device];
                 row.resolve(levels & !1, &self.profiler, job, preset, spec);
@@ -1072,8 +1136,8 @@ impl ClusterSim {
             }
             // FirstFit walks index order; BestFit and BinPack ascending free
             // bytes, past the devices too full for any level a row answered.
-            let from = order.partition_point(|&(free, _)| free < least_free);
-            let mut by_free = order[from..].iter().map(|&(_, d)| d);
+            let from = index.order.partition_point(|&(free, _)| free < least_free);
+            let mut by_free = index.order[from..].iter().map(|&(_, d)| d);
             let mut by_index = 0..devices.len();
             let walk: &mut dyn Iterator<Item = usize> = match self.placement {
                 PlacementPolicy::FirstFit => &mut by_index,
@@ -1106,6 +1170,12 @@ impl ClusterSim {
             }
         }
         None
+    }
+
+    /// The walk index of `devices`, built by a scan: what
+    /// [`ClusterSim::try_admit`] reads, for a caller that keeps no index.
+    pub(crate) fn walk_index(&self, devices: &[DeviceState]) -> ByFree<'_> {
+        ByFree::new(devices, &self.class_of)
     }
 
     /// [`ClusterSim::try_admit`] written straight down — every device asked
@@ -1297,7 +1367,7 @@ impl ClusterSim {
             downgrades.push((tenants[ti].key, new_grant));
             let admit = match resume {
                 Some(rp) => self.try_admit_resume(&vdev, job, rp),
-                None => self.try_admit(&vdev, &by_free(&vdev), job, scratch),
+                None => self.try_admit(&vdev, &self.walk_index(&vdev), job, scratch),
             };
             if let Some(grant) = admit {
                 return Some((downgrades, grant));
@@ -1468,8 +1538,9 @@ struct Core<'a, R: Recorder> {
     /// device can re-pace, and the single-device tenants on its clock. The
     /// re-anchor sweep walks only these.
     tenants_on: Vec<Tenants>,
-    /// The order a BestFit or BinPack rung walks the devices in.
-    by_free: ByFree,
+    /// What a rung reads: the order a BestFit or BinPack rung walks the
+    /// devices in, and the levels they show.
+    by_free: ByFree<'a>,
     jobs: Slab<LiveJob>,
     heap: EventHeap,
     /// The FIFO admission queue; `pending[fresh_from..]` joined it at this
@@ -1496,6 +1567,8 @@ struct Core<'a, R: Recorder> {
     faults: Vec<(SimTime, FaultEvent)>,
     next_fault: usize,
     link_permille: u32,
+    /// The link speed moved this instant: every gang may re-pace.
+    link_moved: bool,
     /// Bumped on every fail/recover: scopes the live-subset feasibility
     /// memo.
     fault_epoch: u64,
@@ -1504,9 +1577,13 @@ struct Core<'a, R: Recorder> {
     // steady-state event allocates only for what it leaves behind (a
     // grant).
     completions: Vec<SlotKey>,
-    /// Devices whose tenant count changed this instant — the re-anchor
-    /// sweep visits exactly their gangs.
+    /// Devices whose tenant set changed this instant — the re-anchor sweep
+    /// visits exactly their clocks, and those of their gangs whose pace can
+    /// have moved.
     affected: Vec<usize>,
+    /// By slab slot: the pace count of the running gang there — the most
+    /// tenants on any of its devices as of its last (re-)pace.
+    pace_count: Vec<u32>,
     kept: Vec<SlotKey>,
 }
 
@@ -1525,7 +1602,7 @@ impl<'a, R: Recorder> Core<'a, R> {
             rec,
             out: CoreOutcome::default(),
             now_ns: 0,
-            by_free: ByFree::new(&devices),
+            by_free: sim.walk_index(&devices),
             devices,
             tenants_on: vec![
                 Tenants {
@@ -1553,18 +1630,20 @@ impl<'a, R: Recorder> Core<'a, R> {
                 .unwrap_or_default(),
             next_fault: 0,
             link_permille: 1000,
+            link_moved: false,
             fault_epoch: 0,
             fail_since: vec![None; n],
             completions: Vec::new(),
             affected: Vec::new(),
+            pace_count: Vec::new(),
             kept: Vec::new(),
         };
         if let Some((t, _)) = core.faults.first() {
-            core.heap.push(t.0, u64::MAX - 1, EventKind::FaultDue);
+            core.heap.set(EventKind::FaultDue, t.0, u64::MAX - 1);
         }
         core.next_arrival = core.stream.next_job();
         if let Some((t, _)) = &core.next_arrival {
-            core.heap.push(t.0, u64::MAX, EventKind::Arrival);
+            core.heap.set(EventKind::Arrival, t.0, u64::MAX);
         }
         core
     }
@@ -1574,7 +1653,7 @@ impl<'a, R: Recorder> Core<'a, R> {
     fn run(mut self) -> CoreOutcome {
         // Every queued entry is live (see `event_heap`), so the earliest is
         // the next instant.
-        while let Some(t_ns) = self.heap.peek().map(|ev| ev.t_ns) {
+        while let Some(t_ns) = self.heap.peek() {
             let before = self.now_ns;
             let (arrival_due, fault_due) = self.pop_due(t_ns);
             self.complete_due();
@@ -1620,9 +1699,10 @@ impl<'a, R: Recorder> Core<'a, R> {
         self.now_ns = t_ns;
         self.completions.clear();
         self.affected.clear();
+        self.link_moved = false;
         self.fresh_from = self.pending.len();
         let (mut arrival_due, mut fault_due) = (false, false);
-        while self.heap.peek().is_some_and(|ev| ev.t_ns == t_ns) {
+        while self.heap.peek() == Some(t_ns) {
             let ev = self.heap.pop().expect("peeked entry");
             match ev.kind {
                 EventKind::Completion { key } => self.completions.push(key),
@@ -1717,7 +1797,7 @@ impl<'a, R: Recorder> Core<'a, R> {
     fn apply_faults(&mut self) {
         while let Some(&(t, ev)) = self.faults.get(self.next_fault) {
             if t.0 > self.now_ns {
-                self.heap.push(t.0, u64::MAX - 1, EventKind::FaultDue);
+                self.heap.set(EventKind::FaultDue, t.0, u64::MAX - 1);
                 break;
             }
             self.next_fault += 1;
@@ -1791,7 +1871,7 @@ impl<'a, R: Recorder> Core<'a, R> {
 
     fn set_link(&mut self, permille: u32) {
         self.link_permille = permille;
-        // Every running gang may re-pace.
+        self.link_moved = true;
         self.affected.extend(0..self.devices.len());
     }
 
@@ -1864,11 +1944,8 @@ impl<'a, R: Recorder> Core<'a, R> {
         let job = self.jobs.get_mut(key).expect("parked jobs are live");
         let delay = self.sim.recovery.backoff_delay(job.attempts, job.seq);
         job.attempts += 1;
-        self.heap.push(
-            self.now_ns.saturating_add(delay.0),
-            job.seq,
-            EventKind::Retry { key },
-        );
+        let due = self.now_ns.saturating_add(delay.0);
+        self.heap.set(EventKind::Retry { key }, due, job.seq);
         self.parked += 1;
         if let Some(m) = &self.sim.metrics {
             m.retries_scheduled.inc();
@@ -1914,7 +1991,7 @@ impl<'a, R: Recorder> Core<'a, R> {
             self.next_arrival = self.stream.next_job();
         }
         if let Some((t, _)) = &self.next_arrival {
-            self.heap.push(t.0, u64::MAX, EventKind::Arrival);
+            self.heap.set(EventKind::Arrival, t.0, u64::MAX);
         }
     }
 
@@ -1972,8 +2049,8 @@ impl<'a, R: Recorder> Core<'a, R> {
                 if blocked.contains(&shape) {
                     None
                 } else {
-                    let order = &self.by_free.order;
-                    let grant = sim.try_admit(&self.devices, order, &job.spec, &mut self.scratch);
+                    let index = &self.by_free;
+                    let grant = sim.try_admit(&self.devices, index, &job.spec, &mut self.scratch);
                     // Debug builds hold every answer to the ladder written
                     // straight down.
                     debug_assert_eq!(grant, sim.try_admit_plain(&self.devices, &job.spec));
@@ -2073,14 +2150,20 @@ impl<'a, R: Recorder> Core<'a, R> {
         let iters = job.spec.iterations - job.iters_done;
         let work = step.0.saturating_mul(u64::from(iters));
         let gang = if grant.placements.len() > 1 {
-            let pace = gang_pace(&self.devices, &grant, self.link_permille);
+            let most = most_tenants(&self.devices, &grant);
+            let slot = key.index();
+            if slot >= self.pace_count.len() {
+                self.pace_count.resize(slot + 1, 0);
+            }
+            self.pace_count[slot] = most as u32;
+            let pace = Pace::new(most, self.link_permille);
             let progress = Progress {
                 remaining_ns: work,
                 anchor_ns: now,
                 pace,
             };
-            self.heap
-                .set_completion(key, progress.completion_ns(), job.seq);
+            let kind = EventKind::Completion { key };
+            self.heap.set(kind, progress.completion_ns(), job.seq);
             Some(progress)
         } else {
             let device = grant.placements[0].device;
@@ -2176,35 +2259,44 @@ impl<'a, R: Recorder> Core<'a, R> {
     }
 
     /// Re-anchor sweep: exactly the devices whose tenant set changed this
-    /// instant. A device whose tenant count moved folds its clock — the
-    /// single-device tenants' progress, all at once. A gang there whose pace
-    /// moved folds its own progress forward under the old pace, restarts its
-    /// anchor at `now` and has its completion re-keyed where it sits in the
-    /// heap; a gang reached through two affected devices is visited twice but
-    /// re-anchored once — the second visit sees the new pace already in
-    /// place. Last, the device's entry is keyed by its earliest
-    /// single-device tenant.
+    /// instant. A device whose tenant count moved from `k_old` (its clock's)
+    /// to `k` folds its clock — the single-device tenants' progress, all at
+    /// once. A gang there of pace count `m` can have a new pace only if
+    /// `k > m`, if `k < k_old == m`, or if the link moved (see the module
+    /// docs); it alone is visited. One whose pace moved folds its own
+    /// progress forward under the old pace, restarts its anchor at `now` and
+    /// has its completion re-keyed where it sits in the heap; a gang reached
+    /// through two affected devices is re-anchored once — a second visit
+    /// sees the new pace already in place. Last, the device's entry is keyed
+    /// by its earliest single-device tenant.
     fn reanchor_sweep(&mut self) {
         self.affected.sort_unstable();
         self.affected.dedup();
         for &d in &self.affected {
             let k = self.devices[d].tenants.max(1) as u64;
             let Tenants { list, clock } = &mut self.tenants_on[d];
-            let folded = (k != clock.k).then(|| clock.fold(self.now_ns, k));
+            let k_old = clock.k;
+            let folded = (k != k_old).then(|| clock.fold(self.now_ns, k));
             let mut earliest = Earliest::default();
             for t in list {
                 let Some(solo) = &mut t.solo else {
+                    let m = u64::from(self.pace_count[t.key.index()]);
+                    if !(k > m || (k < k_old && k_old == m) || self.link_moved) {
+                        continue;
+                    }
                     let job = self
                         .jobs
                         .get_mut(t.key)
                         .expect("tenant lists track live jobs");
                     let run = job.run.as_mut().expect("listed tenants are running");
                     let progress = run.gang.as_mut().expect("a gang keeps its own progress");
-                    let pace = gang_pace(&self.devices, &run.grant, self.link_permille);
+                    let most = most_tenants(&self.devices, &run.grant);
+                    let pace = Pace::new(most, self.link_permille);
                     if pace != progress.pace {
                         progress.repace(self.now_ns, pace);
-                        self.heap
-                            .set_completion(t.key, progress.completion_ns(), job.seq);
+                        self.pace_count[t.key.index()] = most as u32;
+                        let kind = EventKind::Completion { key: t.key };
+                        self.heap.set(kind, progress.completion_ns(), job.seq);
                     }
                     continue;
                 };
@@ -2271,6 +2363,12 @@ impl<'a, R: Recorder> Core<'a, R> {
                     "job {}: pace is not the one its devices imply after the sweep",
                     job.spec.name
                 );
+                assert_eq!(
+                    self.pace_count[t.key.index()] as usize,
+                    most_tenants(&self.devices, &run.grant),
+                    "job {}: its kept pace count vs the most tenants on its devices",
+                    job.spec.name
+                );
             }
             let entry = self.heap.solo(d).map(|ev| (ev.t_ns, ev.order, ev.kind));
             let want = earliest.entry(d);
@@ -2300,10 +2398,7 @@ impl<'a, R: Recorder> Core<'a, R> {
             gangs,
             "exactly one queued completion per running gang"
         );
-        let ByFree { order, rank } = &self.by_free;
-        let ranked = order.iter().enumerate().all(|(at, &(_, d))| rank[d] == at);
-        assert_eq!(order, &by_free(&self.devices), "walk order vs free bytes");
-        assert!(ranked, "a device's rank is not its place in the walk order");
+        self.by_free.check(&self.devices);
         // A set left over from an earlier reservation state is emptied
         // before it is next read, so it claims nothing now.
         if self.memo.blocked_at == self.state_version {
@@ -2449,10 +2544,10 @@ mod tests {
                             .with_replicas(replicas)
                             .with_downgrade(downgrade);
                         let want = sim.try_admit_plain(devices, &job);
-                        let order = by_free(devices);
-                        let cold = sim.try_admit(devices, &order, &job, &mut AdmitScratch::default());
+                        let index = sim.walk_index(devices);
+                        let cold = sim.try_admit(devices, &index, &job, &mut AdmitScratch::default());
                         prop_assert_eq!(&cold, &want, "{} x{replicas}, fresh rows", policy.name());
-                        let again = sim.try_admit(devices, &order, &job, &mut warm);
+                        let again = sim.try_admit(devices, &index, &job, &mut warm);
                         prop_assert_eq!(&again, &want, "{} x{replicas}, kept rows", policy.name());
                     }
                 }
@@ -2711,6 +2806,97 @@ mod tests {
         );
     }
 
+    /// Over the instants of `trace`, the gangs running through one whose
+    /// most-loaded device lost a tenant while another of theirs gained one
+    /// and the maximum held (pace unchanged), and those whose maximum fell
+    /// (pace dropped): the two ways a count can fall under a gang.
+    fn gang_maxima_moves(trace: &[TraceEvent], devices: usize) -> (usize, usize) {
+        let mut count = vec![0usize; devices];
+        let mut before = count.clone();
+        // Job → its devices and the instant it (re)started.
+        let mut on: FxHashMap<String, (Vec<usize>, u64)> = FxHashMap::default();
+        let (mut held, mut fell) = (0, 0);
+        for (i, ev) in trace.iter().enumerate() {
+            match &ev.kind {
+                TraceKind::Admit { devices, .. } | TraceKind::Restart { devices, .. } => {
+                    for &d in devices {
+                        count[d] += 1;
+                    }
+                    on.insert(ev.job.clone(), (devices.clone(), ev.t_ns));
+                }
+                TraceKind::Complete | TraceKind::Interrupt { .. } => {
+                    for d in on.remove(&ev.job).expect("a running job").0 {
+                        count[d] -= 1;
+                    }
+                }
+                _ => {}
+            }
+            if trace.get(i + 1).is_some_and(|next| next.t_ns == ev.t_ns) {
+                continue; // the instant goes on
+            }
+            let through = on.values().filter(|(g, t)| g.len() > 1 && *t < ev.t_ns);
+            for (gang, _) in through {
+                let most = |c: &[usize]| gang.iter().map(|&d| c[d]).max().unwrap_or(0);
+                let (was, is) = (most(&before), most(&count));
+                let lost_at_max = gang.iter().any(|&d| before[d] == was && count[d] < was);
+                let gained = gang.iter().any(|&d| count[d] > before[d]);
+                held += usize::from(is == was && lost_at_max && gained);
+                fell += usize::from(is < was);
+            }
+            before.clone_from(&count);
+        }
+        (held, fell)
+    }
+
+    #[test]
+    fn a_gang_is_re_paced_wherever_its_maximum_moves() {
+        // Gangs of 2 and 4 on 4 devices: a gang's most-loaded device loses a
+        // tenant while another of its devices gains one (the maximum holds),
+        // or loses one with no other device at the maximum (it falls), and
+        // the link moves under running gangs. Fault-free, the run is held to
+        // the reference loop, which re-paces every gang at every event; with
+        // the link faults, to the digest the run had when the sweep visited
+        // every gang on every affected device.
+        const EVERY_GANG_VISITED: u64 = 0xfee4_0283_9e2a_da5f;
+        let fleet = || {
+            Fleet::homogeneous(
+                4,
+                DeviceSpec::k40c().with_dram(48 << 20),
+                Interconnect::pcie(),
+            )
+        };
+        let sim = || ClusterSim::new(fleet(), PlacementPolicy::FirstFit);
+        let arrivals = synthetic_stream(100, 6, PolicyPreset::Superneurons, true);
+        let plain = sim().run(arrivals.clone());
+        let reference = sim().run_reference(arrivals.clone());
+        assert!(
+            plain.bit_identical(&reference),
+            "the sweep skipped a re-pace"
+        );
+        let links = FaultPlan::new()
+            .degraded_link(SimTime::from_ms(20), 400, SimTime::from_ms(40))
+            .degraded_link(SimTime::from_ms(90), 250, SimTime::from_ms(60))
+            .degraded_link(SimTime::from_ms(200), 500, SimTime::from_ms(50));
+        let mut degraded = sim();
+        degraded.enable_faults(links, RecoveryPolicy::default());
+        let degraded = degraded.run(arrivals);
+        let mut digest = fxhash::FxHasher::default();
+        format!("{degraded:?}").hash(&mut digest);
+        assert_eq!(digest.finish(), EVERY_GANG_VISITED, "the schedule moved");
+        let faults = degraded
+            .trace
+            .iter()
+            .filter(|e| matches!(e.kind, TraceKind::Fault { .. }));
+        assert_eq!(faults.count(), 6, "every link fault applied");
+        for (name, run) in [("fault-free", &plain), ("degraded", &degraded)] {
+            let (held, fell) = gang_maxima_moves(&run.trace, 4);
+            assert!(
+                held > 0 && fell > 0,
+                "{name}: a maximum held {held}, fell {fell}"
+            );
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -2726,20 +2912,23 @@ mod tests {
                 devices: (0..12).map(|d| DeviceSpec::k40c().with_dram(dram(d))).collect(),
                 interconnect: Interconnect::pcie(),
             };
-            // The state built alter by alter, the walk order kept as the
-            // event core keeps it.
+            // The state built alter by alter, the walk index kept as the
+            // event core keeps it and held to a scan after every alter.
+            let classed = ClusterSim::new(fleet.clone(), PlacementPolicy::FirstFit);
             let mut devices: Vec<DeviceState> = fleet.devices.iter().map(DeviceState::idle).collect();
-            let mut order = ByFree::new(&devices);
+            let mut index = classed.walk_index(&devices);
             for (d, (&(reserved, spike, failed), spec)) in draws.iter().zip(&fleet.devices).enumerate() {
                 devices[d].admit(spec, spec.dram_bytes * reserved / 1000);
-                order.moved(&devices, d);
+                index.moved(&devices, d);
+                index.check(&devices);
                 let spike = spec.dram_bytes * spike.saturating_sub(700) / 1000;
                 devices[d].alter(spec, |s| s.spike = spike);
-                order.moved(&devices, d);
+                index.moved(&devices, d);
+                index.check(&devices);
                 devices[d].alter(spec, |s| s.failed = failed == 0);
-                order.moved(&devices, d);
+                index.moved(&devices, d);
+                index.check(&devices);
             }
-            prop_assert_eq!(&order.order, &by_free(&devices));
             // Baseline wants 17.7 MB of a device for the first shape, a few
             // for the second: a handful of devices fit it, or most do. The
             // full stack's peak shrinks with the budget, so there a
@@ -2761,7 +2950,7 @@ mod tests {
                             .with_preset(preset)
                             .with_replicas(replicas)
                             .with_downgrade(true);
-                        let walked = sim.try_admit(&devices, &order.order, &job, &mut scratch);
+                        let walked = sim.try_admit(&devices, &index, &job, &mut scratch);
                         let scanned = sim.try_admit_plain(&devices, &job);
                         prop_assert_eq!(walked, scanned, "{} x{}", policy.name(), replicas);
                     }

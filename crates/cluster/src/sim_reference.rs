@@ -36,7 +36,7 @@ use crate::admission::{feasible_on_idle_fleet, Grant};
 use crate::job::JobSpec;
 use crate::pace::Pace;
 use crate::report::{ClusterReport, JobOutcome, TraceEvent, TraceKind};
-use crate::sim::{by_free, gang_pace, AdmitScratch, ClusterSim, DeviceState};
+use crate::sim::{gang_pace, AdmitScratch, ClusterSim, DeviceState};
 
 /// A gang currently executing, with anchor-based progress accounting.
 #[derive(Debug, Clone)]
@@ -210,7 +210,7 @@ impl ClusterSim {
             let mut still_pending = Vec::with_capacity(pending.len());
             for &job_idx in pending.iter() {
                 let job = &specs[job_idx];
-                match self.try_admit(&devices, &by_free(&devices), job, &mut scratch) {
+                match self.try_admit(&devices, &self.walk_index(&devices), job, &mut scratch) {
                     Some(grant) => {
                         let step = self.step_time(job, &grant);
                         let work_ns = step.0.saturating_mul(u64::from(job.iterations));
