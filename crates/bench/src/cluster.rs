@@ -7,7 +7,7 @@
 //! reservations and packs more tenants per device — the experiment reports
 //! rejected jobs, peak concurrency, latency percentiles, throughput, and
 //! utilization per configuration, and emits `BENCH_cluster.json` for trend
-//! tracking across PRs.
+//! tracking across PRs: per run, the summary and the schedule's digest.
 
 use sn_cluster::{synthetic_stream, ClusterSim, Fleet, PlacementPolicy, PolicyPreset};
 use sn_runtime::Interconnect;

@@ -46,8 +46,8 @@ pub(crate) enum EventKind {
 pub(crate) struct Event {
     pub(crate) t_ns: u64,
     /// Tiebreak at equal times: completions and retries by arrival sequence
-    /// (the reference loop's job-index order; a device's entry carries its
-    /// earliest tenant's), then faults, then the arrival marker last.
+    /// (a device's entry carries its earliest tenant's), then faults, then
+    /// the arrival marker last.
     pub(crate) order: u64,
     pub(crate) kind: EventKind,
 }

@@ -39,13 +39,13 @@
 //!
 //! 1. **Admission safety** — a job is only placed where its predicted peak
 //!    fits the device's unreserved bytes; reservations never exceed DRAM.
-//! 2. **Determinism** — identical job streams produce byte-identical
-//!    schedule fingerprints.
+//! 2. **Determinism** — identical job streams produce equal reports, and
+//!    [`ClusterReport::digest`] pins a schedule in `tests/golden`.
 //! 3. **Gang atomicity** — all replicas of a job start at the same instant
 //!    on distinct devices, or none do.
 
 // No function in this crate outgrows a screen or two again (threshold in the
-// workspace's clippy.toml); the retained reference loop is the one exception.
+// workspace's clippy.toml).
 #![warn(clippy::too_many_lines)]
 
 pub mod admission;
@@ -58,7 +58,6 @@ mod pace;
 pub mod placement;
 pub mod report;
 pub mod sim;
-pub mod sim_reference;
 mod slab;
 pub mod stream;
 

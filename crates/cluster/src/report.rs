@@ -2,6 +2,9 @@
 //! schedule trace, and their [`Json`] rendering for `BENCH_*.json`
 //! artifacts.
 
+use std::hash::{Hash, Hasher};
+
+use fxhash::FxHasher;
 use sn_sim::SimTime;
 use sn_telemetry::Json;
 
@@ -13,9 +16,8 @@ use crate::sim::DeviceState;
 /// Why admission permanently refused a job. Structured — so the metrics
 /// registry counts rejections per kind instead of grepping free-form
 /// strings — while [`RejectReason::render`] reproduces the historical
-/// phrasing byte-for-byte (the schedule-fingerprint determinism tests diff
-/// the rendered trace across runs and PRs).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// phrasing byte-for-byte.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum RejectReason {
     /// A gang of zero replicas is not a schedulable job.
     EmptyGang,
@@ -51,7 +53,7 @@ impl RejectReason {
 }
 
 /// What happened at one scheduling instant.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum TraceKind {
     Arrive,
     Admit {
@@ -94,7 +96,7 @@ pub enum TraceKind {
 }
 
 /// One schedule-trace entry.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TraceEvent {
     pub t_ns: u64,
     pub job: String,
@@ -102,8 +104,7 @@ pub struct TraceEvent {
 }
 
 impl TraceEvent {
-    /// Stable one-line rendering; the concatenation over a run is the
-    /// schedule fingerprint determinism tests compare byte-for-byte.
+    /// Stable one-line rendering.
     pub fn render(&self) -> String {
         match &self.kind {
             TraceKind::Arrive => format!("[{:>12}ns] ARRIVE   {}", self.t_ns, self.job),
@@ -169,7 +170,7 @@ impl TraceEvent {
 }
 
 /// Final state of one submitted job.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct JobOutcome {
     pub name: String,
     pub workload: String,
@@ -285,13 +286,11 @@ pub struct ClusterReport {
     /// Per-device high-water tenant count.
     pub peak_tenants: Vec<usize>,
     /// Per-device wall time (ns) with at least one tenant — the raw busy
-    /// integral the utilization above is derived from. Exposed so the
-    /// differential suite can pin the indexed event loop's lazily settled
-    /// integrals to the reference loop's eager ones exactly, not merely to
-    /// six printed decimals.
+    /// integral the utilization above is derived from, exact where the
+    /// ratio is rounded (and so what [`ClusterReport::digest`] folds).
     pub busy_ns: Vec<u64>,
     /// Per-device ∫ reserved(t) dt in byte·ns (memory-utilization
-    /// numerator), same exactness contract as `busy_ns`.
+    /// numerator), exact like `busy_ns`.
     pub reserved_integral: Vec<u128>,
     /// Distinct admission predictions the profiler simulated.
     pub predictions_simulated: usize,
@@ -416,26 +415,21 @@ impl ClusterReport {
         self.jobs.len() == self.completed + self.rejected + self.failed + self.still_queued
     }
 
-    /// Exact equality against another report: every field — the schedule
-    /// trace, per-job outcomes, counts, the per-device integer busy/reserved
-    /// integrals and the ratios derived from them. This is the contract the
-    /// differential suite pins the indexed event loop to the retained
-    /// reference loop with, and replays of one seed to each other: time and
-    /// the integrals are integers, so equal means equal, with no tolerance
-    /// to choose.
-    pub fn bit_identical(&self, other: &ClusterReport) -> bool {
-        self == other
-    }
-
-    /// The whole schedule as one string — byte-identical across runs of the
-    /// same job stream (the determinism contract).
-    pub fn schedule_fingerprint(&self) -> String {
-        let mut out = String::new();
-        for e in &self.trace {
-            out.push_str(&e.render());
-            out.push('\n');
-        }
-        out
+    /// One Fx fold over everything `==` compares: the trace rows, the
+    /// per-job outcomes, the per-device integers (busy and reserved
+    /// integrals, high-water marks) and the fleet. Every count, percentile
+    /// and ratio of the report is a function of those, so equal reports
+    /// have equal digests, and a digest pins a whole schedule in 64 bits —
+    /// what `tests/golden/schedule_digests.txt` and the `cluster`, `faults`
+    /// and `service` artifacts record.
+    pub fn digest(&self) -> u64 {
+        let mut h = FxHasher::default();
+        (self.placement, self.fleet_devices, self.fleet_dram_bytes).hash(&mut h);
+        (&self.jobs, &self.trace, self.makespan).hash(&mut h);
+        (&self.busy_ns, &self.reserved_integral).hash(&mut h);
+        (&self.peak_reserved, &self.peak_tenants).hash(&mut h);
+        (self.peak_concurrent_jobs, self.predictions_simulated).hash(&mut h);
+        h.finish()
     }
 
     /// Human-readable summary.
@@ -486,28 +480,9 @@ impl ClusterReport {
         s
     }
 
-    /// Machine-readable JSON. Shape is stable for downstream trend
-    /// tracking.
+    /// Machine-readable JSON: the summary, and the [`ClusterReport::digest`]
+    /// that stands for the per-job rows and the trace.
     pub fn json(&self) -> Json {
-        let jobs = self.jobs.iter().map(|j| {
-            Json::object()
-                .with("name", j.name.as_str())
-                .with("workload", j.workload.as_str())
-                .with("batch", j.batch)
-                .with("replicas", j.replicas)
-                .with("kind", j.kind.name())
-                .with("requested", j.requested.name())
-                .with("granted", j.granted.map(|p| p.name()))
-                .with("devices", Json::array(j.devices.iter().copied()))
-                .with("arrival_ns", j.arrival.0)
-                .with("queueing_ns", j.queueing().map(|t| t.0))
-                .with("latency_ns", j.latency().map(|t| t.0))
-                .with("rejected", j.rejected.as_ref().map(|r| r.render()))
-                .with("iterations", j.iterations)
-                .with("restarts", j.restarts)
-                .with("wasted_iterations", j.wasted_iterations)
-                .with("failed", j.failed.as_deref())
-        });
         Json::object()
             .with("placement", self.placement.name())
             .with("devices", self.fleet_devices)
@@ -532,7 +507,7 @@ impl ClusterReport {
             .with("memory_utilization", self.memory_utilization)
             .with("peak_concurrent_jobs", self.peak_concurrent_jobs)
             .with("predictions_simulated", self.predictions_simulated)
-            .with("jobs", Json::array(jobs))
+            .with("digest", format!("{:016x}", self.digest()))
     }
 }
 

@@ -109,19 +109,20 @@
 //!   a scan of the whole fleet picks.
 //!
 //! The run's state is one struct (`Core`) with one handler per step of an
-//! instant, in the order that defines the schedule: completions (freeing
-//! capacity) → injected faults → expired retries (they rejoin the queue as
-//! the instant's batch is popped, which nothing before the pass reads) →
-//! arrivals → the admission pass → the re-anchor sweep. In debug builds
-//! `Core::check` then verifies the state's invariants — slot conservation,
-//! per-device reservations, levels and tenant lists, one live completion per
-//! running gang and per device with single-device tenants (its earliest),
-//! every pace the one its devices imply, every gang's kept pace count its
-//! devices' maximum and every clock at its device's count, the walk order
-//! and the level census equal to a scan's, monotone time, no queued
-//! job's shape in the blocked set of a state that admits it — and
-//! `decide` holds each rung's answer to the ladder written straight down
-//! (`try_admit_plain`), so every test of this crate runs under both.
+//! instant, and `Core::instant` calls them in the order that defines the
+//! schedule: completions (freeing capacity) → injected faults → expired
+//! retries (they rejoin the queue as the instant's batch is popped, which
+//! nothing before the pass reads) → arrivals → the admission pass → the
+//! re-anchor sweep. In debug builds it then runs `Core::check`, which
+//! verifies the state's invariants — slot conservation, per-device
+//! reservations, levels and tenant lists, one live completion per running
+//! gang and per device with single-device tenants (its earliest), no run
+//! projected to complete before its start plus the solo work it owes, every
+//! pace the one its devices imply, every gang's kept pace count its devices'
+//! maximum and every clock at its device's count, the walk order and the
+//! level census equal to a scan's, monotone time, no queued job's shape in
+//! the blocked set of a state that admits it — and `decide` holds each
+//! rung's answer to the ladder written straight down (`try_admit_plain`).
 //!
 //! ### What an event costs
 //!
@@ -163,13 +164,22 @@
 //! it visited all, and re-paces the same 45 637; what is left of it is
 //! mostly those re-paces and their heap re-keys.
 //!
-//! The loop this replaced is retained in [`crate::sim_reference`], moved
-//! onto the same `Pace` arithmetic but still scanning every gang and
-//! integrating every device at every event; a differential suite pins both
-//! to equal [`ClusterReport`]s — same trace, same outcomes, same integer
-//! integrals. [`ClusterSim::run_stream`] runs the same core against a
-//! pull-based [`ArrivalStream`] with aggregate-only recording: millions of
-//! arrivals in constant memory.
+//! Two oracles hold the core, and neither is a copy of it. The checker runs
+//! under every test of this crate, and CI runs it over the committed
+//! `cluster`, `faults` and `service` schedules with `experiments` built
+//! under `--config profile.release.debug-assertions=true`. Built that way, a
+//! `serve_mixed` pass under it and every other debug oracle costs ≈ 18× an
+//! unchecked one (7.2–7.4 against 0.41 ref/pass, 2-vCPU host), which is why
+//! release builds leave it off. Mutants in this module's tests — a skipped
+//! re-anchor, a completion left queued, a blocked set kept across a state
+//! change, a restart keeping its pre-fault completion, a restart projected
+//! to finish early — each fail it naming their invariant. And
+//! [`ClusterReport::digest`] folds a whole schedule
+//! into 64 bits: `tests/golden/schedule_digests.txt` pins one per stream the
+//! core has been held to hardest, so a change to any byte of them fails a
+//! test. [`ClusterSim::run_stream`] runs the same core against a pull-based
+//! [`ArrivalStream`] with aggregate-only recording: millions of arrivals in
+//! constant memory.
 
 use fxhash::{FxHashMap, FxHashSet};
 use sn_runtime::ring_allreduce_time;
@@ -197,7 +207,7 @@ use crate::stream::{ArrivalStream, ReplayStream};
 #[derive(Debug, Clone)]
 pub(crate) struct DeviceState {
     reserved: u64,
-    pub(crate) tenants: usize,
+    tenants: usize,
     /// Wall time (ns) with at least one tenant.
     pub(crate) busy_ns: u64,
     /// ∫ reserved(t) dt, in byte·ns — memory utilization numerator. Never
@@ -225,7 +235,7 @@ pub(crate) struct DeviceState {
 impl DeviceState {
     /// The device before any tenant or fault. (No `Default`: a device never
     /// levelled would read as a full one.)
-    pub(crate) fn idle(spec: &DeviceSpec) -> DeviceState {
+    fn idle(spec: &DeviceSpec) -> DeviceState {
         let mut idle = DeviceState {
             reserved: 0,
             tenants: 0,
@@ -244,7 +254,7 @@ impl DeviceState {
     }
 
     /// Bytes admission may still reserve on this device.
-    pub(crate) fn free_bytes(&self, spec: &DeviceSpec) -> u64 {
+    fn free_bytes(&self, spec: &DeviceSpec) -> u64 {
         if self.failed {
             0
         } else {
@@ -260,12 +270,8 @@ impl DeviceState {
         self.level = u8::try_from(self.free / quantum(spec)).expect("levels stop at 63");
     }
 
-    pub(crate) fn reserved(&self) -> u64 {
-        self.reserved
-    }
-
     /// One more tenant, holding `bytes`.
-    pub(crate) fn admit(&mut self, spec: &DeviceSpec, bytes: u64) {
+    fn admit(&mut self, spec: &DeviceSpec, bytes: u64) {
         self.alter(spec, |d| d.reserved += bytes);
         self.tenants += 1;
         self.peak_reserved = self.peak_reserved.max(self.reserved);
@@ -273,7 +279,7 @@ impl DeviceState {
     }
 
     /// A tenant that held `bytes` is gone.
-    pub(crate) fn vacate(&mut self, spec: &DeviceSpec, bytes: u64) {
+    fn vacate(&mut self, spec: &DeviceSpec, bytes: u64) {
         self.alter(spec, |d| d.reserved -= bytes);
         self.tenants -= 1;
     }
@@ -294,9 +300,8 @@ impl DeviceState {
 /// The pace a gang's devices imply under processor sharing: the most-loaded
 /// of them sets it (each of `k` tenants gets `1/k` of a device), and a gang
 /// — whose step time embeds all-reduce traffic — stretches with a degraded
-/// link, while a solo tenant exchanges no gradients and does not. Shared by
-/// the indexed loop and the retained reference loop.
-pub(crate) fn gang_pace(devices: &[DeviceState], grant: &Grant, link_permille: u32) -> Pace {
+/// link, while a solo tenant exchanges no gradients and does not.
+fn gang_pace(devices: &[DeviceState], grant: &Grant, link_permille: u32) -> Pace {
     let gang = grant.placements.len() > 1;
     let link = if gang { link_permille } else { 1000 };
     Pace::new(most_tenants(devices, grant), link)
@@ -309,10 +314,10 @@ fn most_tenants(devices: &[DeviceState], grant: &Grant) -> usize {
 }
 
 /// Pre-resolved admission metric handles (see [`ClusterSim::enable_metrics`]).
-/// Each field is written at one site: the four lifecycle events both loops
-/// report go through the `on_*` methods, the fault/recovery ones are
-/// written by the one event-core handler they belong to.
-pub(crate) struct ClusterMetrics {
+/// Each field is written at one site: the four lifecycle events go through
+/// the `on_*` methods, the fault/recovery ones are written by the one
+/// event-core handler they belong to.
+struct ClusterMetrics {
     submitted: Counter,
     admitted: Counter,
     rejected: Counter,
@@ -360,16 +365,16 @@ impl ClusterMetrics {
         }
     }
 
-    pub(crate) fn on_arrive(&self) {
+    fn on_arrive(&self) {
         self.submitted.inc();
     }
 
-    pub(crate) fn on_admit(&self, queueing_ns: u64) {
+    fn on_admit(&self, queueing_ns: u64) {
         self.admitted.inc();
         self.queueing_ns.record(queueing_ns);
     }
 
-    pub(crate) fn on_reject(&self, reason: &RejectReason) {
+    fn on_reject(&self, reason: &RejectReason) {
         self.rejected.inc();
         match reason {
             RejectReason::EmptyGang => self.reject_empty_gang.inc(),
@@ -378,7 +383,7 @@ impl ClusterMetrics {
         }
     }
 
-    pub(crate) fn on_complete(&self, latency_ns: u64) {
+    fn on_complete(&self, latency_ns: u64) {
         self.completed.inc();
         self.latency_ns.record(latency_ns);
     }
@@ -388,7 +393,8 @@ impl ClusterMetrics {
 struct LiveJob {
     spec: JobSpec,
     /// Arrival sequence number: ties on the event heap break toward the
-    /// earliest arrival, matching the reference loop's job-index order.
+    /// earliest arrival, so one instant's completions are reported in
+    /// arrival order.
     seq: u64,
     arrival: SimTime,
     run: Option<RunState>,
@@ -412,22 +418,22 @@ struct RunState {
     gang: Option<Progress>,
     /// One iteration's solo duration (checkpoint folds divide by this).
     step_ns: u64,
-    /// Iterations this run covers (`spec.iterations − iters_done` at grant
-    /// time).
-    iters_this_run: u32,
+    /// The run's start plus the solo work it owes: no pace is faster than
+    /// solo, so it cannot complete sooner (`Core::check` holds it to that).
+    owed_ns: u64,
 }
 
 impl RunState {
-    /// Whole iterations this run has completed when `remaining_ns` of its
-    /// solo work is left — one that ends at exactly this instant counts.
-    /// Pure read: the caller decides what the checkpoint policy keeps.
-    fn done_iterations(&self, remaining_ns: u64) -> u32 {
+    /// Whole iterations of the `iters` this run covers it has completed when
+    /// `remaining_ns` of its solo work is left — one that ends at exactly
+    /// this instant counts. Pure read: the caller decides what the
+    /// checkpoint policy keeps.
+    fn done_iterations(&self, iters: u32, remaining_ns: u64) -> u32 {
         if self.step_ns == 0 {
-            return self.iters_this_run; // degenerate zero-work run: all done
+            return iters; // degenerate zero-work run: all done
         }
-        let total = self.step_ns.saturating_mul(u64::from(self.iters_this_run));
-        u32::try_from((total - remaining_ns) / self.step_ns)
-            .map_or(self.iters_this_run, |n| n.min(self.iters_this_run))
+        let total = self.step_ns.saturating_mul(u64::from(iters));
+        u32::try_from((total - remaining_ns) / self.step_ns).map_or(iters, |n| n.min(iters))
     }
 }
 
@@ -567,7 +573,7 @@ impl Earliest {
 /// show each level, and the set of levels shown (`present`), which a rung
 /// resolves its rows for. A device whose free bytes change moves to its place
 /// by a local insertion step, and from its old level's count to its new one.
-pub(crate) struct ByFree<'s> {
+struct ByFree<'s> {
     order: Vec<(u64, usize)>,
     rank: Vec<usize>,
     class_of: &'s [usize],
@@ -689,10 +695,9 @@ trait Recorder {
     fn on_fail(&mut self, _job: &LiveJob, _why: &str, _t_ns: u64) {}
 }
 
-/// Full per-job recording: byte-identical to what the pre-indexed loop
-/// produced (the differential suite holds it to that), including telemetry
-/// track/span emission order. Tracks are pre-created in arrival order by
-/// [`ClusterSim::run`] so the Perfetto artifact keeps its historical layout.
+/// Full per-job recording: outcomes, the schedule trace and telemetry
+/// spans. Tracks are pre-created in arrival order by [`ClusterSim::run`] so
+/// the Perfetto artifact keeps its historical layout.
 struct FullRecorder {
     outcomes: Vec<JobOutcome>,
     trace: Vec<TraceEvent>,
@@ -958,7 +963,7 @@ fn shape_key(job: &JobSpec) -> ShapeKey {
 
 /// What admission keeps from rung to rung, for one run of one simulator.
 #[derive(Default)]
-pub(crate) struct AdmitScratch {
+struct AdmitScratch {
     /// Per (workload, batch, kind, preset): one [`Row`] of answers a device
     /// class. A rung hashes once, here; its devices then index by level.
     rows: FxHashMap<(Workload, usize, JobKind, PolicyPreset), Vec<Row>>,
@@ -997,7 +1002,7 @@ struct CoreOutcome {
 pub struct ClusterSim {
     /// Fixed once the simulator is built: the classes derive from it.
     fleet: Fleet,
-    pub(crate) placement: PlacementPolicy,
+    placement: PlacementPolicy,
     /// The fleet's device classes in first-appearance order, and each
     /// device's: devices of one card and one budget quantum share every
     /// admission answer (see [`Row`]).
@@ -1005,9 +1010,9 @@ pub struct ClusterSim {
     class_of: Vec<usize>,
     /// The largest DRAM in the fleet: BinPack's stopping floor.
     most_dram: u64,
-    pub(crate) profiler: Profiler,
-    pub(crate) sink: TraceSink,
-    pub(crate) metrics: Option<ClusterMetrics>,
+    profiler: Profiler,
+    sink: TraceSink,
+    metrics: Option<ClusterMetrics>,
     faults: Option<FaultPlan>,
     recovery: RecoveryPolicy,
 }
@@ -1058,9 +1063,8 @@ impl ClusterSim {
     }
 
     /// Install a fault plan and the recovery policy applied to the tenants
-    /// it interrupts. Without this call the simulator is fault-free and its
-    /// behavior is bit-identical to the pre-fault loop — the differential
-    /// suite pins that.
+    /// it interrupts. Without this call the simulator is fault-free; with an
+    /// empty plan it schedules exactly as fault-free.
     pub fn enable_faults(&mut self, plan: FaultPlan, recovery: RecoveryPolicy) {
         self.faults = Some(plan);
         self.recovery = recovery;
@@ -1070,11 +1074,9 @@ impl ClusterSim {
     /// track under the `"cluster"` process with an arrive instant, a
     /// `queued` span (arrival → admission), a `running` span (admission →
     /// completion), and a reject instant carrying the structured reason.
-    /// Honored by [`ClusterSim::run`] and [`ClusterSim::run_reference`];
-    /// streaming runs ([`ClusterSim::run_stream`]) never emit per-job
-    /// tracks — that would be O(stream) sink state.
-    ///
-    /// [`ClusterSim::run_reference`]: ClusterSim::run_reference
+    /// Honored by [`ClusterSim::run`]; streaming runs
+    /// ([`ClusterSim::run_stream`]) never emit per-job tracks — that would be
+    /// O(stream) sink state.
     pub fn enable_tracing(&mut self, sink: &TraceSink) {
         self.sink = if sink.is_enabled() {
             sink.clone()
@@ -1111,7 +1113,7 @@ impl ClusterSim {
     /// visiting them in its order only until no later one could win (see the
     /// module docs). The ladder itself stays serial — a stronger preset is
     /// only consulted when the weaker one cannot place the gang.
-    pub(crate) fn try_admit(
+    fn try_admit(
         &self,
         devices: &[DeviceState],
         index: &ByFree,
@@ -1174,7 +1176,7 @@ impl ClusterSim {
 
     /// The walk index of `devices`, built by a scan: what
     /// [`ClusterSim::try_admit`] reads, for a caller that keeps no index.
-    pub(crate) fn walk_index(&self, devices: &[DeviceState]) -> ByFree<'_> {
+    fn walk_index(&self, devices: &[DeviceState]) -> ByFree<'_> {
         ByFree::new(devices, &self.class_of)
     }
 
@@ -1386,7 +1388,7 @@ impl ClusterSim {
     /// analytic estimate (no gradient exchange to measure). The closed
     /// form survives only as a belt-and-braces fallback for a gang whose
     /// group execution cannot run (which admission feasibility rules out).
-    pub(crate) fn step_time(&self, job: &JobSpec, grant: &Grant) -> SimTime {
+    fn step_time(&self, job: &JobSpec, grant: &Grant) -> SimTime {
         match job.kind {
             crate::job::JobKind::Training if job.replicas > 1 => {
                 let measured = grant.slowest().and_then(|pace| {
@@ -1416,7 +1418,7 @@ impl ClusterSim {
 
     /// Why `job` can never run here, for a job that is infeasible on the
     /// healthy idle fleet.
-    pub(crate) fn reject_reason(&self, job: &JobSpec) -> RejectReason {
+    fn reject_reason(&self, job: &JobSpec) -> RejectReason {
         if job.replicas == 0 {
             RejectReason::EmptyGang
         } else if job.replicas > self.fleet.len() {
@@ -1440,7 +1442,7 @@ impl ClusterSim {
 
         // One per-tenant track per job under the "cluster" process,
         // pre-created in arrival order so the Perfetto artifact's track
-        // layout is identical to the reference loop's; empty when untraced.
+        // layout follows the input, not the schedule; empty when untraced.
         let tracks: Vec<TrackId> = if self.sink.is_enabled() {
             arrivals
                 .iter()
@@ -1648,27 +1650,9 @@ impl<'a, R: Recorder> Core<'a, R> {
         core
     }
 
-    /// Handle instant after instant until no event is left: at each, the
-    /// steps in the order that defines the schedule.
+    /// Handle instant after instant until no event is left.
     fn run(mut self) -> CoreOutcome {
-        // Every queued entry is live (see `event_heap`), so the earliest is
-        // the next instant.
-        while let Some(t_ns) = self.heap.peek() {
-            let before = self.now_ns;
-            let (arrival_due, fault_due) = self.pop_due(t_ns);
-            self.complete_due();
-            if fault_due {
-                self.apply_faults();
-            }
-            if arrival_due {
-                self.take_arrivals();
-            }
-            self.admission_pass();
-            self.reanchor_sweep();
-            if cfg!(debug_assertions) {
-                self.check(before);
-            }
-        }
+        while self.instant() {}
         // Under faults a job can terminally wait out a pressure spike that
         // never lifts; it is reported as still queued.
         debug_assert!(
@@ -1685,6 +1669,31 @@ impl<'a, R: Recorder> Core<'a, R> {
             still_queued: self.pending.len() as u64,
             ..self.out
         }
+    }
+
+    /// Handle the next instant, `false` if no event is left: the steps in the
+    /// order that defines the schedule, then (debug builds) the invariants.
+    fn instant(&mut self) -> bool {
+        // Every queued entry is live (see `event_heap`), so the earliest is
+        // the next instant.
+        let Some(t_ns) = self.heap.peek() else {
+            return false;
+        };
+        let before = self.now_ns;
+        let (arrival_due, fault_due) = self.pop_due(t_ns);
+        self.complete_due();
+        if fault_due {
+            self.apply_faults();
+        }
+        if arrival_due {
+            self.take_arrivals();
+        }
+        self.admission_pass();
+        self.reanchor_sweep();
+        if cfg!(debug_assertions) {
+            self.check(before);
+        }
+        true
     }
 
     /// Move the clock to `t_ns` and pop everything due then *before*
@@ -2184,13 +2193,15 @@ impl<'a, R: Recorder> Core<'a, R> {
             grant,
             gang,
             step_ns: step.0,
-            iters_this_run: iters,
+            owed_ns: now.saturating_add(work),
         });
     }
 
     /// [`RunState::done_iterations`] of `key`'s `run` as of now, read off
-    /// its own progress or its device's clock.
+    /// its own progress or its device's clock. The run covers what its job
+    /// had left at the grant: `iters_done` holds still while it runs.
     fn done_iterations(&self, key: SlotKey, run: &RunState) -> u32 {
+        let job = self.jobs.get(key).expect("running jobs are live");
         let remaining = match &run.gang {
             Some(progress) => progress.remaining(self.now_ns),
             None => {
@@ -2200,7 +2211,7 @@ impl<'a, R: Recorder> Core<'a, R> {
                 clock.remaining(self.now_ns, solo.tag, solo.phase)
             }
         };
-        run.done_iterations(remaining)
+        run.done_iterations(job.spec.iterations - job.iters_done, remaining)
     }
 
     /// What becomes of a job admission could not place, three-way: it waits
@@ -2343,14 +2354,24 @@ impl<'a, R: Recorder> Core<'a, R> {
                     continue; // count and check each gang once, at its first replica
                 }
                 running += 1;
+                let owes = |due: u64| {
+                    assert!(
+                        due >= run.owed_ns,
+                        "job {}: completes before its start plus the solo work it owes",
+                        job.spec.name
+                    );
+                };
                 let Some(progress) = &run.gang else {
                     let solo = t.solo.expect("a single-device tenant is on its clock");
                     assert_eq!(solo.seq, job.seq, "job {}: a stale sequence", job.spec.name);
-                    earliest.offer(clock.due(solo.tag, solo.phase), job.seq, t.key);
+                    let due = clock.due(solo.tag, solo.phase);
+                    owes(due);
+                    earliest.offer(due, job.seq, t.key);
                     continue;
                 };
                 gangs += 1;
                 assert!(t.solo.is_none(), "job {}: a gang on a clock", job.spec.name);
+                owes(progress.completion_ns());
                 assert_eq!(
                     self.heap.completion(t.key),
                     Some(progress.completion_ns()),
@@ -2423,7 +2444,6 @@ mod tests {
     use crate::stream::synthetic_stream;
     use proptest::prelude::*;
     use sn_runtime::Interconnect;
-    use std::hash::{Hash, Hasher};
 
     /// A gang's run of `iters` steps of `step` ns from `now_ns` at `pace`.
     fn gang_run(step: u64, iters: u32, now_ns: u64, pace: Pace) -> (RunState, Progress) {
@@ -2431,13 +2451,13 @@ mod tests {
             preset: PolicyPreset::Baseline,
             placements: Vec::new(),
         };
+        let remaining_ns = step * u64::from(iters);
         let run = RunState {
             grant,
             gang: None,
             step_ns: step,
-            iters_this_run: iters,
+            owed_ns: now_ns + remaining_ns,
         };
-        let remaining_ns = step * u64::from(iters);
         let progress = Progress {
             remaining_ns,
             anchor_ns: now_ns,
@@ -2452,7 +2472,7 @@ mod tests {
         // iteration k ends at the first instant by which 7k ns are done.
         let pace = Pace::new(2, 300);
         let (run, mut progress) = gang_run(7, 5, 100, pace);
-        let done = |p: &Progress, t: u64| run.done_iterations(p.remaining(t));
+        let done = |p: &Progress, t: u64| run.done_iterations(5, p.remaining(t));
         for k in 1..=5u32 {
             let ends = 100 + pace.wall(7 * u64::from(k));
             assert_eq!(done(&progress, ends), k, "iteration {k} ends at {ends}");
@@ -2470,7 +2490,7 @@ mod tests {
         assert_eq!(done(&progress, progress.completion_ns()), 5);
         // A zero-work run is done the moment it starts.
         let (zero, progress) = gang_run(0, 4, 9, pace);
-        assert_eq!(zero.done_iterations(progress.remaining(9)), 4);
+        assert_eq!(zero.done_iterations(4, progress.remaining(9)), 4);
         assert_eq!(progress.completion_ns(), 9);
     }
 
@@ -2725,7 +2745,8 @@ mod tests {
         // Gangs finish on their own clocks, so a queued job admitted at a
         // gang's completion instant joins its device mid-unit: the count
         // ends the instant where it began, nothing folds, and the newcomer
-        // carries a phase the device's next fold must honour.
+        // carries a phase the device's next fold must honour. Each of these
+        // schedules is pinned in `tests/golden/schedule_digests.txt`.
         let fleet = || {
             Fleet::homogeneous(
                 4,
@@ -2737,13 +2758,7 @@ mod tests {
         for seed in 1..=6 {
             for placement in PlacementPolicy::ALL {
                 let arrivals = synthetic_stream(80, seed, PolicyPreset::Superneurons, true);
-                let run = ClusterSim::new(fleet(), placement).run(arrivals.clone());
-                let reference = ClusterSim::new(fleet(), placement).run_reference(arrivals);
-                assert!(
-                    run.bit_identical(&reference),
-                    "seed {seed} under {}: the clocks diverged from the reference loop",
-                    placement.name()
-                );
+                let run = ClusterSim::new(fleet(), placement).run(arrivals);
                 fired += phase_corrections(&run.trace, 4).0;
             }
         }
@@ -2755,19 +2770,18 @@ mod tests {
         // Tight devices and downgradable baseline jobs under elastic
         // recovery: blocked arrivals live-downgrade running tenants, and a
         // downgraded single-device tenant restarts its run mid-unit on a
-        // device whose count does not move. The reference loop has no
-        // elastic recovery, so each report is held to the digest the same
-        // run had when every single-device tenant kept its own
-        // `(anchor, remaining, pace)`.
+        // device whose count does not move. Each report is held to the
+        // digest the same run had when every single-device tenant kept its
+        // own `(anchor, remaining, pace)`.
         const PER_TENANT_FOLD: [u64; 8] = [
-            0x979e_f7fd_d697_1124,
-            0x0015_f38f_5fed_422d,
-            0xc91b_3f32_d59c_2d87,
-            0xfdb2_1e3f_fd43_264f,
-            0x2a32_bb60_ac30_00a8,
-            0xe748_6893_64c8_d2cb,
-            0x8021_da83_1023_3630,
-            0xc6c3_29eb_83f8_64ad,
+            0x0676_ba49_df5e_ad23,
+            0x9f50_2819_c4e7_47c8,
+            0xf631_2298_5785_f648,
+            0xc8d5_b760_1d3e_d517,
+            0x44a0_38ef_f76b_352b,
+            0x7c14_4c7a_435f_b6a4,
+            0xdc68_34d6_b282_63d5,
+            0xd15b_b2bc_412b_2c88,
         ];
         let fleet = || {
             Fleet::homogeneous(
@@ -2787,9 +2801,7 @@ mod tests {
             };
             let run = sim().run(arrivals.clone());
             let streamed = sim().run_stream(&mut ReplayStream::new(arrivals));
-            let mut digest = fxhash::FxHasher::default();
-            format!("{run:?}").hash(&mut digest);
-            assert_eq!(digest.finish(), want, "seed {seed}: the schedule moved");
+            assert_eq!(run.digest(), want, "seed {seed}: the schedule moved");
             assert_eq!(
                 (streamed.makespan, streamed.completed as usize),
                 (run.makespan, run.completed),
@@ -2853,11 +2865,11 @@ mod tests {
         // Gangs of 2 and 4 on 4 devices: a gang's most-loaded device loses a
         // tenant while another of its devices gains one (the maximum holds),
         // or loses one with no other device at the maximum (it falls), and
-        // the link moves under running gangs. Fault-free, the run is held to
-        // the reference loop, which re-paces every gang at every event; with
-        // the link faults, to the digest the run had when the sweep visited
-        // every gang on every affected device.
-        const EVERY_GANG_VISITED: u64 = 0xfee4_0283_9e2a_da5f;
+        // the link moves under running gangs. Each run is held to the digest
+        // it had when the sweep visited every gang on every affected device:
+        // the fault-free one in `tests/golden/schedule_digests.txt`, the one
+        // with link faults here.
+        const EVERY_GANG_VISITED: u64 = 0x3dd0_50ef_42ca_d9e4;
         let fleet = || {
             Fleet::homogeneous(
                 4,
@@ -2868,11 +2880,6 @@ mod tests {
         let sim = || ClusterSim::new(fleet(), PlacementPolicy::FirstFit);
         let arrivals = synthetic_stream(100, 6, PolicyPreset::Superneurons, true);
         let plain = sim().run(arrivals.clone());
-        let reference = sim().run_reference(arrivals.clone());
-        assert!(
-            plain.bit_identical(&reference),
-            "the sweep skipped a re-pace"
-        );
         let links = FaultPlan::new()
             .degraded_link(SimTime::from_ms(20), 400, SimTime::from_ms(40))
             .degraded_link(SimTime::from_ms(90), 250, SimTime::from_ms(60))
@@ -2880,9 +2887,7 @@ mod tests {
         let mut degraded = sim();
         degraded.enable_faults(links, RecoveryPolicy::default());
         let degraded = degraded.run(arrivals);
-        let mut digest = fxhash::FxHasher::default();
-        format!("{degraded:?}").hash(&mut digest);
-        assert_eq!(digest.finish(), EVERY_GANG_VISITED, "the schedule moved");
+        assert_eq!(degraded.digest(), EVERY_GANG_VISITED, "the schedule moved");
         let faults = degraded
             .trace
             .iter()
@@ -3016,5 +3021,156 @@ mod tests {
             [5_000, 5_000, 7_000, 7_000, 7_000, 2_000_000, 2_000_000],
             "each taken at its own time or, if that is past, at the clock's"
         );
+    }
+
+    // Mutants of the event core: each test drives `Core::instant` to a
+    // chosen point, corrupts one field as a bug would, and expects
+    // `Core::check` to name the invariant it breaks.
+
+    fn devices(n: usize, dram: u64) -> Fleet {
+        Fleet::homogeneous(n, DeviceSpec::k40c().with_dram(dram), Interconnect::pcie())
+    }
+
+    /// A small conv-tower training job.
+    fn tower(name: &str, iterations: u32) -> JobSpec {
+        let w = Workload::Synthetic { width: 8, depth: 2 };
+        JobSpec::new(name, w, 8).with_iterations(iterations)
+    }
+
+    /// A core running `arrivals` on `sim`, for `drive` to step.
+    fn with_core(
+        sim: &ClusterSim,
+        arrivals: Vec<(SimTime, JobSpec)>,
+        drive: impl FnOnce(&mut Core<StreamRecorder>),
+    ) {
+        let mut stream = ReplayStream::new(arrivals);
+        let mut rec = StreamRecorder::default();
+        drive(&mut Core::new(sim, &mut stream, &mut rec));
+    }
+
+    impl<R: Recorder> Core<'_, R> {
+        /// Handle instants until `reached` holds.
+        fn until(&mut self, what: &str, reached: impl Fn(&Self) -> bool) {
+            while !reached(self) {
+                assert!(self.instant(), "the run ended before {what}");
+            }
+        }
+
+        /// One more instant, then the invariants, whatever the build.
+        fn checked_instant(&mut self) {
+            let before = self.now_ns;
+            self.instant();
+            self.check(before);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "pace is not the one its devices imply")]
+    fn a_skipped_re_anchor_fails_the_check() {
+        // A gang runs on both devices; a solo tenant joining device 0 doubles
+        // its pace. A kept pace count that claims 2 already makes the sweep
+        // pass the gang by, as a sweep that missed it would.
+        let sim = ClusterSim::new(devices(2, 1 << 30), PlacementPolicy::FirstFit);
+        let gang = tower("g", 1000).with_replicas(2);
+        let arrivals = vec![(SimTime::ZERO, gang), (SimTime(1000), tower("s", 1000))];
+        with_core(&sim, arrivals, |core| {
+            core.until("the gang started", |c| c.running == 1);
+            let gang = core.tenants_on[1].list[0].key;
+            core.pace_count[gang.index()] = 2;
+            core.checked_instant();
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "exactly one queued completion per running gang")]
+    fn a_completion_left_queued_fails_the_check() {
+        // The gang completes while a solo tenant runs on; its entry queued
+        // again is what a pop that left it behind would leave.
+        let sim = ClusterSim::new(devices(2, 1 << 30), PlacementPolicy::FirstFit);
+        let gang = tower("g", 2).with_replicas(2);
+        let arrivals = vec![(SimTime::ZERO, gang), (SimTime::ZERO, tower("s", 1000))];
+        with_core(&sim, arrivals, |core| {
+            core.until("both started", |c| c.running == 2);
+            let gang = core.tenants_on[1].list[0].key;
+            let due = core
+                .heap
+                .completion(gang)
+                .expect("a gang's completion is queued");
+            core.until("the gang completed", |c| c.out.completed == 1);
+            core.heap.set(EventKind::Completion { key: gang }, due, 0);
+            core.check(core.now_ns);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "its shape is in the blocked set of a state that admits it")]
+    fn a_blocked_set_kept_across_a_state_change_fails_the_check() {
+        // One device with room for one baseline tower, not two: the second
+        // waits, its shape refused. The first one's completion moves the
+        // state, and the refusal must go with it; a set that claims the new
+        // state keeps it.
+        let job = |name| {
+            let job = tower(name, 10).with_preset(PolicyPreset::Baseline);
+            job.with_downgrade(false)
+        };
+        let spec = DeviceSpec::k40c();
+        let peak = Profiler::new()
+            .profile_job(&job("a"), PolicyPreset::Baseline, &spec, spec.dram_bytes)
+            .expect("a tower fits 12 GB")
+            .peak_bytes;
+        let sim = ClusterSim::new(devices(1, peak * 3 / 2), PlacementPolicy::FirstFit);
+        let arrivals = vec![(SimTime::ZERO, job("a")), (SimTime(1000), job("b"))];
+        with_core(&sim, arrivals, |core| {
+            core.until("the second tower waited", |c| c.pending.len() == 1);
+            core.memo.blocked_at = core.state_version + 1;
+            core.checked_instant();
+        });
+    }
+
+    /// A two-replica gang whose second device fails halfway through its run
+    /// and recovers before the gang's backoff ends, driven to the instant it
+    /// restarts. `corrupt` gets the core, the gang's key and the completion
+    /// queued for the run the fault cut short.
+    fn restarted_gang(corrupt: impl FnOnce(&mut Core<StreamRecorder>, SlotKey, u64)) {
+        let arrivals = vec![(SimTime::ZERO, tower("g", 1000).with_replicas(2))];
+        let sim = || ClusterSim::new(devices(2, 1 << 30), PlacementPolicy::FirstFit);
+        let half = SimTime(sim().run(arrivals.clone()).makespan.0 / 2);
+        let mut sim = sim();
+        let outage = FaultPlan::new().outage(half, 1, SimTime::from_us(100));
+        sim.enable_faults(outage, RecoveryPolicy::default());
+        with_core(&sim, arrivals, |core| {
+            core.until("the gang started", |c| c.running == 1);
+            let gang = core.tenants_on[0].list[0].key;
+            let cut_short = core
+                .heap
+                .completion(gang)
+                .expect("a gang's completion is queued");
+            core.until("the gang restarted", |c| c.out.restarts == 1);
+            corrupt(core, gang, cut_short);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "queued completion is not anchor + pace.wall(remaining)")]
+    fn a_restart_left_on_its_pre_fault_completion_fails_the_check() {
+        // The ABA a `gen` reset once caused: the restarted run shared its
+        // generation with the run the fault cut short, so that run's queued
+        // completion was taken as its own and finished it early.
+        restarted_gang(|core, gang, cut_short| {
+            core.heap
+                .set(EventKind::Completion { key: gang }, cut_short, 0);
+            core.check(core.now_ns);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "completes before its start plus the solo work it owes")]
+    fn a_restart_projected_to_complete_early_fails_the_check() {
+        restarted_gang(|core, gang, _| {
+            let run = core.jobs.get_mut(gang).and_then(|j| j.run.as_mut());
+            let progress = run.and_then(|r| r.gang.as_mut()).expect("a running gang");
+            progress.remaining_ns /= 2;
+            core.check(core.now_ns);
+        });
     }
 }

@@ -108,9 +108,8 @@ pub trait ArrivalStream {
 
 /// Replays a recorded arrival trace through the [`ArrivalStream`]
 /// interface. This is how the materialized generators ([`synthetic_stream`]
-/// and friends) — and the retained reference loop's input vectors — feed
-/// the indexed loop; the differential suite leans on it to run both loops
-/// from byte-identical arrivals.
+/// and friends) feed the event core, and how a streaming run replays the
+/// arrivals a materialized one saw.
 pub struct ReplayStream {
     trace: std::vec::IntoIter<(SimTime, JobSpec)>,
 }
@@ -210,9 +209,9 @@ impl ArrivalStream for PoissonStream {
     }
 }
 
-/// Drain a stream into a vector — for tests and for feeding the retained
-/// reference loop (which wants materialized arrivals) the exact jobs a
-/// streaming run would see. Not for million-event runs, obviously.
+/// Drain a stream into a vector — for tests and for feeding
+/// [`crate::ClusterSim::run`] (which wants materialized arrivals) the exact
+/// jobs a streaming run would see. Not for million-event runs, obviously.
 pub fn collect_stream(stream: &mut dyn ArrivalStream) -> Vec<(SimTime, JobSpec)> {
     let mut out = Vec::new();
     while let Some(a) = stream.next_job() {

@@ -30,7 +30,7 @@ proptest! {
     // trace digest) and identical rendered trace, across worker counts —
     // including counts far above this machine's hardware parallelism.
     #[test]
-    fn same_seed_is_bit_identical_across_worker_counts(
+    fn same_seed_is_identical_across_worker_counts(
         seed in 0u64..1_000_000,
         width in 8usize..24,
         depth in 2usize..5,
