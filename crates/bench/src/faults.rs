@@ -1,25 +1,23 @@
-//! The fault-tolerance experiment: MTBF sweep × recovery ladder, with hard
+//! The fault-tolerance experiment: MTBF sweep × recovery mode, with hard
 //! gates recorded in `BENCH_faults.json`.
 //!
 //! One seeded random [`FaultPlan`] per MTBF point (identical across the
 //! recovery modes, so the modes see the *same* failures) drives the bench
-//! fleet through three recovery ladders:
+//! fleet through two recovery modes:
 //!
 //! * `no-recovery` — an interrupted gang fails permanently;
 //! * `restart` — checkpoint/restart: interrupted jobs re-enter through
 //!   capped exponential backoff and resume from their last checkpoint at
-//!   byte-exact original budgets;
-//! * `restart+elastic` — restart, plus live-downgrading running tenants
-//!   through the plan memo when a blocked job could be rescued.
+//!   byte-exact original budgets.
 //!
 //! Gates (all must be green):
 //!
 //! 1. `conservation_holds` — in every cell, submitted jobs are exactly
 //!    partitioned into completed + rejected + permanently-failed +
 //!    still-queued.
-//! 2. `goodput_ordering` — at every MTBF point, useful iterations order
-//!    `elastic ≥ restart ≥ no-recovery`: each rung of the ladder may only
-//!    help.
+//! 2. `goodput_ordering` — at every MTBF point, `restart ≥ no-recovery`
+//!    on useful iterations and on goodput (useful iterations per simulated
+//!    second): recovery may only help.
 //! 3. `peaks_exact_across_restart` — every restarted job re-admits at a
 //!    (budget, peak) vector byte-identical to its original grant, and the
 //!    sweep actually exercised restarts.
@@ -83,8 +81,8 @@ fn peaks_exact(report: &ClusterReport) -> bool {
 /// directory.
 pub fn faults(quick: bool) -> String {
     let n_jobs = if quick { 30 } else { 80 };
-    // Jobs request the *weakest* preset with downgrade allowed: tenants
-    // admitted at baseline leave the elastic rung real room to squeeze.
+    // Jobs request the *weakest* preset with downgrade allowed, so
+    // admission walks the preset ladder under memory pressure.
     let arrivals = synthetic_stream(n_jobs, 13, PolicyPreset::Baseline, true);
 
     // Probe the fault-free makespan so MTBF points scale with the run
@@ -94,7 +92,7 @@ pub fn faults(quick: bool) -> String {
 
     let mut out = String::new();
     out.push_str(&format!(
-        "faults: MTBF sweep x recovery ladder, {n_jobs} jobs, \
+        "faults: MTBF sweep x recovery mode, {n_jobs} jobs, \
          fault-free makespan {:.2} ms\n\n",
         makespan as f64 / 1e6
     ));
@@ -104,11 +102,7 @@ pub fn faults(quick: bool) -> String {
     // injected across twice the fault-free horizon (recovery stretches the
     // run past the probe's makespan).
     let dividers: &[u64] = if quick { &[4] } else { &[2, 4, 8] };
-    let modes = [
-        RecoveryMode::NoRecovery,
-        RecoveryMode::Restart,
-        RecoveryMode::RestartElastic,
-    ];
+    let modes = [RecoveryMode::NoRecovery, RecoveryMode::Restart];
 
     let metrics = MetricsRegistry::new();
     let mut table = TextTable::new(vec![
@@ -141,13 +135,13 @@ pub fn faults(quick: bool) -> String {
             mttr,
         );
 
-        let mut useful_by_mode = Vec::with_capacity(modes.len());
+        let mut by_mode = Vec::with_capacity(modes.len());
         for mode in modes {
             let report = run_cell(&arrivals, &plan, mode, Some(&metrics));
             conservation_holds &= report.conservation_holds();
             peaks_ok &= peaks_exact(&report);
             total_restarts += report.restarts;
-            useful_by_mode.push(report.useful_iterations);
+            by_mode.push((report.useful_iterations, report.goodput_iters_per_sec));
 
             if mode == RecoveryMode::Restart {
                 // Replay gate: same plan + stream → an equal report.
@@ -182,9 +176,9 @@ pub fn faults(quick: bool) -> String {
                     .with("fingerprint", format!("{:016x}", report.digest())),
             );
         }
-        // Each recovery rung may only help: elastic ≥ restart ≥ none.
-        goodput_ordering &=
-            useful_by_mode[2] >= useful_by_mode[1] && useful_by_mode[1] >= useful_by_mode[0];
+        // Recovery may only help: restart ≥ none, in work and in rate.
+        let (none, restart) = (by_mode[0], by_mode[1]);
+        goodput_ordering &= restart.0 >= none.0 && restart.1 >= none.1;
     }
     let peaks_exact_across_restart = peaks_ok && total_restarts > 0;
 
@@ -272,8 +266,7 @@ mod tests {
         );
         let none = run_cell(&arrivals, &plan, RecoveryMode::NoRecovery, None);
         let restart = run_cell(&arrivals, &plan, RecoveryMode::Restart, None);
-        let elastic = run_cell(&arrivals, &plan, RecoveryMode::RestartElastic, None);
         assert!(restart.useful_iterations >= none.useful_iterations);
-        assert!(elastic.useful_iterations >= restart.useful_iterations);
+        assert!(restart.goodput_iters_per_sec >= none.goodput_iters_per_sec);
     }
 }

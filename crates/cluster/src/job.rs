@@ -92,7 +92,7 @@ impl JobKind {
 /// `Tuned` names an autotuned bundle from the [`sn_runtime::tune`] registry.
 /// Its variant position — between `LivenessOffload` and `FullMemory` — is
 /// its downgrade rank: a tuned policy is built on the offload stack, and
-/// when elastic recovery must shed memory it walks up to the hand
+/// when admission must shed memory it walks up to the hand
 /// `FullMemory`/`Superneurons` rungs exactly like any other preset. The
 /// [`TunedId`](sn_runtime::tune::TunedId) rides in every admission memo key,
 /// so tuned and hand compiles can never alias even if their policies happen
@@ -160,13 +160,6 @@ impl PolicyPreset {
     /// ladder.
     pub fn ladder(self) -> impl Iterator<Item = PolicyPreset> {
         std::iter::once(self).chain(PolicyPreset::ALL.into_iter().filter(move |p| *p > self))
-    }
-
-    /// The next memory-stronger preset, or `None` at the top of the ladder.
-    /// Elastic recovery walks running tenants one rung at a time; a `Tuned`
-    /// tenant downgrades onto the hand ladder at `FullMemory`.
-    pub fn next_stronger(self) -> Option<PolicyPreset> {
-        PolicyPreset::ALL.into_iter().find(|p| *p > self)
     }
 }
 
@@ -281,7 +274,6 @@ mod tests {
             ladder,
             vec![tuned, PolicyPreset::FullMemory, PolicyPreset::Superneurons]
         );
-        assert_eq!(tuned.next_stronger(), Some(PolicyPreset::FullMemory));
         assert_eq!(tuned.name(), "tuned");
         assert_eq!(tuned.bucket_bytes(), 4 << 20);
         assert_eq!(

@@ -24,8 +24,7 @@
 //! * [`placement`] — first-fit / best-fit / bin-packing device selection;
 //! * [`fault`] — [`FaultPlan`]/[`RecoveryPolicy`]: deterministic fault
 //!   injection (device kills, link degradation, pressure spikes at integer
-//!   instants) and the recovery ladder (no-recovery → checkpoint/restart →
-//!   restart + elastic live-downgrade);
+//!   instants) and the recovery mode (no-recovery or checkpoint/restart);
 //! * [`sim`] — [`ClusterSim`]: the deterministic virtual-time event loop
 //!   with processor-sharing compute and hard memory reservations, gang
 //!   scheduling multi-replica jobs through the data-parallel model, on one

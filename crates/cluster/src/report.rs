@@ -82,13 +82,6 @@ pub enum TraceKind {
         reservations: Vec<u64>,
         from_iteration: u32,
     },
-    /// A running tenant was live-downgraded to a memory-stronger preset to
-    /// relieve pressure (elastic recovery).
-    Downgrade {
-        from: PolicyPreset,
-        to: PolicyPreset,
-        reservations: Vec<u64>,
-    },
     /// The job failed permanently (no recovery, or retries exhausted).
     Fail {
         why: String,
@@ -149,18 +142,6 @@ impl TraceEvent {
                 devices,
                 reservations,
                 from_iteration
-            ),
-            TraceKind::Downgrade {
-                from,
-                to,
-                reservations,
-            } => format!(
-                "[{:>12}ns] DOWNGRADE {} {}->{} reserve={:?}",
-                self.t_ns,
-                self.job,
-                from.name(),
-                to.name(),
-                reservations
             ),
             TraceKind::Fail { why } => {
                 format!("[{:>12}ns] FAIL     {} ({})", self.t_ns, self.job, why)

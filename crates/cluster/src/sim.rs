@@ -65,7 +65,7 @@
 //!   phase exceeds `a mod k` takes back the ns that overstates (`tag += 1`);
 //!   all phases become 0; `anchor = now`, `k = count`. Phases arise where a
 //!   count ends an instant where it began — a completion and an admission
-//!   on one device, or a live downgrade — so nothing folds; a tenant alone
+//!   on one device — so nothing folds; a tenant alone
 //!   on its device restarts the clock. A gang keeps its *pace count* `m`,
 //!   the most tenants on any of its devices, by slab slot. Where a device's
 //!   count goes from `k_old` (its clock's `k`) to `k`, a gang there can
@@ -334,7 +334,6 @@ struct ClusterMetrics {
     jobs_interrupted: Counter,
     jobs_restarted: Counter,
     jobs_failed: Counter,
-    jobs_downgraded: Counter,
     retries_scheduled: Counter,
     backoff_ns: Histogram,
     wasted_iterations: Counter,
@@ -358,7 +357,6 @@ impl ClusterMetrics {
             jobs_interrupted: reg.counter("cluster.jobs.interrupted"),
             jobs_restarted: reg.counter("cluster.jobs.restarted"),
             jobs_failed: reg.counter("cluster.jobs.failed"),
-            jobs_downgraded: reg.counter("cluster.jobs.downgraded"),
             retries_scheduled: reg.counter("cluster.retries.scheduled"),
             backoff_ns: reg.histogram("cluster.retries.backoff_ns"),
             wasted_iterations: reg.counter("cluster.iterations.wasted"),
@@ -691,7 +689,6 @@ trait Recorder {
     fn on_fault(&mut self, _event: &FaultEvent, _t_ns: u64) {}
     fn on_interrupt(&mut self, _job: &LiveJob, _device: usize, _t_ns: u64) {}
     fn on_restart(&mut self, _job: &LiveJob, _grant: &Grant, _exact: bool, _t_ns: u64) {}
-    fn on_downgrade(&mut self, _job: &LiveJob, _from: PolicyPreset, _grant: &Grant, _t_ns: u64) {}
     fn on_fail(&mut self, _job: &LiveJob, _why: &str, _t_ns: u64) {}
 }
 
@@ -849,21 +846,6 @@ impl Recorder for FullRecorder {
                 ("from_iter", job.iters_done.into()),
                 ("exact", exact.into()),
             ]
-        });
-    }
-
-    fn on_downgrade(&mut self, job: &LiveJob, from: PolicyPreset, grant: &Grant, t_ns: u64) {
-        let out = &mut self.outcomes[job.seq as usize];
-        out.granted = Some(grant.preset);
-        out.reservations = grant.peaks();
-        out.wasted_iterations = job.wasted_iters;
-        let kind = TraceKind::Downgrade {
-            from,
-            to: grant.preset,
-            reservations: out.reservations.clone(),
-        };
-        self.note(t_ns, job, kind, "downgrade", || {
-            vec![("to", grant.preset.name().into())]
         });
     }
 
@@ -1252,130 +1234,6 @@ impl ClusterSim {
             preset: resume.preset,
             placements,
         })
-    }
-
-    /// Plan an elastic rescue for a blocked `job`: repeatedly live-downgrade
-    /// the running tenant whose next preset rung frees the most reserved
-    /// bytes (ties toward the earliest arrival), on a scratch copy of the
-    /// device states, until the blocked job admits or no tenant can move.
-    /// Pure planning — the caller commits the returned downgrades and the
-    /// final grant, in order.
-    #[allow(clippy::type_complexity)]
-    fn plan_elastic(
-        &self,
-        devices: &[DeviceState],
-        jobs: &Slab<LiveJob>,
-        tenants_on: &[Tenants],
-        job: &JobSpec,
-        resume: Option<&ResumePlan>,
-        scratch: &mut AdmitScratch,
-    ) -> Option<(Vec<(SlotKey, Grant)>, Grant)> {
-        struct Tenant<'j> {
-            key: SlotKey,
-            seq: u64,
-            spec: &'j JobSpec,
-            preset: PolicyPreset,
-            placements: Vec<Placement>,
-        }
-        // Snapshot running tenants, earliest arrival first (each gang
-        // appears once per device; dedup by sequence).
-        let mut seen: Vec<(u64, SlotKey)> = tenants_on
-            .iter()
-            .flat_map(|on| &on.list)
-            .filter_map(|t| jobs.get(t.key).map(|j| (j.seq, t.key)))
-            .collect();
-        seen.sort_unstable_by_key(|&(seq, _)| seq);
-        seen.dedup_by_key(|&mut (seq, _)| seq);
-        let mut tenants: Vec<Tenant> = seen
-            .into_iter()
-            .filter_map(|(seq, key)| {
-                let j = jobs.get(key)?;
-                let run = j.run.as_ref()?;
-                Some(Tenant {
-                    key,
-                    seq,
-                    spec: &j.spec,
-                    preset: run.grant.preset,
-                    placements: run.grant.placements.clone(),
-                })
-            })
-            .collect();
-        let mut vdev = devices.to_vec();
-        let mut downgrades: Vec<(SlotKey, Grant)> = Vec::new();
-        const ELASTIC_MAX_ROUNDS: usize = 16;
-        for _ in 0..ELASTIC_MAX_ROUNDS {
-            let mut best: Option<(u64, u64, usize, Grant)> = None;
-            for (ti, t) in tenants.iter().enumerate() {
-                if !t.spec.allow_downgrade {
-                    continue;
-                }
-                let Some(next) = t.preset.next_stronger() else {
-                    continue;
-                };
-                // Recompile every replica one rung stronger, at the budget
-                // its own freed reservation re-opens.
-                let mut new_placements = Vec::with_capacity(t.placements.len());
-                let mut freed = 0u64;
-                let mut ok = true;
-                for p in &t.placements {
-                    let spec_d = &self.fleet.devices[p.device];
-                    let headroom = vdev[p.device].free.saturating_add(p.prediction.peak_bytes);
-                    let budget = quantized_budget(spec_d, headroom);
-                    let pred = (budget > 0)
-                        .then(|| self.profiler.profile_job(t.spec, next, spec_d, budget))
-                        .flatten();
-                    let Some(pred) = pred else {
-                        ok = false;
-                        break;
-                    };
-                    if pred.peak_bytes >= p.prediction.peak_bytes {
-                        ok = false; // must strictly shrink to be a rescue
-                        break;
-                    }
-                    freed += p.prediction.peak_bytes - pred.peak_bytes;
-                    new_placements.push(Placement {
-                        device: p.device,
-                        budget,
-                        prediction: pred,
-                    });
-                }
-                if !ok || freed == 0 {
-                    continue;
-                }
-                let better = match &best {
-                    None => true,
-                    Some((bf, bs, ..)) => freed > *bf || (freed == *bf && t.seq < *bs),
-                };
-                if better {
-                    best = Some((
-                        freed,
-                        t.seq,
-                        ti,
-                        Grant {
-                            preset: next,
-                            placements: new_placements,
-                        },
-                    ));
-                }
-            }
-            let (_, _, ti, new_grant) = best?;
-            for (old_p, new_p) in tenants[ti].placements.iter().zip(&new_grant.placements) {
-                let spec_d = &self.fleet.devices[old_p.device];
-                let freed = old_p.prediction.peak_bytes - new_p.prediction.peak_bytes;
-                vdev[old_p.device].alter(spec_d, |d| d.reserved -= freed);
-            }
-            tenants[ti].preset = new_grant.preset;
-            tenants[ti].placements = new_grant.placements.clone();
-            downgrades.push((tenants[ti].key, new_grant));
-            let admit = match resume {
-                Some(rp) => self.try_admit_resume(&vdev, job, rp),
-                None => self.try_admit(&vdev, &self.walk_index(&vdev), job, scratch),
-            };
-            if let Some(grant) = admit {
-                return Some((downgrades, grant));
-            }
-        }
-        None
     }
 
     /// One gang iteration's solo duration. Gangs (`replicas > 1`) no longer
@@ -1913,9 +1771,23 @@ impl<'a, R: Recorder> Core<'a, R> {
             )),
             _ => None,
         };
-        self.fold_to_checkpoint(key, done, why.is_none());
+        // Fold the `done` iterations into the checkpoint. What the checkpoint
+        // policy does not keep — everything, for a job that will not run
+        // again — is banked as wasted work.
+        let job = self.jobs.get_mut(key).expect("interrupted jobs stay live");
+        let total = job.iters_done + done;
+        let kept = match why {
+            None => sim.recovery.checkpointed(job.spec.kind, total),
+            Some(_) => 0,
+        };
+        let waste = u64::from(total - kept);
+        job.iters_done = kept;
+        job.wasted_iters += waste;
+        self.out.wasted_iters += waste;
+        if let Some(m) = &sim.metrics {
+            m.wasted_iterations.add(waste);
+        }
         if why.is_none() {
-            let job = self.jobs.get_mut(key).expect("interrupted jobs stay live");
             job.resume = Some(resume_plan_of(&run.grant));
             self.park(key);
         }
@@ -1923,27 +1795,6 @@ impl<'a, R: Recorder> Core<'a, R> {
         self.rec.on_interrupt(job, device, self.now_ns);
         if let Some(why) = why {
             self.fail(key, &why);
-        }
-    }
-
-    /// Fold the `done` iterations a run that just stopped had completed
-    /// into its job's checkpoint. What the checkpoint policy does not keep
-    /// — everything, for a job that will not run again (`!resumable`) — is
-    /// banked as wasted work.
-    fn fold_to_checkpoint(&mut self, key: SlotKey, done: u32, resumable: bool) {
-        let job = self.jobs.get_mut(key).expect("folded jobs are live");
-        let total = job.iters_done + done;
-        let kept = if resumable {
-            self.sim.recovery.checkpointed(job.spec.kind, total)
-        } else {
-            0
-        };
-        let waste = u64::from(total - kept);
-        job.iters_done = kept;
-        job.wasted_iters += waste;
-        self.out.wasted_iters += waste;
-        if let Some(m) = &self.sim.metrics {
-            m.wasted_iterations.add(waste);
         }
     }
 
@@ -2017,14 +1868,7 @@ impl<'a, R: Recorder> Core<'a, R> {
         for i in start..self.pending.len() {
             let key = self.pending[i];
             match self.decide(key) {
-                Some((downgrades, grant)) => {
-                    // Planned downgrades first — they free the room the
-                    // grant relies on.
-                    for (tenant, smaller) in downgrades {
-                        self.downgrade(tenant, smaller);
-                    }
-                    self.admit(key, grant);
-                }
+                Some(grant) => self.admit(key, grant),
                 None => {
                     if self.wait_or_give_up(key) {
                         self.kept.push(key);
@@ -2043,12 +1887,11 @@ impl<'a, R: Recorder> Core<'a, R> {
         self.out.peak_concurrent = self.out.peak_concurrent.max(self.running);
     }
 
-    /// The grant `key`'s job gets now, if any, and the live downgrades of
-    /// running tenants that must be committed before it.
-    fn decide(&mut self, key: SlotKey) -> Option<(Vec<(SlotKey, Grant)>, Grant)> {
+    /// The grant `key`'s job gets now, if any.
+    fn decide(&mut self, key: SlotKey) -> Option<Grant> {
         let sim = self.sim;
         let job = self.jobs.get(key).expect("pending jobs are live");
-        let grant = match &job.resume {
+        match &job.resume {
             // A job granted before carries its frozen plan: restart
             // re-admission is budget-exact, never a fresh search.
             Some(plan) => sim.try_admit_resume(&self.devices, &job.spec, plan),
@@ -2056,67 +1899,19 @@ impl<'a, R: Recorder> Core<'a, R> {
                 let shape = shape_key(&job.spec);
                 let blocked = self.memo.blocked(self.state_version);
                 if blocked.contains(&shape) {
-                    None
-                } else {
-                    let index = &self.by_free;
-                    let grant = sim.try_admit(&self.devices, index, &job.spec, &mut self.scratch);
-                    // Debug builds hold every answer to the ladder written
-                    // straight down.
-                    debug_assert_eq!(grant, sim.try_admit_plain(&self.devices, &job.spec));
-                    if grant.is_none() {
-                        blocked.insert(shape);
-                    }
-                    grant
+                    return None;
                 }
+                let grant =
+                    sim.try_admit(&self.devices, &self.by_free, &job.spec, &mut self.scratch);
+                // Debug builds hold every answer to the ladder written
+                // straight down.
+                debug_assert_eq!(grant, sim.try_admit_plain(&self.devices, &job.spec));
+                if grant.is_none() {
+                    blocked.insert(shape);
+                }
+                grant
             }
-        };
-        if let Some(grant) = grant {
-            return Some((Vec::new(), grant));
         }
-        // Elastic rescue: make room by live-downgrading running tenants one
-        // preset rung (strictly smaller reserved peak), through the same
-        // plan memo admission uses.
-        if sim.faults.is_none() || sim.recovery.mode != RecoveryMode::RestartElastic {
-            return None;
-        }
-        sim.plan_elastic(
-            &self.devices,
-            &self.jobs,
-            &self.tenants_on,
-            &job.spec,
-            job.resume.as_ref(),
-            &mut self.scratch,
-        )
-    }
-
-    /// Commit one planned live downgrade: the tenant folds to its last
-    /// checkpoint (the fold's loss is wasted work) and runs its remaining
-    /// iterations under the smaller plan, on the same devices.
-    fn downgrade(&mut self, key: SlotKey, grant: Grant) {
-        let sim = self.sim;
-        let job = self.jobs.get_mut(key).expect("planned tenants are live");
-        let old = job.run.take().expect("planned tenants are running");
-        let done = self.done_iterations(key, &old);
-        self.fold_to_checkpoint(key, done, true);
-        for (was, is) in old.grant.placements.iter().zip(&grant.placements) {
-            debug_assert_eq!(was.device, is.device, "a downgrade keeps its devices");
-            let d = &mut self.devices[is.device];
-            d.settle(self.now_ns);
-            // Strictly smaller, or it would not have been planned.
-            let freed = was.prediction.peak_bytes - is.prediction.peak_bytes;
-            d.alter(&sim.fleet.devices[is.device], |d| d.reserved -= freed);
-            self.by_free.moved(&self.devices, is.device);
-        }
-        self.state_version += 1;
-        self.start(key, grant);
-        self.out.events += 1;
-        if let Some(m) = &sim.metrics {
-            m.jobs_downgraded.inc();
-        }
-        let job = self.jobs.get(key).expect("planned tenants are live");
-        let grant = &job.run.as_ref().expect("just set").grant;
-        self.rec
-            .on_downgrade(job, old.grant.preset, grant, self.now_ns);
     }
 
     /// Start (or restart) `key`'s job under `grant`.
@@ -2660,18 +2455,17 @@ mod tests {
     /// The folds of a schedule where the phase term credits a tenant back,
     /// re-derived from its trace alone by the rule the module docs state:
     /// per device, the clock folds where an instant ends with another tenant
-    /// count; a single-device tenant that joins (admitted, restarted or
-    /// downgraded) takes phase `(now − anchor) mod k`, and 0 on an idle
-    /// device, whose clock restarts; a fold at `(now − anchor) mod k` below
-    /// a phase corrects that tenant. Returns the corrections to tenants
-    /// admitted or restarted, and to tenants downgraded.
-    fn phase_corrections(trace: &[TraceEvent], devices: usize) -> (usize, usize) {
+    /// count; a single-device tenant that joins (admitted or restarted)
+    /// takes phase `(now − anchor) mod k`, and 0 on an idle device, whose
+    /// clock restarts; a fold at `(now − anchor) mod k` below a phase
+    /// corrects that tenant. Returns the number of corrections.
+    fn phase_corrections(trace: &[TraceEvent], devices: usize) -> usize {
         struct Clock {
             count: usize,
             anchor: u64,
             k: u64,
-            /// Job, phase, joined by a downgrade.
-            phases: Vec<(String, u64, bool)>,
+            /// Job, phase.
+            phases: Vec<(String, u64)>,
         }
         let mut clocks: Vec<Clock> = (0..devices)
             .map(|_| Clock {
@@ -2682,36 +2476,28 @@ mod tests {
             })
             .collect();
         let mut on: FxHashMap<String, Vec<usize>> = FxHashMap::default();
-        let mut fired = (0, 0);
+        let mut fired = 0;
         for (i, ev) in trace.iter().enumerate() {
             let t = ev.t_ns;
-            let join = |c: &mut Clock, downgrade: bool| {
-                if c.count == 1 {
-                    c.anchor = t;
-                }
-                c.phases.retain(|(job, ..)| *job != ev.job);
-                c.phases
-                    .push((ev.job.clone(), (t - c.anchor) % c.k, downgrade));
-            };
             match &ev.kind {
                 TraceKind::Admit { devices, .. } | TraceKind::Restart { devices, .. } => {
                     for &d in devices {
-                        clocks[d].count += 1;
+                        let c = &mut clocks[d];
+                        c.count += 1;
                         if devices.len() == 1 {
-                            join(&mut clocks[d], false);
+                            if c.count == 1 {
+                                c.anchor = t;
+                            }
+                            c.phases.retain(|(job, _)| *job != ev.job);
+                            c.phases.push((ev.job.clone(), (t - c.anchor) % c.k));
                         }
                     }
                     on.insert(ev.job.clone(), devices.clone());
                 }
-                TraceKind::Downgrade { .. } => {
-                    if let [d] = on[&ev.job][..] {
-                        join(&mut clocks[d], true);
-                    }
-                }
                 TraceKind::Complete | TraceKind::Interrupt { .. } => {
                     for d in on.remove(&ev.job).expect("a running job") {
                         clocks[d].count -= 1;
-                        clocks[d].phases.retain(|(job, ..)| *job != ev.job);
+                        clocks[d].phases.retain(|(job, _)| *job != ev.job);
                     }
                 }
                 _ => {}
@@ -2723,13 +2509,9 @@ mod tests {
                 let k = c.count.max(1) as u64;
                 if k != c.k {
                     let r = (t - c.anchor) % c.k;
-                    for (_, phase, downgrade) in &mut c.phases {
+                    for (_, phase) in &mut c.phases {
                         if r < *phase {
-                            *if *downgrade {
-                                &mut fired.1
-                            } else {
-                                &mut fired.0
-                            } += 1;
+                            fired += 1;
                         }
                         *phase = 0;
                     }
@@ -2759,63 +2541,10 @@ mod tests {
             for placement in PlacementPolicy::ALL {
                 let arrivals = synthetic_stream(80, seed, PolicyPreset::Superneurons, true);
                 let run = ClusterSim::new(fleet(), placement).run(arrivals);
-                fired += phase_corrections(&run.trace, 4).0;
+                fired += phase_corrections(&run.trace, 4);
             }
         }
         assert!(fired > 0, "no fold needed its phase term");
-    }
-
-    #[test]
-    fn a_live_solo_downgrade_rejoins_its_device_clock() {
-        // Tight devices and downgradable baseline jobs under elastic
-        // recovery: blocked arrivals live-downgrade running tenants, and a
-        // downgraded single-device tenant restarts its run mid-unit on a
-        // device whose count does not move. Each report is held to the
-        // digest the same run had when every single-device tenant kept its
-        // own `(anchor, remaining, pace)`.
-        const PER_TENANT_FOLD: [u64; 8] = [
-            0x0676_ba49_df5e_ad23,
-            0x9f50_2819_c4e7_47c8,
-            0xf631_2298_5785_f648,
-            0xc8d5_b760_1d3e_d517,
-            0x44a0_38ef_f76b_352b,
-            0x7c14_4c7a_435f_b6a4,
-            0xdc68_34d6_b282_63d5,
-            0xd15b_b2bc_412b_2c88,
-        ];
-        let fleet = || {
-            Fleet::homogeneous(
-                3,
-                DeviceSpec::k40c().with_dram(48 << 20),
-                Interconnect::pcie(),
-            )
-        };
-        let (mut downgrades, mut fired) = (0, 0);
-        for (seed, want) in (1..).zip(PER_TENANT_FOLD) {
-            let arrivals = synthetic_stream(50, seed, PolicyPreset::Baseline, true);
-            let sim = || {
-                let mut sim = ClusterSim::new(fleet(), PlacementPolicy::BestFit);
-                let elastic = RecoveryPolicy::default().with_mode(RecoveryMode::RestartElastic);
-                sim.enable_faults(FaultPlan::new(), elastic);
-                sim
-            };
-            let run = sim().run(arrivals.clone());
-            let streamed = sim().run_stream(&mut ReplayStream::new(arrivals));
-            assert_eq!(run.digest(), want, "seed {seed}: the schedule moved");
-            assert_eq!(
-                (streamed.makespan, streamed.completed as usize),
-                (run.makespan, run.completed),
-                "seed {seed}: the two entry points ran different schedules"
-            );
-            let downgraded = |e: &&TraceEvent| matches!(e.kind, TraceKind::Downgrade { .. });
-            downgrades += run.trace.iter().filter(downgraded).count();
-            fired += phase_corrections(&run.trace, 3).1;
-        }
-        assert!(downgrades > 0, "no tenant was downgraded");
-        assert!(
-            fired > 0,
-            "no downgraded tenant's fold needed its phase term"
-        );
     }
 
     /// Over the instants of `trace`, the gangs running through one whose

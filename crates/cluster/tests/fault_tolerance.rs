@@ -13,9 +13,9 @@
 //!    the simulator's one clock; streams anchored past 2^53 ns (where a
 //!    float clock would merge neighboring integers — the regression this
 //!    guards) still recover and replay deterministically.
-//! 5. **Elastic pressure response** — under `RestartElastic`, a blocked
-//!    admission live-downgrades running tenants through the plan memo;
-//!    under plain `Restart` it never does.
+//! 5. **One restart** — `RecoveryMode::RestartElastic` is a name for
+//!    `Restart`: a blocked admission waits, no running tenant is downgraded,
+//!    and the schedule is the one plain `Restart` runs.
 //! 6. **Replay determinism** — identical `FaultPlan` seeds yield
 //!    byte-identical `ClusterReport`s and `ServiceReport`s (proptest).
 //! 7. **A restart owes its remaining work** — the completion projected for
@@ -279,7 +279,7 @@ fn recovery_timers_survive_the_f64_collapse_past_2p53() {
 }
 
 #[test]
-fn elastic_mode_downgrades_running_tenants_restart_mode_does_not() {
+fn the_restart_elastic_name_runs_the_restart_schedule() {
     let w = Workload::Synthetic {
         width: 48,
         depth: 8,
@@ -301,10 +301,10 @@ fn elastic_mode_downgrades_running_tenants_restart_mode_does_not() {
         p_liveness + 5 * MB < p_base,
         "test premise: ladder must free real memory (baseline {p_base}, liveness {p_liveness})"
     );
-    // One device sized so the baseline resident fits alone, a second
-    // baseline tenant is blocked (baseline's peak is budget-independent, so
-    // it cannot squeeze itself in), and both fit once the resident moves at
-    // least one rung down the ladder.
+    // One device sized so the baseline resident fits alone and a second
+    // baseline tenant is blocked (baseline's peak is budget-independent)
+    // until the resident finishes; moving the resident one rung down the
+    // ladder would have made room for both.
     let dram = p_base + p_liveness + 4 * MB;
     assert!(dram < 2 * p_base, "newcomer must be blocked at baseline");
     let arrivals = vec![
@@ -331,130 +331,17 @@ fn elastic_mode_downgrades_running_tenants_restart_mode_does_not() {
         sim.run(arrivals.clone())
     };
 
-    let elastic = run(RecoveryMode::RestartElastic);
+    let named = run(RecoveryMode::RestartElastic);
     let restart = run(RecoveryMode::Restart);
-    assert!(elastic.conservation_holds() && restart.conservation_holds());
-    assert_eq!(elastic.completed, 2);
-    assert_eq!(restart.completed, 2);
-
-    let downgrades = |r: &sn_cluster::ClusterReport| {
-        r.trace
-            .iter()
-            .filter(|e| matches!(e.kind, TraceKind::Downgrade { .. }))
-            .count()
-    };
-    assert!(
-        downgrades(&elastic) > 0,
-        "elastic mode must live-downgrade the resident"
-    );
+    assert!(named.conservation_holds());
+    assert_eq!(named.completed, 2);
+    let resident = named.jobs.iter().find(|j| j.name == "resident").unwrap();
     assert_eq!(
-        downgrades(&restart),
-        0,
-        "plain restart must never touch running tenants"
+        resident.granted,
+        Some(PolicyPreset::Baseline),
+        "no running tenant is downgraded"
     );
-    let resident = elastic.jobs.iter().find(|j| j.name == "resident").unwrap();
-    assert!(
-        resident.granted.unwrap() > PolicyPreset::Baseline,
-        "resident must end on a stronger preset"
-    );
-    // The squeeze pays off: the newcomer starts strictly earlier than under
-    // plain restart (which waits for the resident to finish).
-    let started = |r: &sn_cluster::ClusterReport| {
-        r.jobs
-            .iter()
-            .find(|j| j.name == "newcomer")
-            .unwrap()
-            .started
-            .expect("newcomer must start")
-    };
-    assert!(started(&elastic) < started(&restart));
-}
-
-#[test]
-fn tuned_rung_downgrades_onto_the_hand_ladder_under_restart_elastic() {
-    let w = Workload::Synthetic {
-        width: 48,
-        depth: 8,
-    };
-    // A "tuned" bundle pinned to the naive baseline policy: maximal peak,
-    // so the elastic planner has real memory to reclaim by walking the
-    // tuned tenant onto the hand ladder (`Tuned` → `FullMemory`).
-    let tuned = PolicyPreset::Tuned(sn_runtime::tune::register(sn_runtime::TunedPolicy {
-        policy: sn_runtime::Policy::baseline(),
-        bucket_bytes: 8 * MB,
-        step_time: SimTime::from_us(10),
-        plan_peak_bytes: 1,
-        executed_peak_bytes: 1,
-        hand_step_time: SimTime::from_us(12),
-        hand_name: "baseline",
-        seed: 0,
-        evals: 0,
-        pruned: 0,
-        trace_digest: 0,
-    }));
-    assert_eq!(tuned.next_stronger(), Some(PolicyPreset::FullMemory));
-    let peak_of = |preset: PolicyPreset| {
-        let mut sim = ClusterSim::new(fleet_n(1, 1 << 30), PlacementPolicy::FirstFit);
-        let r = sim.run(vec![(
-            SimTime::ZERO,
-            JobSpec::new("probe", w, 16)
-                .with_preset(preset)
-                .with_downgrade(false),
-        )]);
-        r.jobs[0].reservations[0]
-    };
-    let p_tuned = peak_of(tuned);
-    let p_full = peak_of(PolicyPreset::FullMemory);
-    assert!(
-        p_full + 5 * MB < p_tuned,
-        "test premise: the hand rung above Tuned must free real memory \
-         (tuned {p_tuned}, full_memory {p_full})"
-    );
-    // Resident tuned tenant fills the device; an identical no-downgrade
-    // newcomer is blocked (the baseline-pinned policy cannot adapt to a
-    // budget) until elastic recovery moves the resident one rung up.
-    let dram = p_tuned + p_full + 4 * MB;
-    assert!(dram < 2 * p_tuned, "newcomer must be blocked at Tuned");
-    let arrivals = vec![
-        (
-            SimTime::ZERO,
-            JobSpec::new("resident", w, 16)
-                .with_preset(tuned)
-                .with_downgrade(true)
-                .with_iterations(60),
-        ),
-        (
-            SimTime::from_us(50),
-            JobSpec::new("newcomer", w, 16)
-                .with_preset(tuned)
-                .with_downgrade(false)
-                .with_iterations(5),
-        ),
-    ];
-    let mut sim = ClusterSim::new(fleet_n(1, dram), PlacementPolicy::FirstFit);
-    sim.enable_faults(
-        FaultPlan::new(),
-        RecoveryPolicy::default().with_mode(RecoveryMode::RestartElastic),
-    );
-    let report = sim.run(arrivals);
-    assert!(report.conservation_holds());
-    assert_eq!(report.completed, 2, "both tuned jobs must complete");
-    let downgrades = report
-        .trace
-        .iter()
-        .filter(|e| matches!(e.kind, TraceKind::Downgrade { .. }))
-        .count();
-    assert!(downgrades > 0, "elastic mode must downgrade the resident");
-    let resident = report.jobs.iter().find(|j| j.name == "resident").unwrap();
-    let granted = resident.granted.unwrap();
-    assert!(
-        granted > tuned,
-        "resident must end on a hand rung above Tuned, got {granted:?}"
-    );
-    assert!(matches!(
-        granted,
-        PolicyPreset::FullMemory | PolicyPreset::Superneurons
-    ));
+    assert_eq!(named.digest(), restart.digest());
 }
 
 #[test]

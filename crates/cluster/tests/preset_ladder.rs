@@ -1,7 +1,7 @@
 //! The preset ladder's promise: a memory-stronger preset never predicts a
 //! higher peak than a weaker one. Admission's fallback walks `ladder_for`
-//! on that promise, and elastic recovery's downgrade by `next_stronger`
-//! must strictly shrink a reservation to count as a rescue. Checked on an
+//! on that promise: a job that does not fit under one preset is asked
+//! again under the next, which should never need more memory. Checked on an
 //! open cap (12 GB binds none of these nets) over random nets × {training,
 //! inference} × {fp32, bf16}.
 
@@ -95,9 +95,9 @@ proptest! {
         for precision in [Precision::fp32(), Precision::bf16_mixed()] {
             for inference in [false, true] {
                 let peaks = ladder_peaks(&net, precision, inference);
-                prop_assert_eq!(peaks.len(), PolicyPreset::ALL.len());
+                let rungs: Vec<_> = peaks.iter().map(|&(p, _)| p).collect();
+                prop_assert_eq!(rungs, PolicyPreset::ALL.to_vec());
                 for w in peaks.windows(2) {
-                    prop_assert_eq!(w[0].0.next_stronger(), Some(w[1].0));
                     prop_assert!(w[1].1 <= w[0].1,
                         "{:?} (inference {}): {:?}", precision, inference, peaks);
                 }
@@ -111,9 +111,9 @@ proptest! {
 /// algorithm that `full_memory` runs without: one such conv at batch 1
 /// predicts 738 304 bytes under `full_memory` and 1 787 904 under
 /// `superneurons` (738 304 again with its workspace off). A binding cap
-/// takes that workspace back, and elastic recovery checks that each
-/// downgrade strictly shrinks. When the ladder keeps the promise this
-/// flips, and the property above runs by default.
+/// takes that workspace back, and admission asks each rung at the budget a
+/// device offers. When the ladder keeps the promise this flips, and the
+/// property above runs by default.
 #[test]
 fn finding_superneurons_spends_an_open_cap_on_conv_workspace() {
     let net = build_net(1, &[Op::Conv(8, true)]);

@@ -1709,7 +1709,7 @@ mod tests {
         p
     }
 
-    /// ROADMAP 1(a)'s first replay repro: POOL→ACT→ELTWISE→ACT→FC at batch 5.
+    /// The first replay repro: POOL→ACT→ELTWISE→ACT→FC at batch 5.
     fn replay_mru_net() -> Net {
         let mut net = Net::new("replay-mru", Shape4::new(5, 3, 32, 32));
         let d = net.data();
@@ -2025,7 +2025,7 @@ mod tests {
 
     #[test]
     fn replay_under_lru_keeps_its_target_at_3_mb() {
-        // ROADMAP 1(a), second repro: the fan-out net at batch 16 under the
+        // The second replay repro: the fan-out net at batch 16 under the
         // default policy, caps of 3.0–3.2 MB.
         let caps: Vec<u64> = (140..=210).map(|x| x * 20_000).collect();
         replay_keeps_what_it_reads(&fanout_net(16), &caps, Policy::superneurons());

@@ -752,7 +752,7 @@ fn neighbour_axes(base: &Candidate, cfg: &TuneConfig) -> Vec<(&'static str, Vec<
 
 /// Process-wide handle to a registered [`TunedPolicy`]. `Copy + Ord + Hash`
 /// so `sn-cluster`'s `PolicyPreset::Tuned(TunedId)` stays a plain value in
-/// admission memo keys and elastic ladders.
+/// admission memo keys and preset ladders.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TunedId(pub u32);
 
