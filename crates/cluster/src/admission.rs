@@ -47,10 +47,21 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use fxhash::FxHashMap;
 use sn_graph::Net;
-use sn_runtime::{plan_prediction_caps, GroupConfig, GroupExecutor, Interconnect, PeakPrediction};
+use sn_runtime::group::DEFAULT_BUCKET_BYTES;
+use sn_runtime::{
+    plan_prediction_caps, GroupConfig, GroupExecutor, Interconnect, PeakPrediction, Policy,
+    TunedPolicy,
+};
 use sn_sim::{DeviceSpec, SimTime};
 
 use crate::job::{JobKind, JobSpec, PolicyPreset, Workload};
+
+/// A tuned bundle's name within one simulation: minted by
+/// [`ClusterSim::register_tuned`](crate::ClusterSim::register_tuned) alone,
+/// and resolved by that simulation's [`Profiler`]. `Copy + Ord + Hash`, so
+/// [`PolicyPreset::Tuned`] stays a plain value in memo keys and ladders.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct TunedId(u32);
 
 /// Memoization key: everything the prediction depends on. The card is its
 /// [`DeviceSpec::card_fingerprint`] — every perf-relevant constant folded
@@ -105,6 +116,8 @@ pub struct Profiler {
     cache: Mutex<FxHashMap<ProfileKey, Answer>>,
     /// Measured gang step times, one group execution per [`GangKey`].
     gang: Mutex<FxHashMap<GangKey, Option<SimTime>>>,
+    /// The simulation's tuned bundles, indexed by [`TunedId`].
+    tuned: Vec<TunedPolicy>,
 }
 
 /// Lock one of the profiler's maps, poisoned or not: a prediction is
@@ -118,6 +131,31 @@ fn lock<T>(map: &Mutex<T>) -> MutexGuard<'_, T> {
 impl Profiler {
     pub fn new() -> Profiler {
         Profiler::default()
+    }
+
+    /// Append `bundle` to this profiler's table and name it. Nothing is
+    /// removed, so an id never dangles.
+    pub(crate) fn register(&mut self, bundle: TunedPolicy) -> TunedId {
+        let id = TunedId(u32::try_from(self.tuned.len()).expect("tuned table overflow"));
+        self.tuned.push(bundle);
+        id
+    }
+
+    /// The policy and all-reduce bucket target `preset` names: a hand
+    /// preset's with the group default, or the bundle registered under a
+    /// tuned id — the one place a `Tuned` rung is resolved.
+    fn resolve(&self, preset: PolicyPreset) -> (Policy, u64) {
+        match preset {
+            PolicyPreset::Tuned(TunedId(i)) => {
+                let t = self.tuned.get(i as usize);
+                let t = t.expect("a tuned id names a bundle its own simulation registered");
+                (t.policy, t.bucket_bytes)
+            }
+            hand => (
+                hand.policy().expect("a hand preset names its policy"),
+                DEFAULT_BUCKET_BYTES,
+            ),
+        }
     }
 
     /// Predicted cost of one replica of (`workload`, `batch`, `kind`) under
@@ -154,7 +192,8 @@ impl Profiler {
         let capped = spec.clone().with_dram(key.cap);
         let net = self.net(key.workload, key.batch);
         let inference = key.kind == JobKind::Inference;
-        let (result, caps) = plan_prediction_caps(&net, &capped, key.preset.policy(), inference);
+        let policy = self.resolve(key.preset).0;
+        let (result, caps) = plan_prediction_caps(&net, &capped, policy, inference);
         let answer = (result.ok(), caps);
         self.record(key, answer.clone());
         answer
@@ -269,10 +308,10 @@ impl Profiler {
             // Tuned presets carry their own all-reduce bucket target; the
             // gang must be measured with it or the tuned step time would be
             // fiction.
-            let cfg =
-                GroupConfig::new(replicas, interconnect).with_bucket_bytes(preset.bucket_bytes());
+            let (policy, bucket_bytes) = self.resolve(preset);
+            let cfg = GroupConfig::new(replicas, interconnect).with_bucket_bytes(bucket_bytes);
             let capped = spec.clone().with_dram(cap);
-            GroupExecutor::new(&net, capped, preset.policy(), cfg)
+            GroupExecutor::new(&net, capped, policy, cfg)
                 .ok()
                 .and_then(|mut gx| {
                     gx.run_iteration().ok()?; // cold (allocator warm-up)
@@ -460,9 +499,10 @@ impl Grant {
 /// Prediction budget for a device with `free` unreserved bytes: rounded
 /// *down* to a 1/32-of-DRAM quantum. Sound (the predicted peak fits under
 /// the real free space) and it collapses the profiler's memo key space to at
-/// most 32 budgets per device. Admission and the idle-fleet feasibility
-/// check MUST use the same rounding, or a boundary job could be judged
-/// feasible yet never admitted.
+/// most 63 budgets per device class, one per nonzero level — 32 on any card
+/// of 1 KiB or more. Admission and the idle-fleet feasibility check MUST use
+/// the same rounding, or a boundary job could be judged feasible yet never
+/// admitted.
 pub fn quantized_budget(spec: &DeviceSpec, free: u64) -> u64 {
     free - free % quantum(spec)
 }
@@ -470,7 +510,8 @@ pub fn quantized_budget(spec: &DeviceSpec, free: u64) -> u64 {
 /// The step budgets move in: 1/32 of the device's DRAM, at least a byte. A
 /// device's budget *level* is `free / quantum` — so `level × quantum` is
 /// [`quantized_budget`] — and never passes 63: with `dram = 32·q + r`,
-/// `r < 32`, it is at most `32 + r / q`.
+/// `r < 32`, it is at most `32 + r / q`, which is 32 on any card of 1 KiB or
+/// more (there `q ≥ 32 > r`).
 pub(crate) fn quantum(spec: &DeviceSpec) -> u64 {
     (spec.dram_bytes / 32).max(1)
 }
@@ -691,15 +732,11 @@ mod tests {
         assert!(infer.iter_time < train.iter_time);
     }
 
-    #[test]
-    fn tuned_and_hand_presets_never_alias_in_the_memo() {
-        // A tuned bundle whose policy happens to coincide with the full
-        // superneurons stack: the preset rides in the memo key, so the two
-        // predictions must occupy distinct entries (and a later change to
-        // the tuned policy could never be served a stale hand compile).
-        let id = sn_runtime::tune::register(sn_runtime::TunedPolicy {
-            policy: sn_runtime::Policy::superneurons(),
-            bucket_bytes: 8 << 20,
+    /// A tuned bundle of `policy` and `bucket_bytes`, measured nowhere.
+    fn fake_bundle(policy: Policy, bucket_bytes: u64) -> TunedPolicy {
+        TunedPolicy {
+            policy,
+            bucket_bytes,
             step_time: SimTime::from_us(10),
             plan_peak_bytes: 1,
             executed_peak_bytes: 1,
@@ -709,8 +746,41 @@ mod tests {
             evals: 0,
             pruned: 0,
             trace_digest: 0,
-        });
-        let p = Profiler::new();
+        }
+    }
+
+    #[test]
+    fn a_tuned_rung_resolves_in_its_own_profiler() {
+        let mut p = Profiler::new();
+        let policy = Policy::full_memory().with_prefetch_depth(16);
+        let tuned = PolicyPreset::Tuned(p.register(fake_bundle(policy, 4 << 20)));
+        assert_eq!(p.resolve(tuned), (policy, 4 << 20));
+        assert_eq!(tuned.policy(), None, "no preset resolves itself");
+        let hand = p.resolve(PolicyPreset::Baseline);
+        assert_eq!(hand, (Policy::baseline(), DEFAULT_BUCKET_BYTES));
+        // Another profiler's first bundle takes the same id, naming its own.
+        let mut q = Profiler::new();
+        let other = q.register(fake_bundle(Policy::baseline(), 8 << 20));
+        assert_eq!(PolicyPreset::Tuned(other), tuned);
+        assert_eq!(q.resolve(tuned), (Policy::baseline(), 8 << 20));
+        // The rung's rank: between the offload stack and the full stack.
+        assert!(tuned > PolicyPreset::LivenessOffload && tuned < PolicyPreset::FullMemory);
+        let ladder: Vec<_> = tuned.ladder().collect();
+        assert_eq!(
+            ladder,
+            [tuned, PolicyPreset::FullMemory, PolicyPreset::Superneurons]
+        );
+        assert_eq!(tuned.name(), "tuned");
+    }
+
+    #[test]
+    fn tuned_and_hand_presets_never_alias_in_the_memo() {
+        // A tuned bundle whose policy happens to coincide with the full
+        // superneurons stack: the preset rides in the memo key, so the two
+        // predictions must occupy distinct entries (and a later change to
+        // the tuned policy could never be served a stale hand compile).
+        let mut p = Profiler::new();
+        let id = p.register(fake_bundle(Policy::superneurons(), 8 << 20));
         let w = Workload::Synthetic { width: 8, depth: 2 };
         let spec = DeviceSpec::k40c();
         let hand = p
@@ -722,7 +792,7 @@ mod tests {
         assert_eq!(hand, tuned, "identical policies predict identically");
         assert_eq!(p.simulated(), 2, "but they must never share a memo entry");
         // The gang path must measure tuned gangs with their tuned bucket.
-        assert_eq!(PolicyPreset::Tuned(id).bucket_bytes(), 8 << 20);
+        assert_eq!(p.resolve(PolicyPreset::Tuned(id)).1, 8 << 20);
         let step = p.gang_step_time(
             w,
             8,

@@ -4,6 +4,8 @@
 use sn_graph::Net;
 use sn_runtime::Policy;
 
+use crate::admission::TunedId;
+
 /// Which network a job trains. An enum (rather than a boxed builder closure)
 //  keeps `JobSpec` cloneable, hashable for profile memoization, and
 /// printable in schedule traces.
@@ -89,20 +91,21 @@ impl JobKind {
 /// does not fit: a stronger preset trades (virtual) compute and PCIe traffic
 /// for a smaller `peak_m`, letting more tenants share one device.
 ///
-/// `Tuned` names an autotuned bundle from the [`sn_runtime::tune`] registry.
+/// `Tuned` names an autotuned bundle registered with the simulation that
+/// runs the job ([`ClusterSim::register_tuned`](crate::ClusterSim::register_tuned)),
+/// and only that simulation's profiler resolves it.
 /// Its variant position — between `LivenessOffload` and `FullMemory` — is
 /// its downgrade rank: a tuned policy is built on the offload stack, and
 /// when admission must shed memory it walks up to the hand
 /// `FullMemory`/`Superneurons` rungs exactly like any other preset. The
-/// [`TunedId`](sn_runtime::tune::TunedId) rides in every admission memo key,
-/// so tuned and hand compiles can never alias even if their policies happen
-/// to coincide.
+/// [`TunedId`] rides in every admission memo key, so tuned and hand compiles
+/// can never alias even if their policies happen to coincide.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum PolicyPreset {
     Baseline,
     LivenessOnly,
     LivenessOffload,
-    Tuned(sn_runtime::tune::TunedId),
+    Tuned(TunedId),
     FullMemory,
     Superneurons,
 }
@@ -116,28 +119,17 @@ impl PolicyPreset {
         PolicyPreset::Superneurons,
     ];
 
-    /// The runtime policy bundle this preset names. For `Tuned` rungs this
-    /// is a registry lookup; an unregistered id panics (a stale-handle bug,
-    /// never a runtime condition).
-    pub fn policy(self) -> Policy {
-        match self {
+    /// The runtime policy bundle a hand preset names; `None` for a `Tuned`
+    /// rung, whose bundle only its simulation holds.
+    pub fn policy(self) -> Option<Policy> {
+        Some(match self {
             PolicyPreset::Baseline => Policy::baseline(),
             PolicyPreset::LivenessOnly => Policy::liveness_only(),
             PolicyPreset::LivenessOffload => Policy::liveness_offload(),
-            PolicyPreset::Tuned(id) => sn_runtime::tune::policy_for(id),
+            PolicyPreset::Tuned(_) => return None,
             PolicyPreset::FullMemory => Policy::full_memory(),
             PolicyPreset::Superneurons => Policy::superneurons(),
-        }
-    }
-
-    /// The all-reduce bucket target gang execution should use under this
-    /// preset — the tuned value for `Tuned` rungs, the group default
-    /// otherwise.
-    pub fn bucket_bytes(self) -> u64 {
-        match self {
-            PolicyPreset::Tuned(id) => sn_runtime::tune::bucket_bytes_for(id),
-            _ => sn_runtime::group::DEFAULT_BUCKET_BYTES,
-        }
+        })
     }
 
     pub fn name(self) -> &'static str {
@@ -245,51 +237,6 @@ mod tests {
         );
         let top: Vec<_> = PolicyPreset::Superneurons.ladder().collect();
         assert_eq!(top, vec![PolicyPreset::Superneurons]);
-    }
-
-    fn fake_tuned(policy: Policy) -> PolicyPreset {
-        let id = sn_runtime::tune::register(sn_runtime::TunedPolicy {
-            policy,
-            bucket_bytes: 4 << 20,
-            step_time: sn_sim::SimTime::from_us(10),
-            plan_peak_bytes: 1,
-            executed_peak_bytes: 1,
-            hand_step_time: sn_sim::SimTime::from_us(12),
-            hand_name: "superneurons",
-            seed: 0,
-            evals: 0,
-            pruned: 0,
-            trace_digest: 0,
-        });
-        PolicyPreset::Tuned(id)
-    }
-
-    #[test]
-    fn tuned_rung_sits_between_offload_and_full_memory() {
-        let tuned = fake_tuned(Policy::superneurons());
-        assert!(tuned > PolicyPreset::LivenessOffload);
-        assert!(tuned < PolicyPreset::FullMemory);
-        let ladder: Vec<_> = tuned.ladder().collect();
-        assert_eq!(
-            ladder,
-            vec![tuned, PolicyPreset::FullMemory, PolicyPreset::Superneurons]
-        );
-        assert_eq!(tuned.name(), "tuned");
-        assert_eq!(tuned.bucket_bytes(), 4 << 20);
-        assert_eq!(
-            PolicyPreset::Baseline.bucket_bytes(),
-            sn_runtime::group::DEFAULT_BUCKET_BYTES
-        );
-        // Hand ladders are byte-identical to the historical ones.
-        let from_baseline: Vec<_> = PolicyPreset::Baseline.ladder().collect();
-        assert_eq!(from_baseline, PolicyPreset::ALL.to_vec());
-    }
-
-    #[test]
-    fn tuned_policy_resolves_through_the_registry() {
-        let p = Policy::full_memory().with_prefetch_depth(16);
-        let tuned = fake_tuned(p);
-        assert_eq!(tuned.policy(), p);
     }
 
     #[test]

@@ -61,7 +61,7 @@ mod slab;
 pub mod stream;
 
 pub use admission::{
-    feasible_on_device_subset, feasible_on_idle_fleet, Grant, Placement, Profiler,
+    feasible_on_device_subset, feasible_on_idle_fleet, Grant, Placement, Profiler, TunedId,
 };
 pub use fault::{FaultEvent, FaultPlan, RecoveryMode, RecoveryPolicy};
 pub use fleet::Fleet;

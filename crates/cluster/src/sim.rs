@@ -182,13 +182,13 @@
 //! constant memory.
 
 use fxhash::{FxHashMap, FxHashSet};
-use sn_runtime::ring_allreduce_time;
+use sn_runtime::{ring_allreduce_time, TunedPolicy};
 use sn_sim::{DeviceSpec, SimTime};
 use sn_telemetry::{ArgValue, Counter, Histogram, MetricsRegistry, TraceSink, TrackId};
 
 use crate::admission::{
     feasible_on_device_subset, feasible_on_idle_fleet, ladder_for, quantized_budget, quantum,
-    Grant, Placement, Profiler, Row,
+    Grant, Placement, Profiler, Row, TunedId,
 };
 use crate::event_heap::{EventHeap, EventKind};
 use crate::fault::{FaultEvent, FaultPlan, RecoveryMode, RecoveryPolicy};
@@ -1072,6 +1072,14 @@ impl ClusterSim {
     /// `cluster.{latency,queueing}_ns`).
     pub fn enable_metrics(&mut self, registry: &MetricsRegistry) {
         self.metrics = Some(ClusterMetrics::new(registry));
+    }
+
+    /// File a tuned bundle with this simulation and name it: a job asks
+    /// for it as [`PolicyPreset::Tuned`]. The table is this simulation's
+    /// own, so another simulation's first bundle gets the same id and names
+    /// its own bundle.
+    pub fn register_tuned(&mut self, bundle: TunedPolicy) -> TunedId {
+        self.profiler.register(bundle)
     }
 
     /// Gang step times measured by driving the group engine: one per

@@ -75,6 +75,6 @@ pub use session::{
     predict_run, InferenceReport, InferenceSession, PeakPrediction, Session, SessionReport,
 };
 pub use tiers::{Tier, TierConfig, TieredPool};
-pub use tune::{SearchOutcome, TuneConfig, TunedId, TunedPolicy};
+pub use tune::{SearchOutcome, TuneConfig, TunedPolicy};
 pub use utp::{Residence, TensorState, Utp};
 pub use verify::{PlanViolation, Rule};

@@ -608,8 +608,7 @@ impl Compiler {
 
     /// The process's compiler: what [`compile_memo`], [`crate::session::feasible`],
     /// [`crate::tune::search`] and the other free functions of this crate
-    /// remember into. The only `static` of this crate besides the
-    /// tuned-policy registry.
+    /// remember into. The only `static` outside tests in the workspace.
     pub fn shared() -> &'static Compiler {
         static SHARED: OnceLock<Compiler> = OnceLock::new();
         SHARED.get_or_init(Compiler::new)

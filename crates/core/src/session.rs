@@ -254,9 +254,15 @@ pub fn feasible(net: &Net, spec: &DeviceSpec, policy: Policy) -> bool {
 /// With `k` worker threads each search round compiles `k` interior probe
 /// points concurrently over the rayon shim and narrows the bracket to the
 /// feasible/infeasible boundary they straddle; with one thread it is the
-/// classic bisection. For the monotone feasibility curves these searches
-/// walk (bigger batch ⇒ more memory) every variant converges to the same
-/// knee — the parallelism buys wall-clock, not different answers.
+/// classic bisection. On any curve the answer is 0 or a point of `[lo, hi]`
+/// that compiled, the same for the same inputs and worker count. Every
+/// worker count finds the same knee only where feasibility is monotone over
+/// the bracket, and it is not always: `crates/core/tests/proptest_valid_caps.rs`
+/// pins a conv tower that fits a quarter of its peak but not two fifths
+/// (`finding_a_tower_fits_a_quarter_of_its_peak_but_not_two_fifths`) and a
+/// net that fits a device at batch 3 but not at batch 2
+/// (`finding_batch_2_does_not_fit_where_batch_3_does`). Where the curve
+/// dips, probes at other points may settle on another feasible knee.
 pub fn max_feasible_param(
     build: &(dyn Fn(usize) -> Net + Sync),
     spec: &DeviceSpec,

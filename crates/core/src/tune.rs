@@ -41,13 +41,12 @@
 //! through the shared [`Compiler`]; [`search_in`] does the same through a
 //! compiler of the caller's, on whose registry the search's `tune.*` totals
 //! land — two searches on two fresh compilers are comparable with no clear
-//! between them. [`register`] files a winner in a process-wide registry
-//! under a [`TunedId`], which is how `sn-cluster`'s `PolicyPreset::Tuned`
-//! rung names a tuned bundle without the cluster crate ever holding a
-//! `Policy` by value: a tuned rung is `register(search(…)?.tuned)`.
+//! between them. A winner becomes an admission rung in the one cluster
+//! simulation that registers it: `PolicyPreset::Tuned(sim.register_tuned(
+//! search(…)?.tuned))`, resolved by that simulation's profiler alone.
 
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 use std::time::Instant;
 
 use fxhash::{FxHashMap, FxHashSet, FxHasher};
@@ -746,60 +745,6 @@ fn neighbour_axes(base: &Candidate, cfg: &TuneConfig) -> Vec<(&'static str, Vec<
     axes
 }
 
-// ---------------------------------------------------------------------
-// The tuned-policy registry.
-// ---------------------------------------------------------------------
-
-/// Process-wide handle to a registered [`TunedPolicy`]. `Copy + Ord + Hash`
-/// so `sn-cluster`'s `PolicyPreset::Tuned(TunedId)` stays a plain value in
-/// admission memo keys and preset ladders.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct TunedId(pub u32);
-
-/// Not a cache and so not a [`Compiler`]'s: an append-only interner that
-/// turns a bundle into a `Copy` id. Nothing clears it and no lookup depends
-/// on what else was registered, so it is process-wide without making any
-/// result depend on the process.
-static REGISTRY: Mutex<Vec<Arc<TunedPolicy>>> = Mutex::new(Vec::new());
-
-/// Pushing an `Arc` built beforehand cannot leave the vector half-updated:
-/// a poisoned lock still guards a consistent registry.
-fn registry() -> MutexGuard<'static, Vec<Arc<TunedPolicy>>> {
-    REGISTRY.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Register a tuned bundle, returning its process-wide id. Ids are never
-/// recycled; registration is append-only so a `TunedId` held by a running
-/// cluster simulation can never dangle.
-pub fn register(t: TunedPolicy) -> TunedId {
-    let t = Arc::new(t);
-    let mut reg = registry();
-    let id = TunedId(u32::try_from(reg.len()).expect("tuned registry overflow"));
-    reg.push(t);
-    id
-}
-
-/// Look up a registered bundle (Arc-shared).
-pub fn get(id: TunedId) -> Option<Arc<TunedPolicy>> {
-    registry().get(id.0 as usize).cloned()
-}
-
-/// The [`Policy`] a registered id names. Panics on an unregistered id —
-/// that is a cross-process or stale-handle bug, never a runtime condition.
-pub fn policy_for(id: TunedId) -> Policy {
-    get(id)
-        .map(|t| t.policy)
-        .unwrap_or_else(|| panic!("TunedId({}) is not registered in this process", id.0))
-}
-
-/// The all-reduce bucket target a registered id names (the group-config
-/// knob admission must apply when measuring a tuned gang).
-pub fn bucket_bytes_for(id: TunedId) -> u64 {
-    get(id)
-        .map(|t| t.bucket_bytes)
-        .unwrap_or(DEFAULT_BUCKET_BYTES)
-}
-
 /// Does nothing: the tune memo is gone. Kept for its one caller,
 /// `benchmark/src/harness.rs:145`, which this repository's PRs may not
 /// edit; ROADMAP item 9's `[benchmark]` PR drops the call and this with it.
@@ -891,11 +836,6 @@ mod tests {
                 "workers={workers}"
             );
         }
-        // A tuned rung is the registered winner.
-        let id = register(a.tuned.clone());
-        assert_eq!(policy_for(id), a.tuned.policy);
-        assert_eq!(bucket_bytes_for(id), a.tuned.bucket_bytes);
-        assert_eq!(*get(id).unwrap(), a.tuned);
     }
 
     #[test]
