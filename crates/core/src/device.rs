@@ -1,5 +1,5 @@
-//! The simulated device bundle: spec + timeline + allocator + pinned host
-//! pool, with allocation latencies charged to the virtual clock.
+//! The simulated device bundle: allocator + pinned host tiers, with
+//! allocation latencies charged to a host clock (the planner keeps none).
 
 use sn_mempool::HeapPool;
 use sn_sim::{
@@ -16,95 +16,109 @@ pub enum AllocatorImpl {
     Cuda(CudaAllocator),
 }
 
-impl DeviceAllocator for AllocatorImpl {
-    fn alloc(&mut self, bytes: u64) -> Result<AllocGrant, AllocError> {
-        match self {
-            AllocatorImpl::Pool(p) => p.alloc(bytes),
-            AllocatorImpl::Cuda(c) => c.alloc(bytes),
-        }
-    }
-
-    fn free(&mut self, id: AllocId) -> Result<SimTime, AllocError> {
-        match self {
-            AllocatorImpl::Pool(p) => p.free(id),
-            AllocatorImpl::Cuda(c) => c.free(id),
-        }
-    }
-
-    fn used(&self) -> u64 {
-        match self {
-            AllocatorImpl::Pool(p) => p.used(),
-            AllocatorImpl::Cuda(c) => c.used(),
-        }
-    }
-
-    fn capacity(&self) -> u64 {
-        match self {
-            AllocatorImpl::Pool(p) => p.capacity(),
-            AllocatorImpl::Cuda(c) => c.capacity(),
-        }
-    }
-
-    fn high_water(&self) -> u64 {
-        match self {
-            AllocatorImpl::Pool(p) => p.high_water(),
-            AllocatorImpl::Cuda(c) => c.high_water(),
-        }
-    }
-
-    fn extent_high_water(&self) -> u64 {
-        match self {
-            AllocatorImpl::Pool(p) => p.extent_high_water(),
-            AllocatorImpl::Cuda(c) => c.extent_high_water(),
-        }
-    }
-
-    fn largest_free_contiguous(&self) -> u64 {
-        match self {
-            AllocatorImpl::Pool(p) => p.largest_free_contiguous(),
-            AllocatorImpl::Cuda(c) => c.largest_free_contiguous(),
-        }
-    }
-
-    fn reset_high_water(&mut self) {
-        match self {
-            AllocatorImpl::Pool(p) => p.reset_high_water(),
-            AllocatorImpl::Cuda(c) => c.reset_high_water(),
+impl AllocatorImpl {
+    fn new(spec: &DeviceSpec, kind: AllocatorKind) -> AllocatorImpl {
+        match kind {
+            AllocatorKind::HeapPool => Self::Pool(HeapPool::with_capacity(spec.dram_bytes)),
+            AllocatorKind::Cuda => Self::Cuda(CudaAllocator::new(spec)),
         }
     }
 }
 
-/// The simulated GPU as the executor sees it.
+/// `$body` on whichever allocator `$alloc` holds, bound to `$a`.
+macro_rules! on_alloc {
+    ($alloc:expr, $a:ident => $body:expr) => {
+        match $alloc {
+            AllocatorImpl::Pool($a) => $body,
+            AllocatorImpl::Cuda($a) => $body,
+        }
+    };
+}
+
+impl DeviceAllocator for AllocatorImpl {
+    fn alloc(&mut self, bytes: u64) -> Result<AllocGrant, AllocError> {
+        on_alloc!(self, a => a.alloc(bytes))
+    }
+
+    fn free(&mut self, id: AllocId) -> Result<SimTime, AllocError> {
+        on_alloc!(self, a => a.free(id))
+    }
+
+    fn used(&self) -> u64 {
+        on_alloc!(self, a => a.used())
+    }
+
+    fn capacity(&self) -> u64 {
+        on_alloc!(self, a => a.capacity())
+    }
+
+    fn high_water(&self) -> u64 {
+        on_alloc!(self, a => a.high_water())
+    }
+
+    fn extent_high_water(&self) -> u64 {
+        on_alloc!(self, a => a.extent_high_water())
+    }
+
+    fn largest_free_contiguous(&self) -> u64 {
+        on_alloc!(self, a => a.largest_free_contiguous())
+    }
+
+    fn reset_high_water(&mut self) {
+        on_alloc!(self, a => a.reset_high_water())
+    }
+}
+
+/// What an allocator call's latency is charged to.
+pub trait Clock: Default {
+    fn advance(&mut self, by: SimTime);
+}
+
+impl Clock for Timeline {
+    fn advance(&mut self, by: SimTime) {
+        Timeline::advance(self, by);
+    }
+}
+
+/// No clock: the planner sums the latencies in `alloc_time` and nothing else.
+impl Clock for () {
+    fn advance(&mut self, _: SimTime) {}
+}
+
+/// The simulated GPU's memory as the executor (`C` = its [`Timeline`]) and
+/// the planner (`C` = `()`) see it.
 #[derive(Debug, Clone)]
-pub struct Device {
-    pub spec: DeviceSpec,
-    pub tl: Timeline,
+pub struct Device<C = Timeline> {
+    pub tl: C,
     pub alloc: AllocatorImpl,
     /// The Unified Tensor Pool's external tiers (Fig. 7).
     pub host: TieredPool,
     /// Accumulated host-side allocator latency (Table 2's overhead).
     pub alloc_time: SimTime,
     pub alloc_calls: u64,
-    pub free_calls: u64,
 }
 
-impl Device {
-    pub fn new(spec: DeviceSpec, allocator: AllocatorKind, tiers: TierConfig) -> Device {
-        let alloc = match allocator {
-            AllocatorKind::HeapPool => {
-                AllocatorImpl::Pool(HeapPool::with_capacity(spec.dram_bytes))
-            }
-            AllocatorKind::Cuda => AllocatorImpl::Cuda(CudaAllocator::new(&spec)),
-        };
+impl<C: Clock> Device<C> {
+    pub fn new(spec: &DeviceSpec, allocator: AllocatorKind, tiers: TierConfig) -> Device<C> {
         Device {
-            spec,
-            tl: Timeline::new(),
+            tl: C::default(),
+            alloc: AllocatorImpl::new(spec, allocator),
             host: TieredPool::new(tiers),
-            alloc,
             alloc_time: SimTime::ZERO,
             alloc_calls: 0,
-            free_calls: 0,
         }
+    }
+
+    /// Become `new(spec, allocator, tiers)` in place (the clock aside),
+    /// keeping the pools' allocations and a same-kind allocator's.
+    pub(crate) fn reset(&mut self, spec: &DeviceSpec, allocator: AllocatorKind, tiers: TierConfig) {
+        match (&mut self.alloc, allocator) {
+            (AllocatorImpl::Pool(p), AllocatorKind::HeapPool) => p.reset(spec.dram_bytes),
+            (AllocatorImpl::Cuda(c), AllocatorKind::Cuda) => c.reset(spec),
+            (alloc, kind) => *alloc = AllocatorImpl::new(spec, kind),
+        }
+        self.host.reset(tiers);
+        (self.alloc_time, self.alloc_calls) = (SimTime::ZERO, 0);
     }
 
     /// Allocate, charging the call's latency to the host clock.
@@ -122,7 +136,6 @@ impl Device {
             Ok(cost) => {
                 self.tl.advance(cost);
                 self.alloc_time += cost;
-                self.free_calls += 1;
             }
             Err(e) => panic!("device free failed: {e}"),
         }
@@ -135,8 +148,8 @@ mod tests {
 
     #[test]
     fn pool_device_charges_small_latency() {
-        let mut d = Device::new(
-            DeviceSpec::k40c(),
+        let mut d = Device::<Timeline>::new(
+            &DeviceSpec::k40c(),
             AllocatorKind::HeapPool,
             TierConfig::default(),
         );
@@ -153,8 +166,8 @@ mod tests {
 
     #[test]
     fn cuda_device_charges_large_latency() {
-        let mut d = Device::new(
-            DeviceSpec::k40c(),
+        let mut d = Device::<Timeline>::new(
+            &DeviceSpec::k40c(),
             AllocatorKind::Cuda,
             TierConfig::default(),
         );
@@ -170,7 +183,7 @@ mod tests {
     fn capacity_respected_by_both() {
         for kind in [AllocatorKind::HeapPool, AllocatorKind::Cuda] {
             let spec = DeviceSpec::k40c().with_dram(1 << 20);
-            let mut d = Device::new(spec, kind, TierConfig::default());
+            let mut d = Device::<Timeline>::new(&spec, kind, TierConfig::default());
             assert!(d.alloc_charged(2 << 20).is_err());
         }
     }

@@ -373,6 +373,7 @@ pub struct Executor<'n> {
     /// the plan memo and with the sibling replicas of a device group.
     pub mplan: std::sync::Arc<MemoryPlan>,
     pub policy: Policy,
+    pub spec: DeviceSpec,
     pub dev: Device,
     utp: Utp,
     /// Held for the executor's lifetime: the permanently resident weights.
@@ -435,7 +436,7 @@ impl<'n> Executor<'n> {
             plan: mplan,
             valid_caps: _,
         } = compiled;
-        let mut dev = Device::new(spec, policy.allocator, policy.tiers);
+        let mut dev = Device::new(&spec, policy.allocator, policy.tiers);
 
         let wbytes = cost.total_weight_bytes();
         let weights_grant = if wbytes > 0 {
@@ -470,7 +471,7 @@ impl<'n> Executor<'n> {
             .map(|(i, l)| LayerInfo {
                 name: Arc::from(l.name.as_str()),
                 replay: match rplan.segment_of[i] {
-                    Some(_) => cost.layer(LayerId(i)).fwd_time(&l.kind, &dev.spec, 1.0),
+                    Some(_) => cost.layer(LayerId(i)).fwd_time(&l.kind, &spec, 1.0),
                     None => SimTime::ZERO,
                 },
             })
@@ -484,6 +485,7 @@ impl<'n> Executor<'n> {
             rplan,
             mplan,
             policy,
+            spec,
             dev,
             utp: Utp::new(tensors.len()),
             _weights_grant: weights_grant,
@@ -537,11 +539,11 @@ impl<'n> Executor<'n> {
 
     /// The Fig. 12 rows, one per CONV step in step order: the workspace
     /// the plan assigned against the max-speed want. A pure view of
-    /// [`MemoryPlan::steps`], so the rows exist as soon as the executor is
+    /// [`MemoryPlan::workspace`], so the rows exist as soon as the executor is
     /// built — before the first iteration — and never change.
     pub fn ws_records(&self) -> impl Iterator<Item = WorkspaceRecord> + '_ {
-        self.mplan.steps.iter().filter_map(|step| {
-            let ws = step.workspace?;
+        self.mplan.steps.iter().enumerate().filter_map(|(s, step)| {
+            let ws = self.mplan.workspace(s)?;
             Some(WorkspaceRecord {
                 layer: step.layer,
                 name: self.layers[step.layer.0].name.clone(),
@@ -563,9 +565,7 @@ impl<'n> Executor<'n> {
     fn tier_gbps(&self, t: TensorId) -> f64 {
         let tier = self.utp.tier_of(t);
         match tier {
-            Tier::LocalHost if !self.policy.pinned_host => {
-                tier.gbps() * self.dev.spec.unpinned_factor
-            }
+            Tier::LocalHost if !self.policy.pinned_host => tier.gbps() * self.spec.unpinned_factor,
             _ => tier.gbps(),
         }
     }
@@ -606,12 +606,16 @@ impl<'n> Executor<'n> {
     /// Allocate device memory the plan promised would fit. A failure here
     /// is a plan/replay divergence, which the deterministic allocator rules
     /// out — kept as a hard error rather than a panic for belt-and-braces.
+    /// It names the step's layer, or the end of the iteration for a final op.
     fn planned_alloc(&mut self, bytes: u64, step: usize) -> Result<sn_sim::AllocId, ExecError> {
         match self.dev.alloc_charged(bytes) {
             Ok(g) => Ok(g.id),
             Err(_) => Err(ExecError::Oom {
                 step,
-                layer: "plan replay".into(),
+                layer: match self.mplan.steps.get(step) {
+                    Some(sp) => self.layers[sp.layer.0].name.clone(),
+                    None => "end of iteration".into(),
+                },
                 requested: bytes,
                 capacity: self.dev.alloc.capacity(),
             }),
@@ -1366,6 +1370,50 @@ mod tests {
                 assert!(matches!(e, ExecError::Oom { .. }), "{e}");
             }
         }
+    }
+
+    #[test]
+    fn a_plan_driven_past_its_cap_names_where_it_failed() {
+        // A plan/replay divergence the deterministic allocator rules out,
+        // made by hand: one allocation mutated to a byte over the card.
+        let net = alex_stub(8);
+        let policy = Policy::superneurons();
+        let compiled = plan::compile(&net, &spec(), policy).unwrap();
+        let over = PlanOp::AllocTransient(spec().dram_bytes + 1);
+        let oom = |plan: MemoryPlan| {
+            let c = CompiledPlan {
+                plan: Arc::new(plan),
+                ..compiled.clone()
+            };
+            let mut ex = Executor::from_compiled(&net, spec(), policy, c).unwrap();
+            match ex.run_iteration().unwrap_err() {
+                ExecError::Oom { step, layer, .. } => (step, layer.to_string()),
+                e => panic!("{e}"),
+            }
+        };
+        let p = &*compiled.plan;
+        let (s, i) = (0..p.steps.len())
+            .find_map(|s| {
+                let r = p.steps[s].pre;
+                let i = (r.start..r.end).find(|&i| {
+                    matches!(
+                        p.ops[i as usize],
+                        PlanOp::AllocTransient(_) | PlanOp::AllocWorkspace(_)
+                    )
+                })?;
+                Some((s, i as usize))
+            })
+            .expect("some step allocates a transient");
+        let mut mutated = p.clone();
+        mutated.ops[i] = over;
+        let layer = net.layer(p.steps[s].layer).name.clone();
+        assert_eq!(oom(mutated), (s, layer));
+
+        let mut mutated = p.clone();
+        mutated.ops.push(over);
+        mutated.final_range.end += 1;
+        let end = (p.steps.len(), "end of iteration".to_string());
+        assert_eq!(oom(mutated), end);
     }
 
     #[test]

@@ -55,6 +55,13 @@ impl RecencyList {
         }
     }
 
+    /// Become `new(slots)` in place, keeping the links' allocation.
+    pub(crate) fn renew(&mut self, slots: usize) {
+        self.links.clear();
+        self.links.resize(slots, UNLINKED);
+        (self.head, self.tail, self.len) = (NONE, NONE, 0);
+    }
+
     /// Linked slots.
     pub(crate) fn len(&self) -> usize {
         self.len
@@ -288,15 +295,21 @@ impl<K: Copy + Eq + Hash, V: Clone> SharedMemo<K, V> {
         K: Send,
         V: Send,
     {
-        let died = std::thread::scope(|s| {
-            s.spawn(|| {
-                let _held = self.0.lock();
-                panic!("poisoning a memo lock on purpose");
-            })
-            .join()
-        });
-        assert!(died.is_err() && self.0.is_poisoned());
+        poison(&self.0);
     }
+}
+
+/// Poison `m` the way a thread dying under it would.
+#[cfg(test)]
+pub(crate) fn poison<T: Send>(m: &Mutex<T>) {
+    let died = std::thread::scope(|s| {
+        s.spawn(|| {
+            let _held = m.lock();
+            panic!("poisoning a lock on purpose");
+        })
+        .join()
+    });
+    assert!(died.is_err() && m.is_poisoned());
 }
 
 #[cfg(test)]

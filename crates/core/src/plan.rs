@@ -17,19 +17,15 @@
 //! framework comparisons are compile-only. The planner is therefore built
 //! for throughput, on three levels:
 //!
-//! * **Hot structures** — allocations go through
-//!   `sn_mempool::HeapPool` (first-fit over a short sorted vector of free
-//!   runs, O(1) largest-fragment) and
-//!   cache decisions through the O(1) intrusive LRU in [`crate::utp`]; the
-//!   walk itself allocates nothing per step: scratch buffers are reused,
-//!   tensor lists are borrowed from the liveness plan, error-path layer
-//!   names are only materialized on error, and the recomputed tensors
-//!   waiting to be dropped after a later step sit in one node pool
-//!   (`FreeQueues`: a first-in-first-out list per step threaded through a
-//!   single vector) rather than in a vector per step. What is left grows
-//!   with depth only by doublings of the op stream and of that pool. The
-//!   walk also skips what cannot happen: no reapable-offload drain while no
-//!   offload is pending, no prefetch scan while nothing is host-resident.
+//! * **Hot structures** — allocations go through `sn_mempool::HeapPool`
+//!   (first-fit over a short sorted vector of free runs, O(1)
+//!   largest-fragment) and cache decisions through the O(1) intrusive LRU
+//!   in [`crate::utp`]. A compile allocates the plan it returns and nothing
+//!   else: the walk runs in a `WalkState` (residency books, planning
+//!   allocator, host tiers, the op stream, scratch) that its [`Compiler`]
+//!   keeps between compiles and resets in place. The walk also skips what
+//!   cannot happen: no reapable-offload drain while no offload is pending,
+//!   no prefetch scan while nothing is host-resident.
 //! * **Analysis sharing** — `Route`, `NetCost`, `LivenessPlan` and
 //!   `RecomputePlan` depend only on `(net, liveness options, recompute
 //!   mode)`, not on the device; they are cached by [`Net::fingerprint`] and
@@ -75,7 +71,7 @@
 use std::hash::{Hash, Hasher};
 use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use sn_graph::liveness::{LivenessOptions, LivenessPlan, TensorId, TensorRole};
 use sn_graph::{LayerId, Net, NetCost, Route, StepPhase};
@@ -172,9 +168,10 @@ pub struct StepPlan {
     /// Residency ops after the kernel (transient release, eager offload,
     /// prefetch-ahead, liveness frees, recompute cleanup).
     pub post: OpRange,
-    /// CONV steps only: the dynamic workspace choice.
-    pub workspace: Option<WorkspacePlan>,
 }
+
+// Half a cache line: the interpreter reads one record per step it runs.
+const _: () = assert!(std::mem::size_of::<StepPlan>() <= 40);
 
 /// The static memory plan: per-step actions and the exact predicted peak.
 /// (Per-tensor creation and death steps are in
@@ -185,6 +182,9 @@ pub struct MemoryPlan {
     /// The flat op stream, in execution order (`pre(0) post(0) pre(1) …
     /// final`); steps and `final_range` index into it.
     pub ops: Vec<PlanOp>,
+    /// The dynamic workspace choice of every CONV step, `(step, choice)` in
+    /// step order; [`MemoryPlan::workspace`] reads one.
+    pub workspaces: Vec<(u32, WorkspacePlan)>,
     /// End-of-iteration ops (trailing offloads whose device copies release
     /// once every consumer has run).
     pub final_range: OpRange,
@@ -232,6 +232,12 @@ impl MemoryPlan {
     /// End-of-iteration ops.
     pub fn final_ops(&self) -> &[PlanOp] {
         self.ops_in(self.final_range)
+    }
+
+    /// Step `s`'s dynamic workspace choice: CONV steps only.
+    pub fn workspace(&self, s: usize) -> Option<WorkspacePlan> {
+        let at = self.workspaces.binary_search_by_key(&s, |w| w.0 as usize);
+        Some(self.workspaces[at.ok()?].1)
     }
 
     /// Analytic iteration-time estimate: the busiest engine bounds the
@@ -301,7 +307,7 @@ impl MemoryPlan {
                     StepPhase::Backward => "B",
                 },
                 net.layer(sp.layer).name,
-                sp.workspace
+                self.workspace(s)
                     .map(|w| format!("[{} ws={}] ", w.algo, w.bytes))
                     .unwrap_or_default(),
                 ops.join(" "),
@@ -575,6 +581,8 @@ pub struct MemoStats {
 pub struct Compiler {
     analyses: SharedMemo<AnalysisKey, Analyses>,
     plans: SharedMemo<PlanKey, Result<Arc<CompiledPlan>, ExecError>>,
+    /// Walk states no compile is using: one per compile run at once, at most.
+    walks: Mutex<Vec<WalkState>>,
     /// `plan.memo.hit` and `plan.memo.miss`: monotone, one relaxed
     /// increment a lookup.
     hits: Counter,
@@ -598,6 +606,7 @@ impl Compiler {
         Compiler {
             analyses: SharedMemo::new(ANALYSIS_CACHE_CAP),
             plans: SharedMemo::new(PLAN_MEMO_CAP),
+            walks: Mutex::new(Vec::new()),
             hits: metrics.counter("plan.memo.hit"),
             misses: metrics.counter("plan.memo.miss"),
             at_clear: (AtomicU64::new(0), AtomicU64::new(0)),
@@ -707,7 +716,34 @@ impl Compiler {
             self.analyses.insert(key, a.clone());
             a
         });
-        let (plan, valid_caps) = plan_with(net, spec, policy, &a, inference)?;
+        let reused = self.walks().pop();
+        let mut w = reused.unwrap_or_else(|| WalkState::new(spec, policy));
+        w.renew(spec, policy, &a);
+        let planned = Planner {
+            net,
+            spec,
+            route: &a.route,
+            cost: &a.cost,
+            liveness: &a.liveness,
+            rplan: &a.rplan,
+            max_algo: &a.max_algo,
+            policy,
+            inference,
+            w: &mut w,
+            counters: Counters::default(),
+            steps: Vec::with_capacity(a.route.total_steps()),
+            sec_start: 0,
+            peak_step: 0,
+            peak_seen: 0,
+            cap_bound: false,
+            cur_step: 0,
+            compute_ns: 0,
+            h2d_ns: 0,
+            d2h_ns: 0,
+        }
+        .run();
+        self.walks().push(w);
+        let (plan, valid_caps) = planned?;
         let compiled = CompiledPlan {
             route: a.route,
             cost: a.cost,
@@ -718,6 +754,12 @@ impl Compiler {
         };
         debug_assert_eq!(compiled.verify(net, spec, policy), Ok(()));
         Ok(compiled)
+    }
+
+    /// The free walk states. Only a pop or a push runs under this lock, so
+    /// a guard a panicking thread poisoned is still sound to take.
+    fn walks(&self) -> MutexGuard<'_, Vec<WalkState>> {
+        self.walks.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Hits and misses since the last [`Compiler::clear_plans`], and the
@@ -745,7 +787,7 @@ impl Compiler {
 
     /// [`Compiler::clear_plans`] plus the analysis cache: the next compile
     /// of any net pays the full route/cost/liveness/recompute derivation
-    /// again — the first-contact cold state.
+    /// again. Like a cleared memo's capacity, the free walk states stay.
     pub fn clear_all(&self) {
         self.clear_plans();
         self.analyses.clear();
@@ -812,61 +854,14 @@ pub fn compile_inference(
     Compiler::shared().compile_fresh(net, spec, policy, true)
 }
 
-/// Run the planner walk over prepared analyses: the plan, and the device
-/// caps it is valid for ([`CompiledPlan::valid_caps`]).
-fn plan_with(
-    net: &Net,
-    spec: &DeviceSpec,
-    policy: Policy,
-    a: &Analyses,
-    inference: bool,
-) -> Result<(MemoryPlan, RangeInclusive<u64>), ExecError> {
-    let total_steps = a.route.total_steps();
-    let planner = Planner {
-        net,
-        spec,
-        route: &a.route,
-        cost: &a.cost,
-        liveness: &a.liveness,
-        rplan: &a.rplan,
-        max_algo: &a.max_algo,
-        policy,
-        inference,
-        dev: Device::new(spec.clone(), policy.allocator, policy.tiers),
-        utp: Utp::new(a.liveness.tensors.len()),
-        counters: Counters::default(),
-        // Nothing is ever replayed without segments: no lists to allocate.
-        recomputed_free_at: FreeQueues::new(if a.rplan.segments.is_empty() {
-            0
-        } else {
-            total_steps
-        }),
-        steps: Vec::with_capacity(total_steps),
-        // Typical plans run 3-6 ops/step; reserving up front avoids the
-        // doubling-realloc copies of the single largest Vec a compile builds.
-        ops: Vec::with_capacity(4 * total_steps),
-        sec_start: 0,
-        reap_scratch: Vec::new(),
-        chain_scratch: Vec::new(),
-        peak_step: 0,
-        peak_seen: 0,
-        cap_bound: false,
-        cur_step: 0,
-        compute_ns: 0,
-        h2d_ns: 0,
-        d2h_ns: 0,
-    };
-    planner.run()
-}
-
 /// "No node": an empty list's head, the last node's link.
 const NIL: u32 = u32::MAX;
 
 /// The recomputed tensors to drop at the end of each step: one
 /// first-in-first-out list per step, all threaded through a single node
-/// pool, so a replay that schedules a drop allocates nothing (the pool
-/// doubles like any vector). Drop order is push order — it is the order of
-/// the plan's `release` ops.
+/// pool, so a replay that schedules a drop allocates nothing. Drop order is
+/// push order — it is the order of the plan's `release` ops.
+#[derive(Debug, Default)]
 struct FreeQueues {
     /// Per step: the first and the last node of its list, or [`NIL`].
     head: Vec<u32>,
@@ -876,12 +871,13 @@ struct FreeQueues {
 }
 
 impl FreeQueues {
-    fn new(steps: usize) -> FreeQueues {
-        FreeQueues {
-            head: vec![NIL; steps],
-            tail: vec![NIL; steps],
-            nodes: Vec::new(),
+    /// `steps` empty lists, in the allocations already held.
+    fn renew(&mut self, steps: usize) {
+        for ends in [&mut self.head, &mut self.tail] {
+            ends.clear();
+            ends.resize(steps, NIL);
         }
+        self.nodes.clear();
     }
 
     fn push(&mut self, step: usize, t: TensorId) {
@@ -891,6 +887,54 @@ impl FreeQueues {
             NIL => self.head[step] = node,
             last => self.nodes[last as usize].1 = node,
         }
+    }
+}
+
+/// Everything a plan walk works in that is not its result. A [`Compiler`]
+/// keeps these between compiles, so a warm compile allocates the plan it
+/// returns and nothing else.
+#[derive(Debug)]
+struct WalkState {
+    dev: Device<()>,
+    utp: Utp,
+    /// Recomputed tensors to drop at the end of a given step (no lists at
+    /// all when the recompute plan has no segments).
+    recomputed_free_at: FreeQueues,
+    /// The op stream, copied out at its exact length when the walk ends;
+    /// the section since `Planner::sec_start` is the one being accumulated.
+    ops: Vec<PlanOp>,
+    /// `(step, choice)` per CONV step, copied out like `ops`.
+    workspaces: Vec<(u32, WorkspacePlan)>,
+    /// Reused buffer for the per-step reapable-offload drain.
+    reap_scratch: Vec<TensorId>,
+    /// Reused buffer for a memory-centric replay's dependency chain.
+    chain_scratch: Vec<LayerId>,
+}
+
+impl WalkState {
+    fn new(spec: &DeviceSpec, policy: Policy) -> WalkState {
+        WalkState {
+            dev: Device::new(spec, policy.allocator, policy.tiers),
+            utp: Utp::new(0),
+            recomputed_free_at: FreeQueues::default(),
+            ops: Vec::new(),
+            workspaces: Vec::new(),
+            reap_scratch: Vec::new(),
+            chain_scratch: Vec::new(),
+        }
+    }
+
+    /// Ready for a walk of `a` on `spec` under `policy`, as if new: all a
+    /// failed walk left behind — pins, pending offloads, grants — goes.
+    fn renew(&mut self, spec: &DeviceSpec, policy: Policy, a: &Analyses) {
+        self.dev.reset(spec, policy.allocator, policy.tiers);
+        self.utp.renew(a.liveness.tensors.len());
+        // Nothing is ever replayed without segments: no lists to fill.
+        let replays = !a.rplan.segments.is_empty();
+        self.recomputed_free_at
+            .renew(if replays { a.route.total_steps() } else { 0 });
+        self.ops.clear();
+        self.workspaces.clear();
     }
 }
 
@@ -917,22 +961,12 @@ struct Planner<'a> {
     max_algo: &'a [AlgoChoice],
     policy: Policy,
     inference: bool,
-    dev: Device,
-    utp: Utp,
+    w: &'a mut WalkState,
     counters: Counters,
-    /// Recomputed tensors to drop at the end of a given step (no lists at
-    /// all when the recompute plan has no segments).
-    recomputed_free_at: FreeQueues,
     /// The steps planned so far, pushed in place.
     steps: Vec<StepPlan>,
-    /// The plan's flat op stream; the section since `sec_start` is the one
-    /// currently being accumulated (pre, post, or final).
-    ops: Vec<PlanOp>,
+    /// Where the op section being accumulated starts in `w.ops`.
     sec_start: usize,
-    /// Reused buffer for the per-step reapable-offload drain.
-    reap_scratch: Vec<TensorId>,
-    /// Reused buffer for a memory-centric replay's dependency chain.
-    chain_scratch: Vec<LayerId>,
     peak_step: usize,
     peak_seen: u64,
     /// Has the device cap decided anything yet? Set by the two places that
@@ -957,16 +991,16 @@ impl<'a> Planner<'a> {
     fn take_section(&mut self) -> OpRange {
         let r = OpRange {
             start: self.sec_start as u32,
-            end: self.ops.len() as u32,
+            end: self.w.ops.len() as u32,
         };
-        self.sec_start = self.ops.len();
+        self.sec_start = self.w.ops.len();
         r
     }
 
     /// Effective transfer bandwidth for `t`'s external tier (the pageable
     /// penalty applies to the local-host tier only).
     fn tier_gbps(&self, t: TensorId) -> f64 {
-        let tier = self.utp.tier_of(t);
+        let tier = self.w.utp.tier_of(t);
         match tier {
             Tier::LocalHost if !self.policy.pinned_host => tier.gbps() * self.spec.unpinned_factor,
             _ => tier.gbps(),
@@ -983,10 +1017,11 @@ impl<'a> Planner<'a> {
     /// allocation can tell one cap from a larger one.
     fn charged_alloc(&mut self, bytes: u64) -> Result<AllocGrant, sn_sim::AllocError> {
         let g = self
+            .w
             .dev
             .alloc_charged(bytes)
             .inspect_err(|_| self.cap_bound = true)?;
-        let used = self.dev.alloc.used();
+        let used = self.w.dev.alloc.used();
         if used > self.peak_seen {
             self.peak_seen = used;
             self.peak_step = self.cur_step;
@@ -996,14 +1031,14 @@ impl<'a> Planner<'a> {
 
     /// Emit `ReleaseDevice(t)` and apply it.
     fn release_device(&mut self, t: TensorId) {
-        self.ops.push(PlanOp::ReleaseDevice(t));
-        self.utp.release_device(t, &mut self.dev);
+        self.w.ops.push(PlanOp::ReleaseDevice(t));
+        self.w.utp.release_device(t, &mut self.w.dev);
     }
 
     /// Drop a recomputed tensor's device copy (memory-centric cleanup),
     /// honouring the lock/offloading guards.
     fn drop_device_copy(&mut self, t: TensorId) {
-        let st = self.utp.state(t);
+        let st = self.w.utp.state(t);
         if st.lock > 0 || st.offloading || st.residence() != Residence::Device {
             return;
         }
@@ -1014,23 +1049,24 @@ impl<'a> Planner<'a> {
     /// step-boundary drain that pins the memory trajectory at every
     /// allocation point, independent of DMA timing.
     fn drain_reapable(&mut self, step: usize) {
-        if self.utp.pending_offloads.is_empty() {
+        if self.w.utp.pending_offloads.is_empty() {
             return;
         }
-        let mut scratch = std::mem::take(&mut self.reap_scratch);
-        self.utp.collect_reapable(self.liveness, step, &mut scratch);
+        let w = &mut *self.w;
+        let mut scratch = std::mem::take(&mut w.reap_scratch);
+        w.utp.collect_reapable(self.liveness, step, &mut scratch);
         self.counters.reaps += scratch.len() as u64;
         for &t in &scratch {
             self.release_device(t);
         }
-        self.reap_scratch = scratch;
+        self.w.reap_scratch = scratch;
     }
 
     /// One rung of the reclamation ladder: release the earliest reapable
     /// in-flight offload, else evict via the Tensor Cache. `Ok(true)` means
     /// memory may have been freed and the allocation is worth retrying.
     fn reclaim_some(&mut self, step: usize) -> Result<bool, ExecError> {
-        if let Some(t) = self.utp.first_reapable(self.liveness, step) {
+        if let Some(t) = self.w.utp.first_reapable(self.liveness, step) {
             self.counters.reaps += 1;
             self.release_device(t);
             return Ok(true);
@@ -1045,7 +1081,7 @@ impl<'a> Planner<'a> {
     /// copy-out if its contents are still needed, release directly if a
     /// valid host copy exists (or the contents are dead).
     fn evict_one(&mut self, step: usize) -> Result<bool, ExecError> {
-        let Some(victim) = self.utp.pick_victim(self.policy.cache_policy) else {
+        let Some(victim) = self.w.utp.pick_victim(self.policy.cache_policy) else {
             return Ok(false);
         };
         // Inclusive: a tensor whose last use is the *current* step is still
@@ -1054,16 +1090,16 @@ impl<'a> Planner<'a> {
         let needed_later =
             meta.last_use_step >= step || meta.bwd_last_use.is_some_and(|b| b >= step);
         let bytes = meta.bytes;
-        let st = self.utp.state(victim);
+        let st = self.w.utp.state(victim);
         debug_assert_eq!(st.residence(), Residence::Device);
         if needed_later && !st.host_valid {
-            if !self.utp.ensure_host_slot(victim, bytes, &mut self.dev) {
+            if !self.w.utp.ensure_host_slot(victim, bytes, &mut self.w.dev) {
                 return Err(ExecError::HostExhausted { requested: bytes });
             }
             self.d2h_ns += self.transfer_ns(victim);
-            self.utp.mark_offloading(victim, true);
-            self.utp.lru_remove(victim);
-            self.ops.push(PlanOp::Offload {
+            self.w.utp.mark_offloading(victim, true);
+            self.w.utp.lru_remove(victim);
+            self.w.ops.push(PlanOp::Offload {
                 t: victim,
                 evict: true,
             });
@@ -1101,7 +1137,7 @@ impl<'a> Planner<'a> {
                             AllocFor::Transient => "transient buffer".into(),
                         },
                         requested: bytes,
-                        capacity: self.dev.alloc.capacity(),
+                        capacity: self.w.dev.alloc.capacity(),
                     });
                 }
             }
@@ -1123,7 +1159,7 @@ impl<'a> Planner<'a> {
             WorkspacePolicy::Dynamic => self.max_algo[layer.0],
             WorkspacePolicy::Capped(cap) => convalgo::select_algo(self.net, layer, cap),
         };
-        let alloc = &self.dev.alloc;
+        let alloc = &self.w.dev.alloc;
         let memory = alloc.free_bytes().min(alloc.largest_free_contiguous());
         // The limit's own winner, where the pool can hold it, is what the
         // selector would pick again under the smaller budget (see
@@ -1137,10 +1173,10 @@ impl<'a> Planner<'a> {
 
     /// Make `t` device-resident (the Check() of Alg. 2; may recompute).
     fn ensure_present(&mut self, t: TensorId, step: usize) -> Result<(), ExecError> {
-        match self.utp.state(t).residence() {
+        match self.w.utp.state(t).residence() {
             Residence::Device => {
                 self.counters.cache_hits += 1;
-                self.utp.lru_touch(t);
+                self.w.utp.lru_touch(t);
                 Ok(())
             }
             Residence::Host => {
@@ -1148,9 +1184,9 @@ impl<'a> Planner<'a> {
                 let meta = self.meta(t);
                 let (bytes, layer) = (meta.bytes, meta.layer);
                 let g = self.ladder_alloc(bytes, step, AllocFor::Layer(layer))?;
-                self.utp.mark_device(t, g.id, self.policy.tensor_cache);
+                self.w.utp.mark_device(t, g.id, self.policy.tensor_cache);
                 self.h2d_ns += self.transfer_ns(t);
-                self.ops.push(PlanOp::Fetch(t));
+                self.w.ops.push(PlanOp::Fetch(t));
                 self.counters.prefetches += 1;
                 Ok(())
             }
@@ -1168,7 +1204,7 @@ impl<'a> Planner<'a> {
                 let layer = meta.layer;
                 self.recompute_for(layer, step)?;
                 assert_eq!(
-                    self.utp.state(t).residence(),
+                    self.w.utp.state(t).residence(),
                     Residence::Device,
                     "replay of {} at step {step} did not leave its output on the device",
                     self.net.layer(layer).name
@@ -1191,14 +1227,14 @@ impl<'a> Planner<'a> {
         // The anchor checkpoint seeds the replay: bring it back first.
         let anchor_t = self.liveness.fwd_out[anchor.0];
         self.ensure_present(anchor_t, step)?;
-        self.utp.lock(anchor_t);
+        self.w.utp.lock(anchor_t);
 
         // Speed-centric replays walk the segment's member list in place
         // (it lives in the shared recompute plan); memory-centric replays
         // walk the dependency chain computed for this specific layer, into
         // a buffer every replay reuses (the loop below never re-enters this
         // function, so one buffer is enough).
-        let mut chain = std::mem::take(&mut self.chain_scratch);
+        let mut chain = std::mem::take(&mut self.w.chain_scratch);
         let members: &[LayerId] = match strategy {
             SegmentStrategy::SpeedCentric => &rplan.segments[si].members,
             SegmentStrategy::MemoryCentric => {
@@ -1225,45 +1261,45 @@ impl<'a> Planner<'a> {
         // one pin of this replay until the replay ends, so a later member's
         // allocation can evict neither an input still to be read nor the
         // output the caller asked for. (An `Err` below leaves the pins
-        // held: a failed compile drops the planner.)
+        // held: the next walk in this walk state forgets them.)
         for (i, &m) in members.iter().enumerate() {
             if anchor_pinned && i > last_anchor_reader {
-                self.utp.unlock(anchor_t);
+                self.w.utp.unlock(anchor_t);
                 anchor_pinned = false;
             }
             let mt = self.liveness.fwd_out[m.0];
-            match self.utp.state(mt).residence() {
+            match self.w.utp.state(mt).residence() {
                 Residence::Device => {
                     // Materialized by an earlier replay.
-                    self.utp.lock(mt);
+                    self.w.utp.lock(mt);
                     continue;
                 }
                 Residence::Host => {
                     // A previously recomputed copy was evicted to the host;
                     // fetching it back is cheaper than recomputing the chain.
                     self.ensure_present(mt, step)?;
-                    self.utp.lock(mt);
+                    self.w.utp.lock(mt);
                     continue;
                 }
                 Residence::None => {}
             }
             let bytes = self.meta(mt).bytes;
             let g = self.ladder_alloc(bytes, step, AllocFor::Layer(m))?;
-            self.utp.mark_device(mt, g.id, self.policy.tensor_cache);
-            self.utp.lock(mt);
-            self.ops.push(PlanOp::Alloc(mt));
+            self.w.utp.mark_device(mt, g.id, self.policy.tensor_cache);
+            self.w.utp.lock(mt);
+            self.w.ops.push(PlanOp::Alloc(mt));
             // Inputs of a segment member are its producers' outputs: the
             // anchor or earlier members, which the replay holds pinned.
             for &p in &self.net.layer(m).prevs {
                 assert_eq!(
-                    self.utp.state(self.liveness.fwd_out[p.0]).residence(),
+                    self.w.utp.state(self.liveness.fwd_out[p.0]).residence(),
                     Residence::Device,
                     "replay of {} at step {step} reads {} off the device",
                     self.net.layer(m).name,
                     self.net.layer(p).name
                 );
             }
-            self.ops.push(PlanOp::Recompute(m));
+            self.w.ops.push(PlanOp::Recompute(m));
             let lk = &self.net.layer(m).kind;
             self.compute_ns += self.cost.layer(m).fwd_time(lk, self.spec, 1.0).as_ns();
             self.counters.recompute_forwards += 1;
@@ -1271,19 +1307,19 @@ impl<'a> Planner<'a> {
             match strategy {
                 SegmentStrategy::SpeedCentric => {
                     let free_at = self.meta(mt).bwd_last_use.unwrap_or(step).max(step);
-                    self.recomputed_free_at.push(free_at, mt);
+                    self.w.recomputed_free_at.push(free_at, mt);
                 }
                 SegmentStrategy::MemoryCentric => {
                     if let Some(prev) = prev_link.take() {
                         // Consumed: the link's bytes go now. Its pin is
                         // lifted for the drop and put back, so the closing
                         // walk unpins every member alike.
-                        self.utp.unlock(prev);
+                        self.w.utp.unlock(prev);
                         self.drop_device_copy(prev);
-                        self.utp.lock(prev);
+                        self.w.utp.lock(prev);
                     }
                     if m == target {
-                        self.recomputed_free_at.push(step, mt);
+                        self.w.recomputed_free_at.push(step, mt);
                     } else {
                         prev_link = Some(mt);
                     }
@@ -1291,13 +1327,13 @@ impl<'a> Planner<'a> {
             }
         }
         for &m in members {
-            self.utp.unlock(self.liveness.fwd_out[m.0]);
+            self.w.utp.unlock(self.liveness.fwd_out[m.0]);
         }
 
         if anchor_pinned {
-            self.utp.unlock(anchor_t);
+            self.w.utp.unlock(anchor_t);
         }
-        self.chain_scratch = chain;
+        self.w.chain_scratch = chain;
         Ok(())
     }
 
@@ -1305,7 +1341,7 @@ impl<'a> Planner<'a> {
     /// upcoming backward steps, up to and including the next offloadable
     /// checkpoint's backward. Opportunistic: never evicts on its behalf.
     fn prefetch_ahead(&mut self, step: usize) {
-        if self.utp.host_resident() == 0 {
+        if self.w.utp.host_resident() == 0 {
             return;
         }
         let route = self.route;
@@ -1315,16 +1351,16 @@ impl<'a> Planner<'a> {
         let mut seen_ckpt = false;
         for s in (step + 1)..total.min(step + 1 + depth) {
             for &t in &liveness.step_inputs[s] {
-                if self.utp.state(t).residence() != Residence::Host {
+                if self.w.utp.state(t).residence() != Residence::Host {
                     continue;
                 }
                 let bytes = self.meta(t).bytes;
                 let Ok(g) = self.charged_alloc(bytes) else {
                     return;
                 };
-                self.utp.mark_device(t, g.id, self.policy.tensor_cache);
+                self.w.utp.mark_device(t, g.id, self.policy.tensor_cache);
                 self.h2d_ns += self.transfer_ns(t);
-                self.ops.push(PlanOp::Fetch(t));
+                self.w.ops.push(PlanOp::Fetch(t));
                 self.counters.prefetches += 1;
             }
             let l = route.step(s).layer;
@@ -1347,7 +1383,7 @@ impl<'a> Planner<'a> {
         let kind = &self.net.layer(layer_id).kind;
         let lcost = self.cost.layer(layer_id);
 
-        debug_assert_eq!(self.sec_start, self.ops.len());
+        debug_assert_eq!(self.sec_start, self.w.ops.len());
 
         // Reap offloads whose consumers have all run, so this step's
         // allocations see the same free memory a synchronous engine would.
@@ -1358,39 +1394,41 @@ impl<'a> Planner<'a> {
             self.ensure_present(t, s)?;
             // Lock immediately: ensuring a later input may trigger eviction
             // and must not victimize an input we already staged.
-            self.utp.lock(t);
+            self.w.utp.lock(t);
         }
 
         // 2. Materialize this step's outputs.
         for &t in &liveness.created_at[s] {
-            if self.utp.state(t).residence() == Residence::None {
+            if self.w.utp.state(t).residence() == Residence::None {
                 let meta = self.meta(t);
                 let (bytes, layer) = (meta.bytes, meta.layer);
                 let g = self.ladder_alloc(bytes, s, AllocFor::Layer(layer))?;
-                self.utp.mark_device(t, g.id, self.policy.tensor_cache);
-                self.ops.push(PlanOp::Alloc(t));
+                self.w.utp.mark_device(t, g.id, self.policy.tensor_cache);
+                self.w.ops.push(PlanOp::Alloc(t));
             }
-            self.utp.lock(t);
+            self.w.utp.lock(t);
         }
 
         // 3. Transients: dynamic conv workspace (§3.5) and the backward
         //    weight-gradient buffer (or forward mask workspace).
         let mut choice = AlgoChoice::fallback();
-        let mut workspace = None;
         let mut ws_grant = None;
         if matches!(kind, sn_graph::LayerKind::Conv { .. }) {
             choice = self.choose_workspace(layer_id);
             if choice.workspace > 0 {
                 ws_grant = Some(self.ladder_alloc(choice.workspace, s, AllocFor::Workspace)?);
-                self.ops.push(PlanOp::AllocWorkspace(choice.workspace));
+                self.w.ops.push(PlanOp::AllocWorkspace(choice.workspace));
             }
             let max_choice = self.max_algo[layer_id.0];
-            workspace = Some(WorkspacePlan {
-                bytes: choice.workspace,
-                max_speed_bytes: max_choice.workspace,
-                algo: choice.algo.name(),
-                speedup: choice.speedup,
-            });
+            self.w.workspaces.push((
+                s as u32,
+                WorkspacePlan {
+                    bytes: choice.workspace,
+                    max_speed_bytes: max_choice.workspace,
+                    algo: choice.algo.name(),
+                    speedup: choice.speedup,
+                },
+            ));
         }
         let transient_bytes = if step.phase == StepPhase::Backward {
             lcost.wgrad_bytes
@@ -1399,7 +1437,7 @@ impl<'a> Planner<'a> {
         };
         let tr_grant = if transient_bytes > 0 {
             let g = self.ladder_alloc(transient_bytes, s, AllocFor::Transient)?;
-            self.ops.push(PlanOp::AllocTransient(transient_bytes));
+            self.w.ops.push(PlanOp::AllocTransient(transient_bytes));
             Some(g)
         } else {
             None
@@ -1415,12 +1453,12 @@ impl<'a> Planner<'a> {
 
         // 5. Release transients.
         if ws_grant.is_some() || tr_grant.is_some() {
-            self.ops.push(PlanOp::FreeTransients);
+            self.w.ops.push(PlanOp::FreeTransients);
             if let Some(g) = ws_grant {
-                self.dev.free_charged(g.id);
+                self.w.dev.free_charged(g.id);
             }
             if let Some(g) = tr_grant {
-                self.dev.free_charged(g.id);
+                self.w.dev.free_charged(g.id);
             }
         }
 
@@ -1429,7 +1467,7 @@ impl<'a> Planner<'a> {
             .iter()
             .chain(liveness.created_at[s].iter())
         {
-            self.utp.unlock(t);
+            self.w.utp.unlock(t);
         }
 
         // 7. Eager offload of checkpoint outputs (Fig. 10b policy). Never
@@ -1442,14 +1480,14 @@ impl<'a> Planner<'a> {
             let t = liveness.fwd_out[layer_id.0];
             let meta = self.meta(t);
             let (offloadable, bytes) = (meta.offloadable, meta.bytes);
-            let st = self.utp.state(t);
+            let st = self.w.utp.state(t);
             if offloadable && bytes > 0 && !st.host_valid && !st.offloading {
-                if !self.utp.ensure_host_slot(t, bytes, &mut self.dev) {
+                if !self.w.utp.ensure_host_slot(t, bytes, &mut self.w.dev) {
                     return Err(ExecError::HostExhausted { requested: bytes });
                 }
                 self.d2h_ns += self.transfer_ns(t);
-                self.utp.mark_offloading(t, false);
-                self.ops.push(PlanOp::Offload { t, evict: false });
+                self.w.utp.mark_offloading(t, false);
+                self.w.ops.push(PlanOp::Offload { t, evict: false });
                 self.counters.offloads += 1;
             }
         }
@@ -1461,16 +1499,22 @@ impl<'a> Planner<'a> {
 
         // 9. Liveness frees.
         for &t in &liveness.freed_after[s] {
-            let st = self.utp.state(t);
+            let st = self.w.utp.state(t);
             if st.residence() != Residence::None || st.host_slot.is_some() {
-                self.ops.push(PlanOp::Free(t));
-                self.utp.free_tensor(t, &mut self.dev);
+                self.w.ops.push(PlanOp::Free(t));
+                self.w.utp.free_tensor(t, &mut self.w.dev);
             }
         }
         // Recomputed-tensor frees scheduled for this step.
-        let mut node = self.recomputed_free_at.head.get(s).copied().unwrap_or(NIL);
+        let mut node = self
+            .w
+            .recomputed_free_at
+            .head
+            .get(s)
+            .copied()
+            .unwrap_or(NIL);
         while node != NIL {
-            let (t, next) = self.recomputed_free_at.nodes[node as usize];
+            let (t, next) = self.w.recomputed_free_at.nodes[node as usize];
             self.drop_device_copy(t);
             node = next;
         }
@@ -1482,7 +1526,6 @@ impl<'a> Planner<'a> {
             duration,
             pre,
             post,
-            workspace,
         });
         Ok(())
     }
@@ -1495,7 +1538,7 @@ impl<'a> Planner<'a> {
                 step: 0,
                 layer: "WEIGHTS".into(),
                 requested: weight_bytes,
-                capacity: self.dev.alloc.capacity(),
+                capacity: self.w.dev.alloc.capacity(),
             });
         }
 
@@ -1509,16 +1552,17 @@ impl<'a> Planner<'a> {
         self.drain_reapable(total);
         let final_range = self.take_section();
 
-        let peak_bytes = self.dev.alloc.high_water();
+        let peak_bytes = self.w.dev.alloc.high_water();
         debug_assert_eq!(peak_bytes, self.peak_seen);
         let valid_caps = if self.cap_bound {
             self.spec.dram_bytes..=self.spec.dram_bytes
         } else {
-            self.dev.alloc.extent_high_water()..=u64::MAX
+            self.w.dev.alloc.extent_high_water()..=u64::MAX
         };
         let plan = MemoryPlan {
             steps: self.steps,
-            ops: self.ops,
+            ops: self.w.ops.to_vec(),
+            workspaces: self.w.workspaces.to_vec(),
             final_range,
             peak_bytes,
             peak_step: self.peak_step,
@@ -1526,7 +1570,7 @@ impl<'a> Planner<'a> {
             predicted: self.counters,
             inference: self.inference,
             compute_ns: self.compute_ns,
-            alloc_ns: self.dev.alloc_time.as_ns(),
+            alloc_ns: self.w.dev.alloc_time.as_ns(),
             h2d_ns: self.h2d_ns,
             d2h_ns: self.d2h_ns,
             serialized: self.policy.sync_transfers,
@@ -1813,8 +1857,12 @@ mod tests {
         assert!(c.evictions > 0, "4 MiB must bind: {}", c.json());
         assert!(c.prefetches > c.cache_misses, "prefetch-ahead must fetch");
         assert_eq!(sn.valid_caps, 4 << 20..=4 << 20, "this cap's plan alone");
-        let squeezed = |s: &StepPlan| s.workspace.is_some_and(|w| w.bytes < w.max_speed_bytes);
-        assert!(sn.plan.steps.iter().any(squeezed));
+        let squeezed = |s| {
+            sn.plan
+                .workspace(s)
+                .is_some_and(|w| w.bytes < w.max_speed_bytes)
+        };
+        assert!((0..sn.plan.steps.len()).any(squeezed));
 
         let golden = include_str!("../tests/golden/plan_digests.txt");
         let cells = golden_cells();
@@ -2150,6 +2198,92 @@ mod tests {
         );
         assert!(!hit && p.unwrap().plan.peak_bytes > 0);
         assert_eq!(memo.stats().entries, 1);
+    }
+
+    #[test]
+    fn a_panic_under_the_walk_state_lock_does_not_fail_later_compiles() {
+        let c = Compiler::new();
+        let (net, spec, sn) = (small_net(6), DeviceSpec::k40c(), Policy::superneurons());
+        let first = plan_digest(&net, &c.compile_fresh(&net, &spec, sn, false));
+        crate::memo::poison(&c.walks);
+        let again = plan_digest(&net, &c.compile_fresh(&net, &spec, sn, false));
+        assert_eq!(again, first);
+        assert_eq!(c.walks().len(), 1, "the one walk state is reused and back");
+    }
+
+    #[test]
+    fn a_reused_walk_state_changes_no_plan() {
+        // One compiler runs every walk in the walk state the walk before
+        // left behind; each plan must be the one a compiler that never
+        // walked before makes.
+        let reused = Compiler::new();
+        let check = |net: &Net, cap: u64, policy: Policy| {
+            let spec = DeviceSpec::k40c().with_dram(cap);
+            let got = reused.compile_fresh(net, &spec, policy, false);
+            let want = Compiler::new().compile_fresh(net, &spec, policy, false);
+            assert_eq!(plan_digest(net, &got), plan_digest(net, &want), "{cap}");
+            got.is_err()
+        };
+        // First a walk that fails mid-step: inputs pinned, copy-outs
+        // pending, grants held — none of it released.
+        let (net, offload) = (fanout_net(16), Policy::liveness_offload());
+        let n = compile(&net, &DeviceSpec::k40c(), offload)
+            .unwrap()
+            .liveness
+            .tensors
+            .len();
+        let left_held = |w: &WalkState| {
+            let pinned = (0..n).any(|t| w.utp.state(TensorId(t)).lock > 0);
+            pinned && !w.utp.pending_offloads.is_empty() && w.dev.alloc.used() > 0
+        };
+        let failed = (100..=200)
+            .map(|x| x * 20_000)
+            .find(|&cap| check(&net, cap, offload) && left_held(reused.walks().last().unwrap()));
+        assert!(failed.is_some(), "no cap fails with pins and offloads held");
+        check(
+            &sn_models::resnet_depth(8, 1000),
+            12 << 30,
+            Policy::superneurons(),
+        );
+        // The allocator's kind changes, stays, and changes back.
+        for cap in [4 << 20, 12 << 30] {
+            check(&net, cap, Policy::superneurons_cuda_alloc());
+        }
+        for (_, net, cap, policy) in golden_cells() {
+            check(&net, cap, policy);
+        }
+        assert_eq!(reused.walks().len(), 1);
+    }
+
+    #[test]
+    fn two_threads_on_one_compiler_get_the_sequential_plans() {
+        // The golden digests are what a lone compiler makes, one cell after
+        // another; two threads walking different nets at once, each in
+        // whichever walk state it pops, make the same. The threads start
+        // their compiles in lockstep while both have cells left.
+        let golden = include_str!("../tests/golden/plan_digests.txt");
+        let cells: Vec<_> = golden_cells().into_iter().zip(golden.lines()).collect();
+        let (fanout, rest): (Vec<_>, Vec<_>) = cells
+            .iter()
+            .partition(|((label, ..), _)| label.starts_with("fanout16"));
+        let rounds = fanout.len().min(rest.len());
+        let (c, lockstep) = (Compiler::new(), std::sync::Barrier::new(2));
+        std::thread::scope(|s| {
+            for cells in [fanout, rest] {
+                let (c, lockstep) = (&c, &lockstep);
+                s.spawn(move || {
+                    for (i, ((label, net, cap, policy), want)) in cells.into_iter().enumerate() {
+                        if i < rounds {
+                            lockstep.wait();
+                        }
+                        let spec = DeviceSpec::k40c().with_dram(*cap);
+                        let got = c.compile_fresh(net, &spec, *policy, false);
+                        assert_eq!(format!("{label} {}", plan_digest(net, &got)), *want);
+                    }
+                });
+            }
+        });
+        assert!((1..=2).contains(&c.walks().len()));
     }
 
     #[test]

@@ -110,6 +110,13 @@ impl TieredPool {
         }
     }
 
+    /// Become `new(cfg)` in place, keeping every pool's allocation.
+    pub(crate) fn reset(&mut self, cfg: TierConfig) {
+        self.peer.reset(cfg.peer_gpu_bytes);
+        self.local.reset(cfg.local_host_bytes);
+        self.remote.reset(cfg.remote_bytes);
+    }
+
     fn pool(&mut self, tier: Tier) -> &mut PinnedHostPool {
         match tier {
             Tier::PeerGpu => &mut self.peer,

@@ -36,7 +36,7 @@
 use sn_graph::liveness::{LivenessPlan, TensorId};
 use sn_sim::AllocId;
 
-use crate::device::Device;
+use crate::device::{Clock, Device};
 use crate::memo::RecencyList;
 use crate::policy::CachePolicy;
 use crate::tiers::{Tier, TierSlot};
@@ -109,8 +109,9 @@ pub struct Utp {
     insertion_clock: u64,
     /// How many `states` are [`Residence::Device`] and how many
     /// [`Residence::Host`] — moved by [`Utp::set_residence`] and zeroed by
-    /// [`Utp::reset`], the only two writers of `residence`. (`u32`, like the
-    /// cache's tensor indices: the pair takes the room the one count did.)
+    /// [`Utp::reset`] and [`Utp::renew`], the only writers of `residence`.
+    /// (`u32`, like the cache's tensor indices: the pair takes the room the
+    /// one count did.)
     device_resident: u32,
     host_resident: u32,
     /// Tensors with an in-flight device→host copy, in submission order
@@ -128,6 +129,17 @@ impl Utp {
             host_resident: 0,
             pending_offloads: Vec::new(),
         }
+    }
+
+    /// Become `new(n_tensors)` in place, keeping every allocation: pins,
+    /// pending offloads and grants a walk left behind are forgotten.
+    pub(crate) fn renew(&mut self, n_tensors: usize) {
+        self.states.clear();
+        self.states.resize(n_tensors, TensorState::EMPTY);
+        self.cache.renew(n_tensors);
+        self.pending_offloads.clear();
+        self.insertion_clock = 0;
+        (self.device_resident, self.host_resident) = (0, 0);
     }
 
     #[inline]
@@ -265,7 +277,12 @@ impl Utp {
 
     /// Reserve an external slot for `t` in the fastest tier with room.
     /// Returns `false` when every tier is exhausted.
-    pub fn ensure_host_slot(&mut self, t: TensorId, bytes: u64, dev: &mut Device) -> bool {
+    pub fn ensure_host_slot<C: Clock>(
+        &mut self,
+        t: TensorId,
+        bytes: u64,
+        dev: &mut Device<C>,
+    ) -> bool {
         if self.states[t.0].host_slot.is_some() {
             return true;
         }
@@ -304,7 +321,7 @@ impl Utp {
     /// host-valid eviction). The host copy, if any, becomes the residence.
     /// Returns `true` when the tensor's *contents* are now gone entirely
     /// (caller must notify the numeric backend).
-    pub fn release_device(&mut self, t: TensorId, dev: &mut Device) -> bool {
+    pub fn release_device<C: Clock>(&mut self, t: TensorId, dev: &mut Device<C>) -> bool {
         let st = &mut self.states[t.0];
         let was_offloading = st.offloading;
         if was_offloading {
@@ -332,7 +349,7 @@ impl Utp {
     /// Fully release `t`: device grant, host slot, pending transfers.
     /// In-flight copy-outs are *cancelled*, not awaited (the contents are
     /// dead). Always notify the backend after calling this.
-    pub fn free_tensor(&mut self, t: TensorId, dev: &mut Device) {
+    pub fn free_tensor<C: Clock>(&mut self, t: TensorId, dev: &mut Device<C>) {
         let st = &mut self.states[t.0];
         debug_assert_eq!(st.lock, 0, "freeing a locked tensor");
         let was_offloading = st.offloading;
@@ -433,7 +450,7 @@ mod tests {
 
     fn dev() -> Device {
         Device::new(
-            DeviceSpec::k40c().with_dram(1 << 20),
+            &DeviceSpec::k40c().with_dram(1 << 20),
             AllocatorKind::HeapPool,
             TierConfig::local_only(1 << 20),
         )

@@ -80,22 +80,29 @@ impl std::error::Error for PlanViolation {}
 
 /// Where a tensor is: nowhere, on the device, on the device with a
 /// copy-out in flight, or as a valid host copy only.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum At {
+    #[default]
     None,
     Device,
     Leaving,
     Host,
 }
 
+/// What the model knows of one tensor.
+#[derive(Debug, Clone, Copy, Default)]
+struct Held {
+    at: At,
+    /// A valid host copy exists (kept across a `Fetch`, dropped by `Free`).
+    valid: bool,
+    /// A host slot is reserved (from the first copy-out until `Free`).
+    slot: bool,
+}
+
 struct Model<'a> {
     c: &'a CompiledPlan,
     net: &'a Net,
-    at: Vec<At>,
-    /// A valid host copy exists (kept across a `Fetch`, dropped by `Free`).
-    valid: Vec<bool>,
-    /// A host slot is reserved (from the first copy-out until `Free`).
-    slot: Vec<bool>,
+    tensors: Vec<Held>,
     device: u64,
     host: u64,
     peak: u64,
@@ -124,13 +131,10 @@ impl CompiledPlan {
             AllocatorKind::Cuda => (256, spec.dram_bytes),
         };
         let t = policy.tiers;
-        let n = self.liveness.tensors.len();
         Model {
             c: self,
             net,
-            at: vec![At::None; n],
-            valid: vec![false; n],
-            slot: vec![false; n],
+            tensors: vec![Held::default(); self.liveness.tensors.len()],
             device: 0,
             host: 0,
             peak: 0,
@@ -176,7 +180,7 @@ impl Model<'_> {
     }
 
     fn on_device(&self, t: TensorId) -> bool {
-        matches!(self.at[t.0], At::Device | At::Leaving)
+        matches!(self.tensors[t.0].at, At::Device | At::Leaving)
     }
 
     fn run(&mut self) -> Result<(), PlanViolation> {
@@ -230,37 +234,41 @@ impl Model<'_> {
                     PlanOp::Alloc(_) => (At::None, Rule::DoubleAlloc),
                     _ => (At::Host, Rule::FetchWithoutHostCopy),
                 };
-                self.ensure(self.at[t.0] == from, i, rule)?;
-                self.at[t.0] = At::Device;
+                self.ensure(self.tensors[t.0].at == from, i, rule)?;
+                self.tensors[t.0].at = At::Device;
                 self.grant(i, self.bytes(t))?;
             }
             PlanOp::Offload { t, .. } => {
-                let only_on_device = self.at[t.0] == At::Device && !self.valid[t.0];
+                let only_on_device = self.tensors[t.0].at == At::Device && !self.tensors[t.0].valid;
                 self.ensure(only_on_device, i, Rule::OffloadNotOnDevice)?;
-                self.at[t.0] = At::Leaving;
-                if !std::mem::replace(&mut self.slot[t.0], true) {
+                self.tensors[t.0].at = At::Leaving;
+                if !std::mem::replace(&mut self.tensors[t.0].slot, true) {
                     self.host += c.liveness.tensors[t.0].bytes;
                 }
                 self.ensure(self.host <= self.host_cap, i, Rule::HostOverCapacity)?;
             }
             PlanOp::ReleaseDevice(t) => {
                 self.ensure(self.on_device(t), i, Rule::ReleaseOfAbsent)?;
-                self.valid[t.0] |= self.at[t.0] == At::Leaving;
-                self.at[t.0] = if self.valid[t.0] { At::Host } else { At::None };
+                self.tensors[t.0].valid |= self.tensors[t.0].at == At::Leaving;
+                self.tensors[t.0].at = if self.tensors[t.0].valid {
+                    At::Host
+                } else {
+                    At::None
+                };
                 self.device -= self.bytes(t);
             }
             PlanOp::Free(t) => {
-                let held = self.at[t.0] != At::None || self.slot[t.0];
+                let held = self.tensors[t.0].at != At::None || self.tensors[t.0].slot;
                 self.ensure(held, i, Rule::FreeOfAbsent)?;
                 self.device -= if self.on_device(t) { self.bytes(t) } else { 0 };
-                if std::mem::take(&mut self.slot[t.0]) {
+                if std::mem::take(&mut self.tensors[t.0].slot) {
                     self.host -= c.liveness.tensors[t.0].bytes;
                 }
-                (self.at[t.0], self.valid[t.0]) = (At::None, false);
+                (self.tensors[t.0].at, self.tensors[t.0].valid) = (At::None, false);
             }
             PlanOp::Recompute(l) => {
                 let fwd_out = &c.liveness.fwd_out;
-                let allocated = self.at[fwd_out[l.0].0] == At::Device;
+                let allocated = self.tensors[fwd_out[l.0].0].at == At::Device;
                 self.ensure(allocated, i, Rule::RecomputeBeforeAlloc)?;
                 let prevs = &self.net.layer(l).prevs;
                 let inputs = prevs.iter().all(|p| self.on_device(fwd_out[p.0]));
@@ -269,7 +277,7 @@ impl Model<'_> {
             PlanOp::AllocWorkspace(bytes) | PlanOp::AllocTransient(bytes) => {
                 let k = usize::from(matches!(op, PlanOp::AllocTransient(_)));
                 self.ensure(self.held[k].is_none(), i, Rule::UnpairedTransient)?;
-                let budget = c.plan.steps.get(self.step).and_then(|s| s.workspace);
+                let budget = c.plan.workspace(self.step);
                 let within = k == 1 || budget.is_some_and(|w| bytes <= w.bytes);
                 self.ensure(within, i, Rule::WorkspaceOverBudget)?;
                 self.held[k] = Some(self.rounded(bytes));

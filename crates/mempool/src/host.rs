@@ -44,6 +44,14 @@ impl PinnedHostPool {
         }
     }
 
+    /// Become `new(capacity)` in place, keeping the slab's allocation.
+    pub fn reset(&mut self, capacity: u64) {
+        self.slots.clear();
+        self.spare.clear();
+        (self.capacity, self.used, self.high_water) = (capacity, 0, 0);
+        (self.next_seq, self.live) = (0, 0);
+    }
+
     /// Reserve a pinned slot of `bytes`. Returns `None` when the host pool is
     /// exhausted (the runtime then falls back to failing the training run —
     /// matching a machine that cannot pin more RAM).

@@ -196,7 +196,7 @@ impl RunIndex {
 /// runs live in `RunIndex` — the paper's address-ordered empty list with an
 /// O(1) largest-fragment read; first-fit is "lowest address among fits",
 /// deterministic.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct HeapPool {
     total_blocks: u64,
     /// Address-indexed empty runs.
@@ -215,19 +215,25 @@ impl HeapPool {
     /// pool of zero blocks: every `alloc` answers `OutOfMemory` with nothing
     /// free — a cap is outside input, and too small a one is an OOM.
     pub fn with_capacity(capacity_bytes: u64) -> Self {
-        let total_blocks = capacity_bytes / BLOCK_BYTES;
-        let mut empty = RunIndex::default();
-        if total_blocks > 0 {
-            empty.free_run(0, total_blocks);
+        let mut pool = HeapPool::default();
+        pool.reset(capacity_bytes);
+        pool
+    }
+
+    /// Become `with_capacity(capacity_bytes)` in place, keeping the lists'
+    /// allocations: a planner that reuses one pool allocates nothing for it.
+    pub fn reset(&mut self, capacity_bytes: u64) {
+        self.total_blocks = capacity_bytes / BLOCK_BYTES;
+        self.empty.nodes.clear();
+        self.empty.max = 0;
+        if self.total_blocks > 0 {
+            self.empty.free_run(0, self.total_blocks);
         }
-        HeapPool {
-            total_blocks,
-            empty,
-            allocated: AllocTable::default(),
-            used_blocks: 0,
-            high_water_blocks: 0,
-            extent_blocks: 0,
-        }
+        let table = &mut self.allocated;
+        table.slots.clear();
+        table.spare.clear();
+        (table.next_seq, table.live) = (0, 0);
+        (self.used_blocks, self.high_water_blocks, self.extent_blocks) = (0, 0, 0);
     }
 
     /// Blocks needed for `bytes`: an exact `div_ceil` as shift + remainder

@@ -160,6 +160,12 @@ impl CudaAllocator {
         }
     }
 
+    /// Become `new(spec)` in place, keeping the live map's allocation.
+    pub fn reset(&mut self, spec: &DeviceSpec) {
+        self.live = std::mem::replace(self, CudaAllocator::new(spec)).live;
+        self.live.clear();
+    }
+
     fn malloc_cost(&self, bytes: u64) -> SimTime {
         let mib = bytes.div_ceil(crate::spec::MB);
         SimTime(self.malloc_base.0 + self.malloc_per_mib.0 * mib)
