@@ -1,0 +1,154 @@
+//! Golden iteration digests: the interpreter's simulated outputs, pinned as
+//! the plans (`plan_digests.txt`) and the cluster's schedules
+//! (`schedule_digests.txt`) are.
+//!
+//! Each cell builds an executor, runs a cold and a warm iteration, and folds
+//! every field of both reports — iteration time, peak, PCIe and link bytes,
+//! counters, allocator time and calls, stall, stream busy times, overlap,
+//! loss — into one digest, pinned in `tests/golden/iteration_digests.txt`.
+//! The cells are the paper's Table 4/5 regime and the `train_exec`
+//! benchmark's: deep ResNets under every recomputation mode on the 12 GB
+//! K40c, a memory-bound VGG16, a forward-only serving executor, and a
+//! 4-replica PCIe gang, whose digest also covers the gang's own fields. A
+//! moved digest means the interpreter moved a simulated number; the test
+//! prints each changed cell's two reports under `--nocapture`. Never
+//! regenerate the file to make a change pass.
+
+use std::hash::{Hash, Hasher};
+
+use sn_graph::Net;
+use sn_models as models;
+use sn_runtime::{
+    ExecError, Executor, GroupConfig, GroupExecutor, Interconnect, Policy, RecomputeMode,
+};
+use sn_sim::spec::GB;
+use sn_sim::DeviceSpec;
+
+/// What a cell runs its two iterations on.
+enum Run {
+    Training,
+    Inference,
+    Gang(usize),
+}
+
+struct Cell {
+    label: &'static str,
+    net: Net,
+    spec: DeviceSpec,
+    policy: Policy,
+    run: Run,
+}
+
+fn cells() -> Vec<Cell> {
+    let k40 = DeviceSpec::k40c();
+    let recompute = |mode| Policy {
+        recompute: mode,
+        ..Policy::superneurons()
+    };
+    let cell = |label, net, spec: &DeviceSpec, policy, run| Cell {
+        label,
+        net,
+        spec: spec.clone(),
+        policy,
+        run,
+    };
+    vec![
+        cell(
+            "resnet1000/b16 superneurons",
+            models::resnet_depth(16, 1000),
+            &k40,
+            Policy::superneurons(),
+            Run::Training,
+        ),
+        cell(
+            "resnet1920/b16 superneurons",
+            models::resnet_depth(16, 1920),
+            &k40,
+            Policy::superneurons(),
+            Run::Training,
+        ),
+        cell(
+            "resnet1000/b16 speed_centric",
+            models::resnet_depth(16, 1000),
+            &k40,
+            recompute(RecomputeMode::SpeedCentric),
+            Run::Training,
+        ),
+        cell(
+            "resnet1000/b16 memory_centric",
+            models::resnet_depth(16, 1000),
+            &k40,
+            recompute(RecomputeMode::MemoryCentric),
+            Run::Training,
+        ),
+        cell(
+            "vgg16/b64@4GB superneurons",
+            models::vgg16(64),
+            &k40.clone().with_dram(4 * GB),
+            Policy::superneurons(),
+            Run::Training,
+        ),
+        cell(
+            "resnet101/b32 inference superneurons",
+            models::resnet101(32),
+            &k40,
+            Policy::superneurons(),
+            Run::Inference,
+        ),
+        cell(
+            "resnet50/b32 pcie-gang4 superneurons",
+            models::resnet50(32),
+            &k40,
+            Policy::superneurons(),
+            Run::Gang(4),
+        ),
+    ]
+}
+
+/// The cold and the warm report of a cell, in their `Debug` form: every
+/// field, by construction.
+fn reports(cell: &Cell) -> Result<[String; 2], ExecError> {
+    let (spec, policy) = (cell.spec.clone(), cell.policy);
+    Ok(match cell.run {
+        Run::Training | Run::Inference => {
+            let mut ex = match cell.run {
+                Run::Training => Executor::new(&cell.net, spec, policy)?,
+                _ => Executor::new_inference(&cell.net, spec, policy)?,
+            };
+            let cold = ex.run_iteration()?;
+            [format!("{cold:?}"), format!("{:?}", ex.run_iteration()?)]
+        }
+        Run::Gang(replicas) => {
+            let cfg = GroupConfig::new(replicas, Interconnect::pcie());
+            let mut gx = GroupExecutor::new(&cell.net, spec, policy, cfg)?;
+            let cold = gx.run_iteration()?;
+            [format!("{cold:?}"), format!("{:?}", gx.run_iteration()?)]
+        }
+    })
+}
+
+fn digest(reports: &[String; 2]) -> String {
+    let mut h = fxhash::FxHasher::default();
+    reports.hash(&mut h);
+    format!("{:016x}", h.finish())
+}
+
+#[test]
+fn iterations_match_their_golden_digests() {
+    let golden = include_str!("golden/iteration_digests.txt");
+    let cells = cells();
+    assert_eq!(golden.lines().count(), cells.len());
+    let mut changed = Vec::new();
+    for (cell, want) in cells.iter().zip(golden.lines()) {
+        let reports = reports(cell).unwrap_or_else(|e| panic!("{}: {e}", cell.label));
+        let got = format!("{} {}", cell.label, digest(&reports));
+        if got != want {
+            println!("{got}\n  cold {}\n  warm {}", reports[0], reports[1]);
+            changed.push(cell.label);
+        }
+    }
+    assert!(
+        changed.is_empty(),
+        "iterations changed (reports on stdout): {changed:?}"
+    );
+}
