@@ -25,8 +25,11 @@
 //! the kernel submit. Everything else a reader may want of a step — number,
 //! layer name, phase, free bytes — is already in the plan or the device and
 //! is joined in when somebody asks ([`Executor::step_records`]), as Fig. 12's
-//! rows are ([`Executor::ws_records`]). A replay's duration is worked out
-//! once per layer when the executor is built.
+//! rows are ([`Executor::ws_records`]). A replay's duration and the tensor
+//! it waits on are worked out once per layer when the executor is built
+//! (`LayerInfo`), so a replay reads neither the graph nor the liveness
+//! plan; debug builds hold it to the graph, asserting that no producer but
+//! the one it waits on has a fetch landing.
 //!
 //! The same interpreter drives both execution modes: *virtual* (durations
 //! from the cost model; used by every paper-scale experiment) and *numeric*
@@ -337,7 +340,9 @@ struct StepSample {
     live_tensors: u32,
 }
 
-/// Per-layer facts fixed when the executor is built.
+/// Per-layer facts fixed when the executor is built: what a replay needs,
+/// so a warm step's `recompute` reads neither the graph nor the liveness
+/// plan.
 struct LayerInfo {
     /// Interned name — span labels and record views share it instead of
     /// cloning a `String`.
@@ -345,6 +350,9 @@ struct LayerInfo {
     /// Roofline duration of replaying this layer's forward (§3.4), zero for
     /// a layer no recomputation segment contains.
     replay: SimTime,
+    /// The tensor a replay of this layer waits on, its first producer's
+    /// output; an id no tensor has for a layer no segment contains.
+    replay_input: TensorId,
 }
 
 /// The completion event of a copy on `stream` that lands at `done_at`.
@@ -468,12 +476,19 @@ impl<'n> Executor<'n> {
             .layers()
             .iter()
             .enumerate()
-            .map(|(i, l)| LayerInfo {
-                name: Arc::from(l.name.as_str()),
-                replay: match rplan.segment_of[i] {
-                    Some(_) => cost.layer(LayerId(i)).fwd_time(&l.kind, &spec, 1.0),
-                    None => SimTime::ZERO,
-                },
+            .map(|(i, l)| {
+                let (replay, replay_input) = match rplan.segment_of[i] {
+                    Some(_) => (
+                        cost.layer(LayerId(i)).fwd_time(&l.kind, &spec, 1.0),
+                        liveness.fwd_out[l.prevs[0].0],
+                    ),
+                    None => (SimTime::ZERO, TensorId(usize::MAX)),
+                };
+                LayerInfo {
+                    name: Arc::from(l.name.as_str()),
+                    replay,
+                    replay_input,
+                }
             })
             .collect();
         let samples = Vec::with_capacity(mplan.steps.len());
@@ -699,10 +714,19 @@ impl<'n> Executor<'n> {
                 self.notify_drop(t);
             }
             PlanOp::Recompute(l) => {
-                // The replay reads its producer synchronously: wait out any
-                // in-flight prefetch of the producer's output first.
-                let p = self.net.layer(l).prevs[0];
-                let pt = self.plan.fwd_out[p.0];
+                // The replay reads its producers synchronously: wait out any
+                // in-flight prefetch of its input first. Only that input can
+                // have one — a segment's anchor, fetched back for its first
+                // replay; later members read what the replays rebuilt.
+                let pt = self.layers[l.0].replay_input;
+                debug_assert!(
+                    self.net.layer(l).prevs.iter().all(|p| {
+                        let t = self.plan.fwd_out[p.0];
+                        t == pt || self.tensors[t.0].prefetch_done == SimTime::ZERO
+                    }),
+                    "replay of {} at step {step}: another producer is still being fetched",
+                    self.layers[l.0].name
+                );
                 let fetched = std::mem::take(&mut self.tensors[pt.0].prefetch_done);
                 self.dev.tl.wait(copy_done(StreamId::H2D, fetched));
                 if self.dev.tl.tracing() {
@@ -1182,6 +1206,120 @@ mod tests {
             sink.data().flows.len() - abandoned_flows,
             clean_sink.data().flows.len()
         );
+    }
+
+    /// The five presets, then superneurons under the two recomputation
+    /// modes it does not use.
+    fn presets_and_recompute_modes() -> [Policy; 7] {
+        let sn = Policy::superneurons();
+        [
+            Policy::baseline(),
+            Policy::liveness_only(),
+            Policy::liveness_offload(),
+            Policy::full_memory(),
+            sn,
+            Policy {
+                recompute: RecomputeMode::SpeedCentric,
+                ..sn
+            },
+            Policy {
+                recompute: RecomputeMode::MemoryCentric,
+                ..sn
+            },
+        ]
+    }
+
+    #[test]
+    fn a_replay_waits_on_the_only_producer_with_a_fetch_landing() {
+        // The debug oracle checks it at every replay. Cold and warm
+        // iterations, training and inference, on the open card and at a cap
+        // where the Tensor Cache must evict.
+        let nets = [
+            sn_models::resnet50(8),
+            sn_models::vgg16(8),
+            sn_models::densenet(8, 12, 6),
+            sn_models::inception_v4(8),
+        ];
+        let (mut replayed, mut fetched, mut evicted) = (0, 0, 0);
+        for net in &nets {
+            let full = Executor::new(net, spec(), Policy::full_memory())
+                .unwrap()
+                .run_iteration()
+                .unwrap();
+            for card in [spec(), spec().with_dram(full.peak_bytes + 4 * MB)] {
+                for policy in presets_and_recompute_modes() {
+                    for inference in [false, true] {
+                        let built = match inference {
+                            false => Executor::new(net, card.clone(), policy),
+                            true => Executor::new_inference(net, card.clone(), policy),
+                        };
+                        // Under the tight cap the weaker presets do not fit.
+                        let Ok(mut ex) = built else { continue };
+                        for _ in ["cold", "warm"] {
+                            let r = ex.run_iteration().unwrap();
+                            assert_eq!(r.peak_bytes, ex.mplan.peak_bytes);
+                            replayed += r.counters.recompute_forwards;
+                            fetched += r.counters.prefetches;
+                            evicted += r.counters.evictions;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            replayed > 0 && fetched > 0 && evicted > 0,
+            "replayed {replayed}, fetched {fetched}, evicted {evicted}"
+        );
+    }
+
+    #[test]
+    fn a_plan_that_fails_mid_step_leaves_no_landing_time_behind() {
+        // A plan mutated to fail a transient allocation in the pre-ops of a
+        // step after the first fetch: the iteration returns its error
+        // mid-step, with fetches landing that no kernel has gated on. The
+        // clean plan's next iterations must run as an undisturbed
+        // executor's do.
+        let net = vgg_stub(16);
+        let full = Executor::new(&net, spec(), Policy::full_memory())
+            .unwrap()
+            .run_iteration()
+            .unwrap();
+        let tight = spec().with_dram(full.peak_bytes + 4 * MB);
+        let policy = Policy {
+            eager_offload: true,
+            ..Policy::superneurons()
+        };
+        let mut ex = Executor::new(&net, tight.clone(), policy).unwrap();
+        ex.run_iteration().unwrap();
+        let warm = format!("{:?}", ex.run_iteration().unwrap());
+
+        let clean = ex.mplan.clone();
+        let fetch = clean
+            .ops
+            .iter()
+            .position(|op| matches!(op, PlanOp::Fetch(_)))
+            .expect("the cap makes the plan fetch");
+        let (s, i) = (0..clean.steps.len())
+            .find_map(|s| {
+                let pre = clean.steps[s].pre;
+                let a = clean.ops_in(pre).iter().position(|op| {
+                    matches!(op, PlanOp::AllocTransient(_) | PlanOp::AllocWorkspace(_))
+                })?;
+                Some((s, pre.start as usize + a)).filter(|&(_, i)| i > fetch)
+            })
+            .expect("a later step allocates a transient");
+        let mut mutated = (*clean).clone();
+        mutated.ops[i] = PlanOp::AllocTransient(tight.dram_bytes + 1);
+        ex.mplan = Arc::new(mutated);
+        match ex.run_iteration() {
+            Err(ExecError::Oom { step, .. }) => assert_eq!(step, s),
+            r => panic!("the mutated plan must fail at step {s}: {r:?}"),
+        }
+        assert!(ex.tensors.iter().any(|t| t.prefetch_done > SimTime::ZERO));
+
+        ex.mplan = clean;
+        ex.run_iteration().unwrap();
+        assert_eq!(format!("{:?}", ex.run_iteration().unwrap()), warm);
     }
 
     #[test]
