@@ -1148,9 +1148,10 @@ mod tests {
     #[test]
     fn abandoned_iteration_does_not_leak_into_the_next() {
         // Offloads, evictions and fetches under a binding cap, abandoned
-        // twice with copies in flight and tensors resident: the next
-        // iteration's reset must sweep all of it — states, grants, host
-        // slots and the interpreter's own completion times.
+        // three times with copies in flight and tensors resident — the last
+        // by a plan mutated to fail mid-step: the next iteration's reset
+        // must sweep all of it — states, grants, host slots and the
+        // interpreter's own completion times.
         let net = vgg_stub(16);
         let full = Executor::new(&net, spec(), Policy::full_memory())
             .unwrap()
@@ -1186,6 +1187,33 @@ mod tests {
         abandon_after(&mut ex, steps / 2 + 2);
         assert!(in_flight(&ex, |s| s.prefetch_done) > 0);
         assert!(ex.utp.device_resident() > 0 && ex.utp.host_resident() > 0);
+        // A transient allocation past the card in the pre-ops of a step
+        // after the first fetch: the iteration errs there, part-way into
+        // the step, with fetches landing.
+        let clean_plan = ex.mplan.clone();
+        let fetch = clean_plan
+            .ops
+            .iter()
+            .position(|op| matches!(op, PlanOp::Fetch(_)))
+            .expect("the cap makes the plan fetch");
+        let (s, i) = (0..steps)
+            .find_map(|s| {
+                let pre = clean_plan.steps[s].pre;
+                let a = clean_plan.ops_in(pre).iter().position(|op| {
+                    matches!(op, PlanOp::AllocTransient(_) | PlanOp::AllocWorkspace(_))
+                })?;
+                Some((s, pre.start as usize + a)).filter(|&(_, i)| i > fetch)
+            })
+            .expect("a later step allocates a transient");
+        let mut mutated = (*clean_plan).clone();
+        mutated.ops[i] = PlanOp::AllocTransient(tight.dram_bytes + 1);
+        ex.mplan = Arc::new(mutated);
+        match ex.run_iteration() {
+            Err(ExecError::Oom { step, .. }) => assert_eq!(step, s),
+            r => panic!("the mutated plan must fail at step {s}: {r:?}"),
+        }
+        assert!(in_flight(&ex, |s| s.prefetch_done) > 0);
+        ex.mplan = clean_plan;
         let abandoned_flows = sink.data().flows.len();
 
         ex.run_iteration().unwrap();
@@ -1270,56 +1298,6 @@ mod tests {
             replayed > 0 && fetched > 0 && evicted > 0,
             "replayed {replayed}, fetched {fetched}, evicted {evicted}"
         );
-    }
-
-    #[test]
-    fn a_plan_that_fails_mid_step_leaves_no_landing_time_behind() {
-        // A plan mutated to fail a transient allocation in the pre-ops of a
-        // step after the first fetch: the iteration returns its error
-        // mid-step, with fetches landing that no kernel has gated on. The
-        // clean plan's next iterations must run as an undisturbed
-        // executor's do.
-        let net = vgg_stub(16);
-        let full = Executor::new(&net, spec(), Policy::full_memory())
-            .unwrap()
-            .run_iteration()
-            .unwrap();
-        let tight = spec().with_dram(full.peak_bytes + 4 * MB);
-        let policy = Policy {
-            eager_offload: true,
-            ..Policy::superneurons()
-        };
-        let mut ex = Executor::new(&net, tight.clone(), policy).unwrap();
-        ex.run_iteration().unwrap();
-        let warm = format!("{:?}", ex.run_iteration().unwrap());
-
-        let clean = ex.mplan.clone();
-        let fetch = clean
-            .ops
-            .iter()
-            .position(|op| matches!(op, PlanOp::Fetch(_)))
-            .expect("the cap makes the plan fetch");
-        let (s, i) = (0..clean.steps.len())
-            .find_map(|s| {
-                let pre = clean.steps[s].pre;
-                let a = clean.ops_in(pre).iter().position(|op| {
-                    matches!(op, PlanOp::AllocTransient(_) | PlanOp::AllocWorkspace(_))
-                })?;
-                Some((s, pre.start as usize + a)).filter(|&(_, i)| i > fetch)
-            })
-            .expect("a later step allocates a transient");
-        let mut mutated = (*clean).clone();
-        mutated.ops[i] = PlanOp::AllocTransient(tight.dram_bytes + 1);
-        ex.mplan = Arc::new(mutated);
-        match ex.run_iteration() {
-            Err(ExecError::Oom { step, .. }) => assert_eq!(step, s),
-            r => panic!("the mutated plan must fail at step {s}: {r:?}"),
-        }
-        assert!(ex.tensors.iter().any(|t| t.prefetch_done > SimTime::ZERO));
-
-        ex.mplan = clean;
-        ex.run_iteration().unwrap();
-        assert_eq!(format!("{:?}", ex.run_iteration().unwrap()), warm);
     }
 
     #[test]
