@@ -10,12 +10,13 @@
 //! reusing its bytes), submits kernels gated on every input's in-flight
 //! prefetch, and drives the optional numeric backend.
 //!
-//! Because the interpreter performs the identical alloc/free sequence
-//! through an identical allocator, the measured peak equals
-//! [`MemoryPlan::peak_bytes`] **exactly** — the invariant cluster admission
-//! relies on, asserted per-iteration in debug builds and across the whole
-//! preset × model matrix by the `plan` bench experiment. Overlap changes
-//! *when* transfers run, never what is resident.
+//! The interpreter runs no allocator: [`CompiledPlan::verify`], run once
+//! when the executor is built, proves the plan's grants fit this card, and
+//! the device counts bytes at the allocator's granularity, so the measured
+//! peak equals [`MemoryPlan::peak_bytes`] **exactly** — the invariant cluster
+//! admission relies on, asserted per-iteration in debug builds and across
+//! the whole preset × model matrix by the `plan` bench experiment. Overlap
+//! changes *when* transfers run, never what is resident.
 //!
 //! **What a warm step touches.** The plan's ops and the step's `StepPlan`;
 //! per tensor an op names, one [`crate::utp::TensorState`] (one cache line)
@@ -43,17 +44,17 @@ use sn_graph::liveness::{LivenessPlan, TensorId, TensorRole};
 use sn_graph::{LayerId, Net, NetCost, Route, StepPhase};
 use sn_sim::trace::Phase;
 use sn_sim::{
-    DeviceAllocator, DeviceSpec, Event, OverlapStats, SimTime, SpanLabel, StepRecord, StepTrace,
-    StreamId, TraceSink,
+    DeviceSpec, Event, OverlapStats, SimTime, SpanLabel, StepRecord, StepTrace, StreamId, TraceSink,
 };
 use sn_telemetry::{Counter, Gauge, Histogram, Json, MetricsRegistry};
 
-use crate::device::Device;
+use crate::device::{Memory, SimDevice};
 use crate::plan::{self, CompiledPlan, MemoryPlan, PlanOp};
 use crate::policy::Policy;
 use crate::recompute::RecomputePlan;
 use crate::tiers::Tier;
 use crate::utp::{Residence, Utp};
+use crate::verify::{PlanViolation, Rule};
 
 /// Hook for numeric execution: the executor tells the backend *when* to
 /// compute and *which* values ceased to exist; the backend owns the values.
@@ -379,13 +380,14 @@ pub struct Executor<'n> {
     pub rplan: std::sync::Arc<RecomputePlan>,
     /// The compiled schedule this executor interprets — `Arc`-shared with
     /// the plan memo and with the sibling replicas of a device group.
+    /// Public because callers read it (the benchmark's `train_exec` checks
+    /// `ex.mplan.peak_bytes`). A plan assigned here after build is not
+    /// verified: only the device's capacity check guards it.
     pub mplan: std::sync::Arc<MemoryPlan>,
     pub policy: Policy,
     pub spec: DeviceSpec,
-    pub dev: Device,
+    pub dev: SimDevice,
     utp: Utp,
-    /// Held for the executor's lifetime: the permanently resident weights.
-    _weights_grant: Option<sn_sim::AllocId>,
     /// The current step's transient grants (workspace, weight gradient).
     ws_grant: Option<sn_sim::AllocId>,
     tr_grant: Option<sn_sim::AllocId>,
@@ -430,12 +432,16 @@ impl<'n> Executor<'n> {
         Executor::from_compiled(net, spec, policy, compiled)
     }
 
+    /// Build the interpreter once [`CompiledPlan::verify`] proves the
+    /// plan's grants fit `spec`: a plan that does not fit is the OOM or host
+    /// exhaustion an iteration would meet; another broken rule panics.
     pub(crate) fn from_compiled(
         net: &'n Net,
         spec: DeviceSpec,
         policy: Policy,
         compiled: CompiledPlan,
     ) -> Result<Executor<'n>, ExecError> {
+        let verdict = compiled.verify(net, &spec, policy);
         let CompiledPlan {
             route,
             cost,
@@ -444,24 +450,17 @@ impl<'n> Executor<'n> {
             plan: mplan,
             valid_caps: _,
         } = compiled;
-        let mut dev = Device::new(&spec, policy.allocator, policy.tiers);
+        let mut dev = SimDevice::new(&spec, policy.allocator, policy.tiers);
 
         let wbytes = cost.total_weight_bytes();
-        let weights_grant = if wbytes > 0 {
-            match dev.alloc_charged(wbytes) {
-                Ok(g) => Some(g.id),
-                Err(_) => {
-                    return Err(ExecError::Oom {
-                        step: 0,
-                        layer: "WEIGHTS".into(),
-                        requested: wbytes,
-                        capacity: dev.alloc.capacity(),
-                    })
-                }
-            }
-        } else {
-            None
-        };
+        if wbytes > 0 && dev.alloc_charged(wbytes).is_none() {
+            return Err(ExecError::Oom {
+                step: 0,
+                layer: "WEIGHTS".into(),
+                requested: wbytes,
+                capacity: dev.capacity,
+            });
+        }
 
         let tensors: Vec<TensorSlot> = liveness
             .tensors
@@ -492,7 +491,7 @@ impl<'n> Executor<'n> {
             })
             .collect();
         let samples = Vec::with_capacity(mplan.steps.len());
-        Ok(Executor {
+        let ex = Executor {
             net,
             route,
             cost,
@@ -503,7 +502,6 @@ impl<'n> Executor<'n> {
             spec,
             dev,
             utp: Utp::new(tensors.len()),
-            _weights_grant: weights_grant,
             ws_grant: None,
             tr_grant: None,
             tensors,
@@ -518,7 +516,9 @@ impl<'n> Executor<'n> {
             gates: Vec::new(),
             metrics: None,
             prefetch_stall: SimTime::ZERO,
-        })
+        };
+        verdict.map_err(|v| ex.refusal(v))?;
+        Ok(ex)
     }
 
     /// Attach a numeric backend (values really computed).
@@ -618,22 +618,43 @@ impl<'n> Executor<'n> {
         done.done_at
     }
 
-    /// Allocate device memory the plan promised would fit. A failure here
-    /// is a plan/replay divergence, which the deterministic allocator rules
-    /// out — kept as a hard error rather than a panic for belt-and-braces.
-    /// It names the step's layer, or the end of the iteration for a final op.
+    /// Charge device memory the plan promised would fit. The build's
+    /// `verify` proved every grant fits, so only a plan assigned to
+    /// [`Executor::mplan`] after build can fail here, on the byte count.
     fn planned_alloc(&mut self, bytes: u64, step: usize) -> Result<sn_sim::AllocId, ExecError> {
-        match self.dev.alloc_charged(bytes) {
-            Ok(g) => Ok(g.id),
-            Err(_) => Err(ExecError::Oom {
-                step,
-                layer: match self.mplan.steps.get(step) {
-                    Some(sp) => self.layers[sp.layer.0].name.clone(),
-                    None => "end of iteration".into(),
-                },
-                requested: bytes,
-                capacity: self.dev.alloc.capacity(),
-            }),
+        let grant = self.dev.alloc_charged(bytes);
+        grant.ok_or_else(|| self.oom(bytes, step))
+    }
+
+    /// An OOM of `bytes` at `step`, naming the step's layer, or the end of
+    /// the iteration for a final op.
+    fn oom(&self, requested: u64, step: usize) -> ExecError {
+        ExecError::Oom {
+            step,
+            layer: match self.mplan.steps.get(step) {
+                Some(sp) => self.layers[sp.layer.0].name.clone(),
+                None => "end of iteration".into(),
+            },
+            requested,
+            capacity: self.dev.capacity,
+        }
+    }
+
+    /// What a plan that breaks `v` would have met mid-iteration: a grant
+    /// past the card, or one no free run holds, is an OOM of the op's
+    /// bytes; a copy-out past the host tiers is host exhaustion.
+    fn refusal(&self, v: PlanViolation) -> ExecError {
+        let bytes = match self.mplan.ops.get(v.op) {
+            Some(PlanOp::Alloc(t) | PlanOp::Fetch(t) | PlanOp::Offload { t, .. }) => {
+                self.tensors[t.0].bytes
+            }
+            Some(PlanOp::AllocWorkspace(b) | PlanOp::AllocTransient(b)) => *b,
+            _ => 0,
+        };
+        match v.rule {
+            Rule::DeviceOverCapacity | Rule::Fragmented => self.oom(bytes, v.step),
+            Rule::HostOverCapacity => ExecError::HostExhausted { requested: bytes },
+            _ => panic!("the planner emitted a plan that fails verify: {v}"),
         }
     }
 
@@ -794,7 +815,7 @@ impl<'n> Executor<'n> {
         self.iter_alloc_time0 = self.dev.alloc_time;
         self.iter_alloc_calls0 = self.dev.alloc_calls;
         self.dev.tl.reset_stats();
-        self.dev.alloc.reset_high_water();
+        self.dev.high_water = self.dev.used;
         self.counters = self.mplan.predicted;
         self.prefetch_stall = SimTime::ZERO;
         self.samples.clear();
@@ -820,7 +841,7 @@ impl<'n> Executor<'n> {
         let overlap = self.dev.tl.overlap();
         let report = IterationReport {
             iter_time: self.dev.tl.now() - self.iter_t_start,
-            peak_bytes: self.dev.alloc.high_water(),
+            peak_bytes: self.dev.high_water,
             h2d_bytes: stats.h2d_bytes,
             d2h_bytes: stats.d2h_bytes,
             link_bytes: stats.link_bytes,
@@ -944,7 +965,7 @@ impl<'n> Executor<'n> {
 
         // Sample at the step's high-water moment.
         self.samples.push(StepSample {
-            resident_bytes: self.dev.alloc.used(),
+            resident_bytes: self.dev.used,
             completed_at: compute_done.done_at,
             live_tensors: self.utp.device_resident() as u32,
         });
@@ -982,7 +1003,7 @@ impl<'n> Executor<'n> {
     /// bytes). A view, like [`Executor::ws_records`] — the warm path stores
     /// three numbers a step and builds no record.
     pub fn step_records(&self) -> impl Iterator<Item = StepRecord> + '_ {
-        let capacity = self.dev.alloc.capacity();
+        let capacity = self.dev.capacity;
         self.samples
             .iter()
             .zip(&self.mplan.steps)
@@ -1490,8 +1511,9 @@ mod tests {
 
     #[test]
     fn a_plan_driven_past_its_cap_names_where_it_failed() {
-        // A plan/replay divergence the deterministic allocator rules out,
-        // made by hand: one allocation mutated to a byte over the card.
+        // A plan that cannot fit, made by hand: one allocation mutated to a
+        // byte over the card. The build's `verify` refuses it, naming where
+        // an iteration would have failed.
         let net = alex_stub(8);
         let policy = Policy::superneurons();
         let compiled = plan::compile(&net, &spec(), policy).unwrap();
@@ -1501,10 +1523,10 @@ mod tests {
                 plan: Arc::new(plan),
                 ..compiled.clone()
             };
-            let mut ex = Executor::from_compiled(&net, spec(), policy, c).unwrap();
-            match ex.run_iteration().unwrap_err() {
-                ExecError::Oom { step, layer, .. } => (step, layer.to_string()),
-                e => panic!("{e}"),
+            match Executor::from_compiled(&net, spec(), policy, c) {
+                Err(ExecError::Oom { step, layer, .. }) => (step, layer.to_string()),
+                Err(e) => panic!("{e}"),
+                Ok(_) => panic!("a plan past the card was built"),
             }
         };
         let p = &*compiled.plan;
@@ -1720,7 +1742,7 @@ mod tests {
         // No leaks: after reset, only the weights remain.
         ex.reset_iteration_state();
         assert_eq!(
-            ex.dev.alloc.used(),
+            ex.dev.used,
             ex.cost.total_weight_bytes().div_ceil(1024) * 1024
         );
     }

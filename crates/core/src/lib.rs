@@ -16,7 +16,7 @@
 //!    by the planner and the executor.
 //! 3. **Interpret** — [`executor`] walks the plan over the UTP and the
 //!    multi-stream sim engine. Because it replays the identical alloc/free
-//!    sequence through an identical allocator, the executed peak equals
+//!    sequence at the allocator's granularity, the executed peak equals
 //!    [`MemoryPlan::peak_bytes`] to the byte — which is why cluster
 //!    admission ([`sn-cluster`](../sn_cluster/index.html)) reserves plan
 //!    peaks without simulating an iteration.
@@ -26,7 +26,7 @@
 //! * [`policy`] — every technique as an independent switch, with presets for
 //!   the paper's component studies (`baseline`, `liveness_only`,
 //!   `liveness_offload`, `full_memory`, `superneurons`);
-//! * [`device`] — the device bundle (timeline + allocator + pinned host);
+//! * [`device`] — the device as the planner and the interpreter see it;
 //! * [`convalgo`] — the cuDNN-style convolution algorithm catalogue and the
 //!   dynamic workspace selector (§3.5);
 //! * [`recompute`] — Cost-Aware Recomputation segment planning (§3.4);

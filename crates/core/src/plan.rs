@@ -55,8 +55,9 @@
 //! The result of a compile is a cheap, inspectable, reusable artifact:
 //!
 //! * [`MemoryPlan::peak_bytes`] is the **exact** peak the execution will hit
-//!   — the executor replays the identical alloc/free sequence through an
-//!   identical allocator, so the high-water mark is equal *by construction*.
+//!   — the executor replays the identical alloc/free sequence, counting
+//!   bytes at the allocator's granularity, so the high-water mark is equal
+//!   *by construction*.
 //!   Cluster admission reserves this number without ever running a
 //!   simulated iteration.
 //! * [`MemoryPlan::steps`] is a complete instruction stream — the executor
@@ -79,7 +80,7 @@ use sn_sim::{AllocGrant, DeviceAllocator, DeviceSpec, SimTime};
 use sn_telemetry::{Counter, MetricsRegistry};
 
 use crate::convalgo::{self, AlgoChoice};
-use crate::device::Device;
+use crate::device::{Device, Memory};
 use crate::executor::{Counters, ExecError};
 use crate::memo::SharedMemo;
 use crate::policy::{Policy, RecomputeMode, WorkspacePolicy};
@@ -742,18 +743,20 @@ impl Compiler {
             d2h_ns: 0,
         }
         .run();
-        self.walks().push(w);
-        let (plan, valid_caps) = planned?;
-        let compiled = CompiledPlan {
+        let compiled = planned.map(|(plan, valid_caps)| CompiledPlan {
             route: a.route,
             cost: a.cost,
             liveness: a.liveness,
             rplan: a.rplan,
             plan: Arc::new(plan),
             valid_caps,
-        };
-        debug_assert_eq!(compiled.verify(net, spec, policy), Ok(()));
-        Ok(compiled)
+        });
+        if let (true, Ok(c)) = (cfg!(debug_assertions), &compiled) {
+            // The walk grew its allocator to this plan's traffic.
+            assert_eq!(c.verify_on(net, spec, policy, &mut w.dev.alloc), Ok(()));
+        }
+        self.walks().push(w);
+        compiled
     }
 
     /// The free walk states. Only a pop or a push runs under this lock, so
@@ -895,7 +898,7 @@ impl FreeQueues {
 /// returns and nothing else.
 #[derive(Debug)]
 struct WalkState {
-    dev: Device<()>,
+    dev: Device,
     utp: Utp,
     /// Recomputed tensors to drop at the end of a given step (no lists at
     /// all when the recompute plan has no segments).
@@ -2020,6 +2023,34 @@ mod tests {
             "a mutation class found no site: {caught:?}"
         );
         println!("{plans} plans pass; mutants rejected: {caught:?}");
+    }
+
+    /// The rule only the first-fit replay sees. The batch-3 conv tower of
+    /// `proptest_valid_caps.rs` peaks at 11 693 056 B on a 12 GB card, but
+    /// the holes its walk left put its last grant's end at 11 800 576 B,
+    /// where its `valid_caps` start: at its own peak the bytes fit and a
+    /// grant finds no free run. A `cudaMalloc` plan cannot fragment.
+    #[test]
+    fn verify_rejects_a_pool_plan_whose_grants_fragment_at_its_peak() {
+        let mut net = Net::new("tower", Shape4::new(3, 3, 32, 32));
+        let data = net.data();
+        let mut prev = net.max_pool(data, 2, 2, 0);
+        for (c, k) in [(32, 5), (32, 5), (16, 3), (32, 5)] {
+            prev = net.conv(prev, c, k, 1, k / 2);
+        }
+        let f = net.fc(prev, 10);
+        net.softmax(f);
+        let at = |cap| DeviceSpec::k40c().with_dram(cap);
+        let sn = Policy::superneurons();
+        let c = compile(&net, &at(12 << 30), sn).unwrap();
+        let (peak, extent) = (c.plan.peak_bytes, *c.valid_caps.start());
+        assert_eq!((peak, extent), (11_693_056, 11_800_576));
+        let v = c.verify(&net, &at(peak), sn).unwrap_err();
+        assert_eq!(v.rule, Rule::Fragmented, "{v}");
+        assert_eq!(c.verify(&net, &at(extent), sn), Ok(()));
+        let cuda = Policy::superneurons_cuda_alloc();
+        let c = compile(&net, &at(12 << 30), cuda).unwrap();
+        assert_eq!(c.verify(&net, &at(c.plan.peak_bytes), cuda), Ok(()));
     }
 
     /// Compile at each cap: `Ok` or an OOM, never a plan whose replay reads

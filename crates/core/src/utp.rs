@@ -21,9 +21,10 @@
 //!   every victim), and an iteration it runs to the end leaves every state
 //!   empty — [`Utp::reset`] and the removal paths cost it nothing for either.
 //!
-//! Because both apply the *same op sequence* through the *same allocator*,
-//! the executed memory trajectory — and therefore the peak — is identical to
-//! the planned one by construction.
+//! Because both apply the *same op sequence* at the *same allocator's*
+//! granularity (the executor counts the bytes the planner's allocator
+//! placed), the executed memory trajectory — and therefore the peak — is
+//! identical to the planned one by construction.
 //!
 //! Plan compilation is the system's hot path (admission ladders and
 //! feasibility searches compile thousands of plans), so the Tensor Cache is
@@ -36,7 +37,7 @@
 use sn_graph::liveness::{LivenessPlan, TensorId};
 use sn_sim::AllocId;
 
-use crate::device::{Clock, Device};
+use crate::device::Memory;
 use crate::memo::RecencyList;
 use crate::policy::CachePolicy;
 use crate::tiers::{Tier, TierSlot};
@@ -277,16 +278,11 @@ impl Utp {
 
     /// Reserve an external slot for `t` in the fastest tier with room.
     /// Returns `false` when every tier is exhausted.
-    pub fn ensure_host_slot<C: Clock>(
-        &mut self,
-        t: TensorId,
-        bytes: u64,
-        dev: &mut Device<C>,
-    ) -> bool {
+    pub fn ensure_host_slot(&mut self, t: TensorId, bytes: u64, dev: &mut impl Memory) -> bool {
         if self.states[t.0].host_slot.is_some() {
             return true;
         }
-        match dev.host.reserve(bytes) {
+        match dev.host().reserve(bytes) {
             Some(slot) => {
                 self.states[t.0].host_slot = Some(slot);
                 true
@@ -321,7 +317,7 @@ impl Utp {
     /// host-valid eviction). The host copy, if any, becomes the residence.
     /// Returns `true` when the tensor's *contents* are now gone entirely
     /// (caller must notify the numeric backend).
-    pub fn release_device<C: Clock>(&mut self, t: TensorId, dev: &mut Device<C>) -> bool {
+    pub fn release_device(&mut self, t: TensorId, dev: &mut impl Memory) -> bool {
         let st = &mut self.states[t.0];
         let was_offloading = st.offloading;
         if was_offloading {
@@ -349,7 +345,7 @@ impl Utp {
     /// Fully release `t`: device grant, host slot, pending transfers.
     /// In-flight copy-outs are *cancelled*, not awaited (the contents are
     /// dead). Always notify the backend after calling this.
-    pub fn free_tensor<C: Clock>(&mut self, t: TensorId, dev: &mut Device<C>) {
+    pub fn free_tensor(&mut self, t: TensorId, dev: &mut impl Memory) {
         let st = &mut self.states[t.0];
         debug_assert_eq!(st.lock, 0, "freeing a locked tensor");
         let was_offloading = st.offloading;
@@ -359,7 +355,7 @@ impl Utp {
             dev.free_charged(g);
         }
         if let Some(slot) = self.states[t.0].host_slot.take() {
-            dev.host.release(slot);
+            dev.host().release(slot);
         }
         self.states[t.0].host_valid = false;
         self.set_residence(t, Residence::None);
@@ -376,7 +372,7 @@ impl Utp {
     /// grant, a host slot, `offloading` and `host_valid` each imply device or
     /// host residence, and no lock outlives its step. Then the counts say
     /// so and nothing is walked; only an abandoned iteration pays the scan.
-    pub fn reset(&mut self, dev: &mut Device) {
+    pub fn reset(&mut self, dev: &mut impl Memory) {
         self.pending_offloads.clear();
         if self.device_resident == 0 && self.host_resident == 0 {
             debug_assert!(self.states.iter().all(|st| {
@@ -399,7 +395,7 @@ impl Utp {
                 dev.free_charged(g);
             }
             if let Some(slot) = self.states[i].host_slot.take() {
-                dev.host.release(slot);
+                dev.host().release(slot);
             }
             self.states[i].host_valid = false;
             self.states[i].residence = Residence::None;
@@ -443,6 +439,7 @@ impl Utp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::device::Device;
     use crate::policy::AllocatorKind;
     use crate::tiers::TierConfig;
     use proptest::prelude::*;

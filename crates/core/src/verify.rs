@@ -4,20 +4,24 @@
 //! model: where each tensor is, whether it holds a host slot, and device
 //! and pinned-host byte counters, device bytes at the allocator's
 //! granularity (the pool's 1 KB blocks, `cudaMalloc`'s 256 bytes). It has
-//! no free list, no [`crate::utp::Utp`] and no Tensor Cache, so it leaves
-//! out fragmentation; [`CompiledPlan::valid_caps`] bounds that. Each
-//! [`Rule`] is part of the contract the interpreter relies on. Debug builds
-//! check every plan the [`crate::plan::Compiler`] compiles.
+//! no [`crate::utp::Utp`] and no Tensor Cache; a heap-pool plan's grants
+//! replay once more on a first-fit [`HeapPool`] of the card's size, which
+//! covers every iteration (each starts from the same pool state). Each
+//! [`Rule`] is part of the contract the interpreter relies on: every
+//! [`crate::Executor`] runs `verify` once, in every build, and holds no
+//! allocator; debug builds check every plan the [`crate::plan::Compiler`]
+//! compiles too.
 
 use std::fmt;
 
 use sn_graph::liveness::TensorId;
 use sn_graph::Net;
-use sn_mempool::BLOCK_BYTES;
-use sn_sim::DeviceSpec;
+use sn_mempool::{HeapPool, BLOCK_BYTES};
+use sn_sim::{AllocId, DeviceAllocator, DeviceSpec};
 
+use crate::device::AllocatorImpl;
 use crate::plan::{CompiledPlan, OpRange, PlanOp};
-use crate::policy::{AllocatorKind, Policy};
+use crate::policy::Policy;
 
 /// The rule a plan breaks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,6 +53,8 @@ pub enum Rule {
     WorkspaceOverBudget,
     /// Device bytes above the allocator's capacity.
     DeviceOverCapacity,
+    /// A grant the bytes fit but no free run of the first-fit pool holds.
+    Fragmented,
     /// Host bytes above the policy's tiers.
     HostOverCapacity,
     /// A collective in a single-device plan.
@@ -97,6 +103,8 @@ struct Held {
     valid: bool,
     /// A host slot is reserved (from the first copy-out until `Free`).
     slot: bool,
+    /// The device grant in the first-fit replay, while on the device.
+    grant: AllocId,
 }
 
 struct Model<'a> {
@@ -107,28 +115,46 @@ struct Model<'a> {
     host: u64,
     peak: u64,
     peak_step: usize,
-    /// The bytes of the step's workspace and transient buffer, if held.
-    held: [Option<u64>; 2],
+    /// The step's workspace and transient buffer (bytes, grant), if held.
+    held: [Option<(u64, AllocId)>; 2],
     step: usize,
     granule: u64,
     device_cap: u64,
     host_cap: u64,
+    /// The first-fit replay of a heap-pool plan's grants.
+    pool: Option<&'a mut HeapPool>,
 }
 
 impl CompiledPlan {
     /// Replay the op stream against the residency model and return the
-    /// first broken [`Rule`], if any. `spec` and `policy` are the compile's:
-    /// the allocator's granularity and capacity come from them, the host
-    /// capacity from `policy.tiers`.
+    /// first broken [`Rule`], if any. `spec` is the card's, `policy` the
+    /// compile's: the allocator comes from them, the host capacity from
+    /// `policy.tiers`.
     pub fn verify(
         &self,
         net: &Net,
         spec: &DeviceSpec,
         policy: Policy,
     ) -> Result<(), PlanViolation> {
-        let (granule, device_cap) = match policy.allocator {
-            AllocatorKind::HeapPool => (BLOCK_BYTES, spec.dram_bytes / BLOCK_BYTES * BLOCK_BYTES),
-            AllocatorKind::Cuda => (256, spec.dram_bytes),
+        let mut alloc = AllocatorImpl::new(spec, policy.allocator);
+        self.verify_on(net, spec, policy, &mut alloc)
+    }
+
+    /// [`CompiledPlan::verify`] on `alloc`, the policy's kind of allocator
+    /// (reset first: a pool that carried this traffic allocates nothing).
+    pub(crate) fn verify_on(
+        &self,
+        net: &Net,
+        spec: &DeviceSpec,
+        policy: Policy,
+        alloc: &mut AllocatorImpl,
+    ) -> Result<(), PlanViolation> {
+        let (granule, device_cap, pool) = match alloc {
+            AllocatorImpl::Pool(p) => {
+                p.reset(spec.dram_bytes);
+                (BLOCK_BYTES, p.capacity(), Some(p))
+            }
+            AllocatorImpl::Cuda(c) => (256, c.capacity(), None),
         };
         let t = policy.tiers;
         Model {
@@ -146,6 +172,7 @@ impl CompiledPlan {
             host_cap: [t.peer_gpu_bytes, t.local_host_bytes, t.remote_bytes]
                 .into_iter()
                 .fold(0, u64::saturating_add),
+            pool,
         }
         .run()
     }
@@ -170,13 +197,22 @@ impl Model<'_> {
         self.rounded(self.c.liveness.tensors[t.0].bytes)
     }
 
-    fn grant(&mut self, op: usize, bytes: u64) -> Result<(), PlanViolation> {
+    fn grant(&mut self, op: usize, bytes: u64) -> Result<AllocId, PlanViolation> {
         self.device += bytes;
         self.ensure(self.device <= self.device_cap, op, Rule::DeviceOverCapacity)?;
+        let placed = self.pool.as_mut().map(|p| p.alloc(bytes).map(|g| g.id));
+        self.ensure(!matches!(placed, Some(Err(_))), op, Rule::Fragmented)?;
         if self.device > self.peak {
             (self.peak, self.peak_step) = (self.device, self.step);
         }
-        Ok(())
+        Ok(placed.and_then(Result::ok).unwrap_or_default())
+    }
+
+    fn release(&mut self, bytes: u64, grant: AllocId) {
+        self.device -= bytes;
+        if let Some(p) = &mut self.pool {
+            p.free(grant).expect("the model frees only what it granted");
+        }
     }
 
     fn on_device(&self, t: TensorId) -> bool {
@@ -236,7 +272,7 @@ impl Model<'_> {
                 };
                 self.ensure(self.tensors[t.0].at == from, i, rule)?;
                 self.tensors[t.0].at = At::Device;
-                self.grant(i, self.bytes(t))?;
+                self.tensors[t.0].grant = self.grant(i, self.bytes(t))?;
             }
             PlanOp::Offload { t, .. } => {
                 let only_on_device = self.tensors[t.0].at == At::Device && !self.tensors[t.0].valid;
@@ -255,12 +291,14 @@ impl Model<'_> {
                 } else {
                     At::None
                 };
-                self.device -= self.bytes(t);
+                self.release(self.bytes(t), self.tensors[t.0].grant);
             }
             PlanOp::Free(t) => {
                 let held = self.tensors[t.0].at != At::None || self.tensors[t.0].slot;
                 self.ensure(held, i, Rule::FreeOfAbsent)?;
-                self.device -= if self.on_device(t) { self.bytes(t) } else { 0 };
+                if self.on_device(t) {
+                    self.release(self.bytes(t), self.tensors[t.0].grant);
+                }
                 if std::mem::take(&mut self.tensors[t.0].slot) {
                     self.host -= c.liveness.tensors[t.0].bytes;
                 }
@@ -280,8 +318,8 @@ impl Model<'_> {
                 let budget = c.plan.workspace(self.step);
                 let within = k == 1 || budget.is_some_and(|w| bytes <= w.bytes);
                 self.ensure(within, i, Rule::WorkspaceOverBudget)?;
-                self.held[k] = Some(self.rounded(bytes));
-                self.grant(i, self.rounded(bytes))?;
+                let bytes = self.rounded(bytes);
+                self.held[k] = Some((bytes, self.grant(i, bytes)?));
             }
             PlanOp::FreeTransients => {
                 // A step's kernel sits at its `pre.end`; the final section
@@ -289,7 +327,9 @@ impl Model<'_> {
                 let kernel = c.plan.steps.get(self.step).map_or(0, |s| s.pre.end);
                 self.ensure(i >= kernel as usize, i, Rule::FreeBeforeKernel)?;
                 self.ensure(self.held != [None; 2], i, Rule::UnpairedTransient)?;
-                self.device -= self.held.iter_mut().filter_map(Option::take).sum::<u64>();
+                for (bytes, grant) in std::mem::take(&mut self.held).into_iter().flatten() {
+                    self.release(bytes, grant);
+                }
             }
             PlanOp::Collective { .. } => self.ensure(false, i, Rule::Collective)?,
         }

@@ -343,7 +343,11 @@ fn finding_a_tower_fits_a_quarter_of_its_peak_but_not_two_fifths() {
             .peak_bytes,
         11_693_056
     );
-    assert!(compile(&net, 2_923_264, policy, false).is_ok());
+    let fits = compile(&net, 2_923_264, policy, false).unwrap();
+    // That plan would run unchanged on the looser card: its grants fit
+    // there first-fit, where a fresh compile's walk does not.
+    let looser = DeviceSpec::k40c().with_dram(4_677_222);
+    assert_eq!(fits.verify(&net, &looser, policy), Ok(()));
     let oom = compile(&net, 4_677_222, policy, false).unwrap_err();
     assert_eq!(
         oom.to_string(),

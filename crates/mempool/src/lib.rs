@@ -43,6 +43,6 @@ pub const BLOCK_BYTES: u64 = 1024;
 const _: () = assert!(BLOCK_BYTES.is_power_of_two());
 /// Host-side latency of one pool allocation (list search + node update).
 /// Orders of magnitude below `cudaMalloc` — that gap *is* Table 2.
-const ALLOC_LATENCY: SimTime = SimTime::from_ns(400);
+pub const ALLOC_LATENCY: SimTime = SimTime::from_ns(400);
 /// Host-side latency of one pool deallocation.
-const FREE_LATENCY: SimTime = SimTime::from_ns(300);
+pub const FREE_LATENCY: SimTime = SimTime::from_ns(300);

@@ -395,10 +395,6 @@ impl DeviceAllocator for HeapPool {
     fn extent_high_water(&self) -> u64 {
         self.extent_blocks * BLOCK_BYTES
     }
-
-    fn reset_high_water(&mut self) {
-        self.high_water_blocks = self.used_blocks;
-    }
 }
 
 #[cfg(test)]
@@ -528,8 +524,7 @@ mod tests {
         assert_eq!(p.high_water(), 6144);
         assert_eq!(p.used(), 3072);
         p.free(b.id).unwrap();
-        p.reset_high_water();
-        assert_eq!(p.high_water(), 1024);
+        assert_eq!(p.high_water(), 6144);
     }
 
     #[test]

@@ -156,12 +156,10 @@ impl Checked {
         let pool = &mut self.pool;
         prop_assert_eq!(pool.used(), 0);
         prop_assert_eq!(pool.empty_nodes(), 1);
-        // The byte mark restarts from what is live (nothing); the address
-        // mark is for the pool's lifetime.
-        pool.reset_high_water();
+        // Both marks are for the pool's lifetime.
         prop_assert_eq!(
             (pool.high_water(), pool.extent_high_water()),
-            (0, self.highest_end)
+            (self.high_water, self.highest_end)
         );
         Ok(())
     }

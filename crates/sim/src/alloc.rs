@@ -1,14 +1,14 @@
 //! Device allocation interface and the `cudaMalloc`/`cudaFree` cost model.
 //!
 //! The SuperNeurons heap pool (`sn-mempool`) and the raw CUDA allocator both
-//! implement [`DeviceAllocator`]; the executor is generic over the trait so
-//! Table 2 (pool vs. `cudaMalloc`) is a one-line policy switch.
+//! implement [`DeviceAllocator`]; the planner runs either, so Table 2
+//! (pool vs. `cudaMalloc`) is a one-line policy switch.
 
 use crate::spec::DeviceSpec;
 use crate::time::SimTime;
 
 /// Opaque handle for a live allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AllocId(pub u64);
 
 /// A successful allocation: a device address plus the host-side latency the
@@ -103,14 +103,9 @@ pub trait DeviceAllocator {
     /// smallest capacity under which every allocation so far would have
     /// succeeded *at the address it got*. Never below the lifetime maximum
     /// of [`DeviceAllocator::used`] — all reserved bytes lie under it — and
-    /// above it by whatever holes fragmentation left. An address once
-    /// touched stays touched: [`DeviceAllocator::reset_high_water`] leaves
-    /// this mark alone. The planner reports it as the lower end of the
-    /// device caps a plan stays valid for.
+    /// above it by whatever holes fragmentation left. The planner reports
+    /// it as the lower end of the device caps a plan stays valid for.
     fn extent_high_water(&self) -> u64;
-
-    /// Reset the high-water mark (between warm-up and measurement).
-    fn reset_high_water(&mut self);
 }
 
 /// `cudaMalloc`/`cudaFree` stand-in: an ideal (never-fragmenting) capacity
@@ -123,8 +118,6 @@ pub struct CudaAllocator {
     capacity: u64,
     used: u64,
     high_water: u64,
-    /// Lifetime maximum of `used` (what `high_water` is until it is reset).
-    extent: u64,
     next_id: u64,
     malloc_base: SimTime,
     malloc_per_mib: SimTime,
@@ -136,9 +129,6 @@ pub struct CudaAllocator {
     /// Monotone bump pointer for fake addresses (never reused; real CUDA
     /// addresses are also opaque).
     next_addr: u64,
-    pub malloc_calls: u64,
-    pub free_calls: u64,
-    pub alloc_time: SimTime,
 }
 
 impl CudaAllocator {
@@ -147,16 +137,12 @@ impl CudaAllocator {
             capacity: spec.dram_bytes,
             used: 0,
             high_water: 0,
-            extent: 0,
             next_id: 0,
             malloc_base: spec.malloc_base,
             malloc_per_mib: spec.malloc_per_mib,
             free_base: spec.free_base,
             live: fxhash::FxHashMap::default(),
             next_addr: 0,
-            malloc_calls: 0,
-            free_calls: 0,
-            alloc_time: SimTime::ZERO,
         }
     }
 
@@ -192,16 +178,12 @@ impl DeviceAllocator for CudaAllocator {
         self.next_addr += bytes;
         self.used += bytes;
         self.high_water = self.high_water.max(self.used);
-        self.extent = self.extent.max(self.used);
         self.live.insert(id, bytes);
-        self.malloc_calls += 1;
-        let cost = self.malloc_cost(bytes);
-        self.alloc_time += cost;
         Ok(AllocGrant {
             id: AllocId(id),
             addr,
             bytes,
-            cost,
+            cost: self.malloc_cost(bytes),
         })
     }
 
@@ -211,8 +193,6 @@ impl DeviceAllocator for CudaAllocator {
             .remove(&id.0)
             .ok_or(AllocError::UnknownAllocation)?;
         self.used -= bytes;
-        self.free_calls += 1;
-        self.alloc_time += self.free_base;
         Ok(self.free_base)
     }
 
@@ -231,11 +211,7 @@ impl DeviceAllocator for CudaAllocator {
     /// A capacity meter has no addresses to fragment: the extent is the
     /// most bytes ever reserved at once.
     fn extent_high_water(&self) -> u64 {
-        self.extent
-    }
-
-    fn reset_high_water(&mut self) {
-        self.high_water = self.used;
+        self.high_water
     }
 }
 
@@ -282,9 +258,6 @@ mod tests {
         assert!(g.cost > SimTime::ZERO);
         let f = a.free(g.id).unwrap();
         assert!(f > SimTime::ZERO);
-        assert_eq!(a.malloc_calls, 1);
-        assert_eq!(a.free_calls, 1);
-        assert_eq!(a.alloc_time, g.cost + f);
     }
 
     #[test]
