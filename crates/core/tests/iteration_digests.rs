@@ -13,6 +13,15 @@
 //! moved digest means the interpreter moved a simulated number; the test
 //! prints each changed cell's two reports under `--nocapture`. Never
 //! regenerate the file to make a change pass.
+//!
+//! `tests/golden/step_digests.txt` pins what the interpreter samples a step
+//! and where its copies land: per cell, the cold and the warm iteration's
+//! step records (resident bytes, live tensors, free bytes, completion
+//! time) and each host tier's high water, per replica for the gang. Its
+//! cells are the seven above plus four that put the Unified Tensor Pool's
+//! other paths under load: VGG16 spilling from a 1 GiB local host tier to a
+//! peer GPU and to a remote pool, the `cudaMalloc` allocator at a cap where
+//! the Tensor Cache evicts, and synchronous copies.
 
 use std::hash::{Hash, Hasher};
 
@@ -20,6 +29,7 @@ use sn_graph::Net;
 use sn_models as models;
 use sn_runtime::{
     ExecError, Executor, GroupConfig, GroupExecutor, Interconnect, Policy, RecomputeMode,
+    TierConfig,
 };
 use sn_sim::spec::GB;
 use sn_sim::DeviceSpec;
@@ -151,4 +161,100 @@ fn iterations_match_their_golden_digests() {
         changed.is_empty(),
         "iterations changed (reports on stdout): {changed:?}"
     );
+}
+
+/// The iteration cells, then four that spill, evict under `cudaMalloc` and
+/// copy synchronously.
+fn step_cells() -> Vec<Cell> {
+    let at_4gb = DeviceSpec::k40c().with_dram(4 * GB);
+    let spill = |label, tiers| Cell {
+        label,
+        net: models::vgg16(48),
+        spec: at_4gb.clone(),
+        policy: Policy {
+            tiers,
+            ..Policy::superneurons_no_cache()
+        },
+        run: Run::Training,
+    };
+    let mut cells = cells();
+    cells.extend([
+        spill(
+            "vgg16/b48@4GB no_cache peer-spill",
+            TierConfig::full(8 * GB, GB, 0),
+        ),
+        spill(
+            "vgg16/b48@4GB no_cache remote-spill",
+            TierConfig::full(0, GB, 64 * GB),
+        ),
+        Cell {
+            label: "vgg16/b64@4GB cuda_alloc",
+            net: models::vgg16(64),
+            spec: at_4gb.clone(),
+            policy: Policy::superneurons_cuda_alloc(),
+            run: Run::Training,
+        },
+        Cell {
+            label: "vgg16/b32@4GB liveness_offload synchronous",
+            net: models::vgg16(32),
+            spec: at_4gb,
+            policy: Policy::liveness_offload().synchronous(),
+            run: Run::Training,
+        },
+    ]);
+    cells
+}
+
+/// Folds an executor's last step records and its host tiers' high water.
+fn fold_steps(ex: &Executor<'_>, h: &mut impl Hasher) {
+    for r in ex.step_records() {
+        let sampled = (r.resident_bytes, r.live_tensors, r.free_bytes);
+        (sampled, r.completed_at.as_ns()).hash(h);
+    }
+    ex.dev.host.high_water().hash(h);
+}
+
+/// A cell's cold and warm step digest.
+fn step_digest(cell: &Cell) -> Result<String, ExecError> {
+    let (spec, policy) = (cell.spec.clone(), cell.policy);
+    let mut h = fxhash::FxHasher::default();
+    match cell.run {
+        Run::Training | Run::Inference => {
+            let mut ex = match cell.run {
+                Run::Training => Executor::new(&cell.net, spec, policy)?,
+                _ => Executor::new_inference(&cell.net, spec, policy)?,
+            };
+            for _ in ["cold", "warm"] {
+                ex.run_iteration()?;
+                fold_steps(&ex, &mut h);
+            }
+        }
+        Run::Gang(replicas) => {
+            let cfg = GroupConfig::new(replicas, Interconnect::pcie());
+            let mut gx = GroupExecutor::new(&cell.net, spec, policy, cfg)?;
+            for _ in ["cold", "warm"] {
+                gx.run_iteration()?;
+                for i in 0..gx.replicas() {
+                    fold_steps(gx.replica(i), &mut h);
+                }
+            }
+        }
+    }
+    Ok(format!("{} {:016x}", cell.label, h.finish()))
+}
+
+#[test]
+fn steps_match_their_golden_digests() {
+    let golden = include_str!("golden/step_digests.txt");
+    let cells = step_cells();
+    assert_eq!(golden.lines().count(), cells.len());
+    let mut changed = Vec::new();
+    for (cell, want) in cells.iter().zip(golden.lines()) {
+        let got = step_digest(cell).unwrap_or_else(|e| panic!("{}: {e}", cell.label));
+        if got != want {
+            println!("{got} (golden: {want})");
+            changed.push(cell.label);
+        }
+    }
+    assert!(changed.is_empty(), "step records changed: {changed:?}");
 }
