@@ -68,7 +68,8 @@ impl DeviceAllocator for AllocatorImpl {
 }
 
 /// Where the Unified Tensor Pool's transitions return a tensor's device
-/// grant (charging the call's latency) and host slot.
+/// grant (charging the call's latency) and host slot: the planner's
+/// [`Device`], or the executor build's one pass over the plan.
 pub trait Memory {
     fn free_charged(&mut self, id: AllocId);
     fn host(&mut self) -> &mut TieredPool;
@@ -131,7 +132,9 @@ impl Memory for Device {
 /// a byte counter that rounds and charges each call as the plan's
 /// allocator does (the pool's 1 KB blocks at constant latencies;
 /// `cudaMalloc`'s 256 B at `malloc_base + malloc_per_mib·⌈MiB⌉` and
-/// `free_base`). A grant's handle is the bytes it charged.
+/// `free_base`). A charge is a count of granules, worked out when the
+/// executor is built (`SimDevice::granules`); both granules and the MiB
+/// are powers of two, so a charge shifts and never divides.
 #[derive(Debug, Clone)]
 pub struct SimDevice {
     pub tl: Timeline,
@@ -140,13 +143,16 @@ pub struct SimDevice {
     pub used: u64,
     pub high_water: u64,
     pub capacity: u64,
-    granule: u64,
+    /// log2 of the granule.
+    shift: u32,
     alloc_base: SimTime,
     alloc_per_mib: SimTime,
     free_cost: SimTime,
     pub alloc_time: SimTime,
     pub alloc_calls: u64,
 }
+
+const _: () = assert!(BLOCK_BYTES.is_power_of_two() && MB.is_power_of_two());
 
 impl SimDevice {
     pub fn new(spec: &DeviceSpec, allocator: AllocatorKind, tiers: TierConfig) -> SimDevice {
@@ -172,7 +178,7 @@ impl SimDevice {
             used: 0,
             high_water: 0,
             capacity,
-            granule,
+            shift: granule.trailing_zeros(),
             alloc_base,
             alloc_per_mib,
             free_cost,
@@ -181,32 +187,37 @@ impl SimDevice {
         }
     }
 
-    /// Charge `bytes`, or `None` past the capacity.
-    pub fn alloc_charged(&mut self, bytes: u64) -> Option<AllocId> {
-        let granules = bytes.max(1).div_ceil(self.granule);
-        let rounded = granules.saturating_mul(self.granule);
-        if rounded > self.capacity - self.used {
-            return None;
+    /// The granules a grant of `bytes` takes, or one past the card's when
+    /// it takes more: that is past enough to fail, and keeps
+    /// [`SimDevice::charge`]'s shift from overflowing.
+    pub(crate) fn granules(&self, bytes: u64) -> u64 {
+        let granules = ((bytes.max(1) - 1) >> self.shift) + 1;
+        granules.min((self.capacity >> self.shift) + 1)
+    }
+
+    /// Charge `granules`, or `false` past the capacity.
+    pub(crate) fn charge(&mut self, granules: u64) -> bool {
+        let bytes = granules << self.shift;
+        if bytes > self.capacity - self.used {
+            return false;
         }
-        self.used += rounded;
+        self.used += bytes;
         self.high_water = self.high_water.max(self.used);
-        let cost = SimTime(self.alloc_base.0 + self.alloc_per_mib.0 * rounded.div_ceil(MB));
+        let mibs = ((bytes - 1) >> MB.trailing_zeros()) + 1;
+        let cost = SimTime(self.alloc_base.0 + self.alloc_per_mib.0 * mibs);
         self.tl.advance(cost);
         self.alloc_time += cost;
         self.alloc_calls += 1;
-        Some(AllocId(rounded))
-    }
-}
-
-impl Memory for SimDevice {
-    fn free_charged(&mut self, id: AllocId) {
-        self.used -= id.0;
-        self.tl.advance(self.free_cost);
-        self.alloc_time += self.free_cost;
+        true
     }
 
-    fn host(&mut self) -> &mut TieredPool {
-        &mut self.host
+    /// Return a grant of `granules`; zero is no grant, and costs nothing.
+    pub(crate) fn refund(&mut self, granules: u64) {
+        if granules > 0 {
+            self.used -= granules << self.shift;
+            self.tl.advance(self.free_cost);
+            self.alloc_time += self.free_cost;
+        }
     }
 }
 
@@ -222,13 +233,14 @@ mod tests {
             TierConfig::default(),
         );
         let t0 = d.tl.now();
-        let g = d.alloc_charged(1 << 20).unwrap();
+        let g = d.granules(1 << 20);
+        assert!(d.charge(g));
         assert!(d.tl.now() > t0);
         assert!(
             (d.tl.now() - t0).as_ns() < 10_000,
             "pool alloc must be sub-10us"
         );
-        d.free_charged(g);
+        d.refund(g);
         assert_eq!(d.used, 0);
     }
 
@@ -240,7 +252,7 @@ mod tests {
             TierConfig::default(),
         );
         let t0 = d.tl.now();
-        let _g = d.alloc_charged(64 << 20).unwrap();
+        assert!(d.charge(d.granules(64 << 20)));
         assert!(
             (d.tl.now() - t0).as_ns() > 50_000,
             "cudaMalloc must cost >50us"
@@ -252,8 +264,8 @@ mod tests {
         for kind in [AllocatorKind::HeapPool, AllocatorKind::Cuda] {
             let spec = DeviceSpec::k40c().with_dram(1 << 20);
             let mut d = SimDevice::new(&spec, kind, TierConfig::default());
-            assert!(d.alloc_charged(2 << 20).is_none());
-            assert!(d.alloc_charged(u64::MAX).is_none());
+            assert!(!d.charge(d.granules(2 << 20)));
+            assert!(!d.charge(d.granules(u64::MAX)));
             let mut p = Device::new(&spec, kind, TierConfig::default());
             assert!(p.alloc_charged(2 << 20).is_err());
         }
@@ -271,15 +283,14 @@ mod tests {
             assert_eq!(d.capacity, p.alloc.capacity(), "{kind:?}");
             let mut live = Vec::new();
             for (i, &bytes) in sizes.iter().enumerate() {
-                let (a, b) = (
-                    d.alloc_charged(bytes).unwrap(),
-                    p.alloc_charged(bytes).unwrap(),
-                );
-                assert_eq!(a.0, b.bytes, "{kind:?}: {bytes} B");
+                let (a, used) = (d.granules(bytes), d.used);
+                assert!(d.charge(a));
+                let b = p.alloc_charged(bytes).unwrap();
+                assert_eq!(d.used - used, b.bytes, "{kind:?}: {bytes} B");
                 live.push((a, b.id));
                 if i % 3 == 2 {
                     let (a, b) = live.remove(0);
-                    d.free_charged(a);
+                    d.refund(a);
                     p.free_charged(b);
                 }
                 assert_eq!(

@@ -4,11 +4,11 @@
 //! offload/prefetch points, Alg. 2 cache evictions, §3.4 recomputation
 //! replays, §3.5 workspace choices — are made ahead of time by the planner
 //! ([`crate::plan`]) and recorded as an explicit per-step op stream. This
-//! module replays that stream over the [`Utp`] residency manager and the
-//! multi-stream sim engine: it performs the planned allocations and frees in
-//! exactly the planned order (waiting out an in-flight copy-out before
-//! reusing its bytes), submits kernels gated on every input's in-flight
-//! prefetch, and drives the optional numeric backend.
+//! module replays that stream on the multi-stream sim engine: it performs
+//! the planned allocations and frees in exactly the planned order (waiting
+//! out an in-flight copy-out before reusing its bytes), submits kernels
+//! gated on every input's in-flight prefetch, and drives the optional
+//! numeric backend.
 //!
 //! The interpreter runs no allocator: [`CompiledPlan::verify`], run once
 //! when the executor is built, proves the plan's grants fit this card, and
@@ -18,14 +18,16 @@
 //! the whole preset × model matrix by the `plan` bench experiment. Overlap
 //! changes *when* transfers run, never what is resident.
 //!
-//! **What a warm step touches.** The plan's ops and the step's `StepPlan`;
-//! per tensor an op names, one [`crate::utp::TensorState`] (one cache line)
-//! and one `TensorSlot` here — its bytes and the landing times of its
-//! in-flight fetch and copy-out, the three numbers `apply` and the kernel's
-//! gate loop read; per step, one `StepSample` of three numbers written at
-//! the kernel submit. Everything else a reader may want of a step — number,
-//! layer name, phase, free bytes — is already in the plan or the device and
-//! is joined in when somebody asks ([`Executor::step_records`]), as Fig. 12's
+//! **What a warm step touches.** The plan's ops and, beside each, the word
+//! of `OpBooks` the build's one pass of the plan through the planner's
+//! [`Utp`] left: the granules it charges or returns, and whether a release
+//! drops the contents. Per tensor an op names, one `TensorSlot` — bytes,
+//! copy time at its tier, host slot, landing times of its in-flight fetch
+//! and copy-out; per step, one `StepSample` written at the kernel submit.
+//! It keeps no residency book, looks up no tier and divides nothing.
+//! Everything else a reader may want of a step — number, layer name, phase,
+//! live tensors, free bytes — is in the plan, the books or the device and is
+//! joined in when somebody asks ([`Executor::step_records`]), as Fig. 12's
 //! rows are ([`Executor::ws_records`]). A replay's duration and the tensor
 //! it waits on are worked out once per layer when the executor is built
 //! (`LayerInfo`), so a replay reads neither the graph nor the liveness
@@ -49,10 +51,10 @@ use sn_sim::{
 use sn_telemetry::{Counter, Gauge, Histogram, Json, MetricsRegistry};
 
 use crate::device::{Memory, SimDevice};
-use crate::plan::{self, CompiledPlan, MemoryPlan, PlanOp};
+use crate::plan::{self, CompiledPlan, MemoryPlan, OpRange, PlanOp};
 use crate::policy::Policy;
 use crate::recompute::RecomputePlan;
-use crate::tiers::Tier;
+use crate::tiers::{TierSlot, TieredPool};
 use crate::utp::{Residence, Utp};
 use crate::verify::{PlanViolation, Rule};
 
@@ -246,11 +248,13 @@ struct ExecMetrics {
     prefetch_stall_ns: Counter,
     iter_time_ns: Histogram,
     peak_bytes: Gauge,
-    cache_resident: Gauge,
 }
 
 impl ExecMetrics {
     fn new(reg: &MetricsRegistry) -> ExecMetrics {
+        // The interpreter fills no Tensor Cache: the occupancy gauge stays
+        // registered, at zero.
+        reg.gauge("exec.cache.resident");
         ExecMetrics {
             iterations: reg.counter("exec.iterations"),
             recompute_forwards: reg.counter("exec.recompute_forwards"),
@@ -269,7 +273,6 @@ impl ExecMetrics {
             prefetch_stall_ns: reg.counter("exec.prefetch_stall_ns"),
             iter_time_ns: reg.histogram("exec.iter_time_ns"),
             peak_bytes: reg.gauge("exec.peak_bytes"),
-            cache_resident: reg.gauge("exec.cache.resident"),
         }
     }
 
@@ -309,12 +312,17 @@ pub struct WorkspaceRecord {
 }
 
 /// What the interpreter reads and writes of a tensor while it replays the
-/// plan — three numbers, in one dense array beside [`Utp`]'s states. A
-/// completion of [`SimTime::ZERO`] is "no copy in flight": a wait or a gate
-/// on time zero does nothing, and draws no flow arrow in a trace.
+/// plan, in one dense array. A completion of [`SimTime::ZERO`] is "no copy
+/// in flight": a wait or a gate on time zero does nothing, and draws no
+/// flow arrow in a trace.
 #[derive(Debug, Clone, Copy)]
 struct TensorSlot {
     bytes: u64,
+    /// A copy's duration at its host tier, worked out when the build's pass
+    /// reserved the slot (once an iteration: only a `Free` releases it).
+    copy: SimTime,
+    /// Reserved on `dev.host` at its first `Offload`, in the pass's tier.
+    host: Option<TierSlot>,
     /// When the in-flight host→device copy lands (H2D stream); consumers
     /// gate on it.
     prefetch_done: SimTime,
@@ -331,14 +339,55 @@ impl TensorSlot {
     }
 }
 
-/// What the interpreter measures at a step's kernel submit. Step number,
-/// layer, phase and free bytes are the plan's and the device's: joined in
-/// by [`Executor::step_records`] when somebody reads the trace.
+/// What the interpreter measures at a step's kernel submit. The rest of a
+/// step's record is joined in by [`Executor::step_records`] when somebody
+/// reads the trace.
 #[derive(Debug, Clone, Copy)]
 struct StepSample {
     resident_bytes: u64,
     completed_at: SimTime,
-    live_tensors: u32,
+}
+
+/// What the build's pass worked out for one op, in one word beside it: the
+/// granules it charges or returns, and for a `ReleaseDevice`, whether the
+/// tensor's contents went with its device copy.
+#[derive(Debug, Clone, Copy, Default)]
+struct OpBooks(u64);
+
+// A warm step reads one word beside each 8-byte op.
+const _: () = assert!(std::mem::size_of::<OpBooks>() <= 8);
+
+impl OpBooks {
+    fn new(granules: u64, drops: bool) -> OpBooks {
+        OpBooks(granules << 1 | drops as u64)
+    }
+
+    fn granules(self) -> u64 {
+        self.0 >> 1
+    }
+
+    fn drops(self) -> bool {
+        self.0 & 1 == 1
+    }
+}
+
+/// The build's pass over a plan: where the planner's [`Utp`] releases to
+/// (it sums the granules and reserves host slots on a pool of the policy's
+/// tiers, as the interpreter will on `dev.host`), and the live tensors.
+struct Pass {
+    returned: u64,
+    host: TieredPool,
+    live: u32,
+}
+
+impl Memory for Pass {
+    fn free_charged(&mut self, id: sn_sim::AllocId) {
+        self.returned += id.0;
+    }
+
+    fn host(&mut self) -> &mut TieredPool {
+        &mut self.host
+    }
 }
 
 /// Per-layer facts fixed when the executor is built: what a replay needs,
@@ -381,16 +430,25 @@ pub struct Executor<'n> {
     /// The compiled schedule this executor interprets — `Arc`-shared with
     /// the plan memo and with the sibling replicas of a device group.
     /// Public because callers read it (the benchmark's `train_exec` checks
-    /// `ex.mplan.peak_bytes`). A plan assigned here after build is not
-    /// verified: only the device's capacity check guards it.
+    /// `ex.mplan.peak_bytes`). A plan assigned here after build is processed
+    /// again at the next iteration and is not verified: only the device's
+    /// capacity check guards it.
     pub mplan: std::sync::Arc<MemoryPlan>,
     pub policy: Policy,
     pub spec: DeviceSpec,
     pub dev: SimDevice,
-    utp: Utp,
-    /// The current step's transient grants (workspace, weight gradient).
-    ws_grant: Option<sn_sim::AllocId>,
-    tr_grant: Option<sn_sim::AllocId>,
+    /// The plan `books` and `live` were worked out for.
+    booked: Arc<MemoryPlan>,
+    /// Indexed like `booked.ops`.
+    books: Vec<OpBooks>,
+    /// Device-resident tensors at each step's kernel.
+    live: Vec<u32>,
+    /// The bytes the weights charged: all a finished iteration leaves.
+    weights: u64,
+    /// The current step's transient grants (workspace, weight gradient), in
+    /// granules; zero is none.
+    ws_grant: u64,
+    tr_grant: u64,
     /// Indexed by `TensorId`.
     tensors: Vec<TensorSlot>,
     /// The iteration's samples, one per executed step, in step order.
@@ -434,7 +492,8 @@ impl<'n> Executor<'n> {
 
     /// Build the interpreter once [`CompiledPlan::verify`] proves the
     /// plan's grants fit `spec`: a plan that does not fit is the OOM or host
-    /// exhaustion an iteration would meet; another broken rule panics.
+    /// exhaustion an iteration would meet; another broken rule panics. Then
+    /// it books the plan (`Executor::book`).
     pub(crate) fn from_compiled(
         net: &'n Net,
         spec: DeviceSpec,
@@ -453,7 +512,7 @@ impl<'n> Executor<'n> {
         let mut dev = SimDevice::new(&spec, policy.allocator, policy.tiers);
 
         let wbytes = cost.total_weight_bytes();
-        if wbytes > 0 && dev.alloc_charged(wbytes).is_none() {
+        if wbytes > 0 && !dev.charge(dev.granules(wbytes)) {
             return Err(ExecError::Oom {
                 step: 0,
                 layer: "WEIGHTS".into(),
@@ -467,6 +526,8 @@ impl<'n> Executor<'n> {
             .iter()
             .map(|meta| TensorSlot {
                 bytes: meta.bytes,
+                copy: SimTime::ZERO,
+                host: None,
                 prefetch_done: SimTime::ZERO,
                 offload_done: SimTime::ZERO,
             })
@@ -491,19 +552,22 @@ impl<'n> Executor<'n> {
             })
             .collect();
         let samples = Vec::with_capacity(mplan.steps.len());
-        let ex = Executor {
+        let mut ex = Executor {
             net,
             route,
             cost,
             plan: liveness,
             rplan,
+            booked: mplan.clone(),
             mplan,
             policy,
             spec,
+            weights: dev.used,
             dev,
-            utp: Utp::new(tensors.len()),
-            ws_grant: None,
-            tr_grant: None,
+            books: Vec::new(),
+            live: Vec::new(),
+            ws_grant: 0,
+            tr_grant: 0,
             tensors,
             samples,
             counters: Counters::default(),
@@ -518,7 +582,80 @@ impl<'n> Executor<'n> {
             prefetch_stall: SimTime::ZERO,
         };
         verdict.map_err(|v| ex.refusal(v))?;
+        ex.book();
         Ok(ex)
+    }
+
+    /// Run the plan's ops through the planner's [`Utp`] in iteration order,
+    /// keeping what a warm step reads: each op's [`OpBooks`], each step's
+    /// live tensors at its kernel and each offloaded tensor's copy time.
+    /// Total: a charge that does not fit fails at its step, not here.
+    fn book(&mut self) {
+        let plan = self.mplan.clone();
+        let mut utp = Utp::new(self.tensors.len());
+        let host = TieredPool::new(self.policy.tiers);
+        let mut pass = Pass {
+            returned: 0,
+            host,
+            live: 0,
+        };
+        self.books.clear();
+        self.books.resize(plan.ops.len(), OpBooks::default());
+        self.live.clear();
+        self.live.reserve(plan.steps.len());
+        for step in &plan.steps {
+            self.book_ops(&plan, step.pre, &mut utp, &mut pass);
+            self.live.push(pass.live);
+            self.book_ops(&plan, step.post, &mut utp, &mut pass);
+        }
+        self.book_ops(&plan, plan.final_range, &mut utp, &mut pass);
+        self.booked = plan;
+    }
+
+    fn book_ops(&mut self, plan: &MemoryPlan, r: OpRange, utp: &mut Utp, pass: &mut Pass) {
+        for i in r.start as usize..r.end as usize {
+            self.books[i] = self.book_op(plan.ops[i], utp, pass);
+        }
+    }
+
+    fn book_op(&mut self, op: PlanOp, utp: &mut Utp, p: &mut Pass) -> OpBooks {
+        let on_device = |utp: &Utp, t| utp.state(t).residence() == Residence::Device;
+        match op {
+            PlanOp::Alloc(t) | PlanOp::Fetch(t) => {
+                let granules = self.dev.granules(self.tensors[t.0].bytes);
+                p.live += !on_device(utp, t) as u32;
+                utp.mark_device(t, sn_sim::AllocId(granules), false);
+                OpBooks::new(granules, false)
+            }
+            PlanOp::AllocWorkspace(bytes) | PlanOp::AllocTransient(bytes) => {
+                OpBooks::new(self.dev.granules(bytes), false)
+            }
+            PlanOp::Offload { t, evict } => {
+                let slot = &mut self.tensors[t.0];
+                let reserving = utp.state(t).host_slot.is_none();
+                if reserving && utp.ensure_host_slot(t, slot.bytes, p) {
+                    let tier = utp.tier_of(t);
+                    slot.copy = tier.copy_time(slot.bytes, &self.policy, &self.spec);
+                }
+                utp.mark_offloading(t, evict);
+                OpBooks::default()
+            }
+            PlanOp::ReleaseDevice(t) | PlanOp::Free(t) => {
+                p.live -= on_device(utp, t) as u32;
+                p.returned = 0;
+                let drops = match op {
+                    PlanOp::Free(_) => {
+                        utp.free_tensor(t, p);
+                        true
+                    }
+                    _ => utp.release_device(t, p),
+                };
+                OpBooks::new(p.returned, drops)
+            }
+            PlanOp::Recompute(_) | PlanOp::FreeTransients | PlanOp::Collective { .. } => {
+                OpBooks::default()
+            }
+        }
     }
 
     /// Attach a numeric backend (values really computed).
@@ -540,12 +677,6 @@ impl<'n> Executor<'n> {
     /// every iteration.
     pub fn enable_metrics(&mut self, registry: &MetricsRegistry) {
         self.metrics = Some(ExecMetrics::new(registry));
-    }
-
-    /// The interned name of a layer (shared allocation, no clone).
-    #[inline]
-    pub fn layer_name(&self, l: LayerId) -> Arc<str> {
-        self.layers[l.0].name.clone()
     }
 
     pub fn backend(&self) -> Option<&dyn ComputeBackend> {
@@ -575,16 +706,6 @@ impl<'n> Executor<'n> {
         &self.plan.tensors[t.0]
     }
 
-    /// Effective transfer bandwidth for tensor `t`'s external tier. The
-    /// pageable (unpinned) penalty applies to the local-host tier only.
-    fn tier_gbps(&self, t: TensorId) -> f64 {
-        let tier = self.utp.tier_of(t);
-        match tier {
-            Tier::LocalHost if !self.policy.pinned_host => tier.gbps() * self.spec.unpinned_factor,
-            _ => tier.gbps(),
-        }
-    }
-
     /// Span label for a tensor DMA: `"<verb> <layer>.<role>"` with the
     /// payload size, e.g. `"prefetch CONV2.out"`. Callers guard behind
     /// [`Timeline::tracing`] so the disabled path never formats.
@@ -609,21 +730,26 @@ impl<'n> Executor<'n> {
     /// compute/transfer overlap zero by construction).
     /// Returns when the copy lands.
     fn submit_dma(&mut self, stream: StreamId, t: TensorId, gates: &[Event]) -> SimTime {
-        let bytes = self.tensors[t.0].bytes;
-        let gbps = self.tier_gbps(t);
-        let done = self.dev.tl.transfer_on(stream, bytes, gbps, gates).event;
+        let TensorSlot { bytes, copy, .. } = self.tensors[t.0];
+        let done = self
+            .dev
+            .tl
+            .submit_timed_transfer(stream, bytes, copy, gates)
+            .event;
         if self.policy.sync_transfers {
             self.dev.tl.wait(done);
         }
         done.done_at
     }
 
-    /// Charge device memory the plan promised would fit. The build's
-    /// `verify` proved every grant fits, so only a plan assigned to
+    /// Charge the granules the books hold for an op of `bytes`. The
+    /// build's `verify` proved every grant fits, so only a plan assigned to
     /// [`Executor::mplan`] after build can fail here, on the byte count.
-    fn planned_alloc(&mut self, bytes: u64, step: usize) -> Result<sn_sim::AllocId, ExecError> {
-        let grant = self.dev.alloc_charged(bytes);
-        grant.ok_or_else(|| self.oom(bytes, step))
+    fn charge(&mut self, b: OpBooks, bytes: u64, step: usize) -> Result<u64, ExecError> {
+        let charged = self.dev.charge(b.granules());
+        charged
+            .then_some(b.granules())
+            .ok_or_else(|| self.oom(bytes, step))
     }
 
     /// An OOM of `bytes` at `step`, naming the step's layer, or the end of
@@ -668,31 +794,33 @@ impl<'n> Executor<'n> {
         }
     }
 
-    /// Execute one residency op. `compute_done` is the step's kernel event
-    /// (the gate for eager offloads), present only for post-kernel ops.
+    /// Execute one residency op with its books. `compute_done` is the
+    /// step's kernel event (the gate for eager offloads), present only for
+    /// post-kernel ops.
     fn apply(
         &mut self,
         op: PlanOp,
+        b: OpBooks,
         step: usize,
         compute_done: Option<Event>,
     ) -> Result<(), ExecError> {
         match op {
             PlanOp::Alloc(t) => {
-                let g = self.planned_alloc(self.tensors[t.0].bytes, step)?;
-                self.utp.mark_device(t, g, false);
+                self.charge(b, self.tensors[t.0].bytes, step)?;
             }
             PlanOp::Fetch(t) => {
-                let g = self.planned_alloc(self.tensors[t.0].bytes, step)?;
-                self.utp.mark_device(t, g, false);
+                self.charge(b, self.tensors[t.0].bytes, step)?;
                 if self.dev.tl.tracing() {
                     self.dev.tl.trace_label(self.dma_label("prefetch", t));
                 }
                 self.tensors[t.0].prefetch_done = self.submit_dma(StreamId::H2D, t, &[]);
             }
             PlanOp::Offload { t, evict } => {
-                let bytes = self.tensors[t.0].bytes;
-                if !self.utp.ensure_host_slot(t, bytes, &mut self.dev) {
-                    return Err(ExecError::HostExhausted { requested: bytes });
+                let slot = &mut self.tensors[t.0];
+                if slot.host.is_none() {
+                    let requested = slot.bytes;
+                    let reserved = self.dev.host.reserve(requested);
+                    slot.host = Some(reserved.ok_or(ExecError::HostExhausted { requested })?);
                 }
                 // An eviction's copy-out must run behind every kernel already
                 // queued (which may still read the victim); an eager offload
@@ -706,7 +834,6 @@ impl<'n> Executor<'n> {
                     self.dev.tl.trace_label(self.dma_label(verb, t));
                 }
                 let done = self.submit_dma(StreamId::D2H, t, &[gate]);
-                self.utp.mark_offloading(t, evict);
                 let slot = &mut self.tensors[t.0];
                 slot.offload_done = done;
                 if evict {
@@ -724,14 +851,19 @@ impl<'n> Executor<'n> {
                     .tl
                     .wait(copy_done(StreamId::D2H, slot.offload_done));
                 slot.clear_transfers();
-                if self.utp.release_device(t, &mut self.dev) {
+                self.dev.refund(b.granules());
+                if b.drops() {
                     self.notify_drop(t);
                 }
             }
             PlanOp::Free(t) => {
                 // An in-flight copy-out is cancelled, not awaited.
-                self.tensors[t.0].clear_transfers();
-                self.utp.free_tensor(t, &mut self.dev);
+                let slot = &mut self.tensors[t.0];
+                slot.clear_transfers();
+                if let Some(h) = slot.host.take() {
+                    self.dev.host.release(h);
+                }
+                self.dev.refund(b.granules());
                 self.notify_drop(t);
             }
             PlanOp::Recompute(l) => {
@@ -765,20 +897,16 @@ impl<'n> Executor<'n> {
                 }
             }
             PlanOp::AllocWorkspace(bytes) => {
-                debug_assert!(self.ws_grant.is_none());
-                self.ws_grant = Some(self.planned_alloc(bytes, step)?);
+                debug_assert_eq!(self.ws_grant, 0);
+                self.ws_grant = self.charge(b, bytes, step)?;
             }
             PlanOp::AllocTransient(bytes) => {
-                debug_assert!(self.tr_grant.is_none());
-                self.tr_grant = Some(self.planned_alloc(bytes, step)?);
+                debug_assert_eq!(self.tr_grant, 0);
+                self.tr_grant = self.charge(b, bytes, step)?;
             }
             PlanOp::FreeTransients => {
-                if let Some(g) = self.ws_grant.take() {
-                    self.dev.free_charged(g);
-                }
-                if let Some(g) = self.tr_grant.take() {
-                    self.dev.free_charged(g);
-                }
+                self.dev.refund(std::mem::take(&mut self.ws_grant));
+                self.dev.refund(std::mem::take(&mut self.tr_grant));
             }
             PlanOp::Collective { .. } => {
                 // Single-device plans never contain collectives; the group
@@ -804,12 +932,16 @@ impl<'n> Executor<'n> {
     }
 
     /// Open a new iteration: reset residency and statistics, snapshot the
-    /// counters [`Executor::finish_iteration`] will difference. The group
+    /// counters [`Executor::finish_iteration`] will difference, and book a
+    /// plan assigned to [`Executor::mplan`] since the last. The group
     /// interpreter uses this begin/step/finish decomposition to interleave
     /// replicas at step granularity; [`Executor::run_iteration`] is the
     /// single-device composition of the three.
     pub(crate) fn begin_iteration(&mut self) {
         self.iter += 1;
+        if !Arc::ptr_eq(&self.mplan, &self.booked) {
+            self.book();
+        }
         self.reset_iteration_state();
         self.iter_t_start = self.dev.tl.now();
         self.iter_alloc_time0 = self.dev.alloc_time;
@@ -833,8 +965,8 @@ impl<'n> Executor<'n> {
         self.dev.tl.sync_all();
         let fr = self.mplan.final_range;
         for i in fr.start as usize..fr.end as usize {
-            let op = self.mplan.ops[i];
-            self.apply(op, total, None)?;
+            let (op, b) = (self.mplan.ops[i], self.books[i]);
+            self.apply(op, b, total, None)?;
         }
 
         let stats = self.dev.tl.stats();
@@ -861,48 +993,33 @@ impl<'n> Executor<'n> {
             report.peak_bytes, self.mplan.peak_bytes,
             "executed peak diverged from the plan"
         );
-        // Once per iteration, never per step: the O(1) residency counts
-        // against the O(tensors) scans they replaced.
-        debug_assert_eq!(
-            self.utp.device_resident(),
-            self.utp.scan_resident(Residence::Device),
-            "device-resident count drifted from the tensor states"
-        );
-        debug_assert_eq!(
-            self.utp.host_resident(),
-            self.utp.scan_resident(Residence::Host),
-            "host-resident count drifted from the tensor states"
-        );
         if let Some(m) = &self.metrics {
             m.flush(&report, self.prefetch_stall);
-            m.cache_resident.set(self.utp.cache_len() as i64);
         }
         Ok(report)
     }
 
     fn reset_iteration_state(&mut self) {
-        // A copy is in flight only for a device-resident tensor (`Fetch` and
-        // `Offload` set the completions; `ReleaseDevice` and `Free`, the two
-        // ways off the device, clear them), so an iteration that ran to its
-        // end left none behind and only an abandoned one is swept. A stale
-        // completion must not survive: it would gate a kernel of the next
-        // iteration and draw a flow arrow from a copy it never waited for.
-        if self.utp.device_resident() > 0 {
-            self.tensors
-                .iter_mut()
-                .for_each(TensorSlot::clear_transfers);
+        // An iteration run to its end returned every host slot and every
+        // byte but the weights', and left no copy in flight (only a tensor
+        // on the device has one), so only an abandoned one is swept. A stale
+        // completion would gate a kernel of the next iteration and draw a
+        // flow arrow from a copy it never waited for.
+        if self.dev.used == self.weights && self.dev.host.total_used() == 0 {
+            debug_assert!(self
+                .tensors
+                .iter()
+                .all(|s| s.prefetch_done == SimTime::ZERO && s.offload_done == SimTime::ZERO));
+            return;
         }
-        debug_assert!(self
-            .tensors
-            .iter()
-            .all(|s| s.prefetch_done == SimTime::ZERO && s.offload_done == SimTime::ZERO));
-        self.utp.reset(&mut self.dev);
-        if let Some(g) = self.ws_grant.take() {
-            self.dev.free_charged(g);
+        for slot in &mut self.tensors {
+            slot.clear_transfers();
+            if let Some(h) = slot.host.take() {
+                self.dev.host.release(h);
+            }
         }
-        if let Some(g) = self.tr_grant.take() {
-            self.dev.free_charged(g);
-        }
+        (self.ws_grant, self.tr_grant) = (0, 0);
+        self.dev.used = self.weights;
     }
 
     pub(crate) fn run_step(&mut self, s: usize) -> Result<(), ExecError> {
@@ -914,8 +1031,8 @@ impl<'n> Executor<'n> {
         //    iteration: `PlanOp` is `Copy`, so the interpreter's hottest
         //    loop never clones the plan's op vectors.
         for i in step.pre.start as usize..step.pre.end as usize {
-            let op = self.mplan.ops[i];
-            self.apply(op, s, None)?;
+            let (op, b) = (self.mplan.ops[i], self.books[i]);
+            self.apply(op, b, s, None)?;
         }
 
         // 2. The kernel, gated on *every* input's in-flight prefetch: a
@@ -967,7 +1084,6 @@ impl<'n> Executor<'n> {
         self.samples.push(StepSample {
             resident_bytes: self.dev.used,
             completed_at: compute_done.done_at,
-            live_tensors: self.utp.device_resident() as u32,
         });
         // The training loop is host-synchronous with compute at layer
         // granularity; DMA engines keep draining in the background.
@@ -982,8 +1098,8 @@ impl<'n> Executor<'n> {
         // 3. Post-kernel ops (transient release, eager offload gated on the
         //    kernel, prefetch-ahead, liveness frees, recompute cleanup).
         for i in step.post.start as usize..step.post.end as usize {
-            let op = self.mplan.ops[i];
-            self.apply(op, s, Some(compute_done))?;
+            let (op, b) = (self.mplan.ops[i], self.books[i]);
+            self.apply(op, b, s, Some(compute_done))?;
         }
         Ok(())
     }
@@ -999,21 +1115,22 @@ impl<'n> Executor<'n> {
 
     /// The Fig. 10 rows of the most recent iteration, one per executed step:
     /// what the interpreter sampled at each kernel submit, joined with the
-    /// plan's step (number, layer, phase) and the device's capacity (free
-    /// bytes). A view, like [`Executor::ws_records`] — the warm path stores
-    /// three numbers a step and builds no record.
+    /// plan's step (number, layer, phase), the books' live-tensor count and
+    /// the device's capacity (free bytes). A view, like
+    /// [`Executor::ws_records`] — the warm path stores two numbers a step
+    /// and builds no record.
     pub fn step_records(&self) -> impl Iterator<Item = StepRecord> + '_ {
         let capacity = self.dev.capacity;
         self.samples
             .iter()
-            .zip(&self.mplan.steps)
+            .zip(self.mplan.steps.iter().zip(&self.live))
             .enumerate()
-            .map(move |(s, (sample, step))| StepRecord {
+            .map(move |(s, (sample, (step, &live)))| StepRecord {
                 step: s + 1,
                 layer: self.layers[step.layer.0].name.clone(),
                 phase: sim_phase(step.phase),
                 resident_bytes: sample.resident_bytes,
-                live_tensors: sample.live_tensors as usize,
+                live_tensors: live as usize,
                 free_bytes: capacity - sample.resident_bytes,
                 completed_at: sample.completed_at,
             })
@@ -1200,14 +1317,18 @@ mod tests {
         let in_flight = |ex: &Executor<'_>, f: fn(&TensorSlot) -> SimTime| {
             ex.tensors.iter().filter(|s| f(s) > SimTime::ZERO).count()
         };
+        // Device bytes above the weights', and a host slot held.
+        let held = |ex: &Executor<'_>| {
+            ex.dev.used > ex.weights && ex.tensors.iter().any(|s| s.host.is_some())
+        };
         // Mid-forward: an eager copy-out on the wire, its tensor on device.
         abandon_after(&mut ex, steps / 4 + 1);
         assert!(in_flight(&ex, |s| s.offload_done) > 0);
-        assert!(ex.utp.device_resident() > 0 && ex.utp.host_resident() > 0);
+        assert!(held(&ex));
         // Just into backward: fetched tensors no kernel has gated on yet.
         abandon_after(&mut ex, steps / 2 + 2);
         assert!(in_flight(&ex, |s| s.prefetch_done) > 0);
-        assert!(ex.utp.device_resident() > 0 && ex.utp.host_resident() > 0);
+        assert!(held(&ex));
         // A transient allocation past the card in the pre-ops of a step
         // after the first fetch: the iteration errs there, part-way into
         // the step, with fetches landing.

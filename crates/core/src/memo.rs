@@ -62,11 +62,6 @@ impl RecencyList {
         (self.head, self.tail, self.len) = (NONE, NONE, 0);
     }
 
-    /// Linked slots.
-    pub(crate) fn len(&self) -> usize {
-        self.len
-    }
-
     /// Link `i` at the MRU end. `i` must not be linked.
     pub(crate) fn push_front(&mut self, i: u32) {
         debug_assert!(!self.links[i as usize].linked);
@@ -419,7 +414,7 @@ mod tests {
                 }
                 prop_assert!(m.len() <= cap);
                 prop_assert_eq!(m.len(), m.map.len());
-                prop_assert_eq!(m.len(), m.recency.len());
+                prop_assert_eq!(m.len(), m.recency.len);
                 let keys: Vec<u32> = model.0.iter().map(|e| e.0).collect();
                 prop_assert_eq!(order(&m), keys);
             }

@@ -86,7 +86,6 @@ use crate::memo::SharedMemo;
 use crate::policy::{Policy, RecomputeMode, WorkspacePolicy};
 use crate::recompute::{RecomputePlan, SegmentStrategy};
 use crate::session::PeakPrediction;
-use crate::tiers::Tier;
 use crate::tune::TuneMetrics;
 use crate::utp::{Residence, Utp};
 
@@ -1000,18 +999,11 @@ impl<'a> Planner<'a> {
         r
     }
 
-    /// Effective transfer bandwidth for `t`'s external tier (the pageable
-    /// penalty applies to the local-host tier only).
-    fn tier_gbps(&self, t: TensorId) -> f64 {
-        let tier = self.w.utp.tier_of(t);
-        match tier {
-            Tier::LocalHost if !self.policy.pinned_host => tier.gbps() * self.spec.unpinned_factor,
-            _ => tier.gbps(),
-        }
-    }
-
+    /// How long a copy of `t` to or from its external tier takes.
     fn transfer_ns(&self, t: TensorId) -> u64 {
-        sn_sim::time::transfer_time(self.meta(t).bytes, self.tier_gbps(t)).as_ns()
+        let tier = self.w.utp.tier_of(t);
+        tier.copy_time(self.meta(t).bytes, &self.policy, self.spec)
+            .as_ns()
     }
 
     /// Allocate, tracking where the peak lands — and whether the cap was

@@ -15,6 +15,9 @@
 
 use sn_mempool::host::HostSlot;
 use sn_mempool::PinnedHostPool;
+use sn_sim::{DeviceSpec, SimTime};
+
+use crate::policy::Policy;
 
 /// External memory tier, fastest first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -43,6 +46,17 @@ impl Tier {
             Tier::LocalHost => 8.0,
             Tier::Remote => 6.0,
         }
+    }
+
+    /// How long a copy of `bytes` to or from this tier takes under
+    /// `policy`: the pageable (unpinned) penalty applies to the local host
+    /// tier only.
+    pub(crate) fn copy_time(self, bytes: u64, policy: &Policy, spec: &DeviceSpec) -> SimTime {
+        let gbps = match self {
+            Tier::LocalHost if !policy.pinned_host => self.gbps() * spec.unpinned_factor,
+            _ => self.gbps(),
+        };
+        sn_sim::time::transfer_time(bytes, gbps)
     }
 }
 

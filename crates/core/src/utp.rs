@@ -10,21 +10,14 @@
 //! planner, which walks `states` thousands of compiles a second, carries
 //! nothing it never sets.
 //!
-//! Two drivers share this state machine:
-//!
-//! * the **planner** ([`crate::plan`]) drives it at compile time — with
-//!   *instant* logical transfers — to decide every eviction, offload,
-//!   prefetch and release, recording each mutation as a [`crate::plan::PlanOp`];
-//! * the **executor** ([`crate::executor`]) drives it at run time, replaying
-//!   those ops with real DMA submissions on the multi-stream timeline. It
-//!   never fills the Tensor Cache or pins a tensor (the plan already chose
-//!   every victim), and an iteration it runs to the end leaves every state
-//!   empty — [`Utp::reset`] and the removal paths cost it nothing for either.
-//!
-//! Because both apply the *same op sequence* at the *same allocator's*
-//! granularity (the executor counts the bytes the planner's allocator
-//! placed), the executed memory trajectory — and therefore the peak — is
-//! identical to the planned one by construction.
+//! The **planner** ([`crate::plan`]) drives it at compile time — with
+//! *instant* logical transfers — to decide every eviction, offload,
+//! prefetch and release, recording each mutation as a [`crate::plan::PlanOp`].
+//! When an executor is built ([`crate::executor`]), the compiled op stream
+//! runs through it once more, and the executor keeps only what a warm step
+//! reads of it: each op's granules and whether a release drops the
+//! tensor's contents, each step's live-tensor count, each offloaded
+//! tensor's copy time at its tier. A warm step calls nothing here.
 //!
 //! Plan compilation is the system's hot path (admission ladders and
 //! feasibility searches compile thousands of plans), so the Tensor Cache is
@@ -57,8 +50,8 @@ pub enum Residence {
 #[derive(Debug, Clone, Copy)]
 pub struct TensorState {
     /// Written only through [`Utp`]'s transitions in this module, which keep
-    /// [`Utp::device_resident`] and [`Utp::host_resident`] in step with it;
-    /// read via [`TensorState::residence`].
+    /// [`Utp::host_resident`] in step with it; read via
+    /// [`TensorState::residence`].
     residence: Residence,
     pub grant: Option<AllocId>,
     pub host_slot: Option<TierSlot>,
@@ -76,7 +69,7 @@ pub struct TensorState {
     pub evicting: bool,
 }
 
-// One cache line a tensor: both drivers walk `states` by tensor id.
+// One cache line a tensor: the planner walks `states` by tensor id.
 const _: () = assert!(std::mem::size_of::<TensorState>() <= 64);
 
 impl TensorState {
@@ -99,21 +92,18 @@ impl TensorState {
 
 /// The residency manager: tensor states + LRU Tensor Cache + pending
 /// offloads, behind a narrow mutation API. It never *decides* anything —
-/// decisions live in the planner — it keeps the books both drivers share.
+/// decisions live in the planner — it keeps the planner's books.
 #[derive(Debug, Clone)]
 pub struct Utp {
-    /// Private: [`Utp::reset`] trusts the resident counts to say whether any
-    /// state holds anything, so every write goes through this module.
+    /// Private: [`Utp::host_resident`] counts them, so every write goes
+    /// through this module.
     states: Vec<TensorState>,
     /// The device-resident, cache-managed tensors in recency order.
     cache: RecencyList,
     insertion_clock: u64,
-    /// How many `states` are [`Residence::Device`] and how many
-    /// [`Residence::Host`] — moved by [`Utp::set_residence`] and zeroed by
-    /// [`Utp::reset`] and [`Utp::renew`], the only writers of `residence`.
-    /// (`u32`, like the cache's tensor indices: the pair takes the room the
-    /// one count did.)
-    device_resident: u32,
+    /// How many `states` are [`Residence::Host`] — moved by
+    /// [`Utp::set_residence`] and zeroed by [`Utp::renew`], the only writers
+    /// of `residence`.
     host_resident: u32,
     /// Tensors with an in-flight device→host copy, in submission order
     /// (D2H serializes, so submission order is completion order).
@@ -126,7 +116,6 @@ impl Utp {
             states: vec![TensorState::EMPTY; n_tensors],
             cache: RecencyList::new(n_tensors),
             insertion_clock: 0,
-            device_resident: 0,
             host_resident: 0,
             pending_offloads: Vec::new(),
         }
@@ -140,7 +129,7 @@ impl Utp {
         self.cache.renew(n_tensors);
         self.pending_offloads.clear();
         self.insertion_clock = 0;
-        (self.device_resident, self.host_resident) = (0, 0);
+        self.host_resident = 0;
     }
 
     #[inline]
@@ -292,13 +281,10 @@ impl Utp {
     }
 
     /// Every per-tensor write of `residence`: moves `t` and keeps the
-    /// device- and host-resident counts equal to what a scan of `states`
-    /// would find.
+    /// host-resident count equal to what a scan of `states` would find.
     #[inline]
     fn set_residence(&mut self, t: TensorId, to: Residence) {
         let st = &mut self.states[t.0];
-        self.device_resident -= (st.residence == Residence::Device) as u32;
-        self.device_resident += (to == Residence::Device) as u32;
         self.host_resident -= (st.residence == Residence::Host) as u32;
         self.host_resident += (to == Residence::Host) as u32;
         st.residence = to;
@@ -365,74 +351,13 @@ impl Utp {
         self.lru_remove(t);
     }
 
-    /// Drop every tensor back to [`TensorState::EMPTY`], releasing grants
-    /// and host slots — the between-iterations reset.
-    ///
-    /// An iteration that ran to its end has already emptied every state: a
-    /// grant, a host slot, `offloading` and `host_valid` each imply device or
-    /// host residence, and no lock outlives its step. Then the counts say
-    /// so and nothing is walked; only an abandoned iteration pays the scan.
-    pub fn reset(&mut self, dev: &mut impl Memory) {
-        self.pending_offloads.clear();
-        if self.device_resident == 0 && self.host_resident == 0 {
-            debug_assert!(self.states.iter().all(|st| {
-                st.residence == Residence::None
-                    && st.grant.is_none()
-                    && st.host_slot.is_none()
-                    && !st.host_valid
-                    && st.lock == 0
-                    && !st.offloading
-                    && !st.evicting
-            }));
-            debug_assert_eq!(self.cache_len(), 0);
-            return;
-        }
-        for i in 0..self.states.len() {
-            self.states[i].lock = 0;
-            self.states[i].offloading = false;
-            self.states[i].evicting = false;
-            if let Some(g) = self.states[i].grant.take() {
-                dev.free_charged(g);
-            }
-            if let Some(slot) = self.states[i].host_slot.take() {
-                dev.host().release(slot);
-            }
-            self.states[i].host_valid = false;
-            self.states[i].residence = Residence::None;
-        }
-        self.device_resident = 0;
-        self.host_resident = 0;
-        self.cache.clear();
-    }
-
-    /// Number of tensors currently under Tensor Cache management — the
-    /// telemetry occupancy gauge (`exec.cache.resident`). O(1).
-    pub fn cache_len(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Count of device-resident tensors (the trace's live-tensor series).
-    /// O(1): a counter the residence transitions maintain, so the
-    /// interpreter can read it every step at any net depth.
-    #[inline]
-    pub fn device_resident(&self) -> usize {
-        self.device_resident as usize
-    }
-
     /// Count of tensors whose only copy is on the host — what a fetch could
-    /// bring back. O(1), like [`Utp::device_resident`]: the planner asks
-    /// after every backward step whether there is anything to prefetch.
+    /// bring back. O(1), a counter the residence transitions maintain: the
+    /// planner asks after every backward step whether there is anything to
+    /// prefetch.
     #[inline]
     pub fn host_resident(&self) -> usize {
         self.host_resident as usize
-    }
-
-    /// [`Utp::device_resident`] / [`Utp::host_resident`] recomputed by
-    /// scanning every state — O(tensors), the oracle the counters are
-    /// checked against (once per iteration in debug builds, after every op
-    /// in the property test).
-    pub(crate) fn scan_resident(&self, at: Residence) -> usize {
-        self.states.iter().filter(|st| st.residence == at).count()
     }
 }
 
@@ -565,22 +490,25 @@ mod tests {
                 utp.pick_victim(CachePolicy::Fifo),
                 victim(|ins, _| ins as i64)
             );
-            assert_eq!(utp.cache_len(), stamps.iter().flatten().count());
-            assert_eq!(utp.device_resident(), utp.scan_resident(Residence::Device));
+            assert_eq!(
+                utp.cache.lru_to_mru().count(),
+                stamps.iter().flatten().count()
+            );
         }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        // The counts are the scans: after every transition, on real grants.
+        // The host count is the scan: after every transition, on real grants.
         #[test]
-        fn device_resident_count_equals_the_scan(
-            ops in proptest::collection::vec((0u8..16, 0usize..12, proptest::bool::ANY), 0..300),
+        fn host_resident_count_equals_the_scan(
+            ops in proptest::collection::vec((0u8..15, 0usize..12, proptest::bool::ANY), 0..300),
         ) {
             let n = 12;
             let mut utp = Utp::new(n);
             let mut d = dev();
+            let scan = |utp: &Utp, at| (0..n).filter(|&i| utp.state(TensorId(i)).residence() == at).count();
             for (op, i, flag) in ops {
                 let t = TensorId(i);
                 let on_device = utp.state(t).residence() == Residence::Device;
@@ -598,13 +526,11 @@ mod tests {
                         prop_assert_eq!(gone, utp.state(t).residence() == Residence::None);
                     }
                     12..=14 => utp.free_tensor(t, &mut d),
-                    15 => utp.reset(&mut d),
                     _ => {}
                 }
-                prop_assert_eq!(utp.device_resident(), utp.scan_resident(Residence::Device));
-                prop_assert_eq!(utp.host_resident(), utp.scan_resident(Residence::Host));
+                prop_assert_eq!(utp.host_resident(), scan(&utp, Residence::Host));
                 // Every device resident holds exactly one 16 KiB grant.
-                prop_assert_eq!(d.alloc.used(), (utp.device_resident() as u64) << 14);
+                prop_assert_eq!(d.alloc.used(), (scan(&utp, Residence::Device) as u64) << 14);
             }
         }
     }

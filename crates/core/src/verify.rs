@@ -8,9 +8,10 @@
 //! replay once more on a first-fit [`HeapPool`] of the card's size, which
 //! covers every iteration (each starts from the same pool state). Each
 //! [`Rule`] is part of the contract the interpreter relies on: every
-//! [`crate::Executor`] runs `verify` once, in every build, and holds no
-//! allocator; debug builds check every plan the [`crate::plan::Compiler`]
-//! compiles too.
+//! [`crate::Executor`] runs `verify` once, in every build, and then charges
+//! a byte counter the granules one pass of the plan through the planner's
+//! `Utp` worked out; debug builds check every plan the
+//! [`crate::plan::Compiler`] compiles too.
 
 use std::fmt;
 
