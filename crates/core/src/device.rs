@@ -187,20 +187,18 @@ impl SimDevice {
         }
     }
 
-    /// The granules a grant of `bytes` takes, or one past the card's when
-    /// it takes more: that is past enough to fail, and keeps
-    /// [`SimDevice::charge`]'s shift from overflowing.
+    /// The granules a grant of `bytes` takes.
     pub(crate) fn granules(&self, bytes: u64) -> u64 {
-        let granules = ((bytes.max(1) - 1) >> self.shift) + 1;
-        granules.min((self.capacity >> self.shift) + 1)
+        ((bytes.max(1) - 1) >> self.shift) + 1
     }
 
-    /// Charge `granules`, or `false` past the capacity.
+    /// Charge `granules`, or `false` past the capacity (compared in
+    /// granules, so a count past the card cannot overflow into bytes).
     pub(crate) fn charge(&mut self, granules: u64) -> bool {
-        let bytes = granules << self.shift;
-        if bytes > self.capacity - self.used {
+        if granules > (self.capacity - self.used) >> self.shift {
             return false;
         }
+        let bytes = granules << self.shift;
         self.used += bytes;
         self.high_water = self.high_water.max(self.used);
         let mibs = ((bytes - 1) >> MB.trailing_zeros()) + 1;

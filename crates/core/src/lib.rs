@@ -11,15 +11,15 @@
 //!    executor could not express.
 //! 2. **UTP** — [`utp`] is the Unified Tensor Pool residency manager: the
 //!    tensor-state map, the Alg. 2 LRU Tensor Cache, the reclamation
-//!    ladder's pending-offload reservoir, host-slot management over the
-//!    Fig. 7 tiers, and in-flight DMA handles, behind a narrow API shared
-//!    by the planner and the executor.
-//! 3. **Interpret** — [`executor`] walks the plan over the UTP and the
-//!    multi-stream sim engine. Because it replays the identical alloc/free
-//!    sequence at the allocator's granularity, the executed peak equals
-//!    [`MemoryPlan::peak_bytes`] to the byte — which is why cluster
-//!    admission ([`sn-cluster`](../sn_cluster/index.html)) reserves plan
-//!    peaks without simulating an iteration.
+//!    ladder's pending-offload reservoir and host-slot management over the
+//!    Fig. 7 tiers, behind a narrow API the planner drives; an executor's
+//!    build runs the plan through it once.
+//! 3. **Interpret** — [`executor`] walks the plan, with what that pass
+//!    worked out, over the multi-stream sim engine. Because it replays the
+//!    identical alloc/free sequence at the allocator's granularity, the
+//!    executed peak equals [`MemoryPlan::peak_bytes`] to the byte — which
+//!    is why cluster admission ([`sn-cluster`](../sn_cluster/index.html))
+//!    reserves plan peaks without simulating an iteration.
 //!
 //! Around the three layers:
 //!
