@@ -22,14 +22,23 @@
 //! other paths under load: VGG16 spilling from a 1 GiB local host tier to a
 //! peer GPU and to a remote pool, the `cudaMalloc` allocator at a cap where
 //! the Tensor Cache evicts, and synchronous copies.
+//!
+//! `tests/golden/backend_digests.txt` pins what a compute backend is told:
+//! per iteration cell, the sequence of `forward`, `backward`, `drop_output`
+//! and `drop_grad` calls, with their layers, over a cold and a warm
+//! iteration. A value read after its `Free` still reads fine in the numeric
+//! backend, so only this digest sees a drop the interpreter swallowed. A
+//! gang takes no backend: its cell runs the gang's net on one card.
 
+use std::cell::RefCell;
 use std::hash::{Hash, Hasher};
+use std::rc::Rc;
 
-use sn_graph::Net;
+use sn_graph::{LayerId, Net};
 use sn_models as models;
 use sn_runtime::{
-    ExecError, Executor, GroupConfig, GroupExecutor, Interconnect, Policy, RecomputeMode,
-    TierConfig,
+    ComputeBackend, ExecError, Executor, GroupConfig, GroupExecutor, Interconnect, Policy,
+    RecomputeMode, TierConfig,
 };
 use sn_sim::spec::GB;
 use sn_sim::DeviceSpec;
@@ -257,4 +266,69 @@ fn steps_match_their_golden_digests() {
         }
     }
     assert!(changed.is_empty(), "step records changed: {changed:?}");
+}
+
+/// A backend that computes nothing and folds every call it is told of,
+/// with its layer, into a digest it shares with the test.
+struct Recorder(Rc<RefCell<fxhash::FxHasher>>);
+
+impl Recorder {
+    fn call(&self, kind: u8, layer: LayerId) {
+        (kind, layer.0).hash(&mut *self.0.borrow_mut());
+    }
+}
+
+impl ComputeBackend for Recorder {
+    fn begin_iteration(&mut self, iter: u64) {
+        (0u8, iter).hash(&mut *self.0.borrow_mut());
+    }
+
+    fn forward(&mut self, layer: LayerId) {
+        self.call(1, layer);
+    }
+
+    fn backward(&mut self, layer: LayerId) {
+        self.call(2, layer);
+    }
+
+    fn drop_output(&mut self, layer: LayerId) {
+        self.call(3, layer);
+    }
+
+    fn drop_grad(&mut self, layer: LayerId) {
+        self.call(4, layer);
+    }
+}
+
+/// A cell's backend calls over a cold and a warm iteration; a gang cell's
+/// net runs on one card.
+fn backend_digest(cell: &Cell) -> Result<String, ExecError> {
+    let (spec, policy) = (cell.spec.clone(), cell.policy);
+    let h = Rc::new(RefCell::new(fxhash::FxHasher::default()));
+    let ex = match cell.run {
+        Run::Inference => Executor::new_inference(&cell.net, spec, policy)?,
+        Run::Training | Run::Gang(_) => Executor::new(&cell.net, spec, policy)?,
+    };
+    let mut ex = ex.with_backend(Box::new(Recorder(h.clone())));
+    for _ in ["cold", "warm"] {
+        ex.run_iteration()?;
+    }
+    let digest = h.borrow().finish();
+    Ok(format!("{} {digest:016x}", cell.label))
+}
+
+#[test]
+fn backend_calls_match_their_golden_digests() {
+    let golden = include_str!("golden/backend_digests.txt");
+    let cells = cells();
+    assert_eq!(golden.lines().count(), cells.len());
+    let mut changed = Vec::new();
+    for (cell, want) in cells.iter().zip(golden.lines()) {
+        let got = backend_digest(cell).unwrap_or_else(|e| panic!("{}: {e}", cell.label));
+        if got != want {
+            println!("{got} (golden: {want})");
+            changed.push(cell.label);
+        }
+    }
+    assert!(changed.is_empty(), "backend calls changed: {changed:?}");
 }
