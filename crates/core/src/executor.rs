@@ -1351,7 +1351,17 @@ mod tests {
         mutated.ops[i] = PlanOp::AllocTransient(tight.dram_bytes + 1);
         ex.mplan = Arc::new(mutated);
         match ex.run_iteration() {
-            Err(ExecError::Oom { step, .. }) => assert_eq!(step, s),
+            Err(ExecError::Oom {
+                step,
+                layer,
+                requested,
+                capacity,
+            }) => {
+                assert_eq!(step, s);
+                assert_eq!(&*layer, net.layer(clean_plan.steps[s].layer).name);
+                assert_eq!(requested, tight.dram_bytes + 1);
+                assert_eq!(capacity, ex.dev.capacity);
+            }
             r => panic!("the mutated plan must fail at step {s}: {r:?}"),
         }
         assert!(in_flight(&ex, |s| s.prefetch_done) > 0);
