@@ -175,11 +175,6 @@ impl RecomputePlan {
     pub fn predicted_speed_centric_extra(&self) -> usize {
         self.segments.iter().map(|s| s.members.len()).sum()
     }
-
-    /// Total members (for reporting).
-    pub fn total_recomputable(&self) -> usize {
-        self.predicted_speed_centric_extra()
-    }
 }
 
 #[cfg(test)]

@@ -75,12 +75,6 @@ impl Event {
         done_at: SimTime::ZERO,
         stream: StreamId::COMPUTE,
     };
-
-    /// Has this event completed by time `now`?
-    #[inline]
-    pub fn is_done(&self, now: SimTime) -> bool {
-        self.done_at <= now
-    }
 }
 
 /// A tracked in-flight DMA: the completion event plus the payload size (for
@@ -399,11 +393,6 @@ impl Timeline {
         self.tracer = Some(Box::new(tr));
     }
 
-    /// Stop recording spans on this timeline.
-    pub fn detach_tracer(&mut self) {
-        self.tracer = None;
-    }
-
     /// Whether a live trace sink is attached. Instrumented callers guard
     /// label construction behind this, so tracing is zero-cost when off.
     #[inline]
@@ -484,11 +473,6 @@ impl Timeline {
         tr.ends[stream.0].push((done.as_ns(), id));
     }
 
-    /// Number of streams (canonical + added).
-    pub fn stream_count(&self) -> usize {
-        self.streams.len()
-    }
-
     /// The canonical stream for a kind. Link streams have no canonical
     /// slot — a device may have zero or several link ports, added via
     /// [`Timeline::add_stream`].
@@ -534,20 +518,6 @@ impl Timeline {
         Event {
             done_at: done,
             stream,
-        }
-    }
-
-    /// Submit to a kind's canonical stream with at most one dependency
-    /// (the common case in the executor's hot path).
-    pub fn submit_after(
-        &mut self,
-        kind: EngineKind,
-        duration: SimTime,
-        after: Option<Event>,
-    ) -> Event {
-        match after {
-            Some(e) => self.submit_on(Self::canonical(kind), duration, &[e]),
-            None => self.submit_on(Self::canonical(kind), duration, &[]),
         }
     }
 

@@ -167,11 +167,6 @@ impl DeviceSpec {
         let mib = bytes.div_ceil(MB);
         SimTime(self.malloc_base.0 + self.malloc_per_mib.0 * mib)
     }
-
-    /// Cost model for a `cudaFree`.
-    pub fn free_cost(&self) -> SimTime {
-        self.free_base
-    }
 }
 
 #[cfg(test)]
