@@ -339,6 +339,8 @@ pub struct GroupExecutor<'n> {
     pub overlap: bool,
     replicas: Vec<Executor<'n>>,
     links: Vec<StreamId>,
+    /// Scratch for a bucket's gates, one per replica, reused across buckets.
+    ready: Vec<Event>,
 }
 
 impl DeviceGroup for GroupExecutor<'_> {
@@ -392,6 +394,7 @@ impl<'n> GroupExecutor<'n> {
             net,
             gplan,
             overlap,
+            ready: Vec::with_capacity(replicas.len()),
             replicas,
             links,
         })
@@ -434,9 +437,11 @@ impl<'n> GroupExecutor<'n> {
         let gplan = self.gplan.clone();
         let b = &gplan.buckets[bucket as usize];
         let duration = gplan.bucket_time(b);
-        let ready: Vec<Event> = (0..self.replicas.len())
-            .map(|i| self.replicas[i].dev.tl.frontier_event(StreamId::COMPUTE))
-            .collect();
+        let mut ready = std::mem::take(&mut self.ready);
+        ready.clear();
+        for r in &self.replicas {
+            ready.push(r.dev.tl.frontier_event(StreamId::COMPUTE));
+        }
         for r in &mut self.replicas {
             if r.dev.tl.tracing() {
                 r.dev.tl.trace_label(
@@ -463,6 +468,7 @@ impl<'n> GroupExecutor<'n> {
                 }
             }
         }
+        self.ready = ready;
     }
 
     /// Run one synchronous data-parallel iteration: every replica replays
