@@ -129,30 +129,34 @@ impl Memory for Device {
 }
 
 /// The simulated GPU's memory as the interpreter sees it: its timeline and
-/// a byte counter that rounds and charges each call as the plan's
-/// allocator does (the pool's 1 KB blocks at constant latencies;
-/// `cudaMalloc`'s 256 B at `malloc_base + malloc_per_mib·⌈MiB⌉` and
-/// `free_base`). A charge is a count of granules, worked out when the
-/// executor is built (`SimDevice::granules`); both granules and the MiB
-/// are powers of two, so a charge shifts and never divides.
+/// a byte counter. The build prices each call as the plan's allocator does
+/// (the pool's 1 KB blocks at constant latencies; `cudaMalloc`'s 256 B at
+/// `malloc_base + malloc_per_mib·⌈MiB⌉` and `free_base`) and sums runs of
+/// them into `Fold`s; a warm step only applies them. Both granules and
+/// the MiB are powers of two, so pricing shifts and never divides.
 #[derive(Debug, Clone)]
 pub struct SimDevice {
     pub tl: Timeline,
     pub host: TieredPool,
-    /// `high_water` is the most `used` since the caller last set it.
+    /// Bytes charged and not yet refunded.
     pub used: u64,
-    pub high_water: u64,
     pub capacity: u64,
     /// log2 of the granule.
     shift: u32,
     alloc_base: SimTime,
     alloc_per_mib: SimTime,
     free_cost: SimTime,
-    pub alloc_time: SimTime,
-    pub alloc_calls: u64,
 }
 
 const _: () = assert!(BLOCK_BYTES.is_power_of_two() && MB.is_power_of_two());
+
+/// What a run of allocator calls does to the device, summed: the host
+/// latency it costs and the granules it charges net of those it returns.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct Fold {
+    pub(crate) advance: SimTime,
+    pub(crate) granules: i64,
+}
 
 impl SimDevice {
     pub fn new(spec: &DeviceSpec, allocator: AllocatorKind, tiers: TierConfig) -> SimDevice {
@@ -176,14 +180,11 @@ impl SimDevice {
             tl: Timeline::default(),
             host: TieredPool::new(tiers),
             used: 0,
-            high_water: 0,
             capacity,
             shift: granule.trailing_zeros(),
             alloc_base,
             alloc_per_mib,
             free_cost,
-            alloc_time: SimTime::ZERO,
-            alloc_calls: 0,
         }
     }
 
@@ -192,30 +193,36 @@ impl SimDevice {
         ((bytes.max(1) - 1) >> self.shift) + 1
     }
 
-    /// Charge `granules`, or `false` past the capacity (compared in
-    /// granules, so a count past the card cannot overflow into bytes).
-    pub(crate) fn charge(&mut self, granules: u64) -> bool {
-        if granules > (self.capacity - self.used) >> self.shift {
-            return false;
-        }
-        let bytes = granules << self.shift;
-        self.used += bytes;
-        self.high_water = self.high_water.max(self.used);
-        let mibs = ((bytes - 1) >> MB.trailing_zeros()) + 1;
-        let cost = SimTime(self.alloc_base.0 + self.alloc_per_mib.0 * mibs);
-        self.tl.advance(cost);
-        self.alloc_time += cost;
-        self.alloc_calls += 1;
-        true
+    /// The bytes `granules` span.
+    pub(crate) fn bytes(&self, granules: i64) -> i64 {
+        granules << self.shift
     }
 
-    /// Return a grant of `granules`; zero is no grant, and costs nothing.
-    pub(crate) fn refund(&mut self, granules: u64) {
-        if granules > 0 {
-            self.used -= granules << self.shift;
-            self.tl.advance(self.free_cost);
-            self.alloc_time += self.free_cost;
+    /// A charge of `granules` beside `used` bytes, or `None` past the
+    /// capacity (compared in granules, so a count past the card cannot
+    /// overflow).
+    pub(crate) fn charge(&self, used: u64, granules: u64) -> Option<Fold> {
+        if granules > (self.capacity - used) >> self.shift {
+            return None;
         }
+        let mibs = (((granules << self.shift) - 1) >> MB.trailing_zeros()) + 1;
+        let advance = SimTime(self.alloc_base.0 + self.alloc_per_mib.0 * mibs);
+        let granules = granules as i64;
+        Some(Fold { advance, granules })
+    }
+
+    /// The return of `granules`; zero is no grant, and costs nothing.
+    pub(crate) fn refund(&self, granules: u64) -> Fold {
+        let advance = SimTime(self.free_cost.0 * u64::from(granules > 0));
+        let granules = -(granules as i64);
+        Fold { advance, granules }
+    }
+
+    /// Advance the host clock past `f`'s calls and move the byte count.
+    #[inline]
+    pub(crate) fn apply(&mut self, f: Fold) {
+        self.tl.advance(f.advance);
+        self.used = self.used.wrapping_add_signed(self.bytes(f.granules));
     }
 }
 
@@ -232,13 +239,13 @@ mod tests {
         );
         let t0 = d.tl.now();
         let g = d.granules(1 << 20);
-        assert!(d.charge(g));
+        d.apply(d.charge(d.used, g).unwrap());
         assert!(d.tl.now() > t0);
         assert!(
             (d.tl.now() - t0).as_ns() < 10_000,
             "pool alloc must be sub-10us"
         );
-        d.refund(g);
+        d.apply(d.refund(g));
         assert_eq!(d.used, 0);
     }
 
@@ -250,7 +257,7 @@ mod tests {
             TierConfig::default(),
         );
         let t0 = d.tl.now();
-        assert!(d.charge(d.granules(64 << 20)));
+        d.apply(d.charge(d.used, d.granules(64 << 20)).unwrap());
         assert!(
             (d.tl.now() - t0).as_ns() > 50_000,
             "cudaMalloc must cost >50us"
@@ -261,16 +268,17 @@ mod tests {
     fn capacity_respected_by_both() {
         for kind in [AllocatorKind::HeapPool, AllocatorKind::Cuda] {
             let spec = DeviceSpec::k40c().with_dram(1 << 20);
-            let mut d = SimDevice::new(&spec, kind, TierConfig::default());
-            assert!(!d.charge(d.granules(2 << 20)));
-            assert!(!d.charge(d.granules(u64::MAX)));
+            let d = SimDevice::new(&spec, kind, TierConfig::default());
+            assert!(d.charge(d.used, d.granules(2 << 20)).is_none());
+            assert!(d.charge(d.used, d.granules(u64::MAX)).is_none());
             let mut p = Device::new(&spec, kind, TierConfig::default());
             assert!(p.alloc_charged(2 << 20).is_err());
         }
     }
 
     /// The interpreter's counter charges what the planner's allocator does,
-    /// call for call: the same rounded bytes, peak and latencies.
+    /// call for call: the same rounded bytes, peak and latencies (the
+    /// counter's clock advances by nothing else).
     #[test]
     fn the_counter_charges_what_the_allocator_does() {
         let spec = DeviceSpec::k40c().with_dram(64 << 20);
@@ -279,23 +287,21 @@ mod tests {
             let mut d = SimDevice::new(&spec, kind, TierConfig::default());
             let mut p = Device::new(&spec, kind, TierConfig::default());
             assert_eq!(d.capacity, p.alloc.capacity(), "{kind:?}");
-            let mut live = Vec::new();
+            let (mut live, mut high_water) = (Vec::new(), 0);
             for (i, &bytes) in sizes.iter().enumerate() {
-                let (a, used) = (d.granules(bytes), d.used);
-                assert!(d.charge(a));
+                let (a, before) = (d.granules(bytes), d.used);
+                d.apply(d.charge(d.used, a).unwrap());
+                high_water = high_water.max(d.used);
                 let b = p.alloc_charged(bytes).unwrap();
-                assert_eq!(d.used - used, b.bytes, "{kind:?}: {bytes} B");
+                assert_eq!(d.used - before, b.bytes, "{kind:?}: {bytes} B");
                 live.push((a, b.id));
                 if i % 3 == 2 {
                     let (a, b) = live.remove(0);
-                    d.refund(a);
+                    d.apply(d.refund(a));
                     p.free_charged(b);
                 }
-                assert_eq!(
-                    (d.used, d.high_water),
-                    (p.alloc.used(), p.alloc.high_water())
-                );
-                assert_eq!(d.alloc_time, p.alloc_time);
+                assert_eq!((d.used, high_water), (p.alloc.used(), p.alloc.high_water()));
+                assert_eq!(d.tl.now(), p.alloc_time);
             }
         }
     }

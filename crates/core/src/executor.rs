@@ -18,19 +18,23 @@
 //! the whole preset × model matrix by the `plan` bench experiment. Overlap
 //! changes *when* transfers run, never what is resident.
 //!
-//! **What a warm step touches.** The plan's ops and, beside each, the word
-//! of `OpBooks` the build's one pass of the plan through the planner's
-//! [`Utp`] left: the granules it charges or returns, and whether a release
-//! drops the contents. Per tensor an op names, one `TensorSlot` — bytes,
-//! copy time at its tier, host slot, landing times of its in-flight fetch
-//! and copy-out; per step, one `StepSample` written at the kernel submit.
-//! It keeps no residency book, looks up no tier and divides nothing.
-//! Everything else a reader may want of a step — number, layer name, phase,
-//! live tensors, free bytes — is in the plan, the books or the device and is
-//! joined in when somebody asks ([`Executor::step_records`]), as Fig. 12's
-//! rows are ([`Executor::ws_records`]). A replay's duration and the tensor
-//! it waits on are worked out once per layer when the executor is built
-//! (`LayerInfo`), so a replay reads neither the graph nor the liveness
+//! **What a warm step touches.** The program the build's one pass of the
+//! plan through the planner's [`Utp`] compiled: the ops that move the clock
+//! or tell the backend something (fetches, offloads, releases, replays,
+//! frees of tensors with a host copy or under a backend), each with its
+//! `OpBooks`, into which the ops between, which only charge or return bytes,
+//! are folded as one clock advance and granule delta. Per tensor a kept op
+//! names, one `TensorSlot` — bytes, copy time at its tier, host slot,
+//! landing times of its in-flight fetch and copy-out; per step, one
+//! `StepSample` written at the kernel submit. It keeps no residency book,
+//! looks up no tier, divides nothing and checks no capacity: the pass found
+//! the peak and the first charge, if any, past the card, and the program
+//! fails there. All else a reader may want of a step — number, layer name,
+//! phase, live tensors, free bytes — is in the plan, the program or the
+//! device and is joined in when somebody asks ([`Executor::step_records`]),
+//! as Fig. 12's rows are ([`Executor::ws_records`]). A replay's duration and
+//! the tensor it waits on are worked out once per layer when the executor is
+//! built (`LayerInfo`), so a replay reads neither the graph nor the liveness
 //! plan; debug builds hold it to the graph, asserting that no producer but
 //! the one it waits on has a fetch landing.
 //!
@@ -50,8 +54,8 @@ use sn_sim::{
 };
 use sn_telemetry::{Counter, Gauge, Histogram, Json, MetricsRegistry};
 
-use crate::device::{Memory, SimDevice};
-use crate::plan::{self, CompiledPlan, MemoryPlan, OpRange, PlanOp};
+use crate::device::{Fold, Memory, SimDevice};
+use crate::plan::{self, CompiledPlan, MemoryPlan, PlanOp};
 use crate::policy::Policy;
 use crate::recompute::RecomputePlan;
 use crate::tiers::{TierSlot, TieredPool};
@@ -348,36 +352,64 @@ struct StepSample {
     completed_at: SimTime,
 }
 
-/// What the build's pass worked out for one op, in one word beside it: the
-/// granules it charges or returns, and for a `ReleaseDevice`, whether the
-/// tensor's contents went with its device copy.
-#[derive(Debug, Clone, Copy, Default)]
-struct OpBooks(u64);
+/// One entry of the warm program, in 16 bytes: the [`Fold`] of the ops the
+/// build folded since the last entry, applied first, then what the entry
+/// does. A fold wider than an entry holds goes first in `Carry` entries.
+#[derive(Debug, Clone, Copy)]
+struct OpBooks {
+    advance_ns: u32,
+    granules: i32,
+    then: Then,
+}
 
-// A warm step reads one word beside each 8-byte op.
-const _: () = assert!(std::mem::size_of::<OpBooks>() <= 8);
+const _: () = assert!(std::mem::size_of::<OpBooks>() == 16);
+
+/// What a program entry does once its fold is applied.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Then {
+    /// Run the plan's op `.0` (a `u32`, as in its `OpRange`s); a release
+    /// drops the contents if `.1`.
+    Op(u32, bool),
+    /// The step's kernel, with `.0` tensors live on the device.
+    Kernel(u32),
+    /// The section ends.
+    End,
+    /// Op `.0` charges past the card: the iteration fails here.
+    Oom(u32),
+    /// Nothing: more of the fold follows.
+    Carry,
+}
 
 impl OpBooks {
-    fn new(granules: u64, drops: bool) -> OpBooks {
-        OpBooks(granules << 1 | drops as u64)
+    fn fold(self) -> Fold {
+        let (advance, granules) = (SimTime(self.advance_ns.into()), self.granules.into());
+        Fold { advance, granules }
     }
+}
 
-    fn granules(self) -> u64 {
-        self.0 >> 1
-    }
-
-    fn drops(self) -> bool {
-        self.0 & 1 == 1
-    }
+/// The warm program (a step's pre-ops end at its `Kernel`, its post-ops and
+/// the final ops at an `End`) and an iteration's peak, allocator time and calls.
+#[derive(Debug, Default)]
+struct Program {
+    books: Vec<OpBooks>,
+    peak: u64,
+    alloc_time: SimTime,
+    alloc_calls: u64,
 }
 
 /// The build's pass over a plan: where the planner's [`Utp`] releases to
 /// (it sums the granules and reserves host slots on a pool of the policy's
-/// tiers, as the interpreter will on `dev.host`), and the live tensors.
+/// tiers, as the interpreter will on `dev.host`), and what it counts.
 struct Pass {
     returned: u64,
     host: TieredPool,
     live: u32,
+    used: u64,
+    /// The current step's workspace and transient grants, in granules.
+    transients: [u64; 2],
+    /// The ops folded since the last entry.
+    run: Fold,
+    prog: Program,
 }
 
 impl Memory for Pass {
@@ -387,6 +419,36 @@ impl Memory for Pass {
 
     fn host(&mut self) -> &mut TieredPool {
         &mut self.host
+    }
+}
+
+impl Pass {
+    /// Close the run folded so far into entries, as many as it takes to
+    /// hold it, the last doing `then`.
+    fn push(&mut self, then: Then) {
+        let run = &mut self.run;
+        let advance_ns = run.advance.0.min(u32::MAX.into()) as u32;
+        let granules = run.granules.clamp(i32::MIN.into(), i32::MAX.into()) as i32;
+        run.advance.0 -= u64::from(advance_ns);
+        run.granules -= i64::from(granules);
+        let carry = *run != Fold::default();
+        let first = if carry { Then::Carry } else { then };
+        self.prog.books.push(OpBooks {
+            advance_ns,
+            granules,
+            then: first,
+        });
+        if carry {
+            self.push(then);
+        }
+    }
+
+    fn fold(&mut self, dev: &SimDevice, f: Fold) {
+        self.used = self.used.wrapping_add_signed(dev.bytes(f.granules));
+        self.prog.peak = self.prog.peak.max(self.used);
+        self.prog.alloc_time += f.advance;
+        self.run.advance += f.advance;
+        self.run.granules += f.granules;
     }
 }
 
@@ -430,25 +492,21 @@ pub struct Executor<'n> {
     /// The compiled schedule this executor interprets — `Arc`-shared with
     /// the plan memo and with the sibling replicas of a device group.
     /// Public because callers read it (the benchmark's `train_exec` checks
-    /// `ex.mplan.peak_bytes`). A plan assigned here after build is processed
-    /// again at the next iteration and is not verified: only the device's
-    /// capacity check guards it.
+    /// `ex.mplan.peak_bytes`). A plan assigned here after build is booked
+    /// again at the next iteration and is not verified: only the pass's
+    /// capacity check guards it, and the program fails where it charges past
+    /// the card.
     pub mplan: std::sync::Arc<MemoryPlan>,
     pub policy: Policy,
     pub spec: DeviceSpec,
     pub dev: SimDevice,
-    /// The plan `books` and `live` were worked out for.
+    /// The plan `prog` was compiled from.
     booked: Arc<MemoryPlan>,
-    /// Indexed like `booked.ops`.
-    books: Vec<OpBooks>,
-    /// Device-resident tensors at each step's kernel.
-    live: Vec<u32>,
+    prog: Program,
+    /// The next program entry a step runs.
+    cursor: usize,
     /// The bytes the weights charged: all a finished iteration leaves.
     weights: u64,
-    /// The current step's transient grants (workspace, weight gradient), in
-    /// granules; zero is none.
-    ws_grant: u64,
-    tr_grant: u64,
     /// Indexed by `TensorId`.
     tensors: Vec<TensorSlot>,
     /// The iteration's samples, one per executed step, in step order.
@@ -456,11 +514,9 @@ pub struct Executor<'n> {
     pub counters: Counters,
     backend: Option<Box<dyn ComputeBackend>>,
     iter: u64,
-    /// Virtual time / allocator counters at [`Executor::begin_iteration`],
-    /// differenced by [`Executor::finish_iteration`].
+    /// Virtual time at [`Executor::begin_iteration`], differenced by
+    /// [`Executor::finish_iteration`].
     iter_t_start: SimTime,
-    iter_alloc_time0: SimTime,
-    iter_alloc_calls0: u64,
     /// Indexed by `LayerId`.
     layers: Vec<LayerInfo>,
     /// Scratch for the current step's kernel gates, reused across steps.
@@ -512,13 +568,14 @@ impl<'n> Executor<'n> {
         let mut dev = SimDevice::new(&spec, policy.allocator, policy.tiers);
 
         let wbytes = cost.total_weight_bytes();
-        if wbytes > 0 && !dev.charge(dev.granules(wbytes)) {
-            return Err(ExecError::Oom {
+        if wbytes > 0 {
+            let charge = dev.charge(0, dev.granules(wbytes));
+            dev.apply(charge.ok_or_else(|| ExecError::Oom {
                 step: 0,
                 layer: "WEIGHTS".into(),
                 requested: wbytes,
                 capacity: dev.capacity,
-            });
+            })?);
         }
 
         let tensors: Vec<TensorSlot> = liveness
@@ -564,18 +621,14 @@ impl<'n> Executor<'n> {
             spec,
             weights: dev.used,
             dev,
-            books: Vec::new(),
-            live: Vec::new(),
-            ws_grant: 0,
-            tr_grant: 0,
+            prog: Program::default(),
+            cursor: 0,
             tensors,
             samples,
             counters: Counters::default(),
             backend: None,
             iter: 0,
             iter_t_start: SimTime::ZERO,
-            iter_alloc_time0: SimTime::ZERO,
-            iter_alloc_calls0: 0,
             layers,
             gates: Vec::new(),
             metrics: None,
@@ -586,50 +639,78 @@ impl<'n> Executor<'n> {
         Ok(ex)
     }
 
-    /// Run the plan's ops through the planner's [`Utp`] in iteration order,
-    /// keeping what a warm step reads: each op's [`OpBooks`], each step's
-    /// live tensors at its kernel and each offloaded tensor's copy time.
-    /// Total: a charge that does not fit fails at its step, not here.
+    /// Run the plan's ops through the planner's [`Utp`] in iteration order
+    /// and compile the warm program: each kept op's [`OpBooks`], each step's
+    /// live tensors at its kernel, each offloaded tensor's copy time and an
+    /// iteration's totals. Total: a plan that charges past the card gets a
+    /// program that fails at that op, and the pass stops there.
     fn book(&mut self) {
         let plan = self.mplan.clone();
-        let mut utp = Utp::new(self.tensors.len());
-        let host = TieredPool::new(self.policy.tiers);
-        let mut pass = Pass {
-            returned: 0,
-            host,
-            live: 0,
+        // At least the entries the pass writes, with a kept free an offload
+        // (only an offload reserves the host slot that keeps a free).
+        let stays = |op: &PlanOp| match op {
+            PlanOp::Alloc(_)
+            | PlanOp::AllocWorkspace(_)
+            | PlanOp::AllocTransient(_)
+            | PlanOp::FreeTransients => 0,
+            PlanOp::Free(_) => self.backend.is_some() as usize,
+            PlanOp::Offload { .. } => 2,
+            _ => 1,
         };
-        self.books.clear();
-        self.books.resize(plan.ops.len(), OpBooks::default());
-        self.live.clear();
-        self.live.reserve(plan.steps.len());
-        for step in &plan.steps {
-            self.book_ops(&plan, step.pre, &mut utp, &mut pass);
-            self.live.push(pass.live);
-            self.book_ops(&plan, step.post, &mut utp, &mut pass);
+        let bound = 2 * plan.steps.len() + 1 + plan.ops.iter().map(stays).sum::<usize>();
+        let mut books = std::mem::take(&mut self.prog.books);
+        books.clear();
+        books.reserve_exact(bound);
+        let mut utp = Utp::new(self.tensors.len());
+        let mut p = Pass {
+            returned: 0,
+            host: TieredPool::new(self.policy.tiers),
+            live: 0,
+            used: self.weights,
+            transients: [0; 2],
+            run: Fold::default(),
+            prog: Program {
+                books,
+                peak: self.weights,
+                ..Program::default()
+            },
+        };
+        let sections = plan
+            .steps
+            .iter()
+            .flat_map(|s| [(s.pre, true), (s.post, false)]);
+        'pass: for (r, kernel) in sections.chain([(plan.final_range, false)]) {
+            for at in r.start as usize..r.end as usize {
+                if self.book_op(at, plan.ops[at], &mut utp, &mut p).is_none() {
+                    break 'pass;
+                }
+            }
+            let then = kernel.then_some(Then::Kernel(p.live));
+            p.push(then.unwrap_or(Then::End));
         }
-        self.book_ops(&plan, plan.final_range, &mut utp, &mut pass);
+        self.prog = p.prog;
         self.booked = plan;
     }
 
-    fn book_ops(&mut self, plan: &MemoryPlan, r: OpRange, utp: &mut Utp, pass: &mut Pass) {
-        for i in r.start as usize..r.end as usize {
-            self.books[i] = self.book_op(plan.ops[i], utp, pass);
-        }
-    }
-
-    fn book_op(&mut self, op: PlanOp, utp: &mut Utp, p: &mut Pass) -> OpBooks {
+    /// Book op `at`: fold its charge, keep it if it does more, fold its
+    /// refund (into the next entry: nothing between reads the clock).
+    fn book_op(&mut self, at: usize, op: PlanOp, utp: &mut Utp, p: &mut Pass) -> Option<()> {
         let on_device = |utp: &Utp, t| utp.state(t).residence() == Residence::Device;
-        match op {
+        let keep = Some(Then::Op(at as u32, false));
+        let (charge, then, refunds) = match op {
             PlanOp::Alloc(t) | PlanOp::Fetch(t) => {
                 let granules = self.dev.granules(self.tensors[t.0].bytes);
                 p.live += !on_device(utp, t) as u32;
                 utp.mark_device(t, sn_sim::AllocId(granules), false);
-                OpBooks::new(granules, false)
+                let fetch = matches!(op, PlanOp::Fetch(_));
+                (granules, keep.filter(|_| fetch), [0; 2])
             }
             PlanOp::AllocWorkspace(bytes) | PlanOp::AllocTransient(bytes) => {
-                OpBooks::new(self.dev.granules(bytes), false)
+                let i = matches!(op, PlanOp::AllocTransient(_)) as usize;
+                p.transients[i] = self.dev.granules(bytes);
+                (p.transients[i], None, [0; 2])
             }
+            PlanOp::FreeTransients => (0, None, std::mem::take(&mut p.transients)),
             PlanOp::Offload { t, evict } => {
                 let slot = &mut self.tensors[t.0];
                 let reserving = utp.state(t).host_slot.is_none();
@@ -638,29 +719,48 @@ impl<'n> Executor<'n> {
                     slot.copy = tier.copy_time(slot.bytes, &self.policy, &self.spec);
                 }
                 utp.mark_offloading(t, evict);
-                OpBooks::default()
+                (0, keep, [0; 2])
             }
             PlanOp::ReleaseDevice(t) | PlanOp::Free(t) => {
                 p.live -= on_device(utp, t) as u32;
                 p.returned = 0;
-                let drops = match op {
-                    PlanOp::Free(_) => {
+                let then = match op {
+                    PlanOp::ReleaseDevice(_) => Some(Then::Op(at as u32, utp.release_device(t, p))),
+                    // A free of a tensor with no host slot (not offloaded, so
+                    // not fetched, since it was last freed) has no copy to
+                    // cancel and no slot to return: only a backend hears.
+                    _ => {
+                        let copies = utp.state(t).host_slot.is_some();
                         utp.free_tensor(t, p);
-                        true
+                        (copies || self.backend.is_some()).then_some(Then::Op(at as u32, true))
                     }
-                    _ => utp.release_device(t, p),
                 };
-                OpBooks::new(p.returned, drops)
+                (0, then, [p.returned, 0])
             }
-            PlanOp::Recompute(_) | PlanOp::FreeTransients | PlanOp::Collective { .. } => {
-                OpBooks::default()
-            }
+            PlanOp::Recompute(_) | PlanOp::Collective { .. } => (0, keep, [0; 2]),
+        };
+        if charge > 0 {
+            let Some(f) = self.dev.charge(p.used, charge) else {
+                p.push(Then::Oom(at as u32));
+                return None;
+            };
+            p.prog.alloc_calls += 1;
+            p.fold(&self.dev, f);
         }
+        if let Some(then) = then {
+            p.push(then);
+        }
+        for g in refunds {
+            p.fold(&self.dev, self.dev.refund(g));
+        }
+        Some(())
     }
 
     /// Attach a numeric backend (values really computed).
     pub fn with_backend(mut self, backend: Box<dyn ComputeBackend>) -> Self {
         self.backend = Some(backend);
+        // The backend hears of every free: compile them all back in.
+        self.book();
         self
     }
 
@@ -742,16 +842,6 @@ impl<'n> Executor<'n> {
         done.done_at
     }
 
-    /// Charge the granules the books hold for an op of `bytes`. The
-    /// build's `verify` proved every grant fits, so only a plan assigned to
-    /// [`Executor::mplan`] after build can fail here, on the byte count.
-    fn charge(&mut self, b: OpBooks, bytes: u64, step: usize) -> Result<u64, ExecError> {
-        let charged = self.dev.charge(b.granules());
-        charged
-            .then_some(b.granules())
-            .ok_or_else(|| self.oom(bytes, step))
-    }
-
     /// An OOM of `bytes` at `step`, naming the step's layer, or the end of
     /// the iteration for a final op.
     fn oom(&self, requested: u64, step: usize) -> ExecError {
@@ -770,17 +860,22 @@ impl<'n> Executor<'n> {
     /// past the card, or one no free run holds, is an OOM of the op's
     /// bytes; a copy-out past the host tiers is host exhaustion.
     fn refusal(&self, v: PlanViolation) -> ExecError {
-        let bytes = match self.mplan.ops.get(v.op) {
+        let bytes = self.op_bytes(v.op);
+        match v.rule {
+            Rule::DeviceOverCapacity | Rule::Fragmented => self.oom(bytes, v.step),
+            Rule::HostOverCapacity => ExecError::HostExhausted { requested: bytes },
+            _ => panic!("the planner emitted a plan that fails verify: {v}"),
+        }
+    }
+
+    /// The bytes op `at` allocates or copies out; zero for any other op.
+    fn op_bytes(&self, at: usize) -> u64 {
+        match self.mplan.ops.get(at) {
             Some(PlanOp::Alloc(t) | PlanOp::Fetch(t) | PlanOp::Offload { t, .. }) => {
                 self.tensors[t.0].bytes
             }
             Some(PlanOp::AllocWorkspace(b) | PlanOp::AllocTransient(b)) => *b,
             _ => 0,
-        };
-        match v.rule {
-            Rule::DeviceOverCapacity | Rule::Fragmented => self.oom(bytes, v.step),
-            Rule::HostOverCapacity => ExecError::HostExhausted { requested: bytes },
-            _ => panic!("the planner emitted a plan that fails verify: {v}"),
         }
     }
 
@@ -794,22 +889,35 @@ impl<'n> Executor<'n> {
         }
     }
 
-    /// Execute one residency op with its books. `compute_done` is the
-    /// step's kernel event (the gate for eager offloads), present only for
-    /// post-kernel ops.
+    /// Run the program from the cursor to the end of its section, each
+    /// entry's fold first. `compute_done` is the step's kernel event (the
+    /// gate for eager offloads), present only for post-kernel ops.
+    fn run_section(&mut self, step: usize, compute_done: Option<Event>) -> Result<(), ExecError> {
+        loop {
+            let b = self.prog.books[self.cursor];
+            self.cursor += 1;
+            self.dev.apply(b.fold());
+            match b.then {
+                Then::Op(at, drops) => {
+                    self.apply(self.mplan.ops[at as usize], drops, step, compute_done)?
+                }
+                Then::Kernel(_) | Then::End => return Ok(()),
+                Then::Oom(at) => return Err(self.oom(self.op_bytes(at as usize), step)),
+                Then::Carry => {}
+            }
+        }
+    }
+
+    /// Execute one kept op; `drops` is its entry's drop bit.
     fn apply(
         &mut self,
         op: PlanOp,
-        b: OpBooks,
+        drops: bool,
         step: usize,
         compute_done: Option<Event>,
     ) -> Result<(), ExecError> {
         match op {
-            PlanOp::Alloc(t) => {
-                self.charge(b, self.tensors[t.0].bytes, step)?;
-            }
             PlanOp::Fetch(t) => {
-                self.charge(b, self.tensors[t.0].bytes, step)?;
                 if self.dev.tl.tracing() {
                     self.dev.tl.trace_label(self.dma_label("prefetch", t));
                 }
@@ -851,8 +959,7 @@ impl<'n> Executor<'n> {
                     .tl
                     .wait(copy_done(StreamId::D2H, slot.offload_done));
                 slot.clear_transfers();
-                self.dev.refund(b.granules());
-                if b.drops() {
+                if drops {
                     self.notify_drop(t);
                 }
             }
@@ -863,7 +970,6 @@ impl<'n> Executor<'n> {
                 if let Some(h) = slot.host.take() {
                     self.dev.host.release(h);
                 }
-                self.dev.refund(b.granules());
                 self.notify_drop(t);
             }
             PlanOp::Recompute(l) => {
@@ -896,18 +1002,10 @@ impl<'n> Executor<'n> {
                     b.forward(l);
                 }
             }
-            PlanOp::AllocWorkspace(bytes) => {
-                debug_assert_eq!(self.ws_grant, 0);
-                self.ws_grant = self.charge(b, bytes, step)?;
-            }
-            PlanOp::AllocTransient(bytes) => {
-                debug_assert_eq!(self.tr_grant, 0);
-                self.tr_grant = self.charge(b, bytes, step)?;
-            }
-            PlanOp::FreeTransients => {
-                self.dev.refund(std::mem::take(&mut self.ws_grant));
-                self.dev.refund(std::mem::take(&mut self.tr_grant));
-            }
+            PlanOp::Alloc(_)
+            | PlanOp::AllocWorkspace(_)
+            | PlanOp::AllocTransient(_)
+            | PlanOp::FreeTransients => unreachable!("the build folds {op:?}"),
             PlanOp::Collective { .. } => {
                 // Single-device plans never contain collectives; the group
                 // interpreter schedules them around the replica stream.
@@ -932,8 +1030,8 @@ impl<'n> Executor<'n> {
     }
 
     /// Open a new iteration: reset residency and statistics, snapshot the
-    /// counters [`Executor::finish_iteration`] will difference, and book a
-    /// plan assigned to [`Executor::mplan`] since the last. The group
+    /// clock [`Executor::finish_iteration`] will difference, and book a plan
+    /// assigned to [`Executor::mplan`] since the last. The group
     /// interpreter uses this begin/step/finish decomposition to interleave
     /// replicas at step granularity; [`Executor::run_iteration`] is the
     /// single-device composition of the three.
@@ -943,11 +1041,9 @@ impl<'n> Executor<'n> {
             self.book();
         }
         self.reset_iteration_state();
+        self.cursor = 0;
         self.iter_t_start = self.dev.tl.now();
-        self.iter_alloc_time0 = self.dev.alloc_time;
-        self.iter_alloc_calls0 = self.dev.alloc_calls;
         self.dev.tl.reset_stats();
-        self.dev.high_water = self.dev.used;
         self.counters = self.mplan.predicted;
         self.prefetch_stall = SimTime::ZERO;
         self.samples.clear();
@@ -963,24 +1059,20 @@ impl<'n> Executor<'n> {
         // Drain DMA engines so trailing offloads are charged to this
         // iteration, then release anything whose consumers have all run.
         self.dev.tl.sync_all();
-        let fr = self.mplan.final_range;
-        for i in fr.start as usize..fr.end as usize {
-            let (op, b) = (self.mplan.ops[i], self.books[i]);
-            self.apply(op, b, total, None)?;
-        }
+        self.run_section(total, None)?;
 
         let stats = self.dev.tl.stats();
         let overlap = self.dev.tl.overlap();
         let report = IterationReport {
             iter_time: self.dev.tl.now() - self.iter_t_start,
-            peak_bytes: self.dev.high_water,
+            peak_bytes: self.prog.peak,
             h2d_bytes: stats.h2d_bytes,
             d2h_bytes: stats.d2h_bytes,
             link_bytes: stats.link_bytes,
             link_busy: stats.link_busy,
             counters: self.counters,
-            alloc_time: self.dev.alloc_time - self.iter_alloc_time0,
-            alloc_calls: self.dev.alloc_calls - self.iter_alloc_calls0,
+            alloc_time: self.prog.alloc_time,
+            alloc_calls: self.prog.alloc_calls,
             stall: stats.stall,
             compute_busy: overlap.compute_busy,
             transfer_busy: overlap.transfer_busy,
@@ -1018,7 +1110,6 @@ impl<'n> Executor<'n> {
                 self.dev.host.release(h);
             }
         }
-        (self.ws_grant, self.tr_grant) = (0, 0);
         self.dev.used = self.weights;
     }
 
@@ -1027,13 +1118,8 @@ impl<'n> Executor<'n> {
         let phase = sim_phase(step.phase);
 
         // 1. Residency ops ahead of the kernel (staging, evictions,
-        //    recompute replays, workspace/transient allocation). Indexed
-        //    iteration: `PlanOp` is `Copy`, so the interpreter's hottest
-        //    loop never clones the plan's op vectors.
-        for i in step.pre.start as usize..step.pre.end as usize {
-            let (op, b) = (self.mplan.ops[i], self.books[i]);
-            self.apply(op, b, s, None)?;
-        }
+        //    recompute replays; workspace and transient charges folded).
+        self.run_section(s, None)?;
 
         // 2. The kernel, gated on *every* input's in-flight prefetch: a
         //    tensor is never read while its H2D copy is still on the wire.
@@ -1097,11 +1183,7 @@ impl<'n> Executor<'n> {
 
         // 3. Post-kernel ops (transient release, eager offload gated on the
         //    kernel, prefetch-ahead, liveness frees, recompute cleanup).
-        for i in step.post.start as usize..step.post.end as usize {
-            let (op, b) = (self.mplan.ops[i], self.books[i]);
-            self.apply(op, b, s, Some(compute_done))?;
-        }
-        Ok(())
+        self.run_section(s, Some(compute_done))
     }
 
     /// Convenience: run `n` iterations, returning the last report.
@@ -1115,22 +1197,26 @@ impl<'n> Executor<'n> {
 
     /// The Fig. 10 rows of the most recent iteration, one per executed step:
     /// what the interpreter sampled at each kernel submit, joined with the
-    /// plan's step (number, layer, phase), the books' live-tensor count and
+    /// plan's step (number, layer, phase), the program's live-tensor count and
     /// the device's capacity (free bytes). A view, like
     /// [`Executor::ws_records`] — the warm path stores two numbers a step
     /// and builds no record.
     pub fn step_records(&self) -> impl Iterator<Item = StepRecord> + '_ {
         let capacity = self.dev.capacity;
+        let live = self.prog.books.iter().filter_map(|b| match b.then {
+            Then::Kernel(live) => Some(live as usize),
+            _ => None,
+        });
         self.samples
             .iter()
-            .zip(self.mplan.steps.iter().zip(&self.live))
+            .zip(self.mplan.steps.iter().zip(live))
             .enumerate()
-            .map(move |(s, (sample, (step, &live)))| StepRecord {
+            .map(move |(s, (sample, (step, live)))| StepRecord {
                 step: s + 1,
                 layer: self.layers[step.layer.0].name.clone(),
                 phase: sim_phase(step.phase),
                 resident_bytes: sample.resident_bytes,
-                live_tensors: live as usize,
+                live_tensors: live,
                 free_bytes: capacity - sample.resident_bytes,
                 completed_at: sample.completed_at,
             })
@@ -1386,6 +1472,29 @@ mod tests {
             sink.data().flows.len() - abandoned_flows,
             clean_sink.data().flows.len()
         );
+    }
+
+    #[test]
+    fn a_fold_wider_than_an_entry_is_carried() {
+        // Five seconds a `cudaMalloc`: every charge passes the 2^32 ns an
+        // entry holds. The iteration is the fast card's, each call 5 s late.
+        let slow = DeviceSpec {
+            malloc_base: SimTime::from_ms(5_000),
+            ..spec()
+        };
+        let net = alex_stub(16);
+        let policy = Policy::superneurons_cuda_alloc();
+        let mut ex = Executor::new(&net, slow.clone(), policy).unwrap();
+        let mut fast = Executor::new(&net, spec(), policy).unwrap();
+        assert!(ex.prog.books.iter().any(|b| b.then == Then::Carry));
+        for _ in ["cold", "warm"] {
+            let (r, f) = (ex.run_iteration().unwrap(), fast.run_iteration().unwrap());
+            let late = SimTime(f.alloc_calls * (slow.malloc_base - spec().malloc_base).0);
+            assert_eq!(r.alloc_time, f.alloc_time + late);
+            assert_eq!((r.alloc_calls, r.peak_bytes), (f.alloc_calls, f.peak_bytes));
+            assert!(r.iter_time >= f.iter_time + late);
+            assert_eq!(ex.dev.used, fast.dev.used);
+        }
     }
 
     /// The five presets, then superneurons under the two recomputation

@@ -14,12 +14,13 @@
 //!    ladder's pending-offload reservoir and host-slot management over the
 //!    Fig. 7 tiers, behind a narrow API the planner drives; an executor's
 //!    build runs the plan through it once.
-//! 3. **Interpret** — [`executor`] walks the plan, with what that pass
-//!    worked out, over the multi-stream sim engine. Because it replays the
-//!    identical alloc/free sequence at the allocator's granularity, the
-//!    executed peak equals [`MemoryPlan::peak_bytes`] to the byte — which
-//!    is why cluster admission ([`sn-cluster`](../sn_cluster/index.html))
-//!    reserves plan peaks without simulating an iteration.
+//! 3. **Interpret** — [`executor`] walks the program that pass compiled
+//!    (the ops that move the clock, the byte ops between folded) over the
+//!    multi-stream sim engine. The pass counts the plan's allocs and frees
+//!    at the allocator's granularity, so the executed peak equals
+//!    [`MemoryPlan::peak_bytes`] to the byte — which is why cluster
+//!    admission ([`sn-cluster`](../sn_cluster/index.html)) reserves plan
+//!    peaks without simulating an iteration.
 //!
 //! Around the three layers:
 //!
