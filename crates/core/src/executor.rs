@@ -367,8 +367,7 @@ const _: () = assert!(std::mem::size_of::<OpBooks>() == 16);
 /// What a program entry does once its fold is applied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Then {
-    /// Run the plan's op `.0` (a `u32`, as in its `OpRange`s); a release
-    /// drops the contents if `.1`.
+    /// Run the plan's op `.0`; a release drops the contents if `.1`.
     Op(u32, bool),
     /// The step's kernel, with `.0` tensors live on the device.
     Kernel(u32),
@@ -696,7 +695,8 @@ impl<'n> Executor<'n> {
     /// refund (into the next entry: nothing between reads the clock).
     fn book_op(&mut self, at: usize, op: PlanOp, utp: &mut Utp, p: &mut Pass) -> Option<()> {
         let on_device = |utp: &Utp, t| utp.state(t).residence() == Residence::Device;
-        let keep = Some(Then::Op(at as u32, false));
+        let at32 = u32::try_from(at).expect("a plan's op ranges are u32");
+        let keep = Some(Then::Op(at32, false));
         let (charge, then, refunds) = match op {
             PlanOp::Alloc(t) | PlanOp::Fetch(t) => {
                 let granules = self.dev.granules(self.tensors[t.0].bytes);
@@ -725,14 +725,14 @@ impl<'n> Executor<'n> {
                 p.live -= on_device(utp, t) as u32;
                 p.returned = 0;
                 let then = match op {
-                    PlanOp::ReleaseDevice(_) => Some(Then::Op(at as u32, utp.release_device(t, p))),
+                    PlanOp::ReleaseDevice(_) => Some(Then::Op(at32, utp.release_device(t, p))),
                     // A free of a tensor with no host slot (not offloaded, so
                     // not fetched, since it was last freed) has no copy to
                     // cancel and no slot to return: only a backend hears.
                     _ => {
                         let copies = utp.state(t).host_slot.is_some();
                         utp.free_tensor(t, p);
-                        (copies || self.backend.is_some()).then_some(Then::Op(at as u32, true))
+                        (copies || self.backend.is_some()).then_some(Then::Op(at32, true))
                     }
                 };
                 (0, then, [p.returned, 0])
@@ -741,7 +741,7 @@ impl<'n> Executor<'n> {
         };
         if charge > 0 {
             let Some(f) = self.dev.charge(p.used, charge) else {
-                p.push(Then::Oom(at as u32));
+                p.push(Then::Oom(at32));
                 return None;
             };
             p.prog.alloc_calls += 1;
