@@ -645,8 +645,8 @@ impl<'n> Executor<'n> {
     /// program that fails at that op, and the pass stops there.
     fn book(&mut self) {
         let plan = self.mplan.clone();
-        // At least the entries the pass writes, with a kept free an offload
-        // (only an offload reserves the host slot that keeps a free).
+        // Room for the entries the pass writes, carries aside: a kept free
+        // an offload, since only an offload reserves the slot that keeps it.
         let stays = |op: &PlanOp| match op {
             PlanOp::Alloc(_)
             | PlanOp::AllocWorkspace(_)
