@@ -1753,21 +1753,32 @@ mod tests {
     fn a_plan_driven_past_its_cap_names_where_it_failed() {
         // A plan that cannot fit, made by hand: one allocation mutated to a
         // byte over the card. The build's `verify` refuses it, naming where
-        // an iteration would have failed.
+        // an iteration would have failed; assigned to a built executor, its
+        // program fails the iteration there.
         let net = alex_stub(8);
         let policy = Policy::superneurons();
         let compiled = plan::compile(&net, &spec(), policy).unwrap();
         let over = PlanOp::AllocTransient(spec().dram_bytes + 1);
         let oom = |plan: MemoryPlan| {
+            let plan = Arc::new(plan);
             let c = CompiledPlan {
-                plan: Arc::new(plan),
+                plan: plan.clone(),
                 ..compiled.clone()
             };
-            match Executor::from_compiled(&net, spec(), policy, c) {
+            let refused = match Executor::from_compiled(&net, spec(), policy, c) {
                 Err(ExecError::Oom { step, layer, .. }) => (step, layer.to_string()),
                 Err(e) => panic!("{e}"),
                 Ok(_) => panic!("a plan past the card was built"),
+            };
+            let mut ex = Executor::from_compiled(&net, spec(), policy, compiled.clone()).unwrap();
+            ex.mplan = plan;
+            match ex.run_iteration() {
+                Err(ExecError::Oom { step, layer, .. }) => {
+                    assert_eq!((step, layer.to_string()), refused)
+                }
+                r => panic!("the assigned plan must fail where it was refused: {r:?}"),
             }
+            refused
         };
         let p = &*compiled.plan;
         let (s, i) = (0..p.steps.len())
