@@ -11,7 +11,7 @@
 //! 2. **Peaks are exact** — every tuned winner's executed peak over a
 //!    cold + warm iteration equals its compiled plan peak byte-for-byte.
 //!    Tuning never trades away the planner's exactness contract.
-//! 3. **Seeded determinism** — every search runs on two `par_map` workers
+//! 3. **Seeded determinism** — every search runs on two worker threads
 //!    and again on one (explicit counts: two threads are spawned whatever
 //!    the host has) and reproduces the identical `TunedPolicy` and the
 //!    identical rendered trace (compared line by line, plus the FxHash

@@ -117,7 +117,7 @@ impl std::fmt::Display for ExecError {
 impl std::error::Error for ExecError {}
 
 /// Per-iteration accounting.
-#[derive(Debug, Clone, Copy, Default, serde::Serialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Counters {
     /// Extra layer-forward executions performed by recomputation (Table 1).
     pub recompute_forwards: u64,
@@ -154,7 +154,7 @@ impl Counters {
 }
 
 /// Result of one measured iteration.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct IterationReport {
     pub iter_time: SimTime,
     /// Peak device bytes (allocator high-water) during the iteration.

@@ -49,6 +49,7 @@ pub mod executor;
 pub mod group;
 mod memo;
 pub mod numeric;
+mod par;
 pub mod parallel;
 pub mod plan;
 pub mod policy;

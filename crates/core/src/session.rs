@@ -251,14 +251,15 @@ pub fn feasible(net: &Net, spec: &DeviceSpec, policy: Policy) -> bool {
 /// `policy`, by exponential probing + a parallel multi-section search.
 /// Returns 0 when even `lo` fails.
 ///
-/// With `k` worker threads each search round compiles `k` interior probe
-/// points concurrently over the rayon shim and narrows the bracket to the
-/// feasible/infeasible boundary they straddle; with one thread it is the
-/// classic bisection. On any curve the answer is 0 or a point of `[lo, hi]`
-/// that compiled, the same for the same inputs and worker count. Every
-/// worker count finds the same knee only where feasibility is monotone over
-/// the bracket, and it is not always: `crates/core/tests/proptest_valid_caps.rs`
-/// pins a conv tower that fits a quarter of its peak but not two fifths
+/// With `k` worker threads (the host's available parallelism, at most 8,
+/// read once per call) each search round compiles `k` interior probe points
+/// concurrently and narrows the bracket to the feasible/infeasible boundary
+/// they straddle; with one thread it is the classic bisection. On any curve
+/// the answer is 0 or a point of `[lo, hi]` that compiled, the same for the
+/// same inputs and worker count. Every worker count finds the same knee only
+/// where feasibility is monotone over the bracket, and it is not always:
+/// `crates/core/tests/proptest_valid_caps.rs` pins a conv tower that fits a
+/// quarter of its peak but not two fifths
 /// (`finding_a_tower_fits_a_quarter_of_its_peak_but_not_two_fifths`) and a
 /// net that fits a device at batch 3 but not at batch 2
 /// (`finding_batch_2_does_not_fit_where_batch_3_does`). Where the curve
@@ -299,7 +300,7 @@ pub fn max_feasible_param(
     // Multi-section search in (good, high): k evenly spaced interior cuts
     // per round, compiled concurrently. Every cut either raises `good` or
     // lowers `high`, so each round strictly narrows the bracket.
-    let k = rayon::current_num_threads().clamp(1, 8);
+    let k = std::thread::available_parallelism().map_or(1, |n| n.get().min(8));
     while high - good > 1 {
         let span = high - good;
         if k == 1 || span <= 2 {
@@ -319,7 +320,7 @@ pub fn max_feasible_param(
         if cuts.is_empty() {
             cuts.push(good + span / 2);
         }
-        let oks = rayon::par_map(&cuts, |x| feasible(&build(*x), spec, policy));
+        let oks = crate::par::map(&cuts, k, |x| feasible(&build(*x), spec, policy));
         for (x, ok) in cuts.iter().zip(oks) {
             if ok {
                 good = good.max(*x);

@@ -28,10 +28,10 @@
 //!    while the others are held fixed, repeating until a full pass finds no
 //!    strictly better neighbour.
 //!
-//! Candidate batches fan out over the rayon-shim worker pool
-//! ([`rayon::par_map_workers`]); results come back in input order and every
-//! selection tie breaks on input index, so **the same seed produces the
-//! same [`TunedPolicy`] and the same search trace for any worker count**.
+//! Candidate batches fan out over [`TuneConfig::workers`] scoped threads;
+//! results come back in input order and every selection tie breaks on input
+//! index, so **the same seed produces the same [`TunedPolicy`] and the same
+//! search trace for any worker count**.
 //! [`Policy::validate`] prunes contradictory knob cells before they reach
 //! the compiler.
 //!
@@ -117,7 +117,8 @@ pub struct TuneConfig {
     pub survivors: usize,
     /// Maximum coordinate-descent passes.
     pub passes: usize,
-    /// `par_map` worker count; 0 = the machine's hardware parallelism.
+    /// Threads a feasibility batch fans out over; 0 = the host's available
+    /// parallelism, read once per search.
     pub workers: usize,
 }
 
@@ -374,7 +375,7 @@ struct Search<'a> {
 }
 
 impl Search<'_> {
-    /// Feasibility-check `policies` in one `par_map` batch over the
+    /// Feasibility-check `policies` in one parallel batch over the
     /// compiler's plan memo. Exactly one lookup per *uncached* policy,
     /// counted per call (lookup and hit flag as each compile returns them),
     /// so the search's statistics are its own whoever else uses the
@@ -392,7 +393,7 @@ impl Search<'_> {
             return;
         }
         let (compiler, net, spec) = (self.compiler, self.net, self.spec);
-        let verdicts = rayon::par_map_workers(&fresh, self.workers, |p| {
+        let verdicts = crate::par::map(&fresh, self.workers, |p| {
             let (c, hit) = compiler.compile(net, spec, *p, false);
             let verdict = c
                 .ok()
@@ -468,7 +469,7 @@ pub fn search_in(
 ) -> Result<SearchOutcome, ExecError> {
     let t0 = Instant::now();
     let workers = if cfg.workers == 0 {
-        rayon::current_num_threads()
+        std::thread::available_parallelism().map_or(1, |n| n.get())
     } else {
         cfg.workers
     };

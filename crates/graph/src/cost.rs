@@ -251,12 +251,6 @@ impl LayerCost {
         self.grad_bytes + self.wgrad_bytes
     }
 
-    /// Total memory attributed to the layer, `l_i = l_f + l_b`, used by the
-    /// paper's Σ-style formulas and Fig. 13's requirement computation.
-    pub fn l_total(&self) -> u64 {
-        self.l_f() + self.l_b()
-    }
-
     /// Working set of the layer's *forward* computation: inputs + output
     /// (+ transient mask workspace).
     pub fn working_set_fwd(&self) -> u64 {

@@ -182,20 +182,6 @@ impl LayerKind {
         matches!(self, LayerKind::Softmax)
     }
 
-    /// Does this layer carry trainable parameters?
-    pub fn has_weights(&self) -> bool {
-        matches!(
-            self,
-            LayerKind::Conv { .. }
-                | LayerKind::Fc { .. }
-                | LayerKind::Bn
-                | LayerKind::Embedding { .. }
-                | LayerKind::LayerNorm
-                | LayerKind::Attention { .. }
-                | LayerKind::Mlp { .. }
-        )
-    }
-
     /// View as convolution parameters (for the workspace machinery).
     pub fn conv_params(&self) -> Option<ConvParams> {
         match self {

@@ -74,7 +74,6 @@ struct AllocTable {
     slots: Vec<Option<(u64, AllocNode)>>,
     spare: Vec<u32>,
     next_seq: u64,
-    live: usize,
 }
 
 impl AllocTable {
@@ -87,7 +86,6 @@ impl AllocTable {
         let id = (self.next_seq << 32) | slot as u64;
         self.next_seq += 1;
         self.slots[slot as usize] = Some((id, node));
-        self.live += 1;
         id
     }
 
@@ -99,7 +97,6 @@ impl AllocTable {
                 let node = *node;
                 self.slots[slot] = None;
                 self.spare.push(slot as u32);
-                self.live -= 1;
                 Some(node)
             }
             _ => None,
@@ -232,7 +229,7 @@ impl HeapPool {
         let table = &mut self.allocated;
         table.slots.clear();
         table.spare.clear();
-        (table.next_seq, table.live) = (0, 0);
+        table.next_seq = 0;
         (self.used_blocks, self.high_water_blocks, self.extent_blocks) = (0, 0, 0);
     }
 
@@ -249,11 +246,6 @@ impl HeapPool {
     /// Number of fragments in the empty list (diagnostic).
     pub fn empty_nodes(&self) -> usize {
         self.empty.nodes.len()
-    }
-
-    /// Number of live allocations.
-    pub fn allocated_nodes(&self) -> usize {
-        self.allocated.live
     }
 
     /// Largest free fragment, in bytes. O(1): the maximum is maintained

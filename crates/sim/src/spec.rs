@@ -2,8 +2,6 @@
 //! simulation depends on. Two presets mirror the cards used in the paper's
 //! evaluation: the 12 GB K40c (Tables 4/5) and the 12 GB TITAN Xp (Fig. 14).
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::SimTime;
 
 pub const KB: u64 = 1024;
@@ -34,7 +32,7 @@ const fn odd_keys<const N: usize>(mut seed: u64) -> [u64; N] {
 ///
 /// Bandwidths are decimal GB/s (the unit vendors quote and the paper uses:
 /// "a practical speed of 8 GB/s" for pinned PCIe transfers).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DeviceSpec {
     /// Human-readable card name, reported by the experiment harness.
     pub name: String,

@@ -5,15 +5,11 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A point (or span) on the virtual timeline, in nanoseconds.
 ///
 /// `SimTime` is used both as an absolute timestamp and as a duration; the
 /// arithmetic provided covers the handful of operations the simulator needs.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(pub u64);
 
 impl SimTime {

@@ -8,19 +8,17 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::SimTime;
 
 /// Which half of the iteration a step belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     Forward,
     Backward,
 }
 
 /// One execution step (one layer's forward or backward computation).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StepRecord {
     /// 1-based step index within the iteration (1..=2N).
     pub step: usize,
@@ -44,7 +42,7 @@ pub struct StepRecord {
 }
 
 /// A whole iteration's trace.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct StepTrace {
     pub records: Vec<StepRecord>,
 }

@@ -7,14 +7,13 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
 use crate::tensor::Tensor;
 
 /// ReLU forward: `y = max(x, 0)`.
 pub fn relu_forward(input: &Tensor) -> Tensor {
     let mut out = input.clone();
-    out.data_mut().par_iter_mut().for_each(|v| {
+    out.data_mut().iter_mut().for_each(|v| {
         if *v < 0.0 {
             *v = 0.0;
         }
@@ -31,8 +30,8 @@ pub fn relu_backward(input_or_output: &Tensor, grad_out: &Tensor) -> Tensor {
     assert_eq!(input_or_output.shape(), grad_out.shape());
     let mut gi = grad_out.clone();
     gi.data_mut()
-        .par_iter_mut()
-        .zip(input_or_output.data().par_iter())
+        .iter_mut()
+        .zip(input_or_output.data().iter())
         .for_each(|(g, &x)| {
             if x <= 0.0 {
                 *g = 0.0;
@@ -72,7 +71,7 @@ pub fn lrn_forward(input: &Tensor, p: &LrnParams) -> Tensor {
     let src = input.data();
 
     out.data_mut()
-        .par_chunks_mut(s.c * hw)
+        .chunks_mut(s.c * hw)
         .enumerate()
         .for_each(|(n, oimg)| {
             let ibase = n * s.c * hw;
@@ -107,7 +106,7 @@ pub fn lrn_backward(input: &Tensor, grad_out: &Tensor, p: &LrnParams) -> Tensor 
     let mut gi = Tensor::zeros(s);
 
     gi.data_mut()
-        .par_chunks_mut(s.c * hw)
+        .chunks_mut(s.c * hw)
         .enumerate()
         .for_each(|(n, gimg)| {
             let base = n * s.c * hw;
@@ -165,16 +164,13 @@ pub fn dropout_forward(input: &Tensor, drop_prob: f32, seed: u64) -> Tensor {
     let keep = 1.0 - drop_prob;
     let inv = 1.0 / keep;
     let mut out = input.clone();
-    out.data_mut()
-        .par_iter_mut()
-        .enumerate()
-        .for_each(|(i, v)| {
-            if dropout_keep(seed, i, keep) {
-                *v *= inv;
-            } else {
-                *v = 0.0;
-            }
-        });
+    out.data_mut().iter_mut().enumerate().for_each(|(i, v)| {
+        if dropout_keep(seed, i, keep) {
+            *v *= inv;
+        } else {
+            *v = 0.0;
+        }
+    });
     out
 }
 
@@ -183,7 +179,7 @@ pub fn dropout_backward(grad_out: &Tensor, drop_prob: f32, seed: u64) -> Tensor 
     let keep = 1.0 - drop_prob;
     let inv = 1.0 / keep;
     let mut gi = grad_out.clone();
-    gi.data_mut().par_iter_mut().enumerate().for_each(|(i, v)| {
+    gi.data_mut().iter_mut().enumerate().for_each(|(i, v)| {
         if dropout_keep(seed, i, keep) {
             *v *= inv;
         } else {
@@ -198,8 +194,8 @@ pub fn eltwise_add(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(a.shape(), b.shape());
     let mut out = a.clone();
     out.data_mut()
-        .par_iter_mut()
-        .zip(b.data().par_iter())
+        .iter_mut()
+        .zip(b.data().iter())
         .for_each(|(o, &v)| *o += v);
     out
 }

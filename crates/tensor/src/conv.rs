@@ -2,8 +2,6 @@
 //! workspace the paper's dynamic allocator provisions), a direct reference
 //! kernel, and the data/filter gradients.
 
-use rayon::prelude::*;
-
 use crate::gemm::sgemm_at;
 use crate::shape::Shape4;
 use crate::tensor::Tensor;
@@ -112,16 +110,16 @@ pub fn conv2d_forward(input: &Tensor, weight: &Tensor, bias: &[f32], p: &ConvPar
     let in_stride = ishape.features();
     let out_stride = oshape.features();
 
-    // Parallel over images: each expands its own column buffer and runs a
+    // Image by image: each expands its own column buffer and runs a
     // (K × CRS)·(CRS × OHW) GEMM.
     out.data_mut()
-        .par_chunks_mut(out_stride)
-        .zip(input.data().par_chunks(in_stride))
+        .chunks_mut(out_stride)
+        .zip(input.data().chunks(in_stride))
         .for_each(|(oimg, iimg)| {
             let mut cols = vec![0.0f32; crs * ohw];
             im2col(iimg, ishape.c, ishape.h, ishape.w, p, &mut cols);
             // weight is K×CRS row-major already.
-            crate::gemm::sgemm_seq(
+            crate::gemm::sgemm(
                 p.out_channels,
                 ohw,
                 crs,
@@ -212,8 +210,7 @@ pub fn conv2d_backward(
     }
 
     // Per-image: dW += dY · colsᵀ ; dcols = Wᵀ · dY ; dX += col2im(dcols).
-    // Weight gradient accumulates across images, so that part is sequential;
-    // the expensive GEMMs inside still use the parallel kernels.
+    // Weight gradient accumulates across images in image order.
     let mut cols = vec![0.0f32; crs * ohw];
     let mut dcols = vec![0.0f32; crs * ohw];
     for n in 0..ishape.n {

@@ -1,11 +1,9 @@
 //! Single-precision GEMM: `C = alpha * A·B + beta * C`, row-major.
 //!
 //! This is the workhorse under FC layers and im2col convolution. The kernel
-//! parallelizes over row blocks with rayon and micro-blocks over K to stay in
-//! cache; it is not a BLAS contender, but it is exact and fast enough to
-//! train the numeric-mode networks in tests and examples.
-
-use rayon::prelude::*;
+//! runs on one thread, row by row, and micro-blocks over K to stay in cache;
+//! it is not a BLAS contender, but it is exact and fast enough to train the
+//! numeric-mode networks in tests and examples.
 
 /// `C[m×n] = alpha · A[m×k] · B[k×n] + beta · C`, all row-major, no
 /// transposes (callers materialize transposed views when needed).
@@ -34,7 +32,7 @@ pub fn sgemm(
     }
 
     const KB: usize = 64; // K-blocking keeps a B panel in L1/L2.
-    c.par_chunks_mut(n).enumerate().for_each(|(i, crow)| {
+    c.chunks_mut(n).enumerate().for_each(|(i, crow)| {
         let arow = &a[i * k..(i + 1) * k];
         let mut kk = 0;
         while kk < k {
@@ -77,7 +75,7 @@ pub fn sgemm_at(
     if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
         return;
     }
-    c.par_chunks_mut(n).enumerate().for_each(|(i, crow)| {
+    c.chunks_mut(n).enumerate().for_each(|(i, crow)| {
         for p in 0..k {
             let scaled = alpha * a[p * m + i];
             if scaled == 0.0 {
@@ -114,7 +112,7 @@ pub fn sgemm_bt(
     if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
         return;
     }
-    c.par_chunks_mut(n).enumerate().for_each(|(i, crow)| {
+    c.chunks_mut(n).enumerate().for_each(|(i, crow)| {
         let arow = &a[i * k..(i + 1) * k];
         for (j, cv) in crow.iter_mut().enumerate() {
             let brow = &b[j * k..(j + 1) * k];
@@ -125,46 +123,6 @@ pub fn sgemm_bt(
             *cv += alpha * acc;
         }
     });
-}
-
-/// Sequential GEMM for use *inside* an outer rayon parallel region (e.g. the
-/// per-image loop of im2col convolution), where nested parallelism would
-/// oversubscribe the pool.
-pub fn sgemm_seq(
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f32,
-    a: &[f32],
-    b: &[f32],
-    beta: f32,
-    c: &mut [f32],
-) {
-    assert_eq!(a.len(), m * k, "A must be m×k");
-    assert_eq!(b.len(), k * n, "B must be k×n");
-    assert_eq!(c.len(), m * n, "C must be m×n");
-    if beta == 0.0 {
-        c.iter_mut().for_each(|v| *v = 0.0);
-    } else if beta != 1.0 {
-        c.iter_mut().for_each(|v| *v *= beta);
-    }
-    if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        let crow = &mut c[i * n..(i + 1) * n];
-        for (p, &av) in arow.iter().enumerate() {
-            let scaled = alpha * av;
-            if scaled == 0.0 {
-                continue;
-            }
-            let brow = &b[p * n..(p + 1) * n];
-            for (cv, &bv) in crow.iter_mut().zip(brow.iter()) {
-                *cv += scaled * bv;
-            }
-        }
-    }
 }
 
 /// Naive reference used only by tests.

@@ -5,7 +5,7 @@
 //! we implement every layer the paper's networks use, forward and backward,
 //! on the CPU:
 //!
-//! * blocked, rayon-parallel single-precision [`gemm`](gemm::sgemm);
+//! * blocked single-precision [`gemm`](gemm::sgemm);
 //! * convolution via `im2col` + GEMM and via a direct loop (the two must
 //!   agree — a property test enforces it), plus data/filter gradients;
 //! * max/average pooling with argmax bookkeeping;
@@ -24,7 +24,7 @@
 //! (`Shape4::bytes` remains the fp32 shorthand). Numeric kernels stay f32 —
 //! dtype affects the *memory model*, not reference numerics.
 //!
-//! Kernels favour clarity + data-parallelism over peak FLOPs: the paper's
+//! Kernels are single-threaded and favour clarity over peak FLOPs: the paper's
 //! experiments run in *virtual* mode (cost models), while numeric mode exists
 //! to validate correctness end-to-end on small networks.
 

@@ -5,8 +5,6 @@
 //! tensor is exactly the "workspace" memory the cost model charges POOL
 //! layers for.
 
-use rayon::prelude::*;
-
 use crate::shape::Shape4;
 use crate::tensor::Tensor;
 
@@ -40,8 +38,8 @@ pub fn maxpool_forward(input: &Tensor, p: &PoolParams) -> (Tensor, Vec<u32>) {
     let ohw = oshape.h * oshape.w;
 
     out.data_mut()
-        .par_chunks_mut(ohw)
-        .zip(argmax.par_chunks_mut(ohw))
+        .chunks_mut(ohw)
+        .zip(argmax.chunks_mut(ohw))
         .enumerate()
         .for_each(|(nc, (oplane, aplane))| {
             let n = nc / ishape.c;
@@ -98,7 +96,7 @@ pub fn avgpool_forward(input: &Tensor, p: &PoolParams) -> Tensor {
     let window = (p.kernel * p.kernel) as f32;
 
     out.data_mut()
-        .par_chunks_mut(ohw)
+        .chunks_mut(ohw)
         .enumerate()
         .for_each(|(nc, oplane)| {
             let ibase = nc * ihw;

@@ -109,11 +109,6 @@ impl Tensor {
         }
     }
 
-    /// Fill with zeros in place (buffer reuse).
-    pub fn zero_(&mut self) {
-        self.data.iter_mut().for_each(|v| *v = 0.0);
-    }
-
     /// Largest elementwise absolute difference against another tensor.
     pub fn max_abs_diff(&self, other: &Tensor) -> f32 {
         assert_eq!(self.shape, other.shape);
