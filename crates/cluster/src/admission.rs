@@ -45,16 +45,19 @@
 use std::ops::RangeInclusive;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use fxhash::FxHashMap;
+use fxhash::{FxHashMap, FxHashSet};
 use sn_graph::Net;
 use sn_runtime::group::DEFAULT_BUCKET_BYTES;
 use sn_runtime::{
-    plan_prediction_caps, GroupConfig, GroupExecutor, Interconnect, PeakPrediction, Policy,
-    TunedPolicy,
+    plan_prediction_caps, ring_allreduce_time, GroupConfig, GroupExecutor, Interconnect,
+    PeakPrediction, Policy, TunedPolicy,
 };
 use sn_sim::{DeviceSpec, SimTime};
 
 use crate::job::{JobKind, JobSpec, PolicyPreset, Workload};
+use crate::placement::{ByFree, Candidate, DeviceState, PlacementPolicy};
+use crate::report::RejectReason;
+use crate::sim::ClusterSim;
 
 /// A tuned bundle's name within one simulation: minted by
 /// [`ClusterSim::register_tuned`](crate::ClusterSim::register_tuned) alone,
@@ -210,31 +213,6 @@ impl Profiler {
         let mut nets = lock(&self.nets);
         let net = nets.entry((workload, batch));
         Arc::clone(net.or_insert_with(|| Arc::new(workload.build(batch))))
-    }
-
-    /// [`Profiler::profile_kind`] of one replica of `job`, under `preset`
-    /// rather than the one it asked for.
-    pub(crate) fn profile_job(
-        &self,
-        job: &JobSpec,
-        preset: PolicyPreset,
-        spec: &DeviceSpec,
-        budget: u64,
-    ) -> Option<PeakPrediction> {
-        self.profile_kind(job.workload, job.batch, preset, job.kind, spec, budget)
-    }
-
-    /// [`Profiler::profile_kind`] for training jobs (the historical entry
-    /// point, kept for tests and benches).
-    pub fn profile(
-        &self,
-        workload: Workload,
-        batch: usize,
-        preset: PolicyPreset,
-        spec: &DeviceSpec,
-        budget: u64,
-    ) -> Option<PeakPrediction> {
-        self.profile_kind(workload, batch, preset, JobKind::Training, spec, budget)
     }
 
     /// Measured step time of a `replicas`-wide gang of (`workload`,
@@ -412,7 +390,7 @@ impl Row {
                 if l != top {
                     let cap = l * quantum;
                     debug_assert_eq!(
-                        profiler.profile_job(job, preset, spec, cap),
+                        profiler.profile_kind(job.workload, job.batch, preset, job.kind, spec, cap),
                         answer,
                         "level {l} is filled from {caps:?}"
                     );
@@ -544,7 +522,10 @@ pub fn feasible_on_device_subset(
     ladder_for(job).any(|preset| {
         let fitting = devices.iter().filter(|spec| {
             let budget = quantized_budget(spec, spec.dram_bytes);
-            budget > 0 && profiler.profile_job(job, preset, spec, budget).is_some()
+            budget > 0
+                && profiler
+                    .profile_kind(job.workload, job.batch, preset, job.kind, spec, budget)
+                    .is_some()
         });
         fitting.count() >= job.replicas
     })
@@ -552,13 +533,368 @@ pub fn feasible_on_device_subset(
 
 /// The preset sequence admission tries for `job`.
 pub fn ladder_for(job: &JobSpec) -> impl Iterator<Item = PolicyPreset> {
-    let rungs = if job.allow_downgrade { usize::MAX } else { 1 };
-    job.preset.ladder().take(rungs)
+    ladder(job.preset, job.allow_downgrade)
+}
+
+/// `preset`, and the stronger ones after it if `downgrade` allows them.
+fn ladder(preset: PolicyPreset, downgrade: bool) -> impl Iterator<Item = PolicyPreset> {
+    let rungs = if downgrade { usize::MAX } else { 1 };
+    preset.ladder().take(rungs)
+}
+
+/// A grant frozen for byte-exact restarts: the preset plus the per-replica
+/// `(budget, predicted peak)` pairs sorted descending. Restart re-admission
+/// compiles each replica at **exactly** its original budget, so the
+/// profiler's plan memo returns the identical prediction — restarted peaks
+/// are byte-identical to the original plan on any device of the same spec.
+#[derive(PartialEq, Eq)]
+pub(crate) struct ResumePlan {
+    preset: PolicyPreset,
+    replicas: Vec<(u64, u64)>,
+}
+
+pub(crate) fn resume_plan_of(grant: &Grant) -> ResumePlan {
+    let budget_and_peak = |p: &Placement| (p.budget, p.prediction.peak_bytes);
+    let mut replicas: Vec<_> = grant.placements.iter().map(budget_and_peak).collect();
+    replicas.sort_unstable_by(|a, b| b.cmp(a));
+    let preset = grant.preset;
+    ResumePlan { preset, replicas }
+}
+
+/// What admission remembers between calls — only what can be asked again.
+///
+/// `try_admit` is a pure function of the per-device reservations and the
+/// job's shape, and a grant it returns is never asked for twice: admitting
+/// reserves, which moves `state_version`. A *refusal* is: the shape comes up
+/// again behind it in the same pass, and with every fresh arrival until
+/// reservations change. So the only decisions kept are the shapes refused in
+/// the current reservation state, dropped the moment it moves — no
+/// reservation vector is built, hashed or compared, and nothing outlives the
+/// state it was computed in.
+#[derive(Default)]
+pub(crate) struct AdmitMemo {
+    /// Shapes `try_admit` refused in reservation state `blocked_at`.
+    blocked: FxHashSet<ShapeKey>,
+    blocked_at: u64,
+    /// Feasibility per shape on the idle *live* (non-failed) devices:
+    /// [`feasible_on_device_subset`] is a pure function of (profiler,
+    /// devices, job shape), and the FIFO pass re-asks it for every
+    /// still-queued job at every pass — under load that was the single
+    /// hottest path in the whole loop.
+    feasible: FxHashMap<ShapeKey, bool>,
+    /// Epoch of the fault state `feasible` was computed against: the live
+    /// subset changes whenever a device fails or recovers. Fault-free the
+    /// epoch never moves and a shape is asked once per run.
+    feasible_epoch: u64,
+    /// Full-(idle-)fleet feasibility per shape, asked only for shapes the
+    /// live subset cannot hold: the discriminator between "wait out the
+    /// outage" and "reject outright".
+    feasible_full: FxHashMap<ShapeKey, bool>,
+}
+
+impl AdmitMemo {
+    /// Whether `shape` was refused in reservation state `state_version`:
+    /// not yet, if the state moved since the last call.
+    #[inline]
+    pub(crate) fn is_blocked(&mut self, state_version: u64, shape: &ShapeKey) -> bool {
+        if self.blocked_at != state_version {
+            self.blocked.clear();
+            self.blocked_at = state_version;
+        }
+        self.blocked.contains(shape)
+    }
+
+    /// `shape` was refused in the current reservation state.
+    pub(crate) fn block(&mut self, shape: ShapeKey) {
+        self.blocked.insert(shape);
+    }
+
+    /// Whether `shape` fits the live devices once they are idle, asked of
+    /// `ask` once per shape in fault epoch `fault_epoch`.
+    #[inline]
+    pub(crate) fn feasible_live(
+        &mut self,
+        fault_epoch: u64,
+        shape: ShapeKey,
+        ask: impl FnOnce() -> bool,
+    ) -> bool {
+        if self.feasible_epoch != fault_epoch {
+            self.feasible.clear();
+            self.feasible_epoch = fault_epoch;
+        }
+        *self.feasible.entry(shape).or_insert_with(ask)
+    }
+
+    /// Whether `shape` fits the whole fleet idle, asked of `ask` once.
+    pub(crate) fn feasible_full(&mut self, shape: ShapeKey, ask: impl FnOnce() -> bool) -> bool {
+        *self.feasible_full.entry(shape).or_insert_with(ask)
+    }
+
+    /// Hold the blocked set to its definition: if it is the set of
+    /// reservation state `state_version`, every shape in it is refused on
+    /// `devices` as they stand, whether or not a queued job has it. A set
+    /// left over from an earlier state is emptied before it is next read,
+    /// so it claims nothing now.
+    pub(crate) fn check(&self, sim: &ClusterSim, devices: &[DeviceState], state_version: u64) {
+        if self.blocked_at != state_version {
+            return;
+        }
+        for shape in &self.blocked {
+            assert!(
+                sim.try_admit_plain(devices, shape).is_none(),
+                "{shape:?}: its shape is in the blocked set of a state that admits it"
+            );
+        }
+    }
+}
+
+/// Everything `try_admit` reads from a [`JobSpec`] (name and iteration
+/// count don't influence admission).
+pub(crate) type ShapeKey = (Workload, usize, JobKind, PolicyPreset, bool, usize);
+
+#[inline]
+pub(crate) fn shape_key(job: &JobSpec) -> ShapeKey {
+    (
+        job.workload,
+        job.batch,
+        job.kind,
+        job.preset,
+        job.allow_downgrade,
+        job.replicas,
+    )
+}
+
+/// What admission keeps from rung to rung, for one run of one simulator.
+#[derive(Default)]
+pub(crate) struct AdmitScratch {
+    /// Per (workload, batch, kind, preset): one [`Row`] of answers a device
+    /// class. A rung hashes once, here; its devices then index by level.
+    rows: FxHashMap<(Workload, usize, JobKind, PolicyPreset), Vec<Row>>,
+    /// The gang a rung holds so far, best first.
+    best: Vec<Candidate>,
+}
+
+impl ClusterSim {
+    /// The admission decision for `job` against the current reservations:
+    /// walk the job's preset ladder; under each preset, collect the devices
+    /// whose unreserved bytes admit the replica's predicted peak and let the
+    /// placement policy pick a gang.
+    ///
+    /// The prediction budget is the device's free bytes rounded *down* to a
+    /// 1/32-of-DRAM quantum: still sound (the predicted peak fits under the
+    /// real free space), but the profiler's memo key space collapses from
+    /// "every reservation state ever" to at most 63 budgets per device class
+    /// — and a rung reads them off each device's level and the shape's
+    /// [`Row`]s, resolving the levels `index` says its devices show and
+    /// visiting them in its order only until no later one could win (see the
+    /// module docs). The ladder itself stays serial — a stronger preset is
+    /// only consulted when the weaker one cannot place the gang.
+    pub(crate) fn try_admit(
+        &self,
+        devices: &[DeviceState],
+        index: &ByFree,
+        job: &JobSpec,
+        scratch: &mut AdmitScratch,
+    ) -> Option<Grant> {
+        if job.replicas == 0 {
+            return None; // an empty gang is not a schedulable job
+        }
+        for preset in ladder_for(job) {
+            let rows = scratch
+                .rows
+                .entry((job.workload, job.batch, job.kind, preset))
+                .or_insert_with(|| vec![Row::EMPTY; self.classes.len()]);
+            let (mut most_peak, mut least_free) = (0, u64::MAX);
+            for ((row, class), &levels) in rows.iter_mut().zip(&self.classes).zip(&index.present) {
+                // Level 0 offers no bytes: never asked, so never answered.
+                let spec = &self.fleet.devices[class.device];
+                row.resolve(levels & !1, &self.profiler, job, preset, spec);
+                most_peak = most_peak.max(row.most_peak);
+                least_free = least_free.min(u64::from(row.least_level) * class.quantum);
+            }
+            // FirstFit walks index order; BestFit and BinPack ascending free
+            // bytes, past the devices too full for any level a row answered.
+            let from = index.order.partition_point(|&(free, _)| free < least_free);
+            let mut by_free = index.order[from..].iter().map(|&(_, d)| d);
+            let mut by_index = 0..devices.len();
+            let walk: &mut dyn Iterator<Item = usize> = match self.placement {
+                PlacementPolicy::FirstFit => &mut by_index,
+                _ => &mut by_free,
+            };
+            let (policy, best, replicas) = (self.placement, &mut scratch.best, job.replicas);
+            best.clear();
+            for device in walk {
+                let d = &devices[device];
+                let floor = policy.floor(device, d.free, most_peak, self.most_dram);
+                if best.len() == replicas && floor > policy.key(&best[replicas - 1]) {
+                    break; // no device after this one keys below its floor
+                }
+                let class = self.class_of[device];
+                let Some(prediction) = rows[class].answer(d.level) else {
+                    continue;
+                };
+                let candidate = Candidate {
+                    prediction,
+                    device,
+                    free: d.free,
+                    reserved: d.reserved.saturating_add(d.spike),
+                    budget: u64::from(d.level) * self.classes[class].quantum,
+                };
+                policy.offer(candidate, replicas, best);
+            }
+            if best.len() == replicas {
+                let placements = best.iter().map(Placement::from).collect();
+                return Some(Grant { preset, placements });
+            }
+        }
+        None
+    }
+
+    /// [`ClusterSim::try_admit`] written straight down — every device asked
+    /// of the profiler at its quantized budget, the fitting ones sorted, the
+    /// first `replicas` taken — for debug builds to hold the rung to, for a
+    /// job of `shape`. It asks the keys the rung asks, so running it moves
+    /// no count.
+    pub(crate) fn try_admit_plain(
+        &self,
+        devices: &[DeviceState],
+        shape: &ShapeKey,
+    ) -> Option<Grant> {
+        let &(workload, batch, kind, preset, downgrade, replicas) = shape;
+        ladder(preset, downgrade)
+            .filter(|_| replicas > 0)
+            .find_map(|preset| {
+                let ask = |(device, (spec, d)): (usize, (&DeviceSpec, &DeviceState))| {
+                    let free = d.free_bytes(spec);
+                    let budget = quantized_budget(spec, free);
+                    let asked = (budget > 0).then(|| {
+                        self.profiler
+                            .profile_kind(workload, batch, preset, kind, spec, budget)
+                    });
+                    Some(Candidate {
+                        prediction: asked.flatten()?,
+                        device,
+                        free,
+                        reserved: d.reserved.saturating_add(d.spike),
+                        budget,
+                    })
+                };
+                let fitting = self.fleet.devices.iter().zip(devices).enumerate();
+                let mut fitting: Vec<Candidate> = fitting.filter_map(ask).collect();
+                fitting.sort_unstable_by_key(|c| self.placement.key(c));
+                let placements = fitting.get(..replicas)?.iter().map(Placement::from);
+                Some(Grant {
+                    preset,
+                    placements: placements.collect(),
+                })
+            })
+    }
+
+    /// Constrained re-admission for an interrupted job: keep the original
+    /// preset and compile each replica at **exactly** its original budget
+    /// (largest first), first-fit onto distinct live devices with at least
+    /// that much free. The profiler's plan memo makes each peak
+    /// byte-identical to the original grant's; a resume that cannot place
+    /// yet stays queued — it never silently replans at a different budget.
+    pub(crate) fn try_admit_resume(
+        &self,
+        devices: &[DeviceState],
+        job: &JobSpec,
+        resume: &ResumePlan,
+    ) -> Option<Grant> {
+        debug_assert_eq!(resume.replicas.len(), job.replicas);
+        let mut used = vec![false; self.fleet.len()];
+        let mut placements = Vec::with_capacity(resume.replicas.len());
+        for &(budget, _) in &resume.replicas {
+            let mut found = None;
+            for (idx, spec) in self.fleet.devices.iter().enumerate() {
+                if used[idx] || devices[idx].free < budget {
+                    continue;
+                }
+                if let Some(prediction) = self.profiler.profile_kind(
+                    job.workload,
+                    job.batch,
+                    resume.preset,
+                    job.kind,
+                    spec,
+                    budget,
+                ) {
+                    found = Some((idx, prediction));
+                    break;
+                }
+            }
+            let (idx, prediction) = found?;
+            used[idx] = true;
+            placements.push(Placement {
+                device: idx,
+                budget,
+                prediction,
+            });
+        }
+        Some(Grant {
+            preset: resume.preset,
+            placements,
+        })
+    }
+
+    /// One gang iteration's solo duration. For a gang (`replicas > 1`) the
+    /// profiler compiles the job's [`sn_runtime::GroupPlan`] and *runs* the
+    /// group interpreter on the pacing replica's capped device: the measured
+    /// step overlaps bucketed all-reduce with backward compute, and its
+    /// per-replica peak is the reservation this grant holds. Solo training
+    /// and inference replicas keep the plan's analytic estimate. The closed
+    /// form is a fallback for a gang whose group execution cannot run
+    /// (which admission feasibility rules out).
+    pub(crate) fn step_time(&self, job: &JobSpec, grant: &Grant) -> SimTime {
+        match job.kind {
+            JobKind::Training if job.replicas > 1 => {
+                let measured = grant.slowest().and_then(|pace| {
+                    self.profiler.gang_step_capped(
+                        job.workload,
+                        job.batch,
+                        grant.preset,
+                        job.replicas,
+                        self.classes[self.class_of[pace.device]].card,
+                        &self.fleet.devices[pace.device],
+                        pace.budget,
+                        self.fleet.interconnect,
+                    )
+                });
+                measured.unwrap_or_else(|| {
+                    grant.replica_iter_time()
+                        + ring_allreduce_time(
+                            grant.weight_bytes(),
+                            job.replicas,
+                            self.fleet.interconnect,
+                        )
+                })
+            }
+            _ => grant.replica_iter_time(),
+        }
+    }
+
+    /// Why `job` can never run here, for a job that is infeasible on the
+    /// healthy idle fleet.
+    pub(crate) fn reject_reason(&self, job: &JobSpec) -> RejectReason {
+        if job.replicas == 0 {
+            RejectReason::EmptyGang
+        } else if job.replicas > self.fleet.len() {
+            RejectReason::FleetTooSmall {
+                replicas: job.replicas,
+                fleet: self.fleet.len(),
+            }
+        } else {
+            RejectReason::PeakExceedsCapacity {
+                presets: ladder_for(job).map(|p| p.name()).collect(),
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultEvent;
     use crate::fleet::Fleet;
     use sn_runtime::Interconnect;
 
@@ -571,11 +907,32 @@ mod tests {
         let p = Profiler::new();
         let w = Workload::Synthetic { width: 8, depth: 2 };
         let spec = DeviceSpec::k40c();
-        let a = p.profile(w, 8, PolicyPreset::Superneurons, &spec, spec.dram_bytes);
-        let b = p.profile(w, 8, PolicyPreset::Superneurons, &spec, spec.dram_bytes);
+        let a = p.profile_kind(
+            w,
+            8,
+            PolicyPreset::Superneurons,
+            JobKind::Training,
+            &spec,
+            spec.dram_bytes,
+        );
+        let b = p.profile_kind(
+            w,
+            8,
+            PolicyPreset::Superneurons,
+            JobKind::Training,
+            &spec,
+            spec.dram_bytes,
+        );
         assert_eq!(a, b);
         assert_eq!(p.simulated(), 1);
-        p.profile(w, 8, PolicyPreset::Baseline, &spec, spec.dram_bytes);
+        p.profile_kind(
+            w,
+            8,
+            PolicyPreset::Baseline,
+            JobKind::Training,
+            &spec,
+            spec.dram_bytes,
+        );
         assert_eq!(p.simulated(), 2);
     }
 
@@ -584,7 +941,14 @@ mod tests {
         let p = Profiler::new();
         let w = Workload::Synthetic { width: 8, depth: 2 };
         let spec = DeviceSpec::k40c();
-        let before = p.profile(w, 8, PolicyPreset::Superneurons, &spec, spec.dram_bytes);
+        let before = p.profile_kind(
+            w,
+            8,
+            PolicyPreset::Superneurons,
+            JobKind::Training,
+            &spec,
+            spec.dram_bytes,
+        );
         let died = std::thread::scope(|s| {
             s.spawn(|| {
                 let _held = (p.cache.lock(), p.gang.lock());
@@ -594,7 +958,14 @@ mod tests {
         });
         assert!(died.is_err() && p.cache.is_poisoned() && p.gang.is_poisoned());
         // A hit, a miss, and a gang measurement, all behind poisoned locks.
-        let again = p.profile(w, 8, PolicyPreset::Superneurons, &spec, spec.dram_bytes);
+        let again = p.profile_kind(
+            w,
+            8,
+            PolicyPreset::Superneurons,
+            JobKind::Training,
+            &spec,
+            spec.dram_bytes,
+        );
         assert_eq!(again, before);
         assert!(p
             .profile_kind(
@@ -627,18 +998,39 @@ mod tests {
         };
         let spec = DeviceSpec::k40c();
         let full = p
-            .profile(w, 32, PolicyPreset::Superneurons, &spec, spec.dram_bytes)
+            .profile_kind(
+                w,
+                32,
+                PolicyPreset::Superneurons,
+                JobKind::Training,
+                &spec,
+                spec.dram_bytes,
+            )
             .expect("fits a 12 GB device");
         assert!(full.peak_bytes <= spec.dram_bytes);
         // Within a tiny budget the same job must either adapt below the
         // budget or be declared infeasible — never "fit" above it.
         let budget = 16 << 20;
-        if let Some(tight) = p.profile(w, 32, PolicyPreset::Superneurons, &spec, budget) {
+        if let Some(tight) = p.profile_kind(
+            w,
+            32,
+            PolicyPreset::Superneurons,
+            JobKind::Training,
+            &spec,
+            budget,
+        ) {
             assert!(tight.peak_bytes <= budget);
         }
         // Under one block of the planner's pool: an OOM, not a panic.
         assert_eq!(
-            p.profile(w, 32, PolicyPreset::Superneurons, &spec, 1023),
+            p.profile_kind(
+                w,
+                32,
+                PolicyPreset::Superneurons,
+                JobKind::Training,
+                &spec,
+                1023
+            ),
             None
         );
     }
@@ -652,10 +1044,24 @@ mod tests {
         };
         let spec = DeviceSpec::k40c();
         let base = p
-            .profile(w, 16, PolicyPreset::Baseline, &spec, spec.dram_bytes)
+            .profile_kind(
+                w,
+                16,
+                PolicyPreset::Baseline,
+                JobKind::Training,
+                &spec,
+                spec.dram_bytes,
+            )
             .unwrap();
         let sn = p
-            .profile(w, 16, PolicyPreset::Superneurons, &spec, spec.dram_bytes)
+            .profile_kind(
+                w,
+                16,
+                PolicyPreset::Superneurons,
+                JobKind::Training,
+                &spec,
+                spec.dram_bytes,
+            )
             .unwrap();
         assert!(
             sn.peak_bytes < base.peak_bytes,
@@ -679,10 +1085,24 @@ mod tests {
         };
         let spec = DeviceSpec::k40c();
         let roomy = p
-            .profile(w, 32, PolicyPreset::Superneurons, &spec, spec.dram_bytes)
+            .profile_kind(
+                w,
+                32,
+                PolicyPreset::Superneurons,
+                JobKind::Training,
+                &spec,
+                spec.dram_bytes,
+            )
             .expect("fits uncapped");
         let tight = p
-            .profile(w, 32, PolicyPreset::Superneurons, &spec, 48 << 20)
+            .profile_kind(
+                w,
+                32,
+                PolicyPreset::Superneurons,
+                JobKind::Training,
+                &spec,
+                48 << 20,
+            )
             .expect("adapts under a 48 MB cap");
         assert_eq!(p.simulated(), 2, "distinct caps must not share an entry");
         assert!(tight.peak_bytes <= 48 << 20);
@@ -784,10 +1204,24 @@ mod tests {
         let w = Workload::Synthetic { width: 8, depth: 2 };
         let spec = DeviceSpec::k40c();
         let hand = p
-            .profile(w, 8, PolicyPreset::Superneurons, &spec, spec.dram_bytes)
+            .profile_kind(
+                w,
+                8,
+                PolicyPreset::Superneurons,
+                JobKind::Training,
+                &spec,
+                spec.dram_bytes,
+            )
             .unwrap();
         let tuned = p
-            .profile(w, 8, PolicyPreset::Tuned(id), &spec, spec.dram_bytes)
+            .profile_kind(
+                w,
+                8,
+                PolicyPreset::Tuned(id),
+                JobKind::Training,
+                &spec,
+                spec.dram_bytes,
+            )
             .unwrap();
         assert_eq!(hand, tuned, "identical policies predict identically");
         assert_eq!(p.simulated(), 2, "but they must never share a memo entry");
@@ -966,5 +1400,152 @@ mod tests {
         // More replicas than devices is never feasible.
         let gang = JobSpec::new("gang", Workload::LeNet, 8).with_replicas(3);
         assert!(!feasible_on_idle_fleet(&profiler, &fleet, &gang));
+    }
+
+    /// Two cards, three quanta, four classes: a capacity that is no multiple
+    /// of 32 beside the one it shares a quantum (and so a class) with, the
+    /// same capacity on another card, and two devices under 64 bytes, where
+    /// the quantum is one byte and levels run to 40 and to 63.
+    fn mixed_fleet() -> Fleet {
+        let card = |dram: u64| DeviceSpec::k40c().with_dram(dram);
+        let other = |dram: u64| {
+            let mut slow = card(dram);
+            slow.mem_bw_gbps /= 2.0;
+            slow
+        };
+        let devices = vec![
+            card(24 << 20),
+            card(24 << 20),
+            other((20 << 20) + 7),
+            card((24 << 20) + 13),
+            other(24 << 20),
+            card(40),
+            other((20 << 20) + 7),
+            card(24 << 20),
+            card(63),
+        ];
+        Fleet {
+            devices,
+            interconnect: Interconnect::pcie(),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn a_rung_answers_as_the_ladder_written_straight_down(
+            // Per device: reserved ‰ of DRAM, spike ‰ + 500, failed if 0 —
+            // applied in an order the last draw rotates, so each of the
+            // three is sometimes the one whose levelling stands.
+            draws in proptest::collection::vec((0u64..1001, 0u64..1001, 0usize..8), 18..19),
+        ) {
+            let fleet = mixed_fleet();
+            let states = draws.chunks(fleet.len()).map(|state| -> Vec<DeviceState> {
+                let device = |(&(reserved, spike, failed), spec): (&(u64, u64, usize), &DeviceSpec)| {
+                    let mut d = DeviceState::idle(spec);
+                    for step in 0..3 {
+                        match (step + failed) % 3 {
+                            0 if failed == 0 => d.fault(spec, FaultEvent::DeviceFail { device: 0 }),
+                            0 => {}
+                            1 => d.admit(spec, spec.dram_bytes * reserved / 1000),
+                            _ => {
+                                let bytes = spec.dram_bytes * spike.saturating_sub(500) / 1000;
+                                d.fault(spec, FaultEvent::PressureSpike { device: 0, bytes });
+                            }
+                        }
+                    }
+                    d
+                };
+                state.iter().zip(&fleet.devices).map(device).collect()
+            });
+            let states: Vec<Vec<DeviceState>> = states.collect();
+            // Baseline wants 17.7 MB of a device, the full stack 3.4 MB.
+            let w = Workload::Synthetic { width: 16, depth: 4 };
+            for policy in PlacementPolicy::ALL {
+                let sim = ClusterSim::new(fleet.clone(), policy);
+                // One scratch for both states: the second is answered from
+                // rows the first, a different one, filled.
+                let mut warm = AdmitScratch::default();
+                for devices in &states {
+                    for (replicas, downgrade) in [(1, true), (2, true), (4, true), (1, false), (2, false), (4, false)] {
+                        let job = JobSpec::new("j", w, 16)
+                            .with_preset(PolicyPreset::Baseline)
+                            .with_replicas(replicas)
+                            .with_downgrade(downgrade);
+                        let want = sim.try_admit_plain(devices, &shape_key(&job));
+                        let index = ByFree::new(devices, &sim.class_of);
+                        let cold = sim.try_admit(devices, &index, &job, &mut AdmitScratch::default());
+                        proptest::prop_assert_eq!(&cold, &want, "{} x{replicas}, fresh rows", policy.name());
+                        let again = sim.try_admit(devices, &index, &job, &mut warm);
+                        proptest::prop_assert_eq!(&again, &want, "{} x{replicas}, kept rows", policy.name());
+                    }
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn the_walk_picks_the_gang_a_full_scan_picks(
+            // Per device: reserved ‰ of DRAM, spike ‰ + 700, failed if 0.
+            draws in proptest::collection::vec((0u64..1001, 0u64..1001, 0usize..10), 12..13),
+            classes in 1usize..3,
+        ) {
+            // One class, or two: every third device has 40 MB, not 24.
+            let dram = |d: usize| if classes == 2 && d.is_multiple_of(3) { 40 << 20 } else { 24 << 20 };
+            let fleet = Fleet {
+                devices: (0..12).map(|d| DeviceSpec::k40c().with_dram(dram(d))).collect(),
+                interconnect: Interconnect::pcie(),
+            };
+            // The state built alter by alter, the walk index kept as the
+            // event core keeps it and held to a scan after every alter.
+            let classed = ClusterSim::new(fleet.clone(), PlacementPolicy::FirstFit);
+            let mut devices: Vec<DeviceState> = fleet.devices.iter().map(DeviceState::idle).collect();
+            let mut index = ByFree::new(&devices, &classed.class_of);
+            for (d, (&(reserved, spike, failed), spec)) in draws.iter().zip(&fleet.devices).enumerate() {
+                devices[d].admit(spec, spec.dram_bytes * reserved / 1000);
+                index.moved(&devices, d);
+                index.check(&devices);
+                let spike = spec.dram_bytes * spike.saturating_sub(700) / 1000;
+                devices[d].fault(spec, FaultEvent::PressureSpike { device: d, bytes: spike });
+                index.moved(&devices, d);
+                index.check(&devices);
+                if failed == 0 {
+                    devices[d].fault(spec, FaultEvent::DeviceFail { device: d });
+                }
+                index.moved(&devices, d);
+                index.check(&devices);
+            }
+            // Baseline wants 17.7 MB of a device for the first shape, a few
+            // for the second: a handful of devices fit it, or most do. The
+            // full stack's peak shrinks with the budget, so there a
+            // device's key is not its free bytes less one constant.
+            let shapes = [
+                (Workload::Synthetic { width: 16, depth: 4 }, 16, JobKind::Training),
+                (Workload::Synthetic { width: 8, depth: 2 }, 8, JobKind::Training),
+                (Workload::Synthetic { width: 16, depth: 4 }, 16, JobKind::Inference),
+            ];
+            for policy in PlacementPolicy::ALL {
+                let sim = ClusterSim::new(fleet.clone(), policy);
+                let mut scratch = AdmitScratch::default();
+                for replicas in 1..=4 {
+                    for ((w, batch, kind), preset) in shapes.into_iter().flat_map(|s| {
+                        [(s, PolicyPreset::Baseline), (s, PolicyPreset::Superneurons)]
+                    }) {
+                        let job = JobSpec::new("j", w, batch)
+                            .with_kind(kind)
+                            .with_preset(preset)
+                            .with_replicas(replicas)
+                            .with_downgrade(true);
+                        let walked = sim.try_admit(&devices, &index, &job, &mut scratch);
+                        let scanned = sim.try_admit_plain(&devices, &shape_key(&job));
+                        proptest::prop_assert_eq!(walked, scanned, "{} x{}", policy.name(), replicas);
+                    }
+                }
+            }
+        }
     }
 }

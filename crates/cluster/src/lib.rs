@@ -26,9 +26,10 @@
 //!   injection (device kills, link degradation, pressure spikes at integer
 //!   instants) and the recovery mode (no-recovery or checkpoint/restart);
 //! * [`sim`] — [`ClusterSim`]: the deterministic virtual-time event loop
-//!   with processor-sharing compute and hard memory reservations, gang
-//!   scheduling multi-replica jobs through the data-parallel model, on one
-//!   integer-nanosecond clock (`pace`: the two functions that round it);
+//!   (run by the private `event_core`) with processor-sharing compute and
+//!   hard memory reservations, gang scheduling multi-replica jobs through
+//!   the data-parallel model, on one integer-nanosecond clock (`pace`: the
+//!   two functions that round it, and the lazy progress they drive);
 //! * [`report`] — [`ClusterReport`]: per-job latency/queueing, fleet
 //!   throughput + utilization, the byte-stable schedule trace, and JSON
 //!   rendering for `BENCH_cluster.json`;
@@ -48,6 +49,7 @@
 #![warn(clippy::too_many_lines)]
 
 pub mod admission;
+mod event_core;
 mod event_heap;
 pub mod fault;
 pub mod fleet;

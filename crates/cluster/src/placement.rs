@@ -3,11 +3,15 @@
 //! All policies only consider devices where the replica's predicted peak
 //! fits the *unreserved* bytes — placement chooses among feasible options,
 //! admission decides feasibility. Ties always break toward the lowest device
-//! index, which keeps schedules deterministic.
+//! index, which keeps schedules deterministic. What a rung reads lives here
+//! too, each beside its check: a device's reservation state (`DeviceState`)
+//! and the fleet's walk index (`ByFree`).
 
 use sn_runtime::PeakPrediction;
+use sn_sim::DeviceSpec;
 
-use crate::admission::Placement;
+use crate::admission::{quantum, Grant, Placement};
+use crate::fault::FaultEvent;
 
 /// A feasible device for one replica: its index, unreserved and reserved
 /// bytes (the sorting keys), the quantized prediction budget, and the
@@ -90,26 +94,6 @@ impl PlacementPolicy {
         }
     }
 
-    /// Choose `replicas` distinct devices from the feasible [`Candidate`]s,
-    /// taken in any order. Returns the chosen [`Placement`]s, or `None` if
-    /// fewer than `replicas` devices are feasible (gangs are atomic: all or
-    /// nothing).
-    pub fn choose(
-        self,
-        candidates: impl IntoIterator<Item = Candidate>,
-        replicas: usize,
-        best: &mut Vec<Candidate>,
-    ) -> Option<Vec<Placement>> {
-        best.clear();
-        if replicas == 0 {
-            return Some(Vec::new());
-        }
-        for c in candidates {
-            self.offer(c, replicas, best);
-        }
-        (best.len() == replicas).then(|| best.iter().map(Placement::from).collect())
-    }
-
     /// Keep `c` if it is among the `replicas` best offered so far. They are
     /// kept sorted in `best` (the caller's buffer: a rung that places nothing
     /// allocates nothing) as the candidates stream past — the same gang, in
@@ -127,6 +111,221 @@ impl PlacementPolicy {
     }
 }
 
+/// Per-device mutable state during a simulation run.
+#[derive(Debug, Clone)]
+pub(crate) struct DeviceState {
+    pub(crate) reserved: u64,
+    pub(crate) tenants: usize,
+    /// Wall time (ns) with at least one tenant.
+    pub(crate) busy_ns: u64,
+    /// ∫ reserved(t) dt, in byte·ns — memory utilization numerator. Never
+    /// overflows: at most `u64::MAX` bytes for `u64::MAX` ns.
+    pub(crate) reserved_integral: u128,
+    /// The instant the two integrals above are current as of.
+    settled_ns: u64,
+    pub(crate) peak_reserved: u64,
+    pub(crate) peak_tenants: usize,
+    /// Fault state: a failed device admits nothing (its tenants were
+    /// interrupted when it failed) and `spike` bytes are withheld from
+    /// admission by an injected pressure fault. Both stay at their defaults
+    /// on fault-free runs, where [`DeviceState::free_bytes`] degenerates to
+    /// exactly `dram − reserved`.
+    pub(crate) failed: bool,
+    pub(crate) spike: u64,
+    /// What a ladder rung reads instead of dividing: `free_bytes` and the
+    /// budget level `free / quantum`, so `level × quantum` is
+    /// `quantized_budget(spec, free)`. `reserved`, `spike` and `failed`
+    /// change only inside [`DeviceState::alter`], which re-derives both.
+    pub(crate) free: u64,
+    pub(crate) level: u8,
+}
+
+impl DeviceState {
+    /// The device before any tenant or fault. (No `Default`: a device never
+    /// levelled would read as a full one.)
+    pub(crate) fn idle(spec: &DeviceSpec) -> DeviceState {
+        let mut idle = DeviceState {
+            reserved: 0,
+            tenants: 0,
+            busy_ns: 0,
+            reserved_integral: 0,
+            settled_ns: 0,
+            peak_reserved: 0,
+            peak_tenants: 0,
+            failed: false,
+            spike: 0,
+            free: 0,
+            level: 0,
+        };
+        idle.alter(spec, |_| ());
+        idle
+    }
+
+    /// Bytes admission may still reserve on this device.
+    pub(crate) fn free_bytes(&self, spec: &DeviceSpec) -> u64 {
+        if self.failed {
+            0
+        } else {
+            spec.dram_bytes
+                .saturating_sub(self.reserved.saturating_add(self.spike))
+        }
+    }
+
+    /// Apply `change`, then bring `free` and `level` up to date with it.
+    fn alter(&mut self, spec: &DeviceSpec, change: impl FnOnce(&mut DeviceState)) {
+        change(self);
+        self.free = self.free_bytes(spec);
+        self.level = u8::try_from(self.free / quantum(spec)).expect("levels stop at 63");
+    }
+
+    /// One more tenant, holding `bytes`.
+    pub(crate) fn admit(&mut self, spec: &DeviceSpec, bytes: u64) {
+        self.alter(spec, |d| d.reserved += bytes);
+        self.tenants += 1;
+        self.peak_reserved = self.peak_reserved.max(self.reserved);
+        self.peak_tenants = self.peak_tenants.max(self.tenants);
+    }
+
+    /// A tenant that held `bytes` is gone.
+    pub(crate) fn vacate(&mut self, spec: &DeviceSpec, bytes: u64) {
+        self.alter(spec, |d| d.reserved -= bytes);
+        self.tenants -= 1;
+    }
+
+    /// Take `ev`, a fault that lands on this device.
+    pub(crate) fn fault(&mut self, spec: &DeviceSpec, ev: FaultEvent) {
+        self.alter(spec, |d| match ev {
+            FaultEvent::DeviceFail { .. } => d.failed = true,
+            FaultEvent::DeviceRecover { .. } => d.failed = false,
+            FaultEvent::PressureSpike { bytes, .. } => d.spike = d.spike.saturating_add(bytes),
+            FaultEvent::PressureRelease { bytes, .. } => d.spike = d.spike.saturating_sub(bytes),
+            FaultEvent::LinkDegrade { .. } | FaultEvent::LinkRestore => {}
+        });
+    }
+
+    /// Bring the two integrals up to `now_ns`. Their integrands only step
+    /// when `reserved` or `tenants` change, so settling just before either
+    /// does (and once when the run ends) integrates exactly.
+    pub(crate) fn settle(&mut self, now_ns: u64) {
+        let dt = now_ns - self.settled_ns;
+        if self.tenants > 0 {
+            self.busy_ns += dt;
+        }
+        self.reserved_integral += u128::from(self.reserved) * u128::from(dt);
+        self.settled_ns = now_ns;
+    }
+
+    /// Hold device `d`'s kept free bytes and level to their definitions, and
+    /// its reservations to its DRAM.
+    pub(crate) fn check(&self, spec: &DeviceSpec, d: usize) {
+        let free = self.free_bytes(spec);
+        assert_eq!(
+            (self.free, u64::from(self.level)),
+            (free, free / quantum(spec)),
+            "device {d}: free bytes and budget level vs their definitions"
+        );
+        assert!(
+            self.reserved <= spec.dram_bytes,
+            "device {d}: reservations exceed DRAM"
+        );
+    }
+}
+
+/// A gang's pace count: the most tenants on any of its devices.
+pub(crate) fn most_tenants(devices: &[DeviceState], grant: &Grant) -> usize {
+    let tenants = grant.placements.iter().map(|p| devices[p.device].tenants);
+    tenants.max().unwrap_or(1)
+}
+
+/// The walk index a rung reads. The devices as ascending (free bytes, index)
+/// pairs, and where each sits in them: what a BestFit or BinPack rung walks.
+/// And per device class, a census of its devices' budget levels: how many
+/// show each level, and the set of levels shown (`present`), which a rung
+/// resolves its rows for. A device whose free bytes change moves to its place
+/// by a local insertion step, and from its old level's count to its new one.
+pub(crate) struct ByFree<'s> {
+    pub(crate) order: Vec<(u64, usize)>,
+    rank: Vec<usize>,
+    class_of: &'s [usize],
+    /// Each device's level as of its last move.
+    level: Vec<u8>,
+    census: Vec<[u32; 64]>,
+    pub(crate) present: Vec<u64>,
+}
+
+impl<'s> ByFree<'s> {
+    /// The index of `devices`, of classes `class_of`, by a scan.
+    pub(crate) fn new(devices: &[DeviceState], class_of: &'s [usize]) -> ByFree<'s> {
+        let mut order: Vec<(u64, usize)> = devices.iter().map(|d| d.free).zip(0..).collect();
+        order.sort_unstable();
+        let mut rank = vec![0; order.len()];
+        for (at, &(_, d)) in order.iter().enumerate() {
+            rank[d] = at;
+        }
+        let level: Vec<u8> = devices.iter().map(|d| d.level).collect();
+        let classes = class_of.iter().max().map_or(0, |c| c + 1);
+        let (mut census, mut present) = (vec![[0; 64]; classes], vec![0; classes]);
+        for (&l, &c) in level.iter().zip(class_of) {
+            census[c][usize::from(l)] += 1;
+            present[c] |= 1 << l;
+        }
+        ByFree {
+            order,
+            rank,
+            class_of,
+            level,
+            census,
+            present,
+        }
+    }
+
+    /// Move `d`, whose free bytes just changed, to its place, and into its
+    /// level's count if that changed too.
+    pub(crate) fn moved(&mut self, devices: &[DeviceState], d: usize) {
+        let level = devices[d].level;
+        let was = std::mem::replace(&mut self.level[d], level);
+        if was != level {
+            let c = self.class_of[d];
+            let census = &mut self.census[c];
+            census[usize::from(was)] -= 1;
+            census[usize::from(level)] += 1;
+            if census[usize::from(was)] == 0 {
+                self.present[c] &= !(1 << was);
+            }
+            self.present[c] |= 1 << level;
+        }
+        let (key, mut at) = ((devices[d].free, d), self.rank[d]);
+        while at > 0 && self.order[at - 1] > key {
+            self.order[at] = self.order[at - 1];
+            self.rank[self.order[at].1] = at;
+            at -= 1;
+        }
+        while at + 1 < self.order.len() && self.order[at + 1] < key {
+            self.order[at] = self.order[at + 1];
+            self.rank[self.order[at].1] = at;
+            at += 1;
+        }
+        self.order[at] = key;
+        self.rank[d] = at;
+    }
+
+    /// Hold the kept index to one a scan of `devices` builds.
+    pub(crate) fn check(&self, devices: &[DeviceState]) {
+        let scan = ByFree::new(devices, self.class_of);
+        assert_eq!(self.order, scan.order, "walk order vs free bytes");
+        assert_eq!(
+            self.rank, scan.rank,
+            "a device's rank vs its place in the walk order"
+        );
+        assert_eq!(self.level, scan.level, "a device's kept level vs its level");
+        assert_eq!(
+            (&self.census, &self.present),
+            (&scan.census, &scan.present),
+            "the level census vs a scan of the devices' levels"
+        );
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,6 +337,20 @@ mod tests {
             iter_time: SimTime::from_us(100),
             weight_bytes: 1,
         }
+    }
+
+    /// The gang `policy` keeps of `candidates` offered in turn, as a rung
+    /// keeps it: `None` if fewer than `replicas` are offered.
+    fn choose(
+        policy: PlacementPolicy,
+        candidates: impl IntoIterator<Item = Candidate>,
+        replicas: usize,
+    ) -> Option<Vec<Placement>> {
+        let mut best = Vec::new();
+        for c in candidates {
+            policy.offer(c, replicas, &mut best);
+        }
+        (best.len() == replicas).then(|| best.iter().map(Placement::from).collect())
     }
 
     fn candidates() -> Vec<Candidate> {
@@ -155,25 +368,19 @@ mod tests {
 
     #[test]
     fn first_fit_takes_lowest_indices() {
-        let got = PlacementPolicy::FirstFit
-            .choose(candidates(), 2, &mut Vec::new())
-            .unwrap();
+        let got = choose(PlacementPolicy::FirstFit, candidates(), 2).unwrap();
         assert_eq!(got.iter().map(|p| p.device).collect::<Vec<_>>(), vec![0, 1]);
     }
 
     #[test]
     fn best_fit_minimizes_leftover() {
-        let got = PlacementPolicy::BestFit
-            .choose(candidates(), 1, &mut Vec::new())
-            .unwrap();
+        let got = choose(PlacementPolicy::BestFit, candidates(), 1).unwrap();
         assert_eq!(got[0].device, 1, "300-100 leaves the smallest hole");
     }
 
     #[test]
     fn bin_pack_prefers_fullest_device() {
-        let got = PlacementPolicy::BinPack
-            .choose(candidates(), 1, &mut Vec::new())
-            .unwrap();
+        let got = choose(PlacementPolicy::BinPack, candidates(), 1).unwrap();
         assert_eq!(
             got[0].device, 1,
             "device 1 already holds 700 reserved bytes"
@@ -182,12 +389,8 @@ mod tests {
 
     #[test]
     fn gangs_are_all_or_nothing() {
-        assert!(PlacementPolicy::FirstFit
-            .choose(candidates(), 4, &mut Vec::new())
-            .is_none());
-        let got = PlacementPolicy::BinPack
-            .choose(candidates(), 3, &mut Vec::new())
-            .unwrap();
+        assert!(choose(PlacementPolicy::FirstFit, candidates(), 4).is_none());
+        let got = choose(PlacementPolicy::BinPack, candidates(), 3).unwrap();
         let mut devs: Vec<_> = got.iter().map(|p| p.device).collect();
         devs.sort_unstable();
         assert_eq!(devs, vec![0, 1, 2]);
@@ -210,8 +413,6 @@ mod tests {
                 }
             })
             .collect();
-        // One buffer throughout: what an earlier choice left in it is gone.
-        let mut best = Vec::new();
         for policy in PlacementPolicy::ALL {
             let mut sorted = pool.clone();
             match policy {
@@ -224,7 +425,7 @@ mod tests {
                 }
             }
             for replicas in [1, 2, 4, 63, 64] {
-                let got = policy.choose(pool.clone(), replicas, &mut best).unwrap();
+                let got = choose(policy, pool.clone(), replicas).unwrap();
                 let got: Vec<usize> = got.iter().map(|p| p.device).collect();
                 let want: Vec<usize> = sorted[..replicas].iter().map(|c| c.device).collect();
                 assert_eq!(got, want, "{} x{replicas}", policy.name());
@@ -236,9 +437,7 @@ mod tests {
     fn placements_carry_the_prediction_budget() {
         // The budget the profile was compiled under must survive placement:
         // gang step measurement re-caps the device with it.
-        let got = PlacementPolicy::FirstFit
-            .choose(candidates(), 3, &mut Vec::new())
-            .unwrap();
+        let got = choose(PlacementPolicy::FirstFit, candidates(), 3).unwrap();
         for p in &got {
             let want = candidates()
                 .into_iter()

@@ -1,17 +1,21 @@
 //! Reports: per-job outcomes, fleet-wide serving metrics, the deterministic
 //! schedule trace, and their [`Json`] rendering for `BENCH_*.json`
-//! artifacts.
+//! artifacts — and what the event core reports through as it goes: its
+//! metric handles and its recorders.
 
 use std::hash::{Hash, Hasher};
 
 use fxhash::FxHasher;
 use sn_sim::SimTime;
-use sn_telemetry::Json;
+use sn_telemetry::{ArgValue, Counter, Histogram, Json, MetricsRegistry, TraceSink, TrackId};
 
+use crate::admission::Grant;
+use crate::event_core::{CoreOutcome, LiveJob};
+use crate::fault::FaultEvent;
 use crate::fleet::Fleet;
 use crate::job::{JobKind, JobSpec, PolicyPreset};
-use crate::placement::PlacementPolicy;
-use crate::sim::DeviceState;
+use crate::latency::LatencySketch;
+use crate::placement::{DeviceState, PlacementPolicy};
 
 /// Why admission permanently refused a job. Structured — so the metrics
 /// registry counts rejections per kind instead of grepping free-form
@@ -280,12 +284,8 @@ pub struct ClusterReport {
 /// Nearest-rank percentile over an ascending-sorted slice: the smallest
 /// element such that at least `q` of the samples are ≤ it.
 ///
-/// `q` must lie in `(0, 1]`. The old implementation clamped the rank into
-/// `1..=len`, which silently made `q = 0.0` (rank 0 — not a percentile any
-/// convention defines) return the first element instead of being rejected;
-/// the clamp's lower arm existed only to mask that invalid input. Valid
-/// `q > 0.0` always yields `ceil(q·n) ≥ 1` on its own, so only the upper
-/// guard (against float overshoot at `q = 1.0`) remains.
+/// `q` must lie in `(0, 1]`: rank 0 is no percentile, and any valid `q`
+/// yields `ceil(q·n) ≥ 1`, so only float overshoot at `q = 1.0` is guarded.
 pub(crate) fn percentile(sorted: &[SimTime], q: f64) -> SimTime {
     assert!(
         q > 0.0 && q <= 1.0,
@@ -324,17 +324,15 @@ pub(crate) fn utilization(fleet: &Fleet, makespan: SimTime, devices: &[DeviceSta
 }
 
 impl ClusterReport {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble(
         fleet: &Fleet,
         placement: PlacementPolicy,
-        jobs: Vec<JobOutcome>,
-        trace: Vec<TraceEvent>,
-        makespan: SimTime,
-        devices: &[DeviceState],
-        peak_concurrent_jobs: usize,
+        rec: FullRecorder,
+        core: &CoreOutcome,
         predictions_simulated: usize,
     ) -> ClusterReport {
+        let (jobs, trace) = (rec.outcomes, rec.trace);
+        let (makespan, devices) = (core.makespan, &core.devices[..]);
         let completed = jobs.iter().filter(|j| j.completion.is_some()).count();
         let rejected = jobs.iter().filter(|j| j.rejected.is_some()).count();
         let failed = jobs.iter().filter(|j| j.failed.is_some()).count();
@@ -362,14 +360,14 @@ impl ClusterReport {
             placement,
             fleet_devices: fleet.len(),
             fleet_dram_bytes: fleet.total_dram(),
-            jobs_per_sec: completed as f64 / makespan.as_secs_f64().max(f64::MIN_POSITIVE),
+            jobs_per_sec: safe_rate(completed as u64, makespan),
             p50_latency: percentile(&latencies, 0.50),
             p99_latency: percentile(&latencies, 0.99),
             p999_latency: percentile(&latencies, 0.999),
             mean_queueing,
             compute_utilization,
             memory_utilization,
-            peak_concurrent_jobs,
+            peak_concurrent_jobs: core.peak_concurrent,
             peak_reserved: devices.iter().map(|d| d.peak_reserved).collect(),
             peak_tenants: devices.iter().map(|d| d.peak_tenants).collect(),
             busy_ns: devices.iter().map(|d| d.busy_ns).collect(),
@@ -546,6 +544,44 @@ pub struct ServiceReport {
 }
 
 impl ServiceReport {
+    pub(crate) fn assemble(
+        fleet: &Fleet,
+        placement: PlacementPolicy,
+        rec: StreamRecorder,
+        core: &CoreOutcome,
+    ) -> ServiceReport {
+        let makespan = core.makespan;
+        let (compute_utilization, memory_utilization) = utilization(fleet, makespan, &core.devices);
+        let mean_queueing = rec.queue_sum.checked_div(u128::from(rec.queue_count));
+        let mean_queueing = SimTime(mean_queueing.unwrap_or(0) as u64);
+        ServiceReport {
+            placement,
+            fleet_devices: fleet.len(),
+            submitted: core.submitted,
+            completed: core.completed,
+            rejected: core.rejected,
+            failed: core.failed,
+            still_queued: core.still_queued,
+            interrupted: core.interrupted,
+            restarts: core.restarts,
+            useful_iterations: core.useful_iters,
+            wasted_iterations: core.wasted_iters,
+            goodput_iters_per_sec: safe_rate(core.useful_iters, makespan),
+            raw_iters_per_sec: safe_rate(core.useful_iters + core.wasted_iters, makespan),
+            events: core.events,
+            makespan,
+            jobs_per_sec: safe_rate(core.completed, makespan),
+            p50_latency: rec.latency.quantile(0.50),
+            p99_latency: rec.latency.quantile(0.99),
+            p999_latency: rec.latency.quantile(0.999),
+            mean_queueing,
+            compute_utilization,
+            memory_utilization,
+            peak_concurrent_jobs: core.peak_concurrent,
+            peak_live_jobs: core.peak_live,
+        }
+    }
+
     /// Job conservation for streaming runs: every pulled job ends in exactly
     /// one terminal state.
     pub fn conservation_holds(&self) -> bool {
@@ -626,6 +662,282 @@ impl ServiceReport {
             .with("memory_utilization", self.memory_utilization)
             .with("peak_concurrent_jobs", self.peak_concurrent_jobs)
             .with("peak_live_jobs", self.peak_live_jobs)
+    }
+}
+
+/// Pre-resolved admission metric handles (see
+/// [`ClusterSim::enable_metrics`](crate::ClusterSim::enable_metrics)).
+/// Each field is written at one site, the one event-core handler it belongs
+/// to; a rejection's counters by its reason through `on_reject`.
+pub(crate) struct ClusterMetrics {
+    pub(crate) submitted: Counter,
+    pub(crate) admitted: Counter,
+    rejected: Counter,
+    pub(crate) completed: Counter,
+    reject_empty_gang: Counter,
+    reject_fleet_too_small: Counter,
+    reject_peak_exceeds: Counter,
+    pub(crate) latency_ns: Histogram,
+    pub(crate) queueing_ns: Histogram,
+    // Fault/recovery instrumentation (all zero on fault-free runs).
+    pub(crate) device_failures: Counter,
+    pub(crate) device_recoveries: Counter,
+    pub(crate) mttr_ns: Histogram,
+    pub(crate) jobs_interrupted: Counter,
+    pub(crate) jobs_restarted: Counter,
+    pub(crate) jobs_failed: Counter,
+    pub(crate) retries_scheduled: Counter,
+    pub(crate) backoff_ns: Histogram,
+    pub(crate) wasted_iterations: Counter,
+}
+
+impl ClusterMetrics {
+    pub(crate) fn new(reg: &MetricsRegistry) -> ClusterMetrics {
+        ClusterMetrics {
+            submitted: reg.counter("cluster.jobs.submitted"),
+            admitted: reg.counter("cluster.jobs.admitted"),
+            rejected: reg.counter("cluster.jobs.rejected"),
+            completed: reg.counter("cluster.jobs.completed"),
+            reject_empty_gang: reg.counter("cluster.rejects.empty_gang"),
+            reject_fleet_too_small: reg.counter("cluster.rejects.fleet_too_small"),
+            reject_peak_exceeds: reg.counter("cluster.rejects.peak_exceeds_capacity"),
+            latency_ns: reg.histogram("cluster.latency_ns"),
+            queueing_ns: reg.histogram("cluster.queueing_ns"),
+            device_failures: reg.counter("cluster.faults.device_failures"),
+            device_recoveries: reg.counter("cluster.faults.device_recoveries"),
+            mttr_ns: reg.histogram("cluster.faults.mttr_ns"),
+            jobs_interrupted: reg.counter("cluster.jobs.interrupted"),
+            jobs_restarted: reg.counter("cluster.jobs.restarted"),
+            jobs_failed: reg.counter("cluster.jobs.failed"),
+            retries_scheduled: reg.counter("cluster.retries.scheduled"),
+            backoff_ns: reg.histogram("cluster.retries.backoff_ns"),
+            wasted_iterations: reg.counter("cluster.iterations.wasted"),
+        }
+    }
+
+    pub(crate) fn on_reject(&self, reason: &RejectReason) {
+        self.rejected.inc();
+        match reason {
+            RejectReason::EmptyGang => self.reject_empty_gang.inc(),
+            RejectReason::FleetTooSmall { .. } => self.reject_fleet_too_small.inc(),
+            RejectReason::PeakExceedsCapacity { .. } => self.reject_peak_exceeds.inc(),
+        }
+    }
+}
+
+/// What the event core tells the outside world as it goes: per-job
+/// outcomes, the schedule trace and telemetry spans ([`FullRecorder`]), or
+/// aggregates only ([`StreamRecorder`]), so recording cost — like everything
+/// else in the streaming loop — is independent of stream length. Counters
+/// and metrics are the core's own business, not a recorder's.
+pub(crate) trait Recorder {
+    fn on_arrive(&mut self, job: &LiveJob, t_ns: u64);
+    fn on_admit(&mut self, job: &LiveJob, grant: &Grant, t_ns: u64);
+    fn on_reject(&mut self, job: &LiveJob, reason: &RejectReason, t_ns: u64);
+    fn on_complete(&mut self, job: &LiveJob, t_ns: u64);
+    // Fault/recovery hooks, only reached when a fault plan is installed.
+    // Default no-ops keep the streaming recorder O(1): aggregates for these
+    // flow through [`CoreOutcome`] and the metrics registry instead.
+    fn on_fault(&mut self, _event: &FaultEvent, _t_ns: u64) {}
+    fn on_interrupt(&mut self, _job: &LiveJob, _device: usize, _t_ns: u64) {}
+    fn on_restart(&mut self, _job: &LiveJob, _grant: &Grant, _exact: bool, _t_ns: u64) {}
+    fn on_fail(&mut self, _job: &LiveJob, _why: &str, _t_ns: u64) {}
+}
+
+/// Full per-job recording: outcomes, the schedule trace and telemetry
+/// spans. Tracks are pre-created in arrival order by
+/// [`ClusterSim::run`](crate::ClusterSim::run) so
+/// the Perfetto artifact keeps its historical layout.
+pub(crate) struct FullRecorder {
+    outcomes: Vec<JobOutcome>,
+    trace: Vec<TraceEvent>,
+    /// The simulator's sink; off (and `tracks` empty) when untraced.
+    sink: TraceSink,
+    tracks: Vec<TrackId>,
+    /// Lazily-created fleet-level track for fault instants (faults belong
+    /// to no tenant).
+    fleet_track: Option<TrackId>,
+}
+
+impl FullRecorder {
+    /// A recorder for `jobs` arrivals, with spans into `sink` on `tracks`
+    /// (empty when untraced).
+    pub(crate) fn new(sink: TraceSink, tracks: Vec<TrackId>, jobs: usize) -> FullRecorder {
+        FullRecorder {
+            outcomes: Vec::with_capacity(jobs),
+            trace: Vec::new(),
+            sink,
+            tracks,
+            fleet_track: None,
+        }
+    }
+
+    /// One schedule-trace entry.
+    fn push(&mut self, t_ns: u64, job: String, kind: TraceKind) {
+        self.trace.push(TraceEvent { t_ns, job, kind });
+    }
+
+    /// One schedule-trace entry for `job` and, when tracing, the instant
+    /// that mirrors it on the job's track.
+    fn note(
+        &mut self,
+        t_ns: u64,
+        job: &LiveJob,
+        kind: TraceKind,
+        instant: &'static str,
+        args: impl FnOnce() -> Vec<(&'static str, ArgValue)>,
+    ) {
+        self.push(t_ns, job.spec.name.clone(), kind);
+        if self.sink.is_enabled() {
+            let track = self.tracks[job.seq as usize];
+            self.sink.instant(track, instant, "cluster", t_ns, args());
+        }
+    }
+}
+
+impl Recorder for FullRecorder {
+    fn on_arrive(&mut self, job: &LiveJob, t_ns: u64) {
+        debug_assert_eq!(self.outcomes.len() as u64, job.seq);
+        self.outcomes
+            .push(JobOutcome::pending(&job.spec, job.arrival));
+        self.note(t_ns, job, TraceKind::Arrive, "arrive", Vec::new);
+    }
+
+    fn on_admit(&mut self, job: &LiveJob, grant: &Grant, t_ns: u64) {
+        let idx = job.seq as usize;
+        let out = &mut self.outcomes[idx];
+        out.started = Some(SimTime(t_ns));
+        out.granted = Some(grant.preset);
+        out.devices = grant.devices();
+        out.reservations = grant.peaks();
+        let kind = TraceKind::Admit {
+            preset: grant.preset,
+            devices: out.devices.clone(),
+            reservations: out.reservations.clone(),
+        };
+        self.push(t_ns, job.spec.name.clone(), kind);
+        if self.sink.is_enabled() {
+            self.sink.span_with(
+                self.tracks[idx],
+                "queued".to_string(),
+                "cluster",
+                job.arrival.0,
+                t_ns,
+                vec![("preset", grant.preset.name().into())],
+            );
+        }
+    }
+
+    fn on_reject(&mut self, job: &LiveJob, reason: &RejectReason, t_ns: u64) {
+        self.outcomes[job.seq as usize].rejected = Some(reason.clone());
+        let kind = TraceKind::Reject {
+            reason: reason.clone(),
+        };
+        self.note(t_ns, job, kind, "reject", || {
+            vec![("reason", reason.kind().into())]
+        });
+    }
+
+    fn on_complete(&mut self, job: &LiveJob, t_ns: u64) {
+        let idx = job.seq as usize;
+        self.outcomes[idx].completion = Some(SimTime(t_ns));
+        self.push(t_ns, job.spec.name.clone(), TraceKind::Complete);
+        if self.sink.is_enabled() {
+            let started = self.outcomes[idx].started.map(|s| s.0).unwrap_or(0);
+            let preset = self.outcomes[idx].granted.map(|p| p.name()).unwrap_or("?");
+            self.sink.span_with(
+                self.tracks[idx],
+                "running".to_string(),
+                "cluster",
+                started,
+                t_ns,
+                vec![
+                    ("preset", preset.into()),
+                    ("replicas", job.spec.replicas.into()),
+                ],
+            );
+        }
+    }
+
+    fn on_fault(&mut self, event: &FaultEvent, t_ns: u64) {
+        let desc = event.describe();
+        let kind = TraceKind::Fault { desc: desc.clone() };
+        self.push(t_ns, "fleet".to_string(), kind);
+        if self.sink.is_enabled() {
+            let track = *self
+                .fleet_track
+                .get_or_insert_with(|| self.sink.track("cluster", "faults"));
+            self.sink
+                .instant(track, "fault", "cluster", t_ns, vec![("what", desc.into())]);
+        }
+    }
+
+    fn on_interrupt(&mut self, job: &LiveJob, device: usize, t_ns: u64) {
+        self.outcomes[job.seq as usize].wasted_iterations = job.wasted_iters;
+        self.note(
+            t_ns,
+            job,
+            TraceKind::Interrupt { device },
+            "interrupt",
+            || vec![("device", device.into())],
+        );
+    }
+
+    fn on_restart(&mut self, job: &LiveJob, grant: &Grant, exact: bool, t_ns: u64) {
+        let out = &mut self.outcomes[job.seq as usize];
+        out.granted = Some(grant.preset);
+        out.devices = grant.devices();
+        out.reservations = grant.peaks();
+        out.restarts += 1;
+        out.restart_peak_exact &= exact;
+        out.wasted_iterations = job.wasted_iters;
+        let kind = TraceKind::Restart {
+            preset: grant.preset,
+            devices: out.devices.clone(),
+            reservations: out.reservations.clone(),
+            from_iteration: job.iters_done,
+        };
+        self.note(t_ns, job, kind, "restart", || {
+            vec![
+                ("from_iter", job.iters_done.into()),
+                ("exact", exact.into()),
+            ]
+        });
+    }
+
+    fn on_fail(&mut self, job: &LiveJob, why: &str, t_ns: u64) {
+        let out = &mut self.outcomes[job.seq as usize];
+        out.failed = Some(why.to_string());
+        out.wasted_iterations = job.wasted_iters;
+        let kind = TraceKind::Fail {
+            why: why.to_string(),
+        };
+        self.note(t_ns, job, kind, "fail", || vec![("why", why.into())]);
+    }
+}
+
+/// Aggregate-only recording for streaming runs: a fixed-size latency sketch
+/// and exact queueing sums. No outcomes, no trace, no telemetry spans —
+/// O(1) memory regardless of stream length.
+#[derive(Default)]
+pub(crate) struct StreamRecorder {
+    latency: LatencySketch,
+    queue_sum: u128,
+    queue_count: u64,
+}
+
+impl Recorder for StreamRecorder {
+    fn on_arrive(&mut self, _job: &LiveJob, _t_ns: u64) {}
+
+    fn on_admit(&mut self, job: &LiveJob, _grant: &Grant, t_ns: u64) {
+        self.queue_sum += u128::from(t_ns - job.arrival.0);
+        self.queue_count += 1;
+    }
+
+    fn on_reject(&mut self, _job: &LiveJob, _reason: &RejectReason, _t_ns: u64) {}
+
+    fn on_complete(&mut self, job: &LiveJob, t_ns: u64) {
+        self.latency.record(t_ns - job.arrival.0);
     }
 }
 

@@ -737,7 +737,7 @@ impl<'n> Executor<'n> {
                 };
                 (0, then, [p.returned, 0])
             }
-            PlanOp::Recompute(_) | PlanOp::Collective { .. } => (0, keep, [0; 2]),
+            PlanOp::Recompute(_) => (0, keep, [0; 2]),
         };
         if charge > 0 {
             let Some(f) = self.dev.charge(p.used, charge) else {
@@ -1006,11 +1006,6 @@ impl<'n> Executor<'n> {
             | PlanOp::AllocWorkspace(_)
             | PlanOp::AllocTransient(_)
             | PlanOp::FreeTransients => unreachable!("the build folds {op:?}"),
-            PlanOp::Collective { .. } => {
-                // Single-device plans never contain collectives; the group
-                // interpreter schedules them around the replica stream.
-                unreachable!("collective op in a single-device plan")
-            }
         }
         Ok(())
     }

@@ -44,7 +44,7 @@ use sn_telemetry::MetricsRegistry;
 
 use crate::executor::{finite_rate, ExecError, Executor, IterationReport};
 use crate::parallel::{bucket_wire_bytes, ring_wire_time, Interconnect};
-use crate::plan::{CompiledPlan, Compiler, MemoryPlan, PlanOp};
+use crate::plan::{CompiledPlan, Compiler};
 use crate::policy::Policy;
 
 /// Default gradient bucket target: large enough to amortize ring latencies,
@@ -122,7 +122,7 @@ pub struct GroupPlan {
     pub schedule: Vec<(usize, u32)>,
     /// Fixed comm staging (ring send + receive buffers sized to the largest
     /// bucket). Separately accounted: collectives never allocate from the
-    /// heap pool, so [`MemoryPlan::peak_bytes`] — and every admission
+    /// heap pool, so [`MemoryPlan::peak_bytes`](crate::MemoryPlan::peak_bytes) — and every admission
     /// reservation derived from it — is untouched by the group lift.
     pub comm_workspace_bytes: u64,
 }
@@ -145,10 +145,10 @@ impl GroupPlan {
     }
 
     /// The group debug format: a header, then the replica plan's rendering
-    /// with one `coll` line interleaved after each gating step — bucket id,
-    /// payload bytes (in the stable [`PlanOp::Collective`] op vocabulary),
-    /// wire bytes, and the backward step the launch gates on. Round-trip
-    /// stable like [`MemoryPlan::render`]; tests diff it across PRs.
+    /// with one `coll` line interleaved after each gating step — bucket id
+    /// and payload bytes (`allreduce b<id>:<bytes>`), wire bytes, and the
+    /// backward step the launch gates on. Round-trip stable like
+    /// [`MemoryPlan::render`](crate::MemoryPlan::render); tests diff it across PRs.
     pub fn render(&self, net: &Net) -> String {
         let mut out = format!(
             "GroupPlan k={} buckets={} grad {} wire {} comm-ws {} over {:.0} GB/s\n",
@@ -173,13 +173,8 @@ impl GroupPlan {
             while cursor < self.schedule.len() && self.schedule[cursor].0 == s {
                 let b = &self.buckets[self.schedule[cursor].1 as usize];
                 out.push_str(&format!(
-                    "  coll  {} wire {} gate=step {}\n",
-                    MemoryPlan::op_str(&PlanOp::Collective {
-                        bucket: b.id,
-                        bytes: b.bytes,
-                    }),
-                    b.wire_bytes,
-                    b.ready_step,
+                    "  coll  allreduce b{}:{} wire {} gate=step {}\n",
+                    b.id, b.bytes, b.wire_bytes, b.ready_step,
                 ));
                 cursor += 1;
             }

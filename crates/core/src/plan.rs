@@ -115,15 +115,6 @@ pub enum PlanOp {
     AllocTransient(u64),
     /// Release the step's workspace + transient buffer.
     FreeTransients,
-    /// Launch gradient bucket `bucket` (`bytes` of weight gradients) on the
-    /// device group's ring — a [`crate::group::GroupPlan`] schedule entry.
-    /// Never present in a single-device plan's op stream: per-replica plans
-    /// stay byte-identical to their single-device compilation, and the
-    /// group interpreter schedules collectives *around* the replica stream
-    /// (they draw on the separately-accounted comm workspace, not the heap
-    /// pool). The op exists so the rendered plan format covers collectives
-    /// — `GroupPlan::render` interleaves these lines at their gating steps.
-    Collective { bucket: u32, bytes: u64 },
 }
 
 /// The workspace decision for one CONV step (Fig. 12's record).
@@ -255,11 +246,10 @@ impl MemoryPlan {
         SimTime::from_ns(ns)
     }
 
-    /// One op in the on-disk debug format (shared with `GroupPlan::render`,
-    /// which interleaves `Collective` lines at their gating steps). This
-    /// vocabulary is round-trip-stable: tests diff rendered plans across
-    /// implementations and PRs.
-    pub(crate) fn op_str(op: &PlanOp) -> String {
+    /// One op in the on-disk debug format. This vocabulary is
+    /// round-trip-stable: tests diff rendered plans across implementations
+    /// and PRs.
+    fn op_str(op: &PlanOp) -> String {
         match op {
             PlanOp::Alloc(t) => format!("alloc t{}", t.0),
             PlanOp::Fetch(t) => format!("fetch t{}", t.0),
@@ -271,7 +261,6 @@ impl MemoryPlan {
             PlanOp::AllocWorkspace(b) => format!("ws+{b}"),
             PlanOp::AllocTransient(b) => format!("tr+{b}"),
             PlanOp::FreeTransients => "tr-".into(),
-            PlanOp::Collective { bucket, bytes } => format!("allreduce b{bucket}:{bytes}"),
         }
     }
 

@@ -58,8 +58,6 @@ pub enum Rule {
     Fragmented,
     /// Host bytes above the policy's tiers.
     HostOverCapacity,
-    /// A collective in a single-device plan.
-    Collective,
     /// The declared peak is not the peak the ops reach.
     Peak,
     /// The declared peak step is not the step the peak is first reached.
@@ -332,7 +330,6 @@ impl Model<'_> {
                     self.release(bytes, grant);
                 }
             }
-            PlanOp::Collective { .. } => self.ensure(false, i, Rule::Collective)?,
         }
         Ok(())
     }
