@@ -33,13 +33,15 @@ use crate::record::{write_artifact, BenchRecord};
 
 const MB: u64 = 1 << 20;
 const GB: u64 = 1 << 30;
+/// The trace process Part A's 2-replica gang records into.
+const GANG: &str = "gang of 2 replicas";
 
 /// Everything the experiment measures; tests assert on this directly.
 pub struct TraceResult {
     pub dram_bytes: u64,
     pub group: GroupIterationReport,
     /// Busy/hidden link time re-derived purely from exported spans
-    /// (device 0's link track intersected with its compute track).
+    /// (the gang's link track intersected with its compute track).
     pub trace_busy_ns: u64,
     pub trace_hidden_ns: u64,
     pub cluster_submitted: usize,
@@ -168,14 +170,14 @@ pub fn measure(quick: bool) -> TraceResult {
     gx.enable_metrics(&registry);
     let group = gx.run_iteration().expect("warm traced iteration");
 
-    // Re-derive the overlap story from the exported spans alone: device 0's
+    // Re-derive the overlap story from the exported spans alone: the gang's
     // link-track busy time and its intersection with the compute track.
     // (Computed from a mid-run snapshot; the sink keeps recording Part B,
     // and the returned `data` is re-read at the end so the artifact holds
     // the cluster tracks too.)
     let part_a = sink.data();
-    let link = union(track_intervals(&part_a, "device 0", "link"));
-    let compute = union(track_intervals(&part_a, "device 0", "compute"));
+    let link = union(track_intervals(&part_a, GANG, "link"));
+    let compute = union(track_intervals(&part_a, GANG, "compute"));
     let trace_busy_ns = link.iter().map(|(s, e)| e - s).sum();
     let trace_hidden_ns = intersect_len(&link, &compute);
 
@@ -346,14 +348,15 @@ mod tests {
                 .unwrap_or(0)
                 >= 1
         );
-        // Both replicas flushed exec metrics for the traced iteration.
-        assert_eq!(r.snapshot.counter("exec.iterations"), Some(2));
+        // The gang's one interpreter flushed exec metrics for the traced
+        // iteration.
+        assert_eq!(r.snapshot.counter("exec.iterations"), Some(1));
         // The gang actually hid communication, and the trace shows it.
         assert!(r.group.allreduce_busy > SimTime::ZERO);
         assert!(r.trace_hidden_ns > 0);
-        // The exported data holds BOTH parts: per-device engine tracks and
+        // The exported data holds BOTH parts: the gang's engine tracks and
         // the per-tenant cluster tracks with their arrive/reject instants.
-        assert!(r.data.tracks.iter().any(|t| t.process == "device 0"));
+        assert!(r.data.tracks.iter().any(|t| t.process == GANG));
         assert!(r.data.tracks.iter().any(|t| t.process == "cluster"));
         assert!(!r.data.instants.is_empty());
     }

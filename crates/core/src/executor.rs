@@ -1027,8 +1027,8 @@ impl<'n> Executor<'n> {
     /// Open a new iteration: reset residency and statistics, snapshot the
     /// clock [`Executor::finish_iteration`] will difference, and book a plan
     /// assigned to [`Executor::mplan`] since the last. The group
-    /// interpreter uses this begin/step/finish decomposition to interleave
-    /// replicas at step granularity; [`Executor::run_iteration`] is the
+    /// interpreter uses this begin/step/finish decomposition to launch
+    /// collectives between steps; [`Executor::run_iteration`] is the
     /// single-device composition of the three.
     pub(crate) fn begin_iteration(&mut self) {
         self.iter += 1;

@@ -16,18 +16,18 @@
 //!   accounted comm workspace ([`GroupPlan::comm_workspace_bytes`]), never
 //!   the heap pool, so the exact-peak admission invariant survives the lift
 //!   verbatim.
-//! * **[`GroupExecutor`]** replays one plan per replica (interleaved at
-//!   step granularity, so the group stays in lockstep) and schedules bucket
-//!   all-reduces on per-device link streams via the sim fabric
-//!   ([`sn_sim::group_collective`]): a collective starts when the *last*
-//!   replica's gradient is ready and every link port is free, completes
-//!   simultaneously everywhere, and overlaps the remaining backward
-//!   compute. The ablation mode ([`GroupConfig::serialized`]) launches the
-//!   same buckets back-to-back at iteration end — the classic no-overlap
-//!   baseline every data-parallel paper compares against.
+//! * **[`GroupExecutor`]** steps one interpreter for the whole gang. The
+//!   k replicas share one plan, one spec and one policy, so they cannot
+//!   diverge: one [`Executor`] stands for all k, and each bucket's ring
+//!   all-reduce is one timed transfer on a link stream of its timeline,
+//!   priced for k by [`GroupPlan::bucket_time`] and gated on the compute
+//!   frontier, so it overlaps the remaining backward compute. The ablation
+//!   mode ([`GroupConfig::serialized`]) launches the same buckets
+//!   back-to-back at iteration end — the classic no-overlap baseline every
+//!   data-parallel paper compares against.
 //! * **[`compile_group`]** memoizes nothing of its own: the replica compile
 //!   is the plan memo's, and the bucket walk over it is O(steps) in front of
-//!   building `k` interpreters.
+//!   building the interpreter.
 //!
 //! Bucket wire volume is pinned to the closed form: the per-bucket charges
 //! come from [`crate::parallel::bucket_wire_bytes`], whose telescoping sum
@@ -37,9 +37,7 @@
 use std::sync::Arc;
 
 use sn_graph::{LayerId, Net, StepPhase};
-use sn_sim::{
-    DeviceGroup, DeviceSpec, EngineKind, Event, SimTime, SpanLabel, StreamId, Timeline, TraceSink,
-};
+use sn_sim::{DeviceSpec, EngineKind, SimTime, SpanLabel, StreamId, TraceSink};
 use sn_telemetry::MetricsRegistry;
 
 use crate::executor::{finite_rate, ExecError, Executor, IterationReport};
@@ -279,23 +277,23 @@ fn build_group_plan(replica: Arc<CompiledPlan>, cfg: &GroupConfig) -> GroupPlan 
 #[derive(Debug, Clone)]
 pub struct GroupIterationReport {
     pub replicas: usize,
-    /// Replica 0's single-device report (replicas are identical, so one
-    /// report represents all — asserted via `peaks_match`).
+    /// The replica's single-device report: one interpreter stands for all
+    /// k, whose peaks equal the plan's (`peaks_match`).
     pub replica: IterationReport,
-    /// Gang step time: the slowest replica's iteration, *including* the
-    /// drain of every launched collective (the optimizer consumes reduced
+    /// Gang step time: the replica's `iter_time`, which *includes* the drain
+    /// of every launched collective (the optimizer consumes reduced
     /// gradients before the next iteration starts).
     pub step_time: SimTime,
     /// Per-replica gradient payload aggregated this step.
     pub grad_bytes: u64,
     /// Per-replica bytes moved over the inter-GPU link.
     pub wire_bytes: u64,
-    /// Union of collective busy spans on a replica's link port.
+    /// Union of collective busy spans on the replica's link stream.
     pub allreduce_busy: SimTime,
-    /// Collective time hidden under that replica's kernels.
+    /// Collective time hidden under the replica's kernels.
     pub allreduce_hidden: SimTime,
-    /// Every replica's executed peak equals the plan's `peak_bytes`
-    /// (byte-identity across the gang; also debug-asserted).
+    /// The replica's executed peak equals the plan's `peak_bytes` (also
+    /// debug-asserted).
     pub peaks_match: bool,
 }
 
@@ -323,42 +321,24 @@ impl GroupIterationReport {
     }
 }
 
-/// The device-group interpreter: one [`Executor`] per replica, stepped in
-/// lockstep, with bucket all-reduces scheduled on per-device link streams
-/// through the sim fabric.
+/// The device-group interpreter. The k replicas of a gang share one plan,
+/// one spec and one policy, and each bucket's all-reduce starts at the
+/// latest of k equal compute frontiers, so nothing can tell them apart: one
+/// [`Executor`] stands for all k, and one link stream on its timeline
+/// carries the ring the k devices run together.
 pub struct GroupExecutor<'n> {
     pub net: &'n Net,
     pub gplan: Arc<GroupPlan>,
     /// Overlap collectives with backward compute (`false` = the serialized
     /// iteration-end ablation).
     pub overlap: bool,
-    replicas: Vec<Executor<'n>>,
-    links: Vec<StreamId>,
-    /// Scratch for a bucket's gates, one per replica, reused across buckets.
-    ready: Vec<Event>,
-}
-
-impl DeviceGroup for GroupExecutor<'_> {
-    fn group_len(&self) -> usize {
-        self.replicas.len()
-    }
-
-    fn timeline(&self, i: usize) -> &Timeline {
-        &self.replicas[i].dev.tl
-    }
-
-    fn timeline_mut(&mut self, i: usize) -> &mut Timeline {
-        &mut self.replicas[i].dev.tl
-    }
-
-    fn link_stream(&self, i: usize) -> StreamId {
-        self.links[i]
-    }
+    ex: Executor<'n>,
+    link: StreamId,
 }
 
 impl<'n> GroupExecutor<'n> {
-    /// Compile and build the gang's interpreters; allocates every
-    /// replica's weights.
+    /// Compile and build the gang's interpreter; allocates the replica's
+    /// weights.
     pub fn new(
         net: &'n Net,
         spec: DeviceSpec,
@@ -377,111 +357,79 @@ impl<'n> GroupExecutor<'n> {
         gplan: Arc<GroupPlan>,
         overlap: bool,
     ) -> Result<GroupExecutor<'n>, ExecError> {
-        let mut replicas = Vec::with_capacity(gplan.replicas);
-        let mut links = Vec::with_capacity(gplan.replicas);
-        for _ in 0..gplan.replicas {
-            let mut ex =
-                Executor::from_compiled(net, spec.clone(), policy, (*gplan.replica).clone())?;
-            links.push(ex.dev.tl.add_stream(EngineKind::Link));
-            replicas.push(ex);
-        }
+        let mut ex = Executor::from_compiled(net, spec, policy, (*gplan.replica).clone())?;
+        let link = ex.dev.tl.add_stream(EngineKind::Link);
         Ok(GroupExecutor {
             net,
             gplan,
             overlap,
-            ready: Vec::with_capacity(replicas.len()),
-            replicas,
-            links,
+            ex,
+            link,
         })
     }
 
     /// Gang size.
     pub fn replicas(&self) -> usize {
-        self.replicas.len()
+        self.gplan.replicas
     }
 
-    /// Replica `i`'s interpreter (read-only; stepping goes through the
-    /// group loop so replicas stay in lockstep).
+    /// Replica `i`'s interpreter: the one interpreter that stands for every
+    /// replica (read-only; stepping goes through the group loop). Panics
+    /// past the gang size.
     pub fn replica(&self, i: usize) -> &Executor<'n> {
-        &self.replicas[i]
+        assert!(
+            i < self.replicas(),
+            "replica {i} of a {}-replica gang",
+            self.replicas()
+        );
+        &self.ex
     }
 
-    /// Attach `sink` to every replica's timeline. Each replica traces into
-    /// its own process ("device 0", "device 1", …) of the shared sink, so
-    /// one exported timeline shows the whole gang — kernels, DMAs, and the
-    /// lockstep collectives on each device's link track.
+    /// Attach `sink` to the gang's timeline: one process, named for the k
+    /// replicas it stands for, shows the kernels, the DMAs and the
+    /// collectives on its link track.
     pub fn enable_tracing(&mut self, sink: &TraceSink) {
-        for (i, r) in self.replicas.iter_mut().enumerate() {
-            r.enable_tracing(sink, &format!("device {i}"));
-        }
+        let name = format!("gang of {} replicas", self.replicas());
+        self.ex.enable_tracing(sink, &name);
     }
 
-    /// Route every replica's executor metrics into `registry`. Replicas
-    /// share the handles, so `exec.*` series aggregate across the gang
-    /// (`exec.iterations` counts replica-iterations, not gang steps).
+    /// Route the gang's executor metrics into `registry`. They are the one
+    /// interpreter's, so `exec.*` series are one replica's and
+    /// `exec.iterations` counts gang steps.
     pub fn enable_metrics(&mut self, registry: &MetricsRegistry) {
-        for r in &mut self.replicas {
-            r.enable_metrics(registry);
-        }
+        self.ex.enable_metrics(registry);
     }
 
-    /// Launch one bucket's ring all-reduce: gated on every replica's
+    /// Launch one bucket's ring all-reduce on the link stream, gated on the
     /// compute frontier (the kernel that produced the bucket's last
-    /// gradient has been submitted by now) and each device's link port.
+    /// gradient has been submitted by now).
     fn launch(&mut self, bucket: u32) {
-        let gplan = self.gplan.clone();
-        let b = &gplan.buckets[bucket as usize];
-        let duration = gplan.bucket_time(b);
-        let mut ready = std::mem::take(&mut self.ready);
-        ready.clear();
-        for r in &self.replicas {
-            ready.push(r.dev.tl.frontier_event(StreamId::COMPUTE));
+        let b = &self.gplan.buckets[bucket as usize];
+        let tl = &mut self.ex.dev.tl;
+        if tl.tracing() {
+            tl.trace_label(
+                SpanLabel::new(format!("allreduce b{}", b.id), "collective")
+                    .arg("bucket", b.id)
+                    .arg("bytes", b.bytes)
+                    .arg("wire_bytes", b.wire_bytes)
+                    .arg("gate_step", b.ready_step),
+            );
         }
-        for r in &mut self.replicas {
-            if r.dev.tl.tracing() {
-                r.dev.tl.trace_label(
-                    SpanLabel::new(format!("allreduce b{}", b.id), "collective")
-                        .arg("bucket", b.id)
-                        .arg("bytes", b.bytes)
-                        .arg("wire_bytes", b.wire_bytes)
-                        .arg("gate_step", b.ready_step),
-                );
-            }
-        }
-        sn_sim::group_collective(self, duration, b.wire_bytes, &ready);
-        // The fabric gates the lockstep start with a synthesized same-stream
-        // event, so the backward-kernel → collective dependency each replica
-        // actually waited on is drawn explicitly here.
-        if duration > SimTime::ZERO {
-            for (i, gate) in ready.iter().enumerate() {
-                let link = self.links[i];
-                let tl = &mut self.replicas[i].dev.tl;
-                if tl.tracing() {
-                    let from = tl.trace_span_ending(*gate);
-                    let to = tl.trace_last_span(link);
-                    tl.trace_flow(from, to);
-                }
-            }
-        }
-        self.ready = ready;
+        let gate = tl.frontier_event(StreamId::COMPUTE);
+        tl.submit_timed_transfer(self.link, b.wire_bytes, self.gplan.bucket_time(b), &[gate]);
     }
 
-    /// Run one synchronous data-parallel iteration: every replica replays
-    /// the shared plan step-for-step; gradient buckets all-reduce as they
-    /// become ready (or all at the end, under the serialized ablation); the
-    /// step ends when the slowest replica has drained compute, DMA *and*
-    /// link streams.
+    /// Run one synchronous data-parallel iteration: the replica replays the
+    /// shared plan; gradient buckets all-reduce as they become ready (or
+    /// all at the end, under the serialized ablation); the step ends when
+    /// compute, DMA *and* link streams have drained.
     pub fn run_iteration(&mut self) -> Result<GroupIterationReport, ExecError> {
-        for r in &mut self.replicas {
-            r.begin_iteration();
-        }
+        self.ex.begin_iteration();
         let gplan = self.gplan.clone();
         let total = gplan.replica.route.total_steps();
         let mut cursor = 0usize;
         for s in 0..total {
-            for i in 0..self.replicas.len() {
-                self.replicas[i].run_step(s)?;
-            }
+            self.ex.run_step(s)?;
             if self.overlap {
                 while cursor < gplan.schedule.len() && gplan.schedule[cursor].0 == s {
                     self.launch(gplan.schedule[cursor].1);
@@ -497,35 +445,24 @@ impl<'n> GroupExecutor<'n> {
             }
         }
 
-        // Cut per-replica reports; `finish_iteration`'s sync_all drains the
-        // link stream too, so the collective tail is charged to this step.
-        let mut reports = Vec::with_capacity(self.replicas.len());
-        for r in &mut self.replicas {
-            reports.push(r.finish_iteration()?);
-        }
-        let link_ol = self.replicas[0].dev.tl.link_overlap();
-
-        let plan_peak = gplan.replica.plan.peak_bytes;
-        let peaks_match = reports.iter().all(|r| r.peak_bytes == plan_peak);
+        // `finish_iteration`'s sync_all drains the link stream too, so the
+        // collective tail is charged to this step.
+        let replica = self.ex.finish_iteration()?;
+        let link_ol = self.ex.dev.tl.link_overlap();
+        let peaks_match = replica.peak_bytes == gplan.replica.plan.peak_bytes;
         debug_assert!(
             peaks_match,
-            "a replica's executed peak diverged from the shared plan"
+            "the replica's executed peak diverged from the shared plan"
         );
-        let step_time = reports
-            .iter()
-            .map(|r| r.iter_time)
-            .max()
-            .unwrap_or(SimTime::ZERO);
-        let wire_bytes = self.replicas[0].dev.tl.stats().link_bytes;
         Ok(GroupIterationReport {
-            replicas: self.replicas.len(),
-            replica: reports.swap_remove(0),
-            step_time,
+            replicas: gplan.replicas,
+            step_time: replica.iter_time,
             grad_bytes: gplan.grad_bytes(),
-            wire_bytes,
+            wire_bytes: replica.link_bytes,
             allreduce_busy: link_ol.transfer_busy,
             allreduce_hidden: link_ol.overlapped,
             peaks_match,
+            replica,
         })
     }
 
@@ -669,6 +606,31 @@ mod tests {
                 let r = gx.run_iterations(2).unwrap();
                 assert!(r.peaks_match);
                 assert_eq!(r.replica.peak_bytes, solo_peak, "overlap={overlap}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_gang_steps_one_interpreter_whatever_k() {
+        let net = stub(8);
+        let spec = DeviceSpec::k40c();
+        for k in [1usize, 2, 4, 8] {
+            let mut gx =
+                GroupExecutor::new(&net, spec.clone(), Policy::superneurons(), cfg(k)).unwrap();
+            assert_eq!(gx.replicas(), k);
+            for i in 0..k {
+                assert!(std::ptr::eq(gx.replica(i), gx.replica(0)), "k={k}, i={i}");
+            }
+            let past = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| gx.replica(k)));
+            assert!(past.is_err(), "k={k}: replica(k) must panic");
+            let r = gx.run_iterations(2).unwrap();
+            assert_eq!(r.replicas, k);
+            if k >= 2 {
+                assert_eq!(
+                    r.wire_bytes,
+                    crate::parallel::ring_allreduce_wire_bytes(gx.gplan.grad_bytes(), k)
+                );
+                assert_eq!(r.replica.peak_bytes, gx.gplan.replica.plan.peak_bytes);
             }
         }
     }

@@ -33,8 +33,8 @@ pub enum EngineKind {
     /// Device→host DMA engine (offload).
     D2H,
     /// Inter-GPU link port (NVLink/PCIe peer): the queue a device's
-    /// collective operations serialize on. Not a canonical stream — group
-    /// runtimes add one per device — and accounted separately from PCIe
+    /// collective operations serialize on. Not a canonical stream — the
+    /// group runtime adds one — and accounted separately from PCIe
     /// traffic (`link_bytes`/`link_busy`), so data-parallel gradient
     /// exchange never perturbs the paper's Table 3 transfer numbers.
     Link,
@@ -409,35 +409,6 @@ impl Timeline {
         }
     }
 
-    /// The recorded span that ends exactly when `e` completes (used to draw
-    /// explicit flow arrows, e.g. from a backward kernel to the collective
-    /// it feeds). [`SpanId::NONE`] when untraced or unresolvable.
-    pub fn trace_span_ending(&self, e: Event) -> SpanId {
-        match self.tracer.as_deref() {
-            Some(tr) => tr.span_ending(e),
-            None => SpanId::NONE,
-        }
-    }
-
-    /// The most recently recorded span on `stream`, or [`SpanId::NONE`].
-    pub fn trace_last_span(&self, stream: StreamId) -> SpanId {
-        self.tracer
-            .as_deref()
-            .and_then(|tr| tr.ends.get(stream.0))
-            .and_then(|ends| ends.last())
-            .map(|(_, id)| *id)
-            .unwrap_or(SpanId::NONE)
-    }
-
-    /// Draw an explicit flow arrow between two recorded spans (possibly on
-    /// different devices sharing the sink). Either endpoint being
-    /// [`SpanId::NONE`] drops the arrow; a no-op when untraced.
-    pub fn trace_flow(&mut self, from: SpanId, to: SpanId) {
-        if let Some(tr) = self.tracer.as_deref_mut() {
-            tr.sink.flow(from, to);
-        }
-    }
-
     /// Record the just-submitted operation `[start, done)` on `stream` as a
     /// span, consuming the pending label, and resolve every cross-stream
     /// gate into a flow arrow ending at this span. Zero-duration ops consume
@@ -591,11 +562,6 @@ impl Timeline {
             self.stall += frontier - self.now;
             self.now = frontier;
         }
-    }
-
-    /// Block until one stream drains (cf. `cudaStreamSynchronize`).
-    pub fn sync_stream(&mut self, stream: StreamId) {
-        self.wait(self.frontier_event(stream));
     }
 
     /// Advance the host thread by `d` (host-side work such as allocator
@@ -827,16 +793,6 @@ mod tests {
     }
 
     #[test]
-    fn sync_stream_drains_only_that_stream() {
-        let mut tl = Timeline::new();
-        tl.submit(EngineKind::H2D, SimTime::from_us(9));
-        tl.submit(EngineKind::D2H, SimTime::from_us(6));
-        tl.sync_stream(StreamId::D2H);
-        assert_eq!(tl.now(), SimTime::from_us(6));
-        assert_eq!(tl.frontier(EngineKind::H2D), SimTime::from_us(9));
-    }
-
-    #[test]
     fn traffic_is_accounted_per_direction() {
         let mut tl = Timeline::new();
         tl.submit_transfer(TransferDirection::HostToDevice, 100, 8.0, None);
@@ -875,7 +831,7 @@ mod tests {
         // second [10, 14) us entirely in the open.
         tl.submit(EngineKind::Compute, SimTime::from_us(10));
         tl.transfer_on(StreamId::D2H, 32_000, 8.0, &[]); // 4 us from t=0
-        tl.sync_stream(StreamId::D2H);
+        tl.wait(tl.frontier_event(StreamId::D2H));
         tl.join_compute();
         tl.transfer_on(StreamId::H2D, 32_000, 8.0, &[]); // 4 us from t=10
         tl.sync_all();
@@ -884,6 +840,47 @@ mod tests {
         assert_eq!(o.transfer_busy, SimTime::from_us(8));
         assert_eq!(o.overlapped, SimTime::from_us(4));
         assert!((o.fraction() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn successive_collectives_serialize_on_the_link_port() {
+        let mut tl = Timeline::new();
+        let link = tl.add_stream(EngineKind::Link);
+        let a = tl.submit_timed_transfer(link, 10, SimTime::from_us(5), &[]);
+        // Second bucket is ready immediately but must queue behind the first.
+        let b = tl.submit_timed_transfer(link, 10, SimTime::from_us(5), &[]);
+        assert_eq!(a.event.done_at, SimTime::from_us(5));
+        assert_eq!(b.event.done_at, SimTime::from_us(10));
+    }
+
+    #[test]
+    fn link_traffic_is_not_pcie_traffic() {
+        let mut tl = Timeline::new();
+        let link = tl.add_stream(EngineKind::Link);
+        tl.submit_timed_transfer(link, 4_096, SimTime::from_us(2), &[]);
+        let s = tl.stats();
+        assert_eq!(s.link_bytes, 4_096);
+        assert_eq!(s.total_traffic(), 0, "collectives must not count as PCIe");
+        assert_eq!(s.link_busy, SimTime::from_us(2));
+    }
+
+    #[test]
+    fn link_overlap_measures_collectives_hidden_under_compute() {
+        let mut tl = Timeline::new();
+        let link = tl.add_stream(EngineKind::Link);
+        tl.submit(EngineKind::Compute, SimTime::from_us(10));
+        // A 4us collective launched at t=0 hides fully under compute.
+        tl.submit_timed_transfer(link, 100, SimTime::from_us(4), &[]);
+        // A second one, ready only at compute end, is fully exposed.
+        let ready = tl.frontier_event(StreamId::COMPUTE);
+        tl.submit_timed_transfer(link, 100, SimTime::from_us(4), &[ready]);
+        tl.sync_all();
+        let o = tl.link_overlap();
+        assert_eq!(o.transfer_busy, SimTime::from_us(8));
+        assert_eq!(o.overlapped, SimTime::from_us(4));
+        assert!((o.fraction() - 0.5).abs() < 1e-12);
+        // The PCIe overlap query is blind to link streams.
+        assert_eq!(tl.overlap().transfer_busy, SimTime::ZERO);
     }
 
     #[test]

@@ -28,7 +28,6 @@
 
 pub mod alloc;
 pub mod engine;
-pub mod group;
 pub mod spec;
 pub mod time;
 pub mod trace;
@@ -38,8 +37,7 @@ pub use engine::{
     Dma, EngineKind, Event, OverlapStats, SpanLabel, StreamId, Timeline, TimelineStats,
     TransferDirection,
 };
-pub use group::{group_collective, group_now, group_sync, DeviceGroup, GroupEngine};
-pub use sn_telemetry::{SpanId, TraceSink};
+pub use sn_telemetry::TraceSink;
 pub use spec::DeviceSpec;
 pub use time::SimTime;
 pub use trace::{StepRecord, StepTrace};

@@ -75,15 +75,6 @@ impl StepTrace {
         self.records.iter().find(|r| r.resident_bytes == peak)
     }
 
-    /// Peak live tensor count.
-    pub fn peak_live_tensors(&self) -> usize {
-        self.records
-            .iter()
-            .map(|r| r.live_tensors)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Records for one phase only.
     pub fn phase(&self, p: Phase) -> impl Iterator<Item = &StepRecord> {
         self.records.iter().filter(move |r| r.phase == p)
@@ -114,7 +105,6 @@ mod tests {
         t.push(rec(3, "POOL1", Phase::Backward, 250, 4));
         assert_eq!(t.peak_bytes(), 300);
         assert_eq!(&*t.peak_step().unwrap().layer, "POOL1");
-        assert_eq!(t.peak_live_tensors(), 5);
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! * **[`TraceSink`]** — a timeline recorder of spans, instants and flow
 //!   arrows over named tracks, exported as Chrome trace-event JSON
 //!   (`.trace.json`, loadable in Perfetto or `chrome://tracing`). The sim
-//!   engine feeds it one track per stream (compute, H2D, D2H, Link × device)
-//!   and draws a flow arrow for every cross-stream `Event` gate, so overlap
-//!   and lockstep collective gating are visually inspectable.
+//!   engine feeds it one track per stream (compute, H2D, D2H, Link) and
+//!   draws a flow arrow for every cross-stream `Event` gate, so overlap and
+//!   the backward-kernel → collective gating are visually inspectable.
 //! * **[`MetricsRegistry`]** — typed [`Counter`]s, [`Gauge`]s and
 //!   log-bucketed [`Histogram`]s behind cheap cloneable handles, with a
 //!   stable JSON snapshot format the bench harness embeds into
