@@ -7,8 +7,9 @@
 //!
 //! Run everything with `cargo run --release -p sn-bench --bin experiments --
 //! all` (or a single experiment id, e.g. `table4`). Experiments that emit a
-//! `BENCH_<id>.json` artifact write it through one [`BenchRecord`]; how fast
-//! the stack runs on the host is the repo benchmark's job (`benchmark/`).
+//! `BENCH_<id>.json` artifact write it through one
+//! [`record::BenchRecord`]; how fast the stack runs on the host is the repo
+//! benchmark's job (`benchmark/`).
 
 pub mod ablation;
 pub mod cluster;
@@ -24,15 +25,4 @@ pub mod table;
 pub mod trace;
 pub mod tune;
 
-pub use ablation::run_ablations;
-pub use cluster::cluster;
-pub use dataparallel::dataparallel;
 pub use experiments::*;
-pub use faults::faults;
-pub use overlap::overlap;
-pub use plan::plan;
-pub use precision::precision;
-pub use record::BenchRecord;
-pub use service::service;
-pub use trace::trace;
-pub use tune::tune;

@@ -150,23 +150,9 @@ impl FaultPlan {
         plan
     }
 
-    /// Merge another plan's events into this one (re-sorted on use).
-    pub fn merged(mut self, other: FaultPlan) -> FaultPlan {
-        self.events.extend(other.events);
-        self
-    }
-
     /// Stable-sort by instant: same-instant events keep push order.
     pub(crate) fn normalize(&mut self) {
         self.events.sort_by_key(|(t, _)| *t);
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    pub fn len(&self) -> usize {
-        self.events.len()
     }
 
     pub fn events(&self) -> &[(SimTime, FaultEvent)] {
@@ -241,22 +227,6 @@ impl Default for RecoveryPolicy {
 impl RecoveryPolicy {
     pub fn with_mode(mut self, mode: RecoveryMode) -> Self {
         self.mode = mode;
-        self
-    }
-
-    pub fn with_checkpoint_interval(mut self, every: u32) -> Self {
-        self.checkpoint_interval = every.max(1);
-        self
-    }
-
-    pub fn with_backoff(mut self, base: SimTime, cap: SimTime) -> Self {
-        self.backoff_base = base;
-        self.backoff_cap = cap;
-        self
-    }
-
-    pub fn with_max_retries(mut self, n: u32) -> Self {
-        self.max_retries = n;
         self
     }
 
@@ -345,7 +315,10 @@ mod tests {
         assert_eq!(mk(7), mk(7), "same seed must replay the same plan");
         assert_ne!(mk(7), mk(8), "distinct seeds must diverge");
         let plan = mk(7);
-        assert!(!plan.is_empty(), "20 ms MTBF over 500 ms must fire");
+        assert!(
+            !plan.events().is_empty(),
+            "20 ms MTBF over 500 ms must fire"
+        );
         assert!(
             plan.events().windows(2).all(|w| w[0].0 <= w[1].0),
             "plans are time-sorted"
@@ -436,7 +409,10 @@ mod tests {
 
     #[test]
     fn checkpoint_folds_to_the_last_interval() {
-        let p = RecoveryPolicy::default().with_checkpoint_interval(4);
+        let p = RecoveryPolicy {
+            checkpoint_interval: 4,
+            ..RecoveryPolicy::default()
+        };
         assert_eq!(p.checkpointed(JobKind::Training, 0), 0);
         assert_eq!(p.checkpointed(JobKind::Training, 3), 0);
         assert_eq!(p.checkpointed(JobKind::Training, 4), 4);

@@ -6,7 +6,7 @@
 //! is the classic HDR-histogram shape: one bucket per (power of two ×
 //! 1/16th sub-step) of nanoseconds, so any `u64` latency lands in one of
 //! ~1k fixed counters with ≤ 1/16 relative rounding error, values below
-//! 16 ns recorded exactly. Count and sum are exact; only the quantile's
+//! 16 ns recorded exactly. The count is exact; only the quantile's
 //! positional value is rounded (to its bucket's upper bound, clamped to
 //! the true maximum).
 //!
@@ -26,7 +26,6 @@ const BUCKETS: usize = SUB + 60 * SUB;
 pub struct LatencySketch {
     counts: Box<[u64; BUCKETS]>,
     count: u64,
-    sum: u128,
     max: u64,
 }
 
@@ -41,7 +40,6 @@ impl LatencySketch {
         LatencySketch {
             counts: Box::new([0u64; BUCKETS]),
             count: 0,
-            sum: 0,
             max: 0,
         }
     }
@@ -79,21 +77,7 @@ impl LatencySketch {
     pub fn record(&mut self, v: u64) {
         self.counts[Self::index(v)] += 1;
         self.count += 1;
-        self.sum += v as u128;
         self.max = self.max.max(v);
-    }
-
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Exact arithmetic mean of everything recorded (zero when empty).
-    pub fn mean(&self) -> SimTime {
-        if self.count == 0 {
-            SimTime::ZERO
-        } else {
-            SimTime((self.sum / self.count as u128) as u64)
-        }
     }
 
     /// Nearest-rank quantile, `q ∈ (0, 1]`, same convention as
@@ -128,11 +112,10 @@ mod tests {
         for v in 0..16u64 {
             s.record(v);
         }
-        assert_eq!(s.count(), 16);
+        assert_eq!(s.count, 16);
         assert_eq!(s.quantile(1.0 / 16.0), SimTime(0));
         assert_eq!(s.quantile(0.5), SimTime(7));
         assert_eq!(s.quantile(1.0), SimTime(15));
-        assert_eq!(s.mean(), SimTime(7)); // 120/16 truncated
     }
 
     #[test]

@@ -68,7 +68,6 @@ pub use admission::{
 pub use fault::{FaultEvent, FaultPlan, RecoveryMode, RecoveryPolicy};
 pub use fleet::Fleet;
 pub use job::{JobKind, JobSpec, PolicyPreset, Workload};
-pub use latency::LatencySketch;
 pub use placement::{Candidate, PlacementPolicy};
 pub use report::{ClusterReport, JobOutcome, RejectReason, ServiceReport, TraceEvent, TraceKind};
 pub use sim::ClusterSim;

@@ -610,7 +610,10 @@ fn time_saturates_at_u64_max_instead_of_overflowing() {
     let mut sim = ClusterSim::new(fleet1(), PlacementPolicy::FirstFit);
     sim.enable_faults(
         FaultPlan::new().kill(sn_sim::SimTime(u64::MAX - 5), 0),
-        RecoveryPolicy::default().with_max_retries(3),
+        RecoveryPolicy {
+            max_retries: 3,
+            ..RecoveryPolicy::default()
+        },
     );
     let report = sim.run(vec![(late, job)]);
     assert!(report.conservation_holds());

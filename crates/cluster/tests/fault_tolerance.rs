@@ -143,9 +143,12 @@ fn checkpoint_restart_resumes_with_byte_exact_peaks() {
     let plan = FaultPlan::new()
         .outage(SimTime(makespan / 4), 0, SimTime(makespan / 4))
         .outage(SimTime(makespan / 3), 5, SimTime(makespan / 5));
-    let policy = RecoveryPolicy::default()
-        .with_checkpoint_interval(2)
-        .with_backoff(SimTime::from_us(50), SimTime::from_ms(2));
+    let policy = RecoveryPolicy {
+        checkpoint_interval: 2,
+        backoff_base: SimTime::from_us(50),
+        backoff_cap: SimTime::from_ms(2),
+        ..RecoveryPolicy::default()
+    };
     let mut sim = ClusterSim::new(fleet, PlacementPolicy::FirstFit);
     sim.enable_faults(plan, policy);
     let report = sim.run(arrivals);
@@ -201,9 +204,11 @@ fn a_restarted_job_runs_its_remaining_iterations_to_the_end() {
         // Device 0 stays down; the retry lands on device 1 well before the
         // pre-fault completion instant.
         FaultPlan::new().kill(t_kill, 0),
-        RecoveryPolicy::default()
-            .with_mode(RecoveryMode::Restart)
-            .with_backoff(SimTime(step), SimTime(step)),
+        RecoveryPolicy {
+            backoff_base: SimTime(step),
+            backoff_cap: SimTime(step),
+            ..RecoveryPolicy::default().with_mode(RecoveryMode::Restart)
+        },
     );
     let report = sim.run(vec![(SimTime::ZERO, job)]);
     assert!(report.conservation_holds());
@@ -256,9 +261,12 @@ fn recovery_timers_survive_the_f64_collapse_past_2p53() {
             FaultPlan::new().outage(t_kill, 0, outage),
             // With the only device down, interrupted jobs ride their
             // backoff: delays small enough to probe the outage repeatedly.
-            RecoveryPolicy::default()
-                .with_backoff(SimTime::from_us(20), SimTime::from_us(50))
-                .with_max_retries(32),
+            RecoveryPolicy {
+                backoff_base: SimTime::from_us(20),
+                backoff_cap: SimTime::from_us(50),
+                max_retries: 32,
+                ..RecoveryPolicy::default()
+            },
         );
         sim.run(arrivals.clone())
     };

@@ -254,8 +254,8 @@ mod tests {
             "FFT must be the same order: {fft} vs {gemm}"
         );
         // Batch-proportional, as cuDNN workspaces are.
-        let half = in_s.with_batch(in_s.n / 2);
-        let gemm_half = ConvAlgo::Gemm.workspace_bytes(half, out_s.with_batch(out_s.n / 2), 5);
+        let half = |s: Shape4| Shape4 { n: s.n / 2, ..s };
+        let gemm_half = ConvAlgo::Gemm.workspace_bytes(half(in_s), half(out_s), 5);
         assert!(gemm_half < gemm);
     }
 

@@ -47,7 +47,7 @@
 use std::sync::Arc;
 
 use sn_graph::liveness::{LivenessPlan, TensorId, TensorRole};
-use sn_graph::{LayerId, Net, NetCost, Route, StepPhase};
+use sn_graph::{LayerId, Net, Route, StepPhase};
 use sn_sim::trace::Phase;
 use sn_sim::{
     DeviceSpec, Event, OverlapStats, SimTime, SpanLabel, StepRecord, StepTrace, StreamId, TraceSink,
@@ -57,7 +57,6 @@ use sn_telemetry::{Counter, Gauge, Histogram, Json, MetricsRegistry};
 use crate::device::{Fold, Memory, SimDevice};
 use crate::plan::{self, CompiledPlan, MemoryPlan, PlanOp};
 use crate::policy::Policy;
-use crate::recompute::RecomputePlan;
 use crate::tiers::{TierSlot, TieredPool};
 use crate::utp::{Residence, Utp};
 use crate::verify::{PlanViolation, Rule};
@@ -211,24 +210,6 @@ impl IterationReport {
         }
         .fraction()
     }
-
-    /// Stable JSON object for bench artifacts (times in integer ns).
-    pub fn json(&self) -> Json {
-        Json::object()
-            .with("iter_time_ns", self.iter_time.as_ns())
-            .with("peak_bytes", self.peak_bytes)
-            .with("h2d_bytes", self.h2d_bytes)
-            .with("d2h_bytes", self.d2h_bytes)
-            .with("link_bytes", self.link_bytes)
-            .with("link_busy_ns", self.link_busy.as_ns())
-            .with("alloc_time_ns", self.alloc_time.as_ns())
-            .with("alloc_calls", self.alloc_calls)
-            .with("stall_ns", self.stall.as_ns())
-            .with("compute_busy_ns", self.compute_busy.as_ns())
-            .with("transfer_busy_ns", self.transfer_busy.as_ns())
-            .with("overlapped_ns", self.overlapped.as_ns())
-            .with("counters", self.counters.json())
-    }
 }
 
 /// Pre-resolved handles into a [`MetricsRegistry`] (see
@@ -306,7 +287,6 @@ impl ExecMetrics {
 /// step. Derived from the plan by [`Executor::ws_records`].
 #[derive(Debug, Clone)]
 pub struct WorkspaceRecord {
-    pub layer: LayerId,
     pub name: Arc<str>,
     pub phase: Phase,
     pub assigned_bytes: u64,
@@ -485,9 +465,7 @@ fn sim_phase(phase: StepPhase) -> Phase {
 pub struct Executor<'n> {
     pub net: &'n Net,
     pub route: std::sync::Arc<Route>,
-    pub cost: std::sync::Arc<NetCost>,
     pub plan: std::sync::Arc<LivenessPlan>,
-    pub rplan: std::sync::Arc<RecomputePlan>,
     /// The compiled schedule this executor interprets — `Arc`-shared with
     /// the plan memo and with the sibling replicas of a device group.
     /// Public because callers read it (the benchmark's `train_exec` checks
@@ -611,9 +589,7 @@ impl<'n> Executor<'n> {
         let mut ex = Executor {
             net,
             route,
-            cost,
             plan: liveness,
-            rplan,
             booked: mplan.clone(),
             mplan,
             policy,
@@ -791,7 +767,6 @@ impl<'n> Executor<'n> {
         self.mplan.steps.iter().enumerate().filter_map(|(s, step)| {
             let ws = self.mplan.workspace(s)?;
             Some(WorkspaceRecord {
-                layer: step.layer,
                 name: self.layers[step.layer.0].name.clone(),
                 phase: sim_phase(step.phase),
                 assigned_bytes: ws.bytes,
@@ -1181,15 +1156,6 @@ impl<'n> Executor<'n> {
         self.run_section(s, Some(compute_done))
     }
 
-    /// Convenience: run `n` iterations, returning the last report.
-    pub fn run_iterations(&mut self, n: usize) -> Result<IterationReport, ExecError> {
-        let mut last = None;
-        for _ in 0..n {
-            last = Some(self.run_iteration()?);
-        }
-        Ok(last.expect("n > 0"))
-    }
-
     /// The Fig. 10 rows of the most recent iteration, one per executed step:
     /// what the interpreter sampled at each kernel submit, joined with the
     /// plan's step (number, layer, phase), the program's live-tensor count and
@@ -1231,7 +1197,7 @@ mod tests {
     use super::*;
     use crate::policy::RecomputeMode;
     use crate::policy::{CachePolicy, WorkspacePolicy};
-    use sn_graph::Shape4;
+    use sn_graph::{NetCost, Shape4};
     use sn_sim::spec::MB;
 
     fn alex_stub(batch: usize) -> Net {
@@ -1256,6 +1222,13 @@ mod tests {
         net.softmax(f2);
         net.validate().unwrap();
         net
+    }
+
+    /// Extra forwards a pure speed-centric run predicts: every recompute
+    /// segment's members, each replayed once.
+    fn segment_members(net: &Net, pol: Policy) -> usize {
+        let c = plan::compile(net, &spec(), pol).unwrap();
+        c.rplan.segments.iter().map(|s| s.members.len()).sum()
     }
 
     fn spec() -> DeviceSpec {
@@ -1289,7 +1262,7 @@ mod tests {
         let r = ex.run_iteration().unwrap();
         // Baseline peak = weights + Σ all tensors (block-rounded ≥ exact).
         let expect: u64 = ex.plan.tensors.iter().map(|t| t.bytes).sum();
-        assert!(r.peak_bytes >= expect + ex.cost.total_weight_bytes());
+        assert!(r.peak_bytes >= expect + NetCost::of(&net).total_weight_bytes());
         assert_eq!(r.counters.recompute_forwards, 0);
         assert_eq!(r.d2h_bytes, 0);
         assert!(r.iter_time > SimTime::ZERO);
@@ -1635,10 +1608,7 @@ mod tests {
         );
         // The >50% claim concerns scheduled tensors; weights are a constant
         // offset both configurations carry.
-        let w = Executor::new(&net, spec(), Policy::baseline())
-            .unwrap()
-            .cost
-            .total_weight_bytes();
+        let w = NetCost::of(&net).total_weight_bytes();
         assert!(
             peaks[3] - w < (peaks[0] - w) / 2,
             "full stack should save >50% of tensor memory: {peaks:?} (weights {w})"
@@ -1657,7 +1627,7 @@ mod tests {
         // Segments: [ACT,LRN,POOL], [ACT,LRN,POOL], [ACT], [ACT,DROPOUT]
         // → 3+3+1+2 = 9 extra forwards.
         assert_eq!(r.counters.recompute_forwards, 9);
-        assert_eq!(ex.rplan.predicted_speed_centric_extra(), 9);
+        assert_eq!(segment_members(&net, pol), 9);
     }
 
     #[test]
@@ -1989,7 +1959,7 @@ mod tests {
         ex.reset_iteration_state();
         assert_eq!(
             ex.dev.used,
-            ex.cost.total_weight_bytes().div_ceil(1024) * 1024
+            NetCost::of(&net).total_weight_bytes().div_ceil(1024) * 1024
         );
     }
 
@@ -2055,7 +2025,7 @@ mod tests {
                 // [ACT,POOL,POOL] @eltwise → the predicted member count.
                 assert_eq!(
                     r.counters.recompute_forwards as usize,
-                    ex.rplan.predicted_speed_centric_extra()
+                    segment_members(&net, pol)
                 );
             }
         }

@@ -327,7 +327,6 @@ impl GroupIterationReport {
 /// [`Executor`] stands for all k, and one link stream on its timeline
 /// carries the ring the k devices run together.
 pub struct GroupExecutor<'n> {
-    pub net: &'n Net,
     pub gplan: Arc<GroupPlan>,
     /// Overlap collectives with backward compute (`false` = the serialized
     /// iteration-end ablation).
@@ -360,7 +359,6 @@ impl<'n> GroupExecutor<'n> {
         let mut ex = Executor::from_compiled(net, spec, policy, (*gplan.replica).clone())?;
         let link = ex.dev.tl.add_stream(EngineKind::Link);
         Ok(GroupExecutor {
-            net,
             gplan,
             overlap,
             ex,
@@ -464,15 +462,6 @@ impl<'n> GroupExecutor<'n> {
             peaks_match,
             replica,
         })
-    }
-
-    /// Convenience: run `n` iterations, returning the last report.
-    pub fn run_iterations(&mut self, n: usize) -> Result<GroupIterationReport, ExecError> {
-        let mut last = None;
-        for _ in 0..n {
-            last = Some(self.run_iteration()?);
-        }
-        Ok(last.expect("n > 0"))
     }
 }
 
@@ -603,7 +592,8 @@ mod tests {
                     if overlap { cfg(4) } else { cfg(4).serialized() },
                 )
                 .unwrap();
-                let r = gx.run_iterations(2).unwrap();
+                gx.run_iteration().unwrap();
+                let r = gx.run_iteration().unwrap();
                 assert!(r.peaks_match);
                 assert_eq!(r.replica.peak_bytes, solo_peak, "overlap={overlap}");
             }
@@ -623,7 +613,8 @@ mod tests {
             }
             let past = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| gx.replica(k)));
             assert!(past.is_err(), "k={k}: replica(k) must panic");
-            let r = gx.run_iterations(2).unwrap();
+            gx.run_iteration().unwrap();
+            let r = gx.run_iteration().unwrap();
             assert_eq!(r.replicas, k);
             if k >= 2 {
                 assert_eq!(
@@ -674,7 +665,8 @@ mod tests {
         let spec = DeviceSpec::k40c();
         let mut gx =
             GroupExecutor::new(&net, spec.clone(), Policy::superneurons(), cfg(1)).unwrap();
-        let g = gx.run_iterations(2).unwrap();
+        gx.run_iteration().unwrap();
+        let g = gx.run_iteration().unwrap();
         let mut solo = Executor::new(&net, spec, Policy::superneurons()).unwrap();
         solo.run_iteration().unwrap();
         let s = solo.run_iteration().unwrap();

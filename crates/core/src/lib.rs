@@ -35,9 +35,9 @@
 //!   must replay cleanly against (every compile, in debug builds);
 //! * [`numeric`] — a real compute backend proving the plans preserve exact
 //!   training semantics;
-//! * [`session`] — high-level [`Session`] (training) and
-//!   [`InferenceSession`] (forward-only serving) APIs, plus the
-//!   plan-compile-only [`plan_prediction`] admission predictor.
+//! * [`session`] — the high-level [`Session`] training API, plus the
+//!   plan-compile-only [`plan_prediction`] admission predictor (forward-only
+//!   serving runs [`Executor::new_inference`]).
 //!
 //! `peak_m` progression implemented (and asserted by tests):
 //! baseline `Σ l_f + Σ l_b` → liveness `Σ l_f + l_b_N` → +offload
@@ -60,8 +60,6 @@ pub mod tune;
 pub mod utp;
 pub mod verify;
 
-pub use convalgo::{select_algo, AlgoChoice, ConvAlgo};
-pub use device::{AllocatorImpl, Device};
 pub use executor::{ComputeBackend, Counters, ExecError, Executor, IterationReport};
 pub use group::{
     compile_group, GradBucket, GroupConfig, GroupExecutor, GroupIterationReport, GroupPlan,
@@ -73,10 +71,8 @@ pub use plan::{CompiledPlan, Compiler, MemoryPlan, PlanOp, StepPlan, WorkspacePl
 pub use policy::{AllocatorKind, CachePolicy, Policy, RecomputeMode, WorkspacePolicy};
 pub use recompute::{RecomputePlan, Segment, SegmentStrategy};
 pub use session::{
-    plan_prediction, plan_prediction_caps, plan_prediction_inference, predict_peak_bytes,
-    predict_run, InferenceReport, InferenceSession, PeakPrediction, Session, SessionReport,
+    plan_prediction, plan_prediction_caps, plan_prediction_inference, PeakPrediction, Session,
+    SessionReport,
 };
 pub use tiers::{Tier, TierConfig, TieredPool};
 pub use tune::{SearchOutcome, TuneConfig, TunedPolicy};
-pub use utp::{Residence, TensorState, Utp};
-pub use verify::{PlanViolation, Rule};

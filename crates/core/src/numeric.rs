@@ -592,14 +592,19 @@ mod tests {
         }
     }
 
+    fn third_iteration(ex: &mut Executor) -> crate::IterationReport {
+        ex.run_iteration().unwrap();
+        ex.run_iteration().unwrap();
+        ex.run_iteration().unwrap()
+    }
+
     #[test]
     fn eviction_under_tiny_dram_is_numerically_exact() {
         let net = tiny_net(8);
-        let roomy = Executor::new(&net, DeviceSpec::k40c(), Policy::superneurons())
+        let mut roomy_ex = Executor::new(&net, DeviceSpec::k40c(), Policy::superneurons())
             .unwrap()
-            .with_backend(Box::new(backend(&net)))
-            .run_iterations(3)
-            .unwrap();
+            .with_backend(Box::new(backend(&net)));
+        let roomy = third_iteration(&mut roomy_ex);
         // Constrain DRAM to barely above l_peak so the LRU cache must evict.
         let cost = sn_graph::NetCost::of(&net);
         let tight_bytes = (cost.total_weight_bytes() + cost.l_peak()) * 3 / 2 + (1 << 20);
@@ -607,7 +612,7 @@ mod tests {
         let mut tight_ex = Executor::new(&net, spec, Policy::superneurons())
             .unwrap()
             .with_backend(Box::new(backend(&net)));
-        let tight = tight_ex.run_iterations(3).unwrap();
+        let tight = third_iteration(&mut tight_ex);
         assert_eq!(roomy.loss, tight.loss, "eviction must not change results");
     }
 

@@ -194,15 +194,19 @@ mod tests {
         let net = build(8);
         let fp32 = NetCost::with_precision(&net, Precision::fp32());
         let bf16 = NetCost::with_precision(&net, Precision::bf16_mixed());
-        assert_eq!(fp32.total_allreduce_bytes(), fp32.total_weight_bytes());
+        let payload = |c: &NetCost| {
+            let per_layer = net.layers().iter().map(|l| c.layer(l.id).allreduce_bytes);
+            per_layer.sum::<u64>()
+        };
+        assert_eq!(payload(&fp32), fp32.total_weight_bytes());
         assert_eq!(
-            bf16.total_allreduce_bytes(),
+            payload(&bf16),
             fp32.total_weight_bytes() / 2,
             "bf16 gradients are half the fp32 master-weight bytes"
         );
         for k in 2..=8usize {
-            let w32 = ring_allreduce_wire_bytes(fp32.total_allreduce_bytes(), k);
-            let w16 = ring_allreduce_wire_bytes(bf16.total_allreduce_bytes(), k);
+            let w32 = ring_allreduce_wire_bytes(payload(&fp32), k);
+            let w16 = ring_allreduce_wire_bytes(payload(&bf16), k);
             // Exact halving up to the closed form's half-byte rounding.
             assert!(
                 w16.abs_diff(w32 / 2) <= 1,

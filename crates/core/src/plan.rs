@@ -137,10 +137,6 @@ pub struct OpRange {
 }
 
 impl OpRange {
-    pub fn len(&self) -> usize {
-        (self.end - self.start) as usize
-    }
-
     pub fn is_empty(&self) -> bool {
         self.start == self.end
     }
@@ -208,16 +204,6 @@ impl MemoryPlan {
     /// The ops of a range.
     pub fn ops_in(&self, r: OpRange) -> &[PlanOp] {
         &self.ops[r.start as usize..r.end as usize]
-    }
-
-    /// Pre-kernel ops of step `s`.
-    pub fn pre_ops(&self, s: usize) -> &[PlanOp] {
-        self.ops_in(self.steps[s].pre)
-    }
-
-    /// Post-kernel ops of step `s`.
-    pub fn post_ops(&self, s: usize) -> &[PlanOp] {
-        self.ops_in(self.steps[s].post)
     }
 
     /// End-of-iteration ops.
@@ -1914,7 +1900,7 @@ mod tests {
         let (p, lv) = (&*c.plan, &*c.liveness);
         let mut out = Vec::new();
         for s in 0..p.steps.len() {
-            let pre = p.pre_ops(s);
+            let pre = p.ops_in(p.steps[s].pre);
             let inputs = &lv.step_inputs[s];
             // Read only by the kernel from here on: no later op of the
             // section names it, no replay comes after it.
@@ -1949,7 +1935,7 @@ mod tests {
             // A free of an input the kernel reads untouched, moved to the
             // end of the step before.
             let early = s > 0 && !pre.iter().any(|op| matches!(op, PlanOp::Recompute(_)));
-            for (j, op) in p.post_ops(s).iter().enumerate() {
+            for (j, op) in p.ops_in(p.steps[s].post).iter().enumerate() {
                 if let PlanOp::Free(t) = *op {
                     if early
                         && inputs.contains(&t)

@@ -52,8 +52,6 @@ pub struct RecomputePlan {
     pub segments: Vec<Segment>,
     /// Per layer: index into `segments` (None for checkpoints).
     pub segment_of: Vec<Option<usize>>,
-    /// `l_peak = max_i(l_i)` — the cost-aware threshold.
-    pub l_peak: u64,
 }
 
 impl RecomputePlan {
@@ -61,13 +59,11 @@ impl RecomputePlan {
     /// layer is effectively a checkpoint).
     pub fn build(net: &Net, route: &Route, cost: &NetCost, mode: RecomputeMode) -> RecomputePlan {
         let n = net.len();
-        let l_peak = cost.l_peak();
         if mode == RecomputeMode::None {
             return RecomputePlan {
                 anchor_of: vec![None; n],
                 segments: Vec::new(),
                 segment_of: vec![None; n],
-                l_peak,
             };
         }
 
@@ -118,6 +114,8 @@ impl RecomputePlan {
         // Memory cost and strategy per segment: the anchor's stored output
         // (the replay seed) + every member output kept by the speed-centric
         // strategy + the backward working set at the segment's end.
+        // `l_peak = max_i(l_i)` is the cost-aware threshold.
+        let l_peak = cost.l_peak();
         for seg in segments.iter_mut() {
             let sum_lf: u64 = seg.members.iter().map(|m| cost.layer(*m).l_f()).sum();
             let last = *seg.members.last().expect("segments are non-empty");
@@ -140,21 +138,14 @@ impl RecomputePlan {
             anchor_of,
             segments,
             segment_of,
-            l_peak,
         }
     }
 
     /// The chain of layers from the anchor (exclusive) to `layer`
     /// (inclusive), in forward order — the minimal replay for a
-    /// memory-centric reconstruction of `layer`'s output.
-    pub fn chain_to(&self, net: &Net, layer: LayerId) -> Vec<LayerId> {
-        let mut chain = Vec::new();
-        self.chain_into(net, layer, &mut chain);
-        chain
-    }
-
-    /// [`RecomputePlan::chain_to`] into a caller-owned buffer (cleared
-    /// first) — the planner computes one chain per memory-centric replay.
+    /// memory-centric reconstruction of `layer`'s output — into a
+    /// caller-owned buffer (cleared first): the planner computes one chain
+    /// per memory-centric replay.
     pub fn chain_into(&self, net: &Net, layer: LayerId, chain: &mut Vec<LayerId>) {
         chain.clear();
         chain.push(layer);
@@ -168,12 +159,6 @@ impl RecomputePlan {
             cur = p;
         }
         chain.reverse();
-    }
-
-    /// Predicted extra forward computations for a pure speed-centric run:
-    /// each segment is replayed exactly once.
-    pub fn predicted_speed_centric_extra(&self) -> usize {
-        self.segments.iter().map(|s| s.members.len()).sum()
     }
 }
 
@@ -212,7 +197,8 @@ mod tests {
         assert_eq!(plan.segments.len(), 3);
         let sizes: Vec<usize> = plan.segments.iter().map(|s| s.members.len()).collect();
         assert_eq!(sizes, vec![3, 1, 2]);
-        assert_eq!(plan.predicted_speed_centric_extra(), 6);
+        // A speed-centric run replays each segment once: 6 extra forwards.
+        assert_eq!(sizes.iter().sum::<usize>(), 6);
         // Every non-checkpoint belongs to exactly one segment.
         for layer in net.layers() {
             assert_eq!(
@@ -229,11 +215,13 @@ mod tests {
         let (net, route, cost) = seg_net();
         let plan = RecomputePlan::build(&net, &route, &cost, RecomputeMode::CostAware);
         // chain to POOL (layer 4) = [ACT(2), LRN(3), POOL(4)].
-        let chain = plan.chain_to(&net, LayerId(4));
+        let mut chain = Vec::new();
+        plan.chain_into(&net, LayerId(4), &mut chain);
         let ids: Vec<usize> = chain.iter().map(|l| l.0).collect();
         assert_eq!(ids, vec![2, 3, 4]);
         // chain to ACT(2) = [ACT(2)].
-        assert_eq!(plan.chain_to(&net, LayerId(2)).len(), 1);
+        plan.chain_into(&net, LayerId(2), &mut chain);
+        assert_eq!(chain.len(), 1);
     }
 
     #[test]
@@ -249,7 +237,7 @@ mod tests {
         let (net, route, cost) = seg_net();
         let plan = RecomputePlan::build(&net, &route, &cost, RecomputeMode::CostAware);
         for seg in &plan.segments {
-            if seg.memcost <= plan.l_peak {
+            if seg.memcost <= cost.l_peak() {
                 assert_eq!(seg.strategy, SegmentStrategy::SpeedCentric);
             } else {
                 assert_eq!(seg.strategy, SegmentStrategy::MemoryCentric);
@@ -305,7 +293,7 @@ mod tests {
         let plan = RecomputePlan::build(net, &route, &cost, RecomputeMode::CostAware);
 
         for layer in net.layers() {
-            if layer.is_join() {
+            if layer.prevs.len() > 1 {
                 assert!(
                     layer.kind.is_checkpoint(),
                     "join {} must be a checkpoint",
@@ -385,7 +373,8 @@ mod tests {
         let seg = &plan.segments[plan.segment_of[r.0].unwrap()];
         assert_eq!(seg.members.len(), 3, "one tree segment, not three chains");
         // Memory-centric chains through the tree stop at the fan point.
-        let chain = plan.chain_to(&net, p2);
+        let mut chain = Vec::new();
+        plan.chain_into(&net, p2, &mut chain);
         assert_eq!(chain, vec![r, p2], "chain walks producers, not siblings");
     }
 

@@ -1,20 +1,20 @@
-//! High-level session APIs: build a network, pick a device and a policy,
-//! measure — [`Session`] for training iterations, [`InferenceSession`] for
-//! forward-only serving. Used by the examples and the experiment harness.
+//! High-level session API: build a network, pick a device and a policy,
+//! measure training iterations with [`Session`]. Used by the examples and the
+//! experiment harness; forward-only serving runs
+//! [`Executor::new_inference`] directly.
 //!
-//! Also home of the admission predictors: [`predict_run`] measures a full
-//! simulated iteration (the legacy, validation-grade path), while
-//! [`plan_prediction`] only *compiles* a [`crate::MemoryPlan`] — no timeline,
-//! no DMA events, no trace — and reads the exact peak off the plan. The two
-//! agree on `peak_bytes` by construction; the cluster scheduler uses the
-//! compile-only path on its admission hot path.
+//! Also home of the one peak predictor: [`plan_prediction`] only *compiles*
+//! a [`crate::MemoryPlan`] — no timeline, no DMA events, no trace — and reads
+//! the exact peak off the plan. Every executed iteration meets that peak to
+//! the byte (the executor debug-asserts it), so admission control, the
+//! feasibility searches and the cluster scheduler all ask the plan.
 
 use std::ops::RangeInclusive;
 
 use sn_graph::Net;
 use sn_sim::{DeviceSpec, SimTime};
 
-use crate::executor::{finite_rate, ExecError, Executor, IterationReport};
+use crate::executor::{finite_rate, ExecError, Executor};
 use crate::plan;
 use crate::policy::Policy;
 
@@ -32,15 +32,11 @@ pub struct Session {
 /// Aggregated results of a session.
 #[derive(Debug, Clone)]
 pub struct SessionReport {
-    pub net_name: String,
-    pub batch: usize,
     pub iter_time: SimTime,
     pub imgs_per_sec: f64,
     pub peak_bytes: u64,
     pub h2d_bytes_per_iter: u64,
     pub d2h_bytes_per_iter: u64,
-    pub recompute_forwards: u64,
-    pub alloc_time: SimTime,
     pub alloc_calls: u64,
     pub stall: SimTime,
     /// Per-iteration compute-stream busy time (averaged).
@@ -49,7 +45,6 @@ pub struct SessionReport {
     pub transfer_busy: SimTime,
     /// Per-iteration DMA time hidden under kernels (averaged).
     pub overlapped: SimTime,
-    pub last: IterationReport,
 }
 
 impl SessionReport {
@@ -94,32 +89,6 @@ impl PeakPrediction {
             weight_bytes: plan.weight_bytes,
         }
     }
-}
-
-/// Predict what training `net` under `policy` costs on `spec` by *running*
-/// the interpreter: one cold and one warm virtual iteration (no numeric
-/// compute). The validation-grade path — [`plan_prediction`] returns the
-/// same `peak_bytes` from a compile alone and is what admission control
-/// should call. Errors mean the job cannot run within `spec.dram_bytes` at
-/// all — the admission-control "reject" signal.
-pub fn predict_run(
-    net: &Net,
-    spec: &DeviceSpec,
-    policy: Policy,
-) -> Result<PeakPrediction, ExecError> {
-    let mut ex = Executor::new(net, spec.clone(), policy)?;
-    let cold = ex.run_iteration()?;
-    let warm = ex.run_iteration()?;
-    Ok(PeakPrediction {
-        peak_bytes: cold.peak_bytes.max(warm.peak_bytes),
-        iter_time: warm.iter_time,
-        weight_bytes: ex.cost.total_weight_bytes(),
-    })
-}
-
-/// Just the predicted peak bytes — see [`predict_run`].
-pub fn predict_peak_bytes(net: &Net, spec: &DeviceSpec, policy: Policy) -> Result<u64, ExecError> {
-    predict_run(net, spec, policy).map(|p| p.peak_bytes)
 }
 
 /// The admission-control hot path: compile a training [`crate::MemoryPlan`]
@@ -176,12 +145,6 @@ impl Session {
         }
     }
 
-    /// Predicted peak device bytes for this session's configuration — the
-    /// reservation a multi-tenant scheduler must hold. See [`predict_run`].
-    pub fn predicted_peak_bytes(&self) -> Result<u64, ExecError> {
-        predict_peak_bytes(&self.net, &self.spec, self.policy)
-    }
-
     /// Run the session and aggregate.
     pub fn run(&self) -> Result<SessionReport, ExecError> {
         let mut ex = Executor::new(&self.net, self.spec.clone(), self.policy)?;
@@ -192,14 +155,11 @@ impl Session {
         let mut peak = 0u64;
         let mut h2d = 0u64;
         let mut d2h = 0u64;
-        let mut recomputes = 0u64;
-        let mut alloc_time = SimTime::ZERO;
         let mut alloc_calls = 0u64;
         let mut stall = SimTime::ZERO;
         let mut compute_busy = SimTime::ZERO;
         let mut transfer_busy = SimTime::ZERO;
         let mut overlapped = SimTime::ZERO;
-        let mut last = None;
         let iters = self.iters.max(1);
         for _ in 0..iters {
             let r = ex.run_iteration()?;
@@ -207,33 +167,24 @@ impl Session {
             peak = peak.max(r.peak_bytes);
             h2d += r.h2d_bytes;
             d2h += r.d2h_bytes;
-            recomputes += r.counters.recompute_forwards;
-            alloc_time += r.alloc_time;
             alloc_calls += r.alloc_calls;
             stall += r.stall;
             compute_busy += r.compute_busy;
             transfer_busy += r.transfer_busy;
             overlapped += r.overlapped;
-            last = Some(r);
         }
         let iter_time = SimTime::from_ns(total_time.as_ns() / iters as u64);
-        let batch = self.net.batch();
         Ok(SessionReport {
-            net_name: self.net.name.clone(),
-            batch,
             iter_time,
-            imgs_per_sec: finite_rate(batch, iter_time),
+            imgs_per_sec: finite_rate(self.net.batch(), iter_time),
             peak_bytes: peak,
             h2d_bytes_per_iter: h2d / iters as u64,
             d2h_bytes_per_iter: d2h / iters as u64,
-            recompute_forwards: recomputes / iters as u64,
-            alloc_time: SimTime::from_ns(alloc_time.as_ns() / iters as u64),
             alloc_calls: alloc_calls / iters as u64,
             stall: SimTime::from_ns(stall.as_ns() / iters as u64),
             compute_busy: SimTime::from_ns(compute_busy.as_ns() / iters as u64),
             transfer_busy: SimTime::from_ns(transfer_busy.as_ns() / iters as u64),
             overlapped: SimTime::from_ns(overlapped.as_ns() / iters as u64),
-            last: last.expect("iters >= 1"),
         })
     }
 }
@@ -289,13 +240,8 @@ pub fn max_feasible_param(
     }
     let mut high = match bad {
         Some(b) => b,
-        None => {
-            return good.min(hi).max(if feasible(&build(hi), spec, policy) {
-                hi
-            } else {
-                good
-            })
-        }
+        None if feasible(&build(hi), spec, policy) => return hi,
+        None => hi,
     };
     // Multi-section search in (good, high): k evenly spaced interior cuts
     // per round, compiled concurrently. Every cut either raises `good` or
@@ -337,82 +283,10 @@ pub fn max_feasible_param(
     good
 }
 
-/// A forward-only serving session: the same network, device, and policy
-/// vocabulary as [`Session`], executed over an inference [`crate::MemoryPlan`]
-/// — no backward half, no gradients, every activation freed at its last
-/// forward reader. One "iteration" serves one batch.
-pub struct InferenceSession {
-    pub net: Net,
-    pub spec: DeviceSpec,
-    pub policy: Policy,
-    /// Warm-up batches before measurement.
-    pub warmup: usize,
-    /// Measured batches (averaged).
-    pub batches: usize,
-}
-
-/// Aggregated results of an inference session.
-#[derive(Debug, Clone)]
-pub struct InferenceReport {
-    pub net_name: String,
-    pub batch: usize,
-    /// Per-batch forward latency.
-    pub batch_time: SimTime,
-    pub imgs_per_sec: f64,
-    pub peak_bytes: u64,
-    pub last: IterationReport,
-}
-
-impl InferenceSession {
-    pub fn new(net: Net, spec: DeviceSpec, policy: Policy) -> InferenceSession {
-        InferenceSession {
-            net,
-            spec,
-            policy,
-            warmup: 1,
-            batches: 3,
-        }
-    }
-
-    /// The exact peak a serving replica of this session reserves —
-    /// compile-only, see [`plan_prediction_inference`].
-    pub fn predicted_peak_bytes(&self) -> Result<u64, ExecError> {
-        plan_prediction_inference(&self.net, &self.spec, self.policy).map(|p| p.peak_bytes)
-    }
-
-    /// Serve `warmup + batches` batches and aggregate.
-    pub fn run(&self) -> Result<InferenceReport, ExecError> {
-        let mut ex = Executor::new_inference(&self.net, self.spec.clone(), self.policy)?;
-        for _ in 0..self.warmup {
-            ex.run_iteration()?;
-        }
-        let mut total = SimTime::ZERO;
-        let mut peak = 0u64;
-        let mut last = None;
-        let batches = self.batches.max(1);
-        for _ in 0..batches {
-            let r = ex.run_iteration()?;
-            total += r.iter_time;
-            peak = peak.max(r.peak_bytes);
-            last = Some(r);
-        }
-        let batch_time = SimTime::from_ns(total.as_ns() / batches as u64);
-        let batch = self.net.batch();
-        Ok(InferenceReport {
-            net_name: self.net.name.clone(),
-            batch,
-            batch_time,
-            imgs_per_sec: finite_rate(batch, batch_time),
-            peak_bytes: peak,
-            last: last.expect("batches >= 1"),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sn_graph::Shape4;
+    use sn_graph::{NetCost, Shape4};
 
     fn netb(batch: usize) -> Net {
         let mut net = Net::new("n", Shape4::new(batch, 3, 16, 16));
@@ -424,12 +298,16 @@ mod tests {
         net
     }
 
+    fn peak(net: &Net, spec: &DeviceSpec, policy: Policy) -> Result<u64, ExecError> {
+        plan_prediction(net, spec, policy).map(|p| p.peak_bytes)
+    }
+
     #[test]
     fn session_reports_throughput() {
         let s = Session::new(netb(32), DeviceSpec::k40c(), Policy::superneurons());
         let r = s.run().unwrap();
         assert!(r.imgs_per_sec > 0.0);
-        assert_eq!(r.batch, 32);
+        assert_eq!(r.imgs_per_sec, finite_rate(32, r.iter_time));
         assert!(r.peak_bytes > 0);
     }
 
@@ -441,6 +319,21 @@ mod tests {
         assert!(best >= 1);
         assert!(feasible(&netb(best), &spec, Policy::liveness_only()));
         assert!(!feasible(&netb(best + 1), &spec, Policy::liveness_only()));
+    }
+
+    #[test]
+    fn a_knee_below_hi_is_found_without_a_failed_doubling() {
+        // With `hi = knee + 1` every doubling from 1 fits and the next one
+        // passes `hi`, so no probe fails before `hi` itself does: the knee
+        // lies between the last doubling and `hi`, and must still be found.
+        let spec = DeviceSpec::k40c().with_dram(24 << 20);
+        let policy = Policy::liveness_only();
+        let knee = max_feasible_param(&netb, &spec, policy, 1, 4096);
+        assert!(
+            !knee.is_power_of_two(),
+            "the knee {knee} must lie between doublings"
+        );
+        assert_eq!(max_feasible_param(&netb, &spec, policy, 1, knee + 1), knee);
     }
 
     #[test]
@@ -461,20 +354,16 @@ mod tests {
     }
 
     #[test]
-    fn predict_run_reports_the_admission_quantities() {
+    fn plan_prediction_reports_the_admission_quantities() {
         let net = netb(32);
         let spec = DeviceSpec::k40c();
-        let p = predict_run(&net, &spec, Policy::superneurons()).unwrap();
+        let p = plan_prediction(&net, &spec, Policy::superneurons()).unwrap();
         assert!(p.peak_bytes > 0 && p.peak_bytes <= spec.dram_bytes);
         assert!(p.iter_time > SimTime::ZERO);
         assert!(p.weight_bytes > 0);
-        // The convenience wrappers agree with the full prediction.
-        assert_eq!(
-            predict_peak_bytes(&net, &spec, Policy::superneurons()).unwrap(),
-            p.peak_bytes
-        );
+        // A measured session peaks at the prediction.
         let s = Session::new(netb(32), spec, Policy::superneurons());
-        assert_eq!(s.predicted_peak_bytes().unwrap(), p.peak_bytes);
+        assert_eq!(s.run().unwrap().peak_bytes, p.peak_bytes);
     }
 
     #[test]
@@ -494,9 +383,9 @@ mod tests {
             net
         };
         let spec = DeviceSpec::k40c();
-        let base = predict_peak_bytes(&deep(32), &spec, Policy::baseline()).unwrap();
+        let base = peak(&deep(32), &spec, Policy::baseline()).unwrap();
         let tight = spec.with_dram(base / 2);
-        let sn = predict_peak_bytes(&deep(32), &tight, Policy::superneurons()).unwrap();
+        let sn = peak(&deep(32), &tight, Policy::superneurons()).unwrap();
         assert!(sn < base, "superneurons {sn} must undercut baseline {base}");
         assert!(sn <= tight.dram_bytes, "prediction must respect the budget");
     }
@@ -504,15 +393,17 @@ mod tests {
     #[test]
     fn prediction_errors_signal_rejection() {
         let spec = DeviceSpec::k40c().with_dram(64 << 10);
-        assert!(predict_peak_bytes(&netb(32), &spec, Policy::baseline()).is_err());
-        assert!(plan_prediction(&netb(32), &spec, Policy::baseline()).is_err());
+        let net = netb(32);
+        assert!(Executor::new(&net, spec.clone(), Policy::baseline()).is_err());
+        assert!(plan_prediction(&net, &spec, Policy::baseline()).is_err());
     }
 
     #[test]
     fn plan_prediction_peak_matches_the_simulated_one_exactly() {
-        // The tentpole contract at the session level: the compile-only
-        // predictor and the full simulated iteration agree on peak bytes,
-        // byte for byte, across the preset ladder.
+        // The prediction contract at the session level: the compile-only
+        // predictor and a cold + a warm simulated iteration agree on peak
+        // bytes, byte for byte, across the preset ladder — for a training
+        // plan and for a forward-only inference plan.
         let net = netb(32);
         let spec = DeviceSpec::k40c();
         for policy in [
@@ -522,32 +413,35 @@ mod tests {
             Policy::full_memory(),
             Policy::superneurons(),
         ] {
-            let simulated = predict_run(&net, &spec, policy).unwrap();
+            let mut ex = Executor::new(&net, spec.clone(), policy).unwrap();
+            let cold = ex.run_iteration().unwrap();
+            let warm = ex.run_iteration().unwrap();
             let planned = plan_prediction(&net, &spec, policy).unwrap();
-            assert_eq!(planned.peak_bytes, simulated.peak_bytes);
-            assert_eq!(planned.weight_bytes, simulated.weight_bytes);
+            assert_eq!(planned.peak_bytes, cold.peak_bytes.max(warm.peak_bytes));
+            assert_eq!(planned.weight_bytes, NetCost::of(&net).total_weight_bytes());
             assert!(planned.iter_time > SimTime::ZERO);
+
+            let mut inf = Executor::new_inference(&net, spec.clone(), policy).unwrap();
+            let cold = inf.run_iteration().unwrap();
+            let warm = inf.run_iteration().unwrap();
+            let planned = plan_prediction_inference(&net, &spec, policy).unwrap();
+            assert_eq!(planned.peak_bytes, cold.peak_bytes.max(warm.peak_bytes));
         }
     }
 
     #[test]
-    fn inference_session_serves_under_the_training_peak() {
+    fn inference_serves_under_the_training_peak() {
         let net = netb(32);
         let spec = DeviceSpec::k40c();
         let train = Session::new(netb(32), spec.clone(), Policy::superneurons())
             .run()
             .unwrap();
-        let inf = InferenceSession::new(net.clone(), spec.clone(), Policy::superneurons())
-            .run()
-            .unwrap();
-        assert!(
-            inf.imgs_per_sec > train.imgs_per_sec,
-            "forward-only is faster"
-        );
+        let mut ex = Executor::new_inference(&net, spec, Policy::superneurons()).unwrap();
+        ex.run_iteration().unwrap();
+        let inf = ex.run_iteration().unwrap();
+        let imgs_per_sec = finite_rate(net.batch(), inf.iter_time);
+        assert!(imgs_per_sec > train.imgs_per_sec, "forward-only is faster");
         assert!(inf.peak_bytes < train.peak_bytes, "forward-only is smaller");
-        assert!(inf.imgs_per_sec.is_finite());
-        // The session's predicted peak is the measured one, exactly.
-        let s = InferenceSession::new(net, spec, Policy::superneurons());
-        assert_eq!(s.predicted_peak_bytes().unwrap(), inf.peak_bytes);
+        assert!(imgs_per_sec.is_finite());
     }
 }

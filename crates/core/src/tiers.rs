@@ -31,14 +31,6 @@ pub enum Tier {
 }
 
 impl Tier {
-    pub fn name(&self) -> &'static str {
-        match self {
-            Tier::PeerGpu => "peer-gpu",
-            Tier::LocalHost => "local-host",
-            Tier::Remote => "remote",
-        }
-    }
-
     /// Link bandwidth for this tier in GB/s (§3.3.2's practical speeds).
     pub fn gbps(&self) -> f64 {
         match self {
@@ -154,11 +146,6 @@ impl TieredPool {
         self.pool(s.tier).release(s.slot);
     }
 
-    /// Bytes used per tier: `(peer, local, remote)`.
-    pub fn used(&self) -> (u64, u64, u64) {
-        (self.peer.used(), self.local.used(), self.remote.used())
-    }
-
     /// High-water marks per tier.
     pub fn high_water(&self) -> (u64, u64, u64) {
         (
@@ -176,6 +163,11 @@ impl TieredPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Bytes used per tier: `(peer, local, remote)`.
+    fn used(p: &TieredPool) -> (u64, u64, u64) {
+        (p.peer.used(), p.local.used(), p.remote.used())
+    }
 
     #[test]
     fn placement_prefers_fastest_tier() {
@@ -198,7 +190,7 @@ mod tests {
             p.reserve(60).unwrap();
         }
         assert!(p.reserve(u64::MAX).is_none(), "60 + u64::MAX must not wrap");
-        assert_eq!(p.used(), (60, 60, 60));
+        assert_eq!(used(&p), (60, 60, 60));
     }
 
     #[test]
@@ -206,7 +198,7 @@ mod tests {
         let mut p = TieredPool::new(TierConfig::local_only(1000));
         let s = p.reserve(10).unwrap();
         assert_eq!(s.tier, Tier::LocalHost);
-        assert_eq!(p.used(), (0, 10, 0));
+        assert_eq!(used(&p), (0, 10, 0));
     }
 
     #[test]

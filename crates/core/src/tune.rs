@@ -141,11 +141,6 @@ impl TuneConfig {
         self
     }
 
-    pub fn with_precision(mut self, precision: sn_graph::Precision) -> Self {
-        self.precision = precision;
-        self
-    }
-
     pub fn with_samples(mut self, samples: usize) -> Self {
         self.samples = samples;
         self

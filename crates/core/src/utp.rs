@@ -213,16 +213,9 @@ impl Utp {
             .find(|t| self.offload_reapable(*t, liveness, step))
     }
 
-    /// All reapable pending offloads at `step`, in submission order.
-    pub fn reapable(&self, liveness: &LivenessPlan, step: usize) -> Vec<TensorId> {
-        let mut out = Vec::new();
-        self.collect_reapable(liveness, step, &mut out);
-        out
-    }
-
-    /// [`Utp::reapable`] into a caller-owned scratch buffer (cleared first)
-    /// — the planner calls this every step, so the allocation is hoisted
-    /// out of the loop.
+    /// All reapable pending offloads at `step`, in submission order, into a
+    /// caller-owned scratch buffer (cleared first) — the planner calls this
+    /// every step, so the allocation is hoisted out of the loop.
     pub fn collect_reapable(&self, liveness: &LivenessPlan, step: usize, out: &mut Vec<TensorId>) {
         out.clear();
         out.extend(

@@ -20,15 +20,14 @@
 //! for, which is what drives who-wins-by-how-much.
 //!
 //! Since the planner/interpreter split, every preset here is expressed
-//! *over memory plans*: [`max_batch`]/[`max_resnet_depth`]/[`trains`]
-//! answer feasibility by **compiling** an [`sn_runtime::MemoryPlan`] for
-//! the emulated policy — the planner performs every allocation the
-//! iteration would, so compile success is execution success — and the
-//! Table 4/5 searches never run a simulated iteration. [`serves`] asks the
-//! same question for a forward-only inference plan.
+//! *over memory plans*: [`max_batch`]/[`max_resnet_depth`] answer
+//! feasibility by **compiling** an [`sn_runtime::MemoryPlan`] for the
+//! emulated policy — the planner performs every allocation the iteration
+//! would, so compile success is execution success — and the Table 4/5
+//! searches never run a simulated iteration.
 
 use sn_graph::Net;
-use sn_runtime::session::{feasible, max_feasible_param};
+use sn_runtime::session::max_feasible_param;
 use sn_runtime::{AllocatorKind, Policy, RecomputeMode, WorkspacePolicy};
 use sn_sim::DeviceSpec;
 
@@ -152,17 +151,6 @@ pub fn max_resnet_depth(framework: Framework, batch: usize, spec: &DeviceSpec, h
     3 * (6 + 32 + best_units + 6) + 2
 }
 
-/// Does this framework train `net` on `spec` at all?
-pub fn trains(framework: Framework, net: &Net, spec: &DeviceSpec) -> bool {
-    feasible(net, spec, framework.policy())
-}
-
-/// Can this framework's memory policy *serve* `net` on `spec` — i.e. does a
-/// forward-only inference plan compile within the device?
-pub fn serves(framework: Framework, net: &Net, spec: &DeviceSpec) -> bool {
-    sn_runtime::plan::compile_inference(net, spec, framework.policy()).is_ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,7 +261,7 @@ mod tests {
         let spec = spec();
         let net = smallnet(48);
         for fw in Framework::ALL {
-            let compiled = trains(fw, &net, &spec);
+            let compiled = sn_runtime::session::feasible(&net, &spec, fw.policy());
             let executed = match Executor::new(&net, spec.clone(), fw.policy()) {
                 Ok(mut ex) => ex.run_iteration().is_ok(),
                 Err(_) => false,
@@ -281,7 +269,8 @@ mod tests {
             assert_eq!(compiled, executed, "{}", fw.name());
             // Serving is never harder than training.
             if compiled {
-                assert!(serves(fw, &net, &spec), "{}", fw.name());
+                let serves = sn_runtime::plan::compile_inference(&net, &spec, fw.policy());
+                assert!(serves.is_ok(), "{}", fw.name());
             }
         }
     }

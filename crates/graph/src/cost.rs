@@ -61,12 +61,6 @@ pub struct LayerCost {
 }
 
 impl LayerCost {
-    /// Build the fp32 cost model for `layer` within `net` — shorthand for
-    /// [`LayerCost::with_precision`] at [`Precision::fp32`].
-    pub fn of(net: &Net, layer: &Layer) -> LayerCost {
-        Self::with_precision(net, layer, Precision::fp32())
-    }
-
     /// Build the cost model for `layer` within `net` at `precision`.
     ///
     /// Activation-class tensors (outputs, inputs, activation gradients, GEMM
@@ -367,12 +361,6 @@ impl NetCost {
         self.per_layer.iter().map(|c| c.weight_bytes).sum()
     }
 
-    /// Total data-parallel all-reduce payload at the gradient dtype. Equals
-    /// [`NetCost::total_weight_bytes`] at fp32; half of it under bf16/f16.
-    pub fn total_allreduce_bytes(&self) -> u64 {
-        self.per_layer.iter().map(|c| c.allreduce_bytes).sum()
-    }
-
     /// Fig. 8 aggregation: per layer-type `(fwd+bwd time share, memory
     /// share)`, returned as `(type, time_ns, l_f_bytes)` rows.
     pub fn breakdown_by_type(&self, net: &Net, spec: &DeviceSpec) -> Vec<(String, u64, u64)> {
@@ -415,7 +403,7 @@ mod tests {
     fn conv_flops_match_analytic_formula() {
         let net = alexnet_like();
         let conv = &net.layers()[1];
-        let c = LayerCost::of(&net, conv);
+        let c = LayerCost::with_precision(&net, conv, Precision::fp32());
         // 2 * N*K*OH*OW * C*R*S = 2 * 8*16*32*32 * 3*5*5
         assert_eq!(c.fwd_flops, 2 * 64 * 128 * 32 * 32 * 3 * 5 * 5);
         assert_eq!(c.bwd_flops, 2 * c.fwd_flops);
@@ -425,7 +413,7 @@ mod tests {
     fn weight_bytes_cover_filters_and_bias() {
         let net = alexnet_like();
         let conv = &net.layers()[1];
-        let c = LayerCost::of(&net, conv);
+        let c = LayerCost::with_precision(&net, conv, Precision::fp32());
         assert_eq!(c.weight_bytes, (128 * 3 * 5 * 5 + 128) * 4);
     }
 
@@ -434,7 +422,7 @@ mod tests {
         let net = alexnet_like();
         let spec = DeviceSpec::k40c();
         let relu = &net.layers()[2];
-        let c = LayerCost::of(&net, relu);
+        let c = LayerCost::with_precision(&net, relu, Precision::fp32());
         let t = c.fwd_time(&relu.kind, &spec, 1.0);
         // Pure bandwidth bound: bytes/bw plus launch overhead.
         let expect =
@@ -493,7 +481,7 @@ mod tests {
     fn algo_speedup_reduces_conv_time() {
         let net = alexnet_like();
         let conv = &net.layers()[1];
-        let c = LayerCost::of(&net, conv);
+        let c = LayerCost::with_precision(&net, conv, Precision::fp32());
         let spec = DeviceSpec::k40c();
         let slow = c.fwd_time(&conv.kind, &spec, 1.0);
         let fast = c.fwd_time(&conv.kind, &spec, 2.5);
@@ -540,8 +528,9 @@ mod tests {
                 l.name
             );
         }
-        assert_eq!(fp32.total_allreduce_bytes(), fp32.total_weight_bytes());
-        assert_eq!(bf16.total_allreduce_bytes() * 2, bf16.total_weight_bytes());
+        let payload = |c: &NetCost| c.per_layer.iter().map(|l| l.allreduce_bytes).sum::<u64>();
+        assert_eq!(payload(&fp32), fp32.total_weight_bytes());
+        assert_eq!(payload(&bf16) * 2, bf16.total_weight_bytes());
         // `of` stays the fp32 shorthand.
         assert_eq!(
             NetCost::of(&net).total_weight_bytes(),

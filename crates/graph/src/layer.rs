@@ -74,14 +74,6 @@ impl LayerKind {
         }
     }
 
-    /// Drop probability of a [`LayerKind::Dropout`], `None` otherwise.
-    pub fn dropout_p(&self) -> Option<f32> {
-        match self {
-            LayerKind::Dropout { p_bits } => Some(f32::from_bits(*p_bits)),
-            _ => None,
-        }
-    }
-
     /// Short type name used in reports (matches the paper's Fig. 8 legend).
     pub fn type_name(&self) -> &'static str {
         match self {
@@ -217,18 +209,6 @@ pub struct Layer {
     pub out_shape: Shape4,
 }
 
-impl Layer {
-    /// Is this layer a fan-out point (multiple consumers)?
-    pub fn is_fan_out(&self) -> bool {
-        self.nexts.len() > 1
-    }
-
-    /// Is this layer a join (multiple producers feed it)?
-    pub fn is_join(&self) -> bool {
-        self.prevs.len() > 1
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,8 +252,12 @@ mod tests {
         set.insert(LayerKind::dropout(0.25));
         set.insert(LayerKind::Attention { heads: 4 });
         assert_eq!(set.len(), 3);
-        assert_eq!(LayerKind::dropout(0.5).dropout_p(), Some(0.5));
-        assert_eq!(LayerKind::Act.dropout_p(), None);
+        assert_eq!(
+            LayerKind::dropout(0.5),
+            LayerKind::Dropout {
+                p_bits: 0.5f32.to_bits()
+            }
+        );
     }
 
     #[test]

@@ -126,10 +126,14 @@ impl StepLists {
         StepLists { offsets, items }
     }
 
+    fn n_steps(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
     /// Sort each step's list by tensor id and drop duplicates, compacting
     /// the shared item vector in place.
     fn sort_dedup(&mut self) {
-        let n_steps = self.offsets.len() - 1;
+        let n_steps = self.n_steps();
         let mut write = 0usize;
         let old_offsets = std::mem::take(&mut self.offsets);
         let mut offsets = Vec::with_capacity(n_steps + 1);
@@ -150,15 +154,6 @@ impl StepLists {
         }
         self.items.truncate(write);
         self.offsets = offsets;
-    }
-
-    pub fn n_steps(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Iterate the per-step slices in step order.
-    pub fn iter(&self) -> impl Iterator<Item = &[TensorId]> {
-        (0..self.n_steps()).map(move |s| &self[s])
     }
 }
 
@@ -185,8 +180,6 @@ pub struct LivenessPlan {
     pub freed_after: StepLists,
     /// Step → tensors the step's computation *reads* (its output excluded).
     pub step_inputs: StepLists,
-    pub n_steps: usize,
-    pub options: LivenessOptions,
 }
 
 impl LivenessPlan {
@@ -384,8 +377,6 @@ impl LivenessPlan {
             created_at,
             freed_after,
             step_inputs,
-            n_steps,
-            options,
         }
     }
 
@@ -400,7 +391,7 @@ impl LivenessPlan {
         let mut live = 0u64;
         let mut peak = 0u64;
         let mut peak_step = 0usize;
-        for s in 0..self.n_steps {
+        for s in 0..self.created_at.n_steps() {
             for t in &self.created_at[s] {
                 live += self.tensors[t.0].bytes;
             }
@@ -416,26 +407,15 @@ impl LivenessPlan {
         (peak, peak_step)
     }
 
-    /// Count of live tensors during each step (the orange series of Fig. 10).
-    pub fn live_counts(&self) -> Vec<usize> {
-        let mut live = 0usize;
-        let mut out = Vec::with_capacity(self.n_steps);
-        for s in 0..self.n_steps {
-            live += self.created_at[s].len();
-            out.push(live);
-            live -= self.freed_after[s].len();
-        }
-        out
-    }
-
     /// The paper-literal O(N²) in/out-set construction (Fig. 5): for every
     /// step, the set of live tensors before (`in`) and after (`out`) the
     /// step's computation. Exponential in nothing, quadratic in steps — use
     /// on small networks (tests) only.
     pub fn in_out_sets(&self) -> Vec<(HashSet<TensorId>, HashSet<TensorId>)> {
-        let mut sets = Vec::with_capacity(self.n_steps);
+        let n_steps = self.created_at.n_steps();
+        let mut sets = Vec::with_capacity(n_steps);
         let mut live: HashSet<TensorId> = HashSet::new();
-        for s in 0..self.n_steps {
+        for s in 0..n_steps {
             let in_set = live.clone();
             for t in &self.created_at[s] {
                 live.insert(*t);
@@ -444,7 +424,7 @@ impl LivenessPlan {
             // (this is the N(N−1)/2 check of §3.2).
             let mut out_set = live.clone();
             for t in live.clone() {
-                let needed_later = (s + 1..self.n_steps).any(|fut| {
+                let needed_later = (s + 1..n_steps).any(|fut| {
                     self.step_inputs[fut].contains(&t) || self.created_at[fut].contains(&t)
                 });
                 if !needed_later {
@@ -455,22 +435,6 @@ impl LivenessPlan {
             sets.push((in_set, out_set));
         }
         sets
-    }
-
-    /// Total bytes of tensors live during step `s` (inclusive of creations).
-    pub fn live_bytes_at(&self, s: usize) -> u64 {
-        let mut live = 0u64;
-        for step in 0..=s {
-            for t in &self.created_at[step] {
-                live += self.tensors[t.0].bytes;
-            }
-            if step < s {
-                for t in &self.freed_after[step] {
-                    live -= self.tensors[t.0].bytes;
-                }
-            }
-        }
-        live
     }
 }
 
@@ -518,7 +482,7 @@ mod tests {
             ..Default::default()
         };
         let plan = LivenessPlan::analyze(&net, &route, opts);
-        let last = plan.n_steps - 1;
+        let last = route.total_steps() - 1;
         for t in &plan.tensors {
             assert_eq!(t.last_use_step, last);
         }
@@ -585,20 +549,27 @@ mod tests {
         let (net, route) = small_net();
         let plan = LivenessPlan::analyze(&net, &route, LivenessOptions::default());
         let sets = plan.in_out_sets();
-        assert_eq!(sets.len(), plan.n_steps);
-        // Reconstruct live counts from the literal sets and compare with the
-        // fast path: live-during-step = |in ∪ created|.
-        let fast = plan.live_counts();
-        for (s, (in_set, _)) in sets.iter().enumerate() {
-            let mut during = in_set.clone();
-            for t in &plan.created_at[s] {
-                during.insert(*t);
+        let n_steps = route.total_steps();
+        assert_eq!(sets.len(), n_steps);
+        // Replay the step lists the planner reads and compare with the
+        // literal sets: live during a step is `in ∪ created_at`, holding
+        // every input the step reads; `freed_after` leaves the out-set.
+        let mut live = HashSet::new();
+        for (s, (in_set, out_set)) in sets.iter().enumerate() {
+            assert_eq!(*in_set, live, "step {s}");
+            live.extend(plan.created_at[s].iter().copied());
+            assert!(
+                plan.step_inputs[s].iter().all(|t| live.contains(t)),
+                "step {s}"
+            );
+            for t in &plan.freed_after[s] {
+                live.remove(t);
             }
-            assert_eq!(during.len(), fast[s], "step {s}");
+            assert_eq!(*out_set, live, "step {s}");
         }
         // Initial in-set and final out-set are empty (Fig. 5).
         assert!(sets[0].0.is_empty());
-        assert!(sets[plan.n_steps - 1].1.is_empty());
+        assert!(sets[n_steps - 1].1.is_empty());
     }
 
     #[test]
@@ -639,11 +610,11 @@ mod tests {
         let plan = LivenessPlan::analyze(&net, &route, opts);
         for layer in net.layers() {
             let t = &plan.tensors[plan.fwd_out[layer.id.0].0];
-            assert_eq!(t.last_use_step, plan.n_steps - 1);
+            assert_eq!(t.last_use_step, route.total_steps() - 1);
         }
         // Gradients still die early.
         let g = plan.grad_of[1].unwrap();
-        assert!(plan.tensors[g.0].last_use_step < plan.n_steps - 1);
+        assert!(plan.tensors[g.0].last_use_step < route.total_steps() - 1);
     }
 
     #[test]
@@ -660,8 +631,8 @@ mod tests {
         assert!(plan.step_inputs[bs].contains(&g));
         assert!(plan.step_inputs[bs].contains(&data_out));
         // No step reads a tensor before it exists.
-        for (s, inputs) in plan.step_inputs.iter().enumerate() {
-            for t in inputs {
+        for s in 0..route.total_steps() {
+            for t in &plan.step_inputs[s] {
                 assert!(
                     plan.tensors[t.0].created_step <= s,
                     "step {s} reads tensor created at {}",
@@ -676,7 +647,7 @@ mod tests {
         let (net, _) = small_net();
         let route = Route::construct_inference(&net);
         let plan = LivenessPlan::analyze(&net, &route, LivenessOptions::default());
-        assert_eq!(plan.n_steps, net.len());
+        assert_eq!(route.total_steps(), net.len());
         // No gradient tensors at all.
         assert!(plan.grad_of.iter().all(|g| g.is_none()));
         assert!(plan
@@ -697,14 +668,6 @@ mod tests {
         assert!(pi < pt, "inference {pi} must undercut training {pt}");
         // All steps resolve; the final out-set is empty.
         let sets = plan.in_out_sets();
-        assert!(sets[plan.n_steps - 1].1.is_empty());
-    }
-
-    #[test]
-    fn live_bytes_at_agrees_with_peak_walk() {
-        let (net, route) = small_net();
-        let plan = LivenessPlan::analyze(&net, &route, LivenessOptions::default());
-        let (peak, step) = plan.peak_resident(0, |_| 0);
-        assert_eq!(plan.live_bytes_at(step), peak);
+        assert!(sets[route.total_steps() - 1].1.is_empty());
     }
 }

@@ -40,23 +40,6 @@ impl Precision {
             gradients: DType::BF16,
         }
     }
-
-    /// fp16 mixed precision (same byte accounting as bf16).
-    pub const fn fp16_mixed() -> Precision {
-        Precision {
-            activations: DType::F16,
-            gradients: DType::F16,
-        }
-    }
-
-    /// Short tag for report rows, e.g. `fp32` / `bf16`.
-    pub fn tag(&self) -> &'static str {
-        match self.activations {
-            DType::F32 => "fp32",
-            DType::F16 => "fp16",
-            DType::BF16 => "bf16",
-        }
-    }
 }
 
 impl Default for Precision {
@@ -75,6 +58,6 @@ mod tests {
         assert_ne!(Precision::fp32(), Precision::bf16_mixed());
         assert_eq!(Precision::bf16_mixed().activations.size_of(), 2);
         assert_eq!(Precision::fp32().gradients.size_of(), 4);
-        assert_eq!(Precision::bf16_mixed().tag(), "bf16");
+        assert_eq!(Precision::bf16_mixed().activations, DType::BF16);
     }
 }

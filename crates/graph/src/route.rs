@@ -122,20 +122,6 @@ impl Route {
         }
     }
 
-    /// Number of layers `N`.
-    pub fn len(&self) -> usize {
-        self.fwd.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.fwd.is_empty()
-    }
-
-    /// Training or inference?
-    pub fn kind(&self) -> RouteKind {
-        self.kind
-    }
-
     /// Does this route schedule a backward half?
     #[inline]
     pub fn has_backward(&self) -> bool {
@@ -182,11 +168,6 @@ impl Route {
                 phase: StepPhase::Backward,
             }
         }
-    }
-
-    /// Iterate all `2N` steps of one iteration.
-    pub fn steps(&self) -> impl Iterator<Item = Step> + '_ {
-        (0..self.total_steps()).map(|i| self.step(i))
     }
 
     /// Verify the route is a valid topological order of the net.
@@ -315,7 +296,7 @@ mod tests {
         net.softmax(f);
         let r = Route::construct(&net);
         r.validate(&net).unwrap();
-        assert_eq!(r.len(), net.len());
+        assert_eq!(r.fwd.len(), net.len());
     }
 
     #[test]
@@ -323,11 +304,11 @@ mod tests {
         let net = linear_net();
         let r = Route::construct_inference(&net);
         r.validate(&net).unwrap();
-        assert_eq!(r.kind(), RouteKind::Inference);
+        assert_eq!(r.kind, RouteKind::Inference);
         assert!(!r.has_backward());
         assert_eq!(r.total_steps(), net.len());
         assert!(r.bwd.is_empty());
-        let steps: Vec<Step> = r.steps().collect();
+        let steps: Vec<Step> = (0..r.total_steps()).map(|i| r.step(i)).collect();
         assert!(steps.iter().all(|s| s.phase == StepPhase::Forward));
         // Same Algorithm 1 forward order as the training route.
         assert_eq!(r.fwd, Route::construct(&net).fwd);
@@ -337,7 +318,7 @@ mod tests {
     fn steps_iterator_covers_both_phases() {
         let net = linear_net();
         let r = Route::construct(&net);
-        let steps: Vec<Step> = r.steps().collect();
+        let steps: Vec<Step> = (0..r.total_steps()).map(|i| r.step(i)).collect();
         assert_eq!(steps.len(), 12);
         assert!(steps[..6].iter().all(|s| s.phase == StepPhase::Forward));
         assert!(steps[6..].iter().all(|s| s.phase == StepPhase::Backward));

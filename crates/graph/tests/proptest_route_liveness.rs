@@ -124,7 +124,7 @@ proptest! {
         let route = Route::construct(&net);
         route.validate(&net).map_err(TestCaseError::fail)?;
         // Every layer exactly once.
-        prop_assert_eq!(route.len(), net.len());
+        prop_assert_eq!(route.fwd.len(), net.len());
         let mut seen = vec![false; net.len()];
         for id in &route.fwd {
             prop_assert!(!seen[id.0]);
@@ -151,13 +151,13 @@ proptest! {
         // by any step > s, except recomputable forward outputs when the
         // recompute policy is on (the executor rebuilds those on demand).
         let mut freed_at = vec![usize::MAX; plan.tensors.len()];
-        for (s, list) in plan.freed_after.iter().enumerate() {
-            for t in list {
+        for s in 0..route.total_steps() {
+            for t in &plan.freed_after[s] {
                 freed_at[t.0] = s;
             }
         }
-        for (s, inputs) in plan.step_inputs.iter().enumerate() {
-            for t in inputs {
+        for s in 0..route.total_steps() {
+            for t in &plan.step_inputs[s] {
                 let meta = &plan.tensors[t.0];
                 if meta.bytes == 0 {
                     continue; // aliased tensors occupy no storage
@@ -175,8 +175,8 @@ proptest! {
             }
         }
         // Creation precedes every use.
-        for (s, inputs) in plan.step_inputs.iter().enumerate() {
-            for t in inputs {
+        for s in 0..route.total_steps() {
+            for t in &plan.step_inputs[s] {
                 prop_assert!(plan.tensors[t.0].created_step <= s);
             }
         }

@@ -28,7 +28,6 @@ pub struct PinnedHostPool {
     slots: Vec<Option<(u64, u64)>>,
     spare: Vec<u32>,
     next_seq: u64,
-    live: usize,
 }
 
 impl PinnedHostPool {
@@ -40,7 +39,6 @@ impl PinnedHostPool {
             slots: Vec::new(),
             spare: Vec::new(),
             next_seq: 0,
-            live: 0,
         }
     }
 
@@ -49,7 +47,7 @@ impl PinnedHostPool {
         self.slots.clear();
         self.spare.clear();
         (self.capacity, self.used, self.high_water) = (capacity, 0, 0);
-        (self.next_seq, self.live) = (0, 0);
+        self.next_seq = 0;
     }
 
     /// Reserve a pinned slot of `bytes`. Returns `None` when the host pool is
@@ -71,7 +69,6 @@ impl PinnedHostPool {
         self.used += bytes;
         self.high_water = self.high_water.max(self.used);
         self.slots[slot as usize] = Some((id, bytes));
-        self.live += 1;
         Some(HostSlot(id))
     }
 
@@ -85,7 +82,6 @@ impl PinnedHostPool {
                 self.used -= *bytes;
                 self.slots[idx] = None;
                 self.spare.push(idx as u32);
-                self.live -= 1;
             }
             _ => {}
         }
@@ -95,22 +91,18 @@ impl PinnedHostPool {
         self.used
     }
 
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
     pub fn high_water(&self) -> u64 {
         self.high_water
-    }
-
-    pub fn live_slots(&self) -> usize {
-        self.live
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn live_slots(h: &PinnedHostPool) -> usize {
+        h.slots.iter().flatten().count()
+    }
 
     #[test]
     fn reserve_release_roundtrip() {
@@ -123,7 +115,7 @@ mod tests {
         assert_eq!(h.used(), 600);
         assert_eq!(h.high_water(), 1000);
         h.release(b);
-        assert_eq!(h.live_slots(), 0);
+        assert_eq!(live_slots(&h), 0);
     }
 
     #[test]
@@ -132,7 +124,7 @@ mod tests {
         let _a = h.reserve(400).unwrap();
         assert!(h.reserve(u64::MAX).is_none());
         assert!(h.reserve(u64::MAX - 399).is_none(), "400 + this wraps to 0");
-        assert_eq!((h.used(), h.high_water(), h.live_slots()), (400, 400, 1));
+        assert_eq!((h.used(), h.high_water(), live_slots(&h)), (400, 400, 1));
         assert!(h.reserve(600).is_some(), "the remainder is still grantable");
     }
 

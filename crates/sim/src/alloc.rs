@@ -261,6 +261,16 @@ mod tests {
     }
 
     #[test]
+    fn malloc_cost_grows_with_size() {
+        let mut a = CudaAllocator::new(&DeviceSpec::k40c());
+        let small = a.alloc(crate::spec::KB).unwrap().cost;
+        let big = a.alloc(256 * MB).unwrap().cost;
+        assert!(big > small);
+        // Fixed part dominates tiny allocations.
+        assert_eq!(small, SimTime::from_us(30) + SimTime::from_us(1));
+    }
+
+    #[test]
     fn zero_byte_request_still_valid() {
         let mut a = alloc();
         let g = a.alloc(0).unwrap();

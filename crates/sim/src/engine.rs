@@ -40,13 +40,6 @@ pub enum EngineKind {
     Link,
 }
 
-/// Direction of a DMA transfer, for accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TransferDirection {
-    HostToDevice,
-    DeviceToHost,
-}
-
 /// Handle to one stream of a [`Timeline`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StreamId(pub usize);
@@ -67,14 +60,6 @@ pub struct Event {
     pub done_at: SimTime,
     /// Stream the operation ran on.
     pub stream: StreamId,
-}
-
-impl Event {
-    /// An event that is already complete at time zero.
-    pub const COMPLETED: Event = Event {
-        done_at: SimTime::ZERO,
-        stream: StreamId::COMPUTE,
-    };
 }
 
 /// A tracked in-flight DMA: the completion event plus the payload size (for
@@ -119,8 +104,8 @@ pub struct TimelineStats {
     /// Bytes moved device→host.
     pub d2h_bytes: u64,
     /// Bytes this device moved over its inter-GPU link (collectives) —
-    /// deliberately *not* part of [`TimelineStats::total_traffic`], which
-    /// reports PCIe traffic only.
+    /// deliberately *not* PCIe traffic (`h2d_bytes + d2h_bytes`, the
+    /// quantity Table 3 reports).
     pub link_bytes: u64,
     /// Total busy time of compute streams.
     pub compute_busy: SimTime,
@@ -135,14 +120,6 @@ pub struct TimelineStats {
     pub stall: SimTime,
     /// Number of compute operations issued.
     pub compute_ops: u64,
-}
-
-impl TimelineStats {
-    /// Total PCIe traffic in bytes (both directions), the quantity Table 3
-    /// reports.
-    pub fn total_traffic(&self) -> u64 {
-        self.h2d_bytes + self.d2h_bytes
-    }
 }
 
 /// How much transfer time was hidden under compute, derived from the busy
@@ -524,25 +501,6 @@ impl Timeline {
         Dma { event, bytes }
     }
 
-    /// Submit a DMA transfer on the direction's canonical stream.
-    pub fn submit_transfer(
-        &mut self,
-        dir: TransferDirection,
-        bytes: u64,
-        gbps: f64,
-        after: Option<Event>,
-    ) -> Event {
-        let stream = match dir {
-            TransferDirection::HostToDevice => StreamId::H2D,
-            TransferDirection::DeviceToHost => StreamId::D2H,
-        };
-        let gates: &[Event] = match &after {
-            Some(e) => std::slice::from_ref(e),
-            None => &[],
-        };
-        self.transfer_on(stream, bytes, gbps, gates).event
-    }
-
     /// Block the host thread until `event` completes, accounting the stall.
     pub fn wait(&mut self, event: Event) {
         if event.done_at > self.now {
@@ -588,11 +546,6 @@ impl Timeline {
         }
     }
 
-    /// Completion frontier of a kind's canonical stream.
-    pub fn frontier(&self, kind: EngineKind) -> SimTime {
-        self.streams[Self::canonical(kind).0].busy_until
-    }
-
     /// Completion frontier of one stream.
     pub fn stream_frontier(&self, stream: StreamId) -> SimTime {
         self.streams[stream.0].busy_until
@@ -630,7 +583,9 @@ impl Timeline {
         s
     }
 
-    /// [`Timeline::overlap_between`] over the streams themselves.
+    /// Overlap between two stream sets: the union of `a`'s busy spans
+    /// (reported as `compute_busy`) against the union of `b`'s (reported as
+    /// `transfer_busy`).
     fn overlap_of<'a>(
         &'a self,
         a: impl Iterator<Item = &'a Stream>,
@@ -670,16 +625,6 @@ impl Timeline {
         )
     }
 
-    /// Overlap between two explicit stream sets: union of `a`'s busy spans
-    /// (reported as `compute_busy`) against the union of `b`'s (reported as
-    /// `transfer_busy`).
-    pub fn overlap_between(&self, a: &[StreamId], b: &[StreamId]) -> OverlapStats {
-        self.overlap_of(
-            a.iter().map(|id| &self.streams[id.0]),
-            b.iter().map(|id| &self.streams[id.0]),
-        )
-    }
-
     /// Reset traffic/stall/busy counters and the busy timelines, but keep
     /// the clock and frontiers running. Used between warm-up and measured
     /// iterations.
@@ -713,12 +658,8 @@ mod tests {
     fn engines_run_concurrently_with_each_other() {
         let mut tl = Timeline::new();
         let c = tl.submit(EngineKind::Compute, SimTime::from_us(10));
-        let d = tl.submit_transfer(
-            TransferDirection::DeviceToHost,
-            8_000, // 8 KB at 8 GB/s = 1 us
-            8.0,
-            None,
-        );
+        // 8 KB at 8 GB/s = 1 us.
+        let d = tl.transfer_on(StreamId::D2H, 8_000, 8.0, &[]).event;
         // The copy does not queue behind compute.
         assert_eq!(d.done_at, SimTime::from_us(1));
         assert_eq!(c.done_at, SimTime::from_us(10));
@@ -729,7 +670,7 @@ mod tests {
         let mut tl = Timeline::new();
         let k = tl.submit(EngineKind::Compute, SimTime::from_us(10));
         // Offload of the kernel's output cannot start before the kernel ends.
-        let o = tl.submit_transfer(TransferDirection::DeviceToHost, 8_000, 8.0, Some(k));
+        let o = tl.transfer_on(StreamId::D2H, 8_000, 8.0, &[k]).event;
         assert_eq!(o.done_at, SimTime::from_us(11));
     }
 
@@ -737,7 +678,7 @@ mod tests {
     fn multi_gate_submit_waits_for_the_latest() {
         let mut tl = Timeline::new();
         let a = tl.submit(EngineKind::Compute, SimTime::from_us(3));
-        let b = tl.submit_transfer(TransferDirection::HostToDevice, 8_000_000, 8.0, None); // 1 ms
+        let b = tl.transfer_on(StreamId::H2D, 8_000_000, 8.0, &[]).event; // 1 ms
         let c = tl.submit_on(StreamId::COMPUTE, SimTime::from_us(2), &[a, b]);
         assert_eq!(c.done_at, b.done_at + SimTime::from_us(2));
     }
@@ -766,7 +707,15 @@ mod tests {
         assert!(d.event.done_at > SimTime::from_us(7));
         assert_eq!(d.bytes, 1);
         // Even a gate in the past cannot start a transfer before `now`.
-        let gated = tl.transfer_on(StreamId::H2D, 8_000, 8.0, &[Event::COMPLETED]);
+        let gated = tl.transfer_on(
+            StreamId::H2D,
+            8_000,
+            8.0,
+            &[Event {
+                done_at: SimTime::ZERO,
+                stream: StreamId::COMPUTE,
+            }],
+        );
         assert!(gated.event.done_at >= SimTime::from_us(8));
     }
 
@@ -795,12 +744,12 @@ mod tests {
     #[test]
     fn traffic_is_accounted_per_direction() {
         let mut tl = Timeline::new();
-        tl.submit_transfer(TransferDirection::HostToDevice, 100, 8.0, None);
-        tl.submit_transfer(TransferDirection::DeviceToHost, 300, 8.0, None);
+        tl.transfer_on(StreamId::H2D, 100, 8.0, &[]);
+        tl.transfer_on(StreamId::D2H, 300, 8.0, &[]);
         let s = tl.stats();
         assert_eq!(s.h2d_bytes, 100);
         assert_eq!(s.d2h_bytes, 300);
-        assert_eq!(s.total_traffic(), 400);
+        assert_eq!(s.h2d_bytes + s.d2h_bytes, 400);
     }
 
     #[test]
@@ -819,7 +768,8 @@ mod tests {
         tl.sync_all();
         tl.reset_stats();
         assert_eq!(tl.now(), SimTime::from_us(2));
-        assert_eq!(tl.stats().total_traffic(), 0);
+        let s = tl.stats();
+        assert_eq!(s.h2d_bytes + s.d2h_bytes, 0);
         assert_eq!(tl.stats().stall, SimTime::ZERO);
         assert_eq!(tl.overlap(), OverlapStats::default());
     }
@@ -860,7 +810,11 @@ mod tests {
         tl.submit_timed_transfer(link, 4_096, SimTime::from_us(2), &[]);
         let s = tl.stats();
         assert_eq!(s.link_bytes, 4_096);
-        assert_eq!(s.total_traffic(), 0, "collectives must not count as PCIe");
+        assert_eq!(
+            s.h2d_bytes + s.d2h_bytes,
+            0,
+            "collectives must not count as PCIe"
+        );
         assert_eq!(s.link_busy, SimTime::from_us(2));
     }
 
@@ -908,10 +862,9 @@ mod tests {
         tl.submit(EngineKind::Compute, SimTime::from_us(3));
         tl.transfer_on(StreamId::D2H, 32_000, 8.0, &[]); // [0, 4) us
         tl.transfer_on(d2h_b, 16_000, 8.0, &[]); // [0, 2) us
-        let o = tl.overlap_between(&[StreamId::COMPUTE], &[StreamId::D2H, d2h_b]);
+        let o = tl.overlap();
         assert_eq!(o.transfer_busy, SimTime::from_us(4));
         assert_eq!(o.overlapped, SimTime::from_us(3));
-        assert_eq!(o, tl.overlap());
     }
 
     #[test]
@@ -920,7 +873,7 @@ mod tests {
         for _ in 0..3 {
             let k = tl.submit(EngineKind::Compute, SimTime::from_us(5));
             tl.wait(k);
-            let d = tl.submit_transfer(TransferDirection::DeviceToHost, 16_000, 8.0, None);
+            let d = tl.transfer_on(StreamId::D2H, 16_000, 8.0, &[]).event;
             tl.wait(d);
         }
         let o = tl.overlap();
@@ -933,13 +886,8 @@ mod tests {
         let mut tl = Timeline::new();
         for i in 0..5u64 {
             let k = tl.submit(EngineKind::Compute, SimTime::from_us(2 + i));
-            tl.submit_transfer(
-                TransferDirection::DeviceToHost,
-                8_000 * (i + 1),
-                8.0,
-                Some(k),
-            );
-            tl.submit_transfer(TransferDirection::HostToDevice, 4_000, 8.0, None);
+            tl.transfer_on(StreamId::D2H, 8_000 * (i + 1), 8.0, &[k]);
+            tl.transfer_on(StreamId::H2D, 4_000, 8.0, &[]);
             tl.join_compute();
         }
         tl.sync_all();

@@ -35,7 +35,6 @@ pub mod trace;
 pub use alloc::{AllocError, AllocGrant, AllocId, CudaAllocator, DeviceAllocator};
 pub use engine::{
     Dma, EngineKind, Event, OverlapStats, SpanLabel, StreamId, Timeline, TimelineStats,
-    TransferDirection,
 };
 pub use sn_telemetry::TraceSink;
 pub use spec::DeviceSpec;

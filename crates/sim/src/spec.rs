@@ -145,26 +145,6 @@ impl DeviceSpec {
         };
         (lane(&CARD_KEYS[0]), lane(&CARD_KEYS[1]))
     }
-
-    /// Effective PCIe bandwidth for a transfer, honouring pinned/pageable.
-    pub fn pcie_gbps(&self, h2d: bool, pinned: bool) -> f64 {
-        let base = if h2d {
-            self.pcie_h2d_gbps
-        } else {
-            self.pcie_d2h_gbps
-        };
-        if pinned {
-            base
-        } else {
-            base * self.unpinned_factor
-        }
-    }
-
-    /// Cost model for a `cudaMalloc` of `bytes`.
-    pub fn malloc_cost(&self, bytes: u64) -> SimTime {
-        let mib = bytes.div_ceil(MB);
-        SimTime(self.malloc_base.0 + self.malloc_per_mib.0 * mib)
-    }
 }
 
 #[cfg(test)]
@@ -227,22 +207,5 @@ mod tests {
                 "constant #{n} is not folded in"
             );
         }
-    }
-
-    #[test]
-    fn unpinned_transfers_are_slower() {
-        let d = DeviceSpec::k40c();
-        assert_eq!(d.pcie_gbps(true, true), 8.0);
-        assert_eq!(d.pcie_gbps(true, false), 4.0);
-    }
-
-    #[test]
-    fn malloc_cost_grows_with_size() {
-        let d = DeviceSpec::k40c();
-        let small = d.malloc_cost(KB);
-        let big = d.malloc_cost(256 * MB);
-        assert!(big > small);
-        // Fixed part dominates tiny allocations.
-        assert_eq!(small, SimTime::from_us(30) + SimTime::from_us(1));
     }
 }

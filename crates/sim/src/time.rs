@@ -33,13 +33,6 @@ impl SimTime {
         SimTime(ms * 1_000_000)
     }
 
-    /// Construct from (possibly fractional) seconds, rounding to whole ns.
-    #[inline]
-    pub fn from_secs_f64(s: f64) -> Self {
-        debug_assert!(s >= 0.0, "negative durations are not representable");
-        SimTime((s * 1e9).round() as u64)
-    }
-
     /// Raw nanosecond count.
     #[inline]
     pub const fn as_ns(self) -> u64 {
@@ -150,7 +143,7 @@ mod tests {
     fn construction_roundtrips() {
         assert_eq!(SimTime::from_us(3).as_ns(), 3_000);
         assert_eq!(SimTime::from_ms(2).as_ns(), 2_000_000);
-        assert_eq!(SimTime::from_secs_f64(1.5).as_ns(), 1_500_000_000);
+        assert_eq!(SimTime::from_ms(1_500).as_ns(), 1_500_000_000);
         assert!((SimTime::from_ns(250).as_secs_f64() - 2.5e-7).abs() < 1e-18);
     }
 
@@ -190,6 +183,6 @@ mod tests {
         assert_eq!(format!("{}", SimTime::from_ns(12)), "12ns");
         assert_eq!(format!("{}", SimTime::from_us(12)), "12.000us");
         assert_eq!(format!("{}", SimTime::from_ms(12)), "12.000ms");
-        assert_eq!(format!("{}", SimTime::from_secs_f64(1.25)), "1.250s");
+        assert_eq!(format!("{}", SimTime::from_ms(1_250)), "1.250s");
     }
 }

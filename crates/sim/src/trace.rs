@@ -48,18 +48,6 @@ pub struct StepTrace {
 }
 
 impl StepTrace {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn push(&mut self, r: StepRecord) {
-        self.records.push(r);
-    }
-
-    pub fn clear(&mut self) {
-        self.records.clear();
-    }
-
     /// Peak resident bytes over the iteration — `peak_m`.
     pub fn peak_bytes(&self) -> u64 {
         self.records
@@ -73,11 +61,6 @@ impl StepTrace {
     pub fn peak_step(&self) -> Option<&StepRecord> {
         let peak = self.peak_bytes();
         self.records.iter().find(|r| r.resident_bytes == peak)
-    }
-
-    /// Records for one phase only.
-    pub fn phase(&self, p: Phase) -> impl Iterator<Item = &StepRecord> {
-        self.records.iter().filter(move |r| r.phase == p)
     }
 }
 
@@ -99,27 +82,18 @@ mod tests {
 
     #[test]
     fn peak_detection() {
-        let mut t = StepTrace::new();
-        t.push(rec(1, "CONV1", Phase::Forward, 100, 2));
-        t.push(rec(2, "POOL1", Phase::Forward, 300, 5));
-        t.push(rec(3, "POOL1", Phase::Backward, 250, 4));
+        let mut t = StepTrace::default();
+        t.records.push(rec(1, "CONV1", Phase::Forward, 100, 2));
+        t.records.push(rec(2, "POOL1", Phase::Forward, 300, 5));
+        t.records.push(rec(3, "POOL1", Phase::Backward, 250, 4));
         assert_eq!(t.peak_bytes(), 300);
         assert_eq!(&*t.peak_step().unwrap().layer, "POOL1");
     }
 
     #[test]
     fn empty_trace_is_zero() {
-        let t = StepTrace::new();
+        let t = StepTrace::default();
         assert_eq!(t.peak_bytes(), 0);
         assert!(t.peak_step().is_none());
-    }
-
-    #[test]
-    fn phase_filter() {
-        let mut t = StepTrace::new();
-        t.push(rec(1, "A", Phase::Forward, 1, 1));
-        t.push(rec(2, "A", Phase::Backward, 2, 1));
-        assert_eq!(t.phase(Phase::Forward).count(), 1);
-        assert_eq!(t.phase(Phase::Backward).count(), 1);
     }
 }

@@ -53,10 +53,6 @@ impl Gauge {
         self.0.store(v, Ordering::Relaxed);
     }
 
-    pub fn add(&self, v: i64) {
-        self.0.fetch_add(v, Ordering::Relaxed);
-    }
-
     pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
     }
@@ -246,11 +242,6 @@ impl MetricsSnapshot {
             .map(|(_, v)| *v)
     }
 
-    /// Look up a gauge value by name.
-    pub fn gauge(&self, name: &str) -> Option<i64> {
-        self.gauges.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
-    }
-
     /// Look up a histogram by name.
     pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
         self.histograms
@@ -320,14 +311,19 @@ mod tests {
         assert_eq!(reg.snapshot().counter("x"), Some(5));
     }
 
+    /// A gauge's value in a snapshot, by name.
+    fn gauge(snap: &MetricsSnapshot, name: &str) -> Option<i64> {
+        snap.gauges.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
+    }
+
     #[test]
-    fn gauge_set_and_add() {
+    fn gauge_set_and_get() {
         let reg = MetricsRegistry::new();
         let g = reg.gauge("depth");
         g.set(7);
-        g.add(-2);
+        g.set(5);
         assert_eq!(g.get(), 5);
-        assert_eq!(reg.snapshot().gauge("depth"), Some(5));
+        assert_eq!(gauge(&reg.snapshot(), "depth"), Some(5));
     }
 
     #[test]
@@ -402,7 +398,10 @@ mod tests {
         reg.counter("x").inc();
         reg.gauge("depth").set(2);
         let snap = reg.snapshot();
-        assert_eq!((snap.counter("x"), snap.gauge("depth")), (Some(4), Some(2)));
+        assert_eq!(
+            (snap.counter("x"), gauge(&snap, "depth")),
+            (Some(4), Some(2))
+        );
     }
 
     #[test]

@@ -228,21 +228,9 @@ impl TraceSink {
         TrackId((data.tracks.len() - 1) as u32)
     }
 
-    /// Record a span with no arguments. Returns its id ([`SpanId::NONE`]
-    /// on a disabled sink).
-    pub fn span(
-        &self,
-        track: TrackId,
-        name: &str,
-        cat: &'static str,
-        start_ns: u64,
-        end_ns: u64,
-    ) -> SpanId {
-        self.span_with(track, name.to_string(), cat, start_ns, end_ns, Vec::new())
-    }
-
     /// Record a span with arguments, taking ownership of the label to avoid
-    /// a second allocation on the hot path.
+    /// a second allocation on the hot path. Returns its id
+    /// ([`SpanId::NONE`] on a disabled sink).
     pub fn span_with(
         &self,
         track: TrackId,
@@ -502,12 +490,17 @@ impl TraceData {
 mod tests {
     use super::*;
 
+    /// A span with no arguments.
+    fn span(sink: &TraceSink, t: TrackId, name: &str, start_ns: u64, end_ns: u64) -> SpanId {
+        sink.span_with(t, name.to_string(), "kernel", start_ns, end_ns, Vec::new())
+    }
+
     #[test]
     fn off_sink_records_nothing_and_returns_none_ids() {
         let sink = TraceSink::off();
         assert!(!sink.is_enabled());
         let t = sink.track("device 0", "compute");
-        let s = sink.span(t, "kernel", "kernel", 0, 10);
+        let s = span(&sink, t, "kernel", 0, 10);
         assert!(s.is_none());
         sink.flow(s, s);
         sink.instant(t, "arrive", "job", 5, Vec::new());
@@ -537,7 +530,7 @@ mod tests {
         let sink = TraceSink::recording();
         let clone = sink.clone();
         let t = clone.track("p", "t");
-        clone.span(t, "s", "kernel", 0, 1);
+        span(&clone, t, "s", 0, 1);
         assert_eq!(sink.data().spans.len(), 1);
     }
 
@@ -545,8 +538,8 @@ mod tests {
     fn validate_catches_overlap_and_bad_flows() {
         let sink = TraceSink::recording();
         let t = sink.track("p", "t");
-        let a = sink.span(t, "a", "kernel", 0, 10);
-        let b = sink.span(t, "b", "kernel", 5, 15); // overlaps a
+        let a = span(&sink, t, "a", 0, 10);
+        let b = span(&sink, t, "b", 5, 15); // overlaps a
         sink.flow(b, a); // points backward in time
         sink.flow(a, SpanId(99)); // NONE-free but unrecorded id
         let check = sink.validate();
@@ -559,9 +552,9 @@ mod tests {
         let sink = TraceSink::recording();
         let t0 = sink.track("device 0", "compute");
         let t1 = sink.track("device 0", "h2d");
-        let p = sink.span(t1, "prefetch CONV1_w", "dma", 0, 400);
-        let k = sink.span(t0, "CONV1", "kernel", 400, 1_900);
-        sink.span(t0, "POOL1", "kernel", 1_900, 2_200);
+        let p = sink.span_with(t1, "prefetch CONV1_w".into(), "dma", 0, 400, Vec::new());
+        let k = span(&sink, t0, "CONV1", 400, 1_900);
+        span(&sink, t0, "POOL1", 1_900, 2_200);
         sink.flow(p, k);
         sink.instant(t0, "iter end", "marker", 2_200, vec![("iter", 1u64.into())]);
         let check = sink.validate();
@@ -620,7 +613,7 @@ mod tests {
     fn export_timestamps_keep_nanosecond_precision() {
         let sink = TraceSink::recording();
         let t = sink.track("p", "t");
-        sink.span(t, "s", "kernel", 1, 1_000_001);
+        span(&sink, t, "s", 1, 1_000_001);
         let json = sink.export_chrome_json();
         assert!(json.contains("\"ts\":0.001"), "{json}");
         assert!(json.contains("\"dur\":1000.000"), "{json}");

@@ -26,12 +26,6 @@ impl ConvParams {
     pub fn weight_shape(&self, in_channels: usize) -> Shape4 {
         Shape4::new(self.out_channels, in_channels, self.kernel, self.kernel)
     }
-
-    /// Per-image im2col buffer size in elements: `C·R·S × OH·OW`.
-    pub fn im2col_elems(&self, input: Shape4) -> usize {
-        let out = self.out_shape(input);
-        input.c * self.kernel * self.kernel * out.h * out.w
-    }
 }
 
 /// Expand one image (`C×H×W` slice) into the `C·R·S × OH·OW` column matrix.
@@ -288,7 +282,9 @@ mod tests {
         };
         let (c, h, w) = (2, 5, 5);
         let x = Tensor::rand_uniform(Shape4::new(1, c, h, w), 1.0, 21);
-        let cols_len = p.im2col_elems(x.shape());
+        // Per-image im2col buffer size in elements: `C·R·S × OH·OW`.
+        let out = p.out_shape(x.shape());
+        let cols_len = c * p.kernel * p.kernel * out.h * out.w;
         let y = Tensor::rand_uniform(Shape4::flat(1, cols_len), 1.0, 22);
         let mut cols = vec![0.0; cols_len];
         im2col(x.data(), c, h, w, &p, &mut cols);

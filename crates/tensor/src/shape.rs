@@ -61,13 +61,6 @@ impl Shape4 {
         self.n * self.c * self.h * self.w
     }
 
-    /// Size in bytes at `f32` precision — shorthand for
-    /// `bytes_of(DType::F32)`.
-    #[inline]
-    pub fn bytes(&self) -> u64 {
-        self.bytes_of(DType::F32)
-    }
-
     /// Size in bytes at the given element precision.
     #[inline]
     pub fn bytes_of(&self, dtype: DType) -> u64 {
@@ -85,12 +78,6 @@ impl Shape4 {
     pub fn idx(&self, n: usize, c: usize, h: usize, w: usize) -> usize {
         debug_assert!(n < self.n && c < self.c && h < self.h && w < self.w);
         ((n * self.c + c) * self.h + h) * self.w + w
-    }
-
-    /// Same spatial extents with a different batch size.
-    pub fn with_batch(mut self, n: usize) -> Self {
-        self.n = n;
-        self
     }
 
     /// Output spatial dimension of a conv/pool window:
@@ -120,14 +107,14 @@ mod tests {
     fn numel_and_bytes() {
         let s = Shape4::new(2, 3, 4, 5);
         assert_eq!(s.numel(), 120);
-        assert_eq!(s.bytes(), 480);
+        assert_eq!(s.bytes_of(DType::F32), 480);
         assert_eq!(s.features(), 60);
     }
 
     #[test]
     fn bytes_of_scales_by_dtype() {
         let s = Shape4::new(2, 3, 4, 5);
-        assert_eq!(s.bytes_of(DType::F32), s.bytes());
+        assert_eq!(s.bytes_of(DType::F32), 4 * s.numel() as u64);
         assert_eq!(s.bytes_of(DType::F16), 240);
         assert_eq!(s.bytes_of(DType::BF16), 240);
         assert_eq!(DType::F32.size_of(), 4);

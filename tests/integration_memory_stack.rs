@@ -20,7 +20,7 @@ fn baseline_peak_matches_sum_formula() {
     let mut ex = Executor::new(&net, spec(), Policy::baseline()).unwrap();
     let r = ex.run_iteration().unwrap();
     let tensor_sum: u64 = ex.plan.tensors.iter().map(|t| t.bytes).sum();
-    let weights = ex.cost.total_weight_bytes();
+    let weights = superneurons::graph::NetCost::of(&net).total_weight_bytes();
     let expect = tensor_sum + weights;
     // Block-rounding and transient workspaces put the measured peak at or
     // slightly above the analytic sum, never more than a few % off.
