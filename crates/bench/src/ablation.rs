@@ -33,23 +33,15 @@ pub fn ablation_cache_policy() -> String {
             cache_policy: cp,
             ..Policy::superneurons()
         };
-        match Executor::new(&net, spec.clone(), pol) {
-            Ok(mut ex) => {
-                let _ = ex.run_iteration();
-                match ex.run_iteration() {
-                    Ok(r) => t.row(vec![
-                        name.to_string(),
-                        gb(r.h2d_bytes + r.d2h_bytes),
-                        format!("{:.1}", r.imgs_per_sec(batch)),
-                        format!("{}", r.counters.evictions),
-                    ]),
-                    Err(_) => t.row(vec![name.to_string(), "OOM".into(), "-".into(), "-".into()]),
-                };
-            }
-            Err(_) => {
-                t.row(vec![name.to_string(), "OOM".into(), "-".into(), "-".into()]);
-            }
-        }
+        match Executor::new(&net, spec.clone(), pol).and_then(|mut ex| ex.run_iteration()) {
+            Ok(r) => t.row(vec![
+                name.to_string(),
+                gb(r.h2d_bytes + r.d2h_bytes),
+                format!("{:.1}", r.imgs_per_sec(batch)),
+                format!("{}", r.counters.evictions),
+            ]),
+            Err(_) => t.row(vec![name.to_string(), "OOM".into(), "-".into(), "-".into()]),
+        };
     }
     format!(
         "Ablation — Tensor Cache replacement policy (AlexNet@448, 2GB pool)\n{}",
@@ -74,9 +66,9 @@ pub fn ablation_transfers() -> String {
             pinned_host: pinned,
             ..Policy::superneurons_no_cache()
         };
-        let mut ex = Executor::new(&net, spec.clone(), pol).unwrap();
-        let _ = ex.run_iteration();
-        let r = ex.run_iteration().unwrap();
+        let r = Executor::new(&net, spec.clone(), pol)
+            .and_then(|mut ex| ex.run_iteration())
+            .unwrap();
         t.row(vec![
             name.to_string(),
             format!("{:.1}", r.imgs_per_sec(32)),
@@ -123,41 +115,24 @@ pub fn ablation_tiers() -> String {
             tiers,
             ..Policy::superneurons_no_cache()
         };
-        match Executor::new(&net, spec.clone(), pol) {
-            Ok(mut ex) => {
-                let _ = ex.run_iteration();
-                match ex.run_iteration() {
-                    Ok(r) => {
-                        let (p, l, rm) = ex.dev.host.high_water();
-                        t.row(vec![
-                            name.to_string(),
-                            format!("{:.1}", r.imgs_per_sec(48)),
-                            gb(p),
-                            gb(l),
-                            gb(rm),
-                        ]);
-                    }
-                    Err(e) => {
-                        t.row(vec![
-                            name.to_string(),
-                            format!("fail: {e}"),
-                            "-".into(),
-                            "-".into(),
-                            "-".into(),
-                        ]);
-                    }
-                }
-            }
-            Err(e) => {
-                t.row(vec![
-                    name.to_string(),
-                    format!("fail: {e}"),
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
-                ]);
-            }
-        }
+        let run = Executor::new(&net, spec.clone(), pol)
+            .and_then(|mut ex| Ok((ex.run_iteration()?, ex.dev.host.high_water())));
+        match run {
+            Ok((r, (p, l, rm))) => t.row(vec![
+                name.to_string(),
+                format!("{:.1}", r.imgs_per_sec(48)),
+                gb(p),
+                gb(l),
+                gb(rm),
+            ]),
+            Err(e) => t.row(vec![
+                name.to_string(),
+                format!("fail: {e}"),
+                "-".into(),
+                "-".into(),
+                "-".into(),
+            ]),
+        };
     }
     format!(
         "Ablation — Unified Tensor Pool tiers (VGG16@48, 4GB device pool)\n{}",

@@ -117,7 +117,6 @@ pub fn cluster(quick: bool) -> String {
             .with("baseline_peak_tenants", base.peak_concurrent_jobs)
             .with("superneurons_peak_tenants", sn.peak_concurrent_jobs)
             .with("runs", Json::Array(runs)),
-        wall: Json::object(),
     };
     out.push_str(&record.write());
     out

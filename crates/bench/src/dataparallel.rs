@@ -88,10 +88,10 @@ fn measure_point(
         .peak_bytes;
     let cfg = GroupConfig::new(replicas, Interconnect::pcie());
     let run = |cfg: GroupConfig| {
-        let mut gx = GroupExecutor::new(&net, spec.clone(), policy, cfg)
-            .expect("group compiles wherever the solo plan does");
-        gx.run_iteration().expect("cold iteration");
-        gx.run_iteration().expect("warm iteration")
+        GroupExecutor::new(&net, spec.clone(), policy, cfg)
+            .expect("group compiles wherever the solo plan does")
+            .run_iteration()
+            .expect("gang iteration")
     };
     let o = run(cfg);
     let s = run(cfg.serialized());
@@ -130,17 +130,11 @@ pub fn measure(quick: bool) -> Vec<DpRow> {
     let mut rows = Vec::new();
     for (model, build, batch) in matrix(quick) {
         let net = build(batch);
-        let solo_step = {
-            let mut gx = GroupExecutor::new(
-                &net,
-                spec.clone(),
-                policy,
-                GroupConfig::new(1, Interconnect::pcie()),
-            )
-            .expect("solo group must run");
-            gx.run_iteration().expect("cold");
-            gx.run_iteration().expect("warm").step_time
-        };
+        let solo = GroupConfig::new(1, Interconnect::pcie());
+        let solo_step = GroupExecutor::new(&net, spec.clone(), policy, solo)
+            .and_then(|mut gx| gx.run_iteration())
+            .expect("solo group must run")
+            .step_time;
         for k in REPLICAS {
             rows.push(measure_point(model, build, batch, k, solo_step));
         }
@@ -234,7 +228,6 @@ pub fn dataparallel(quick: bool) -> String {
             ("overlap_beats_serialized", overlap_beats_serialized),
         ],
         deterministic: Json::object().with("rows", Json::array(json_rows)),
-        wall: Json::object(),
     };
     out.push_str(&record.write());
     out

@@ -10,8 +10,7 @@
 use sn_frameworks::Framework;
 use sn_graph::{Net, NetCost};
 use sn_models as models;
-use sn_runtime::session::Session;
-use sn_runtime::{convalgo, Executor, Policy, RecomputeMode};
+use sn_runtime::{convalgo, ExecError, Executor, IterationReport, Policy, RecomputeMode};
 use sn_sim::spec::GB;
 use sn_sim::DeviceSpec;
 
@@ -23,6 +22,11 @@ fn k40() -> DeviceSpec {
 
 fn titan() -> DeviceSpec {
     DeviceSpec::titan_xp()
+}
+
+/// One training iteration of `net` on `spec` under `policy`.
+fn iteration(net: &Net, spec: DeviceSpec, policy: Policy) -> Result<IterationReport, ExecError> {
+    Executor::new(net, spec, policy)?.run_iteration()
 }
 
 /// The evaluation networks with the batch sizes Fig. 2 uses
@@ -65,18 +69,17 @@ pub fn fig2() -> String {
         let mem = cost.sum_l_f() + cost.sum_l_b() + cost.total_weight_bytes();
         let mem_ws = mem + max_speed_workspace(&net);
         // Speedup: SuperNeurons on the TITAN Xp, dynamic workspaces vs none.
-        let slow = Session::new(
-            net.clone(),
+        let slow = iteration(
+            &net,
             titan(),
             Policy {
                 workspace: sn_runtime::WorkspacePolicy::None,
                 ..Policy::superneurons()
             },
-        )
-        .run();
-        let fast = Session::new(net, titan(), Policy::superneurons()).run();
+        );
+        let fast = iteration(&net, titan(), Policy::superneurons());
         let speedup = match (&slow, &fast) {
-            (Ok(s), Ok(f)) => format!("{:.2}x", f.imgs_per_sec / s.imgs_per_sec),
+            (Ok(s), Ok(f)) => format!("{:.2}x", f.imgs_per_sec(batch) / s.imgs_per_sec(batch)),
             _ => "OOM".into(),
         };
         t.row(vec![name, format!("{batch}"), mb(mem), mb(mem_ws), speedup]);
@@ -157,11 +160,7 @@ pub fn fig10() -> String {
     let mut out =
         String::from("Fig. 10 — stepwise memory and live tensors, AlexNet batch 200 (K40c)\n");
     let spec = k40();
-    let baseline = {
-        let net = models::alexnet(200);
-        let mut ex = Executor::new(&net, spec.clone(), Policy::baseline()).unwrap();
-        ex.run_iteration().unwrap()
-    };
+    let baseline = iteration(&models::alexnet(200), spec.clone(), Policy::baseline()).unwrap();
     out.push_str(&format!(
         "baseline: peak = {} MB ({} tensors)\n\n",
         mb(baseline.peak_bytes),
@@ -272,23 +271,16 @@ pub fn table2() -> String {
     let mut t = TextTable::new(vec!["img/s", "CUDA", "Ours", "speedup", "alloc calls/iter"]);
     let mut out = vec![];
     for (name, net) in nets {
-        let cuda = Session::new(net.clone(), titan(), Policy::superneurons_cuda_alloc())
-            .run()
-            .unwrap();
-        let pool = Session::new(net, titan(), Policy::superneurons())
-            .run()
-            .unwrap();
-        out.push((
-            name.clone(),
-            cuda.imgs_per_sec,
-            pool.imgs_per_sec,
-            pool.alloc_calls,
-        ));
+        let batch = net.batch();
+        let cuda = iteration(&net, titan(), Policy::superneurons_cuda_alloc()).unwrap();
+        let pool = iteration(&net, titan(), Policy::superneurons()).unwrap();
+        let (cuda_rate, pool_rate) = (cuda.imgs_per_sec(batch), pool.imgs_per_sec(batch));
+        out.push((name.clone(), cuda_rate, pool_rate, pool.alloc_calls));
         t.row(vec![
             name,
-            format!("{:.1}", cuda.imgs_per_sec),
-            format!("{:.1}", pool.imgs_per_sec),
-            format!("{:.2}x", pool.imgs_per_sec / cuda.imgs_per_sec),
+            format!("{cuda_rate:.1}"),
+            format!("{pool_rate:.1}"),
+            format!("{:.2}x", pool_rate / cuda_rate),
             format!("{}", pool.alloc_calls),
         ]);
     }
@@ -304,10 +296,10 @@ pub fn table3() -> String {
     let mut t = TextTable::new(vec!["batch", "without cache (GB)", "with cache (GB)"]);
     for batch in [256usize, 384, 512, 640, 896, 1024, 1536, 2048, 2560] {
         let net = models::alexnet(batch);
-        let no_cache = Session::new(net.clone(), k40(), Policy::superneurons_no_cache()).run();
-        let cache = Session::new(net, k40(), Policy::superneurons()).run();
-        let f = |r: &Result<sn_runtime::SessionReport, _>| match r {
-            Ok(rep) => gb(rep.traffic_per_iter()),
+        let no_cache = iteration(&net, k40(), Policy::superneurons_no_cache());
+        let cache = iteration(&net, k40(), Policy::superneurons());
+        let f = |r: &Result<IterationReport, _>| match r {
+            Ok(rep) => gb(rep.h2d_bytes + rep.d2h_bytes),
             Err(_) => "OOM".into(),
         };
         t.row(vec![format!("{batch}"), f(&no_cache), f(&cache)]);
@@ -330,13 +322,9 @@ pub fn fig11() -> String {
     ];
     let mut t = TextTable::new(vec!["network", "without cache", "with cache"]);
     for (name, net) in nets {
-        let without = Session::new(net.clone(), titan(), Policy::superneurons_no_cache())
-            .run()
-            .unwrap();
-        let with = Session::new(net, titan(), Policy::superneurons())
-            .run()
-            .unwrap();
-        let norm = without.imgs_per_sec / with.imgs_per_sec;
+        let without = iteration(&net, titan(), Policy::superneurons_no_cache()).unwrap();
+        let with = iteration(&net, titan(), Policy::superneurons()).unwrap();
+        let norm = without.imgs_per_sec(net.batch()) / with.imgs_per_sec(net.batch());
         t.row(vec![name, format!("{norm:.2}"), "1.00".into()]);
     }
     format!(
@@ -353,7 +341,6 @@ pub fn fig12() -> String {
         let net = models::alexnet(batch);
         let spec = titan().with_dram(pool_gb * GB);
         let mut ex = Executor::new(&net, spec, Policy::superneurons()).unwrap();
-        ex.run_iteration().unwrap();
         let r = ex.run_iteration().unwrap();
         let mut s = String::new();
         for rec in ex.ws_records() {
@@ -530,9 +517,8 @@ pub fn fig14(quick: bool) -> String {
         for fw in Framework::ALL {
             let mut cells = vec![fw.name().to_string()];
             for &b in &grid {
-                let r = Session::new(build(b), titan(), fw.policy()).run();
-                cells.push(match r {
-                    Ok(rep) => format!("{:.0}", rep.imgs_per_sec),
+                cells.push(match iteration(&build(b), titan(), fw.policy()) {
+                    Ok(rep) => format!("{:.0}", rep.imgs_per_sec(b)),
                     Err(_) => "-".into(),
                 });
             }

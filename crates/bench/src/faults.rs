@@ -219,7 +219,6 @@ pub fn faults(quick: bool) -> String {
             .with("fault_free_makespan_ns", makespan)
             .with("cells", Json::Array(cell_rows))
             .with("metrics", snap.json()),
-        wall: Json::object(),
     };
     out.push_str(&record.write());
     out

@@ -10,8 +10,7 @@
 //! trend tracking across PRs.
 
 use sn_models as models;
-use sn_runtime::session::Session;
-use sn_runtime::{plan_prediction, Policy};
+use sn_runtime::{plan_prediction, Executor, Policy};
 use sn_sim::{DeviceSpec, SimTime};
 use sn_telemetry::Json;
 
@@ -64,17 +63,17 @@ pub fn measure(quick: bool) -> Vec<OverlapRow> {
     for (name, policy, dram) in configs {
         for sync in [false, true] {
             let pol = if sync { policy.synchronous() } else { policy };
-            let r = Session::new(models::vgg16(batch), spec.clone().with_dram(dram), pol)
-                .run()
+            let r = Executor::new(&models::vgg16(batch), spec.clone().with_dram(dram), pol)
+                .and_then(|mut ex| ex.run_iteration())
                 .expect("constrained run must still fit");
             rows.push(OverlapRow {
                 policy: name,
                 sync,
                 dram_bytes: dram,
                 iter_time: r.iter_time,
-                imgs_per_sec: r.imgs_per_sec,
+                imgs_per_sec: r.imgs_per_sec(batch),
                 peak_bytes: r.peak_bytes,
-                traffic_bytes: r.traffic_per_iter(),
+                traffic_bytes: r.h2d_bytes + r.d2h_bytes,
                 overlap_fraction: r.overlap_fraction(),
                 stall: r.stall,
             });
@@ -159,7 +158,6 @@ pub fn overlap(quick: bool) -> String {
             .with("net", "VGG16")
             .with("batch", batch)
             .with("rows", Json::array(json_rows)),
-        wall: Json::object(),
     };
     out.push_str(&record.write());
     out

@@ -93,6 +93,7 @@ pub fn measure_matrix(quick: bool) -> Vec<PlanRow> {
                 .expect("matrix nets fit a 12 GB device")
                 .peak_bytes;
             let mut ex = Executor::new(&net, spec.clone(), policy).unwrap();
+            // Two iterations: the artifact records both peaks.
             let cold = ex.run_iteration().unwrap().peak_bytes;
             let warm = ex.run_iteration().unwrap().peak_bytes;
             rows.push(PlanRow {
@@ -252,7 +253,6 @@ pub fn plan(quick: bool) -> String {
                     .with("inference_completed", cosched.inference_completed)
                     .with("rejected", cosched.rejected),
             ),
-        wall: Json::object(),
     };
     out.push_str(&record.write());
     out

@@ -104,6 +104,7 @@ pub fn measure_matrix(quick: bool) -> Vec<PrecisionRow> {
                     .expect("GPT matrix fits a 12 GB device")
                     .peak_bytes;
                 let mut ex = Executor::new(&net, spec.clone(), policy).unwrap();
+                // Two iterations: the artifact records both peaks.
                 let cold = ex.run_iteration().unwrap().peak_bytes;
                 let warm = ex.run_iteration().unwrap().peak_bytes;
                 rows.push(PrecisionRow {
@@ -218,7 +219,6 @@ pub fn precision(quick: bool) -> String {
                 .with("fp32", unlock.fp32_max_seq)
                 .with("bf16", unlock.bf16_max_seq),
         ),
-        wall: Json::object(),
     };
     out.push_str(&record.write());
     out

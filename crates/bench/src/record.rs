@@ -4,15 +4,14 @@
 //! ```json
 //! {"experiment":"plan","mode":"full",
 //!  "gates":{"all_peaks_match":"pass"},
-//!  "deterministic":{...},
-//!  "wall":{}}
+//!  "deterministic":{...}}
 //! ```
 //!
 //! `deterministic` holds what the source alone decides (simulated times,
-//! bytes, counts): two runs of one commit print it byte for byte. `wall`
-//! holds what the host decides (clock readings); when it is empty the whole
-//! file is reproducible and CI `cmp`s it. A gate prints `pass` or `fail`;
-//! every gate is one the source alone decides, so none needs a third word.
+//! bytes, counts), and no field holds what the host decides (clock
+//! readings): two runs of one commit print the whole file byte for byte, and
+//! CI `cmp`s it. A gate prints `pass` or `fail`; every gate is one the source
+//! alone decides, so none needs a third word.
 
 use sn_telemetry::Json;
 
@@ -24,8 +23,6 @@ pub struct BenchRecord {
     pub gates: Vec<(&'static str, bool)>,
     /// An object: what the source alone decides.
     pub deterministic: Json,
-    /// An object: what the host decides. Empty for most experiments.
-    pub wall: Json,
 }
 
 impl BenchRecord {
@@ -39,7 +36,6 @@ impl BenchRecord {
             .with("mode", if self.quick { "quick" } else { "full" })
             .with("gates", gates)
             .with("deterministic", self.deterministic)
-            .with("wall", self.wall)
     }
 
     /// Write `BENCH_<experiment>.json` into the current directory; returns
@@ -64,13 +60,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn a_record_with_an_empty_wall_prints_identically_twice() {
+    fn a_record_prints_identically_twice() {
         let record = || BenchRecord {
             experiment: "example",
             quick: true,
             gates: vec![("peaks_match", true), ("ordering", false)],
             deterministic: Json::object().with("rows", Json::array([1u64, 2])),
-            wall: Json::object(),
         };
         let text = record().json().to_string();
         assert_eq!(text, record().json().to_string());
@@ -78,7 +73,7 @@ mod tests {
             text,
             "{\"experiment\":\"example\",\"mode\":\"quick\",\
              \"gates\":{\"peaks_match\":\"pass\",\"ordering\":\"fail\"},\
-             \"deterministic\":{\"rows\":[1,2]},\"wall\":{}}"
+             \"deterministic\":{\"rows\":[1,2]}}"
         );
     }
 }

@@ -219,7 +219,6 @@ pub fn service(quick: bool) -> String {
                     .with("jobs_per_cell", sweep_jobs)
                     .with("rows", Json::Array(sweep_rows)),
             ),
-        wall: Json::object(),
     };
     out.push_str(&record.write());
     out

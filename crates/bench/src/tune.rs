@@ -4,12 +4,12 @@
 //! matrix of CNNs + a transformer × devices × replica counts:
 //!
 //! 1. **Tuned is never worse** — on every matrix point the autotuned
-//!    policy's measured warm step time is ≤ the best hand preset's, and on
+//!    policy's measured step time is ≤ the best hand preset's, and on
 //!    at least three points (one in quick mode) it is *strictly* better:
 //!    the search has real levers (prefetch depth, the peer-GPU tier table,
 //!    gang bucket sizing) the hand presets don't pull.
-//! 2. **Peaks are exact** — every tuned winner's executed peak over a
-//!    cold + warm iteration equals its compiled plan peak byte-for-byte.
+//! 2. **Peaks are exact** — every tuned winner's executed peak equals its
+//!    compiled plan peak byte-for-byte.
 //!    Tuning never trades away the planner's exactness contract.
 //! 3. **Seeded determinism** — every search runs on two worker threads
 //!    and again on one (explicit counts: two threads are spawned whatever
@@ -24,8 +24,8 @@
 //! start cold whatever ran before them, and the `tune.*` totals in the
 //! artifact — summed over those compilers — are this experiment's alone.
 //!
-//! Emits `BENCH_tune.json`; the searches' host time is its one `wall`
-//! entry.
+//! Emits `BENCH_tune.json`, which holds no host time: it is byte-identical
+//! across runs.
 
 use sn_graph::Net;
 use sn_models as models;
@@ -313,14 +313,6 @@ pub fn tune(quick: bool) -> String {
             .with("metrics_consistent", p.metrics_consistent())
     });
     let snap = |n: &str| r.registries().filter_map(|m| m.counter(n)).sum::<u64>();
-    let (count, sum) = r
-        .registries()
-        .filter_map(|m| m.histogram("tune.search_wall_ns"))
-        .fold((0, 0), |(c, s), h| (c + h.count, s + h.sum));
-    let wall = Json::object()
-        .with("count", count)
-        .with("sum", sum)
-        .with("mean", sum as f64 / count.max(1) as f64);
     let record = BenchRecord {
         experiment: "tune",
         quick,
@@ -343,7 +335,6 @@ pub fn tune(quick: bool) -> String {
                     .with("tune.memo_hits", snap("tune.memo_hits"))
                     .with("tune.memo_lookups", snap("tune.memo_lookups")),
             ),
-        wall: Json::object().with("tune.search_wall_ns", wall),
     };
     out.push_str(&record.write());
     out

@@ -49,8 +49,8 @@ use fxhash::{FxHashMap, FxHashSet};
 use sn_graph::Net;
 use sn_runtime::group::DEFAULT_BUCKET_BYTES;
 use sn_runtime::{
-    plan_prediction_caps, ring_allreduce_time, GroupConfig, GroupExecutor, Interconnect,
-    PeakPrediction, Policy, TunedPolicy,
+    plan_prediction_caps, GroupConfig, GroupExecutor, Interconnect, PeakPrediction, Policy,
+    TunedPolicy,
 };
 use sn_sim::{DeviceSpec, SimTime};
 
@@ -220,8 +220,8 @@ impl Profiler {
     /// profile was compiled against): compiles the
     /// [`sn_runtime::GroupPlan`] — whose per-replica bytes are the exact
     /// plan the reservation came from — and drives the group interpreter
-    /// for a cold and a warm iteration, returning the warm gang step
-    /// (slowest replica + overlapped bucketed all-reduce). Memoized per
+    /// for one iteration, returning its gang step (slowest replica +
+    /// overlapped bucketed all-reduce). Memoized per
     /// replica plan (`GangKey`); the key carries the replica count, so
     /// gang sizes never alias. `None` means the gang cannot run within the
     /// budget.
@@ -292,10 +292,9 @@ impl Profiler {
             GroupExecutor::new(&net, capped, policy, cfg)
                 .ok()
                 .and_then(|mut gx| {
-                    gx.run_iteration().ok()?; // cold (allocator warm-up)
-                    let warm = gx.run_iteration().ok()?;
-                    debug_assert!(warm.peaks_match, "gang replica diverged from its plan");
-                    Some(warm.step_time)
+                    let step = gx.run_iteration().ok()?;
+                    debug_assert!(step.peaks_match, "gang replica diverged from its plan");
+                    Some(step.step_time)
                 })
         };
         if let Some(&hit) = lock(&self.gang).get(&key) {
@@ -455,14 +454,6 @@ impl Grant {
             .map(|p| p.prediction.iter_time)
             .max()
             .unwrap_or(sn_sim::SimTime::ZERO)
-    }
-
-    /// Gradient payload for the gang's per-iteration all-reduce.
-    pub fn weight_bytes(&self) -> u64 {
-        self.placements
-            .first()
-            .map(|p| p.prediction.weight_bytes)
-            .unwrap_or(0)
     }
 
     /// The placement that paces the gang (largest predicted iteration
@@ -841,15 +832,15 @@ impl ClusterSim {
     /// profiler compiles the job's [`sn_runtime::GroupPlan`] and *runs* the
     /// group interpreter on the pacing replica's capped device: the measured
     /// step overlaps bucketed all-reduce with backward compute, and its
-    /// per-replica peak is the reservation this grant holds. Solo training
-    /// and inference replicas keep the plan's analytic estimate. The closed
-    /// form is a fallback for a gang whose group execution cannot run
-    /// (which admission feasibility rules out).
+    /// per-replica peak is the reservation this grant holds, so a granted
+    /// gang always runs. Solo training and inference replicas keep the
+    /// plan's analytic estimate.
     pub(crate) fn step_time(&self, job: &JobSpec, grant: &Grant) -> SimTime {
         match job.kind {
             JobKind::Training if job.replicas > 1 => {
-                let measured = grant.slowest().and_then(|pace| {
-                    self.profiler.gang_step_capped(
+                let pace = grant.slowest().expect("a gang grant places its replicas");
+                self.profiler
+                    .gang_step_capped(
                         job.workload,
                         job.batch,
                         grant.preset,
@@ -859,15 +850,7 @@ impl ClusterSim {
                         pace.budget,
                         self.fleet.interconnect,
                     )
-                });
-                measured.unwrap_or_else(|| {
-                    grant.replica_iter_time()
-                        + ring_allreduce_time(
-                            grant.weight_bytes(),
-                            job.replicas,
-                            self.fleet.interconnect,
-                        )
-                })
+                    .expect("a gang runs within the reservations it was granted")
             }
             _ => grant.replica_iter_time(),
         }

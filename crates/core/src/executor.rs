@@ -488,7 +488,6 @@ pub struct Executor<'n> {
     tensors: Vec<TensorSlot>,
     /// The iteration's samples, one per executed step, in step order.
     samples: Vec<StepSample>,
-    pub counters: Counters,
     backend: Option<Box<dyn ComputeBackend>>,
     iter: u64,
     /// Virtual time at [`Executor::begin_iteration`], differenced by
@@ -600,7 +599,6 @@ impl<'n> Executor<'n> {
             cursor: 0,
             tensors,
             samples,
-            counters: Counters::default(),
             backend: None,
             iter: 0,
             iter_t_start: SimTime::ZERO,
@@ -1014,7 +1012,6 @@ impl<'n> Executor<'n> {
         self.cursor = 0;
         self.iter_t_start = self.dev.tl.now();
         self.dev.tl.reset_stats();
-        self.counters = self.mplan.predicted;
         self.prefetch_stall = SimTime::ZERO;
         self.samples.clear();
         if let Some(b) = self.backend.as_mut() {
@@ -1040,7 +1037,7 @@ impl<'n> Executor<'n> {
             d2h_bytes: stats.d2h_bytes,
             link_bytes: stats.link_bytes,
             link_busy: stats.link_busy,
-            counters: self.counters,
+            counters: self.mplan.predicted,
             alloc_time: self.prog.alloc_time,
             alloc_calls: self.prog.alloc_calls,
             stall: stats.stall,

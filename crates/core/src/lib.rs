@@ -35,9 +35,10 @@
 //!   must replay cleanly against (every compile, in debug builds);
 //! * [`numeric`] — a real compute backend proving the plans preserve exact
 //!   training semantics;
-//! * [`session`] — the high-level [`Session`] training API, plus the
-//!   plan-compile-only [`plan_prediction`] admission predictor (forward-only
-//!   serving runs [`Executor::new_inference`]).
+//! * [`session`] — the plan-compile-only [`plan_prediction`] admission
+//!   predictor and the feasibility search behind Tables 4/5. An iteration is
+//!   measured by building an [`Executor`] (forward-only serving:
+//!   [`Executor::new_inference`]) and reading one [`IterationReport`].
 //!
 //! `peak_m` progression implemented (and asserted by tests):
 //! baseline `Σ l_f + Σ l_b` → liveness `Σ l_f + l_b_N` → +offload
@@ -64,15 +65,11 @@ pub use executor::{ComputeBackend, Counters, ExecError, Executor, IterationRepor
 pub use group::{
     compile_group, GradBucket, GroupConfig, GroupExecutor, GroupIterationReport, GroupPlan,
 };
-pub use parallel::{
-    bucket_wire_bytes, ring_allreduce_time, ring_allreduce_wire_bytes, ring_wire_time, Interconnect,
-};
+pub use parallel::{bucket_wire_bytes, ring_allreduce_wire_bytes, ring_wire_time, Interconnect};
 pub use plan::{CompiledPlan, Compiler, MemoryPlan, PlanOp, StepPlan, WorkspacePlan};
 pub use policy::{AllocatorKind, CachePolicy, Policy, RecomputeMode, WorkspacePolicy};
-pub use recompute::{RecomputePlan, Segment, SegmentStrategy};
 pub use session::{
-    plan_prediction, plan_prediction_caps, plan_prediction_inference, PeakPrediction, Session,
-    SessionReport,
+    plan_prediction, plan_prediction_caps, plan_prediction_inference, PeakPrediction,
 };
 pub use tiers::{Tier, TierConfig, TieredPool};
 pub use tune::{SearchOutcome, TuneConfig, TunedPolicy};

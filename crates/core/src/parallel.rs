@@ -52,17 +52,6 @@ pub fn ring_allreduce_wire_bytes(grad_bytes: u64, gpus: usize) -> u64 {
     ((numer + k / 2) / k) as u64
 }
 
-/// Wire time for a synchronous ring all-reduce of `grad_bytes` over `gpus`
-/// replicas: each participant moves `2·(k−1)/k` of the gradient bytes and
-/// pays `2·(k−1)` message latencies. Zero for a single replica.
-pub fn ring_allreduce_time(grad_bytes: u64, gpus: usize, interconnect: Interconnect) -> SimTime {
-    if gpus <= 1 {
-        return SimTime::ZERO;
-    }
-    let wire_bytes = ring_allreduce_wire_bytes(grad_bytes, gpus);
-    ring_wire_time(wire_bytes, gpus, interconnect)
-}
-
 /// Wire time for `wire_bytes` already expressed in on-the-wire terms (e.g. a
 /// [`bucket_wire_bytes`] entry): bandwidth term plus the ring's `2·(k−1)`
 /// message latencies. Zero for a single replica.
@@ -249,23 +238,17 @@ mod tests {
     }
 
     #[test]
-    fn ring_wire_time_agrees_with_the_closed_form_total() {
+    fn ring_wire_time_scales_as_documented() {
         let ic = Interconnect::pcie();
-        for k in 2..=8usize {
-            let total = ring_allreduce_time(1 << 20, k, ic);
-            let wire = ring_allreduce_wire_bytes(1 << 20, k);
-            assert_eq!(ring_wire_time(wire, k, ic), total);
-        }
+        let ring = |k| ring_wire_time(ring_allreduce_wire_bytes(1 << 20, k), k, ic);
+        assert_eq!(ring(1), SimTime::ZERO);
         assert_eq!(ring_wire_time(1 << 20, 1, ic), SimTime::ZERO);
-    }
-
-    #[test]
-    fn allreduce_time_model_scales_as_documented() {
-        let ic = Interconnect::pcie();
-        assert_eq!(ring_allreduce_time(1 << 20, 1, ic), SimTime::ZERO);
-        let two = ring_allreduce_time(1 << 20, 2, ic);
-        let eight = ring_allreduce_time(1 << 20, 8, ic);
-        assert!(two > SimTime::ZERO);
-        assert!(eight > two, "more replicas, more wire time + latency");
+        assert!(ring(2) > SimTime::ZERO);
+        for k in 3..=8usize {
+            assert!(
+                ring(k) > ring(k - 1),
+                "more replicas, more wire time + latency"
+            );
+        }
     }
 }

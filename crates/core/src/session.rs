@@ -1,69 +1,22 @@
-//! High-level session API: build a network, pick a device and a policy,
-//! measure training iterations with [`Session`]. Used by the examples and the
-//! experiment harness; forward-only serving runs
-//! [`Executor::new_inference`] directly.
+//! The one peak predictor and the feasibility search behind Tables 4/5.
 //!
-//! Also home of the one peak predictor: [`plan_prediction`] only *compiles*
-//! a [`crate::MemoryPlan`] — no timeline, no DMA events, no trace — and reads
-//! the exact peak off the plan. Every executed iteration meets that peak to
-//! the byte (the executor debug-asserts it), so admission control, the
-//! feasibility searches and the cluster scheduler all ask the plan.
+//! [`plan_prediction`] only *compiles* a [`crate::MemoryPlan`] — no
+//! timeline, no DMA events, no trace — and reads the exact peak off the
+//! plan. Every executed iteration meets that peak to the byte (the executor
+//! debug-asserts it), so admission control, the feasibility searches and the
+//! cluster scheduler all ask the plan. Measuring an iteration is building an
+//! [`crate::Executor`] and reading one [`crate::IterationReport`]: the
+//! interpreter replays the plan compiled at build, so its first iteration
+//! already is the steady state.
 
 use std::ops::RangeInclusive;
 
 use sn_graph::Net;
 use sn_sim::{DeviceSpec, SimTime};
 
-use crate::executor::{finite_rate, ExecError, Executor};
+use crate::executor::ExecError;
 use crate::plan;
 use crate::policy::Policy;
-
-/// A measured training session.
-pub struct Session {
-    pub net: Net,
-    pub spec: DeviceSpec,
-    pub policy: Policy,
-    /// Warm-up iterations before measurement (allocator/cache warm state).
-    pub warmup: usize,
-    /// Measured iterations (averaged).
-    pub iters: usize,
-}
-
-/// Aggregated results of a session.
-#[derive(Debug, Clone)]
-pub struct SessionReport {
-    pub iter_time: SimTime,
-    pub imgs_per_sec: f64,
-    pub peak_bytes: u64,
-    pub h2d_bytes_per_iter: u64,
-    pub d2h_bytes_per_iter: u64,
-    pub alloc_calls: u64,
-    pub stall: SimTime,
-    /// Per-iteration compute-stream busy time (averaged).
-    pub compute_busy: SimTime,
-    /// Per-iteration DMA busy time (averaged).
-    pub transfer_busy: SimTime,
-    /// Per-iteration DMA time hidden under kernels (averaged).
-    pub overlapped: SimTime,
-}
-
-impl SessionReport {
-    /// Total PCIe traffic per iteration (Table 3's quantity).
-    pub fn traffic_per_iter(&self) -> u64 {
-        self.h2d_bytes_per_iter + self.d2h_bytes_per_iter
-    }
-
-    /// Fraction of transfer time hidden under compute across the measured
-    /// iterations, in `[0, 1]` (zero when nothing moved).
-    pub fn overlap_fraction(&self) -> f64 {
-        sn_sim::OverlapStats {
-            compute_busy: self.compute_busy,
-            transfer_busy: self.transfer_busy,
-            overlapped: self.overlapped,
-        }
-        .fraction()
-    }
-}
 
 /// What a policy is predicted to cost on a device: the admission-control
 /// quantities a cluster scheduler needs *before* committing device memory to
@@ -71,10 +24,12 @@ impl SessionReport {
 /// gradient bytes a data-parallel gang exchanges per step).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PeakPrediction {
-    /// High-water device bytes over a cold + a warm iteration — the number a
-    /// reservation must cover so the job never exceeds its grant.
+    /// The plan's high-water device bytes, which every executed iteration
+    /// meets exactly — the number a reservation must cover so the job never
+    /// exceeds its grant.
     pub peak_bytes: u64,
-    /// Warm (steady-state) iteration time.
+    /// The plan's analytic iteration-time estimate (its busiest engine), a
+    /// pacing hint rather than a measurement.
     pub iter_time: SimTime,
     /// Total weight-gradient bytes (the per-iteration all-reduce payload).
     pub weight_bytes: u64,
@@ -132,61 +87,6 @@ pub fn plan_prediction_caps(
     inference: bool,
 ) -> (Result<PeakPrediction, ExecError>, RangeInclusive<u64>) {
     plan::Compiler::shared().predict(net, spec, policy, inference)
-}
-
-impl Session {
-    pub fn new(net: Net, spec: DeviceSpec, policy: Policy) -> Session {
-        Session {
-            net,
-            spec,
-            policy,
-            warmup: 1,
-            iters: 3,
-        }
-    }
-
-    /// Run the session and aggregate.
-    pub fn run(&self) -> Result<SessionReport, ExecError> {
-        let mut ex = Executor::new(&self.net, self.spec.clone(), self.policy)?;
-        for _ in 0..self.warmup {
-            ex.run_iteration()?;
-        }
-        let mut total_time = SimTime::ZERO;
-        let mut peak = 0u64;
-        let mut h2d = 0u64;
-        let mut d2h = 0u64;
-        let mut alloc_calls = 0u64;
-        let mut stall = SimTime::ZERO;
-        let mut compute_busy = SimTime::ZERO;
-        let mut transfer_busy = SimTime::ZERO;
-        let mut overlapped = SimTime::ZERO;
-        let iters = self.iters.max(1);
-        for _ in 0..iters {
-            let r = ex.run_iteration()?;
-            total_time += r.iter_time;
-            peak = peak.max(r.peak_bytes);
-            h2d += r.h2d_bytes;
-            d2h += r.d2h_bytes;
-            alloc_calls += r.alloc_calls;
-            stall += r.stall;
-            compute_busy += r.compute_busy;
-            transfer_busy += r.transfer_busy;
-            overlapped += r.overlapped;
-        }
-        let iter_time = SimTime::from_ns(total_time.as_ns() / iters as u64);
-        Ok(SessionReport {
-            iter_time,
-            imgs_per_sec: finite_rate(self.net.batch(), iter_time),
-            peak_bytes: peak,
-            h2d_bytes_per_iter: h2d / iters as u64,
-            d2h_bytes_per_iter: d2h / iters as u64,
-            alloc_calls: alloc_calls / iters as u64,
-            stall: SimTime::from_ns(stall.as_ns() / iters as u64),
-            compute_busy: SimTime::from_ns(compute_busy.as_ns() / iters as u64),
-            transfer_busy: SimTime::from_ns(transfer_busy.as_ns() / iters as u64),
-            overlapped: SimTime::from_ns(overlapped.as_ns() / iters as u64),
-        })
-    }
 }
 
 /// Does `net` train successfully on `spec` under `policy`? Answered by
@@ -286,6 +186,7 @@ pub fn max_feasible_param(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Executor;
     use sn_graph::{NetCost, Shape4};
 
     fn netb(batch: usize) -> Net {
@@ -300,15 +201,6 @@ mod tests {
 
     fn peak(net: &Net, spec: &DeviceSpec, policy: Policy) -> Result<u64, ExecError> {
         plan_prediction(net, spec, policy).map(|p| p.peak_bytes)
-    }
-
-    #[test]
-    fn session_reports_throughput() {
-        let s = Session::new(netb(32), DeviceSpec::k40c(), Policy::superneurons());
-        let r = s.run().unwrap();
-        assert!(r.imgs_per_sec > 0.0);
-        assert_eq!(r.imgs_per_sec, finite_rate(32, r.iter_time));
-        assert!(r.peak_bytes > 0);
     }
 
     #[test]
@@ -361,9 +253,9 @@ mod tests {
         assert!(p.peak_bytes > 0 && p.peak_bytes <= spec.dram_bytes);
         assert!(p.iter_time > SimTime::ZERO);
         assert!(p.weight_bytes > 0);
-        // A measured session peaks at the prediction.
-        let s = Session::new(netb(32), spec, Policy::superneurons());
-        assert_eq!(s.run().unwrap().peak_bytes, p.peak_bytes);
+        // A measured iteration peaks at the prediction.
+        let mut ex = Executor::new(&net, spec, Policy::superneurons()).unwrap();
+        assert_eq!(ex.run_iteration().unwrap().peak_bytes, p.peak_bytes);
     }
 
     #[test]
@@ -433,14 +325,15 @@ mod tests {
     fn inference_serves_under_the_training_peak() {
         let net = netb(32);
         let spec = DeviceSpec::k40c();
-        let train = Session::new(netb(32), spec.clone(), Policy::superneurons())
-            .run()
-            .unwrap();
+        let mut ex = Executor::new(&net, spec.clone(), Policy::superneurons()).unwrap();
+        let train = ex.run_iteration().unwrap();
         let mut ex = Executor::new_inference(&net, spec, Policy::superneurons()).unwrap();
-        ex.run_iteration().unwrap();
         let inf = ex.run_iteration().unwrap();
-        let imgs_per_sec = finite_rate(net.batch(), inf.iter_time);
-        assert!(imgs_per_sec > train.imgs_per_sec, "forward-only is faster");
+        let imgs_per_sec = inf.imgs_per_sec(net.batch());
+        assert!(
+            imgs_per_sec > train.imgs_per_sec(net.batch()),
+            "forward-only is faster"
+        );
         assert!(inf.peak_bytes < train.peak_bytes, "forward-only is smaller");
         assert!(imgs_per_sec.is_finite());
     }

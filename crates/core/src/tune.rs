@@ -23,7 +23,7 @@
 //!    every candidate is feasibility-checked and scored by the compiled
 //!    plan's analytic time estimate (one memoized compile each — the cheap
 //!    fidelity rung); only the top few survivors graduate to a measured
-//!    cold + warm [`GroupExecutor`] iteration (the expensive rung).
+//!    [`GroupExecutor`] iteration (the expensive rung).
 //! 3. **Coordinate descent** from the incumbent: each knob axis is swept
 //!    while the others are held fixed, repeating until a full pass finds no
 //!    strictly better neighbour.
@@ -160,14 +160,14 @@ impl TuneConfig {
 pub struct TunedPolicy {
     pub policy: Policy,
     pub bucket_bytes: u64,
-    /// Measured warm step time of the winner (gang step for replicas > 1).
+    /// Measured step time of the winner (gang step for replicas > 1).
     pub step_time: SimTime,
     /// The winner's compiled plan peak.
     pub plan_peak_bytes: u64,
-    /// The winner's executed peak over a cold + warm iteration — equals
-    /// `plan_peak_bytes` byte-exactly (the interpreter replays the plan).
+    /// The winner's executed peak — equals `plan_peak_bytes` byte-exactly
+    /// (the interpreter replays the plan).
     pub executed_peak_bytes: u64,
-    /// Best hand preset's measured warm step time (the incumbent the search
+    /// Best hand preset's measured step time (the incumbent the search
     /// started from — `step_time <= hand_step_time` by construction).
     pub hand_step_time: SimTime,
     /// Name of that best hand preset.
@@ -266,10 +266,9 @@ struct Measured {
     executed_peak: u64,
 }
 
-/// Objective: a cold + warm iteration through the group interpreter (one
-/// replica degenerates to a plain executor walk with no collectives). The
-/// warm step is the score; both iterations' peaks feed the byte-exactness
-/// contract.
+/// Objective: one iteration through the group interpreter (one replica
+/// degenerates to a plain executor walk with no collectives). Its step is
+/// the score; its replica peak feeds the byte-exactness contract.
 fn measure(
     compiler: &Compiler,
     net: &Net,
@@ -282,13 +281,12 @@ fn measure(
     let gplan = Arc::new(compile_group_in(compiler, net, spec, cand.policy, &gcfg)?);
     let mut gx = GroupExecutor::from_plan(net, spec.clone(), cand.policy, gplan, gcfg.overlap)?;
     let plan_peak = gx.gplan.replica.plan.peak_bytes;
-    let cold = gx.run_iteration()?;
-    let warm = gx.run_iteration()?;
-    debug_assert!(warm.peaks_match, "tuned gang replica diverged from plan");
+    let step = gx.run_iteration()?;
+    debug_assert!(step.peaks_match, "tuned gang replica diverged from plan");
     Ok(Measured {
-        step_time: warm.step_time,
+        step_time: step.step_time,
         plan_peak,
-        executed_peak: cold.replica.peak_bytes.max(warm.replica.peak_bytes),
+        executed_peak: step.replica.peak_bytes,
     })
 }
 

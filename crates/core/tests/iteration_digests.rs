@@ -2,10 +2,12 @@
 //! the plans (`plan_digests.txt`) and the cluster's schedules
 //! (`schedule_digests.txt`) are.
 //!
-//! Each cell builds an executor, runs a cold and a warm iteration, and folds
-//! every field of both reports — iteration time, peak, PCIe and link bytes,
+//! Each cell builds an executor, runs three iterations, and folds every field
+//! of the first two reports — iteration time, peak, PCIe and link bytes,
 //! counters, allocator time and calls, stall, stream busy times, overlap,
 //! loss — into one digest, pinned in `tests/golden/iteration_digests.txt`.
+//! An iteration is a pure function of the executor's build, so the three
+//! reports must be identical: there is no cold iteration to discard.
 //! The cells are the paper's Table 4/5 regime and the `train_exec`
 //! benchmark's: deep ResNets under every recomputation mode on the 12 GB
 //! K40c, a memory-bound VGG16, a forward-only serving executor, and a
@@ -124,9 +126,9 @@ fn cells() -> Vec<Cell> {
     ]
 }
 
-/// The cold and the warm report of a cell, in their `Debug` form: every
-/// field, by construction.
-fn reports(cell: &Cell) -> Result<[String; 2], ExecError> {
+/// A cell's first three reports, in their `Debug` form: every field, by
+/// construction.
+fn reports(cell: &Cell) -> Result<[String; 3], ExecError> {
     let (spec, policy) = (cell.spec.clone(), cell.policy);
     Ok(match cell.run {
         Run::Training | Run::Inference => {
@@ -134,19 +136,20 @@ fn reports(cell: &Cell) -> Result<[String; 2], ExecError> {
                 Run::Training => Executor::new(&cell.net, spec, policy)?,
                 _ => Executor::new_inference(&cell.net, spec, policy)?,
             };
-            let cold = ex.run_iteration()?;
-            [format!("{cold:?}"), format!("{:?}", ex.run_iteration()?)]
+            let mut next = || ex.run_iteration().map(|r| format!("{r:?}"));
+            [next()?, next()?, next()?]
         }
         Run::Gang(replicas) => {
             let cfg = GroupConfig::new(replicas, Interconnect::pcie());
             let mut gx = GroupExecutor::new(&cell.net, spec, policy, cfg)?;
-            let cold = gx.run_iteration()?;
-            [format!("{cold:?}"), format!("{:?}", gx.run_iteration()?)]
+            let mut next = || gx.run_iteration().map(|r| format!("{r:?}"));
+            [next()?, next()?, next()?]
         }
     })
 }
 
-fn digest(reports: &[String; 2]) -> String {
+/// The digest of a cell's first two reports.
+fn digest(reports: &[String]) -> String {
     let mut h = fxhash::FxHasher::default();
     reports.hash(&mut h);
     format!("{:016x}", h.finish())
@@ -160,11 +163,13 @@ fn iterations_match_their_golden_digests() {
     let mut changed = Vec::new();
     for (cell, want) in cells.iter().zip(golden.lines()) {
         let reports = reports(cell).unwrap_or_else(|e| panic!("{}: {e}", cell.label));
-        let got = format!("{} {}", cell.label, digest(&reports));
+        let got = format!("{} {}", cell.label, digest(&reports[..2]));
         if got != want {
-            println!("{got}\n  cold {}\n  warm {}", reports[0], reports[1]);
+            println!("{got}\n  first {}\n  second {}", reports[0], reports[1]);
             changed.push(cell.label);
         }
+        assert_eq!(reports[1], reports[0], "{}: iteration 2 moved", cell.label);
+        assert_eq!(reports[2], reports[1], "{}: iteration 3 moved", cell.label);
     }
     assert!(
         changed.is_empty(),

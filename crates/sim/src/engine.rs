@@ -626,8 +626,8 @@ impl Timeline {
     }
 
     /// Reset traffic/stall/busy counters and the busy timelines, but keep
-    /// the clock and frontiers running. Used between warm-up and measured
-    /// iterations.
+    /// the clock and frontiers running. Called at the start of every
+    /// iteration, so each report covers that iteration alone.
     pub fn reset_stats(&mut self) {
         self.h2d_bytes = 0;
         self.d2h_bytes = 0;

@@ -44,9 +44,7 @@ fn main() {
     );
 
     let run = |cfg: GroupConfig| -> Result<GroupIterationReport, ExecError> {
-        let mut gx = GroupExecutor::new(&net, spec.clone(), policy, cfg)?;
-        gx.run_iteration()?; // cold (allocator warm-up)
-        gx.run_iteration()
+        GroupExecutor::new(&net, spec.clone(), policy, cfg)?.run_iteration()
     };
     let solo_rate = match run(GroupConfig::new(1, Interconnect::pcie())) {
         Ok(r) => r.imgs_per_sec(per_gpu_batch),

@@ -9,8 +9,7 @@
 //! SuperNeurons runtime — peak memory falling from `Σ l_f + Σ l_b` towards
 //! `max_i(l_i)` while throughput stays competitive.
 
-use superneurons::runtime::session::Session;
-use superneurons::{DeviceSpec, Policy};
+use superneurons::{DeviceSpec, Executor, Policy};
 
 fn main() {
     let spec = DeviceSpec::titan_xp();
@@ -34,14 +33,13 @@ fn main() {
     );
     for (name, policy) in configs {
         let net = superneurons::models::alexnet(256);
-        let session = Session::new(net, spec.clone(), policy);
-        match session.run() {
+        match Executor::new(&net, spec.clone(), policy).and_then(|mut ex| ex.run_iteration()) {
             Ok(r) => println!(
                 "{:32} {:>12.1} {:>12.1} {:>12.1}",
                 name,
                 r.peak_bytes as f64 / 1e6,
-                r.imgs_per_sec,
-                r.traffic_per_iter() as f64 / 1e6,
+                r.imgs_per_sec(net.batch()),
+                (r.h2d_bytes + r.d2h_bytes) as f64 / 1e6,
             ),
             Err(e) => println!("{name:32} failed: {e}"),
         }

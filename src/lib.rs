@@ -17,6 +17,6 @@ pub use sn_tensor as tensor;
 pub use sn_cluster::{ClusterSim, Fleet, JobSpec, PlacementPolicy, PolicyPreset, Workload};
 pub use sn_frameworks::Framework;
 pub use sn_graph::{Net, Shape4};
-pub use sn_runtime::{Executor, Policy, RecomputeMode, Session};
+pub use sn_runtime::{Executor, Policy, RecomputeMode};
 pub use sn_sim::DeviceSpec;
 pub use sn_telemetry::{MetricsRegistry, TraceSink};
