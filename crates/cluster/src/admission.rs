@@ -533,23 +533,34 @@ fn ladder(preset: PolicyPreset, downgrade: bool) -> impl Iterator<Item = PolicyP
     preset.ladder().take(rungs)
 }
 
-/// A grant frozen for byte-exact restarts: the preset plus the per-replica
-/// `(budget, predicted peak)` pairs sorted descending. Restart re-admission
-/// compiles each replica at **exactly** its original budget, so the
-/// profiler's plan memo returns the identical prediction — restarted peaks
-/// are byte-identical to the original plan on any device of the same spec.
-#[derive(PartialEq, Eq)]
-pub(crate) struct ResumePlan {
-    preset: PolicyPreset,
-    replicas: Vec<(u64, u64)>,
+/// A grant frozen for byte-exact restarts, its placements sorted largest
+/// budget first. Restart re-admission compiles each replica at **exactly**
+/// its original budget, so the profiler's plan memo returns the identical
+/// prediction — restarted peaks are byte-identical to the original plan on
+/// any device of the same spec.
+pub(crate) struct ResumePlan(pub(crate) Grant);
+
+/// Each replica's `(budget, predicted peak)`, in placement order.
+fn pairs(grant: &Grant) -> impl Iterator<Item = (u64, u64)> + '_ {
+    grant
+        .placements
+        .iter()
+        .map(|p| (p.budget, p.prediction.peak_bytes))
 }
 
-pub(crate) fn resume_plan_of(grant: &Grant) -> ResumePlan {
-    let budget_and_peak = |p: &Placement| (p.budget, p.prediction.peak_bytes);
-    let mut replicas: Vec<_> = grant.placements.iter().map(budget_and_peak).collect();
-    replicas.sort_unstable_by(|a, b| b.cmp(a));
-    let preset = grant.preset;
-    ResumePlan { preset, replicas }
+impl ResumePlan {
+    pub(crate) fn of(mut grant: Grant) -> ResumePlan {
+        let key = |p: &Placement| std::cmp::Reverse(p.budget);
+        grant.placements.sort_unstable_by_key(key);
+        ResumePlan(grant)
+    }
+
+    /// Whether `grant` reserves the same `(budget, peak)` pairs, in any order.
+    pub(crate) fn is_replayed_by(&self, grant: &Grant) -> bool {
+        let n = |g: &Grant, k| pairs(g).filter(|&p| p == k).count();
+        let same_len = self.0.placements.len() == grant.placements.len();
+        same_len && pairs(grant).all(|k| n(&self.0, k) == n(grant, k))
+    }
 }
 
 /// What admission remembers between calls — only what can be asked again.
@@ -663,6 +674,17 @@ pub(crate) struct AdmitScratch {
     rows: FxHashMap<(Workload, usize, JobKind, PolicyPreset), Vec<Row>>,
     /// The gang a rung holds so far, best first.
     best: Vec<Candidate>,
+    /// Placement lists finished runs gave back, cleared, for the next
+    /// grants: in steady state a grant allocates nothing.
+    spare: Vec<Vec<Placement>>,
+}
+
+impl AdmitScratch {
+    /// Keep a finished run's placement list for a later grant.
+    pub(crate) fn recycle(&mut self, mut placements: Vec<Placement>) {
+        placements.clear();
+        self.spare.push(placements);
+    }
 }
 
 impl ClusterSim {
@@ -734,7 +756,8 @@ impl ClusterSim {
                 policy.offer(candidate, replicas, best);
             }
             if best.len() == replicas {
-                let placements = best.iter().map(Placement::from).collect();
+                let mut placements = scratch.spare.pop().unwrap_or_default();
+                placements.extend(best.iter().map(Placement::from));
                 return Some(Grant { preset, placements });
             }
         }
@@ -774,10 +797,8 @@ impl ClusterSim {
                 let mut fitting: Vec<Candidate> = fitting.filter_map(ask).collect();
                 fitting.sort_unstable_by_key(|c| self.placement.key(c));
                 let placements = fitting.get(..replicas)?.iter().map(Placement::from);
-                Some(Grant {
-                    preset,
-                    placements: placements.collect(),
-                })
+                let placements = placements.collect();
+                Some(Grant { preset, placements })
             })
     }
 
@@ -792,20 +813,21 @@ impl ClusterSim {
         devices: &[DeviceState],
         job: &JobSpec,
         resume: &ResumePlan,
+        scratch: &mut AdmitScratch,
     ) -> Option<Grant> {
-        debug_assert_eq!(resume.replicas.len(), job.replicas);
-        let mut used = vec![false; self.fleet.len()];
-        let mut placements = Vec::with_capacity(resume.replicas.len());
-        for &(budget, _) in &resume.replicas {
+        let (preset, replicas) = (resume.0.preset, &resume.0.placements);
+        debug_assert_eq!(replicas.len(), job.replicas);
+        let mut placements = scratch.spare.pop().unwrap_or_default();
+        for budget in replicas.iter().map(|r| r.budget) {
             let mut found = None;
             for (idx, spec) in self.fleet.devices.iter().enumerate() {
-                if used[idx] || devices[idx].free < budget {
+                if placements.iter().any(|p| p.device == idx) || devices[idx].free < budget {
                     continue;
                 }
                 if let Some(prediction) = self.profiler.profile_kind(
                     job.workload,
                     job.batch,
-                    resume.preset,
+                    preset,
                     job.kind,
                     spec,
                     budget,
@@ -814,18 +836,17 @@ impl ClusterSim {
                     break;
                 }
             }
-            let (idx, prediction) = found?;
-            used[idx] = true;
+            let Some((device, prediction)) = found else {
+                scratch.recycle(placements);
+                return None;
+            };
             placements.push(Placement {
-                device: idx,
+                device,
                 budget,
                 prediction,
             });
         }
-        Some(Grant {
-            preset: resume.preset,
-            placements,
-        })
+        Some(Grant { preset, placements })
     }
 
     /// One gang iteration's solo duration. For a gang (`replicas > 1`) the

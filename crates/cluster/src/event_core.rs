@@ -5,8 +5,8 @@
 use sn_sim::SimTime;
 
 use crate::admission::{
-    feasible_on_device_subset, feasible_on_idle_fleet, resume_plan_of, shape_key, AdmitMemo,
-    AdmitScratch, Grant, ResumePlan,
+    feasible_on_device_subset, feasible_on_idle_fleet, shape_key, AdmitMemo, AdmitScratch, Grant,
+    ResumePlan,
 };
 use crate::event_heap::{EventHeap, EventKind};
 use crate::fault::{FaultEvent, FaultPlan, RecoveryMode};
@@ -143,9 +143,9 @@ pub(crate) struct Core<'a, R: Recorder> {
     /// memo.
     fault_epoch: u64,
     fail_since: Vec<Option<u64>>,
-    // This instant's work lists, reused from instant to instant: a
-    // steady-state event allocates only for what it leaves behind (a
-    // grant).
+    // This instant's work lists, reused from instant to instant; a grant
+    // takes the placement list a finished run left in `scratch`. So a
+    // steady-state event allocates nothing.
     completions: Vec<SlotKey>,
     /// Devices whose tenant set changed this instant — the re-anchor sweep
     /// visits exactly their clocks, and those of their gangs whose pace can
@@ -314,6 +314,7 @@ impl<'a, R: Recorder> Core<'a, R> {
             let mut job = self.jobs.remove(key).expect("queued completions are live");
             let run = job.run.take().expect("queued completions are running");
             self.release(key, &run.grant);
+            self.scratch.recycle(run.grant.placements);
             self.running -= 1;
             self.out.completed += 1;
             self.out.useful_iters += u64::from(job.spec.iterations);
@@ -475,8 +476,10 @@ impl<'a, R: Recorder> Core<'a, R> {
             m.wasted_iterations.add(waste);
         }
         if why.is_none() {
-            job.resume = Some(resume_plan_of(&run.grant));
+            job.resume = Some(ResumePlan::of(run.grant));
             self.park(key);
+        } else {
+            self.scratch.recycle(run.grant.placements);
         }
         let job = self.jobs.get(key).expect("interrupted jobs stay live");
         self.rec.on_interrupt(job, device, self.now_ns);
@@ -581,7 +584,7 @@ impl<'a, R: Recorder> Core<'a, R> {
         match &job.resume {
             // A job granted before carries its frozen plan: restart
             // re-admission is budget-exact, never a fresh search.
-            Some(plan) => sim.try_admit_resume(&self.devices, &job.spec, plan),
+            Some(plan) => sim.try_admit_resume(&self.devices, &job.spec, plan, &mut self.scratch),
             None => {
                 let shape = shape_key(&job.spec);
                 if self.memo.is_blocked(self.state_version, &shape) {
@@ -607,9 +610,10 @@ impl<'a, R: Recorder> Core<'a, R> {
         let job = self.jobs.get_mut(key).expect("pending jobs are live");
         if let Some(cut_short) = job.resume.take() {
             // Gate: the re-admitted plan must be byte-identical to the one
-            // the fault cut short — same sorted (budget, peak) vector, peaks
+            // the fault cut short — same (budget, peak) pairs, peaks
             // straight from the shared plan memo.
-            let exact = cut_short == resume_plan_of(&grant);
+            let exact = cut_short.is_replayed_by(&grant);
+            self.scratch.recycle(cut_short.0.placements);
             self.out.restarts += 1;
             if let Some(m) = &sim.metrics {
                 m.jobs_restarted.inc();

@@ -1225,7 +1225,7 @@ mod tests {
     /// segment's members, each replayed once.
     fn segment_members(net: &Net, pol: Policy) -> usize {
         let c = plan::compile(net, &spec(), pol).unwrap();
-        c.rplan.segments.iter().map(|s| s.members.len()).sum()
+        c.rplan.members.len()
     }
 
     fn spec() -> DeviceSpec {

@@ -1206,7 +1206,7 @@ impl<'a> Planner<'a> {
         // function, so one buffer is enough).
         let mut chain = std::mem::take(&mut self.w.chain_scratch);
         let members: &[LayerId] = match strategy {
-            SegmentStrategy::SpeedCentric => &rplan.segments[si].members,
+            SegmentStrategy::SpeedCentric => rplan.members_of(si),
             SegmentStrategy::MemoryCentric => {
                 rplan.chain_into(self.net, layer, &mut chain);
                 &chain

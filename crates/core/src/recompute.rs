@@ -35,21 +35,27 @@ pub enum SegmentStrategy {
 pub struct Segment {
     /// The checkpoint whose stored (possibly offloaded) output seeds replay.
     pub anchor: LayerId,
-    /// Member layers in route (thus dependency-respecting) order.
-    pub members: Vec<LayerId>,
+    /// Its members are [`RecomputePlan::members`]`[start..end]`.
+    pub start: u32,
+    pub end: u32,
     /// Memory cost of a speed-centric replay:
     /// `l_f(anchor) + Σ l_f(members) + l_b(last)`.
     pub memcost: u64,
     pub strategy: SegmentStrategy,
 }
 
-/// The per-network recomputation plan.
+/// The per-network recomputation plan: a handful of flat lists, so a build
+/// allocates the same few times at any depth.
 #[derive(Debug, Clone)]
 pub struct RecomputePlan {
     /// Per layer: the anchor checkpoint of its segment (None for
     /// checkpoints themselves).
     pub anchor_of: Vec<Option<LayerId>>,
+    /// In order of first appearance along the forward route.
     pub segments: Vec<Segment>,
+    /// Every segment's members, segment after segment in `segments` order,
+    /// each segment's in route (thus dependency-respecting) order.
+    pub members: Vec<LayerId>,
     /// Per layer: index into `segments` (None for checkpoints).
     pub segment_of: Vec<Option<usize>>,
 }
@@ -59,17 +65,23 @@ impl RecomputePlan {
     /// layer is effectively a checkpoint).
     pub fn build(net: &Net, route: &Route, cost: &NetCost, mode: RecomputeMode) -> RecomputePlan {
         let n = net.len();
+        let mut plan = RecomputePlan {
+            anchor_of: vec![None; n],
+            segments: Vec::new(),
+            members: Vec::new(),
+            segment_of: vec![None; n],
+        };
         if mode == RecomputeMode::None {
-            return RecomputePlan {
-                anchor_of: vec![None; n],
-                segments: Vec::new(),
-                segment_of: vec![None; n],
-            };
+            return plan;
         }
+        let (anchor_of, segment_of) = (&mut plan.anchor_of, &mut plan.segment_of);
 
         // Anchor resolution in route order: a non-checkpoint inherits the
-        // anchor of its (single) producer.
-        let mut anchor_of: Vec<Option<LayerId>> = vec![None; n];
+        // anchor of its (single) producer. By anchor, `at` holds its
+        // segment's number — segments are numbered by their first member
+        // along the route — and how many members it has.
+        let mut at = vec![(usize::MAX, 0u32); n];
+        let mut n_segments = 0;
         for id in &route.fwd {
             let layer = net.layer(*id);
             if layer.kind.is_checkpoint() {
@@ -82,63 +94,64 @@ impl RecomputePlan {
                 layer.name
             );
             let p = layer.prevs[0];
-            anchor_of[id.0] = if net.layer(p).kind.is_checkpoint() {
-                Some(p)
+            let anchor = if net.layer(p).kind.is_checkpoint() {
+                p
             } else {
-                anchor_of[p.0]
+                anchor_of[p.0].expect("producers come first along the route")
             };
-            debug_assert!(anchor_of[id.0].is_some());
-        }
-
-        // Group members per anchor, in route order.
-        let mut seg_index: std::collections::HashMap<LayerId, usize> =
-            std::collections::HashMap::new();
-        let mut segments: Vec<Segment> = Vec::new();
-        let mut segment_of: Vec<Option<usize>> = vec![None; n];
-        for id in &route.fwd {
-            if let Some(anchor) = anchor_of[id.0] {
-                let si = *seg_index.entry(anchor).or_insert_with(|| {
-                    segments.push(Segment {
-                        anchor,
-                        members: Vec::new(),
-                        memcost: 0,
-                        strategy: SegmentStrategy::SpeedCentric,
-                    });
-                    segments.len() - 1
-                });
-                segments[si].members.push(*id);
-                segment_of[id.0] = Some(si);
+            anchor_of[id.0] = Some(anchor);
+            let (si, count) = &mut at[anchor.0];
+            if *si == usize::MAX {
+                *si = n_segments;
+                n_segments += 1;
             }
+            *count += 1;
+            segment_of[id.0] = Some(*si);
         }
 
-        // Memory cost and strategy per segment: the anchor's stored output
-        // (the replay seed) + every member output kept by the speed-centric
-        // strategy + the backward working set at the segment's end.
+        // A counting sort over the route: each member goes to the next slot
+        // of its segment, whose range starts past the members of every
+        // segment numbered before it. Memory cost per segment: the anchor's
+        // stored output (the replay seed) + every member output kept by the
+        // speed-centric strategy + the backward working set at its end.
+        let (mut segments, mut offset) = (Vec::with_capacity(n_segments), 0);
+        let mut members = vec![LayerId(0); segment_of.iter().flatten().count()];
+        for id in &route.fwd {
+            let Some(si) = segment_of[id.0] else { continue };
+            if si == segments.len() {
+                let anchor = anchor_of[id.0].expect("members have anchors");
+                segments.push(Segment {
+                    anchor,
+                    start: offset,
+                    end: offset,
+                    memcost: cost.layer(anchor).l_f(),
+                    strategy: SegmentStrategy::SpeedCentric,
+                });
+                offset += at[anchor.0].1;
+            }
+            let seg = &mut segments[si];
+            members[seg.end as usize] = *id;
+            seg.end += 1;
+            seg.memcost += cost.layer(*id).l_f();
+        }
         // `l_peak = max_i(l_i)` is the cost-aware threshold.
         let l_peak = cost.l_peak();
-        for seg in segments.iter_mut() {
-            let sum_lf: u64 = seg.members.iter().map(|m| cost.layer(*m).l_f()).sum();
-            let last = *seg.members.last().expect("segments are non-empty");
-            seg.memcost = cost.layer(seg.anchor).l_f() + sum_lf + cost.layer(last).l_b();
+        for seg in &mut segments {
+            seg.memcost += cost.layer(members[seg.end as usize - 1]).l_b();
             seg.strategy = match mode {
-                RecomputeMode::SpeedCentric => SegmentStrategy::SpeedCentric,
                 RecomputeMode::MemoryCentric => SegmentStrategy::MemoryCentric,
-                RecomputeMode::CostAware => {
-                    if seg.memcost <= l_peak {
-                        SegmentStrategy::SpeedCentric
-                    } else {
-                        SegmentStrategy::MemoryCentric
-                    }
-                }
-                RecomputeMode::None => unreachable!(),
+                RecomputeMode::CostAware if seg.memcost > l_peak => SegmentStrategy::MemoryCentric,
+                _ => SegmentStrategy::SpeedCentric,
             };
         }
+        (plan.segments, plan.members) = (segments, members);
+        plan
+    }
 
-        RecomputePlan {
-            anchor_of,
-            segments,
-            segment_of,
-        }
+    /// Segment `si`'s members, in route order.
+    pub fn members_of(&self, si: usize) -> &[LayerId] {
+        let seg = &self.segments[si];
+        &self.members[seg.start as usize..seg.end as usize]
     }
 
     /// The chain of layers from the anchor (exclusive) to `layer`
@@ -195,7 +208,7 @@ mod tests {
         let plan = RecomputePlan::build(&net, &route, &cost, RecomputeMode::CostAware);
         // Segments: [ACT,LRN,POOL] @CONV1, [ACT] @CONV2, [ACT,DROPOUT] @FC1.
         assert_eq!(plan.segments.len(), 3);
-        let sizes: Vec<usize> = plan.segments.iter().map(|s| s.members.len()).collect();
+        let sizes: Vec<usize> = (0..3).map(|si| plan.members_of(si).len()).collect();
         assert_eq!(sizes, vec![3, 1, 2]);
         // A speed-centric run replays each segment once: 6 extra forwards.
         assert_eq!(sizes.iter().sum::<usize>(), 6);
@@ -311,23 +324,31 @@ mod tests {
         }
 
         assert!(!plan.segments.is_empty(), "nets here have cheap layers");
+        let mut flat = 0;
         for (si, seg) in plan.segments.iter().enumerate() {
             assert!(net.layer(seg.anchor).kind.is_checkpoint());
-            assert!(!seg.members.is_empty());
+            // Segments sit one after another in the flat member list.
+            assert_eq!(
+                seg.start as usize, flat,
+                "segment {si} starts where the last ended"
+            );
+            flat = seg.end as usize;
+            let members = plan.members_of(si);
+            assert!(!members.is_empty());
             // Route order within the segment.
-            let steps: Vec<usize> = seg.members.iter().map(|m| route.fwd_step(*m)).collect();
+            let steps: Vec<usize> = members.iter().map(|m| route.fwd_step(*m)).collect();
             assert!(
                 steps.windows(2).all(|w| w[0] < w[1]),
                 "members of segment {si} out of route order"
             );
             // Tree property: every member's (single) producer is the anchor
             // or an earlier member of the same segment.
-            for (i, m) in seg.members.iter().enumerate() {
+            for (i, m) in members.iter().enumerate() {
                 let prevs = &net.layer(*m).prevs;
                 assert_eq!(prevs.len(), 1, "member {} must be single-input", m.0);
                 let p = prevs[0];
                 assert!(
-                    p == seg.anchor || seg.members[..i].contains(&p),
+                    p == seg.anchor || members[..i].contains(&p),
                     "member {} of segment {si} hangs off {} which is neither \
                      the anchor nor an earlier member",
                     net.layer(*m).name,
@@ -335,14 +356,16 @@ mod tests {
                 );
             }
             // Table 1 memcost formula.
-            let sum_lf: u64 = seg.members.iter().map(|m| cost.layer(*m).l_f()).sum();
-            let last = *seg.members.last().unwrap();
+            let sum_lf: u64 = members.iter().map(|m| cost.layer(*m).l_f()).sum();
+            let last = *members.last().unwrap();
             assert_eq!(
                 seg.memcost,
                 cost.layer(seg.anchor).l_f() + sum_lf + cost.layer(last).l_b(),
                 "segment {si} memcost must follow Table 1"
             );
+            assert!(members.iter().all(|m| plan.segment_of[m.0] == Some(si)));
         }
+        assert_eq!(flat, plan.members.len(), "no member outside a segment");
     }
 
     #[test]
@@ -370,8 +393,8 @@ mod tests {
             assert_eq!(plan.anchor_of[m.0], Some(c));
         }
         assert_eq!(plan.anchor_of[j.0], None, "concat join is a checkpoint");
-        let seg = &plan.segments[plan.segment_of[r.0].unwrap()];
-        assert_eq!(seg.members.len(), 3, "one tree segment, not three chains");
+        let seg = plan.members_of(plan.segment_of[r.0].unwrap());
+        assert_eq!(seg.len(), 3, "one tree segment, not three chains");
         // Memory-centric chains through the tree stop at the fan point.
         let mut chain = Vec::new();
         plan.chain_into(&net, p2, &mut chain);

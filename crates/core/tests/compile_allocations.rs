@@ -8,15 +8,19 @@
 //! And a plan-memo hit allocates nothing at all: a prediction is read off
 //! the memoized plan in place, and a memoized OOM shares its layer name.
 //!
-//! Both tests compile through the process's shared compiler, whose walk
-//! states the other test's compiles would take turns in: they run one at a
-//! time.
+//! The recompute plan a first-contact compile builds allocates per
+//! structure, not per segment: its segments' members share one flat list.
+//!
+//! The two compile tests go through the process's shared compiler, whose
+//! walk states the other test's compiles would take turns in: they run one
+//! at a time.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use sn_graph::{Net, Shape4};
+use sn_graph::{Net, NetCost, Route, Shape4};
+use sn_runtime::recompute::RecomputePlan;
 use sn_runtime::{plan, plan_prediction, plan_prediction_inference, Policy, RecomputeMode};
 use sn_sim::DeviceSpec;
 
@@ -124,6 +128,29 @@ fn a_warm_compile_allocates_only_its_plan() {
             );
         }
     }
+}
+
+#[test]
+fn a_recompute_plan_allocates_per_structure_not_per_segment() {
+    let build = |depth| {
+        let net = sn_models::resnet_depth(8, depth);
+        let (route, cost) = (Route::construct(&net), NetCost::of(&net));
+        let before = CALLS.get();
+        let plan = RecomputePlan::build(&net, &route, &cost, RecomputeMode::CostAware);
+        let calls = CALLS.get() - before;
+        assert!(
+            plan.segments.len() > depth / 10,
+            "ResNet-{depth} has segments"
+        );
+        calls
+    };
+    let (shallow, deep) = (build(100), build(1000));
+    // Per layer: anchors, segment indices and the by-anchor numbering; then
+    // the segments and their members, each sized before it is filled.
+    assert!(
+        deep == shallow && deep <= 8,
+        "ResNet-1000's recompute plan makes {deep} allocations, ResNet-100's {shallow}"
+    );
 }
 
 /// The benchmark's `plan_reuse` shape of net: a conv tower.
