@@ -255,9 +255,17 @@ impl<K: Copy + Eq + Hash, V: Clone> SharedMemo<K, V> {
         self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// A clone of the value under `key`, which becomes the most recent.
-    pub(crate) fn get(&self, key: &K) -> Option<V> {
-        self.lock().get(key).cloned()
+    /// A clone of the value under `key`, which becomes the most recent — or,
+    /// on a miss, `build()`'s, stored under `key`. `build` runs outside the
+    /// lock: two threads that miss at once may both build (the last insert
+    /// wins), but neither waits on the other's build.
+    pub(crate) fn get_or_insert_with(&self, key: K, build: impl FnOnce() -> V) -> V {
+        if let Some(hit) = self.lock().get(&key).cloned() {
+            return hit;
+        }
+        let value = build();
+        self.insert(key, value.clone());
+        value
     }
 
     /// `probes` run on the memo under one guard: several lookups for the

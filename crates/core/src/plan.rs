@@ -27,9 +27,12 @@
 //!   cannot happen: no reapable-offload drain while no offload is pending,
 //!   no prefetch scan while nothing is host-resident.
 //! * **Analysis sharing** — `Route`, `NetCost`, `LivenessPlan` and
-//!   `RecomputePlan` depend only on `(net, liveness options, recompute
-//!   mode)`, not on the device; they are cached by [`Net::fingerprint`] and
-//!   shared via `Arc` across the policy ladder and across devices.
+//!   `RecomputePlan` never read the device. Each has a cache of its own,
+//!   keyed by [`Net::fingerprint`] and only the policy bits it reads: the
+//!   route by the plan kind, the costs by precision, the liveness by the
+//!   liveness options (so the three recompute modes share one), the
+//!   recompute plan by mode and precision. Each is shared via `Arc` across
+//!   the policy ladder and across devices.
 //! * **Plan memo** — [`Compiler::compile`] caches whole compilations under
 //!   a `(net fingerprint, policy, card)` key and returns a shared
 //!   `Arc<CompiledPlan>`. A plan the device cap did not shape answers every
@@ -75,7 +78,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use sn_graph::liveness::{LivenessOptions, LivenessPlan, TensorId, TensorRole};
-use sn_graph::{LayerId, Net, NetCost, Route, StepPhase};
+use sn_graph::{LayerId, Net, NetCost, Precision, Route, StepPhase};
 use sn_sim::{AllocGrant, DeviceAllocator, DeviceSpec, SimTime};
 use sn_telemetry::{Counter, MetricsRegistry};
 
@@ -328,58 +331,16 @@ pub struct CompiledPlan {
 }
 
 // ---------------------------------------------------------------------
-// Analysis cache: (fingerprint, liveness options, recompute mode) →
-// shared route/cost/liveness/recompute-plan bundle.
+// Analysis caches: one per analysis, each keyed by exactly what it reads.
 // ---------------------------------------------------------------------
 
-#[derive(Debug, Clone)]
-struct Analyses {
-    route: Arc<Route>,
-    cost: Arc<NetCost>,
-    liveness: Arc<LivenessPlan>,
-    rplan: Arc<RecomputePlan>,
-    /// Per-layer max-speed conv algorithm choice (Fig. 12's "MAX Speed WS"
-    /// series) — a pure function of the net, recomputed per CONV step
-    /// before this cache existed.
-    max_algo: Arc<Vec<AlgoChoice>>,
-}
+/// A net's identity in every cache: [`Net::fingerprint`].
+type Fp = (u64, u64);
 
-type AnalysisKey = ((u64, u64), bool, LivenessOptions, RecomputeMode);
-
-/// Cap on cached analysis bundles. The set of distinct nets in any one
-/// process is usually far smaller; past the cap the least-recently-used
-/// bundle is forgotten (and re-derived if asked for again).
+/// Cap on each analysis cache's entries. The set of distinct nets in any
+/// one process is usually far smaller; past the cap the least-recently-used
+/// entry is forgotten (and re-derived if asked for again).
 pub const ANALYSIS_CACHE_CAP: usize = 512;
-
-fn build_analyses(
-    net: &Net,
-    options: LivenessOptions,
-    rmode: RecomputeMode,
-    inference: bool,
-) -> Analyses {
-    let route = if inference {
-        Route::construct_inference(net)
-    } else {
-        Route::construct(net)
-    };
-    // Costs at the options' precision: activation/gradient tensors and the
-    // all-reduce payload scale by dtype, master weights stay fp32.
-    let cost = NetCost::with_precision(net, options.precision);
-    let liveness = LivenessPlan::analyze(net, &route, options);
-    let rplan = RecomputePlan::build(net, &route, &cost, rmode);
-    let max_algo = net
-        .layers()
-        .iter()
-        .map(|l| convalgo::max_speed_algo(net, l.id))
-        .collect();
-    Analyses {
-        route: Arc::new(route),
-        cost: Arc::new(cost),
-        liveness: Arc::new(liveness),
-        rplan: Arc::new(rplan),
-        max_algo: Arc::new(max_algo),
-    }
-}
 
 fn effective_liveness_options(policy: Policy, inference: bool) -> LivenessOptions {
     if inference {
@@ -546,7 +507,7 @@ pub struct MemoStats {
 // ---------------------------------------------------------------------
 
 /// What the runtime remembers between compiles, with one owner: the
-/// analysis cache, the plan memo, the memo's hit/miss pair, and the
+/// analysis caches, the plan memo, the memo's hit/miss pair, and the
 /// [`MetricsRegistry`] on which that pair (`plan.memo.*`) and the
 /// autotuner's `tune.*` series are registered at construction. Two
 /// compilers share nothing, so a test, a tuner search or a tenant that
@@ -554,7 +515,13 @@ pub struct MemoStats {
 /// [`Compiler::shared`] is the one this crate's free functions go through.
 #[derive(Debug)]
 pub struct Compiler {
-    analyses: SharedMemo<AnalysisKey, Analyses>,
+    routes: SharedMemo<(Fp, bool), Arc<Route>>,
+    costs: SharedMemo<(Fp, Precision), Arc<NetCost>>,
+    liveness: SharedMemo<(Fp, bool, LivenessOptions), Arc<LivenessPlan>>,
+    rplans: SharedMemo<(Fp, bool, Precision, RecomputeMode), Arc<RecomputePlan>>,
+    /// Per-layer max-speed conv algorithm choice (Fig. 12's "MAX Speed WS"
+    /// series): a pure function of the net.
+    max_algos: SharedMemo<Fp, Arc<Vec<AlgoChoice>>>,
     plans: SharedMemo<PlanKey, Result<Arc<CompiledPlan>, ExecError>>,
     /// Walk states no compile is using: one per compile run at once, at most.
     walks: Mutex<Vec<WalkState>>,
@@ -579,7 +546,11 @@ impl Compiler {
     pub fn new() -> Compiler {
         let metrics = MetricsRegistry::new();
         Compiler {
-            analyses: SharedMemo::new(ANALYSIS_CACHE_CAP),
+            routes: SharedMemo::new(ANALYSIS_CACHE_CAP),
+            costs: SharedMemo::new(ANALYSIS_CACHE_CAP),
+            liveness: SharedMemo::new(ANALYSIS_CACHE_CAP),
+            rplans: SharedMemo::new(ANALYSIS_CACHE_CAP),
+            max_algos: SharedMemo::new(ANALYSIS_CACHE_CAP),
             plans: SharedMemo::new(PLAN_MEMO_CAP),
             walks: Mutex::new(Vec::new()),
             hits: metrics.counter("plan.memo.hit"),
@@ -681,32 +652,54 @@ impl Compiler {
         policy: Policy,
         inference: bool,
     ) -> Result<CompiledPlan, ExecError> {
-        // The `effective_*` adjustments make the cache key exactly what the
-        // analyses depend on.
+        // Each analysis is cached under exactly what it reads; the
+        // `effective_*` adjustments drop what an inference plan ignores.
+        let fp = net.fingerprint();
         let options = effective_liveness_options(policy, inference);
         let rmode = effective_recompute_mode(policy, inference);
-        let key = (net.fingerprint(), inference, options, rmode);
-        let a = self.analyses.get(&key).unwrap_or_else(|| {
-            let a = build_analyses(net, options, rmode, inference);
-            self.analyses.insert(key, a.clone());
-            a
+        // Costs at the options' precision: activation/gradient tensors and
+        // the all-reduce payload scale by dtype, master weights stay fp32.
+        let precision = options.precision;
+        let route = self.routes.get_or_insert_with((fp, inference), || {
+            Arc::new(if inference {
+                Route::construct_inference(net)
+            } else {
+                Route::construct(net)
+            })
+        });
+        let cost = self.costs.get_or_insert_with((fp, precision), || {
+            Arc::new(NetCost::with_precision(net, precision))
+        });
+        let liveness = self
+            .liveness
+            .get_or_insert_with((fp, inference, options), || {
+                Arc::new(LivenessPlan::analyze(net, &route, options))
+            });
+        let rplan = self
+            .rplans
+            .get_or_insert_with((fp, inference, precision, rmode), || {
+                Arc::new(RecomputePlan::build(net, &route, &cost, rmode))
+            });
+        let max_algo = self.max_algos.get_or_insert_with(fp, || {
+            let algo = |l: &sn_graph::Layer| convalgo::max_speed_algo(net, l.id);
+            Arc::new(net.layers().iter().map(algo).collect())
         });
         let reused = self.walks().pop();
         let mut w = reused.unwrap_or_else(|| WalkState::new(spec, policy));
-        w.renew(spec, policy, &a);
+        w.renew(spec, policy, &route, &liveness, &rplan);
         let planned = Planner {
             net,
             spec,
-            route: &a.route,
-            cost: &a.cost,
-            liveness: &a.liveness,
-            rplan: &a.rplan,
-            max_algo: &a.max_algo,
+            route: &route,
+            cost: &cost,
+            liveness: &liveness,
+            rplan: &rplan,
+            max_algo: &max_algo,
             policy,
             inference,
             w: &mut w,
             counters: Counters::default(),
-            steps: Vec::with_capacity(a.route.total_steps()),
+            steps: Vec::with_capacity(route.total_steps()),
             sec_start: 0,
             peak_step: 0,
             peak_seen: 0,
@@ -718,10 +711,10 @@ impl Compiler {
         }
         .run();
         let compiled = planned.map(|(plan, valid_caps)| CompiledPlan {
-            route: a.route,
-            cost: a.cost,
-            liveness: a.liveness,
-            rplan: a.rplan,
+            route,
+            cost,
+            liveness,
+            rplan,
             plan: Arc::new(plan),
             valid_caps,
         });
@@ -753,7 +746,7 @@ impl Compiler {
     }
 
     /// Drop every memoized plan and restart [`Compiler::stats`] from zero;
-    /// the analysis bundles stay warm (a memo-cold, analyses-warm compile is
+    /// the analysis caches stay warm (a memo-cold, analyses-warm compile is
     /// the steady-state admission regime). Measurement support — never
     /// needed for correctness. The registry's `plan.memo.*` stay monotone.
     pub fn clear_plans(&self) {
@@ -762,12 +755,17 @@ impl Compiler {
         self.at_clear.1.store(self.misses.get(), Ordering::Relaxed);
     }
 
-    /// [`Compiler::clear_plans`] plus the analysis cache: the next compile
-    /// of any net pays the full route/cost/liveness/recompute derivation
-    /// again. Like a cleared memo's capacity, the free walk states stay.
+    /// [`Compiler::clear_plans`] plus the five analysis caches: the next
+    /// compile of any net pays the full route/cost/liveness/recompute
+    /// derivation again. Like a cleared memo's capacity, the free walk
+    /// states stay.
     pub fn clear_all(&self) {
         self.clear_plans();
-        self.analyses.clear();
+        self.routes.clear();
+        self.costs.clear();
+        self.liveness.clear();
+        self.rplans.clear();
+        self.max_algos.clear();
     }
 
     /// The registry carrying this compiler's `plan.memo.*` and `tune.*`.
@@ -901,15 +899,22 @@ impl WalkState {
         }
     }
 
-    /// Ready for a walk of `a` on `spec` under `policy`, as if new: all a
-    /// failed walk left behind — pins, pending offloads, grants — goes.
-    fn renew(&mut self, spec: &DeviceSpec, policy: Policy, a: &Analyses) {
+    /// Ready for a walk of `route` on `spec` under `policy`, as if new: all
+    /// a failed walk left behind — pins, pending offloads, grants — goes.
+    fn renew(
+        &mut self,
+        spec: &DeviceSpec,
+        policy: Policy,
+        route: &Route,
+        liveness: &LivenessPlan,
+        rplan: &RecomputePlan,
+    ) {
         self.dev.reset(spec, policy.allocator, policy.tiers);
-        self.utp.renew(a.liveness.tensors.len());
+        self.utp.renew(liveness.tensors.len());
         // Nothing is ever replayed without segments: no lists to fill.
-        let replays = !a.rplan.segments.is_empty();
+        let replays = !rplan.segments.is_empty();
         self.recomputed_free_at
-            .renew(if replays { a.route.total_steps() } else { 0 });
+            .renew(if replays { route.total_steps() } else { 0 });
         self.ops.clear();
         self.workspaces.clear();
     }
@@ -2130,7 +2135,7 @@ mod tests {
         // A card that differs by name only is the same card: nothing the
         // planner reads changed, so the entry answers it.
         let mut renamed = spec.clone();
-        renamed.name.push_str("-b");
+        renamed.name.to_mut().push_str("-b");
         let (r, renamed_hit) = memo.compile(&net, &renamed, policy, false);
         assert!(renamed_hit, "a renamed card must share the entry");
         assert!(Arc::ptr_eq(&a, &r.unwrap()));
@@ -2184,10 +2189,65 @@ mod tests {
     }
 
     #[test]
+    fn each_analysis_is_shared_by_every_plan_that_reads_the_same_inputs() {
+        // The lattice, training and inference, on one fresh compiler: one
+        // route per plan kind, one cost, one liveness per effective option
+        // set — and every plan the one a compiler of its own makes.
+        let (net, spec) = (sn_models::resnet_depth(8, 50), DeviceSpec::k40c());
+        let c = Compiler::new();
+        let mut plans = Vec::new();
+        for inference in [false, true] {
+            for p in lattice() {
+                let got = c.compile_fresh(&net, &spec, p, inference).unwrap();
+                let want = Compiler::new().compile_fresh(&net, &spec, p, inference);
+                assert_eq!(got.plan.render(&net), want.unwrap().plan.render(&net));
+                plans.push((inference, p, got));
+            }
+        }
+        let (first, last) = (&plans[0].2, &plans[plans.len() - 1].2);
+        for (inference, _, cp) in &plans {
+            let route = if *inference { last } else { first };
+            assert!(Arc::ptr_eq(&cp.route, &route.route));
+            assert!(Arc::ptr_eq(&cp.cost, &first.cost));
+        }
+        assert!(!Arc::ptr_eq(&first.route, &last.route));
+        let options = |&(inference, p, _): &(bool, Policy, CompiledPlan)| {
+            (inference, effective_liveness_options(p, inference))
+        };
+        for a in &plans {
+            for b in &plans {
+                let shared = Arc::ptr_eq(&a.2.liveness, &b.2.liveness);
+                assert_eq!(shared, options(a) == options(b), "{:?} {:?}", a.1, b.1);
+            }
+        }
+        // The three recomputing modes: one liveness, three segment plans.
+        let sn = Policy::superneurons();
+        let modes = [
+            RecomputeMode::CostAware,
+            RecomputeMode::SpeedCentric,
+            RecomputeMode::MemoryCentric,
+        ]
+        .map(|recompute| {
+            let p = Policy { recompute, ..sn };
+            &plans.iter().find(|(i, q, _)| !i && *q == p).unwrap().2
+        });
+        for (i, a) in modes.iter().enumerate() {
+            for b in &modes[i + 1..] {
+                assert!(Arc::ptr_eq(&a.liveness, &b.liveness));
+                assert!(!Arc::ptr_eq(&a.rplan, &b.rplan));
+            }
+        }
+    }
+
+    #[test]
     fn a_panic_under_the_memo_lock_does_not_fail_later_compiles() {
         let memo = Compiler::new();
         memo.plans.poison();
-        memo.analyses.poison();
+        memo.routes.poison();
+        memo.costs.poison();
+        memo.liveness.poison();
+        memo.rplans.poison();
+        memo.max_algos.poison();
         let (p, hit) = memo.compile(
             &small_net(6),
             &DeviceSpec::k40c(),

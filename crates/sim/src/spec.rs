@@ -2,6 +2,8 @@
 //! simulation depends on. Two presets mirror the cards used in the paper's
 //! evaluation: the 12 GB K40c (Tables 4/5) and the 12 GB TITAN Xp (Fig. 14).
 
+use std::borrow::Cow;
+
 use crate::time::SimTime;
 
 pub const KB: u64 = 1024;
@@ -34,8 +36,10 @@ const fn odd_keys<const N: usize>(mut seed: u64) -> [u64; N] {
 /// "a practical speed of 8 GB/s" for pinned PCIe transfers).
 #[derive(Debug, Clone)]
 pub struct DeviceSpec {
-    /// Human-readable card name, reported by the experiment harness.
-    pub name: String,
+    /// Human-readable card name, reported by the experiment harness. A
+    /// preset borrows its literal, so copying a preset (a capped copy for
+    /// every profiled budget) allocates nothing.
+    pub name: Cow<'static, str>,
     /// Device DRAM capacity in bytes. The runtime can never exceed this.
     pub dram_bytes: u64,
     /// Peak single-precision throughput in GFLOP/s.
@@ -71,7 +75,7 @@ impl DeviceSpec {
     /// the Table 2 pool speedups land in the paper's 1.1×–1.8× band.
     pub fn k40c() -> Self {
         DeviceSpec {
-            name: "NVIDIA Tesla K40c".into(),
+            name: Cow::Borrowed("NVIDIA Tesla K40c"),
             dram_bytes: 12 * GB,
             peak_gflops: 4290.0,
             mem_bw_gbps: 288.0,
@@ -88,7 +92,7 @@ impl DeviceSpec {
     /// NVIDIA TITAN Xp: 12 GB GDDR5X, 12.15 TFLOP/s FP32, 547 GB/s.
     pub fn titan_xp() -> Self {
         DeviceSpec {
-            name: "NVIDIA TITAN Xp".into(),
+            name: Cow::Borrowed("NVIDIA TITAN Xp"),
             dram_bytes: 12 * GB,
             peak_gflops: 12150.0,
             mem_bw_gbps: 547.0,
@@ -166,6 +170,12 @@ mod tests {
     }
 
     #[test]
+    fn a_capped_copy_of_a_preset_borrows_its_name() {
+        let capped = DeviceSpec::k40c().with_dram(3 * GB).clone();
+        assert!(matches!(capped.name, Cow::Borrowed("NVIDIA Tesla K40c")));
+    }
+
+    #[test]
     fn card_fingerprint_covers_the_card_and_ignores_the_cap() {
         let base = DeviceSpec::k40c();
         let fp = base.card_fingerprint();
@@ -173,7 +183,7 @@ mod tests {
         assert_eq!(fp, base.clone().with_dram(3 * GB).card_fingerprint());
         // The name is not the card: nothing simulated reads it.
         let mut renamed = base.clone();
-        renamed.name.push('!');
+        renamed.name.to_mut().push('!');
         assert_eq!(fp, renamed.card_fingerprint());
         assert_ne!(fp, DeviceSpec::titan_xp().card_fingerprint());
         // The two PCIe directions trading values is another card.
