@@ -12,7 +12,7 @@ use crate::event_heap::{EventHeap, EventKind};
 use crate::fault::{FaultEvent, FaultPlan, RecoveryMode};
 use crate::job::JobSpec;
 use crate::pace::{Earliest, Pace, Progress, Tenants};
-use crate::placement::{most_tenants, ByFree, DeviceState};
+use crate::placement::{most_tenants, ByFree, Candidate, DeviceState};
 use crate::report::Recorder;
 use crate::sim::ClusterSim;
 use crate::slab::{Slab, SlotKey};
@@ -155,6 +155,9 @@ pub(crate) struct Core<'a, R: Recorder> {
     /// tenants on any of its devices as of its last (re-)pace.
     pace_count: Vec<u32>,
     kept: Vec<SlotKey>,
+    /// The oracles' scratch for the plain admission ladder's fitting
+    /// devices: only the checks grow it, so a release run leaves it empty.
+    oracle: Vec<Candidate>,
 }
 
 impl<'a, R: Recorder> Core<'a, R> {
@@ -197,6 +200,7 @@ impl<'a, R: Recorder> Core<'a, R> {
             affected: Vec::new(),
             pace_count: Vec::new(),
             kept: Vec::new(),
+            oracle: Vec::new(),
         };
         if let Some((t, _)) = core.faults.first() {
             core.heap.set(EventKind::FaultDue, t.0, u64::MAX - 1);
@@ -594,7 +598,10 @@ impl<'a, R: Recorder> Core<'a, R> {
                     sim.try_admit(&self.devices, &self.by_free, &job.spec, &mut self.scratch);
                 // Debug builds hold every answer to the ladder written
                 // straight down.
-                debug_assert_eq!(grant, sim.try_admit_plain(&self.devices, &shape));
+                debug_assert!(
+                    sim.admits_as_plain(&self.devices, &shape, grant.as_ref(), &mut self.oracle),
+                    "{shape:?}: the rung's answer {grant:?} is not the plain ladder's"
+                );
                 if grant.is_none() {
                     self.memo.block(shape);
                 }
@@ -779,7 +786,7 @@ impl<'a, R: Recorder> Core<'a, R> {
     /// The state's invariants, verified after every instant in debug
     /// builds (`before` is the previous instant): those that span the
     /// parts here, and each part's own check.
-    fn check(&self, before: u64) {
+    fn check(&mut self, before: u64) {
         assert!(self.now_ns >= before, "the clock ran backwards");
         assert_eq!(
             self.jobs.len(),
@@ -865,7 +872,9 @@ impl<'a, R: Recorder> Core<'a, R> {
             "exactly one queued completion per running gang"
         );
         self.by_free.check(&self.devices);
-        self.memo.check(self.sim, &self.devices, self.state_version);
+        let fitting = &mut self.oracle;
+        self.memo
+            .check(self.sim, &self.devices, self.state_version, fitting);
     }
 }
 

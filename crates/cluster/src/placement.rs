@@ -309,20 +309,32 @@ impl<'s> ByFree<'s> {
         self.rank[d] = at;
     }
 
-    /// Hold the kept index to one a scan of `devices` builds.
+    /// Hold the kept index to one a scan of `devices` builds, building none:
+    /// the scan's order is the ascending distinct (free bytes, device) pairs.
     pub(crate) fn check(&self, devices: &[DeviceState]) {
-        let scan = ByFree::new(devices, self.class_of);
-        assert_eq!(self.order, scan.order, "walk order vs free bytes");
-        assert_eq!(
-            self.rank, scan.rank,
-            "a device's rank vs its place in the walk order"
-        );
-        assert_eq!(self.level, scan.level, "a device's kept level vs its level");
-        assert_eq!(
-            (&self.census, &self.present),
-            (&scan.census, &scan.present),
-            "the level census vs a scan of the devices' levels"
-        );
+        let (n, order) = (devices.len(), &self.order);
+        let sorted = order.len() == n && order.windows(2).all(|w| w[0] < w[1]);
+        let frees = order.iter().all(|&(free, d)| devices[d].free == free);
+        assert!(sorted && frees, "walk order vs free bytes");
+        let ranked = self.rank.len() == n && (0..n).all(|at| self.rank[order[at].1] == at);
+        assert!(ranked, "a device's rank vs its place in the walk order");
+        let levels = devices.iter().map(|d| d.level);
+        let kept = self.level.len() == n && levels.zip(&self.level).all(|(l, k)| l == *k);
+        assert!(kept, "a device's kept level vs its level");
+        let classes = self.class_of.iter().max().map_or(0, |c| c + 1);
+        assert_eq!(self.census.len(), classes, "one level census a class");
+        for (c, (census, &present)) in self.census.iter().zip(&self.present).enumerate() {
+            let (mut scan, mut shown) = ([0u32; 64], 0u64);
+            for (d, _) in devices.iter().zip(self.class_of).filter(|&(_, &k)| k == c) {
+                scan[usize::from(d.level)] += 1;
+                shown |= 1 << d.level;
+            }
+            assert_eq!(
+                (census, present),
+                (&scan, shown),
+                "the level census vs a scan of the devices' levels"
+            );
+        }
     }
 }
 

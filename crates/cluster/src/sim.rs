@@ -128,7 +128,7 @@
 //! (free bytes and level), `ByFree::check` (walk order and level census
 //! against a scan's) and `AdmitMemo::check` (every shape the current state
 //! refused is refused on the devices as they stand). `decide` holds each
-//! rung's answer to the ladder written straight down (`try_admit_plain`).
+//! rung's answer to the ladder written straight down (`admits_as_plain`).
 //!
 //! ### What an event costs
 //!

@@ -6,8 +6,8 @@
 //! Every job has an empty name, so handing it to the loop allocates
 //! nothing either. Debug builds hold every admission to the ladder written
 //! straight down and check the whole state after every instant; both
-//! oracles build vectors, so the count is held in release builds only:
-//! `cargo test --release -p sn-cluster --test admission_allocations`.
+//! oracles work in scratch the event core keeps, so the count holds in
+//! either build.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -93,10 +93,6 @@ fn run_allocations(sim: &mut ClusterSim, n: usize) -> u64 {
 }
 
 #[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "the event core's debug oracles allocate per decision"
-)]
 fn a_job_in_steady_state_allocates_nothing() {
     const N: usize = 240;
     let fleet = Fleet::homogeneous(

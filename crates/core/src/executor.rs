@@ -21,12 +21,14 @@
 //! **What a warm step touches.** The program the build's one pass of the
 //! plan through the planner's [`Utp`] compiled: the ops that move the clock
 //! or tell the backend something (fetches, offloads, releases, replays,
-//! frees of tensors with a host copy or under a backend), each with its
-//! `OpBooks`, into which the ops between, which only charge or return bytes,
-//! are folded as one clock advance and granule delta. Per tensor a kept op
-//! names, one `TensorSlot` — bytes, copy time at its tier, host slot,
-//! landing times of its in-flight fetch and copy-out; per step, one
-//! `StepSample` written at the kernel submit. It keeps no residency book,
+//! frees of tensors with a host copy or under a backend), each a 16-byte
+//! `OpBooks` entry that carries its tensor or layer inline, so a warm step
+//! reads the program alone and never the plan's op list. The ops between,
+//! which only charge or return bytes, are folded into the next entry as one
+//! clock advance and granule delta. Per tensor a kept op names, one
+//! `TensorSlot` — bytes, copy time at its tier, host slot, landing times of
+//! its in-flight fetch and copy-out; per step, one `StepSample` written at
+//! the kernel submit. It keeps no residency book,
 //! looks up no tier, divides nothing and checks no capacity: the pass found
 //! the peak and the first charge, if any, past the card, and the program
 //! fails there. All else a reader may want of a step — number, layer name,
@@ -334,7 +336,8 @@ struct StepSample {
 
 /// One entry of the warm program, in 16 bytes: the [`Fold`] of the ops the
 /// build folded since the last entry, applied first, then what the entry
-/// does. A fold wider than an entry holds goes first in `Carry` entries.
+/// does, its operand inline. A fold wider than an entry holds goes first in
+/// `Carry` entries.
 #[derive(Debug, Clone, Copy)]
 struct OpBooks {
     advance_ns: u32,
@@ -347,8 +350,16 @@ const _: () = assert!(std::mem::size_of::<OpBooks>() == 16);
 /// What a program entry does once its fold is applied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Then {
-    /// Run the plan's op `.0`; a release drops the contents if `.1`.
-    Op(u32, bool),
+    /// Copy tensor `.0` in from its host slot.
+    Fetch(u32),
+    /// Copy tensor `.0` out; an Alg. 2 eviction if `.1`.
+    Offload(u32, bool),
+    /// Release tensor `.0` once its copy-out lands; drop its contents if `.1`.
+    Release(u32, bool),
+    /// Free tensor `.0`: cancel its copies and return its host slot.
+    Free(u32),
+    /// Replay layer `.0`'s forward.
+    Recompute(u32),
     /// The step's kernel, with `.0` tensors live on the device.
     Kernel(u32),
     /// The section ends.
@@ -669,15 +680,14 @@ impl<'n> Executor<'n> {
     /// refund (into the next entry: nothing between reads the clock).
     fn book_op(&mut self, at: usize, op: PlanOp, utp: &mut Utp, p: &mut Pass) -> Option<()> {
         let on_device = |utp: &Utp, t| utp.state(t).residence() == Residence::Device;
-        let at32 = u32::try_from(at).expect("a plan's op ranges are u32");
-        let keep = Some(Then::Op(at32, false));
+        let u32_of = |i: usize| u32::try_from(i).expect("a plan's indices are u32");
         let (charge, then, refunds) = match op {
             PlanOp::Alloc(t) | PlanOp::Fetch(t) => {
                 let granules = self.dev.granules(self.tensors[t.0].bytes);
                 p.live += !on_device(utp, t) as u32;
                 utp.mark_device(t, sn_sim::AllocId(granules), false);
-                let fetch = matches!(op, PlanOp::Fetch(_));
-                (granules, keep.filter(|_| fetch), [0; 2])
+                let fetch = matches!(op, PlanOp::Fetch(_)).then(|| Then::Fetch(u32_of(t.0)));
+                (granules, fetch, [0; 2])
             }
             PlanOp::AllocWorkspace(bytes) | PlanOp::AllocTransient(bytes) => {
                 let i = matches!(op, PlanOp::AllocTransient(_)) as usize;
@@ -693,29 +703,31 @@ impl<'n> Executor<'n> {
                     slot.copy = tier.copy_time(slot.bytes, &self.policy, &self.spec);
                 }
                 utp.mark_offloading(t, evict);
-                (0, keep, [0; 2])
+                (0, Some(Then::Offload(u32_of(t.0), evict)), [0; 2])
             }
             PlanOp::ReleaseDevice(t) | PlanOp::Free(t) => {
                 p.live -= on_device(utp, t) as u32;
                 p.returned = 0;
                 let then = match op {
-                    PlanOp::ReleaseDevice(_) => Some(Then::Op(at32, utp.release_device(t, p))),
+                    PlanOp::ReleaseDevice(_) => {
+                        Some(Then::Release(u32_of(t.0), utp.release_device(t, p)))
+                    }
                     // A free of a tensor with no host slot (not offloaded, so
                     // not fetched, since it was last freed) has no copy to
                     // cancel and no slot to return: only a backend hears.
                     _ => {
                         let copies = utp.state(t).host_slot.is_some();
                         utp.free_tensor(t, p);
-                        (copies || self.backend.is_some()).then_some(Then::Op(at32, true))
+                        (copies || self.backend.is_some()).then(|| Then::Free(u32_of(t.0)))
                     }
                 };
                 (0, then, [p.returned, 0])
             }
-            PlanOp::Recompute(_) => (0, keep, [0; 2]),
+            PlanOp::Recompute(l) => (0, Some(Then::Recompute(u32_of(l.0))), [0; 2]),
         };
         if charge > 0 {
             let Some(f) = self.dev.charge(p.used, charge) else {
-                p.push(Then::Oom(at32));
+                p.push(Then::Oom(u32_of(at)));
                 return None;
             };
             p.prog.alloc_calls += 1;
@@ -871,32 +883,31 @@ impl<'n> Executor<'n> {
             self.cursor += 1;
             self.dev.apply(b.fold());
             match b.then {
-                Then::Op(at, drops) => {
-                    self.apply(self.mplan.ops[at as usize], drops, step, compute_done)?
-                }
                 Then::Kernel(_) | Then::End => return Ok(()),
                 Then::Oom(at) => return Err(self.oom(self.op_bytes(at as usize), step)),
                 Then::Carry => {}
+                then => self.apply(then, step, compute_done)?,
             }
         }
     }
 
-    /// Execute one kept op; `drops` is its entry's drop bit.
+    /// Execute one entry that moves the clock or tells the backend.
     fn apply(
         &mut self,
-        op: PlanOp,
-        drops: bool,
+        then: Then,
         step: usize,
         compute_done: Option<Event>,
     ) -> Result<(), ExecError> {
-        match op {
-            PlanOp::Fetch(t) => {
+        match then {
+            Then::Fetch(t) => {
+                let t = TensorId(t as usize);
                 if self.dev.tl.tracing() {
                     self.dev.tl.trace_label(self.dma_label("prefetch", t));
                 }
                 self.tensors[t.0].prefetch_done = self.submit_dma(StreamId::H2D, t, &[]);
             }
-            PlanOp::Offload { t, evict } => {
+            Then::Offload(t, evict) => {
+                let t = TensorId(t as usize);
                 let slot = &mut self.tensors[t.0];
                 if slot.host.is_none() {
                     let requested = slot.bytes;
@@ -923,7 +934,8 @@ impl<'n> Executor<'n> {
                     slot.prefetch_done = SimTime::ZERO;
                 }
             }
-            PlanOp::ReleaseDevice(t) => {
+            Then::Release(t, drops) => {
+                let t = TensorId(t as usize);
                 // The device bytes may only be reused once the copy-out has
                 // landed — the "allocations never overtake releases" wait
                 // that pins the trajectory to the plan's.
@@ -936,7 +948,8 @@ impl<'n> Executor<'n> {
                     self.notify_drop(t);
                 }
             }
-            PlanOp::Free(t) => {
+            Then::Free(t) => {
+                let t = TensorId(t as usize);
                 // An in-flight copy-out is cancelled, not awaited.
                 let slot = &mut self.tensors[t.0];
                 slot.clear_transfers();
@@ -945,7 +958,8 @@ impl<'n> Executor<'n> {
                 }
                 self.notify_drop(t);
             }
-            PlanOp::Recompute(l) => {
+            Then::Recompute(l) => {
+                let l = LayerId(l as usize);
                 // The replay reads its producers synchronously: wait out any
                 // in-flight prefetch of its input first. Only that input can
                 // have one — a segment's anchor, fetched back for its first
@@ -975,10 +989,9 @@ impl<'n> Executor<'n> {
                     b.forward(l);
                 }
             }
-            PlanOp::Alloc(_)
-            | PlanOp::AllocWorkspace(_)
-            | PlanOp::AllocTransient(_)
-            | PlanOp::FreeTransients => unreachable!("the build folds {op:?}"),
+            Then::Kernel(_) | Then::End | Then::Oom(_) | Then::Carry => {
+                unreachable!("the section runs {then:?}")
+            }
         }
         Ok(())
     }

@@ -11,11 +11,13 @@
 //!
 //! Every [`Timeline`] starts with the three canonical streams of a CUDA
 //! device — [`StreamId::COMPUTE`], [`StreamId::H2D`], [`StreamId::D2H`] —
-//! and callers may [`Timeline::add_stream`] more (extra copy queues, a second
-//! kernel stream) without touching this module. Each stream keeps a busy
-//! *timeline* (coalesced `[start, end)` spans), from which
-//! [`Timeline::overlap`] derives how much DMA time was hidden under compute —
-//! the quantity the `overlap` bench experiment reports per policy.
+//! and callers may [`Timeline::add_stream`] more copy queues or link ports
+//! without touching this module; the compute stream stays the only one of
+//! its kind. Each stream keeps a busy *timeline* (coalesced `[start, end)`
+//! spans), from which [`Timeline::overlap`] derives how much DMA time was
+//! hidden under compute — the quantity the `overlap` bench experiment
+//! reports per policy — in one forward walk of the compute spans, reading
+//! their busy time at each edge of the transfer spans' union.
 
 use std::borrow::Cow;
 
@@ -107,7 +109,7 @@ pub struct TimelineStats {
     /// deliberately *not* PCIe traffic (`h2d_bytes + d2h_bytes`, the
     /// quantity Table 3 reports).
     pub link_bytes: u64,
-    /// Total busy time of compute streams.
+    /// Total busy time of the compute stream.
     pub compute_busy: SimTime,
     /// Total busy time of H2D streams.
     pub h2d_busy: SimTime,
@@ -124,10 +126,10 @@ pub struct TimelineStats {
 
 /// How much transfer time was hidden under compute, derived from the busy
 /// timelines: `overlapped` is the length of the intersection between the
-/// union of compute spans and the union of DMA spans.
+/// compute stream's spans and the union of DMA spans.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OverlapStats {
-    /// Union length of compute busy spans.
+    /// Length of the compute stream's busy spans.
     pub compute_busy: SimTime,
     /// Union length of DMA busy spans (all transfer streams together).
     pub transfer_busy: SimTime,
@@ -149,9 +151,8 @@ impl OverlapStats {
 
 /// The sorted, disjoint union of several streams' busy-span lists. Each
 /// list is already sorted, coalesced and disjoint (a stream serializes its
-/// ops), so one non-empty list *is* its union and is borrowed as it stands
-/// — the compute side of every overlap query; several are merged front to
-/// front, coalescing as they go, with no sort.
+/// ops), so one non-empty list *is* its union and is borrowed as it stands;
+/// several are merged front to front, coalescing as they go, with no sort.
 fn union_spans<'a>(lists: impl Iterator<Item = &'a [(u64, u64)]>) -> Cow<'a, [(u64, u64)]> {
     let mut lists = lists.filter(|l| !l.is_empty());
     let first = lists.next().unwrap_or(&[]);
@@ -184,22 +185,26 @@ fn merge_spans(a: &[(u64, u64)], b: &[(u64, u64)]) -> Vec<(u64, u64)> {
     out
 }
 
-/// Total length of the intersection of two sorted, disjoint span lists.
-fn intersect_len(a: &[(u64, u64)], b: &[(u64, u64)]) -> u64 {
-    let (mut i, mut j, mut total) = (0, 0, 0u64);
-    while i < a.len() && j < b.len() {
-        let lo = a[i].0.max(b[j].0);
-        let hi = a[i].1.min(b[j].1);
-        if lo < hi {
-            total += hi - lo;
+/// The total length of `compute`'s spans and of their intersection with
+/// `spans`, both lists sorted and disjoint, in one forward walk of
+/// `compute`: `busy(x)`, its busy ns before `x`, is read at each edge of the
+/// short `spans` in turn, and each span adds `busy(e) − busy(s)`.
+fn intersect_len(compute: &[(u64, u64)], spans: &[(u64, u64)]) -> (u64, u64) {
+    let mut rest = compute.iter();
+    let (mut at, mut before) = (rest.next(), 0u64);
+    let mut busy = |x: u64| {
+        while let Some(&(s, e)) = at.filter(|&&(_, e)| e <= x) {
+            before += e - s;
+            at = rest.next();
         }
-        if a[i].1 <= b[j].1 {
-            i += 1;
-        } else {
-            j += 1;
-        }
+        before + at.map_or(0, |&(s, _)| x.saturating_sub(s))
+    };
+    let mut overlapped = 0;
+    for &(s, e) in spans {
+        let start = busy(s);
+        overlapped += busy(e) - start;
     }
-    total
+    (busy(u64::MAX), overlapped)
 }
 
 fn span_len(spans: &[(u64, u64)]) -> u64 {
@@ -336,8 +341,14 @@ impl Timeline {
         }
     }
 
-    /// Add another stream of the given kind (e.g. a second copy queue).
+    /// Add another stream of the given kind (e.g. a second copy queue or a
+    /// link port). A timeline has exactly one compute stream, so adding
+    /// another panics.
     pub fn add_stream(&mut self, kind: EngineKind) -> StreamId {
+        assert!(
+            kind != EngineKind::Compute,
+            "a timeline has one compute stream"
+        );
         self.streams.push(Stream::new(kind));
         if let Some(tr) = self.tracer.as_deref_mut() {
             tr.register(kind);
@@ -535,15 +546,7 @@ impl Timeline {
     /// before scheduling dependent memory operations), while DMA streams
     /// drain in the background.
     pub fn join_compute(&mut self) {
-        let frontier = self
-            .streams
-            .iter()
-            .filter(|s| s.kind == EngineKind::Compute)
-            .map(|s| s.busy_until)
-            .fold(self.now, SimTime::max);
-        if frontier > self.now {
-            self.now = frontier;
-        }
+        self.now = self.now.max(self.streams[StreamId::COMPUTE.0].busy_until);
     }
 
     /// Completion frontier of one stream.
@@ -583,25 +586,19 @@ impl Timeline {
         s
     }
 
-    /// Overlap between two stream sets: the union of `a`'s busy spans
-    /// (reported as `compute_busy`) against the union of `b`'s (reported as
+    /// Overlap between the compute stream's busy spans, as they stand, and
+    /// the union of the spans of the streams of `kinds` (reported as
     /// `transfer_busy`).
-    fn overlap_of<'a>(
-        &'a self,
-        a: impl Iterator<Item = &'a Stream>,
-        b: impl Iterator<Item = &'a Stream>,
-    ) -> OverlapStats {
-        let cu = union_spans(a.map(|s| s.intervals.as_slice()));
-        let tu = union_spans(b.map(|s| s.intervals.as_slice()));
+    fn overlap_of(&self, kinds: &[EngineKind]) -> OverlapStats {
+        let of_kinds = self.streams.iter().filter(|s| kinds.contains(&s.kind));
+        let tu = union_spans(of_kinds.map(|s| s.intervals.as_slice()));
+        let compute = &self.streams[StreamId::COMPUTE.0].intervals;
+        let (compute_busy, overlapped) = intersect_len(compute, &tu);
         OverlapStats {
-            compute_busy: SimTime::from_ns(span_len(&cu)),
+            compute_busy: SimTime::from_ns(compute_busy),
             transfer_busy: SimTime::from_ns(span_len(&tu)),
-            overlapped: SimTime::from_ns(intersect_len(&cu, &tu)),
+            overlapped: SimTime::from_ns(overlapped),
         }
-    }
-
-    fn streams_of(&self, kinds: &'static [EngineKind]) -> impl Iterator<Item = &Stream> {
-        self.streams.iter().filter(move |s| kinds.contains(&s.kind))
     }
 
     /// Compute/PCIe-transfer overlap since the last stats reset, from the
@@ -610,19 +607,13 @@ impl Timeline {
     /// single-device offload/prefetch numbers are unchanged by the presence
     /// of a link port.
     pub fn overlap(&self) -> OverlapStats {
-        self.overlap_of(
-            self.streams_of(&[EngineKind::Compute]),
-            self.streams_of(&[EngineKind::H2D, EngineKind::D2H]),
-        )
+        self.overlap_of(&[EngineKind::H2D, EngineKind::D2H])
     }
 
     /// Compute/collective overlap: how much inter-GPU link time was hidden
     /// under kernels (`transfer_busy`/`overlapped` refer to link spans).
     pub fn link_overlap(&self) -> OverlapStats {
-        self.overlap_of(
-            self.streams_of(&[EngineKind::Compute]),
-            self.streams_of(&[EngineKind::Link]),
-        )
+        self.overlap_of(&[EngineKind::Link])
     }
 
     /// Reset traffic/stall/busy counters and the busy timelines, but keep
@@ -835,6 +826,12 @@ mod tests {
         assert!((o.fraction() - 0.5).abs() < 1e-12);
         // The PCIe overlap query is blind to link streams.
         assert_eq!(tl.overlap().transfer_busy, SimTime::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "a timeline has one compute stream")]
+    fn a_second_compute_stream_panics() {
+        Timeline::new().add_stream(EngineKind::Compute);
     }
 
     #[test]

@@ -8,13 +8,13 @@
 //! * a **virtual clock** ([`SimTime`]) in integer nanoseconds, deterministic
 //!   across runs;
 //! * a **multi-stream timeline** ([`Timeline`]) mirroring a CUDA device:
-//!   per-device compute, host-to-device and device-to-host streams (plus any
-//!   extra via [`Timeline::add_stream`]), each serializing its own operations
-//!   while running concurrently with the others, with [`Event`]-based
-//!   cross-stream waits and per-stream busy timelines from which
-//!   [`Timeline::overlap`] derives how much DMA time was hidden under
-//!   kernels — exactly the overlap structure the paper's prefetch/offload
-//!   design exploits;
+//!   one compute stream, host-to-device and device-to-host streams (plus
+//!   extra copy queues or link ports via [`Timeline::add_stream`]), each
+//!   serializing its own operations while running concurrently with the
+//!   others, with [`Event`]-based cross-stream waits and per-stream busy
+//!   timelines from which [`Timeline::overlap`] derives how much DMA time
+//!   was hidden under kernels — exactly the overlap structure the paper's
+//!   prefetch/offload design exploits;
 //! * [`DeviceSpec`] describing a concrete card (DRAM capacity, arithmetic
 //!   throughput, memory and PCIe bandwidths, allocation latencies) with
 //!   presets for the NVIDIA K40c and TITAN Xp used in the paper;

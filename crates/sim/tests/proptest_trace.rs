@@ -13,11 +13,14 @@
 //! * tracing observes the schedule without perturbing it: a traced and an
 //!   untraced timeline replaying the same ops agree on every clock,
 //!   frontier and statistic.
+//!
+//! And the overlap queries answer what a count nanosecond by nanosecond of
+//! busy compute, busy transfer (or link) and both answers.
 
 use std::collections::HashSet;
 
 use proptest::prelude::*;
-use sn_sim::{EngineKind, Event, SimTime, StreamId, Timeline, TraceSink};
+use sn_sim::{EngineKind, Event, OverlapStats, SimTime, StreamId, Timeline, TraceSink};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -183,5 +186,101 @@ proptest! {
         prop_assert_eq!(a.stall, b.stall);
         prop_assert_eq!(plain.overlap(), traced.overlap());
         prop_assert_eq!(plain.link_overlap(), traced.link_overlap());
+    }
+}
+
+/// One host action on a timeline at nanosecond scale.
+#[derive(Debug, Clone)]
+enum Step {
+    /// Submit `ns` to stream `stream` (wrapped), gated on up to two earlier
+    /// events picked by (wrapped) index.
+    Submit {
+        stream: usize,
+        ns: u64,
+        gates: Vec<usize>,
+    },
+    /// Host-side wait on an earlier event.
+    Wait(usize),
+    /// Advance the host clock.
+    Advance(u64),
+    /// Move the host clock up to the compute frontier.
+    JoinCompute,
+}
+
+fn step_strategy() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        5 => (0usize..6, 0u64..12, proptest::collection::vec(0usize..64, 0..3))
+            .prop_map(|(stream, ns, gates)| Step::Submit { stream, ns, gates }),
+        1 => (0usize..64).prop_map(Step::Wait),
+        1 => (0u64..10).prop_map(Step::Advance),
+        1 => Just(Step::JoinCompute),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn overlap_equals_a_per_ns_count(
+        extra in proptest::collection::vec(0usize..3, 0..4),
+        steps in proptest::collection::vec(step_strategy(), 1..80),
+    ) {
+        // One compute stream, the two canonical copy queues, and up to
+        // three more H2D, D2H or link streams.
+        let mut tl = Timeline::new();
+        let mut streams = vec![StreamId::COMPUTE, StreamId::H2D, StreamId::D2H];
+        let mut kinds = vec![EngineKind::Compute, EngineKind::H2D, EngineKind::D2H];
+        for k in extra {
+            let kind = [EngineKind::H2D, EngineKind::D2H, EngineKind::Link][k];
+            streams.push(tl.add_stream(kind));
+            kinds.push(kind);
+        }
+        let mut events: Vec<Event> = Vec::new();
+        let mut spans: Vec<(EngineKind, u64, u64)> = Vec::new();
+        for step in steps {
+            match step {
+                Step::Submit { stream, ns, gates } => {
+                    let at = stream % streams.len();
+                    let gates: Vec<Event> = gates
+                        .iter()
+                        .filter_map(|i| events.get(i % events.len().max(1)).copied())
+                        .collect();
+                    let e = tl.submit_on(streams[at], SimTime(ns), &gates);
+                    spans.push((kinds[at], e.done_at.as_ns() - ns, e.done_at.as_ns()));
+                    events.push(e);
+                }
+                Step::Wait(i) => {
+                    if let Some(e) = events.get(i % events.len().max(1)) {
+                        tl.wait(*e);
+                    }
+                }
+                Step::Advance(ns) => tl.advance(SimTime(ns)),
+                Step::JoinCompute => tl.join_compute(),
+            }
+        }
+        tl.sync_all();
+
+        // Per ns: busy compute, busy PCIe transfer, busy link.
+        let mut busy = vec![[false; 3]; tl.now().as_ns() as usize];
+        for (kind, start, end) in spans {
+            let side = match kind {
+                EngineKind::Compute => 0,
+                EngineKind::H2D | EngineKind::D2H => 1,
+                EngineKind::Link => 2,
+            };
+            for ns in start..end {
+                busy[ns as usize][side] = true;
+            }
+        }
+        let count = |side: usize| {
+            let ns = |both: bool| busy.iter().filter(|b| b[side] && (!both || b[0])).count();
+            OverlapStats {
+                compute_busy: SimTime(busy.iter().filter(|b| b[0]).count() as u64),
+                transfer_busy: SimTime(ns(false) as u64),
+                overlapped: SimTime(ns(true) as u64),
+            }
+        };
+        prop_assert_eq!(tl.overlap(), count(1));
+        prop_assert_eq!(tl.link_overlap(), count(2));
     }
 }
