@@ -41,7 +41,8 @@
 //!   plan walk, not one per budget; outcomes the cap did shape (OOM
 //!   included) are memoized for that cap alone. The memo holds at most
 //!   [`PLAN_MEMO_CAP`] entries and at the cap forgets only the
-//!   least-recently-used one, so the hot set survives a long sweep.
+//!   least-recently-used one, so the hot set survives a long sweep. A hit
+//!   hashes one word, compares ten and copies its answer out of the entry.
 //!
 //! Both caches, the memo's hit/miss pair and the registry that pair is read
 //! from belong to a [`Compiler`] value; nothing here is process-global but
@@ -220,11 +221,12 @@ impl MemoryPlan {
         Some(self.workspaces[at.ok()?].1)
     }
 
-    /// Analytic iteration-time estimate: the busiest engine bounds the
-    /// makespan (compute serializes with allocator calls on the host
-    /// thread; DMA engines run concurrently unless the policy serializes
-    /// them). A pacing estimate for schedulers — the executor's measured
-    /// [`crate::IterationReport::iter_time`] is the ground truth.
+    /// Analytic iteration-time estimate: the busiest engine's busy total with
+    /// no stall and no overlap (the host thread's compute and allocator calls,
+    /// the weights' grant the executor makes at build among them; DMA engines
+    /// concurrent unless the policy serializes them). Not a pace (see
+    /// [`crate::PeakPrediction::iter_time`]); read by the tuner's feasibility
+    /// stage (`tune.rs:393`) and the cluster's solo pace (`admission.rs:901`).
     pub fn iter_time_estimate(&self) -> SimTime {
         let host = self.compute_ns + self.alloc_ns;
         let ns = if self.serialized {
@@ -367,33 +369,30 @@ fn effective_recompute_mode(policy: Policy, inference: bool) -> RecomputeMode {
 // The plan memo: (fingerprint, policy, card, cap or "open") → plan.
 // ---------------------------------------------------------------------
 
-/// Everything a compilation's outcome depends on. The card is
-/// [`DeviceSpec::card_fingerprint`], a 128-bit fold of its nine constants
-/// the way [`Net::fingerprint`] folds the net (the name is not identity),
-/// which makes the key `Copy` and small: building one for a lookup
-/// allocates nothing, and a memo entry can afford to hold it twice.
+/// Everything a compilation's outcome depends on, packed losslessly into
+/// ten words — the net's [`Net::fingerprint`], the card's
+/// [`DeviceSpec::card_fingerprint`] (its nine constants; the name is not
+/// identity), the policy in five and last the device cap — and `family`,
+/// the first nine folded once when the key is built: each probe hashes one
+/// word, `Eq` compares words, and building a key allocates nothing.
 ///
 /// The **device cap** is part of the key only for outcomes it shaped. A
-/// `(net, policy, card, mode)` has at most one plan the cap did not shape —
-/// two such plans would each be valid at the larger of their caps, hence
-/// equal — and it lives under `dram: None`, answering every cap in its
-/// [`CompiledPlan::valid_caps`]. An outcome the cap did shape (an eviction,
-/// a squeezed workspace, an OOM) lives under `Some(cap)` and is never served
-/// for another cap.
-///
-/// `Hash` writes one word, [`PlanKey::mixed`], instead of some 25 fields
-/// one dependent multiply at a time. `Eq` stays derived, so a field the mix
-/// left out would cost probes, never a wrong answer.
+/// `(net, policy, card, mode)` has at most one plan the cap did not shape
+/// (two would each be valid at the larger cap, hence equal); it lives under
+/// [`PlanKey::open`] and answers every cap in its
+/// [`CompiledPlan::valid_caps`]. An outcome the cap shaped (an eviction, a
+/// squeezed workspace, an OOM) is served for its own cap alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PlanKey {
-    fp: (u64, u64),
-    inference: bool,
-    policy: Policy,
-    card: (u64, u64),
-    dram: Option<u64>,
+    words: [u64; 10],
+    family: u64,
 }
 
-/// [`PlanKey::mixed`]'s multipliers, one a word.
+/// [`PlanKey::words`]' cap word, the bits each enum of the policy word (the
+/// fifth; its bit 0 marks a family's open slot) takes, and one multiplier a
+/// word.
+const CAP_WORD: usize = 9;
+const ENUM_BITS: u32 = 2;
 const KEY_MIX: [u64; 10] = odd_keys(0x706c_616e_5f6b_6579);
 
 /// `N` odd multipliers drawn from SplitMix64 at `seed` (as for
@@ -411,79 +410,125 @@ const fn odd_keys<const N: usize>(mut seed: u64) -> [u64; N] {
     keys
 }
 
+/// Word `w`, its high half xored into its low half, times its constant `k`.
+fn fold(w: u64, k: u64) -> u64 {
+    (w ^ (w >> 32)).wrapping_mul(k)
+}
+
 impl Hash for PlanKey {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.mixed());
+        let cap = fold(self.words[CAP_WORD], KEY_MIX[CAP_WORD]);
+        let sum = self.family.wrapping_add(cap);
+        let x = (sum ^ (sum >> 32)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        state.write_u64(x ^ (x >> 29));
     }
 }
 
 impl PlanKey {
-    /// Every field in one word, folded the way
-    /// [`DeviceSpec::card_fingerprint`] folds a card: the policy's flags,
-    /// enums and prefetch depth packed into one word, each word's high half
-    /// xored into its low half and multiplied by its own odd constant — ten
-    /// independent multiplies — then the sum mixed.
-    fn mixed(&self) -> u64 {
-        let p = &self.policy;
-        let (workspace, workspace_cap) = match p.workspace {
+    /// The key pinned to `spec`'s cap. The policy is destructured with no
+    /// `..`: a field added to it does not compile until it is packed here.
+    fn new(net: &Net, spec: &DeviceSpec, policy: Policy, inference: bool) -> PlanKey {
+        let Policy {
+            liveness,
+            keep_all_forward,
+            inplace_act,
+            offload,
+            eager_offload,
+            tensor_cache,
+            prefetch,
+            prefetch_depth,
+            pinned_host,
+            sync_transfers,
+            recompute,
+            allocator,
+            workspace,
+            cache_policy,
+            tiers:
+                crate::tiers::TierConfig {
+                    peer_gpu_bytes,
+                    local_host_bytes,
+                    remote_bytes,
+                },
+            precision:
+                Precision {
+                    activations,
+                    gradients,
+                },
+        } = policy;
+        let (workspace, workspace_cap) = match workspace {
             WorkspacePolicy::None => (0, 0),
             WorkspacePolicy::Dynamic => (1, 0),
             WorkspacePolicy::Capped(bytes) => (2, bytes),
         };
         let flags = [
-            self.inference,
-            self.dram.is_some(),
-            p.liveness,
-            p.keep_all_forward,
-            p.inplace_act,
-            p.offload,
-            p.eager_offload,
-            p.tensor_cache,
-            p.prefetch,
-            p.pinned_host,
-            p.sync_transfers,
+            inference,
+            liveness,
+            keep_all_forward,
+            inplace_act,
+            offload,
+            eager_offload,
+            tensor_cache,
+            prefetch,
+            pinned_host,
+            sync_transfers,
         ]
         .iter()
         .enumerate()
-        .fold(0u64, |word, (i, &on)| word | u64::from(on) << i);
-        let enums = p.recompute as u64
-            | (p.allocator as u64) << 2
-            | (p.cache_policy as u64) << 4
-            | workspace << 6
-            | (p.precision.activations as u64) << 8
-            | (p.precision.gradients as u64) << 10;
+        .fold(0u64, |word, (i, &on)| word | u64::from(on) << (i + 1));
+        let enums = recompute as u64
+            | (allocator as u64) << ENUM_BITS
+            | (cache_policy as u64) << (2 * ENUM_BITS)
+            | workspace << (3 * ENUM_BITS)
+            | (activations as u64) << (4 * ENUM_BITS)
+            | (gradients as u64) << (5 * ENUM_BITS);
+        let (fp, card) = (net.fingerprint(), spec.card_fingerprint());
         let words = [
-            self.fp.0,
-            self.fp.1,
-            self.card.0,
-            self.card.1,
-            self.dram.unwrap_or(0),
-            flags | enums << 16 | u64::from(p.prefetch_depth) << 32,
+            fp.0,
+            fp.1,
+            card.0,
+            card.1,
+            flags | enums << 16 | u64::from(prefetch_depth) << 32,
             workspace_cap,
-            p.tiers.peer_gpu_bytes,
-            p.tiers.local_host_bytes,
-            p.tiers.remote_bytes,
+            peer_gpu_bytes,
+            local_host_bytes,
+            remote_bytes,
+            spec.dram_bytes,
         ];
-        let sum = words.iter().zip(&KEY_MIX).fold(0u64, |acc, (w, k)| {
-            acc.wrapping_add((w ^ (w >> 32)).wrapping_mul(*k))
-        });
-        let x = (sum ^ (sum >> 32)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        x ^ (x >> 29)
+        let family = (words[..CAP_WORD].iter().zip(&KEY_MIX))
+            .fold(0u64, |sum, (&w, &k)| sum.wrapping_add(fold(w, k)));
+        PlanKey { words, family }
     }
 
-    fn new(net: &Net, spec: &DeviceSpec, policy: Policy, inference: bool) -> PlanKey {
-        PlanKey {
-            fp: net.fingerprint(),
-            inference,
-            policy,
-            card: spec.card_fingerprint(),
-            dram: Some(spec.dram_bytes),
+    /// The slot of this key's open-ended plan: same family, no cap.
+    fn open(mut self) -> PlanKey {
+        self.words[4] |= 1; // the policy word's open bit
+        self.words[CAP_WORD] = 0;
+        self
+    }
+}
+
+/// A memoized outcome — the plan and its [`PeakPrediction`], or the OOM —
+/// and the caps it answers, all written by the miss that inserts it.
+#[derive(Debug, Clone)]
+struct PlanEntry {
+    outcome: Result<(PeakPrediction, Arc<CompiledPlan>), ExecError>,
+    caps: RangeInclusive<u64>,
+}
+
+impl PlanEntry {
+    /// Debug builds hold a hit to its plan: the plan's prediction and
+    /// `valid_caps`, or for an OOM its own `cap` alone.
+    fn checked(&self, cap: u64) -> &PlanEntry {
+        if cfg!(debug_assertions) {
+            match &self.outcome {
+                Ok((p, c)) => assert_eq!(
+                    (*p, &self.caps),
+                    (PeakPrediction::of(&c.plan), &c.valid_caps)
+                ),
+                Err(_) => assert_eq!(self.caps, cap..=cap),
+            }
         }
-    }
-
-    /// The slot of this key's open-ended plan.
-    fn open(self) -> PlanKey {
-        PlanKey { dram: None, ..self }
+        self
     }
 }
 
@@ -522,7 +567,7 @@ pub struct Compiler {
     /// Per-layer max-speed conv algorithm choice (Fig. 12's "MAX Speed WS"
     /// series): a pure function of the net.
     max_algos: SharedMemo<Fp, Arc<Vec<AlgoChoice>>>,
-    plans: SharedMemo<PlanKey, Result<Arc<CompiledPlan>, ExecError>>,
+    plans: SharedMemo<PlanKey, PlanEntry>,
     /// Walk states no compile is using: one per compile run at once, at most.
     walks: Mutex<Vec<WalkState>>,
     /// `plan.memo.hit` and `plan.memo.miss`: monotone, one relaxed
@@ -583,14 +628,15 @@ impl Compiler {
         policy: Policy,
         inference: bool,
     ) -> (Result<Arc<CompiledPlan>, ExecError>, bool) {
-        self.lookup(net, spec, policy, inference, Result::clone)
+        let read = |e: &PlanEntry| e.outcome.clone().map(|(_, plan)| plan);
+        self.lookup(net, spec, policy, inference, read)
     }
 
     /// [`Compiler::compile`] down to what admission reads: the
     /// [`PeakPrediction`] and the caps it holds for — the plan's
-    /// [`CompiledPlan::valid_caps`], or an OOM's own cap alone — read off the
-    /// memoized plan in place, so a hit touches no `Arc` refcount and
-    /// allocates nothing. Counted as `compile` counts.
+    /// [`CompiledPlan::valid_caps`], or an OOM's own cap alone — copied out
+    /// of the memo entry, which holds both beside the plan: a hit touches no
+    /// `Arc` and allocates nothing. Counted as `compile` counts.
     pub(crate) fn predict(
         &self,
         net: &Net,
@@ -598,30 +644,31 @@ impl Compiler {
         policy: Policy,
         inference: bool,
     ) -> (Result<PeakPrediction, ExecError>, RangeInclusive<u64>) {
-        let read = |r: &Result<Arc<CompiledPlan>, ExecError>| match r {
-            Ok(c) => (Ok(PeakPrediction::of(&c.plan)), c.valid_caps.clone()),
-            Err(e) => (Err(e.clone()), spec.dram_bytes..=spec.dram_bytes),
+        let read = |e: &PlanEntry| {
+            let prediction = e.outcome.as_ref().map(|&(p, _)| p).map_err(Clone::clone);
+            (prediction, e.caps.clone())
         };
         self.lookup(net, spec, policy, inference, read).0
     }
 
-    /// The memo's outcome for the question, passed through `read`, and
-    /// whether the memo answered: one hit or one miss counted, one guard
-    /// taken, and on a miss one compile, memoized.
+    /// The memo's entry for the question, passed through `read`, and
+    /// whether the memo answered: one key built, one hit or one miss
+    /// counted, one guard taken, and on a miss one compile, memoized.
     fn lookup<R>(
         &self,
         net: &Net,
         spec: &DeviceSpec,
         policy: Policy,
         inference: bool,
-        read: impl Fn(&Result<Arc<CompiledPlan>, ExecError>) -> R,
+        read: impl Fn(&PlanEntry) -> R,
     ) -> (R, bool) {
         let key = PlanKey::new(net, spec, policy, inference);
+        let (open, cap) = (key.open(), spec.dram_bytes);
         // The open-ended plan first — one probe answers every cap that does not
         // bind — then the outcome pinned to this exact cap, under one guard.
-        let hit = self.plans.probe(|memo| match memo.get(&key.open()) {
-            Some(open @ Ok(plan)) if plan.valid_caps.contains(&spec.dram_bytes) => Some(read(open)),
-            _ => memo.get(&key).map(&read),
+        let hit = self.plans.probe(|memo| match memo.get(&open) {
+            Some(entry) if entry.caps.contains(&cap) => Some(read(entry.checked(cap))),
+            _ => memo.get(&key).map(|pinned| read(pinned.checked(cap))),
         });
         if let Some(hit) = hit {
             self.hits.inc();
@@ -631,15 +678,16 @@ impl Compiler {
         // Compile outside the lock: concurrent sweeps may duplicate a compile
         // (both produce identical plans — last insert wins) but never block on
         // each other's compilation.
-        let result = self
-            .compile_fresh(net, spec, policy, inference)
-            .map(Arc::new);
-        let answer = read(&result);
-        let slot = match &result {
-            Ok(plan) if *plan.valid_caps.end() == u64::MAX => key.open(),
+        let outcome = self.compile_fresh(net, spec, policy, inference);
+        let caps = outcome.as_ref().map_or(cap..=cap, |c| c.valid_caps.clone());
+        let outcome = outcome.map(|c| (PeakPrediction::of(&c.plan), Arc::new(c)));
+        let entry = PlanEntry { outcome, caps };
+        let answer = read(&entry);
+        let slot = match &entry.outcome {
+            Ok(_) if *entry.caps.end() == u64::MAX => open,
             _ => key,
         };
-        self.plans.insert(slot, result);
+        self.plans.insert(slot, entry);
         (answer, false)
     }
 
@@ -2500,5 +2548,74 @@ mod tests {
         assert!(a2_hit && b2_hit);
         assert!(Arc::ptr_eq(&a, &a2.unwrap()));
         assert!(Arc::ptr_eq(&b, &b2.unwrap()));
+    }
+
+    #[test]
+    fn packed_memo_keys_never_alias() {
+        use crate::policy::{AllocatorKind, CachePolicy};
+        use crate::tiers::TierConfig;
+        use sn_tensor::DType;
+        // Every enum's largest variant fits its field, and the six fields
+        // fit the enum half-word above the flags.
+        let largest = [
+            RecomputeMode::CostAware as u64,
+            AllocatorKind::Cuda as u64,
+            CachePolicy::Mru as u64,
+            2, // `WorkspacePolicy::Capped`
+            DType::BF16 as u64,
+        ];
+        assert!(largest.iter().all(|&v| v < 1 << ENUM_BITS));
+        const { assert!(6 * ENUM_BITS <= 16) };
+        // The lattice, each preset with one tier size or the workspace cap
+        // moved by a byte, at both precisions, for training and inference:
+        // distinct questions, distinct words.
+        let mut policies = lattice();
+        for p in &lattice()[..5] {
+            let t = p.tiers;
+            for tiers in [
+                TierConfig {
+                    peer_gpu_bytes: t.peer_gpu_bytes + 1,
+                    ..t
+                },
+                TierConfig {
+                    local_host_bytes: t.local_host_bytes + 1,
+                    ..t
+                },
+                TierConfig {
+                    remote_bytes: t.remote_bytes + 1,
+                    ..t
+                },
+            ] {
+                policies.push(Policy { tiers, ..*p });
+            }
+            policies.push(Policy {
+                workspace: WorkspacePolicy::Capped((64 << 20) + 1),
+                ..*p
+            });
+        }
+        let (net, spec) = (small_net(8), DeviceSpec::k40c());
+        let mut questions = std::collections::HashSet::new();
+        let mut slots = std::collections::HashSet::new();
+        for p in policies {
+            for precision in [Precision::fp32(), Precision::bf16_mixed()] {
+                for inference in [false, true] {
+                    let policy = p.with_precision(precision);
+                    if !questions.insert((policy, inference)) {
+                        continue;
+                    }
+                    // A family's open slot equals none of its pinned slots,
+                    // the cap-0 one included, and shares their family.
+                    let key = PlanKey::new(&net, &spec, policy, inference);
+                    for cap in [0, 1, spec.dram_bytes, u64::MAX] {
+                        let pinned =
+                            PlanKey::new(&net, &spec.clone().with_dram(cap), policy, inference);
+                        assert_eq!(pinned.family, key.open().family);
+                        assert!(slots.insert(pinned.words), "{policy:?} at {cap}");
+                    }
+                    assert!(slots.insert(key.open().words), "{policy:?} open");
+                }
+            }
+        }
+        assert_eq!(slots.len(), questions.len() * 5);
     }
 }

@@ -28,8 +28,11 @@ pub struct PeakPrediction {
     /// meets exactly — the number a reservation must cover so the job never
     /// exceeds its grant.
     pub peak_bytes: u64,
-    /// The plan's analytic iteration-time estimate (its busiest engine), a
-    /// pacing hint rather than a measurement.
+    /// [`plan::MemoryPlan::iter_time_estimate`]: the busiest engine's total,
+    /// no stall, no overlap, the weights' grant made at build counted. Not a
+    /// pace: a step without transfers runs that grant (400 ns on a K40c)
+    /// shorter, one that offloads up to 1.5x longer (`the_estimate_is_not_a_pace`);
+    /// read by `tune.rs:393` and the cluster's solo pace (`admission.rs:901`).
     pub iter_time: SimTime,
     /// Total weight-gradient bytes (the per-iteration all-reduce payload).
     pub weight_bytes: u64,
@@ -50,13 +53,12 @@ impl PeakPrediction {
 /// and read the quantities off it — no simulated iteration, no timeline.
 /// `peak_bytes` is **exact** (the interpreter replays the plan's alloc/free
 /// sequence, so the executed high-water equals it to the byte); `iter_time`
-/// is the plan's analytic busiest-engine estimate, a pacing hint rather
-/// than a measurement.
+/// is the plan's analytic busiest-engine estimate, not a measured pace.
 ///
 /// Goes through the shared compiler's plan memo, as [`plan::compile_memo`]
-/// does, and reads the prediction off the memoized plan in place: a repeated
-/// prediction for the same `(net, policy, device)` triple is a hash lookup
-/// that allocates nothing, not a compile.
+/// does, and copies the prediction the memo entry holds beside the plan: a
+/// repeated prediction for the same `(net, policy, device)` triple is one
+/// hash lookup that allocates nothing, not a compile.
 pub fn plan_prediction(
     net: &Net,
     spec: &DeviceSpec,
@@ -336,5 +338,39 @@ mod tests {
         );
         assert!(inf.peak_bytes < train.peak_bytes, "forward-only is smaller");
         assert!(imgs_per_sec.is_finite());
+    }
+
+    #[test]
+    fn the_estimate_is_not_a_pace() {
+        // One executed iteration against the compile-only estimate on a
+        // K40c. With no transfers the estimate is the executed step plus
+        // the weights' grant, which the plan's `alloc_ns` counts and the
+        // executor makes at build; under offload the executed step waits on
+        // its transfers and runs 9-51 % past the estimate.
+        let spec = DeviceSpec::k40c();
+        let executed = |net: &Net, policy| {
+            let mut ex = Executor::new(net, spec.clone(), policy).unwrap();
+            let run = ex.run_iteration().unwrap();
+            assert_eq!(
+                ex.mplan.alloc_ns - run.alloc_time.as_ns(),
+                400,
+                "the weights' grant"
+            );
+            let estimate = plan_prediction(net, &spec, policy).unwrap().iter_time;
+            (run.iter_time.as_ns(), estimate.as_ns())
+        };
+        for (net, ratio) in [
+            (sn_models::alexnet(32), 1.09),
+            (sn_models::resnet50(32), 1.51),
+            (sn_models::vgg16(16), 1.14),
+        ] {
+            for policy in [Policy::liveness_only(), Policy::baseline()] {
+                let (run, estimate) = executed(&net, policy);
+                assert_eq!(estimate - run, 400, "{}", net.name);
+            }
+            let (run, estimate) = executed(&net, Policy::liveness_offload());
+            let got = (run as f64 / estimate as f64 * 100.0).round() / 100.0;
+            assert_eq!(got, ratio, "{}", net.name);
+        }
     }
 }
