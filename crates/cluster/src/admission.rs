@@ -47,24 +47,13 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use fxhash::{FxHashMap, FxHashSet};
 use sn_graph::Net;
-use sn_runtime::group::DEFAULT_BUCKET_BYTES;
-use sn_runtime::{
-    plan_prediction_caps, GroupConfig, GroupExecutor, Interconnect, PeakPrediction, Policy,
-    TunedPolicy,
-};
+use sn_runtime::{plan_prediction_caps, GroupConfig, GroupExecutor, Interconnect, PeakPrediction};
 use sn_sim::{DeviceSpec, SimTime};
 
 use crate::job::{JobKind, JobSpec, PolicyPreset, Workload};
 use crate::placement::{ByFree, Candidate, DeviceState, PlacementPolicy};
 use crate::report::RejectReason;
 use crate::sim::ClusterSim;
-
-/// A tuned bundle's name within one simulation: minted by
-/// [`ClusterSim::register_tuned`](crate::ClusterSim::register_tuned) alone,
-/// and resolved by that simulation's [`Profiler`]. `Copy + Ord + Hash`, so
-/// [`PolicyPreset::Tuned`] stays a plain value in memo keys and ladders.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct TunedId(u32);
 
 /// Memoization key: everything the prediction depends on. The card is its
 /// [`DeviceSpec::card_fingerprint`] — every perf-relevant constant folded
@@ -122,8 +111,6 @@ pub struct Profiler {
     /// Debug builds: the gang step measured at each exact cap a hit asked.
     #[cfg(debug_assertions)]
     gang_exact: Mutex<FxHashMap<(GangKey, u64), Option<SimTime>>>,
-    /// The simulation's tuned bundles, indexed by [`TunedId`].
-    tuned: Vec<TunedPolicy>,
 }
 
 /// Lock one of the profiler's maps, poisoned or not: a prediction is
@@ -137,31 +124,6 @@ fn lock<T>(map: &Mutex<T>) -> MutexGuard<'_, T> {
 impl Profiler {
     pub fn new() -> Profiler {
         Profiler::default()
-    }
-
-    /// Append `bundle` to this profiler's table and name it. Nothing is
-    /// removed, so an id never dangles.
-    pub(crate) fn register(&mut self, bundle: TunedPolicy) -> TunedId {
-        let id = TunedId(u32::try_from(self.tuned.len()).expect("tuned table overflow"));
-        self.tuned.push(bundle);
-        id
-    }
-
-    /// The policy and all-reduce bucket target `preset` names: a hand
-    /// preset's with the group default, or the bundle registered under a
-    /// tuned id — the one place a `Tuned` rung is resolved.
-    fn resolve(&self, preset: PolicyPreset) -> (Policy, u64) {
-        match preset {
-            PolicyPreset::Tuned(TunedId(i)) => {
-                let t = self.tuned.get(i as usize);
-                let t = t.expect("a tuned id names a bundle its own simulation registered");
-                (t.policy, t.bucket_bytes)
-            }
-            hand => (
-                hand.policy().expect("a hand preset names its policy"),
-                DEFAULT_BUCKET_BYTES,
-            ),
-        }
     }
 
     /// Predicted cost of one replica of (`workload`, `batch`, `kind`) under
@@ -198,7 +160,7 @@ impl Profiler {
         let capped = spec.clone().with_dram(key.cap);
         let net = self.net(key.workload, key.batch);
         let inference = key.kind == JobKind::Inference;
-        let policy = self.resolve(key.preset).0;
+        let policy = key.preset.policy();
         let (result, caps) = plan_prediction_caps(&net, &capped, policy, inference);
         let answer = (result.ok(), caps);
         self.record(key, answer.clone());
@@ -286,13 +248,9 @@ impl Profiler {
         };
         let measure = || {
             let net = self.net(workload, batch);
-            // Tuned presets carry their own all-reduce bucket target; the
-            // gang must be measured with it or the tuned step time would be
-            // fiction.
-            let (policy, bucket_bytes) = self.resolve(preset);
-            let cfg = GroupConfig::new(replicas, interconnect).with_bucket_bytes(bucket_bytes);
+            let cfg = GroupConfig::new(replicas, interconnect);
             let capped = spec.clone().with_dram(cap);
-            GroupExecutor::new(&net, capped, policy, cfg)
+            GroupExecutor::new(&net, capped, preset.policy(), cfg)
                 .ok()
                 .and_then(|mut gx| {
                     let step = gx.run_iteration().ok()?;
@@ -1179,93 +1137,6 @@ mod tests {
             train.peak_bytes
         );
         assert!(infer.iter_time < train.iter_time);
-    }
-
-    /// A tuned bundle of `policy` and `bucket_bytes`, measured nowhere.
-    fn fake_bundle(policy: Policy, bucket_bytes: u64) -> TunedPolicy {
-        TunedPolicy {
-            policy,
-            bucket_bytes,
-            step_time: SimTime::from_us(10),
-            plan_peak_bytes: 1,
-            executed_peak_bytes: 1,
-            hand_step_time: SimTime::from_us(12),
-            hand_name: "superneurons",
-            seed: 0,
-            evals: 0,
-            pruned: 0,
-            trace_digest: 0,
-        }
-    }
-
-    #[test]
-    fn a_tuned_rung_resolves_in_its_own_profiler() {
-        let mut p = Profiler::new();
-        let policy = Policy::full_memory().with_prefetch_depth(16);
-        let tuned = PolicyPreset::Tuned(p.register(fake_bundle(policy, 4 << 20)));
-        assert_eq!(p.resolve(tuned), (policy, 4 << 20));
-        assert_eq!(tuned.policy(), None, "no preset resolves itself");
-        let hand = p.resolve(PolicyPreset::Baseline);
-        assert_eq!(hand, (Policy::baseline(), DEFAULT_BUCKET_BYTES));
-        // Another profiler's first bundle takes the same id, naming its own.
-        let mut q = Profiler::new();
-        let other = q.register(fake_bundle(Policy::baseline(), 8 << 20));
-        assert_eq!(PolicyPreset::Tuned(other), tuned);
-        assert_eq!(q.resolve(tuned), (Policy::baseline(), 8 << 20));
-        // The rung's rank: between the offload stack and the full stack.
-        assert!(tuned > PolicyPreset::LivenessOffload && tuned < PolicyPreset::FullMemory);
-        let ladder: Vec<_> = tuned.ladder().collect();
-        assert_eq!(
-            ladder,
-            [tuned, PolicyPreset::FullMemory, PolicyPreset::Superneurons]
-        );
-        assert_eq!(tuned.name(), "tuned");
-    }
-
-    #[test]
-    fn tuned_and_hand_presets_never_alias_in_the_memo() {
-        // A tuned bundle whose policy happens to coincide with the full
-        // superneurons stack: the preset rides in the memo key, so the two
-        // predictions must occupy distinct entries (and a later change to
-        // the tuned policy could never be served a stale hand compile).
-        let mut p = Profiler::new();
-        let id = p.register(fake_bundle(Policy::superneurons(), 8 << 20));
-        let w = Workload::Synthetic { width: 8, depth: 2 };
-        let spec = DeviceSpec::k40c();
-        let hand = p
-            .profile_kind(
-                w,
-                8,
-                PolicyPreset::Superneurons,
-                JobKind::Training,
-                &spec,
-                spec.dram_bytes,
-            )
-            .unwrap();
-        let tuned = p
-            .profile_kind(
-                w,
-                8,
-                PolicyPreset::Tuned(id),
-                JobKind::Training,
-                &spec,
-                spec.dram_bytes,
-            )
-            .unwrap();
-        assert_eq!(hand, tuned, "identical policies predict identically");
-        assert_eq!(p.simulated(), 2, "but they must never share a memo entry");
-        // The gang path must measure tuned gangs with their tuned bucket.
-        assert_eq!(p.resolve(PolicyPreset::Tuned(id)).1, 8 << 20);
-        let step = p.gang_step_time(
-            w,
-            8,
-            PolicyPreset::Tuned(id),
-            2,
-            &spec,
-            Interconnect::pcie(),
-        );
-        assert!(step.is_some());
-        assert_eq!(p.gangs_measured(), 1);
     }
 
     /// `present` resolved on a 96 MB card twice, each on a fresh profiler:

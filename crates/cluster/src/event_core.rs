@@ -136,9 +136,6 @@ pub(crate) struct Core<'a, R: Recorder> {
     // Fault state; inert without a plan.
     faults: Vec<(SimTime, FaultEvent)>,
     next_fault: usize,
-    link_permille: u32,
-    /// The link speed moved this instant: every gang may re-pace.
-    link_moved: bool,
     /// Bumped on every fail/recover: scopes the live-subset feasibility
     /// memo.
     fault_epoch: u64,
@@ -192,8 +189,6 @@ impl<'a, R: Recorder> Core<'a, R> {
             pass_version: 0,
             faults: faults.unwrap_or_default(),
             next_fault: 0,
-            link_permille: 1000,
-            link_moved: false,
             fault_epoch: 0,
             fail_since: vec![None; n],
             completions: Vec::new(),
@@ -270,7 +265,6 @@ impl<'a, R: Recorder> Core<'a, R> {
         self.now_ns = t_ns;
         self.completions.clear();
         self.affected.clear();
-        self.link_moved = false;
         self.fresh_from = self.pending.len();
         let (mut arrival_due, mut fault_due) = (false, false);
         while self.heap.peek() == Some(t_ns) {
@@ -373,31 +367,25 @@ impl<'a, R: Recorder> Core<'a, R> {
     }
 
     fn apply_fault(&mut self, ev: FaultEvent) {
-        let n = self.devices.len();
-        // An event that changes nothing — a device already in that state, a
-        // link already at that speed, a device index out of range — is
-        // dropped without a trace.
-        let applies = match ev {
-            FaultEvent::DeviceFail { device } => device < n && !self.devices[device].failed,
-            FaultEvent::DeviceRecover { device } => device < n && self.devices[device].failed,
-            FaultEvent::LinkDegrade { permille } => permille.max(1) != self.link_permille,
-            FaultEvent::LinkRestore => self.link_permille != 1000,
-            FaultEvent::PressureSpike { device, .. }
-            | FaultEvent::PressureRelease { device, .. } => device < n,
-        };
-        if !applies {
-            return;
-        }
-        self.out.events += 1;
-        self.rec.on_fault(&ev, self.now_ns);
         let device = match ev {
-            FaultEvent::LinkDegrade { permille } => return self.set_link(permille.max(1)),
-            FaultEvent::LinkRestore => return self.set_link(1000),
             FaultEvent::DeviceFail { device }
             | FaultEvent::DeviceRecover { device }
             | FaultEvent::PressureSpike { device, .. }
             | FaultEvent::PressureRelease { device, .. } => device,
         };
+        // An event that changes nothing — a device already in that state, a
+        // device index out of range — is dropped without a trace.
+        let applies = device < self.devices.len()
+            && match ev {
+                FaultEvent::DeviceFail { .. } => !self.devices[device].failed,
+                FaultEvent::DeviceRecover { .. } => self.devices[device].failed,
+                _ => true,
+            };
+        if !applies {
+            return;
+        }
+        self.out.events += 1;
+        self.rec.on_fault(&ev, self.now_ns);
         self.devices[device].fault(&self.sim.fleet.devices[device], ev);
         self.by_free.moved(&self.devices, device);
         self.state_version += 1;
@@ -426,12 +414,6 @@ impl<'a, R: Recorder> Core<'a, R> {
             }
             _ => {}
         }
-    }
-
-    fn set_link(&mut self, permille: u32) {
-        self.link_permille = permille;
-        self.link_moved = true;
-        self.affected.extend(0..self.devices.len());
     }
 
     /// A device under `key`'s gang failed: the whole gang stops — ALL
@@ -658,7 +640,7 @@ impl<'a, R: Recorder> Core<'a, R> {
                 self.pace_count.resize(slot + 1, 0);
             }
             self.pace_count[slot] = most as u32;
-            let progress = Progress::new(work, now, Pace::new(most, self.link_permille));
+            let progress = Progress::new(work, now, Pace::new(most));
             let kind = EventKind::Completion { key };
             self.heap.set(kind, progress.completion_ns(), job.seq);
             Some(progress)
@@ -744,13 +726,13 @@ impl<'a, R: Recorder> Core<'a, R> {
     /// instant. A device whose tenant count moved from `k_old` (its clock's)
     /// to `k` folds its clock — the single-device tenants' progress, all at
     /// once. A gang there of pace count `m` can have a new pace only if
-    /// `k > m`, if `k < k_old == m`, or if the link moved (see the module
-    /// docs); it alone is visited. One whose pace moved folds its own
-    /// progress forward under the old pace, restarts its anchor at `now` and
-    /// has its completion re-keyed where it sits in the heap; a gang reached
-    /// through two affected devices is re-anchored once — a second visit
-    /// sees the new pace already in place. Last, the device's entry is keyed
-    /// by its earliest single-device tenant.
+    /// `k > m` or if `k < k_old == m` (see the module docs); it alone is
+    /// visited. One whose pace moved folds its own progress forward under
+    /// the old pace, restarts its anchor at `now` and has its completion
+    /// re-keyed where it sits in the heap; a gang reached through two
+    /// affected devices is re-anchored once — a second visit sees the new
+    /// pace already in place. Last, the device's entry is keyed by its
+    /// earliest single-device tenant.
     fn reanchor_sweep(&mut self) {
         self.affected.sort_unstable();
         self.affected.dedup();
@@ -758,7 +740,7 @@ impl<'a, R: Recorder> Core<'a, R> {
             let k = self.devices[d].tenants.max(1) as u64;
             let earliest = self.tenants_on[d].refold(self.now_ns, k, |key, k_old| {
                 let m = u64::from(self.pace_count[key.index()]);
-                if !(k > m || (k < k_old && k_old == m) || self.link_moved) {
+                if !(k > m || (k < k_old && k_old == m)) {
                     return;
                 }
                 let job = self
@@ -768,7 +750,7 @@ impl<'a, R: Recorder> Core<'a, R> {
                 let run = job.run.as_mut().expect("listed tenants are running");
                 let progress = run.gang.as_mut().expect("a gang keeps its own progress");
                 let most = most_tenants(&self.devices, &run.grant);
-                let pace = Pace::new(most, self.link_permille);
+                let pace = Pace::new(most);
                 if pace != progress.pace {
                     progress.repace(self.now_ns, pace);
                     self.pace_count[key.index()] = most as u32;
@@ -842,7 +824,7 @@ impl<'a, R: Recorder> Core<'a, R> {
                 let most = most_tenants(&self.devices, &run.grant);
                 assert_eq!(
                     progress.pace,
-                    Pace::new(most, self.link_permille),
+                    Pace::new(most),
                     "job {}: pace is not the one its devices imply after the sweep",
                     job.spec.name
                 );
@@ -911,9 +893,9 @@ mod tests {
 
     #[test]
     fn an_iteration_that_ends_exactly_now_is_counted() {
-        // 7 ns steps at 20/3 wall ns per work ns (2 tenants, link at 300‰):
-        // iteration k ends at the first instant by which 7k ns are done.
-        let pace = Pace::new(2, 300);
+        // 7 ns steps at 2 wall ns per work ns (2 tenants): iteration k
+        // ends at the first instant by which 7k ns are done.
+        let pace = Pace::new(2);
         let (run, mut progress) = gang_run(7, 5, 100, pace);
         let done = |p: &Progress, t: u64| run.done_iterations(5, p.remaining(t));
         for k in 1..=5u32 {
@@ -921,15 +903,15 @@ mod tests {
             assert_eq!(done(&progress, ends), k, "iteration {k} ends at {ends}");
             assert_eq!(done(&progress, ends - 1), k - 1, "and not a ns sooner");
         }
-        assert_eq!(progress.completion_ns(), 100 + pace.wall(35));
-        // A re-anchor mid-iteration floors the fold (50 ns at 20/3 is 7.5 ns
+        assert_eq!(progress.completion_ns(), 100 + 2 * 35);
+        // A re-anchor mid-iteration floors the fold (15 ns at 2 is 7.5 ns
         // of work, credited as 7) and the count carries on from it.
-        progress.repace(150, Pace::new(3, 1000));
-        assert_eq!(progress.remaining(150), 28);
-        assert_eq!(done(&progress, 150), 1);
-        assert_eq!(done(&progress, 170), 1);
-        assert_eq!(done(&progress, 171), 2);
-        assert_eq!(progress.completion_ns(), 150 + 3 * 28);
+        progress.repace(115, Pace::new(3));
+        assert_eq!(progress.remaining(115), 28);
+        assert_eq!(done(&progress, 115), 1);
+        assert_eq!(done(&progress, 135), 1);
+        assert_eq!(done(&progress, 136), 2);
+        assert_eq!(progress.completion_ns(), 115 + 3 * 28);
         assert_eq!(done(&progress, progress.completion_ns()), 5);
         // A zero-work run is done the moment it starts.
         let (zero, progress) = gang_run(0, 4, 9, pace);
@@ -1078,42 +1060,18 @@ mod tests {
     fn a_gang_is_re_paced_wherever_its_maximum_moves() {
         // Gangs of 2 and 4 on 4 devices: a gang's most-loaded device loses a
         // tenant while another of its devices gains one (the maximum holds),
-        // or loses one with no other device at the maximum (it falls), and
-        // the link moves under running gangs. Each run is held to the digest
-        // it had when the sweep visited every gang on every affected device:
-        // the fault-free one in `tests/golden/schedule_digests.txt`, the one
-        // with link faults here.
-        const EVERY_GANG_VISITED: u64 = 0x3dd0_50ef_42ca_d9e4;
-        let fleet = || {
-            Fleet::homogeneous(
-                4,
-                DeviceSpec::k40c().with_dram(48 << 20),
-                Interconnect::pcie(),
-            )
-        };
-        let sim = || ClusterSim::new(fleet(), PlacementPolicy::FirstFit);
+        // or loses one with no other device at the maximum (it falls). The
+        // run is held to the digest it had when the sweep visited every gang
+        // on every affected device, in `tests/golden/schedule_digests.txt`.
+        let fleet = Fleet::homogeneous(
+            4,
+            DeviceSpec::k40c().with_dram(48 << 20),
+            Interconnect::pcie(),
+        );
         let arrivals = synthetic_stream(100, 6, PolicyPreset::Superneurons, true);
-        let plain = sim().run(arrivals.clone());
-        let links = FaultPlan::new()
-            .degraded_link(SimTime::from_ms(20), 400, SimTime::from_ms(40))
-            .degraded_link(SimTime::from_ms(90), 250, SimTime::from_ms(60))
-            .degraded_link(SimTime::from_ms(200), 500, SimTime::from_ms(50));
-        let mut degraded = sim();
-        degraded.enable_faults(links, RecoveryPolicy::default());
-        let degraded = degraded.run(arrivals);
-        assert_eq!(degraded.digest(), EVERY_GANG_VISITED, "the schedule moved");
-        let faults = degraded
-            .trace
-            .iter()
-            .filter(|e| matches!(e.kind, TraceKind::Fault { .. }));
-        assert_eq!(faults.count(), 6, "every link fault applied");
-        for (name, run) in [("fault-free", &plain), ("degraded", &degraded)] {
-            let (held, fell) = gang_maxima_moves(&run.trace, 4);
-            assert!(
-                held > 0 && fell > 0,
-                "{name}: a maximum held {held}, fell {fell}"
-            );
-        }
+        let plain = ClusterSim::new(fleet, PlacementPolicy::FirstFit).run(arrivals);
+        let (held, fell) = gang_maxima_moves(&plain.trace, 4);
+        assert!(held > 0 && fell > 0, "a maximum held {held}, fell {fell}");
     }
 
     /// An arrival source that does not keep its times in order.

@@ -1,7 +1,7 @@
 //! Deterministic fault injection and the recovery policy.
 //!
 //! A [`FaultPlan`] is a time-ordered script of [`FaultEvent`]s — device
-//! kills/revivals, interconnect degradation, and memory-pressure spikes —
+//! kills/revivals and memory-pressure spikes —
 //! pinned to **integer** [`SimTime`] instants. The plan is either written by
 //! hand (tests, targeted scenarios) or drawn from
 //! [`FaultPlan::seeded_random`], whose exponential fail/repair process is a
@@ -32,11 +32,6 @@ pub enum FaultEvent {
     DeviceFail { device: usize },
     /// The device rejoins the fleet with empty reservations.
     DeviceRecover { device: usize },
-    /// Inter-device bandwidth degrades: gang (`replicas > 1`) step times
-    /// stretch by `permille`/1000 until restored. `1000` = nominal.
-    LinkDegrade { permille: u32 },
-    /// The interconnect returns to nominal speed.
-    LinkRestore,
     /// `bytes` of device memory become unavailable to admission (a noisy
     /// neighbor outside the scheduler's control). Running reservations are
     /// untouched — the pressure squeezes future placements only.
@@ -51,10 +46,6 @@ impl FaultEvent {
         match self {
             FaultEvent::DeviceFail { device } => format!("device {device} failed"),
             FaultEvent::DeviceRecover { device } => format!("device {device} recovered"),
-            FaultEvent::LinkDegrade { permille } => {
-                format!("link degraded to {permille} permille")
-            }
-            FaultEvent::LinkRestore => "link restored".to_string(),
             FaultEvent::PressureSpike { device, bytes } => {
                 format!("pressure spike on device {device}: {bytes} bytes")
             }
@@ -97,13 +88,6 @@ impl FaultPlan {
     /// Kill `device` at `t` and revive it `outage` later.
     pub fn outage(self, t: SimTime, device: usize, outage: SimTime) -> FaultPlan {
         self.kill(t, device).recover(t + outage, device)
-    }
-
-    /// Degrade gang interconnect to `permille`/1000 of nominal speed over
-    /// `[t, t + span)`.
-    pub fn degraded_link(self, t: SimTime, permille: u32, span: SimTime) -> FaultPlan {
-        self.at(t, FaultEvent::LinkDegrade { permille })
-            .at(t + span, FaultEvent::LinkRestore)
     }
 
     /// Withhold `bytes` of `device` memory from admission over

@@ -4,8 +4,6 @@
 use sn_graph::Net;
 use sn_runtime::Policy;
 
-use crate::admission::TunedId;
-
 /// Which network a job trains. An enum (rather than a boxed builder closure)
 //  keeps `JobSpec` cloneable, hashable for profile memoization, and
 /// printable in schedule traces.
@@ -90,24 +88,14 @@ impl JobKind {
 /// efficiency. Admission control walks this ladder when a requested preset
 /// does not fit: a stronger preset trades (virtual) compute and PCIe traffic
 /// for a smaller `peak_m`, letting more tenants share one device.
-///
-/// `Tuned` names an autotuned bundle registered with the simulation that
-/// runs the job ([`ClusterSim::register_tuned`](crate::ClusterSim::register_tuned)),
-/// and only that simulation's profiler resolves it.
-/// Its variant position — between `LivenessOffload` and `FullMemory` — is
-/// its downgrade rank: a tuned policy is built on the offload stack, and
-/// when admission must shed memory it walks up to the hand
-/// `FullMemory`/`Superneurons` rungs exactly like any other preset. The
-/// [`TunedId`] rides in every admission memo key, so tuned and hand compiles
-/// can never alias even if their policies happen to coincide.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum PolicyPreset {
     Baseline,
     LivenessOnly,
     LivenessOffload,
-    Tuned(TunedId),
-    FullMemory,
-    Superneurons,
+    // The schedule digests hash these two discriminants: keep them pinned.
+    FullMemory = 4,
+    Superneurons = 5,
 }
 
 impl PolicyPreset {
@@ -119,17 +107,15 @@ impl PolicyPreset {
         PolicyPreset::Superneurons,
     ];
 
-    /// The runtime policy bundle a hand preset names; `None` for a `Tuned`
-    /// rung, whose bundle only its simulation holds.
-    pub fn policy(self) -> Option<Policy> {
-        Some(match self {
+    /// The runtime policy bundle this preset names.
+    pub fn policy(self) -> Policy {
+        match self {
             PolicyPreset::Baseline => Policy::baseline(),
             PolicyPreset::LivenessOnly => Policy::liveness_only(),
             PolicyPreset::LivenessOffload => Policy::liveness_offload(),
-            PolicyPreset::Tuned(_) => return None,
             PolicyPreset::FullMemory => Policy::full_memory(),
             PolicyPreset::Superneurons => Policy::superneurons(),
-        })
+        }
     }
 
     pub fn name(self) -> &'static str {
@@ -137,21 +123,15 @@ impl PolicyPreset {
             PolicyPreset::Baseline => "baseline",
             PolicyPreset::LivenessOnly => "liveness_only",
             PolicyPreset::LivenessOffload => "liveness_offload",
-            PolicyPreset::Tuned(_) => "tuned",
             PolicyPreset::FullMemory => "full_memory",
             PolicyPreset::Superneurons => "superneurons",
         }
     }
 
     /// The fallback ladder starting at `self`: this preset, then every
-    /// memory-stronger *hand* one up to the full `superneurons` stack.
-    /// For hand presets this is identical to the historical
-    /// "every `ALL` entry ≥ self"; a `Tuned` rung is followed by the hand
-    /// presets ranked above its variant position (`FullMemory`,
-    /// `Superneurons`) — tuned policies never appear in another preset's
-    /// ladder.
+    /// memory-stronger one up to the full `superneurons` stack.
     pub fn ladder(self) -> impl Iterator<Item = PolicyPreset> {
-        std::iter::once(self).chain(PolicyPreset::ALL.into_iter().filter(move |p| *p > self))
+        PolicyPreset::ALL.into_iter().filter(move |p| *p >= self)
     }
 }
 

@@ -23,8 +23,7 @@
 //!   runs on the hot path — and the reject/queue/downgrade decision;
 //! * [`placement`] — first-fit / best-fit / bin-packing device selection;
 //! * [`fault`] — [`FaultPlan`]/[`RecoveryPolicy`]: deterministic fault
-//!   injection (device kills, link degradation, pressure spikes at integer
-//!   instants) and the recovery mode (no-recovery or checkpoint/restart);
+//!   injection (device kills and pressure spikes at integer instants) and the recovery mode (no-recovery or checkpoint/restart);
 //! * [`sim`] — [`ClusterSim`]: the deterministic virtual-time event loop
 //!   (run by the private `event_core`) with processor-sharing compute and
 //!   hard memory reservations, gang scheduling multi-replica jobs through
@@ -63,7 +62,7 @@ mod slab;
 pub mod stream;
 
 pub use admission::{
-    feasible_on_device_subset, feasible_on_idle_fleet, Grant, Placement, Profiler, TunedId,
+    feasible_on_device_subset, feasible_on_idle_fleet, Grant, Placement, Profiler,
 };
 pub use fault::{FaultEvent, FaultPlan, RecoveryMode, RecoveryPolicy};
 pub use fleet::Fleet;

@@ -199,7 +199,6 @@ impl DeviceState {
             FaultEvent::DeviceRecover { .. } => d.failed = false,
             FaultEvent::PressureSpike { bytes, .. } => d.spike = d.spike.saturating_add(bytes),
             FaultEvent::PressureRelease { bytes, .. } => d.spike = d.spike.saturating_sub(bytes),
-            FaultEvent::LinkDegrade { .. } | FaultEvent::LinkRestore => {}
         });
     }
 

@@ -69,9 +69,8 @@
 //!   on one device — so nothing folds; a tenant alone on its device restarts
 //!   the clock. A gang keeps its *pace count* `m`, the most tenants on any of
 //!   its devices, by slab slot. Where a device's count goes from `k_old`
-//!   (its clock's `k`) to `k`, a gang there can change pace only if `k > m`,
-//!   if `k < k_old == m`, or if the link moved this instant, and only such
-//!   gangs are visited: after every sweep each `m` is its gang's maximum,
+//!   (its clock's `k`) to `k`, a gang there can change pace only if `k > m`
+//!   or if `k < k_old == m`, and only such gangs are visited: after every sweep each `m` is its gang's maximum,
 //!   and within an instant only admissions raise a count once a gang has
 //!   started, so a maximum that rises shows `k > m` where it rose, and one
 //!   that falls shows `k < k_old == m` on every device that held it.
@@ -182,11 +181,10 @@
 //! pull-based [`ArrivalStream`] with aggregate-only recording: millions of
 //! arrivals in constant memory.
 
-use sn_runtime::TunedPolicy;
 use sn_sim::SimTime;
 use sn_telemetry::{MetricsRegistry, TraceSink, TrackId};
 
-use crate::admission::{quantum, Profiler, TunedId};
+use crate::admission::{quantum, Profiler};
 use crate::event_core::Core;
 use crate::fault::{FaultPlan, RecoveryPolicy};
 use crate::fleet::Fleet;
@@ -288,14 +286,6 @@ impl ClusterSim {
     /// `cluster.{latency,queueing}_ns`).
     pub fn enable_metrics(&mut self, registry: &MetricsRegistry) {
         self.metrics = Some(ClusterMetrics::new(registry));
-    }
-
-    /// File a tuned bundle with this simulation and name it: a job asks
-    /// for it as [`PolicyPreset::Tuned`](crate::PolicyPreset::Tuned). The
-    /// table is this simulation's own, so another simulation's first bundle
-    /// gets the same id and names its own bundle.
-    pub fn register_tuned(&mut self, bundle: TunedPolicy) -> TunedId {
-        self.profiler.register(bundle)
     }
 
     /// Gang step times measured by driving the group engine: one per

@@ -61,10 +61,7 @@ fn build_net(batch: usize, ops: &[Op]) -> Net {
 /// The peak `preset` predicts for `net` on a 12 GB K40c.
 fn peak(net: &Net, preset: PolicyPreset, precision: Precision, inference: bool) -> u64 {
     let spec = DeviceSpec::k40c();
-    let policy = preset
-        .policy()
-        .expect("a hand preset")
-        .with_precision(precision);
+    let policy = preset.policy().with_precision(precision);
     let predicted = if inference {
         plan_prediction_inference(net, &spec, policy)
     } else {

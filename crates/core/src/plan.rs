@@ -226,7 +226,7 @@ impl MemoryPlan {
     /// the weights' grant the executor makes at build among them; DMA engines
     /// concurrent unless the policy serializes them). Not a pace (see
     /// [`crate::PeakPrediction::iter_time`]); read by the tuner's feasibility
-    /// stage (`tune.rs:393`) and the cluster's solo pace (`admission.rs:901`).
+    /// stage (`Search::feasibility_batch`) and solo paces (`ClusterSim::step_time`).
     pub fn iter_time_estimate(&self) -> SimTime {
         let host = self.compute_ns + self.alloc_ns;
         let ns = if self.serialized {

@@ -32,7 +32,7 @@ pub struct PeakPrediction {
     /// no stall, no overlap, the weights' grant made at build counted. Not a
     /// pace: a step without transfers runs that grant (400 ns on a K40c)
     /// shorter, one that offloads up to 1.5x longer (`the_estimate_is_not_a_pace`);
-    /// read by `tune.rs:393` and the cluster's solo pace (`admission.rs:901`).
+    /// read by `Search::feasibility_batch` and solo paces (`ClusterSim::step_time`).
     pub iter_time: SimTime,
     /// Total weight-gradient bytes (the per-iteration all-reduce payload).
     pub weight_bytes: u64,

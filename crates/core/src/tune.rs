@@ -41,9 +41,7 @@
 //! through the shared [`Compiler`]; [`search_in`] does the same through a
 //! compiler of the caller's, on whose registry the search's `tune.*` totals
 //! land — two searches on two fresh compilers are comparable with no clear
-//! between them. A winner becomes an admission rung in the one cluster
-//! simulation that registers it: `PolicyPreset::Tuned(sim.register_tuned(
-//! search(…)?.tuned))`, resolved by that simulation's profiler alone.
+//! between them.
 
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
