@@ -333,6 +333,10 @@ impl Row {
         preset: PolicyPreset,
         spec: &DeviceSpec,
     ) {
+        let mut cold = present & !self.resolved;
+        if cold == 0 {
+            return;
+        }
         let quantum = quantum(spec);
         let key = ProfileKey {
             workload: job.workload,
@@ -342,7 +346,6 @@ impl Row {
             card: spec.card_fingerprint(),
             cap: 0,
         };
-        let mut cold = present & !self.resolved;
         while cold != 0 {
             let top = 63 - u64::from(cold.leading_zeros());
             let (answer, caps) = profiler.answer(

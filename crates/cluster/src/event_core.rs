@@ -38,13 +38,11 @@ pub(crate) struct LiveJob {
 }
 
 /// Execution state of a running job (see the module docs on lazy
-/// progress).
+/// progress). A gang's own progress is in `Core::gangs`; a single-device
+/// tenant runs on its device's clock, and its device's [`Tenants`] entry
+/// holds what the clock needs.
 struct RunState {
     grant: Grant,
-    /// A gang's own progress. A single-device tenant has none: it runs on
-    /// its device's clock, and its device's [`Tenants`] entry holds what the
-    /// clock needs.
-    gang: Option<Progress>,
     /// One iteration's solo duration (checkpoint folds divide by this).
     step_ns: u64,
     /// The run's start plus the solo work it owes: no pace is faster than
@@ -148,9 +146,9 @@ pub(crate) struct Core<'a, R: Recorder> {
     /// visits exactly their clocks, and those of their gangs whose pace can
     /// have moved.
     affected: Vec<usize>,
-    /// By slab slot: the pace count of the running gang there — the most
-    /// tenants on any of its devices as of its last (re-)pace.
-    pace_count: Vec<u32>,
+    /// By slab slot: the progress of the running gang there, whose pace is
+    /// the most tenants on any of its devices.
+    gangs: Vec<Progress>,
     kept: Vec<SlotKey>,
     /// The oracles' scratch for the plain admission ladder's fitting
     /// devices: only the checks grow it, so a release run leaves it empty.
@@ -193,7 +191,7 @@ impl<'a, R: Recorder> Core<'a, R> {
             fail_since: vec![None; n],
             completions: Vec::new(),
             affected: Vec::new(),
-            pace_count: Vec::new(),
+            gangs: Vec::new(),
             kept: Vec::new(),
             oracle: Vec::new(),
         };
@@ -633,26 +631,22 @@ impl<'a, R: Recorder> Core<'a, R> {
         let step = self.sim.step_time(&job.spec, &grant);
         let iters = job.spec.iterations - job.iters_done;
         let work = step.0.saturating_mul(u64::from(iters));
-        let gang = if grant.placements.len() > 1 {
-            let most = most_tenants(&self.devices, &grant);
+        if grant.placements.len() > 1 {
+            let progress = Progress::new(work, now, Pace::new(most_tenants(&self.devices, &grant)));
             let slot = key.index();
-            if slot >= self.pace_count.len() {
-                self.pace_count.resize(slot + 1, 0);
+            if slot >= self.gangs.len() {
+                self.gangs.resize(slot + 1, progress);
             }
-            self.pace_count[slot] = most as u32;
-            let progress = Progress::new(work, now, Pace::new(most));
+            self.gangs[slot] = progress;
             let kind = EventKind::Completion { key };
             self.heap.set(kind, progress.completion_ns(), job.seq);
-            Some(progress)
         } else {
             let device = grant.placements[0].device;
             self.tenants_on[device].join(key, job.seq, now, work);
             self.affected.push(device);
-            None
-        };
+        }
         job.run = Some(RunState {
             grant,
-            gang,
             step_ns: step.0,
             owed_ns: now.saturating_add(work),
         });
@@ -663,14 +657,13 @@ impl<'a, R: Recorder> Core<'a, R> {
     /// had left at the grant: `iters_done` holds still while it runs.
     fn done_iterations(&self, key: SlotKey, run: &RunState) -> u32 {
         let job = self.jobs.get(key).expect("running jobs are live");
-        let remaining = match &run.gang {
-            Some(progress) => progress.remaining(self.now_ns),
-            None => {
-                let Tenants { list, clock } = &self.tenants_on[run.grant.placements[0].device];
-                let t = list.iter().find(|t| t.key == key);
-                let solo = t.and_then(|t| t.solo).expect("solo tenants are on a clock");
-                clock.remaining(self.now_ns, solo.tag, solo.phase)
-            }
+        let remaining = if run.grant.placements.len() > 1 {
+            self.gangs[key.index()].remaining(self.now_ns)
+        } else {
+            let Tenants { list, clock } = &self.tenants_on[run.grant.placements[0].device];
+            let t = list.iter().find(|t| t.key == key);
+            let solo = t.and_then(|t| t.solo).expect("solo tenants are on a clock");
+            clock.remaining(self.now_ns, solo.tag, solo.phase)
         };
         run.done_iterations(job.spec.iterations - job.iters_done, remaining)
     }
@@ -725,37 +718,36 @@ impl<'a, R: Recorder> Core<'a, R> {
     /// Re-anchor sweep: exactly the devices whose tenant set changed this
     /// instant. A device whose tenant count moved from `k_old` (its clock's)
     /// to `k` folds its clock — the single-device tenants' progress, all at
-    /// once. A gang there of pace count `m` can have a new pace only if
-    /// `k > m` or if `k < k_old == m` (see the module docs); it alone is
-    /// visited. One whose pace moved folds its own progress forward under
-    /// the old pace, restarts its anchor at `now` and has its completion
-    /// re-keyed where it sits in the heap; a gang reached through two
-    /// affected devices is re-anchored once — a second visit sees the new
-    /// pace already in place. Last, the device's entry is keyed by its
-    /// earliest single-device tenant.
+    /// once. A gang there of pace `m` (its pace count) can have a new pace
+    /// only if `k > m` or if `k < k_old == m` (see the module docs); it alone
+    /// is visited. A rise takes the pace `k` from the count alone; a fall
+    /// scans the gang's devices. One whose pace moved folds its own progress
+    /// forward under the old pace, restarts its anchor at `now` and has its
+    /// completion re-keyed where it sits in the heap; one raised through two
+    /// affected devices re-paces twice, the second time with nothing
+    /// elapsed. Last, the device's entry is keyed by its earliest
+    /// single-device tenant.
     fn reanchor_sweep(&mut self) {
         self.affected.sort_unstable();
         self.affected.dedup();
         for &d in &self.affected {
             let k = self.devices[d].tenants.max(1) as u64;
             let earliest = self.tenants_on[d].refold(self.now_ns, k, |key, k_old| {
-                let m = u64::from(self.pace_count[key.index()]);
-                if !(k > m || (k < k_old && k_old == m)) {
+                let progress = &mut self.gangs[key.index()];
+                let m = progress.pace.tenants();
+                let most = if k > m {
+                    k as usize
+                } else if k < k_old && k_old == m {
+                    let job = self.jobs.get(key).expect("tenant lists track live jobs");
+                    let run = job.run.as_ref().expect("listed tenants are running");
+                    most_tenants(&self.devices, &run.grant)
+                } else {
                     return;
-                }
-                let job = self
-                    .jobs
-                    .get_mut(key)
-                    .expect("tenant lists track live jobs");
-                let run = job.run.as_mut().expect("listed tenants are running");
-                let progress = run.gang.as_mut().expect("a gang keeps its own progress");
-                let most = most_tenants(&self.devices, &run.grant);
+                };
                 let pace = Pace::new(most);
                 if pace != progress.pace {
                     progress.repace(self.now_ns, pace);
-                    self.pace_count[key.index()] = most as u32;
-                    let kind = EventKind::Completion { key };
-                    self.heap.set(kind, progress.completion_ns(), job.seq);
+                    self.heap.retime(key, progress.completion_ns());
                 }
             });
             match earliest.entry(d) {
@@ -804,14 +796,15 @@ impl<'a, R: Recorder> Core<'a, R> {
                         job.spec.name
                     );
                 };
-                let Some(progress) = &run.gang else {
+                if run.grant.placements.len() == 1 {
                     let solo = t.solo.expect("a single-device tenant is on its clock");
                     assert_eq!(solo.seq, job.seq, "job {}: a stale sequence", job.spec.name);
                     let due = tenants.clock.due(solo.tag, solo.phase);
                     owes(due);
                     earliest.offer(due, job.seq, t.key);
                     continue;
-                };
+                }
+                let progress = &self.gangs[t.key.index()];
                 gangs += 1;
                 assert!(t.solo.is_none(), "job {}: a gang on a clock", job.spec.name);
                 owes(progress.completion_ns());
@@ -821,17 +814,10 @@ impl<'a, R: Recorder> Core<'a, R> {
                     "job {}: queued completion is not anchor + pace.wall(remaining)",
                     job.spec.name
                 );
-                let most = most_tenants(&self.devices, &run.grant);
                 assert_eq!(
                     progress.pace,
-                    Pace::new(most),
+                    Pace::new(most_tenants(&self.devices, &run.grant)),
                     "job {}: pace is not the one its devices imply after the sweep",
-                    job.spec.name
-                );
-                assert_eq!(
-                    self.pace_count[t.key.index()] as usize,
-                    most,
-                    "job {}: its kept pace count vs the most tenants on its devices",
                     job.spec.name
                 );
             }
@@ -884,7 +870,6 @@ mod tests {
         let remaining_ns = step * u64::from(iters);
         let run = RunState {
             grant,
-            gang: None,
             step_ns: step,
             owed_ns: now_ns + remaining_ns,
         };
@@ -1074,6 +1059,84 @@ mod tests {
         assert!(held > 0 && fell > 0, "a maximum held {held}, fell {fell}");
     }
 
+    #[test]
+    fn the_sweep_re_paces_a_gang_by_the_pace_rule() {
+        // Baseline towers reserve one peak whatever their budget, a gang's
+        // replicas the same one, and a device holds two and a half of them.
+        // A tower beside the gang when it is granted leaves it device 0's
+        // smaller budget, so its restart fits beside a tower there.
+        let peak = {
+            let (a, spec) = (baseline_tower("peak"), DeviceSpec::k40c());
+            let budget = spec.dram_bytes;
+            let p =
+                Profiler::new().profile_kind(a.workload, a.batch, a.preset, a.kind, &spec, budget);
+            p.expect("a tower fits 12 GB").peak_bytes
+        };
+        let solo = |name: &str, iters| baseline_tower(name).with_iterations(iters);
+        let gang = solo("g", 1000).with_replicas(2);
+        let sim = || ClusterSim::new(devices(2, peak * 5 / 2), PlacementPolicy::FirstFit);
+        let step = |job: &JobSpec| sim().run(vec![(SimTime::ZERO, job.clone())]).makespan.0 / 1000;
+        let (gang_step, solo_step) = (step(&gang), step(&solo("step", 1000)));
+        let at = |steps: u64| SimTime(steps * gang_step);
+        // Still running 100 gang steps on, long after the gang's backoff.
+        let long = u32::try_from(100 * gang_step / solo_step).expect("a u32");
+        let arrivals = vec![
+            (SimTime::ZERO, solo("beside", 10)),
+            (SimTime::ZERO, gang),
+            (at(100), solo("rise", 10)),
+            (at(300), solo("tied", 10)),
+            (at(300), solo("fall", 40)),
+            (at(500) + SimTime::from_us(50), solo("restart", long)),
+        ];
+        let mut sim = sim();
+        let outage = FaultPlan::new().outage(at(500), 1, SimTime::from_us(100));
+        sim.enable_faults(outage, RecoveryPolicy::default());
+        with_core(&sim, arrivals, |core| {
+            // The gang's pace after the instant, and its queued completion,
+            // which must be the one its record projects.
+            let paced = |c: &Core<StreamRecorder>, key: SlotKey, tenants: usize| {
+                let progress = &c.gangs[key.index()];
+                assert_eq!(progress.pace, Pace::new(tenants), "at {}", c.now_ns);
+                let due = c.heap.completion(key).expect("a running gang is queued");
+                assert_eq!(due, progress.completion_ns());
+                due
+            };
+            core.until("the gang started", |c| c.running == 2);
+            let g = core.tenants_on[1].list[0].key;
+            paced(core, g, 2);
+            // A fall on the one device at the maximum.
+            core.until("the tower beside it completed", |c| c.running == 1);
+            let alone = paced(core, g, 1);
+            // A count that rises past the pace.
+            core.until("a tower joined device 0", |c| c.running == 2);
+            assert!(paced(core, g, 2) > alone);
+            core.until("the tower completed", |c| c.running == 1);
+            paced(core, g, 1);
+            // Both devices rise at one instant; then one falls, tied at the
+            // maximum with the other: pace and entry stay as they were.
+            core.until("a tower joined each device", |c| c.running == 3);
+            let tied = paced(core, g, 2);
+            core.until("the shorter tower completed", |c| c.running == 2);
+            assert_eq!(core.devices[0].tenants, 1);
+            assert_eq!(paced(core, g, 2), tied);
+            core.until("the longer tower completed", |c| c.running == 1);
+            paced(core, g, 1);
+            // Interrupted at pace 1, restarted in its own slot beside a tower
+            // that joined device 0 meanwhile: its new grant's pace.
+            core.until("the gang restarted", |c| c.out.restarts == 1);
+            assert_eq!(core.tenants_on[1].list[0].key, g);
+            let due = paced(core, g, 2);
+            let job = core.jobs.get(g).expect("a running gang is live");
+            let run = job.run.as_ref().expect("a running gang");
+            let work = run.step_ns * u64::from(job.spec.iterations - job.iters_done);
+            assert_eq!(
+                due,
+                core.now_ns + 2 * work,
+                "all the work its checkpoint left"
+            );
+        });
+    }
+
     /// An arrival source that does not keep its times in order.
     struct Unordered(std::vec::IntoIter<(SimTime, JobSpec)>);
 
@@ -1170,18 +1233,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "pace is not the one its devices imply")]
+    #[should_panic(expected = "queued completion is not anchor + pace.wall(remaining)")]
     fn a_skipped_re_anchor_fails_the_check() {
         // A gang runs on both devices; a solo tenant joining device 0 doubles
-        // its pace. A kept pace count that claims 2 already makes the sweep
-        // pass the gang by, as a sweep that missed it would.
+        // its pace. A record that claims pace 2 already, its completion left
+        // where pace 1 put it, makes the sweep pass the gang by, as a sweep
+        // that missed it would.
         let sim = ClusterSim::new(devices(2, 1 << 30), PlacementPolicy::FirstFit);
         let gang = tower("g", 1000).with_replicas(2);
         let arrivals = vec![(SimTime::ZERO, gang), (SimTime(1000), tower("s", 1000))];
         with_core(&sim, arrivals, |core| {
             core.until("the gang started", |c| c.running == 1);
             let gang = core.tenants_on[1].list[0].key;
-            core.pace_count[gang.index()] = 2;
+            core.gangs[gang.index()].pace = Pace::new(2);
             core.checked_instant();
         });
     }
@@ -1306,8 +1370,7 @@ mod tests {
     #[should_panic(expected = "completes before its start plus the solo work it owes")]
     fn a_restart_projected_to_complete_early_fails_the_check() {
         restarted_gang(|core, gang, _| {
-            let run = core.jobs.get_mut(gang).and_then(|j| j.run.as_mut());
-            let progress = run.and_then(|r| r.gang.as_mut()).expect("a running gang");
+            let progress = &mut core.gangs[gang.index()];
             // Restarted this instant: its anchor is now, its work all left.
             let left = progress.remaining(core.now_ns);
             *progress = Progress::new(left / 2, core.now_ns, progress.pace);

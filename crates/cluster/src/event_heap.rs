@@ -121,6 +121,15 @@ impl EventHeap {
         }
     }
 
+    /// Move the queued completion of the gang in `key`'s slot to `t_ns`,
+    /// keeping its order.
+    pub(crate) fn retime(&mut self, key: SlotKey, t_ns: u64) {
+        let at = self.pos[self.handle(EventKind::Completion { key })] as usize;
+        let Entry { key: old, handle } = self.heap[at];
+        let key = pack(t_ns, old as u64);
+        self.sift(at, Entry { key, handle });
+    }
+
     /// Drop the completion entry of the gang in `key`'s slot, if it has one.
     pub(crate) fn remove_completion(&mut self, key: SlotKey) {
         self.remove(self.handle(EventKind::Completion { key }));
@@ -400,6 +409,15 @@ mod tests {
                 match op {
                     // A job arrives (slots freed below are reused here).
                     0 => jobs.push((slab.insert(()), None)),
+                    // Re-time a projected completion where it sits: its
+                    // order stays.
+                    2 if jobs.get(pick % jobs.len().max(1)).is_some_and(|j| j.1 == Some(completion(j.0))) => {
+                        let key = jobs[pick % jobs.len()].0;
+                        heap.retime(key, t);
+                        let at = model.0.iter().position(|e| e.2 == completion(key)).expect("queued");
+                        let (_, order, kind) = model.0.remove(at);
+                        model.insert(t, order, kind);
+                    }
                     // Project / re-project a job's completion, or park it:
                     // a slot's one entry changes kind (a completion recycled
                     // into a retry, and back).

@@ -35,6 +35,11 @@ impl Pace {
         Pace(tenants.max(1) as u64)
     }
 
+    /// The most tenants on the gang's devices: the pace's wall ns per ns.
+    pub(crate) fn tenants(self) -> u64 {
+        self.0
+    }
+
     /// Wall ns to do `work` ns of solo work.
     pub(crate) fn wall(self, work: u64) -> u64 {
         work.saturating_mul(self.0)
@@ -47,6 +52,7 @@ impl Pace {
 }
 
 /// A gang's lazy progress: its completion is `anchor + pace.wall(remaining)`.
+#[derive(Clone, Copy)]
 pub(crate) struct Progress {
     /// Remaining work in ns of *solo* execution time, valid as of
     /// `anchor_ns`.

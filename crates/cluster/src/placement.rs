@@ -230,7 +230,8 @@ impl DeviceState {
     }
 }
 
-/// A gang's pace count: the most tenants on any of its devices.
+/// A gang's pace count, which is its pace: the most tenants on any of its
+/// devices.
 pub(crate) fn most_tenants(devices: &[DeviceState], grant: &Grant) -> usize {
     let tenants = grant.placements.iter().map(|p| devices[p.device].tenants);
     tenants.max().unwrap_or(1)

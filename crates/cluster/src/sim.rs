@@ -21,8 +21,8 @@
 //! the heap's keys, a gang's anchor and remaining work, every trace stamp,
 //! the device integrals. `now` only ever takes the instant that popped, so
 //! it cannot run backwards, and it is the same clock with a fault plan
-//! installed or without. Processor sharing divides, so two functions round —
-//! `Pace::wall` up and `Pace::work` down, a pair chosen so that a gang
+//! installed or without. Processor sharing divides, so two functions convert
+//! — `Pace::wall` exactly and `Pace::work` down, a pair chosen so that a gang
 //! completes at the first instant by which it has done its work (see
 //! `crate::pace`) — and nothing else does. Instants that would pass
 //! `u64::MAX` saturate there.
@@ -50,16 +50,16 @@
 //! * **Slab job state** (`crate::slab`) — live jobs (pending, running,
 //!   parked) occupy generation-stamped slots; storage is bounded by peak
 //!   concurrency, not stream length.
-//! * **Lazy progress** (`crate::pace`) — a running gang carries
-//!   `(anchor_ns, remaining_ns, pace)`: its completion is always
-//!   `anchor + pace.wall(remaining)`, and progress is folded forward
-//!   (`remaining −= pace.work(now − anchor)`, an integer re-anchor) **only
-//!   when its pace changes** — each fold floors once, so folding at every
-//!   event would drift. A single-device tenant's pace is its device's tenant
-//!   count, so those on one device share its clock (`DeviceClock`): `k`
-//!   tenants since `anchor`, `v` ns of work credited by then. A tenant
-//!   joining `a = now − anchor` ns in with `W` ns of work stores
-//!   `tag = W + v + ⌊a/k⌋` and `phase = a mod k`; it has
+//! * **Lazy progress** (`crate::pace`) — a running gang's record, in a
+//!   table by slab slot, is `(anchor_ns, remaining_ns, pace)`: its
+//!   completion is always `anchor + pace.wall(remaining)`, and progress is
+//!   folded forward (`remaining −= pace.work(now − anchor)`, an integer
+//!   re-anchor) **only when its pace changes** — each fold floors once, so
+//!   folding at every event would drift. A single-device tenant's pace is
+//!   its device's tenant count, so those on one device share its clock
+//!   (`DeviceClock`): `k` tenants since `anchor`, `v` ns of work credited by
+//!   then. A tenant joining `a = now − anchor` ns in with `W` ns of work
+//!   stores `tag = W + v + ⌊a/k⌋` and `phase = a mod k`; it has
 //!   `tag − v − ⌊a/k⌋ + [a mod k < phase]` left and completes at
 //!   `anchor + k·(tag − v) + phase`, which is `join + k·W`. The sweep folds a
 //!   device only when `max(count, 1) ≠ k`: `v += ⌊a/k⌋`; a tenant whose
@@ -67,13 +67,19 @@
 //!   all phases become 0; `anchor = now`, `k = count`. Phases arise where a
 //!   count ends an instant where it began — a completion and an admission
 //!   on one device — so nothing folds; a tenant alone on its device restarts
-//!   the clock. A gang keeps its *pace count* `m`, the most tenants on any of
-//!   its devices, by slab slot. Where a device's count goes from `k_old`
-//!   (its clock's `k`) to `k`, a gang there can change pace only if `k > m`
-//!   or if `k < k_old == m`, and only such gangs are visited: after every sweep each `m` is its gang's maximum,
-//!   and within an instant only admissions raise a count once a gang has
-//!   started, so a maximum that rises shows `k > m` where it rose, and one
-//!   that falls shows `k < k_old == m` on every device that held it.
+//!   the clock. A gang's pace *is* its pace count `m`, the most tenants on
+//!   any of its devices. Where a device's count goes from `k_old` (its
+//!   clock's `k`) to `k`, a gang there can change pace only if `k > m` or if
+//!   `k < k_old == m`, and only such gangs are visited: after every sweep
+//!   each `m` is its gang's maximum, and within an instant only admissions
+//!   raise a count once a gang has started, so a maximum that rises shows
+//!   `k > m` where it rose, and one that falls shows `k < k_old == m` on
+//!   every device that held it. A rise re-paces to `k` without a scan: the
+//!   devices no event touched hold at most the old pace, and every touched
+//!   one is visited, so the pace ends the sweep at the maximum. A gang
+//!   raised on two devices in one instant re-paces twice; the second fold
+//!   has zero elapsed time, so it is exact. Only a fall scans the gang's
+//!   devices.
 //!   Per-device tenant lists (`Tenants`) identify exactly the gangs and
 //!   clocks an event can affect, so it touches its neighborhood, not every
 //!   running job.
@@ -121,13 +127,13 @@
 //! conservation, per-device reservations and tenant lists, one live
 //! completion per running gang and per device with single-device tenants
 //! (its earliest), no run projected to complete before its start plus the
-//! solo work it owes, every pace the one its devices imply, every gang's
-//! kept pace count its devices' maximum and every clock at its device's
-//! count, monotone time — and calls each part's own: `DeviceState::check`
-//! (free bytes and level), `ByFree::check` (walk order and level census
-//! against a scan's) and `AdmitMemo::check` (every shape the current state
-//! refused is refused on the devices as they stand). `decide` holds each
-//! rung's answer to the ladder written straight down (`admits_as_plain`).
+//! solo work it owes, every gang's pace the most tenants on its devices and
+//! every clock at its device's count, monotone time — and calls each part's
+//! own: `DeviceState::check` (free bytes and level), `ByFree::check` (walk
+//! order and level census against a scan's) and `AdmitMemo::check` (every
+//! shape the current state refused is refused on the devices as they
+//! stand). `decide` holds each rung's answer to the ladder written straight
+//! down (`admits_as_plain`).
 //!
 //! ### What an event costs
 //!
