@@ -1137,6 +1137,73 @@ mod tests {
         });
     }
 
+    /// Finding: a fault-cut job restarts only on devices whose free bytes
+    /// reach its old grant's *budget* — `devices[idx].free < budget` in
+    /// `ClusterSim::try_admit_resume` skips the rest — not its reserved
+    /// *peak*. A baseline gang granted two empty devices holds a budget of
+    /// the whole card there. Cut by an outage, it finds a tower placed on
+    /// device 0 meanwhile: the tower's one peak leaves room for the gang's
+    /// peak but not for its budget, so the gang stays parked until the tower
+    /// completes. Testing the peak instead moves fault schedules, so the
+    /// fix needs a bugfix change of its own, and this test flips with it.
+    #[test]
+    fn finding_a_fault_cut_gang_waits_for_its_old_budget_not_its_peak() {
+        let solo = |name: &str, iters| baseline_tower(name).with_iterations(iters);
+        let (gang, spec) = (solo("gang", 1000).with_replicas(2), DeviceSpec::k40c());
+        let peak = Profiler::new()
+            .profile_kind(
+                gang.workload,
+                gang.batch,
+                gang.preset,
+                gang.kind,
+                &spec,
+                spec.dram_bytes,
+            )
+            .expect("a tower fits 12 GB")
+            .peak_bytes;
+        let dram = peak * 5 / 2;
+        let sim = || ClusterSim::new(devices(2, dram), PlacementPolicy::FirstFit);
+        let step = |job: &JobSpec| sim().run(vec![(SimTime::ZERO, job.clone())]).makespan.0 / 1000;
+        let (gang_step, solo_step) = (step(&gang), step(&solo("step", 1000)));
+        let cut = SimTime(100 * gang_step);
+        // Placed while device 1 is down; it runs about 100 gang steps.
+        let long = u32::try_from(100 * gang_step / solo_step).expect("a u32");
+        let arrivals = vec![
+            (SimTime::ZERO, gang),
+            (cut + SimTime::from_us(50), solo("tower", long)),
+        ];
+        let mut sim = sim();
+        let outage = FaultPlan::new().outage(cut, 1, SimTime::from_us(100));
+        sim.enable_faults(outage, RecoveryPolicy::default());
+        let run = sim.run(arrivals);
+        let at = |job: &str, kind: fn(&TraceKind) -> bool| {
+            let ev = run.trace.iter().find(|e| e.job == job && kind(&e.kind));
+            ev.unwrap_or_else(|| panic!("{job}: no such event"))
+        };
+        assert_eq!(
+            at("gang", |k| matches!(k, TraceKind::Interrupt { .. })).t_ns,
+            cut.0
+        );
+        let reserved = |job: &str| match &at(job, |k| matches!(k, TraceKind::Admit { .. })).kind {
+            TraceKind::Admit {
+                devices,
+                reservations,
+                ..
+            } => (devices[0], reservations[0]),
+            _ => unreachable!(),
+        };
+        let ((gang_on, gang_peak), (tower_on, tower_peak)) = (reserved("gang"), reserved("tower"));
+        assert_eq!((gang_on, tower_on), (0, 0));
+        assert!(
+            gang_peak + tower_peak <= dram,
+            "its peak fits beside the tower"
+        );
+        let done = at("tower", |k| matches!(k, TraceKind::Complete)).t_ns;
+        let restart = at("gang", |k| matches!(k, TraceKind::Restart { .. })).t_ns;
+        assert!(done > (cut + SimTime::from_us(100)).0);
+        assert_eq!(restart, done, "parked until the tower completed");
+    }
+
     /// An arrival source that does not keep its times in order.
     struct Unordered(std::vec::IntoIter<(SimTime, JobSpec)>);
 

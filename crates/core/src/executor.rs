@@ -659,10 +659,8 @@ impl<'n> Executor<'n> {
                 ..Program::default()
             },
         };
-        let sections = plan
-            .steps
-            .iter()
-            .flat_map(|s| [(s.pre, true), (s.post, false)]);
+        let sections =
+            (0..plan.steps.len()).flat_map(|s| [(plan.pre(s), true), (plan.post(s), false)]);
         'pass: for (r, kernel) in sections.chain([(plan.final_range, false)]) {
             for at in r.start as usize..r.end as usize {
                 if self.book_op(at, plan.ops[at], &mut utp, &mut p).is_none() {
@@ -771,11 +769,12 @@ impl<'n> Executor<'n> {
 
     /// The Fig. 12 rows, one per CONV step in step order: the workspace
     /// the plan assigned against the max-speed want. A pure view of
-    /// [`MemoryPlan::workspace`], so the rows exist as soon as the executor is
-    /// built — before the first iteration — and never change.
+    /// [`MemoryPlan::workspace`] and the route, so the rows exist as soon as
+    /// the executor is built — before the first iteration — and never change.
     pub fn ws_records(&self) -> impl Iterator<Item = WorkspaceRecord> + '_ {
-        self.mplan.steps.iter().enumerate().filter_map(|(s, step)| {
-            let ws = self.mplan.workspace(s)?;
+        (0..self.mplan.steps.len()).filter_map(|s| {
+            let ws = self.mplan.workspace(self.net, &self.route, s)?;
+            let step = self.route.step(s);
             Some(WorkspaceRecord {
                 name: self.layers[step.layer.0].name.clone(),
                 phase: sim_phase(step.phase),
@@ -833,7 +832,7 @@ impl<'n> Executor<'n> {
         ExecError::Oom {
             step,
             layer: match self.mplan.steps.get(step) {
-                Some(sp) => self.layers[sp.layer.0].name.clone(),
+                Some(_) => self.layers[self.route.step(step).layer.0].name.clone(),
                 None => "end of iteration".into(),
             },
             requested,
@@ -1094,7 +1093,7 @@ impl<'n> Executor<'n> {
     }
 
     pub(crate) fn run_step(&mut self, s: usize) -> Result<(), ExecError> {
-        let step = self.mplan.steps[s];
+        let (step, duration) = (self.route.step(s), self.mplan.steps[s].duration);
         let phase = sim_phase(step.phase);
 
         // 1. Residency ops ahead of the kernel (staging, evictions,
@@ -1144,7 +1143,7 @@ impl<'n> Executor<'n> {
         let compute_done = self
             .dev
             .tl
-            .submit_on(StreamId::COMPUTE, step.duration, &self.gates);
+            .submit_on(StreamId::COMPUTE, duration, &self.gates);
 
         // Sample at the step's high-water moment.
         self.samples.push(StepSample {
@@ -1180,12 +1179,12 @@ impl<'n> Executor<'n> {
         });
         self.samples
             .iter()
-            .zip(self.mplan.steps.iter().zip(live))
+            .zip(live)
             .enumerate()
-            .map(move |(s, (sample, (step, live)))| StepRecord {
+            .map(move |(s, (sample, live))| StepRecord {
                 step: s + 1,
-                layer: self.layers[step.layer.0].name.clone(),
-                phase: sim_phase(step.phase),
+                layer: self.layers[self.route.step(s).layer.0].name.clone(),
+                phase: sim_phase(self.route.step(s).phase),
                 resident_bytes: sample.resident_bytes,
                 live_tensors: live,
                 free_bytes: capacity - sample.resident_bytes,
@@ -1404,7 +1403,7 @@ mod tests {
             .expect("the cap makes the plan fetch");
         let (s, i) = (0..steps)
             .find_map(|s| {
-                let pre = clean_plan.steps[s].pre;
+                let pre = clean_plan.pre(s);
                 let a = clean_plan.ops_in(pre).iter().position(|op| {
                     matches!(op, PlanOp::AllocTransient(_) | PlanOp::AllocWorkspace(_))
                 })?;
@@ -1422,7 +1421,7 @@ mod tests {
                 capacity,
             }) => {
                 assert_eq!(step, s);
-                assert_eq!(&*layer, net.layer(clean_plan.steps[s].layer).name);
+                assert_eq!(&*layer, net.layer(ex.route.step(s).layer).name);
                 assert_eq!(requested, tight.dram_bytes + 1);
                 assert_eq!(capacity, ex.dev.capacity);
             }
@@ -1758,7 +1757,7 @@ mod tests {
         let p = &*compiled.plan;
         let (s, i) = (0..p.steps.len())
             .find_map(|s| {
-                let r = p.steps[s].pre;
+                let r = p.pre(s);
                 let i = (r.start..r.end).find(|&i| {
                     matches!(
                         p.ops[i as usize],
@@ -1770,7 +1769,7 @@ mod tests {
             .expect("some step allocates a transient");
         let mut mutated = p.clone();
         mutated.ops[i] = over;
-        let layer = net.layer(p.steps[s].layer).name.clone();
+        let layer = net.layer(compiled.route.step(s).layer).name.clone();
         assert_eq!(oom(mutated), (s, layer));
 
         let mut mutated = p.clone();

@@ -66,7 +66,8 @@
 //!   simulated iteration.
 //! * [`MemoryPlan::steps`] is a complete instruction stream — the executor
 //!   is an interpreter over it, and [`MemoryPlan::render`] prints the
-//!   on-disk debug format (one line per op) for inspection.
+//!   on-disk debug format (one line per op) for inspection. A step stores
+//!   only what the walk decided ([`StepPlan`]); the rest is derived.
 //!
 //! Training plans cover one `2N`-step iteration; **inference plans**
 //! (compiled from [`Route::construct_inference`]) are forward-only: no
@@ -79,11 +80,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use sn_graph::liveness::{LivenessOptions, LivenessPlan, TensorId, TensorRole};
-use sn_graph::{LayerId, Net, NetCost, Precision, Route, StepPhase};
+use sn_graph::{LayerId, LayerKind, Net, NetCost, Precision, Route, StepPhase};
 use sn_sim::{AllocGrant, DeviceAllocator, DeviceSpec, SimTime};
 use sn_telemetry::{Counter, MetricsRegistry};
 
-use crate::convalgo::{self, AlgoChoice};
+use crate::convalgo::{self, AlgoChoice, ConvAlgo};
 use crate::device::{Device, Memory};
 use crate::executor::{Counters, ExecError};
 use crate::memo::SharedMemo;
@@ -121,7 +122,8 @@ pub enum PlanOp {
     FreeTransients,
 }
 
-/// The workspace decision for one CONV step (Fig. 12's record).
+/// The workspace decision for one CONV step (Fig. 12's record): a view
+/// [`MemoryPlan::workspace`] derives from the step's algorithm, not stored.
 #[derive(Debug, Clone, Copy)]
 pub struct WorkspacePlan {
     pub bytes: u64,
@@ -131,9 +133,8 @@ pub struct WorkspacePlan {
 }
 
 /// Half-open index range into the plan's flat op stream
-/// ([`MemoryPlan::ops`]). Steps reference their ops by range instead of
-/// owning per-step vectors: one plan is one allocation's worth of ops, and
-/// [`StepPlan`] stays `Copy`.
+/// ([`MemoryPlan::ops`]): a step's sections, read with [`MemoryPlan::pre`]
+/// and [`MemoryPlan::post`], and the end-of-iteration ops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct OpRange {
     pub start: u32,
@@ -146,36 +147,37 @@ impl OpRange {
     }
 }
 
-/// The compiled schedule of one step.
+/// The compiled schedule of one step: what the walk decided and nothing
+/// else. Its layer and phase are the route's ([`Route::step`]); its two op
+/// sections tile [`MemoryPlan::ops`] in step order, so each starts where
+/// the one before ended and only the ends are stored.
 #[derive(Debug, Clone, Copy)]
 pub struct StepPlan {
-    pub layer: LayerId,
-    pub phase: StepPhase,
     /// Kernel duration (with the chosen conv algorithm's speed factor).
     pub duration: SimTime,
-    /// Residency ops before the kernel (input staging, evictions, replays,
-    /// workspace/transient allocation), as a range of [`MemoryPlan::ops`].
-    pub pre: OpRange,
-    /// Residency ops after the kernel (transient release, eager offload,
-    /// prefetch-ahead, liveness frees, recompute cleanup).
-    pub post: OpRange,
+    /// End of the residency ops before the kernel (input staging,
+    /// evictions, replays, workspace/transient allocation): the kernel's
+    /// place in the op stream.
+    pub(crate) pre_end: u32,
+    /// End of the residency ops after the kernel (transient release, eager
+    /// offload, prefetch-ahead, liveness frees, recompute cleanup).
+    pub(crate) post_end: u32,
+    /// The §3.5 selector's algorithm on a CONV step, `None` on any other.
+    pub(crate) algo: Option<ConvAlgo>,
 }
 
-// Half a cache line: the interpreter reads one record per step it runs.
-const _: () = assert!(std::mem::size_of::<StepPlan>() <= 40);
+// The interpreter reads one record per step it runs.
+const _: () = assert!(std::mem::size_of::<StepPlan>() == 24);
 
-/// The static memory plan: per-step actions and the exact predicted peak.
-/// (Per-tensor creation and death steps are in
-/// [`CompiledPlan::liveness`]'s `tensors`.)
+/// The static memory plan: per-step actions and the exact predicted peak,
+/// holding nothing its route or net already says. (Per-tensor creation and
+/// death steps are in [`CompiledPlan::liveness`]'s `tensors`.)
 #[derive(Debug, Clone)]
 pub struct MemoryPlan {
     pub steps: Vec<StepPlan>,
     /// The flat op stream, in execution order (`pre(0) post(0) pre(1) …
     /// final`); steps and `final_range` index into it.
     pub ops: Vec<PlanOp>,
-    /// The dynamic workspace choice of every CONV step, `(step, choice)` in
-    /// step order; [`MemoryPlan::workspace`] reads one.
-    pub workspaces: Vec<(u32, WorkspacePlan)>,
     /// End-of-iteration ops (trailing offloads whose device copies release
     /// once every consumer has run).
     pub final_range: OpRange,
@@ -215,10 +217,33 @@ impl MemoryPlan {
         self.ops_in(self.final_range)
     }
 
-    /// Step `s`'s dynamic workspace choice: CONV steps only.
-    pub fn workspace(&self, s: usize) -> Option<WorkspacePlan> {
-        let at = self.workspaces.binary_search_by_key(&s, |w| w.0 as usize);
-        Some(self.workspaces[at.ok()?].1)
+    /// Step `s`'s ops before its kernel.
+    pub fn pre(&self, s: usize) -> OpRange {
+        let start = s.checked_sub(1).map_or(0, |p| self.steps[p].post_end);
+        let end = self.steps[s].pre_end;
+        OpRange { start, end }
+    }
+
+    /// Step `s`'s ops after its kernel.
+    pub fn post(&self, s: usize) -> OpRange {
+        let (start, end) = (self.steps[s].pre_end, self.steps[s].post_end);
+        OpRange { start, end }
+    }
+
+    /// Step `s`'s dynamic workspace choice, CONV steps only: every field but
+    /// the algorithm is a function of the net, derived on each call.
+    /// `route` is the one the plan was compiled from.
+    pub fn workspace(&self, net: &Net, route: &Route, s: usize) -> Option<WorkspacePlan> {
+        let (algo, layer) = (self.steps.get(s)?.algo?, route.step(s).layer);
+        let LayerKind::Conv { kernel, .. } = net.layer(layer).kind else {
+            return None;
+        };
+        Some(WorkspacePlan {
+            bytes: algo.workspace_bytes(net.in_shape(layer), net.layer(layer).out_shape, kernel),
+            max_speed_bytes: convalgo::max_speed_algo(net, layer).workspace,
+            algo: algo.name(),
+            speedup: algo.speed_factor(kernel),
+        })
     }
 
     /// Analytic iteration-time estimate: the busiest engine's busy total with
@@ -258,6 +283,12 @@ impl MemoryPlan {
     /// The on-disk debug format: a line per step with its ops, then the
     /// peak/lifetime summary. Stable enough to diff across PRs.
     pub fn render(&self, net: &Net) -> String {
+        // A debug path: the route is rebuilt, not stored.
+        let route = if self.inference {
+            Route::construct_inference(net)
+        } else {
+            Route::construct(net)
+        };
         let op_str = Self::op_str;
         let mut out = format!(
             "MemoryPlan[{}] {} steps, {} ops, peak {} bytes @step {}, weights {}\n",
@@ -272,22 +303,23 @@ impl MemoryPlan {
             self.peak_step,
             self.weight_bytes,
         );
-        for (s, sp) in self.steps.iter().enumerate() {
+        for s in 0..self.steps.len() {
             let ops: Vec<String> = self
-                .ops_in(sp.pre)
+                .ops_in(self.pre(s))
                 .iter()
                 .map(op_str)
                 .chain(std::iter::once("KERNEL".to_string()))
-                .chain(self.ops_in(sp.post).iter().map(op_str))
+                .chain(self.ops_in(self.post(s)).iter().map(op_str))
                 .collect();
+            let step = route.step(s);
             out.push_str(&format!(
                 "  {s:>5} {} {:<12} {}{}\n",
-                match sp.phase {
+                match step.phase {
                     StepPhase::Forward => "F",
                     StepPhase::Backward => "B",
                 },
-                net.layer(sp.layer).name,
-                self.workspace(s)
+                net.layer(step.layer).name,
+                self.workspace(net, &route, s)
                     .map(|w| format!("[{} ws={}] ", w.algo, w.bytes))
                     .unwrap_or_default(),
                 ops.join(" "),
@@ -926,8 +958,6 @@ struct WalkState {
     /// The op stream, copied out at its exact length when the walk ends;
     /// the section since `Planner::sec_start` is the one being accumulated.
     ops: Vec<PlanOp>,
-    /// `(step, choice)` per CONV step, copied out like `ops`.
-    workspaces: Vec<(u32, WorkspacePlan)>,
     /// Reused buffer for the per-step reapable-offload drain.
     reap_scratch: Vec<TensorId>,
     /// Reused buffer for a memory-centric replay's dependency chain.
@@ -941,7 +971,6 @@ impl WalkState {
             utp: Utp::new(0),
             recomputed_free_at: FreeQueues::default(),
             ops: Vec::new(),
-            workspaces: Vec::new(),
             reap_scratch: Vec::new(),
             chain_scratch: Vec::new(),
         }
@@ -964,7 +993,6 @@ impl WalkState {
         self.recomputed_free_at
             .renew(if replays { route.total_steps() } else { 0 });
         self.ops.clear();
-        self.workspaces.clear();
     }
 }
 
@@ -1436,22 +1464,13 @@ impl<'a> Planner<'a> {
         //    weight-gradient buffer (or forward mask workspace).
         let mut choice = AlgoChoice::fallback();
         let mut ws_grant = None;
-        if matches!(kind, sn_graph::LayerKind::Conv { .. }) {
+        let conv = matches!(kind, LayerKind::Conv { .. });
+        if conv {
             choice = self.choose_workspace(layer_id);
             if choice.workspace > 0 {
                 ws_grant = Some(self.ladder_alloc(choice.workspace, s, AllocFor::Workspace)?);
                 self.w.ops.push(PlanOp::AllocWorkspace(choice.workspace));
             }
-            let max_choice = self.max_algo[layer_id.0];
-            self.w.workspaces.push((
-                s as u32,
-                WorkspacePlan {
-                    bytes: choice.workspace,
-                    max_speed_bytes: max_choice.workspace,
-                    algo: choice.algo.name(),
-                    speedup: choice.speedup,
-                },
-            ));
         }
         let transient_bytes = if step.phase == StepPhase::Backward {
             lcost.wgrad_bytes
@@ -1544,11 +1563,10 @@ impl<'a> Planner<'a> {
         let post = self.take_section();
 
         self.steps.push(StepPlan {
-            layer: layer_id,
-            phase: step.phase,
             duration,
-            pre,
-            post,
+            pre_end: pre.end,
+            post_end: post.end,
+            algo: conv.then_some(choice.algo),
         });
         Ok(())
     }
@@ -1585,7 +1603,6 @@ impl<'a> Planner<'a> {
         let plan = MemoryPlan {
             steps: self.steps,
             ops: self.w.ops.to_vec(),
-            workspaces: self.w.workspaces.to_vec(),
             final_range,
             peak_bytes,
             peak_step: self.peak_step,
@@ -1688,7 +1705,7 @@ mod tests {
         let inf = compile_inference(&net, &spec, Policy::liveness_only()).unwrap();
         assert!(inf.plan.inference);
         assert_eq!(inf.plan.steps.len(), net.len());
-        assert!(inf.plan.steps.iter().all(|s| s.phase == StepPhase::Forward));
+        assert!((0..inf.plan.steps.len()).all(|s| inf.route.step(s).phase == StepPhase::Forward));
         assert!(
             inf.plan.peak_bytes < train.plan.peak_bytes,
             "inference {} must undercut training {}",
@@ -1875,14 +1892,15 @@ mod tests {
         // squeezed, so host-resident tensors and pending offloads exist for
         // the walk's shortcuts to get wrong.
         let tight = DeviceSpec::k40c().with_dram(4 << 20);
-        let sn = compile(&fanout_net(16), &tight, Policy::superneurons()).unwrap();
+        let fanout = fanout_net(16);
+        let sn = compile(&fanout, &tight, Policy::superneurons()).unwrap();
         let c = sn.plan.predicted;
         assert!(c.evictions > 0, "4 MiB must bind: {}", c.json());
         assert!(c.prefetches > c.cache_misses, "prefetch-ahead must fetch");
         assert_eq!(sn.valid_caps, 4 << 20..=4 << 20, "this cap's plan alone");
         let squeezed = |s| {
             sn.plan
-                .workspace(s)
+                .workspace(&fanout, &sn.route, s)
                 .is_some_and(|w| w.bytes < w.max_speed_bytes)
         };
         assert!((0..sn.plan.steps.len()).any(squeezed));
@@ -1906,10 +1924,60 @@ mod tests {
         );
     }
 
+    /// A plan stores a CONV step's algorithm and no workspace bytes: over
+    /// the benchmark's `plan_cold` lattice on ResNet-50 (three batches,
+    /// three cards, training and inference), every CONV step and no other
+    /// records an algorithm, grants exactly that algorithm's workspace, and
+    /// grants none when the algorithm needs none.
+    #[test]
+    fn a_conv_step_grants_its_recorded_algorithms_workspace() {
+        let cards = [
+            DeviceSpec::k40c(),
+            DeviceSpec::k40c().with_dram(6 << 30),
+            DeviceSpec::titan_xp(),
+        ];
+        let (mut plans, mut grants) = (0, 0);
+        for batch in [16, 32, 64] {
+            let net = sn_models::resnet50(batch);
+            for (spec, policy, inference) in cards
+                .iter()
+                .flat_map(|c| lattice().into_iter().map(move |p| (c, p)))
+                .flat_map(|(c, p)| [(c, p, false), (c, p, true)])
+            {
+                let compiled = if inference {
+                    compile_inference(&net, spec, policy)
+                } else {
+                    compile(&net, spec, policy)
+                };
+                let Ok(c) = compiled else { continue };
+                plans += 1;
+                for s in 0..c.plan.steps.len() {
+                    let layer = c.route.step(s).layer;
+                    let conv = matches!(net.layer(layer).kind, LayerKind::Conv { .. });
+                    assert_eq!(c.plan.steps[s].algo.is_some(), conv, "step {s}");
+                    let want = c.plan.workspace(&net, &c.route, s).map_or(0, |w| w.bytes);
+                    let ops = [c.plan.pre(s), c.plan.post(s)].map(|r| c.plan.ops_in(r));
+                    let got: Vec<u64> = ops
+                        .concat()
+                        .iter()
+                        .filter_map(|op| match *op {
+                            PlanOp::AllocWorkspace(b) => Some(b),
+                            _ => None,
+                        })
+                        .collect();
+                    let want = if want > 0 { vec![want] } else { vec![] };
+                    assert_eq!(got, want, "batch {batch} {policy:?} step {s}");
+                    grants += got.len();
+                }
+            }
+        }
+        assert!(plans > 0 && grants > 0, "{plans} plans, {grants} grants");
+    }
+
     /// A plan's op stream as sections — `pre(0) post(0) pre(1) … final` —
     /// for a mutation to edit, then flattened back into a plan.
     fn edit_sections(p: &MemoryPlan, edit: impl FnOnce(&mut [Vec<PlanOp>])) -> MemoryPlan {
-        let ranges = p.steps.iter().flat_map(|s| [s.pre, s.post]);
+        let ranges = (0..p.steps.len()).flat_map(|s| [p.pre(s), p.post(s)]);
         let mut sections: Vec<Vec<PlanOp>> = ranges
             .chain([p.final_range])
             .map(|r| p.ops_in(r).to_vec())
@@ -1928,8 +1996,8 @@ mod tests {
             }
         };
         for (s, step) in out.steps.iter_mut().enumerate() {
-            step.pre = take(&mut out.ops, &sections[2 * s]);
-            step.post = take(&mut out.ops, &sections[2 * s + 1]);
+            step.pre_end = take(&mut out.ops, &sections[2 * s]).end;
+            step.post_end = take(&mut out.ops, &sections[2 * s + 1]).end;
         }
         out.final_range = take(&mut out.ops, &sections[sections.len() - 1]);
         out
@@ -1953,7 +2021,7 @@ mod tests {
         let (p, lv) = (&*c.plan, &*c.liveness);
         let mut out = Vec::new();
         for s in 0..p.steps.len() {
-            let pre = p.ops_in(p.steps[s].pre);
+            let pre = p.ops_in(p.pre(s));
             let inputs = &lv.step_inputs[s];
             // Read only by the kernel from here on: no later op of the
             // section names it, no replay comes after it.
@@ -1988,7 +2056,7 @@ mod tests {
             // A free of an input the kernel reads untouched, moved to the
             // end of the step before.
             let early = s > 0 && !pre.iter().any(|op| matches!(op, PlanOp::Recompute(_)));
-            for (j, op) in p.ops_in(p.steps[s].post).iter().enumerate() {
+            for (j, op) in p.ops_in(p.post(s)).iter().enumerate() {
                 if let PlanOp::Free(t) = *op {
                     if early
                         && inputs.contains(&t)

@@ -27,7 +27,8 @@ use crate::policy::Policy;
 /// The rule a plan breaks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rule {
-    /// The steps do not tile the op stream in route order.
+    /// The steps are not the route's in number, or their sections do not
+    /// tile the op stream.
     Layout,
     /// The weights are not the plan's first grant.
     Weights,
@@ -228,22 +229,22 @@ impl Model<'_> {
         let tiles = |r: OpRange, from: u32| r.start == from && r.start <= r.end;
         self.ensure(p.steps.len() == c.route.total_steps(), 0, Rule::Layout)?;
         let mut cursor = 0;
-        for (s, sp) in p.steps.iter().enumerate() {
+        for s in 0..p.steps.len() {
             self.step = s;
-            let step = c.route.step(s);
-            let laid_out = tiles(sp.pre, cursor) && tiles(sp.post, sp.pre.end);
-            let on_route = (step.layer, step.phase) == (sp.layer, sp.phase);
-            self.ensure(laid_out && on_route, cursor as usize, Rule::Layout)?;
-            self.section(sp.pre)?;
+            let (pre, post) = (p.pre(s), p.post(s));
+            // Each section starts where the one before ended.
+            let laid_out = pre.start <= pre.end && post.start <= post.end;
+            self.ensure(laid_out, cursor as usize, Rule::Layout)?;
+            self.section(pre)?;
             let mut operands = c.liveness.step_inputs[s]
                 .iter()
                 .chain(&c.liveness.created_at[s]);
             let resident = operands.all(|&t| self.on_device(t));
-            self.ensure(resident, sp.pre.end as usize, Rule::NotResident)?;
-            self.section(sp.post)?;
+            self.ensure(resident, pre.end as usize, Rule::NotResident)?;
+            self.section(post)?;
             let released = self.held == [None; 2];
-            self.ensure(released, sp.post.end as usize, Rule::UnpairedTransient)?;
-            cursor = sp.post.end;
+            self.ensure(released, post.end as usize, Rule::UnpairedTransient)?;
+            cursor = post.end;
         }
         self.step = p.steps.len();
         let laid_out = tiles(p.final_range, cursor) && p.final_range.end as usize == p.ops.len();
@@ -314,7 +315,7 @@ impl Model<'_> {
             PlanOp::AllocWorkspace(bytes) | PlanOp::AllocTransient(bytes) => {
                 let k = usize::from(matches!(op, PlanOp::AllocTransient(_)));
                 self.ensure(self.held[k].is_none(), i, Rule::UnpairedTransient)?;
-                let budget = c.plan.workspace(self.step);
+                let budget = c.plan.workspace(self.net, &c.route, self.step);
                 let within = k == 1 || budget.is_some_and(|w| bytes <= w.bytes);
                 self.ensure(within, i, Rule::WorkspaceOverBudget)?;
                 let bytes = self.rounded(bytes);
@@ -323,7 +324,7 @@ impl Model<'_> {
             PlanOp::FreeTransients => {
                 // A step's kernel sits at its `pre.end`; the final section
                 // has none, and nothing held.
-                let kernel = c.plan.steps.get(self.step).map_or(0, |s| s.pre.end);
+                let kernel = c.plan.steps.get(self.step).map_or(0, |s| s.pre_end);
                 self.ensure(i >= kernel as usize, i, Rule::FreeBeforeKernel)?;
                 self.ensure(self.held != [None; 2], i, Rule::UnpairedTransient)?;
                 for (bytes, grant) in std::mem::take(&mut self.held).into_iter().flatten() {

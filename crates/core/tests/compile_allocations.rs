@@ -1,9 +1,9 @@
 //! A warm compile allocates the plan it returns and nothing else: with the
 //! graph analyses cached, the walk runs in a walk state its compiler kept
 //! from the compile before, so what is left is the result — the step
-//! records, the op stream and the workspace choices, copied out at their
-//! exact lengths, and the `Arc` they are shared behind — and a compile of a
-//! ten-times deeper net makes exactly as many allocations.
+//! records and the op stream, copied out at their exact lengths, and the
+//! `Arc` they are shared behind — and a compile of a ten-times deeper net
+//! makes exactly as many allocations.
 //!
 //! And a plan-memo hit allocates nothing at all: a prediction is read off
 //! the memoized plan in place, and a memoized OOM shares its layer name.
@@ -119,10 +119,10 @@ fn a_warm_compile_allocates_only_its_plan() {
         for inference in [false, true] {
             let shallow = warm_compile_allocations(100, policy, inference);
             let deep = warm_compile_allocations(1000, policy, inference);
-            // Steps, ops, workspaces, the `Arc`; and in debug builds the
-            // residency model `verify` replays the plan against.
+            // Steps, ops, the `Arc`; and in debug builds the residency
+            // model `verify` replays the plan against.
             assert!(
-                deep == shallow && deep <= 5,
+                deep == shallow && deep <= 4,
                 "{name} (inference {inference}): ResNet-1000 compiles in {deep} allocations, \
                  ResNet-100 in {shallow}"
             );
