@@ -52,7 +52,7 @@ pub struct CoScheduleRow {
     pub jobs: usize,
     pub training_completed: usize,
     pub inference_completed: usize,
-    pub rejected: usize,
+    pub rejected: u64,
 }
 
 fn matrix(quick: bool) -> Vec<(&'static str, models::NetBuilder, usize)> {

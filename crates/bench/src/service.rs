@@ -6,7 +6,7 @@
 //! 1. **Schedules** — the 8-device bench stream and a 2 000-job Poisson
 //!    stream on 64 devices, each run by `run()`, whose
 //!    [`ClusterReport::digest`] is recorded, and by `run_stream()`, which
-//!    must report the same schedule (`reports_identical`).
+//!    must report the same summary (`reports_identical`).
 //! 2. **Load sweep** — offered load ρ → 1 per admission preset, with
 //!    p50/p99/p999 latency per cell (`tail_latency_recorded`). Near ρ = 1
 //!    thousands of jobs wait at once: the only traffic in the tree where
@@ -63,27 +63,26 @@ fn critical_gap_ns(fleet: &Fleet, preset: PolicyPreset) -> f64 {
     (busy_ns / (svc.completed.max(1) as f64 * devices)).max(1.0)
 }
 
-/// Whether the streaming run `svc` reports the schedule `report` does: the
-/// same counts, events, makespan, mean queueing and peak concurrency.
-fn stream_agrees(report: &ClusterReport, svc: &ServiceReport) -> bool {
-    let want = [
-        report.jobs.len(),
-        report.completed,
-        report.rejected,
-        report.trace.len(),
-    ];
-    [svc.submitted, svc.completed, svc.rejected, svc.events] == want.map(|n| n as u64)
-        && (svc.makespan, svc.mean_queueing) == (report.makespan, report.mean_queueing)
-        && svc.peak_concurrent_jobs == report.peak_concurrent_jobs
-}
-
-/// `arrivals` on `fleet` under BestFit: the materialized run's report, and
-/// whether a streaming run of them agrees with it.
+/// `arrivals` on `fleet` under BestFit: the recorded run's report, and
+/// whether a streaming run of them reports its summary — every sketched tail
+/// at most 1/16 above the exact one, and every field equal once the exact
+/// tails replace the sketched ones.
 fn schedule(fleet: &Fleet, arrivals: Vec<(SimTime, JobSpec)>) -> (ClusterReport, bool) {
     let sim = || ClusterSim::new(fleet.clone(), PlacementPolicy::BestFit);
     let report = sim().run(arrivals.clone());
     let svc = sim().run_stream(&mut ReplayStream::new(arrivals));
-    let agrees = stream_agrees(&report, &svc);
+    let exact = [report.p50_latency, report.p99_latency, report.p999_latency];
+    let sketched = [svc.p50_latency, svc.p99_latency, svc.p999_latency];
+    let mut tails = exact.iter().zip(sketched);
+    let close = tails.all(|(e, s)| e.0 <= s.0 && s.0 <= e.0 + e.0 / 16 + 1);
+    let [p50_latency, p99_latency, p999_latency] = exact;
+    let svc = ServiceReport {
+        p50_latency,
+        p99_latency,
+        p999_latency,
+        ..svc
+    };
+    let agrees = close && svc == *report;
     (report, agrees)
 }
 

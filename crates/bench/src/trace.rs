@@ -44,9 +44,9 @@ pub struct TraceResult {
     /// (the gang's link track intersected with its compute track).
     pub trace_busy_ns: u64,
     pub trace_hidden_ns: u64,
-    pub cluster_submitted: usize,
-    pub cluster_completed: usize,
-    pub cluster_rejected: usize,
+    pub cluster_submitted: u64,
+    pub cluster_completed: u64,
+    pub cluster_rejected: u64,
     pub check: sn_telemetry::TraceCheck,
     pub snapshot: MetricsSnapshot,
     pub data: TraceData,
@@ -94,9 +94,9 @@ impl TraceResult {
                 == ctr("cluster.rejects.empty_gang")
                     + ctr("cluster.rejects.fleet_too_small")
                     + ctr("cluster.rejects.peak_exceeds_capacity")
-            && ctr("cluster.jobs.submitted") == self.cluster_submitted as u64
-            && ctr("cluster.jobs.completed") == self.cluster_completed as u64
-            && ctr("cluster.jobs.rejected") == self.cluster_rejected as u64
+            && ctr("cluster.jobs.submitted") == self.cluster_submitted
+            && ctr("cluster.jobs.completed") == self.cluster_completed
+            && ctr("cluster.jobs.rejected") == self.cluster_rejected
     }
 }
 
@@ -207,7 +207,7 @@ pub fn measure(quick: bool) -> TraceResult {
         .with_replicas(4)
         .with_downgrade(false),
     ));
-    let submitted = jobs.len();
+    let submitted = jobs.len() as u64;
     let mut sim = ClusterSim::new(fleet, PlacementPolicy::BestFit);
     sim.enable_tracing(&sink);
     sim.enable_metrics(&registry);

@@ -75,8 +75,8 @@ pub(crate) struct CoreOutcome {
     pub(crate) peak_concurrent: usize,
     /// Slab high-water: the constant-memory evidence for streaming runs.
     pub(crate) peak_live: usize,
-    /// Scheduling events processed: arrivals + admissions + rejections +
-    /// completions (the schedule-trace length, when one is recorded).
+    /// Scheduling events processed, one per recorder hook (the schedule-trace
+    /// length, when one is recorded).
     pub(crate) events: u64,
     pub(crate) submitted: u64,
     pub(crate) completed: u64,

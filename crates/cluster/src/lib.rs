@@ -29,9 +29,9 @@
 //!   hard memory reservations, gang scheduling multi-replica jobs through
 //!   the data-parallel model, on one integer-nanosecond clock (`pace`: the
 //!   two functions that round it, and the lazy progress they drive);
-//! * [`report`] — [`ClusterReport`]: per-job latency/queueing, fleet
-//!   throughput + utilization, the byte-stable schedule trace, and JSON
-//!   rendering for `BENCH_cluster.json`;
+//! * [`report`] — [`ServiceReport`], the serving summary both entry points
+//!   report, and [`ClusterReport`], what `run` adds (job rows, the byte-stable
+//!   schedule trace, per-device integrals); one text and JSON writer;
 //! * [`stream`] — reproducible synthetic job streams.
 //!
 //! Invariants the test suite enforces:

@@ -4,6 +4,7 @@
 //! metric handles and its recorders.
 
 use std::hash::{Hash, Hasher};
+use std::ops::Deref;
 
 use fxhash::FxHasher;
 use sn_sim::SimTime;
@@ -15,7 +16,7 @@ use crate::fault::FaultEvent;
 use crate::fleet::Fleet;
 use crate::job::{JobKind, JobSpec, PolicyPreset};
 use crate::latency::LatencySketch;
-use crate::placement::{DeviceState, PlacementPolicy};
+use crate::placement::PlacementPolicy;
 
 /// Why admission permanently refused a job. Structured — so the metrics
 /// registry counts rejections per kind instead of grepping free-form
@@ -224,55 +225,22 @@ impl JobOutcome {
     }
 }
 
-/// Fleet-wide results of one simulation run.
+/// Fleet-wide results of one recorded run: the serving summary every run
+/// reports, which the report reads through to, and what only a recorded run
+/// keeps — per-job outcomes, the schedule trace and the per-device integers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterReport {
-    pub placement: PlacementPolicy,
-    pub fleet_devices: usize,
+    summary: ServiceReport,
     pub fleet_dram_bytes: u64,
     pub jobs: Vec<JobOutcome>,
     pub trace: Vec<TraceEvent>,
-    pub makespan: SimTime,
-    pub completed: usize,
-    pub rejected: usize,
-    /// Jobs that failed permanently under faults (no recovery, or retries
-    /// exhausted). Zero on fault-free runs.
-    pub failed: usize,
-    /// Jobs still waiting for capacity when the event stream ran dry (a
-    /// terminal state only under faults, e.g. a never-released pressure
-    /// spike). Zero on fault-free runs.
-    pub still_queued: usize,
-    /// Total checkpoint restarts across all jobs.
-    pub restarts: u64,
-    /// Iterations that landed in completed jobs — the goodput numerator.
-    pub useful_iterations: u64,
-    /// Iterations executed but lost to interruptions.
-    pub wasted_iterations: u64,
-    /// Useful iterations per virtual second (0 when the makespan is zero —
-    /// never inf/NaN).
-    pub goodput_iters_per_sec: f64,
-    /// All executed iterations (useful + wasted) per virtual second, same
-    /// zero-duration guard.
-    pub raw_iters_per_sec: f64,
-    /// Completed jobs per virtual second over the makespan.
-    pub jobs_per_sec: f64,
-    pub p50_latency: SimTime,
-    pub p99_latency: SimTime,
-    pub p999_latency: SimTime,
-    pub mean_queueing: SimTime,
-    /// Fraction of device-time with at least one tenant.
-    pub compute_utilization: f64,
-    /// Fraction of fleet DRAM-time held by reservations.
-    pub memory_utilization: f64,
-    /// Most gangs running at once, cluster-wide.
-    pub peak_concurrent_jobs: usize,
     /// Per-device high-water reserved bytes.
     pub peak_reserved: Vec<u64>,
     /// Per-device high-water tenant count.
     pub peak_tenants: Vec<usize>,
     /// Per-device wall time (ns) with at least one tenant — the raw busy
-    /// integral the utilization above is derived from, exact where the
-    /// ratio is rounded (and so what [`ClusterReport::digest`] folds).
+    /// integral the summary's compute utilization is derived from, exact
+    /// where the ratio is rounded (and so what [`ClusterReport::digest`] folds).
     pub busy_ns: Vec<u64>,
     /// Per-device ∫ reserved(t) dt in byte·ns (memory-utilization
     /// numerator), exact like `busy_ns`.
@@ -280,6 +248,9 @@ pub struct ClusterReport {
     /// Distinct admission predictions the profiler simulated.
     pub predictions_simulated: usize,
 }
+
+/// The latency quantiles a summary reports: p50, p99 and p999.
+const QUANTILES: [f64; 3] = [0.50, 0.99, 0.999];
 
 /// Nearest-rank percentile over an ascending-sorted slice: the smallest
 /// element such that at least `q` of the samples are ≤ it.
@@ -309,21 +280,9 @@ pub(crate) fn safe_rate(count: u64, makespan: SimTime) -> f64 {
     }
 }
 
-/// `(compute, memory)` utilization over `makespan`: the fraction of
-/// device-time with at least one tenant and of fleet DRAM-time held by
-/// reservations. The integrals are exact integers; this is the one place
-/// they become ratios.
-pub(crate) fn utilization(fleet: &Fleet, makespan: SimTime, devices: &[DeviceState]) -> (f64, f64) {
-    let span_ns = makespan.0.max(1) as f64;
-    let busy: u128 = devices.iter().map(|d| u128::from(d.busy_ns)).sum();
-    let reserved: u128 = devices.iter().map(|d| d.reserved_integral).sum();
-    (
-        busy as f64 / (span_ns * fleet.len().max(1) as f64),
-        reserved as f64 / (span_ns * fleet.total_dram().max(1) as f64),
-    )
-}
-
 impl ClusterReport {
+    /// The summary with exact latency figures from the job rows: nearest-rank
+    /// percentiles and the mean admission wait.
     pub(crate) fn assemble(
         fleet: &Fleet,
         placement: PlacementPolicy,
@@ -332,66 +291,44 @@ impl ClusterReport {
         predictions_simulated: usize,
     ) -> ClusterReport {
         let (jobs, trace) = (rec.outcomes, rec.trace);
-        let (makespan, devices) = (core.makespan, &core.devices[..]);
-        let completed = jobs.iter().filter(|j| j.completion.is_some()).count();
-        let rejected = jobs.iter().filter(|j| j.rejected.is_some()).count();
-        let failed = jobs.iter().filter(|j| j.failed.is_some()).count();
-        let still_queued = jobs
-            .iter()
-            .filter(|j| j.completion.is_none() && j.rejected.is_none() && j.failed.is_none())
-            .count();
-        let restarts = jobs.iter().map(|j| u64::from(j.restarts)).sum::<u64>();
-        let useful_iterations = jobs
-            .iter()
-            .filter(|j| j.completion.is_some())
-            .map(|j| u64::from(j.iterations))
-            .sum::<u64>();
-        let wasted_iterations = jobs.iter().map(|j| j.wasted_iterations).sum::<u64>();
-        let mut latencies: Vec<SimTime> = jobs.iter().filter_map(|j| j.latency()).collect();
+        // The rows recount what the core counted as it went.
+        let count = |f: fn(&JobOutcome) -> bool| jobs.iter().filter(|j| f(j)).count() as u64;
+        let sum = |f: fn(&JobOutcome) -> u64| jobs.iter().map(f).sum::<u64>();
+        debug_assert_eq!(jobs.len() as u64, core.submitted);
+        debug_assert_eq!(trace.len() as u64, core.events);
+        debug_assert_eq!(count(|j| j.completion.is_some()), core.completed);
+        debug_assert_eq!(count(|j| j.rejected.is_some()), core.rejected);
+        debug_assert_eq!(count(|j| j.failed.is_some()), core.failed);
+        debug_assert_eq!(
+            count(|j| j.completion.is_none() && j.rejected.is_none() && j.failed.is_none()),
+            core.still_queued
+        );
+        debug_assert_eq!(sum(|j| j.restarts.into()), core.restarts);
+        debug_assert_eq!(
+            sum(|j| j.completion.map_or(0, |_| j.iterations.into())),
+            core.useful_iters
+        );
+        debug_assert_eq!(sum(|j| j.wasted_iterations), core.wasted_iters);
+        let mut latencies: Vec<SimTime> = jobs.iter().filter_map(JobOutcome::latency).collect();
         latencies.sort_unstable();
-        let queueing: Vec<SimTime> = jobs.iter().filter_map(|j| j.queueing()).collect();
-        let mean_queueing = if queueing.is_empty() {
-            SimTime::ZERO
-        } else {
-            SimTime(queueing.iter().map(|t| t.0).sum::<u64>() / queueing.len() as u64)
-        };
-        let (compute_utilization, memory_utilization) = utilization(fleet, makespan, devices);
+        let (waited, admitted) = jobs
+            .iter()
+            .filter_map(JobOutcome::queueing)
+            .fold((0, 0), |(total, n), q| (total + q.0, n + 1));
+        let tails = QUANTILES.map(|q| percentile(&latencies, q));
+        let mean_queueing = SimTime(waited.checked_div(admitted).unwrap_or(0));
+        let devices = &core.devices;
         ClusterReport {
-            placement,
-            fleet_devices: fleet.len(),
+            summary: ServiceReport::assemble(fleet, placement, core, (tails, mean_queueing)),
             fleet_dram_bytes: fleet.total_dram(),
-            jobs_per_sec: safe_rate(completed as u64, makespan),
-            p50_latency: percentile(&latencies, 0.50),
-            p99_latency: percentile(&latencies, 0.99),
-            p999_latency: percentile(&latencies, 0.999),
-            mean_queueing,
-            compute_utilization,
-            memory_utilization,
-            peak_concurrent_jobs: core.peak_concurrent,
             peak_reserved: devices.iter().map(|d| d.peak_reserved).collect(),
             peak_tenants: devices.iter().map(|d| d.peak_tenants).collect(),
             busy_ns: devices.iter().map(|d| d.busy_ns).collect(),
             reserved_integral: devices.iter().map(|d| d.reserved_integral).collect(),
             predictions_simulated,
-            failed,
-            still_queued,
-            restarts,
-            useful_iterations,
-            wasted_iterations,
-            goodput_iters_per_sec: safe_rate(useful_iterations, makespan),
-            raw_iters_per_sec: safe_rate(useful_iterations + wasted_iterations, makespan),
             jobs,
             trace,
-            makespan,
-            completed,
-            rejected,
         }
-    }
-
-    /// Job conservation: every submitted job ends in exactly one terminal
-    /// state. The first hard gate of the `faults` bench.
-    pub fn conservation_holds(&self) -> bool {
-        self.jobs.len() == self.completed + self.rejected + self.failed + self.still_queued
     }
 
     /// One Fx fold over everything `==` compares: the trace rows, the
@@ -411,95 +348,47 @@ impl ClusterReport {
         h.finish()
     }
 
-    /// Human-readable summary.
+    /// Human-readable summary, with the fleet's DRAM and admission predictions.
     pub fn render_text(&self) -> String {
-        let mut s = String::new();
-        s.push_str(&format!(
-            "cluster[{} devices, {:.1} GB DRAM, placement={}]\n",
-            self.fleet_devices,
-            self.fleet_dram_bytes as f64 / (1u64 << 30) as f64,
-            self.placement.name()
-        ));
-        s.push_str(&format!(
-            "  jobs: {} submitted / {} completed / {} rejected\n",
-            self.jobs.len(),
-            self.completed,
-            self.rejected
-        ));
-        if self.failed + self.still_queued > 0 || self.restarts + self.wasted_iterations > 0 {
-            s.push_str(&format!(
-                "  faults: {} failed / {} still queued / {} restarts   goodput {:.1} iters/s (raw {:.1}, {} wasted)\n",
-                self.failed,
-                self.still_queued,
-                self.restarts,
-                self.goodput_iters_per_sec,
-                self.raw_iters_per_sec,
-                self.wasted_iterations
-            ));
-        }
-        s.push_str(&format!(
-            "  makespan {:.3} s   throughput {:.2} jobs/s   peak concurrency {}\n",
-            self.makespan.as_secs_f64(),
-            self.jobs_per_sec,
-            self.peak_concurrent_jobs
-        ));
-        s.push_str(&format!(
-            "  latency p50 {:.3} s  p99 {:.3} s  p999 {:.3} s   mean queueing {:.3} s\n",
-            self.p50_latency.as_secs_f64(),
-            self.p99_latency.as_secs_f64(),
-            self.p999_latency.as_secs_f64(),
-            self.mean_queueing.as_secs_f64()
-        ));
-        s.push_str(&format!(
-            "  utilization: compute {:.1}%  memory {:.1}%   ({} admission predictions)\n",
-            100.0 * self.compute_utilization,
-            100.0 * self.memory_utilization,
-            self.predictions_simulated
-        ));
-        s
+        let gb = self.fleet_dram_bytes as f64 / (1u64 << 30) as f64;
+        self.summary.text("cluster", |after| match after {
+            "devices" => format!(", {gb:.1} GB DRAM"),
+            "memory_utilization" => {
+                format!("   ({} admission predictions)", self.predictions_simulated)
+            }
+            _ => String::new(),
+        })
     }
 
     /// Machine-readable JSON: the summary, and the [`ClusterReport::digest`]
     /// that stands for the per-job rows and the trace.
     pub fn json(&self) -> Json {
-        Json::object()
-            .with("placement", self.placement.name())
-            .with("devices", self.fleet_devices)
-            .with("fleet_dram_bytes", self.fleet_dram_bytes)
-            .with("submitted", self.jobs.len())
-            .with("completed", self.completed)
-            .with("rejected", self.rejected)
-            .with("failed", self.failed)
-            .with("still_queued", self.still_queued)
-            .with("restarts", self.restarts)
-            .with("useful_iterations", self.useful_iterations)
-            .with("wasted_iterations", self.wasted_iterations)
-            .with("goodput_iters_per_sec", self.goodput_iters_per_sec)
-            .with("raw_iters_per_sec", self.raw_iters_per_sec)
-            .with("makespan_ns", self.makespan.0)
-            .with("jobs_per_sec", self.jobs_per_sec)
-            .with("p50_latency_ns", self.p50_latency.0)
-            .with("p99_latency_ns", self.p99_latency.0)
-            .with("p999_latency_ns", self.p999_latency.0)
-            .with("mean_queueing_ns", self.mean_queueing.0)
-            .with("compute_utilization", self.compute_utilization)
-            .with("memory_utilization", self.memory_utilization)
-            .with("peak_concurrent_jobs", self.peak_concurrent_jobs)
-            .with("predictions_simulated", self.predictions_simulated)
-            .with("digest", format!("{:016x}", self.digest()))
+        self.summary.json_with(|json, after| match after {
+            "devices" => json.with("fleet_dram_bytes", self.fleet_dram_bytes),
+            "peak_concurrent_jobs" => json
+                .with("predictions_simulated", self.predictions_simulated)
+                .with("digest", format!("{:016x}", self.digest())),
+            _ => json,
+        })
     }
 }
 
-/// Aggregate results of one *streaming* run ([`ClusterSim::run_stream`]).
-///
-/// Unlike [`ClusterReport`] this carries no per-job outcomes and no schedule
-/// trace — a million-event stream must not materialize a million
-/// `JobOutcome`s. What survives is the serving summary: counts, tail
-/// latencies over completed jobs, device utilization, and the event count
-/// the `service` bench gates throughput on.
-///
-/// [`ClusterSim::run_stream`]: crate::ClusterSim::run_stream
-#[derive(Debug, Clone)]
+impl Deref for ClusterReport {
+    type Target = ServiceReport;
+
+    fn deref(&self) -> &ServiceReport {
+        &self.summary
+    }
+}
+
+/// The serving summary of one run, what [`crate::ClusterSim::run`] and
+/// [`crate::ClusterSim::run_stream`] both report: counts, rates, tail
+/// latencies over completed jobs, utilization and high-water marks.
+/// Assembled once, from the event core's counters and the latency figures of
+/// the recorder that saw the run: exact over a recorded run's job rows,
+/// sketched in a streaming run, which keeps nothing per job. A
+/// [`ClusterReport`] holds one.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceReport {
     pub placement: PlacementPolicy,
     pub fleet_devices: usize,
@@ -507,10 +396,12 @@ pub struct ServiceReport {
     pub submitted: u64,
     pub completed: u64,
     pub rejected: u64,
-    /// Jobs that failed permanently under faults. Zero on fault-free runs.
+    /// Jobs that failed permanently under faults (no recovery, or retries
+    /// exhausted). Zero on fault-free runs.
     pub failed: u64,
-    /// Jobs still waiting for capacity at stream exhaustion (terminal only
-    /// under faults). Zero on fault-free runs.
+    /// Jobs still waiting for capacity when the event stream ran dry (a
+    /// terminal state only under faults, e.g. a never-released pressure
+    /// spike). Zero on fault-free runs.
     pub still_queued: u64,
     /// Gang interruptions observed (a restarted job may contribute many).
     pub interrupted: u64,
@@ -526,17 +417,23 @@ pub struct ServiceReport {
     /// All executed iterations (useful + wasted) per virtual second, same
     /// zero-duration guard.
     pub raw_iters_per_sec: f64,
-    /// Scheduling events processed (arrivals + completions + admissions) —
-    /// the numerator of the events/sec throughput gate.
+    /// Scheduling events processed, one per arrival, admission or restart,
+    /// rejection, completion, fault, interrupt and failure — a recorded
+    /// run's `trace.len()`, and the numerator of the events/sec throughput
+    /// gate.
     pub events: u64,
     pub makespan: SimTime,
+    /// Completed jobs per virtual second over the makespan.
     pub jobs_per_sec: f64,
     pub p50_latency: SimTime,
     pub p99_latency: SimTime,
     pub p999_latency: SimTime,
     pub mean_queueing: SimTime,
+    /// Fraction of device-time with at least one tenant.
     pub compute_utilization: f64,
+    /// Fraction of fleet DRAM-time held by reservations.
     pub memory_utilization: f64,
+    /// Most gangs running at once, cluster-wide.
     pub peak_concurrent_jobs: usize,
     /// High-water live-job slab slots — the constant-memory evidence: for a
     /// 10^6-job stream this stays near peak concurrency, not near 10^6.
@@ -544,16 +441,19 @@ pub struct ServiceReport {
 }
 
 impl ServiceReport {
+    /// The summary of the run `core` reports, with the p50, p99 and p999
+    /// latencies and mean queueing its recorder saw. The exact device
+    /// integrals become utilization ratios here and nowhere else.
     pub(crate) fn assemble(
         fleet: &Fleet,
         placement: PlacementPolicy,
-        rec: StreamRecorder,
         core: &CoreOutcome,
+        ([p50_latency, p99_latency, p999_latency], mean_queueing): ([SimTime; 3], SimTime),
     ) -> ServiceReport {
         let makespan = core.makespan;
-        let (compute_utilization, memory_utilization) = utilization(fleet, makespan, &core.devices);
-        let mean_queueing = rec.queue_sum.checked_div(u128::from(rec.queue_count));
-        let mean_queueing = SimTime(mean_queueing.unwrap_or(0) as u64);
+        let span_ns = makespan.0.max(1) as f64;
+        let busy: u128 = core.devices.iter().map(|d| u128::from(d.busy_ns)).sum();
+        let reserved: u128 = core.devices.iter().map(|d| d.reserved_integral).sum();
         ServiceReport {
             placement,
             fleet_devices: fleet.len(),
@@ -571,41 +471,67 @@ impl ServiceReport {
             events: core.events,
             makespan,
             jobs_per_sec: safe_rate(core.completed, makespan),
-            p50_latency: rec.latency.quantile(0.50),
-            p99_latency: rec.latency.quantile(0.99),
-            p999_latency: rec.latency.quantile(0.999),
+            p50_latency,
+            p99_latency,
+            p999_latency,
             mean_queueing,
-            compute_utilization,
-            memory_utilization,
+            compute_utilization: busy as f64 / (span_ns * fleet.len().max(1) as f64),
+            memory_utilization: reserved as f64 / (span_ns * fleet.total_dram().max(1) as f64),
             peak_concurrent_jobs: core.peak_concurrent,
             peak_live_jobs: core.peak_live,
         }
     }
 
-    /// Job conservation for streaming runs: every pulled job ends in exactly
-    /// one terminal state.
+    /// Job conservation: every submitted job ends in exactly one terminal
+    /// state. The first hard gate of the `faults` bench.
     pub fn conservation_holds(&self) -> bool {
         self.submitted == self.completed + self.rejected + self.failed + self.still_queued
     }
 
-    /// Human-readable summary.
+    /// Human-readable summary, with the events, interruptions and live slots.
     pub fn render_text(&self) -> String {
-        let mut s = String::new();
-        s.push_str(&format!(
-            "service[{} devices, placement={}]\n",
+        self.text("service", |after| match after {
+            "rejected" => format!("   events {}", self.events),
+            "still_queued" => format!(" / {} interrupted", self.interrupted),
+            "peak_concurrent_jobs" => format!("   peak live slots {}", self.peak_live_jobs),
+            _ => String::new(),
+        })
+    }
+
+    /// Machine-readable JSON, with the interruptions, events and live slots.
+    pub fn json(&self) -> Json {
+        self.json_with(|json, after| match after {
+            "still_queued" => json.with("interrupted", self.interrupted),
+            "raw_iters_per_sec" => json.with("events", self.events),
+            "peak_concurrent_jobs" => json.with("peak_live_jobs", self.peak_live_jobs),
+            _ => json,
+        })
+    }
+
+    /// The shared text under `title`, with `add(field)` spliced in right
+    /// after each of the fields `devices`, `rejected`, `still_queued`,
+    /// `peak_concurrent_jobs` and `memory_utilization`. The faults line
+    /// prints only when a fault left a trace.
+    fn text(&self, title: &str, add: impl Fn(&str) -> String) -> String {
+        let mut s = format!(
+            "{title}[{} devices{}, placement={}]\n",
             self.fleet_devices,
+            add("devices"),
             self.placement.name()
-        ));
+        );
         s.push_str(&format!(
-            "  jobs: {} submitted / {} completed / {} rejected   events {}\n",
-            self.submitted, self.completed, self.rejected, self.events
+            "  jobs: {} submitted / {} completed / {} rejected{}\n",
+            self.submitted,
+            self.completed,
+            self.rejected,
+            add("rejected")
         ));
         if self.failed + self.still_queued + self.interrupted + self.restarts > 0 {
             s.push_str(&format!(
-                "  faults: {} failed / {} still queued / {} interrupted / {} restarts   goodput {:.1} iters/s (raw {:.1}, {} wasted)\n",
+                "  faults: {} failed / {} still queued{} / {} restarts   goodput {:.1} iters/s (raw {:.1}, {} wasted)\n",
                 self.failed,
                 self.still_queued,
-                self.interrupted,
+                add("still_queued"),
                 self.restarts,
                 self.goodput_iters_per_sec,
                 self.raw_iters_per_sec,
@@ -613,11 +539,11 @@ impl ServiceReport {
             ));
         }
         s.push_str(&format!(
-            "  makespan {:.3} s   throughput {:.2} jobs/s   peak concurrency {}   peak live slots {}\n",
+            "  makespan {:.3} s   throughput {:.2} jobs/s   peak concurrency {}{}\n",
             self.makespan.as_secs_f64(),
             self.jobs_per_sec,
             self.peak_concurrent_jobs,
-            self.peak_live_jobs
+            add("peak_concurrent_jobs")
         ));
         s.push_str(&format!(
             "  latency p50 {:.3} s  p99 {:.3} s  p999 {:.3} s   mean queueing {:.3} s\n",
@@ -627,41 +553,43 @@ impl ServiceReport {
             self.mean_queueing.as_secs_f64()
         ));
         s.push_str(&format!(
-            "  utilization: compute {:.1}%  memory {:.1}%\n",
+            "  utilization: compute {:.1}%  memory {:.1}%{}\n",
             100.0 * self.compute_utilization,
-            100.0 * self.memory_utilization
+            100.0 * self.memory_utilization,
+            add("memory_utilization")
         ));
         s
     }
 
-    /// Machine-readable JSON, the aggregate fields of
-    /// [`ClusterReport::json`] plus the streaming counters.
-    pub fn json(&self) -> Json {
-        Json::object()
-            .with("placement", self.placement.name())
-            .with("devices", self.fleet_devices)
-            .with("submitted", self.submitted)
-            .with("completed", self.completed)
-            .with("rejected", self.rejected)
-            .with("failed", self.failed)
-            .with("still_queued", self.still_queued)
-            .with("interrupted", self.interrupted)
-            .with("restarts", self.restarts)
-            .with("useful_iterations", self.useful_iterations)
-            .with("wasted_iterations", self.wasted_iterations)
-            .with("goodput_iters_per_sec", self.goodput_iters_per_sec)
-            .with("raw_iters_per_sec", self.raw_iters_per_sec)
-            .with("events", self.events)
-            .with("makespan_ns", self.makespan.0)
-            .with("jobs_per_sec", self.jobs_per_sec)
-            .with("p50_latency_ns", self.p50_latency.0)
-            .with("p99_latency_ns", self.p99_latency.0)
-            .with("p999_latency_ns", self.p999_latency.0)
-            .with("mean_queueing_ns", self.mean_queueing.0)
-            .with("compute_utilization", self.compute_utilization)
-            .with("memory_utilization", self.memory_utilization)
-            .with("peak_concurrent_jobs", self.peak_concurrent_jobs)
-            .with("peak_live_jobs", self.peak_live_jobs)
+    /// The shared JSON object, with `add(object, key)` called after each key
+    /// to append what one report keeps after it.
+    fn json_with(&self, add: impl Fn(Json, &str) -> Json) -> Json {
+        let fields: [(&str, Json); 21] = [
+            ("placement", self.placement.name().into()),
+            ("devices", self.fleet_devices.into()),
+            ("submitted", self.submitted.into()),
+            ("completed", self.completed.into()),
+            ("rejected", self.rejected.into()),
+            ("failed", self.failed.into()),
+            ("still_queued", self.still_queued.into()),
+            ("restarts", self.restarts.into()),
+            ("useful_iterations", self.useful_iterations.into()),
+            ("wasted_iterations", self.wasted_iterations.into()),
+            ("goodput_iters_per_sec", self.goodput_iters_per_sec.into()),
+            ("raw_iters_per_sec", self.raw_iters_per_sec.into()),
+            ("makespan_ns", self.makespan.0.into()),
+            ("jobs_per_sec", self.jobs_per_sec.into()),
+            ("p50_latency_ns", self.p50_latency.0.into()),
+            ("p99_latency_ns", self.p99_latency.0.into()),
+            ("p999_latency_ns", self.p999_latency.0.into()),
+            ("mean_queueing_ns", self.mean_queueing.0.into()),
+            ("compute_utilization", self.compute_utilization.into()),
+            ("memory_utilization", self.memory_utilization.into()),
+            ("peak_concurrent_jobs", self.peak_concurrent_jobs.into()),
+        ];
+        fields
+            .into_iter()
+            .fold(Json::object(), |json, (k, v)| add(json.with(k, v), k))
     }
 }
 
@@ -924,6 +852,16 @@ pub(crate) struct StreamRecorder {
     latency: LatencySketch,
     queue_sum: u128,
     queue_count: u64,
+}
+
+impl StreamRecorder {
+    /// The p50, p99 and p999 latencies as the sketch rounds them, and the
+    /// exact mean queueing.
+    pub(crate) fn latency(&self) -> ([SimTime; 3], SimTime) {
+        let mean_queueing = self.queue_sum.checked_div(u128::from(self.queue_count));
+        let tails = QUANTILES.map(|q| self.latency.quantile(q));
+        (tails, SimTime(mean_queueing.unwrap_or(0) as u64))
+    }
 }
 
 impl Recorder for StreamRecorder {

@@ -301,9 +301,10 @@ impl ClusterSim {
         self.profiler.gangs_measured()
     }
 
-    /// Run the job stream to completion and report. `arrivals` pairs each
-    /// job with its (virtual) submission time; same-time jobs keep their
-    /// input order in the queue.
+    /// Run the job stream to completion and report the serving summary with
+    /// exact latency tails, per-job outcomes and the schedule trace. `arrivals`
+    /// pairs each job with its (virtual) submission time; same-time jobs keep
+    /// their input order in the queue.
     pub fn run(&mut self, mut arrivals: Vec<(SimTime, JobSpec)>) -> ClusterReport {
         arrivals.sort_by_key(|(t, _)| *t); // stable: ties keep input order
 
@@ -329,14 +330,14 @@ impl ClusterSim {
     /// recording: arrivals are pulled one ahead of the clock and per-job
     /// state lives only while the job does, so a 10^6-event stream runs in
     /// memory proportional to **peak concurrency** (reported as
-    /// [`ServiceReport::peak_live_jobs`]), not stream length. Tail
-    /// latencies come from a fixed-size log-linear sketch (≤ 1/16 relative
-    /// rounding); counts, means, utilizations, and the schedule itself are
-    /// exact — the loop is the same indexed core [`ClusterSim::run`] uses.
+    /// [`ServiceReport::peak_live_jobs`]), not stream length. It reports the
+    /// summary [`ClusterSim::run`] does, tail latencies from a fixed-size
+    /// log-linear sketch (≤ 1/16 relative rounding), all else exact: the
+    /// loop is the same indexed core.
     pub fn run_stream(&mut self, stream: &mut dyn ArrivalStream) -> ServiceReport {
         let mut rec = StreamRecorder::default();
         let core = Core::new(self, stream, &mut rec).run();
-        ServiceReport::assemble(&self.fleet, self.placement, rec, &core)
+        ServiceReport::assemble(&self.fleet, self.placement, &core, rec.latency())
     }
 }
 

@@ -9,8 +9,7 @@
 
 use sn_cluster::{
     mixed_serving_stream, synthetic_stream, ClusterSim, FaultPlan, Fleet, JobKind, JobSpec,
-    PlacementPolicy, PoissonStream, PolicyPreset, RecoveryPolicy, ReplayStream, TraceKind,
-    Workload,
+    PlacementPolicy, PoissonStream, PolicyPreset, RecoveryPolicy, TraceKind, Workload,
 };
 use sn_runtime::Interconnect;
 use sn_sim::{DeviceSpec, SimTime};
@@ -392,7 +391,7 @@ fn adversarial_arrival_times_are_never_dropped() {
             job.name
         );
     }
-    assert_eq!(report.completed, n);
+    assert_eq!(report.completed, n as u64);
 }
 
 #[test]
@@ -621,48 +620,6 @@ fn time_saturates_at_u64_max_instead_of_overflowing() {
     assert_eq!(report.makespan.0, u64::MAX);
     assert!(report.trace.windows(2).all(|w| w[0].t_ns <= w[1].t_ns));
     assert_eq!(report.busy_ns, vec![5]);
-}
-
-#[test]
-fn run_stream_agrees_with_materialized_run() {
-    // The streaming entry point runs the same core with aggregate-only
-    // recording: counts, makespan, and the exact mean queueing must equal
-    // the materialized run's; quantiles may differ only by the sketch's
-    // 1/16 rounding.
-    let arrivals = mixed_serving_stream(100, 6, PolicyPreset::Superneurons, true);
-    let full = ClusterSim::new(fleet8(96 * MB), PlacementPolicy::BestFit).run(arrivals.clone());
-    let mut stream = ReplayStream::new(arrivals);
-    let svc = ClusterSim::new(fleet8(96 * MB), PlacementPolicy::BestFit).run_stream(&mut stream);
-
-    assert_eq!(svc.submitted as usize, full.jobs.len());
-    assert_eq!(svc.completed as usize, full.completed);
-    assert_eq!(svc.rejected as usize, full.rejected);
-    assert_eq!(svc.makespan, full.makespan);
-    assert_eq!(svc.events as usize, full.trace.len());
-    assert_eq!(svc.peak_concurrent_jobs, full.peak_concurrent_jobs);
-    assert_eq!(svc.mean_queueing, full.mean_queueing);
-    assert_eq!(svc.jobs_per_sec.to_bits(), full.jobs_per_sec.to_bits());
-    assert_eq!(
-        svc.compute_utilization.to_bits(),
-        full.compute_utilization.to_bits()
-    );
-    assert_eq!(
-        svc.memory_utilization.to_bits(),
-        full.memory_utilization.to_bits()
-    );
-    for (sketched, exact, q) in [
-        (svc.p50_latency, full.p50_latency, "p50"),
-        (svc.p99_latency, full.p99_latency, "p99"),
-        (svc.p999_latency, full.p999_latency, "p999"),
-    ] {
-        let lo = exact.0 as f64;
-        let hi = lo * (1.0 + 1.0 / 16.0) + 1.0;
-        assert!(
-            (sketched.0 as f64) >= lo && (sketched.0 as f64) <= hi,
-            "{q}: sketch {} outside [{lo}, {hi}]",
-            sketched.0
-        );
-    }
 }
 
 #[test]

@@ -28,7 +28,7 @@
 use proptest::prelude::*;
 use sn_cluster::{
     synthetic_stream, ClusterSim, FaultPlan, Fleet, JobSpec, PlacementPolicy, PolicyPreset,
-    RecoveryMode, RecoveryPolicy, ReplayStream, TraceKind, Workload,
+    RecoveryMode, RecoveryPolicy, ReplayStream, ServiceReport, TraceKind, Workload,
 };
 use sn_runtime::Interconnect;
 use sn_sim::{DeviceSpec, SimTime};
@@ -411,38 +411,6 @@ fn jobs_blocked_only_by_a_spike_start_the_instant_it_lifts() {
     }
 }
 
-#[test]
-fn streaming_loop_reports_fault_aggregates() {
-    let arrivals = synthetic_stream(30, 3, PolicyPreset::Superneurons, true);
-    let fleet = fleet8(96 * MB);
-    let makespan = probe_makespan(&fleet, &arrivals);
-    let plan = FaultPlan::new().outage(SimTime(makespan / 3), 2, SimTime(makespan / 4));
-
-    let mut svc = ClusterSim::new(fleet.clone(), PlacementPolicy::FirstFit);
-    svc.enable_faults(plan.clone(), RecoveryPolicy::default());
-    let service = svc.run_stream(&mut ReplayStream::new(arrivals.clone()));
-
-    let mut full = ClusterSim::new(fleet, PlacementPolicy::FirstFit);
-    full.enable_faults(plan, RecoveryPolicy::default());
-    let report = full.run(arrivals);
-
-    // Both recorders run the same core: the aggregates must agree exactly.
-    assert!(service.conservation_holds());
-    assert_eq!(service.submitted, report.jobs.len() as u64);
-    assert_eq!(service.completed, report.completed as u64);
-    assert_eq!(service.failed, report.failed as u64);
-    assert_eq!(service.still_queued, report.still_queued as u64);
-    assert_eq!(service.restarts, report.restarts);
-    assert_eq!(service.useful_iterations, report.useful_iterations);
-    assert_eq!(service.wasted_iterations, report.wasted_iterations);
-    assert_eq!(
-        service.goodput_iters_per_sec.to_bits(),
-        report.goodput_iters_per_sec.to_bits()
-    );
-    assert!(service.goodput_iters_per_sec.is_finite());
-    assert!(service.raw_iters_per_sec.is_finite());
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -485,12 +453,23 @@ proptest! {
             "seed={} n={} mtbf={}us: fault replay diverged",
             seed, n, mtbf_us
         );
-        // The streaming loop replays identically too.
+        // The streaming loop replays identically too, and reports the
+        // recorded run's summary with its tails sketched.
         let stream_run = || {
             let mut sim = ClusterSim::new(fleet8(96 * MB), PlacementPolicy::FirstFit);
             sim.enable_faults(plan.clone(), RecoveryPolicy::default());
-            sim.run_stream(&mut ReplayStream::new(arrivals.clone())).json()
+            sim.run_stream(&mut ReplayStream::new(arrivals.clone()))
         };
-        prop_assert_eq!(stream_run(), stream_run());
+        let svc = stream_run();
+        prop_assert_eq!(&svc, &stream_run());
+        let exact = [a.p50_latency, a.p99_latency, a.p999_latency];
+        let sketched = [svc.p50_latency, svc.p99_latency, svc.p999_latency];
+        prop_assert!(
+            exact.iter().zip(sketched).all(|(e, s)| e.0 <= s.0 && s.0 <= e.0 + e.0 / 16 + 1),
+            "seed={} n={}: sketched tails {:?} vs exact {:?}", seed, n, sketched, exact
+        );
+        let [p50_latency, p99_latency, p999_latency] = exact;
+        let svc = ServiceReport { p50_latency, p99_latency, p999_latency, ..svc };
+        prop_assert_eq!(&svc, &*a, "seed={} n={}: run_stream's summary is not run's", seed, n);
     }
 }

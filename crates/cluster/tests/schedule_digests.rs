@@ -86,7 +86,9 @@ fn sniper() -> Vec<(SimTime, JobSpec)> {
     let mut jobs = synthetic_stream(40, 7, PolicyPreset::Superneurons, true);
     let probe = ClusterSim::new(fleet(8, 96 * MB), PlacementPolicy::FirstFit).run(jobs.clone());
     let completions = probe.trace.iter().filter(|e| e.kind == TraceKind::Complete);
-    let t_hit = completions.map(|e| e.t_ns).nth(probe.completed / 2);
+    let t_hit = completions
+        .map(|e| e.t_ns)
+        .nth(probe.completed as usize / 2);
     let t_hit = SimTime(t_hit.expect("the stream completes jobs"));
     let w = Workload::Synthetic { width: 8, depth: 2 };
     for name in ["sniper", "sniper-twin"] {

@@ -6,10 +6,14 @@
 //! text a reader sees moves only when a schedule moves. A mismatch prints the
 //! whole rendering under `--nocapture`. Never regenerate the file to make a
 //! change pass.
+//!
+//! Both entry points run the one event core, so they report one summary:
+//! equal in every field once `run`'s exact latency tails replace
+//! `run_stream`'s sketched ones, each at most 1/16 above its exact value.
 
 use sn_cluster::{
     mixed_serving_stream, synthetic_stream, ClusterSim, FaultPlan, Fleet, JobSpec, PlacementPolicy,
-    PolicyPreset, RecoveryPolicy, ReplayStream,
+    PolicyPreset, RecoveryPolicy, ReplayStream, ServiceReport,
 };
 use sn_runtime::Interconnect;
 use sn_sim::{DeviceSpec, SimTime};
@@ -94,5 +98,43 @@ fn reports_match_their_golden_text() {
     if got != include_str!("golden/report_text.txt") {
         print!("{got}");
         panic!("report text moved from tests/golden/report_text.txt (rendering on stdout)");
+    }
+}
+
+#[test]
+fn run_stream_reports_the_summary_run_does() {
+    for s in streams() {
+        let full = s.sim().run(s.arrivals.clone());
+        let svc = s
+            .sim()
+            .run_stream(&mut ReplayStream::new(s.arrivals.clone()));
+        assert!(full.conservation_holds() && svc.conservation_holds());
+        assert!(svc.goodput_iters_per_sec.is_finite() && svc.raw_iters_per_sec.is_finite());
+        // What only the recorded run keeps counts what both report.
+        let rows = (full.jobs.len() as u64, full.trace.len() as u64);
+        assert_eq!((svc.submitted, svc.events), rows, "{}", s.label);
+        let exact = [full.p50_latency, full.p99_latency, full.p999_latency];
+        let sketched = [svc.p50_latency, svc.p99_latency, svc.p999_latency];
+        for (q, (exact, sketched)) in ["p50", "p99", "p999"]
+            .iter()
+            .zip(exact.iter().zip(sketched))
+        {
+            let hi = exact.0 as f64 * (1.0 + 1.0 / 16.0) + 1.0;
+            assert!(
+                *exact <= sketched && sketched.0 as f64 <= hi,
+                "{} {q}: sketch {} outside [{}, {hi}]",
+                s.label,
+                sketched.0,
+                exact.0
+            );
+        }
+        let [p50_latency, p99_latency, p999_latency] = exact;
+        let svc = ServiceReport {
+            p50_latency,
+            p99_latency,
+            p999_latency,
+            ..svc
+        };
+        assert_eq!(svc, *full, "{}", s.label);
     }
 }
