@@ -689,11 +689,13 @@ pub(crate) struct FullRecorder {
 
 impl FullRecorder {
     /// A recorder for `jobs` arrivals, with spans into `sink` on `tracks`
-    /// (empty when untraced).
+    /// (empty when untraced). The trace is reserved once, at four rows a job,
+    /// one more than a completed job writes: regrown, it would be copied at
+    /// the run's peak.
     pub(crate) fn new(sink: TraceSink, tracks: Vec<TrackId>, jobs: usize) -> FullRecorder {
         FullRecorder {
             outcomes: Vec::with_capacity(jobs),
-            trace: Vec::new(),
+            trace: Vec::with_capacity(4 * jobs),
             sink,
             tracks,
             fleet_track: None,

@@ -10,6 +10,8 @@
 //! Both entry points run the one event core, so they report one summary:
 //! equal in every field once `run`'s exact latency tails replace
 //! `run_stream`'s sketched ones, each at most 1/16 above its exact value.
+//! What only `run` keeps, its schedule trace, is reserved once and never
+//! regrown on either stream.
 
 use sn_cluster::{
     mixed_serving_stream, synthetic_stream, ClusterSim, FaultPlan, Fleet, JobSpec, PlacementPolicy,
@@ -113,6 +115,8 @@ fn run_stream_reports_the_summary_run_does() {
         // What only the recorded run keeps counts what both report.
         let rows = (full.jobs.len() as u64, full.trace.len() as u64);
         assert_eq!((svc.submitted, svc.events), rows, "{}", s.label);
+        // Reserved once, at four rows a job: a regrown trace shows in its capacity.
+        assert_eq!(full.trace.capacity(), 4 * full.jobs.len(), "{}", s.label);
         let exact = [full.p50_latency, full.p99_latency, full.p999_latency];
         let sketched = [svc.p50_latency, svc.p99_latency, svc.p999_latency];
         for (q, (exact, sketched)) in ["p50", "p99", "p999"]
