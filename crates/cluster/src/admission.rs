@@ -290,23 +290,22 @@ impl Profiler {
     }
 }
 
-/// What the [`Profiler`] has answered for one shape under one preset on one
-/// device class, by budget level: once bit `l` of `resolved` is set,
-/// `answers[l]` is the prediction within `l × quantum` bytes. Levels stop at
-/// 63 (see [`quantum`]); level 0 offers no bytes and is never asked. Kept
-/// for a run, so a level is resolved once, the first time a device shows
-/// it — and answered once per plan interval, not once per level (see
-/// [`Row::resolve`]).
+/// What the [`Profiler`] has answered for one shape under one preset on the
+/// fleet's card, by budget level: once bit `l` of `resolved` is set,
+/// `answers[l]` is the prediction within `l × quantum` bytes on any device.
+/// Levels stop at 63 (see [`quantum`]); level 0 offers no bytes and is never
+/// asked. Kept for a run, so a level is resolved once, the first time a
+/// device shows it — and answered once per plan interval, not once per level
+/// (see [`Row::resolve`]).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Row {
     resolved: u64,
     answers: [Option<PeakPrediction>; 64],
-    /// The largest peak any resolved level answered: no device of the class
-    /// is offered a replica that reserves more (a rung's stopping floor).
+    /// The largest peak any resolved level answered: no device is offered a
+    /// replica that reserves more (a rung's stopping floor).
     pub(crate) most_peak: u64,
     /// The lowest resolved level with an answer (64 while none has one): a
-    /// device of the class below it is offered nothing (where a rung's walk
-    /// starts).
+    /// device below it is offered nothing (where a rung's walk starts).
     pub(crate) least_level: u8,
 }
 
@@ -319,7 +318,7 @@ impl Row {
     };
 
     /// Answer every level of the bit set `present` not answered yet, on
-    /// `spec` — any device of the class. The highest cold level is asked
+    /// `spec` — the fleet's card. The highest cold level is asked
     /// first, and every cold level its answer's caps hold is filled from it
     /// and recorded in the profiler under its own cap — what asking it
     /// would have recorded — so one open plan answers every level above its
@@ -441,10 +440,10 @@ impl Grant {
 /// Prediction budget for a device with `free` unreserved bytes: rounded
 /// *down* to a 1/32-of-DRAM quantum. Sound (the predicted peak fits under
 /// the real free space) and it collapses the profiler's memo key space to at
-/// most 63 budgets per device class, one per nonzero level — 32 on any card
-/// of 1 KiB or more. Admission and the idle-fleet feasibility check MUST use
-/// the same rounding, or a boundary job could be judged feasible yet never
-/// admitted.
+/// most 63 budgets for the fleet's card, one per nonzero level — 32 on any
+/// card of 1 KiB or more. Admission and the idle-card feasibility check
+/// (`ClusterSim::fits_one_idle_card`) MUST use the same rounding, or a
+/// boundary job could be judged feasible yet never admitted.
 pub fn quantized_budget(spec: &DeviceSpec, free: u64) -> u64 {
     free - free % quantum(spec)
 }
@@ -456,43 +455,6 @@ pub fn quantized_budget(spec: &DeviceSpec, free: u64) -> u64 {
 /// more (there `q ≥ 32 > r`).
 pub(crate) fn quantum(spec: &DeviceSpec) -> u64 {
     (spec.dram_bytes / 32).max(1)
-}
-
-/// Check whether `job` could run on an *idle* fleet — the "reject vs queue"
-/// discriminator. Walks the same preset ladder (and budget rounding) that
-/// admission uses.
-pub fn feasible_on_idle_fleet(
-    profiler: &Profiler,
-    fleet: &crate::fleet::Fleet,
-    job: &JobSpec,
-) -> bool {
-    let all: Vec<&DeviceSpec> = fleet.devices.iter().collect();
-    feasible_on_device_subset(profiler, &all, job)
-}
-
-/// [`feasible_on_idle_fleet`] restricted to an arbitrary device subset —
-/// the live (non-failed) devices, under fault injection. Discriminates
-/// "wait for the fleet to heal" (feasible on the full fleet but not here:
-/// backoff and retry) from "wait for reservations to drain" (feasible here:
-/// stay queued). One compile per distinct card and capacity.
-pub fn feasible_on_device_subset(
-    profiler: &Profiler,
-    devices: &[&DeviceSpec],
-    job: &JobSpec,
-) -> bool {
-    if job.replicas == 0 || job.replicas > devices.len() {
-        return false;
-    }
-    ladder_for(job).any(|preset| {
-        let fitting = devices.iter().filter(|spec| {
-            let budget = quantized_budget(spec, spec.dram_bytes);
-            budget > 0
-                && profiler
-                    .profile_kind(job.workload, job.batch, preset, job.kind, spec, budget)
-                    .is_some()
-        });
-        fitting.count() >= job.replicas
-    })
 }
 
 /// The preset sequence admission tries for `job`.
@@ -551,20 +513,11 @@ pub(crate) struct AdmitMemo {
     /// Shapes `try_admit` refused in reservation state `blocked_at`.
     blocked: FxHashSet<ShapeKey>,
     blocked_at: u64,
-    /// Feasibility per shape on the idle *live* (non-failed) devices:
-    /// [`feasible_on_device_subset`] is a pure function of (profiler,
-    /// devices, job shape), and the FIFO pass re-asks it for every
-    /// still-queued job at every pass — under load that was the single
-    /// hottest path in the whole loop.
-    feasible: FxHashMap<ShapeKey, bool>,
-    /// Epoch of the fault state `feasible` was computed against: the live
-    /// subset changes whenever a device fails or recovers. Fault-free the
-    /// epoch never moves and a shape is asked once per run.
-    feasible_epoch: u64,
-    /// Full-(idle-)fleet feasibility per shape, asked only for shapes the
-    /// live subset cannot hold: the discriminator between "wait out the
-    /// outage" and "reject outright".
-    feasible_full: FxHashMap<ShapeKey, bool>,
+    /// Per shape, whether some rung of its ladder fits one idle card
+    /// ([`ClusterSim::fits_one_idle_card`]): a pure function of the shape,
+    /// which the FIFO pass would otherwise re-ask for every still-queued job
+    /// at every pass.
+    fits: FxHashMap<ShapeKey, bool>,
 }
 
 impl AdmitMemo {
@@ -584,25 +537,10 @@ impl AdmitMemo {
         self.blocked.insert(shape);
     }
 
-    /// Whether `shape` fits the live devices once they are idle, asked of
-    /// `ask` once per shape in fault epoch `fault_epoch`.
+    /// Whether `shape` fits one idle card, asked of `ask` once a run.
     #[inline]
-    pub(crate) fn feasible_live(
-        &mut self,
-        fault_epoch: u64,
-        shape: ShapeKey,
-        ask: impl FnOnce() -> bool,
-    ) -> bool {
-        if self.feasible_epoch != fault_epoch {
-            self.feasible.clear();
-            self.feasible_epoch = fault_epoch;
-        }
-        *self.feasible.entry(shape).or_insert_with(ask)
-    }
-
-    /// Whether `shape` fits the whole fleet idle, asked of `ask` once.
-    pub(crate) fn feasible_full(&mut self, shape: ShapeKey, ask: impl FnOnce() -> bool) -> bool {
-        *self.feasible_full.entry(shape).or_insert_with(ask)
+    pub(crate) fn fits_one_card(&mut self, shape: ShapeKey, ask: impl FnOnce() -> bool) -> bool {
+        *self.fits.entry(shape).or_insert_with(ask)
     }
 
     /// Hold the blocked set to its definition: if it is the set of
@@ -648,9 +586,10 @@ pub(crate) fn shape_key(job: &JobSpec) -> ShapeKey {
 /// What admission keeps from rung to rung, for one run of one simulator.
 #[derive(Default)]
 pub(crate) struct AdmitScratch {
-    /// Per (workload, batch, kind, preset): one [`Row`] of answers a device
-    /// class. A rung hashes once, here; its devices then index by level.
-    rows: FxHashMap<(Workload, usize, JobKind, PolicyPreset), Vec<Row>>,
+    /// Per (workload, batch, kind, preset): its [`Row`] of answers, boxed so
+    /// the map's entries stay small. A rung hashes once, here; its devices
+    /// then index by level.
+    rows: FxHashMap<(Workload, usize, JobKind, PolicyPreset), Box<Row>>,
     /// The gang a rung holds so far, best first.
     best: Vec<Candidate>,
     /// Placement lists finished runs gave back, cleared, for the next
@@ -675,9 +614,9 @@ impl ClusterSim {
     /// The prediction budget is the device's free bytes rounded *down* to a
     /// 1/32-of-DRAM quantum: still sound (the predicted peak fits under the
     /// real free space), but the profiler's memo key space collapses from
-    /// "every reservation state ever" to at most 63 budgets per device class
-    /// — and a rung reads them off each device's level and the shape's
-    /// [`Row`]s, resolving the levels `index` says its devices show and
+    /// "every reservation state ever" to at most 63 budgets for the card —
+    /// and a rung reads them off each device's level and the shape's
+    /// [`Row`], resolving the levels `index` says its devices show and
     /// visiting them in its order only until no later one could win (see the
     /// module docs). The ladder itself stays serial — a stronger preset is
     /// only consulted when the weaker one cannot place the gang.
@@ -692,20 +631,15 @@ impl ClusterSim {
             return None; // an empty gang is not a schedulable job
         }
         for preset in ladder_for(job) {
-            let rows = scratch
+            let row = scratch
                 .rows
                 .entry((job.workload, job.batch, job.kind, preset))
-                .or_insert_with(|| vec![Row::EMPTY; self.classes.len()]);
-            let (mut most_peak, mut least_free) = (0, u64::MAX);
-            for ((row, class), &levels) in rows.iter_mut().zip(&self.classes).zip(&index.present) {
-                // Level 0 offers no bytes: never asked, so never answered.
-                let spec = &self.fleet.devices[class.device];
-                row.resolve(levels & !1, &self.profiler, job, preset, spec);
-                most_peak = most_peak.max(row.most_peak);
-                least_free = least_free.min(u64::from(row.least_level) * class.quantum);
-            }
+                .or_insert_with(|| Box::new(Row::EMPTY));
+            // Level 0 offers no bytes: never asked, so never answered.
+            row.resolve(index.present & !1, &self.profiler, job, preset, self.spec());
             // FirstFit walks index order; BestFit and BinPack ascending free
-            // bytes, past the devices too full for any level a row answered.
+            // bytes, past the devices too full for any level the row answered.
+            let least_free = u64::from(row.least_level) * self.quantum;
             let from = index.order.partition_point(|&(free, _)| free < least_free);
             let mut by_free = index.order[from..].iter().map(|&(_, d)| d);
             let mut by_index = 0..devices.len();
@@ -714,15 +648,15 @@ impl ClusterSim {
                 _ => &mut by_free,
             };
             let (policy, best, replicas) = (self.placement, &mut scratch.best, job.replicas);
+            let dram = self.spec().dram_bytes;
             best.clear();
             for device in walk {
                 let d = &devices[device];
-                let floor = policy.floor(device, d.free, most_peak, self.most_dram);
+                let floor = policy.floor(device, d.free, row.most_peak, dram);
                 if best.len() == replicas && floor > policy.key(&best[replicas - 1]) {
                     break; // no device after this one keys below its floor
                 }
-                let class = self.class_of[device];
-                let Some(prediction) = rows[class].answer(d.level) else {
+                let Some(prediction) = row.answer(d.level) else {
                     continue;
                 };
                 let candidate = Candidate {
@@ -730,7 +664,7 @@ impl ClusterSim {
                     device,
                     free: d.free,
                     reserved: d.reserved.saturating_add(d.spike),
-                    budget: u64::from(d.level) * self.classes[class].quantum,
+                    budget: u64::from(d.level) * self.quantum,
                 };
                 policy.offer(candidate, replicas, best);
             }
@@ -794,6 +728,8 @@ impl ClusterSim {
     /// that much free. The profiler's plan memo makes each peak
     /// byte-identical to the original grant's; a resume that cannot place
     /// yet stays queued — it never silently replans at a different budget.
+    /// Every device is the one card, so a budget is asked once, on the
+    /// first device that can take it.
     pub(crate) fn try_admit_resume(
         &self,
         devices: &[DeviceState],
@@ -805,23 +741,16 @@ impl ClusterSim {
         debug_assert_eq!(replicas.len(), job.replicas);
         let mut placements = scratch.spare.pop().unwrap_or_default();
         for budget in replicas.iter().map(|r| r.budget) {
-            let mut found = None;
-            for (idx, spec) in self.fleet.devices.iter().enumerate() {
-                if placements.iter().any(|p| p.device == idx) || devices[idx].free < budget {
-                    continue;
-                }
-                if let Some(prediction) = self.profiler.profile_kind(
-                    job.workload,
-                    job.batch,
-                    preset,
-                    job.kind,
-                    spec,
-                    budget,
-                ) {
-                    found = Some((idx, prediction));
-                    break;
-                }
-            }
+            let takes = |idx: &usize| {
+                !placements.iter().any(|p| p.device == *idx) && devices[*idx].free >= budget
+            };
+            let found = (0..devices.len()).find(takes).and_then(|device| {
+                let (w, batch, kind) = (job.workload, job.batch, job.kind);
+                let asked = self
+                    .profiler
+                    .profile_kind(w, batch, preset, kind, self.spec(), budget);
+                Some((device, asked?))
+            });
             let Some((device, prediction)) = found else {
                 scratch.recycle(placements);
                 return None;
@@ -852,8 +781,8 @@ impl ClusterSim {
                         job.batch,
                         grant.preset,
                         job.replicas,
-                        self.classes[self.class_of[pace.device]].card,
-                        &self.fleet.devices[pace.device],
+                        self.card,
+                        self.spec(),
                         pace.budget,
                         self.fleet.interconnect,
                     )
@@ -861,6 +790,20 @@ impl ClusterSim {
             }
             _ => grant.replica_iter_time(),
         }
+    }
+
+    /// Whether some rung of `job`'s ladder fits one idle card: with `n` idle
+    /// devices a gang of `1 ≤ replicas ≤ n` fits exactly then. It asks what
+    /// admission asks of an idle device, the card's full quantized budget.
+    pub(crate) fn fits_one_idle_card(&self, job: &JobSpec) -> bool {
+        let spec = self.spec();
+        let budget = quantized_budget(spec, spec.dram_bytes);
+        let (w, batch, kind) = (job.workload, job.batch, job.kind);
+        let fits = |preset| {
+            self.profiler
+                .profile_kind(w, batch, preset, kind, spec, budget)
+        };
+        budget > 0 && ladder_for(job).any(|preset| fits(preset).is_some())
     }
 
     /// Why `job` can never run here, for a job that is infeasible on the
@@ -1063,10 +1006,9 @@ mod tests {
 
     #[test]
     fn memo_key_includes_the_device_cap() {
-        // Satellite regression: heterogeneous fleets reuse card names, and
-        // the planner adapts to the capped DRAM — a peak compiled for a
+        // The planner adapts to the capped DRAM — a peak compiled for a
         // larger cap must never be served for a smaller one. Two budgets on
-        // the "same" card must produce two cache entries (and, under real
+        // the same card must produce two cache entries (and, under real
         // pressure, different adaptive peaks).
         let p = Profiler::new();
         let w = Workload::Synthetic {
@@ -1280,12 +1222,11 @@ mod tests {
     }
 
     #[test]
-    fn infeasible_jobs_are_detected_on_idle_fleet() {
-        let profiler = Profiler::new();
+    fn infeasible_jobs_are_detected_on_an_idle_card() {
         // 32 MB devices: a wide synthetic net under pure baseline won't fit
         // (peak ≈ 262 MB), but the adaptive full stack squeezes under the
         // cap (peak ≈ 30 MB).
-        let fleet = tiny_fleet(32 << 20);
+        let sim = ClusterSim::new(tiny_fleet(32 << 20), PlacementPolicy::FirstFit);
         let job = JobSpec::new(
             "big",
             Workload::Synthetic {
@@ -1296,41 +1237,30 @@ mod tests {
         )
         .with_preset(PolicyPreset::Baseline)
         .with_downgrade(false);
-        assert!(!feasible_on_idle_fleet(&profiler, &fleet, &job));
+        assert!(!sim.fits_one_idle_card(&job));
         // With the downgrade ladder the full memory stack squeezes it in.
-        let job = job.with_downgrade(true);
-        assert!(feasible_on_idle_fleet(&profiler, &fleet, &job));
-        // More replicas than devices is never feasible.
-        let gang = JobSpec::new("gang", Workload::LeNet, 8).with_replicas(3);
-        assert!(!feasible_on_idle_fleet(&profiler, &fleet, &gang));
+        assert!(sim.fits_one_idle_card(&job.with_downgrade(true)));
     }
 
-    /// Two cards, three quanta, four classes: a capacity that is no multiple
-    /// of 32 beside the one it shares a quantum (and so a class) with, the
-    /// same capacity on another card, and two devices under 64 bytes, where
-    /// the quantum is one byte and levels run to 40 and to 63.
-    fn mixed_fleet() -> Fleet {
+    /// Nine devices of each card a property runs over, one card a fleet: two
+    /// capacities that are no multiple of 32, one of them on a card with
+    /// half the memory bandwidth, a 24 MB card, and two under 64 bytes,
+    /// where the quantum is one byte and levels run to 40 and to 63.
+    fn one_card_fleets() -> [Fleet; 5] {
         let card = |dram: u64| DeviceSpec::k40c().with_dram(dram);
-        let other = |dram: u64| {
+        let slow = |dram: u64| {
             let mut slow = card(dram);
             slow.mem_bw_gbps /= 2.0;
             slow
         };
-        let devices = vec![
-            card(24 << 20),
-            card(24 << 20),
-            other((20 << 20) + 7),
+        [
             card((24 << 20) + 13),
-            other(24 << 20),
-            card(40),
-            other((20 << 20) + 7),
+            slow((20 << 20) + 7),
             card(24 << 20),
+            card(40),
             card(63),
-        ];
-        Fleet {
-            devices,
-            interconnect: Interconnect::pcie(),
-        }
+        ]
+        .map(|spec| Fleet::homogeneous(9, spec, Interconnect::pcie()))
     }
 
     proptest::proptest! {
@@ -1343,46 +1273,48 @@ mod tests {
             // three is sometimes the one whose levelling stands.
             draws in proptest::collection::vec((0u64..1001, 0u64..1001, 0usize..8), 18..19),
         ) {
-            let fleet = mixed_fleet();
-            let states = draws.chunks(fleet.len()).map(|state| -> Vec<DeviceState> {
-                let device = |(&(reserved, spike, failed), spec): (&(u64, u64, usize), &DeviceSpec)| {
-                    let mut d = DeviceState::idle(spec);
-                    for step in 0..3 {
-                        match (step + failed) % 3 {
-                            0 if failed == 0 => d.fault(spec, FaultEvent::DeviceFail { device: 0 }),
-                            0 => {}
-                            1 => d.admit(spec, spec.dram_bytes * reserved / 1000),
-                            _ => {
-                                let bytes = spec.dram_bytes * spike.saturating_sub(500) / 1000;
-                                d.fault(spec, FaultEvent::PressureSpike { device: 0, bytes });
+            for fleet in one_card_fleets() {
+                let dram = fleet.devices[0].dram_bytes;
+                let states = draws.chunks(fleet.len()).map(|state| -> Vec<DeviceState> {
+                    let device = |(&(reserved, spike, failed), spec): (&(u64, u64, usize), &DeviceSpec)| {
+                        let mut d = DeviceState::idle(spec);
+                        for step in 0..3 {
+                            match (step + failed) % 3 {
+                                0 if failed == 0 => d.fault(spec, FaultEvent::DeviceFail { device: 0 }),
+                                0 => {}
+                                1 => d.admit(spec, spec.dram_bytes * reserved / 1000),
+                                _ => {
+                                    let bytes = spec.dram_bytes * spike.saturating_sub(500) / 1000;
+                                    d.fault(spec, FaultEvent::PressureSpike { device: 0, bytes });
+                                }
                             }
                         }
-                    }
-                    d
-                };
-                state.iter().zip(&fleet.devices).map(device).collect()
-            });
-            let states: Vec<Vec<DeviceState>> = states.collect();
-            // Baseline wants 17.7 MB of a device, the full stack 3.4 MB.
-            let w = Workload::Synthetic { width: 16, depth: 4 };
-            for policy in PlacementPolicy::ALL {
-                let sim = ClusterSim::new(fleet.clone(), policy);
-                // One scratch for both states: the second is answered from
-                // rows the first, a different one, filled.
-                let mut warm = AdmitScratch::default();
-                let mut fitting = Vec::new();
-                for devices in &states {
-                    for (replicas, downgrade) in [(1, true), (2, true), (4, true), (1, false), (2, false), (4, false)] {
-                        let job = JobSpec::new("j", w, 16)
-                            .with_preset(PolicyPreset::Baseline)
-                            .with_replicas(replicas)
-                            .with_downgrade(downgrade);
-                        let index = ByFree::new(devices, &sim.class_of);
-                        let cold = sim.try_admit(devices, &index, &job, &mut AdmitScratch::default());
-                        let plain = sim.admits_as_plain(devices, &shape_key(&job), cold.as_ref(), &mut fitting);
-                        proptest::prop_assert!(plain, "{} x{replicas}, fresh rows: {cold:?}", policy.name());
-                        let again = sim.try_admit(devices, &index, &job, &mut warm);
-                        proptest::prop_assert_eq!(&again, &cold, "{} x{replicas}, kept rows", policy.name());
+                        d
+                    };
+                    state.iter().zip(&fleet.devices).map(device).collect()
+                });
+                let states: Vec<Vec<DeviceState>> = states.collect();
+                // Baseline wants 17.7 MB of a device, the full stack 3.4 MB.
+                let w = Workload::Synthetic { width: 16, depth: 4 };
+                for policy in PlacementPolicy::ALL {
+                    let sim = ClusterSim::new(fleet.clone(), policy);
+                    // One scratch for both states: the second is answered from
+                    // rows the first, a different one, filled.
+                    let mut warm = AdmitScratch::default();
+                    let mut fitting = Vec::new();
+                    for devices in &states {
+                        for (replicas, downgrade) in [(1, true), (2, true), (4, true), (1, false), (2, false), (4, false)] {
+                            let job = JobSpec::new("j", w, 16)
+                                .with_preset(PolicyPreset::Baseline)
+                                .with_replicas(replicas)
+                                .with_downgrade(downgrade);
+                            let index = ByFree::new(devices);
+                            let cold = sim.try_admit(devices, &index, &job, &mut AdmitScratch::default());
+                            let plain = sim.admits_as_plain(devices, &shape_key(&job), cold.as_ref(), &mut fitting);
+                            proptest::prop_assert!(plain, "{} x{replicas} on {dram} B, fresh rows: {cold:?}", policy.name());
+                            let again = sim.try_admit(devices, &index, &job, &mut warm);
+                            proptest::prop_assert_eq!(&again, &cold, "{} x{replicas} on {dram} B, kept rows", policy.name());
+                        }
                     }
                 }
             }
@@ -1396,19 +1328,15 @@ mod tests {
         fn the_walk_picks_the_gang_a_full_scan_picks(
             // Per device: reserved ‰ of DRAM, spike ‰ + 700, failed if 0.
             draws in proptest::collection::vec((0u64..1001, 0u64..1001, 0usize..10), 12..13),
-            classes in 1usize..3,
+            roomy in proptest::bool::ANY,
         ) {
-            // One class, or two: every third device has 40 MB, not 24.
-            let dram = |d: usize| if classes == 2 && d.is_multiple_of(3) { 40 << 20 } else { 24 << 20 };
-            let fleet = Fleet {
-                devices: (0..12).map(|d| DeviceSpec::k40c().with_dram(dram(d))).collect(),
-                interconnect: Interconnect::pcie(),
-            };
+            // Twelve cards of 24 MB, or of 40 MB.
+            let dram = if roomy { 40 << 20 } else { 24 << 20 };
+            let fleet = Fleet::homogeneous(12, DeviceSpec::k40c().with_dram(dram), Interconnect::pcie());
             // The state built alter by alter, the walk index kept as the
             // event core keeps it and held to a scan after every alter.
-            let classed = ClusterSim::new(fleet.clone(), PlacementPolicy::FirstFit);
             let mut devices: Vec<DeviceState> = fleet.devices.iter().map(DeviceState::idle).collect();
-            let mut index = ByFree::new(&devices, &classed.class_of);
+            let mut index = ByFree::new(&devices);
             for (d, (&(reserved, spike, failed), spec)) in draws.iter().zip(&fleet.devices).enumerate() {
                 devices[d].admit(spec, spec.dram_bytes * reserved / 1000);
                 index.moved(&devices, d);

@@ -4,10 +4,7 @@
 
 use sn_sim::SimTime;
 
-use crate::admission::{
-    feasible_on_device_subset, feasible_on_idle_fleet, shape_key, AdmitMemo, AdmitScratch, Grant,
-    ResumePlan,
-};
+use crate::admission::{shape_key, AdmitMemo, AdmitScratch, Grant, ResumePlan};
 use crate::event_heap::{EventHeap, EventKind};
 use crate::fault::{FaultEvent, FaultPlan, RecoveryMode};
 use crate::job::JobSpec;
@@ -108,7 +105,7 @@ pub(crate) struct Core<'a, R: Recorder> {
     tenants_on: Vec<Tenants>,
     /// What a rung reads: the order a BestFit or BinPack rung walks the
     /// devices in, and the levels they show.
-    by_free: ByFree<'a>,
+    by_free: ByFree,
     jobs: Slab<LiveJob>,
     heap: EventHeap,
     /// The FIFO admission queue; `pending[fresh_from..]` joined it at this
@@ -134,9 +131,8 @@ pub(crate) struct Core<'a, R: Recorder> {
     // Fault state; inert without a plan.
     faults: Vec<(SimTime, FaultEvent)>,
     next_fault: usize,
-    /// Bumped on every fail/recover: scopes the live-subset feasibility
-    /// memo.
-    fault_epoch: u64,
+    /// Devices not failed: a gang of more replicas waits out the outage.
+    live: usize,
     fail_since: Vec<Option<u64>>,
     // This instant's work lists, reused from instant to instant; a grant
     // takes the placement list a finished run left in `scratch`. So a
@@ -170,7 +166,7 @@ impl<'a, R: Recorder> Core<'a, R> {
             rec,
             out: CoreOutcome::default(),
             now_ns: 0,
-            by_free: ByFree::new(&devices, &sim.class_of),
+            by_free: ByFree::new(&devices),
             devices,
             tenants_on: vec![Tenants::default(); n],
             jobs: Slab::new(),
@@ -187,7 +183,7 @@ impl<'a, R: Recorder> Core<'a, R> {
             pass_version: 0,
             faults: faults.unwrap_or_default(),
             next_fault: 0,
-            fault_epoch: 0,
+            live: n,
             fail_since: vec![None; n],
             completions: Vec::new(),
             affected: Vec::new(),
@@ -391,7 +387,7 @@ impl<'a, R: Recorder> Core<'a, R> {
         match ev {
             FaultEvent::DeviceFail { .. } => {
                 self.fail_since[device] = Some(self.now_ns);
-                self.fault_epoch += 1;
+                self.live -= 1;
                 if let Some(m) = metrics {
                     m.device_failures.inc();
                 }
@@ -402,7 +398,7 @@ impl<'a, R: Recorder> Core<'a, R> {
                 }
             }
             FaultEvent::DeviceRecover { .. } => {
-                self.fault_epoch += 1;
+                self.live += 1;
                 if let Some(m) = metrics {
                     m.device_recoveries.inc();
                     if let Some(since) = self.fail_since[device].take() {
@@ -669,31 +665,24 @@ impl<'a, R: Recorder> Core<'a, R> {
     }
 
     /// What becomes of a job admission could not place, three-way: it waits
-    /// (feasible on the live devices — `true`, it stays queued), backs off
-    /// (only an outage blocks it), or is rejected / fails. With no device
-    /// failed the live subset is the fleet, so the middle way is never taken
-    /// and a shape's feasibility is asked once per run, not once per pass.
+    /// (it fits the live devices once idle — `true`, it stays queued), backs
+    /// off (only an outage blocks it), or is rejected / fails. Every device
+    /// is one card, so a gang of `1 ≤ replicas ≤ n` fits `n` idle devices
+    /// exactly when one rung fits one idle card: a bit asked once a shape a
+    /// run. With no device failed `live` is the fleet, so the middle way is
+    /// never taken.
     fn wait_or_give_up(&mut self, key: SlotKey) -> bool {
         let sim = self.sim;
         let job = self.jobs.get(key).expect("pending jobs are live");
-        let shape = shape_key(&job.spec);
-        let devices = &self.devices;
-        let live = || {
-            let live: Vec<&sn_sim::DeviceSpec> = sim
-                .fleet
-                .devices
-                .iter()
-                .zip(devices)
-                .filter(|(_, d)| !d.failed)
-                .map(|(s, _)| s)
-                .collect();
-            feasible_on_device_subset(&sim.profiler, &live, &job.spec)
-        };
-        if self.memo.feasible_live(self.fault_epoch, shape, live) {
+        let replicas = job.spec.replicas;
+        let fits = (1..=sim.fleet.len()).contains(&replicas)
+            && self
+                .memo
+                .fits_one_card(shape_key(&job.spec), || sim.fits_one_idle_card(&job.spec));
+        if fits && replicas <= self.live {
             return true; // wait for capacity
         }
-        let full = || feasible_on_idle_fleet(&sim.profiler, &sim.fleet, &job.spec);
-        if !self.memo.feasible_full(shape, full) {
+        if !fits {
             // It would never fit even on a healthy idle fleet: the classic
             // reject reasons apply.
             let reason = sim.reject_reason(&job.spec);
@@ -834,6 +823,8 @@ impl<'a, R: Recorder> Core<'a, R> {
             dev.check(&self.sim.fleet.devices[d], d);
         }
         assert_eq!(running, self.running, "running count vs tenant lists");
+        let live = self.devices.iter().filter(|d| !d.failed).count();
+        assert_eq!(live, self.live, "live device count vs the failed devices");
         assert_eq!(
             self.heap.completions(),
             gangs,
@@ -1256,6 +1247,80 @@ mod tests {
             [5_000, 5_000, 7_000, 7_000, 7_000, 2_000_000, 2_000_000],
             "each taken at its own time or, if that is past, at the clock's"
         );
+    }
+
+    #[test]
+    fn a_refused_gang_waits_parks_or_is_rejected_by_its_size_and_the_live_devices() {
+        // Four devices of one card, two of them failed for good: k = 2 live
+        // of n = 4. A gang that fits k waits for capacity, one that only an
+        // outage blocks parks (or waits, without recovery), and an empty
+        // gang, one larger than the fleet or one no card fits is rejected.
+        let (k, n) = (2, 4);
+        let big = tower("big", 10).with_preset(PolicyPreset::Baseline);
+        let peak = Profiler::new()
+            .profile_kind(
+                big.workload,
+                32,
+                big.preset,
+                big.kind,
+                &DeviceSpec::k40c(),
+                1 << 30,
+            )
+            .expect("the tower fits 1 GB")
+            .peak_bytes;
+        // The tower at batch 32 under baseline alone overfills the card.
+        let unfit = JobSpec {
+            batch: 32,
+            ..big.clone()
+        }
+        .with_downgrade(false);
+        let cases = [
+            (tower("g0", 10).with_replicas(0), "reject", "reject"),
+            (tower("gk", 10).with_replicas(k), "wait", "wait"),
+            (tower("gk1", 10).with_replicas(k + 1), "park", "wait"),
+            (tower("gn", 10).with_replicas(n), "park", "wait"),
+            (tower("gn1", 10).with_replicas(n + 1), "reject", "reject"),
+            (unfit.with_replicas(k), "reject", "reject"),
+        ];
+        for mode in [RecoveryMode::Restart, RecoveryMode::NoRecovery] {
+            let mut sim = ClusterSim::new(devices(n, peak - 1), PlacementPolicy::FirstFit);
+            let dead = FaultPlan::new()
+                .kill(SimTime::ZERO, 2)
+                .kill(SimTime::ZERO, 3);
+            sim.enable_faults(dead, RecoveryPolicy::default().with_mode(mode));
+            with_core(&sim, Vec::new(), |core| {
+                core.until("two devices failed", |c| c.live == k);
+                for (spec, restart, no_recovery) in cases.clone() {
+                    let want = if mode == RecoveryMode::Restart {
+                        restart
+                    } else {
+                        no_recovery
+                    };
+                    let name = spec.name.clone();
+                    let key = core.jobs.insert(LiveJob {
+                        spec,
+                        seq: core.next_seq,
+                        arrival: SimTime(core.now_ns),
+                        run: None,
+                        iters_done: 0,
+                        attempts: 0,
+                        wasted_iters: 0,
+                        resume: None,
+                    });
+                    core.next_seq += 1;
+                    let (parked, rejected) = (core.parked, core.out.rejected);
+                    let got = if core.wait_or_give_up(key) {
+                        "wait"
+                    } else if core.parked > parked {
+                        "park"
+                    } else {
+                        assert_eq!(core.out.rejected, rejected + 1, "{name}: neither kept");
+                        "reject"
+                    };
+                    assert_eq!(got, want, "{name} under {}", mode.name());
+                }
+            });
+        }
     }
 
     // Mutants of the event core: each test drives `Core::instant` to a

@@ -1,10 +1,12 @@
-//! The device fleet: a set of (possibly heterogeneous) simulated GPUs plus
-//! the interconnect gang-scheduled replicas exchange gradients over.
+//! The device fleet: `n` simulated GPUs of one card plus the interconnect
+//! gang-scheduled replicas exchange gradients over. One card is the rule
+//! ([`ClusterSim::new`](crate::ClusterSim::new) holds every device to
+//! device 0's card and DRAM), so every device answers admission alike.
 
 use sn_runtime::Interconnect;
 use sn_sim::DeviceSpec;
 
-/// A cluster of simulated devices.
+/// A cluster of simulated devices, all of one card.
 #[derive(Clone)]
 pub struct Fleet {
     pub devices: Vec<DeviceSpec>,
@@ -32,12 +34,6 @@ impl Fleet {
     pub fn total_dram(&self) -> u64 {
         self.devices.iter().map(|d| d.dram_bytes).sum()
     }
-
-    /// The largest single-device DRAM — the upper bound any one replica's
-    /// reservation can ever reach.
-    pub fn max_device_dram(&self) -> u64 {
-        self.devices.iter().map(|d| d.dram_bytes).max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -53,6 +49,5 @@ mod tests {
         );
         assert_eq!(f.len(), 4);
         assert_eq!(f.total_dram(), 4 << 30);
-        assert_eq!(f.max_device_dram(), 1 << 30);
     }
 }

@@ -15,7 +15,8 @@
 //! * [`job`] — [`JobSpec`]/[`Workload`]/[`PolicyPreset`]/[`JobKind`]: what
 //!   a tenant wants — a training run or a forward-only *inference* service —
 //!   and under which policy ladder;
-//! * [`fleet`] — [`Fleet`]: the (heterogeneous) device pool + interconnect;
+//! * [`fleet`] — [`Fleet`]: the device pool, `n` devices of one card, +
+//!   interconnect;
 //! * [`admission`] — memoized **plan compilation**
 //!   ([`sn_runtime::plan_prediction_caps`]): each candidate (job, preset,
 //!   capped device) compiles a [`sn_runtime::MemoryPlan`] whose
@@ -61,9 +62,7 @@ pub mod sim;
 mod slab;
 pub mod stream;
 
-pub use admission::{
-    feasible_on_device_subset, feasible_on_idle_fleet, Grant, Placement, Profiler,
-};
+pub use admission::{Grant, Placement, Profiler};
 pub use fault::{FaultEvent, FaultPlan, RecoveryMode, RecoveryPolicy};
 pub use fleet::Fleet;
 pub use job::{JobKind, JobSpec, PolicyPreset, Workload};

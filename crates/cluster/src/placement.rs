@@ -75,22 +75,15 @@ impl PlacementPolicy {
     }
 
     /// The least key any device with at least `free` bytes can get — past
-    /// `device`, for FirstFit — when no replica peaks above `most_peak` and
-    /// no device has more than `most_dram`. A walk in ascending free order
-    /// (index order for FirstFit) that holds its gang can stop at the first
-    /// device whose floor exceeds the worst key held: no device after it
-    /// would be chosen.
-    pub(crate) fn floor(
-        self,
-        device: usize,
-        free: u64,
-        most_peak: u64,
-        most_dram: u64,
-    ) -> (u64, usize) {
+    /// `device`, for FirstFit — when no replica peaks above `most_peak` on
+    /// cards of `dram` bytes. A walk in ascending free order (index order
+    /// for FirstFit) that holds its gang can stop at the first device whose
+    /// floor exceeds the worst key held: no device after it would be chosen.
+    pub(crate) fn floor(self, device: usize, free: u64, most_peak: u64, dram: u64) -> (u64, usize) {
         match self {
             PlacementPolicy::FirstFit => (0, device),
             PlacementPolicy::BestFit => (free.saturating_sub(most_peak), 0),
-            PlacementPolicy::BinPack => (u64::MAX - (most_dram - free), 0),
+            PlacementPolicy::BinPack => (u64::MAX - (dram - free), 0),
         }
     }
 
@@ -239,23 +232,22 @@ pub(crate) fn most_tenants(devices: &[DeviceState], grant: &Grant) -> usize {
 
 /// The walk index a rung reads. The devices as ascending (free bytes, index)
 /// pairs, and where each sits in them: what a BestFit or BinPack rung walks.
-/// And per device class, a census of its devices' budget levels: how many
-/// show each level, and the set of levels shown (`present`), which a rung
-/// resolves its rows for. A device whose free bytes change moves to its place
-/// by a local insertion step, and from its old level's count to its new one.
-pub(crate) struct ByFree<'s> {
+/// And a census of the devices' budget levels: how many show each level, and
+/// the set of levels shown (`present`), which a rung resolves its row for. A
+/// device whose free bytes change moves to its place by a local insertion
+/// step, and from its old level's count to its new one.
+pub(crate) struct ByFree {
     pub(crate) order: Vec<(u64, usize)>,
     rank: Vec<usize>,
-    class_of: &'s [usize],
     /// Each device's level as of its last move.
     level: Vec<u8>,
-    census: Vec<[u32; 64]>,
-    pub(crate) present: Vec<u64>,
+    census: [u32; 64],
+    pub(crate) present: u64,
 }
 
-impl<'s> ByFree<'s> {
-    /// The index of `devices`, of classes `class_of`, by a scan.
-    pub(crate) fn new(devices: &[DeviceState], class_of: &'s [usize]) -> ByFree<'s> {
+impl ByFree {
+    /// The index of `devices`, by a scan.
+    pub(crate) fn new(devices: &[DeviceState]) -> ByFree {
         let mut order: Vec<(u64, usize)> = devices.iter().map(|d| d.free).zip(0..).collect();
         order.sort_unstable();
         let mut rank = vec![0; order.len()];
@@ -263,16 +255,14 @@ impl<'s> ByFree<'s> {
             rank[d] = at;
         }
         let level: Vec<u8> = devices.iter().map(|d| d.level).collect();
-        let classes = class_of.iter().max().map_or(0, |c| c + 1);
-        let (mut census, mut present) = (vec![[0; 64]; classes], vec![0; classes]);
-        for (&l, &c) in level.iter().zip(class_of) {
-            census[c][usize::from(l)] += 1;
-            present[c] |= 1 << l;
+        let (mut census, mut present) = ([0; 64], 0);
+        for &l in &level {
+            census[usize::from(l)] += 1;
+            present |= 1 << l;
         }
         ByFree {
             order,
             rank,
-            class_of,
             level,
             census,
             present,
@@ -285,14 +275,12 @@ impl<'s> ByFree<'s> {
         let level = devices[d].level;
         let was = std::mem::replace(&mut self.level[d], level);
         if was != level {
-            let c = self.class_of[d];
-            let census = &mut self.census[c];
-            census[usize::from(was)] -= 1;
-            census[usize::from(level)] += 1;
-            if census[usize::from(was)] == 0 {
-                self.present[c] &= !(1 << was);
+            self.census[usize::from(was)] -= 1;
+            self.census[usize::from(level)] += 1;
+            if self.census[usize::from(was)] == 0 {
+                self.present &= !(1 << was);
             }
-            self.present[c] |= 1 << level;
+            self.present |= 1 << level;
         }
         let (key, mut at) = ((devices[d].free, d), self.rank[d]);
         while at > 0 && self.order[at - 1] > key {
@@ -321,20 +309,16 @@ impl<'s> ByFree<'s> {
         let levels = devices.iter().map(|d| d.level);
         let kept = self.level.len() == n && levels.zip(&self.level).all(|(l, k)| l == *k);
         assert!(kept, "a device's kept level vs its level");
-        let classes = self.class_of.iter().max().map_or(0, |c| c + 1);
-        assert_eq!(self.census.len(), classes, "one level census a class");
-        for (c, (census, &present)) in self.census.iter().zip(&self.present).enumerate() {
-            let (mut scan, mut shown) = ([0u32; 64], 0u64);
-            for (d, _) in devices.iter().zip(self.class_of).filter(|&(_, &k)| k == c) {
-                scan[usize::from(d.level)] += 1;
-                shown |= 1 << d.level;
-            }
-            assert_eq!(
-                (census, present),
-                (&scan, shown),
-                "the level census vs a scan of the devices' levels"
-            );
+        let (mut scan, mut shown) = ([0u32; 64], 0u64);
+        for d in devices {
+            scan[usize::from(d.level)] += 1;
+            shown |= 1 << d.level;
         }
+        assert_eq!(
+            (self.census, self.present),
+            (scan, shown),
+            "the level census vs a scan of the devices' levels"
+        );
     }
 }
 

@@ -98,21 +98,22 @@
 //!   queue thousands deep costs one sweep per distinct shape per state.
 //! * **Admission rung** (`ClusterSim::try_admit` in `crate::admission`, over
 //!   `crate::placement`'s `ByFree`) — nothing in it divides, it hashes once,
-//!   and it stops at the first device that cannot win. A device carries its
-//!   budget *level* (`free / quantum`, re-derived in `DeviceState::alter`);
-//!   a shape carries, per preset and device class, a row of the profiler's
-//!   answers by level (`crate::admission::Row`). A rung reads the levels its
-//!   devices show off a census kept beside the walk order — per device
-//!   class, how many devices show each level and the bit set of those
-//!   shown, moved with a device's level at every alter — asks the profiler
-//!   for those no device showed before, then walks the devices indexing
-//!   `answers[level]` and keeping the `replicas` best: FirstFit in index
-//!   order, BestFit and BinPack by ascending (free bytes, index), an order
-//!   kept (with ranks) by an insertion step at every alter, starting past
-//!   the devices too full for any answered level. Holding its gang, the walk
-//!   stops at the first device whose *floor* exceeds the worst key held —
-//!   `free − P` for BestFit (`P` the largest peak answered),
-//!   `u64::MAX − (largest DRAM − free)` for BinPack, its own key for
+//!   and it stops at the first device that cannot win. The fleet is one
+//!   card (`ClusterSim::new` holds every device to device 0's), so every
+//!   device answers alike. A device carries its budget *level*
+//!   (`free / quantum`, re-derived in `DeviceState::alter`); a shape
+//!   carries, per preset, one row of the profiler's answers by level
+//!   (`crate::admission::Row`). A rung reads the levels its devices show off
+//!   a census kept beside the walk order — how many devices show each level
+//!   and the bit set of those shown, moved with a device's level at every
+//!   alter — asks the profiler for those no device showed before, then
+//!   walks the devices indexing `answers[level]` and keeping the `replicas`
+//!   best: FirstFit in index order, BestFit and BinPack by ascending (free
+//!   bytes, index), an order kept (with ranks) by an insertion step at every
+//!   alter, starting past the devices too full for any answered level.
+//!   Holding its gang, the walk stops at the first device whose *floor*
+//!   exceeds the worst key held — `free − P` for BestFit (`P` the largest
+//!   peak answered), `u64::MAX − (DRAM − free)` for BinPack, its own key for
 //!   FirstFit: no later device keys below it, so the gang is the one a scan
 //!   of the whole fleet picks.
 //!
@@ -124,11 +125,12 @@
 //! arrivals → the admission pass → the re-anchor sweep. Everything
 //! observable goes through a recorder (`crate::report`). In debug builds
 //! `Core::check` then verifies the invariants that span the parts — slot
-//! conservation, per-device reservations and tenant lists, one live
-//! completion per running gang and per device with single-device tenants
-//! (its earliest), no run projected to complete before its start plus the
-//! solo work it owes, every gang's pace the most tenants on its devices and
-//! every clock at its device's count, monotone time — and calls each part's
+//! conservation, per-device reservations and tenant lists, the count of
+//! devices not failed, one live completion per running gang and per device
+//! with single-device tenants (its earliest), no run projected to complete
+//! before its start plus the solo work it owes, every gang's pace the most
+//! tenants on its devices and every clock at its device's count, monotone
+//! time — and calls each part's
 //! own: `DeviceState::check` (free bytes and level), `ByFree::check` (walk
 //! order and level census against a scan's) and `AdmitMemo::check` (every
 //! shape the current state refused is refused on the devices as they
@@ -187,7 +189,7 @@
 //! pull-based [`ArrivalStream`] with aggregate-only recording: millions of
 //! arrivals in constant memory.
 
-use sn_sim::SimTime;
+use sn_sim::{DeviceSpec, SimTime};
 use sn_telemetry::{MetricsRegistry, TraceSink, TrackId};
 
 use crate::admission::{quantum, Profiler};
@@ -199,19 +201,16 @@ use crate::placement::PlacementPolicy;
 use crate::report::{ClusterMetrics, ClusterReport, FullRecorder, ServiceReport, StreamRecorder};
 use crate::stream::{ArrivalStream, ReplayStream};
 
-/// The cluster scheduler: a fleet, a placement policy, and a memoizing
-/// admission profiler.
+/// The cluster scheduler: a fleet of one card, a placement policy, and a
+/// memoizing admission profiler.
 pub struct ClusterSim {
-    /// Fixed once the simulator is built: the classes derive from it.
+    /// Fixed once the simulator is built: every device is device 0's card.
     pub(crate) fleet: Fleet,
     pub(crate) placement: PlacementPolicy,
-    /// The fleet's device classes in first-appearance order, and each
-    /// device's: devices of one card and one budget quantum share every
-    /// admission answer (see [`Row`](crate::admission::Row)).
-    pub(crate) classes: Vec<DeviceClass>,
-    pub(crate) class_of: Vec<usize>,
-    /// The largest DRAM in the fleet: BinPack's stopping floor.
-    pub(crate) most_dram: u64,
+    /// The fleet's card fingerprint and budget [`quantum`]: every device
+    /// shares every admission answer (see [`Row`](crate::admission::Row)).
+    pub(crate) card: (u64, u64),
+    pub(crate) quantum: u64,
     pub(crate) profiler: Profiler,
     sink: TraceSink,
     pub(crate) metrics: Option<ClusterMetrics>,
@@ -219,36 +218,19 @@ pub struct ClusterSim {
     pub(crate) recovery: RecoveryPolicy,
 }
 
-pub(crate) struct DeviceClass {
-    /// Every member's card fingerprint and [`quantum`].
-    pub(crate) card: (u64, u64),
-    pub(crate) quantum: u64,
-    /// The first member: the spec a cold answer is compiled on.
-    pub(crate) device: usize,
-}
-
 impl ClusterSim {
+    /// A simulator over `fleet`, which must be one card: every device has
+    /// device 0's card fingerprint and DRAM.
     pub fn new(fleet: Fleet, placement: PlacementPolicy) -> ClusterSim {
         assert!(!fleet.is_empty(), "cluster needs at least one device");
-        let mut classes: Vec<DeviceClass> = Vec::new();
-        let class_of = fleet.devices.iter().enumerate().map(|(device, spec)| {
-            let (card, quantum) = (spec.card_fingerprint(), quantum(spec));
-            let known = classes
-                .iter()
-                .position(|c| (c.card, c.quantum) == (card, quantum));
-            known.unwrap_or_else(|| {
-                classes.push(DeviceClass {
-                    card,
-                    quantum,
-                    device,
-                });
-                classes.len() - 1
-            })
-        });
+        let card = |d: &DeviceSpec| (d.card_fingerprint(), d.dram_bytes);
+        let spec = &fleet.devices[0];
+        if let Some(d) = fleet.devices.iter().position(|d| card(d) != card(spec)) {
+            panic!("a fleet is one card: device {d} is not device 0's card and DRAM");
+        }
         ClusterSim {
-            class_of: class_of.collect(),
-            classes,
-            most_dram: fleet.max_device_dram(),
+            card: spec.card_fingerprint(),
+            quantum: quantum(spec),
             fleet,
             placement,
             profiler: Profiler::new(),
@@ -257,6 +239,11 @@ impl ClusterSim {
             faults: None,
             recovery: RecoveryPolicy::default(),
         }
+    }
+
+    /// The fleet's card: the spec every device shares.
+    pub(crate) fn spec(&self) -> &DeviceSpec {
+        &self.fleet.devices[0]
     }
 
     /// The device pool this simulator was built over.
@@ -347,6 +334,14 @@ mod tests {
     use crate::job::Workload;
     use sn_runtime::Interconnect;
     use sn_sim::DeviceSpec;
+
+    #[test]
+    #[should_panic(expected = "a fleet is one card: device 1 is not device 0's card and DRAM")]
+    fn a_fleet_of_two_cards_is_refused() {
+        let mut fleet = Fleet::homogeneous(3, DeviceSpec::k40c(), Interconnect::pcie());
+        fleet.devices[1] = DeviceSpec::k40c().with_dram(6 << 30);
+        ClusterSim::new(fleet, PlacementPolicy::FirstFit);
+    }
 
     #[test]
     fn a_run_that_takes_no_time_completes_at_zero_jobs_per_sec() {

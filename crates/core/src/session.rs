@@ -101,30 +101,28 @@ pub fn feasible(net: &Net, spec: &DeviceSpec, policy: Policy) -> bool {
 }
 
 /// Largest `x` in `[lo, hi]` such that `build(x)` trains on `spec` under
-/// `policy`, by exponential probing + a parallel multi-section search.
-/// Returns 0 when even `lo` fails.
+/// `policy`, by exponential probing and then bisection. Returns 0 when even
+/// `lo` fails.
 ///
-/// With `k` worker threads (the host's available parallelism, at most 8,
-/// read once per call) each search round compiles `k` interior probe points
-/// concurrently and narrows the bracket to the feasible/infeasible boundary
-/// they straddle; with one thread it is the classic bisection. On any curve
-/// the answer is 0 or a point of `[lo, hi]` that compiled, the same for the
-/// same inputs and worker count. Every worker count finds the same knee only
-/// where feasibility is monotone over the bracket, and it is not always:
+/// The answer is 0 or a point of `[lo, hi]` that compiled, and the same for
+/// the same inputs on any host. It is the knee only where feasibility is
+/// monotone over the bracket, and it is not always:
 /// `crates/core/tests/proptest_valid_caps.rs` pins a conv tower that fits a
 /// quarter of its peak but not two fifths
 /// (`finding_a_tower_fits_a_quarter_of_its_peak_but_not_two_fifths`) and a
 /// net that fits a device at batch 3 but not at batch 2
 /// (`finding_batch_2_does_not_fit_where_batch_3_does`). Where the curve
-/// dips, probes at other points may settle on another feasible knee.
+/// dips, bisection settles on whichever feasible boundary its midpoints
+/// meet.
 pub fn max_feasible_param(
-    build: &(dyn Fn(usize) -> Net + Sync),
+    build: &dyn Fn(usize) -> Net,
     spec: &DeviceSpec,
     policy: Policy,
     lo: usize,
     hi: usize,
 ) -> usize {
-    if !feasible(&build(lo), spec, policy) {
+    let fits = |x: usize| feasible(&build(x), spec, policy);
+    if !fits(lo) {
         return 0;
     }
     // Exponential growth from lo until failure or hi.
@@ -132,7 +130,7 @@ pub fn max_feasible_param(
     let mut bad = None;
     let mut probe = (lo * 2).max(lo + 1);
     while probe <= hi {
-        if feasible(&build(probe), spec, policy) {
+        if fits(probe) {
             good = probe;
             probe *= 2;
         } else {
@@ -142,44 +140,16 @@ pub fn max_feasible_param(
     }
     let mut high = match bad {
         Some(b) => b,
-        None if feasible(&build(hi), spec, policy) => return hi,
+        None if fits(hi) => return hi,
         None => hi,
     };
-    // Multi-section search in (good, high): k evenly spaced interior cuts
-    // per round, compiled concurrently. Every cut either raises `good` or
-    // lowers `high`, so each round strictly narrows the bracket.
-    let k = std::thread::available_parallelism().map_or(1, |n| n.get().min(8));
+    // Bisection in (good, high): `good` fits, `high` does not or is `hi`.
     while high - good > 1 {
-        let span = high - good;
-        if k == 1 || span <= 2 {
-            let mid = good + span / 2;
-            if feasible(&build(mid), spec, policy) {
-                good = mid;
-            } else {
-                high = mid;
-            }
-            continue;
-        }
-        let mut cuts: Vec<usize> = (1..=k)
-            .map(|i| good + span * i / (k + 1))
-            .filter(|&x| x > good && x < high)
-            .collect();
-        cuts.dedup();
-        if cuts.is_empty() {
-            cuts.push(good + span / 2);
-        }
-        let oks = crate::par::map(&cuts, k, |x| feasible(&build(*x), spec, policy));
-        for (x, ok) in cuts.iter().zip(oks) {
-            if ok {
-                good = good.max(*x);
-            } else {
-                high = high.min(*x);
-            }
-        }
-        if high <= good {
-            // Only reachable if feasibility is non-monotone inside the
-            // bracket; `good` is a verified-feasible point, return it.
-            break;
+        let mid = good + (high - good) / 2;
+        if fits(mid) {
+            good = mid;
+        } else {
+            high = mid;
         }
     }
     good

@@ -9,7 +9,7 @@
 //!
 //! ## Search
 //!
-//! Per `(Net::fingerprint, DeviceSpec, replicas, precision, seed)` the tuner
+//! Per `(Net::fingerprint, DeviceSpec, replicas, seed)` the tuner
 //! explores the policy lattice — [`Policy::prefetch_depth`], eager offload,
 //! [`RecomputeMode`],
 //! [`CachePolicy`],
@@ -78,6 +78,10 @@ const WORKSPACES: [WorkspacePolicy; 3] = [
     WorkspacePolicy::Dynamic,
     WorkspacePolicy::Capped(64 << 20),
 ];
+/// Measured survivors of the halving stage.
+const SURVIVORS: usize = 6;
+/// Maximum coordinate-descent passes.
+const PASSES: usize = 2;
 
 /// The UTP tier tables the sampler considers: host-only (the default every
 /// preset ships) and a tiered pool with a peer-GPU tier, whose higher
@@ -105,16 +109,10 @@ pub struct TuneConfig {
     pub replicas: usize,
     /// Fabric for multi-replica objectives.
     pub interconnect: Interconnect,
-    /// Element precision every candidate carries.
-    pub precision: sn_graph::Precision,
     /// RNG seed for the sampling stage.
     pub seed: u64,
     /// Random lattice samples for the halving stage.
     pub samples: usize,
-    /// Measured survivors of the halving stage.
-    pub survivors: usize,
-    /// Maximum coordinate-descent passes.
-    pub passes: usize,
     /// Threads a feasibility batch fans out over; 0 = the host's available
     /// parallelism, read once per search.
     pub workers: usize,
@@ -125,11 +123,8 @@ impl TuneConfig {
         TuneConfig {
             replicas,
             interconnect,
-            precision: sn_graph::Precision::fp32(),
             seed: 0x5eed_0001,
             samples: 32,
-            survivors: 6,
-            passes: 2,
             workers: 0,
         }
     }
@@ -309,7 +304,7 @@ fn random_candidate(rng: &mut SmallRng, cfg: &TuneConfig) -> Candidate {
         workspace: WORKSPACES[rng.gen_range(0..WORKSPACES.len())],
         cache_policy: CACHES[rng.gen_range(0..CACHES.len())],
         tiers: tiers[rng.gen_range(0..tiers.len())],
-        precision: cfg.precision,
+        precision: sn_graph::Precision::fp32(),
     };
     let bucket_bytes = if cfg.replicas > 1 {
         BUCKETS[rng.gen_range(0..BUCKETS.len())]
@@ -322,9 +317,9 @@ fn random_candidate(rng: &mut SmallRng, cfg: &TuneConfig) -> Candidate {
     }
 }
 
-/// The hand presets, at the request's precision — the search's stage-0
-/// seeds and its floor.
-fn hand_presets(cfg: &TuneConfig) -> Vec<(&'static str, Candidate)> {
+/// The hand presets, fp32 as every candidate is — the search's stage-0 seeds
+/// and its floor.
+fn hand_presets() -> Vec<(&'static str, Candidate)> {
     [
         ("baseline", Policy::baseline()),
         ("liveness_only", Policy::liveness_only()),
@@ -337,7 +332,7 @@ fn hand_presets(cfg: &TuneConfig) -> Vec<(&'static str, Candidate)> {
         (
             n,
             Candidate {
-                policy: p.with_precision(cfg.precision),
+                policy: p,
                 bucket_bytes: DEFAULT_BUCKET_BYTES,
             },
         )
@@ -480,7 +475,7 @@ pub fn search_in(
     };
 
     // Stage 0 — the hand presets seed the incumbent.
-    let hands = hand_presets(cfg);
+    let hands = hand_presets();
     let hand_policies: Vec<Policy> = hands.iter().map(|(_, c)| c.policy).collect();
     s.feasibility_batch("seed", &hand_policies);
     let mut incumbent: Option<(Candidate, Measured, &'static str)> = None;
@@ -546,7 +541,7 @@ pub fn search_in(
         })
         .collect();
     ranked.sort_by_key(|(i, _, est)| (*est, *i));
-    let survivors = cfg.survivors.min(ranked.len());
+    let survivors = SURVIVORS.min(ranked.len());
     s.pruned += (ranked.len() - survivors) as u64;
     s.trace.push(format!(
         "halving kept={survivors} dropped={}",
@@ -569,7 +564,7 @@ pub fn search_in(
     // Stage 2 — coordinate descent from the incumbent: one axis at a time,
     // until a full pass finds no strictly better neighbour.
     let n_axes = neighbour_axes(&best_cand, cfg).len();
-    for pass in 0..cfg.passes {
+    for pass in 0..PASSES {
         let mut improved = false;
         for axis_idx in 0..n_axes {
             // Recompute from the *current* incumbent: an adoption on one

@@ -130,7 +130,7 @@ impl Framework {
 /// Table 5: the largest batch a framework trains on `spec`.
 pub fn max_batch(
     framework: Framework,
-    build: &(dyn Fn(usize) -> Net + Sync),
+    build: &dyn Fn(usize) -> Net,
     spec: &DeviceSpec,
     hi: usize,
 ) -> usize {

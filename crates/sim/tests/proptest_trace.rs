@@ -217,8 +217,10 @@ fn step_strategy() -> impl Strategy<Value = Step> {
     ]
 }
 
+// 512 cases, so CI's release step runs that many: `PROPTEST_CASES` only
+// lowers a count.
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+    #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
     fn overlap_equals_a_per_ns_count(
