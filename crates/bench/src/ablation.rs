@@ -116,7 +116,7 @@ pub fn ablation_tiers() -> String {
             ..Policy::superneurons_no_cache()
         };
         let run = Executor::new(&net, spec.clone(), pol)
-            .and_then(|mut ex| Ok((ex.run_iteration()?, ex.dev.host.high_water())));
+            .and_then(|mut ex| Ok((ex.run_iteration()?, ex.host_high_water())));
         match run {
             Ok((r, (p, l, rm))) => t.row(vec![
                 name.to_string(),

@@ -68,7 +68,7 @@ impl DeviceAllocator for AllocatorImpl {
 }
 
 /// Where the Unified Tensor Pool's transitions return a tensor's device
-/// grant (charging the call's latency) and host slot: the planner's
+/// grant (charging the call's latency) and host bytes: the planner's
 /// [`Device`], or the executor build's one pass over the plan.
 pub trait Memory {
     fn free_charged(&mut self, id: AllocId);
@@ -95,15 +95,15 @@ impl Device {
         }
     }
 
-    /// Become `new(spec, allocator, tiers)` in place, keeping the pools'
-    /// allocations and a same-kind allocator's.
+    /// Become `new(spec, allocator, tiers)` in place, keeping a same-kind
+    /// allocator's allocations.
     pub(crate) fn reset(&mut self, spec: &DeviceSpec, allocator: AllocatorKind, tiers: TierConfig) {
         match (&mut self.alloc, allocator) {
             (AllocatorImpl::Pool(p), AllocatorKind::HeapPool) => p.reset(spec.dram_bytes),
             (AllocatorImpl::Cuda(c), AllocatorKind::Cuda) => c.reset(spec),
             (alloc, kind) => *alloc = AllocatorImpl::new(spec, kind),
         }
-        self.host.reset(tiers);
+        self.host = TieredPool::new(tiers);
         self.alloc_time = SimTime::ZERO;
     }
 
@@ -137,7 +137,6 @@ impl Memory for Device {
 #[derive(Debug, Clone)]
 pub struct SimDevice {
     pub tl: Timeline,
-    pub host: TieredPool,
     /// Bytes charged and not yet refunded.
     pub used: u64,
     pub capacity: u64,
@@ -159,7 +158,7 @@ pub(crate) struct Fold {
 }
 
 impl SimDevice {
-    pub fn new(spec: &DeviceSpec, allocator: AllocatorKind, tiers: TierConfig) -> SimDevice {
+    pub fn new(spec: &DeviceSpec, allocator: AllocatorKind) -> SimDevice {
         let (granule, capacity, alloc_base, alloc_per_mib, free_cost) = match allocator {
             AllocatorKind::HeapPool => {
                 let capacity = spec.dram_bytes / BLOCK_BYTES * BLOCK_BYTES;
@@ -178,7 +177,6 @@ impl SimDevice {
         };
         SimDevice {
             tl: Timeline::default(),
-            host: TieredPool::new(tiers),
             used: 0,
             capacity,
             shift: granule.trailing_zeros(),
@@ -232,11 +230,7 @@ mod tests {
 
     #[test]
     fn pool_device_charges_small_latency() {
-        let mut d = SimDevice::new(
-            &DeviceSpec::k40c(),
-            AllocatorKind::HeapPool,
-            TierConfig::default(),
-        );
+        let mut d = SimDevice::new(&DeviceSpec::k40c(), AllocatorKind::HeapPool);
         let t0 = d.tl.now();
         let g = d.granules(1 << 20);
         d.apply(d.charge(d.used, g).unwrap());
@@ -251,11 +245,7 @@ mod tests {
 
     #[test]
     fn cuda_device_charges_large_latency() {
-        let mut d = SimDevice::new(
-            &DeviceSpec::k40c(),
-            AllocatorKind::Cuda,
-            TierConfig::default(),
-        );
+        let mut d = SimDevice::new(&DeviceSpec::k40c(), AllocatorKind::Cuda);
         let t0 = d.tl.now();
         d.apply(d.charge(d.used, d.granules(64 << 20)).unwrap());
         assert!(
@@ -268,7 +258,7 @@ mod tests {
     fn capacity_respected_by_both() {
         for kind in [AllocatorKind::HeapPool, AllocatorKind::Cuda] {
             let spec = DeviceSpec::k40c().with_dram(1 << 20);
-            let d = SimDevice::new(&spec, kind, TierConfig::default());
+            let d = SimDevice::new(&spec, kind);
             assert!(d.charge(d.used, d.granules(2 << 20)).is_none());
             assert!(d.charge(d.used, d.granules(u64::MAX)).is_none());
             let mut p = Device::new(&spec, kind, TierConfig::default());
@@ -284,7 +274,7 @@ mod tests {
         let spec = DeviceSpec::k40c().with_dram(64 << 20);
         let sizes = [0, 1, 255, 256, 257, 1023, 1025, 3 << 20, (1 << 20) + 1, 7];
         for kind in [AllocatorKind::HeapPool, AllocatorKind::Cuda] {
-            let mut d = SimDevice::new(&spec, kind, TierConfig::default());
+            let mut d = SimDevice::new(&spec, kind);
             let mut p = Device::new(&spec, kind, TierConfig::default());
             assert_eq!(d.capacity, p.alloc.capacity(), "{kind:?}");
             let (mut live, mut high_water) = (Vec::new(), 0);

@@ -420,14 +420,15 @@ impl<'n> GroupExecutor<'n> {
     /// Run one synchronous data-parallel iteration: the replica replays the
     /// shared plan; gradient buckets all-reduce as they become ready (or
     /// all at the end, under the serialized ablation); the step ends when
-    /// compute, DMA *and* link streams have drained.
+    /// compute, DMA *and* link streams have drained. A group executor that
+    /// was built does not fail: its build verified the plan.
     pub fn run_iteration(&mut self) -> Result<GroupIterationReport, ExecError> {
         self.ex.begin_iteration();
         let gplan = self.gplan.clone();
         let total = gplan.replica.route.total_steps();
         let mut cursor = 0usize;
         for s in 0..total {
-            self.ex.run_step(s)?;
+            self.ex.run_step(s);
             if self.overlap {
                 while cursor < gplan.schedule.len() && gplan.schedule[cursor].0 == s {
                     self.launch(gplan.schedule[cursor].1);
@@ -445,7 +446,7 @@ impl<'n> GroupExecutor<'n> {
 
         // `finish_iteration`'s sync_all drains the link stream too, so the
         // collective tail is charged to this step.
-        let replica = self.ex.finish_iteration()?;
+        let replica = self.ex.finish_iteration();
         let link_ol = self.ex.dev.tl.link_overlap();
         let peaks_match = replica.peak_bytes == gplan.replica.plan.peak_bytes;
         debug_assert!(

@@ -1144,9 +1144,8 @@ impl<'a> Planner<'a> {
         let st = self.w.utp.state(victim);
         debug_assert_eq!(st.residence(), Residence::Device);
         if needed_later && !st.host_valid {
-            if !self.w.utp.ensure_host_slot(victim, bytes, &mut self.w.dev) {
-                return Err(ExecError::HostExhausted { requested: bytes });
-            }
+            let slot = self.w.utp.ensure_host_slot(victim, bytes, &mut self.w.dev);
+            slot.ok_or(ExecError::HostExhausted { requested: bytes })?;
             self.d2h_ns += self.transfer_ns(victim);
             self.w.utp.mark_offloading(victim, true);
             self.w.utp.lru_remove(victim);
@@ -1524,9 +1523,8 @@ impl<'a> Planner<'a> {
             let (offloadable, bytes) = (meta.offloadable, meta.bytes);
             let st = self.w.utp.state(t);
             if offloadable && bytes > 0 && !st.host_valid && !st.offloading {
-                if !self.w.utp.ensure_host_slot(t, bytes, &mut self.w.dev) {
-                    return Err(ExecError::HostExhausted { requested: bytes });
-                }
+                let slot = self.w.utp.ensure_host_slot(t, bytes, &mut self.w.dev);
+                slot.ok_or(ExecError::HostExhausted { requested: bytes })?;
                 self.d2h_ns += self.transfer_ns(t);
                 self.w.utp.mark_offloading(t, false);
                 self.w.ops.push(PlanOp::Offload { t, evict: false });
@@ -1544,7 +1542,9 @@ impl<'a> Planner<'a> {
             let st = self.w.utp.state(t);
             if st.residence() != Residence::None || st.host_slot.is_some() {
                 self.w.ops.push(PlanOp::Free(t));
-                self.w.utp.free_tensor(t, &mut self.w.dev);
+                self.w
+                    .utp
+                    .free_tensor(t, self.meta(t).bytes, &mut self.w.dev);
             }
         }
         // Recomputed-tensor frees scheduled for this step.

@@ -13,7 +13,6 @@
 //! bandwidth gracefully instead of failing the run — the behaviour the
 //! tiered-UTP experiment (`experiments ablation`) demonstrates.
 
-use sn_mempool::host::HostSlot;
 use sn_mempool::PinnedHostPool;
 use sn_sim::{DeviceSpec, SimTime};
 
@@ -92,19 +91,13 @@ impl Default for TierConfig {
     }
 }
 
-/// A slot in a specific tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TierSlot {
-    pub tier: Tier,
-    pub slot: HostSlot,
-}
-
-/// The consolidated external pool: placement, release, accounting.
+/// The consolidated external pool: placement, release, accounting. A
+/// tier's slot is its bytes, which the tensor holding it knows.
 #[derive(Debug, Clone)]
 pub struct TieredPool {
-    peer: PinnedHostPool,
-    local: PinnedHostPool,
-    remote: PinnedHostPool,
+    pub(crate) peer: PinnedHostPool,
+    pub(crate) local: PinnedHostPool,
+    pub(crate) remote: PinnedHostPool,
 }
 
 impl TieredPool {
@@ -116,13 +109,6 @@ impl TieredPool {
         }
     }
 
-    /// Become `new(cfg)` in place, keeping every pool's allocation.
-    pub(crate) fn reset(&mut self, cfg: TierConfig) {
-        self.peer.reset(cfg.peer_gpu_bytes);
-        self.local.reset(cfg.local_host_bytes);
-        self.remote.reset(cfg.remote_bytes);
-    }
-
     fn pool(&mut self, tier: Tier) -> &mut PinnedHostPool {
         match tier {
             Tier::PeerGpu => &mut self.peer,
@@ -131,19 +117,17 @@ impl TieredPool {
         }
     }
 
-    /// Reserve `bytes` in the fastest tier with room. Returns `None` only
-    /// when every tier is exhausted.
-    pub fn reserve(&mut self, bytes: u64) -> Option<TierSlot> {
-        for tier in [Tier::PeerGpu, Tier::LocalHost, Tier::Remote] {
-            if let Some(slot) = self.pool(tier).reserve(bytes) {
-                return Some(TierSlot { tier, slot });
-            }
-        }
-        None
+    /// Reserve `bytes` in the fastest tier with room, and name it. Returns
+    /// `None` only when every tier is exhausted.
+    pub fn reserve(&mut self, bytes: u64) -> Option<Tier> {
+        [Tier::PeerGpu, Tier::LocalHost, Tier::Remote]
+            .into_iter()
+            .find(|&tier| self.pool(tier).reserve(bytes))
     }
 
-    pub fn release(&mut self, s: TierSlot) {
-        self.pool(s.tier).release(s.slot);
+    /// Return the `bytes` a reservation took in `tier`.
+    pub fn release(&mut self, tier: Tier, bytes: u64) {
+        self.pool(tier).release(bytes);
     }
 
     /// High-water marks per tier.
@@ -153,10 +137,6 @@ impl TieredPool {
             self.local.high_water(),
             self.remote.high_water(),
         )
-    }
-
-    pub fn total_used(&self) -> u64 {
-        self.peer.used() + self.local.used() + self.remote.used()
     }
 }
 
@@ -172,15 +152,12 @@ mod tests {
     #[test]
     fn placement_prefers_fastest_tier() {
         let mut p = TieredPool::new(TierConfig::full(100, 100, 100));
-        let a = p.reserve(60).unwrap();
-        assert_eq!(a.tier, Tier::PeerGpu);
-        let b = p.reserve(60).unwrap();
-        assert_eq!(b.tier, Tier::LocalHost, "peer full -> local");
-        let c = p.reserve(60).unwrap();
-        assert_eq!(c.tier, Tier::Remote, "local full -> remote");
+        assert_eq!(p.reserve(60), Some(Tier::PeerGpu));
+        assert_eq!(p.reserve(60), Some(Tier::LocalHost), "peer full -> local");
+        assert_eq!(p.reserve(60), Some(Tier::Remote), "local full -> remote");
         assert!(p.reserve(60).is_none(), "all tiers exhausted");
-        p.release(b);
-        assert_eq!(p.reserve(60).unwrap().tier, Tier::LocalHost);
+        p.release(Tier::LocalHost, 60);
+        assert_eq!(p.reserve(60), Some(Tier::LocalHost));
     }
 
     #[test]
@@ -196,8 +173,7 @@ mod tests {
     #[test]
     fn local_only_skips_disabled_tiers() {
         let mut p = TieredPool::new(TierConfig::local_only(1000));
-        let s = p.reserve(10).unwrap();
-        assert_eq!(s.tier, Tier::LocalHost);
+        assert_eq!(p.reserve(10), Some(Tier::LocalHost));
         assert_eq!(used(&p), (0, 10, 0));
     }
 
@@ -215,9 +191,9 @@ mod tests {
         let mut p = TieredPool::new(TierConfig::full(50, 50, 50));
         let a = p.reserve(40).unwrap();
         let b = p.reserve(40).unwrap();
-        p.release(a);
-        p.release(b);
+        p.release(a, 40);
+        p.release(b, 40);
         assert_eq!(p.high_water(), (40, 40, 0));
-        assert_eq!(p.total_used(), 0);
+        assert_eq!(used(&p), (0, 0, 0));
     }
 }

@@ -4,11 +4,12 @@
 //! with moving tensors between device DRAM and the external UTP tiers: the
 //! tensor-state map, the Alg. 2 LRU Tensor Cache bookkeeping, the pending
 //! offload list the reclamation ladder drains, and host-slot management over
-//! the tiered pools. *When* a copy lands is not here: only the executor has
-//! a clock, and it keeps the completion times of the copies it submitted in
-//! an array of its own — so a [`TensorState`] fits one cache line and the
-//! planner, which walks `states` thousands of compiles a second, carries
-//! nothing it never sets.
+//! the tiered pools (a slot is the tier a tensor's bytes are reserved in).
+//! *When* a copy lands is not here: only the executor has a clock, and it
+//! keeps the completion times of the copies it submitted in an array of its
+//! own — so a [`TensorState`] fits one cache line and the planner, which
+//! walks `states` thousands of compiles a second, carries nothing it never
+//! sets.
 //!
 //! The **planner** ([`crate::plan`]) drives it at compile time — with
 //! *instant* logical transfers — to decide every eviction, offload,
@@ -33,7 +34,7 @@ use sn_sim::AllocId;
 use crate::device::Memory;
 use crate::memo::RecencyList;
 use crate::policy::CachePolicy;
-use crate::tiers::{Tier, TierSlot};
+use crate::tiers::Tier;
 
 /// Where a tensor currently lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,7 +55,9 @@ pub struct TensorState {
     /// [`TensorState::residence`].
     residence: Residence,
     pub grant: Option<AllocId>,
-    pub host_slot: Option<TierSlot>,
+    /// The tier the tensor's host slot is reserved in; the slot's bytes are
+    /// the tensor's.
+    pub host_slot: Option<Tier>,
     /// Host copy is a valid replica of the tensor's contents.
     pub host_valid: bool,
     /// Pin count: locked tensors are never victims of eviction or release.
@@ -69,8 +72,8 @@ pub struct TensorState {
     pub evicting: bool,
 }
 
-// One cache line a tensor: the planner walks `states` by tensor id.
-const _: () = assert!(std::mem::size_of::<TensorState>() <= 64);
+// Well inside a cache line a tensor: the planner walks `states` by tensor id.
+const _: () = assert!(std::mem::size_of::<TensorState>() == 40);
 
 impl TensorState {
     pub const EMPTY: TensorState = TensorState {
@@ -252,25 +255,23 @@ impl Utp {
     /// Host tier a tensor's external copy lives in (local host when none is
     /// reserved yet — the tier `ensure_host_slot` would pick first).
     pub fn tier_of(&self, t: TensorId) -> Tier {
-        self.states[t.0]
-            .host_slot
-            .map(|s| s.tier)
-            .unwrap_or(Tier::LocalHost)
+        self.states[t.0].host_slot.unwrap_or(Tier::LocalHost)
     }
 
-    /// Reserve an external slot for `t` in the fastest tier with room.
-    /// Returns `false` when every tier is exhausted.
-    pub fn ensure_host_slot(&mut self, t: TensorId, bytes: u64, dev: &mut impl Memory) -> bool {
-        if self.states[t.0].host_slot.is_some() {
-            return true;
+    /// The tier of `t`'s external slot, reserving its `bytes` in the fastest
+    /// tier with room if it has none. Returns `None` when every tier is
+    /// exhausted.
+    pub fn ensure_host_slot(
+        &mut self,
+        t: TensorId,
+        bytes: u64,
+        dev: &mut impl Memory,
+    ) -> Option<Tier> {
+        let slot = &mut self.states[t.0].host_slot;
+        if slot.is_none() {
+            *slot = dev.host().reserve(bytes);
         }
-        match dev.host().reserve(bytes) {
-            Some(slot) => {
-                self.states[t.0].host_slot = Some(slot);
-                true
-            }
-            None => false,
-        }
+        *slot
     }
 
     /// Every per-tensor write of `residence`: moves `t` and keeps the
@@ -321,10 +322,10 @@ impl Utp {
         to == Residence::None
     }
 
-    /// Fully release `t`: device grant, host slot, pending transfers.
-    /// In-flight copy-outs are *cancelled*, not awaited (the contents are
-    /// dead). Always notify the backend after calling this.
-    pub fn free_tensor(&mut self, t: TensorId, dev: &mut impl Memory) {
+    /// Fully release `t`, a tensor of `bytes`: device grant, host slot,
+    /// pending transfers. In-flight copy-outs are *cancelled*, not awaited
+    /// (the contents are dead). Always notify the backend after calling this.
+    pub fn free_tensor(&mut self, t: TensorId, bytes: u64, dev: &mut impl Memory) {
         let st = &mut self.states[t.0];
         debug_assert_eq!(st.lock, 0, "freeing a locked tensor");
         let was_offloading = st.offloading;
@@ -333,8 +334,8 @@ impl Utp {
         if let Some(g) = st.grant.take() {
             dev.free_charged(g);
         }
-        if let Some(slot) = self.states[t.0].host_slot.take() {
-            dev.host().release(slot);
+        if let Some(tier) = self.states[t.0].host_slot.take() {
+            dev.host().release(tier, bytes);
         }
         self.states[t.0].host_valid = false;
         self.set_residence(t, Residence::None);
@@ -359,7 +360,7 @@ mod tests {
     use super::*;
     use crate::device::Device;
     use crate::policy::AllocatorKind;
-    use crate::tiers::TierConfig;
+    use crate::tiers::{TierConfig, TieredPool};
     use proptest::prelude::*;
     use sn_sim::{DeviceAllocator, DeviceSpec};
 
@@ -399,7 +400,7 @@ mod tests {
         let g = d.alloc_charged(2048).unwrap();
         let t = TensorId(0);
         utp.mark_device(t, g.id, true);
-        assert!(utp.ensure_host_slot(t, 2048, &mut d));
+        assert_eq!(utp.ensure_host_slot(t, 2048, &mut d), Some(Tier::LocalHost));
         utp.mark_offloading(t, true);
         assert_eq!(utp.pending_offloads, vec![t]);
         let gone = utp.release_device(t, &mut d);
@@ -419,11 +420,11 @@ mod tests {
         utp.mark_device(t, g.id, true);
         utp.ensure_host_slot(t, 2048, &mut d);
         utp.mark_offloading(t, false);
-        utp.free_tensor(t, &mut d);
+        utp.free_tensor(t, 2048, &mut d);
         assert_eq!(utp.state(t).residence(), Residence::None);
         assert!(utp.pending_offloads.is_empty());
         assert_eq!(d.alloc.used(), 0);
-        assert_eq!(d.host.total_used(), 0);
+        assert_eq!(d.host.local.used(), 0);
     }
 
     #[test]
@@ -493,7 +494,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        // The host count is the scan: after every transition, on real grants.
+        // The host count is the scan, and every pool holds the bytes of the
+        // tensors it is charged for: after every transition, on real grants,
+        // with slots spilling across all three tiers.
         #[test]
         fn host_resident_count_equals_the_scan(
             ops in proptest::collection::vec((0u8..15, 0usize..12, proptest::bool::ANY), 0..300),
@@ -501,29 +504,40 @@ mod tests {
             let n = 12;
             let mut utp = Utp::new(n);
             let mut d = dev();
+            d.host = TieredPool::new(TierConfig::full(48 << 10, 96 << 10, 1 << 20));
+            // Tensor i holds (i + 1) x 4 KiB, 312 KiB in all: the peer and
+            // local tiers fill, and slots spill to the remote one.
+            let bytes = |t: TensorId| (t.0 as u64 + 1) << 12;
             let scan = |utp: &Utp, at| (0..n).filter(|&i| utp.state(TensorId(i)).residence() == at).count();
+            let held = |utp: &Utp, f: &dyn Fn(&TensorState) -> bool| -> u64 {
+                (0..n).map(TensorId).filter(|&t| f(utp.state(t))).map(bytes).sum()
+            };
             for (op, i, flag) in ops {
                 let t = TensorId(i);
                 let on_device = utp.state(t).residence() == Residence::Device;
                 match op {
                     0..=5 if !on_device => {
-                        let g = d.alloc_charged(16 << 10).expect("12 x 16 KiB fit in 1 MiB");
+                        let g = d.alloc_charged(bytes(t)).expect("312 KiB fit in 1 MiB");
                         utp.mark_device(t, g.id, flag);
                     }
                     6..=8 if on_device && !utp.state(t).offloading => {
-                        prop_assert!(utp.ensure_host_slot(t, 16 << 10, &mut d));
+                        prop_assert!(utp.ensure_host_slot(t, bytes(t), &mut d).is_some());
                         utp.mark_offloading(t, flag);
                     }
                     9..=11 if on_device => {
                         let gone = utp.release_device(t, &mut d);
                         prop_assert_eq!(gone, utp.state(t).residence() == Residence::None);
                     }
-                    12..=14 => utp.free_tensor(t, &mut d),
+                    12..=14 => utp.free_tensor(t, bytes(t), &mut d),
                     _ => {}
                 }
                 prop_assert_eq!(utp.host_resident(), scan(&utp, Residence::Host));
-                // Every device resident holds exactly one 16 KiB grant.
-                prop_assert_eq!(d.alloc.used(), (scan(&utp, Residence::Device) as u64) << 14);
+                // Every device resident holds exactly one grant of its bytes.
+                let on_device = held(&utp, &|st| st.residence() == Residence::Device);
+                prop_assert_eq!(d.alloc.used(), on_device);
+                let in_tier = |tier| held(&utp, &|st| st.host_slot == Some(tier));
+                let (h, tiers) = (&d.host, [Tier::PeerGpu, Tier::LocalHost, Tier::Remote]);
+                prop_assert_eq!([h.peer.used(), h.local.used(), h.remote.used()], tiers.map(in_tier));
             }
         }
     }

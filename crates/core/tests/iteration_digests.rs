@@ -225,7 +225,7 @@ fn fold_steps(ex: &Executor<'_>, h: &mut impl Hasher) {
         let sampled = (r.resident_bytes, r.live_tensors, r.free_bytes);
         (sampled, r.completed_at.as_ns()).hash(h);
     }
-    ex.dev.host.high_water().hash(h);
+    ex.host_high_water().hash(h);
 }
 
 /// A cell's cold and warm step digest.

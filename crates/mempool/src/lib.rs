@@ -27,7 +27,8 @@
 //! traces: disjoint grants inside capacity, the lowest fitting address,
 //! and the largest fragment a scan finds.
 //! [`PinnedHostPool`] models the preallocated pinned CPU buffer that
-//! offloaded tensors land in.
+//! offloaded tensors land in, as a byte counter: each holder of a slot knows
+//! its tensor and its bytes, so the pool keeps capacity, use and high water.
 
 use sn_sim::SimTime;
 

@@ -22,7 +22,7 @@ fn utp_tiers_absorb_offload_spill() {
         let mut ex = Executor::new(&net, spec.clone(), pol).unwrap();
         ex.run_iteration().unwrap();
         let r = ex.run_iteration().unwrap();
-        let hw = ex.dev.host.high_water();
+        let hw = ex.host_high_water();
         (r, hw)
     };
 
