@@ -24,23 +24,27 @@
 //! not reserved — a deployment sizing real NCCL-style ring buffers would
 //! add that fixed figure to each gang replica's reservation.
 //!
-//! ## Each question asked once
+//! ## Each answer remembered once
 //!
 //! A plan depends on the memory it is given only through
-//! [`sn_runtime::CompiledPlan::valid_caps`], so the [`Profiler`] keys what
-//! it asks by what the answer depends on:
+//! [`sn_runtime::CompiledPlan::valid_caps`], and the plan memo keeps each
+//! plan's prediction and caps. Admission remembers what it asked in three
+//! places, each keyed by what its answer depends on:
 //!
-//! * **a `Net` per shape** — one build per (workload, batch), whatever
-//!   the preset, kind or budget;
-//! * **answers per plan interval** — `Row::resolve` asks its highest cold
-//!   level and fills every other cold level the answer's caps hold, so a
-//!   rung pays one plan-memo lookup per interval, not one per level. OOM
-//!   and cap-bound answers hold at their own cap alone and are asked level
-//!   by level: feasibility is not monotone in the cap;
-//! * **gang measurements per replica plan** — a measured step depends on
-//!   the replica plan, the card, the policy, the replica count and the
-//!   fabric, and not on pool capacity past the plan's extent, so a
-//!   `GangKey` carries the replica plan's interval start, not the cap.
+//! * **a `Net` per shape**, in the [`Profiler`] — one build per (workload,
+//!   batch), whatever the preset, kind or budget;
+//! * **answers by level**, in the run's `Row`s — `Row::resolve` asks the
+//!   plan memo at its highest cold level and fills every other cold level
+//!   the answer's caps hold, so a rung pays one plan-memo lookup per
+//!   interval, not one per level. OOM and cap-bound answers hold at their
+//!   own cap alone and are asked level by level: feasibility is not
+//!   monotone in the cap;
+//! * **gang measurements per replica plan**, in the [`Profiler`] — a
+//!   measured step depends on the replica plan, the card, the policy, the
+//!   replica count and the fabric, and not on pool capacity past the plan's
+//!   extent, so a `GangKey` carries the replica plan's interval start, not
+//!   the cap. The row that granted the gang keeps that start beside its
+//!   answer, so pacing a gang asks no plan memo.
 
 use std::ops::RangeInclusive;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -55,57 +59,62 @@ use crate::placement::{ByFree, Candidate, DeviceState, PlacementPolicy};
 use crate::report::RejectReason;
 use crate::sim::ClusterSim;
 
-/// Memoization key: everything the prediction depends on. The card is its
-/// [`DeviceSpec::card_fingerprint`] — every perf-relevant constant folded
-/// bit-exactly and the name left out, so cards that differ in a constant
-/// never alias and cards that differ by name alone share an answer that is
-/// the same for both — and the key carries the **cap** the prediction was
-/// asked at (the DRAM of `spec.with_dram(budget)`): the planner adapts its
-/// evictions and workspaces to that cap, so one cap's answer serves another
-/// only where its plan's caps hold both. `Copy` and `String`-free.
+/// Gang measurement key: everything a measured step depends on — the
+/// replica plan's shape and preset, the card (its
+/// [`DeviceSpec::card_fingerprint`]) and the start of that plan's caps (the
+/// lowest cap of an open plan, the exact cap of a cap-bound or OOM one) —
+/// extended with the gang size and the fabric. Two budgets one replica plan
+/// answers share a measurement; replica counts can never alias.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct ProfileKey {
+struct GangKey {
     workload: Workload,
     batch: usize,
     preset: PolicyPreset,
-    kind: JobKind,
     card: (u64, u64),
-    cap: u64,
-}
-
-/// What the profiler answered at one cap: the prediction (`None`: does not
-/// fit) and the caps it holds for — the plan's `valid_caps`, or the asked
-/// cap alone for an OOM.
-type Answer = (Option<PeakPrediction>, RangeInclusive<u64>);
-
-/// Gang measurement key: the replica plan's training profile key with
-/// `cap` at the start of that plan's caps — the lowest cap of an open plan,
-/// the exact cap of a cap-bound or OOM one — extended with the gang size
-/// and the fabric. Two budgets one replica plan answers share a
-/// measurement; replica counts can never alias.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct GangKey {
-    profile: ProfileKey,
+    plan_from: u64,
     replicas: usize,
     ic_gbps_bits: u64,
     ic_latency_ns: u64,
 }
 
-/// Memoizing wrapper around the plan compiler: the cluster loop re-evaluates
-/// queued jobs at every event, but distinct questions are few, and each is
-/// asked once — a `Net` per (workload, batch), a prediction per plan
-/// interval (recorded under every cap it was asked or filled at), a gang
+impl GangKey {
+    /// The key of a `replicas`-wide gang of (`workload`, `batch`) under
+    /// `preset` on `spec`'s card and `interconnect`, whose replica plan's
+    /// caps start at `plan_from`.
+    fn new(
+        workload: Workload,
+        batch: usize,
+        preset: PolicyPreset,
+        replicas: usize,
+        spec: &DeviceSpec,
+        plan_from: u64,
+        interconnect: Interconnect,
+    ) -> GangKey {
+        GangKey {
+            workload,
+            batch,
+            preset,
+            card: spec.card_fingerprint(),
+            plan_from,
+            replicas,
+            ic_gbps_bits: interconnect.gbps.to_bits(),
+            ic_latency_ns: interconnect.latency.0,
+        }
+    }
+}
+
+/// What admission asks of the planner and the group runtime: a prediction is
+/// a plan-memo lookup, kept by the run's `Row`s, so the profiler keeps only
+/// what the memo does not — a `Net` per (workload, batch) and a gang
 /// measurement per replica plan (see the module docs).
 ///
-/// The caches are `Mutex`-guarded Fx-hashed maps (the keys are internal
-/// structs — no untrusted input, no need for SipHash), which makes the
-/// profiler `Sync`. A concurrent miss may compile the same prediction twice;
-/// both results are identical (compilation is deterministic) and the last
-/// insert wins.
+/// Both are `Mutex`-guarded Fx-hashed maps (the keys are internal structs —
+/// no untrusted input, no need for SipHash), which makes the profiler
+/// `Sync`. A concurrent miss may measure the same gang twice; both results
+/// are identical (a measurement is deterministic) and the last insert wins.
 #[derive(Default)]
 pub struct Profiler {
     nets: Mutex<FxHashMap<(Workload, usize), Arc<Net>>>,
-    cache: Mutex<FxHashMap<ProfileKey, Answer>>,
     /// Measured gang step times, one group execution per [`GangKey`].
     gang: Mutex<FxHashMap<GangKey, Option<SimTime>>>,
     /// Debug builds: the gang step measured at each exact cap a hit asked.
@@ -113,10 +122,10 @@ pub struct Profiler {
     gang_exact: Mutex<FxHashMap<(GangKey, u64), Option<SimTime>>>,
 }
 
-/// Lock one of the profiler's maps, poisoned or not: a prediction is
-/// compiled before the lock is taken and only whole keys and values cross
-/// it, so a map a dying thread held is still consistent — and one rung's
-/// panic must not fail every later admission.
+/// Lock one of the profiler's maps, poisoned or not: a gang is measured
+/// before the lock is taken and only whole keys and values cross it, so a
+/// map a dying thread held is still consistent — and one rung's panic must
+/// not fail every later admission.
 fn lock<T>(map: &Mutex<T>) -> MutexGuard<'_, T> {
     map.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -129,7 +138,7 @@ impl Profiler {
     /// Predicted cost of one replica of (`workload`, `batch`, `kind`) under
     /// `preset` on `spec` given `budget` bytes of device memory, or `None`
     /// if it cannot run within the budget. Compile-only: no iteration is
-    /// simulated.
+    /// simulated, and a plan the memo holds is not compiled again.
     pub fn profile_kind(
         &self,
         workload: Workload,
@@ -139,37 +148,25 @@ impl Profiler {
         spec: &DeviceSpec,
         budget: u64,
     ) -> Option<PeakPrediction> {
-        let key = ProfileKey {
-            workload,
-            batch,
-            preset,
-            kind,
-            card: spec.card_fingerprint(),
-            cap: budget,
-        };
-        self.answer(key, spec).0
+        let capped = spec.clone().with_dram(budget);
+        self.answer(workload, batch, preset, kind, &capped).0
     }
 
-    /// The answer at `key` and the caps it holds for, memoized: on a miss
-    /// `key` is compiled on `spec` capped to `key.cap` — the only place that
-    /// capped copy of the device is built.
-    fn answer(&self, key: ProfileKey, spec: &DeviceSpec) -> Answer {
-        if let Some(hit) = lock(&self.cache).get(&key) {
-            return hit.clone();
-        }
-        let capped = spec.clone().with_dram(key.cap);
-        let net = self.net(key.workload, key.batch);
-        let inference = key.kind == JobKind::Inference;
-        let policy = key.preset.policy();
-        let (result, caps) = plan_prediction_caps(&net, &capped, policy, inference);
-        let answer = (result.ok(), caps);
-        self.record(key, answer.clone());
-        answer
-    }
-
-    /// Remember `answer` at `key`, as asking `key` records it.
-    fn record(&self, key: ProfileKey, answer: Answer) {
-        lock(&self.cache).insert(key, answer);
+    /// The prediction on the `capped` device (`None`: does not fit) and the
+    /// caps it holds for — the plan's `valid_caps`, or the asked cap alone
+    /// for an OOM — from one plan-memo lookup.
+    fn answer(
+        &self,
+        workload: Workload,
+        batch: usize,
+        preset: PolicyPreset,
+        kind: JobKind,
+        capped: &DeviceSpec,
+    ) -> (Option<PeakPrediction>, RangeInclusive<u64>) {
+        let net = self.net(workload, batch);
+        let inference = kind == JobKind::Inference;
+        let (result, caps) = plan_prediction_caps(&net, capped, preset.policy(), inference);
+        (result.ok(), caps)
     }
 
     /// The network of (`workload`, `batch`), built the first time it is
@@ -186,10 +183,10 @@ impl Profiler {
     /// [`sn_runtime::GroupPlan`] — whose per-replica bytes are the exact
     /// plan the reservation came from — and drives the group interpreter
     /// for one iteration, returning its gang step (slowest replica +
-    /// overlapped bucketed all-reduce). Memoized per
-    /// replica plan (`GangKey`); the key carries the replica count, so
-    /// gang sizes never alias. `None` means the gang cannot run within the
-    /// budget.
+    /// overlapped bucketed all-reduce). Memoized per replica plan
+    /// (`GangKey`), whose caps the plan memo names; the key carries the
+    /// replica count, so gang sizes never alias. `None` means the gang
+    /// cannot run within the budget.
     pub fn gang_step_time(
         &self,
         workload: Workload,
@@ -199,58 +196,35 @@ impl Profiler {
         spec: &DeviceSpec,
         interconnect: Interconnect,
     ) -> Option<SimTime> {
-        self.gang_step_capped(
+        let (_, caps) = self.answer(workload, batch, preset, JobKind::Training, spec);
+        let key = GangKey::new(
             workload,
             batch,
             preset,
             replicas,
-            spec.card_fingerprint(),
             spec,
-            spec.dram_bytes,
+            *caps.start(),
             interconnect,
-        )
+        );
+        self.gang_step(key, spec, spec.dram_bytes, interconnect)
     }
 
-    /// [`Profiler::gang_step_time`] on `spec` capped to `cap` bytes, for a
-    /// caller that already holds `spec`'s card fingerprint: the capped copy
-    /// of the device is built on a miss only. The replica plan's answer at
-    /// `cap` names the measurement; in debug builds a memoized step is held
-    /// to a measurement at `cap` itself.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn gang_step_capped(
+    /// The gang step `key` names, measured on `spec` capped to `cap` — a
+    /// cap its replica plan holds — the first time it is asked: the capped
+    /// copy of the device is built on a miss only. In debug builds a
+    /// memoized step is held to a measurement at `cap` itself.
+    fn gang_step(
         &self,
-        workload: Workload,
-        batch: usize,
-        preset: PolicyPreset,
-        replicas: usize,
-        card: (u64, u64),
+        key: GangKey,
         spec: &DeviceSpec,
         cap: u64,
         interconnect: Interconnect,
     ) -> Option<SimTime> {
-        let replica = ProfileKey {
-            workload,
-            batch,
-            preset,
-            kind: JobKind::Training,
-            card,
-            cap,
-        };
-        let (_, caps) = self.answer(replica, spec);
-        let key = GangKey {
-            profile: ProfileKey {
-                cap: *caps.start(),
-                ..replica
-            },
-            replicas,
-            ic_gbps_bits: interconnect.gbps.to_bits(),
-            ic_latency_ns: interconnect.latency.0,
-        };
         let measure = || {
-            let net = self.net(workload, batch);
-            let cfg = GroupConfig::new(replicas, interconnect);
+            let net = self.net(key.workload, key.batch);
+            let cfg = GroupConfig::new(key.replicas, interconnect);
             let capped = spec.clone().with_dram(cap);
-            GroupExecutor::new(&net, capped, preset.policy(), cfg)
+            GroupExecutor::new(&net, capped, key.preset.policy(), cfg)
                 .ok()
                 .and_then(|mut gx| {
                     let step = gx.run_iteration().ok()?;
@@ -266,7 +240,7 @@ impl Profiler {
             let kept = lock(&self.gang_exact).get(&(key, cap)).copied();
             let exact = kept.unwrap_or_else(measure);
             lock(&self.gang_exact).insert((key, cap), exact);
-            assert_eq!(hit, exact, "at cap {cap} in {caps:?}");
+            assert_eq!(hit, exact, "at cap {cap} for {key:?}");
         }
         if let Some(hit) = hit {
             return hit;
@@ -276,13 +250,6 @@ impl Profiler {
         result
     }
 
-    /// Number of distinct predictions recorded so far: one per cap asked,
-    /// whether compiled, answered by the plan memo or filled from an
-    /// interval.
-    pub fn simulated(&self) -> usize {
-        lock(&self.cache).len()
-    }
-
     /// Number of gang step measurements run so far: one per replica plan,
     /// gang size and fabric (`GangKey`).
     pub fn gangs_measured(&self) -> usize {
@@ -290,17 +257,22 @@ impl Profiler {
     }
 }
 
-/// What the [`Profiler`] has answered for one shape under one preset on the
+/// What the plan memo has answered for one shape under one preset on the
 /// fleet's card, by budget level: once bit `l` of `resolved` is set,
 /// `answers[l]` is the prediction within `l × quantum` bytes on any device.
 /// Levels stop at 63 (see [`quantum`]); level 0 offers no bytes and is never
 /// asked. Kept for a run, so a level is resolved once, the first time a
 /// device shows it — and answered once per plan interval, not once per level
-/// (see [`Row::resolve`]).
+/// (see [`Row::resolve`]). A run's rows are the only record of what its
+/// admission asked: the levels they resolved are its
+/// [`ClusterReport::predictions_simulated`](crate::ClusterReport::predictions_simulated).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Row {
     resolved: u64,
     answers: [Option<PeakPrediction>; 64],
+    /// Per resolved level, the first cap its answer holds: it names the
+    /// level's plan, which a gang granted there is measured by.
+    from: [u64; 64],
     /// The largest peak any resolved level answered: no device is offered a
     /// replica that reserves more (a rung's stopping floor).
     pub(crate) most_peak: u64,
@@ -313,15 +285,15 @@ impl Row {
     pub(crate) const EMPTY: Row = Row {
         resolved: 0,
         answers: [None; 64],
+        from: [0; 64],
         most_peak: 0,
         least_level: 64,
     };
 
     /// Answer every level of the bit set `present` not answered yet, on
-    /// `spec` — the fleet's card. The highest cold level is asked
-    /// first, and every cold level its answer's caps hold is filled from it
-    /// and recorded in the profiler under its own cap — what asking it
-    /// would have recorded — so one open plan answers every level above its
+    /// `spec` — the fleet's card. The highest cold level is asked of the
+    /// plan memo first, and every cold level its answer's caps hold is
+    /// filled from it, so one open plan answers every level above its
     /// extent. An OOM or cap-bound answer holds at its own level alone, so
     /// the levels below an open plan's are asked one at a time.
     pub(crate) fn resolve(
@@ -333,41 +305,24 @@ impl Row {
         spec: &DeviceSpec,
     ) {
         let mut cold = present & !self.resolved;
-        if cold == 0 {
-            return;
-        }
         let quantum = quantum(spec);
-        let key = ProfileKey {
-            workload: job.workload,
-            batch: job.batch,
-            preset,
-            kind: job.kind,
-            card: spec.card_fingerprint(),
-            cap: 0,
-        };
+        let (workload, batch, kind) = (job.workload, job.batch, job.kind);
         while cold != 0 {
             let top = 63 - u64::from(cold.leading_zeros());
-            let (answer, caps) = profiler.answer(
-                ProfileKey {
-                    cap: top * quantum,
-                    ..key
-                },
-                spec,
-            );
+            let capped = spec.clone().with_dram(top * quantum);
+            let (answer, caps) = profiler.answer(workload, batch, preset, kind, &capped);
             // `caps` holds `top`'s budget, so the cold levels it holds are
             // those from its first budget up to `top`.
             let filled = cold & (u64::MAX << caps.start().div_ceil(quantum).min(top));
             for l in (0..64).filter(|l| filled >> l & 1 == 1) {
-                if l != top {
-                    let cap = l * quantum;
-                    debug_assert_eq!(
-                        profiler.profile_kind(job.workload, job.batch, preset, job.kind, spec, cap),
-                        answer,
-                        "level {l} is filled from {caps:?}"
-                    );
-                    profiler.record(ProfileKey { cap, ..key }, (answer, caps.clone()));
-                }
+                debug_assert!(
+                    l == top
+                        || profiler.profile_kind(workload, batch, preset, kind, spec, l * quantum)
+                            == answer,
+                    "level {l} is filled from {caps:?}"
+                );
                 self.answers[l as usize] = answer;
+                self.from[l as usize] = *caps.start();
                 if let Some(p) = answer {
                     self.most_peak = self.most_peak.max(p.peak_bytes);
                     self.least_level = self.least_level.min(l as u8);
@@ -439,11 +394,13 @@ impl Grant {
 
 /// Prediction budget for a device with `free` unreserved bytes: rounded
 /// *down* to a 1/32-of-DRAM quantum. Sound (the predicted peak fits under
-/// the real free space) and it collapses the profiler's memo key space to at
-/// most 63 budgets for the fleet's card, one per nonzero level — 32 on any
-/// card of 1 KiB or more. Admission and the idle-card feasibility check
-/// (`ClusterSim::fits_one_idle_card`) MUST use the same rounding, or a
-/// boundary job could be judged feasible yet never admitted.
+/// the real free space) and it collapses the budgets admission asks to at
+/// most 63 for the fleet's card, one per nonzero level — 32 on any card of
+/// 1 KiB or more. Admission and the idle-card feasibility check
+/// (`ClusterSim::fits_one_idle_card`) use the same rounding by
+/// construction: both read a shape's `Row` at a device's level, an idle
+/// one's `dram / quantum`, so no boundary job is judged feasible yet never
+/// admitted.
 pub fn quantized_budget(spec: &DeviceSpec, free: u64) -> u64 {
     free - free % quantum(spec)
 }
@@ -513,11 +470,6 @@ pub(crate) struct AdmitMemo {
     /// Shapes `try_admit` refused in reservation state `blocked_at`.
     blocked: FxHashSet<ShapeKey>,
     blocked_at: u64,
-    /// Per shape, whether some rung of its ladder fits one idle card
-    /// ([`ClusterSim::fits_one_idle_card`]): a pure function of the shape,
-    /// which the FIFO pass would otherwise re-ask for every still-queued job
-    /// at every pass.
-    fits: FxHashMap<ShapeKey, bool>,
 }
 
 impl AdmitMemo {
@@ -535,12 +487,6 @@ impl AdmitMemo {
     /// `shape` was refused in the current reservation state.
     pub(crate) fn block(&mut self, shape: ShapeKey) {
         self.blocked.insert(shape);
-    }
-
-    /// Whether `shape` fits one idle card, asked of `ask` once a run.
-    #[inline]
-    pub(crate) fn fits_one_card(&mut self, shape: ShapeKey, ask: impl FnOnce() -> bool) -> bool {
-        *self.fits.entry(shape).or_insert_with(ask)
     }
 
     /// Hold the blocked set to its definition: if it is the set of
@@ -583,13 +529,21 @@ pub(crate) fn shape_key(job: &JobSpec) -> ShapeKey {
     )
 }
 
+/// Per (workload, batch, kind, preset): its [`Row`] of answers, boxed so the
+/// map's entries stay small. A rung hashes once, here; its devices then
+/// index by level.
+type Rows = FxHashMap<(Workload, usize, JobKind, PolicyPreset), Box<Row>>;
+
+/// `job`'s row under `preset` in `rows`, empty the first time.
+fn row_of<'a>(rows: &'a mut Rows, job: &JobSpec, preset: PolicyPreset) -> &'a mut Row {
+    let shape = (job.workload, job.batch, job.kind, preset);
+    rows.entry(shape).or_insert_with(|| Box::new(Row::EMPTY))
+}
+
 /// What admission keeps from rung to rung, for one run of one simulator.
 #[derive(Default)]
 pub(crate) struct AdmitScratch {
-    /// Per (workload, batch, kind, preset): its [`Row`] of answers, boxed so
-    /// the map's entries stay small. A rung hashes once, here; its devices
-    /// then index by level.
-    rows: FxHashMap<(Workload, usize, JobKind, PolicyPreset), Box<Row>>,
+    rows: Rows,
     /// The gang a rung holds so far, best first.
     best: Vec<Candidate>,
     /// Placement lists finished runs gave back, cleared, for the next
@@ -598,6 +552,13 @@ pub(crate) struct AdmitScratch {
 }
 
 impl AdmitScratch {
+    /// How many levels the rows resolved: one prediction each, however
+    /// many devices read it.
+    pub(crate) fn levels_resolved(&self) -> usize {
+        let levels = self.rows.values().map(|row| row.resolved.count_ones());
+        levels.sum::<u32>() as usize
+    }
+
     /// Keep a finished run's placement list for a later grant.
     pub(crate) fn recycle(&mut self, mut placements: Vec<Placement>) {
         placements.clear();
@@ -613,9 +574,9 @@ impl ClusterSim {
     ///
     /// The prediction budget is the device's free bytes rounded *down* to a
     /// 1/32-of-DRAM quantum: still sound (the predicted peak fits under the
-    /// real free space), but the profiler's memo key space collapses from
-    /// "every reservation state ever" to at most 63 budgets for the card —
-    /// and a rung reads them off each device's level and the shape's
+    /// real free space), but the budgets asked collapse from "every
+    /// reservation state ever" to at most 63 for the card — and a rung
+    /// reads them off each device's level and the shape's
     /// [`Row`], resolving the levels `index` says its devices show and
     /// visiting them in its order only until no later one could win (see the
     /// module docs). The ladder itself stays serial — a stronger preset is
@@ -631,10 +592,7 @@ impl ClusterSim {
             return None; // an empty gang is not a schedulable job
         }
         for preset in ladder_for(job) {
-            let row = scratch
-                .rows
-                .entry((job.workload, job.batch, job.kind, preset))
-                .or_insert_with(|| Box::new(Row::EMPTY));
+            let row = row_of(&mut scratch.rows, job, preset);
             // Level 0 offers no bytes: never asked, so never answered.
             row.resolve(index.present & !1, &self.profiler, job, preset, self.spec());
             // FirstFit walks index order; BestFit and BinPack ascending free
@@ -678,11 +636,11 @@ impl ClusterSim {
     }
 
     /// Whether [`ClusterSim::try_admit`] written straight down — every
-    /// device asked of the profiler at its quantized budget, the fitting
+    /// device asked of the plan memo at its quantized budget, the fitting
     /// ones, gathered in `fitting`, sorted, the first `replicas` taken —
     /// answers `grant` for a job of `shape`: the oracle debug builds hold
-    /// the rung to. It asks the keys the rung asks, so running it moves no
-    /// count, and it allocates nothing once `fitting` has grown.
+    /// the rung to. It resolves no row, so running it moves no count, and
+    /// it allocates nothing once `fitting` has grown.
     pub(crate) fn admits_as_plain(
         &self,
         devices: &[DeviceState],
@@ -769,23 +727,26 @@ impl ClusterSim {
     /// group interpreter on the pacing replica's capped device: the measured
     /// step overlaps bucketed all-reduce with backward compute, and its
     /// per-replica peak is the reservation this grant holds, so a granted
-    /// gang always runs. Solo training and inference replicas keep the
-    /// plan's analytic estimate.
-    pub(crate) fn step_time(&self, job: &JobSpec, grant: &Grant) -> SimTime {
+    /// gang always runs. The row that granted the pacing replica's level
+    /// names its plan, so no plan memo is asked. Solo training and
+    /// inference replicas keep the plan's analytic estimate.
+    pub(crate) fn step_time(
+        &self,
+        job: &JobSpec,
+        grant: &Grant,
+        scratch: &AdmitScratch,
+    ) -> SimTime {
         match job.kind {
             JobKind::Training if job.replicas > 1 => {
                 let pace = grant.slowest().expect("a gang grant places its replicas");
+                let (w, batch, preset) = (job.workload, job.batch, grant.preset);
+                let row = &scratch.rows[&(w, batch, job.kind, preset)];
+                let level = (pace.budget / self.quantum) as usize;
+                debug_assert!(row.resolved >> level & 1 == 1, "level {level} was granted");
+                let (spec, ic) = (self.spec(), self.fleet.interconnect);
+                let key = GangKey::new(w, batch, preset, job.replicas, spec, row.from[level], ic);
                 self.profiler
-                    .gang_step_capped(
-                        job.workload,
-                        job.batch,
-                        grant.preset,
-                        job.replicas,
-                        self.card,
-                        self.spec(),
-                        pace.budget,
-                        self.fleet.interconnect,
-                    )
+                    .gang_step(key, spec, pace.budget, ic)
                     .expect("a gang runs within the reservations it was granted")
             }
             _ => grant.replica_iter_time(),
@@ -793,17 +754,17 @@ impl ClusterSim {
     }
 
     /// Whether some rung of `job`'s ladder fits one idle card: with `n` idle
-    /// devices a gang of `1 ≤ replicas ≤ n` fits exactly then. It asks what
-    /// admission asks of an idle device, the card's full quantized budget.
-    pub(crate) fn fits_one_idle_card(&self, job: &JobSpec) -> bool {
-        let spec = self.spec();
-        let budget = quantized_budget(spec, spec.dram_bytes);
-        let (w, batch, kind) = (job.workload, job.batch, job.kind);
-        let fits = |preset| {
-            self.profiler
-                .profile_kind(w, batch, preset, kind, spec, budget)
-        };
-        budget > 0 && ladder_for(job).any(|preset| fits(preset).is_some())
+    /// devices a gang of `1 ≤ replicas ≤ n` fits exactly then. It reads what
+    /// admission reads for an idle device: each rung's row at the card's
+    /// full level, resolved there once a run.
+    pub(crate) fn fits_one_idle_card(&self, job: &JobSpec, scratch: &mut AdmitScratch) -> bool {
+        let full = self.spec().dram_bytes / self.quantum;
+        full > 0
+            && ladder_for(job).any(|preset| {
+                let row = row_of(&mut scratch.rows, job, preset);
+                row.resolve(1 << full, &self.profiler, job, preset, self.spec());
+                row.answer(full as u8).is_some()
+            })
     }
 
     /// Why `job` can never run here, for a job that is infeasible on the
@@ -837,36 +798,17 @@ mod tests {
 
     #[test]
     fn profiler_memoizes() {
+        // Asked again, a shape answers alike; every preset and kind of it
+        // shares its one net.
         let p = Profiler::new();
         let w = Workload::Synthetic { width: 8, depth: 2 };
         let spec = DeviceSpec::k40c();
-        let a = p.profile_kind(
-            w,
-            8,
-            PolicyPreset::Superneurons,
-            JobKind::Training,
-            &spec,
-            spec.dram_bytes,
-        );
-        let b = p.profile_kind(
-            w,
-            8,
-            PolicyPreset::Superneurons,
-            JobKind::Training,
-            &spec,
-            spec.dram_bytes,
-        );
-        assert_eq!(a, b);
-        assert_eq!(p.simulated(), 1);
-        p.profile_kind(
-            w,
-            8,
-            PolicyPreset::Baseline,
-            JobKind::Training,
-            &spec,
-            spec.dram_bytes,
-        );
-        assert_eq!(p.simulated(), 2);
+        let ask = |preset, kind| p.profile_kind(w, 8, preset, kind, &spec, spec.dram_bytes);
+        let a = ask(PolicyPreset::Superneurons, JobKind::Training);
+        assert!(a.is_some());
+        assert_eq!(a, ask(PolicyPreset::Superneurons, JobKind::Training));
+        ask(PolicyPreset::Baseline, JobKind::Inference);
+        assert_eq!(lock(&p.nets).len(), 1, "one net for the shape");
     }
 
     #[test]
@@ -884,13 +826,14 @@ mod tests {
         );
         let died = std::thread::scope(|s| {
             s.spawn(|| {
-                let _held = (p.cache.lock(), p.gang.lock());
+                let _held = (p.nets.lock(), p.gang.lock());
                 panic!("poisoning the profiler's locks on purpose");
             })
             .join()
         });
-        assert!(died.is_err() && p.cache.is_poisoned() && p.gang.is_poisoned());
-        // A hit, a miss, and a gang measurement, all behind poisoned locks.
+        assert!(died.is_err() && p.nets.is_poisoned() && p.gang.is_poisoned());
+        // A net hit, a net miss, and a gang measurement, all behind poisoned
+        // locks.
         let again = p.profile_kind(
             w,
             8,
@@ -903,7 +846,7 @@ mod tests {
         assert!(p
             .profile_kind(
                 w,
-                8,
+                16,
                 PolicyPreset::Baseline,
                 JobKind::Inference,
                 &spec,
@@ -919,7 +862,7 @@ mod tests {
             Interconnect::pcie(),
         );
         assert!(step.is_some());
-        assert_eq!((p.simulated(), p.gangs_measured()), (2, 1));
+        assert_eq!((lock(&p.nets).len(), p.gangs_measured()), (2, 1));
     }
 
     #[test]
@@ -1007,9 +950,9 @@ mod tests {
     #[test]
     fn memo_key_includes_the_device_cap() {
         // The planner adapts to the capped DRAM — a peak compiled for a
-        // larger cap must never be served for a smaller one. Two budgets on
-        // the same card must produce two cache entries (and, under real
-        // pressure, different adaptive peaks).
+        // larger cap must never be served for a smaller one. The roomy
+        // plan's caps must not hold the tight budget (and, under real
+        // pressure, the adaptive peaks differ).
         let p = Profiler::new();
         let w = Workload::Synthetic {
             width: 64,
@@ -1036,7 +979,11 @@ mod tests {
                 48 << 20,
             )
             .expect("adapts under a 48 MB cap");
-        assert_eq!(p.simulated(), 2, "distinct caps must not share an entry");
+        let (_, caps) = p.answer(w, 32, PolicyPreset::Superneurons, JobKind::Training, &spec);
+        assert!(
+            !caps.contains(&(48 << 20)),
+            "distinct caps must not share an answer: {caps:?}"
+        );
         assert!(tight.peak_bytes <= 48 << 20);
         assert!(
             tight.peak_bytes < roomy.peak_bytes,
@@ -1074,7 +1021,6 @@ mod tests {
                 spec.dram_bytes,
             )
             .unwrap();
-        assert_eq!(p.simulated(), 2, "kinds must not alias in the memo key");
         assert!(
             infer.peak_bytes < train.peak_bytes,
             "forward-only {} must undercut training {}",
@@ -1084,23 +1030,18 @@ mod tests {
         assert!(infer.iter_time < train.iter_time);
     }
 
-    /// `present` resolved on a 96 MB card twice, each on a fresh profiler:
-    /// by intervals, and level by level (one cold level a call, so every
-    /// level is asked). Each row, with its profiler's `simulated()`.
-    fn by_intervals_and_by_levels(
-        job: &JobSpec,
-        preset: PolicyPreset,
-        present: u64,
-    ) -> [(Row, usize); 2] {
+    /// `present` resolved on a 96 MB card twice: by intervals, and level by
+    /// level (one cold level a call, so every level is asked).
+    fn by_intervals_and_by_levels(job: &JobSpec, preset: PolicyPreset, present: u64) -> [Row; 2] {
         let spec = DeviceSpec::k40c().with_dram(96 << 20);
-        let (by_intervals, by_levels) = (Profiler::new(), Profiler::new());
+        let p = Profiler::new();
         let mut a = Row::EMPTY;
-        a.resolve(present, &by_intervals, job, preset, &spec);
+        a.resolve(present, &p, job, preset, &spec);
         let mut b = Row::EMPTY;
         for l in (0..64).filter(|l| present >> l & 1 == 1) {
-            b.resolve(1 << l, &by_levels, job, preset, &spec);
+            b.resolve(1 << l, &p, job, preset, &spec);
         }
-        [(a, by_intervals.simulated()), (b, by_levels.simulated())]
+        [a, b]
     }
 
     proptest::proptest! {
@@ -1137,17 +1078,17 @@ mod tests {
         let p = Profiler::new();
         let (mut oom, mut bound, mut open) = (0, 0, 0);
         for l in 1..=32 {
-            let key = ProfileKey {
-                workload: w,
-                batch: 32,
-                preset: PolicyPreset::Superneurons,
-                kind: JobKind::Training,
-                card: spec.card_fingerprint(),
-                cap: l * quantum(&spec),
-            };
-            match p.answer(key, &spec) {
-                (None, caps) => oom += usize::from(caps == (key.cap..=key.cap)),
-                (Some(_), caps) if caps == (key.cap..=key.cap) => bound += 1,
+            let cap = l * quantum(&spec);
+            let capped = spec.clone().with_dram(cap);
+            match p.answer(
+                w,
+                32,
+                PolicyPreset::Superneurons,
+                JobKind::Training,
+                &capped,
+            ) {
+                (None, caps) => oom += usize::from(caps == (cap..=cap)),
+                (Some(_), caps) if caps == (cap..=cap) => bound += 1,
                 (Some(_), caps) => open += usize::from(*caps.end() == u64::MAX),
             }
         }
@@ -1155,7 +1096,7 @@ mod tests {
         let every_level = u64::from(u32::MAX) << 1;
         let [a, b] = by_intervals_and_by_levels(&job, PolicyPreset::Superneurons, every_level);
         assert_eq!(a, b);
-        assert_eq!(a.1, 32, "every level recorded under its own cap");
+        assert_eq!(a.resolved, every_level, "every level resolved");
     }
 
     #[test]
@@ -1165,16 +1106,10 @@ mod tests {
             depth: 3,
         };
         let spec = DeviceSpec::k40c();
-        let card = spec.card_fingerprint();
-        let replica = ProfileKey {
-            workload: w,
-            batch: 16,
-            preset: PolicyPreset::Superneurons,
-            kind: JobKind::Training,
-            card,
-            cap: spec.dram_bytes,
-        };
-        let caps = Profiler::new().answer(replica, &spec).1;
+        let preset = PolicyPreset::Superneurons;
+        let caps = Profiler::new()
+            .answer(w, 16, preset, JobKind::Training, &spec)
+            .1;
         let lo = *caps.start();
         assert!(
             *caps.end() == u64::MAX && lo < 64 << 20,
@@ -1182,7 +1117,7 @@ mod tests {
         );
         let step = |p: &Profiler, cap: u64| {
             let ic = Interconnect::pcie();
-            p.gang_step_capped(w, 16, replica.preset, 2, card, &spec, cap, ic)
+            p.gang_step_time(w, 16, preset, 2, &spec.clone().with_dram(cap), ic)
         };
         // Measured on fresh profilers: neither answer is the other's memo.
         let at_lo = step(&Profiler::new(), lo);
@@ -1217,7 +1152,6 @@ mod tests {
                 l as u64 * (3 << 20),
             );
         }
-        assert_eq!(p.simulated(), 32);
         assert_eq!(lock(&p.nets).len(), 1, "one net for the shape");
     }
 
@@ -1237,9 +1171,12 @@ mod tests {
         )
         .with_preset(PolicyPreset::Baseline)
         .with_downgrade(false);
-        assert!(!sim.fits_one_idle_card(&job));
+        let mut scratch = AdmitScratch::default();
+        assert!(!sim.fits_one_idle_card(&job, &mut scratch));
         // With the downgrade ladder the full memory stack squeezes it in.
-        assert!(sim.fits_one_idle_card(&job.with_downgrade(true)));
+        assert!(sim.fits_one_idle_card(&job.with_downgrade(true), &mut scratch));
+        // Each check read its rungs' rows at the full level, once a rung.
+        assert_eq!(scratch.levels_resolved(), PolicyPreset::ALL.len());
     }
 
     /// Nine devices of each card a property runs over, one card a fleet: two

@@ -85,6 +85,8 @@ pub(crate) struct CoreOutcome {
     pub(crate) still_queued: u64,
     pub(crate) useful_iters: u64,
     pub(crate) wasted_iters: u64,
+    /// Admission predictions the run asked: the levels its rows resolved.
+    pub(crate) predictions: usize,
 }
 
 /// The indexed discrete-event core (see the module docs): everything a run
@@ -218,6 +220,7 @@ impl<'a, R: Recorder> Core<'a, R> {
             makespan: SimTime(self.now_ns),
             peak_live: self.jobs.capacity(),
             still_queued: self.pending.len() as u64,
+            predictions: self.scratch.levels_resolved(),
             ..self.out
         }
     }
@@ -624,7 +627,7 @@ impl<'a, R: Recorder> Core<'a, R> {
     fn start(&mut self, key: SlotKey, grant: Grant) {
         let now = self.now_ns;
         let job = self.jobs.get_mut(key).expect("started jobs are live");
-        let step = self.sim.step_time(&job.spec, &grant);
+        let step = self.sim.step_time(&job.spec, &grant, &self.scratch);
         let iters = job.spec.iterations - job.iters_done;
         let work = step.0.saturating_mul(u64::from(iters));
         if grant.placements.len() > 1 {
@@ -668,17 +671,15 @@ impl<'a, R: Recorder> Core<'a, R> {
     /// (it fits the live devices once idle — `true`, it stays queued), backs
     /// off (only an outage blocks it), or is rejected / fails. Every device
     /// is one card, so a gang of `1 ≤ replicas ≤ n` fits `n` idle devices
-    /// exactly when one rung fits one idle card: a bit asked once a shape a
-    /// run. With no device failed `live` is the fleet, so the middle way is
-    /// never taken.
+    /// exactly when one rung fits one idle card: read off the rungs' rows at
+    /// the full level, resolved once a run. With no device failed `live` is
+    /// the fleet, so the middle way is never taken.
     fn wait_or_give_up(&mut self, key: SlotKey) -> bool {
         let sim = self.sim;
         let job = self.jobs.get(key).expect("pending jobs are live");
         let replicas = job.spec.replicas;
         let fits = (1..=sim.fleet.len()).contains(&replicas)
-            && self
-                .memo
-                .fits_one_card(shape_key(&job.spec), || sim.fits_one_idle_card(&job.spec));
+            && sim.fits_one_idle_card(&job.spec, &mut self.scratch);
         if fits && replicas <= self.live {
             return true; // wait for capacity
         }
@@ -1237,7 +1238,7 @@ mod tests {
         // The same run with the schedule trace kept.
         let mut rec = FullRecorder::new(TraceSink::off(), Vec::new(), 0);
         let core = Core::new(&sim, &mut stream(), &mut rec).run();
-        let run = ClusterReport::assemble(&sim.fleet, sim.placement, rec, &core, 0);
+        let run = ClusterReport::assemble(&sim.fleet, sim.placement, rec, &core);
         assert_eq!(run.makespan, svc.makespan);
         assert!(run.trace.windows(2).all(|w| w[0].t_ns <= w[1].t_ns));
         assert!(run.trace.iter().all(|e| e.t_ns <= run.makespan.0));

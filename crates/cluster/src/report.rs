@@ -245,7 +245,10 @@ pub struct ClusterReport {
     /// Per-device ∫ reserved(t) dt in byte·ns (memory-utilization
     /// numerator), exact like `busy_ns`.
     pub reserved_integral: Vec<u128>,
-    /// Distinct admission predictions the profiler simulated.
+    /// Distinct admission predictions this run asked: the budget levels its
+    /// rows resolved, one per (shape, preset, level), each answered by the
+    /// plan memo. Counted per run, so a simulator that runs again reports
+    /// the second run's alone.
     pub predictions_simulated: usize,
 }
 
@@ -288,7 +291,6 @@ impl ClusterReport {
         placement: PlacementPolicy,
         rec: FullRecorder,
         core: &CoreOutcome,
-        predictions_simulated: usize,
     ) -> ClusterReport {
         let (jobs, trace) = (rec.outcomes, rec.trace);
         // The rows recount what the core counted as it went.
@@ -325,7 +327,7 @@ impl ClusterReport {
             peak_tenants: devices.iter().map(|d| d.peak_tenants).collect(),
             busy_ns: devices.iter().map(|d| d.busy_ns).collect(),
             reserved_integral: devices.iter().map(|d| d.reserved_integral).collect(),
-            predictions_simulated,
+            predictions_simulated: core.predictions,
             jobs,
             trace,
         }

@@ -102,11 +102,11 @@
 //!   card (`ClusterSim::new` holds every device to device 0's), so every
 //!   device answers alike. A device carries its budget *level*
 //!   (`free / quantum`, re-derived in `DeviceState::alter`); a shape
-//!   carries, per preset, one row of the profiler's answers by level
+//!   carries, per preset, one row of the plan memo's answers by level
 //!   (`crate::admission::Row`). A rung reads the levels its devices show off
 //!   a census kept beside the walk order — how many devices show each level
 //!   and the bit set of those shown, moved with a device's level at every
-//!   alter — asks the profiler for those no device showed before, then
+//!   alter — asks the plan memo for those no device showed before, then
 //!   walks the devices indexing `answers[level]` and keeping the `replicas`
 //!   best: FirstFit in index order, BestFit and BinPack by ascending (free
 //!   bytes, index), an order kept (with ranks) by an insertion step at every
@@ -171,7 +171,8 @@
 //! under every test of this crate, and CI runs it over the committed
 //! `cluster`, `faults` and `service` schedules with `experiments` built under
 //! `--config profile.release.debug-assertions=true`. Built that way, the
-//! `service` run takes 16–21 s against 16–20 s unchecked (2-vCPU host); it
+//! `service` run takes 15–20 s against 13–24 s unchecked (a shared 2-vCPU
+//! host, whose spread is larger than the checks' cost); it
 //! took 114 s while the blocked-set check asked the ladder once per queued
 //! job rather than once per refused shape. A `serve_mixed` pass under the
 //! checker and every other debug oracle still costs ≈ 18× an unchecked one
@@ -201,15 +202,14 @@ use crate::placement::PlacementPolicy;
 use crate::report::{ClusterMetrics, ClusterReport, FullRecorder, ServiceReport, StreamRecorder};
 use crate::stream::{ArrivalStream, ReplayStream};
 
-/// The cluster scheduler: a fleet of one card, a placement policy, and a
-/// memoizing admission profiler.
+/// The cluster scheduler: a fleet of one card, a placement policy, and an
+/// admission profiler that keeps its nets and gang measurements.
 pub struct ClusterSim {
     /// Fixed once the simulator is built: every device is device 0's card.
     pub(crate) fleet: Fleet,
     pub(crate) placement: PlacementPolicy,
-    /// The fleet's card fingerprint and budget [`quantum`]: every device
-    /// shares every admission answer (see [`Row`](crate::admission::Row)).
-    pub(crate) card: (u64, u64),
+    /// The fleet's budget [`quantum`]: every device shares every admission
+    /// answer (see [`Row`](crate::admission::Row)).
     pub(crate) quantum: u64,
     pub(crate) profiler: Profiler,
     sink: TraceSink,
@@ -229,7 +229,6 @@ impl ClusterSim {
             panic!("a fleet is one card: device {d} is not device 0's card and DRAM");
         }
         ClusterSim {
-            card: spec.card_fingerprint(),
             quantum: quantum(spec),
             fleet,
             placement,
@@ -309,8 +308,7 @@ impl ClusterSim {
         let mut rec = FullRecorder::new(self.sink.clone(), tracks, arrivals.len());
         let mut stream = ReplayStream::new(arrivals);
         let core = Core::new(self, &mut stream, &mut rec).run();
-        let predictions = self.profiler.simulated();
-        ClusterReport::assemble(&self.fleet, self.placement, rec, &core, predictions)
+        ClusterReport::assemble(&self.fleet, self.placement, rec, &core)
     }
 
     /// Run an open-loop arrival stream to exhaustion with aggregate-only
@@ -341,6 +339,25 @@ mod tests {
         let mut fleet = Fleet::homogeneous(3, DeviceSpec::k40c(), Interconnect::pcie());
         fleet.devices[1] = DeviceSpec::k40c().with_dram(6 << 30);
         ClusterSim::new(fleet, PlacementPolicy::FirstFit);
+    }
+
+    #[test]
+    fn a_second_run_reports_its_own_predictions() {
+        // Two streams of different shapes on one simulator: the second run
+        // reports the predictions it asked, as a fresh simulator does.
+        let stream = |width| -> Vec<(SimTime, JobSpec)> {
+            let w = Workload::Synthetic { width, depth: 2 };
+            let job = |i: u64| (SimTime(i * 1_000), JobSpec::new(format!("j{i}"), w, 8));
+            (0..4).map(job).collect()
+        };
+        let fleet = Fleet::homogeneous(2, DeviceSpec::k40c(), Interconnect::pcie());
+        let mut reused = ClusterSim::new(fleet.clone(), PlacementPolicy::FirstFit);
+        let first = reused.run(stream(8));
+        let second = reused.run(stream(16));
+        let fresh = ClusterSim::new(fleet, PlacementPolicy::FirstFit).run(stream(16));
+        assert!(first.predictions_simulated > 0);
+        assert_eq!(second.predictions_simulated, fresh.predictions_simulated);
+        assert_eq!(second, fresh);
     }
 
     #[test]

@@ -134,8 +134,8 @@ impl ArrivalStream for ReplayStream {
 /// jobs drawn from a small fixed template mix. Deterministic per seed (the
 /// rand shim's `SmallRng` is a pure function of its seed), O(1) state, and
 /// deliberately *template-bounded*: a serving fleet sees a stable catalog of
-/// model shapes, so the admission profiler's memo saturates after the first
-/// few arrivals and the loop measures scheduling, not plan compilation.
+/// model shapes, so the run's rows of admission answers saturate after the
+/// first few arrivals and the loop measures scheduling, not plan compilation.
 pub struct PoissonStream {
     rng: SmallRng,
     remaining: u64,
