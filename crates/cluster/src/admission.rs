@@ -798,8 +798,8 @@ mod tests {
 
     #[test]
     fn profiler_memoizes() {
-        // Asked again, a shape answers alike; every preset and kind of it
-        // shares its one net.
+        // Asked again, a shape answers alike; another preset answers apart;
+        // every preset and kind of it shares its one net.
         let p = Profiler::new();
         let w = Workload::Synthetic { width: 8, depth: 2 };
         let spec = DeviceSpec::k40c();
@@ -807,6 +807,7 @@ mod tests {
         let a = ask(PolicyPreset::Superneurons, JobKind::Training);
         assert!(a.is_some());
         assert_eq!(a, ask(PolicyPreset::Superneurons, JobKind::Training));
+        assert_ne!(a, ask(PolicyPreset::Baseline, JobKind::Training));
         ask(PolicyPreset::Baseline, JobKind::Inference);
         assert_eq!(lock(&p.nets).len(), 1, "one net for the shape");
     }

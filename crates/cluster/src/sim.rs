@@ -171,7 +171,7 @@
 //! under every test of this crate, and CI runs it over the committed
 //! `cluster`, `faults` and `service` schedules with `experiments` built under
 //! `--config profile.release.debug-assertions=true`. Built that way, the
-//! `service` run takes 15–20 s against 13–24 s unchecked (a shared 2-vCPU
+//! `service` run takes 15–21 s against 13–24 s unchecked (a shared 2-vCPU
 //! host, whose spread is larger than the checks' cost); it
 //! took 114 s while the blocked-set check asked the ladder once per queued
 //! job rather than once per refused shape. A `serve_mixed` pass under the
