@@ -19,9 +19,10 @@ use crate::table::TextTable;
 
 const MB: u64 = 1 << 20;
 
-/// Fleet used throughout: 8 small-DRAM devices, so memory (not compute) is
-/// the contended resource for the synthetic stream.
-fn fleet() -> Fleet {
+/// The fleet of this experiment and of `service` and `faults`: 8 small-DRAM
+/// devices, so memory (not compute) is the contended resource for the
+/// synthetic stream.
+pub(crate) fn fleet() -> Fleet {
     Fleet::homogeneous(
         8,
         DeviceSpec::k40c().with_dram(96 * MB),

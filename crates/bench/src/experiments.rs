@@ -16,14 +16,6 @@ use sn_sim::DeviceSpec;
 
 use crate::table::{gb, mb, TextTable};
 
-fn k40() -> DeviceSpec {
-    DeviceSpec::k40c()
-}
-
-fn titan() -> DeviceSpec {
-    DeviceSpec::titan_xp()
-}
-
 /// One training iteration of `net` on `spec` under `policy`.
 fn iteration(net: &Net, spec: DeviceSpec, policy: Policy) -> Result<IterationReport, ExecError> {
     Executor::new(net, spec, policy)?.run_iteration()
@@ -71,13 +63,13 @@ pub fn fig2() -> String {
         // Speedup: SuperNeurons on the TITAN Xp, dynamic workspaces vs none.
         let slow = iteration(
             &net,
-            titan(),
+            DeviceSpec::titan_xp(),
             Policy {
                 workspace: sn_runtime::WorkspacePolicy::None,
                 ..Policy::superneurons()
             },
         );
-        let fast = iteration(&net, titan(), Policy::superneurons());
+        let fast = iteration(&net, DeviceSpec::titan_xp(), Policy::superneurons());
         let speedup = match (&slow, &fast) {
             (Ok(s), Ok(f)) => format!("{:.2}x", f.imgs_per_sec(batch) / s.imgs_per_sec(batch)),
             _ => "OOM".into(),
@@ -101,7 +93,7 @@ pub fn fig8() -> String {
         ("VGG16".into(), models::vgg16(16)),
         ("VGG19".into(), models::vgg19(16)),
     ];
-    let spec = titan();
+    let spec = DeviceSpec::titan_xp();
     let mut out =
         String::from("Fig. 8 — % of compute time (fwd+bwd) and % of memory by layer type\n");
     let mut t = TextTable::new(vec![
@@ -159,7 +151,7 @@ pub fn fig8() -> String {
 pub fn fig10() -> String {
     let mut out =
         String::from("Fig. 10 — stepwise memory and live tensors, AlexNet batch 200 (K40c)\n");
-    let spec = k40();
+    let spec = DeviceSpec::k40c();
     let net = models::alexnet(200);
     let mut ex = Executor::new(&net, spec.clone(), Policy::baseline()).unwrap();
     let tensors = ex.plan.tensors.len();
@@ -243,7 +235,7 @@ pub fn table1() -> String {
                 recompute: mode,
                 ..Policy::full_memory()
             };
-            let mut ex = Executor::new(&net, k40(), policy).unwrap();
+            let mut ex = Executor::new(&net, DeviceSpec::k40c(), policy).unwrap();
             let r = ex.run_iteration().unwrap();
             cells.push(format!("{}", r.counters.recompute_forwards));
             cells.push(mb(r.peak_bytes));
@@ -270,8 +262,9 @@ pub fn table2() -> String {
     let mut out = vec![];
     for (name, net) in nets {
         let batch = net.batch();
-        let cuda = iteration(&net, titan(), Policy::superneurons_cuda_alloc()).unwrap();
-        let pool = iteration(&net, titan(), Policy::superneurons()).unwrap();
+        let spec = DeviceSpec::titan_xp();
+        let cuda = iteration(&net, spec.clone(), Policy::superneurons_cuda_alloc()).unwrap();
+        let pool = iteration(&net, spec, Policy::superneurons()).unwrap();
         let (cuda_rate, pool_rate) = (cuda.imgs_per_sec(batch), pool.imgs_per_sec(batch));
         out.push((name.clone(), cuda_rate, pool_rate, pool.alloc_calls));
         t.row(vec![
@@ -294,8 +287,8 @@ pub fn table3() -> String {
     let mut t = TextTable::new(vec!["batch", "without cache (GB)", "with cache (GB)"]);
     for batch in [256usize, 384, 512, 640, 896, 1024, 1536, 2048, 2560] {
         let net = models::alexnet(batch);
-        let no_cache = iteration(&net, k40(), Policy::superneurons_no_cache());
-        let cache = iteration(&net, k40(), Policy::superneurons());
+        let no_cache = iteration(&net, DeviceSpec::k40c(), Policy::superneurons_no_cache());
+        let cache = iteration(&net, DeviceSpec::k40c(), Policy::superneurons());
         let f = |r: &Result<IterationReport, _>| match r {
             Ok(rep) => gb(rep.h2d_bytes + rep.d2h_bytes),
             Err(_) => "OOM".into(),
@@ -320,8 +313,9 @@ pub fn fig11() -> String {
     ];
     let mut t = TextTable::new(vec!["network", "without cache", "with cache"]);
     for (name, net) in nets {
-        let without = iteration(&net, titan(), Policy::superneurons_no_cache()).unwrap();
-        let with = iteration(&net, titan(), Policy::superneurons()).unwrap();
+        let spec = DeviceSpec::titan_xp();
+        let without = iteration(&net, spec.clone(), Policy::superneurons_no_cache()).unwrap();
+        let with = iteration(&net, spec, Policy::superneurons()).unwrap();
         let norm = without.imgs_per_sec(net.batch()) / with.imgs_per_sec(net.batch());
         t.row(vec![name, format!("{norm:.2}"), "1.00".into()]);
     }
@@ -337,7 +331,7 @@ pub fn fig12() -> String {
     let mut out = String::from("Fig. 12 — dynamic conv workspace allocation (AlexNet)\n");
     let run = |batch: usize, pool_gb: u64| -> (String, f64) {
         let net = models::alexnet(batch);
-        let spec = titan().with_dram(pool_gb * GB);
+        let spec = DeviceSpec::titan_xp().with_dram(pool_gb * GB);
         let mut ex = Executor::new(&net, spec, Policy::superneurons()).unwrap();
         let r = ex.run_iteration().unwrap();
         let mut s = String::new();
@@ -380,7 +374,7 @@ pub fn table4(quick: bool) -> String {
     let mut sn_depth = 0;
     let mut best_other = 0;
     for fw in Framework::ALL {
-        let d = sn_frameworks::max_resnet_depth(fw, batch, &k40(), hi);
+        let d = sn_frameworks::max_resnet_depth(fw, batch, &DeviceSpec::k40c(), hi);
         if fw == Framework::SuperNeurons {
             sn_depth = d;
         } else {
@@ -424,7 +418,7 @@ pub fn table5(quick: bool) -> String {
         let mut cells = vec![name.to_string()];
         let mut results = vec![];
         for fw in Framework::ALL {
-            let b = sn_frameworks::max_batch(fw, &build, &k40(), hi);
+            let b = sn_frameworks::max_batch(fw, &build, &DeviceSpec::k40c(), hi);
             results.push((fw, b));
             cells.push(format!("{b}"));
         }
@@ -460,7 +454,7 @@ pub fn fig13(quick: bool) -> String {
     for (name, build, hi) in table5_nets(quick) {
         let mut cells = vec![name.to_string()];
         for fw in Framework::ALL {
-            let b = sn_frameworks::max_batch(fw, &build, &k40(), hi);
+            let b = sn_frameworks::max_batch(fw, &build, &DeviceSpec::k40c(), hi);
             if b == 0 {
                 cells.push("-".into());
                 continue;
@@ -515,7 +509,8 @@ pub fn fig14(quick: bool) -> String {
         for fw in Framework::ALL {
             let mut cells = vec![fw.name().to_string()];
             for &b in &grid {
-                cells.push(match iteration(&build(b), titan(), fw.policy()) {
+                let spec = DeviceSpec::titan_xp();
+                cells.push(match iteration(&build(b), spec, fw.policy()) {
                     Ok(rep) => format!("{:.0}", rep.imgs_per_sec(b)),
                     Err(_) => "-".into(),
                 });

@@ -29,27 +29,15 @@
 //! registry and are embedded in the artifact.
 
 use sn_cluster::{
-    synthetic_stream, ClusterReport, ClusterSim, FaultPlan, Fleet, PlacementPolicy, PolicyPreset,
+    synthetic_stream, ClusterReport, ClusterSim, FaultPlan, PlacementPolicy, PolicyPreset,
     RecoveryMode, RecoveryPolicy,
 };
-use sn_runtime::Interconnect;
-use sn_sim::{DeviceSpec, SimTime};
+use sn_sim::SimTime;
 use sn_telemetry::{Json, MetricsRegistry};
 
+use crate::cluster::fleet;
 use crate::record::BenchRecord;
 use crate::table::TextTable;
-
-const MB: u64 = 1 << 20;
-
-/// Same fleet as the `cluster`/`service` experiments: 8 small-DRAM devices,
-/// memory the contended resource.
-fn fleet() -> Fleet {
-    Fleet::homogeneous(
-        8,
-        DeviceSpec::k40c().with_dram(96 * MB),
-        Interconnect::pcie(),
-    )
-}
 
 fn policy(mode: RecoveryMode) -> RecoveryPolicy {
     RecoveryPolicy::default().with_mode(mode)

@@ -71,23 +71,14 @@ fn matrix(quick: bool) -> Vec<(&'static str, models::NetBuilder, usize)> {
     }
 }
 
-fn presets() -> [(&'static str, Policy); 5] {
-    [
-        ("baseline", Policy::baseline()),
-        ("liveness_only", Policy::liveness_only()),
-        ("liveness_offload", Policy::liveness_offload()),
-        ("full_memory", Policy::full_memory()),
-        ("superneurons", Policy::superneurons()),
-    ]
-}
-
 /// The exactness matrix (no I/O).
 pub fn measure_matrix(quick: bool) -> Vec<PlanRow> {
     let spec = DeviceSpec::k40c();
     let mut rows = Vec::new();
     for (model, build, batch) in matrix(quick) {
         let net = build(batch);
-        for (pname, policy) in presets() {
+        for preset in PolicyPreset::ALL {
+            let (pname, policy) = (preset.name(), preset.policy());
             let plan_peak = plan_prediction(&net, &spec, policy)
                 .expect("matrix nets fit a 12 GB device")
                 .peak_bytes;

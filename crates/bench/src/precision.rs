@@ -21,7 +21,7 @@
 use sn_graph::Precision;
 use sn_models as models;
 use sn_runtime::session::max_feasible_param;
-use sn_runtime::{plan_prediction, Executor, Policy};
+use sn_runtime::{plan_prediction, Executor, Policy, PolicyPreset};
 use sn_sim::spec::GB;
 use sn_sim::DeviceSpec;
 use sn_telemetry::Json;
@@ -82,13 +82,6 @@ fn precisions() -> [(&'static str, Precision); 2] {
     ]
 }
 
-fn presets() -> [(&'static str, Policy); 2] {
-    [
-        ("baseline", Policy::baseline()),
-        ("superneurons", Policy::superneurons()),
-    ]
-}
-
 /// The exactness matrix (no I/O): plan peak vs executed peak for
 /// every GPT × precision × preset cell on the 12 GB device.
 pub fn measure_matrix(quick: bool) -> Vec<PrecisionRow> {
@@ -97,8 +90,8 @@ pub fn measure_matrix(quick: bool) -> Vec<PrecisionRow> {
     for (model, build, batch, seq) in matrix(quick) {
         let net = build(batch, seq);
         for (pname, precision) in precisions() {
-            for (preset, policy) in presets() {
-                let policy = policy.with_precision(precision);
+            for preset in [PolicyPreset::Baseline, PolicyPreset::Superneurons] {
+                let policy = preset.policy().with_precision(precision);
                 let plan_peak = plan_prediction(&net, &spec, policy)
                     .expect("GPT matrix fits a 12 GB device")
                     .peak_bytes;
@@ -111,7 +104,7 @@ pub fn measure_matrix(quick: bool) -> Vec<PrecisionRow> {
                     batch,
                     seq,
                     precision: pname,
-                    preset,
+                    preset: preset.name(),
                     plan_peak,
                     executed_peak,
                 });

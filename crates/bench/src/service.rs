@@ -24,20 +24,11 @@ use sn_runtime::Interconnect;
 use sn_sim::{DeviceSpec, SimTime};
 use sn_telemetry::Json;
 
+use crate::cluster::fleet;
 use crate::record::BenchRecord;
 use crate::table::TextTable;
 
 const MB: u64 = 1 << 20;
-
-/// Same fleet as the `cluster` experiment: 8 small-DRAM devices, memory the
-/// contended resource. Used for the bench stream and the load sweep.
-fn fleet() -> Fleet {
-    Fleet::homogeneous(
-        8,
-        DeviceSpec::k40c().with_dram(96 * MB),
-        Interconnect::pcie(),
-    )
-}
 
 /// The serving fleet for the second schedule: 64 devices, where memory
 /// admits many tenants per device and hundreds of gangs run concurrently.

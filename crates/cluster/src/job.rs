@@ -1,8 +1,10 @@
 //! Job descriptions: what a tenant wants to train, at what scale, and under
-//! which memory-scheduling policy.
+//! which memory-scheduling policy. The policy presets are `sn_runtime`'s
+//! one table ([`PolicyPreset`], re-exported here); admission walks them as
+//! a ladder.
 
 use sn_graph::Net;
-use sn_runtime::Policy;
+pub use sn_runtime::PolicyPreset;
 
 /// Which network a job trains. An enum (rather than a boxed builder closure)
 //  keeps `JobSpec` cloneable, hashable for profile memoization, and
@@ -81,57 +83,6 @@ impl JobKind {
             JobKind::Training => "training",
             JobKind::Inference => "inference",
         }
-    }
-}
-
-/// The paper's policy presets, ordered from weakest to strongest memory
-/// efficiency. Admission control walks this ladder when a requested preset
-/// does not fit: a stronger preset trades (virtual) compute and PCIe traffic
-/// for a smaller `peak_m`, letting more tenants share one device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum PolicyPreset {
-    Baseline,
-    LivenessOnly,
-    LivenessOffload,
-    // The schedule digests hash these two discriminants: keep them pinned.
-    FullMemory = 4,
-    Superneurons = 5,
-}
-
-impl PolicyPreset {
-    pub const ALL: [PolicyPreset; 5] = [
-        PolicyPreset::Baseline,
-        PolicyPreset::LivenessOnly,
-        PolicyPreset::LivenessOffload,
-        PolicyPreset::FullMemory,
-        PolicyPreset::Superneurons,
-    ];
-
-    /// The runtime policy bundle this preset names.
-    pub fn policy(self) -> Policy {
-        match self {
-            PolicyPreset::Baseline => Policy::baseline(),
-            PolicyPreset::LivenessOnly => Policy::liveness_only(),
-            PolicyPreset::LivenessOffload => Policy::liveness_offload(),
-            PolicyPreset::FullMemory => Policy::full_memory(),
-            PolicyPreset::Superneurons => Policy::superneurons(),
-        }
-    }
-
-    pub fn name(self) -> &'static str {
-        match self {
-            PolicyPreset::Baseline => "baseline",
-            PolicyPreset::LivenessOnly => "liveness_only",
-            PolicyPreset::LivenessOffload => "liveness_offload",
-            PolicyPreset::FullMemory => "full_memory",
-            PolicyPreset::Superneurons => "superneurons",
-        }
-    }
-
-    /// The fallback ladder starting at `self`: this preset, then every
-    /// memory-stronger one up to the full `superneurons` stack.
-    pub fn ladder(self) -> impl Iterator<Item = PolicyPreset> {
-        PolicyPreset::ALL.into_iter().filter(move |p| *p >= self)
     }
 }
 

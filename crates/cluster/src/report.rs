@@ -7,6 +7,7 @@ use std::hash::{Hash, Hasher};
 use std::ops::Deref;
 
 use fxhash::FxHasher;
+use sn_runtime::executor::finite_rate;
 use sn_sim::SimTime;
 use sn_telemetry::{ArgValue, Counter, Histogram, Json, MetricsRegistry, TraceSink, TrackId};
 
@@ -272,17 +273,6 @@ pub(crate) fn percentile(sorted: &[SimTime], q: f64) -> SimTime {
     sorted[rank.min(sorted.len()) - 1]
 }
 
-/// `count` per virtual second over `makespan`, with a zero-duration guard:
-/// a run with no elapsed time (e.g. an empty stream) reports 0.0, never
-/// inf or NaN. All goodput/raw-throughput rates go through this.
-pub(crate) fn safe_rate(count: u64, makespan: SimTime) -> f64 {
-    if makespan.0 == 0 {
-        0.0
-    } else {
-        count as f64 / makespan.as_secs_f64()
-    }
-}
-
 impl ClusterReport {
     /// The summary with exact latency figures from the job rows: nearest-rank
     /// percentiles and the mean admission wait.
@@ -414,7 +404,7 @@ pub struct ServiceReport {
     /// Iterations executed but lost to interruptions.
     pub wasted_iterations: u64,
     /// Useful iterations per virtual second; 0 on a zero makespan (never
-    /// inf/NaN — see `safe_rate`).
+    /// inf/NaN — see `finite_rate`).
     pub goodput_iters_per_sec: f64,
     /// All executed iterations (useful + wasted) per virtual second, same
     /// zero-duration guard.
@@ -468,11 +458,11 @@ impl ServiceReport {
             restarts: core.restarts,
             useful_iterations: core.useful_iters,
             wasted_iterations: core.wasted_iters,
-            goodput_iters_per_sec: safe_rate(core.useful_iters, makespan),
-            raw_iters_per_sec: safe_rate(core.useful_iters + core.wasted_iters, makespan),
+            goodput_iters_per_sec: finite_rate(core.useful_iters, makespan),
+            raw_iters_per_sec: finite_rate(core.useful_iters + core.wasted_iters, makespan),
             events: core.events,
             makespan,
-            jobs_per_sec: safe_rate(core.completed, makespan),
+            jobs_per_sec: finite_rate(core.completed, makespan),
             p50_latency,
             p99_latency,
             p999_latency,
@@ -936,19 +926,5 @@ mod tests {
     fn percentile_rejects_q_above_one() {
         let v = [SimTime::from_us(1)];
         percentile(&v, 1.5);
-    }
-
-    #[test]
-    fn safe_rate_guards_zero_durations() {
-        // The satellite contract: goodput/raw rates are never inf or NaN,
-        // even for zero-duration runs (empty stream) or zero counts.
-        assert_eq!(safe_rate(0, SimTime::ZERO), 0.0);
-        assert_eq!(safe_rate(1_000_000, SimTime::ZERO), 0.0);
-        let r = safe_rate(10, SimTime::from_ms(1));
-        assert!(r.is_finite() && !r.is_nan());
-        assert_eq!(r, 10_000.0, "10 iters over 1 ms is 10k/s");
-        assert_eq!(safe_rate(0, SimTime::from_ms(1)), 0.0);
-        // u64::MAX counts over 1 ns stay finite (f64 range is ample).
-        assert!(safe_rate(u64::MAX, SimTime(1)).is_finite());
     }
 }

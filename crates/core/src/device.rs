@@ -3,6 +3,7 @@
 //! [`Timeline`], since [`crate::CompiledPlan::verify`] proved the grants fit.
 
 use sn_mempool::{HeapPool, ALLOC_LATENCY, BLOCK_BYTES, FREE_LATENCY};
+use sn_sim::alloc::{granules, CUDA_GRANULE};
 use sn_sim::spec::MB;
 use sn_sim::{
     AllocError, AllocGrant, AllocId, CudaAllocator, DeviceAllocator, DeviceSpec, SimTime, Timeline,
@@ -172,7 +173,7 @@ impl SimDevice {
             }
             AllocatorKind::Cuda => {
                 let (base, per_mib) = (spec.malloc_base, spec.malloc_per_mib);
-                (256, spec.dram_bytes, base, per_mib, spec.free_base)
+                (CUDA_GRANULE, spec.dram_bytes, base, per_mib, spec.free_base)
             }
         };
         SimDevice {
@@ -188,7 +189,7 @@ impl SimDevice {
 
     /// The granules a grant of `bytes` takes.
     pub(crate) fn granules(&self, bytes: u64) -> u64 {
-        ((bytes.max(1) - 1) >> self.shift) + 1
+        granules(bytes, self.shift)
     }
 
     /// The bytes `granules` span.

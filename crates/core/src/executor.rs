@@ -51,7 +51,7 @@
 use std::sync::Arc;
 
 use sn_graph::liveness::{LivenessPlan, TensorId, TensorRole};
-use sn_graph::{LayerId, Net, Route, StepPhase};
+use sn_graph::{LayerId, Net, Route};
 use sn_sim::trace::Phase;
 use sn_sim::{
     DeviceSpec, Event, OverlapStats, SimTime, SpanLabel, StepRecord, StepTrace, StreamId, TraceSink,
@@ -185,15 +185,16 @@ pub struct IterationReport {
     pub loss: Option<f32>,
 }
 
-/// `batch / seconds`, guarded so zero-duration measurements report zero
+/// `count / seconds`, guarded so zero-duration measurements report zero
 /// throughput instead of `inf`/NaN — zero-cost stub layers can produce such
-/// iterations, and bench JSON must stay finite. The single implementation of
-/// that invariant for every report type.
-pub(crate) fn finite_rate(batch: usize, time: SimTime) -> f64 {
+/// iterations, an empty stream such a cluster run, and bench JSON must stay
+/// finite. The single implementation of that invariant for every report
+/// type, the cluster's included.
+pub fn finite_rate(count: u64, time: SimTime) -> f64 {
     if time == SimTime::ZERO {
         return 0.0;
     }
-    batch as f64 / time.as_secs_f64()
+    count as f64 / time.as_secs_f64()
 }
 
 impl IterationReport {
@@ -201,7 +202,7 @@ impl IterationReport {
     /// `inf`/NaN) when the iteration took no virtual time — see
     /// `finite_rate`.
     pub fn imgs_per_sec(&self, batch: usize) -> f64 {
-        finite_rate(batch, self.iter_time)
+        finite_rate(batch as u64, self.iter_time)
     }
 
     /// Fraction of transfer time hidden under compute, in `[0, 1]` (zero
@@ -463,13 +464,6 @@ struct LayerInfo {
 #[inline]
 fn copy_done(stream: StreamId, done_at: SimTime) -> Event {
     Event { done_at, stream }
-}
-
-fn sim_phase(phase: StepPhase) -> Phase {
-    match phase {
-        StepPhase::Forward => Phase::Forward,
-        StepPhase::Backward => Phase::Backward,
-    }
 }
 
 /// The executor. Owns the device and the compiled plan; borrows the network.
@@ -764,7 +758,7 @@ impl<'n> Executor<'n> {
             let step = self.route.step(s);
             Some(WorkspaceRecord {
                 name: self.layers[step.layer.0].name.clone(),
-                phase: sim_phase(step.phase),
+                phase: step.phase,
                 assigned_bytes: ws.bytes,
                 max_speed_bytes: ws.max_speed_bytes,
                 algo: ws.algo,
@@ -1052,7 +1046,7 @@ impl<'n> Executor<'n> {
 
     pub(crate) fn run_step(&mut self, s: usize) {
         let (step, duration) = (self.route.step(s), self.mplan.steps[s].duration);
-        let phase = sim_phase(step.phase);
+        let phase = step.phase;
 
         // 1. Residency ops ahead of the kernel (staging, evictions,
         //    recompute replays; workspace and transient charges folded).
@@ -1142,7 +1136,7 @@ impl<'n> Executor<'n> {
             .map(move |(s, (sample, live))| StepRecord {
                 step: s + 1,
                 layer: self.layers[self.route.step(s).layer.0].name.clone(),
-                phase: sim_phase(self.route.step(s).phase),
+                phase: self.route.step(s).phase,
                 resident_bytes: sample.resident_bytes,
                 live_tensors: live,
                 free_bytes: capacity - sample.resident_bytes,
@@ -1902,6 +1896,20 @@ mod tests {
         assert_eq!(r.imgs_per_sec(128), 0.0);
         assert!(r.imgs_per_sec(128).is_finite());
         assert_eq!(r.overlap_fraction(), 0.0);
+    }
+
+    #[test]
+    fn finite_rate_guards_zero_durations() {
+        // Goodput/raw cluster rates, like image rates, are never inf or NaN,
+        // even for zero-duration runs (empty stream) or zero counts.
+        assert_eq!(finite_rate(0, SimTime::ZERO), 0.0);
+        assert_eq!(finite_rate(1_000_000, SimTime::ZERO), 0.0);
+        let r = finite_rate(10, SimTime::from_ms(1));
+        assert!(r.is_finite() && !r.is_nan());
+        assert_eq!(r, 10_000.0, "10 iters over 1 ms is 10k/s");
+        assert_eq!(finite_rate(0, SimTime::from_ms(1)), 0.0);
+        // u64::MAX counts over 1 ns stay finite (f64 range is ample).
+        assert!(finite_rate(u64::MAX, SimTime(1)).is_finite());
     }
 
     #[test]

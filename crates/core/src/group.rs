@@ -37,7 +37,7 @@
 use std::sync::Arc;
 
 use sn_graph::{LayerId, Net, StepPhase};
-use sn_sim::{DeviceSpec, EngineKind, SimTime, SpanLabel, StreamId, TraceSink};
+use sn_sim::{DeviceSpec, EngineKind, OverlapStats, SimTime, SpanLabel, StreamId, TraceSink};
 use sn_telemetry::MetricsRegistry;
 
 use crate::executor::{finite_rate, ExecError, Executor, IterationReport};
@@ -302,11 +302,12 @@ impl GroupIterationReport {
     /// zero — never NaN/inf — when no collective ran (single replica,
     /// zero-weight nets, zero-duration iterations).
     pub fn allreduce_overlap_fraction(&self) -> f64 {
-        if self.allreduce_busy == SimTime::ZERO {
-            0.0
-        } else {
-            self.allreduce_hidden.as_ns() as f64 / self.allreduce_busy.as_ns() as f64
+        OverlapStats {
+            compute_busy: self.replica.compute_busy,
+            transfer_busy: self.allreduce_busy,
+            overlapped: self.allreduce_hidden,
         }
+        .fraction()
     }
 
     /// Collective time the overlap machinery failed to hide.
@@ -317,7 +318,7 @@ impl GroupIterationReport {
     /// Aggregate throughput of the gang for a given *per-replica* batch.
     /// Zero (never NaN/inf) for zero-duration iterations.
     pub fn imgs_per_sec(&self, per_replica_batch: usize) -> f64 {
-        finite_rate(per_replica_batch * self.replicas, self.step_time)
+        finite_rate((per_replica_batch * self.replicas) as u64, self.step_time)
     }
 }
 

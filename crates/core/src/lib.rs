@@ -67,7 +67,9 @@ pub use group::{
 };
 pub use parallel::{bucket_wire_bytes, ring_allreduce_wire_bytes, ring_wire_time, Interconnect};
 pub use plan::{CompiledPlan, Compiler, MemoryPlan, PlanOp, StepPlan, WorkspacePlan};
-pub use policy::{AllocatorKind, CachePolicy, Policy, RecomputeMode, WorkspacePolicy};
+pub use policy::{
+    AllocatorKind, CachePolicy, Policy, PolicyPreset, RecomputeMode, WorkspacePolicy,
+};
 pub use session::{
     plan_prediction, plan_prediction_caps, plan_prediction_inference, PeakPrediction,
 };

@@ -81,6 +81,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use sn_graph::liveness::{LivenessOptions, LivenessPlan, TensorId, TensorRole};
 use sn_graph::{LayerId, LayerKind, Net, NetCost, Precision, Route, StepPhase};
+use sn_sim::spec::{fold, mix, odd_keys};
 use sn_sim::{AllocGrant, DeviceAllocator, DeviceSpec, SimTime};
 use sn_telemetry::{Counter, MetricsRegistry};
 
@@ -427,32 +428,10 @@ const CAP_WORD: usize = 9;
 const ENUM_BITS: u32 = 2;
 const KEY_MIX: [u64; 10] = odd_keys(0x706c_616e_5f6b_6579);
 
-/// `N` odd multipliers drawn from SplitMix64 at `seed` (as for
-/// [`DeviceSpec::card_fingerprint`]).
-const fn odd_keys<const N: usize>(mut seed: u64) -> [u64; N] {
-    let mut keys = [0; N];
-    let mut i = 0;
-    while i < N {
-        seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let z = (seed ^ (seed >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        keys[i] = (z ^ (z >> 31)) | 1;
-        i += 1;
-    }
-    keys
-}
-
-/// Word `w`, its high half xored into its low half, times its constant `k`.
-fn fold(w: u64, k: u64) -> u64 {
-    (w ^ (w >> 32)).wrapping_mul(k)
-}
-
 impl Hash for PlanKey {
     fn hash<H: Hasher>(&self, state: &mut H) {
         let cap = fold(self.words[CAP_WORD], KEY_MIX[CAP_WORD]);
-        let sum = self.family.wrapping_add(cap);
-        let x = (sum ^ (sum >> 32)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        state.write_u64(x ^ (x >> 29));
+        state.write_u64(mix(self.family.wrapping_add(cap)));
     }
 }
 

@@ -1,8 +1,11 @@
 //! Runtime policy knobs.
 //!
 //! Every memory/performance technique of the paper is an independent switch,
-//! so the component evaluations (§4.1) are literal policy diffs, and the
-//! framework emulations of `sn-frameworks` are just preset bundles.
+//! so the component evaluations (§4.1) are literal policy diffs: each preset
+//! is its difference from the one it extends, and so is each framework
+//! emulation of `sn-frameworks`. [`PolicyPreset`] is the one list of the
+//! paper's presets, which the cluster's admission ladder, the autotuner's
+//! seeds and the experiment harness all read.
 
 /// Which device allocator backs tensor memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -220,22 +223,10 @@ impl Policy {
     /// convolution workspaces.
     pub fn superneurons() -> Policy {
         Policy {
-            liveness: true,
-            keep_all_forward: false,
-            inplace_act: false,
-            offload: true,
             eager_offload: false, // cache decides: transfer only under pressure
             tensor_cache: true,
-            prefetch: true,
-            prefetch_depth: DEFAULT_PREFETCH_DEPTH,
-            pinned_host: true,
-            sync_transfers: false,
-            recompute: RecomputeMode::CostAware,
-            allocator: AllocatorKind::HeapPool,
             workspace: WorkspacePolicy::Dynamic,
-            cache_policy: CachePolicy::Lru,
-            tiers: crate::tiers::TierConfig::default(),
-            precision: sn_graph::Precision::fp32(),
+            ..Policy::full_memory()
         }
     }
 
@@ -275,6 +266,58 @@ impl Default for Policy {
     }
 }
 
+/// The paper's policy presets, ordered from weakest to strongest memory
+/// efficiency: the one list of them. Admission control walks this ladder
+/// when a requested preset does not fit: a stronger preset trades (virtual)
+/// compute and PCIe traffic for a smaller `peak_m`, letting more tenants
+/// share one device.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum PolicyPreset {
+    Baseline,
+    LivenessOnly,
+    LivenessOffload,
+    // The schedule digests hash these two discriminants: keep them pinned.
+    FullMemory = 4,
+    Superneurons = 5,
+}
+
+impl PolicyPreset {
+    pub const ALL: [PolicyPreset; 5] = [
+        PolicyPreset::Baseline,
+        PolicyPreset::LivenessOnly,
+        PolicyPreset::LivenessOffload,
+        PolicyPreset::FullMemory,
+        PolicyPreset::Superneurons,
+    ];
+
+    /// The runtime policy bundle this preset names.
+    pub fn policy(self) -> Policy {
+        match self {
+            PolicyPreset::Baseline => Policy::baseline(),
+            PolicyPreset::LivenessOnly => Policy::liveness_only(),
+            PolicyPreset::LivenessOffload => Policy::liveness_offload(),
+            PolicyPreset::FullMemory => Policy::full_memory(),
+            PolicyPreset::Superneurons => Policy::superneurons(),
+        }
+    }
+
+    pub fn name(self) -> &'static str {
+        match self {
+            PolicyPreset::Baseline => "baseline",
+            PolicyPreset::LivenessOnly => "liveness_only",
+            PolicyPreset::LivenessOffload => "liveness_offload",
+            PolicyPreset::FullMemory => "full_memory",
+            PolicyPreset::Superneurons => "superneurons",
+        }
+    }
+
+    /// The fallback ladder starting at `self`: this preset, then every
+    /// memory-stronger one up to the full `superneurons` stack.
+    pub fn ladder(self) -> impl Iterator<Item = PolicyPreset> {
+        PolicyPreset::ALL.into_iter().filter(move |p| *p >= self)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,6 +334,33 @@ mod tests {
         assert!(sn.tensor_cache && !sn.eager_offload);
         assert_eq!(sn.recompute, RecomputeMode::CostAware);
         assert_eq!(sn.workspace, WorkspacePolicy::Dynamic);
+    }
+
+    #[test]
+    fn the_preset_table_pins_its_order_names_and_discriminants() {
+        let all = PolicyPreset::ALL;
+        // The schedule digests hash the discriminants.
+        assert_eq!(all.map(|p| p as u8), [0, 1, 2, 4, 5]);
+        let names = all.map(PolicyPreset::name);
+        let want = [
+            "baseline",
+            "liveness_only",
+            "liveness_offload",
+            "full_memory",
+            "superneurons",
+        ];
+        assert_eq!(names, want);
+        assert_eq!(
+            all.map(PolicyPreset::policy),
+            [
+                Policy::baseline(),
+                Policy::liveness_only(),
+                Policy::liveness_offload(),
+                Policy::full_memory(),
+                Policy::superneurons(),
+            ]
+        );
+        assert!(all.windows(2).all(|w| w[0] < w[1]), "weakest first");
     }
 
     #[test]

@@ -12,8 +12,12 @@
 //! tier with room, so constraining the local host pool degrades offload
 //! bandwidth gracefully instead of failing the run — the behaviour the
 //! tiered-UTP experiment (`experiments ablation`) demonstrates.
+//!
+//! Each tier, the local pinned host (the paper's preallocated pinned CPU
+//! buffer) among them, is a byte counter in [`TieredPool`]: its capacity,
+//! use and high water. A slot is its bytes, which the tensor holding it
+//! knows, so no tier keeps a per-slot record.
 
-use sn_mempool::PinnedHostPool;
 use sn_sim::{DeviceSpec, SimTime};
 
 use crate::policy::Policy;
@@ -91,63 +95,58 @@ impl Default for TierConfig {
     }
 }
 
-/// The consolidated external pool: placement, release, accounting. A
-/// tier's slot is its bytes, which the tensor holding it knows.
+/// The consolidated external pool: one byte counter per tier, indexed by
+/// `Tier as usize`. Capacity is finite: pinning beyond physical RAM fails.
 #[derive(Debug, Clone)]
 pub struct TieredPool {
-    pub(crate) peer: PinnedHostPool,
-    pub(crate) local: PinnedHostPool,
-    pub(crate) remote: PinnedHostPool,
+    capacity: [u64; 3],
+    /// Bytes reserved per tier.
+    pub(crate) used: [u64; 3],
+    high_water: [u64; 3],
 }
 
 impl TieredPool {
     pub fn new(cfg: TierConfig) -> TieredPool {
         TieredPool {
-            peer: PinnedHostPool::new(cfg.peer_gpu_bytes),
-            local: PinnedHostPool::new(cfg.local_host_bytes),
-            remote: PinnedHostPool::new(cfg.remote_bytes),
-        }
-    }
-
-    fn pool(&mut self, tier: Tier) -> &mut PinnedHostPool {
-        match tier {
-            Tier::PeerGpu => &mut self.peer,
-            Tier::LocalHost => &mut self.local,
-            Tier::Remote => &mut self.remote,
+            capacity: [cfg.peer_gpu_bytes, cfg.local_host_bytes, cfg.remote_bytes],
+            used: [0; 3],
+            high_water: [0; 3],
         }
     }
 
     /// Reserve `bytes` in the fastest tier with room, and name it. Returns
     /// `None` only when every tier is exhausted.
     pub fn reserve(&mut self, bytes: u64) -> Option<Tier> {
-        [Tier::PeerGpu, Tier::LocalHost, Tier::Remote]
+        // Against the remainder, not `used + bytes`: that sum wraps for
+        // requests near `u64::MAX` and would grant them.
+        let tier = [Tier::PeerGpu, Tier::LocalHost, Tier::Remote]
             .into_iter()
-            .find(|&tier| self.pool(tier).reserve(bytes))
+            .find(|&t| bytes <= self.capacity[t as usize] - self.used[t as usize])?;
+        let t = tier as usize;
+        self.used[t] += bytes;
+        self.high_water[t] = self.high_water[t].max(self.used[t]);
+        Some(tier)
     }
 
-    /// Return the `bytes` a reservation took in `tier`.
+    /// Return the `bytes` a reservation took in `tier`. Panics on returning
+    /// more than is reserved: a slot released twice, or with the wrong size.
     pub fn release(&mut self, tier: Tier, bytes: u64) {
-        self.pool(tier).release(bytes);
+        let used = &mut self.used[tier as usize];
+        *used = used
+            .checked_sub(bytes)
+            .expect("released more pinned bytes than are reserved");
     }
 
     /// High-water marks per tier.
     pub fn high_water(&self) -> (u64, u64, u64) {
-        (
-            self.peer.high_water(),
-            self.local.high_water(),
-            self.remote.high_water(),
-        )
+        let [peer, local, remote] = self.high_water;
+        (peer, local, remote)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Bytes used per tier: `(peer, local, remote)`.
-    fn used(p: &TieredPool) -> (u64, u64, u64) {
-        (p.peer.used(), p.local.used(), p.remote.used())
-    }
 
     #[test]
     fn placement_prefers_fastest_tier() {
@@ -167,14 +166,32 @@ mod tests {
             p.reserve(60).unwrap();
         }
         assert!(p.reserve(u64::MAX).is_none(), "60 + u64::MAX must not wrap");
-        assert_eq!(used(&p), (60, 60, 60));
+        assert_eq!(p.used, [60, 60, 60]);
+    }
+
+    #[test]
+    fn a_request_that_would_wrap_the_sum_is_refused() {
+        let mut p = TieredPool::new(TierConfig::local_only(1000));
+        assert_eq!(p.reserve(400), Some(Tier::LocalHost));
+        assert!(p.reserve(u64::MAX - 399).is_none(), "400 + this wraps to 0");
+        assert_eq!((p.used, p.high_water()), ([0, 400, 0], (0, 400, 0)));
+        assert_eq!(p.reserve(600), Some(Tier::LocalHost), "the remainder");
+    }
+
+    #[test]
+    #[should_panic(expected = "released more pinned bytes")]
+    fn a_double_release_panics() {
+        let mut p = TieredPool::new(TierConfig::local_only(100));
+        let tier = p.reserve(50).unwrap();
+        p.release(tier, 50);
+        p.release(tier, 50);
     }
 
     #[test]
     fn local_only_skips_disabled_tiers() {
         let mut p = TieredPool::new(TierConfig::local_only(1000));
         assert_eq!(p.reserve(10), Some(Tier::LocalHost));
-        assert_eq!(used(&p), (0, 10, 0));
+        assert_eq!(p.used, [0, 10, 0]);
     }
 
     #[test]
@@ -194,6 +211,6 @@ mod tests {
         p.release(a, 40);
         p.release(b, 40);
         assert_eq!(p.high_water(), (40, 40, 0));
-        assert_eq!(used(&p), (0, 0, 0));
+        assert_eq!(p.used, [0, 0, 0]);
     }
 }

@@ -57,7 +57,9 @@ use crate::executor::ExecError;
 use crate::group::{compile_group_in, GroupConfig, GroupExecutor, DEFAULT_BUCKET_BYTES};
 use crate::parallel::Interconnect;
 use crate::plan::Compiler;
-use crate::policy::{AllocatorKind, CachePolicy, Policy, RecomputeMode, WorkspacePolicy};
+use crate::policy::{
+    AllocatorKind, CachePolicy, Policy, PolicyPreset, RecomputeMode, WorkspacePolicy,
+};
 use crate::tiers::TierConfig;
 
 /// Prefetch-ahead windows the sampler draws from (the hand presets all sit
@@ -320,24 +322,20 @@ fn random_candidate(rng: &mut SmallRng, cfg: &TuneConfig) -> Candidate {
 /// The hand presets, fp32 as every candidate is — the search's stage-0 seeds
 /// and its floor.
 fn hand_presets() -> Vec<(&'static str, Candidate)> {
-    [
-        ("baseline", Policy::baseline()),
-        ("liveness_only", Policy::liveness_only()),
-        ("liveness_offload", Policy::liveness_offload()),
-        ("full_memory", Policy::full_memory()),
-        ("superneurons", Policy::superneurons()),
-    ]
-    .into_iter()
-    .map(|(n, p)| {
-        (
-            n,
-            Candidate {
-                policy: p,
-                bucket_bytes: DEFAULT_BUCKET_BYTES,
-            },
-        )
-    })
-    .collect()
+    PolicyPreset::ALL
+        .into_iter()
+        .map(|p| {
+            let policy = p.policy();
+            let bucket_bytes = DEFAULT_BUCKET_BYTES;
+            (
+                p.name(),
+                Candidate {
+                    policy,
+                    bucket_bytes,
+                },
+            )
+        })
+        .collect()
 }
 
 /// Search state threaded through the stages.

@@ -424,7 +424,7 @@ mod tests {
         assert_eq!(utp.state(t).residence(), Residence::None);
         assert!(utp.pending_offloads.is_empty());
         assert_eq!(d.alloc.used(), 0);
-        assert_eq!(d.host.local.used(), 0);
+        assert_eq!(d.host.used, [0; 3]);
     }
 
     #[test]
@@ -536,8 +536,8 @@ mod tests {
                 let on_device = held(&utp, &|st| st.residence() == Residence::Device);
                 prop_assert_eq!(d.alloc.used(), on_device);
                 let in_tier = |tier| held(&utp, &|st| st.host_slot == Some(tier));
-                let (h, tiers) = (&d.host, [Tier::PeerGpu, Tier::LocalHost, Tier::Remote]);
-                prop_assert_eq!([h.peer.used(), h.local.used(), h.remote.used()], tiers.map(in_tier));
+                let tiers = [Tier::PeerGpu, Tier::LocalHost, Tier::Remote];
+                prop_assert_eq!(d.host.used, tiers.map(in_tier));
             }
         }
     }

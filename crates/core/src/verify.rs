@@ -18,6 +18,7 @@ use std::fmt;
 use sn_graph::liveness::TensorId;
 use sn_graph::Net;
 use sn_mempool::{HeapPool, BLOCK_BYTES};
+use sn_sim::alloc::{granules, CUDA_GRANULE};
 use sn_sim::{AllocId, DeviceAllocator, DeviceSpec};
 
 use crate::device::AllocatorImpl;
@@ -118,7 +119,8 @@ struct Model<'a> {
     /// The step's workspace and transient buffer (bytes, grant), if held.
     held: [Option<(u64, AllocId)>; 2],
     step: usize,
-    granule: u64,
+    /// log2 of the allocator's granule.
+    shift: u32,
     device_cap: u64,
     host_cap: u64,
     /// The first-fit replay of a heap-pool plan's grants.
@@ -154,7 +156,7 @@ impl CompiledPlan {
                 p.reset(spec.dram_bytes);
                 (BLOCK_BYTES, p.capacity(), Some(p))
             }
-            AllocatorImpl::Cuda(c) => (256, c.capacity(), None),
+            AllocatorImpl::Cuda(c) => (CUDA_GRANULE, c.capacity(), None),
         };
         let t = policy.tiers;
         Model {
@@ -167,7 +169,7 @@ impl CompiledPlan {
             peak_step: 0,
             held: [None; 2],
             step: 0,
-            granule,
+            shift: granule.trailing_zeros(),
             device_cap,
             host_cap: [t.peer_gpu_bytes, t.local_host_bytes, t.remote_bytes]
                 .into_iter()
@@ -190,7 +192,7 @@ impl Model<'_> {
     }
 
     fn rounded(&self, bytes: u64) -> u64 {
-        bytes.max(1).div_ceil(self.granule) * self.granule
+        granules(bytes, self.shift) << self.shift
     }
 
     fn bytes(&self, t: TensorId) -> u64 {

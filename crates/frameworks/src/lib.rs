@@ -7,12 +7,12 @@
 //! policy*, so we emulate each framework as a [`Policy`] preset running on
 //! the shared simulator:
 //!
-//! | Emulation | §2.2 basis | Policy |
+//! | Emulation | §2.2 basis | Policy: its difference from the preset it extends |
 //! |---|---|---|
-//! | `CaffeLike` | static allocation; forward tensors all resident; gradient buffers reused | liveness for gradients only (`keep_all_forward`), no offload/recompute, static 16 MB-capped workspace |
-//! | `TorchLike` | same family, plus in-place ReLU/Dropout | CaffeLike + `inplace_act` |
-//! | `MXNetLike` | DAG liveness + per-layer speed-centric recomputation that "neglects non-uniform memory distribution" | liveness + `SpeedCentric` recompute, no offload |
-//! | `TensorFlowLike` | DAG liveness + swapping long-lived tensors to **pageable** host memory with on-demand (non-overlapped) transfers | liveness + eager offload, `pinned_host = false`, no prefetch, no recompute |
+//! | `Caffe` | static allocation; forward tensors all resident; gradient buffers reused | `liveness_only` + `keep_all_forward` (liveness frees gradients only), static 16 MB-capped workspace |
+//! | `Torch` | same family, plus in-place ReLU/Dropout | `Caffe` + `inplace_act` |
+//! | `MXNet` | DAG liveness + per-layer speed-centric recomputation that "neglects non-uniform memory distribution" | `liveness_only` + `SpeedCentric` recompute, static workspace |
+//! | `TensorFlow` | DAG liveness + swapping long-lived tensors to **pageable** host memory with on-demand (non-overlapped) transfers | `liveness_offload` (eager offload) without prefetch, `pinned_host = false`, static workspace |
 //! | `SuperNeurons` | the paper's runtime | everything on (`Policy::superneurons()`) |
 //!
 //! These are *emulations*: absolute numbers will not match the 2018
@@ -28,8 +28,11 @@
 
 use sn_graph::Net;
 use sn_runtime::session::max_feasible_param;
-use sn_runtime::{AllocatorKind, Policy, RecomputeMode, WorkspacePolicy};
+use sn_runtime::{Policy, RecomputeMode, WorkspacePolicy};
 use sn_sim::DeviceSpec;
+
+/// The emulated frameworks' fixed per-conv workspace limit (§2.2).
+const STATIC_WORKSPACE: WorkspacePolicy = WorkspacePolicy::Capped(16 << 20);
 
 /// The emulated frameworks, in the paper's table order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,66 +64,29 @@ impl Framework {
         }
     }
 
-    /// The policy bundle emulating this framework's memory strategy.
+    /// The policy bundle emulating this framework's memory strategy: each
+    /// is its difference from the preset it extends.
     pub fn policy(&self) -> Policy {
         match self {
             Framework::Caffe => Policy {
-                liveness: true,
                 keep_all_forward: true,
-                inplace_act: false,
-                offload: false,
-                eager_offload: false,
-                tensor_cache: false,
-                prefetch: false,
-                prefetch_depth: sn_runtime::policy::DEFAULT_PREFETCH_DEPTH,
-                pinned_host: true,
-                sync_transfers: false,
-                recompute: RecomputeMode::None,
-                allocator: AllocatorKind::HeapPool, // Caffe allocates once, up front
-                workspace: WorkspacePolicy::Capped(16 << 20),
-                cache_policy: sn_runtime::CachePolicy::Lru,
-                tiers: sn_runtime::TierConfig::default(),
-                precision: sn_graph::Precision::fp32(),
+                workspace: STATIC_WORKSPACE,
+                ..Policy::liveness_only()
             },
             Framework::Torch => Policy {
                 inplace_act: true,
                 ..Framework::Caffe.policy()
             },
             Framework::MXNet => Policy {
-                liveness: true,
-                keep_all_forward: false,
-                inplace_act: false,
-                offload: false,
-                eager_offload: false,
-                tensor_cache: false,
-                prefetch: false,
-                prefetch_depth: sn_runtime::policy::DEFAULT_PREFETCH_DEPTH,
-                pinned_host: true,
-                sync_transfers: false,
                 recompute: RecomputeMode::SpeedCentric,
-                allocator: AllocatorKind::HeapPool,
-                workspace: WorkspacePolicy::Capped(16 << 20),
-                cache_policy: sn_runtime::CachePolicy::Lru,
-                tiers: sn_runtime::TierConfig::default(),
-                precision: sn_graph::Precision::fp32(),
+                workspace: STATIC_WORKSPACE,
+                ..Policy::liveness_only()
             },
             Framework::TensorFlow => Policy {
-                liveness: true,
-                keep_all_forward: false,
-                inplace_act: false,
-                offload: true,
-                eager_offload: true,
-                tensor_cache: false,
-                prefetch: false, // on-demand fetches stall the compute stream
-                prefetch_depth: sn_runtime::policy::DEFAULT_PREFETCH_DEPTH,
+                prefetch: false,    // on-demand fetches stall the compute stream
                 pinned_host: false, // pageable staging: ~50% PCIe bandwidth
-                sync_transfers: false,
-                recompute: RecomputeMode::None,
-                allocator: AllocatorKind::HeapPool,
-                workspace: WorkspacePolicy::Capped(16 << 20),
-                cache_policy: sn_runtime::CachePolicy::Lru,
-                tiers: sn_runtime::TierConfig::default(),
-                precision: sn_graph::Precision::fp32(),
+                workspace: STATIC_WORKSPACE,
+                ..Policy::liveness_offload()
             },
             Framework::SuperNeurons => Policy::superneurons(),
         }
@@ -176,6 +142,64 @@ mod tests {
         let f2 = net.fc(a3, 10);
         net.softmax(f2);
         net
+    }
+
+    #[test]
+    fn each_emulation_is_the_module_docs_difference_from_the_baseline() {
+        let base = Policy::baseline();
+        let capped = WorkspacePolicy::Capped(16 << 20);
+        let caffe = Policy {
+            liveness: true,
+            keep_all_forward: true,
+            workspace: capped,
+            ..base
+        };
+        let want = [
+            (Framework::Caffe, caffe),
+            (
+                Framework::MXNet,
+                Policy {
+                    liveness: true,
+                    recompute: RecomputeMode::SpeedCentric,
+                    workspace: capped,
+                    ..base
+                },
+            ),
+            (
+                Framework::Torch,
+                Policy {
+                    inplace_act: true,
+                    ..caffe
+                },
+            ),
+            (
+                Framework::TensorFlow,
+                Policy {
+                    liveness: true,
+                    offload: true,
+                    eager_offload: true,
+                    pinned_host: false,
+                    workspace: capped,
+                    ..base
+                },
+            ),
+            (
+                Framework::SuperNeurons,
+                Policy {
+                    liveness: true,
+                    offload: true,
+                    tensor_cache: true,
+                    prefetch: true,
+                    recompute: RecomputeMode::CostAware,
+                    workspace: WorkspacePolicy::Dynamic,
+                    ..base
+                },
+            ),
+        ];
+        assert_eq!(want.map(|(f, _)| f), Framework::ALL);
+        for (framework, policy) in want {
+            assert_eq!(framework.policy(), policy, "{}", framework.name());
+        }
     }
 
     #[test]

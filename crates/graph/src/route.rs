@@ -10,12 +10,9 @@
 use crate::layer::LayerId;
 use crate::net::Net;
 
-/// Phase of a step within an iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StepPhase {
-    Forward,
-    Backward,
-}
+/// Phase of a step within an iteration: the simulator's trace phase, so a
+/// step's phase is its record's.
+pub use sn_sim::trace::Phase as StepPhase;
 
 /// What kind of pass the route schedules.
 ///

@@ -26,16 +26,13 @@
 //! `tests/proptest_differential.rs` holds it to a block bitmap over random
 //! traces: disjoint grants inside capacity, the lowest fitting address,
 //! and the largest fragment a scan finds.
-//! [`PinnedHostPool`] models the preallocated pinned CPU buffer that
-//! offloaded tensors land in, as a byte counter: each holder of a slot knows
-//! its tensor and its bytes, so the pool keeps capacity, use and high water.
+//! The pinned host memory offloaded tensors land in is not a pool of this
+//! crate: it is a byte counter per tier, `sn_runtime`'s `TieredPool`.
 
 use sn_sim::SimTime;
 
-pub mod host;
 pub mod pool;
 
-pub use host::PinnedHostPool;
 pub use pool::HeapPool;
 
 /// Basic storage unit of the pool; the paper uses 1 KB. A power of two:

@@ -50,6 +50,7 @@
 //! random traces, including heavily fragmented ones, by
 //! `tests/proptest_differential.rs`.
 
+use sn_sim::alloc::granules;
 use sn_sim::{AllocError, AllocGrant, AllocId, DeviceAllocator, SimTime};
 
 use crate::{ALLOC_LATENCY, BLOCK_BYTES, FREE_LATENCY};
@@ -233,16 +234,6 @@ impl HeapPool {
         (self.used_blocks, self.high_water_blocks, self.extent_blocks) = (0, 0, 0);
     }
 
-    /// Blocks needed for `bytes`: an exact `div_ceil` as shift + remainder
-    /// test. No `+ (block - 1)` pre-add, so requests near `u64::MAX` cannot
-    /// wrap (they must produce the block count `div_ceil` does, and an
-    /// OOM).
-    #[inline]
-    fn blocks_for(bytes: u64) -> u64 {
-        let bytes = bytes.max(1);
-        (bytes >> BLOCK_BYTES.trailing_zeros()) + u64::from(bytes & (BLOCK_BYTES - 1) != 0)
-    }
-
     /// Number of fragments in the empty list (diagnostic).
     pub fn empty_nodes(&self) -> usize {
         self.empty.nodes.len()
@@ -321,7 +312,7 @@ impl HeapPool {
 impl DeviceAllocator for HeapPool {
     #[inline]
     fn alloc(&mut self, bytes: u64) -> Result<AllocGrant, AllocError> {
-        let need = Self::blocks_for(bytes);
+        let need = granules(bytes, BLOCK_BYTES.trailing_zeros());
         // First-fit-and-take: the lowest-address run with enough free
         // blocks (paper: "finds the first node with enough free memory from
         // the empty list"), found and carved in one pass.

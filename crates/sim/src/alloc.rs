@@ -66,6 +66,20 @@ impl std::fmt::Display for AllocError {
 
 impl std::error::Error for AllocError {}
 
+/// `cudaMalloc`'s granularity: every grant it makes is a whole number of
+/// these bytes.
+pub const CUDA_GRANULE: u64 = 256;
+const _: () = assert!(CUDA_GRANULE.is_power_of_two());
+
+/// The granules of `1 << shift` bytes a grant of `bytes` takes, at least
+/// one: an exact `div_ceil` as shift plus remainder test, with no
+/// `+ (granule - 1)` pre-add, so no request, however near `u64::MAX`, wraps.
+#[inline]
+pub fn granules(bytes: u64, shift: u32) -> u64 {
+    let bytes = bytes.max(1);
+    (bytes >> shift) + u64::from(bytes & ((1 << shift) - 1) != 0)
+}
+
 /// Abstract device memory allocator.
 ///
 /// Implementations must be exact about capacity: the runtime's correctness
@@ -160,18 +174,21 @@ impl CudaAllocator {
 
 impl DeviceAllocator for CudaAllocator {
     fn alloc(&mut self, bytes: u64) -> Result<AllocGrant, AllocError> {
-        // cudaMalloc rounds to 256-byte granularity.
-        let bytes = bytes.max(1).div_ceil(256) * 256;
-        if self.used + bytes > self.capacity {
+        // cudaMalloc rounds to its granule, compared against the remainder:
+        // no request, however near `u64::MAX`, wraps the sum or the count.
+        let shift = CUDA_GRANULE.trailing_zeros();
+        let (need, free) = (granules(bytes, shift), self.capacity - self.used);
+        if need > free >> shift {
             // The cudaMalloc model never fragments (it is a capacity meter,
             // not an address-space model), so the largest "fragment" is all
             // of the free space.
             return Err(AllocError::OutOfMemory {
                 requested: bytes,
-                free: self.capacity - self.used,
-                largest: self.capacity - self.used,
+                free,
+                largest: free,
             });
         }
+        let bytes = need << shift;
         let id = self.next_id;
         self.next_id += 1;
         let addr = self.next_addr;
@@ -241,6 +258,28 @@ mod tests {
         let _g = a.alloc(MB - 256).unwrap();
         let err = a.alloc(512).unwrap_err();
         assert!(matches!(err, AllocError::OutOfMemory { .. }));
+    }
+
+    #[test]
+    fn a_near_max_request_is_refused_without_overflow() {
+        // Rounding up by multiplying back, or testing `used + bytes`, wraps
+        // for these: a panic in a debug build, a wrapped grant in release.
+        let mut a = alloc();
+        let _g = a.alloc(1000).unwrap();
+        for bytes in [u64::MAX - 255, u64::MAX - 10, u64::MAX] {
+            let oom = AllocError::OutOfMemory {
+                requested: bytes,
+                free: MB - 1024,
+                largest: MB - 1024,
+            };
+            assert_eq!(a.alloc(bytes).unwrap_err(), oom);
+        }
+        assert_eq!((a.used(), a.high_water()), (1024, 1024));
+        assert_eq!(
+            a.alloc(MB - 1024).unwrap().bytes,
+            MB - 1024,
+            "the remainder"
+        );
     }
 
     #[test]

@@ -16,8 +16,9 @@ const CARD_KEYS: [[u64; 9]; 2] = [
     odd_keys(0x736e_5f64_6576_6963),
 ];
 
-/// `N` odd multipliers drawn from SplitMix64 at `seed`.
-const fn odd_keys<const N: usize>(mut seed: u64) -> [u64; N] {
+/// `N` odd multipliers drawn from SplitMix64 at `seed`: the constants of a
+/// word fold (here and the planner's memo key).
+pub const fn odd_keys<const N: usize>(mut seed: u64) -> [u64; N] {
     let mut keys = [0; N];
     let mut i = 0;
     while i < N {
@@ -28,6 +29,20 @@ const fn odd_keys<const N: usize>(mut seed: u64) -> [u64; N] {
         i += 1;
     }
     keys
+}
+
+/// Word `w`, its high half xored into its low half (a float's bits sit at
+/// the top), times its odd constant `k`: a bijection of `w`.
+#[inline]
+pub fn fold(w: u64, k: u64) -> u64 {
+    (w ^ (w >> 32)).wrapping_mul(k)
+}
+
+/// The final, bijective mix of a sum of folds.
+#[inline]
+pub fn mix(sum: u64) -> u64 {
+    let x = (sum ^ (sum >> 32)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    x ^ (x >> 29)
 }
 
 /// Static description of the simulated accelerator and its host link.
@@ -141,11 +156,7 @@ impl DeviceSpec {
             self.kernel_launch.0,
         ];
         let lane = |keys: &[u64; 9]| {
-            let sum = words.iter().zip(keys).fold(0u64, |acc, (w, k)| {
-                acc.wrapping_add((w ^ (w >> 32)).wrapping_mul(*k))
-            });
-            let x = (sum ^ (sum >> 32)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            x ^ (x >> 29)
+            mix((words.iter().zip(keys)).fold(0u64, |sum, (&w, &k)| sum.wrapping_add(fold(w, k))))
         };
         (lane(&CARD_KEYS[0]), lane(&CARD_KEYS[1]))
     }

@@ -11,7 +11,7 @@ use crate::gemm::{sgemm, sgemm_at, sgemm_bt};
 use crate::tensor::Tensor;
 
 /// Gather one batch item into a position-major `[S, d]` matrix.
-fn to_pos_major(x: &[f32], n: usize, d: usize, s: usize) -> Vec<f32> {
+pub(crate) fn to_pos_major(x: &[f32], n: usize, d: usize, s: usize) -> Vec<f32> {
     let base = n * d * s;
     let mut m = vec![0.0f32; s * d];
     for ch in 0..d {
@@ -23,7 +23,7 @@ fn to_pos_major(x: &[f32], n: usize, d: usize, s: usize) -> Vec<f32> {
 }
 
 /// Scatter a position-major `[S, d]` matrix back into one NCHW batch item.
-fn from_pos_major(m: &[f32], out: &mut [f32], n: usize, d: usize, s: usize) {
+pub(crate) fn from_pos_major(m: &[f32], out: &mut [f32], n: usize, d: usize, s: usize) {
     let base = n * d * s;
     for ch in 0..d {
         for pos in 0..s {

@@ -6,28 +6,9 @@
 //! pre-activation from the input (input-formulated), like the other
 //! transformer kernels.
 
+use crate::attention::{from_pos_major, to_pos_major};
 use crate::gemm::{sgemm, sgemm_at, sgemm_bt};
 use crate::tensor::Tensor;
-
-fn to_pos_major(x: &[f32], n: usize, d: usize, s: usize) -> Vec<f32> {
-    let base = n * d * s;
-    let mut m = vec![0.0f32; s * d];
-    for ch in 0..d {
-        for pos in 0..s {
-            m[pos * d + ch] = x[base + ch * s + pos];
-        }
-    }
-    m
-}
-
-fn from_pos_major(m: &[f32], out: &mut [f32], n: usize, d: usize, s: usize) {
-    let base = n * d * s;
-    for ch in 0..d {
-        for pos in 0..s {
-            out[base + ch * s + pos] = m[pos * d + ch];
-        }
-    }
-}
 
 /// Hidden pre-activation for one batch item: `xp·W1ᵀ + b1`, `[S, hidden]`.
 fn hidden_pre(
