@@ -60,7 +60,7 @@ use crate::report::RejectReason;
 use crate::sim::ClusterSim;
 
 /// Gang measurement key: everything a measured step depends on — the
-/// replica plan's shape and preset, the card (its
+/// replica plan's shape and preset, the card (its two rates,
 /// [`DeviceSpec::card_fingerprint`]) and the start of that plan's caps (the
 /// lowest cap of an open plan, the exact cap of a cap-bound or OOM one) —
 /// extended with the gang size and the fabric. Two budgets one replica plan

@@ -6,7 +6,7 @@ use sn_sim::SimTime;
 
 use crate::admission::{shape_key, AdmitMemo, AdmitScratch, Grant, ResumePlan};
 use crate::event_heap::{EventHeap, EventKind};
-use crate::fault::{FaultEvent, FaultPlan, RecoveryMode};
+use crate::fault::{FaultEvent, FaultPlan, RecoveryMode, MAX_RETRIES};
 use crate::job::JobSpec;
 use crate::pace::{Earliest, Pace, Progress, Tenants};
 use crate::placement::{most_tenants, ByFree, Candidate, DeviceState};
@@ -436,9 +436,9 @@ impl<'a, R: Recorder> Core<'a, R> {
         }
         let why = match sim.recovery.mode {
             RecoveryMode::NoRecovery => Some(format!("device {device} failed (no recovery)")),
-            _ if attempts >= sim.recovery.max_retries => Some(format!(
+            _ if attempts >= MAX_RETRIES => Some(format!(
                 "device {device} failed after {} retries",
-                sim.recovery.max_retries
+                MAX_RETRIES
             )),
             _ => None,
         };
@@ -696,7 +696,7 @@ impl<'a, R: Recorder> Core<'a, R> {
             self.out.events += 1;
         } else if sim.recovery.mode == RecoveryMode::NoRecovery {
             return true; // wait for the fleet to heal
-        } else if job.attempts >= sim.recovery.max_retries {
+        } else if job.attempts >= MAX_RETRIES {
             let why = format!("no live placement after {} retries", job.attempts);
             self.fail(key, &why);
         } else {

@@ -85,16 +85,19 @@ impl FaultPlan {
         self.at(t, FaultEvent::DeviceRecover { device })
     }
 
-    /// Kill `device` at `t` and revive it `outage` later.
+    /// Kill `device` at `t` and revive it `outage` later, at `u64::MAX` at
+    /// the latest.
     pub fn outage(self, t: SimTime, device: usize, outage: SimTime) -> FaultPlan {
-        self.kill(t, device).recover(t + outage, device)
+        let back = SimTime(t.0.saturating_add(outage.0));
+        self.kill(t, device).recover(back, device)
     }
 
     /// Withhold `bytes` of `device` memory from admission over
-    /// `[t, t + span)`.
+    /// `[t, t + span)`, the end saturating at `u64::MAX`.
     pub fn spike(self, t: SimTime, device: usize, bytes: u64, span: SimTime) -> FaultPlan {
+        let end = SimTime(t.0.saturating_add(span.0));
         self.at(t, FaultEvent::PressureSpike { device, bytes })
-            .at(t + span, FaultEvent::PressureRelease { device, bytes })
+            .at(end, FaultEvent::PressureRelease { device, bytes })
     }
 
     /// A seeded random fail/repair process: each of `devices` alternates
@@ -176,36 +179,25 @@ impl RecoveryMode {
     }
 }
 
-/// Checkpoint/restart and backoff knobs. All timer fields are integer
-/// [`SimTime`] nanoseconds, as is every delay derived from them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Training jobs checkpoint every this-many completed iterations; a restart
+/// resumes from the last multiple. Inference batches are independently
+/// durable (effective interval 1).
+const CHECKPOINT_INTERVAL: u32 = 4;
+/// The first retry delay; it doubles per attempt up to [`BACKOFF_CAP`].
+const BACKOFF_BASE: SimTime = SimTime::from_ms(1);
+const BACKOFF_CAP: SimTime = SimTime::from_ms(64);
+/// A job whose retries all fail past this count fails permanently.
+pub(crate) const MAX_RETRIES: u32 = 10;
+/// Seeds the deterministic per-(job, attempt) jitter.
+const JITTER_SEED: u64 = 0x5eed_fa17;
+
+/// What the scheduler does for the tenants a fault interrupts: its one
+/// setting is the [`RecoveryMode`]. The checkpoint interval, the backoff and
+/// the retry limit are the same under every mode, and every delay is integer
+/// [`SimTime`] nanoseconds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RecoveryPolicy {
     pub mode: RecoveryMode,
-    /// Training jobs checkpoint every this-many completed iterations; a
-    /// restart resumes from the last multiple. Inference batches are
-    /// independently durable (effective interval 1).
-    pub checkpoint_interval: u32,
-    /// First retry delay; doubles per attempt.
-    pub backoff_base: SimTime,
-    /// Exponential backoff saturates here.
-    pub backoff_cap: SimTime,
-    /// A job whose retries all fail past this count fails permanently.
-    pub max_retries: u32,
-    /// Seeds the deterministic per-(job, attempt) jitter.
-    pub jitter_seed: u64,
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> RecoveryPolicy {
-        RecoveryPolicy {
-            mode: RecoveryMode::Restart,
-            checkpoint_interval: 4,
-            backoff_base: SimTime::from_ms(1),
-            backoff_cap: SimTime::from_ms(64),
-            max_retries: 10,
-            jitter_seed: 0x5eed_fa17,
-        }
-    }
 }
 
 impl RecoveryPolicy {
@@ -215,22 +207,12 @@ impl RecoveryPolicy {
     }
 
     /// Capped exponential backoff with seeded jitter, in integer ns:
-    /// `min(base·2^attempt, cap)` (saturating shift) plus a deterministic
-    /// jitter in `[0, delay/4]` drawn from `(jitter_seed, job_seq, attempt)`.
-    /// Never zero, so a retry is always due strictly after the instant it
-    /// was scheduled at (unless that sum saturates at `u64::MAX`).
+    /// `min(1 ms·2^attempt, 64 ms)` (saturating shift) plus a deterministic
+    /// jitter in `[0, delay/4]` drawn from `(job_seq, attempt)`. Never zero,
+    /// so a retry is always due strictly after the instant it was scheduled
+    /// at (unless that sum saturates at `u64::MAX`).
     pub fn backoff_delay(&self, attempt: u32, job_seq: u64) -> SimTime {
-        let base = self.backoff_base.0.max(1);
-        let shifted = if attempt >= 63 {
-            u64::MAX
-        } else {
-            base.saturating_mul(1u64 << attempt.min(62))
-        };
-        let delay = shifted.min(self.backoff_cap.0.max(1));
-        let jitter = splitmix64(
-            self.jitter_seed ^ job_seq.rotate_left(17) ^ u64::from(attempt).rotate_left(41),
-        ) % (delay / 4 + 1);
-        SimTime(delay.saturating_add(jitter))
+        backoff(BACKOFF_BASE, BACKOFF_CAP, JITTER_SEED, attempt, job_seq)
     }
 
     /// Iterations retained across an interruption: the last checkpoint at
@@ -238,9 +220,23 @@ impl RecoveryPolicy {
     pub fn checkpointed(&self, kind: JobKind, done: u32) -> u32 {
         match kind {
             JobKind::Inference => done,
-            JobKind::Training => done - done % self.checkpoint_interval.max(1),
+            JobKind::Training => done - done % CHECKPOINT_INTERVAL,
         }
     }
+}
+
+/// [`RecoveryPolicy::backoff_delay`] from a `base` and `cap` of at least
+/// 1 ns and a jitter `seed`.
+fn backoff(base: SimTime, cap: SimTime, seed: u64, attempt: u32, job_seq: u64) -> SimTime {
+    let shifted = if attempt >= 63 {
+        u64::MAX
+    } else {
+        base.0.saturating_mul(1u64 << attempt.min(62))
+    };
+    let delay = shifted.min(cap.0);
+    let jitter = splitmix64(seed ^ job_seq.rotate_left(17) ^ u64::from(attempt).rotate_left(41))
+        % (delay / 4 + 1);
+    SimTime(delay.saturating_add(jitter))
 }
 
 /// SplitMix64: the standard 64-bit finalizer-based PRNG step. Used for the
@@ -281,6 +277,37 @@ mod tests {
                 (SimTime(10), FaultEvent::DeviceRecover { device: 0 }),
                 (SimTime(10), FaultEvent::DeviceFail { device: 2 }),
                 (SimTime(50), FaultEvent::DeviceFail { device: 1 }),
+            ]
+        );
+    }
+
+    #[test]
+    fn an_outage_past_the_end_of_time_recovers_at_u64_max() {
+        // `t + outage` would wrap in release and sort the recovery before
+        // the kill it undoes; a spike's release likewise.
+        let t = SimTime(u64::MAX - 5);
+        let plan = FaultPlan::new()
+            .outage(t, 0, SimTime::from_ms(1))
+            .into_events();
+        assert_eq!(
+            plan,
+            vec![
+                (t, FaultEvent::DeviceFail { device: 0 }),
+                (SimTime(u64::MAX), FaultEvent::DeviceRecover { device: 0 }),
+            ]
+        );
+        let (device, bytes) = (1, 7);
+        let plan = FaultPlan::new()
+            .spike(t, device, bytes, SimTime::from_ms(1))
+            .into_events();
+        assert_eq!(
+            plan,
+            vec![
+                (t, FaultEvent::PressureSpike { device, bytes }),
+                (
+                    SimTime(u64::MAX),
+                    FaultEvent::PressureRelease { device, bytes }
+                ),
             ]
         );
     }
@@ -333,11 +360,10 @@ mod tests {
         let mut prev_floor = 0u64;
         for attempt in 0..12 {
             let d = policy.backoff_delay(attempt, 3).0;
-            let floor = policy
-                .backoff_base
+            let floor = BACKOFF_BASE
                 .0
                 .saturating_mul(1 << attempt.min(62))
-                .min(policy.backoff_cap.0);
+                .min(BACKOFF_CAP.0);
             assert!(d >= floor, "attempt {attempt}: {d} under floor {floor}");
             assert!(
                 d <= floor + floor / 4,
@@ -348,7 +374,7 @@ mod tests {
         }
         // Saturated attempts stay at the cap (+ jitter), no overflow.
         let big = policy.backoff_delay(200, 3).0;
-        assert!(big >= policy.backoff_cap.0 && big <= policy.backoff_cap.0 * 5 / 4);
+        assert!((BACKOFF_CAP.0..=BACKOFF_CAP.0 * 5 / 4).contains(&big));
     }
 
     #[test]
@@ -368,17 +394,11 @@ mod tests {
         // an f64 projection): no clock in the simulator is a float any more,
         // and chained retry instants must stay distinct integers at a
         // magnitude where a float one would have merged them.
-        let policy = RecoveryPolicy {
-            backoff_base: SimTime(1),
-            backoff_cap: SimTime(1),
-            jitter_seed: 0,
-            ..RecoveryPolicy::default()
-        };
         let base: u64 = (1 << 53) + 4;
         let mut due = base;
         let mut instants = vec![due];
         for attempt in 0..4 {
-            due += policy.backoff_delay(attempt, 1).0;
+            due += backoff(SimTime(1), SimTime(1), 0, attempt, 1).0;
             instants.push(due);
         }
         for w in instants.windows(2) {
@@ -393,10 +413,8 @@ mod tests {
 
     #[test]
     fn checkpoint_folds_to_the_last_interval() {
-        let p = RecoveryPolicy {
-            checkpoint_interval: 4,
-            ..RecoveryPolicy::default()
-        };
+        let p = RecoveryPolicy::default();
+        assert_eq!(CHECKPOINT_INTERVAL, 4);
         assert_eq!(p.checkpointed(JobKind::Training, 0), 0);
         assert_eq!(p.checkpointed(JobKind::Training, 3), 0);
         assert_eq!(p.checkpointed(JobKind::Training, 4), 4);

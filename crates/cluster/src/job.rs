@@ -7,59 +7,37 @@ use sn_graph::Net;
 pub use sn_runtime::PolicyPreset;
 
 /// Which network a job trains. An enum (rather than a boxed builder closure)
-//  keeps `JobSpec` cloneable, hashable for profile memoization, and
+/// keeps `JobSpec` cloneable, hashable for profile memoization, and
 /// printable in schedule traces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Workload {
-    LeNet,
-    AlexNet,
-    Vgg16,
-    ResNet50,
-    InceptionV4,
     /// A synthetic conv tower: `depth` CONV→RELU blocks of `width` channels
     /// over a 32×32 input, then POOL→FC→SOFTMAX. Cheap to simulate, with a
     /// memory footprint that scales predictably — the workhorse for cluster
     /// tests and benches.
-    Synthetic {
-        width: usize,
-        depth: usize,
-    },
+    Synthetic { width: usize, depth: usize },
 }
 
 impl Workload {
     /// Build the network at `batch`.
     pub fn build(&self, batch: usize) -> Net {
-        match *self {
-            Workload::LeNet => sn_models::lenet(batch, 10),
-            Workload::AlexNet => sn_models::alexnet(batch),
-            Workload::Vgg16 => sn_models::vgg16(batch),
-            Workload::ResNet50 => sn_models::resnet50(batch),
-            Workload::InceptionV4 => sn_models::inception_v4(batch),
-            Workload::Synthetic { width, depth } => {
-                let mut net = Net::new("Synthetic", sn_graph::Shape4::new(batch, 3, 32, 32));
-                let mut prev = net.data();
-                for _ in 0..depth {
-                    let c = net.conv(prev, width, 3, 1, 1);
-                    prev = net.relu(c);
-                }
-                let p = net.max_pool(prev, 2, 2, 0);
-                let f = net.fc(p, 10);
-                net.softmax(f);
-                net
-            }
+        let Workload::Synthetic { width, depth } = *self;
+        let mut net = Net::new("Synthetic", sn_graph::Shape4::new(batch, 3, 32, 32));
+        let mut prev = net.data();
+        for _ in 0..depth {
+            let c = net.conv(prev, width, 3, 1, 1);
+            prev = net.relu(c);
         }
+        let p = net.max_pool(prev, 2, 2, 0);
+        let f = net.fc(p, 10);
+        net.softmax(f);
+        net
     }
 
     /// Stable label used in traces and reports.
     pub fn label(&self) -> String {
-        match *self {
-            Workload::LeNet => "lenet".into(),
-            Workload::AlexNet => "alexnet".into(),
-            Workload::Vgg16 => "vgg16".into(),
-            Workload::ResNet50 => "resnet50".into(),
-            Workload::InceptionV4 => "inception_v4".into(),
-            Workload::Synthetic { width, depth } => format!("synthetic_w{width}_d{depth}"),
-        }
+        let Workload::Synthetic { width, depth } = *self;
+        format!("synthetic_w{width}_d{depth}")
     }
 }
 
@@ -172,13 +150,8 @@ mod tests {
 
     #[test]
     fn workloads_build_valid_nets() {
-        for w in [
-            Workload::LeNet,
-            Workload::Synthetic {
-                width: 16,
-                depth: 3,
-            },
-        ] {
+        for (width, depth) in [(16, 3), (8, 0)] {
+            let w = Workload::Synthetic { width, depth };
             let net = w.build(4);
             assert!(net.validate().is_ok(), "{} must validate", w.label());
             assert_eq!(net.batch(), 4);

@@ -159,7 +159,7 @@ fn gang_jobs_run_through_the_group_engine() {
         ),
         (
             sn_sim::SimTime::ZERO,
-            JobSpec::new("solo", Workload::LeNet, 8),
+            JobSpec::new("solo", Workload::Synthetic { width: 8, depth: 2 }, 8),
         ),
     ];
     let mut sim = ClusterSim::new(fleet8(256 * MB), PlacementPolicy::FirstFit);
@@ -399,7 +399,7 @@ fn zero_replica_jobs_are_rejected_not_phantom_admitted() {
     let mut sim = ClusterSim::new(fleet8(96 * MB), PlacementPolicy::FirstFit);
     let report = sim.run(vec![(
         sn_sim::SimTime::ZERO,
-        JobSpec::new("empty", Workload::LeNet, 8).with_replicas(0),
+        JobSpec::new("empty", Workload::Synthetic { width: 8, depth: 2 }, 8).with_replicas(0),
     )]);
     let job = &report.jobs[0];
     assert!(job.rejected.is_some(), "an empty gang must be rejected");
@@ -609,10 +609,7 @@ fn time_saturates_at_u64_max_instead_of_overflowing() {
     let mut sim = ClusterSim::new(fleet1(), PlacementPolicy::FirstFit);
     sim.enable_faults(
         FaultPlan::new().kill(sn_sim::SimTime(u64::MAX - 5), 0),
-        RecoveryPolicy {
-            max_retries: 3,
-            ..RecoveryPolicy::default()
-        },
+        RecoveryPolicy::default(),
     );
     let report = sim.run(vec![(late, job)]);
     assert!(report.conservation_holds());

@@ -143,14 +143,8 @@ fn checkpoint_restart_resumes_with_byte_exact_peaks() {
     let plan = FaultPlan::new()
         .outage(SimTime(makespan / 4), 0, SimTime(makespan / 4))
         .outage(SimTime(makespan / 3), 5, SimTime(makespan / 5));
-    let policy = RecoveryPolicy {
-        checkpoint_interval: 2,
-        backoff_base: SimTime::from_us(50),
-        backoff_cap: SimTime::from_ms(2),
-        ..RecoveryPolicy::default()
-    };
     let mut sim = ClusterSim::new(fleet, PlacementPolicy::FirstFit);
-    sim.enable_faults(plan, policy);
+    sim.enable_faults(plan, RecoveryPolicy::default());
     let report = sim.run(arrivals);
 
     assert!(report.conservation_holds(), "job conservation violated");
@@ -204,11 +198,7 @@ fn a_restarted_job_runs_its_remaining_iterations_to_the_end() {
         // Device 0 stays down; the retry lands on device 1 well before the
         // pre-fault completion instant.
         FaultPlan::new().kill(t_kill, 0),
-        RecoveryPolicy {
-            backoff_base: SimTime(step),
-            backoff_cap: SimTime(step),
-            ..RecoveryPolicy::default().with_mode(RecoveryMode::Restart)
-        },
+        RecoveryPolicy::default().with_mode(RecoveryMode::Restart),
     );
     let report = sim.run(vec![(SimTime::ZERO, job)]);
     assert!(report.conservation_holds());
@@ -253,20 +243,15 @@ fn recovery_timers_survive_the_f64_collapse_past_2p53() {
     let fleet = fleet_n(1, 96 * MB);
     let makespan = probe_makespan(&fleet, &arrivals);
     let t_kill = SimTime(base + (makespan - base) / 3);
-    let outage = SimTime::from_us(200);
+    // With the only device down, interrupted jobs ride their backoff: the
+    // 1, 2 and 4 ms delays probe an outage this long repeatedly.
+    let outage = SimTime::from_ms(5);
 
     let run = || {
         let mut sim = ClusterSim::new(fleet.clone(), PlacementPolicy::FirstFit);
         sim.enable_faults(
             FaultPlan::new().outage(t_kill, 0, outage),
-            // With the only device down, interrupted jobs ride their
-            // backoff: delays small enough to probe the outage repeatedly.
-            RecoveryPolicy {
-                backoff_base: SimTime::from_us(20),
-                backoff_cap: SimTime::from_us(50),
-                max_retries: 32,
-                ..RecoveryPolicy::default()
-            },
+            RecoveryPolicy::default(),
         );
         sim.run(arrivals.clone())
     };

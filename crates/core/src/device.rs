@@ -3,7 +3,7 @@
 //! [`Timeline`], since [`crate::CompiledPlan::verify`] proved the grants fit.
 
 use sn_mempool::{HeapPool, ALLOC_LATENCY, BLOCK_BYTES, FREE_LATENCY};
-use sn_sim::alloc::{granules, CUDA_GRANULE};
+use sn_sim::alloc::{granules, CUDA_GRANULE, FREE_BASE, MALLOC_BASE, MALLOC_PER_MIB};
 use sn_sim::spec::MB;
 use sn_sim::{
     AllocError, AllocGrant, AllocId, CudaAllocator, DeviceAllocator, DeviceSpec, SimTime, Timeline,
@@ -132,7 +132,7 @@ impl Memory for Device {
 /// The simulated GPU's memory as the interpreter sees it: its timeline and
 /// a byte counter. The build prices each call as the plan's allocator does
 /// (the pool's 1 KB blocks at constant latencies; `cudaMalloc`'s 256 B at
-/// `malloc_base + malloc_per_mib·⌈MiB⌉` and `free_base`) and sums runs of
+/// `MALLOC_BASE + MALLOC_PER_MIB·⌈MiB⌉` and `FREE_BASE`) and sums runs of
 /// them into `Fold`s; a warm step only applies them. Both granules and
 /// the MiB are powers of two, so pricing shifts and never divides.
 #[derive(Debug, Clone)]
@@ -171,10 +171,13 @@ impl SimDevice {
                     FREE_LATENCY,
                 )
             }
-            AllocatorKind::Cuda => {
-                let (base, per_mib) = (spec.malloc_base, spec.malloc_per_mib);
-                (CUDA_GRANULE, spec.dram_bytes, base, per_mib, spec.free_base)
-            }
+            AllocatorKind::Cuda => (
+                CUDA_GRANULE,
+                spec.dram_bytes,
+                MALLOC_BASE,
+                MALLOC_PER_MIB,
+                FREE_BASE,
+            ),
         };
         SimDevice {
             tl: Timeline::default(),

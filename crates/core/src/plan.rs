@@ -81,7 +81,6 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use sn_graph::liveness::{LivenessOptions, LivenessPlan, TensorId, TensorRole};
 use sn_graph::{LayerId, LayerKind, Net, NetCost, Precision, Route, StepPhase};
-use sn_sim::spec::{fold, mix, odd_keys};
 use sn_sim::{AllocGrant, DeviceAllocator, DeviceSpec, SimTime};
 use sn_telemetry::{Counter, MetricsRegistry};
 
@@ -404,7 +403,7 @@ fn effective_recompute_mode(policy: Policy, inference: bool) -> RecomputeMode {
 
 /// Everything a compilation's outcome depends on, packed losslessly into
 /// ten words — the net's [`Net::fingerprint`], the card's
-/// [`DeviceSpec::card_fingerprint`] (its nine constants; the name is not
+/// [`DeviceSpec::card_fingerprint`] (its two rates; the name is not
 /// identity), the policy in five and last the device cap — and `family`,
 /// the first nine folded once when the key is built: each probe hashes one
 /// word, `Eq` compares words, and building a key allocates nothing.
@@ -426,7 +425,32 @@ struct PlanKey {
 /// word.
 const CAP_WORD: usize = 9;
 const ENUM_BITS: u32 = 2;
-const KEY_MIX: [u64; 10] = odd_keys(0x706c_616e_5f6b_6579);
+const KEY_MIX: [u64; 10] = {
+    // Odd multipliers drawn from SplitMix64.
+    let (mut keys, mut seed, mut i) = ([0; 10], 0x706c_616e_5f6b_6579u64, 0);
+    while i < keys.len() {
+        seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let z = (seed ^ (seed >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        keys[i] = (z ^ (z >> 31)) | 1;
+        i += 1;
+    }
+    keys
+};
+
+/// Word `w`, its high half xored into its low half (a float's bits sit at
+/// the top), times its odd constant `k`: a bijection of `w`.
+#[inline]
+fn fold(w: u64, k: u64) -> u64 {
+    (w ^ (w >> 32)).wrapping_mul(k)
+}
+
+/// The final, bijective mix of a sum of folds.
+#[inline]
+fn mix(sum: u64) -> u64 {
+    let x = (sum ^ (sum >> 32)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    x ^ (x >> 29)
+}
 
 impl Hash for PlanKey {
     fn hash<H: Hasher>(&self, state: &mut H) {
@@ -1037,8 +1061,7 @@ impl<'a> Planner<'a> {
     /// How long a copy of `t` to or from its external tier takes.
     fn transfer_ns(&self, t: TensorId) -> u64 {
         let tier = self.w.utp.tier_of(t);
-        tier.copy_time(self.meta(t).bytes, &self.policy, self.spec)
-            .as_ns()
+        tier.copy_time(self.meta(t).bytes, &self.policy).as_ns()
     }
 
     /// Allocate, tracking where the peak lands — and whether the cap was

@@ -18,9 +18,14 @@
 //! use and high water. A slot is its bytes, which the tensor holding it
 //! knows, so no tier keeps a per-slot record.
 
-use sn_sim::{DeviceSpec, SimTime};
+use sn_sim::SimTime;
 
 use crate::policy::Policy;
+
+/// The share of the local host tier's rate a copy through a pageable (not
+/// pinned) host buffer gets. The paper notes unpinned transfers compromise
+/// "at least 50% of communication speed".
+const UNPINNED_FACTOR: f64 = 0.5;
 
 /// External memory tier, fastest first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -46,9 +51,9 @@ impl Tier {
     /// How long a copy of `bytes` to or from this tier takes under
     /// `policy`: the pageable (unpinned) penalty applies to the local host
     /// tier only.
-    pub(crate) fn copy_time(self, bytes: u64, policy: &Policy, spec: &DeviceSpec) -> SimTime {
+    pub(crate) fn copy_time(self, bytes: u64, policy: &Policy) -> SimTime {
         let gbps = match self {
-            Tier::LocalHost if !policy.pinned_host => self.gbps() * spec.unpinned_factor,
+            Tier::LocalHost if !policy.pinned_host => self.gbps() * UNPINNED_FACTOR,
             _ => self.gbps(),
         };
         sn_sim::time::transfer_time(bytes, gbps)

@@ -15,6 +15,10 @@ use crate::layer::{Layer, LayerId, LayerKind};
 use crate::net::Net;
 use crate::precision::Precision;
 
+/// Fixed kernel launch overhead added to every compute operation, on every
+/// card.
+const KERNEL_LAUNCH: SimTime = SimTime::from_us(5);
+
 /// Arithmetic efficiency (fraction of peak FLOP/s) by layer family.
 fn efficiency(kind: &LayerKind) -> f64 {
     match kind {
@@ -274,7 +278,7 @@ impl LayerCost {
     fn roofline(flops: u64, eff: f64, bytes: u64, spec: &DeviceSpec) -> SimTime {
         let ft = sn_sim::time::compute_time(flops, spec.peak_gflops * eff);
         let bt = sn_sim::time::transfer_time(bytes, spec.mem_bw_gbps);
-        spec.kernel_launch + ft.max(bt)
+        KERNEL_LAUNCH + ft.max(bt)
     }
 
     /// Forward execution time on `spec`, with the selected convolution
@@ -426,7 +430,7 @@ mod tests {
         let t = c.fwd_time(&relu.kind, &spec, 1.0);
         // Pure bandwidth bound: bytes/bw plus launch overhead.
         let expect =
-            spec.kernel_launch + sn_sim::time::transfer_time(c.fwd_bytes_moved, spec.mem_bw_gbps);
+            KERNEL_LAUNCH + sn_sim::time::transfer_time(c.fwd_bytes_moved, spec.mem_bw_gbps);
         assert_eq!(t, expect);
     }
 

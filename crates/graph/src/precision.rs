@@ -1,7 +1,7 @@
 //! Per-net element precision: the standard AMP (automatic mixed precision)
 //! recipe, described as *which dtype each tensor class lives in*.
 //!
-//! Activations and gradients may be half-width (`F16`/`BF16`); master
+//! Activations and gradients may be half-width (`BF16`); master
 //! weights, weight gradients, and optimizer state stay `F32` — that is the
 //! invariant of the AMP recipe, so [`Precision`] carries no weight dtype.
 //! The descriptor threads through the cost model ([`crate::NetCost`]),

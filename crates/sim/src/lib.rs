@@ -15,12 +15,12 @@
 //!   timelines from which [`Timeline::overlap`] derives how much DMA time
 //!   was hidden under kernels — exactly the overlap structure the paper's
 //!   prefetch/offload design exploits;
-//! * [`DeviceSpec`] describing a concrete card (DRAM capacity, arithmetic
-//!   throughput, memory and PCIe bandwidths, allocation latencies) with
-//!   presets for the NVIDIA K40c and TITAN Xp used in the paper;
-//! * the [`DeviceAllocator`] trait plus [`CudaAllocator`], a latency-modelled
-//!   stand-in for `cudaMalloc`/`cudaFree` that the heap pool of `sn-mempool`
-//!   is benchmarked against (Table 2).
+//! * [`DeviceSpec`] describing what differs between cards (DRAM capacity,
+//!   arithmetic throughput, memory bandwidth) with presets for the NVIDIA
+//!   K40c and TITAN Xp used in the paper;
+//! * the [`DeviceAllocator`] trait plus [`CudaAllocator`], a stand-in for
+//!   `cudaMalloc`/`cudaFree` at the constant latencies of [`alloc`] that the
+//!   heap pool of `sn-mempool` is benchmarked against (Table 2).
 //!
 //! Everything here is exact-integer and single-threaded on purpose: the
 //! simulation must be reproducible so that the experiment harness regenerates

@@ -6,12 +6,11 @@ use std::fmt;
 /// Element precision of a tensor as it lives in device memory.
 ///
 /// The planner's byte accounting multiplies element counts by
-/// [`DType::size_of`]; `F16` and `BF16` differ in numerics, not in the
-/// memory model, so both map to 2 bytes.
+/// [`DType::size_of`]. A half-width format differs from `BF16` in numerics,
+/// not in the memory model, so `BF16` stands for them all.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DType {
     F32,
-    F16,
     BF16,
 }
 
@@ -21,7 +20,7 @@ impl DType {
     pub const fn size_of(self) -> u64 {
         match self {
             DType::F32 => 4,
-            DType::F16 | DType::BF16 => 2,
+            DType::BF16 => 2,
         }
     }
 }
@@ -30,7 +29,6 @@ impl fmt::Display for DType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             DType::F32 => "f32",
-            DType::F16 => "f16",
             DType::BF16 => "bf16",
         })
     }
@@ -115,7 +113,6 @@ mod tests {
     fn bytes_of_scales_by_dtype() {
         let s = Shape4::new(2, 3, 4, 5);
         assert_eq!(s.bytes_of(DType::F32), 4 * s.numel() as u64);
-        assert_eq!(s.bytes_of(DType::F16), 240);
         assert_eq!(s.bytes_of(DType::BF16), 240);
         assert_eq!(DType::F32.size_of(), 4);
         assert_eq!(DType::BF16.size_of(), 2);
