@@ -480,7 +480,6 @@ pub struct Executor<'n> {
     /// assigning a plan here afterwards is unsupported.
     pub mplan: std::sync::Arc<MemoryPlan>,
     pub policy: Policy,
-    pub spec: DeviceSpec,
     pub dev: SimDevice,
     prog: Program,
     /// The next program entry a step runs.
@@ -593,7 +592,6 @@ impl<'n> Executor<'n> {
             plan: liveness,
             mplan,
             policy,
-            spec,
             weights: dev.used,
             dev,
             prog: Program::default(),
